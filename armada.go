@@ -11,9 +11,8 @@
 //
 // The package simulates the whole system in process: a Network is a full
 // FISSIONE overlay whose peers own namespace regions, keep local routing
-// tables, and exchange messages hop by hop (optionally on one goroutine per
-// peer). Query results carry the paper's cost metrics — hop delay, message
-// count and destination-peer count.
+// tables, and exchange messages hop by hop. Query results carry the paper's
+// cost metrics — hop delay, message count and destination-peer count.
 //
 // Every query is one Query value executed through a single entry point,
 // Do, which accepts a context for cancellation:
@@ -80,7 +79,6 @@ type Network struct {
 	net  *fissione.Network
 	tree *naming.Tree
 	eng  *core.Engine
-	mode core.Mode
 	// fcache is the shared issuer-side frontier cache (nil without
 	// WithFrontierCache): range queries capture their descent frontiers
 	// into it and seed from covering entries, skipping the descent.
@@ -507,33 +505,23 @@ func (n *Network) do(ctx context.Context, q Query, issuer string, onMatch func(O
 // decision points they describe.
 func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func(Object), fr *frontierExec, qid uint64, dq *diag.Query) (*Result, error) {
 	kind := q.kind()
-	opts := make([]core.QueryOption, 0, 6)
-	if n.mode == core.Async {
-		opts = append(opts, core.WithMode(core.Async))
-	}
 	pol, err := n.readPolicy(q.ReadPolicy)
 	if err != nil {
 		return nil, err
 	}
-	if pol != core.ReadPrimary {
-		opts = append(opts, core.WithReadPolicy(pol))
-	}
+	cfg := core.QueryConfig{Policy: pol}
 	if fr != nil {
 		fr.qid = qid
 		fr.dq = dq
 	}
 	if q.Trace != nil || n.obs.flight != nil || dq != nil {
-		opts = append(opts, core.WithTrace(n.traceFunc(q.Trace, qid, dq)))
+		cfg.Trace = n.traceFunc(q.Trace, qid, dq)
 	}
 	if dq != nil {
-		opts = append(opts, core.WithScanTrace(func(_ kautz.Str, depth, matched int) {
-			dq.NoteScan(depth, matched)
-		}))
+		cfg.ScanTrace = func(_ kautz.Str, depth, matched int) { dq.NoteScan(depth, matched) }
 	}
 	if onMatch != nil {
-		opts = append(opts, core.WithOnMatch(func(m core.Match) {
-			onMatch(objectOf(m))
-		}))
+		cfg.OnMatch = func(m core.Match) { onMatch(objectOf(m)) }
 	}
 	if q.Limit != 0 || q.OffsetID != "" {
 		if kind != KindRange && kind != KindFlood {
@@ -547,11 +535,9 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 			if len(oid) != n.net.K() || !kautz.Valid(oid) {
 				return nil, fmt.Errorf("%w: offset %q is not an ObjectID of this network (Kautz string of length %d)", ErrBadQuery, q.OffsetID, n.net.K())
 			}
-			opts = append(opts, core.WithAfter(oid))
+			cfg.After = oid
 		}
-		if q.Limit > 0 {
-			opts = append(opts, core.WithLimit(q.Limit))
-		}
+		cfg.Limit = q.Limit
 	}
 
 	switch kind {
@@ -577,18 +563,19 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 			}
 			// Lookups are the degenerate region ⟨oid, oid⟩ — always a
 			// single learned owner on a hit.
-			if route, ok := n.shortcutRoute(kautz.Region{Low: oid, High: oid}); ok {
-				opts = append(opts, core.WithShortcutRoute(route))
-			}
+			cfg.Shortcut = n.shortcutRoute(kautz.Region{Low: oid, High: oid})
 		}
-		res, err := n.eng.Lookup(ctx, kautz.Str(issuer), oid, opts...)
+		res, err := n.eng.LookupWith(ctx, kautz.Str(issuer), oid, cfg)
 		if err != nil {
 			return nil, wrapCoreErr(err)
 		}
 		if n.stable != nil && res.Stats.ShortcutHits == 0 && res.Owner != "" {
-			n.learnShortcuts([]kautz.Str{res.Owner})
+			n.learnShortcut(res.Owner)
 		}
 		out := &Result{Owner: string(res.Owner), Stats: statsOf(res.Stats)}
+		if len(res.Objects) > 0 {
+			out.Objects = make([]Object, 0, len(res.Objects))
+		}
 		for _, o := range res.Objects {
 			out.Objects = append(out.Objects, Object{
 				// Peer names the replica that served the delivery (== Owner
@@ -605,9 +592,9 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 		}
 		// resultOf reads the sorted runs directly; skipping the engine-side
 		// flatten saves one full copy of what may be a huge result set.
-		opts = append(opts, core.WithRunsOnly())
+		cfg.RunsOnly = true
 		if kind == KindFlood {
-			res, err := n.eng.FloodQuery(ctx, kautz.Str(issuer), lo, hi, opts...)
+			res, err := n.eng.FloodQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
 			if err != nil {
 				return nil, wrapCoreErr(err)
 			}
@@ -622,13 +609,13 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 			fr = &frontierExec{qid: qid}
 		}
 		if fr == nil {
-			res, err := n.eng.RangeQuery(ctx, kautz.Str(issuer), lo, hi, opts...)
+			res, err := n.eng.RangeQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
 			if err != nil {
 				return nil, wrapCoreErr(err)
 			}
 			return resultOf(res), nil
 		}
-		res, err := n.runFrontierRange(ctx, issuer, lo, hi, q.OffsetID, fr, opts)
+		res, err := n.runFrontierRange(ctx, issuer, lo, hi, q.OffsetID, fr, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -651,7 +638,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 		if err != nil {
 			return nil, err
 		}
-		res, err := n.eng.TopK(ctx, kautz.Str(issuer), lo, hi, q.K, opts...)
+		res, err := n.eng.TopKWith(ctx, kautz.Str(issuer), lo, hi, q.K, cfg)
 		if err != nil {
 			return nil, wrapCoreErr(err)
 		}
@@ -718,17 +705,10 @@ func (n *Network) RangeQueryFrom(issuer string, ranges ...Range) (*Result, error
 //
 // Deprecated: use Do with NewRange and WithTrace.
 func (n *Network) TraceQuery(issuer string, ranges ...Range) (*Result, []Hop, error) {
-	var (
-		hopMu sync.Mutex // an async network may run the trace hook concurrently
-		hops  []Hop
-	)
+	var hops []Hop
 	res, err := n.Do(context.Background(), NewRange(ranges,
 		WithIssuer(issuer),
-		WithTrace(func(h Hop) {
-			hopMu.Lock()
-			defer hopMu.Unlock()
-			hops = append(hops, h)
-		}),
+		WithTrace(func(h Hop) { hops = append(hops, h) }),
 	))
 	if err != nil {
 		return nil, nil, err
@@ -851,39 +831,43 @@ func (n *Network) ShortcutTableStats() (_ ShortcutTableStats, ok bool) {
 }
 
 // shortcutRoute resolves a query region against the shortcut table at the
-// live topology epoch. The caller holds the read lock (so the epoch
-// cannot move under the route) and has checked n.stable != nil.
-func (n *Network) shortcutRoute(region kautz.Region) (core.ShortcutRoute, bool) {
+// live topology epoch; the zero route means the table cannot cover the
+// region. The caller holds the read lock (so the epoch cannot move under
+// the route) and has checked n.stable != nil.
+func (n *Network) shortcutRoute(region kautz.Region) core.ShortcutRoute {
 	entries, ok := n.stable.Route(region, n.net.Epoch())
 	if !ok {
-		return core.ShortcutRoute{}, false
+		return core.ShortcutRoute{}
 	}
 	targets := make([]core.ShortcutTarget, len(entries))
 	for i, en := range entries {
 		targets[i] = core.ShortcutTarget{Owner: en.Owner, Group: en.Group}
 	}
-	return core.ShortcutRoute{Targets: targets}, true
+	return core.ShortcutRoute{Targets: targets}
 }
 
 // learnShortcuts records the region owners a query delivered to into the
-// shortcut table, with their replica groups when the network replicates.
-// The caller holds the read lock, so every owner still exists and the
-// epoch recorded is the one the query ran at.
+// shortcut table. The caller holds the read lock, so every owner still
+// exists and the epoch recorded is the one the query ran at.
 func (n *Network) learnShortcuts(owners []kautz.Str) {
-	epoch := n.net.Epoch()
-	replicated := n.net.Replicas() > 1
-	var buf [16]*fissione.Peer
 	for _, owner := range owners {
-		var group []kautz.Str
-		if replicated {
-			peers := n.net.AppendGroupPeers(buf[:0], owner)
-			group = make([]kautz.Str, len(peers))
-			for i, p := range peers {
-				group[i] = p.ID()
-			}
-		}
-		n.stable.Learn(owner, group, epoch)
+		n.learnShortcut(owner)
 	}
+}
+
+// learnShortcut records one region owner, with its replica group when the
+// network replicates.
+func (n *Network) learnShortcut(owner kautz.Str) {
+	var group []kautz.Str
+	if n.net.Replicas() > 1 {
+		var buf [16]*fissione.Peer
+		peers := n.net.AppendGroupPeers(buf[:0], owner)
+		group = make([]kautz.Str, len(peers))
+		for i, p := range peers {
+			group[i] = p.ID()
+		}
+	}
+	n.stable.Learn(owner, group, n.net.Epoch())
 }
 
 // Audit verifies every structural invariant of the overlay: the prefix-free

@@ -292,38 +292,6 @@ func TestBalancedBuildTopology(t *testing.T) {
 	}
 }
 
-func TestAsyncQueriesMatchSync(t *testing.T) {
-	build := func(opts ...Option) *Network {
-		all := append([]Option{WithSeed(23)}, opts...)
-		net, err := NewNetwork(150, all...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 150; i++ {
-			if err := net.Publish(objName(i), float64(i)*6.5); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return net
-	}
-	syncNet, asyncNet := build(), build(WithAsyncQueries())
-	issuer := syncNet.PeerIDs()[7]
-	a, err := syncNet.RangeQueryFrom(issuer, Range{100, 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := asyncNet.RangeQueryFrom(issuer, Range{100, 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats != b.Stats {
-		t.Fatalf("stats differ: %+v vs %+v", a.Stats, b.Stats)
-	}
-	if len(a.Objects) != len(b.Objects) {
-		t.Fatalf("objects differ: %d vs %d", len(a.Objects), len(b.Objects))
-	}
-}
-
 // Concurrent queries against a stable network are safe and correct.
 func TestConcurrentQueries(t *testing.T) {
 	net, err := NewNetwork(100, WithSeed(25))

@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"sync"
 
 	"armada"
 )
@@ -49,7 +48,6 @@ func run(ctx context.Context, args []string) error {
 		hi2     = fs.Float64("hi2", 200, "query high bound (attribute 1, with -multi)")
 		churn   = fs.Int("churn", 0, "random joins/leaves to apply before querying")
 		topk    = fs.Int("topk", 0, "also run a top-k query for the given k")
-		async   = fs.Bool("async", false, "execute queries on one goroutine per peer")
 		stream  = fs.Bool("stream", false, "print matches as destination peers deliver them")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -62,9 +60,6 @@ func run(ctx context.Context, args []string) error {
 		spaces = []armada.AttributeSpace{{Low: 0, High: 16}, {Low: 0, High: 500}}
 	}
 	opts = append(opts, armada.WithAttributes(spaces...))
-	if *async {
-		opts = append(opts, armada.WithAsyncQueries())
-	}
 
 	fmt.Printf("building FISSIONE network: %d peers...\n", *peers)
 	net, err := armada.NewNetwork(*peers, opts...)
@@ -121,14 +116,9 @@ func run(ctx context.Context, args []string) error {
 		// Stream the query once, deriving the cost metrics from its own
 		// trace: a forward at depth d is processed at d+1, so the delay is
 		// the deepest forward plus one.
-		var (
-			hopMu                       sync.Mutex // an -async network runs the trace hook concurrently
-			forwards, deliveries, delay int
-		)
+		var forwards, deliveries, delay int
 		q := armada.NewRange(ranges, armada.WithIssuer(issuer),
 			armada.WithTrace(func(h armada.Hop) {
-				hopMu.Lock()
-				defer hopMu.Unlock()
 				if h.From == h.To && h.Remaining == 0 {
 					deliveries++
 					return

@@ -34,17 +34,6 @@ func TestRunStreaming(t *testing.T) {
 	}
 }
 
-// -async -stream runs the trace hook concurrently; the derived counters
-// must be race-free (run under -race in CI).
-func TestRunAsyncStreaming(t *testing.T) {
-	err := run(context.Background(), []string{
-		"-peers", "80", "-objects", "60", "-async", "-stream", "-lo", "0", "-hi", "800",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-nope"}); err == nil {
 		t.Fatal("bad flag accepted")

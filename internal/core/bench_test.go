@@ -1,0 +1,103 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"armada/internal/kautz"
+)
+
+// buildBench is buildSingle plus the published ObjectIDs, in publish order.
+func buildBench(tb testing.TB, peers, objects int) (*Engine, []kautz.Str) {
+	tb.Helper()
+	eng, objs := buildSingle(tb, peers, objects, 7)
+	oids := make([]kautz.Str, len(objs))
+	for i, o := range objs {
+		var err error
+		if oids[i], err = eng.Tree().Hash(o.Values...); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return eng, oids
+}
+
+// The per-hop path allocates nothing, so a whole lookup stays within a
+// fixed handful of allocations however long its descent: the subregion
+// split, the delivery's match run and the result's slices and structs.
+func TestLookupAllocCeiling(t *testing.T) {
+	eng, oids := buildBench(t, 1000, 2000)
+	ctx := context.Background()
+	issuers := eng.Network().PeerIDs()
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		i++
+		if _, err := eng.Lookup(ctx, issuers[i%len(issuers)], oids[i%len(oids)]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 12 {
+		t.Fatalf("Lookup at 1,000 peers allocates %.1f times per query, ceiling is 12", allocs)
+	}
+}
+
+var sinkQueue int
+
+// BenchmarkStep measures one forward step of the descent: a peer above the
+// destination level evaluating the pruning predicates on its out-neighbors
+// and queueing the survivors.
+func BenchmarkStep(b *testing.B) {
+	eng, oids := buildBench(b, 10000, 1)
+	st := eng.newState(QueryConfig{}, nil)
+	defer st.release()
+	// Descend a lookup to collect its forward messages, then replay them.
+	from, _ := eng.net.Peer(eng.net.PeerIDs()[0])
+	st.seed(from, kautz.Region{Low: oids[0], High: oids[0]})
+	var steps []msg
+	for st.head < len(st.queue) {
+		m := st.queue[st.head]
+		st.head++
+		if m.kind == msgForward {
+			steps = append(steps, m)
+			eng.forward(st, m)
+		}
+	}
+	if len(steps) == 0 {
+		b.Fatal("descent had no forward step")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.queue = st.queue[:0]
+		eng.forward(st, steps[i%len(steps)])
+		sinkQueue += len(st.queue)
+	}
+}
+
+func BenchmarkLookup10k(b *testing.B) {
+	eng, oids := buildBench(b, 10000, 20000)
+	ctx := context.Background()
+	issuers := eng.Network().PeerIDs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Lookup(ctx, issuers[(i*7919)%len(issuers)], oids[i%len(oids)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRange10k(b *testing.B) {
+	eng, _ := buildBench(b, 10000, 20000)
+	ctx := context.Background()
+	issuers := eng.Network().PeerIDs()
+	rng := rand.New(rand.NewSource(9))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := rng.Float64() * 997
+		if _, err := eng.RangeQuery(ctx, issuers[(i*7919)%len(issuers)], []float64{lo}, []float64{lo + 2.5}, WithRunsOnly()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -33,18 +33,6 @@ import (
 	"armada/internal/kautz"
 	"armada/internal/naming"
 	"armada/internal/obs"
-	"armada/internal/simnet"
-)
-
-// Mode selects the execution engine for a query.
-type Mode int
-
-// Execution modes. Sync runs the deterministic single-threaded engine used
-// by the experiments; Async runs one goroutine per peer. The zero Mode is
-// treated as Sync.
-const (
-	Sync Mode = iota + 1
-	Async
 )
 
 // Errors returned by the engine.
@@ -57,7 +45,7 @@ var (
 
 // Engine executes Armada queries over a FISSIONE network. The engine holds
 // no per-query state: every query carries its own configuration, so any
-// number of queries — traced or not, sync or async — may run concurrently.
+// number of queries — traced or not — may run concurrently.
 // The network topology must not be mutated while a query is in flight.
 type Engine struct {
 	net  *fissione.Network
@@ -93,15 +81,17 @@ const (
 // TraceFunc observes one descent hop. from is the processing peer, to the
 // forward's target; deliveries have remaining == 0 and report the peer
 // that served the delivery as to — equal to from unless a read policy
-// redirected the scan to a replica (kind HopRedirect). A trace function
-// passed to an Async query must be safe for concurrent use.
+// redirected the scan to a replica (kind HopRedirect). A query runs on its
+// caller's goroutine, so its observers are never called concurrently.
 type TraceFunc func(kind HopKind, from, to kautz.Str, depth, remaining int)
 
 // Metrics are the engine's cumulative query-cost counters, shared by every
 // query the engine runs. Updates are lock-free atomics folded in once per
-// query (from the Stats the query computed anyway) plus one counter
-// increment per scheduled overlay message, so the per-hop path stays
-// allocation-free.
+// query — from the Stats the query computed anyway, plus one add of the
+// query's processed-message count — so the per-hop path touches no shared
+// counter and allocates nothing (BenchmarkStep: 0 allocs/op; a lookup at
+// 1,000 peers: 8 allocations in all, pinned ≤ 12 by
+// TestLookupAllocCeiling).
 type Metrics struct {
 	// Descents counts full FRT descents executed; Seeded counts queries
 	// that skipped the descent by seeding from a captured frontier.
@@ -111,8 +101,8 @@ type Metrics struct {
 	// names across all queries.
 	Messages   obs.Counter
 	Deliveries obs.Counter
-	// Scheduled counts overlay messages scheduled by the simnet engines —
-	// the raw message-pump volume, including frontier fan-outs.
+	// Scheduled counts messages the engine's pump processed — the raw
+	// message volume, issuer-local seeds and direct fan-outs included.
 	Scheduled obs.Counter
 	// HopDelay is the distribution of realized per-query hop delay.
 	HopDelay *obs.Histogram
@@ -175,15 +165,15 @@ func (p ReadPolicy) String() string {
 }
 
 // QueryConfig is the per-query execution configuration. The zero value runs
-// a plain synchronous query.
+// a plain query. The *With entry points (LookupWith, RangeQueryWith, ...)
+// take one by value; the variadic entry points fold their QueryOptions into
+// one.
 type QueryConfig struct {
-	// Mode selects the execution engine (zero means Sync).
-	Mode Mode
 	// Trace, when non-nil, observes every hop of the descent.
 	Trace TraceFunc
 	// OnMatch, when non-nil, receives each matching object as its
 	// destination peer delivers it — before the final sorted result is
-	// assembled. Under Async mode it may be called concurrently.
+	// assembled.
 	OnMatch func(Match)
 	// Limit, when positive, paginates the result: each destination peer
 	// stops scanning once it has collected Limit matches (extending through
@@ -211,34 +201,27 @@ type QueryConfig struct {
 	// CaptureFrontier records a full descent's frontier into
 	// RangeResult.Frontier (see WithCaptureFrontier).
 	CaptureFrontier bool
-	// Prepared, when non-nil, carries the query's precomputed box and
-	// region (see WithPrepared), sparing RangeQuery the naming-tree
-	// mapping a frontier-caching caller already performed.
-	Prepared *PreparedRange
-	// Shortcut, when non-nil, offers a learned shortcut route to serve the
-	// query without a descent (see WithShortcutRoute). It is used only
-	// after re-validation against the live topology and silently ignored
-	// otherwise.
-	Shortcut *ShortcutRoute
+	// Prepared, when set (non-empty Region), carries the query's
+	// precomputed box and region (RangeRegion's output), sparing RangeQuery
+	// the naming-tree mapping a frontier-caching caller already performed.
+	Prepared PreparedRange
+	// Shortcut, when it has targets, offers a learned shortcut route to
+	// serve the query without a descent (see WithShortcutRoute). It is used
+	// only after re-validation against the live topology and silently
+	// ignored otherwise.
+	Shortcut ShortcutRoute
 	// ScanTrace, when non-nil, observes each delivery's completed store
 	// scan: the serving peer, the delivery depth, and how many matches the
 	// scan collected. It complements Trace (whose deliver/redirect hops
-	// fire before the scan runs) with the scan cost itself. Under Async
-	// mode it may be called concurrently.
+	// fire before the scan runs) with the scan cost itself.
 	ScanTrace func(serving kautz.Str, depth, matched int)
 }
 
 // QueryOption adjusts one query's configuration.
 type QueryOption func(*QueryConfig)
 
-// WithMode selects the execution engine for this query.
-func WithMode(m Mode) QueryOption { return func(c *QueryConfig) { c.Mode = m } }
-
 // WithTrace installs a hop observer for this query.
 func WithTrace(f TraceFunc) QueryOption { return func(c *QueryConfig) { c.Trace = f } }
-
-// WithOnMatch installs a streaming match observer for this query.
-func WithOnMatch(f func(Match)) QueryOption { return func(c *QueryConfig) { c.OnMatch = f } }
 
 // WithLimit paginates the query's result set at n matches per page (at
 // ObjectID granularity: a page grows past n only to keep objects sharing
@@ -254,11 +237,6 @@ func WithRunsOnly() QueryOption { return func(c *QueryConfig) { c.RunsOnly = tru
 
 // WithReadPolicy selects the replica-serving policy for this query.
 func WithReadPolicy(p ReadPolicy) QueryOption { return func(c *QueryConfig) { c.Policy = p } }
-
-// WithScanTrace installs a store-scan observer for this query.
-func WithScanTrace(f func(serving kautz.Str, depth, matched int)) QueryOption {
-	return func(c *QueryConfig) { c.ScanTrace = f }
-}
 
 func buildQueryConfig(opts []QueryOption) QueryConfig {
 	var cfg QueryConfig
@@ -376,14 +354,40 @@ type RangeResult struct {
 	Stats Stats
 }
 
-// queryMsg is the payload carried by one descent message.
-type queryMsg struct {
-	region kautz.Region
-	h      int // remaining hops to the destination level
+// msgKind tags what a queued overlay message asks of its receiving peer.
+type msgKind uint8
+
+const (
+	// msgForward is a descent message with levels still to go: the receiver
+	// forwards it to the out-neighbors whose eventual prefixes the region
+	// can still reach.
+	msgForward msgKind = iota
+	// msgDeliver is an arrival at the destination level — a descent's last
+	// hop, or the direct send of a frontier-seeded query: the receiver owns
+	// part of the region and serves it.
+	msgDeliver
+	// msgShortcut is the direct send of a shortcut-routed query: the issuer
+	// already chose the serving replica, so the delivery costs no redirect.
+	msgShortcut
+)
+
+// msg is one overlay message in flight: a small value with the receiving
+// peer resolved when it was sent, so processing it needs no lookup, no
+// boxing and no allocation.
+type msg struct {
+	to      *fissione.Peer // receiver; the region's owner on deliveries
+	serving *fissione.Peer // msgShortcut only: the replica the issuer addressed
+	region  kautz.Region
+	h       int32 // msgForward only: hops left to the destination level
+	depth   int32 // hops from the issuer; the issuer's own seeds are at 0
+	kind    msgKind
 }
 
-// queryState accumulates results across a query's messages; handlers may
-// run concurrently in Async mode.
+// queryState is one query's working memory: the breadth-first message
+// queue and everything its deliveries accumulate. A query runs on its
+// caller's goroutine, so the state needs no lock; it is pooled, and result
+// copies out exactly what the caller keeps, so a steady query stream
+// reuses the same queue and accumulation buffers.
 //
 // Matches accumulate as one sorted run per delivery. Every peer owns a
 // prefix region disjoint from every other peer's, and a peer's deliveries
@@ -391,9 +395,17 @@ type queryMsg struct {
 // is a sort of whole runs by head ObjectID plus concatenation — O(total)
 // instead of O(total·log total) for the big hot-region result sets.
 type queryState struct {
-	mu            sync.Mutex
-	box           *naming.Box
-	cfg           QueryConfig
+	cfg      QueryConfig
+	box      naming.Box // delivery filter; valid when hasBox
+	hasBox   bool
+	boxPrune bool // MIRA: forward only while the child's subspace meets box
+	flood    bool // ablation: forward to every out-neighbor (see FloodQuery)
+
+	queue    []msg // FIFO; queue[head:] is still to process
+	head     int
+	delay    int // deepest message processed
+	messages int // messages processed at depth ≥ 1 (seeds are local computation)
+
 	runs          [][]Match // each ascending (ObjectID, Name); pairwise disjoint ID ranges
 	nmatches      int
 	dests         []kautz.Str
@@ -404,22 +416,75 @@ type queryState struct {
 	redirectDepth int             // deepest redirected delivery (owner depth + 1)
 }
 
+var statePool = sync.Pool{New: func() any { return new(queryState) }}
+
+// maxPooled bounds (in elements) each buffer a pooled state keeps: a flood
+// over a large network queues hundreds of thousands of messages and a
+// whole-space query names every peer, and pinning that for the next
+// 11-message lookup would be waste.
+const maxPooled = 1 << 12
+
+// newState takes a state from the pool for one query. box, when non-nil,
+// filters deliveries and — on a multi-attribute tree — prunes the descent.
+// For a single attribute the region predicate already implies the box
+// predicate (naming's TestContainsPrefixImpliesIntersectsSingleAttr checks
+// it exhaustively), so the descent skips it.
+func (e *Engine) newState(cfg QueryConfig, box *naming.Box) *queryState {
+	st := statePool.Get().(*queryState)
+	st.cfg = cfg
+	if box != nil {
+		st.box, st.hasBox = *box, true
+		st.boxPrune = e.tree.Attrs() > 1
+	}
+	return st
+}
+
+// release returns the state to the pool, dropping every reference it holds
+// so a pooled state pins neither results nor departed peers.
+func (st *queryState) release() {
+	*st = queryState{
+		queue:    recycle(st.queue),
+		runs:     recycle(st.runs),
+		dests:    recycle(st.dests),
+		frontier: recycle(st.frontier),
+	}
+	statePool.Put(st)
+}
+
+// recycle empties a pooled buffer for reuse, zeroing what it referenced; an
+// oversized one is let go.
+func recycle[T any](s []T) []T {
+	if cap(s) > maxPooled {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// cloneOrNil copies a pooled buffer's contents out for the caller; an empty
+// buffer yields nil, as the accumulating appends it replaces did.
+func cloneOrNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append([]T(nil), s...)
+}
+
 // RangeQuery executes a range query issued by the given peer: PIRA when the
 // engine's naming tree has one attribute, MIRA otherwise. lo and hi carry
 // one bound per attribute. Cancelling ctx aborts the descent and returns
 // ctx's error.
 func (e *Engine) RangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, opts ...QueryOption) (*RangeResult, error) {
+	return e.RangeQueryWith(ctx, issuer, lo, hi, buildQueryConfig(opts))
+}
+
+// RangeQueryWith is RangeQuery with the configuration given by value.
+func (e *Engine) RangeQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig) (*RangeResult, error) {
 	if e.tree == nil {
 		return nil, ErrNoTree
 	}
-	cfg := buildQueryConfig(opts)
-	var (
-		box    naming.Box
-		region kautz.Region
-	)
-	if cfg.Prepared != nil {
-		box, region = cfg.Prepared.Box, cfg.Prepared.Region
-	} else {
+	box, region := cfg.Prepared.Box, cfg.Prepared.Region
+	if region.Low == "" {
 		var err error
 		if box, err = e.tree.NewBox(lo, hi); err != nil {
 			return nil, fmt.Errorf("core: range query bounds: %w", err)
@@ -433,7 +498,7 @@ func (e *Engine) RangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []floa
 		return &RangeResult{}, nil
 	}
 	if e.frontierUsable(cfg.Frontier, region, lo, hi) {
-		return e.seedFromFrontier(ctx, issuer, region, &box, cfg, cfg.Frontier)
+		return e.seedFromFrontier(ctx, issuer, region, &box, cfg)
 	}
 	res, err := e.descend(ctx, issuer, region, &box, cfg)
 	if err == nil && res.Frontier != nil {
@@ -480,14 +545,16 @@ type LookupResult struct {
 // exact-match query, executed as the degenerate range ⟨objectID, objectID⟩
 // — and returns the objects published under it.
 func (e *Engine) Lookup(ctx context.Context, issuer kautz.Str, objectID kautz.Str, opts ...QueryOption) (*LookupResult, error) {
+	return e.LookupWith(ctx, issuer, objectID, buildQueryConfig(opts))
+}
+
+// LookupWith is Lookup with the configuration given by value.
+func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, objectID kautz.Str, cfg QueryConfig) (*LookupResult, error) {
 	if len(objectID) != e.net.K() || !kautz.Valid(objectID) {
 		return nil, fmt.Errorf("%w: %q", ErrBadObjectID, objectID)
 	}
-	region, err := kautz.NewRegion(objectID, objectID)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.descend(ctx, issuer, region, nil, buildQueryConfig(opts))
+	cfg.RunsOnly = true // the one delivery's run is read in place below
+	res, err := e.descend(ctx, issuer, kautz.Region{Low: objectID, High: objectID}, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -496,152 +563,143 @@ func (e *Engine) Lookup(ctx context.Context, issuer kautz.Str, objectID kautz.St
 		out.Owner = res.Destinations[0]
 	}
 	out.Served = out.Owner
-	for _, m := range res.Matches {
-		out.Served = m.Peer // one delivery serves a lookup; all matches agree
-		out.Objects = append(out.Objects, fissione.Object{Name: m.Name, Values: m.Values})
+	for _, run := range res.Runs {
+		out.Served = run[0].Peer // one delivery serves a lookup; all matches agree
+		out.Objects = slices.Grow(out.Objects, len(run))
+		for _, m := range run {
+			out.Objects = append(out.Objects, fissione.Object{Name: m.Name, Values: m.Values})
+		}
 	}
 	return out, nil
 }
 
 // descend runs the pruned FRT search from the issuer over the query region,
-// additionally pruning with the box's subspace predicate when box is
-// non-nil. The per-query cfg selects the execution mode and observers.
+// additionally filtering (and, for MIRA, pruning) with the box when box is
+// non-nil. A shortcut route in cfg is tried first and costs nothing when
+// the live topology refuses it.
 func (e *Engine) descend(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig) (*RangeResult, error) {
-	if _, ok := e.net.Peer(issuer); !ok {
+	from, ok := e.net.Peer(issuer)
+	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
-	if cfg.Shortcut != nil {
-		res, ok, err := e.seedFromShortcut(ctx, issuer, region, box, cfg)
-		if ok || err != nil {
-			return res, err
-		}
-		// The route failed re-validation; fall through to the normal
-		// descent with zero messages spent.
+	st := e.newState(cfg, box)
+	defer st.release()
+	if e.seedFromShortcut(st, region) {
+		return e.finishSeeded(ctx, st, from, HopShortcut)
 	}
-	state := &queryState{box: box, cfg: cfg}
-	parts := region.SplitByFirstSymbol()
-
-	seeds := make([]simnet.Message, 0, len(parts))
-	for _, part := range parts {
-		comT := part.CommonPrefix()
-		f := kautz.OverlapSuffixPrefix(issuer, comT)
-		seeds = append(seeds, simnet.Message{
-			To:      string(issuer),
-			Payload: queryMsg{region: part, h: len(issuer) - f},
-		})
-	}
-
-	handle := func(m simnet.Message) []simnet.Message { return e.step(state, m) }
-
-	metrics, err := e.run(ctx, cfg, seeds, handle)
-	if err != nil {
+	parts := st.seedDescent(from, region)
+	if err := e.pump(ctx, st); err != nil {
 		return nil, err
 	}
-
-	res := state.result(metrics, len(parts))
+	res := st.result(parts)
 	if cfg.CaptureFrontier {
-		// The run has drained, so state.frontier is complete; the epoch is
+		// The queue has drained, so the capture is complete; the epoch is
 		// stable for as long as the caller excludes topology mutation.
-		res.Frontier = &Frontier{Epoch: e.net.Epoch(), Region: region, Entries: state.frontier}
+		res.Frontier = &Frontier{Epoch: e.net.Epoch(), Region: region, Entries: cloneOrNil(st.frontier)}
 	}
 	e.metrics.note(res.Stats, false)
 	return res, nil
 }
 
-// run executes one set of seed messages on the engine selected by the
-// query's configuration.
-func (e *Engine) run(ctx context.Context, cfg QueryConfig, seeds []simnet.Message, handle simnet.Handler) (simnet.Metrics, error) {
-	handle = e.countScheduled(handle)
-	var (
-		metrics simnet.Metrics
-		err     error
-	)
-	if cfg.Mode == Async {
-		ids := e.net.PeerIDs()
-		strIDs := make([]string, len(ids))
-		for i, id := range ids {
-			strIDs[i] = string(id)
-		}
-		metrics, err = simnet.RunAsync(ctx, strIDs, seeds, handle)
-	} else {
-		metrics, err = simnet.RunSync(ctx, seeds, handle)
+// seedDescent queues the issuer's own entry messages — one per
+// first-symbol subregion of the query region — and returns their count.
+func (st *queryState) seedDescent(issuer *fissione.Peer, region kautz.Region) int {
+	parts := region.SplitByFirstSymbol()
+	for _, part := range parts {
+		st.seed(issuer, part)
 	}
-	if err != nil {
-		return metrics, fmt.Errorf("core: query aborted: %w", err)
-	}
-	return metrics, nil
+	return len(parts)
 }
 
-// countScheduled wraps a message handler to count every scheduled overlay
-// message — the one per-message metric update the engine pays.
-func (e *Engine) countScheduled(handle simnet.Handler) simnet.Handler {
-	sched := &e.metrics.Scheduled
-	return func(m simnet.Message) []simnet.Message {
-		sched.Inc()
-		return handle(m)
-	}
+// seed queues the descent's entry message for one common-prefix subregion:
+// local computation at the issuer (depth 0), as many levels above the
+// subregion's destination level as the issuer's identifier does not
+// already overlap the subregion's common prefix.
+func (st *queryState) seed(issuer *fissione.Peer, part kautz.Region) {
+	id := issuer.ID()
+	h := len(id) - kautz.OverlapSuffixPrefix(id, part.CommonPrefix())
+	st.queue = append(st.queue, descentMsg(issuer, part, h, 0))
 }
 
-// step processes one descent message at its destination peer and returns
-// the forwards. It is safe for concurrent use.
-func (e *Engine) step(state *queryState, m simnet.Message) []simnet.Message {
-	peer, ok := e.net.Peer(kautz.Str(m.To))
-	if !ok {
-		return nil
+// descentMsg is the descent message that reaches peer to with h levels
+// still to go: a forward above the destination level, a delivery at it.
+func descentMsg(to *fissione.Peer, region kautz.Region, h int, depth int32) msg {
+	kind := msgForward
+	if h == 0 {
+		kind = msgDeliver
 	}
-	if fm, ok := m.Payload.(frontierMsg); ok {
-		// Frontier-seeded fan-out: the issuer addresses each surviving
-		// destination directly; every forward is one overlay message
-		// delivering at depth 1.
-		fwd := make([]simnet.Message, 0, len(fm.sends))
-		for _, s := range fm.sends {
-			if state.cfg.Trace != nil {
-				state.cfg.Trace(HopSeed, peer.ID(), s.Peer, m.Depth, 0)
+	return msg{kind: kind, to: to, region: region, h: int32(h), depth: depth}
+}
+
+// pump drains the state's queue breadth-first: messages at equal depth are
+// processed in the order they were sent, so a query's hop trace is
+// deterministic. It tracks the paper's two cost metrics — delay, the
+// deepest message, and messages, those sent over the overlay (depth ≥ 1) —
+// and bumps the engine's scheduled-message counter once, by the number
+// processed. Cancelling ctx stops the run between messages. A nil ctx
+// never cancels.
+func (e *Engine) pump(ctx context.Context, st *queryState) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	start := st.head
+	var err error
+	for st.head < len(st.queue) {
+		if err = ctx.Err(); err != nil {
+			err = fmt.Errorf("core: query aborted: %w", err)
+			break
+		}
+		m := st.queue[st.head] // by value: forwards append to the queue
+		st.head++
+		if d := int(m.depth); d > st.delay {
+			st.delay = d
+		}
+		if m.depth >= 1 {
+			st.messages++
+		}
+		switch m.kind {
+		case msgForward:
+			e.forward(st, m)
+		case msgDeliver:
+			// A flood reaches every peer of the level; deliver only where
+			// the region predicate holds, so results and destination
+			// counts stay comparable with the pruned descent.
+			if !st.flood || m.region.ContainsPrefix(m.to.ID()) {
+				e.deliver(st, m.to, m.region, int(m.depth))
 			}
-			fwd = append(fwd, simnet.Message{To: string(s.Peer), Payload: queryMsg{region: s.Region, h: 0}})
+		case msgShortcut:
+			e.deliverShortcut(st, m)
 		}
-		return fwd
 	}
-	if sm, ok := m.Payload.(shortcutMsg); ok {
-		// Shortcut fan-out: the issuer addresses each pre-resolved serving
-		// peer directly; every forward is one overlay message delivering
-		// at depth 1.
-		fwd := make([]simnet.Message, 0, len(sm.sends))
-		for _, s := range sm.sends {
-			if state.cfg.Trace != nil {
-				state.cfg.Trace(HopShortcut, peer.ID(), s.serving, m.Depth, 0)
+	e.metrics.Scheduled.Add(int64(st.head - start))
+	return err
+}
+
+// forward processes one descent message at a peer above the destination
+// level, queueing a copy for every out-neighbor that can still reach a
+// target: the child's eventual prefix at the destination level must lie in
+// the region and, for MIRA, its subspace must meet the box.
+func (e *Engine) forward(st *queryState, m msg) {
+	h := int(m.h) - 1 // levels left once a child holds the message
+	for _, c := range m.to.Out() {
+		if !st.flood {
+			ep := c.Drop(h) // the child's eventual prefix at the destination level
+			if !m.region.ContainsPrefix(ep) {
+				continue
 			}
-			fwd = append(fwd, simnet.Message{To: string(s.serving), Payload: s})
+			if st.boxPrune && !e.prefixIntersectsBox(ep, st.box) {
+				continue
+			}
 		}
-		return fwd
-	}
-	if ss, ok := m.Payload.(shortcutSend); ok {
-		e.deliverShortcut(state, ss, m.Depth)
-		return nil
-	}
-	qm, ok := m.Payload.(queryMsg)
-	if !ok {
-		return nil
-	}
-	if qm.h == 0 {
-		e.deliver(state, peer, qm.region, m.Depth)
-		return nil
-	}
-	fwd := make([]simnet.Message, 0, len(peer.Out()))
-	for _, c := range peer.Out() {
-		ep := c.Drop(qm.h - 1) // the child's eventual prefix at the destination level
-		if !qm.region.ContainsPrefix(ep) {
-			continue
+		child, ok := e.net.Peer(c)
+		if !ok {
+			continue // unreachable: routing tables name live peers
 		}
-		if state.box != nil && !e.prefixIntersectsBox(ep, *state.box) {
-			continue
+		if st.cfg.Trace != nil {
+			st.cfg.Trace(HopForward, m.to.ID(), c, int(m.depth), h)
 		}
-		if state.cfg.Trace != nil {
-			state.cfg.Trace(HopForward, peer.ID(), c, m.Depth, qm.h-1)
-		}
-		fwd = append(fwd, simnet.Message{To: string(c), Payload: queryMsg{region: qm.region, h: qm.h - 1}})
+		st.queue = append(st.queue, descentMsg(child, m.region, h, m.depth+1))
 	}
-	return fwd
 }
 
 // prefixIntersectsBox applies MIRA's subspace predicate, truncating
@@ -654,11 +712,59 @@ func (e *Engine) prefixIntersectsBox(prefix kautz.Str, box naming.Box) bool {
 	return err == nil && ok
 }
 
+// finishSeeded runs a query whose sends the issuer addressed directly — a
+// frontier fan-out (HopSeed) or a shortcut route (HopShortcut), already
+// queued at depth 1 — and assembles its result. Every send is a real
+// overlay message, counted and traced like any descent forward; Delay is
+// the single fan-out hop and Subregions is 0 (nothing was split).
+func (e *Engine) finishSeeded(ctx context.Context, st *queryState, issuer *fissione.Peer, kind HopKind) (*RangeResult, error) {
+	if st.cfg.Trace != nil && (ctx == nil || ctx.Err() == nil) {
+		for _, m := range st.queue {
+			to := m.to
+			if m.serving != nil {
+				to = m.serving
+			}
+			st.cfg.Trace(kind, issuer.ID(), to.ID(), 0, 0)
+		}
+	}
+	if err := e.pump(ctx, st); err != nil {
+		return nil, err
+	}
+	res := st.result(0)
+	res.Stats.DescentsSaved = 1
+	if kind == HopShortcut {
+		res.Stats.ShortcutHits = 1
+	}
+	e.metrics.note(res.Stats, true)
+	return res, nil
+}
+
+// clipToOwn intersects r with the region peer id owns — every ObjectID it
+// stores as primary lies in ⟨MinExtend(id), MaxExtend(id)⟩ — reporting
+// false when they are disjoint. Comparing id with the bounds' prefixes of
+// its length decides each side, so a bound string is built only where the
+// owner's region actually clips r.
+func clipToOwn(r kautz.Region, id kautz.Str) (kautz.Region, bool) {
+	n := len(id)
+	switch head := r.Low[:n]; {
+	case head > id:
+		return kautz.Region{}, false
+	case head < id:
+		r.Low = kautz.MinExtend(id, r.K())
+	}
+	switch head := r.High[:n]; {
+	case head < id:
+		return kautz.Region{}, false
+	case head > id:
+		r.High = kautz.MaxExtend(id, r.K())
+	}
+	return r, true
+}
+
 // deliver records owner as a destination and collects the delivered
 // region's matching objects with one ordered scan of the serving peer's
 // index — O(log store + k) for k results, or O(log store + Limit) when the
-// query paginates — notifying the query's OnMatch observer outside the
-// state lock.
+// query paginates.
 //
 // On a replicated network the scan may be served by any member of the
 // owner's replica group, chosen by the query's read policy. The scan is
@@ -674,28 +780,26 @@ func (e *Engine) prefixIntersectsBox(prefix kautz.Str, box naming.Box) bool {
 // global cut in result keeps pagination exact: a match dropped here is
 // preceded by Limit collected matches with smaller ObjectIDs on this peer
 // alone, so it can never belong to the current page.
-func (e *Engine) deliver(state *queryState, owner *fissione.Peer, region kautz.Region, depth int) {
+func (e *Engine) deliver(st *queryState, owner *fissione.Peer, region kautz.Region, depth int) {
 	// Load accounting: one delivery addressed to this owner's region,
 	// whichever replica ends up serving the scan — ownership is what the
 	// load controller splits and migrates.
 	owner.NoteDelivery()
-	serving, scan, ok := e.serveTarget(owner, region, state.cfg.Policy)
-	if state.cfg.Trace != nil {
+	serving, scan, ok := e.serveTarget(owner, region, st.cfg.Policy)
+	if st.cfg.Trace != nil {
 		kind := HopDeliver
 		if serving != owner {
 			kind = HopRedirect
 		}
-		state.cfg.Trace(kind, owner.ID(), serving.ID(), depth, 0)
+		st.cfg.Trace(kind, owner.ID(), serving.ID(), depth, 0)
 	}
 	if !ok {
 		// The owner's region does not intersect the delivered region: an
 		// empty delivery, recorded as a destination like an empty scan.
-		state.mu.Lock()
-		state.dests = append(state.dests, owner.ID())
-		state.mu.Unlock()
+		st.dests = append(st.dests, owner.ID())
 		return
 	}
-	e.scanDelivery(state, owner, serving, scan, region, depth, serving != owner)
+	e.scanDelivery(st, owner, serving, scan, region, depth, serving != owner)
 }
 
 // scanDelivery runs one delivery's ordered scan on the serving peer and
@@ -705,25 +809,25 @@ func (e *Engine) deliver(state *queryState, owner *fissione.Peer, region kautz.R
 // frontier capture clips. redirectMsg reports whether a non-owner serve
 // cost a redirect message (descents; a shortcut-routed serve is addressed
 // directly and costs none).
-func (e *Engine) scanDelivery(state *queryState, owner, serving *fissione.Peer, scan, region kautz.Region, depth int, redirectMsg bool) {
+func (e *Engine) scanDelivery(st *queryState, owner, serving *fissione.Peer, scan, region kautz.Region, depth int, redirectMsg bool) {
 	var (
 		collected []Match
 		truncated bool
 	)
-	serving.ScanRegionHinted(scan, state.cfg.After, func(n int) {
-		if state.cfg.Limit > 0 && n > state.cfg.Limit {
-			n = state.cfg.Limit + 1 // one slot of tie headroom; appends may still grow it
+	serving.ScanRegionHinted(scan, st.cfg.After, func(n int) {
+		if st.cfg.Limit > 0 && n > st.cfg.Limit {
+			n = st.cfg.Limit + 1 // one slot of tie headroom; appends may still grow it
 		}
 		if n > 0 {
 			collected = make([]Match, 0, n)
 		}
 	}, func(so fissione.StoredObject) bool {
-		if state.box != nil {
-			if len(so.Object.Values) != len(state.box.Lo) || !state.box.Contains(so.Object.Values) {
+		if st.hasBox {
+			if len(so.Object.Values) != len(st.box.Lo) || !st.box.Contains(so.Object.Values) {
 				return true
 			}
 		}
-		if state.cfg.Limit > 0 && len(collected) >= state.cfg.Limit &&
+		if st.cfg.Limit > 0 && len(collected) >= st.cfg.Limit &&
 			so.ObjectID != collected[len(collected)-1].ObjectID {
 			truncated = true
 			return false
@@ -736,40 +840,38 @@ func (e *Engine) scanDelivery(state *queryState, owner, serving *fissione.Peer, 
 		})
 		return true
 	})
-	state.mu.Lock()
-	state.dests = append(state.dests, owner.ID())
-	if state.cfg.CaptureFrontier {
+	st.dests = append(st.dests, owner.ID())
+	if st.cfg.CaptureFrontier {
 		// Capture the delivery clipped to the owner's own region, so a
 		// cursor moving past the entry retires the peer from later pages
 		// (the raw delivered region spans many peers and would never
 		// retire anyone).
-		if own, ok := region.Intersect(e.ownRegion(owner.ID())); ok {
-			state.frontier = append(state.frontier, FrontierEntry{Peer: owner.ID(), Region: own})
+		if own, ok := clipToOwn(region, owner.ID()); ok {
+			st.frontier = append(st.frontier, FrontierEntry{Peer: owner.ID(), Region: own})
 		}
 	}
 	if serving != owner {
-		state.replicaServed++
+		st.replicaServed++
 		if redirectMsg {
-			state.redirectMsgs++
-			if depth+1 > state.redirectDepth {
-				state.redirectDepth = depth + 1
+			st.redirectMsgs++
+			if depth+1 > st.redirectDepth {
+				st.redirectDepth = depth + 1
 			}
 		}
 	}
 	if len(collected) > 0 {
-		state.runs = append(state.runs, collected)
-		state.nmatches += len(collected)
+		st.runs = append(st.runs, collected)
+		st.nmatches += len(collected)
 	}
 	if truncated {
-		state.truncated = true
+		st.truncated = true
 	}
-	state.mu.Unlock()
-	if state.cfg.ScanTrace != nil {
-		state.cfg.ScanTrace(serving.ID(), depth, len(collected))
+	if st.cfg.ScanTrace != nil {
+		st.cfg.ScanTrace(serving.ID(), depth, len(collected))
 	}
-	if state.cfg.OnMatch != nil {
+	if st.cfg.OnMatch != nil {
 		for _, m := range collected {
-			state.cfg.OnMatch(m)
+			st.cfg.OnMatch(m)
 		}
 	}
 }
@@ -787,7 +889,7 @@ func (e *Engine) serveTarget(owner *fissione.Peer, region kautz.Region, pol Read
 		return owner, region, true
 	}
 	id := owner.ID()
-	scan, ok = region.Intersect(e.ownRegion(id))
+	scan, ok = clipToOwn(region, id)
 	if !ok {
 		return owner, scan, false
 	}
@@ -810,28 +912,19 @@ func (e *Engine) serveTarget(owner *fissione.Peer, region kautz.Region, pol Read
 	return serving, scan, true
 }
 
-// result assembles the final RangeResult.
-func (state *queryState) result(metrics simnet.Metrics, subregions int) *RangeResult {
-	state.mu.Lock()
-	defer state.mu.Unlock()
-
-	// The state is dropped after assembly, so dests can be sorted and
-	// deduplicated in place instead of copied.
-	dests := state.dests
-	slices.Sort(dests)
-	unique := dests[:0]
-	for i, d := range dests {
-		if i == 0 || d != dests[i-1] {
-			unique = append(unique, d)
-		}
-	}
+// result assembles the final RangeResult, copying out of the pooled
+// buffers exactly what the caller keeps.
+func (st *queryState) result(subregions int) *RangeResult {
+	deliveries := len(st.dests)
+	slices.Sort(st.dests)
+	unique := slices.Compact(st.dests)
 
 	// Runs are internally sorted and pairwise disjoint in ObjectID range
 	// (distinct peers own distinct prefix regions; one peer's deliveries
 	// cover disjoint subregions), so ordering whole runs by head ObjectID
 	// and concatenating yields the globally sorted result without
 	// comparing individual matches.
-	slices.SortFunc(state.runs, func(a, b []Match) int {
+	slices.SortFunc(st.runs, func(a, b []Match) int {
 		return cmp.Compare(a[0].ObjectID, b[0].ObjectID)
 	})
 
@@ -840,8 +933,8 @@ func (state *queryState) result(metrics simnet.Metrics, subregions int) *RangeRe
 	// matches for it sit contiguously in one run), so extending the cut
 	// through a run of equal ObjectIDs keeps the Next cursor
 	// (strictly-greater) from ever skipping or repeating an object.
-	runs, total := state.runs, state.nmatches
-	if limit := state.cfg.Limit; limit > 0 && total > limit {
+	runs, total := st.runs, st.nmatches
+	if limit := st.cfg.Limit; limit > 0 && total > limit {
 		kept := 0
 		for i, run := range runs {
 			if kept+len(run) < limit {
@@ -853,7 +946,7 @@ func (state *queryState) result(metrics simnet.Metrics, subregions int) *RangeRe
 				cut++
 			}
 			if cut < len(run) || i+1 < len(runs) {
-				state.truncated = true
+				st.truncated = true
 			}
 			runs = runs[:i+1]
 			runs[i] = run[:cut]
@@ -863,13 +956,13 @@ func (state *queryState) result(metrics simnet.Metrics, subregions int) *RangeRe
 		total = kept
 	}
 	var next kautz.Str
-	if state.truncated && len(runs) > 0 {
+	if st.truncated && len(runs) > 0 {
 		last := runs[len(runs)-1]
 		next = last[len(last)-1].ObjectID
 	}
 
 	var matches []Match
-	if !state.cfg.RunsOnly && total > 0 {
+	if !st.cfg.RunsOnly && total > 0 {
 		matches = make([]Match, 0, total)
 		for _, run := range runs {
 			matches = append(matches, run...)
@@ -880,22 +973,18 @@ func (state *queryState) result(metrics simnet.Metrics, subregions int) *RangeRe
 	// (owner → serving replica), and that destination's data arrives one
 	// hop after the owner received the query. Shortcut-routed deliveries
 	// address the serving replica directly and add neither.
-	delay := metrics.Delay
-	if state.redirectDepth > delay {
-		delay = state.redirectDepth
-	}
 	return &RangeResult{
 		Matches:      matches,
-		Runs:         runs,
-		Destinations: unique,
+		Runs:         cloneOrNil(runs),
+		Destinations: cloneOrNil(unique),
 		Next:         next,
 		Stats: Stats{
-			Delay:         delay,
-			Messages:      metrics.Messages + state.redirectMsgs,
+			Delay:         max(st.delay, st.redirectDepth),
+			Messages:      st.messages + st.redirectMsgs,
 			DestPeers:     len(unique),
 			Subregions:    subregions,
-			Deliveries:    len(state.dests),
-			ReplicaServed: state.replicaServed,
+			Deliveries:    deliveries,
+			ReplicaServed: st.replicaServed,
 		},
 	}
 }

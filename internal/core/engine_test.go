@@ -15,7 +15,7 @@ const testK = 24
 
 // buildSingle creates a random network with a single-attribute tree over
 // [0,1000] and publishes count objects at uniform values.
-func buildSingle(t *testing.T, size, count int, seed int64) (*Engine, []fissione.Object) {
+func buildSingle(t testing.TB, size, count int, seed int64) (*Engine, []fissione.Object) {
 	t.Helper()
 	net, err := fissione.BuildRandom(testK, size, seed)
 	if err != nil {
@@ -427,39 +427,6 @@ func TestMIRADelayBound(t *testing.T) {
 	}
 	if avg := total / trials; avg >= logN {
 		t.Errorf("average MIRA delay %.2f ≥ logN %.2f", avg, logN)
-	}
-}
-
-// The async goroutine-per-peer engine returns identical results and metrics
-// to the synchronous engine.
-func TestAsyncMatchesSync(t *testing.T) {
-	eng, _ := buildSingle(t, 200, 400, 151)
-	rng := rand.New(rand.NewSource(152))
-	for trial := 0; trial < 15; trial++ {
-		lo := rng.Float64() * 800
-		hi := lo + rng.Float64()*(1000-lo)
-		issuer := eng.Network().RandomPeer(rng)
-
-		syncRes, err := eng.RangeQuery(context.Background(), issuer, []float64{lo}, []float64{hi})
-		if err != nil {
-			t.Fatal(err)
-		}
-		asyncRes, err := eng.RangeQuery(context.Background(), issuer, []float64{lo}, []float64{hi}, WithMode(Async))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if syncRes.Stats != asyncRes.Stats {
-			t.Fatalf("stats differ: sync %+v async %+v", syncRes.Stats, asyncRes.Stats)
-		}
-		if len(syncRes.Matches) != len(asyncRes.Matches) {
-			t.Fatalf("matches differ: %d vs %d", len(syncRes.Matches), len(asyncRes.Matches))
-		}
-		for i := range syncRes.Matches {
-			a, b := syncRes.Matches[i], asyncRes.Matches[i]
-			if a.Name != b.Name || a.ObjectID != b.ObjectID || a.Peer != b.Peer {
-				t.Fatalf("match %d differs: %+v vs %+v", i, a, b)
-			}
-		}
 	}
 }
 

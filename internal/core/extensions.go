@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"armada/internal/kautz"
-	"armada/internal/simnet"
 )
 
 // This file implements two extensions beyond the paper's evaluation:
@@ -31,17 +30,18 @@ type TopKResult struct {
 // subregions from the high end and short-circuits once k matches have been
 // collected from regions that can only hold larger values than those
 // remaining; the delay bound is PIRA's. Cancelling ctx aborts the descent.
-// The subregion walk is inherently sequential (each short-circuits the
-// next), so top-k always runs the deterministic synchronous engine and
-// ignores WithMode.
 func (e *Engine) TopK(ctx context.Context, issuer kautz.Str, lo, hi []float64, k int, opts ...QueryOption) (*TopKResult, error) {
+	return e.TopKWith(ctx, issuer, lo, hi, k, buildQueryConfig(opts))
+}
+
+// TopKWith is TopK with the configuration given by value.
+func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, k int, cfg QueryConfig) (*TopKResult, error) {
 	if e.tree == nil {
 		return nil, ErrNoTree
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("core: top-k needs k ≥ 1, got %d", k)
 	}
-	cfg := buildQueryConfig(opts)
 	if cfg.Limit > 0 || cfg.After != "" {
 		return nil, fmt.Errorf("core: top-k does not paginate; its result cap is k")
 	}
@@ -53,38 +53,29 @@ func (e *Engine) TopK(ctx context.Context, issuer kautz.Str, lo, hi []float64, k
 	if err != nil {
 		return nil, fmt.Errorf("core: top-k region: %w", err)
 	}
-	if _, ok := e.net.Peer(issuer); !ok {
+	from, ok := e.net.Peer(issuer)
+	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
 
-	state := &queryState{box: &box, cfg: cfg}
-	// Process subregions from the high end: once a subregion yields k
-	// matches, lower subregions cannot contribute to the top k (the naming
-	// is order-preserving, so higher regions hold higher values).
+	st := e.newState(cfg, &box)
+	defer st.release()
+	// Process subregions from the high end, one drained queue at a time:
+	// once a subregion yields k matches, lower subregions cannot contribute
+	// to the top k (the naming is order-preserving, so higher regions hold
+	// higher values). Delays take the maximum and message counts add, as
+	// for subqueries run in parallel.
 	parts := region.SplitByFirstSymbol()
-	var metrics simnet.Metrics
 	ran := 0
-	for i := len(parts) - 1; i >= 0; i-- {
-		part := parts[i]
-		f := kautz.OverlapSuffixPrefix(issuer, part.CommonPrefix())
-		seed := simnet.Message{To: string(issuer), Payload: queryMsg{region: part, h: len(issuer) - f}}
-		m, err := simnet.RunSync(ctx, []simnet.Message{seed}, e.countScheduled(func(msg simnet.Message) []simnet.Message {
-			return e.step(state, msg)
-		}))
-		if err != nil {
-			return nil, fmt.Errorf("core: query aborted: %w", err)
+	for i := len(parts) - 1; i >= 0 && st.nmatches < k; i-- {
+		st.seed(from, parts[i])
+		if err := e.pump(ctx, st); err != nil {
+			return nil, err
 		}
-		metrics = simnet.MergeMetrics(metrics, m)
 		ran++
-		state.mu.Lock()
-		enough := state.nmatches >= k
-		state.mu.Unlock()
-		if enough {
-			break
-		}
 	}
 
-	res := state.result(metrics, ran)
+	res := st.result(ran)
 	e.metrics.note(res.Stats, false)
 	matches := res.Matches
 	sort.Slice(matches, func(i, j int) bool {
@@ -105,6 +96,11 @@ func (e *Engine) TopK(ctx context.Context, issuer kautz.Str, lo, hi []float64, k
 // set as RangeQuery at a much higher message cost; it exists to measure the
 // value of pruning and must not be used for real queries.
 func (e *Engine) FloodQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, opts ...QueryOption) (*RangeResult, error) {
+	return e.FloodQueryWith(ctx, issuer, lo, hi, buildQueryConfig(opts))
+}
+
+// FloodQueryWith is FloodQuery with the configuration given by value.
+func (e *Engine) FloodQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig) (*RangeResult, error) {
 	if e.tree == nil {
 		return nil, ErrNoTree
 	}
@@ -116,55 +112,22 @@ func (e *Engine) FloodQuery(ctx context.Context, issuer kautz.Str, lo, hi []floa
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := e.net.Peer(issuer); !ok {
+	from, ok := e.net.Peer(issuer)
+	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
-	cfg := buildQueryConfig(opts)
-	region, ok := clipRegionAfter(region, cfg.After)
+	region, ok = clipRegionAfter(region, cfg.After)
 	if !ok {
 		return &RangeResult{}, nil
 	}
-	state := &queryState{box: &box, cfg: cfg}
-	parts := region.SplitByFirstSymbol()
-	seeds := make([]simnet.Message, 0, len(parts))
-	for _, part := range parts {
-		f := kautz.OverlapSuffixPrefix(issuer, part.CommonPrefix())
-		seeds = append(seeds, simnet.Message{
-			To:      string(issuer),
-			Payload: queryMsg{region: part, h: len(issuer) - f},
-		})
-	}
-	handle := func(m simnet.Message) []simnet.Message {
-		qm, ok := m.Payload.(queryMsg)
-		if !ok {
-			return nil
-		}
-		peer, ok := e.net.Peer(kautz.Str(m.To))
-		if !ok {
-			return nil
-		}
-		if qm.h == 0 {
-			// Deliver only where the region predicate holds, so results and
-			// destination counts stay comparable with RangeQuery.
-			if qm.region.ContainsPrefix(peer.ID()) {
-				e.deliver(state, peer, qm.region, m.Depth)
-			}
-			return nil
-		}
-		fwd := make([]simnet.Message, 0, len(peer.Out()))
-		for _, c := range peer.Out() {
-			if cfg.Trace != nil {
-				cfg.Trace(HopForward, peer.ID(), c, m.Depth, qm.h-1)
-			}
-			fwd = append(fwd, simnet.Message{To: string(c), Payload: queryMsg{region: qm.region, h: qm.h - 1}})
-		}
-		return fwd
-	}
-	metrics, err := e.run(ctx, cfg, seeds, handle)
-	if err != nil {
+	st := e.newState(cfg, &box)
+	defer st.release()
+	st.flood = true
+	parts := st.seedDescent(from, region)
+	if err := e.pump(ctx, st); err != nil {
 		return nil, err
 	}
-	res := state.result(metrics, len(parts))
+	res := st.result(parts)
 	e.metrics.note(res.Stats, false)
 	return res, nil
 }

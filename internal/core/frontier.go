@@ -6,7 +6,6 @@ import (
 
 	"armada/internal/kautz"
 	"armada/internal/naming"
-	"armada/internal/simnet"
 )
 
 // Descent frontiers.
@@ -88,14 +87,6 @@ func (f *Frontier) CoversBounds(lo, hi []float64) bool {
 	return true
 }
 
-// frontierMsg is the seed payload of a frontier-seeded query: the issuer
-// fans one direct message out to every surviving destination. Each fan-out
-// hop is a real overlay message (the issuer addresses cached peers
-// directly), counted and traced like any descent forward.
-type frontierMsg struct {
-	sends []FrontierEntry
-}
-
 // WithFrontier offers a captured frontier to seed this query. The engine
 // uses it only when the frontier's epoch matches the network's topology
 // epoch and its region covers the query's cursor-clipped region; otherwise
@@ -111,18 +102,14 @@ func WithCaptureFrontier() QueryOption { return func(c *QueryConfig) { c.Capture
 
 // PreparedRange is a range query's precomputed geometry — the box its
 // bounds map to and the (unclipped) Kautz query region. RangeRegion
-// produces it; WithPrepared hands it back to RangeQuery so the mapping is
-// not paid twice when the caller needed the region anyway (frontier cache
-// keying).
+// produces it; QueryConfig.Prepared hands it back to RangeQueryWith so the
+// mapping is not paid twice when the caller needed the region anyway
+// (frontier cache keying). The prepared geometry must come from the same
+// bounds the query runs with.
 type PreparedRange struct {
 	Box    naming.Box
 	Region kautz.Region
 }
-
-// WithPrepared supplies RangeRegion's output to RangeQuery, skipping the
-// recomputation of the query's box and region. The prepared geometry must
-// come from the same bounds the query runs with.
-func WithPrepared(p PreparedRange) QueryOption { return func(c *QueryConfig) { c.Prepared = &p } }
 
 // RangeRegion maps range bounds onto their query geometry — the Kautz
 // region is the key space of issuer-side frontier caching — along with
@@ -145,12 +132,6 @@ func (e *Engine) RangeRegion(lo, hi []float64, after kautz.Str) (prep PreparedRa
 	return prep, clipped, ok, nil
 }
 
-// ownRegion is the namespace region peer id owns: every ObjectID it
-// stores as primary lies in ⟨MinExtend(id), MaxExtend(id)⟩.
-func (e *Engine) ownRegion(id kautz.Str) kautz.Region {
-	return kautz.Region{Low: kautz.MinExtend(id, e.net.K()), High: kautz.MaxExtend(id, e.net.K())}
-}
-
 // frontierUsable reports whether f may seed a query over region with
 // bounds [lo, hi] right now.
 func (e *Engine) frontierUsable(f *Frontier, region kautz.Region, lo, hi []float64) bool {
@@ -166,26 +147,22 @@ func (e *Engine) frontierUsable(f *Frontier, region kautz.Region, lo, hi []float
 // only in cost: Messages is one per surviving destination (plus replica
 // redirects), Delay is the single fan-out hop, Subregions is 0 (nothing
 // was split) and DescentsSaved is 1.
-func (e *Engine) seedFromFrontier(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig, f *Frontier) (*RangeResult, error) {
-	if _, ok := e.net.Peer(issuer); !ok {
+func (e *Engine) seedFromFrontier(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig) (*RangeResult, error) {
+	from, ok := e.net.Peer(issuer)
+	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
-	sends := make([]FrontierEntry, 0, len(f.Entries))
-	for _, en := range f.Entries {
-		if r, ok := en.Region.Intersect(region); ok {
-			sends = append(sends, FrontierEntry{Peer: en.Peer, Region: r})
+	st := e.newState(cfg, box)
+	defer st.release()
+	for _, en := range cfg.Frontier.Entries {
+		r, ok := en.Region.Intersect(region)
+		if !ok {
+			continue
+		}
+		// The epoch check froze the peer set, so every captured owner is live.
+		if owner, ok := e.net.Peer(en.Peer); ok {
+			st.queue = append(st.queue, msg{kind: msgDeliver, to: owner, region: r, depth: 1})
 		}
 	}
-	state := &queryState{box: box, cfg: cfg}
-	seeds := []simnet.Message{{To: string(issuer), Payload: frontierMsg{sends: sends}}}
-	metrics, err := e.run(ctx, cfg, seeds, func(m simnet.Message) []simnet.Message {
-		return e.step(state, m)
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := state.result(metrics, 0)
-	res.Stats.DescentsSaved = 1
-	e.metrics.note(res.Stats, true)
-	return res, nil
+	return e.finishSeeded(ctx, st, from, HopSeed)
 }

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
-
 	"armada/internal/fissione"
 	"armada/internal/kautz"
-	"armada/internal/naming"
-	"armada/internal/simnet"
 )
 
 // Shortcut routing.
@@ -49,92 +45,54 @@ type ShortcutRoute struct {
 // destinations with the box subspace predicate the table cannot express,
 // and flood/top-k keep their own walks.
 func WithShortcutRoute(r ShortcutRoute) QueryOption {
-	return func(c *QueryConfig) { c.Shortcut = &r }
+	return func(c *QueryConfig) { c.Shortcut = r }
 }
 
-// shortcutMsg is the seed payload of a shortcut-routed query: the issuer
-// fans one direct message out to each pre-resolved serving peer.
-type shortcutMsg struct {
-	sends []shortcutSend
-}
-
-// shortcutSend is one shortcut delivery: the region owner (load and
-// destination accounting), the serving peer the issuer chose from the
-// learned group, and the owner's slice of the query region.
-type shortcutSend struct {
-	owner   kautz.Str
-	serving kautz.Str
-	region  kautz.Region
-}
-
-// seedFromShortcut executes a query over region by fanning out from the
-// issuer directly to the route's targets, skipping the descent. ok is
-// false — with zero messages spent — when the route fails re-validation;
-// the caller then descends normally. On success the result is
-// byte-identical to a full descent's (deliveries scan the same clipped
+// seedFromShortcut queues a shortcut-routed query's sends: one direct
+// message from the issuer to the serving peer of each of the route's
+// targets, skipping the descent. It reports false — with nothing queued and
+// zero messages spent — when the query carries no route or the route fails
+// re-validation; the caller then descends normally. On success the result
+// is byte-identical to a full descent's (deliveries scan the same clipped
 // regions under the same box and cursor predicates); Stats differ only in
 // cost: Messages is one per destination (the serving replica was chosen
 // issuer-side, so redirects cost nothing), Delay is the single fan-out
 // hop, Subregions is 0 and DescentsSaved and ShortcutHits are 1.
-func (e *Engine) seedFromShortcut(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig) (*RangeResult, bool, error) {
-	route := cfg.Shortcut
-	if len(route.Targets) == 0 {
-		return nil, false, nil
+func (e *Engine) seedFromShortcut(st *queryState, region kautz.Region) bool {
+	// MIRA prunes destinations inside the region with the box subspace
+	// predicate; a region tiling would over-deliver. Descend instead.
+	if st.boxPrune {
+		return false
 	}
-	if box != nil && e.tree.Attrs() > 1 {
-		// MIRA prunes destinations inside the region with the box subspace
-		// predicate; a region tiling would over-deliver. Descend instead.
-		return nil, false, nil
-	}
-	sends := make([]shortcutSend, 0, len(route.Targets))
 	cur := region.Low
-	covered := false
-	for _, t := range route.Targets {
+	for _, t := range st.cfg.Shortcut.Targets {
 		owner, ok := e.net.Peer(t.Owner)
+		if !ok || !cur.HasPrefix(t.Owner) {
+			break // unknown owner, or the learned cover no longer tiles the region contiguously
+		}
+		slice, ok := clipToOwn(region, t.Owner)
 		if !ok {
-			return nil, false, nil
-		}
-		own := e.ownRegion(t.Owner)
-		if cur < own.Low || own.High < cur {
-			// The learned cover no longer tiles the region contiguously.
-			return nil, false, nil
-		}
-		slice, ok := own.Intersect(region)
-		if !ok {
-			return nil, false, nil
-		}
-		sends = append(sends, shortcutSend{
-			owner:   t.Owner,
-			serving: e.pickServing(owner, t.Group, cfg.Policy).ID(),
-			region:  slice,
-		})
-		if own.High >= region.High {
-			covered = true
 			break
 		}
-		next, ok := kautz.Succ(own.High)
+		st.queue = append(st.queue, msg{
+			kind:    msgShortcut,
+			to:      owner,
+			serving: e.pickServing(owner, t.Group, st.cfg.Policy),
+			region:  slice,
+			depth:   1,
+		})
+		if slice.High == region.High {
+			return true // the owner's region reaches the query's high end: covered
+		}
+		next, ok := kautz.Succ(slice.High)
 		if !ok {
-			return nil, false, nil
+			break
 		}
 		cur = next
 	}
-	if !covered {
-		return nil, false, nil
-	}
-
-	state := &queryState{box: box, cfg: cfg}
-	seeds := []simnet.Message{{To: string(issuer), Payload: shortcutMsg{sends: sends}}}
-	metrics, err := e.run(ctx, cfg, seeds, func(m simnet.Message) []simnet.Message {
-		return e.step(state, m)
-	})
-	if err != nil {
-		return nil, true, err
-	}
-	res := state.result(metrics, 0)
-	res.Stats.DescentsSaved = 1
-	res.Stats.ShortcutHits = 1
-	e.metrics.note(res.Stats, true)
-	return res, true, nil
+	clear(st.queue)
+	st.queue = st.queue[:0]
+	return false
 }
 
 // pickServing chooses the replica that will serve one shortcut delivery
@@ -175,27 +133,18 @@ func (e *Engine) pickServing(owner *fissione.Peer, group []kautz.Str, pol ReadPo
 // directly, so a non-owner serve adds no redirect message and no extra
 // hop. The scan region was clipped to the owner's own region at seed
 // time.
-func (e *Engine) deliverShortcut(state *queryState, sm shortcutSend, depth int) {
-	owner, ok := e.net.Peer(sm.owner)
-	if !ok {
-		return // unreachable: the topology is frozen for the query's duration
-	}
+func (e *Engine) deliverShortcut(st *queryState, m msg) {
+	owner, serving := m.to, m.serving
 	owner.NoteDelivery()
-	serving := owner
-	if sm.serving != sm.owner {
-		if p, ok := e.net.Peer(sm.serving); ok {
-			serving = p
-		}
-	}
-	if state.cfg.Trace != nil {
+	if st.cfg.Trace != nil {
 		kind := HopDeliver
 		if serving != owner {
 			kind = HopRedirect
 		}
-		state.cfg.Trace(kind, owner.ID(), serving.ID(), depth, 0)
+		st.cfg.Trace(kind, owner.ID(), serving.ID(), int(m.depth), 0)
 	}
 	if e.net.Replicas() > 1 {
 		serving.NoteServed()
 	}
-	e.scanDelivery(state, owner, serving, sm.region, sm.region, depth, false)
+	e.scanDelivery(st, owner, serving, m.region, m.region, int(m.depth), false)
 }

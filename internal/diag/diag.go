@@ -279,9 +279,8 @@ func (m *Monitor) sinceNs() int64 { return int64(m.now()) }
 func (m *Monitor) NoteControlAction() { m.lastActionNs.Store(m.sinceNs() + 1) }
 
 // Query collects one query's breakdown. The engine's trace callback feeds
-// Note/NoteScan (concurrently, under the async engine); the armada layer
-// sets the classifier flags; Finish folds everything into the monitor and
-// recycles the collector.
+// Note/NoteScan; the armada layer sets the classifier flags; Finish folds
+// everything into the monitor and recycles the collector.
 type Query struct {
 	m       *Monitor
 	qid     uint64
@@ -319,9 +318,8 @@ func (m *Monitor) Begin(qid uint64, kind, issuer string, queueWait time.Duration
 }
 
 // Note attributes the time since the previous event to the stage. Safe for
-// concurrent use: under the async engine events interleave, so the
-// breakdown is an attribution of wall time to the event stream, not an
-// exact per-message service time.
+// concurrent use; the breakdown is an attribution of wall time to the event
+// stream, not an exact per-message service time.
 func (q *Query) Note(stage Stage, depth int) {
 	_ = depth // reserved: depth histograms ride the stage counters today
 	now := q.m.sinceNs()

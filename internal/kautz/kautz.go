@@ -138,26 +138,26 @@ func Concat(s, t Str) (Str, error) {
 	return s + t, nil
 }
 
+// nextTable[0] lists the symbols that may start a string and nextTable[1+i]
+// those that may follow symbol '0'+i, ascending. Shared and read-only.
+var nextTable = [4][]byte{{'0', '1', '2'}, {'1', '2'}, {'0', '2'}, {'0', '1'}}
+
 // nextSymbols returns the symbols that may follow prev ('0','1','2', or 0
-// meaning "start of string"), in ascending order.
+// meaning "start of string"), in ascending order. The slice is shared and
+// must not be modified.
 func nextSymbols(prev byte) []byte {
-	switch prev {
-	case 0:
-		return []byte{'0', '1', '2'}
-	case '0':
-		return []byte{'1', '2'}
-	case '1':
-		return []byte{'0', '2'}
-	case '2':
-		return []byte{'0', '1'}
-	default:
-		return nil
+	switch {
+	case prev == 0:
+		return nextTable[0]
+	case prev >= '0' && prev <= '2':
+		return nextTable[1+prev-'0']
 	}
+	return nil
 }
 
 // Extensions returns the symbols that may legally extend s, in ascending
 // order: all three symbols for the empty string, otherwise the two symbols
-// different from s's last.
+// different from s's last. The slice is shared and must not be modified.
 func Extensions(s Str) []byte {
 	return nextSymbols(lastOr0(s))
 }

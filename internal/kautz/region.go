@@ -42,13 +42,15 @@ func (r Region) Size() uint64 {
 // forward routing tree is searched iff its eventual prefix can still reach a
 // target. Prefixes longer than the region's K are compared by truncation
 // (they denote a single point of the region's length).
+//
+// The largest string with prefix p is at least Low exactly when p is at
+// least Low's prefix of the same length, and symmetrically for High, so the
+// predicate is two prefix comparisons and builds nothing.
 func (r Region) ContainsPrefix(p Str) bool {
-	k := r.K()
-	if len(p) >= k {
-		q := p[:k]
-		return r.Low <= q && q <= r.High
+	if k := r.K(); len(p) > k {
+		p = p[:k]
 	}
-	return MaxExtend(p, k) >= r.Low && MinExtend(p, k) <= r.High
+	return p >= r.Low[:len(p)] && p <= r.High[:len(p)]
 }
 
 // CommonPrefix returns ComT, the longest common prefix of the region's
@@ -65,7 +67,7 @@ func (r Region) SplitByFirstSymbol() []Region {
 		return []Region{r}
 	}
 	k := r.K()
-	var parts []Region
+	parts := make([]Region, 0, len(Alphabet))
 	for c := r.Low[0]; c <= r.High[0]; c++ {
 		sub := Region{Low: MinExtend(Str(c), k), High: MaxExtend(Str(c), k)}
 		if c == r.Low[0] {

@@ -226,3 +226,100 @@ func TestSplitTilesQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// containsPrefixRef is ContainsPrefix by definition — the largest string
+// with prefix p reaches Low and the smallest stays within High — kept as
+// the reference the prefix-comparison implementation is checked against.
+func containsPrefixRef(r Region, p Str) bool {
+	k := r.K()
+	if len(p) >= k {
+		q := p[:k]
+		return r.Low <= q && q <= r.High
+	}
+	return MaxExtend(p, k) >= r.Low && MinExtend(p, k) <= r.High
+}
+
+// fuzzRegionAndPrefix decodes raw fuzz inputs into a valid region of length
+// k ∈ [1, 60] and a valid prefix of length 0..k+2.
+func fuzzRegionAndPrefix(lowRank, highRank, pRank uint64, kRaw, plenRaw uint8) (Region, Str) {
+	k := 1 + int(kRaw)%(MaxRankLen-2)
+	plen := int(plenRaw) % (k + 3)
+	str := func(rank uint64, n int) Str {
+		s, err := FromRank(rank%SpaceSize(n), n)
+		if err != nil {
+			panic(err) // unreachable: rank reduced into range
+		}
+		return s
+	}
+	low, high := str(lowRank, k), str(highRank, k)
+	if low > high {
+		low, high = high, low
+	}
+	var p Str
+	if plen > 0 {
+		p = str(pRank, plen)
+	}
+	return Region{Low: low, High: high}, p
+}
+
+func FuzzContainsPrefix(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0), uint8(0), uint8(0))
+	f.Add(uint64(7), uint64(40), uint64(2), uint8(5), uint8(2))
+	f.Add(uint64(1)<<40, uint64(1)<<41, uint64(12345), uint8(31), uint8(33))
+	f.Add(^uint64(0), uint64(3), uint64(99), uint8(59), uint8(61))
+	f.Fuzz(func(t *testing.T, lowRank, highRank, pRank uint64, kRaw, plenRaw uint8) {
+		r, p := fuzzRegionAndPrefix(lowRank, highRank, pRank, kRaw, plenRaw)
+		if got, want := r.ContainsPrefix(p), containsPrefixRef(r, p); got != want {
+			t.Fatalf("%v ContainsPrefix(%q) = %v, definition says %v", r, p, got, want)
+		}
+	})
+}
+
+// ContainsPrefix runs per candidate child per hop of every descent; it must
+// not allocate.
+func TestContainsPrefixAllocFree(t *testing.T) {
+	r := Region{Low: MinExtend("0120", 32), High: MaxExtend("0121", 32)}
+	for _, p := range []Str{"", "01", "0120", "0121021", MaxExtend("0121", 34)} {
+		if n := testing.AllocsPerRun(100, func() { sinkBool = r.ContainsPrefix(p) }); n != 0 {
+			t.Errorf("ContainsPrefix(%q) allocates %v times", p, n)
+		}
+	}
+}
+
+var (
+	sinkBool    bool
+	sinkRegions []Region
+)
+
+func BenchmarkContainsPrefix(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const k = 32
+	type probe struct {
+		r Region
+		p Str
+	}
+	probes := make([]probe, 1024)
+	for i := range probes {
+		r, p := fuzzRegionAndPrefix(rng.Uint64(), rng.Uint64(), rng.Uint64(), k-1, uint8(rng.Intn(k)))
+		probes[i] = probe{r, p}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := &probes[i%len(probes)]
+		sinkBool = pr.r.ContainsPrefix(pr.p)
+	}
+}
+
+func BenchmarkSplitByFirstSymbol(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	regions := make([]Region, 1024)
+	for i := range regions {
+		regions[i], _ = fuzzRegionAndPrefix(rng.Uint64(), rng.Uint64(), 0, 31, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkRegions = regions[i%len(regions)].SplitByFirstSymbol()
+	}
+}

@@ -113,51 +113,66 @@ func fanout(j int) int {
 	return 2
 }
 
-// childSymbols returns the edge labels under a node whose incoming edge is
-// prev (0 at the root), ascending.
-func childSymbols(prev byte) []byte {
-	switch prev {
-	case 0:
-		return []byte{'0', '1', '2'}
-	case '0':
-		return []byte{'1', '2'}
-	case '1':
-		return []byte{'0', '2'}
-	default:
-		return []byte{'0', '1'}
+// childSymbol returns edge label idx (ascending) under a node whose incoming
+// edge is prev (0 at the root): the labels are the symbols other than prev.
+func childSymbol(prev byte, idx int) byte {
+	c := byte('0' + idx)
+	if prev != 0 && c >= prev {
+		c++
 	}
+	return c
 }
+
+// childIndex is childSymbol's inverse: the position of edge label c under a
+// node whose incoming edge is prev, or -1 when no such edge exists (c is
+// not a symbol, or repeats prev).
+func childIndex(prev, c byte) int {
+	if c < '0' || c > '2' || c == prev {
+		return -1
+	}
+	idx := int(c - '0')
+	if prev != 0 && c > prev {
+		idx--
+	}
+	return idx
+}
+
+// stackAttrs is the arity up to which the per-call scratch of Hash and
+// IntersectsPrefix lives on the stack.
+const stackAttrs = 4
 
 // Hash maps an m-attribute value to its ObjectID: the label of the leaf
 // whose subspace contains it. This is Single_hash for m = 1 and
 // Multiple_hash otherwise. Values are clamped to their attribute spaces;
 // non-finite values are rejected.
 func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
-	if len(values) != len(t.spaces) {
-		return "", fmt.Errorf("%w: got %d, want %d", ErrArity, len(values), len(t.spaces))
+	m := len(t.spaces)
+	if len(values) != m {
+		return "", fmt.Errorf("%w: got %d, want %d", ErrArity, len(values), m)
 	}
-	lo := make([]float64, len(values))
-	hi := make([]float64, len(values))
-	v := make([]float64, len(values))
+	type cell struct{ lo, hi, v float64 }
+	var buf [stackAttrs]cell
+	cells := buf[:]
+	if m > stackAttrs {
+		cells = make([]cell, m)
+	}
 	for i, s := range t.spaces {
 		if math.IsNaN(values[i]) || math.IsInf(values[i], 0) {
 			return "", fmt.Errorf("%w: attribute %d: %v", ErrNotFinite, i, values[i])
 		}
-		lo[i], hi[i] = s.Low, s.High
-		v[i] = math.Min(math.Max(values[i], s.Low), s.High)
+		cells[i] = cell{lo: s.Low, hi: s.High, v: math.Min(math.Max(values[i], s.Low), s.High)}
 	}
-	label := make([]byte, 0, t.k)
+	var label [kautz.MaxRankLen]byte // NewTree bounds k by MaxRankLen
 	var prev byte
 	for j := 0; j < t.k; j++ {
-		attr := j % len(t.spaces)
+		c := &cells[j%m]
 		f := fanout(j)
-		idx := pieceIndex(v[attr], lo[attr], hi[attr], f)
-		lo[attr], hi[attr] = pieceBounds(lo[attr], hi[attr], f, idx)
-		c := childSymbols(prev)[idx]
-		label = append(label, c)
-		prev = c
+		idx := pieceIndex(c.v, c.lo, c.hi, f)
+		c.lo, c.hi = pieceBounds(c.lo, c.hi, f, idx)
+		prev = childSymbol(prev, idx)
+		label[j] = prev
 	}
-	return kautz.Str(label), nil
+	return kautz.Str(label[:t.k]), nil
 }
 
 // pieceIndex returns which of f equal pieces of [lo,hi] contains v, with the
@@ -193,37 +208,35 @@ func pieceBounds(lo, hi float64, f, idx int) (float64, float64) {
 // (the full space). Any valid Kautz string of length ≤ k is a valid node
 // label.
 func (t *Tree) Subspace(prefix kautz.Str) ([]Interval, error) {
-	if len(prefix) > t.k {
-		return nil, fmt.Errorf("%w: prefix %q longer than k=%d", ErrBadK, prefix, t.k)
-	}
-	if !kautz.Valid(prefix) {
-		return nil, fmt.Errorf("naming: %q is not a Kautz string", prefix)
-	}
 	iv := make([]Interval, len(t.spaces))
+	if err := t.narrow(prefix, iv); err != nil {
+		return nil, err
+	}
+	return iv, nil
+}
+
+// narrow fills iv (one interval per attribute) with the subspace of the
+// node labelled prefix, narrowing one attribute's interval per symbol. The
+// walk itself rejects anything that is not a node label: a symbol outside
+// the alphabet or repeating its predecessor has no edge to follow.
+func (t *Tree) narrow(prefix kautz.Str, iv []Interval) error {
+	if len(prefix) > t.k {
+		return fmt.Errorf("%w: prefix %q longer than k=%d", ErrBadK, prefix, t.k)
+	}
 	for i, s := range t.spaces {
 		iv[i] = Interval{Low: s.Low, High: s.High}
 	}
 	var prev byte
 	for j := 0; j < len(prefix); j++ {
-		attr := j % len(t.spaces)
-		f := fanout(j)
-		idx := symbolIndex(childSymbols(prev), prefix[j])
+		idx := childIndex(prev, prefix[j])
 		if idx < 0 {
-			return nil, fmt.Errorf("naming: %q is not a partition tree path", prefix)
+			return fmt.Errorf("naming: %q is not a partition tree path", prefix)
 		}
-		iv[attr].Low, iv[attr].High = pieceBounds(iv[attr].Low, iv[attr].High, f, idx)
+		c := &iv[j%len(iv)]
+		c.Low, c.High = pieceBounds(c.Low, c.High, fanout(j), idx)
 		prev = prefix[j]
 	}
-	return iv, nil
-}
-
-func symbolIndex(symbols []byte, c byte) int {
-	for i, s := range symbols {
-		if s == c {
-			return i
-		}
-	}
-	return -1
+	return nil
 }
 
 // Box is an axis-aligned multi-attribute range query
@@ -239,7 +252,9 @@ func (t *Tree) NewBox(lo, hi []float64) (Box, error) {
 	if len(lo) != len(t.spaces) || len(hi) != len(t.spaces) {
 		return Box{}, fmt.Errorf("%w: got %d/%d bounds, want %d", ErrArity, len(lo), len(hi), len(t.spaces))
 	}
-	b := Box{Lo: make([]float64, len(lo)), Hi: make([]float64, len(hi))}
+	m := len(lo)
+	buf := make([]float64, 2*m) // one backing array for both bounds
+	b := Box{Lo: buf[:m:m], Hi: buf[m:]}
 	for i := range lo {
 		if math.IsNaN(lo[i]) || math.IsNaN(hi[i]) {
 			return Box{}, fmt.Errorf("%w: attribute %d", ErrNotFinite, i)
@@ -267,9 +282,18 @@ func (b Box) Contains(v []float64) bool {
 // labelled prefix intersects the box. This is MIRA's pruning predicate: a
 // branch of the forward routing tree is descended only while some leaf under
 // it can hold matching objects.
+//
+// The node's subspace is narrowed in a stack-resident array (for up to
+// stackAttrs attributes), so the predicate allocates nothing.
 func (t *Tree) IntersectsPrefix(prefix kautz.Str, b Box) (bool, error) {
-	iv, err := t.Subspace(prefix)
-	if err != nil {
+	var buf [stackAttrs]Interval
+	iv := buf[:]
+	if m := len(t.spaces); m <= stackAttrs {
+		iv = iv[:m]
+	} else {
+		iv = make([]Interval, m)
+	}
+	if err := t.narrow(prefix, iv); err != nil {
 		return false, err
 	}
 	for i := range iv {

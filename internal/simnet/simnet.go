@@ -1,26 +1,19 @@
-// Package simnet provides the message-passing engines that drive query
-// simulations. A query is a set of seed messages plus a handler that, given
-// a delivered message, returns the messages to forward next. The engine
-// tracks the paper's two cost metrics:
+// Package simnet provides the generic message-passing engine the DCF-CAN
+// baseline (internal/dcfcan) simulates its flooding phase on. A query is a
+// set of seed messages plus a handler that, given a delivered message,
+// returns the messages to forward next. The engine tracks the paper's two
+// cost metrics:
 //
 //   - Delay: the largest hop depth at which any message is delivered (the
 //     time until the last destination peer has been reached).
 //   - Messages: the number of overlay messages sent (seed messages are local
 //     computation at the issuer and are not counted).
 //
-// Two engines share the same handler contract. RunSync is deterministic and
-// single-threaded; it is the engine used for experiments. RunAsync executes
-// the same query with one goroutine per peer exchanging messages through
-// mailboxes, demonstrating that the algorithms are genuinely local and
-// concurrent; its handler must be safe for concurrent use.
+// Armada's own query engine (internal/core) does not use this package: it
+// runs the same breadth-first discipline over a typed, pooled message queue.
 package simnet
 
-import (
-	"context"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "context"
 
 // Message is one overlay message addressed to a peer. Depth is assigned by
 // the engine: seeds are at depth 0 and every forward is one deeper than the
@@ -40,15 +33,6 @@ type Handler func(m Message) []Message
 type Metrics struct {
 	Delay    int
 	Messages int
-}
-
-// merge folds another query's metrics into m (delays take the max, message
-// counts add), used when a query is executed as several subqueries.
-func (m *Metrics) merge(o Metrics) {
-	if o.Delay > m.Delay {
-		m.Delay = o.Delay
-	}
-	m.Messages += o.Messages
 }
 
 // RunSync executes the query breadth-first in a single goroutine. Messages
@@ -85,203 +69,4 @@ func RunSync(ctx context.Context, seeds []Message, handle Handler) (Metrics, err
 		}
 	}
 	return metrics, nil
-}
-
-// RunAsync executes the query with one goroutine per participating peer.
-// Peers exchange messages through unbounded mailboxes (an actor-style
-// overlay), and termination is detected by counting outstanding messages:
-// processing a message removes it and adds its forwards, so the query is
-// complete when the counter returns to zero. The handler runs concurrently
-// on many goroutines and must synchronize its own state.
-//
-// peerIDs must contain every address the query can reach. The returned
-// metrics equal RunSync's for the same query.
-//
-// Cancelling ctx closes every mailbox, draining the run early; the metrics
-// accumulated so far are returned together with ctx's error. A nil ctx
-// never cancels.
-func RunAsync(ctx context.Context, peerIDs []string, seeds []Message, handle Handler) (Metrics, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	boxes := make(map[string]*mailbox, len(peerIDs))
-	for _, id := range peerIDs {
-		boxes[id] = newMailbox()
-	}
-
-	var (
-		outstanding atomic.Int64
-		delay       atomic.Int64
-		messages    atomic.Int64
-		completed   atomic.Bool // the run drained naturally (not cancelled)
-		wg          sync.WaitGroup
-	)
-	outstanding.Store(int64(len(seeds)))
-
-	closeAll := func() {
-		for _, b := range boxes {
-			b.close()
-		}
-	}
-
-	// Cancellation watcher: closing every mailbox unblocks all workers.
-	watcherDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			closeAll()
-		case <-watcherDone:
-		}
-	}()
-
-	for _, b := range boxes {
-		wg.Add(1)
-		go func(b *mailbox) {
-			defer wg.Done()
-			for {
-				m, ok := b.pop()
-				if !ok {
-					return
-				}
-				// Workers observe cancellation themselves: relying on the
-				// watcher goroutine alone would leave promptness to the
-				// scheduler (on one CPU a busy chain of workers can drain
-				// an entire run before the watcher ever gets on).
-				if ctx.Err() != nil && !completed.Load() {
-					closeAll()
-					return
-				}
-				if d := int64(m.Depth); d > delay.Load() {
-					// Lossy max is fine: we re-check under CAS.
-					for {
-						cur := delay.Load()
-						if d <= cur || delay.CompareAndSwap(cur, d) {
-							break
-						}
-					}
-				}
-				if m.Depth >= 1 {
-					messages.Add(1)
-				}
-				fwd := handle(m)
-				for _, f := range fwd {
-					f.Depth = m.Depth + 1
-					dst, ok := boxes[f.To]
-					if !ok {
-						panic("simnet: forward to unknown peer " + f.To)
-					}
-					outstanding.Add(1)
-					dst.push(f)
-				}
-				if outstanding.Add(-1) == 0 {
-					completed.Store(true)
-					closeAll()
-					return
-				}
-			}
-		}(b)
-	}
-
-	if len(seeds) == 0 {
-		completed.Store(true)
-		closeAll()
-	}
-	for _, s := range seeds {
-		s.Depth = 0
-		dst, ok := boxes[s.To]
-		if !ok {
-			panic("simnet: seed to unknown peer " + s.To)
-		}
-		dst.push(s)
-	}
-	wg.Wait()
-	close(watcherDone)
-	m := Metrics{Delay: int(delay.Load()), Messages: int(messages.Load())}
-	// A run that drained naturally is complete even if ctx cancelled in the
-	// same instant — only report an error when cancellation cut it short.
-	if !completed.Load() {
-		return m, ctx.Err()
-	}
-	return m, nil
-}
-
-// mailbox is an unbounded FIFO queue with blocking pop. Unboundedness
-// matters: peers both send and receive, so bounded channels could deadlock
-// on cyclic sends.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Message
-	closed bool
-}
-
-func newMailbox() *mailbox {
-	b := &mailbox{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *mailbox) push(m Message) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	b.queue = append(b.queue, m)
-	b.cond.Signal()
-}
-
-func (b *mailbox) pop() (Message, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for len(b.queue) == 0 && !b.closed {
-		b.cond.Wait()
-	}
-	if len(b.queue) == 0 {
-		return Message{}, false
-	}
-	m := b.queue[0]
-	b.queue = b.queue[1:]
-	return m, true
-}
-
-func (b *mailbox) close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.closed = true
-	b.cond.Broadcast()
-}
-
-// Collector accumulates per-query observations from handlers that may run
-// concurrently. The zero value is ready to use.
-type Collector struct {
-	mu    sync.Mutex
-	dests []string
-}
-
-// Deliver records a destination peer.
-func (c *Collector) Deliver(peer string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dests = append(c.dests, peer)
-}
-
-// Destinations returns the recorded destinations, sorted.
-func (c *Collector) Destinations() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := append([]string(nil), c.dests...)
-	sort.Strings(out)
-	return out
-}
-
-// MergeMetrics combines per-subquery metrics into a single query metric:
-// subqueries run in parallel, so delays take the maximum while message
-// counts add.
-func MergeMetrics(parts ...Metrics) Metrics {
-	var m Metrics
-	for _, p := range parts {
-		m.merge(p)
-	}
-	return m
 }

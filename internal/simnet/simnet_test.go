@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strconv"
-	"sync"
 	"testing"
 )
 
@@ -17,14 +16,6 @@ func chainHandler(n int) Handler {
 		}
 		return []Message{{To: "p" + strconv.Itoa(i+1), Payload: i + 1}}
 	}
-}
-
-func chainPeers(n int) []string {
-	ids := make([]string, n+1)
-	for i := range ids {
-		ids[i] = "p" + strconv.Itoa(i)
-	}
-	return ids
 }
 
 // mustSync runs RunSync with a background context and fails on error.
@@ -132,163 +123,5 @@ func TestRunSyncCancellation(t *testing.T) {
 	}
 	if m.Messages >= 50 {
 		t.Fatalf("cancelled run counted %d messages", m.Messages)
-	}
-}
-
-func TestRunAsyncMatchesSyncChain(t *testing.T) {
-	syncM := mustSync(t, []Message{{To: "p0", Payload: 0}}, chainHandler(20))
-	asyncM, err := RunAsync(context.Background(), chainPeers(20), []Message{{To: "p0", Payload: 0}}, chainHandler(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if syncM != asyncM {
-		t.Fatalf("async %+v != sync %+v", asyncM, syncM)
-	}
-}
-
-func TestRunAsyncFanoutCounts(t *testing.T) {
-	// Binary fanout of depth 8 over a peer per (level, index) address.
-	peers := []string{"seed"}
-	for d := 1; d <= 8; d++ {
-		for i := 0; i < 1<<d; i++ {
-			peers = append(peers, addr(d, i))
-		}
-	}
-	type pos struct{ d, i int }
-	handle := func(m Message) []Message {
-		p := m.Payload.(pos)
-		if p.d == 8 {
-			return nil
-		}
-		return []Message{
-			{To: addr(p.d+1, p.i*2), Payload: pos{p.d + 1, p.i * 2}},
-			{To: addr(p.d+1, p.i*2+1), Payload: pos{p.d + 1, p.i*2 + 1}},
-		}
-	}
-	m, err := RunAsync(context.Background(), peers, []Message{{To: "seed", Payload: pos{0, 0}}}, handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMsgs := 0
-	for d := 1; d <= 8; d++ {
-		wantMsgs += 1 << d
-	}
-	if m.Delay != 8 || m.Messages != wantMsgs {
-		t.Fatalf("async fanout = %+v, want delay 8 messages %d", m, wantMsgs)
-	}
-}
-
-func TestRunAsyncNoSeeds(t *testing.T) {
-	m, err := RunAsync(context.Background(), []string{"a", "b"}, nil, func(Message) []Message { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Delay != 0 || m.Messages != 0 {
-		t.Fatalf("empty async = %+v", m)
-	}
-}
-
-func TestRunAsyncCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var (
-		mu        sync.Mutex
-		processed int
-	)
-	handle := func(m Message) []Message {
-		mu.Lock()
-		processed++
-		if processed == 3 {
-			cancel()
-		}
-		mu.Unlock()
-		return chainHandler(500)(m)
-	}
-	_, err := RunAsync(ctx, chainPeers(500), []Message{{To: "p0", Payload: 0}}, handle)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if processed >= 500 {
-		t.Fatalf("cancelled run still processed all %d messages", processed)
-	}
-}
-
-// A cancellation that lands while the final message is already being
-// processed must not turn a complete run into an error.
-func TestRunAsyncCancelAtCompletion(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	handle := func(m Message) []Message {
-		i := m.Payload.(int)
-		if i >= 5 {
-			cancel() // fires as the last message is handled
-			return nil
-		}
-		return []Message{{To: "p" + strconv.Itoa(i+1), Payload: i + 1}}
-	}
-	m, err := RunAsync(ctx, chainPeers(5), []Message{{To: "p0", Payload: 0}}, handle)
-	if err != nil {
-		t.Fatalf("completed run reported error %v", err)
-	}
-	if m.Delay != 5 || m.Messages != 5 {
-		t.Fatalf("metrics = %+v, want delay 5 messages 5", m)
-	}
-}
-
-func TestRunAsyncConcurrentHandlerSafety(t *testing.T) {
-	// A handler with shared state protected by a mutex: every peer pings a
-	// central accumulator through forwards.
-	var (
-		mu    sync.Mutex
-		count int
-	)
-	peers := chainPeers(50)
-	handle := func(m Message) []Message {
-		mu.Lock()
-		count++
-		mu.Unlock()
-		i := m.Payload.(int)
-		if i >= 50 {
-			return nil
-		}
-		return []Message{{To: peers[i+1], Payload: i + 1}}
-	}
-	if _, err := RunAsync(context.Background(), peers, []Message{{To: "p0", Payload: 0}}, handle); err != nil {
-		t.Fatal(err)
-	}
-	if count != 51 {
-		t.Fatalf("handler ran %d times, want 51", count)
-	}
-}
-
-func addr(d, i int) string { return "n" + strconv.Itoa(d) + "_" + strconv.Itoa(i) }
-
-func TestMergeMetrics(t *testing.T) {
-	m := MergeMetrics(Metrics{Delay: 3, Messages: 10}, Metrics{Delay: 5, Messages: 2}, Metrics{})
-	if m.Delay != 5 || m.Messages != 12 {
-		t.Fatalf("MergeMetrics = %+v", m)
-	}
-}
-
-func TestCollector(t *testing.T) {
-	var c Collector
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c.Deliver(strconv.Itoa(i % 5))
-		}(i)
-	}
-	wg.Wait()
-	d := c.Destinations()
-	if len(d) != 20 {
-		t.Fatalf("collector recorded %d, want 20", len(d))
-	}
-	for i := 1; i < len(d); i++ {
-		if d[i-1] > d[i] {
-			t.Fatal("destinations not sorted")
-		}
 	}
 }

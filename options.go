@@ -18,7 +18,6 @@ type config struct {
 	seed           int64
 	attrs          []AttributeSpace
 	balanced       bool
-	async          bool
 	replicas       int
 	frontierCache  int
 	shortcutTable  int
@@ -205,17 +204,6 @@ func WithDiagnostics(dc DiagnosticsConfig) Option {
 			return fmt.Errorf("%w: SLO objective %v outside [0, 1)", errBadOption, dc.Objective)
 		}
 		c.diagnostics = &dc
-		return nil
-	})
-}
-
-// WithAsyncQueries executes queries on the goroutine-per-peer engine
-// instead of the deterministic synchronous engine. Results and metrics are
-// identical; the asynchronous engine exists to demonstrate and test the
-// algorithms' locality under real concurrency.
-func WithAsyncQueries() Option {
-	return optionFunc(func(c *config) error {
-		c.async = true
 		return nil
 	})
 }

@@ -129,8 +129,8 @@ type Query struct {
 	// ReadPolicy selects the replica serving each delivery on a replicated
 	// network. Zero (ReadDefault) means the network's default.
 	ReadPolicy ReadPolicy
-	// Trace, when non-nil, observes every overlay message of the query.
-	// Queries on an async network may invoke it concurrently.
+	// Trace, when non-nil, observes every overlay message of the query, in
+	// processing order, on the goroutine executing the query.
 	Trace func(Hop)
 	// QueueWait reports how long the caller held this query in a dispatch
 	// queue before executing it. It never changes execution; on a network
@@ -148,8 +148,8 @@ type QueryOption func(*Query)
 // random one.
 func WithIssuer(id string) QueryOption { return func(q *Query) { q.Issuer = id } }
 
-// WithTrace installs a hop observer on the query. Queries on an async
-// network may invoke fn concurrently.
+// WithTrace installs a hop observer on the query; fn runs on the goroutine
+// executing the query.
 func WithTrace(fn func(Hop)) QueryOption { return func(q *Query) { q.Trace = fn } }
 
 // WithTopK turns a range query into a top-k query returning at most k

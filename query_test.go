@@ -257,7 +257,6 @@ func TestDoCancellationMidQuery(t *testing.T) {
 		opts []Option
 	}{
 		{"sync", nil},
-		{"async", []Option{WithAsyncQueries()}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			net := buildQueryNet(t, 200, 100, mode.opts...)
@@ -355,7 +354,6 @@ func TestStreamMatchesDo(t *testing.T) {
 		opts []Option
 	}{
 		{"sync", nil},
-		{"async", []Option{WithAsyncQueries()}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			net := buildQueryNet(t, 100, 300, mode.opts...)

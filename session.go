@@ -183,14 +183,14 @@ type frontierExec struct {
 // runFrontierRange executes one range query with frontier reuse: it
 // resolves the candidate frontier (fr.seed, then the shared cache),
 // requests capture on full descents, updates the cache, and stamps
-// Stats.FrontierHits on the out result. opts are the engine options
+// Stats.FrontierHits on the out result. cfg is the engine configuration
 // assembled so far; the caller holds the read lock.
-func (n *Network) runFrontierRange(ctx context.Context, issuer string, lo, hi []float64, offsetID string, fr *frontierExec, opts []core.QueryOption) (*core.RangeResult, error) {
+func (n *Network) runFrontierRange(ctx context.Context, issuer string, lo, hi []float64, offsetID string, fr *frontierExec, cfg core.QueryConfig) (*core.RangeResult, error) {
 	prep, clipped, remains, err := n.eng.RangeRegion(lo, hi, kautz.Str(offsetID))
 	if err != nil {
 		return nil, wrapCoreErr(err)
 	}
-	opts = append(opts, core.WithPrepared(prep))
+	cfg.Prepared = prep
 	var (
 		key  string
 		cand *core.Frontier
@@ -215,7 +215,7 @@ func (n *Network) runFrontierRange(ctx context.Context, issuer string, lo, hi []
 			}
 		}
 		if cand != nil {
-			opts = append(opts, core.WithFrontier(cand))
+			cfg.Frontier = cand
 		} else {
 			// No frontier covers this query; offer the learned shortcut
 			// table before resigning to a descent. Single-attribute only:
@@ -225,20 +225,18 @@ func (n *Network) runFrontierRange(ctx context.Context, issuer string, lo, hi []
 				if fr.dq != nil {
 					fr.dq.MarkShortcutEligible()
 				}
-				if route, ok := n.shortcutRoute(clipped); ok {
-					opts = append(opts, core.WithShortcutRoute(route))
-				}
+				cfg.Shortcut = n.shortcutRoute(clipped)
 			}
 			if offsetID == "" || fr.wantCapture {
 				// A seeded query never captures; only request (and pay
 				// for) capture when a descent may run AND someone can use
 				// the result — the cache (cursor-free queries) or a
 				// session.
-				opts = append(opts, core.WithCaptureFrontier())
+				cfg.CaptureFrontier = true
 			}
 		}
 	}
-	res, err := n.eng.RangeQuery(ctx, kautz.Str(issuer), lo, hi, opts...)
+	res, err := n.eng.RangeQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
 	if err != nil {
 		return nil, wrapCoreErr(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -510,4 +511,55 @@ func TestStreamReusesFrontierCache(t *testing.T) {
 	if !reflect.DeepEqual(second, first) {
 		t.Fatal("cache-seeded stream returned different objects")
 	}
+}
+
+// A session page costs what its own deliveries cost, not what the walk
+// before it cost: every page after the first is seeded from the captured
+// frontier through the pooled message queue, so allocations per page stay
+// flat in the page index (and shrink as destinations retire) instead of
+// growing with it.
+func TestSessionPageAllocsFlat(t *testing.T) {
+	net, err := NewNetwork(1000, WithSeed(111))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	pubs := make([]Publication, 4000)
+	for i := range pubs {
+		pubs[i] = Publication{Name: fmt.Sprintf("o%d", i), Values: []float64{float64(i) * 0.25}}
+	}
+	if err := net.PublishBatch(pubs); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := net.OpenSession(NewRange([]Range{{Low: 100, High: 600}}, WithLimit(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+	var perPage []uint64
+	var ms runtime.MemStats
+	for sess.More() {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		res, err := sess.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		if res.NextOffsetID != "" { // the short final page is not comparable
+			perPage = append(perPage, ms.Mallocs-before)
+		}
+	}
+	if len(perPage) < 20 {
+		t.Fatalf("walk had only %d full pages", len(perPage))
+	}
+	// Page 1 descends and captures; compare the seeded pages among
+	// themselves, with slack for the destinations a page happens to span.
+	early, late := perPage[1], perPage[len(perPage)-1]
+	if late > early+8 {
+		t.Fatalf("allocations per page grew along the walk: page 2 = %d, page %d = %d (all: %v)",
+			early, len(perPage), late, perPage)
+	}
+	t.Logf("allocations per page: %v", perPage)
 }

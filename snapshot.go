@@ -34,10 +34,6 @@ func assemble(net *fissione.Network, cfg config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode := core.Sync
-	if cfg.async {
-		mode = core.Async
-	}
 	var fcache *session.Cache
 	if cfg.frontierCache > 0 {
 		fcache = session.NewCache(cfg.frontierCache)
@@ -50,7 +46,6 @@ func assemble(net *fissione.Network, cfg config) (*Network, error) {
 		net:    net,
 		tree:   tree,
 		eng:    eng,
-		mode:   mode,
 		fcache: fcache,
 		stable: stable,
 		rng:    rand.New(rand.NewSource(cfg.seed + 1)),
