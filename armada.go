@@ -26,9 +26,7 @@
 // Per-query options select the issuer (WithIssuer), observe every overlay
 // hop (WithTrace), or retarget the algorithm (WithTopK, WithFlood). Stream
 // delivers matching objects as destination peers report them, and
-// PublishBatch ingests many objects under one lock acquisition. The legacy
-// per-kind methods (Lookup, RangeQuery, MultiRangeQuery, TraceQuery, TopK)
-// remain as thin deprecated wrappers over Do.
+// PublishBatch ingests many objects under one lock acquisition.
 package armada
 
 import (
@@ -40,12 +38,10 @@ import (
 	"sync"
 
 	"armada/internal/core"
-	"armada/internal/diag"
 	"armada/internal/fissione"
 	"armada/internal/kautz"
 	"armada/internal/loadctl"
 	"armada/internal/naming"
-	"armada/internal/obs"
 	"armada/internal/session"
 	"armada/internal/shortcut"
 )
@@ -443,82 +439,34 @@ func (n *Network) Stream(ctx context.Context, q Query) iter.Seq2[Object, error] 
 	}
 }
 
-// do dispatches one query on the engine: the observability wrapper around
-// exec. It samples the finished query against the delay bound and, with a
-// flight recorder attached, brackets the execution in query start/end
-// events (page cuts included). The caller holds the read lock; onMatch,
-// when non-nil, streams each matching object at delivery time. fr, when
-// non-nil, threads frontier reuse through a range query (see frontierExec);
-// on a network with a frontier cache, plain non-streaming range queries
-// get one automatically.
+// do dispatches one query on the engine: exec bracketed by the query's
+// observer (see queryObs), plus the delay-bound sample every finished query
+// contributes. The caller holds the read lock; onMatch, when non-nil,
+// streams each matching object at delivery time. fr, when non-nil, threads
+// a session's frontier through a range query (see frontierExec).
 func (n *Network) do(ctx context.Context, q Query, issuer string, onMatch func(Object), fr *frontierExec) (*Result, error) {
-	rec, dm := n.obs.flight, n.obs.diag
-	var qid uint64
-	if rec != nil || dm != nil {
-		qid = n.obs.qseq.Add(1)
+	ob := n.observe(q, issuer)
+	res, err := n.exec(ctx, q, issuer, onMatch, fr, ob)
+	var bound float64
+	if err == nil {
+		bound = n.noteQuery(res.Stats)
 	}
-	if rec != nil {
-		rec.Record(obs.Event{Kind: obs.EvQueryStart, QID: qid, From: issuer, Note: q.kind().String()})
-	}
-	var dq *diag.Query
-	if dm != nil {
-		dq = dm.Begin(qid, q.kind().String(), issuer, q.QueueWait)
-	}
-	res, err := n.exec(ctx, q, issuer, onMatch, fr, qid, dq)
-	if err != nil {
-		if dq != nil {
-			dm.Finish(dq, diag.Outcome{Err: true})
-		}
-		if rec != nil {
-			rec.Record(obs.Event{Kind: obs.EvQueryEnd, QID: qid, Note: err.Error()})
-		}
-		return nil, err
-	}
-	bound := n.noteQuery(res.Stats)
-	if dq != nil {
-		dm.Finish(dq, diag.Outcome{
-			Delay:         res.Stats.Delay,
-			Bound:         bound,
-			Messages:      res.Stats.Messages,
-			DestPeers:     res.Stats.DestPeers,
-			Deliveries:    res.Stats.Deliveries,
-			ReplicaServed: res.Stats.ReplicaServed,
-			ShortcutHits:  res.Stats.ShortcutHits,
-			FrontierHits:  res.Stats.FrontierHits,
-			DescentsSaved: res.Stats.DescentsSaved,
-		})
-	}
-	if rec != nil {
-		if res.NextOffsetID != "" {
-			rec.Record(obs.Event{Kind: obs.EvPageCut, QID: qid, Note: res.NextOffsetID})
-		}
-		rec.Record(obs.Event{Kind: obs.EvQueryEnd, QID: qid,
-			V1: int64(res.Stats.Delay), V2: int64(res.Stats.Messages)})
-	}
-	return res, nil
+	ob.finish(res, bound, err)
+	return res, err
 }
 
-// exec runs one query on the engine. qid tags the query's flight-recorder
-// events; it is 0 (and ignored) without a recorder or diagnostics. dq,
-// when non-nil, is the query's diagnostics collector: the trace stream
-// feeds its stage breakdown and the classifier flags are set here, at the
-// decision points they describe.
-func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func(Object), fr *frontierExec, qid uint64, dq *diag.Query) (*Result, error) {
+// exec runs one query on the engine: validate the request into an engine
+// configuration, plan its route (frontier, shortcut table), run it, convert
+// the result. ob, when non-nil, observes it.
+func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func(Object), fr *frontierExec, ob *queryObs) (*Result, error) {
 	kind := q.kind()
 	pol, err := n.readPolicy(q.ReadPolicy)
 	if err != nil {
 		return nil, err
 	}
 	cfg := core.QueryConfig{Policy: pol}
-	if fr != nil {
-		fr.qid = qid
-		fr.dq = dq
-	}
-	if q.Trace != nil || n.obs.flight != nil || dq != nil {
-		cfg.Trace = n.traceFunc(q.Trace, qid, dq)
-	}
-	if dq != nil {
-		cfg.ScanTrace = func(_ kautz.Str, depth, matched int) { dq.NoteScan(depth, matched) }
+	if ob != nil {
+		cfg.Trace = ob.hop
 	}
 	if onMatch != nil {
 		cfg.OnMatch = func(m core.Match) { onMatch(objectOf(m)) }
@@ -558,9 +506,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 			return nil, fmt.Errorf("%w: lookup needs a name or attribute values", ErrBadQuery)
 		}
 		if n.stable != nil {
-			if dq != nil {
-				dq.MarkShortcutEligible()
-			}
+			ob.shortcutEligible()
 			// Lookups are the degenerate region ⟨oid, oid⟩ — always a
 			// single learned owner on a hit.
 			cfg.Shortcut = n.shortcutRoute(kautz.Region{Low: oid, High: oid})
@@ -572,7 +518,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 		if n.stable != nil && res.Stats.ShortcutHits == 0 && res.Owner != "" {
 			n.learnShortcut(res.Owner)
 		}
-		out := &Result{Owner: string(res.Owner), Stats: statsOf(res.Stats)}
+		out := &Result{Owner: string(res.Owner), Stats: res.Stats}
 		if len(res.Objects) > 0 {
 			out.Objects = make([]Object, 0, len(res.Objects))
 		}
@@ -606,7 +552,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 		// range skips its descent, and a region the learned shortcut
 		// entries tile routes in one hop per destination.
 		if fr == nil && (n.fcache != nil || n.stable != nil) {
-			fr = &frontierExec{qid: qid}
+			fr = new(frontierExec)
 		}
 		if fr == nil {
 			res, err := n.eng.RangeQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
@@ -615,7 +561,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 			}
 			return resultOf(res), nil
 		}
-		res, err := n.runFrontierRange(ctx, issuer, lo, hi, q.OffsetID, fr, cfg)
+		res, err := n.runFrontierRange(ctx, issuer, lo, hi, q.OffsetID, fr, cfg, ob)
 		if err != nil {
 			return nil, err
 		}
@@ -624,11 +570,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 			// a shortcut-served query already found its entries fresh.
 			n.learnShortcuts(res.Destinations)
 		}
-		out := resultOf(res)
-		if fr.saved && fr.fromCache {
-			out.Stats.FrontierHits = 1
-		}
-		return out, nil
+		return resultOf(res), nil
 
 	case KindTopK:
 		if q.K < 1 {
@@ -642,7 +584,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 		if err != nil {
 			return nil, wrapCoreErr(err)
 		}
-		out := &Result{Stats: statsOf(res.Stats)}
+		out := &Result{Stats: res.Stats}
 		for _, m := range res.Matches {
 			out.Objects = append(out.Objects, objectOf(m))
 		}
@@ -651,78 +593,6 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %v", ErrBadQuery, kind)
 	}
-}
-
-// Lookup routes an exact-match query for name from a random peer and
-// returns the owning peer, any objects published under the name's
-// ObjectID, and the routing cost.
-//
-// Deprecated: use Do with NewLookup.
-func (n *Network) Lookup(name string) (*LookupResult, error) {
-	return n.LookupFrom(n.RandomPeer(), name)
-}
-
-// LookupFrom is Lookup issued by a specific peer.
-//
-// Deprecated: use Do with NewLookup and WithIssuer.
-func (n *Network) LookupFrom(issuer, name string) (*LookupResult, error) {
-	res, err := n.Do(context.Background(), NewLookup(name, WithIssuer(issuer)))
-	if err != nil {
-		return nil, err
-	}
-	return &LookupResult{Owner: res.Owner, Objects: res.Objects, Stats: res.Stats}, nil
-}
-
-// RangeQuery executes a single-attribute range query [low, high] from a
-// random issuer. The network must be configured with exactly one attribute.
-//
-// Deprecated: use Do with NewRange.
-func (n *Network) RangeQuery(low, high float64) (*Result, error) {
-	return n.Do(context.Background(), NewRange([]Range{{Low: low, High: high}}))
-}
-
-// MultiRangeQuery executes a multi-attribute range query from a random
-// issuer, one Range per configured attribute.
-//
-// Deprecated: use Do with NewRange.
-func (n *Network) MultiRangeQuery(ranges ...Range) (*Result, error) {
-	return n.Do(context.Background(), NewRange(ranges))
-}
-
-// RangeQueryFrom executes a range query issued by a specific peer, one
-// Range per configured attribute. Single-attribute queries run PIRA;
-// multi-attribute queries run MIRA.
-//
-// Deprecated: use Do with NewRange and WithIssuer.
-func (n *Network) RangeQueryFrom(issuer string, ranges ...Range) (*Result, error) {
-	return n.Do(context.Background(), NewRange(ranges, WithIssuer(issuer)))
-}
-
-// TraceQuery executes a range query like RangeQueryFrom while recording
-// every overlay message, returning the result together with the hops in
-// processing order. It runs under the read lock like every other query, so
-// traced and untraced queries may execute concurrently.
-//
-// Deprecated: use Do with NewRange and WithTrace.
-func (n *Network) TraceQuery(issuer string, ranges ...Range) (*Result, []Hop, error) {
-	var hops []Hop
-	res, err := n.Do(context.Background(), NewRange(ranges,
-		WithIssuer(issuer),
-		WithTrace(func(h Hop) { hops = append(hops, h) }),
-	))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, hops, nil
-}
-
-// TopK returns up to k objects with the largest first-attribute values
-// within the ranges, from a random issuer — the paper's future-work query
-// type, built on the same bounded-delay descent.
-//
-// Deprecated: use Do with NewRange and WithTopK.
-func (n *Network) TopK(k int, ranges ...Range) (*Result, error) {
-	return n.Do(context.Background(), NewRange(ranges, WithTopK(k)))
 }
 
 // bounds converts ranges to per-attribute bound slices.

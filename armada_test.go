@@ -1,6 +1,7 @@
 package armada
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -52,7 +53,7 @@ func TestPublishAndRangeQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := net.RangeQuery(70, 80)
+	res, err := net.Do(context.Background(), NewRange([]Range{{Low: 70, High: 80}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +83,10 @@ func TestPublishArity(t *testing.T) {
 	if err := net.Publish("x", 1, 2); !errors.Is(err, ErrBadArity) {
 		t.Errorf("wrong arity error = %v", err)
 	}
-	if _, err := net.RangeQuery(5, 1); err == nil {
+	if _, err := net.Do(context.Background(), NewRange([]Range{{Low: 5, High: 1}})); err == nil {
 		t.Error("inverted range accepted")
 	}
-	if _, err := net.MultiRangeQuery(Range{0, 1}, Range{0, 1}); !errors.Is(err, ErrBadArity) {
+	if _, err := net.Do(context.Background(), NewRange([]Range{{0, 1}, {0, 1}})); !errors.Is(err, ErrBadArity) {
 		t.Error("extra range accepted")
 	}
 }
@@ -110,7 +111,7 @@ func TestMultiAttributeQuery(t *testing.T) {
 		}
 	}
 	// The paper's example: 1GB ≤ memory ≤ 4GB and 50GB ≤ disk ≤ 200GB.
-	res, err := net.MultiRangeQuery(Range{1, 4}, Range{50, 200})
+	res, err := net.Do(context.Background(), NewRange([]Range{{1, 4}, {50, 200}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestLookup(t *testing.T) {
 	if err := net.PublishExact("the-file.txt"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := net.Lookup("the-file.txt")
+	res, err := net.Do(context.Background(), NewLookup("the-file.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestLookup(t *testing.T) {
 	}
 	// Lookup of an unpublished name still resolves an owner, with no
 	// objects.
-	res2, err := net.Lookup("missing")
+	res2, err := net.Do(context.Background(), NewLookup("missing"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +167,14 @@ func TestRangeQueryFromSpecificIssuer(t *testing.T) {
 		t.Fatal(err)
 	}
 	issuer := net.PeerIDs()[0]
-	res, err := net.RangeQueryFrom(issuer, Range{0, 1000})
+	res, err := net.Do(context.Background(), NewRange([]Range{{0, 1000}}, WithIssuer(issuer)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.DestPeers != net.Size() {
 		t.Fatalf("full query hit %d/%d peers", res.Stats.DestPeers, net.Size())
 	}
-	if _, err := net.RangeQueryFrom("21021", Range{0, 1}); !errors.Is(err, ErrNoSuchPeer) {
+	if _, err := net.Do(context.Background(), NewRange([]Range{{0, 1}}, WithIssuer("21021"))); !errors.Is(err, ErrNoSuchPeer) {
 		t.Errorf("unknown issuer error = %v", err)
 	}
 }
@@ -191,7 +192,7 @@ func TestTopK(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := net.TopK(5, Range{0, 1000})
+	res, err := net.Do(context.Background(), NewRange([]Range{{0, 1000}}, WithTopK(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestQueriesSurviveChurn(t *testing.T) {
 		if step%10 != 0 {
 			continue
 		}
-		res, err := net.RangeQuery(100, 500)
+		res, err := net.Do(context.Background(), NewRange([]Range{{Low: 100, High: 500}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +311,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				res, err := net.RangeQuery(float64(g*50), float64(g*50+200))
+				res, err := net.Do(context.Background(), NewRange([]Range{{Low: float64(g * 50), High: float64(g*50 + 200)}}))
 				if err != nil {
 					errs <- err
 					return

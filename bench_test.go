@@ -400,7 +400,7 @@ func BenchmarkPublicAPIQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := rng.Float64() * 900
-		if _, err := net.RangeQuery(lo, lo+50); err != nil {
+		if _, err := net.Do(context.Background(), armada.NewRange([]armada.Range{{Low: lo, High: lo + 50}})); err != nil {
 			b.Fatal(err)
 		}
 	}

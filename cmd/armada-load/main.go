@@ -1,7 +1,7 @@
 // Command armada-load drives a live Armada network with concurrent mixed
 // traffic — optionally under churn — and emits a JSON report with per-op
 // throughput, latency percentiles and the paper's hop-delay/message
-// metrics (the BENCH_*.json format).
+// metrics.
 //
 // Usage:
 //
@@ -18,11 +18,9 @@
 //
 // Flags given explicitly override the chosen preset's fields.
 //
-// With -compare the run's per-op p99 wall-clock latency is checked against
-// a committed baseline report and the command exits non-zero on a
-// regression beyond -compare-max-regress — the CI regression gate:
-//
-//	armada-load -scenario mixed -ops 2000 -peers 500 -compare BENCH_baseline.json
+// The report describes one run; it is not a performance gate. The numbers
+// a change is judged by come from the repeated, duration-based benchmark
+// (bash bench/run.sh, see bench/README.md).
 package main
 
 import (
@@ -33,13 +31,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	_ "net/http/pprof" // -pprof-addr serves the default mux
 	"os"
 	"os/signal"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,9 +47,8 @@ import (
 	"armada/workload"
 )
 
-// liveNet is the network the current run drives; the -metrics-addr handlers
-// read it so scrapes keep working across worst-of reruns (503 between
-// networks).
+// liveNet is the network the run drives; the -metrics-addr handlers read
+// it (503 until it is built and after it is closed).
 var liveNet atomic.Pointer[armada.Network]
 
 // expvarOnce guards the expvar registration: run() executes once per
@@ -86,32 +81,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		attrs     = fs.Int("attrs", 0, "number of [0,1000] attributes (overrides the preset's spaces)")
 		replicas  = fs.Int("replicas", 0, "replication degree: each object lives on this many peers (1 = unreplicated)")
 		preload   = fs.Int("preload", -1, "objects published before the measured run")
-		topk      = fs.Int("topk", 0, "K for top-k operations")
 		mix       = fs.String("mix", "", `op mix weights, e.g. "range=70,publish=10,lookup=10,unpublish=5,multi-range=0,top-k=5,flood=0,range-paged=0"`)
 		keys      = fs.String("keys", "", "key distribution: uniform|zipf|hotspot")
-		zipfS     = fs.Float64("zipf-s", 0, "Zipf exponent (> 1)")
 		hotFrac   = fs.Float64("hot-frac", 0, "hotspot: hot interval width as a fraction of the space")
 		hotWt     = fs.Float64("hot-weight", 0, "hotspot: probability of drawing from the hot interval")
 		rangeFr   = fs.String("range-frac", "", `range width as fraction of the space, "min:max" (e.g. "0.01:0.1")`)
 		churn     = fs.String("churn", "", `churn rates/sec, e.g. "join=40,leave=30,fail=10"`)
 		minPeers  = fs.Int("min-peers", 0, "churn floor: skip leaves/fails at or below this size")
-		maxPeers  = fs.Int("max-peers", 0, "churn ceiling: skip joins at or above this size")
 		interval  = fs.Duration("interval", 0, "snapshot period")
-		pageLim   = fs.Int("page-limit", 0, "page size for range-paged operations")
 		noSess    = fs.Bool("paged-no-session", false, "run range-paged walks as independent per-page queries instead of a session (the descent-reuse ablation)")
 		fcache    = fs.Int("frontier-cache", 0, "issuer-side frontier cache capacity; repeated range queries over covered regions skip their descent (0 = no cache)")
-		rangeBk   = fs.Int("range-buckets", 0, "snap range-query bounds to a grid of this many buckets per attribute space so hot scans repeat exactly (0 = continuous bounds)")
 		shortTab  = fs.Int("shortcut-table", 0, "issuer-side learned shortcut routing table capacity; warm lookups and single-attribute ranges route in one direct hop per destination (0 = no table)")
 		noShort   = fs.Bool("no-shortcut", false, "drop the scenario's shortcut table — the descent-baseline ablation (results are byte-identical, only hops and messages move)")
 		loadCtl   = fs.Bool("load-control", false, "run the adaptive load controller: auto-split regions under sustained delivery load and migrate ownership toward hot regions")
-		splitThr  = fs.Float64("split-threshold", 0, "load control: sustained deliveries/sec on one region that triggers a split (0 = armada default)")
 		maxGrow   = fs.Int("max-growth", 0, "load control: cap on peers auto-splits may add (0 = armada default); at the cap relief continues through migration")
 		hotDrift  = fs.Duration("hot-drift", 0, "hotspot keys: sweep the hot interval across the key space once per this period (0 = pinned hotspot)")
-		queueCap  = fs.Int("queue-cap", 0, "open-loop dispatch queue bound (default 4×workers); full queue drops arrivals")
 		gogc      = fs.Int("gogc", 600, "GOGC percent for the run (load generators allocate fast against a small live heap); 0 leaves the runtime default, and an explicit GOGC env var always wins")
-		compare   = fs.String("compare", "", "baseline report JSON (BENCH_baseline.json); exit non-zero on p99 latency regression")
-		maxRegr   = fs.Float64("compare-max-regress", 0.25, "allowed relative p99 latency growth over the -compare baseline")
-		worstOf   = fs.Int("worst-of", 1, "run the scenario this many times and report each op kind's worst run — how BENCH_baseline.json budgets are made (see make rebaseline)")
 		out       = fs.String("out", "", "write the JSON report to this file (default stdout)")
 		verbose   = fs.Bool("v", false, "print interval snapshots to stderr while running")
 		flightRec = fs.Int("flight-recorder", 0, "attach a query-lifecycle flight recorder retaining this many events (0 = none; implied by -trace-out)")
@@ -189,8 +174,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			sc.Replicas = *replicas
 		case "preload":
 			sc.Preload = *preload
-		case "topk":
-			sc.TopK = *topk
 		case "mix":
 			m, err := parseMix(*mix)
 			keep(err)
@@ -207,8 +190,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			default:
 				keep(fmt.Errorf("unknown key distribution %q", *keys))
 			}
-		case "zipf-s":
-			sc.Keys.ZipfS = *zipfS
 		case "hot-frac":
 			sc.Keys.HotFraction = *hotFrac
 		case "hot-weight":
@@ -223,19 +204,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			sc.Churn = c
 		case "min-peers":
 			sc.Churn.MinPeers = *minPeers
-		case "max-peers":
-			sc.Churn.MaxPeers = *maxPeers
 		case "interval":
 			sc.Interval = *interval
-		case "page-limit":
-			// Explicit 0/negative must not silently fall back to the
-			// workload default (withDefaults rewrites 0 before validation).
-			if *pageLim < 1 {
-				keep(fmt.Errorf("-page-limit %d: must be at least 1", *pageLim))
-			}
-			sc.PageLimit = *pageLim
-		case "queue-cap":
-			sc.Arrival.QueueCap = *queueCap
 		case "paged-no-session":
 			sc.PagedNoSession = *noSess
 		case "frontier-cache":
@@ -243,11 +213,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				keep(fmt.Errorf("-frontier-cache %d: must be at least 0", *fcache))
 			}
 			sc.FrontierCache = *fcache
-		case "range-buckets":
-			if *rangeBk < 0 {
-				keep(fmt.Errorf("-range-buckets %d: must be at least 0", *rangeBk))
-			}
-			sc.RangeBuckets = *rangeBk
 		case "shortcut-table":
 			if *shortTab < 0 {
 				keep(fmt.Errorf("-shortcut-table %d: must be at least 0", *shortTab))
@@ -260,8 +225,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				// threshold override, which is meaningless without it.
 				sc.SplitThreshold = 0
 			}
-		case "split-threshold":
-			sc.SplitThreshold = *splitThr
 		case "max-growth":
 			sc.MaxGrowth = *maxGrow
 		case "hot-drift":
@@ -304,9 +267,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if err := startHTTP(*metricsAd, *pprofAd, stderr); err != nil {
 		return err
-	}
-	if *worstOf < 1 {
-		return fmt.Errorf("-worst-of %d: must be at least 1", *worstOf)
 	}
 	if *auditSmp < 0 {
 		return fmt.Errorf("-audit-sample %d: must be at least 0", *auditSmp)
@@ -406,13 +366,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for i := 1; i < *worstOf; i++ {
-		next, err := runOnce()
-		if err != nil {
-			return err
-		}
-		mergeWorst(rep, next)
-	}
 
 	w := stdout
 	if *out != "" {
@@ -430,21 +383,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "armada-load: %d ops in %.2fs (%.0f op/s), %d errors, peers %d → %d\n",
 		rep.TotalOps, rep.DurationSec, rep.Throughput, rep.TotalErrors, rep.StartPeers, rep.EndPeers)
-
-	if *compare != "" {
-		base, err := loadReport(*compare)
-		if err != nil {
-			return fmt.Errorf("-compare: %w", err)
-		}
-		return compareReports(stderr, rep, base, *maxRegr)
-	}
 	return nil
 }
 
 // startHTTP starts the optional observability endpoints: metricsAddr
 // serves the live network's Prometheus text at /metrics and expvar at
 // /debug/vars; pprofAddr serves the default mux's /debug/pprof/ handlers.
-// Both outlive individual worst-of runs — scrapes between networks get 503.
+// Both start before the network exists — scrapes without one get 503.
 func startHTTP(metricsAddr, pprofAddr string, stderr io.Writer) error {
 	serve := func(addr string, h http.Handler, what string) {
 		go func() {
@@ -483,7 +428,7 @@ func startHTTP(metricsAddr, pprofAddr string, stderr io.Writer) error {
 				fmt.Fprintf(stderr, "armada-load: debug endpoint write: %v\n", err)
 			}
 		}
-		// live guards a debug handler: 503 between worst-of networks, like
+		// live guards a debug handler: 503 without a live network, like
 		// /metrics.
 		live := func(h func(http.ResponseWriter, *http.Request, *armada.Network)) http.HandlerFunc {
 			return func(w http.ResponseWriter, r *http.Request) {
@@ -666,195 +611,6 @@ func writeSlowLog(net *armada.Network, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// mergeWorst folds run next into the accumulated report acc, keeping for
-// each op kind whichever run showed the worse (higher) p99 wall-clock
-// latency — the per-op budget a `-worst-of N` baseline commits. Each kept
-// OpReport also budgets the worst error *rate* seen across runs (the
-// compare gate reads per-op Errors/Count, so a flaky run must not hide
-// behind a fast one). Other run-level scalars keep the first run's values.
-func mergeWorst(acc, next *workload.Report) {
-	errRate := func(o workload.OpReport) float64 {
-		if o.Count == 0 {
-			return 0
-		}
-		return float64(o.Errors) / float64(o.Count)
-	}
-	for name, op := range next.Ops {
-		base, ok := acc.Ops[name]
-		if !ok {
-			acc.Ops[name] = op
-			continue
-		}
-		worst, rate := base, max(errRate(base), errRate(op))
-		if op.LatencyMs.P99 > base.LatencyMs.P99 {
-			worst = op
-		}
-		if r := errRate(worst); rate > r {
-			worst.Errors = int(math.Ceil(rate * float64(worst.Count)))
-		}
-		acc.Ops[name] = worst
-	}
-	if next.TotalErrors > acc.TotalErrors {
-		acc.TotalErrors = next.TotalErrors
-	}
-	if next.AvailabilityMisses > acc.AvailabilityMisses {
-		acc.AvailabilityMisses = next.AvailabilityMisses
-	}
-}
-
-// compareAbsFloorMs ignores p99 movements smaller than this many
-// milliseconds: sub-millisecond quantiles jitter by whole multiples of
-// themselves across machines and runs, and a regression gate that fires on
-// them is noise, not signal.
-const compareAbsFloorMs = 5.0
-
-// compareMinCount skips op kinds with fewer completions than this — their
-// p99 is a handful of samples.
-const compareMinCount = 50
-
-// loadReport reads one workload report from a JSON file.
-func loadReport(path string) (*workload.Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep workload.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// compareErrRateSlack is how much an op's error rate may exceed the
-// baseline's before the gate fails. Latency quantiles only cover
-// successful ops, so without this check a change that turns queries into
-// fast errors would sail through with a "better" p99.
-const compareErrRateSlack = 0.02
-
-// compareReports checks the run's per-op p99 wall-clock latency and error
-// rate against the baseline, printing a table, and fails when any op kind
-// regressed by more than maxRegress (relative) and the absolute floor. A
-// p99 excursion alone is not enough: the op's p95 must have moved past the
-// same relative bar too, because with a few hundred samples the p99 is one
-// unlucky scheduler stall while a genuine regression (an O(store) scan, a
-// lock convoy) drags the whole tail.
-func compareReports(w io.Writer, rep, base *workload.Report, maxRegress float64) error {
-	if err := checkEnv(w, rep, base); err != nil {
-		return err
-	}
-	errRate := func(o workload.OpReport) float64 {
-		if o.Count == 0 {
-			return 0
-		}
-		return float64(o.Errors) / float64(o.Count)
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "OP\tBASE p99 ms\tRUN p99 ms\tCHANGE\tRUN p95\tBASE hops\tRUN hops\tERR%%\tVERDICT\n")
-	var regressed []string
-	for _, name := range opNamesInOrder(rep, base) {
-		b, inBase := base.Ops[name]
-		r, inRun := rep.Ops[name]
-		if !inBase || !inRun || b.Count < compareMinCount || r.Count < compareMinCount {
-			continue
-		}
-		bp, rp := b.LatencyMs.P99, r.LatencyMs.P99
-		change := 0.0
-		if bp > 0 {
-			change = (rp - bp) / bp
-		}
-		verdict := "ok"
-		p99Bad := rp > bp*(1+maxRegress) && rp-bp > compareAbsFloorMs
-		p95Bad := r.LatencyMs.P95 > b.LatencyMs.P95*(1+maxRegress) &&
-			r.LatencyMs.P95-b.LatencyMs.P95 > compareAbsFloorMs/2
-		errBad := errRate(r) > errRate(b)+compareErrRateSlack
-		switch {
-		case errBad:
-			verdict = "REGRESSED (error rate)"
-			regressed = append(regressed, name)
-		case p99Bad && p95Bad:
-			verdict = "REGRESSED"
-			regressed = append(regressed, name)
-		case p99Bad:
-			verdict = "p99 outlier (p95 ok)"
-		}
-		// Mean realized hops ride along informationally — routing-state
-		// changes (frontier cache, shortcut table) show up here without
-		// gating, since hops are deterministic while latency is noisy.
-		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%+.0f%%\t%.3f\t%.2f\t%.2f\t%.1f\t%s\n",
-			name, bp, rp, change*100, r.LatencyMs.P95, b.Hops.Mean, r.Hops.Mean, errRate(r)*100, verdict)
-	}
-	tw.Flush()
-	if len(regressed) > 0 {
-		return fmt.Errorf("latency or error-rate regression (> %.0f%% p99 with > %.0fms floor, p95-confirmed; or error rate up > %.0f points) on: %s",
-			maxRegress*100, compareAbsFloorMs, compareErrRateSlack*100, strings.Join(regressed, ", "))
-	}
-	fmt.Fprintln(w, "armada-load: no p99 or error-rate regression against baseline")
-	return nil
-}
-
-// checkEnv gates the comparison on the environments the two reports were
-// produced in. Latency budgets are meaningless across a GOMAXPROCS
-// mismatch (the 1-CPU and 2-CPU baselines differ by integer factors), so
-// that one is a hard error; CPU-count and Go-version drift merely widen
-// the noise, so they warn loudly and let the gate proceed.
-func checkEnv(w io.Writer, rep, base *workload.Report) error {
-	if base.Env == nil {
-		fmt.Fprintln(w, "armada-load: WARNING: baseline has no env metadata — regenerate it with `make rebaseline` to gate environment drift")
-		return nil
-	}
-	if rep.Env == nil {
-		// Reports this binary produces always carry Env; reaching here
-		// means the run report was hand-edited or produced by an older
-		// binary, which the gate cannot vouch for.
-		return fmt.Errorf("run report has no env metadata; re-run with this binary")
-	}
-	if rep.Env.GoMaxProcs != base.Env.GoMaxProcs {
-		return fmt.Errorf("env mismatch: run GOMAXPROCS=%d vs baseline GOMAXPROCS=%d — latency budgets do not transfer; rerun with GOMAXPROCS=%d or regenerate the baseline (make rebaseline / rebaseline-2cpu)",
-			rep.Env.GoMaxProcs, base.Env.GoMaxProcs, base.Env.GoMaxProcs)
-	}
-	if rep.Env.NumCPU != base.Env.NumCPU {
-		fmt.Fprintf(w, "armada-load: WARNING: host CPU count changed (run %d vs baseline %d); expect extra noise in the comparison\n",
-			rep.Env.NumCPU, base.Env.NumCPU)
-	}
-	if rep.Env.GoVersion != base.Env.GoVersion {
-		fmt.Fprintf(w, "armada-load: WARNING: Go version changed (run %s vs baseline %s); consider regenerating the baseline\n",
-			rep.Env.GoVersion, base.Env.GoVersion)
-	}
-	return nil
-}
-
-// opNamesInOrder returns the union of op kinds of both reports in a stable
-// order (the workload's kind order, then anything unknown alphabetically).
-func opNamesInOrder(a, b *workload.Report) []string {
-	known := []string{"publish", "unpublish", "lookup", "range", "multi-range", "top-k", "flood", "range-paged"}
-	seen := map[string]bool{}
-	var out []string
-	for _, n := range known {
-		if _, ok := a.Ops[n]; !ok {
-			if _, ok := b.Ops[n]; !ok {
-				continue
-			}
-		}
-		seen[n] = true
-		out = append(out, n)
-	}
-	var extra []string
-	for n := range a.Ops {
-		if !seen[n] {
-			extra = append(extra, n)
-			seen[n] = true
-		}
-	}
-	for n := range b.Ops {
-		if !seen[n] {
-			extra = append(extra, n)
-			seen[n] = true
-		}
-	}
-	sort.Strings(extra)
-	return append(out, extra...)
 }
 
 // parseMix parses "range=70,publish=10,..." into a Mix.

@@ -7,8 +7,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"armada/workload"
 )
 
 // runJSON executes the CLI and decodes its JSON report.
@@ -255,50 +253,5 @@ func TestMaxGrowthFlag(t *testing.T) {
 		"-preload", "200", "-max-growth", "2")
 	if _, ok := m["load_control"].(map[string]any); !ok {
 		t.Fatalf("report missing load_control block: %v", m)
-	}
-}
-
-func TestCompareEnvGate(t *testing.T) {
-	mkRep := func(env *workload.EnvReport) *workload.Report {
-		return &workload.Report{Env: env, Ops: map[string]workload.OpReport{}}
-	}
-	env := func(procs int, version string) *workload.EnvReport {
-		return &workload.EnvReport{GoMaxProcs: procs, NumCPU: 1, GoVersion: version}
-	}
-	var buf bytes.Buffer
-
-	// Same GOMAXPROCS: passes.
-	if err := compareReports(&buf, mkRep(env(1, "go1.24.0")), mkRep(env(1, "go1.24.0")), 0.25); err != nil {
-		t.Fatalf("matching envs rejected: %v", err)
-	}
-
-	// GOMAXPROCS mismatch: hard failure naming the knob.
-	err := compareReports(&buf, mkRep(env(2, "go1.24.0")), mkRep(env(1, "go1.24.0")), 0.25)
-	if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
-		t.Fatalf("GOMAXPROCS mismatch: err = %v, want a hard env error", err)
-	}
-
-	// Baseline without env metadata: loud warning, gate proceeds.
-	buf.Reset()
-	if err := compareReports(&buf, mkRep(env(1, "go1.24.0")), mkRep(nil), 0.25); err != nil {
-		t.Fatalf("nil baseline env rejected: %v", err)
-	}
-	if !strings.Contains(buf.String(), "WARNING") {
-		t.Errorf("no warning for a baseline without env metadata:\n%s", buf.String())
-	}
-
-	// Run report without env metadata: the binary always stamps it, so a
-	// bare report is unverifiable — hard failure.
-	if err := compareReports(&buf, mkRep(nil), mkRep(env(1, "go1.24.0")), 0.25); err == nil {
-		t.Error("run report without env metadata accepted")
-	}
-
-	// Go version drift: warning only.
-	buf.Reset()
-	if err := compareReports(&buf, mkRep(env(1, "go1.25.0")), mkRep(env(1, "go1.24.0")), 0.25); err != nil {
-		t.Fatalf("version drift rejected: %v", err)
-	}
-	if !strings.Contains(buf.String(), "Go version") {
-		t.Errorf("no warning for Go version drift:\n%s", buf.String())
 	}
 }

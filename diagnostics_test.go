@@ -29,7 +29,7 @@ func TestDiagnosticsDisabledByDefault(t *testing.T) {
 	if _, ok := net.SlowThresholdMs(); ok {
 		t.Error("SlowThresholdMs ok on a plain network")
 	}
-	if _, err := net.RangeQuery(100, 300); err != nil {
+	if _, err := net.Do(context.Background(), NewRange([]Range{{Low: 100, High: 300}})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,6 +104,41 @@ func TestDiagnosticsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDiagnosticsAttributesRouteCaches: a plain Do range on a network with
+// both issuer-side route caches is attributed like the lookups and session
+// pages that take the same paths — a cold range that consulted the shortcut
+// table and still descended is a shortcut-miss, and a repeat whose cached
+// frontier a Join invalidated is a stale-frontier.
+func TestDiagnosticsAttributesRouteCaches(t *testing.T) {
+	net, err := NewNetwork(80, WithSeed(7), WithFrontierCache(16), WithShortcutTable(64),
+		WithDiagnostics(DiagnosticsConfig{SlowThreshold: time.Nanosecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishSpread(t, net, 200)
+	q := NewRange([]Range{{Low: 100, High: 600}}, WithIssuer(net.PeerIDs()[3]))
+	lastCause := func(step string) string {
+		t.Helper()
+		if _, err := net.Do(context.Background(), q); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		slow := net.SlowQueries()
+		if len(slow) == 0 {
+			t.Fatalf("%s: nothing logged at a 1ns threshold", step)
+		}
+		return slow[len(slow)-1].Cause
+	}
+	if got := lastCause("cold"); got != "shortcut-miss" {
+		t.Errorf("cold range classified %q, want shortcut-miss", got)
+	}
+	if _, err := net.Join(); err != nil {
+		t.Fatal(err)
+	}
+	if got := lastCause("after join"); got != "stale-frontier" {
+		t.Errorf("range re-descending after a Join classified %q, want stale-frontier", got)
+	}
+}
+
 // TestRegionHeatReport: the heat listing covers every peer, orders by
 // deliveries on a controller-less network, and honors the topN cap.
 func TestRegionHeatReport(t *testing.T) {
@@ -113,7 +148,7 @@ func TestRegionHeatReport(t *testing.T) {
 	}
 	publishSpread(t, net, 100)
 	for i := 0; i < 20; i++ {
-		if _, err := net.RangeQuery(0, 500); err != nil {
+		if _, err := net.Do(context.Background(), NewRange([]Range{{Low: 0, High: 500}})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package armada_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -8,7 +9,7 @@ import (
 )
 
 // A single-attribute network answering the paper's "70 ≤ score ≤ 80" query.
-func ExampleNetwork_RangeQuery() {
+func ExampleNetwork_Do() {
 	net, err := armada.NewNetwork(64,
 		armada.WithSeed(7),
 		armada.WithAttributes(armada.AttributeSpace{Low: 0, High: 100}),
@@ -24,7 +25,8 @@ func ExampleNetwork_RangeQuery() {
 		}
 	}
 
-	res, err := net.RangeQueryFrom(net.PeerIDs()[0], armada.Range{Low: 70, High: 80})
+	res, err := net.Do(context.Background(), armada.NewRange(
+		[]armada.Range{{Low: 70, High: 80}}, armada.WithIssuer(net.PeerIDs()[0])))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func ExampleNetwork_RangeQuery() {
 
 // A two-attribute network answering the paper's grid-resource query with
 // MIRA.
-func ExampleNetwork_MultiRangeQuery() {
+func ExampleNetwork_Do_multiAttribute() {
 	net, err := armada.NewNetwork(64,
 		armada.WithSeed(9),
 		armada.WithAttributes(
@@ -62,10 +64,10 @@ func ExampleNetwork_MultiRangeQuery() {
 	}
 
 	// 1GB ≤ memory ≤ 4GB and 50GB ≤ disk ≤ 200GB.
-	res, err := net.MultiRangeQuery(
-		armada.Range{Low: 1, High: 4},
-		armada.Range{Low: 50, High: 200},
-	)
+	res, err := net.Do(context.Background(), armada.NewRange([]armada.Range{
+		{Low: 1, High: 4},
+		{Low: 50, High: 200},
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func ExampleNetwork_MultiRangeQuery() {
 }
 
 // Exact-match lookup through the same DHT.
-func ExampleNetwork_Lookup() {
+func ExampleNetwork_Do_lookup() {
 	net, err := armada.NewNetwork(64, armada.WithSeed(11))
 	if err != nil {
 		log.Fatal(err)
@@ -86,7 +88,7 @@ func ExampleNetwork_Lookup() {
 	if err := net.PublishExact("report.pdf"); err != nil {
 		log.Fatal(err)
 	}
-	res, err := net.LookupFrom(net.PeerIDs()[0], "report.pdf")
+	res, err := net.Do(context.Background(), armada.NewLookup("report.pdf", armada.WithIssuer(net.PeerIDs()[0])))
 	if err != nil {
 		log.Fatal(err)
 	}

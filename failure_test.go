@@ -1,6 +1,7 @@
 package armada
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -16,7 +17,7 @@ func TestFailLosesOnlyCrashedData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, err := net.RangeQuery(0, 1000)
+	before, err := net.Do(context.Background(), NewRange([]Range{{Low: 0, High: 1000}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestFailLosesOnlyCrashedData(t *testing.T) {
 	if err := net.Audit(); err != nil {
 		t.Fatalf("invariants broken after crash: %v", err)
 	}
-	after, err := net.RangeQuery(0, 1000)
+	after, err := net.Do(context.Background(), NewRange([]Range{{Low: 0, High: 1000}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,9 @@ func TestTraceQueryRecordsDescent(t *testing.T) {
 		}
 	}
 	issuer := net.PeerIDs()[5]
-	res, hops, err := net.TraceQuery(issuer, Range{Low: 200, High: 400})
+	var hops []Hop
+	res, err := net.Do(context.Background(), NewRange([]Range{{Low: 200, High: 400}},
+		WithIssuer(issuer), WithTrace(func(h Hop) { hops = append(hops, h) })))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestCrashStormWithQueries(t *testing.T) {
 		if err := net.Fail(net.PeerIDs()[rng.Intn(net.Size())]); err != nil {
 			t.Fatalf("crash %d: %v", i, err)
 		}
-		if _, err := net.RangeQuery(0, 100); err != nil {
+		if _, err := net.Do(context.Background(), NewRange([]Range{{Low: 0, High: 100}})); err != nil {
 			t.Fatalf("query after crash %d: %v", i, err)
 		}
 	}

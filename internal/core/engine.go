@@ -76,13 +76,42 @@ const (
 	// HopShortcut is one direct issuer→serving-peer send of a
 	// shortcut-routed query (see WithShortcutRoute).
 	HopShortcut
+	// HopScan is one delivery's completed store scan — not an overlay
+	// message but the work its delivery hop (which fires before the scan
+	// runs) set off, reported with that hop's from, to and depth.
+	HopScan
+	// NumHopKinds sizes per-kind tables.
+	NumHopKinds
 )
 
-// TraceFunc observes one descent hop. from is the processing peer, to the
-// forward's target; deliveries have remaining == 0 and report the peer
-// that served the delivery as to — equal to from unless a read policy
-// redirected the scan to a replica (kind HopRedirect). A query runs on its
-// caller's goroutine, so its observers are never called concurrently.
+// String names the kind; diagnostics records key their stage breakdown by
+// these names.
+func (k HopKind) String() string {
+	switch k {
+	case HopForward:
+		return "forward"
+	case HopDeliver:
+		return "deliver"
+	case HopRedirect:
+		return "redirect"
+	case HopSeed:
+		return "seed"
+	case HopShortcut:
+		return "shortcut"
+	case HopScan:
+		return "scan"
+	default:
+		return "hop?"
+	}
+}
+
+// TraceFunc observes one event of a query's execution — every overlay
+// message, plus each delivery's completed scan (HopScan). from is the
+// processing peer, to the forward's target; deliveries have remaining == 0
+// and report the peer that served the delivery as to — equal to from unless
+// a read policy redirected the scan to a replica (kind HopRedirect). A
+// query runs on its caller's goroutine, so its observers are never called
+// concurrently.
 type TraceFunc func(kind HopKind, from, to kautz.Str, depth, remaining int)
 
 // Metrics are the engine's cumulative query-cost counters, shared by every
@@ -169,7 +198,8 @@ func (p ReadPolicy) String() string {
 // take one by value; the variadic entry points fold their QueryOptions into
 // one.
 type QueryConfig struct {
-	// Trace, when non-nil, observes every hop of the descent.
+	// Trace, when non-nil, observes every hop of the descent and every
+	// delivery's completed scan.
 	Trace TraceFunc
 	// OnMatch, when non-nil, receives each matching object as its
 	// destination peer delivers it — before the final sorted result is
@@ -210,11 +240,6 @@ type QueryConfig struct {
 	// only after re-validation against the live topology and silently
 	// ignored otherwise.
 	Shortcut ShortcutRoute
-	// ScanTrace, when non-nil, observes each delivery's completed store
-	// scan: the serving peer, the delivery depth, and how many matches the
-	// scan collected. It complements Trace (whose deliver/redirect hops
-	// fire before the scan runs) with the scan cost itself.
-	ScanTrace func(serving kautz.Str, depth, matched int)
 }
 
 // QueryOption adjusts one query's configuration.
@@ -265,37 +290,50 @@ func (e *Engine) Tree() *naming.Tree { return e.tree }
 func (e *Engine) Network() *fissione.Network { return e.net }
 
 // Stats are the cost metrics of one executed query, in the paper's units.
+// The armada package exports this type as armada.Stats.
 type Stats struct {
-	// Delay is the number of hops until the last destination peer received
-	// the query.
+	// Delay is the hop count until the last destination peer received the
+	// query. Armada guarantees Delay < 2·log₂N; the average is below log₂N.
 	Delay int
-	// Messages is the total number of overlay messages the query produced.
+	// Messages is the number of overlay messages produced by the query.
 	Messages int
-	// DestPeers is the number of distinct destination peers that intersect
-	// the query ("Destpeers" in Section 4.3.3).
+	// DestPeers is the number of distinct peers whose regions intersect the
+	// query ("Destpeers" in Section 4.3.3).
 	DestPeers int
 	// Subregions is how many common-prefix subregions the query's Kautz
-	// region was split into (1 to 3).
+	// region was split into (1–3).
 	Subregions int
-	// Deliveries counts destination arrivals including any duplicates; it
+	// Deliveries counts destination arrivals, including any duplicates; it
 	// equals DestPeers when each destination is reached exactly once.
 	Deliveries int
 	// ReplicaServed counts deliveries served by a replica other than the
-	// region's owner (always 0 under ReadPrimary or without replication).
-	// On a descent each such redirect is accounted as one extra overlay
-	// message, and as one extra hop of delay for that destination; on a
-	// shortcut-routed query the issuer addresses the serving replica
-	// directly, so the redirect costs nothing.
+	// region's owner — always 0 without replication or under ReadPrimary.
+	// On a descent each redirect is included in Messages (and can extend
+	// Delay by one hop), so the paper's cost metrics stay honest under
+	// read spreading; on a shortcut-routed query (ShortcutHits = 1) the
+	// issuer addresses the serving replica directly, so the redirect
+	// message is retired.
 	ReplicaServed int
-	// DescentsSaved is 1 when the query was seeded from a captured
-	// frontier instead of descending the FRT: Messages then counts one
-	// direct fan-out message per surviving destination (plus replica
-	// redirects), Delay is the single fan-out hop, and Subregions is 0.
+	// DescentsSaved is 1 when this query was seeded from a captured
+	// descent frontier — a session's own or the shared frontier cache's —
+	// instead of descending the issuer's forward routing tree. Messages
+	// then counts one direct message per surviving destination (plus
+	// replica redirects), Delay is the single fan-out hop, and Subregions
+	// is 0. The accounting stays honest: the saving shows up as cheaper
+	// Messages/Delay, never as uncounted work.
 	DescentsSaved int
+	// FrontierHits is 1 when the seeding frontier came from the network's
+	// shared cache (armada.WithFrontierCache) — the subset of DescentsSaved
+	// that skipped even the first-page descent of its region. The cache
+	// lives above the engine, so the armada layer stamps this field; the
+	// engine leaves it 0 (and JSON omits it then, which keeps the engine's
+	// golden file independent of it).
+	FrontierHits int `json:",omitempty"`
 	// ShortcutHits is 1 when the query was routed by a learned shortcut
-	// route (WithShortcutRoute): the descent was replaced by one direct
-	// send per destination — DescentsSaved is also 1 — and replica-served
-	// deliveries landed on the chosen replica with no redirect message.
+	// route (WithShortcutRoute, armada.WithShortcutTable): the issuer
+	// addressed every destination — the serving replica itself, under a
+	// read policy — directly, in one hop, with no descent and no redirect
+	// messages. DescentsSaved is also 1.
 	ShortcutHits int
 }
 
@@ -866,8 +904,8 @@ func (e *Engine) scanDelivery(st *queryState, owner, serving *fissione.Peer, sca
 	if truncated {
 		st.truncated = true
 	}
-	if st.cfg.ScanTrace != nil {
-		st.cfg.ScanTrace(serving.ID(), depth, len(collected))
+	if st.cfg.Trace != nil {
+		st.cfg.Trace(HopScan, owner.ID(), serving.ID(), depth, 0)
 	}
 	if st.cfg.OnMatch != nil {
 		for _, m := range collected {

@@ -66,6 +66,9 @@ func (g *goldenRun) caseName(kind string) string {
 func traced(opts []QueryOption) ([]QueryOption, func() string) {
 	h := fnv.New64a()
 	tr := WithTrace(func(kind HopKind, from, to kautz.Str, depth, remaining int) {
+		if kind == HopScan {
+			return // the digest pins the overlay messages; a scan completion is not one
+		}
 		hashStr(h, fmt.Sprint(int(kind)), string(from), string(to), fmt.Sprint(depth), fmt.Sprint(remaining))
 	})
 	return append(append([]QueryOption(nil), opts...), tr), func() string { return fmt.Sprintf("%016x", h.Sum64()) }

@@ -14,9 +14,9 @@
 // a bounded ring of structured, exportable Records.
 //
 // A Monitor is attached per network and must be cheap: the per-event cost
-// is one atomic swap and two atomic adds, and a network built without
-// diagnostics never constructs a Query at all, so the disabled fast path
-// is allocation-free.
+// is one clock read and two adds on the query's own collector, and a
+// network built without diagnostics never constructs a Query at all, so
+// the disabled fast path is allocation-free.
 package diag
 
 import (
@@ -25,49 +25,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"armada/internal/core"
 	"armada/internal/obs"
 )
-
-// Stage classifies one traced event of a query's execution for the
-// critical-path breakdown. Stages mirror the engine's hop kinds plus the
-// post-delivery store scan.
-type Stage uint8
-
-const (
-	// StageForward is one FRT descent forward.
-	StageForward Stage = iota
-	// StageDeliver is a delivery served by the region owner.
-	StageDeliver
-	// StageRedirect is a delivery the read policy redirected to a replica.
-	StageRedirect
-	// StageSeed is one frontier-seeded direct send.
-	StageSeed
-	// StageShortcut is one shortcut-routed direct send.
-	StageShortcut
-	// StageScan is one delivery's completed store scan.
-	StageScan
-	numStages
-)
-
-// String names the stage for records and reports.
-func (s Stage) String() string {
-	switch s {
-	case StageForward:
-		return "forward"
-	case StageDeliver:
-		return "deliver"
-	case StageRedirect:
-		return "redirect"
-	case StageSeed:
-		return "seed"
-	case StageShortcut:
-		return "shortcut"
-	case StageScan:
-		return "scan"
-	default:
-		return "stage?"
-	}
-}
 
 // Cause is the classifier's verdict on what a query's latency is
 // attributed to.
@@ -278,9 +238,10 @@ func (m *Monitor) sinceNs() int64 { return int64(m.now()) }
 // completed; queries overlapping it classify as split-in-flight.
 func (m *Monitor) NoteControlAction() { m.lastActionNs.Store(m.sinceNs() + 1) }
 
-// Query collects one query's breakdown. The engine's trace callback feeds
-// Note/NoteScan; the armada layer sets the classifier flags; Finish folds
-// everything into the monitor and recycles the collector.
+// Query collects one query's breakdown: the engine's trace stream feeds
+// Note, the armada layer sets the classifier flags, and Finish folds
+// everything into the monitor and recycles the collector. A query runs on
+// one goroutine, so a Query needs no synchronization.
 type Query struct {
 	m       *Monitor
 	qid     uint64
@@ -289,12 +250,12 @@ type Query struct {
 	startNs int64
 	// lastNs is the since-start time of the previous event; each event's
 	// gap from it is attributed to that event's stage.
-	lastNs     atomic.Int64
+	lastNs     int64
 	queueWait  time.Duration
-	stageNs    [numStages]atomic.Int64
-	stageN     [numStages]atomic.Int32
-	stale      atomic.Bool
-	scEligible atomic.Bool
+	stageNs    [core.NumHopKinds]int64
+	stageN     [core.NumHopKinds]int32
+	stale      bool
+	scEligible bool
 }
 
 // Begin starts collecting one query. queueWait is the dispatcher queue
@@ -302,86 +263,57 @@ type Query struct {
 func (m *Monitor) Begin(qid uint64, kind, issuer string, queueWait time.Duration) *Query {
 	q, _ := m.pool.Get().(*Query)
 	if q == nil {
-		q = &Query{}
+		q = new(Query)
 	}
-	q.m, q.qid, q.kind, q.issuer = m, qid, kind, issuer
-	q.queueWait = queueWait
-	q.startNs = m.sinceNs()
-	q.lastNs.Store(q.startNs)
-	for i := range q.stageNs {
-		q.stageNs[i].Store(0)
-		q.stageN[i].Store(0)
-	}
-	q.stale.Store(false)
-	q.scEligible.Store(false)
+	now := m.sinceNs()
+	*q = Query{m: m, qid: qid, kind: kind, issuer: issuer, queueWait: queueWait, startNs: now, lastNs: now}
 	return q
 }
 
-// Note attributes the time since the previous event to the stage. Safe for
-// concurrent use; the breakdown is an attribution of wall time to the event
-// stream, not an exact per-message service time.
-func (q *Query) Note(stage Stage, depth int) {
-	_ = depth // reserved: depth histograms ride the stage counters today
+// Note attributes the time since the previous event to the event's stage —
+// the engine's hop kind. The breakdown is an attribution of wall time to
+// the event stream, not an exact per-message service time.
+func (q *Query) Note(stage core.HopKind) {
 	now := q.m.sinceNs()
-	prev := q.lastNs.Swap(now)
-	if dt := now - prev; dt > 0 {
-		q.stageNs[stage].Add(dt)
+	if dt := now - q.lastNs; dt > 0 {
+		q.stageNs[stage] += dt
 	}
-	q.stageN[stage].Add(1)
-}
-
-// NoteScan records one delivery's completed store scan.
-func (q *Query) NoteScan(depth, matched int) {
-	_ = matched
-	q.Note(StageScan, depth)
+	q.lastNs = now
+	q.stageN[stage]++
 }
 
 // MarkStaleFrontier records that a candidate frontier was invalidated by a
 // topology epoch change, forcing a descent.
-func (q *Query) MarkStaleFrontier() { q.stale.Store(true) }
+func (q *Query) MarkStaleFrontier() { q.stale = true }
 
 // MarkShortcutEligible records that the query consulted the learned
 // shortcut table (a descent despite eligibility is a shortcut miss).
-func (q *Query) MarkShortcutEligible() { q.scEligible.Store(true) }
+func (q *Query) MarkShortcutEligible() { q.scEligible = true }
 
-// Outcome carries a finished query's cost stats into Finish.
-type Outcome struct {
-	// Err marks a failed query: it is logged when slow but excluded from
-	// tail attribution and the SLO (its stats are not comparable).
-	Err           bool
-	Delay         int
-	Bound         float64 // the instantaneous 2·log₂N bound (0 when unknown)
-	Messages      int
-	DestPeers     int
-	Deliveries    int
-	ReplicaServed int
-	ShortcutHits  int
-	FrontierHits  int
-	DescentsSaved int
-}
-
-// Finish completes the query: classify, sample, log when slow, recycle.
-func (m *Monitor) Finish(q *Query, out Outcome) {
+// Finish completes the query with its cost stats and the instantaneous
+// 2·log₂N bound they are judged against (0 when unknown): classify, sample,
+// log when slow, recycle. A failed query (zero stats) is logged when slow
+// but excluded from tail attribution and the SLO — its stats are not
+// comparable.
+func (q *Query) Finish(s core.Stats, bound float64, failed bool) {
+	m := q.m
 	endNs := m.sinceNs()
-	durNs := endNs - q.startNs
-	if durNs < 0 {
-		durNs = 0
-	}
+	durNs := max(endNs-q.startNs, 0)
 	m.queries.Inc()
-	cause := m.classify(q, out, durNs)
-	if !out.Err {
-		m.slo.Observe(out.Bound > 0 && float64(out.Delay) >= out.Bound)
+	cause := m.classify(q, s, bound, durNs)
+	if !failed {
+		m.slo.Observe(bound > 0 && float64(s.Delay) >= bound)
 	}
 	durMs := float64(durNs) / 1e6
 
 	m.mu.Lock()
 	thr := m.thresholdMsLocked()
 	slow := thr > 0 && durMs >= thr
-	if !out.Err {
+	if !failed {
 		m.noteSampleLocked(durMs, cause)
 	}
 	if slow {
-		m.appendRecordLocked(q, out, durMs, thr, cause, endNs)
+		m.appendRecordLocked(q, s, bound, failed, durMs, thr, cause, endNs)
 	}
 	m.mu.Unlock()
 	if slow {
@@ -393,61 +325,56 @@ func (m *Monitor) Finish(q *Query, out Outcome) {
 
 // classify attributes the query's latency to a cause, most specific signal
 // first, falling back to whichever stage dominated the breakdown.
-func (m *Monitor) classify(q *Query, out Outcome, durNs int64) Cause {
+func (m *Monitor) classify(q *Query, s core.Stats, bound float64, durNs int64) Cause {
 	if q.queueWait > 0 && int64(q.queueWait) > durNs {
 		return CauseQueueWait
 	}
 	if a := m.lastActionNs.Load(); a > 0 && a-1 >= q.startNs {
 		return CauseSplitInFlight
 	}
-	if q.stale.Load() {
+	if q.stale {
 		return CauseStaleFrontier
 	}
-	if q.scEligible.Load() && out.ShortcutHits == 0 && out.DescentsSaved == 0 &&
-		q.stageN[StageForward].Load() > 0 {
+	if q.scEligible && s.ShortcutHits == 0 && s.DescentsSaved == 0 && q.stageN[core.HopForward] > 0 {
 		return CauseShortcutMiss
 	}
-	if out.Bound > 0 && float64(out.Delay) >= 0.75*out.Bound {
+	if bound > 0 && float64(s.Delay) >= 0.75*bound {
 		// The paper's average is log₂N — half the bound. Three quarters of
 		// the way to the bound is a descent well past typical depth.
 		return CauseDeepDescent
 	}
 	// Fall back to the dominant stage of the breakdown.
-	var best Stage
-	var bestNs, total int64
-	for s := Stage(0); s < numStages; s++ {
-		ns := q.stageNs[s].Load()
+	var (
+		best          core.HopKind
+		bestNs, total int64
+		events        int32
+	)
+	for k, ns := range q.stageNs {
 		total += ns
+		events += q.stageN[k]
 		if ns > bestNs {
-			best, bestNs = s, ns
+			best, bestNs = core.HopKind(k), ns
 		}
 	}
 	if total > 0 {
 		switch best {
-		case StageForward:
+		case core.HopForward:
 			return CauseDeepDescent
-		case StageRedirect:
+		case core.HopRedirect:
 			return CauseReplicaRedirect
 		default:
 			return CauseHotRegion
 		}
 	}
 	// Events but no measurable time (sub-resolution queries): count them.
-	var n, fwd int32
-	for s := Stage(0); s < numStages; s++ {
-		c := q.stageN[s].Load()
-		n += c
-		if s == StageForward {
-			fwd = c
-		}
-	}
-	if n > 0 {
-		if fwd*2 >= n {
-			return CauseDeepDescent
-		}
+	switch {
+	case events == 0:
+		return CauseUnknown
+	case q.stageN[core.HopForward]*2 >= events:
+		return CauseDeepDescent
+	default:
 		return CauseHotRegion
 	}
-	return CauseUnknown
 }
 
 // thresholdMsLocked is the slow threshold currently in force in
@@ -503,7 +430,7 @@ func (m *Monitor) noteSampleLocked(durMs float64, cause Cause) {
 
 // appendRecordLocked logs one slow query into the ring. The caller holds
 // m.mu.
-func (m *Monitor) appendRecordLocked(q *Query, out Outcome, durMs, thrMs float64, cause Cause, endNs int64) {
+func (m *Monitor) appendRecordLocked(q *Query, s core.Stats, bound float64, failed bool, durMs, thrMs float64, cause Cause, endNs int64) {
 	rec := Record{
 		QID:         q.qid,
 		Kind:        q.kind,
@@ -513,21 +440,20 @@ func (m *Monitor) appendRecordLocked(q *Query, out Outcome, durMs, thrMs float64
 		QueueWaitMs: float64(q.queueWait) / 1e6,
 		ThresholdMs: thrMs,
 		Cause:       cause.String(),
-		Delay:       out.Delay,
-		Bound:       out.Bound,
-		Messages:    out.Messages,
-		DestPeers:   out.DestPeers,
-		Failed:      out.Err,
+		Delay:       s.Delay,
+		Bound:       bound,
+		Messages:    s.Messages,
+		DestPeers:   s.DestPeers,
+		Failed:      failed,
 	}
-	for s := Stage(0); s < numStages; s++ {
-		n := int(q.stageN[s].Load())
+	for k, n := range q.stageN {
 		if n == 0 {
 			continue
 		}
 		rec.Stages = append(rec.Stages, StageMs{
-			Stage: s.String(),
-			Ms:    float64(q.stageNs[s].Load()) / 1e6,
-			Count: n,
+			Stage: core.HopKind(k).String(),
+			Ms:    float64(q.stageNs[k]) / 1e6,
+			Count: int(n),
 		})
 	}
 	if len(m.ring) < cap(m.ring) {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"armada/internal/core"
 )
 
 // clockMonitor builds a monitor on a synthetic clock the test advances.
@@ -14,10 +16,10 @@ func clockMonitor(cfg Config) (*Monitor, *time.Duration) {
 	return m, cur
 }
 
-func finishAfter(m *Monitor, cur *time.Duration, d time.Duration, out Outcome) {
+func finishAfter(m *Monitor, cur *time.Duration, d time.Duration, s core.Stats, bound float64) {
 	q := m.Begin(1, "range", "p", 0)
 	*cur += d
-	m.Finish(q, out)
+	q.Finish(s, bound, false)
 }
 
 func TestClassifierPriorities(t *testing.T) {
@@ -26,21 +28,21 @@ func TestClassifierPriorities(t *testing.T) {
 	// Queue wait longer than service time wins over everything.
 	q := m.Begin(1, "range", "p", 50*time.Millisecond)
 	*cur += 10 * time.Millisecond
-	if c := m.classify(q, Outcome{}, int64(10*time.Millisecond)); c != CauseQueueWait {
+	if c := m.classify(q, core.Stats{}, 0, int64(10*time.Millisecond)); c != CauseQueueWait {
 		t.Fatalf("queue-wait case classified %v", c)
 	}
 
 	// A control action overlapping the query marks it split-in-flight.
 	q = m.Begin(2, "range", "p", 0)
 	m.NoteControlAction()
-	if c := m.classify(q, Outcome{}, 0); c != CauseSplitInFlight {
+	if c := m.classify(q, core.Stats{}, 0, 0); c != CauseSplitInFlight {
 		t.Fatalf("split overlap classified %v", c)
 	}
 	// A query starting after the action is not blamed on it.
 	*cur += time.Millisecond
 	q = m.Begin(3, "range", "p", 0)
-	q.Note(StageForward, 1)
-	if c := m.classify(q, Outcome{}, 0); c == CauseSplitInFlight {
+	q.Note(core.HopForward)
+	if c := m.classify(q, core.Stats{}, 0, 0); c == CauseSplitInFlight {
 		t.Fatalf("post-action query still blamed on split")
 	}
 
@@ -48,68 +50,68 @@ func TestClassifierPriorities(t *testing.T) {
 	q = m.Begin(4, "range", "p", 0)
 	q.MarkStaleFrontier()
 	q.MarkShortcutEligible()
-	if c := m.classify(q, Outcome{}, 0); c != CauseStaleFrontier {
+	if c := m.classify(q, core.Stats{}, 0, 0); c != CauseStaleFrontier {
 		t.Fatalf("stale frontier classified %v", c)
 	}
 
 	// Shortcut-eligible with a descent and no hits is a shortcut miss.
 	q = m.Begin(5, "lookup", "p", 0)
 	q.MarkShortcutEligible()
-	q.Note(StageForward, 1)
-	if c := m.classify(q, Outcome{}, 0); c != CauseShortcutMiss {
+	q.Note(core.HopForward)
+	if c := m.classify(q, core.Stats{}, 0, 0); c != CauseShortcutMiss {
 		t.Fatalf("shortcut miss classified %v", c)
 	}
 	// ...but a shortcut hit clears it.
 	q = m.Begin(6, "lookup", "p", 0)
 	q.MarkShortcutEligible()
-	q.Note(StageShortcut, 1)
-	if c := m.classify(q, Outcome{ShortcutHits: 1}, 0); c == CauseShortcutMiss {
+	q.Note(core.HopShortcut)
+	if c := m.classify(q, core.Stats{ShortcutHits: 1}, 0, 0); c == CauseShortcutMiss {
 		t.Fatalf("shortcut hit still classified a miss")
 	}
 
 	// Realized delay near the bound is a deep descent.
 	q = m.Begin(7, "range", "p", 0)
-	if c := m.classify(q, Outcome{Delay: 15, Bound: 20}, 0); c != CauseDeepDescent {
+	if c := m.classify(q, core.Stats{Delay: 15}, 20, 0); c != CauseDeepDescent {
 		t.Fatalf("near-bound delay classified %v", c)
 	}
 
 	// Dominant stage fallback: delivery-side time means a hot region...
 	q = m.Begin(8, "range", "p", 0)
 	*cur += time.Millisecond
-	q.Note(StageForward, 1)
+	q.Note(core.HopForward)
 	*cur += 10 * time.Millisecond
-	q.NoteScan(2, 5)
-	if c := m.classify(q, Outcome{Delay: 2, Bound: 20}, int64(11*time.Millisecond)); c != CauseHotRegion {
+	q.Note(core.HopScan)
+	if c := m.classify(q, core.Stats{Delay: 2}, 20, int64(11*time.Millisecond)); c != CauseHotRegion {
 		t.Fatalf("scan-dominated query classified %v", c)
 	}
 	// ...forward-dominated time means a deep descent...
 	q = m.Begin(9, "range", "p", 0)
 	*cur += 10 * time.Millisecond
-	q.Note(StageForward, 1)
+	q.Note(core.HopForward)
 	*cur += time.Millisecond
-	q.Note(StageDeliver, 2)
-	if c := m.classify(q, Outcome{Delay: 2, Bound: 20}, int64(11*time.Millisecond)); c != CauseDeepDescent {
+	q.Note(core.HopDeliver)
+	if c := m.classify(q, core.Stats{Delay: 2}, 20, int64(11*time.Millisecond)); c != CauseDeepDescent {
 		t.Fatalf("forward-dominated query classified %v", c)
 	}
 	// ...and redirect-dominated time blames the replica redirect.
 	q = m.Begin(10, "lookup", "p", 0)
 	*cur += 10 * time.Millisecond
-	q.Note(StageRedirect, 2)
-	if c := m.classify(q, Outcome{Delay: 2, Bound: 20}, int64(10*time.Millisecond)); c != CauseReplicaRedirect {
+	q.Note(core.HopRedirect)
+	if c := m.classify(q, core.Stats{Delay: 2}, 20, int64(10*time.Millisecond)); c != CauseReplicaRedirect {
 		t.Fatalf("redirect-dominated query classified %v", c)
 	}
 
 	// No events at all: unknown.
 	q = m.Begin(11, "lookup", "p", 0)
-	if c := m.classify(q, Outcome{}, 0); c != CauseUnknown {
+	if c := m.classify(q, core.Stats{}, 0, 0); c != CauseUnknown {
 		t.Fatalf("event-free query classified %v", c)
 	}
 }
 
 func TestFixedThresholdSlowLog(t *testing.T) {
 	m, cur := clockMonitor(Config{Threshold: 5 * time.Millisecond, LogCapacity: 4})
-	finishAfter(m, cur, time.Millisecond, Outcome{})
-	finishAfter(m, cur, 10*time.Millisecond, Outcome{Delay: 3, Messages: 7})
+	finishAfter(m, cur, time.Millisecond, core.Stats{}, 0)
+	finishAfter(m, cur, 10*time.Millisecond, core.Stats{Delay: 3, Messages: 7}, 0)
 	recs := m.SlowQueries()
 	if len(recs) != 1 {
 		t.Fatalf("want 1 slow record, got %d", len(recs))
@@ -128,7 +130,7 @@ func TestSlowRingWraps(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q := m.Begin(uint64(i+1), "range", "p", 0)
 		*cur += 2 * time.Millisecond
-		m.Finish(q, Outcome{})
+		q.Finish(core.Stats{}, 0, false)
 	}
 	recs := m.SlowQueries()
 	if len(recs) != 3 {
@@ -150,10 +152,10 @@ func TestAdaptiveThreshold(t *testing.T) {
 	// p99 by nearest rank lands on a straggler). Nothing is slow until
 	// the batch completes and its p99 becomes the threshold.
 	for i := 0; i < batchSize-2; i++ {
-		finishAfter(m, cur, time.Millisecond, Outcome{})
+		finishAfter(m, cur, time.Millisecond, core.Stats{}, 0)
 	}
-	finishAfter(m, cur, 100*time.Millisecond, Outcome{})
-	finishAfter(m, cur, 100*time.Millisecond, Outcome{})
+	finishAfter(m, cur, 100*time.Millisecond, core.Stats{}, 0)
+	finishAfter(m, cur, 100*time.Millisecond, core.Stats{}, 0)
 	if n := len(m.SlowQueries()); n != 0 {
 		t.Fatalf("%d slow records before first batch completed", n)
 	}
@@ -162,7 +164,7 @@ func TestAdaptiveThreshold(t *testing.T) {
 		t.Fatalf("adaptive threshold %v ms not near the batch p99", thr)
 	}
 	// A query past the adaptive threshold now logs.
-	finishAfter(m, cur, 200*time.Millisecond, Outcome{})
+	finishAfter(m, cur, 200*time.Millisecond, core.Stats{}, 0)
 	if n := len(m.SlowQueries()); n != 1 {
 		t.Fatalf("want 1 slow record after threshold, got %d", n)
 	}
@@ -171,11 +173,11 @@ func TestAdaptiveThreshold(t *testing.T) {
 func TestTailAttributionFractionsCoverTail(t *testing.T) {
 	m, cur := clockMonitor(Config{Threshold: time.Hour})
 	for i := 0; i < 500; i++ {
-		finishAfter(m, cur, time.Millisecond, Outcome{Delay: 2, Bound: 20})
+		finishAfter(m, cur, time.Millisecond, core.Stats{Delay: 2}, 20)
 	}
 	// Tail (under 1% of the run): deep descents near the bound.
 	for i := 0; i < 4; i++ {
-		finishAfter(m, cur, 50*time.Millisecond, Outcome{Delay: 18, Bound: 20})
+		finishAfter(m, cur, 50*time.Millisecond, core.Stats{Delay: 18}, 20)
 	}
 	att := m.TailAttribution()
 	if att.Queries != 504 || att.TailQueries == 0 {
@@ -198,7 +200,9 @@ func TestTailAttributionFractionsCoverTail(t *testing.T) {
 
 func TestFailedQueriesExcludedFromAttribution(t *testing.T) {
 	m, cur := clockMonitor(Config{Threshold: time.Millisecond})
-	finishAfter(m, cur, 10*time.Millisecond, Outcome{Err: true})
+	q := m.Begin(1, "range", "p", 0)
+	*cur += 10 * time.Millisecond
+	q.Finish(core.Stats{}, 0, true)
 	att := m.TailAttribution()
 	if att.Queries != 0 || len(att.Causes) != 0 {
 		t.Fatalf("failed query leaked into attribution: %+v", att)
@@ -257,10 +261,10 @@ func TestConcurrentNotes(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
 				q := m.Begin(uint64(i), "range", "p", 0)
-				q.Note(StageForward, 1)
-				q.Note(StageDeliver, 2)
-				q.NoteScan(2, 1)
-				m.Finish(q, Outcome{Delay: 2, Bound: 10, Deliveries: 1})
+				q.Note(core.HopForward)
+				q.Note(core.HopDeliver)
+				q.Note(core.HopScan)
+				q.Finish(core.Stats{Delay: 2, Deliveries: 1}, 10, false)
 			}
 		}()
 	}

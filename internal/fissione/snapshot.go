@@ -145,10 +145,12 @@ func LoadSnapshot(r io.Reader) (*Network, error) {
 
 	// Identifiers: unpack into one shared blob, exactly as the batch
 	// builder lays them out.
-	lens := make([]int, npeers)
+	// lens grows as identifiers actually arrive, so a forged peer count
+	// cannot size an allocation the input does not pay for.
+	lens := make([]int, 0, min(npeers, 1<<16))
 	var blob strings.Builder
 	idBuf := make([]byte, k)
-	for i := range lens {
+	for i := 0; i < npeers; i++ {
 		lu, err := readUvarint()
 		if err != nil {
 			return nil, bad("reading id %d length: %w", i, err)
@@ -157,7 +159,7 @@ func LoadSnapshot(r io.Reader) (*Network, error) {
 		if l < 1 || l >= k {
 			return nil, bad("id %d length %d out of range [1, %d]", i, l, k-1)
 		}
-		lens[i] = l
+		lens = append(lens, l)
 		if _, err := io.ReadFull(br, idBuf[:l]); err != nil {
 			return nil, bad("reading id %d: %w", i, err)
 		}
@@ -248,18 +250,18 @@ func LoadSnapshot(r io.Reader) (*Network, error) {
 		replicas: replicas,
 	}
 	n.epoch.Store(epoch)
-	// Replay the builder's join draws so future joins continue the exact
-	// sequence the snapshotted network would have produced.
-	space := int64(kautz.SpaceSize(k))
-	for i := uint64(0); i < joins; i++ {
-		n.rng.Int63n(space)
-	}
-
 	if err := n.CheckCover(); err != nil {
 		return nil, bad("cover check failed: %w", err)
 	}
 	if got := snapshotCheck(n.Fingerprint(), seed, joins); got != want {
 		return nil, bad("fingerprint mismatch: %x != %x", got, want)
+	}
+	// Replay the builder's join draws so future joins continue the exact
+	// sequence the snapshotted network would have produced — only now that
+	// the trailer has vouched for joins: a corrupt count would spin here.
+	space := int64(kautz.SpaceSize(k))
+	for i := uint64(0); i < joins; i++ {
+		n.rng.Int63n(space)
 	}
 	return n, nil
 }

@@ -2,7 +2,9 @@ package fissione
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+	"time"
 )
 
 // TestSnapshotRoundTrip pins the loader to the builder: a loaded network
@@ -105,4 +107,73 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			t.Errorf("snapshot with byte %d flipped loaded without error", pos)
 		}
 	}
+
+	// A corrupt join count must fail the trailer before anyone replays it:
+	// 2⁴⁰ rng draws would take hours.
+	done := make(chan error, 1)
+	go func() {
+		_, err := LoadSnapshot(bytes.NewReader(forgeJoins(raw, 1<<40)))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("snapshot with a forged join count loaded without error")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("LoadSnapshot is still replaying a forged join count after 1 s")
+	}
+}
+
+// forgeJoins returns the snapshot raw with its join-count field rewritten
+// (the header is magic, k, seed, joins, ...).
+func forgeJoins(raw []byte, joins uint64) []byte {
+	off := len(snapshotMagic)
+	_, n := binary.Uvarint(raw[off:]) // k
+	off += n
+	_, n = binary.Varint(raw[off:]) // seed
+	off += n
+	_, n = binary.Uvarint(raw[off:]) // joins
+	out := binary.AppendUvarint(append([]byte(nil), raw[:off]...), joins)
+	return append(out, raw[off+n:]...)
+}
+
+// FuzzLoadSnapshot feeds the loader arbitrary bytes. It must reject them or
+// return a network that survives a save/load round trip with the same
+// fingerprint — never panic, and never work (allocate, replay) in
+// proportion to a count the input merely claims.
+func FuzzLoadSnapshot(f *testing.F) {
+	n, err := BuildRandom(12, 24, 5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := n.WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	raw := buf.Bytes()
+	f.Add(raw)
+	for _, cut := range []int{0, len(snapshotMagic), len(raw) / 3, len(raw) / 2, len(raw) - 8, len(raw) - 1} {
+		f.Add(raw[:cut])
+	}
+	f.Add(forgeJoins(raw, 1<<40))
+	// A header claiming 2²⁸ peers (the loader's cap) and carrying none.
+	f.Add(append([]byte(snapshotMagic), 12, 0, 0, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x01))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := LoadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := got.WriteSnapshot(&out); err != nil {
+			t.Fatalf("accepted snapshot does not re-serialize: %v", err)
+		}
+		again, err := LoadSnapshot(&out)
+		if err != nil {
+			t.Fatalf("accepted snapshot does not reload: %v", err)
+		}
+		if again.Fingerprint() != got.Fingerprint() {
+			t.Fatalf("fingerprint moved across a round trip: %x != %x", again.Fingerprint(), got.Fingerprint())
+		}
+	})
 }

@@ -167,7 +167,7 @@ func hammer(t *testing.T, net *Network, check func(LoadReport) bool) LoadReport 
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		for i := 0; i < 50; i++ {
-			if _, err := net.RangeQuery(0, 40); err != nil {
+			if _, err := net.Do(context.Background(), NewRange([]Range{{Low: 0, High: 40}})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -437,7 +437,7 @@ func TestPeerLoadsCountDeliveries(t *testing.T) {
 	}
 	before := total()
 	for i := 0; i < 10; i++ {
-		if _, err := net.RangeQuery(0, 500); err != nil {
+		if _, err := net.Do(context.Background(), NewRange([]Range{{Low: 0, High: 500}})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -107,59 +107,116 @@ func (n *Network) noteQuery(s Stats) float64 {
 	return bound
 }
 
-// stageOf maps an engine hop kind to its diagnostics stage.
-func stageOf(kind core.HopKind) diag.Stage {
-	switch kind {
-	case core.HopDeliver:
-		return diag.StageDeliver
-	case core.HopRedirect:
-		return diag.StageRedirect
-	case core.HopSeed:
-		return diag.StageSeed
-	case core.HopShortcut:
-		return diag.StageShortcut
-	default:
-		return diag.StageForward
+// queryObs is one query's observer: whoever watches this query — the
+// caller's WithTrace sink, the flight recorder, the diagnostics collector —
+// behind one value. do builds it once per query and hands it to exec and
+// runFrontierRange; the engine feeds it every hop and completed scan
+// through the single QueryConfig.Trace callback; finish closes it with the
+// query's Stats. When nobody watches, do leaves it nil: every method is
+// nil-safe, so the unobserved path pays nil checks and allocates nothing.
+type queryObs struct {
+	qid  uint64        // tags recorder events and slow-query records; 0 with only a sink
+	sink func(Hop)     // Query.Trace
+	rec  *obs.Recorder // flight recorder
+	dq   *diag.Query   // diagnostics collector
+}
+
+// observe opens the query's observer and reports the query's start to it;
+// nil when the query has no trace sink and the network neither records nor
+// diagnoses.
+func (n *Network) observe(q Query, issuer string) *queryObs {
+	rec, dm := n.obs.flight, n.obs.diag
+	if q.Trace == nil && rec == nil && dm == nil {
+		return nil
+	}
+	o := &queryObs{sink: q.Trace, rec: rec}
+	if rec == nil && dm == nil {
+		return o
+	}
+	o.qid = n.obs.qseq.Add(1)
+	kind := q.kind().String()
+	if rec != nil {
+		rec.Record(obs.Event{Kind: obs.EvQueryStart, QID: o.qid, From: issuer, Note: kind})
+	}
+	if dm != nil {
+		o.dq = dm.Begin(o.qid, kind, issuer, q.QueueWait)
+	}
+	return o
+}
+
+// hopEvents maps the engine's message hop kinds to flight-recorder event
+// kinds (diagnostics stages are the hop kinds themselves).
+var hopEvents = [...]obs.EventKind{
+	core.HopForward:  obs.EvDescentStep,
+	core.HopDeliver:  obs.EvDeliver,
+	core.HopRedirect: obs.EvReplicaRedirect,
+	core.HopSeed:     obs.EvFrontierSeed,
+	core.HopShortcut: obs.EvShortcutSeed,
+}
+
+// hop is the engine's trace callback. Diagnostics times every event; a
+// completed scan is a stage of the breakdown but not an overlay message, so
+// the recorder's hop log and the caller's sink never see it.
+func (o *queryObs) hop(kind core.HopKind, from, to kautz.Str, depth, remaining int) {
+	if o.dq != nil {
+		o.dq.Note(kind)
+	}
+	if kind == core.HopScan {
+		return
+	}
+	if o.rec != nil {
+		o.rec.Record(obs.Event{Kind: hopEvents[kind], QID: o.qid, From: string(from), To: string(to), Depth: depth, Remaining: remaining})
+	}
+	if o.sink != nil {
+		o.sink(Hop{From: string(from), To: string(to), Depth: depth, Remaining: remaining})
 	}
 }
 
-// traceFunc builds the engine hop observer for one query: the public hop
-// sink (WithTrace), the flight recorder, the diagnostics collector, or any
-// combination. With only a sink, hop events stay on the cheap path — no
-// recorder event or stage attribution is constructed. When none of the
-// three is present the caller installs no observer at all, so
-// counting-only queries pay zero tracing overhead (cost counters fold from
-// Stats the engine computes anyway).
-func (n *Network) traceFunc(sink func(Hop), qid uint64, dq *diag.Query) core.TraceFunc {
-	rec := n.obs.flight
-	if rec == nil && dq == nil {
-		return func(_ core.HopKind, from, to kautz.Str, depth, remaining int) {
-			sink(Hop{From: string(from), To: string(to), Depth: depth, Remaining: remaining})
-		}
+// staleFrontier notes that a topology change invalidated the frontier the
+// query hoped to seed from, forcing a descent.
+func (o *queryObs) staleFrontier() {
+	if o != nil && o.dq != nil {
+		o.dq.MarkStaleFrontier()
 	}
-	return func(kind core.HopKind, from, to kautz.Str, depth, remaining int) {
-		if dq != nil {
-			dq.Note(stageOf(kind), depth)
+}
+
+// shortcutEligible notes that the query consulted the shortcut table, so a
+// descent it still pays is a shortcut miss.
+func (o *queryObs) shortcutEligible() {
+	if o != nil && o.dq != nil {
+		o.dq.MarkShortcutEligible()
+	}
+}
+
+// frontierCaptured logs a full descent's frontier capture of the given
+// number of entries.
+func (o *queryObs) frontierCaptured(entries int) {
+	if o != nil && o.rec != nil {
+		o.rec.Record(obs.Event{Kind: obs.EvFrontierCapture, QID: o.qid, V1: int64(entries)})
+	}
+}
+
+// finish closes the observer with the query's outcome: res and the delay
+// bound noteQuery judged it against, or err.
+func (o *queryObs) finish(res *Result, bound float64, err error) {
+	if o == nil {
+		return
+	}
+	var stats Stats
+	if err == nil {
+		stats = res.Stats
+	}
+	if o.dq != nil {
+		o.dq.Finish(stats, bound, err != nil)
+	}
+	if o.rec != nil {
+		end := obs.Event{Kind: obs.EvQueryEnd, QID: o.qid, V1: int64(stats.Delay), V2: int64(stats.Messages)}
+		if err != nil {
+			end.Note = err.Error()
+		} else if res.NextOffsetID != "" {
+			o.rec.Record(obs.Event{Kind: obs.EvPageCut, QID: o.qid, Note: res.NextOffsetID})
 		}
-		if rec != nil {
-			var ev obs.EventKind
-			switch kind {
-			case core.HopForward:
-				ev = obs.EvDescentStep
-			case core.HopDeliver:
-				ev = obs.EvDeliver
-			case core.HopRedirect:
-				ev = obs.EvReplicaRedirect
-			case core.HopSeed:
-				ev = obs.EvFrontierSeed
-			case core.HopShortcut:
-				ev = obs.EvShortcutSeed
-			}
-			rec.Record(obs.Event{Kind: ev, QID: qid, From: string(from), To: string(to), Depth: depth, Remaining: remaining})
-		}
-		if sink != nil {
-			sink(Hop{From: string(from), To: string(to), Depth: depth, Remaining: remaining})
-		}
+		o.rec.Record(end)
 	}
 }
 

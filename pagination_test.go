@@ -220,3 +220,54 @@ func TestStreamLimit(t *testing.T) {
 		t.Fatalf("unlimited stream yielded only %d objects", n)
 	}
 }
+
+// FuzzOffsetID feeds WithOffsetID arbitrary strings — cursors come back
+// from callers, so they are untrusted input. A query must reject them with
+// ErrBadQuery or return a valid page strictly past the cursor; it must
+// never panic.
+func FuzzOffsetID(f *testing.F) {
+	net, err := NewNetwork(40, WithSeed(5), WithK(12))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 120; i++ {
+		if err := net.Publish(fmt.Sprintf("obj-%03d", i), float64(i*8)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	ranges := []Range{{Low: 0, High: 1000}}
+	first, err := net.Do(context.Background(), NewRange(ranges, WithLimit(5)))
+	if err != nil || first.NextOffsetID == "" {
+		f.Fatalf("seed page: cursor %q, err %v", first.NextOffsetID, err)
+	}
+	for _, seed := range []string{
+		first.NextOffsetID,             // a real cursor
+		"",                             // no cursor
+		"zz",                           // not Kautz symbols
+		first.NextOffsetID[:11],        // too short
+		first.NextOffsetID + "0",       // too long
+		"010101010100",                 // right length, repeated symbol
+		"212121212121", "010101010101", // the namespace's extremes
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, offset string) {
+		page, err := net.Do(context.Background(), NewRange(ranges, WithLimit(5), WithOffsetID(offset)))
+		if err != nil {
+			if !errors.Is(err, ErrBadQuery) {
+				t.Fatalf("offset %q: error %v is not ErrBadQuery", offset, err)
+			}
+			return
+		}
+		prev := offset
+		for _, o := range page.Objects {
+			if o.ID <= offset || o.ID < prev {
+				t.Fatalf("offset %q: page holds %q after %q", offset, o.ID, prev)
+			}
+			prev = o.ID
+		}
+		if next := page.NextOffsetID; next != "" && next != prev {
+			t.Fatalf("offset %q: cursor %q is not the page's last ObjectID %q", offset, next, prev)
+		}
+	})
+}

@@ -78,106 +78,6 @@ func TestDoValidation(t *testing.T) {
 	}
 }
 
-// Every deprecated wrapper must return exactly what its Do form returns.
-func TestWrappersEquivalentToDo(t *testing.T) {
-	net := buildQueryNet(t, 150, 200)
-	issuer := net.PeerIDs()[3]
-	ctx := context.Background()
-
-	t.Run("RangeQueryFrom", func(t *testing.T) {
-		legacy, err := net.RangeQueryFrom(issuer, Range{Low: 100, High: 600})
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err := net.Do(ctx, NewRange([]Range{{Low: 100, High: 600}}, WithIssuer(issuer)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, unified) {
-			t.Fatalf("results differ:\nlegacy  %+v\nunified %+v", legacy, unified)
-		}
-	})
-
-	t.Run("LookupFrom", func(t *testing.T) {
-		if err := net.PublishExact("paper.pdf"); err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := net.LookupFrom(issuer, "paper.pdf")
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err := net.Do(ctx, NewLookup("paper.pdf", WithIssuer(issuer)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if legacy.Owner != unified.Owner || !reflect.DeepEqual(legacy.Objects, unified.Objects) ||
-			legacy.Stats != unified.Stats {
-			t.Fatalf("results differ:\nlegacy  %+v\nunified %+v", legacy, unified)
-		}
-	})
-
-	t.Run("TraceQuery", func(t *testing.T) {
-		legacy, legacyHops, err := net.TraceQuery(issuer, Range{Low: 200, High: 400})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hops []Hop
-		unified, err := net.Do(ctx, NewRange([]Range{{Low: 200, High: 400}},
-			WithIssuer(issuer), WithTrace(func(h Hop) { hops = append(hops, h) })))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, unified) {
-			t.Fatalf("results differ:\nlegacy  %+v\nunified %+v", legacy, unified)
-		}
-		if !reflect.DeepEqual(legacyHops, hops) {
-			t.Fatalf("hops differ: %d legacy vs %d unified", len(legacyHops), len(hops))
-		}
-	})
-
-	// MultiRangeQuery and TopK pick a random issuer, so only their
-	// issuer-independent outputs (result set, destinations) are comparable.
-	t.Run("TopK", func(t *testing.T) {
-		legacy, err := net.TopK(7, Range{Low: 0, High: 1000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err := net.Do(ctx, NewRange([]Range{{Low: 0, High: 1000}}, WithTopK(7)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy.Objects, unified.Objects) {
-			t.Fatalf("top-k objects differ:\nlegacy  %+v\nunified %+v", legacy.Objects, unified.Objects)
-		}
-	})
-
-	t.Run("MultiRangeQuery", func(t *testing.T) {
-		mnet, err := NewNetwork(100, WithSeed(63), WithAttributes(
-			AttributeSpace{Low: 0, High: 10}, AttributeSpace{Low: 0, High: 10}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 50; i++ {
-			if err := mnet.Publish(objName(i), float64(i%10), float64(i/10)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ranges := []Range{{Low: 2, High: 8}, {Low: 1, High: 4}}
-		legacy, err := mnet.MultiRangeQuery(ranges...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unified, err := mnet.Do(ctx, NewRange(ranges))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy.Objects, unified.Objects) ||
-			!reflect.DeepEqual(legacy.Destinations, unified.Destinations) {
-			t.Fatalf("results differ:\nlegacy  %+v\nunified %+v", legacy, unified)
-		}
-	})
-}
-
 // The flood ablation is reachable through the unified API and returns the
 // same result set as the pruned search.
 func TestDoFloodMatchesRange(t *testing.T) {

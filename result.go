@@ -1,10 +1,6 @@
 package armada
 
-import (
-	"math"
-
-	"armada/internal/core"
-)
+import "armada/internal/core"
 
 // Range is one attribute's queried interval [Low, High] (inclusive).
 type Range struct {
@@ -19,75 +15,17 @@ type Object struct {
 	// Values are the attribute values the object was published with (nil
 	// for exact-match-only objects).
 	Values []float64
-	// ID is the object's Kautz-string ObjectID (empty on lookups, where the
-	// queried ID is implied).
+	// ID is the object's Kautz-string ObjectID (on lookups, the looked-up
+	// ObjectID).
 	ID string
 	// Peer is the identifier of the peer storing the object.
 	Peer string
 }
 
-// Stats are the cost metrics of one query, in the paper's units.
-type Stats struct {
-	// Delay is the hop count until the last destination peer received the
-	// query. Armada guarantees Delay < 2·log₂N; the average is below log₂N.
-	Delay int
-	// Messages is the number of overlay messages produced by the query.
-	Messages int
-	// DestPeers is the number of distinct peers whose regions intersect the
-	// query ("Destpeers").
-	DestPeers int
-	// Subregions is how many common-prefix subregions the query's Kautz
-	// region was split into (1–3).
-	Subregions int
-	// Deliveries counts destination arrivals, including any duplicates; it
-	// equals DestPeers when each destination is reached exactly once.
-	Deliveries int
-	// ReplicaServed counts deliveries served by a replica other than the
-	// region's owner — always 0 without replication or under ReadPrimary.
-	// On a descent each redirect is included in Messages (and can extend
-	// Delay by one hop), so the paper's cost metrics stay honest under
-	// read spreading; on a shortcut-routed query (ShortcutHits = 1) the
-	// issuer addresses the serving replica directly, so the redirect
-	// message is retired.
-	ReplicaServed int
-	// DescentsSaved is 1 when this query was seeded from a captured
-	// descent frontier — a session's own or the shared frontier cache's —
-	// instead of descending the issuer's forward routing tree. Messages
-	// then counts one direct message per surviving destination (plus
-	// replica redirects), Delay is the single fan-out hop, and Subregions
-	// is 0. The accounting stays honest: the saving shows up as cheaper
-	// Messages/Delay, never as uncounted work.
-	DescentsSaved int
-	// FrontierHits is 1 when the seeding frontier came from the network's
-	// shared cache (WithFrontierCache) — the subset of DescentsSaved that
-	// skipped even the first-page descent of its region.
-	FrontierHits int
-	// ShortcutHits is 1 when the query was routed by the learned shortcut
-	// table (WithShortcutTable): the issuer addressed every destination —
-	// the serving replica itself, under a read policy — directly, in one
-	// hop, with no descent and no redirect messages. DescentsSaved is
-	// also 1.
-	ShortcutHits int
-}
-
-// MesgRatio is Messages/DestPeers, the paper's per-destination message
-// cost (0 when no peer was reached).
-func (s Stats) MesgRatio() float64 {
-	if s.DestPeers == 0 {
-		return 0
-	}
-	return float64(s.Messages) / float64(s.DestPeers)
-}
-
-// IncreRatio is (Messages − log₂ n)/(DestPeers − 1) for a network of n
-// peers — the marginal message cost per destination beyond the first (0
-// when fewer than two peers were reached).
-func (s Stats) IncreRatio(networkSize int) float64 {
-	if s.DestPeers <= 1 {
-		return 0
-	}
-	return (float64(s.Messages) - math.Log2(float64(networkSize))) / float64(s.DestPeers-1)
-}
+// Stats are the cost metrics of one query, in the paper's units: the
+// engine's own type, so a query's costs reach the caller — and the
+// diagnostics layer — exactly as the engine computed them.
+type Stats = core.Stats
 
 // Result is the outcome of one executed Query, whatever its kind.
 type Result struct {
@@ -110,29 +48,6 @@ type Result struct {
 	Stats Stats
 }
 
-// LookupResult is the outcome of an exact-match lookup.
-type LookupResult struct {
-	// Owner is the peer owning the looked-up ObjectID.
-	Owner string
-	// Objects are the objects published under the ObjectID.
-	Objects []Object
-	// Stats carries the routing cost.
-	Stats Stats
-}
-
-func statsOf(s core.Stats) Stats {
-	return Stats{
-		Delay:         s.Delay,
-		Messages:      s.Messages,
-		DestPeers:     s.DestPeers,
-		Subregions:    s.Subregions,
-		Deliveries:    s.Deliveries,
-		ReplicaServed: s.ReplicaServed,
-		DescentsSaved: s.DescentsSaved,
-		ShortcutHits:  s.ShortcutHits,
-	}
-}
-
 // objectOf converts one engine match, copying the values: core.Match
 // aliases the store's slices, and results handed to callers must never
 // share memory with live peer stores.
@@ -153,7 +68,7 @@ func copyValues(vs []float64) []float64 {
 // array — one allocation instead of one per object. Together that leaves a
 // hot-region result copied exactly once between delivery and caller.
 func resultOf(r *core.RangeResult) *Result {
-	out := &Result{Stats: statsOf(r.Stats), NextOffsetID: string(r.Next)}
+	out := &Result{Stats: r.Stats, NextOffsetID: string(r.Next)}
 	total, values := 0, 0
 	for _, run := range r.Runs {
 		total += len(run)

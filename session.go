@@ -6,9 +6,7 @@ import (
 	"fmt"
 
 	"armada/internal/core"
-	"armada/internal/diag"
 	"armada/internal/kautz"
-	"armada/internal/obs"
 	"armada/internal/session"
 )
 
@@ -159,7 +157,7 @@ func (s *Session) Close() {
 // frontierExec threads frontier reuse through one range execution in
 // Network.do: seed is the caller-held candidate tried first (a session's
 // own frontier), then the network's shared cache; a full descent captures
-// a replacement. The out fields report what happened.
+// a replacement. used reports which frontier the walk holds afterwards.
 type frontierExec struct {
 	seed *core.Frontier // candidate frontier; may be nil or stale
 	// wantCapture requests a capture even mid-walk (cursored): sessions
@@ -167,51 +165,43 @@ type frontierExec struct {
 	// cursored Do could neither reuse nor cache one — capturing there
 	// would be pure waste.
 	wantCapture bool
-	// qid tags the execution's flight-recorder events (0 without a
-	// recorder); Network.exec stamps it, along with dq — the query's
-	// diagnostics collector (nil without WithDiagnostics), which
-	// runFrontierRange marks when a stale frontier forces a descent or a
-	// shortcut route was on offer.
-	qid uint64
-	dq  *diag.Query
-
-	used      *core.Frontier // the frontier that seeded, or the fresh capture
-	fromCache bool           // used came from the shared cache
-	saved     bool           // the query skipped its descent
+	used        *core.Frontier // the frontier that seeded, or the fresh capture
 }
 
 // runFrontierRange executes one range query with frontier reuse: it
 // resolves the candidate frontier (fr.seed, then the shared cache),
 // requests capture on full descents, updates the cache, and stamps
 // Stats.FrontierHits on the out result. cfg is the engine configuration
-// assembled so far; the caller holds the read lock.
-func (n *Network) runFrontierRange(ctx context.Context, issuer string, lo, hi []float64, offsetID string, fr *frontierExec, cfg core.QueryConfig) (*core.RangeResult, error) {
+// assembled so far and ob the query's observer (nil when unobserved); the
+// caller holds the read lock.
+func (n *Network) runFrontierRange(ctx context.Context, issuer string, lo, hi []float64, offsetID string, fr *frontierExec, cfg core.QueryConfig, ob *queryObs) (*core.RangeResult, error) {
 	prep, clipped, remains, err := n.eng.RangeRegion(lo, hi, kautz.Str(offsetID))
 	if err != nil {
 		return nil, wrapCoreErr(err)
 	}
 	cfg.Prepared = prep
 	var (
-		key  string
-		cand *core.Frontier
+		key       string
+		cand      *core.Frontier
+		fromCache bool // cand came from the shared cache
 	)
 	if remains {
 		key = session.Key(prep.Region)
 		epoch := n.net.Epoch()
 		if cand = fr.seed; cand != nil &&
 			(cand.Epoch != epoch || !cand.Covers(clipped) || !cand.CoversBounds(lo, hi)) {
-			if cand.Epoch != epoch && fr.dq != nil {
-				fr.dq.MarkStaleFrontier()
+			if cand.Epoch != epoch {
+				ob.staleFrontier()
 			}
 			cand = nil
 		}
 		if cand == nil && n.fcache != nil {
 			f, ok, stale := n.fcache.Lookup(key, clipped, lo, hi, epoch)
-			if stale && fr.dq != nil {
-				fr.dq.MarkStaleFrontier()
+			if stale {
+				ob.staleFrontier()
 			}
 			if ok {
-				cand, fr.fromCache = f, true
+				cand, fromCache = f, true
 			}
 		}
 		if cand != nil {
@@ -222,9 +212,7 @@ func (n *Network) runFrontierRange(ctx context.Context, issuer string, lo, hi []
 			// a MIRA descent prunes destinations with the box subspace
 			// predicate, which a region tiling cannot express.
 			if n.stable != nil && n.tree.Attrs() == 1 {
-				if fr.dq != nil {
-					fr.dq.MarkShortcutEligible()
-				}
+				ob.shortcutEligible()
 				cfg.Shortcut = n.shortcutRoute(clipped)
 			}
 			if offsetID == "" || fr.wantCapture {
@@ -241,12 +229,14 @@ func (n *Network) runFrontierRange(ctx context.Context, issuer string, lo, hi []
 		return nil, wrapCoreErr(err)
 	}
 	if res.Stats.DescentsSaved > 0 {
-		fr.used, fr.saved = cand, true
+		fr.used = cand
+		if fromCache {
+			res.Stats.FrontierHits = 1
+		}
 	} else {
-		fr.used, fr.fromCache = res.Frontier, false
-		if res.Frontier != nil && n.obs.flight != nil {
-			n.obs.flight.Record(obs.Event{Kind: obs.EvFrontierCapture, QID: fr.qid,
-				V1: int64(len(res.Frontier.Entries))})
+		fr.used = res.Frontier
+		if res.Frontier != nil {
+			ob.frontierCaptured(len(res.Frontier.Entries))
 		}
 		// Only cursor-free captures enter the cache: they cover the whole
 		// query region, so later queries over it (or anything inside it)

@@ -130,10 +130,8 @@ type MemoryReport struct {
 	SnapshotLoadMs float64 `json:"snapshot_load_ms,omitempty"`
 }
 
-// EnvReport records the execution environment a report was produced in.
-// Latency budgets are only comparable within one environment; the compare
-// gate (armada-load -compare) refuses to gate across a GOMAXPROCS
-// mismatch and warns loudly on the rest.
+// EnvReport records the execution environment a report was produced in;
+// latencies from different environments are not comparable.
 type EnvReport struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
@@ -285,8 +283,7 @@ type Report struct {
 	// Memory records the built network's heap footprint and build (or
 	// snapshot-load) wall-clock cost.
 	Memory *MemoryReport `json:"memory,omitempty"`
-	// Env records the environment the report was produced in; -compare
-	// gates on it.
+	// Env records the environment the report was produced in.
 	Env       *EnvReport `json:"env,omitempty"`
 	Intervals []Snapshot `json:"intervals"`
 }
