@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race build vet micro fuzz bench-smoke
+.PHONY: test race build vet micro fuzz bench-smoke BENCH_micro.json
 
 build:
 	$(GO) build ./...
@@ -18,14 +18,36 @@ race:
 	$(GO) test -race ./...
 
 # Per-layer micro-benchmarks (ns/op, B/op, allocs/op): the pruning
-# predicates, the naming hash, one descent step and whole descents at 10k
-# peers, and the facade's allocation profiles. A macro regression bisects
-# to a layer here without a profiler.
+# predicates, the naming hash, one store scan, one descent step and whole
+# descents at 10k peers, the facade's allocation profiles and its range /
+# paged walk / top-k at the scan-wide shape. A macro regression bisects to
+# a layer here without a profiler.
 micro:
 	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem ./internal/kautz/
 	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem ./internal/naming/
+	$(GO) test -run '^$$' -bench 'ScanRegion' -benchmem ./internal/fissione/
 	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k' -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench 'Alloc' -benchmem .
+	$(GO) test -run '^$$' -bench 'Alloc|Wide' -benchmem .
+
+# The committed record of `make micro`: one object per benchmark — its
+# package and every value/unit pair go test printed.
+define MICRO_JSON
+import json, sys
+pkg, out = "", []
+for f in (line.split() for line in sys.stdin):
+    if len(f) > 1 and f[0] == "pkg:":
+        pkg = f[1]
+    elif len(f) > 1 and f[0].startswith("Benchmark"):
+        row = {"pkg": pkg, "name": f[0].rsplit("-", 1)[0], "n": int(f[1])}
+        row.update({f[i + 1]: float(f[i]) for i in range(2, len(f) - 1, 2)})
+        out.append(row)
+json.dump(out, sys.stdout, indent=1)
+print()
+endef
+export MICRO_JSON
+
+BENCH_micro.json:
+	$(MAKE) -s micro | python3 -c "$$MICRO_JSON" > $@
 
 # The CI fuzz leg: each target for 20 s on top of its committed seed corpus
 # (testdata/fuzz/) — the two differential pruning predicates, then the two
@@ -38,12 +60,13 @@ fuzz:
 
 # The CI bench-smoke job: the benchmark module's own checks (it is not part
 # of the root ./...), then one short traced run each of descent-cold (plain
-# descents) and warm-route (the only workload whose queries go through the
-# frontier cache and the shortcut table); each must verify against the
+# descents), warm-route (the only workload whose queries go through the
+# frontier cache and the shortcut table) and scan-wide (the only one with
+# paged walks, top-k and large results); each must verify against the
 # oracle with no failed operation.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -race ./...
-	for w in descent-cold warm-route; do \
+	for w in descent-cold warm-route scan-wide; do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 | tail -n 1 | \
 			python3 -c "import json,sys; r=json.load(sys.stdin); assert r['correct'] is True, 'verification failed'; assert r['failed']==0, f'{r[\"failed\"]} operations failed'" \
 			|| exit 1; \

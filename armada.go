@@ -25,7 +25,7 @@
 //
 // Per-query options select the issuer (WithIssuer), observe every overlay
 // hop (WithTrace), or retarget the algorithm (WithTopK, WithFlood). Stream
-// delivers matching objects as destination peers report them, and
+// yields a result's objects while it is being materialised, and
 // PublishBatch ingests many objects under one lock acquisition.
 package armada
 
@@ -330,31 +330,28 @@ func (n *Network) Do(ctx context.Context, q Query) (*Result, error) {
 	return n.do(ctx, q, issuer, nil, nil)
 }
 
-// Stream executes one query and yields matching objects as destination
-// peers deliver them, before the final result is assembled — the streaming
-// variant of Do:
+// Stream executes one query and yields its objects while the result is
+// still being materialised — the streaming variant of Do:
 //
 //	for obj, err := range net.Stream(ctx, q) {
 //		if err != nil { ... }
 //		use(obj)
 //	}
 //
-// Objects arrive in delivery order, not the sorted order Do returns.
-// Breaking out of the loop cancels the query. A terminal error, if any, is
-// yielded as the final pair. Top-k queries cannot stream (their result set
-// is only known once the descent finishes); use Do.
+// Objects arrive in the sorted order Do returns, one destination peer's run
+// at a time. Breaking out of the loop cancels the query. A terminal error,
+// if any, is yielded as the final pair. Top-k queries cannot stream (their
+// result set is only known once every destination was scanned); use Do.
 //
-// With WithLimit(n) the stream ends after n objects. Because delivery
-// order is not ObjectID order, those are the first n delivered — not
-// necessarily the n smallest ObjectIDs — so exact keyset pagination
-// (NextOffsetID continuation) requires Do; a streamed limit is a cap, not
-// a page.
+// With WithLimit(n) the stream yields the n objects with the smallest
+// ObjectIDs, in order, and ends; it carries no cursor, so continuing past
+// them (NextOffsetID) requires Do or a Session.
 //
-// The descent never waits on the consumer: delivered objects buffer until
-// yielded, and the read lock is released as soon as the descent finishes,
-// however slowly the loop body runs. Publishing from inside the loop is
-// safe and does not block (publishes share the topology read lock);
-// topology changes (Join, Leave, Fail) block until the descent finishes.
+// The query never waits on the consumer: objects buffer until yielded, and
+// the read lock is released as soon as the query finishes, however slowly
+// the loop body runs. Publishing from inside the loop is safe and does not
+// block (publishes share the topology read lock); topology changes (Join,
+// Leave, Fail) block until the query finishes.
 func (n *Network) Stream(ctx context.Context, q Query) iter.Seq2[Object, error] {
 	return func(yield func(Object, error) bool) {
 		if q.kind() == KindTopK {
@@ -442,7 +439,7 @@ func (n *Network) Stream(ctx context.Context, q Query) iter.Seq2[Object, error] 
 // do dispatches one query on the engine: exec bracketed by the query's
 // observer (see queryObs), plus the delay-bound sample every finished query
 // contributes. The caller holds the read lock; onMatch, when non-nil,
-// streams each matching object at delivery time. fr, when non-nil, threads
+// receives each object as the engine materialises it. fr, when non-nil, threads
 // a session's frontier through a range query (see frontierExec).
 func (n *Network) do(ctx context.Context, q Query, issuer string, onMatch func(Object), fr *frontierExec) (*Result, error) {
 	ob := n.observe(q, issuer)
@@ -468,9 +465,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 	if ob != nil {
 		cfg.Trace = ob.hop
 	}
-	if onMatch != nil {
-		cfg.OnMatch = func(m core.Match) { onMatch(objectOf(m)) }
-	}
+	cfg.OnMatch = onMatch
 	if q.Limit != 0 || q.OffsetID != "" {
 		if kind != KindRange && kind != KindFlood {
 			return nil, fmt.Errorf("%w: pagination (WithLimit/WithOffsetID) applies to range and flood queries, not %v", ErrBadQuery, kind)
@@ -518,57 +513,38 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 		if n.stable != nil && res.Stats.ShortcutHits == 0 && res.Owner != "" {
 			n.learnShortcut(res.Owner)
 		}
-		out := &Result{Owner: string(res.Owner), Stats: res.Stats}
-		if len(res.Objects) > 0 {
-			out.Objects = make([]Object, 0, len(res.Objects))
-		}
-		for _, o := range res.Objects {
-			out.Objects = append(out.Objects, Object{
-				// Peer names the replica that served the delivery (== Owner
-				// unless a read policy redirected it).
-				Name: o.Name, Values: copyValues(o.Values), ID: string(oid), Peer: string(res.Served),
-			})
-		}
-		return out, nil
+		return &Result{Objects: res.Objects, Owner: string(res.Owner), Stats: res.Stats}, nil
 
 	case KindRange, KindFlood:
 		lo, hi, err := n.bounds(q.Ranges)
 		if err != nil {
 			return nil, err
 		}
-		// resultOf reads the sorted runs directly; skipping the engine-side
-		// flatten saves one full copy of what may be a huge result set.
-		cfg.RunsOnly = true
-		if kind == KindFlood {
-			res, err := n.eng.FloodQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
-			if err != nil {
-				return nil, wrapCoreErr(err)
+		var res *core.RangeResult
+		switch {
+		case kind == KindFlood:
+			res, err = n.eng.FloodQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
+		case fr == nil && n.fcache == nil && n.stable == nil:
+			res, err = n.eng.RangeQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
+		default:
+			// Range queries — streaming included — on a network with any
+			// issuer-side routing state (frontier cache or shortcut table)
+			// run through runFrontierRange, which consults both: a repeated
+			// hot range skips its descent, and a region the learned shortcut
+			// entries tile routes in one hop per destination.
+			if fr == nil {
+				fr = new(frontierExec)
 			}
-			return resultOf(res), nil
-		}
-		// Range queries — streaming included — on a network with any
-		// issuer-side routing state (frontier cache or shortcut table) run
-		// through runFrontierRange, which consults both: a repeated hot
-		// range skips its descent, and a region the learned shortcut
-		// entries tile routes in one hop per destination.
-		if fr == nil && (n.fcache != nil || n.stable != nil) {
-			fr = new(frontierExec)
-		}
-		if fr == nil {
-			res, err := n.eng.RangeQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
-			if err != nil {
-				return nil, wrapCoreErr(err)
+			res, err = n.runFrontierRange(ctx, issuer, lo, hi, q.OffsetID, fr, cfg, ob)
+			if err == nil && n.stable != nil && res.Stats.ShortcutHits == 0 && len(res.Destinations) > 0 {
+				// Learn this descent's (or frontier fan-out's) delivery
+				// owners; a shortcut-served query already found its entries
+				// fresh.
+				n.learnShortcuts(res.Destinations)
 			}
-			return resultOf(res), nil
 		}
-		res, err := n.runFrontierRange(ctx, issuer, lo, hi, q.OffsetID, fr, cfg, ob)
 		if err != nil {
-			return nil, err
-		}
-		if n.stable != nil && res.Stats.ShortcutHits == 0 && len(res.Destinations) > 0 {
-			// Learn this descent's (or frontier fan-out's) delivery owners;
-			// a shortcut-served query already found its entries fresh.
-			n.learnShortcuts(res.Destinations)
+			return nil, wrapCoreErr(err)
 		}
 		return resultOf(res), nil
 
@@ -584,11 +560,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 		if err != nil {
 			return nil, wrapCoreErr(err)
 		}
-		out := &Result{Stats: res.Stats}
-		for _, m := range res.Matches {
-			out.Objects = append(out.Objects, objectOf(m))
-		}
-		return out, nil
+		return &Result{Objects: res.Matches, Stats: res.Stats}, nil
 
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %v", ErrBadQuery, kind)

@@ -48,7 +48,7 @@ func run(ctx context.Context, args []string) error {
 		hi2     = fs.Float64("hi2", 200, "query high bound (attribute 1, with -multi)")
 		churn   = fs.Int("churn", 0, "random joins/leaves to apply before querying")
 		topk    = fs.Int("topk", 0, "also run a top-k query for the given k")
-		stream  = fs.Bool("stream", false, "print matches as destination peers deliver them")
+		stream  = fs.Bool("stream", false, "print matches as the result is materialised")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -128,7 +128,7 @@ func run(ctx context.Context, args []string) error {
 					delay = h.Depth + 1
 				}
 			}))
-		fmt.Println("  streaming matches as delivered:")
+		fmt.Println("  streaming matches:")
 		n := 0
 		for o, err := range net.Stream(ctx, q) {
 			if err != nil {

@@ -96,7 +96,7 @@ func BenchmarkRange10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := rng.Float64() * 997
-		if _, err := eng.RangeQuery(ctx, issuers[(i*7919)%len(issuers)], []float64{lo}, []float64{lo + 2.5}, WithRunsOnly()); err != nil {
+		if _, err := eng.RangeQuery(ctx, issuers[(i*7919)%len(issuers)], []float64{lo}, []float64{lo + 2.5}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,12 +20,10 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -76,9 +74,11 @@ const (
 	// HopShortcut is one direct issuer→serving-peer send of a
 	// shortcut-routed query (see WithShortcutRoute).
 	HopShortcut
-	// HopScan is one delivery's completed store scan — not an overlay
-	// message but the work its delivery hop (which fires before the scan
-	// runs) set off, reported with that hop's from, to and depth.
+	// HopScan is one located run's completed store scan — not an overlay
+	// message but the work its delivery hop set off, reported with that
+	// hop's from, to and depth. Scans run in the materialise phase, after
+	// every message of the query, one event per run actually scanned — so
+	// the time since the previous event is that scan's time.
 	HopScan
 	// NumHopKinds sizes per-kind tables.
 	NumHopKinds
@@ -106,7 +106,7 @@ func (k HopKind) String() string {
 }
 
 // TraceFunc observes one event of a query's execution — every overlay
-// message, plus each delivery's completed scan (HopScan). from is the
+// message, then each located run's completed scan (HopScan). from is the
 // processing peer, to the forward's target; deliveries have remaining == 0
 // and report the peer that served the delivery as to — equal to from unless
 // a read policy redirected the scan to a replica (kind HopRedirect). A
@@ -199,26 +199,24 @@ func (p ReadPolicy) String() string {
 // one.
 type QueryConfig struct {
 	// Trace, when non-nil, observes every hop of the descent and every
-	// delivery's completed scan.
+	// located run's completed scan.
 	Trace TraceFunc
-	// OnMatch, when non-nil, receives each matching object as its
-	// destination peer delivers it — before the final sorted result is
-	// assembled.
+	// OnMatch, when non-nil, receives each matching object as the
+	// materialise phase copies it into the result — in the result's own
+	// ascending (ID, Name) order, one located run at a time, outside every
+	// store lock.
 	OnMatch func(Match)
-	// Limit, when positive, paginates the result: each destination peer
-	// stops scanning once it has collected Limit matches (extending through
-	// a run of equal ObjectIDs so cursors never split an ID), and the final
-	// sorted result is cut the same way. RangeResult.Next then carries the
-	// cursor for the following page. Range and flood queries only.
+	// Limit, when positive, paginates the result: the materialise phase
+	// stops at Limit matches in ascending ObjectID order (extending through
+	// a run of equal ObjectIDs so cursors never split an ID) and only
+	// probes forward for the first further match, so a page scans O(Limit)
+	// objects in total however many destinations were located.
+	// RangeResult.Next then carries the cursor for the following page.
+	// Range and flood queries only.
 	Limit int
 	// After restricts matches to ObjectIDs strictly greater than it — the
 	// cursor of keyset pagination, normally the previous page's Next.
 	After kautz.Str
-	// RunsOnly leaves RangeResult.Matches nil and delivers the result
-	// solely through RangeResult.Runs, skipping the flatten copy — for
-	// callers that stream the runs into their own representation (the
-	// armada layer converts runs straight into its public result type).
-	RunsOnly bool
 	// Policy selects the replica that serves each delivery on a replicated
 	// network. The zero value (ReadPrimary) preserves the unreplicated
 	// data path exactly.
@@ -256,9 +254,11 @@ func WithLimit(n int) QueryOption { return func(c *QueryConfig) { c.Limit = n } 
 // WithAfter resumes a paginated query strictly after the given ObjectID.
 func WithAfter(id kautz.Str) QueryOption { return func(c *QueryConfig) { c.After = id } }
 
-// WithRunsOnly skips flattening the result into Matches; the caller reads
-// RangeResult.Runs instead.
-func WithRunsOnly() QueryOption { return func(c *QueryConfig) { c.RunsOnly = true } }
+// WithRunsOnly selects nothing: every result is materialised once, and
+// RangeResult.Runs are views of RangeResult.Matches. It remains so that
+// callers written against the engine that flattened runs into a second
+// slice (the frozen bench twin) keep compiling.
+func WithRunsOnly() QueryOption { return func(*QueryConfig) {} }
 
 // WithReadPolicy selects the replica-serving policy for this query.
 func WithReadPolicy(p ReadPolicy) QueryOption { return func(c *QueryConfig) { c.Policy = p } }
@@ -356,26 +356,30 @@ func (s Stats) IncreRatio(networkSize int) float64 {
 	return (float64(s.Messages) - log2(float64(networkSize))) / float64(s.DestPeers-1)
 }
 
-// Match is one object satisfying a query. Values aliases the stored
-// object's value slice to keep the delivery path allocation-free; treat it
-// as read-only (the armada layer copies values before handing results to
-// callers).
+// Match is one object of a query result — the one result object in the
+// tree: the armada package exports it as armada.Object. Values is the
+// result's own copy (all matches of one result share one backing array,
+// each capped to its own length); nothing above fissione aliases a store.
 type Match struct {
-	ObjectID kautz.Str
-	Name     string
-	Values   []float64
-	Peer     kautz.Str
+	// Name is the application-level object name.
+	Name string
+	// Values are the attribute values the object was published with (nil
+	// for exact-match-only objects).
+	Values []float64
+	// ID is the object's Kautz-string ObjectID.
+	ID string
+	// Peer is the identifier of the peer that served the object — the
+	// region's owner unless a read policy redirected the scan to a replica.
+	Peer string
 }
 
 // RangeResult is the outcome of a range query.
 type RangeResult struct {
 	// Matches lists the objects whose attribute values satisfy the query,
-	// in ascending (ObjectID, Name) order. Nil when the query ran with
-	// WithRunsOnly; read Runs instead.
+	// in ascending (ID, Name) order.
 	Matches []Match
-	// Runs is the same result as one sorted run per delivery: each run
-	// ascends (ObjectID, Name) and runs are ordered by head ObjectID with
-	// pairwise disjoint ID ranges, so their concatenation equals Matches.
+	// Runs is the same result cut at the located runs' boundaries — views
+	// of Matches, one per run that contributed, in order.
 	Runs [][]Match
 	// Destinations lists the distinct destination peers, ascending.
 	Destinations []kautz.Str
@@ -401,12 +405,9 @@ const (
 	// can still reach.
 	msgForward msgKind = iota
 	// msgDeliver is an arrival at the destination level — a descent's last
-	// hop, or the direct send of a frontier-seeded query: the receiver owns
-	// part of the region and serves it.
+	// hop, or the direct send of a frontier-seeded or shortcut-routed
+	// query: the receiver owns part of the region and serves it.
 	msgDeliver
-	// msgShortcut is the direct send of a shortcut-routed query: the issuer
-	// already chose the serving replica, so the delivery costs no redirect.
-	msgShortcut
 )
 
 // msg is one overlay message in flight: a small value with the receiving
@@ -414,24 +415,34 @@ const (
 // boxing and no allocation.
 type msg struct {
 	to      *fissione.Peer // receiver; the region's owner on deliveries
-	serving *fissione.Peer // msgShortcut only: the replica the issuer addressed
+	serving *fissione.Peer // shortcut routes only: the replica the issuer chose and addressed
 	region  kautz.Region
 	h       int32 // msgForward only: hops left to the destination level
 	depth   int32 // hops from the issuer; the issuer's own seeds are at 0
 	kind    msgKind
 }
 
+// located is one delivery's product: which replica serves which slice of
+// the owner's region. No store is touched until materialise scans it.
+type located struct {
+	owner, serving *fissione.Peer
+	scan           kautz.Region
+	depth          int32 // the delivery hop's depth, for the scan's trace event
+	end            int32 // materialise: the result's length once this run was scanned
+}
+
 // queryState is one query's working memory: the breadth-first message
-// queue and everything its deliveries accumulate. A query runs on its
-// caller's goroutine, so the state needs no lock; it is pooled, and result
-// copies out exactly what the caller keeps, so a steady query stream
-// reuses the same queue and accumulation buffers.
+// queue and what its deliveries located. A query runs on its caller's
+// goroutine, so the state needs no lock; it is pooled, and result copies
+// out exactly what the caller keeps, so a steady query stream reuses the
+// same queue and accumulation buffers.
 //
-// Matches accumulate as one sorted run per delivery. Every peer owns a
-// prefix region disjoint from every other peer's, and a peer's deliveries
-// cover disjoint subregions, so runs never interleave: the final ordering
-// is a sort of whole runs by head ObjectID plus concatenation — O(total)
-// instead of O(total·log total) for the big hot-region result sets.
+// A query has two phases. Locate: the descent (or a seeded fan-out) runs
+// to completion and every delivery appends one located run. Materialise:
+// the runs are ordered and scanned straight into the slice the caller
+// receives. Peers own disjoint prefix regions and one peer's deliveries
+// cover disjoint subregions, so runs never interleave: ordering them is
+// the whole merge, and a page or a top-k stops at what it returns.
 type queryState struct {
 	cfg      QueryConfig
 	box      naming.Box // delivery filter; valid when hasBox
@@ -444,11 +455,9 @@ type queryState struct {
 	delay    int // deepest message processed
 	messages int // messages processed at depth ≥ 1 (seeds are local computation)
 
-	runs          [][]Match // each ascending (ObjectID, Name); pairwise disjoint ID ranges
-	nmatches      int
+	runs          []located
 	dests         []kautz.Str
 	frontier      []FrontierEntry // captured deliveries (cfg.CaptureFrontier only)
-	truncated     bool            // some peer (or the final cut) dropped matches to a Limit
 	replicaServed int             // deliveries served by a non-owner replica
 	redirectMsgs  int             // replica serves that cost a redirect message (descents only)
 	redirectDepth int             // deepest redirected delivery (owner depth + 1)
@@ -518,27 +527,27 @@ func (e *Engine) RangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []floa
 
 // RangeQueryWith is RangeQuery with the configuration given by value.
 func (e *Engine) RangeQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig) (*RangeResult, error) {
-	if e.tree == nil {
-		return nil, ErrNoTree
-	}
-	box, region := cfg.Prepared.Box, cfg.Prepared.Region
-	if region.Low == "" {
+	return e.rangeQuery(ctx, issuer, lo, hi, cfg, false)
+}
+
+// rangeQuery runs a range query as the pruned descent or, for the flood
+// ablation (FloodQuery), as the unpruned one, which takes no route cache.
+func (e *Engine) rangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig, flood bool) (*RangeResult, error) {
+	prep := cfg.Prepared
+	if prep.Region.Low == "" {
 		var err error
-		if box, err = e.tree.NewBox(lo, hi); err != nil {
-			return nil, fmt.Errorf("core: range query bounds: %w", err)
-		}
-		if region, err = e.tree.QueryRegion(box); err != nil {
-			return nil, fmt.Errorf("core: range query region: %w", err)
+		if prep, err = e.prepare(lo, hi); err != nil {
+			return nil, err
 		}
 	}
-	region, ok := clipRegionAfter(region, cfg.After)
+	region, ok := clipRegionAfter(prep.Region, cfg.After)
 	if !ok {
 		return &RangeResult{}, nil
 	}
-	if e.frontierUsable(cfg.Frontier, region, lo, hi) {
-		return e.seedFromFrontier(ctx, issuer, region, &box, cfg)
+	if !flood && e.frontierUsable(cfg.Frontier, region, lo, hi) {
+		return e.seedFromFrontier(ctx, issuer, region, &prep.Box, cfg)
 	}
-	res, err := e.descend(ctx, issuer, region, &box, cfg)
+	res, err := e.descend(ctx, issuer, region, &prep.Box, cfg, flood)
 	if err == nil && res.Frontier != nil {
 		// Stamp the bounds the capture's box pruning ran with; reuse is
 		// restricted to queries inside them (see Frontier.CoversBounds).
@@ -570,12 +579,11 @@ func clipRegionAfter(r kautz.Region, after kautz.Str) (kautz.Region, bool) {
 
 // LookupResult is the outcome of an exact-match lookup.
 type LookupResult struct {
-	// Owner is the peer owning the looked-up ObjectID; Served is the
-	// replica that answered the delivery — equal to Owner unless a read
-	// policy redirected it (or when nothing was delivered).
+	// Owner is the peer owning the looked-up ObjectID; each object's Peer
+	// names the replica that answered the delivery — Owner unless a read
+	// policy redirected it.
 	Owner   kautz.Str
-	Served  kautz.Str
-	Objects []fissione.Object
+	Objects []Match
 	Stats   Stats
 }
 
@@ -591,22 +599,13 @@ func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, objectID kaut
 	if len(objectID) != e.net.K() || !kautz.Valid(objectID) {
 		return nil, fmt.Errorf("%w: %q", ErrBadObjectID, objectID)
 	}
-	cfg.RunsOnly = true // the one delivery's run is read in place below
-	res, err := e.descend(ctx, issuer, kautz.Region{Low: objectID, High: objectID}, nil, cfg)
+	res, err := e.descend(ctx, issuer, kautz.Region{Low: objectID, High: objectID}, nil, cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	out := &LookupResult{Stats: res.Stats}
+	out := &LookupResult{Objects: res.Matches, Stats: res.Stats}
 	if len(res.Destinations) > 0 {
 		out.Owner = res.Destinations[0]
-	}
-	out.Served = out.Owner
-	for _, run := range res.Runs {
-		out.Served = run[0].Peer // one delivery serves a lookup; all matches agree
-		out.Objects = slices.Grow(out.Objects, len(run))
-		for _, m := range run {
-			out.Objects = append(out.Objects, fissione.Object{Name: m.Name, Values: m.Values})
-		}
 	}
 	return out, nil
 }
@@ -614,22 +613,26 @@ func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, objectID kaut
 // descend runs the pruned FRT search from the issuer over the query region,
 // additionally filtering (and, for MIRA, pruning) with the box when box is
 // non-nil. A shortcut route in cfg is tried first and costs nothing when
-// the live topology refuses it.
-func (e *Engine) descend(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig) (*RangeResult, error) {
+// the live topology refuses it. flood disables the pruning (see FloodQuery).
+func (e *Engine) descend(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig, flood bool) (*RangeResult, error) {
 	from, ok := e.net.Peer(issuer)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
 	st := e.newState(cfg, box)
 	defer st.release()
-	if e.seedFromShortcut(st, region) {
+	st.flood = flood
+	if !flood && e.seedFromShortcut(st, region) {
 		return e.finishSeeded(ctx, st, from, HopShortcut)
 	}
-	parts := st.seedDescent(from, region)
+	parts := region.SplitByFirstSymbol()
+	for _, part := range parts {
+		st.seed(from, part)
+	}
 	if err := e.pump(ctx, st); err != nil {
 		return nil, err
 	}
-	res := st.result(parts)
+	res := st.result(len(parts))
 	if cfg.CaptureFrontier {
 		// The queue has drained, so the capture is complete; the epoch is
 		// stable for as long as the caller excludes topology mutation.
@@ -637,16 +640,6 @@ func (e *Engine) descend(ctx context.Context, issuer kautz.Str, region kautz.Reg
 	}
 	e.metrics.note(res.Stats, false)
 	return res, nil
-}
-
-// seedDescent queues the issuer's own entry messages — one per
-// first-symbol subregion of the query region — and returns their count.
-func (st *queryState) seedDescent(issuer *fissione.Peer, region kautz.Region) int {
-	parts := region.SplitByFirstSymbol()
-	for _, part := range parts {
-		st.seed(issuer, part)
-	}
-	return len(parts)
 }
 
 // seed queues the descent's entry message for one common-prefix subregion:
@@ -703,10 +696,8 @@ func (e *Engine) pump(ctx context.Context, st *queryState) error {
 			// the region predicate holds, so results and destination
 			// counts stay comparable with the pruned descent.
 			if !st.flood || m.region.ContainsPrefix(m.to.ID()) {
-				e.deliver(st, m.to, m.region, int(m.depth))
+				e.deliver(st, m)
 			}
-		case msgShortcut:
-			e.deliverShortcut(st, m)
 		}
 	}
 	e.metrics.Scheduled.Add(int64(st.head - start))
@@ -799,10 +790,11 @@ func clipToOwn(r kautz.Region, id kautz.Str) (kautz.Region, bool) {
 	return r, true
 }
 
-// deliver records owner as a destination and collects the delivered
-// region's matching objects with one ordered scan of the serving peer's
-// index — O(log store + k) for k results, or O(log store + Limit) when the
-// query paginates.
+// deliver is the locate phase's product: it records the message's receiver
+// as a destination and appends the run the materialise phase will scan —
+// the replica that serves it and the region it scans. Destination, load
+// counters, read policy and redirect cost are all settled here; no store is
+// read.
 //
 // On a replicated network the scan may be served by any member of the
 // owner's replica group, chosen by the query's read policy. The scan is
@@ -811,19 +803,22 @@ func clipToOwn(r kautz.Region, id kautz.Str) (kautz.Region, bool) {
 // be returned both here and at their own region's delivery. Clipping makes
 // every ObjectID the responsibility of exactly one delivery, which keeps
 // flood mode and paginated walks exact under replication. A redirected
-// delivery costs one extra overlay message and arrives one hop later.
-//
-// With a Limit, the peer collects only its first Limit matches after the
-// cursor (plus any run of equal ObjectIDs straddling the cut). The final
-// global cut in result keeps pagination exact: a match dropped here is
-// preceded by Limit collected matches with smaller ObjectIDs on this peer
-// alone, so it can never belong to the current page.
-func (e *Engine) deliver(st *queryState, owner *fissione.Peer, region kautz.Region, depth int) {
+// delivery costs one extra overlay message and arrives one hop later —
+// except on a shortcut route, where the issuer already chose the replica,
+// clipped the region and addressed it directly.
+func (e *Engine) deliver(st *queryState, m msg) {
+	owner, depth := m.to, int(m.depth)
 	// Load accounting: one delivery addressed to this owner's region,
 	// whichever replica ends up serving the scan — ownership is what the
 	// load controller splits and migrates.
 	owner.NoteDelivery()
-	serving, scan, ok := e.serveTarget(owner, region, st.cfg.Policy)
+	serving, scan, ok := m.serving, m.region, true
+	if m.serving == nil {
+		serving, scan, ok = e.serveTarget(owner, m.region, st.cfg.Policy)
+	}
+	if ok && e.net.Replicas() > 1 {
+		serving.NoteServed()
+	}
 	if st.cfg.Trace != nil {
 		kind := HopDeliver
 		if serving != owner {
@@ -831,200 +826,64 @@ func (e *Engine) deliver(st *queryState, owner *fissione.Peer, region kautz.Regi
 		}
 		st.cfg.Trace(kind, owner.ID(), serving.ID(), depth, 0)
 	}
+	st.dests = append(st.dests, owner.ID())
 	if !ok {
 		// The owner's region does not intersect the delivered region: an
-		// empty delivery, recorded as a destination like an empty scan.
-		st.dests = append(st.dests, owner.ID())
+		// empty delivery, a destination with nothing to scan.
 		return
 	}
-	e.scanDelivery(st, owner, serving, scan, region, depth, serving != owner)
-}
-
-// scanDelivery runs one delivery's ordered scan on the serving peer and
-// folds the outcome into the query state — the tail shared by descent
-// deliveries (deliver) and shortcut deliveries (deliverShortcut). scan is
-// the region the serving peer scans; region is the delivered region the
-// frontier capture clips. redirectMsg reports whether a non-owner serve
-// cost a redirect message (descents; a shortcut-routed serve is addressed
-// directly and costs none).
-func (e *Engine) scanDelivery(st *queryState, owner, serving *fissione.Peer, scan, region kautz.Region, depth int, redirectMsg bool) {
-	var (
-		collected []Match
-		truncated bool
-	)
-	serving.ScanRegionHinted(scan, st.cfg.After, func(n int) {
-		if st.cfg.Limit > 0 && n > st.cfg.Limit {
-			n = st.cfg.Limit + 1 // one slot of tie headroom; appends may still grow it
-		}
-		if n > 0 {
-			collected = make([]Match, 0, n)
-		}
-	}, func(so fissione.StoredObject) bool {
-		if st.hasBox {
-			if len(so.Object.Values) != len(st.box.Lo) || !st.box.Contains(so.Object.Values) {
-				return true
-			}
-		}
-		if st.cfg.Limit > 0 && len(collected) >= st.cfg.Limit &&
-			so.ObjectID != collected[len(collected)-1].ObjectID {
-			truncated = true
-			return false
-		}
-		collected = append(collected, Match{
-			ObjectID: so.ObjectID,
-			Name:     so.Object.Name,
-			Values:   so.Object.Values, // aliased; see Match
-			Peer:     serving.ID(),
-		})
-		return true
-	})
-	st.dests = append(st.dests, owner.ID())
+	st.runs = append(st.runs, located{owner: owner, serving: serving, scan: scan, depth: m.depth})
 	if st.cfg.CaptureFrontier {
 		// Capture the delivery clipped to the owner's own region, so a
 		// cursor moving past the entry retires the peer from later pages
 		// (the raw delivered region spans many peers and would never
 		// retire anyone).
-		if own, ok := clipToOwn(region, owner.ID()); ok {
+		if own, ok := clipToOwn(m.region, owner.ID()); ok {
 			st.frontier = append(st.frontier, FrontierEntry{Peer: owner.ID(), Region: own})
 		}
 	}
 	if serving != owner {
 		st.replicaServed++
-		if redirectMsg {
+		if m.serving == nil {
 			st.redirectMsgs++
-			if depth+1 > st.redirectDepth {
-				st.redirectDepth = depth + 1
-			}
-		}
-	}
-	if len(collected) > 0 {
-		st.runs = append(st.runs, collected)
-		st.nmatches += len(collected)
-	}
-	if truncated {
-		st.truncated = true
-	}
-	if st.cfg.Trace != nil {
-		st.cfg.Trace(HopScan, owner.ID(), serving.ID(), depth, 0)
-	}
-	if st.cfg.OnMatch != nil {
-		for _, m := range collected {
-			st.cfg.OnMatch(m)
+			st.redirectDepth = max(st.redirectDepth, depth+1)
 		}
 	}
 }
 
-// serveTarget resolves one delivery: the peer that will serve it (chosen
-// from the owner's replica group by the read policy) and the region it
-// must scan (the delivered region clipped to the owner's own region).
+// serveTarget resolves one descent delivery: the peer that will serve it
+// (chosen from the owner's replica group by the read policy) and the region
+// it must scan (the delivered region clipped to the owner's own region).
 // Without replication it is the identity — the owner scans the delivered
-// region — and everything else is skipped: an unreplicated owner stores
-// nothing outside its own region, so the results are identical and the
-// pre-replication hot path stays untouched, served-reads accounting
-// included. ok is false when the clipped region is empty.
+// region: an unreplicated owner stores nothing outside its own region, so
+// the results are identical and the clip is skipped. ok is false when the
+// clipped region is empty.
 func (e *Engine) serveTarget(owner *fissione.Peer, region kautz.Region, pol ReadPolicy) (serving *fissione.Peer, scan kautz.Region, ok bool) {
 	if e.net.Replicas() == 1 {
 		return owner, region, true
 	}
-	id := owner.ID()
-	scan, ok = clipToOwn(region, id)
-	if !ok {
-		return owner, scan, false
+	scan, ok = clipToOwn(region, owner.ID())
+	if !ok || pol == ReadPrimary {
+		return owner, scan, ok
 	}
-	serving = owner
-	if pol != ReadPrimary {
-		var buf [16]*fissione.Peer // replication degrees are small; avoids a heap group slice per delivery
-		group := e.net.AppendGroupPeers(buf[:0], id)
-		switch pol {
-		case ReadRoundRobin:
-			serving = group[e.rr.Add(1)%uint64(len(group))]
-		case ReadLeastLoaded:
-			for _, p := range group[1:] {
-				if p.ServedReads() < serving.ServedReads() {
-					serving = p
-				}
-			}
-		}
-	}
-	serving.NoteServed()
-	return serving, scan, true
+	var buf [16]*fissione.Peer // replication degrees are small; avoids a heap group slice per delivery
+	return e.choose(e.net.AppendGroupPeers(buf[:0], owner.ID()), pol), scan, true
 }
 
-// result assembles the final RangeResult, copying out of the pooled
-// buffers exactly what the caller keeps.
-func (st *queryState) result(subregions int) *RangeResult {
-	deliveries := len(st.dests)
-	slices.Sort(st.dests)
-	unique := slices.Compact(st.dests)
-
-	// Runs are internally sorted and pairwise disjoint in ObjectID range
-	// (distinct peers own distinct prefix regions; one peer's deliveries
-	// cover disjoint subregions), so ordering whole runs by head ObjectID
-	// and concatenating yields the globally sorted result without
-	// comparing individual matches.
-	slices.SortFunc(st.runs, func(a, b []Match) int {
-		return cmp.Compare(a[0].ObjectID, b[0].ObjectID)
-	})
-
-	// The global page cut, at run granularity. Ties cannot cross a run
-	// boundary (every ObjectID lives on exactly one peer, and one peer's
-	// matches for it sit contiguously in one run), so extending the cut
-	// through a run of equal ObjectIDs keeps the Next cursor
-	// (strictly-greater) from ever skipping or repeating an object.
-	runs, total := st.runs, st.nmatches
-	if limit := st.cfg.Limit; limit > 0 && total > limit {
-		kept := 0
-		for i, run := range runs {
-			if kept+len(run) < limit {
-				kept += len(run)
-				continue
+// choose applies a read policy to a replica group (owner first).
+func (e *Engine) choose(group []*fissione.Peer, pol ReadPolicy) *fissione.Peer {
+	serving := group[0]
+	switch pol {
+	case ReadRoundRobin:
+		serving = group[e.rr.Add(1)%uint64(len(group))]
+	case ReadLeastLoaded:
+		for _, p := range group[1:] {
+			if p.ServedReads() < serving.ServedReads() {
+				serving = p
 			}
-			cut := limit - kept
-			for cut < len(run) && run[cut].ObjectID == run[cut-1].ObjectID {
-				cut++
-			}
-			if cut < len(run) || i+1 < len(runs) {
-				st.truncated = true
-			}
-			runs = runs[:i+1]
-			runs[i] = run[:cut]
-			kept += cut
-			break
-		}
-		total = kept
-	}
-	var next kautz.Str
-	if st.truncated && len(runs) > 0 {
-		last := runs[len(runs)-1]
-		next = last[len(last)-1].ObjectID
-	}
-
-	var matches []Match
-	if !st.cfg.RunsOnly && total > 0 {
-		matches = make([]Match, 0, total)
-		for _, run := range runs {
-			matches = append(matches, run...)
 		}
 	}
-
-	// A delivery redirected mid-descent is one extra overlay message
-	// (owner → serving replica), and that destination's data arrives one
-	// hop after the owner received the query. Shortcut-routed deliveries
-	// address the serving replica directly and add neither.
-	return &RangeResult{
-		Matches:      matches,
-		Runs:         cloneOrNil(runs),
-		Destinations: cloneOrNil(unique),
-		Next:         next,
-		Stats: Stats{
-			Delay:         max(st.delay, st.redirectDepth),
-			Messages:      st.messages + st.redirectMsgs,
-			DestPeers:     len(unique),
-			Subregions:    subregions,
-			Deliveries:    deliveries,
-			ReplicaServed: st.replicaServed,
-		},
-	}
+	return serving
 }
 
 func log2(x float64) float64 { return math.Log2(x) }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
+	"armada/internal/fissione"
 	"armada/internal/kautz"
 )
 
@@ -36,58 +38,138 @@ func (e *Engine) TopK(ctx context.Context, issuer kautz.Str, lo, hi []float64, k
 
 // TopKWith is TopK with the configuration given by value.
 func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, k int, cfg QueryConfig) (*TopKResult, error) {
-	if e.tree == nil {
-		return nil, ErrNoTree
-	}
 	if k < 1 {
 		return nil, fmt.Errorf("core: top-k needs k ≥ 1, got %d", k)
 	}
 	if cfg.Limit > 0 || cfg.After != "" {
 		return nil, fmt.Errorf("core: top-k does not paginate; its result cap is k")
 	}
-	box, err := e.tree.NewBox(lo, hi)
+	prep, err := e.prepare(lo, hi)
 	if err != nil {
-		return nil, fmt.Errorf("core: top-k bounds: %w", err)
-	}
-	region, err := e.tree.QueryRegion(box)
-	if err != nil {
-		return nil, fmt.Errorf("core: top-k region: %w", err)
+		return nil, err
 	}
 	from, ok := e.net.Peer(issuer)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
 
-	st := e.newState(cfg, &box)
+	st := e.newState(cfg, &prep.Box)
 	defer st.release()
 	// Process subregions from the high end, one drained queue at a time:
 	// once a subregion yields k matches, lower subregions cannot contribute
 	// to the top k (the naming is order-preserving, so higher regions hold
 	// higher values). Delays take the maximum and message counts add, as
 	// for subqueries run in parallel.
-	parts := region.SplitByFirstSymbol()
-	ran := 0
-	for i := len(parts) - 1; i >= 0 && st.nmatches < k; i-- {
+	parts := prep.Region.SplitByFirstSymbol()
+	top := selection{k: k}
+	ran, found, scanned := 0, 0, 0
+	for i := len(parts) - 1; i >= 0 && found < k; i-- {
 		st.seed(from, parts[i])
 		if err := e.pump(ctx, st); err != nil {
 			return nil, err
 		}
 		ran++
+		found += st.selectTop(st.runs[scanned:], &top)
+		scanned = len(st.runs)
 	}
+	stats, _ := st.summary(ran)
+	e.metrics.note(stats, false)
+	return &TopKResult{Matches: top.matches(), Stats: stats}, nil
+}
 
-	res := st.result(ran)
-	e.metrics.note(res.Stats, false)
-	matches := res.Matches
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Values[0] != matches[j].Values[0] {
-			return matches[i].Values[0] > matches[j].Values[0]
-		}
-		return matches[i].Name < matches[j].Name
-	})
-	if len(matches) > k {
-		matches = matches[:k]
+// candidate is one object a top-k selection holds on to while the scan
+// goes on. It references the store's value slice — sound without the store
+// lock, stored values are never mutated in place — so displaced candidates
+// cost nothing; the k survivors are copied once, by matches.
+type candidate struct {
+	so      fissione.StoredObject
+	serving *fissione.Peer
+}
+
+// compare is the top-k result order: first attribute descending, then Name
+// and ObjectID ascending.
+func (a *candidate) compare(b *candidate) int {
+	// Step by step: the first attribute decides nearly every comparison.
+	if c := cmp.Compare(b.so.Object.Values[0], a.so.Object.Values[0]); c != 0 {
+		return c
 	}
-	return &TopKResult{Matches: matches, Stats: res.Stats}, nil
+	if c := cmp.Compare(a.so.Object.Name, b.so.Object.Name); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.so.ObjectID, b.so.ObjectID)
+}
+
+// selection is a k-bounded top-k: it keeps at most 2k candidates, and each
+// time it fills up it sorts them, keeps the best k and raises the bar to
+// the k-th — so an offer costs one comparison when it loses to the bar and
+// O(log k) amortised when it is kept, however many objects are offered.
+type selection struct {
+	k    int
+	kept []candidate
+	bar  candidate // the k-th best at the last cut; set once k were kept
+	full bool
+}
+
+// loses reports, from the first attribute alone, that an object is below the
+// bar — the inlined test that lets the scan pass over most of what it visits.
+func (s *selection) loses(so *fissione.StoredObject) bool {
+	return s.full && so.Object.Values[0] < s.bar.so.Object.Values[0]
+}
+
+func (s *selection) offer(c *candidate) {
+	if s.full && c.compare(&s.bar) >= 0 {
+		return
+	}
+	if s.kept = append(s.kept, *c); len(s.kept) >= 2*s.k {
+		s.cut()
+	}
+}
+
+// cut orders the kept candidates, best first, and drops all but k.
+func (s *selection) cut() {
+	slices.SortFunc(s.kept, func(a, b candidate) int { return a.compare(&b) })
+	if len(s.kept) >= s.k {
+		s.kept = s.kept[:s.k]
+		s.bar, s.full = s.kept[s.k-1], true
+	}
+}
+
+// matches materialises the selection, best first.
+func (s *selection) matches() []Match {
+	s.cut()
+	if len(s.kept) == 0 {
+		return nil
+	}
+	out := make([]Match, 0, len(s.kept))
+	var vals []float64
+	for i := range s.kept {
+		out, vals = appendMatch(out, vals, &s.kept[i].so, s.kept[i].serving)
+	}
+	return out
+}
+
+// selectTop scans located runs into a top-k selection and returns how many
+// objects they admitted. Runs are visited from the high end: where the
+// naming orders the first attribute, the first run scanned fills the
+// selection with near-final candidates and the rest lose to the bar.
+func (st *queryState) selectTop(runs []located, top *selection) (admitted int) {
+	sortRuns(runs)
+	for i := len(runs) - 1; i >= 0; i-- {
+		r := &runs[i]
+		c := candidate{serving: r.serving}
+		r.serving.ScanRegion(r.scan, st.cfg.After, func(so fissione.StoredObject) bool {
+			if st.admits(&so) {
+				admitted++
+				if !top.loses(&so) {
+					c.so = so
+					top.offer(&c)
+				}
+			}
+			return true
+		})
+		st.scanned(r)
+	}
+	return admitted
 }
 
 // FloodQuery executes the range query without PIRA's pruning predicate:
@@ -101,33 +183,5 @@ func (e *Engine) FloodQuery(ctx context.Context, issuer kautz.Str, lo, hi []floa
 
 // FloodQueryWith is FloodQuery with the configuration given by value.
 func (e *Engine) FloodQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig) (*RangeResult, error) {
-	if e.tree == nil {
-		return nil, ErrNoTree
-	}
-	box, err := e.tree.NewBox(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	region, err := e.tree.QueryRegion(box)
-	if err != nil {
-		return nil, err
-	}
-	from, ok := e.net.Peer(issuer)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
-	}
-	region, ok = clipRegionAfter(region, cfg.After)
-	if !ok {
-		return &RangeResult{}, nil
-	}
-	st := e.newState(cfg, &box)
-	defer st.release()
-	st.flood = true
-	parts := st.seedDescent(from, region)
-	if err := e.pump(ctx, st); err != nil {
-		return nil, err
-	}
-	res := st.result(parts)
-	e.metrics.note(res.Stats, false)
-	return res, nil
+	return e.rangeQuery(ctx, issuer, lo, hi, cfg, true)
 }

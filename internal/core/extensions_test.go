@@ -2,17 +2,40 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
+
+	"armada/internal/fissione"
 )
 
+// Top-k keeps a k-bounded selection while it scans; it must equal
+// materialising the whole range, sorting it (first attribute descending,
+// then Name) and cutting at k — ties on the first attribute included.
 func TestTopKReturnsHighestValues(t *testing.T) {
 	eng, objs := buildSingle(t, 120, 500, 201)
 	rng := rand.New(rand.NewSource(202))
-	for trial := 0; trial < 25; trial++ {
+	// Runs of objects sharing one value, so cuts land inside ties.
+	for i := 0; i < 60; i++ {
+		o := fissione.Object{Name: fmt.Sprintf("tie-%02d", 59-i), Values: []float64{float64(100 + 90*(i/6))}}
+		oid, err := eng.Tree().Hash(o.Values...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Network().PublishAt(oid, o); err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, o)
+	}
+	for trial := 0; trial < 40; trial++ {
 		lo := rng.Float64() * 500
 		hi := lo + 100 + rng.Float64()*(1000-lo-100)
+		if trial%4 == 3 { // the range tops out on a tie group, so small k cut inside it
+			hi = float64(100 + 90*rng.Intn(10))
+			lo = max(0, hi-150)
+		}
 		k := 1 + rng.Intn(10)
 		issuer := eng.Network().RandomPeer(rng)
 		res, err := eng.TopK(context.Background(), issuer, []float64{lo}, []float64{hi}, k)
@@ -37,6 +60,21 @@ func TestTopKReturnsHighestValues(t *testing.T) {
 			if m.Values[0] != want[i] {
 				t.Fatalf("top-%d[%d] = %v, want %v", k, i, m.Values[0], want[i])
 			}
+		}
+		// Materialise, sort, cut.
+		full, err := eng.RangeQuery(context.Background(), issuer, []float64{lo}, []float64{hi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted := full.Matches
+		sort.SliceStable(sorted, func(i, j int) bool {
+			if sorted[i].Values[0] != sorted[j].Values[0] {
+				return sorted[i].Values[0] > sorted[j].Values[0]
+			}
+			return sorted[i].Name < sorted[j].Name
+		})
+		if !reflect.DeepEqual(res.Matches, sorted[:len(want)]) {
+			t.Fatalf("top-%d of [%v, %v] = %v, materialise-sort-cut gives %v", k, lo, hi, res.Matches, sorted[:len(want)])
 		}
 	}
 }

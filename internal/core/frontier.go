@@ -111,22 +111,28 @@ type PreparedRange struct {
 	Region kautz.Region
 }
 
+// prepare maps range bounds onto their query geometry.
+func (e *Engine) prepare(lo, hi []float64) (prep PreparedRange, err error) {
+	if e.tree == nil {
+		return prep, ErrNoTree
+	}
+	if prep.Box, err = e.tree.NewBox(lo, hi); err != nil {
+		return prep, fmt.Errorf("core: range bounds: %w", err)
+	}
+	if prep.Region, err = e.tree.QueryRegion(prep.Box); err != nil {
+		return prep, fmt.Errorf("core: range region: %w", err)
+	}
+	return prep, nil
+}
+
 // RangeRegion maps range bounds onto their query geometry — the Kautz
 // region is the key space of issuer-side frontier caching — along with
 // the cursor-clipped region a query with After actually executes. ok is
 // false when the cursor exhausts the region (the query's result is
 // empty).
 func (e *Engine) RangeRegion(lo, hi []float64, after kautz.Str) (prep PreparedRange, clipped kautz.Region, ok bool, err error) {
-	if e.tree == nil {
-		return PreparedRange{}, kautz.Region{}, false, ErrNoTree
-	}
-	prep.Box, err = e.tree.NewBox(lo, hi)
-	if err != nil {
-		return PreparedRange{}, kautz.Region{}, false, fmt.Errorf("core: range bounds: %w", err)
-	}
-	prep.Region, err = e.tree.QueryRegion(prep.Box)
-	if err != nil {
-		return PreparedRange{}, kautz.Region{}, false, fmt.Errorf("core: range region: %w", err)
+	if prep, err = e.prepare(lo, hi); err != nil {
+		return prep, clipped, false, err
 	}
 	clipped, ok = clipRegionAfter(prep.Region, after)
 	return prep, clipped, ok, nil

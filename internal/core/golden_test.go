@@ -74,28 +74,21 @@ func traced(opts []QueryOption) ([]QueryOption, func() string) {
 	return append(append([]QueryOption(nil), opts...), tr), func() string { return fmt.Sprintf("%016x", h.Sum64()) }
 }
 
-func (g *goldenRun) recordRange(kind string, res *RangeResult, trace string, runsOnly bool) {
+func (g *goldenRun) recordRange(kind string, res *RangeResult, trace string) {
 	g.t.Helper()
 	h := fnv.New64a()
 	n := 0
 	for _, run := range res.Runs {
+		if len(run) == 0 || &run[0] != &res.Matches[n] {
+			g.t.Fatalf("%s: run at offset %d is not the next non-empty view of Matches", kind, n)
+		}
 		for _, m := range run {
-			hashStr(h, string(m.ObjectID), m.Name, string(m.Peer))
+			hashStr(h, m.ID, m.Name, m.Peer)
 			n++
 		}
 	}
-	if runsOnly {
-		if res.Matches != nil {
-			g.t.Fatalf("%s: RunsOnly query flattened %d matches", kind, len(res.Matches))
-		}
-	} else {
-		hm := fnv.New64a()
-		for _, m := range res.Matches {
-			hashStr(hm, string(m.ObjectID), m.Name, string(m.Peer))
-		}
-		if len(res.Matches) != n || hm.Sum64() != h.Sum64() {
-			g.t.Fatalf("%s: Matches (%d) is not the concatenation of Runs (%d)", kind, len(res.Matches), n)
-		}
+	if len(res.Matches) != n {
+		g.t.Fatalf("%s: Matches (%d) is not the concatenation of Runs (%d)", kind, len(res.Matches), n)
 	}
 	rec := goldenRecord{
 		Case: g.caseName(kind), Stats: res.Stats, Next: string(res.Next),
@@ -114,7 +107,7 @@ func (g *goldenRun) rangeQ(kind string, issuer kautz.Str, lo, hi []float64, opts
 	if err != nil {
 		g.t.Fatalf("%s %s: %v", g.name, kind, err)
 	}
-	g.recordRange(kind, res, digest(), buildQueryConfig(opts).RunsOnly)
+	g.recordRange(kind, res, digest())
 	return res
 }
 
@@ -125,7 +118,7 @@ func (g *goldenRun) flood(kind string, issuer kautz.Str, lo, hi []float64, opts 
 	if err != nil {
 		g.t.Fatalf("%s %s: %v", g.name, kind, err)
 	}
-	g.recordRange(kind, res, digest(), false)
+	g.recordRange(kind, res, digest())
 	return res
 }
 
@@ -140,8 +133,12 @@ func (g *goldenRun) lookup(kind string, issuer, oid kautz.Str, opts ...QueryOpti
 	for _, o := range res.Objects {
 		hashStr(h, o.Name, fmt.Sprint(o.Values))
 	}
+	served := string(res.Owner)
+	if len(res.Objects) > 0 {
+		served = res.Objects[0].Peer // one delivery serves a lookup; all its objects agree
+	}
 	*g.recs = append(*g.recs, goldenRecord{
-		Case: g.caseName(kind), Stats: res.Stats, Owner: string(res.Owner), Served: string(res.Served),
+		Case: g.caseName(kind), Stats: res.Stats, Owner: string(res.Owner), Served: served,
 		N: len(res.Objects), FNV: fmt.Sprintf("%016x", h.Sum64()), Trace: digest(),
 	})
 	return res
@@ -156,7 +153,7 @@ func (g *goldenRun) topK(kind string, issuer kautz.Str, lo, hi []float64, k int,
 	}
 	h := fnv.New64a()
 	for _, m := range res.Matches {
-		hashStr(h, string(m.ObjectID), m.Name, string(m.Peer))
+		hashStr(h, m.ID, m.Name, m.Peer)
 	}
 	*g.recs = append(*g.recs, goldenRecord{
 		Case: g.caseName(kind), Stats: res.Stats,

@@ -75,7 +75,7 @@ func (e *Engine) seedFromShortcut(st *queryState, region kautz.Region) bool {
 			break
 		}
 		st.queue = append(st.queue, msg{
-			kind:    msgShortcut,
+			kind:    msgDeliver,
 			to:      owner,
 			serving: e.pickServing(owner, t.Group, st.cfg.Policy),
 			region:  slice,
@@ -96,11 +96,11 @@ func (e *Engine) seedFromShortcut(st *queryState, region kautz.Region) bool {
 }
 
 // pickServing chooses the replica that will serve one shortcut delivery
-// from the learned group, applying the query's read policy at the issuer
-// (the descent path resolves the same choice at delivery; see
-// serveTarget). It falls back to the owner whenever the group cannot be
-// resolved — unreplicated networks, ReadPrimary, or a learned member that
-// no longer exists.
+// from the learned group, applying the query's read policy at the issuer —
+// which is why deliver charges it no redirect (the descent path resolves
+// the same choice at delivery; see serveTarget). It falls back to the owner
+// whenever the group cannot be resolved — unreplicated networks,
+// ReadPrimary, or a learned member that no longer exists.
 func (e *Engine) pickServing(owner *fissione.Peer, group []kautz.Str, pol ReadPolicy) *fissione.Peer {
 	if e.net.Replicas() == 1 || pol == ReadPrimary || len(group) < 2 {
 		return owner
@@ -114,37 +114,5 @@ func (e *Engine) pickServing(owner *fissione.Peer, group []kautz.Str, pol ReadPo
 		}
 		peers = append(peers, p)
 	}
-	serving := peers[0]
-	switch pol {
-	case ReadRoundRobin:
-		serving = peers[e.rr.Add(1)%uint64(len(peers))]
-	case ReadLeastLoaded:
-		for _, p := range peers[1:] {
-			if p.ServedReads() < serving.ServedReads() {
-				serving = p
-			}
-		}
-	}
-	return serving
-}
-
-// deliverShortcut records one shortcut delivery: like deliver, but the
-// serving replica was already chosen at the issuer and addressed
-// directly, so a non-owner serve adds no redirect message and no extra
-// hop. The scan region was clipped to the owner's own region at seed
-// time.
-func (e *Engine) deliverShortcut(st *queryState, m msg) {
-	owner, serving := m.to, m.serving
-	owner.NoteDelivery()
-	if st.cfg.Trace != nil {
-		kind := HopDeliver
-		if serving != owner {
-			kind = HopRedirect
-		}
-		st.cfg.Trace(kind, owner.ID(), serving.ID(), int(m.depth), 0)
-	}
-	if e.net.Replicas() > 1 {
-		serving.NoteServed()
-	}
-	e.scanDelivery(st, owner, serving, m.region, m.region, int(m.depth), false)
+	return e.choose(peers, pol)
 }

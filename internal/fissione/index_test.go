@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -121,10 +122,8 @@ func TestOrderedIndexMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: ObjectsInRegion(%v) diverged:\n got %v\nwant %v", step, r, got, want)
 			}
-			hint := -1
-			p.ScanRegionHinted(r, "", func(n int) { hint = n }, func(StoredObject) bool { return true })
-			if hint != len(want) {
-				t.Fatalf("step %d: ScanRegionHinted(%v) hinted %d, want %d", step, r, hint, len(want))
+			if n := p.CountRegion(r, ""); n != len(want) {
+				t.Fatalf("step %d: CountRegion(%v) = %d, want %d", step, r, n, len(want))
 			}
 		case op < 9: // paged scan: pages concatenate to the full region scan
 			r := randomRegion()
@@ -302,4 +301,37 @@ func TestOrderedIndexMoves(t *testing.T) {
 			t.Fatalf("trial %d: store not empty after clearStore", trial)
 		}
 	}
+}
+
+// BenchmarkScanRegion measures the store read every query ends in: one
+// region scan over a peer holding 200 objects (scan-wide's 100k objects on
+// 500 peers), visiting the middle half of them. ns/object is the figure to
+// read; the scan itself allocates nothing.
+func BenchmarkScanRegion(b *testing.B) {
+	const k = 32
+	rng := rand.New(rand.NewSource(7))
+	p := newPeer("0")
+	ids := make([]kautz.Str, 200)
+	for i := range ids {
+		for ids[i] = kautz.Random(rng, k); ids[i][0] != '0'; {
+			ids[i] = kautz.Random(rng, k)
+		}
+		p.addObject(ids[i], Object{Name: fmt.Sprintf("o%03d", i), Values: []float64{float64(i)}})
+	}
+	slices.Sort(ids)
+	r := kautz.Region{Low: ids[50], High: ids[149]}
+	visited, sum := 0, 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.ScanRegion(r, "", func(so StoredObject) bool {
+			visited++
+			sum += so.Object.Values[0]
+			return true
+		})
+	}
+	if visited != 100*b.N || sum == 0 {
+		b.Fatalf("visited %d objects in %d scans, want 100 each", visited, b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visited), "ns/object")
 }

@@ -224,41 +224,36 @@ func (p *Peer) scanBounds(r kautz.Region, after kautz.Str) (lo, hi int) {
 // visited object, and holds the peer's store lock throughout: fn must not
 // call back into the peer.
 func (p *Peer) ScanRegion(r kautz.Region, after kautz.Str, fn func(StoredObject) bool) {
-	p.ScanRegionHinted(r, after, nil, fn)
-}
-
-// ScanRegionHinted is ScanRegion with the visit count precomputed in the
-// same lock acquisition: when hint is non-nil it receives the number of
-// objects the scan will visit (an exact allocation size) before the first
-// fn call. Like fn, hint runs under the store lock and must not call back
-// into the peer.
-func (p *Peer) ScanRegionHinted(r kautz.Region, after kautz.Str, hint func(int), fn func(StoredObject) bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	lo, hi := p.scanBounds(r, after)
-	if hint != nil {
-		hint(hi - lo)
-	}
-	for i := lo; i < hi; i++ {
-		if !fn(p.store[i]) {
+	for _, so := range p.store[lo:hi] {
+		if !fn(so) {
 			return
 		}
 	}
 }
 
+// CountRegion returns how many objects a ScanRegion over the same region
+// and cursor would visit right now, in O(log n). Publishes may run between
+// the count and the scan, so it is a size to allocate by, not one to trust.
+func (p *Peer) CountRegion(r kautz.Region, after kautz.Str) int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	lo, hi := p.scanBounds(r, after)
+	return hi - lo
+}
+
 // ObjectsInRegion returns the objects whose ObjectIDs lie in the Kautz
 // region, together with their IDs, in ascending (ObjectID, Name) order.
 func (p *Peer) ObjectsInRegion(r kautz.Region) []StoredObject {
-	var out []StoredObject
-	p.ScanRegionHinted(r, "", func(n int) {
-		if n > 0 {
-			out = make([]StoredObject, 0, n)
-		}
-	}, func(so StoredObject) bool {
-		out = append(out, so)
-		return true
-	})
-	return out
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	lo, hi := p.scanBounds(r, "")
+	if lo == hi {
+		return nil
+	}
+	return append([]StoredObject(nil), p.store[lo:hi]...)
 }
 
 // AllObjects returns every object stored on the peer in ascending

@@ -191,25 +191,33 @@ func TestPaginationOptionErrors(t *testing.T) {
 }
 
 // TestStreamLimit checks the streaming cap: the stream ends after exactly
-// Limit objects when more exist.
+// Limit objects when more exist, and they are the page Do returns — the
+// Limit smallest ObjectIDs, in order.
 func TestStreamLimit(t *testing.T) {
 	net := pagedNetwork(t, 1200)
 	q := NewRange([]Range{{Low: 0, High: 1000}}, WithLimit(25))
-	n := 0
-	for _, err := range net.Stream(context.Background(), q) {
+	var streamed []Object
+	for o, err := range net.Stream(context.Background(), q) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n++
-		if n > 25 {
+		streamed = append(streamed, o)
+		if len(streamed) > 25 {
 			break
 		}
 	}
-	if n != 25 {
-		t.Fatalf("stream yielded %d objects, want exactly the limit 25", n)
+	if len(streamed) != 25 {
+		t.Fatalf("stream yielded %d objects, want exactly the limit 25", len(streamed))
+	}
+	page, err := net.Do(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streamed, page.Objects) {
+		t.Fatal("a limited stream is not the page Do returns for the same query")
 	}
 	// Without a limit the same query streams far more.
-	n = 0
+	n := 0
 	for _, err := range net.Stream(context.Background(), NewRange([]Range{{Low: 0, High: 1000}})) {
 		if err != nil {
 			t.Fatal(err)
@@ -218,6 +226,116 @@ func TestStreamLimit(t *testing.T) {
 	}
 	if n <= 25 {
 		t.Fatalf("unlimited stream yielded only %d objects", n)
+	}
+}
+
+// TestPageCutOnRunBoundary pins the subtle cut of a page that scans only
+// what it returns: when the page ends exactly where one destination's run
+// ends, whether a next page exists is decided by probing the peers located
+// beyond it. If none of them holds an admitted object the cursor must be
+// empty (no phantom empty page), and one admitted object anywhere later
+// must make it non-empty — for PIRA and MIRA, with and without replication,
+// under every read policy.
+func TestPageCutOnRunBoundary(t *testing.T) {
+	ctx := context.Background()
+	for _, attrs := range []int{1, 2} {
+		for _, k := range []int{1, 2} {
+			for _, pol := range []ReadPolicy{ReadPrimary, ReadRoundRobin, ReadLeastLoaded} {
+				name := fmt.Sprintf("attrs=%d/k=%d/%v", attrs, k, pol)
+				spaces := []AttributeSpace{{Low: 0, High: 1000}, {Low: 0, High: 100}}[:attrs]
+				net, err := NewNetwork(90, WithSeed(23), WithAttributes(spaces...), WithReplication(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				// point places a value on attribute 0; further attributes sit
+				// inside the queried box unless it is a decoy.
+				point := func(v float64, decoy bool) []float64 {
+					p := []float64{v, 50}
+					if decoy {
+						p[1] = 90
+					}
+					return p[:attrs]
+				}
+				ranges := []Range{{Low: 100, High: 900}, {Low: 40, High: 60}}[:attrs]
+				for i := 0; i < 14; i++ {
+					if err := net.Publish(fmt.Sprintf("in-%02d", i), point(200+float64(i)*17, false)...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if attrs > 1 {
+					// In the query's Kautz region but outside its box: the probe
+					// must walk past them without calling them a next page.
+					for i := 0; i < 30; i++ {
+						if err := net.Publish(fmt.Sprintf("decoy-%02d", i), point(150+float64(i)*25, true)...); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				// Owners under ReadPrimary mark the run boundaries.
+				all, err := net.Do(ctx, NewRange(ranges, WithReadPolicy(ReadPrimary)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(all.Objects) != 14 {
+					t.Fatalf("%s: %d matches, want 14", name, len(all.Objects))
+				}
+				var cuts []int // lengths of the result's prefixes that end with a run
+				owners := map[string]bool{}
+				for i, o := range all.Objects {
+					owners[o.Peer] = true
+					if i+1 == len(all.Objects) || all.Objects[i+1].Peer != o.Peer {
+						cuts = append(cuts, i+1)
+					}
+				}
+				if len(cuts) < 3 || len(all.Destinations) <= len(owners) {
+					t.Fatalf("%s: %d runs on %d owners of %d destinations: no run boundary with empty peers beyond it", name, len(cuts), len(owners), len(all.Destinations))
+				}
+				page := func(limit int, offset string) *Result {
+					t.Helper()
+					res, err := net.Do(ctx, NewRange(ranges, WithReadPolicy(pol), WithLimit(limit), WithOffsetID(offset)))
+					if err != nil {
+						t.Fatalf("%s: limit %d after %q: %v", name, limit, offset, err)
+					}
+					return res
+				}
+				ids := func(objs []Object) (out []string) {
+					for _, o := range objs {
+						out = append(out, o.Name+"@"+o.ID)
+					}
+					return out
+				}
+				for _, cut := range cuts {
+					res := page(cut, "")
+					if !reflect.DeepEqual(ids(res.Objects), ids(all.Objects[:cut])) {
+						t.Fatalf("%s: page of %d is not the result's first %d objects", name, cut, cut)
+					}
+					want := all.Objects[cut-1].ID
+					if cut == len(all.Objects) {
+						want = "" // only empty and decoy-holding peers remain
+					}
+					if res.NextOffsetID != want {
+						t.Fatalf("%s: page ending on the run boundary at %d has cursor %q, want %q", name, cut, res.NextOffsetID, want)
+					}
+				}
+				// One admitted object far beyond the last run: the same page now
+				// has a successor, and the successor is exactly that object.
+				if err := net.Publish("late", point(880, false)...); err != nil {
+					t.Fatal(err)
+				}
+				res := page(14, "")
+				if res.NextOffsetID != all.Objects[13].ID {
+					t.Fatalf("%s: cursor %q after a later object was published, want %q", name, res.NextOffsetID, all.Objects[13].ID)
+				}
+				last := page(14, res.NextOffsetID)
+				if len(last.Objects) != 1 || last.Objects[0].Name != "late" || last.NextOffsetID != "" {
+					t.Fatalf("%s: following page = %v, cursor %q; want the one late object and no cursor", name, ids(last.Objects), last.NextOffsetID)
+				}
+				if err := net.Audit(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				net.Close()
+			}
+		}
 	}
 }
 

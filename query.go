@@ -118,9 +118,8 @@ type Query struct {
 	// Limit, when positive, paginates a range or flood query: the result
 	// carries at most Limit objects (extending through objects sharing the
 	// final ObjectID, so a page never splits an ID) and NextOffsetID holds
-	// the cursor for the following page. Destination peers then scan only
-	// O(log store + Limit) of their index instead of materializing the
-	// whole region.
+	// the cursor for the following page. A page scans O(Limit) objects in
+	// all, however many destination peers the query reaches.
 	Limit int
 	// OffsetID resumes a paginated query: only objects with ObjectID
 	// strictly greater than it match. Pass a previous Result's

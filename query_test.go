@@ -247,39 +247,102 @@ func TestConcurrentDo(t *testing.T) {
 	}
 }
 
-// Stream yields exactly Do's result set, in delivery order.
+// Stream yields exactly Do's result, in Do's order.
 func TestStreamMatchesDo(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts []Option
-	}{
-		{"sync", nil},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			net := buildQueryNet(t, 100, 300, mode.opts...)
-			q := NewRange([]Range{{Low: 100, High: 700}}, WithIssuer(net.PeerIDs()[1]))
-			res, err := net.Do(context.Background(), q)
+	net := buildQueryNet(t, 100, 300)
+	q := NewRange([]Range{{Low: 100, High: 700}}, WithIssuer(net.PeerIDs()[1]))
+	res, err := net.Do(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Object
+	for o, err := range net.Stream(context.Background(), q) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, o)
+	}
+	if !reflect.DeepEqual(got, res.Objects) {
+		t.Fatalf("stream yielded %d objects, Do returned %d — or in another order", len(got), len(res.Objects))
+	}
+}
+
+// TestResultDoesNotAliasStore pins the no-alias contract where results are
+// built: whatever surface returned them, a caller may overwrite every
+// Values slice of a result and neither the stores (re-queried, audited
+// across replicas) nor the other objects of the same result (which share
+// one backing array, each capped to its own length) notice.
+func TestResultDoesNotAliasStore(t *testing.T) {
+	net := buildQueryNet(t, 120, 600, WithReplication(2))
+	defer net.Close()
+	ctx := context.Background()
+	ranges := []Range{{Low: 200, High: 700}}
+	stream := func(q Query) (objs []Object) {
+		for o, err := range net.Stream(ctx, q) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make(map[string]bool, len(res.Objects))
-			for _, o := range res.Objects {
-				want[o.Name] = true
+			objs = append(objs, o)
+		}
+		return objs
+	}
+	do := func(q Query) []Object {
+		res, err := net.Do(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Objects
+	}
+	surfaces := []struct {
+		name string
+		run  func() []Object
+	}{
+		{"Do", func() []Object { return do(NewRange(ranges)) }},
+		{"Stream", func() []Object { return stream(NewRange(ranges)) }},
+		{"session page", func() []Object {
+			sess, err := net.OpenSession(NewRange(ranges), WithLimit(40))
+			if err != nil {
+				t.Fatal(err)
 			}
-			got := make(map[string]bool)
-			for o, err := range net.Stream(context.Background(), q) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got[o.Name] {
-					t.Fatalf("object %q streamed twice", o.Name)
-				}
-				got[o.Name] = true
+			defer sess.Close()
+			res, err := sess.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("stream yielded %d objects, Do returned %d", len(got), len(want))
+			return res.Objects
+		}},
+		{"lookup", func() []Object { return do(NewValueLookup([]float64{500})) }},
+		{"top-k", func() []Object { return do(NewRange(ranges, WithTopK(25))) }},
+	}
+	// Serving replicas rotate between runs; the contract is about values.
+	strip := func(objs []Object) []Object {
+		out := make([]Object, len(objs))
+		for i, o := range objs {
+			out[i] = Object{Name: o.Name, Values: append([]float64(nil), o.Values...), ID: o.ID}
+		}
+		return out
+	}
+	for _, sf := range surfaces {
+		first := sf.run()
+		if len(first) == 0 {
+			t.Fatalf("%s: empty result", sf.name)
+		}
+		want := strip(first)
+		for i := range first {
+			_ = append(first[i].Values, -1) // must not spill into the neighbour
+			if i+1 < len(first) && !reflect.DeepEqual(first[i+1].Values, want[i+1].Values) {
+				t.Fatalf("%s: appending to object %d's values overwrote object %d's", sf.name, i, i+1)
 			}
-		})
+			for j := range first[i].Values {
+				first[i].Values[j] = -1
+			}
+		}
+		if got := strip(sf.run()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: re-query differs after the first result's values were overwritten", sf.name)
+		}
+		if err := net.Audit(); err != nil {
+			t.Errorf("%s: audit after mutation: %v", sf.name, err)
+		}
 	}
 }
 

@@ -563,3 +563,62 @@ func TestSessionPageAllocsFlat(t *testing.T) {
 	}
 	t.Logf("allocations per page: %v", perPage)
 }
+
+// TestWalkCostNearDo bounds what paging costs over materialising: a session
+// walk returns the objects one Do returns, page by page, and a page scans
+// and copies only what it returns — so the whole walk may allocate at most
+// twice the bytes of the one-shot query (it pays the per-page fixed costs:
+// destination lists, result headers, the page's one-slot tie headroom).
+func TestWalkCostNearDo(t *testing.T) {
+	net, err := NewNetwork(500, WithSeed(117))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	pubs := make([]Publication, 30000)
+	for i := range pubs {
+		pubs[i] = Publication{Name: fmt.Sprintf("o%d", i), Values: []float64{float64(i) / 30}}
+	}
+	if err := net.PublishBatch(pubs); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := NewRange([]Range{{Low: 400, High: 460}}, WithIssuer(net.PeerIDs()[7]))
+	allocated := func(f func() int) (objects int, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		objects = f()
+		runtime.ReadMemStats(&after)
+		return objects, after.TotalAlloc - before.TotalAlloc
+	}
+	doObjects, doBytes := allocated(func() int {
+		res, err := net.Do(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Objects)
+	})
+	walkObjects, walkBytes := allocated(func() (n int) {
+		sess, err := net.OpenSession(q, WithLimit(256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		for sess.More() {
+			res, err := sess.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += len(res.Objects)
+		}
+		return n
+	})
+	if doObjects < 1500 || walkObjects != doObjects {
+		t.Fatalf("walk returned %d objects, Do %d (want equal, ≥ 1500)", walkObjects, doObjects)
+	}
+	if walkBytes > 2*doBytes {
+		t.Fatalf("a walk of %d objects allocated %d B, %.1f× the %d B of the materialising Do (limit 2×)",
+			walkObjects, walkBytes, float64(walkBytes)/float64(doBytes), doBytes)
+	}
+	t.Logf("%d objects: Do %d B, walk %d B (%.2f×)", doObjects, doBytes, walkBytes, float64(walkBytes)/float64(doBytes))
+}
