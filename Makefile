@@ -18,14 +18,15 @@ race:
 	$(GO) test -race ./...
 
 # Per-layer micro-benchmarks (ns/op, B/op, allocs/op): the pruning
-# predicates, the naming hash, one store scan, one descent step and whole
-# descents at 10k peers, the facade's allocation profiles and its range /
-# paged walk / top-k at the scan-wide shape. A macro regression bisects to
-# a layer here without a profiler.
+# predicates, the naming hash, one store scan, the topology's owner lookup,
+# join + leave and replica-group lookup at 10k peers, one descent step and
+# whole descents at 10k peers, the facade's allocation profiles and its
+# range / paged walk / top-k at the scan-wide shape. A macro regression
+# bisects to a layer here without a profiler.
 micro:
 	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem ./internal/kautz/
 	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem ./internal/naming/
-	$(GO) test -run '^$$' -bench 'ScanRegion' -benchmem ./internal/fissione/
+	$(GO) test -run '^$$' -bench 'ScanRegion|OwnerOf10k|JoinLeave10k|GroupPeers' -benchmem ./internal/fissione/
 	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'Alloc|Wide' -benchmem .
 
@@ -50,11 +51,17 @@ BENCH_micro.json:
 	$(MAKE) -s micro | python3 -c "$$MICRO_JSON" > $@
 
 # The CI fuzz leg: each target for 20 s on top of its committed seed corpus
-# (testdata/fuzz/) — the two differential pruning predicates, then the two
-# parsers of untrusted input (snapshot bytes, pagination cursors).
+# (testdata/fuzz/) — the two differential pruning predicates, the namespace
+# arithmetic under the descent and the topology (successor, first-symbol
+# split, common prefix), naming's order preservation, then the two parsers
+# of untrusted input (snapshot bytes, pagination cursors).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzContainsPrefix -fuzztime 20s ./internal/kautz/
+	$(GO) test -run '^$$' -fuzz FuzzSucc -fuzztime 20s ./internal/kautz/
+	$(GO) test -run '^$$' -fuzz FuzzSplitByFirstSymbol -fuzztime 20s ./internal/kautz/
+	$(GO) test -run '^$$' -fuzz FuzzCommonPrefix -fuzztime 20s ./internal/kautz/
 	$(GO) test -run '^$$' -fuzz FuzzIntersectsPrefix -fuzztime 20s ./internal/naming/
+	$(GO) test -run '^$$' -fuzz FuzzHashOrder -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzOffsetID -fuzztime 20s .
 

@@ -701,9 +701,9 @@ func (n *Network) learnShortcuts(owners []kautz.Str) {
 // network replicates.
 func (n *Network) learnShortcut(owner kautz.Str) {
 	var group []kautz.Str
-	if n.net.Replicas() > 1 {
+	if s, ok := n.net.Slot(owner); ok && n.net.Replicas() > 1 {
 		var buf [16]*fissione.Peer
-		peers := n.net.AppendGroupPeers(buf[:0], owner)
+		peers := n.net.AppendGroupPeers(buf[:0], s)
 		group = make([]kautz.Str, len(peers))
 		for i, p := range peers {
 			group[i] = p.ID()

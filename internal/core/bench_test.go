@@ -51,8 +51,9 @@ func BenchmarkStep(b *testing.B) {
 	st := eng.newState(QueryConfig{}, nil)
 	defer st.release()
 	// Descend a lookup to collect its forward messages, then replay them.
-	from, _ := eng.net.Peer(eng.net.PeerIDs()[0])
-	st.seed(from, kautz.Region{Low: oids[0], High: oids[0]})
+	issuer := eng.net.PeerIDs()[0]
+	from, _ := eng.net.Slot(issuer)
+	st.seed(from, issuer, kautz.Region{Low: oids[0], High: oids[0]})
 	var steps []msg
 	for st.head < len(st.queue) {
 		m := st.queue[st.head]

@@ -410,12 +410,17 @@ const (
 	msgDeliver
 )
 
-// msg is one overlay message in flight: a small value with the receiving
-// peer resolved when it was sent, so processing it needs no lookup, no
-// boxing and no allocation.
+// noSlot marks a msg whose serving replica is the delivery's to decide.
+const noSlot int32 = -1
+
+// msg is one overlay message in flight: an address pair and a region. Peers
+// are named by slot (fissione.Network.Slot), the address routing tables
+// hold, so a forward reads integers and the identifiers it compares from
+// one dense array; only a delivery turns a slot into a *Peer. Slots are
+// valid for the topology epoch the query runs in.
 type msg struct {
-	to      *fissione.Peer // receiver; the region's owner on deliveries
-	serving *fissione.Peer // shortcut routes only: the replica the issuer chose and addressed
+	to      int32 // receiver's slot; the region's owner on deliveries
+	serving int32 // shortcut routes: the replica the issuer chose and addressed; else noSlot
 	region  kautz.Region
 	h       int32 // msgForward only: hops left to the destination level
 	depth   int32 // hops from the issuer; the issuer's own seeds are at 0
@@ -615,7 +620,7 @@ func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, objectID kaut
 // non-nil. A shortcut route in cfg is tried first and costs nothing when
 // the live topology refuses it. flood disables the pruning (see FloodQuery).
 func (e *Engine) descend(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig, flood bool) (*RangeResult, error) {
-	from, ok := e.net.Peer(issuer)
+	from, ok := e.net.Slot(issuer)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
@@ -623,11 +628,11 @@ func (e *Engine) descend(ctx context.Context, issuer kautz.Str, region kautz.Reg
 	defer st.release()
 	st.flood = flood
 	if !flood && e.seedFromShortcut(st, region) {
-		return e.finishSeeded(ctx, st, from, HopShortcut)
+		return e.finishSeeded(ctx, st, issuer, HopShortcut)
 	}
 	parts := region.SplitByFirstSymbol()
 	for _, part := range parts {
-		st.seed(from, part)
+		st.seed(from, issuer, part)
 	}
 	if err := e.pump(ctx, st); err != nil {
 		return nil, err
@@ -646,20 +651,19 @@ func (e *Engine) descend(ctx context.Context, issuer kautz.Str, region kautz.Reg
 // local computation at the issuer (depth 0), as many levels above the
 // subregion's destination level as the issuer's identifier does not
 // already overlap the subregion's common prefix.
-func (st *queryState) seed(issuer *fissione.Peer, part kautz.Region) {
-	id := issuer.ID()
+func (st *queryState) seed(issuer int32, id kautz.Str, part kautz.Region) {
 	h := len(id) - kautz.OverlapSuffixPrefix(id, part.CommonPrefix())
 	st.queue = append(st.queue, descentMsg(issuer, part, h, 0))
 }
 
-// descentMsg is the descent message that reaches peer to with h levels
+// descentMsg is the descent message that reaches slot to with h levels
 // still to go: a forward above the destination level, a delivery at it.
-func descentMsg(to *fissione.Peer, region kautz.Region, h int, depth int32) msg {
+func descentMsg(to int32, region kautz.Region, h int, depth int32) msg {
 	kind := msgForward
 	if h == 0 {
 		kind = msgDeliver
 	}
-	return msg{kind: kind, to: to, region: region, h: int32(h), depth: depth}
+	return msg{kind: kind, to: to, serving: noSlot, region: region, h: int32(h), depth: depth}
 }
 
 // pump drains the state's queue breadth-first: messages at equal depth are
@@ -695,7 +699,7 @@ func (e *Engine) pump(ctx context.Context, st *queryState) error {
 			// A flood reaches every peer of the level; deliver only where
 			// the region predicate holds, so results and destination
 			// counts stay comparable with the pruned descent.
-			if !st.flood || m.region.ContainsPrefix(m.to.ID()) {
+			if !st.flood || m.region.ContainsPrefix(e.net.IDAt(m.to)) {
 				e.deliver(st, m)
 			}
 		}
@@ -707,12 +711,15 @@ func (e *Engine) pump(ctx context.Context, st *queryState) error {
 // forward processes one descent message at a peer above the destination
 // level, queueing a copy for every out-neighbor that can still reach a
 // target: the child's eventual prefix at the destination level must lie in
-// the region and, for MIRA, its subspace must meet the box.
+// the region and, for MIRA, its subspace must meet the box. Every table
+// entry is a live slot (fissione's Audit checks it where tables are
+// written), so a surviving child is queued as read.
 func (e *Engine) forward(st *queryState, m msg) {
 	h := int(m.h) - 1 // levels left once a child holds the message
-	for _, c := range m.to.Out() {
+	for _, c := range e.net.Out(m.to) {
+		id := e.net.IDAt(c)
 		if !st.flood {
-			ep := c.Drop(h) // the child's eventual prefix at the destination level
+			ep := id.Drop(h) // the child's eventual prefix at the destination level
 			if !m.region.ContainsPrefix(ep) {
 				continue
 			}
@@ -720,14 +727,10 @@ func (e *Engine) forward(st *queryState, m msg) {
 				continue
 			}
 		}
-		child, ok := e.net.Peer(c)
-		if !ok {
-			continue // unreachable: routing tables name live peers
-		}
 		if st.cfg.Trace != nil {
-			st.cfg.Trace(HopForward, m.to.ID(), c, int(m.depth), h)
+			st.cfg.Trace(HopForward, e.net.IDAt(m.to), id, int(m.depth), h)
 		}
-		st.queue = append(st.queue, descentMsg(child, m.region, h, m.depth+1))
+		st.queue = append(st.queue, descentMsg(c, m.region, h, m.depth+1))
 	}
 }
 
@@ -746,14 +749,14 @@ func (e *Engine) prefixIntersectsBox(prefix kautz.Str, box naming.Box) bool {
 // queued at depth 1 — and assembles its result. Every send is a real
 // overlay message, counted and traced like any descent forward; Delay is
 // the single fan-out hop and Subregions is 0 (nothing was split).
-func (e *Engine) finishSeeded(ctx context.Context, st *queryState, issuer *fissione.Peer, kind HopKind) (*RangeResult, error) {
+func (e *Engine) finishSeeded(ctx context.Context, st *queryState, issuer kautz.Str, kind HopKind) (*RangeResult, error) {
 	if st.cfg.Trace != nil && (ctx == nil || ctx.Err() == nil) {
 		for _, m := range st.queue {
 			to := m.to
-			if m.serving != nil {
+			if m.serving != noSlot {
 				to = m.serving
 			}
-			st.cfg.Trace(kind, issuer.ID(), to.ID(), 0, 0)
+			st.cfg.Trace(kind, issuer, e.net.IDAt(to), 0, 0)
 		}
 	}
 	if err := e.pump(ctx, st); err != nil {
@@ -807,14 +810,16 @@ func clipToOwn(r kautz.Region, id kautz.Str) (kautz.Region, bool) {
 // except on a shortcut route, where the issuer already chose the replica,
 // clipped the region and addressed it directly.
 func (e *Engine) deliver(st *queryState, m msg) {
-	owner, depth := m.to, int(m.depth)
+	owner, depth := e.net.PeerAt(m.to), int(m.depth)
 	// Load accounting: one delivery addressed to this owner's region,
 	// whichever replica ends up serving the scan — ownership is what the
 	// load controller splits and migrates.
 	owner.NoteDelivery()
-	serving, scan, ok := m.serving, m.region, true
-	if m.serving == nil {
-		serving, scan, ok = e.serveTarget(owner, m.region, st.cfg.Policy)
+	serving, scan, ok := owner, m.region, true
+	if m.serving != noSlot {
+		serving = e.net.PeerAt(m.serving)
+	} else {
+		serving, scan, ok = e.serveTarget(m.to, m.region, st.cfg.Policy)
 	}
 	if ok && e.net.Replicas() > 1 {
 		serving.NoteServed()
@@ -844,7 +849,7 @@ func (e *Engine) deliver(st *queryState, m msg) {
 	}
 	if serving != owner {
 		st.replicaServed++
-		if m.serving == nil {
+		if m.serving == noSlot {
 			st.redirectMsgs++
 			st.redirectDepth = max(st.redirectDepth, depth+1)
 		}
@@ -858,28 +863,29 @@ func (e *Engine) deliver(st *queryState, m msg) {
 // region: an unreplicated owner stores nothing outside its own region, so
 // the results are identical and the clip is skipped. ok is false when the
 // clipped region is empty.
-func (e *Engine) serveTarget(owner *fissione.Peer, region kautz.Region, pol ReadPolicy) (serving *fissione.Peer, scan kautz.Region, ok bool) {
+func (e *Engine) serveTarget(owner int32, region kautz.Region, pol ReadPolicy) (serving *fissione.Peer, scan kautz.Region, ok bool) {
 	if e.net.Replicas() == 1 {
-		return owner, region, true
+		return e.net.PeerAt(owner), region, true
 	}
-	scan, ok = clipToOwn(region, owner.ID())
+	scan, ok = clipToOwn(region, e.net.IDAt(owner))
 	if !ok || pol == ReadPrimary {
-		return owner, scan, ok
+		return e.net.PeerAt(owner), scan, ok
 	}
 	var buf [16]*fissione.Peer // replication degrees are small; avoids a heap group slice per delivery
-	return e.choose(e.net.AppendGroupPeers(buf[:0], owner.ID()), pol), scan, true
+	group := e.net.AppendGroupPeers(buf[:0], owner)
+	return group[e.choose(group, pol)], scan, true
 }
 
-// choose applies a read policy to a replica group (owner first).
-func (e *Engine) choose(group []*fissione.Peer, pol ReadPolicy) *fissione.Peer {
-	serving := group[0]
+// choose applies a read policy to a replica group (owner first), returning
+// the serving member's index.
+func (e *Engine) choose(group []*fissione.Peer, pol ReadPolicy) (serving int) {
 	switch pol {
 	case ReadRoundRobin:
-		serving = group[e.rr.Add(1)%uint64(len(group))]
+		serving = int(e.rr.Add(1) % uint64(len(group)))
 	case ReadLeastLoaded:
-		for _, p := range group[1:] {
-			if p.ServedReads() < serving.ServedReads() {
-				serving = p
+		for i, p := range group {
+			if p.ServedReads() < group[serving].ServedReads() {
+				serving = i
 			}
 		}
 	}

@@ -48,7 +48,7 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 	if err != nil {
 		return nil, err
 	}
-	from, ok := e.net.Peer(issuer)
+	from, ok := e.net.Slot(issuer)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
@@ -64,7 +64,7 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 	top := selection{k: k}
 	ran, found, scanned := 0, 0, 0
 	for i := len(parts) - 1; i >= 0 && found < k; i-- {
-		st.seed(from, parts[i])
+		st.seed(from, issuer, parts[i])
 		if err := e.pump(ctx, st); err != nil {
 			return nil, err
 		}

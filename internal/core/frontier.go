@@ -154,8 +154,7 @@ func (e *Engine) frontierUsable(f *Frontier, region kautz.Region, lo, hi []float
 // redirects), Delay is the single fan-out hop, Subregions is 0 (nothing
 // was split) and DescentsSaved is 1.
 func (e *Engine) seedFromFrontier(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig) (*RangeResult, error) {
-	from, ok := e.net.Peer(issuer)
-	if !ok {
+	if _, ok := e.net.Slot(issuer); !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
 	st := e.newState(cfg, box)
@@ -166,9 +165,9 @@ func (e *Engine) seedFromFrontier(ctx context.Context, issuer kautz.Str, region 
 			continue
 		}
 		// The epoch check froze the peer set, so every captured owner is live.
-		if owner, ok := e.net.Peer(en.Peer); ok {
-			st.queue = append(st.queue, msg{kind: msgDeliver, to: owner, region: r, depth: 1})
+		if owner, ok := e.net.Slot(en.Peer); ok {
+			st.queue = append(st.queue, msg{kind: msgDeliver, to: owner, serving: noSlot, region: r, depth: 1})
 		}
 	}
-	return e.finishSeeded(ctx, st, from, HopSeed)
+	return e.finishSeeded(ctx, st, issuer, HopSeed)
 }

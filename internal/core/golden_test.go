@@ -233,7 +233,8 @@ func learnedRoute(net *fissione.Network, dests []kautz.Str) ShortcutRoute {
 	for i, d := range dests {
 		r.Targets[i] = ShortcutTarget{Owner: d}
 		if net.Replicas() > 1 {
-			for _, p := range net.AppendGroupPeers(buf[:0], d) {
+			owner, _ := net.Slot(d)
+			for _, p := range net.AppendGroupPeers(buf[:0], owner) {
 				r.Targets[i].Group = append(r.Targets[i].Group, p.ID())
 			}
 		}
@@ -245,8 +246,13 @@ func learnedRoute(net *fissione.Network, dests []kautz.Str) ShortcutRoute {
 // read policy.
 func goldenSuite(t *testing.T, recs *[]goldenRecord, name string, attrs, replicas int, pol ReadPolicy, seed int64) {
 	t.Helper()
-	w := buildGoldenWorld(t, attrs, replicas, 220, 1400, seed)
-	net := w.eng.Network()
+	goldenMix(t, recs, name, buildGoldenWorld(t, attrs, replicas, 220, 1400, seed), pol, seed)
+}
+
+// goldenMix runs the full query mix against a world under one read policy.
+func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, pol ReadPolicy, seed int64) {
+	t.Helper()
+	net, attrs := w.eng.Network(), w.tree.Attrs()
 	g := &goldenRun{t: t, eng: w.eng, name: name, recs: recs}
 	rng := rand.New(rand.NewSource(seed * 31))
 	var base []QueryOption

@@ -66,7 +66,7 @@ func (e *Engine) seedFromShortcut(st *queryState, region kautz.Region) bool {
 	}
 	cur := region.Low
 	for _, t := range st.cfg.Shortcut.Targets {
-		owner, ok := e.net.Peer(t.Owner)
+		owner, ok := e.net.Slot(t.Owner)
 		if !ok || !cur.HasPrefix(t.Owner) {
 			break // unknown owner, or the learned cover no longer tiles the region contiguously
 		}
@@ -101,18 +101,21 @@ func (e *Engine) seedFromShortcut(st *queryState, region kautz.Region) bool {
 // the same choice at delivery; see serveTarget). It falls back to the owner
 // whenever the group cannot be resolved — unreplicated networks,
 // ReadPrimary, or a learned member that no longer exists.
-func (e *Engine) pickServing(owner *fissione.Peer, group []kautz.Str, pol ReadPolicy) *fissione.Peer {
+func (e *Engine) pickServing(owner int32, group []kautz.Str, pol ReadPolicy) int32 {
 	if e.net.Replicas() == 1 || pol == ReadPrimary || len(group) < 2 {
 		return owner
 	}
-	var buf [16]*fissione.Peer
-	peers := buf[:0]
+	var (
+		slotBuf [16]int32
+		peerBuf [16]*fissione.Peer
+	)
+	slots, peers := slotBuf[:0], peerBuf[:0]
 	for _, id := range group {
-		p, ok := e.net.Peer(id)
+		s, ok := e.net.Slot(id)
 		if !ok {
 			return owner
 		}
-		peers = append(peers, p)
+		slots, peers = append(slots, s), append(peers, e.net.PeerAt(s))
 	}
-	return e.choose(peers, pol)
+	return slots[e.choose(peers, pol)]
 }

@@ -221,7 +221,8 @@ func TestShortcutReplicaServedWithoutRedirect(t *testing.T) {
 	route := ShortcutRoute{Targets: make([]ShortcutTarget, len(fresh.Destinations))}
 	var buf [16]*fissione.Peer
 	for i, d := range fresh.Destinations {
-		group := net.AppendGroupPeers(buf[:0], d)
+		owner, _ := net.Slot(d)
+		group := net.AppendGroupPeers(buf[:0], owner)
 		ids := make([]kautz.Str, len(group))
 		for j, p := range group {
 			ids[j] = p.ID()

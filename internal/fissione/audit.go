@@ -1,9 +1,10 @@
 package fissione
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"armada/internal/kautz"
 )
@@ -20,17 +21,12 @@ type IDLengthStats struct {
 func (n *Network) IDLengths() IDLengthStats {
 	s := IDLengthStats{Min: math.MaxInt}
 	total := 0
-	for _, id := range n.ids {
-		l := len(id)
+	for _, slot := range n.order {
+		l := len(n.nodes[slot].id)
 		total += l
-		if l < s.Min {
-			s.Min = l
-		}
-		if l > s.Max {
-			s.Max = l
-		}
+		s.Min, s.Max = min(s.Min, l), max(s.Max, l)
 	}
-	s.Avg = float64(total) / float64(len(n.ids))
+	s.Avg = float64(total) / float64(len(n.order))
 	return s
 }
 
@@ -38,20 +34,61 @@ func (n *Network) IDLengths() IDLengthStats {
 // degree is 4 (2 out + 2 in on average; out-degree alone averages 2).
 func (n *Network) AvgOutDegree() float64 {
 	total := 0
-	for _, id := range n.ids {
-		total += n.peers[id].Degree()
+	for _, s := range n.order {
+		total += len(n.Out(s))
 	}
-	return float64(total) / float64(len(n.ids))
+	return float64(total) / float64(len(n.order))
 }
 
 // AvgDegree returns the mean total degree (in + out) across peers.
 func (n *Network) AvgDegree() float64 {
 	total := 0
-	for _, id := range n.ids {
-		p := n.peers[id]
-		total += len(p.nbr)
+	for _, s := range n.order {
+		total += len(n.neighbors(s))
 	}
-	return float64(total) / float64(len(n.ids))
+	return float64(total) / float64(len(n.order))
+}
+
+// CheckSlots verifies the slot bookkeeping every other structure is
+// addressed through: the live slots in order and the free list partition
+// the node array; order ascends strictly by identifier; each live node
+// holds a peer of the same name, records its position in order and is what
+// the name map resolves that name to; a free node is zero.
+func (n *Network) CheckSlots() error {
+	if len(n.order)+len(n.free) != len(n.nodes) || len(n.byName) != len(n.order) {
+		return fmt.Errorf("%w: %d slots hold %d live + %d free peers under %d names",
+			ErrCorrupt, len(n.nodes), len(n.order), len(n.free), len(n.byName))
+	}
+	seen := make([]bool, len(n.nodes))
+	claim := func(s int32, live bool) error {
+		if s < 0 || int(s) >= len(seen) || seen[s] || (n.nodes[s].peer != nil) != live {
+			return fmt.Errorf("%w: slot %d is out of range, listed twice, or listed live=%t against its peer", ErrCorrupt, s, live)
+		}
+		seen[s] = true
+		return nil
+	}
+	for i, s := range n.order {
+		if err := claim(s, true); err != nil {
+			return err
+		}
+		nd := &n.nodes[s]
+		if at, ok := n.byName[nd.id]; nd.peer.id != nd.id || nd.pos != int32(i) || !ok || at != s {
+			return fmt.Errorf("%w: slot %d (%q) at position %d: peer is %q, pos %d, name map says slot %d (%t)",
+				ErrCorrupt, s, nd.id, i, nd.peer.id, nd.pos, at, ok)
+		}
+		if i > 0 && n.nodes[n.order[i-1]].id >= nd.id {
+			return fmt.Errorf("%w: order not ascending at position %d: %q after %q", ErrCorrupt, i, nd.id, n.nodes[n.order[i-1]].id)
+		}
+	}
+	for _, s := range n.free {
+		if err := claim(s, false); err != nil {
+			return err
+		}
+		if n.nodes[s] != (node{}) {
+			return fmt.Errorf("%w: free slot %d still holds %+v", ErrCorrupt, s, n.nodes[s])
+		}
+	}
+	return nil
 }
 
 // CheckCover verifies that the peer identifiers form a prefix-free exact
@@ -88,55 +125,60 @@ func (n *Network) CheckCover() error {
 // CheckInvariant verifies the neighborhood invariant: the identifier
 // lengths of any pair of neighboring peers differ by at most one.
 func (n *Network) CheckInvariant() error {
-	for _, id := range n.ids {
-		if err := n.checkPeerInvariant(id); err != nil {
+	for _, s := range n.order {
+		if err := n.checkPeerInvariant(s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkPeerInvariant verifies the neighborhood invariant at one peer.
-func (n *Network) checkPeerInvariant(id kautz.Str) error {
-	p := n.peers[id]
-	for _, lists := range [2][]kautz.Str{p.Out(), p.In()} {
-		for _, nb := range lists {
-			if d := len(id) - len(nb); d > 1 || d < -1 {
-				return fmt.Errorf("fissione: neighborhood invariant violated: |%q|-|%q| = %d", id, nb, d)
-			}
+// checkPeerInvariant verifies the neighborhood invariant at one slot, whose
+// table checkPeerTables has vouched for.
+func (n *Network) checkPeerInvariant(s int32) error {
+	for _, nb := range n.neighbors(s) {
+		if d := len(n.nodes[s].id) - len(n.nodes[nb].id); d > 1 || d < -1 {
+			return fmt.Errorf("fissione: neighborhood invariant violated: |%q|-|%q| = %d", n.nodes[s].id, n.nodes[nb].id, d)
 		}
 	}
 	return nil
 }
 
-// CheckTables verifies that every peer's stored routing table matches the
-// tables derived from the current cover, and that in/out lists are duals.
+// CheckTables verifies that every peer's stored routing table names live
+// slots only, matches the tables derived from the current cover, and that
+// in/out lists are duals.
 func (n *Network) CheckTables() error {
-	for _, id := range n.ids {
-		if err := n.checkPeerTables(id); err != nil {
+	for _, s := range n.order {
+		if err := n.checkPeerTables(s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkPeerTables verifies one peer's stored routing table against the
-// derived one and the in/out duality of its out-edges.
-func (n *Network) checkPeerTables(id kautz.Str) error {
-	p := n.peers[id]
-	if !equalIDs(p.Out(), n.computeOut(id)) {
-		return fmt.Errorf("fissione: stale out-table at %q: have %v, want %v", id, p.Out(), n.computeOut(id))
-	}
-	if !equalIDs(p.In(), n.computeIn(id)) {
-		return fmt.Errorf("fissione: stale in-table at %q: have %v, want %v", id, p.In(), n.computeIn(id))
-	}
-	for _, nb := range p.Out() {
-		q, ok := n.peers[nb]
-		if !ok {
-			return fmt.Errorf("fissione: %q lists missing out-neighbor %q", id, nb)
+// checkPeerTables verifies one slot's stored routing table: every entry is
+// a live slot — the invariant that lets a query hop follow an entry without
+// a liveness test — each list ascends by identifier and equals the derived
+// one, and every out-edge is mirrored in its target's in-list.
+func (n *Network) checkPeerTables(s int32) error {
+	id := n.nodes[s].id
+	for _, nb := range n.neighbors(s) {
+		if nb < 0 || int(nb) >= len(n.nodes) || n.nodes[nb].peer == nil {
+			return fmt.Errorf("fissione: table of %q names slot %d, which holds no peer", id, nb)
 		}
-		if !containsID(q.In(), id) {
-			return fmt.Errorf("fissione: %q -> %q edge not mirrored in in-table", id, nb)
+	}
+	byID := func(a, b int32) int { return cmp.Compare(n.nodes[a].id, n.nodes[b].id) }
+	for _, l := range [2]struct {
+		name       string
+		have, want []int32
+	}{{"out", n.Out(s), n.appendOut(nil, s)}, {"in", n.In(s), n.appendIn(nil, s)}} {
+		if !slices.Equal(l.have, l.want) || !slices.IsSortedFunc(l.have, byID) {
+			return fmt.Errorf("fissione: stale %s-table at %q: have %v, want %v", l.name, id, n.IDs(l.have), n.IDs(l.want))
+		}
+	}
+	for _, nb := range n.Out(s) {
+		if !slices.Contains(n.In(nb), s) {
+			return fmt.Errorf("fissione: %q -> %q edge not mirrored in in-table", id, n.nodes[nb].id)
 		}
 	}
 	return nil
@@ -145,51 +187,39 @@ func (n *Network) checkPeerTables(id kautz.Str) error {
 // Audit runs every structural check; with a replication degree above 1 it
 // also verifies byte-for-byte replica-set consistency (CheckReplicas).
 func (n *Network) Audit() error {
-	if err := n.CheckCover(); err != nil {
-		return err
-	}
-	if err := n.CheckInvariant(); err != nil {
-		return err
-	}
-	if err := n.CheckTables(); err != nil {
-		return err
-	}
-	if n.replicas > 1 {
-		return n.CheckReplicas()
-	}
-	return nil
+	return n.AuditSampled(0)
 }
 
 // AuditSampled runs the structural checks on a deterministic evenly-spaced
 // sample of roughly the given number of peers instead of all of them. The
-// cover check still runs in full — it is a single O(N) pass and global by
-// nature — while the per-peer invariant, table and replica checks are
-// sampled. A sample of zero or at least the network size degenerates to
-// the full Audit. The sample is deterministic (every ceil(N/sample)-th
-// identifier in sorted order), so repeated audits of an unchanged network
-// check the same peers.
+// slot and cover checks still run in full — each is a single O(N) pass and
+// global by nature — while the per-peer table, invariant and replica checks
+// are sampled. A sample of zero or at least the network size is the full
+// Audit. The sample is deterministic (every ceil(N/sample)-th identifier in
+// sorted order), so repeated audits of an unchanged network check the same
+// peers.
 func (n *Network) AuditSampled(sample int) error {
-	if sample <= 0 || sample >= len(n.ids) {
-		return n.Audit()
+	if err := n.CheckSlots(); err != nil {
+		return err
 	}
 	if err := n.CheckCover(); err != nil {
 		return err
 	}
-	stride := (len(n.ids) + sample - 1) / sample
-	for i := 0; i < len(n.ids); i += stride {
-		id := n.ids[i]
-		if err := n.checkPeerInvariant(id); err != nil {
+	stride := 1
+	if sample > 0 && sample < len(n.order) {
+		stride = (len(n.order) + sample - 1) / sample
+	}
+	for i := 0; i < len(n.order); i += stride {
+		if err := n.checkPeerTables(n.order[i]); err != nil {
 			return err
 		}
-		if err := n.checkPeerTables(id); err != nil {
+		if err := n.checkPeerInvariant(n.order[i]); err != nil {
 			return err
 		}
 	}
-	if n.replicas > 1 {
-		for i := 0; i < len(n.ids); i += stride {
-			if err := n.checkReplicaRegion(n.ids[i]); err != nil {
-				return err
-			}
+	for i := 0; n.replicas > 1 && i < len(n.order); i += stride {
+		if err := n.checkReplicaRegion(i); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -200,32 +230,10 @@ func (n *Network) AuditSampled(sample int) error {
 // destination set ("Destpeers") used to validate query engines.
 func (n *Network) PeersIntersectingRegion(r kautz.Region) []kautz.Str {
 	var out []kautz.Str
-	for _, id := range n.ids {
-		if r.ContainsPrefix(id) {
+	for _, s := range n.order {
+		if id := n.nodes[s].id; r.ContainsPrefix(id) {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func equalIDs(a, b []kautz.Str) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsID(list []kautz.Str, id kautz.Str) bool {
-	for _, x := range list {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }

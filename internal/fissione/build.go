@@ -1,10 +1,13 @@
 package fissione
 
 import (
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -13,23 +16,23 @@ import (
 
 // Batch construction.
 //
-// Growing a network by sequential Join calls maintains the sorted
-// identifier index and repairs routing tables after every single split.
-// The index maintenance is an O(N) memmove per join — O(N²) for a build —
-// and the per-split table refreshes serialize on one goroutine. GrowBatch
-// runs the exact same join decision sequence (one kautz.Random draw, owner
-// lookup, walk to a local length minimum, split) but defers all derived
-// state: the identifier index is rebuilt with one sort at the end, and
+// Growing a network by sequential Join calls maintains the trie order and
+// repairs routing tables after every single split. The order maintenance
+// is an O(N) memmove per join — O(N²) for a build — and the per-split table
+// refreshes serialize on one goroutine. GrowBatch runs the exact same join
+// decision sequence (one kautz.Random draw, owner lookup, walk to a local
+// length minimum, split) but defers all derived state: the trie order is
+// rebuilt with one sort at the end, and
 // every routing table is recomputed once, in parallel, from the final
 // cover. Because the walk consults tables derived from the live cover —
 // which equal the incrementally-maintained ones at every step — the batch
-// build is byte-identical to the sequential one (pinned by
-// TestBatchBuildMatchesSequential).
+// build is byte-identical to the sequential one, slot numbering included
+// (pinned by TestBatchBuildMatchesSequential).
 
 // GrowBatch performs count random joins through the batch-construction
 // path. It requires a replication degree of 1 (builds run before
 // SetReplicas); on a replicated network it falls back to sequential Grow,
-// whose per-split repair bookkeeping needs the live identifier index.
+// whose per-split repair bookkeeping needs the live trie order.
 func (n *Network) GrowBatch(count int) error {
 	if count <= 0 {
 		return nil
@@ -37,18 +40,19 @@ func (n *Network) GrowBatch(count int) error {
 	if n.replicas != 1 {
 		return n.Grow(count)
 	}
+	n.nodes = slices.Grow(n.nodes, max(0, count-len(n.free)))
 	var done uint64
 	var err error
 	for i := 0; i < count; i++ {
 		target := kautz.Random(n.rng, n.k)
 		n.joins++
-		owner, oerr := n.OwnerOf(target)
+		owner, oerr := n.ownerSlot(target)
 		if oerr != nil {
 			err = fmt.Errorf("batch join %d: %w", i, oerr)
 			break
 		}
-		victim := n.walkToLocalMinLive(owner)
-		if serr := n.splitDeferred(victim); serr != nil {
+		// divide is split without the derived state this path defers.
+		if _, serr := n.divide(n.walkToLocalMin(owner, true)); serr != nil {
 			err = fmt.Errorf("batch join %d: %w", i, serr)
 			break
 		}
@@ -57,180 +61,93 @@ func (n *Network) GrowBatch(count int) error {
 	// Finalize even on error so the network stays audit-consistent: the
 	// cover itself is never corrupted by a failed split attempt.
 	n.rebuildIndex()
-	n.refreshAllParallel()
+	rerr := n.refreshAllParallel()
 	n.epoch.Add(done)
-	return err
+	return cmp.Or(err, rerr)
 }
 
-// walkToLocalMinLive is walkToLocalMin with neighbor lists derived from the
-// live cover instead of the stored tables (which the batch path leaves
-// stale until the final rebuild). During a build the stored tables are
-// always fresh, so both walks see identical neighbor sets and make
-// identical moves.
-func (n *Network) walkToLocalMinLive(start kautz.Str) kautz.Str {
-	cur := start
-	for {
-		best := cur
-		for _, lists := range [2][]kautz.Str{n.computeOut(cur), n.computeIn(cur)} {
-			for _, nb := range lists {
-				if len(nb) < len(best) || (len(nb) == len(best) && nb < best) {
-					best = nb
-				}
-			}
-		}
-		if len(best) >= len(cur) {
-			return cur
-		}
-		cur = best
-	}
-}
-
-// splitDeferred is split without the derived-state maintenance the batch
-// path defers: no identifier-index update, no table refresh, no replica
-// repair and no epoch bump (GrowBatch advances the epoch once at the end).
-func (n *Network) splitDeferred(id kautz.Str) error {
-	p, ok := n.peers[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchPeer, id)
-	}
-	if len(id)+1 >= n.k {
-		return fmt.Errorf("fissione: cannot split %q: identifier would reach ObjectID length %d", id, n.k)
-	}
-	ext := kautz.Extensions(id)
-	lower, upper := id+kautz.Str(ext[0]), id+kautz.Str(ext[1])
-
-	delete(n.peers, id)
-	p.id = lower
-	n.peers[lower] = p
-
-	np := newPeer(upper)
-	n.peers[upper] = np
-	p.moveObjectsWithPrefix(upper, np)
-	return nil
-}
-
-// rebuildIndex reconstitutes the sorted identifier index from the peers
-// map with one sort, then compacts every identifier's bytes into a single
-// blob: each peer's id, its map key, its index entry and (after the table
-// rebuild) every neighbor-list mention all alias one backing array, so the
+// rebuildIndex reconstitutes the trie order from the live slots with one
+// sort, then compacts every identifier's bytes into a single blob: each
+// peer's id, its node's and its map key all alias one backing array, so the
 // per-identifier allocator rounding the incremental path pays disappears.
 func (n *Network) rebuildIndex() {
-	ids := make([]kautz.Str, 0, len(n.peers))
-	total := 0
-	for _, p := range n.peers {
-		ids = append(ids, p.id)
-		total += len(p.id)
+	order, total := make([]int32, 0, len(n.byName)), 0
+	for s := range n.nodes {
+		if nd := &n.nodes[s]; nd.peer != nil {
+			order, total = append(order, int32(s)), total+len(nd.id)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(n.nodes[a].id, n.nodes[b].id) })
 
 	var blob strings.Builder
 	blob.Grow(total)
-	for _, id := range ids {
-		blob.WriteString(string(id))
+	for _, s := range order {
+		blob.WriteString(string(n.nodes[s].id))
 	}
-	packed := blob.String()
+	packed := kautz.Str(blob.String())
 
-	peers := make(map[kautz.Str]*Peer, len(ids))
-	off := 0
-	for i, id := range ids {
-		c := kautz.Str(packed[off : off+len(id)])
-		off += len(id)
-		p := n.peers[id]
-		p.id = c
-		ids[i] = c
-		peers[c] = p
+	n.byName = make(map[kautz.Str]int32, len(order))
+	for i, s := range order {
+		nd := &n.nodes[s]
+		id := packed[:len(nd.id)]
+		packed = packed[len(id):]
+		nd.id, nd.peer.id, nd.pos, n.byName[id] = id, id, int32(i), s
 	}
-	n.peers = peers
-	n.ids = ids
+	n.order = order
 }
 
 // refreshAllParallel recomputes every peer's routing table from the
-// current cover, sharding the identifier index across GOMAXPROCS
-// goroutines. Derivation only reads the peers map and writes the shard's
-// own peers, so shards are independent.
-func (n *Network) refreshAllParallel() {
-	// Each shard derives its peers' tables into scratch first, then packs
-	// them into one exact-sized arena: the scratch is garbage after the
-	// pass, and the surviving routing state is a handful of allocations
-	// for the whole network instead of one (rounded-up) allocation per
-	// peer.
-	shard := func(ids []kautz.Str) {
-		type tbl struct {
-			nbr    []kautz.Str
-			outLen int32
-		}
-		tmp := make([]tbl, len(ids))
-		total := 0
-		for i, id := range ids {
-			out := n.computeOut(id)
-			in := n.computeIn(id)
-			nbr := make([]kautz.Str, len(out)+len(in))
-			for j, o := range out {
-				nbr[j] = n.canon(o)
-			}
-			for j, o := range in {
-				nbr[len(out)+j] = n.canon(o)
-			}
-			tmp[i] = tbl{nbr, int32(len(out))}
-			total += len(nbr)
-		}
-		arena := make([]kautz.Str, 0, total)
-		for i, id := range ids {
-			base := len(arena)
-			arena = append(arena, tmp[i].nbr...)
-			n.peers[id].setTables(arena[base:len(arena):len(arena)], int(tmp[i].outLen))
-		}
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(n.ids)/64 {
-		workers = max(1, len(n.ids)/64)
-	}
-	if workers <= 1 {
-		shard(n.ids)
-		return
-	}
+// current cover, sharding the trie order across GOMAXPROCS goroutines.
+// Derivation only reads the cover and writes the shard's own nodes' tables,
+// so shards are independent. It returns the shards' first errors joined.
+func (n *Network) refreshAllParallel() error {
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(n.order)/64))
+	chunk := (len(n.order) + workers - 1) / workers
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	chunk := (len(n.ids) + workers - 1) / workers
-	for lo := 0; lo < len(n.ids); lo += chunk {
-		hi := min(lo+chunk, len(n.ids))
+	for w := 0; w*chunk < len(n.order); w++ {
 		wg.Add(1)
-		go func(ids []kautz.Str) {
+		go func() {
 			defer wg.Done()
-			shard(ids)
-		}(n.ids[lo:hi])
+			for _, s := range n.order[w*chunk : min((w+1)*chunk, len(n.order))] {
+				if err := n.refreshTables(s); errs[w] == nil {
+					errs[w] = err
+				}
+			}
+		}()
 	}
 	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // Fingerprint returns an FNV-1a digest of the routing-relevant topology:
 // k, replication degree, epoch and every peer identifier with its out- and
-// in-neighbor lists in index order. Two networks with equal fingerprints
-// have byte-identical covers and tables; the batch builder and the
-// snapshot loader are pinned to the sequential-join path by comparing
-// fingerprints.
+// in-neighbor lists, by name, in trie order — slot numbering does not
+// enter. Two networks with equal fingerprints have byte-identical covers
+// and tables; the batch builder and the snapshot loader are pinned to the
+// sequential-join path by comparing fingerprints.
 func (n *Network) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var num [8]byte
 	writeNum := func(v uint64) {
-		for i := range num {
-			num[i] = byte(v >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(num[:], v)
 		h.Write(num[:])
+	}
+	writeID := func(s int32) {
+		id := n.nodes[s].id
+		writeNum(uint64(len(id)))
+		h.Write([]byte(id))
 	}
 	writeNum(uint64(n.k))
 	writeNum(uint64(n.replicas))
 	writeNum(n.epoch.Load())
-	writeNum(uint64(len(n.ids)))
-	for _, id := range n.ids {
-		p := n.peers[id]
-		writeNum(uint64(len(id)))
-		h.Write([]byte(id))
-		for _, lists := range [2][]kautz.Str{p.Out(), p.In()} {
-			writeNum(uint64(len(lists)))
-			for _, nb := range lists {
-				writeNum(uint64(len(nb)))
-				h.Write([]byte(nb))
+	writeNum(uint64(len(n.order)))
+	for _, s := range n.order {
+		writeID(s)
+		for _, list := range [2][]int32{n.Out(s), n.In(s)} {
+			writeNum(uint64(len(list)))
+			for _, nb := range list {
+				writeID(nb)
 			}
 		}
 	}

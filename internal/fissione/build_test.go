@@ -1,6 +1,7 @@
 package fissione
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -53,22 +54,22 @@ func TestBatchBuildMatchesSequential(t *testing.T) {
 		if got, want := batch.Epoch(), seq.Epoch(); got != want {
 			t.Errorf("k=%d size=%d seed=%d: epoch %d != %d", tc.k, tc.size, tc.seed, got, want)
 		}
-		if !equalIDs(batch.PeerIDs(), seq.PeerIDs()) {
+		if !slices.Equal(batch.PeerIDs(), seq.PeerIDs()) {
 			t.Fatalf("k=%d size=%d seed=%d: identifier sets differ", tc.k, tc.size, tc.seed)
 		}
 		for _, id := range seq.PeerIDs() {
-			sp, _ := seq.Peer(id)
-			bp, ok := batch.Peer(id)
+			sp, _ := seq.Slot(id)
+			bp, ok := batch.Slot(id)
 			if !ok {
 				t.Fatalf("k=%d size=%d seed=%d: batch missing peer %q", tc.k, tc.size, tc.seed, id)
 			}
-			if !equalIDs(bp.Out(), sp.Out()) {
+			if got, want := batch.IDs(batch.Out(bp)), seq.IDs(seq.Out(sp)); !slices.Equal(got, want) {
 				t.Errorf("k=%d size=%d seed=%d: out-table of %q differs: %v != %v",
-					tc.k, tc.size, tc.seed, id, bp.Out(), sp.Out())
+					tc.k, tc.size, tc.seed, id, got, want)
 			}
-			if !equalIDs(bp.In(), sp.In()) {
+			if got, want := batch.IDs(batch.In(bp)), seq.IDs(seq.In(sp)); !slices.Equal(got, want) {
 				t.Errorf("k=%d size=%d seed=%d: in-table of %q differs: %v != %v",
-					tc.k, tc.size, tc.seed, id, bp.In(), sp.In())
+					tc.k, tc.size, tc.seed, id, got, want)
 			}
 		}
 		if got, want := batch.Fingerprint(), seq.Fingerprint(); got != want {
@@ -142,25 +143,24 @@ func TestFingerprintMoves(t *testing.T) {
 	}
 }
 
-// TestInternedTables checks routing-table entries alias the named peer's
-// own identifier string rather than private copies — the invariant the
-// footprint diet rests on.
+// TestInternedTables checks routing-table entries are slots whose
+// identifier — the one copy the slot array holds — aliases the named peer's
+// own id string rather than a private copy: the invariant the footprint
+// diet rests on.
 func TestInternedTables(t *testing.T) {
 	n, err := BuildRandom(16, 100, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range n.PeerIDs() {
-		p, _ := n.Peer(id)
-		for _, lists := range [2][]kautz.Str{p.Out(), p.In()} {
-			for _, nb := range lists {
-				q, ok := n.Peer(nb)
-				if !ok {
-					t.Fatalf("peer %q lists unknown neighbor %q", id, nb)
-				}
-				if !sameBacking(nb, q.ID()) {
-					t.Fatalf("neighbor entry %q of %q is a private copy, not interned", nb, id)
-				}
+		s, _ := n.Slot(id)
+		for _, nb := range n.neighbors(s) {
+			q := n.PeerAt(nb)
+			if q == nil {
+				t.Fatalf("peer %q lists slot %d, which holds no peer", id, nb)
+			}
+			if !sameBacking(n.IDAt(nb), q.ID()) {
+				t.Fatalf("slot %d's identifier %q is a private copy, not the peer's own", nb, n.IDAt(nb))
 			}
 		}
 	}
@@ -182,9 +182,10 @@ func TestAuditSampled(t *testing.T) {
 			t.Errorf("sample=%d: %v", sample, err)
 		}
 	}
-	// Corrupt the cover: a duplicated identifier breaks prefix-freeness,
-	// which even the sampled audit must catch (the cover check is full).
-	n.ids[42] = n.ids[41]
+	// Corrupt the cover: a peer renamed below its predecessor breaks
+	// prefix-freeness, which even the sampled audit must catch (the cover
+	// check is full).
+	n.rename(n.order[42], n.IDAt(n.order[41])+"0")
 	if err := n.AuditSampled(10); err == nil {
 		t.Error("sampled audit missed a corrupted cover")
 	}

@@ -21,11 +21,11 @@ import (
 // The network remains fully consistent when FailAbrupt returns; tests may
 // call Audit to verify. Failing below the three seed regions is rejected.
 func (n *Network) FailAbrupt(id kautz.Str) error {
-	p, ok := n.peers[id]
+	p, ok := n.Peer(id)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchPeer, id)
 	}
-	if len(n.peers) <= 3 {
+	if n.Size() <= 3 {
 		return ErrTooSmall
 	}
 	// The crash destroys the peer's data; the takeover protocol then

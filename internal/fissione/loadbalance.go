@@ -32,55 +32,40 @@ const splitCascadeBudget = 8
 // Like every topology mutation, SplitRegion requires external exclusion
 // and bumps the topology epoch (once per underlying split).
 func (n *Network) SplitRegion(id kautz.Str) (kept, created kautz.Str, extra int, err error) {
-	if _, ok := n.peers[id]; !ok {
+	s, ok := n.byName[id]
+	if !ok {
 		return "", "", 0, fmt.Errorf("%w: %q", ErrNoSuchPeer, id)
 	}
 	budget := splitCascadeBudget
-	if err := n.splitShorterNeighbors(id, &budget); err != nil {
+	if err := n.splitShorterNeighbors(s, &budget); err != nil {
 		return "", "", splitCascadeBudget - budget, err
 	}
-	kept, created, err = n.split(id)
-	return kept, created, splitCascadeBudget - budget, err
+	c, err := n.split(s)
+	if err != nil {
+		return "", "", splitCascadeBudget - budget, err
+	}
+	return n.nodes[s].id, n.nodes[c].id, splitCascadeBudget - budget, nil
 }
 
-// splitShorterNeighbors splits id's strictly shorter neighbors (in either
-// direction) until id is a local length minimum, recursing so every actual
-// split happens at a local minimum — the invariant-preserving split site.
-// Each split spends one unit of budget.
-func (n *Network) splitShorterNeighbors(id kautz.Str, budget *int) error {
+// splitShorterNeighbors splits slot s's strictly shorter neighbors (in
+// either direction) until s is a local length minimum, recursing so every
+// actual split happens at a local minimum — the invariant-preserving split
+// site. Each split spends one unit of budget.
+func (n *Network) splitShorterNeighbors(s int32, budget *int) error {
 	for {
-		victim, ok := n.shorterNeighbor(id)
+		victim, ok := n.shorterNeighbor(s, n.neighbors(s))
 		if !ok {
 			return nil
 		}
 		if *budget <= 0 {
-			return fmt.Errorf("fissione: splitting %q needs a neighbor-split cascade beyond %d splits", id, splitCascadeBudget)
+			return fmt.Errorf("fissione: splitting %q needs a neighbor-split cascade beyond %d splits", n.nodes[s].id, splitCascadeBudget)
 		}
 		if err := n.splitShorterNeighbors(victim, budget); err != nil {
 			return err
 		}
 		*budget--
-		if _, _, err := n.split(victim); err != nil {
+		if _, err := n.split(victim); err != nil {
 			return err
 		}
 	}
-}
-
-// shorterNeighbor returns a neighbor of id (out or in) with a strictly
-// shorter identifier, preferring the shortest and then the smallest for
-// determinism.
-func (n *Network) shorterNeighbor(id kautz.Str) (kautz.Str, bool) {
-	p := n.peers[id]
-	best := id
-	for _, lists := range [2][]kautz.Str{p.Out(), p.In()} {
-		for _, nb := range lists {
-			if len(nb) < len(best) || (len(nb) == len(best) && nb < best) {
-				best = nb
-			}
-		}
-	}
-	if len(best) >= len(id) {
-		return "", false
-	}
-	return best, true
 }

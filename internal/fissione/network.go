@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"armada/internal/kautz"
@@ -20,6 +20,28 @@ var (
 	ErrNoSuchObject = errors.New("fissione: no such object")
 )
 
+// noSlot is the slot no peer ever holds.
+const noSlot int32 = -1
+
+// maxDegree bounds a routing table. The neighborhood invariant caps a
+// peer's out-degree at 4 (the owner of its shifted region, or that region's
+// children and grandchildren) and fixes its in-degree at 2 (one owner per
+// other leading symbol), so a table fits inline in its node.
+const maxDegree = 6
+
+// node is one slot's routing state — what a query hop reads, packed so that
+// testing a neighbor's identifier also brings in the table the next hop
+// follows. A free slot holds the zero node.
+type node struct {
+	id kautz.Str
+	// nbr lists neighbor slots, out-neighbors then in-neighbors, each list
+	// ascending by identifier (hop order is behaviour), not by slot.
+	nbr            [maxDegree]int32
+	pos            int32 // position in order
+	outLen, nbrLen uint8
+	peer           *Peer
+}
+
 // Network is a FISSIONE overlay of peers partitioning KautzSpace(2,k) by
 // identifier prefix. Topology mutation (Join, Leave, FailAbrupt,
 // SetReplicas) is not safe for concurrent use and requires external
@@ -31,9 +53,13 @@ var (
 // a replica group — the owner plus its successors in trie order — and
 // every store write fans out to the whole group; see replication.go.
 type Network struct {
-	k        int
-	peers    map[kautz.Str]*Peer
-	ids      []kautz.Str // sorted; kept in sync with peers
+	k int
+	// The topology, addressed by slot (see the package comment).
+	nodes  []node              // indexed by slot
+	free   []int32             // released slots, reused before nodes grows
+	order  []int32             // live slots ascending by identifier: trie order
+	byName map[kautz.Str]int32 // identifier → slot, for names entering the system
+
 	rng      *rand.Rand
 	seed     int64       // rng seed; snapshots embed it to replay draws
 	joins    uint64      // random joins performed (rng draws to replay on load)
@@ -51,10 +77,11 @@ type Network struct {
 // can move region ownership — splits (joins), departures, crashes and
 // replication-degree changes. Routing state captured outside the network
 // (the query engine's descent frontiers) is valid only while the epoch it
-// was captured at still matches; ValidEpoch is the check. Reads are safe
-// concurrently with queries; the counter only advances under the same
-// external exclusion topology mutation requires, so a value observed while
-// holding a read lock stays exact for the lock's duration.
+// was captured at still matches; ValidEpoch is the check — which also
+// fences recycled slots from stale captures. Reads are safe concurrently
+// with queries; the counter only advances under the same external exclusion
+// topology mutation requires, so a value observed while holding a read lock
+// stays exact for the lock's duration.
 func (n *Network) Epoch() uint64 { return n.epoch.Load() }
 
 // ValidEpoch reports whether routing state captured at epoch e may still be
@@ -70,17 +97,16 @@ func New(k int, seed int64) (*Network, error) {
 	}
 	n := &Network{
 		k:        k,
-		peers:    make(map[kautz.Str]*Peer, 3),
+		byName:   make(map[kautz.Str]int32, 3),
 		rng:      rand.New(rand.NewSource(seed)),
 		seed:     seed,
 		replicas: 1,
 	}
-	for _, id := range []kautz.Str{"0", "1", "2"} {
-		n.peers[id] = newPeer(id)
-		n.ids = append(n.ids, id)
+	for i, id := range []kautz.Str{"0", "1", "2"} {
+		n.orderInsert(i, n.alloc(id))
 	}
-	for id := range n.peers {
-		n.refreshTables(id)
+	if err := n.refreshAll(slices.Clone(n.order)); err != nil {
+		return nil, err
 	}
 	return n, nil
 }
@@ -110,13 +136,13 @@ func BuildBalanced(k, size int, seed int64) (*Network, error) {
 		return nil, err
 	}
 	for n.Size() < size {
-		shortest := n.ids[0]
-		for _, id := range n.ids[1:] {
-			if len(id) < len(shortest) {
-				shortest = id
+		shortest := n.order[0]
+		for _, s := range n.order[1:] {
+			if len(n.nodes[s].id) < len(n.nodes[shortest].id) {
+				shortest = s
 			}
 		}
-		if _, _, err := n.split(shortest); err != nil {
+		if _, err := n.split(shortest); err != nil {
 			return nil, err
 		}
 	}
@@ -127,27 +153,128 @@ func BuildBalanced(k, size int, seed int64) (*Network, error) {
 func (n *Network) K() int { return n.k }
 
 // Size returns the number of peers.
-func (n *Network) Size() int { return len(n.peers) }
+func (n *Network) Size() int { return len(n.order) }
+
+// Slot returns the slot of the peer with the given identifier — the door by
+// which a name enters; everything past it addresses the peer by slot. A slot
+// is valid until the next topology mutation.
+func (n *Network) Slot(id kautz.Str) (int32, bool) {
+	s, ok := n.byName[id]
+	return s, ok
+}
 
 // Peer returns the peer with the given identifier.
 func (n *Network) Peer(id kautz.Str) (*Peer, bool) {
-	p, ok := n.peers[id]
-	return p, ok
+	if s, ok := n.byName[id]; ok {
+		return n.nodes[s].peer, true
+	}
+	return nil, false
+}
+
+// PeerAt returns the peer holding a live slot (one read from Slot or a
+// routing table under the current topology).
+func (n *Network) PeerAt(slot int32) *Peer { return n.nodes[slot].peer }
+
+// IDAt returns the identifier of the peer holding a live slot, without
+// touching the peer.
+func (n *Network) IDAt(slot int32) kautz.Str { return n.nodes[slot].id }
+
+// Out returns the out-neighbor slots of the peer holding a live slot,
+// ascending by identifier. The slice is the network's own and must not be
+// modified.
+func (n *Network) Out(slot int32) []int32 {
+	nd := &n.nodes[slot]
+	return nd.nbr[:nd.outLen:nd.outLen]
+}
+
+// In returns the in-neighbor slots of the peer holding a live slot, ascending
+// by identifier. The slice is the network's own and must not be modified.
+func (n *Network) In(slot int32) []int32 {
+	nd := &n.nodes[slot]
+	return nd.nbr[nd.outLen:nd.nbrLen:nd.nbrLen]
+}
+
+// neighbors returns a slot's whole table, out-neighbors then in-neighbors.
+func (n *Network) neighbors(slot int32) []int32 {
+	nd := &n.nodes[slot]
+	return nd.nbr[:nd.nbrLen]
+}
+
+// Slots returns the size of the slot space: live peers plus released slots
+// awaiting reuse. It grows only when a join finds no released slot.
+func (n *Network) Slots() int { return len(n.nodes) }
+
+// IDs returns the identifiers of the given live slots, in the same order.
+func (n *Network) IDs(slots []int32) []kautz.Str {
+	out := make([]kautz.Str, len(slots))
+	for i, s := range slots {
+		out[i] = n.nodes[s].id
+	}
+	return out
 }
 
 // PeerIDs returns all peer identifiers in ascending order. The returned
 // slice is a copy.
-func (n *Network) PeerIDs() []kautz.Str {
-	return append([]kautz.Str(nil), n.ids...)
-}
+func (n *Network) PeerIDs() []kautz.Str { return n.IDs(n.order) }
 
-// RandomPeer returns a peer identifier drawn uniformly from rng (or the
-// network's own source when rng is nil).
+// RandomPeer returns a peer identifier drawn uniformly — by position in
+// ascending identifier order, so seeded draws do not depend on slot
+// numbering — from rng (or the network's own source when rng is nil).
 func (n *Network) RandomPeer(rng *rand.Rand) kautz.Str {
 	if rng == nil {
 		rng = n.rng
 	}
-	return n.ids[rng.Intn(len(n.ids))]
+	return n.nodes[n.order[rng.Intn(len(n.order))]].id
+}
+
+// alloc gives a new peer named id a slot — a released one before nodes
+// grows — and registers the name. The caller places the slot in order.
+func (n *Network) alloc(id kautz.Str) int32 {
+	var s int32
+	if f := len(n.free) - 1; f >= 0 {
+		s, n.free = n.free[f], n.free[:f]
+	} else {
+		s = int32(len(n.nodes))
+		n.nodes = append(n.nodes, node{})
+	}
+	n.nodes[s], n.byName[id] = node{id: id, peer: newPeer(id)}, s
+	return s
+}
+
+// release frees slot s, which the caller has taken out of order. Tables
+// still naming it belong to its neighbors, which the caller refreshes.
+func (n *Network) release(s int32) {
+	delete(n.byName, n.nodes[s].id)
+	n.nodes[s] = node{}
+	n.free = append(n.free, s)
+}
+
+// rename gives the peer in slot s the identifier id. Only renames to a trie
+// child, parent or vacated position happen, so the caller knows where the
+// slot now sorts without searching.
+func (n *Network) rename(s int32, id kautz.Str) {
+	nd := &n.nodes[s]
+	delete(n.byName, nd.id)
+	nd.id, nd.peer.id, n.byName[id] = id, id, s
+}
+
+// orderInsert places slot s at position i of the trie order.
+func (n *Network) orderInsert(i int, s int32) {
+	n.order = slices.Insert(n.order, i, s)
+	n.reindex(i)
+}
+
+// orderRemove takes the slot at position i out of the trie order.
+func (n *Network) orderRemove(i int) {
+	n.order = slices.Delete(n.order, i, i+1)
+	n.reindex(i)
+}
+
+// reindex restores each node's pos for the order's tail from position from.
+func (n *Network) reindex(from int) {
+	for i := from; i < len(n.order); i++ {
+		n.nodes[n.order[i]].pos = int32(i)
+	}
 }
 
 // Grow performs count random joins.
@@ -167,74 +294,83 @@ func (n *Network) Grow(count int) error {
 func (n *Network) Join() (kautz.Str, error) {
 	target := kautz.Random(n.rng, n.k)
 	n.joins++
-	owner, err := n.OwnerOf(target)
+	owner, err := n.ownerSlot(target)
 	if err != nil {
 		return "", err
 	}
-	victim := n.walkToLocalMin(owner)
-	_, created, err := n.split(victim)
-	return created, err
+	created, err := n.split(n.walkToLocalMin(owner, false))
+	if err != nil {
+		return "", err
+	}
+	return n.nodes[created].id, nil
+}
+
+// shorterNeighbor returns, among the neighbors nbr of slot s, one with a
+// strictly shorter identifier — the shortest, then the smallest, for
+// determinism.
+func (n *Network) shorterNeighbor(s int32, nbr []int32) (int32, bool) {
+	best, at := n.nodes[s].id, s
+	for _, c := range nbr {
+		if id := n.nodes[c].id; len(id) < len(best) || (len(id) == len(best) && id < best) {
+			best, at = id, c
+		}
+	}
+	return at, len(best) < len(n.nodes[s].id)
 }
 
 // walkToLocalMin follows neighbor links from start to a peer whose
 // identifier is no longer than any of its neighbors'. Each step moves to a
-// strictly shorter neighbor (smallest length, then smallest identifier, for
-// determinism), so the walk terminates.
-func (n *Network) walkToLocalMin(start kautz.Str) kautz.Str {
-	cur := start
-	for {
-		p := n.peers[cur]
-		best := cur
-		for _, lists := range [2][]kautz.Str{p.Out(), p.In()} {
-			for _, nb := range lists {
-				if len(nb) < len(best) || (len(nb) == len(best) && nb < best) {
-					best = nb
-				}
-			}
+// strictly shorter neighbor, so the walk terminates. live derives each
+// neighbor list from the cover instead of reading the stored table, which
+// the batch build leaves stale; on fresh tables the two walks are the same.
+func (n *Network) walkToLocalMin(start int32, live bool) int32 {
+	var buf [maxDegree]int32
+	for cur := start; ; {
+		nbr := n.neighbors(cur)
+		if live {
+			nbr = n.appendIn(n.appendOut(buf[:0], cur), cur)
 		}
-		if len(best) >= len(cur) {
+		next, ok := n.shorterNeighbor(cur, nbr)
+		if !ok {
 			return cur
 		}
-		cur = best
+		cur = next
 	}
 }
 
-// split divides the region of peer id between it and a freshly created
-// peer: id's two children in the partition trie become the identifiers, the
-// existing peer keeps the lexicographically lower child and the new peer
-// takes the higher. It returns both identifiers.
-func (n *Network) split(id kautz.Str) (kept, created kautz.Str, err error) {
-	p, ok := n.peers[id]
-	if !ok {
-		return "", "", fmt.Errorf("%w: %q", ErrNoSuchPeer, id)
-	}
+// divide splits the region of slot s between its peer and a freshly
+// allocated one: s's two children in the partition trie become the
+// identifiers, the existing peer is renamed to the lower child and the new
+// peer takes the upper with the objects falling in its half. Order, tables,
+// replicas and the epoch are left to the caller.
+func (n *Network) divide(s int32) (created int32, err error) {
+	id := n.nodes[s].id
 	if len(id)+1 >= n.k {
-		return "", "", fmt.Errorf("fissione: cannot split %q: identifier would reach ObjectID length %d", id, n.k)
+		return 0, fmt.Errorf("fissione: cannot split %q: identifier would reach ObjectID length %d", id, n.k)
 	}
 	ext := kautz.Extensions(id)
-	lower, upper := id+kautz.Str(ext[0]), id+kautz.Str(ext[1])
+	n.rename(s, id+kautz.Str(ext[0]))
+	created = n.alloc(id + kautz.Str(ext[1]))
+	n.nodes[s].peer.moveObjectsWithPrefix(n.nodes[created].id, n.nodes[created].peer)
+	return created, nil
+}
 
-	affected := neighborSet(p)
-
-	// The existing peer is renamed to the lower child; the new peer takes
-	// the upper child and the objects falling in its half.
-	n.removeID(id)
-	delete(n.peers, id)
-	p.id = lower
-	n.peers[lower] = p
-	n.insertID(lower)
-
-	np := newPeer(upper)
-	n.peers[upper] = np
-	n.insertID(upper)
-	p.moveObjectsWithPrefix(upper, np)
-
-	affected[lower] = struct{}{}
-	affected[upper] = struct{}{}
-	n.refreshAll(affected)
-	n.repairAround(lower, upper)
+// split divides the region of slot s (see divide) and restores every
+// derived structure. No identifier sorts between a peer's and its lower
+// child's, nor between the two children: s stays where it is in trie order
+// and the new slot, which split returns, follows it. An error past the divide
+// reports a table the invariant no longer bounds (refreshTables); the split
+// itself — cover, order, replicas, epoch — is complete.
+func (n *Network) split(s int32) (int32, error) {
+	created, err := n.divide(s)
+	if err != nil {
+		return 0, err
+	}
+	n.orderInsert(int(n.nodes[s].pos)+1, created)
+	err = n.refreshAll(append([]int32{s, created}, n.neighbors(s)...))
+	n.repairAround(n.nodes[s].id, n.nodes[created].id)
 	n.epoch.Add(1)
-	return lower, upper, nil
+	return created, err
 }
 
 // Leave removes the peer id gracefully, reassigning its region and objects
@@ -244,86 +380,57 @@ func (n *Network) split(id kautz.Str) (kept, created kautz.Str, err error) {
 // the pair's parent region violates no invariant, the sibling takes over
 // (case A). Otherwise a globally deepest sibling leaf pair is merged — which
 // is always invariant-safe — and the peer freed by that merge adopts the
-// departing peer's identifier and objects (case B).
+// departing peer's identifier and objects (case B). A merged pair's parent
+// sorts where its children did, so every rename keeps its place in order.
 func (n *Network) Leave(id kautz.Str) error {
-	p, ok := n.peers[id]
+	s, ok := n.byName[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchPeer, id)
 	}
-	if len(n.peers) <= 3 {
+	if n.Size() <= 3 {
 		return ErrTooSmall
 	}
+	p := n.nodes[s].peer
 
 	// Case A: direct sibling merge.
-	if sib, ok := n.leafSibling(id); ok && n.mergeSafe(id, sib) {
-		parent := id[:len(id)-1]
-		sp := n.peers[sib]
-		affected := neighborSet(p)
-		for a := range neighborSet(sp) {
-			affected[a] = struct{}{}
-		}
-
-		n.removeID(id)
-		delete(n.peers, id)
-		n.removeID(sib)
-		delete(n.peers, sib)
-		n.takeover(p, sp)
-		sp.id = parent
-		n.peers[parent] = sp
-		n.insertID(parent)
-
-		affected[parent] = struct{}{}
-		delete(affected, id)
-		delete(affected, sib)
-		n.refreshAll(affected)
-		n.repairAround(id, sib, parent)
+	if sib, ok := n.leafSibling(id, s); ok && n.mergeSafe(s, sib) {
+		sibID := n.nodes[sib].id
+		affected := slices.Concat(n.neighbors(s), n.neighbors(sib), []int32{sib})
+		n.takeover(p, n.nodes[sib].peer)
+		n.orderRemove(int(n.nodes[s].pos))
+		n.release(s)
+		n.rename(sib, id[:len(id)-1])
+		err := n.refreshAll(affected)
+		n.repairAround(id, sibID, n.nodes[sib].id)
 		n.epoch.Add(1)
-		return nil
+		return err
 	}
 
 	// Case B: merge a globally deepest sibling pair and relocate the freed
 	// peer into the departing peer's position.
-	u0, u1, ok := n.deepestSiblingPair(id)
+	keep, freed, ok := n.deepestSiblingPair(s)
 	if !ok {
 		return fmt.Errorf("%w: no mergeable sibling pair", ErrCorrupt)
 	}
-	parent := u0[:len(u0)-1]
-	keep, free := n.peers[u0], n.peers[u1]
-
-	affected := neighborSet(p)
-	for a := range neighborSet(keep) {
-		affected[a] = struct{}{}
-	}
-	for a := range neighborSet(free) {
-		affected[a] = struct{}{}
-	}
+	u0, u1, fp := n.nodes[keep].id, n.nodes[freed].id, n.nodes[freed].peer
+	affected := slices.Concat(n.neighbors(s), n.neighbors(keep), n.neighbors(freed), []int32{keep, freed})
 
 	// Merge the pair: keep absorbs the parent region.
-	n.removeID(u0)
-	delete(n.peers, u0)
-	n.removeID(u1)
-	delete(n.peers, u1)
-	n.takeover(free, keep)
-	keep.id = parent
-	n.peers[parent] = keep
-	n.insertID(parent)
+	n.takeover(fp, n.nodes[keep].peer)
+	n.orderRemove(int(n.nodes[freed].pos))
+	n.rename(keep, u0[:len(u0)-1])
 
 	// Relocate the freed peer into the departing peer's identity.
-	n.removeID(id)
-	delete(n.peers, id)
-	free.id = id
-	n.takeover(p, free)
-	n.peers[id] = free
-	n.insertID(id)
+	n.takeover(p, fp)
+	n.nodes[freed].pos = n.nodes[s].pos
+	n.order[n.nodes[s].pos] = freed
+	n.release(s)
+	n.rename(freed, id)
 
-	affected[parent] = struct{}{}
-	affected[id] = struct{}{}
-	delete(affected, u0)
-	delete(affected, u1)
-	n.refreshAll(affected)
-	n.repairAround(u0, u1, parent, id)
+	err := n.refreshAll(affected)
+	n.repairAround(u0, u1, n.nodes[keep].id, id)
 	n.epoch.Add(1)
-	return nil
+	return err
 }
 
 // takeover moves src's whole store into dst for a departure or merge. On a
@@ -339,39 +446,35 @@ func (n *Network) takeover(src, dst *Peer) {
 	}
 }
 
-// leafSibling returns the identifier of id's trie sibling if that sibling
-// is an existing leaf peer. Peers directly under the ternary root have two
-// siblings; merging there is never possible above three peers, so they
-// report false.
-func (n *Network) leafSibling(id kautz.Str) (kautz.Str, bool) {
+// leafSibling returns the slot of id's trie sibling, other than slot
+// exclude, if that sibling is an existing leaf peer. Peers directly under
+// the ternary root have two siblings; merging there is never possible above
+// three peers, so they report false.
+func (n *Network) leafSibling(id kautz.Str, exclude int32) (int32, bool) {
 	if len(id) < 2 {
-		return "", false
+		return 0, false
 	}
-	parent := id[:len(id)-1]
+	parent, last := id[:len(id)-1], id[len(id)-1]
 	for _, c := range kautz.Extensions(parent) {
-		sib := parent + kautz.Str(c)
-		if sib == id {
+		if c == last {
 			continue
 		}
-		if _, ok := n.peers[sib]; ok {
-			return sib, true
+		if s, ok := n.byName[parent+kautz.Str(c)]; ok && s != exclude {
+			return s, true
 		}
 	}
-	return "", false
+	return 0, false
 }
 
-// mergeSafe reports whether merging leaf peers a and b into their parent
-// keeps the neighborhood invariant: no neighbor of either may be longer
-// than the pair (the merged peer is one symbol shorter).
-func (n *Network) mergeSafe(a, b kautz.Str) bool {
-	l := len(a)
-	for _, id := range []kautz.Str{a, b} {
-		p := n.peers[id]
-		for _, lists := range [2][]kautz.Str{p.Out(), p.In()} {
-			for _, nb := range lists {
-				if len(nb) > l {
-					return false
-				}
+// mergeSafe reports whether merging the leaf peers in slots a and b into
+// their parent keeps the neighborhood invariant: no neighbor of either may
+// be longer than the pair (the merged peer is one symbol shorter).
+func (n *Network) mergeSafe(a, b int32) bool {
+	l := len(n.nodes[a].id)
+	for _, s := range [2]int32{a, b} {
+		for _, nb := range n.neighbors(s) {
+			if len(n.nodes[nb].id) > l {
+				return false
 			}
 		}
 	}
@@ -379,47 +482,66 @@ func (n *Network) mergeSafe(a, b kautz.Str) bool {
 }
 
 // deepestSiblingPair finds two sibling leaf peers of maximal identifier
-// length, excluding the departing peer exclude (whose own sibling merge was
-// already ruled out).
-func (n *Network) deepestSiblingPair(exclude kautz.Str) (kautz.Str, kautz.Str, bool) {
-	var bestA, bestB kautz.Str
-	for _, id := range n.ids {
-		if id == exclude || len(id) < 2 || len(id) <= len(bestA) {
+// length, the lower first, excluding the departing slot exclude (whose own
+// sibling merge was already ruled out).
+func (n *Network) deepestSiblingPair(exclude int32) (a, b int32, ok bool) {
+	depth := 0
+	for _, s := range n.order {
+		id := n.nodes[s].id
+		if s == exclude || len(id) <= depth {
 			continue
 		}
-		parent := id[:len(id)-1]
-		for _, c := range kautz.Extensions(parent) {
-			sib := parent + kautz.Str(c)
-			if sib == id || sib == exclude {
-				continue
-			}
-			if _, ok := n.peers[sib]; ok {
-				bestA, bestB = id, sib
-				break
-			}
+		if sib, found := n.leafSibling(id, exclude); found {
+			a, b, depth, ok = s, sib, len(id), true
 		}
 	}
-	if bestA == "" {
-		return "", "", false
+	if ok && n.nodes[b].id < n.nodes[a].id {
+		a, b = b, a
 	}
-	if bestB < bestA {
-		bestA, bestB = bestB, bestA
-	}
-	return bestA, bestB, true
+	return a, b, ok
 }
 
-// OwnerOf returns the identifier of the peer owning objectID (the unique
-// peer whose identifier is a prefix of it).
-func (n *Network) OwnerOf(objectID kautz.Str) (kautz.Str, error) {
+// ownerSlot returns the slot of the peer owning objectID (the unique peer
+// whose identifier is a prefix of it).
+func (n *Network) ownerSlot(objectID kautz.Str) (int32, error) {
 	if len(objectID) != n.k || !kautz.Valid(objectID) {
-		return "", fmt.Errorf("%w: %q", ErrBadObjectID, objectID)
+		return 0, fmt.Errorf("%w: %q", ErrBadObjectID, objectID)
 	}
-	for l := 1; l <= len(objectID); l++ {
-		if _, ok := n.peers[objectID[:l]]; ok {
-			return objectID[:l], nil
+	if s, ok := n.owned(objectID, len(objectID)); ok {
+		return s, nil
+	}
+	return 0, fmt.Errorf("%w: no owner for %q", ErrCorrupt, objectID)
+}
+
+// owned returns the slot of the peer whose identifier is a prefix of s no
+// longer than upTo symbols (at most k) — there is at most one.
+func (n *Network) owned(s kautz.Str, upTo int) (int32, bool) {
+	for l := 1; l <= upTo; l++ {
+		if slot, ok := n.byName[s[:l]]; ok {
+			return slot, true
 		}
 	}
-	return "", fmt.Errorf("%w: no owner for %q", ErrCorrupt, objectID)
+	return 0, false
+}
+
+// OwnerOf returns the identifier of the peer owning objectID.
+func (n *Network) OwnerOf(objectID kautz.Str) (kautz.Str, error) {
+	s, err := n.ownerSlot(objectID)
+	if err != nil {
+		return "", err
+	}
+	return n.nodes[s].id, nil
+}
+
+// member returns the j-th member (0 = the owner) of the replica group of
+// the owner at trie position pos: its j-th successor in circular trie
+// order. j is below the effective replication degree, so one wrap suffices.
+func (n *Network) member(pos, j int) *Peer {
+	i := pos + j
+	if i >= len(n.order) {
+		i -= len(n.order)
+	}
+	return n.nodes[n.order[i]].peer
 }
 
 // PublishAt stores obj under objectID on every member of its region's
@@ -430,18 +552,15 @@ func (n *Network) OwnerOf(objectID kautz.Str) (kautz.Str, error) {
 // some members before others. Routing-accounted publication is provided by
 // the query engine's Lookup.
 func (n *Network) PublishAt(objectID kautz.Str, obj Object) (kautz.Str, error) {
-	owner, err := n.OwnerOf(objectID)
+	s, err := n.ownerSlot(objectID)
 	if err != nil {
 		return "", err
 	}
-	if n.replicas == 1 {
-		n.peers[owner].addObject(objectID, obj)
-		return owner, nil
+	owner := &n.nodes[s]
+	for j, r := 0, n.effectiveReplicas(); j < r; j++ {
+		n.member(int(owner.pos), j).addObject(objectID, obj)
 	}
-	for _, id := range n.groupIDs(owner) {
-		n.peers[id].addObject(objectID, obj)
-	}
-	return owner, nil
+	return owner.id, nil
 }
 
 // UnpublishAt removes one stored occurrence of obj under objectID from
@@ -449,149 +568,108 @@ func (n *Network) PublishAt(objectID kautz.Str, obj Object) (kautz.Str, error) {
 // returns ErrNoSuchObject when no member stored a matching object. Like
 // PublishAt, the fan-out applies member by member in placement order.
 func (n *Network) UnpublishAt(objectID kautz.Str, obj Object) (kautz.Str, error) {
-	owner, err := n.OwnerOf(objectID)
+	s, err := n.ownerSlot(objectID)
 	if err != nil {
 		return "", err
 	}
-	removed := false
-	if n.replicas == 1 {
-		removed = n.peers[owner].removeObject(objectID, obj)
-	} else {
-		for _, id := range n.groupIDs(owner) {
-			if n.peers[id].removeObject(objectID, obj) {
-				removed = true
-			}
+	owner, removed := &n.nodes[s], false
+	for j, r := 0, n.effectiveReplicas(); j < r; j++ {
+		if n.member(int(owner.pos), j).removeObject(objectID, obj) {
+			removed = true
 		}
 	}
 	if !removed {
 		return "", fmt.Errorf("%w: %q at %q", ErrNoSuchObject, obj.Name, objectID)
 	}
-	return owner, nil
+	return owner.id, nil
 }
 
 // OwnersIntersecting returns the identifiers of all peers whose region
 // intersects prefix·*: either the single peer whose identifier covers
 // prefix, or every peer whose identifier extends prefix. Results ascend.
 func (n *Network) OwnersIntersecting(prefix kautz.Str) []kautz.Str {
-	for l := 0; l <= len(prefix); l++ {
-		if _, ok := n.peers[prefix[:l]]; ok {
-			return []kautz.Str{prefix[:l]}
-		}
-	}
-	var out []kautz.Str
-	n.collectLeaves(prefix, &out)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return n.IDs(n.appendOwners(nil, prefix, noSlot))
 }
 
-func (n *Network) collectLeaves(prefix kautz.Str, out *[]kautz.Str) {
+// appendOwners appends the slots of the peers OwnersIntersecting names,
+// ascending by identifier (Extensions ascend, so the trie walk does), except
+// slot skip: the peer a neighbor list is being derived for.
+func (n *Network) appendOwners(dst []int32, prefix kautz.Str, skip int32) []int32 {
+	if s, ok := n.owned(prefix, len(prefix)-1); ok {
+		if s != skip {
+			dst = append(dst, s)
+		}
+		return dst
+	}
+	return n.appendLeaves(dst, prefix, skip)
+}
+
+func (n *Network) appendLeaves(dst []int32, prefix kautz.Str, skip int32) []int32 {
 	if len(prefix) > n.k {
 		panic(fmt.Sprintf("fissione: namespace cover broken below %q", prefix))
 	}
-	if _, ok := n.peers[prefix]; ok {
-		*out = append(*out, prefix)
-		return
+	if s, ok := n.byName[prefix]; ok {
+		if s != skip {
+			dst = append(dst, s)
+		}
+		return dst
 	}
 	for _, c := range kautz.Extensions(prefix) {
-		n.collectLeaves(prefix+kautz.Str(c), out)
+		dst = n.appendLeaves(dst, prefix+kautz.Str(c), skip)
 	}
+	return dst
 }
 
-// computeOut derives id's out-neighbors from the current cover: the owners
-// of the shifted region id[1:]·*, excluding id itself.
-func (n *Network) computeOut(id kautz.Str) []kautz.Str {
-	owners := n.OwnersIntersecting(id.Drop(1))
-	out := owners[:0:0]
-	for _, o := range owners {
-		if o != id {
-			out = append(out, o)
-		}
-	}
-	return out
+// appendOut derives slot s's out-neighbors from the current cover: the
+// owners of the shifted region id[1:]·*, excluding s itself.
+func (n *Network) appendOut(dst []int32, s int32) []int32 {
+	return n.appendOwners(dst, n.nodes[s].id.Drop(1), s)
 }
 
-// computeIn derives id's in-neighbors: peers whose shifted region
-// intersects id's region, i.e. the owners intersecting α·id for each symbol
-// α ≠ id's first.
-func (n *Network) computeIn(id kautz.Str) []kautz.Str {
-	var in []kautz.Str
+// appendIn derives slot s's in-neighbors: peers whose shifted region
+// intersects s's region, i.e. the owners intersecting α·id for each symbol
+// α ≠ id's first — ascending in α, so the whole list ascends.
+func (n *Network) appendIn(dst []int32, s int32) []int32 {
+	id := n.nodes[s].id
 	for _, a := range []byte(kautz.Alphabet) {
-		if a == id[0] {
-			continue
+		if a != id[0] {
+			dst = n.appendOwners(dst, kautz.Str(a)+id, s)
 		}
-		for _, o := range n.OwnersIntersecting(kautz.Str(a) + id) {
-			if o != id {
-				in = append(in, o)
+	}
+	return dst
+}
+
+// refreshTables recomputes the routing table of slot s from the cover: the
+// out-neighbors followed by the in-neighbors. Every entry is a live slot —
+// query hops follow entries without a liveness test, and Audit checks it. A
+// table past maxDegree means the cover broke the neighborhood invariant: the
+// node keeps the first maxDegree entries — live slots still, so hops stay
+// safe and Audit reports the table stale — and the error wraps ErrCorrupt.
+func (n *Network) refreshTables(s int32) error {
+	var buf [maxDegree]int32
+	nbr := n.appendOut(buf[:0], s)
+	outLen := min(len(nbr), maxDegree)
+	nbr = n.appendIn(nbr, s)
+	nd := &n.nodes[s]
+	nd.outLen, nd.nbrLen = uint8(outLen), uint8(copy(nd.nbr[:], nbr))
+	if len(nbr) > maxDegree {
+		return fmt.Errorf("%w: %q has %d neighbors: neighborhood invariant broken", ErrCorrupt, nd.id, len(nbr))
+	}
+	return nil
+}
+
+// refreshAll recomputes the routing table of every slot in set that is
+// still live — all of them even past a failure, so that no table is left
+// naming a released slot — and returns the first error; set may repeat slots
+// and is reordered.
+func (n *Network) refreshAll(set []int32) (err error) {
+	slices.Sort(set)
+	for _, s := range slices.Compact(set) {
+		if n.nodes[s].peer != nil {
+			if e := n.refreshTables(s); err == nil {
+				err = e
 			}
 		}
 	}
-	sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
-	return in
-}
-
-// canon returns the canonical interned copy of a peer identifier: the id
-// string owned by the peer itself. Routing tables and the identifier index
-// alias that one backing array instead of keeping the per-entry copies
-// table derivation builds, so each identifier's bytes live on the heap
-// exactly once no matter how many neighbor lists mention it.
-func (n *Network) canon(id kautz.Str) kautz.Str {
-	if p, ok := n.peers[id]; ok {
-		return p.id
-	}
-	return id
-}
-
-// refreshTables recomputes the routing table of peer id. Both lists are
-// packed into one backing array of interned identifiers — a peer's whole
-// routing state is a single allocation aliasing its neighbors' own id
-// strings.
-func (n *Network) refreshTables(id kautz.Str) {
-	p := n.peers[id]
-	out := n.computeOut(id)
-	in := n.computeIn(id)
-	nbr := make([]kautz.Str, len(out)+len(in))
-	for i, o := range out {
-		nbr[i] = n.canon(o)
-	}
-	for i, o := range in {
-		nbr[len(out)+i] = n.canon(o)
-	}
-	p.setTables(nbr, len(out))
-}
-
-// refreshAll recomputes routing tables for every identifier in set that
-// still names a peer.
-func (n *Network) refreshAll(set map[kautz.Str]struct{}) {
-	for id := range set {
-		if _, ok := n.peers[id]; ok {
-			n.refreshTables(id)
-		}
-	}
-}
-
-// neighborSet collects a peer's current neighbors (both directions) as a
-// set, seeded with the peer itself.
-func neighborSet(p *Peer) map[kautz.Str]struct{} {
-	set := make(map[kautz.Str]struct{}, len(p.nbr)+1)
-	set[p.id] = struct{}{}
-	for _, id := range p.nbr {
-		set[id] = struct{}{}
-	}
-	return set
-}
-
-// insertID adds id to the sorted identifier index.
-func (n *Network) insertID(id kautz.Str) {
-	i := sort.Search(len(n.ids), func(i int) bool { return n.ids[i] >= id })
-	n.ids = append(n.ids, "")
-	copy(n.ids[i+1:], n.ids[i:])
-	n.ids[i] = id
-}
-
-// removeID deletes id from the sorted identifier index.
-func (n *Network) removeID(id kautz.Str) {
-	i := sort.Search(len(n.ids), func(i int) bool { return n.ids[i] >= id })
-	if i < len(n.ids) && n.ids[i] == id {
-		n.ids = append(n.ids[:i], n.ids[i+1:]...)
-	}
+	return err
 }

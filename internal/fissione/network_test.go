@@ -21,12 +21,12 @@ func TestNewSeedsThreePeers(t *testing.T) {
 	}
 	// K(2,1) adjacency: each seed peer neighbors the other two.
 	for _, id := range []kautz.Str{"0", "1", "2"} {
-		p, ok := n.Peer(id)
+		s, ok := n.Slot(id)
 		if !ok {
 			t.Fatalf("missing seed peer %q", id)
 		}
-		if len(p.Out()) != 2 || len(p.In()) != 2 {
-			t.Fatalf("seed %q degree out=%d in=%d, want 2/2", id, len(p.Out()), len(p.In()))
+		if out, in := n.Out(s), n.In(s); len(out) != 2 || len(in) != 2 {
+			t.Fatalf("seed %q degree out=%d in=%d, want 2/2", id, len(out), len(in))
 		}
 	}
 }
@@ -179,7 +179,7 @@ func TestSplitMovesObjects(t *testing.T) {
 		}
 	}
 	_ = rng
-	kept, created, err := n.split("0")
+	kept, created, _, err := n.SplitRegion("0")
 	if err != nil {
 		t.Fatal(err)
 	}

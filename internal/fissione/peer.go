@@ -18,8 +18,24 @@
 //
 // The package is a faithful, locally-routed simulator: every peer keeps its
 // own routing table (out- and in-neighbor lists) and query engines consult
-// only those tables; the global maps exist for construction, bookkeeping and
-// audits.
+// only those tables.
+//
+// # Slots
+//
+// Every live peer holds a dense int32 slot, and the slot is the only
+// address routing uses. The node array (slot → identifier, routing table of
+// neighbor slots, trie position, *Peer) and the order array (live slots
+// ascending by identifier) are the authoritative topology; the name → slot
+// map is an index over them. A split renames the slot it divides, and a
+// departure returns its slot to a free list that joins drain before the
+// node array grows. Slot numbering is invisible: fingerprints and snapshots
+// are written in names and trie positions, so a churned network and its
+// reloaded copy (fresh dense numbering) are indistinguishable. The name map
+// is read only where a name enters — Slot, Peer, Leave, FailAbrupt,
+// SplitRegion, OwnerOf and the publishes that start with it — and by
+// topology maintenance deriving tables from the cover (appendOwners, the
+// sibling probes of a departure); no query hop and no replica-group member
+// lookup touches it.
 //
 // # Concurrency
 //
@@ -53,9 +69,11 @@ type Object struct {
 	Values []float64
 }
 
-// Peer is one FISSIONE node. Its routing table (out- and in-neighbors) is
-// maintained by the Network on joins and departures; query engines must
-// route using only these tables.
+// Peer is one FISSIONE node: its identity, its load counters and its store.
+// Its routing table lives in the network's slot-indexed node array
+// (Network.Out, Network.In), under the slot the peer keeps for life
+// (Network.Slot) — a split or merge renames it in place. Query engines must
+// route using only those tables.
 //
 // The store is an ordered index: a slice of StoredObject sorted by
 // (ObjectID, Name, Values). Ordering makes every region scan a binary
@@ -70,12 +88,6 @@ type Object struct {
 type Peer struct {
 	id kautz.Str
 
-	// nbr packs both neighbor lists — out-neighbors then in-neighbors —
-	// into one backing array of interned identifiers: a peer's whole
-	// routing table is a single allocation, and outLen marks the split.
-	nbr    []kautz.Str
-	outLen int32
-
 	// served counts region scans this peer has answered as the serving
 	// member of a replica group — the load signal of the least-loaded read
 	// policy and the read-spread metric.
@@ -89,8 +101,8 @@ type Peer struct {
 	// networks.
 	deliveries atomic.Int64
 
-	// mu guards store. Routing-table fields above are only written during
-	// topology mutation, which excludes all other operations externally.
+	// mu guards store. id is only written during topology mutation, which
+	// excludes all other operations externally.
 	mu    sync.RWMutex
 	store []StoredObject // ascending (ObjectID, Name, Values)
 }
@@ -101,30 +113,6 @@ func newPeer(id kautz.Str) *Peer {
 
 // ID returns the peer's identifier.
 func (p *Peer) ID() kautz.Str { return p.id }
-
-// Out returns the peer's out-neighbor identifiers in ascending order. The
-// slice is owned by the peer and must not be modified.
-func (p *Peer) Out() []kautz.Str { return p.nbr[:p.outLen:p.outLen] }
-
-// In returns the peer's in-neighbor identifiers in ascending order. The
-// slice is owned by the peer and must not be modified.
-func (p *Peer) In() []kautz.Str { return p.nbr[p.outLen:] }
-
-// OutCopy returns a copy of the out-neighbor list.
-func (p *Peer) OutCopy() []kautz.Str { return append([]kautz.Str(nil), p.Out()...) }
-
-// InCopy returns a copy of the in-neighbor list.
-func (p *Peer) InCopy() []kautz.Str { return append([]kautz.Str(nil), p.In()...) }
-
-// Degree returns the peer's out-degree.
-func (p *Peer) Degree() int { return int(p.outLen) }
-
-// setTables installs the packed routing table: nbr holds the out-neighbors
-// followed by the in-neighbors, outLen marks the split.
-func (p *Peer) setTables(nbr []kautz.Str, outLen int) {
-	p.nbr = nbr
-	p.outLen = int32(outLen)
-}
 
 // ServedReads returns how many region scans this peer has answered as a
 // replica group's serving member.

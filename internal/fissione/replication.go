@@ -2,6 +2,7 @@ package fissione
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"armada/internal/kautz"
@@ -66,19 +67,13 @@ func (n *Network) DescribeMetrics(reg *obs.Registry) {
 }
 
 // effectiveReplicas caps the degree at the network size.
-func (n *Network) effectiveReplicas() int {
-	if n.replicas < len(n.ids) {
-		return n.replicas
-	}
-	return len(n.ids)
-}
+func (n *Network) effectiveReplicas() int { return min(n.replicas, len(n.order)) }
 
-// idPos returns the position of id in the sorted identifier index — or,
-// for an id no longer present, its former neighborhood (the insertion
-// position).
+// idPos returns the position of id in trie order — or, for an id no longer
+// present, its former neighborhood (the insertion position).
 func (n *Network) idPos(id kautz.Str) int {
-	i := sort.Search(len(n.ids), func(i int) bool { return n.ids[i] >= id })
-	if i == len(n.ids) {
+	i := sort.Search(len(n.order), func(i int) bool { return n.nodes[n.order[i]].id >= id })
+	if i == len(n.order) {
 		i = 0 // circular: past the end is the start's neighborhood
 	}
 	return i
@@ -86,26 +81,25 @@ func (n *Network) idPos(id kautz.Str) int {
 
 // groupIDs returns the identifiers of the peers owning a copy of owner's
 // region: owner itself followed by its effectiveReplicas−1 successors in
-// circular sorted order.
+// circular trie order. Audit, repair and provisioning only: the data path
+// takes members by position (member, AppendGroupPeers).
 func (n *Network) groupIDs(owner kautz.Str) []kautz.Str {
-	r := n.effectiveReplicas()
-	out := make([]kautz.Str, 0, r)
-	pos := n.idPos(owner)
-	for j := 0; j < r; j++ {
-		out = append(out, n.ids[(pos+j)%len(n.ids)])
+	out := make([]kautz.Str, n.effectiveReplicas())
+	for j, pos := 0, n.idPos(owner); j < len(out); j++ {
+		out[j] = n.member(pos, j).id
 	}
 	return out
 }
 
-// AppendGroupPeers appends owner's replica group (owner first, replicas in
-// placement order) to dst and returns the extended slice; hot paths bring
-// their own buffer and stay allocation-free. owner must be a peer. Safe
-// for concurrent use while the topology is stable.
-func (n *Network) AppendGroupPeers(dst []*Peer, owner kautz.Str) []*Peer {
-	pos := n.idPos(owner)
-	r := n.effectiveReplicas()
-	for j := 0; j < r; j++ {
-		dst = append(dst, n.peers[n.ids[(pos+j)%len(n.ids)]])
+// AppendGroupPeers appends the replica group of the owner in the given
+// slot (owner first, replicas in placement order) to dst and returns the
+// extended slice; hot paths bring their own buffer and stay allocation-free.
+// Members are the owner's successors by trie position — no name is looked
+// up. Safe for concurrent use while the topology is stable.
+func (n *Network) AppendGroupPeers(dst []*Peer, owner int32) []*Peer {
+	pos := int(n.nodes[owner].pos)
+	for j, r := 0, n.effectiveReplicas(); j < r; j++ {
+		dst = append(dst, n.member(pos, j))
 	}
 	return dst
 }
@@ -119,70 +113,60 @@ func (n *Network) AppendGroupPeers(dst []*Peer, owner kautz.Str) []*Peer {
 // identifier, and a crashed peer's region reappears at most one position
 // away from its replicas).
 func (n *Network) repairAround(touched ...kautz.Str) {
-	if n.replicas <= 1 || len(touched) == 0 {
+	if n.replicas <= 1 {
 		return
 	}
-	margin := n.effectiveReplicas() + 2
-	owners := make(map[kautz.Str]struct{})
-	size := len(n.ids)
+	margin, size := n.effectiveReplicas()+2, len(n.order)
+	var owners []int // trie positions
 	for _, id := range touched {
 		pos := n.idPos(id)
 		for d := -margin; d <= margin; d++ {
-			owners[n.ids[((pos+d)%size+size)%size]] = struct{}{}
+			owners = append(owners, ((pos+d)%size+size)%size)
 		}
 	}
-	for owner := range owners {
-		n.repairOwner(owner)
+	slices.Sort(owners)
+	for _, pos := range slices.Compact(owners) {
+		n.repairOwner(pos)
 	}
 }
 
-// repairOwner reassembles the authoritative content of owner's region from
-// every copy in the owner's positional neighborhood, installs it on every
-// current group member and drops it from every neighbor that is no longer
-// one. Mutations run under external exclusion, so all copies are snapshots
-// of the same quiesced history: their multiset union (max multiplicity per
-// object) is exactly the set of objects that survive.
-func (n *Network) repairOwner(owner kautz.Str) {
-	margin := n.effectiveReplicas() + 2
-	pos := n.idPos(owner)
-	size := len(n.ids)
-
-	member := make(map[kautz.Str]bool)
-	for _, id := range n.groupIDs(owner) {
-		member[id] = true
-	}
+// repairOwner reassembles the authoritative content of the region owned by
+// the peer at trie position pos from every copy in its positional
+// neighborhood, installs it on every current group member and drops it
+// from every neighbor that is no longer one. Mutations run under external
+// exclusion, so all copies are snapshots of the same quiesced history:
+// their multiset union (max multiplicity per object) is exactly the set of
+// objects that survive.
+func (n *Network) repairOwner(pos int) {
+	r, size := n.effectiveReplicas(), len(n.order)
+	margin, region := r+2, n.nodes[n.order[pos]].id
 
 	// Candidates: the circular window around the owner where copies of its
 	// region can live (current members, former members, and peers that
-	// inherited a former member's store wholesale).
-	seen := make(map[kautz.Str]struct{}, 2*margin+1)
+	// inherited a former member's store wholesale). On a network smaller
+	// than the window only its first size offsets name distinct peers. An
+	// offset is taken as the distance after the owner, circularly.
+	last := min(margin, size-1-margin)
 	var auth []StoredObject
-	candidates := make([]kautz.Str, 0, 2*margin+1)
-	for d := -margin; d <= margin; d++ {
-		id := n.ids[((pos+d)%size+size)%size]
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		candidates = append(candidates, id)
-		if run := n.peers[id].copyPrefixRun(owner); len(run) > 0 {
+	for d := -margin; d <= last; d++ {
+		if run := n.member(pos, (d%size+size)%size).copyPrefixRun(region); len(run) > 0 {
 			auth = unionMax(auth, run)
 		}
 	}
-
 	var copied int
-	for _, id := range candidates {
-		if member[id] {
-			copied += n.peers[id].setPrefixRun(owner, auth)
+	for d := -margin; d <= last; d++ {
+		// The group is the owner and its r-1 successors.
+		if after := (d%size + size) % size; after < r {
+			copied += n.member(pos, after).setPrefixRun(region, auth)
 		} else {
-			n.peers[id].dropPrefixRun(owner)
+			n.member(pos, after).dropPrefixRun(region)
 		}
 	}
 	if copied > 0 {
 		n.reRepl.Add(int64(copied))
 		n.repairs.Inc()
 		if n.onRepair != nil {
-			n.onRepair(owner, copied)
+			n.onRepair(region, copied)
 		}
 	}
 }
@@ -220,10 +204,10 @@ func unionMax(a, b []StoredObject) []StoredObject {
 // run is copied to its group. Used by SetReplicas on a stable network (the
 // owners hold their primaries, so they are the single source of truth).
 func (n *Network) syncReplicas() {
-	for _, id := range n.ids {
-		p := n.peers[id]
+	for _, s := range n.order {
+		p := n.PeerAt(s)
 		for _, prefix := range n.foreignRunPrefixes(p) {
-			if !containsID(n.groupIDs(prefix), id) {
+			if !slices.Contains(n.groupIDs(prefix), p.id) {
 				p.dropPrefixRun(prefix)
 			}
 		}
@@ -231,10 +215,11 @@ func (n *Network) syncReplicas() {
 	if n.replicas <= 1 {
 		return
 	}
-	for _, owner := range n.ids {
-		run := n.peers[owner].copyPrefixRun(owner)
-		for _, id := range n.groupIDs(owner)[1:] {
-			n.peers[id].setPrefixRun(owner, run)
+	for pos, s := range n.order {
+		owner := n.PeerAt(s)
+		run := owner.copyPrefixRun(owner.id)
+		for j, r := 1, n.effectiveReplicas(); j < r; j++ {
+			n.member(pos, j).setPrefixRun(owner.id, run)
 		}
 	}
 }
@@ -266,32 +251,31 @@ func (n *Network) foreignRunPrefixes(p *Peer) []kautz.Str {
 // not belong to. With a degree of 1 it verifies the single-owner
 // invariant: every peer stores only its own region's objects.
 func (n *Network) CheckReplicas() error {
-	for _, owner := range n.ids {
-		if err := n.checkReplicaRegion(owner); err != nil {
+	for pos := range n.order {
+		if err := n.checkReplicaRegion(pos); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkReplicaRegion verifies the replica invariant at one identifier:
-// every member of id's replica group holds a byte-identical copy of id's
-// region, and id's own store contains no run of a region whose group it
-// does not belong to.
-func (n *Network) checkReplicaRegion(id kautz.Str) error {
-	group := n.groupIDs(id)
-	own := n.peers[id].copyPrefixRun(id)
-	for _, member := range group[1:] {
-		got := n.peers[member].copyPrefixRun(id)
-		if !equalStored(got, own) {
+// checkReplicaRegion verifies the replica invariant at one trie position:
+// every member of its peer's replica group holds a byte-identical copy of
+// the peer's region, and the peer's own store contains no run of a region
+// whose group it does not belong to.
+func (n *Network) checkReplicaRegion(pos int) error {
+	p := n.PeerAt(n.order[pos])
+	own := p.copyPrefixRun(p.id)
+	for j, r := 1, n.effectiveReplicas(); j < r; j++ {
+		m := n.member(pos, j)
+		if got := m.copyPrefixRun(p.id); !equalStored(got, own) {
 			return fmt.Errorf("fissione: replica %q of region %q diverged: holds %d objects, owner holds %d",
-				member, id, len(got), len(own))
+				m.id, p.id, len(got), len(own))
 		}
 	}
-	p := n.peers[id]
 	for _, prefix := range n.foreignRunPrefixes(p) {
-		if !containsID(n.groupIDs(prefix), id) {
-			return fmt.Errorf("fissione: %q stores objects of region %q but is not in its replica group", id, prefix)
+		if !slices.Contains(n.groupIDs(prefix), p.id) {
+			return fmt.Errorf("fissione: %q stores objects of region %q but is not in its replica group", p.id, prefix)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package fissione
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"armada/internal/kautz"
@@ -252,7 +253,7 @@ func TestCheckReplicasDetectsDivergence(t *testing.T) {
 	ids := n.PeerIDs()
 	var outsider *Peer
 	for _, id := range ids {
-		if !containsID(n.groupIDs(owner), id) {
+		if !slices.Contains(n.groupIDs(owner), id) {
 			outsider, _ = n.Peer(id)
 			break
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"armada/internal/kautz"
@@ -15,16 +14,24 @@ import (
 // Warm-start snapshots.
 //
 // A snapshot serializes the routing-relevant topology — the identifier
-// cover, every peer's out-edges, the replication degree, the epoch and the
-// rng replay state — but no stored objects. Loading reconstructs the
-// network in O(file): identifiers are unpacked into one shared blob,
-// in-edges are recovered by inverting the out-edges (the lists are exact
-// duals on a Kautz cover), and all routing tables are packed into one
-// arena. The loaded network is byte-identical to the one the snapshot was
-// taken from: same cover, same tables, same epoch, and — because the
-// builder's rng is re-seeded and its join draws replayed — the same future
-// join sequence. A fingerprint trailer makes any decode or inversion
-// mismatch a load error rather than silent corruption.
+// cover in trie order, every peer's out-edges as trie positions, the
+// replication degree, the epoch and the rng replay state — but no stored
+// objects and no slot numbers. Loading reconstructs the network in O(file):
+// identifiers are unpacked into one shared blob, each peer takes its trie
+// position as its slot (a fresh dense numbering), and in-edges are
+// recovered by inverting the out-edges (the lists are exact duals on a
+// Kautz cover). The loaded network is byte-identical to the one the
+// snapshot was taken from: same cover, same tables, same epoch, and —
+// because the builder's rng is re-seeded and its join draws replayed — the
+// same future join sequence. A fingerprint trailer makes any decode or
+// inversion mismatch a load error rather than silent corruption.
+//
+// The trailer is a checksum, not a signature. The loader itself checks what
+// is cheap — the cover is exact, no table outgrows a node, stored neighbors
+// keep the neighborhood invariant — and takes the tables as written:
+// re-deriving them is the work a snapshot skips, and Audit's job. A forged
+// file can therefore load with tables its cover does not imply; mutating such
+// a network returns ErrCorrupt (refreshTables), it does not crash.
 //
 // The rng replay covers join draws only; a network that consumed its own
 // rng through RandomPeer(nil) will not replay those draws. Armada always
@@ -56,20 +63,18 @@ func (n *Network) WriteSnapshot(w io.Writer) error {
 	writeUvarint(n.joins)
 	writeUvarint(uint64(n.replicas))
 	writeUvarint(n.epoch.Load())
-	writeUvarint(uint64(len(n.ids)))
-	for _, id := range n.ids {
-		writeUvarint(uint64(len(id)))
-		bw.WriteString(string(id))
+	writeUvarint(uint64(len(n.order)))
+	for _, s := range n.order {
+		writeUvarint(uint64(len(n.nodes[s].id)))
+		bw.WriteString(string(n.nodes[s].id))
 	}
-	for _, id := range n.ids {
-		out := n.peers[id].Out()
+	// Out-edges go out as trie positions, never as slots: the bytes do not
+	// depend on the numbering churn left behind.
+	for _, s := range n.order {
+		out := n.Out(s)
 		writeUvarint(uint64(len(out)))
 		for _, nb := range out {
-			idx := sort.Search(len(n.ids), func(i int) bool { return n.ids[i] >= nb })
-			if idx >= len(n.ids) || n.ids[idx] != nb {
-				return fmt.Errorf("fissione: snapshot: %q lists unknown neighbor %q", id, nb)
-			}
-			writeUvarint(uint64(idx))
+			writeUvarint(uint64(n.nodes[nb].pos))
 		}
 	}
 	var fp [8]byte
@@ -145,9 +150,9 @@ func LoadSnapshot(r io.Reader) (*Network, error) {
 
 	// Identifiers: unpack into one shared blob, exactly as the batch
 	// builder lays them out.
-	// lens grows as identifiers actually arrive, so a forged peer count
+	// idLens grows as identifiers actually arrive, so a forged peer count
 	// cannot size an allocation the input does not pay for.
-	lens := make([]int, 0, min(npeers, 1<<16))
+	idLens := make([]int, 0, min(npeers, 1<<16))
 	var blob strings.Builder
 	idBuf := make([]byte, k)
 	for i := 0; i < npeers; i++ {
@@ -159,79 +164,75 @@ func LoadSnapshot(r io.Reader) (*Network, error) {
 		if l < 1 || l >= k {
 			return nil, bad("id %d length %d out of range [1, %d]", i, l, k-1)
 		}
-		lens = append(lens, l)
+		idLens = append(idLens, l)
 		if _, err := io.ReadFull(br, idBuf[:l]); err != nil {
 			return nil, bad("reading id %d: %w", i, err)
 		}
 		blob.Write(idBuf[:l])
 	}
-	packed := blob.String()
-	ids := make([]kautz.Str, npeers)
-	peers := make(map[kautz.Str]*Peer, npeers)
-	off := 0
-	for i, l := range lens {
-		id := kautz.Str(packed[off : off+l])
-		off += l
+	packed := kautz.Str(blob.String())
+	n := &Network{
+		k:        k,
+		nodes:    make([]node, npeers),
+		order:    make([]int32, npeers),
+		byName:   make(map[kautz.Str]int32, npeers),
+		rng:      rand.New(rand.NewSource(seed)),
+		seed:     seed,
+		joins:    joins,
+		replicas: replicas,
+	}
+	n.epoch.Store(epoch)
+	for i, l := range idLens {
+		id := packed[:l]
+		packed = packed[l:]
 		if !kautz.Valid(id) {
 			return nil, bad("id %d (%q) is not a Kautz string", i, id)
 		}
-		if i > 0 && id <= ids[i-1] {
-			return nil, bad("ids out of order at %d: %q after %q", i, id, ids[i-1])
+		if i > 0 && id <= n.nodes[i-1].id {
+			return nil, bad("ids out of order at %d: %q after %q", i, id, n.nodes[i-1].id)
 		}
-		ids[i] = id
-		peers[id] = newPeer(id)
+		slot := int32(i)
+		n.nodes[i], n.order[i], n.byName[id] = node{id: id, pos: slot, peer: newPeer(id)}, slot, slot
 	}
 
-	// Out-edges as indices; in-edges recovered by inversion (iterating
-	// sources in ascending order keeps every in-list sorted). All tables
-	// pack into one arena.
-	outDeg := make([]int32, npeers)
-	totalOut := 0
-	outIdx := make([]uint32, 0, 4*npeers)
-	for i := range ids {
+	// Out-edges arrive as trie positions, which are the slots. In-edges are
+	// recovered by inversion once every out-list is in: iterating sources in
+	// ascending order keeps every in-list sorted.
+	add := func(s, nb int32) error {
+		nd := &n.nodes[s]
+		if nd.nbrLen == maxDegree {
+			return bad("%q has more than %d neighbors", nd.id, maxDegree)
+		}
+		nd.nbr[nd.nbrLen] = nb
+		nd.nbrLen++
+		return nil
+	}
+	for i := range n.nodes {
+		nd := &n.nodes[i]
 		du, err := readUvarint()
 		if err != nil {
-			return nil, bad("reading out-degree of %q: %w", ids[i], err)
+			return nil, bad("reading out-degree of %q: %w", nd.id, err)
 		}
-		d := int(du)
-		if d > npeers {
-			return nil, bad("out-degree %d of %q exceeds peer count", d, ids[i])
-		}
-		outDeg[i] = int32(d)
-		totalOut += d
-		for j := 0; j < d; j++ {
+		for j := uint64(0); j < du; j++ {
 			xu, err := readUvarint()
 			if err != nil {
-				return nil, bad("reading out-edge %d of %q: %w", j, ids[i], err)
+				return nil, bad("reading out-edge %d of %q: %w", j, nd.id, err)
 			}
 			if xu >= np {
-				return nil, bad("out-edge index %d of %q out of range", xu, ids[i])
+				return nil, bad("out-edge index %d of %q out of range", xu, nd.id)
 			}
-			outIdx = append(outIdx, uint32(xu))
+			if err := add(int32(i), int32(xu)); err != nil {
+				return nil, err
+			}
 		}
+		nd.outLen = nd.nbrLen
 	}
-	inDeg := make([]int32, npeers)
-	for _, v := range outIdx {
-		inDeg[v]++
-	}
-	base := make([]int32, npeers+1)
-	for i := 0; i < npeers; i++ {
-		base[i+1] = base[i] + outDeg[i] + inDeg[i]
-	}
-	arena := make([]kautz.Str, base[npeers])
-	cursor := make([]int32, npeers) // next in-slot per peer, relative to its in-section
-	pos := 0
-	for u := 0; u < npeers; u++ {
-		for j := int32(0); j < outDeg[u]; j++ {
-			v := outIdx[pos]
-			arena[base[u]+j] = ids[v]
-			arena[base[v]+outDeg[v]+cursor[v]] = ids[u]
-			cursor[v]++
-			pos++
+	for u := range n.nodes {
+		for _, v := range n.Out(int32(u)) {
+			if err := add(v, int32(u)); err != nil {
+				return nil, err
+			}
 		}
-	}
-	for i, id := range ids {
-		peers[id].setTables(arena[base[i]:base[i+1]:base[i+1]], int(outDeg[i]))
 	}
 
 	var fp [8]byte
@@ -239,22 +240,14 @@ func LoadSnapshot(r io.Reader) (*Network, error) {
 		return nil, bad("reading fingerprint: %w", err)
 	}
 	want := binary.LittleEndian.Uint64(fp[:])
-
-	n := &Network{
-		k:        k,
-		peers:    peers,
-		ids:      ids,
-		rng:      rand.New(rand.NewSource(seed)),
-		seed:     seed,
-		joins:    joins,
-		replicas: replicas,
-	}
-	n.epoch.Store(epoch)
 	if err := n.CheckCover(); err != nil {
 		return nil, bad("cover check failed: %w", err)
 	}
 	if got := snapshotCheck(n.Fingerprint(), seed, joins); got != want {
 		return nil, bad("fingerprint mismatch: %x != %x", got, want)
+	}
+	if err := n.CheckInvariant(); err != nil {
+		return nil, bad("%w", err)
 	}
 	// Replay the builder's join draws so future joins continue the exact
 	// sequence the snapshotted network would have produced — only now that

@@ -3,8 +3,14 @@ package fissione
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math/rand"
+	"os"
+	"strings"
 	"testing"
 	"time"
+
+	"armada/internal/kautz"
 )
 
 // TestSnapshotRoundTrip pins the loader to the builder: a loaded network
@@ -81,6 +87,63 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotBytesStable pins the snapshot format across the move to
+// slot-addressed tables. The fixture was written by the commit before it
+// (string-keyed tables; 200 peers, replication degree 2, after 12 joins and
+// 12 leaves, so a network that lived through the same history has slots out
+// of trie order): it must load, carry the fingerprint recorded then, and
+// re-save to the same bytes — slot numbering leaks into neither.
+func TestSnapshotBytesStable(t *testing.T) {
+	const fingerprint = 0x853c5d5f6799454a
+	raw, err := os.ReadFile("testdata/snapshot_parent_200.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := LoadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Size() != 200 || n.Replicas() != 2 || n.Epoch() != 222 {
+		t.Fatalf("loaded %d peers, degree %d, epoch %d; want 200, 2, 222", n.Size(), n.Replicas(), n.Epoch())
+	}
+	if got := n.Fingerprint(); got != fingerprint {
+		t.Fatalf("fingerprint %#x, recorded %#x", got, uint64(fingerprint))
+	}
+	if err := n.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	save := func(n *Network) []byte {
+		var buf bytes.Buffer
+		if err := n.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if got := save(n); !bytes.Equal(got, raw) {
+		t.Fatalf("re-saved fixture differs: %d bytes, want %d", len(got), len(raw))
+	}
+	// Churn renumbers nothing a snapshot shows: leave and rejoin so that
+	// slots are recycled, then compare a save with a save of its reload,
+	// which numbers its slots afresh.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 30; i++ {
+		if err := n.Leave(n.RandomPeer(rng)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Join(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	churned := save(n)
+	m, err := LoadSnapshot(bytes.NewReader(churned))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := save(m); !bytes.Equal(got, churned) {
+		t.Fatalf("a churned network and its reload save differently: %d bytes vs %d", len(churned), len(got))
+	}
+}
+
 // TestSnapshotRejectsCorruption checks truncation and bit flips surface as
 // load errors, not corrupt networks.
 func TestSnapshotRejectsCorruption(t *testing.T) {
@@ -125,6 +188,96 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
+// lopsidedSnapshot forges what a hostile writer can: an exact cover that
+// breaks the neighborhood invariant — "0" stays one symbol long beside
+// three-symbol peers, so its honest table has eight entries — under tables
+// cut down to out-neighbors within gap symbols of their peer's length, and
+// the trailer that vouches for them.
+func lopsidedSnapshot(t testing.TB, gap int) []byte {
+	t.Helper()
+	n, err := New(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Split without the walk to a local minimum that keeps a join safe.
+	for _, id := range []kautz.Str{"1", "12", "2", "21"} {
+		s := n.byName[id]
+		created, err := n.divide(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.orderInsert(int(n.nodes[s].pos)+1, created)
+	}
+	for _, s := range n.order {
+		nd := &n.nodes[s]
+		nd.outLen = 0
+		for _, nb := range n.appendOut(nil, s) {
+			if len(n.nodes[nb].id)-len(nd.id) <= gap && nd.outLen < 4 {
+				nd.nbr[nd.outLen] = nb
+				nd.outLen++
+			}
+		}
+		nd.nbrLen = nd.outLen
+	}
+	// In-lists as the loader recovers them: the out-lists, inverted.
+	for _, u := range n.order {
+		for _, v := range n.Out(u) {
+			nd := &n.nodes[v]
+			nd.nbr[nd.nbrLen] = u
+			nd.nbrLen++
+		}
+	}
+	var buf bytes.Buffer
+	if err := n.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotForgedCoverNeverPanics loads a forged file the trailer cannot
+// stop (it is a checksum, not a signature). Tables that themselves show the
+// broken invariant are refused at the door; tables that hide it load — the
+// loader does not re-derive them, that is the work a snapshot skips — and
+// then the first mutation beside the bad spot derives a table no node can
+// hold. That must come back as ErrCorrupt with every table still naming live
+// slots only, not crash the process.
+func TestSnapshotForgedCoverNeverPanics(t *testing.T) {
+	if _, err := LoadSnapshot(bytes.NewReader(lopsidedSnapshot(t, 2))); err == nil || !strings.Contains(err.Error(), "invariant") {
+		t.Fatalf("tables showing a two-symbol length gap loaded: %v", err)
+	}
+	n, err := LoadSnapshot(bytes.NewReader(lopsidedSnapshot(t, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Audit(); err == nil {
+		t.Fatal("audit passed on forged tables")
+	}
+	// Leaving "10" merges "120"+"121" and re-derives "0": 5 out + 2 in.
+	if err := n.Leave("10"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Leave beside the broken spot: %v, want ErrCorrupt", err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 40; i++ {
+		n.Join()
+		if i%2 == 0 {
+			n.Leave(n.RandomPeer(rng))
+		}
+		for _, s := range n.order {
+			for _, nb := range n.neighbors(s) {
+				if n.nodes[nb].peer == nil {
+					t.Fatalf("step %d: table of %q names slot %d, which holds no peer", i, n.nodes[s].id, nb)
+				}
+			}
+		}
+	}
+	if err := n.CheckSlots(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CheckCover(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // forgeJoins returns the snapshot raw with its join-count field rewritten
 // (the header is magic, k, seed, joins, ...).
 func forgeJoins(raw []byte, joins uint64) []byte {
@@ -140,8 +293,9 @@ func forgeJoins(raw []byte, joins uint64) []byte {
 
 // FuzzLoadSnapshot feeds the loader arbitrary bytes. It must reject them or
 // return a network that survives a save/load round trip with the same
-// fingerprint — never panic, and never work (allocate, replay) in
-// proportion to a count the input merely claims.
+// fingerprint and then a little churn — never panic, whatever cover and
+// tables the input forged (churn may fail; errors are the point), and never
+// work (allocate, replay) in proportion to a count the input merely claims.
 func FuzzLoadSnapshot(f *testing.F) {
 	n, err := BuildRandom(12, 24, 5)
 	if err != nil {
@@ -159,6 +313,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(forgeJoins(raw, 1<<40))
 	// A header claiming 2²⁸ peers (the loader's cap) and carrying none.
 	f.Add(append([]byte(snapshotMagic), 12, 0, 0, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x01))
+	f.Add(lopsidedSnapshot(f, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := LoadSnapshot(bytes.NewReader(data))
 		if err != nil {
@@ -174,6 +329,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		if again.Fingerprint() != got.Fingerprint() {
 			t.Fatalf("fingerprint moved across a round trip: %x != %x", again.Fingerprint(), got.Fingerprint())
+		}
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 6; i++ {
+			got.Join()
+			got.Leave(got.RandomPeer(rng))
 		}
 	})
 }

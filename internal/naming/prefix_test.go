@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -233,4 +234,50 @@ func BenchmarkIntersectsPrefix(b *testing.B) {
 		pr := &probes[i%len(probes)]
 		sinkBool, _ = tree.IntersectsPrefix(pr.p, pr.box)
 	}
+}
+
+// FuzzHashOrder checks the property range queries rest on, per attribute
+// count: naming preserves order. If a ≤ b in every attribute then
+// Hash(a) ≤ Hash(b) — for one attribute a total order, for several the
+// partial order MIRA's ⟨Multiple_hash(ω1), Multiple_hash(ω2)⟩ bounds rely
+// on — with both labels Kautz strings of the tree's depth; values outside a
+// space clamp to it, and a non-finite value is refused, not ordered.
+func FuzzHashOrder(f *testing.F) {
+	f.Add(uint8(0), uint8(31), 10.0, 0.0, 0.0, 20.0, 0.0, 0.0)
+	f.Add(uint8(1), uint8(31), 0.0, -50.0, 0.0, 1000.0, 100.0, 0.0)
+	f.Fuzz(func(t *testing.T, mRaw, kRaw uint8, a0, a1, a2, b0, b1, b2 float64) {
+		m := 1 + int(mRaw)%3
+		k := 1 + int(kRaw)%kautz.MaxRankLen
+		tree, err := NewTree(k, []Space{{0, 1000}, {-50, 100}, {0, 10}}[:m]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := []float64{a0, a1, a2}[:m], []float64{b0, b1, b2}[:m]
+		finite := true
+		for i := range lo {
+			if lo[i] > hi[i] {
+				lo[i], hi[i] = hi[i], lo[i]
+			}
+			for _, v := range [2]float64{lo[i], hi[i]} {
+				finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+			}
+		}
+		hlo, errLo := tree.Hash(lo...)
+		hhi, errHi := tree.Hash(hi...)
+		if !finite {
+			if errLo == nil && errHi == nil {
+				t.Fatalf("m=%d k=%d: Hash accepted both %v and %v", m, k, lo, hi)
+			}
+			return
+		}
+		if errLo != nil || errHi != nil {
+			t.Fatalf("m=%d k=%d: Hash(%v): %v, Hash(%v): %v", m, k, lo, errLo, hi, errHi)
+		}
+		if len(hlo) != k || len(hhi) != k || !kautz.Valid(hlo) || !kautz.Valid(hhi) {
+			t.Fatalf("m=%d k=%d: Hash(%v) = %q, Hash(%v) = %q: not ObjectIDs", m, k, lo, hlo, hi, hhi)
+		}
+		if hlo > hhi {
+			t.Fatalf("m=%d k=%d: %v ≤ %v but Hash %q > %q", m, k, lo, hi, hlo, hhi)
+		}
+	})
 }
