@@ -20,14 +20,16 @@ race:
 # Per-layer micro-benchmarks (ns/op, B/op, allocs/op): the pruning
 # predicates, the naming hash, one store scan, the topology's owner lookup,
 # join + leave and replica-group lookup at 10k peers, one descent step and
-# whole descents at 10k peers, the facade's allocation profiles and its
-# range / paged walk / top-k at the scan-wide shape. A macro regression
-# bisects to a layer here without a profiler.
+# whole descents at 10k peers, the route cache's hit path (one tile, twelve)
+# and what a descent pays to teach it, the facade's allocation profiles —
+# a lookup descended and cache-served — and its range / paged walk / top-k
+# at the scan-wide shape. A macro regression bisects to a layer here without
+# a profiler.
 micro:
 	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem ./internal/kautz/
 	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem ./internal/naming/
 	$(GO) test -run '^$$' -bench 'ScanRegion|OwnerOf10k|JoinLeave10k|GroupPeers' -benchmem ./internal/fissione/
-	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k' -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k|Route' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'Alloc|Wide' -benchmem .
 
 # The committed record of `make micro`: one object per benchmark — its
@@ -68,9 +70,8 @@ fuzz:
 # The CI bench-smoke job: the benchmark module's own checks (it is not part
 # of the root ./...), then one short traced run each of descent-cold (plain
 # descents), warm-route (the only workload whose queries go through the
-# frontier cache and the shortcut table) and scan-wide (the only one with
-# paged walks, top-k and large results); each must verify against the
-# oracle with no failed operation.
+# route cache) and scan-wide (the only one with paged walks, top-k and large
+# results); each must verify against the oracle with no failed operation.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -race ./...
 	for w in descent-cold warm-route scan-wide; do \

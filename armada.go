@@ -42,7 +42,6 @@ import (
 	"armada/internal/kautz"
 	"armada/internal/loadctl"
 	"armada/internal/naming"
-	"armada/internal/session"
 	"armada/internal/shortcut"
 )
 
@@ -75,15 +74,11 @@ type Network struct {
 	net  *fissione.Network
 	tree *naming.Tree
 	eng  *core.Engine
-	// fcache is the shared issuer-side frontier cache (nil without
-	// WithFrontierCache): range queries capture their descent frontiers
-	// into it and seed from covering entries, skipping the descent.
-	fcache *session.Cache
-	// stable is the learned shortcut routing table (nil without
-	// WithShortcutTable): every descent's deliveries are learned into it,
-	// and lookups and single-attribute range queries whose regions its
-	// fresh entries tile route in one direct hop per destination.
-	stable *shortcut.Table
+	// routes is the issuer-side route cache (nil without WithShortcutTable):
+	// every descent's deliveries are learned into it, and lookups and range
+	// queries whose destinations it knows are seeded at them in one direct
+	// hop each.
+	routes *shortcut.Table
 	// lctl is the background load controller (nil without
 	// WithLoadControl); Close stops it.
 	lctl *loadctl.Controller
@@ -439,11 +434,11 @@ func (n *Network) Stream(ctx context.Context, q Query) iter.Seq2[Object, error] 
 // do dispatches one query on the engine: exec bracketed by the query's
 // observer (see queryObs), plus the delay-bound sample every finished query
 // contributes. The caller holds the read lock; onMatch, when non-nil,
-// receives each object as the engine materialises it. fr, when non-nil, threads
-// a session's frontier through a range query (see frontierExec).
-func (n *Network) do(ctx context.Context, q Query, issuer string, onMatch func(Object), fr *frontierExec) (*Result, error) {
+// receives each object as the engine materialises it. sess, when non-nil, is
+// the session whose page this range query is.
+func (n *Network) do(ctx context.Context, q Query, issuer string, onMatch func(Object), sess *Session) (*Result, error) {
 	ob := n.observe(q, issuer)
-	res, err := n.exec(ctx, q, issuer, onMatch, fr, ob)
+	res, err := n.exec(ctx, q, issuer, onMatch, sess, ob)
 	var bound float64
 	if err == nil {
 		bound = n.noteQuery(res.Stats)
@@ -453,9 +448,9 @@ func (n *Network) do(ctx context.Context, q Query, issuer string, onMatch func(O
 }
 
 // exec runs one query on the engine: validate the request into an engine
-// configuration, plan its route (frontier, shortcut table), run it, convert
+// configuration, connect it to the issuer-side routing state, run it, convert
 // the result. ob, when non-nil, observes it.
-func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func(Object), fr *frontierExec, ob *queryObs) (*Result, error) {
+func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func(Object), sess *Session, ob *queryObs) (*Result, error) {
 	kind := q.kind()
 	pol, err := n.readPolicy(q.ReadPolicy)
 	if err != nil {
@@ -500,53 +495,37 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 		default:
 			return nil, fmt.Errorf("%w: lookup needs a name or attribute values", ErrBadQuery)
 		}
-		if n.stable != nil {
-			ob.shortcutEligible()
-			// Lookups are the degenerate region ⟨oid, oid⟩ — always a
-			// single learned owner on a hit.
-			cfg.Shortcut = n.shortcutRoute(kautz.Region{Low: oid, High: oid})
-		}
+		var consulted bool
+		cfg.Routes, consulted = n.router(nil)
 		res, err := n.eng.LookupWith(ctx, kautz.Str(issuer), oid, cfg)
 		if err != nil {
 			return nil, wrapCoreErr(err)
 		}
-		if n.stable != nil && res.Stats.ShortcutHits == 0 && res.Owner != "" {
-			n.learnShortcut(res.Owner)
-		}
-		return &Result{Objects: res.Objects, Owner: string(res.Owner), Stats: res.Stats}, nil
+		out := &Result{Objects: res.Objects, Owner: string(res.Owner), Stats: res.Stats}
+		n.routed(&out.Stats, false, nil, consulted, ob)
+		return out, nil
 
 	case KindRange, KindFlood:
 		lo, hi, err := n.bounds(q.Ranges)
 		if err != nil {
 			return nil, err
 		}
-		var res *core.RangeResult
-		switch {
-		case kind == KindFlood:
-			res, err = n.eng.FloodQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
-		case fr == nil && n.fcache == nil && n.stable == nil:
-			res, err = n.eng.RangeQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
-		default:
-			// Range queries — streaming included — on a network with any
-			// issuer-side routing state (frontier cache or shortcut table)
-			// run through runFrontierRange, which consults both: a repeated
-			// hot range skips its descent, and a region the learned shortcut
-			// entries tile routes in one hop per destination.
-			if fr == nil {
-				fr = new(frontierExec)
+		if kind == KindFlood {
+			res, err := n.eng.FloodQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
+			if err != nil {
+				return nil, wrapCoreErr(err)
 			}
-			res, err = n.runFrontierRange(ctx, issuer, lo, hi, q.OffsetID, fr, cfg, ob)
-			if err == nil && n.stable != nil && res.Stats.ShortcutHits == 0 && len(res.Destinations) > 0 {
-				// Learn this descent's (or frontier fan-out's) delivery
-				// owners; a shortcut-served query already found its entries
-				// fresh.
-				n.learnShortcuts(res.Destinations)
-			}
+			return resultOf(res), nil
 		}
+		var consulted bool
+		cfg.Routes, consulted = n.router(sess)
+		res, err := n.eng.RangeQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
 		if err != nil {
 			return nil, wrapCoreErr(err)
 		}
-		return resultOf(res), nil
+		out := resultOf(res)
+		n.routed(&out.Stats, true, sess, consulted, ob)
+		return out, nil
 
 	case KindTopK:
 		if q.K < 1 {
@@ -608,108 +587,66 @@ func (n *Network) Topology() Topology {
 	}
 }
 
-// FrontierCacheStats is a snapshot of the shared frontier cache's counters
-// (see WithFrontierCache).
-type FrontierCacheStats struct {
-	// Hits and Misses count cache lookups by range queries; Stale is the
-	// subset of misses that evicted an entry invalidated by churn (the
-	// topology epoch moved past it).
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Stale  int64 `json:"stale"`
-	// Entries is the current entry count; Capacity the configured bound.
-	Entries  int `json:"entries"`
-	Capacity int `json:"capacity"`
-}
-
-// FrontierCacheStats reports the shared frontier cache's counters; ok is
-// false when the network was built without WithFrontierCache.
-func (n *Network) FrontierCacheStats() (_ FrontierCacheStats, ok bool) {
-	if n.fcache == nil {
-		return FrontierCacheStats{}, false
-	}
-	s := n.fcache.Stats()
-	return FrontierCacheStats{
-		Hits:     s.Hits,
-		Misses:   s.Misses,
-		Stale:    s.Stale,
-		Entries:  s.Entries,
-		Capacity: s.Capacity,
-	}, true
-}
-
-// ShortcutTableStats is a snapshot of the learned shortcut routing
-// table's counters (see WithShortcutTable).
+// ShortcutTableStats is a snapshot of the route cache's counters (see
+// WithShortcutTable).
 type ShortcutTableStats struct {
-	// Hits and Misses count route resolutions by lookups and range
-	// queries; Stale is how many entries were dropped on sight after a
-	// topology epoch change; Evicted how many the capacity bound pushed
-	// out.
+	// Hits and Misses count the lookups and range queries (session pages
+	// included) that consulted the cache: seeded from it, or descended
+	// despite it. Stale is how many entries were overwritten because churn
+	// had given their slot another owner; Evicted how many the capacity
+	// bound pushed out.
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Stale   int64 `json:"stale"`
 	Evicted int64 `json:"evicted"`
-	// Entries is the current entry count; Capacity the configured bound.
+	// Entries is the current entry count; Capacity the configured bound,
+	// both in learned owners.
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
 }
 
-// ShortcutTableStats reports the learned shortcut routing table's
-// counters; ok is false when the network was built without
-// WithShortcutTable.
+// ShortcutTableStats reports the route cache's counters; ok is false when
+// the network was built without WithShortcutTable.
 func (n *Network) ShortcutTableStats() (_ ShortcutTableStats, ok bool) {
-	if n.stable == nil {
+	if n.routes == nil {
 		return ShortcutTableStats{}, false
 	}
-	s := n.stable.Stats()
-	return ShortcutTableStats{
-		Hits:     s.Hits,
-		Misses:   s.Misses,
-		Stale:    s.Stale,
-		Evicted:  s.Evicted,
-		Entries:  s.Entries,
-		Capacity: s.Capacity,
-	}, true
+	return ShortcutTableStats(n.routes.Stats()), true
 }
 
-// shortcutRoute resolves a query region against the shortcut table at the
-// live topology epoch; the zero route means the table cannot cover the
-// region. The caller holds the read lock (so the epoch cannot move under
-// the route) and has checked n.stable != nil.
-func (n *Network) shortcutRoute(region kautz.Region) core.ShortcutRoute {
-	entries, ok := n.stable.Route(region, n.net.Epoch())
-	if !ok {
-		return core.ShortcutRoute{}
+// router returns the issuer-side routing state a lookup or range query
+// consults — a session's kept tiles in front of the route cache, or the cache
+// alone — and whether there is anything in it to miss.
+func (n *Network) router(sess *Session) (_ core.Router, consulted bool) {
+	switch {
+	case sess != nil:
+		return (*sessionRoutes)(sess), n.routes != nil || len(sess.tiles) > 0
+	case n.routes != nil:
+		return n.routes, true
 	}
-	targets := make([]core.ShortcutTarget, len(entries))
-	for i, en := range entries {
-		targets[i] = core.ShortcutTarget{Owner: en.Owner, Group: en.Group}
-	}
-	return core.ShortcutRoute{Targets: targets}
+	return nil, false
 }
 
-// learnShortcuts records the region owners a query delivered to into the
-// shortcut table. The caller holds the read lock, so every owner still
-// exists and the epoch recorded is the one the query ran at.
-func (n *Network) learnShortcuts(owners []kautz.Str) {
-	for _, owner := range owners {
-		n.learnShortcut(owner)
-	}
-}
-
-// learnShortcut records one region owner, with its replica group when the
-// network replicates.
-func (n *Network) learnShortcut(owner kautz.Str) {
-	var group []kautz.Str
-	if s, ok := n.net.Slot(owner); ok && n.net.Replicas() > 1 {
-		var buf [16]*fissione.Peer
-		peers := n.net.AppendGroupPeers(buf[:0], s)
-		group = make([]kautz.Str, len(peers))
-		for i, p := range peers {
-			group[i] = p.ID()
+// routed closes a lookup or range query that could have been seeded: it
+// stamps the Stats with who seeded it, counts the cache's hit or miss, and
+// tells the observer of a descent that routing state was consulted about
+// (consulted) and did not save.
+func (n *Network) routed(s *Stats, ranged bool, sess *Session, consulted bool, ob *queryObs) {
+	switch {
+	case s.DescentsSaved == 0:
+		if n.routes != nil {
+			n.routes.Note(false)
+		}
+		if consulted {
+			ob.shortcutMiss()
+		}
+	case sess == nil || sess.shared: // the cache knew an owner the session's own tiles did not
+		n.routes.Note(true)
+		s.ShortcutHits = 1
+		if ranged {
+			s.FrontierHits = 1
 		}
 	}
-	n.stable.Learn(owner, group, n.net.Epoch())
 }
 
 // Audit verifies every structural invariant of the overlay: the prefix-free

@@ -428,9 +428,9 @@ func BenchmarkExperimentPoint(b *testing.B) {
 
 // buildAllocNet builds a public-API network preloaded with the given
 // number of single-attribute objects.
-func buildAllocNet(b *testing.B, peers, preload int) *armada.Network {
+func buildAllocNet(b testing.TB, peers, preload int, opts ...armada.Option) *armada.Network {
 	b.Helper()
-	net, err := armada.NewNetwork(peers, armada.WithSeed(111))
+	net, err := armada.NewNetwork(peers, append(opts, armada.WithSeed(111))...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -471,6 +471,53 @@ func BenchmarkAllocLookup(b *testing.B) {
 		if _, err := net.Do(ctx, q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// buildCachedNet is buildAllocNet with a route cache that one whole-space
+// descent has taught every owner, so every later lookup and range is seeded.
+func buildCachedNet(b testing.TB, peers, preload int) *armada.Network {
+	b.Helper()
+	net := buildAllocNet(b, peers, preload, armada.WithShortcutTable(peers))
+	if _, err := net.Do(context.Background(), armada.NewRange([]armada.Range{{Low: 0, High: benchSpace}})); err != nil {
+		b.Fatal(err)
+	}
+	return net
+}
+
+// BenchmarkAllocLookupCached is BenchmarkAllocLookup served by the route
+// cache: one owner probe, one cache read, one direct message.
+func BenchmarkAllocLookupCached(b *testing.B) {
+	net := buildCachedNet(b, 1000, 2000)
+	defer net.Close()
+	rng := rand.New(rand.NewSource(112))
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := armada.NewLookup(fmt.Sprintf("o%d", rng.Intn(2000)))
+		if res, err := net.Do(ctx, q); err != nil || res.Stats.ShortcutHits != 1 {
+			b.Fatalf("lookup not served by the cache: %+v, %v", res, err)
+		}
+	}
+}
+
+// A cache-served lookup allocates what its result needs and nothing for the
+// cache: no more than the descent it replaces, within the ceiling of 10.
+func TestCachedLookupAllocCeiling(t *testing.T) {
+	ctx := context.Background()
+	perLookup := func(net *armada.Network, hits int) float64 {
+		defer net.Close()
+		q := armada.NewValueLookup([]float64{417}, armada.WithIssuer(net.PeerIDs()[3]))
+		return testing.AllocsPerRun(200, func() {
+			if res, err := net.Do(ctx, q); err != nil || res.Stats.ShortcutHits != hits || len(res.Objects) == 0 {
+				t.Fatalf("lookup: %+v, %v; want ShortcutHits = %d", res, err, hits)
+			}
+		})
+	}
+	descent, cached := perLookup(buildAllocNet(t, 1000, 2000), 0), perLookup(buildCachedNet(t, 1000, 2000), 1)
+	if cached > descent || cached > 10 {
+		t.Fatalf("a cache-served lookup allocates %.1f times, a descent %.1f; ceiling is 10", cached, descent)
 	}
 }
 

@@ -90,9 +90,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		minPeers  = fs.Int("min-peers", 0, "churn floor: skip leaves/fails at or below this size")
 		interval  = fs.Duration("interval", 0, "snapshot period")
 		noSess    = fs.Bool("paged-no-session", false, "run range-paged walks as independent per-page queries instead of a session (the descent-reuse ablation)")
-		fcache    = fs.Int("frontier-cache", 0, "issuer-side frontier cache capacity; repeated range queries over covered regions skip their descent (0 = no cache)")
-		shortTab  = fs.Int("shortcut-table", 0, "issuer-side learned shortcut routing table capacity; warm lookups and single-attribute ranges route in one direct hop per destination (0 = no table)")
-		noShort   = fs.Bool("no-shortcut", false, "drop the scenario's shortcut table — the descent-baseline ablation (results are byte-identical, only hops and messages move)")
+		shortTab  = fs.Int("shortcut-table", 0, "issuer-side route cache capacity in learned owners; lookups, ranges and session pages whose destinations it knows route in one direct hop per destination (0 = no cache)")
+		noShort   = fs.Bool("no-shortcut", false, "drop the scenario's route cache — the descent-baseline ablation (results are byte-identical, only hops and messages move)")
 		loadCtl   = fs.Bool("load-control", false, "run the adaptive load controller: auto-split regions under sustained delivery load and migrate ownership toward hot regions")
 		maxGrow   = fs.Int("max-growth", 0, "load control: cap on peers auto-splits may add (0 = armada default); at the cap relief continues through migration")
 		hotDrift  = fs.Duration("hot-drift", 0, "hotspot keys: sweep the hot interval across the key space once per this period (0 = pinned hotspot)")
@@ -208,11 +207,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			sc.Interval = *interval
 		case "paged-no-session":
 			sc.PagedNoSession = *noSess
-		case "frontier-cache":
-			if *fcache < 0 {
-				keep(fmt.Errorf("-frontier-cache %d: must be at least 0", *fcache))
-			}
-			sc.FrontierCache = *fcache
 		case "shortcut-table":
 			if *shortTab < 0 {
 				keep(fmt.Errorf("-shortcut-table %d: must be at least 0", *shortTab))
@@ -282,14 +276,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			buildMs, loadMs float64
 		)
 		if *snapIn != "" {
-			fmt.Fprintf(stderr, "armada-load: scenario %q — warm-starting from snapshot %s (replicas %d, frontier cache %d, shortcut table %d), preloading %d objects\n",
-				sc.Name, *snapIn, sc.Replicas, sc.FrontierCache, sc.ShortcutTable, sc.Preload)
+			fmt.Fprintf(stderr, "armada-load: scenario %q — warm-starting from snapshot %s (replicas %d, shortcut table %d), preloading %d objects\n",
+				sc.Name, *snapIn, sc.Replicas, sc.ShortcutTable, sc.Preload)
 			start := time.Now()
 			net, err = loadSnapshotFile(*snapIn, sc.NetworkOptions()...)
 			loadMs = float64(time.Since(start)) / float64(time.Millisecond)
 		} else {
-			fmt.Fprintf(stderr, "armada-load: scenario %q — building %d peers (replicas %d, frontier cache %d, shortcut table %d), preloading %d objects\n",
-				sc.Name, sc.Peers, sc.Replicas, sc.FrontierCache, sc.ShortcutTable, sc.Preload)
+			fmt.Fprintf(stderr, "armada-load: scenario %q — building %d peers (replicas %d, shortcut table %d), preloading %d objects\n",
+				sc.Name, sc.Peers, sc.Replicas, sc.ShortcutTable, sc.Preload)
 			start := time.Now()
 			net, err = armada.NewNetwork(sc.Peers, sc.NetworkOptions()...)
 			buildMs = float64(time.Since(start)) / float64(time.Millisecond)
@@ -462,28 +456,15 @@ func startHTTP(metricsAddr, pprofAddr string, stderr io.Writer) error {
 			}{n.Size(), n.Epoch(), n.RegionHeatReport(topN)})
 		}))
 		mux.HandleFunc("/debug/armada/routing", live(func(w http.ResponseWriter, _ *http.Request, n *armada.Network) {
-			hitRate := func(hits, misses int64) float64 {
-				if total := hits + misses; total > 0 {
-					return float64(hits) / float64(total)
-				}
-				return 0
-			}
+			// The report's shortcut block, over the cache's lifetime.
 			var resp struct {
-				Peers         int                        `json:"peers"`
-				Epoch         uint64                     `json:"epoch"`
-				FrontierCache *armada.FrontierCacheStats `json:"frontier_cache,omitempty"`
-				FrontierHit   float64                    `json:"frontier_hit_rate"`
-				Shortcut      *armada.ShortcutTableStats `json:"shortcut_table,omitempty"`
-				ShortcutHit   float64                    `json:"shortcut_hit_rate"`
+				Peers    int                      `json:"peers"`
+				Epoch    uint64                   `json:"epoch"`
+				Shortcut *workload.ShortcutReport `json:"shortcut,omitempty"`
 			}
 			resp.Peers, resp.Epoch = n.Size(), n.Epoch()
-			if cs, ok := n.FrontierCacheStats(); ok {
-				resp.FrontierCache = &cs
-				resp.FrontierHit = hitRate(cs.Hits, cs.Misses)
-			}
 			if ss, ok := n.ShortcutTableStats(); ok {
-				resp.Shortcut = &ss
-				resp.ShortcutHit = hitRate(ss.Hits, ss.Misses)
+				resp.Shortcut = workload.ShortcutReportOf(armada.ShortcutTableStats{}, ss)
 			}
 			writeJSON(w, resp)
 		}))

@@ -132,9 +132,9 @@ func TestScanHeavySmall(t *testing.T) {
 	if saved, _ := rp["descents_saved"].(float64); saved == 0 {
 		t.Error("scan-heavy sessions saved no descents")
 	}
-	fc, ok := m["frontier_cache"].(map[string]any)
+	fc, ok := m["shortcut"].(map[string]any)
 	if !ok {
-		t.Fatalf("report missing frontier_cache: %v", m)
+		t.Fatalf("report missing the shortcut block: %v", m)
 	}
 	if hits, _ := fc["hits"].(float64); hits == 0 {
 		t.Error("scan-heavy run produced no cache hits")
@@ -142,13 +142,13 @@ func TestScanHeavySmall(t *testing.T) {
 	// The ablation flag turns the savings off without touching anything
 	// else of the scenario.
 	m = runJSON(t, "-scenario", "scan-heavy", "-peers", "100", "-ops", "250", "-preload", "500",
-		"-paged-no-session", "-frontier-cache", "0")
+		"-paged-no-session", "-no-shortcut")
 	rp = m["ops"].(map[string]any)["range-paged"].(map[string]any)
 	if saved, _ := rp["descents_saved"].(float64); saved != 0 {
 		t.Errorf("ablation run saved %v descents, want 0", saved)
 	}
-	if _, ok := m["frontier_cache"]; ok {
-		t.Error("-frontier-cache 0 still reported a cache block")
+	if _, ok := m["shortcut"]; ok {
+		t.Error("-no-shortcut still reported a cache block")
 	}
 }
 

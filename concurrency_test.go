@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,14 +15,16 @@ import (
 // under -race: publishers and unpublishers run under the topology read
 // lock (serialized per peer by the store locks) while queries — plain,
 // paginated and streaming — read concurrently and churners take the write
-// lock. Afterwards every invariant must hold and the surviving data must
-// be exactly queryable.
+// lock. The network carries a route cache too small for the traffic, so
+// seeded queries, learning descents and evictions race as well. Afterwards
+// every invariant must hold and the surviving data must be exactly queryable.
 func TestConcurrentPublishQueryChurn(t *testing.T) {
-	net, err := NewNetwork(120, WithSeed(99))
+	net, err := NewNetwork(120, WithSeed(99), WithShortcutTable(16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stop atomic.Bool
+	var queries atomic.Int64 // completed by the two query workers
 	var wg sync.WaitGroup
 
 	// Four publishers ingest disjoint name spaces in the [0, 500) band;
@@ -68,6 +71,7 @@ func TestConcurrentPublishQueryChurn(t *testing.T) {
 					t.Errorf("paged query: %v", err)
 					return
 				}
+				queries.Add(1)
 				if res.NextOffsetID == "" {
 					break
 				}
@@ -80,6 +84,7 @@ func TestConcurrentPublishQueryChurn(t *testing.T) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(3000))
 		for !stop.Load() {
+			queries.Add(1)
 			lo := rng.Float64() * 400
 			q := NewRange([]Range{{Low: lo, High: lo + 80}})
 			if rng.Intn(2) == 0 {
@@ -124,12 +129,19 @@ func TestConcurrentPublishQueryChurn(t *testing.T) {
 				}
 			}
 		}
+		// A fast churner must not end the storm before the readers raced it.
+		for queries.Load() < 400 && !t.Failed() {
+			runtime.Gosched()
+		}
 		stop.Store(true)
 	}()
 
 	wg.Wait()
 	if err := net.Audit(); err != nil {
 		t.Fatalf("audit after storm: %v", err)
+	}
+	if st, _ := net.ShortcutTableStats(); st.Hits == 0 || st.Evicted == 0 {
+		t.Errorf("route cache %+v; the storm should have hit it and evicted from it", st)
 	}
 
 	// Exactness after the storm: a fresh batch in an untouched band, read

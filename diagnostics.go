@@ -67,8 +67,7 @@ func (n *Network) SlowThresholdMs() (float64, bool) {
 }
 
 // Epoch returns the live topology epoch — bumped by every join, leave,
-// failure, split and migration; frontier and shortcut state captured at an
-// older epoch is invalid.
+// failure, split and migration.
 func (n *Network) Epoch() uint64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()

@@ -104,38 +104,68 @@ func TestDiagnosticsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDiagnosticsAttributesRouteCaches: a plain Do range on a network with
-// both issuer-side route caches is attributed like the lookups and session
-// pages that take the same paths — a cold range that consulted the shortcut
-// table and still descended is a shortcut-miss, and a repeat whose cached
-// frontier a Join invalidated is a stale-frontier.
+// TestDiagnosticsAttributesRouteCaches: lookups, plain ranges and session
+// pages share one cause for a descent that issuer-side routing state was
+// consulted about and did not save — a cold range on a cached network, a
+// repeat one of whose owners a split renamed, a session page whose kept tile
+// went stale — and a seeded query, or a session's first page on a cache-less
+// network, is never one.
 func TestDiagnosticsAttributesRouteCaches(t *testing.T) {
-	net, err := NewNetwork(80, WithSeed(7), WithFrontierCache(16), WithShortcutTable(64),
-		WithDiagnostics(DiagnosticsConfig{SlowThreshold: time.Nanosecond}))
+	diagnosed := WithDiagnostics(DiagnosticsConfig{SlowThreshold: time.Nanosecond})
+	net, err := NewNetwork(80, WithSeed(7), WithShortcutTable(64), diagnosed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	publishSpread(t, net, 200)
-	q := NewRange([]Range{{Low: 100, High: 600}}, WithIssuer(net.PeerIDs()[3]))
-	lastCause := func(step string) string {
+	lastCause := func(net *Network) string {
 		t.Helper()
-		if _, err := net.Do(context.Background(), q); err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
 		slow := net.SlowQueries()
 		if len(slow) == 0 {
-			t.Fatalf("%s: nothing logged at a 1ns threshold", step)
+			t.Fatal("nothing logged at a 1ns threshold")
 		}
 		return slow[len(slow)-1].Cause
 	}
-	if got := lastCause("cold"); got != "shortcut-miss" {
-		t.Errorf("cold range classified %q, want shortcut-miss", got)
+	q := NewRange([]Range{{Low: 100, High: 400}}, WithIssuer(net.PeerIDs()[3]))
+	for _, step := range []struct {
+		what string
+		miss bool
+	}{{"cold", true}, {"warm", false}, {"after a split of a destination", true}} {
+		res, err := net.Do(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", step.what, err)
+		}
+		if got := lastCause(net); (got == "shortcut-miss") != step.miss {
+			t.Errorf("%s range classified %q; shortcut-miss wanted: %v", step.what, got, step.miss)
+		}
+		if step.what == "warm" {
+			if _, err := net.splitRegion(res.Destinations[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, err := net.Join(); err != nil {
+
+	plain, err := NewNetwork(80, WithSeed(7), diagnosed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := lastCause("after join"); got != "stale-frontier" {
-		t.Errorf("range re-descending after a Join classified %q, want stale-frontier", got)
+	publishSpread(t, plain, 200)
+	sess, err := plain.OpenSession(NewRange([]Range{{Low: 100, High: 400}}, WithLimit(20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for page := 1; page <= 3; page++ {
+		res, err := sess.Next(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lastCause(plain); (got == "shortcut-miss") != (page == 3) {
+			t.Errorf("session page %d classified %q; only the page after the split is a shortcut-miss", page, got)
+		}
+		if page == 2 {
+			if _, err := plain.splitRegion(res.Destinations[len(res.Destinations)-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Sessions: walk a large range result page by page through a query
-// session, reusing the captured descent frontier so every page beyond the
-// first skips the route-to-region descent — then repeat the walk and watch
-// the shared frontier cache serve even page 1.
+// session, which keeps the owners page 1's descent delivered to so every
+// page beyond the first skips the route-to-region descent — then repeat the
+// walk and watch the network's route cache serve even page 1.
 //
 //	go run ./examples/sessions
 package main
@@ -24,12 +24,12 @@ func main() {
 func run() error {
 	ctx := context.Background()
 
-	// A 400-peer network with an issuer-side frontier cache: range
-	// queries capture their pruned-descent frontier, and later queries
-	// over covered regions seed directly at the destination peers.
+	// A 400-peer network with the issuer-side route cache: every descent
+	// teaches it the owners it delivered to, and later queries whose
+	// destinations it knows are seeded directly at them.
 	net, err := armada.NewNetwork(400,
 		armada.WithSeed(2006),
-		armada.WithFrontierCache(64),
+		armada.WithShortcutTable(256),
 	)
 	if err != nil {
 		return err
@@ -49,8 +49,8 @@ func run() error {
 	}
 
 	// Walk the hot range twice. The first walk descends once (page 1) and
-	// seeds every later page from its own captured frontier; the second
-	// walk finds that frontier in the shared cache and descends not at all.
+	// seeds every later page at the owners the session kept; the second
+	// walk finds those owners in the route cache and descends not at all.
 	ranges := []armada.Range{{Low: 100, High: 400}}
 	for walk := 1; walk <= 2; walk++ {
 		sess, err := net.OpenSession(armada.NewRange(ranges), armada.WithLimit(512))
@@ -66,9 +66,9 @@ func run() error {
 			how := "full descent"
 			switch {
 			case res.Stats.FrontierHits > 0:
-				how = "seeded from the shared cache"
+				how = "seeded from the route cache"
 			case res.Stats.DescentsSaved > 0:
-				how = "seeded from the session frontier"
+				how = "seeded at the session's kept owners"
 			}
 			fmt.Printf("  page %d: %4d objects, %3d messages, delay %d (%s)\n",
 				page, len(res.Objects), res.Stats.Messages, res.Stats.Delay, how)
@@ -79,8 +79,8 @@ func run() error {
 		sess.Close()
 	}
 
-	if cs, ok := net.FrontierCacheStats(); ok {
-		fmt.Printf("frontier cache: %d/%d entries, %d hits / %d misses (%d stale)\n",
+	if cs, ok := net.ShortcutTableStats(); ok {
+		fmt.Printf("route cache: %d/%d owners, %d hits / %d misses (%d stale)\n",
 			cs.Entries, cs.Capacity, cs.Hits, cs.Misses, cs.Stale)
 	}
 	return nil

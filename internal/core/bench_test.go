@@ -41,6 +41,34 @@ func TestLookupAllocCeiling(t *testing.T) {
 	}
 }
 
+// A replicated delivery costs no allocation a plain one does not: the scan a
+// replica serves is bounded by the owner's prefix where it runs (the owner is
+// compared with the region's bounds, no bound string is built), so the same
+// wide range allocates alike at replication degree 1 and 2.
+func TestReplicatedDeliveryAllocs(t *testing.T) {
+	ctx, lo, hi := context.Background(), []float64{200}, []float64{500}
+	var perQuery [2]float64
+	for i, pol := range []ReadPolicy{ReadPrimary, ReadRoundRobin} {
+		eng, _ := buildBench(t, 300, 600)
+		if err := eng.Network().SetReplicas(i + 1); err != nil {
+			t.Fatal(err)
+		}
+		issuer := eng.Network().PeerIDs()[0]
+		res, err := eng.RangeQuery(ctx, issuer, lo, hi, WithReadPolicy(pol))
+		if err != nil || res.Stats.DestPeers < 30 {
+			t.Fatalf("test range reaches %d destinations (%v), want ≥ 30", res.Stats.DestPeers, err)
+		}
+		perQuery[i] = testing.AllocsPerRun(100, func() {
+			if _, err := eng.RangeQuery(ctx, issuer, lo, hi, WithReadPolicy(pol)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if perQuery[1] > perQuery[0] {
+		t.Fatalf("a range over ≥ 30 destinations allocates %.1f times at replication degree 2, %.1f at degree 1", perQuery[1], perQuery[0])
+	}
+}
+
 var sinkQueue int
 
 // BenchmarkStep measures one forward step of the descent: a peer above the
@@ -48,12 +76,12 @@ var sinkQueue int
 // and queueing the survivors.
 func BenchmarkStep(b *testing.B) {
 	eng, oids := buildBench(b, 10000, 1)
-	st := eng.newState(QueryConfig{}, nil)
-	defer st.release()
 	// Descend a lookup to collect its forward messages, then replay them.
 	issuer := eng.net.PeerIDs()[0]
+	st := eng.newState(QueryConfig{}, issuer, nil)
+	defer st.release()
 	from, _ := eng.net.Slot(issuer)
-	st.seed(from, issuer, kautz.Region{Low: oids[0], High: oids[0]})
+	st.enter(from, kautz.Region{Low: oids[0], High: oids[0]})
 	var steps []msg
 	for st.head < len(st.queue) {
 		m := st.queue[st.head]

@@ -68,12 +68,10 @@ const (
 	// HopRedirect is a delivery the read policy redirected from the region
 	// owner (from) to a serving replica (to).
 	HopRedirect
-	// HopSeed is one direct issuer→destination fan-out send of a
-	// frontier-seeded query.
+	// HopSeed is one direct issuer→serving-peer send of a seeded query: one
+	// whose destinations an offered tiling named, so it skipped the descent
+	// (see Router).
 	HopSeed
-	// HopShortcut is one direct issuer→serving-peer send of a
-	// shortcut-routed query (see WithShortcutRoute).
-	HopShortcut
 	// HopScan is one located run's completed store scan — not an overlay
 	// message but the work its delivery hop set off, reported with that
 	// hop's from, to and depth. Scans run in the materialise phase, after
@@ -96,8 +94,6 @@ func (k HopKind) String() string {
 		return "redirect"
 	case HopSeed:
 		return "seed"
-	case HopShortcut:
-		return "shortcut"
 	case HopScan:
 		return "scan"
 	default:
@@ -123,7 +119,8 @@ type TraceFunc func(kind HopKind, from, to kautz.Str, depth, remaining int)
 // TestLookupAllocCeiling).
 type Metrics struct {
 	// Descents counts full FRT descents executed; Seeded counts queries
-	// that skipped the descent by seeding from a captured frontier.
+	// that skipped the descent because an offered tiling named their
+	// destinations.
 	Descents obs.Counter
 	Seeded   obs.Counter
 	// Messages and Deliveries total the per-query Stats fields of the same
@@ -221,23 +218,10 @@ type QueryConfig struct {
 	// network. The zero value (ReadPrimary) preserves the unreplicated
 	// data path exactly.
 	Policy ReadPolicy
-	// Frontier, when non-nil, offers a captured descent frontier to seed
-	// the query directly at its destination peers (see WithFrontier). It
-	// is used only while valid — matching topology epoch, covering region
-	// — and silently ignored otherwise.
-	Frontier *Frontier
-	// CaptureFrontier records a full descent's frontier into
-	// RangeResult.Frontier (see WithCaptureFrontier).
-	CaptureFrontier bool
-	// Prepared, when set (non-empty Region), carries the query's
-	// precomputed box and region (RangeRegion's output), sparing RangeQuery
-	// the naming-tree mapping a frontier-caching caller already performed.
-	Prepared PreparedRange
-	// Shortcut, when it has targets, offers a learned shortcut route to
-	// serve the query without a descent (see WithShortcutRoute). It is used
-	// only after re-validation against the live topology and silently
-	// ignored otherwise.
-	Shortcut ShortcutRoute
+	// Routes, when non-nil, is issuer-side routing state the query consults
+	// before descending and teaches after a descent (see Router). Lookups and
+	// range queries only — the flood ablation and top-k keep their own walks.
+	Routes Router
 }
 
 // QueryOption adjusts one query's configuration.
@@ -310,30 +294,28 @@ type Stats struct {
 	// region's owner — always 0 without replication or under ReadPrimary.
 	// On a descent each redirect is included in Messages (and can extend
 	// Delay by one hop), so the paper's cost metrics stay honest under
-	// read spreading; on a shortcut-routed query (ShortcutHits = 1) the
-	// issuer addresses the serving replica directly, so the redirect
-	// message is retired.
+	// read spreading; on a seeded query (DescentsSaved = 1) the issuer
+	// addresses the serving replica directly, so the redirect message is
+	// retired.
 	ReplicaServed int
-	// DescentsSaved is 1 when this query was seeded from a captured
-	// descent frontier — a session's own or the shared frontier cache's —
-	// instead of descending the issuer's forward routing tree. Messages
-	// then counts one direct message per surviving destination (plus
-	// replica redirects), Delay is the single fan-out hop, and Subregions
-	// is 0. The accounting stays honest: the saving shows up as cheaper
-	// Messages/Delay, never as uncounted work.
+	// DescentsSaved is 1 when this query was seeded: fresh learned owners —
+	// a session's own tiles or the network's route cache — tiled its region,
+	// so the issuer addressed every destination directly instead of
+	// descending its forward routing tree. Messages then counts one direct
+	// message per destination, Delay is the single fan-out hop, and
+	// Subregions is 0. The accounting stays honest: the saving shows up as
+	// cheaper Messages/Delay, never as uncounted work.
 	DescentsSaved int
-	// FrontierHits is 1 when the seeding frontier came from the network's
-	// shared cache (armada.WithFrontierCache) — the subset of DescentsSaved
-	// that skipped even the first-page descent of its region. The cache
-	// lives above the engine, so the armada layer stamps this field; the
-	// engine leaves it 0 (and JSON omits it then, which keeps the engine's
-	// golden file independent of it).
+	// FrontierHits is 1 when a range query (a session page included) was
+	// seeded by the network's route cache rather than a session's own
+	// tiles — ShortcutHits restricted to ranges. The cache lives above the
+	// engine, so the armada layer stamps both fields; the engine leaves them
+	// 0 (and JSON omits this one then, which keeps the engine's golden file
+	// independent of it).
 	FrontierHits int `json:",omitempty"`
-	// ShortcutHits is 1 when the query was routed by a learned shortcut
-	// route (WithShortcutRoute, armada.WithShortcutTable): the issuer
-	// addressed every destination — the serving replica itself, under a
-	// read policy — directly, in one hop, with no descent and no redirect
-	// messages. DescentsSaved is also 1.
+	// ShortcutHits is 1 when the network's route cache
+	// (armada.WithShortcutTable) seeded the query, lookup or range.
+	// DescentsSaved is also 1.
 	ShortcutHits int
 }
 
@@ -388,10 +370,6 @@ type RangeResult struct {
 	// with After set to it yields the following page. Empty when Matches is
 	// the complete (remaining) result set.
 	Next kautz.Str
-	// Frontier is the captured descent frontier — non-nil only when the
-	// query ran with CaptureFrontier and descended in full (a seeded query
-	// captures nothing; its seed remains the valid frontier).
-	Frontier *Frontier
 	// Stats carries the query's cost metrics.
 	Stats Stats
 }
@@ -405,33 +383,32 @@ const (
 	// can still reach.
 	msgForward msgKind = iota
 	// msgDeliver is an arrival at the destination level — a descent's last
-	// hop, or the direct send of a frontier-seeded or shortcut-routed
-	// query: the receiver owns part of the region and serves it.
+	// hop, or the direct send of a seeded query: the receiver owns part of
+	// the region and serves it.
 	msgDeliver
 )
-
-// noSlot marks a msg whose serving replica is the delivery's to decide.
-const noSlot int32 = -1
 
 // msg is one overlay message in flight: an address pair and a region. Peers
 // are named by slot (fissione.Network.Slot), the address routing tables
 // hold, so a forward reads integers and the identifiers it compares from
 // one dense array; only a delivery turns a slot into a *Peer. Slots are
-// valid for the topology epoch the query runs in.
+// valid for the topology the query runs in.
 type msg struct {
-	to      int32 // receiver's slot; the region's owner on deliveries
-	serving int32 // shortcut routes: the replica the issuer chose and addressed; else noSlot
-	region  kautz.Region
-	h       int32 // msgForward only: hops left to the destination level
-	depth   int32 // hops from the issuer; the issuer's own seeds are at 0
-	kind    msgKind
+	to     int32 // receiver's slot; the region's owner on deliveries
+	region kautz.Region
+	h      int32 // msgForward only: hops left to the destination level
+	depth  int32 // hops from the issuer; the issuer's own seeds are at 0
+	kind   msgKind
+	direct bool // seeded deliveries: the issuer addressed the serving replica itself
 }
 
-// located is one delivery's product: which replica serves which slice of
-// the owner's region. No store is touched until materialise scans it.
+// located is one delivery's product: which replica serves the delivered
+// region for which owner. No store is touched until materialise scans it —
+// bounded, on a replicated network, by the owner's prefix.
 type located struct {
 	owner, serving *fissione.Peer
 	scan           kautz.Region
+	slot           int32 // the owner's
 	depth          int32 // the delivery hop's depth, for the scan's trace event
 	end            int32 // materialise: the result's length once this run was scanned
 }
@@ -450,22 +427,23 @@ type located struct {
 // the whole merge, and a page or a top-k stops at what it returns.
 type queryState struct {
 	cfg      QueryConfig
+	issuer   kautz.Str
 	box      naming.Box // delivery filter; valid when hasBox
 	hasBox   bool
 	boxPrune bool // MIRA: forward only while the child's subspace meets box
 	flood    bool // ablation: forward to every out-neighbor (see FloodQuery)
+	clip     bool // replicated: scans are bounded by the owner's prefix
 
 	queue    []msg // FIFO; queue[head:] is still to process
 	head     int
 	delay    int // deepest message processed
 	messages int // messages processed at depth ≥ 1 (seeds are local computation)
 
-	runs          []located
-	dests         []kautz.Str
-	frontier      []FrontierEntry // captured deliveries (cfg.CaptureFrontier only)
-	replicaServed int             // deliveries served by a non-owner replica
-	redirectMsgs  int             // replica serves that cost a redirect message (descents only)
-	redirectDepth int             // deepest redirected delivery (owner depth + 1)
+	runs          []located // one per delivery
+	tiles         []Tile    // owners' buffer: what a descent teaches its Router
+	replicaServed int       // deliveries served by a non-owner replica
+	redirectMsgs  int       // replica serves that cost a redirect message (descents only)
+	redirectDepth int       // deepest redirected delivery (owner depth + 1)
 }
 
 var statePool = sync.Pool{New: func() any { return new(queryState) }}
@@ -481,9 +459,9 @@ const maxPooled = 1 << 12
 // For a single attribute the region predicate already implies the box
 // predicate (naming's TestContainsPrefixImpliesIntersectsSingleAttr checks
 // it exhaustively), so the descent skips it.
-func (e *Engine) newState(cfg QueryConfig, box *naming.Box) *queryState {
+func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str, box *naming.Box) *queryState {
 	st := statePool.Get().(*queryState)
-	st.cfg = cfg
+	st.cfg, st.issuer, st.clip = cfg, issuer, e.net.Replicas() > 1
 	if box != nil {
 		st.box, st.hasBox = *box, true
 		st.boxPrune = e.tree.Attrs() > 1
@@ -495,10 +473,9 @@ func (e *Engine) newState(cfg QueryConfig, box *naming.Box) *queryState {
 // so a pooled state pins neither results nor departed peers.
 func (st *queryState) release() {
 	*st = queryState{
-		queue:    recycle(st.queue),
-		runs:     recycle(st.runs),
-		dests:    recycle(st.dests),
-		frontier: recycle(st.frontier),
+		queue: recycle(st.queue),
+		runs:  recycle(st.runs),
+		tiles: recycle(st.tiles),
 	}
 	statePool.Put(st)
 }
@@ -536,30 +513,35 @@ func (e *Engine) RangeQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []
 }
 
 // rangeQuery runs a range query as the pruned descent or, for the flood
-// ablation (FloodQuery), as the unpruned one, which takes no route cache.
+// ablation (FloodQuery), as the unpruned one, which consults no Router.
 func (e *Engine) rangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig, flood bool) (*RangeResult, error) {
-	prep := cfg.Prepared
-	if prep.Region.Low == "" {
-		var err error
-		if prep, err = e.prepare(lo, hi); err != nil {
-			return nil, err
-		}
+	box, region, err := e.prepare(lo, hi)
+	if err != nil {
+		return nil, err
 	}
-	region, ok := clipRegionAfter(prep.Region, cfg.After)
+	region, ok := clipRegionAfter(region, cfg.After)
 	if !ok {
 		return &RangeResult{}, nil
 	}
-	if !flood && e.frontierUsable(cfg.Frontier, region, lo, hi) {
-		return e.seedFromFrontier(ctx, issuer, region, &prep.Box, cfg)
+	if flood {
+		cfg.Routes = nil
 	}
-	res, err := e.descend(ctx, issuer, region, &prep.Box, cfg, flood)
-	if err == nil && res.Frontier != nil {
-		// Stamp the bounds the capture's box pruning ran with; reuse is
-		// restricted to queries inside them (see Frontier.CoversBounds).
-		res.Frontier.Lo = append([]float64(nil), lo...)
-		res.Frontier.Hi = append([]float64(nil), hi...)
+	return e.descend(ctx, issuer, region, &box, cfg, flood)
+}
+
+// prepare maps range bounds onto their query geometry: the box and the Kautz
+// region its corners span.
+func (e *Engine) prepare(lo, hi []float64) (box naming.Box, region kautz.Region, err error) {
+	if e.tree == nil {
+		return box, region, ErrNoTree
 	}
-	return res, err
+	if box, err = e.tree.NewBox(lo, hi); err != nil {
+		return box, region, fmt.Errorf("core: range bounds: %w", err)
+	}
+	if region, err = e.tree.QueryRegion(box); err != nil {
+		return box, region, fmt.Errorf("core: range region: %w", err)
+	}
+	return box, region, nil
 }
 
 // clipRegionAfter shrinks a paginated query's region to ⟨succ(after),
@@ -617,42 +599,42 @@ func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, objectID kaut
 
 // descend runs the pruned FRT search from the issuer over the query region,
 // additionally filtering (and, for MIRA, pruning) with the box when box is
-// non-nil. A shortcut route in cfg is tried first and costs nothing when
-// the live topology refuses it. flood disables the pruning (see FloodQuery).
+// non-nil. The query's Router is asked first: if it knows every destination
+// the query is seeded at them in one hop, and if not the attempt costs
+// nothing; the descent that then runs teaches the Router the owners it
+// delivered to. flood disables the pruning (see FloodQuery).
 func (e *Engine) descend(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig, flood bool) (*RangeResult, error) {
 	from, ok := e.net.Slot(issuer)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
-	st := e.newState(cfg, box)
+	st := e.newState(cfg, issuer, box)
 	defer st.release()
 	st.flood = flood
-	if !flood && e.seedFromShortcut(st, region) {
-		return e.finishSeeded(ctx, st, issuer, HopShortcut)
+	if cfg.Routes != nil && e.seed(st, region) {
+		return e.finishSeeded(ctx, st)
 	}
 	parts := region.SplitByFirstSymbol()
 	for _, part := range parts {
-		st.seed(from, issuer, part)
+		st.enter(from, part)
 	}
 	if err := e.pump(ctx, st); err != nil {
 		return nil, err
 	}
 	res := st.result(len(parts))
-	if cfg.CaptureFrontier {
-		// The queue has drained, so the capture is complete; the epoch is
-		// stable for as long as the caller excludes topology mutation.
-		res.Frontier = &Frontier{Epoch: e.net.Epoch(), Region: region, Entries: cloneOrNil(st.frontier)}
+	if cfg.Routes != nil {
+		cfg.Routes.Learn(st.owners())
 	}
 	e.metrics.note(res.Stats, false)
 	return res, nil
 }
 
-// seed queues the descent's entry message for one common-prefix subregion:
+// enter queues the descent's entry message for one common-prefix subregion:
 // local computation at the issuer (depth 0), as many levels above the
 // subregion's destination level as the issuer's identifier does not
 // already overlap the subregion's common prefix.
-func (st *queryState) seed(issuer int32, id kautz.Str, part kautz.Region) {
-	h := len(id) - kautz.OverlapSuffixPrefix(id, part.CommonPrefix())
+func (st *queryState) enter(issuer int32, part kautz.Region) {
+	h := len(st.issuer) - kautz.OverlapSuffixPrefix(st.issuer, part.CommonPrefix())
 	st.queue = append(st.queue, descentMsg(issuer, part, h, 0))
 }
 
@@ -663,7 +645,7 @@ func descentMsg(to int32, region kautz.Region, h int, depth int32) msg {
 	if h == 0 {
 		kind = msgDeliver
 	}
-	return msg{kind: kind, to: to, serving: noSlot, region: region, h: int32(h), depth: depth}
+	return msg{kind: kind, to: to, region: region, h: int32(h), depth: depth}
 }
 
 // pump drains the state's queue breadth-first: messages at equal depth are
@@ -744,136 +726,69 @@ func (e *Engine) prefixIntersectsBox(prefix kautz.Str, box naming.Box) bool {
 	return err == nil && ok
 }
 
-// finishSeeded runs a query whose sends the issuer addressed directly — a
-// frontier fan-out (HopSeed) or a shortcut route (HopShortcut), already
-// queued at depth 1 — and assembles its result. Every send is a real
-// overlay message, counted and traced like any descent forward; Delay is
-// the single fan-out hop and Subregions is 0 (nothing was split).
-func (e *Engine) finishSeeded(ctx context.Context, st *queryState, issuer kautz.Str, kind HopKind) (*RangeResult, error) {
-	if st.cfg.Trace != nil && (ctx == nil || ctx.Err() == nil) {
-		for _, m := range st.queue {
-			to := m.to
-			if m.serving != noSlot {
-				to = m.serving
-			}
-			st.cfg.Trace(kind, issuer, e.net.IDAt(to), 0, 0)
-		}
-	}
+// finishSeeded runs a query whose sends the issuer addressed directly
+// (seed queued them at depth 1) and assembles its result. Every send is a
+// real overlay message, counted and traced like any descent forward; Delay
+// is the single fan-out hop and Subregions is 0 (nothing was split).
+func (e *Engine) finishSeeded(ctx context.Context, st *queryState) (*RangeResult, error) {
 	if err := e.pump(ctx, st); err != nil {
 		return nil, err
 	}
 	res := st.result(0)
 	res.Stats.DescentsSaved = 1
-	if kind == HopShortcut {
-		res.Stats.ShortcutHits = 1
-	}
 	e.metrics.note(res.Stats, true)
 	return res, nil
 }
 
-// clipToOwn intersects r with the region peer id owns — every ObjectID it
-// stores as primary lies in ⟨MinExtend(id), MaxExtend(id)⟩ — reporting
-// false when they are disjoint. Comparing id with the bounds' prefixes of
-// its length decides each side, so a bound string is built only where the
-// owner's region actually clips r.
-func clipToOwn(r kautz.Region, id kautz.Str) (kautz.Region, bool) {
-	n := len(id)
-	switch head := r.Low[:n]; {
-	case head > id:
-		return kautz.Region{}, false
-	case head < id:
-		r.Low = kautz.MinExtend(id, r.K())
-	}
-	switch head := r.High[:n]; {
-	case head < id:
-		return kautz.Region{}, false
-	case head > id:
-		r.High = kautz.MaxExtend(id, r.K())
-	}
-	return r, true
-}
-
-// deliver is the locate phase's product: it records the message's receiver
-// as a destination and appends the run the materialise phase will scan —
-// the replica that serves it and the region it scans. Destination, load
+// deliver is the locate phase's product: it appends the run the materialise
+// phase will scan — the message's receiver, a destination, the replica that
+// serves it and the region it scans. Destination, load
 // counters, read policy and redirect cost are all settled here; no store is
 // read.
 //
 // On a replicated network the scan may be served by any member of the
 // owner's replica group, chosen by the query's read policy. The scan is
-// then clipped to the owner's own region: a replica's store also carries
-// copies of neighboring regions, and without the clip those objects would
-// be returned both here and at their own region's delivery. Clipping makes
-// every ObjectID the responsibility of exactly one delivery, which keeps
-// flood mode and paginated walks exact under replication. A redirected
+// then bounded by the owner's prefix (materialise): a replica's store also
+// carries copies of neighboring regions, and without the bound those objects
+// would be returned both here and at their own region's delivery. Bounding
+// makes every ObjectID the responsibility of exactly one delivery, which
+// keeps flood mode and paginated walks exact under replication. A redirected
 // delivery costs one extra overlay message and arrives one hop later —
-// except on a shortcut route, where the issuer already chose the replica,
-// clipped the region and addressed it directly.
+// except on a seeded query, whose issuer applied the policy itself and
+// addressed the replica directly.
 func (e *Engine) deliver(st *queryState, m msg) {
 	owner, depth := e.net.PeerAt(m.to), int(m.depth)
 	// Load accounting: one delivery addressed to this owner's region,
 	// whichever replica ends up serving the scan — ownership is what the
 	// load controller splits and migrates.
 	owner.NoteDelivery()
-	serving, scan, ok := owner, m.region, true
-	if m.serving != noSlot {
-		serving = e.net.PeerAt(m.serving)
-	} else {
-		serving, scan, ok = e.serveTarget(m.to, m.region, st.cfg.Policy)
-	}
-	if ok && e.net.Replicas() > 1 {
+	serving := owner
+	if st.clip {
+		if st.cfg.Policy != ReadPrimary {
+			var buf [16]*fissione.Peer // replication degrees are small; avoids a heap group slice per delivery
+			group := e.net.AppendGroupPeers(buf[:0], m.to)
+			serving = group[e.choose(group, st.cfg.Policy)]
+		}
 		serving.NoteServed()
 	}
 	if st.cfg.Trace != nil {
+		if m.direct {
+			st.cfg.Trace(HopSeed, st.issuer, serving.ID(), 0, 0)
+		}
 		kind := HopDeliver
 		if serving != owner {
 			kind = HopRedirect
 		}
 		st.cfg.Trace(kind, owner.ID(), serving.ID(), depth, 0)
 	}
-	st.dests = append(st.dests, owner.ID())
-	if !ok {
-		// The owner's region does not intersect the delivered region: an
-		// empty delivery, a destination with nothing to scan.
-		return
-	}
-	st.runs = append(st.runs, located{owner: owner, serving: serving, scan: scan, depth: m.depth})
-	if st.cfg.CaptureFrontier {
-		// Capture the delivery clipped to the owner's own region, so a
-		// cursor moving past the entry retires the peer from later pages
-		// (the raw delivered region spans many peers and would never
-		// retire anyone).
-		if own, ok := clipToOwn(m.region, owner.ID()); ok {
-			st.frontier = append(st.frontier, FrontierEntry{Peer: owner.ID(), Region: own})
-		}
-	}
+	st.runs = append(st.runs, located{owner: owner, serving: serving, scan: m.region, slot: m.to, depth: m.depth})
 	if serving != owner {
 		st.replicaServed++
-		if m.serving == noSlot {
+		if !m.direct {
 			st.redirectMsgs++
 			st.redirectDepth = max(st.redirectDepth, depth+1)
 		}
 	}
-}
-
-// serveTarget resolves one descent delivery: the peer that will serve it
-// (chosen from the owner's replica group by the read policy) and the region
-// it must scan (the delivered region clipped to the owner's own region).
-// Without replication it is the identity — the owner scans the delivered
-// region: an unreplicated owner stores nothing outside its own region, so
-// the results are identical and the clip is skipped. ok is false when the
-// clipped region is empty.
-func (e *Engine) serveTarget(owner int32, region kautz.Region, pol ReadPolicy) (serving *fissione.Peer, scan kautz.Region, ok bool) {
-	if e.net.Replicas() == 1 {
-		return e.net.PeerAt(owner), region, true
-	}
-	scan, ok = clipToOwn(region, e.net.IDAt(owner))
-	if !ok || pol == ReadPrimary {
-		return e.net.PeerAt(owner), scan, ok
-	}
-	var buf [16]*fissione.Peer // replication degrees are small; avoids a heap group slice per delivery
-	group := e.net.AppendGroupPeers(buf[:0], owner)
-	return group[e.choose(group, pol)], scan, true
 }
 
 // choose applies a read policy to a replica group (owner first), returning

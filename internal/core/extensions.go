@@ -44,7 +44,7 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 	if cfg.Limit > 0 || cfg.After != "" {
 		return nil, fmt.Errorf("core: top-k does not paginate; its result cap is k")
 	}
-	prep, err := e.prepare(lo, hi)
+	box, region, err := e.prepare(lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -53,18 +53,18 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
 
-	st := e.newState(cfg, &prep.Box)
+	st := e.newState(cfg, issuer, &box)
 	defer st.release()
 	// Process subregions from the high end, one drained queue at a time:
 	// once a subregion yields k matches, lower subregions cannot contribute
 	// to the top k (the naming is order-preserving, so higher regions hold
 	// higher values). Delays take the maximum and message counts add, as
 	// for subqueries run in parallel.
-	parts := prep.Region.SplitByFirstSymbol()
+	parts := region.SplitByFirstSymbol()
 	top := selection{k: k}
 	ran, found, scanned := 0, 0, 0
 	for i := len(parts) - 1; i >= 0 && found < k; i-- {
-		st.seed(from, issuer, parts[i])
+		st.enter(from, parts[i])
 		if err := e.pump(ctx, st); err != nil {
 			return nil, err
 		}
@@ -72,7 +72,7 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 		found += st.selectTop(st.runs[scanned:], &top)
 		scanned = len(st.runs)
 	}
-	stats, _ := st.summary(ran)
+	stats := st.summary(ran)
 	e.metrics.note(stats, false)
 	return &TopKResult{Matches: top.matches(), Stats: stats}, nil
 }
@@ -157,7 +157,7 @@ func (st *queryState) selectTop(runs []located, top *selection) (admitted int) {
 	for i := len(runs) - 1; i >= 0; i-- {
 		r := &runs[i]
 		c := candidate{serving: r.serving}
-		r.serving.ScanRegion(r.scan, st.cfg.After, func(so fissione.StoredObject) bool {
+		r.serving.ScanOwned(st.own(r), r.scan, st.cfg.After, func(so fissione.StoredObject) bool {
 			if st.admits(&so) {
 				admitted++
 				if !top.loses(&so) {

@@ -21,9 +21,13 @@ import (
 // The descent golden file pins the engine's observable behaviour across
 // every query path — results, cost metrics, destination sets, page cursors
 // and the exact hop sequence — so that a rewrite of the message path can
-// be shown byte-identical to the engine that generated the file. It was
-// generated on the boxed-payload engine (the parent of the typed message
-// path) and must never be regenerated to make a behaviour change pass.
+// be shown byte-identical to the engine that generated the file. Its descent
+// rows were generated on the boxed-payload engine (the parent of the typed
+// message path) and must never be regenerated to make a behaviour change
+// pass. Its seeded rows were regenerated once, when the two route caches
+// became one: a seeded query now walks the live owners in trie order and
+// delivers only where its box does (CHANGES.md, PR 18, records the check of
+// old against new rows).
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/descent_golden.json from this tree's engine")
 
 const goldenPath = "testdata/descent_golden.json"
@@ -225,23 +229,6 @@ func goldenBox(rng *rand.Rand, tree *naming.Tree, frac float64) (lo, hi []float6
 	return lo, hi
 }
 
-// learnedRoute builds the shortcut route a warmed table would hold for the
-// given destination owners, with replica groups on replicated networks.
-func learnedRoute(net *fissione.Network, dests []kautz.Str) ShortcutRoute {
-	r := ShortcutRoute{Targets: make([]ShortcutTarget, len(dests))}
-	var buf [16]*fissione.Peer
-	for i, d := range dests {
-		r.Targets[i] = ShortcutTarget{Owner: d}
-		if net.Replicas() > 1 {
-			owner, _ := net.Slot(d)
-			for _, p := range net.AppendGroupPeers(buf[:0], owner) {
-				r.Targets[i].Group = append(r.Targets[i].Group, p.ID())
-			}
-		}
-	}
-	return r
-}
-
 // goldenSuite runs the full query mix against one fresh world under one
 // read policy.
 func goldenSuite(t *testing.T, recs *[]goldenRecord, name string, attrs, replicas int, pol ReadPolicy, seed int64) {
@@ -279,7 +266,7 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 		issuer := net.RandomPeer(rng)
 		fresh := g.lookup("lookup", issuer, oid, base...)
 		if i%2 == 0 {
-			g.lookup("lookup-shortcut", issuer, oid, with(WithShortcutRoute(learnedRoute(net, []kautz.Str{fresh.Owner})))...)
+			g.lookup("lookup-shortcut", issuer, oid, with(WithRouter(learnedOf(net, []kautz.Str{fresh.Owner})))...)
 		}
 	}
 
@@ -339,19 +326,20 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 		g.topK("topk", net.RandomPeer(rng), lo, hi, 1+rng.Intn(8), base...)
 	}
 
-	// Frontier capture, then seeded queries: the same region, paged walks
-	// over it, and narrower queries it covers.
+	// A descent that teaches, then queries seeded from what it taught: the
+	// same region, paged walks over it, and narrower queries it covers.
 	for i := 0; i < 2; i++ {
 		lo, hi := goldenBox(rng, w.tree, frac*2)
 		issuer := net.RandomPeer(rng)
-		capt := g.rangeQ("capture", issuer, lo, hi, with(WithCaptureFrontier())...)
-		if capt.Frontier == nil {
-			t.Fatalf("%s: capture returned no frontier", name)
+		capt := learned{}
+		g.rangeQ("capture", issuer, lo, hi, with(WithRouter(capt))...)
+		if len(capt) == 0 {
+			t.Fatalf("%s: the descent taught nothing", name)
 		}
-		g.rangeQ("seeded", net.RandomPeer(rng), lo, hi, with(WithFrontier(capt.Frontier))...)
+		g.rangeQ("seeded", net.RandomPeer(rng), lo, hi, with(WithRouter(capt))...)
 		var after kautz.Str
 		for page := 0; page < 3; page++ {
-			opts := with(WithFrontier(capt.Frontier), WithLimit(7))
+			opts := with(WithRouter(capt), WithLimit(7))
 			if after != "" {
 				opts = append(opts, WithAfter(after))
 			}
@@ -366,30 +354,26 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 			q := (hi[a] - lo[a]) / 4
 			nlo[a], nhi[a] = lo[a]+q, hi[a]-q
 		}
-		g.rangeQ("seeded-narrow", issuer, nlo, nhi, with(WithFrontier(capt.Frontier))...)
+		g.rangeQ("seeded-narrow", issuer, nlo, nhi, with(WithRouter(capt))...)
 	}
 
-	// Shortcut-routed ranges: a learned cover of the fresh descent's
-	// destinations (MIRA refuses the route and descends), also paged.
+	// Ranges seeded by an issuer that learned the fresh descent's
+	// destinations by name (as a warmed table holds them), also paged.
 	for i := 0; i < 4; i++ {
 		lo, hi := goldenBox(rng, w.tree, frac)
 		issuer := net.RandomPeer(rng)
 		fresh := g.rangeQ("range", issuer, lo, hi, base...)
-		route := learnedRoute(net, fresh.Destinations)
-		g.rangeQ("shortcut", issuer, lo, hi, with(WithShortcutRoute(route))...)
+		route := learnedOf(net, fresh.Destinations)
+		g.rangeQ("shortcut", issuer, lo, hi, with(WithRouter(route))...)
 		if i%2 == 0 {
-			res := g.rangeQ("shortcut-page", issuer, lo, hi, with(WithShortcutRoute(route), WithLimit(4))...)
+			res := g.rangeQ("shortcut-page", issuer, lo, hi, with(WithRouter(route), WithLimit(4))...)
 			if res.Next != "" {
-				// The cursor clips the region, so the full cover no longer
-				// tiles it from its low end only when owners retire; either
-				// outcome (hit or fallback) is pinned.
-				g.rangeQ("shortcut-page", issuer, lo, hi, with(WithShortcutRoute(route), WithLimit(4), WithAfter(res.Next))...)
+				g.rangeQ("shortcut-page", issuer, lo, hi, with(WithRouter(route), WithLimit(4), WithAfter(res.Next))...)
 			}
 		}
-		if i == 3 && len(route.Targets) > 1 {
+		if i == 3 && len(route) > 1 {
 			// A cover with a hole falls back to the descent at no cost.
-			route.Targets = route.Targets[1:]
-			g.rangeQ("shortcut-hole", issuer, lo, hi, with(WithShortcutRoute(route))...)
+			g.rangeQ("shortcut-hole", issuer, lo, hi, with(WithRouter(learnedOf(net, fresh.Destinations[1:])))...)
 		}
 	}
 }

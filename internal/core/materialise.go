@@ -9,33 +9,74 @@ import (
 	"armada/internal/kautz"
 )
 
-// summary closes the locate phase: the query's cost metrics and its
-// distinct destinations, ascending (a view of the pooled buffer).
-func (st *queryState) summary(subregions int) (Stats, []kautz.Str) {
-	deliveries := len(st.dests)
-	slices.Sort(st.dests)
-	unique := slices.Compact(st.dests)
+// summary closes the locate phase: it orders the located runs by the
+// ObjectIDs they cover — their owners, in that order, are the query's distinct
+// destinations, ascending — and returns the query's cost metrics.
+func (st *queryState) summary(subregions int) Stats {
+	sortRuns(st.runs)
+	dests := 0
+	for i := range st.runs {
+		if st.firstOf(i) {
+			dests++
+		}
+	}
 	// A delivery redirected mid-descent is one extra overlay message
 	// (owner → serving replica), and that destination's data arrives one
-	// hop after the owner received the query. Shortcut-routed deliveries
-	// address the serving replica directly and add neither.
+	// hop after the owner received the query. Seeded deliveries address the
+	// serving replica directly and add neither.
 	return Stats{
 		Delay:         max(st.delay, st.redirectDepth),
 		Messages:      st.messages + st.redirectMsgs,
-		DestPeers:     len(unique),
+		DestPeers:     dests,
 		Subregions:    subregions,
-		Deliveries:    deliveries,
+		Deliveries:    len(st.runs),
 		ReplicaServed: st.replicaServed,
-	}, unique
+	}
+}
+
+// firstOf reports whether ordered run i is the first delivered to its owner.
+func (st *queryState) firstOf(i int) bool {
+	return i == 0 || st.runs[i].owner != st.runs[i-1].owner
+}
+
+// owners lists the distinct owners the ordered runs were delivered to,
+// ascending — what a descent teaches its Router — in a buffer the next query
+// reuses.
+func (st *queryState) owners() []Tile {
+	st.tiles = st.tiles[:0]
+	for i := range st.runs {
+		if r := &st.runs[i]; st.firstOf(i) {
+			st.tiles = append(st.tiles, Tile{Slot: r.slot, ID: r.owner.ID()})
+		}
+	}
+	return st.tiles
 }
 
 // result assembles the final RangeResult: the locate phase's summary, then
-// the located runs materialised into it.
+// the ordered runs materialised into it.
 func (st *queryState) result(subregions int) *RangeResult {
-	stats, dests := st.summary(subregions)
-	res := &RangeResult{Destinations: cloneOrNil(dests), Stats: stats}
+	res := &RangeResult{Stats: st.summary(subregions)}
+	if n := res.Stats.DestPeers; n > 0 {
+		res.Destinations = make([]kautz.Str, 0, n)
+		for i := range st.runs {
+			if st.firstOf(i) {
+				res.Destinations = append(res.Destinations, st.runs[i].owner.ID())
+			}
+		}
+	}
 	st.materialise(res)
 	return res
+}
+
+// own is the prefix that bounds a run's scan: the owner's identifier on a
+// replicated network, where the serving store also holds its neighbors'
+// copies, and nothing otherwise — an unreplicated owner stores no ObjectID
+// outside its own region, so the delivered region is scanned as it came.
+func (st *queryState) own(r *located) kautz.Str {
+	if st.clip {
+		return r.owner.ID()
+	}
+	return ""
 }
 
 // sortRuns orders located runs by the ObjectIDs they cover. Distinct owners
@@ -44,8 +85,8 @@ func (st *queryState) result(subregions int) *RangeResult {
 // ends.
 func sortRuns(runs []located) {
 	slices.SortFunc(runs, func(a, b located) int {
-		if c := cmp.Compare(a.owner.ID(), b.owner.ID()); c != 0 {
-			return c
+		if a.owner != b.owner {
+			return cmp.Compare(a.owner.ID(), b.owner.ID())
 		}
 		return cmp.Compare(a.scan.Low, b.scan.Low)
 	})
@@ -100,14 +141,14 @@ func (st *queryState) capacityHint() int {
 	n := 0
 	for i := range st.runs {
 		if r := &st.runs[i]; st.boxPrune {
-			r.serving.ScanRegion(r.scan, st.cfg.After, func(so fissione.StoredObject) bool {
+			r.serving.ScanOwned(st.own(r), r.scan, st.cfg.After, func(so fissione.StoredObject) bool {
 				if st.admits(&so) {
 					n++
 				}
 				return n < need
 			})
 		} else {
-			n += r.serving.CountRegion(r.scan, st.cfg.After)
+			n += r.serving.CountOwned(st.own(r), r.scan, st.cfg.After)
 		}
 		if n >= need {
 			return need
@@ -116,8 +157,8 @@ func (st *queryState) capacityHint() int {
 	return n
 }
 
-// materialise is a query's second phase: it scans the located runs in
-// ObjectID order straight into the slice the caller receives, values copied
+// materialise is a query's second phase: it scans the located runs, which
+// summary ordered by ObjectID, straight into the slice the caller receives, values copied
 // at the same moment, so the result is built exactly once. With a Limit it
 // stops at the page cut — extended through a run of equal ObjectIDs, which
 // never crosses a run boundary (every ObjectID lives in exactly one run),
@@ -125,7 +166,6 @@ func (st *queryState) capacityHint() int {
 // and reads on only until the first further match proves there is a next
 // page.
 func (st *queryState) materialise(res *RangeResult) {
-	sortRuns(st.runs)
 	var (
 		out     []Match
 		vals    []float64
@@ -152,7 +192,7 @@ func (st *queryState) materialise(res *RangeResult) {
 		r := &scanned[i]
 		start := len(out)
 		serving = r.serving
-		serving.ScanRegion(r.scan, st.cfg.After, add)
+		serving.ScanOwned(st.own(r), r.scan, st.cfg.After, add)
 		r.end = int32(len(out))
 		st.scanned(r)
 		if st.cfg.OnMatch != nil {

@@ -6,7 +6,7 @@
 //
 // The paper's delay-bound conformance counter says *that* the tail moved;
 // this package says *why*. Every finished query is timed stage by stage
-// (descent forwards, frontier seeds, shortcut sends, deliveries, replica
+// (descent forwards, seeded sends, deliveries, replica
 // redirects, store scans — plus the dispatcher queue wait the workload
 // layer threads in), classified into a cause, and sampled into the tail
 // attribution the workload report exposes. Queries slower than the
@@ -43,12 +43,10 @@ const (
 	// CauseSplitInFlight: a load-control split or migration overlapped the
 	// query, so it raced a topology mutation for the write lock.
 	CauseSplitInFlight
-	// CauseStaleFrontier: a candidate frontier (session seed or shared
-	// cache entry) had been invalidated by a topology epoch change, forcing
-	// a full descent the query expected to skip.
-	CauseStaleFrontier
-	// CauseShortcutMiss: the query was eligible for shortcut routing but
-	// the table had no fresh covering entries, so it paid a descent.
+	// CauseShortcutMiss: the query consulted issuer-side routing state — the
+	// route cache, a session's tiles — that did not know every destination
+	// (never learned, evicted, or renamed by churn), so it paid the descent
+	// it expected to skip.
 	CauseShortcutMiss
 	// CauseReplicaRedirect: redirected deliveries dominated the query's
 	// critical path (the extra hop to the serving replica).
@@ -70,8 +68,6 @@ func (c Cause) String() string {
 		return "queue-wait"
 	case CauseSplitInFlight:
 		return "split-in-flight"
-	case CauseStaleFrontier:
-		return "stale-frontier"
 	case CauseShortcutMiss:
 		return "shortcut-miss"
 	case CauseReplicaRedirect:
@@ -250,12 +246,11 @@ type Query struct {
 	startNs int64
 	// lastNs is the since-start time of the previous event; each event's
 	// gap from it is attributed to that event's stage.
-	lastNs     int64
-	queueWait  time.Duration
-	stageNs    [core.NumHopKinds]int64
-	stageN     [core.NumHopKinds]int32
-	stale      bool
-	scEligible bool
+	lastNs    int64
+	queueWait time.Duration
+	stageNs   [core.NumHopKinds]int64
+	stageN    [core.NumHopKinds]int32
+	routeMiss bool
 }
 
 // Begin starts collecting one query. queueWait is the dispatcher queue
@@ -282,13 +277,9 @@ func (q *Query) Note(stage core.HopKind) {
 	q.stageN[stage]++
 }
 
-// MarkStaleFrontier records that a candidate frontier was invalidated by a
-// topology epoch change, forcing a descent.
-func (q *Query) MarkStaleFrontier() { q.stale = true }
-
-// MarkShortcutEligible records that the query consulted the learned
-// shortcut table (a descent despite eligibility is a shortcut miss).
-func (q *Query) MarkShortcutEligible() { q.scEligible = true }
+// MarkShortcutMiss records that the query descended although it consulted
+// issuer-side routing state.
+func (q *Query) MarkShortcutMiss() { q.routeMiss = true }
 
 // Finish completes the query with its cost stats and the instantaneous
 // 2·log₂N bound they are judged against (0 when unknown): classify, sample,
@@ -332,10 +323,7 @@ func (m *Monitor) classify(q *Query, s core.Stats, bound float64, durNs int64) C
 	if a := m.lastActionNs.Load(); a > 0 && a-1 >= q.startNs {
 		return CauseSplitInFlight
 	}
-	if q.stale {
-		return CauseStaleFrontier
-	}
-	if q.scEligible && s.ShortcutHits == 0 && s.DescentsSaved == 0 && q.stageN[core.HopForward] > 0 {
+	if q.routeMiss && q.stageN[core.HopForward] > 0 {
 		return CauseShortcutMiss
 	}
 	if bound > 0 && float64(s.Delay) >= 0.75*bound {

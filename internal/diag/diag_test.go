@@ -46,27 +46,19 @@ func TestClassifierPriorities(t *testing.T) {
 		t.Fatalf("post-action query still blamed on split")
 	}
 
-	// Stale frontier beats shortcut-miss.
-	q = m.Begin(4, "range", "p", 0)
-	q.MarkStaleFrontier()
-	q.MarkShortcutEligible()
-	if c := m.classify(q, core.Stats{}, 0, 0); c != CauseStaleFrontier {
-		t.Fatalf("stale frontier classified %v", c)
-	}
-
-	// Shortcut-eligible with a descent and no hits is a shortcut miss.
-	q = m.Begin(5, "lookup", "p", 0)
-	q.MarkShortcutEligible()
+	// Routing state consulted, and a descent all the same, is a shortcut
+	// miss.
+	q = m.Begin(4, "lookup", "p", 0)
+	q.MarkShortcutMiss()
 	q.Note(core.HopForward)
 	if c := m.classify(q, core.Stats{}, 0, 0); c != CauseShortcutMiss {
 		t.Fatalf("shortcut miss classified %v", c)
 	}
-	// ...but a shortcut hit clears it.
-	q = m.Begin(6, "lookup", "p", 0)
-	q.MarkShortcutEligible()
-	q.Note(core.HopShortcut)
-	if c := m.classify(q, core.Stats{ShortcutHits: 1}, 0, 0); c == CauseShortcutMiss {
-		t.Fatalf("shortcut hit still classified a miss")
+	// ...but a seeded query is not one.
+	q = m.Begin(5, "lookup", "p", 0)
+	q.Note(core.HopSeed)
+	if c := m.classify(q, core.Stats{DescentsSaved: 1, ShortcutHits: 1}, 0, 0); c == CauseShortcutMiss {
+		t.Fatalf("seeded query classified a miss")
 	}
 
 	// Realized delay near the bound is a deep descent.

@@ -22,7 +22,7 @@ func TestEpochBumpsOnTopologyChange(t *testing.T) {
 	if _, err := n.Join(); err != nil {
 		t.Fatal(err)
 	}
-	if n.ValidEpoch(e) {
+	if n.Epoch() == e {
 		t.Error("join did not bump the epoch")
 	}
 	e = n.Epoch()
@@ -30,7 +30,7 @@ func TestEpochBumpsOnTopologyChange(t *testing.T) {
 	if err := n.Leave(n.RandomPeer(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if n.ValidEpoch(e) {
+	if n.Epoch() == e {
 		t.Error("leave did not bump the epoch")
 	}
 	e = n.Epoch()
@@ -38,7 +38,7 @@ func TestEpochBumpsOnTopologyChange(t *testing.T) {
 	if err := n.FailAbrupt(n.RandomPeer(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if n.ValidEpoch(e) {
+	if n.Epoch() == e {
 		t.Error("crash did not bump the epoch")
 	}
 	e = n.Epoch()
@@ -46,7 +46,7 @@ func TestEpochBumpsOnTopologyChange(t *testing.T) {
 	if err := n.SetReplicas(2); err != nil {
 		t.Fatal(err)
 	}
-	if n.ValidEpoch(e) {
+	if n.Epoch() == e {
 		t.Error("replication change did not bump the epoch")
 	}
 	e = n.Epoch()
@@ -60,7 +60,7 @@ func TestEpochBumpsOnTopologyChange(t *testing.T) {
 	if _, err := n.UnpublishAt(oid, Object{Name: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	if !n.ValidEpoch(e) {
+	if n.Epoch() != e {
 		t.Error("publish/unpublish bumped the epoch")
 	}
 }

@@ -122,12 +122,34 @@ func TestOrderedIndexMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: ObjectsInRegion(%v) diverged:\n got %v\nwant %v", step, r, got, want)
 			}
-			if n := p.CountRegion(r, ""); n != len(want) {
-				t.Fatalf("step %d: CountRegion(%v) = %d, want %d", step, r, n, len(want))
+			if n := p.CountOwned("", r, ""); n != len(want) {
+				t.Fatalf("step %d: CountOwned(%v) = %d, want %d", step, r, n, len(want))
+			}
+			// The prefix-bounded scan equals the scan of the region clipped
+			// to the prefix's own region, which it never builds.
+			own := kautz.Random(rng, k)[:1+rng.Intn(4)]
+			want = nil
+			if clip, ok := r.Intersect(kautz.Region{Low: kautz.MinExtend(own, k), High: kautz.MaxExtend(own, k)}); ok {
+				want = ref.inRegion(clip)
+			}
+			var owned []StoredObject
+			p.ScanOwned(own, r, "", func(so StoredObject) bool {
+				owned = append(owned, so)
+				return true
+			})
+			if !reflect.DeepEqual(owned, want) || p.CountOwned(own, r, "") != len(want) {
+				t.Fatalf("step %d: ScanOwned(%s, %v) diverged:\n got %v\nwant %v", step, own, r, owned, want)
 			}
 		case op < 9: // paged scan: pages concatenate to the full region scan
 			r := randomRegion()
 			want := ref.inRegion(r)
+			var own kautz.Str
+			if rng.Intn(2) == 0 { // a replica's walk, bounded by its owner's prefix
+				own, want = kautz.Random(rng, k)[:1+rng.Intn(3)], nil
+				if clip, ok := r.Intersect(kautz.Region{Low: kautz.MinExtend(own, k), High: kautz.MaxExtend(own, k)}); ok {
+					want = ref.inRegion(clip)
+				}
+			}
 			limit := 1 + rng.Intn(5)
 			var (
 				got   []StoredObject
@@ -138,7 +160,7 @@ func TestOrderedIndexMatchesReference(t *testing.T) {
 					t.Fatalf("step %d: paged scan of %v does not terminate", step, r)
 				}
 				var page []StoredObject
-				p.ScanRegion(r, after, func(so StoredObject) bool {
+				p.ScanOwned(own, r, after, func(so StoredObject) bool {
 					if len(page) >= limit && so.ObjectID != page[len(page)-1].ObjectID {
 						return false
 					}

@@ -75,18 +75,13 @@ type Network struct {
 
 // Epoch returns the topology epoch: a counter bumped by every mutation that
 // can move region ownership — splits (joins), departures, crashes and
-// replication-degree changes. Routing state captured outside the network
-// (the query engine's descent frontiers) is valid only while the epoch it
-// was captured at still matches; ValidEpoch is the check — which also
-// fences recycled slots from stale captures. Reads are safe concurrently
-// with queries; the counter only advances under the same external exclusion
-// topology mutation requires, so a value observed while holding a read lock
-// stays exact for the lock's duration.
+// replication-degree changes. Fingerprints and snapshots carry it; routing
+// state learned outside the network is validated per slot instead (IDAt: a
+// live slot still carrying the identifier it was learned under owns exactly
+// that identifier's region, whatever happened elsewhere). Reads are safe
+// concurrently with queries; the counter only advances under the same
+// external exclusion topology mutation requires.
 func (n *Network) Epoch() uint64 { return n.epoch.Load() }
-
-// ValidEpoch reports whether routing state captured at epoch e may still be
-// used: ownership has not shifted since.
-func (n *Network) ValidEpoch(e uint64) bool { return n.epoch.Load() == e }
 
 // New creates a minimal network of the three seed peers 0, 1 and 2, with
 // ObjectIDs of length k. The seed determines all subsequent randomized
@@ -175,9 +170,19 @@ func (n *Network) Peer(id kautz.Str) (*Peer, bool) {
 // routing table under the current topology).
 func (n *Network) PeerAt(slot int32) *Peer { return n.nodes[slot].peer }
 
-// IDAt returns the identifier of the peer holding a live slot, without
-// touching the peer.
+// IDAt returns the identifier of the peer holding a slot, without touching
+// the peer — empty for a released slot. Any slot the network ever handed out
+// may be asked about: the slot space never shrinks.
 func (n *Network) IDAt(slot int32) kautz.Str { return n.nodes[slot].id }
+
+// Next returns the slot that follows a live slot in trie order — the owner of
+// the region directly above its own — and false at the namespace's high end.
+func (n *Network) Next(slot int32) (int32, bool) {
+	if i := int(n.nodes[slot].pos) + 1; i < len(n.order) {
+		return n.order[i], true
+	}
+	return 0, false
+}
 
 // Out returns the out-neighbor slots of the peer holding a live slot,
 // ascending by identifier. The slice is the network's own and must not be
@@ -514,14 +519,31 @@ func (n *Network) ownerSlot(objectID kautz.Str) (int32, error) {
 }
 
 // owned returns the slot of the peer whose identifier is a prefix of s no
-// longer than upTo symbols (at most k) — there is at most one.
+// longer than upTo symbols (at most k). There is at most one, so the lengths
+// may be probed in any order: outward from the length of some peer's
+// identifier — the one in the middle of the trie order — since lengths across
+// a network differ little and the first or second probe is then the hit.
 func (n *Network) owned(s kautz.Str, upTo int) (int32, bool) {
-	for l := 1; l <= upTo; l++ {
-		if slot, ok := n.byName[s[:l]]; ok {
-			return slot, true
+	mid := min(len(n.nodes[n.order[len(n.order)/2]].id), upTo)
+	for lo, hi := mid, mid+1; lo >= 1 || hi <= upTo; lo, hi = lo-1, hi+1 {
+		if lo >= 1 {
+			if slot, ok := n.byName[s[:lo]]; ok {
+				return slot, true
+			}
+		}
+		if hi <= upTo {
+			if slot, ok := n.byName[s[:hi]]; ok {
+				return slot, true
+			}
 		}
 	}
 	return 0, false
+}
+
+// OwnerSlot returns the slot of the peer owning objectID, a Kautz string of
+// the network's length k.
+func (n *Network) OwnerSlot(objectID kautz.Str) (int32, bool) {
+	return n.owned(objectID, len(objectID))
 }
 
 // OwnerOf returns the identifier of the peer owning objectID.

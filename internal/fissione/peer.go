@@ -32,10 +32,13 @@
 // are written in names and trie positions, so a churned network and its
 // reloaded copy (fresh dense numbering) are indistinguishable. The name map
 // is read only where a name enters — Slot, Peer, Leave, FailAbrupt,
-// SplitRegion, OwnerOf and the publishes that start with it — and by
-// topology maintenance deriving tables from the cover (appendOwners, the
-// sibling probes of a departure); no query hop and no replica-group member
-// lookup touches it.
+// SplitRegion, OwnerOf and the publishes that start with it, OwnerSlot for
+// the one owner probe a seeded query starts from — and by topology
+// maintenance deriving tables from the cover (appendOwners, the sibling
+// probes of a departure); no query hop and no replica-group member lookup
+// touches it. A slot is also how routing state learned outside the network
+// stays honest: a slot still carrying the identifier it was learned under
+// (IDAt) owns exactly that identifier's region, whatever changed elsewhere.
 //
 // # Concurrency
 //
@@ -193,16 +196,26 @@ func (p *Peer) ObjectCount() int {
 }
 
 // scanBounds returns the index interval [lo, hi) a scan over the region —
-// restricted to ObjectIDs strictly greater than after when after is
-// non-empty — visits, in O(log n). The caller holds p.mu.
-func (p *Peer) scanBounds(r kautz.Region, after kautz.Str) (lo, hi int) {
-	low := r.Low
+// restricted to ObjectIDs with the prefix own, and to ObjectIDs strictly
+// greater than after when after is non-empty — visits, in O(log n). own is
+// how a replica's scan stays inside the region of the owner it serves for
+// (its store also carries the neighboring regions' copies): each side takes
+// the region's bound or the prefix's, whichever is tighter, decided by
+// comparing own with the bound's head, so no bound string is ever built.
+// An empty own bounds nothing. The caller holds p.mu.
+func (p *Peer) scanBounds(own kautz.Str, r kautz.Region, after kautz.Str) (lo, hi int) {
+	low, n := r.Low, len(own)
+	if n > 0 && low[:n] < own {
+		low = own // a prefix sorts directly before every ObjectID it starts
+	}
 	lo = sort.Search(len(p.store), func(i int) bool { return p.store[i].ObjectID >= low })
 	if after != "" && after >= low {
 		lo = sort.Search(len(p.store), func(i int) bool { return p.store[i].ObjectID > after })
 	}
-	hi = lo + sort.Search(len(p.store)-lo, func(i int) bool { return p.store[lo+i].ObjectID > r.High })
-	return lo, hi
+	if n > 0 && r.High[:n] > own {
+		return lo, lo + sort.Search(len(p.store)-lo, func(i int) bool { return !p.store[lo+i].ObjectID.HasPrefix(own) })
+	}
+	return lo, lo + sort.Search(len(p.store)-lo, func(i int) bool { return p.store[lo+i].ObjectID > r.High })
 }
 
 // ScanRegion calls fn for each stored object whose ObjectID lies in the
@@ -212,9 +225,15 @@ func (p *Peer) scanBounds(r kautz.Region, after kautz.Str) (lo, hi int) {
 // visited object, and holds the peer's store lock throughout: fn must not
 // call back into the peer.
 func (p *Peer) ScanRegion(r kautz.Region, after kautz.Str, fn func(StoredObject) bool) {
+	p.ScanOwned("", r, after, fn)
+}
+
+// ScanOwned is ScanRegion further restricted to ObjectIDs with the prefix
+// own: the scan of a replica serving for the owner of that identifier.
+func (p *Peer) ScanOwned(own kautz.Str, r kautz.Region, after kautz.Str, fn func(StoredObject) bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	lo, hi := p.scanBounds(r, after)
+	lo, hi := p.scanBounds(own, r, after)
 	for _, so := range p.store[lo:hi] {
 		if !fn(so) {
 			return
@@ -222,13 +241,14 @@ func (p *Peer) ScanRegion(r kautz.Region, after kautz.Str, fn func(StoredObject)
 	}
 }
 
-// CountRegion returns how many objects a ScanRegion over the same region
-// and cursor would visit right now, in O(log n). Publishes may run between
-// the count and the scan, so it is a size to allocate by, not one to trust.
-func (p *Peer) CountRegion(r kautz.Region, after kautz.Str) int {
+// CountOwned returns how many objects a ScanOwned over the same prefix,
+// region and cursor would visit right now, in O(log n). Publishes may run
+// between the count and the scan, so it is a size to allocate by, not one to
+// trust.
+func (p *Peer) CountOwned(own kautz.Str, r kautz.Region, after kautz.Str) int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	lo, hi := p.scanBounds(r, after)
+	lo, hi := p.scanBounds(own, r, after)
 	return hi - lo
 }
 
@@ -237,7 +257,7 @@ func (p *Peer) CountRegion(r kautz.Region, after kautz.Str) int {
 func (p *Peer) ObjectsInRegion(r kautz.Region) []StoredObject {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	lo, hi := p.scanBounds(r, "")
+	lo, hi := p.scanBounds("", r, "")
 	if lo == hi {
 		return nil
 	}

@@ -29,17 +29,10 @@ const (
 	// EvReplicaRedirect is a delivery the read policy redirected: From is
 	// the region owner, To the serving replica.
 	EvReplicaRedirect
-	// EvFrontierSeed is one direct fan-out send of a frontier-seeded query
-	// (the descent was skipped): From is the issuer, To a surviving
-	// destination.
-	EvFrontierSeed
-	// EvShortcutSeed is one direct fan-out send of a shortcut-routed query
-	// (the descent was skipped): From is the issuer, To the serving peer
-	// the learned route chose.
+	// EvShortcutSeed is one direct fan-out send of a seeded query (learned
+	// owners tiled its region, so the descent was skipped): From is the
+	// issuer, To the serving peer it chose.
 	EvShortcutSeed
-	// EvFrontierCapture records a full descent capturing its frontier; V1
-	// is the number of captured entries.
-	EvFrontierCapture
 	// EvPageCut records a paginated query truncating its result; Note is
 	// the continuation cursor (NextOffsetID).
 	EvPageCut
@@ -67,12 +60,8 @@ func (k EventKind) String() string {
 		return "deliver"
 	case EvReplicaRedirect:
 		return "replica-redirect"
-	case EvFrontierSeed:
-		return "frontier-seed"
 	case EvShortcutSeed:
 		return "shortcut-seed"
-	case EvFrontierCapture:
-		return "frontier-capture"
 	case EvPageCut:
 		return "page-cut"
 	case EvRepair:
@@ -225,19 +214,16 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 					args["error"] = ev.Note
 				}
 			}
-		case EvDescentStep, EvDeliver, EvReplicaRedirect, EvFrontierSeed, EvShortcutSeed:
+		case EvDescentStep, EvDeliver, EvReplicaRedirect, EvShortcutSeed:
 			ce.Cat = "hop"
 			ce.Phase = "i"
 			ce.Scope = "t"
 			args["depth"] = ev.Depth
 			args["remaining"] = ev.Remaining
-		case EvFrontierCapture, EvPageCut:
+		case EvPageCut:
 			ce.Cat = "query"
 			ce.Phase = "i"
 			ce.Scope = "t"
-			if ev.V1 != 0 {
-				args["entries"] = ev.V1
-			}
 			if ev.Note != "" {
 				args["cursor"] = ev.Note
 			}

@@ -136,7 +136,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 
 func TestEventKindString(t *testing.T) {
 	kinds := []EventKind{EvQueryStart, EvQueryEnd, EvDescentStep, EvDeliver,
-		EvReplicaRedirect, EvFrontierSeed, EvShortcutSeed, EvFrontierCapture,
+		EvReplicaRedirect, EvShortcutSeed,
 		EvPageCut, EvRepair, EvSplit, EvMigrate}
 	seen := map[string]bool{}
 	for _, k := range kinds {

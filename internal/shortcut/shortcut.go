@@ -1,185 +1,185 @@
-// Package shortcut implements an issuer-side learned shortcut routing
-// table: a bounded LRU mapping peer identifiers (normalized region
-// prefixes — every peer owns exactly the ObjectIDs its identifier
-// prefixes) to the responsible peer and, when replicated, its group
-// members. Entries are learned passively from the delivery hops of every
-// observed descent, so warm regions accumulate routing state for free.
-// On issue, a query whose region the learned entries tile is routed in
-// one direct hop per destination instead of a ~log N FRT descent.
+// Package shortcut implements the issuer-side route cache: a bounded set of
+// learned owners, one entry per peer slot holding the identifier the owner
+// carried there. Entries are learned from the deliveries of every descent, so
+// warm regions accumulate routing state for free; a query whose destinations
+// are all known is seeded at them in one direct hop each instead of a ~log N
+// descent of the issuer's forward routing tree (core.Router).
 //
-// Correctness under churn is epoch-based, never best-effort — the same
-// machinery descent frontiers use: every entry records the fissione
-// topology epoch it was learned at, Route refuses entries from any other
-// epoch (dropping them on sight), and a refused route simply means the
-// query descends in full. A stale table can cost the descent it would
-// have saved, never results.
+// Correctness under churn is by identity, never best-effort: an entry is
+// asked about only with the identifier its slot carries now (the engine's
+// seeding walk reads it from the live topology), and answers for no other.
+// Every topology change renames or releases the slots it touches, so a join,
+// leave, crash, split or migration invalidates exactly the entries of the
+// regions it changed and nothing is ever flushed. A stale entry can cost the
+// descent it would have saved, never results; it is overwritten when its
+// slot's new owner is learned, or evicted like any other.
+//
+// A hit takes no lock and allocates nothing: one atomic load per destination
+// and a second-chance bit set at most once per sweep. Learners — descents,
+// the path that was slow anyway — serialize on a mutex for the CLOCK ring.
 package shortcut
 
 import (
-	"container/list"
 	"sync"
+	"sync/atomic"
 
+	"armada/internal/core"
 	"armada/internal/kautz"
 	"armada/internal/obs"
 )
 
-// MaxTargets caps the fan-out of one shortcut route. A region needing
-// more learned entries than this is served by the normal descent, whose
-// per-destination message cost is already amortized at that size.
-const MaxTargets = 16
-
-// Entry is one learned routing fact: the peer owning a region and, on a
-// replicated network, its replica group (owner first, trie-order
-// successors after; nil when unreplicated). Group is immutable after
-// Learn; Route hands the slice out without copying.
-type Entry struct {
-	Owner kautz.Str
-	Group []kautz.Str
+// entry is one learned owner. The identifier is immutable — relearning a
+// slot installs a new entry — so readers need no lock; used is the CLOCK
+// second-chance bit.
+type entry struct {
+	id   kautz.Str
+	used atomic.Bool
 }
 
-// tentry is one table entry with its validity epoch.
-type tentry struct {
-	Entry
-	epoch uint64
-}
-
-// Table is a bounded LRU of learned shortcut entries, safe for concurrent
-// use (queries share it under the network's read lock).
+// Table is a bounded set of learned owners, safe for concurrent use (queries
+// share it under the network's read lock). It implements core.Router.
 type Table struct {
-	k int // ObjectID length; an owner's region is ⟨MinExtend, MaxExtend⟩ at this k
+	// bySlot holds each slot's entry. Readers load the slice and an element;
+	// learners replace elements and, when a slot beyond it is learned, the
+	// slice (under mu).
+	bySlot atomic.Pointer[[]atomic.Pointer[entry]]
+	// Every query on every core reads bySlot and bumps a counter below; apart,
+	// so the reads share a cache line with nothing that is written.
+	_ [64]byte
 
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List // front = most recently used
-	byOwner  map[kautz.Str]*list.Element
-	// minLen and maxLen loosely bound the live owner-identifier lengths,
-	// limiting the longest-prefix probe. They only ever widen: evicting the
-	// last entry of an extreme length costs extra map probes, not wrong
-	// results.
-	minLen, maxLen int
+	mu   sync.Mutex // learners only
+	ring []int32    // CLOCK: the slot whose entry occupies each position, -1 while free
+	hand int
+	live atomic.Int64 // occupied ring positions
 
-	hits   obs.Counter // routes fully resolved from learned entries
-	misses obs.Counter // routes that fell back to the descent
-	stale  obs.Counter // entries dropped on sight for an epoch mismatch
+	hits   obs.Counter // queries seeded from the table
+	misses obs.Counter // queries that consulted it and descended
+	stale  obs.Counter // entries overwritten because their slot changed owner
 	evicts obs.Counter // entries evicted by the capacity bound
 }
 
-// NewTable creates a table holding at most capacity entries (at least 1)
-// for a network with ObjectID length k.
-func NewTable(capacity, k int) *Table {
-	if capacity < 1 {
-		capacity = 1
+// NewTable creates a table holding at most capacity owners (at least 1).
+func NewTable(capacity int) *Table {
+	t := &Table{ring: make([]int32, max(capacity, 1))}
+	for i := range t.ring {
+		t.ring[i] = -1
 	}
-	return &Table{
-		k:        k,
-		capacity: capacity,
-		ll:       list.New(),
-		byOwner:  make(map[kautz.Str]*list.Element, capacity),
-		minLen:   k + 1,
+	t.bySlot.Store(new([]atomic.Pointer[entry]))
+	return t
+}
+
+// lookup returns the slot's entry if it holds the tile's identifier.
+func lookup(bySlot []atomic.Pointer[entry], tile core.Tile) *entry {
+	if uint(tile.Slot) < uint(len(bySlot)) { // a negative slot is beyond it too
+		if e := bySlot[tile.Slot].Load(); e != nil && e.id == tile.ID {
+			return e
+		}
+	}
+	return nil
+}
+
+// touch gives an entry its second chance; the bit is written only when
+// clear, so a hot entry's cache line stays shared.
+func (e *entry) touch() {
+	if !e.used.Load() {
+		e.used.Store(true)
 	}
 }
 
-// Learn records (or refreshes) the entry for owner at the given topology
-// epoch, evicting the least recently used entry when over capacity. group
-// must not be mutated afterwards.
-func (t *Table) Learn(owner kautz.Str, group []kautz.Str, epoch uint64) {
-	if len(owner) == 0 || len(owner) > t.k {
-		return
+// Knows reports whether the tile's owner was learned — that identifier, in
+// that slot.
+func (t *Table) Knows(tile core.Tile) bool {
+	e := lookup(*t.bySlot.Load(), tile)
+	if e != nil {
+		e.touch()
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if el, ok := t.byOwner[owner]; ok {
-		en := el.Value.(*tentry)
-		en.Group, en.epoch = group, epoch
-		t.ll.MoveToFront(el)
-		return
+	return e != nil
+}
+
+// Learn records the owners a descent delivered to, evicting by second chance
+// when over capacity. Owners already known only have their bit set, without
+// the learners' lock. A tile that names no owner — no slot, no identifier —
+// is skipped.
+func (t *Table) Learn(owners []core.Tile) {
+	bySlot, locked := *t.bySlot.Load(), false
+	for _, o := range owners {
+		if o.Slot < 0 || o.ID == "" {
+			continue
+		}
+		if e := lookup(bySlot, o); e != nil {
+			e.touch()
+			continue
+		}
+		if !locked {
+			t.mu.Lock()
+			bySlot, locked = *t.bySlot.Load(), true
+		}
+		bySlot = t.insertLocked(bySlot, o)
 	}
-	t.byOwner[owner] = t.ll.PushFront(&tentry{Entry: Entry{Owner: owner, Group: group}, epoch: epoch})
-	if len(owner) < t.minLen {
-		t.minLen = len(owner)
-	}
-	if len(owner) > t.maxLen {
-		t.maxLen = len(owner)
-	}
-	for t.ll.Len() > t.capacity {
-		t.removeLocked(t.ll.Back())
-		t.evicts.Inc()
+	if locked {
+		t.mu.Unlock()
 	}
 }
 
-// Route resolves a query region against the learned entries: it walks the
-// region from Low to High, longest-prefix matching each position to a
-// learned owner and stepping past that owner's region, and succeeds only
-// when fresh entries tile the whole region (in ascending owner order,
-// MaxTargets at most). The prefix-free namespace cover makes the tiling
-// exact: a peer's identifier prefixing an ObjectID means the peer owns it.
-// ok is false — one counted miss, zero messages spent — when any position
-// finds no fresh entry; entries from another epoch are dropped on sight.
-func (t *Table) Route(region kautz.Region, epoch uint64) (targets []Entry, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur := region.Low
+// insertLocked installs the entry for one owner and returns the slot index,
+// regrown if the owner's slot lay beyond it. The caller holds t.mu.
+func (t *Table) insertLocked(bySlot []atomic.Pointer[entry], o core.Tile) []atomic.Pointer[entry] {
+	if int(o.Slot) >= len(bySlot) {
+		grown := make([]atomic.Pointer[entry], max(int(o.Slot)+1, 2*len(bySlot)))
+		for i := range bySlot {
+			grown[i].Store(bySlot[i].Load())
+		}
+		bySlot = grown
+		t.bySlot.Store(&grown)
+	}
+	at := &bySlot[o.Slot]
+	switch old := at.Load(); {
+	case old == nil:
+		t.ring[t.claimLocked(bySlot)] = o.Slot
+	case old.id == o.ID:
+		return bySlot // a concurrent learner got here first
+	default:
+		t.stale.Inc() // the slot changed owner; its ring position carries over
+	}
+	at.Store(&entry{id: o.ID})
+	return bySlot
+}
+
+// claimLocked frees the ring position the CLOCK hand stops at — one that was
+// never used, or that of the first entry not used since the hand last passed
+// it — and returns it.
+func (t *Table) claimLocked(bySlot []atomic.Pointer[entry]) int {
 	for {
-		if len(targets) == MaxTargets {
-			t.misses.Inc()
-			return nil, false
+		pos := t.hand
+		t.hand = (t.hand + 1) % len(t.ring)
+		slot := t.ring[pos]
+		if slot < 0 {
+			t.live.Add(1)
+			return pos
 		}
-		en, el, found := t.probeLocked(cur, epoch)
-		if !found {
-			t.misses.Inc()
-			return nil, false
+		if e := bySlot[slot].Load(); !e.used.Swap(false) {
+			bySlot[slot].Store(nil)
+			t.evicts.Inc()
+			return pos
 		}
-		t.ll.MoveToFront(el)
-		targets = append(targets, en.Entry)
-		high := kautz.MaxExtend(en.Owner, t.k)
-		if high >= region.High {
-			break
-		}
-		next, hasNext := kautz.Succ(high)
-		if !hasNext {
-			t.misses.Inc()
-			return nil, false
-		}
-		cur = next
 	}
-	t.hits.Inc()
-	return targets, true
 }
 
-// probeLocked longest-prefix matches s against the live entries, dropping
-// epoch-mismatched entries on sight. The caller holds t.mu.
-func (t *Table) probeLocked(s kautz.Str, epoch uint64) (*tentry, *list.Element, bool) {
-	high := t.maxLen
-	if len(s) < high {
-		high = len(s)
+// Note counts one query that consulted the table: seeded from it, or
+// descended despite it.
+func (t *Table) Note(hit bool) {
+	if hit {
+		t.hits.Inc()
+	} else {
+		t.misses.Inc()
 	}
-	for l := high; l >= t.minLen; l-- {
-		el, ok := t.byOwner[s[:l]]
-		if !ok {
-			continue
-		}
-		en := el.Value.(*tentry)
-		if en.epoch != epoch {
-			t.removeLocked(el)
-			t.stale.Inc()
-			continue
-		}
-		return en, el, true
-	}
-	return nil, nil, false
-}
-
-// removeLocked unlinks one element; the caller holds t.mu.
-func (t *Table) removeLocked(el *list.Element) {
-	t.ll.Remove(el)
-	delete(t.byOwner, el.Value.(*tentry).Owner)
 }
 
 // Stats is a snapshot of the table's counters.
 type Stats struct {
-	// Hits and Misses count route resolutions; Stale is how many entries
-	// were dropped on sight for a topology epoch mismatch; Evicted how many
-	// the capacity bound pushed out.
+	// Hits and Misses count the queries that consulted the table; Stale is
+	// how many entries were overwritten because their slot had changed owner;
+	// Evicted how many the capacity bound pushed out.
 	Hits    int64
 	Misses  int64
 	Stale   int64
@@ -191,15 +191,13 @@ type Stats struct {
 
 // Stats returns a snapshot of the table's counters.
 func (t *Table) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return Stats{
 		Hits:     t.hits.Value(),
 		Misses:   t.misses.Value(),
 		Stale:    t.stale.Value(),
 		Evicted:  t.evicts.Value(),
-		Entries:  t.ll.Len(),
-		Capacity: t.capacity,
+		Entries:  int(t.live.Load()),
+		Capacity: len(t.ring),
 	}
 }
 
@@ -209,9 +207,5 @@ func (t *Table) DescribeMetrics(reg *obs.Registry) {
 	reg.MustRegister("shortcut_misses_total", &t.misses)
 	reg.MustRegister("shortcut_stale_total", &t.stale)
 	reg.MustRegister("shortcut_evictions_total", &t.evicts)
-	reg.MustRegister("shortcut_entries", obs.GaugeFunc(func() int64 {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		return int64(t.ll.Len())
-	}))
+	reg.MustRegister("shortcut_entries", obs.GaugeFunc(t.live.Load))
 }

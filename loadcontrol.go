@@ -46,8 +46,8 @@ type LoadControlConfig struct {
 // and — at the growth cap, when enabled — migrates ownership from the
 // coldest peer toward the hot region. Every action is a regular topology
 // mutation: it runs under the topology write lock, repairs replica groups
-// and bumps the topology epoch, so cached frontiers and open sessions
-// invalidate exactly as they do under churn.
+// and renames the slots it touches, so the route cache and open sessions
+// lose exactly the owners it changed, as they do under churn.
 //
 // A network built with load control owns a background goroutine; call
 // Close when done with the network to stop it.
@@ -127,8 +127,8 @@ func (a loadActuator) Migrate(donor, hot string) (int, error) {
 
 // splitRegion splits the identified peer's region under the topology write
 // lock, returning how many extra peers invariant-restoring cascade splits
-// created. The epoch bump happens inside the fissione split, so frontiers
-// and sessions invalidate like they do for joins.
+// created. The fissione split renames the slot it divides, so learned
+// owners go stale like they do for joins.
 func (n *Network) splitRegion(id string) (extra int, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -261,10 +261,10 @@ func TestLoadControlMigration(t *testing.T) {
 
 // TestSessionFallsBackAfterLoadControlActions is the exactness property
 // under controller interference: a controller split and a migration in the
-// middle of a paged session walk must each force the next page off its
-// (now stale) frontier onto a fresh descent, and the concatenated pages
-// from the cursor must equal a fresh unpaged walk — only Peer fields may
-// differ.
+// middle of a paged session walk, each hitting an owner still ahead of the
+// cursor, must each force the next page off its (now stale) tiles onto a
+// fresh descent, and the concatenated pages from the cursor must equal a
+// fresh unpaged walk — only Peer fields may differ.
 func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 	net := pagedNetwork(t, 2000)
 	ranges := []Range{{Low: 50, High: 950}}
@@ -284,9 +284,9 @@ func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 	cursor := first.NextOffsetID
 	var rest []Object
 
-	// Controller action 1: split the owner of an object inside the walked
-	// region — the epoch bump must strand the session's captured frontier.
-	if _, err := net.splitRegion(ownerOf(t, net, first.Objects[0].ID)); err != nil {
+	// Controller action 1: split an owner the walk has yet to reach — the
+	// rename must strand the tile the session kept for it.
+	if _, err := net.splitRegion(first.Destinations[len(first.Destinations)-1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Audit(); err != nil {
@@ -297,7 +297,7 @@ func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if second.Stats.DescentsSaved != 0 {
-		t.Error("page after the split was frontier-seeded; its frontier should have been stale")
+		t.Error("page after the split was seeded; the split owner's tile should have been stale")
 	}
 	rest = append(rest, second.Objects...)
 
@@ -306,7 +306,7 @@ func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 	if second.NextOffsetID == "" {
 		t.Fatal("walk ended on page 2; population too sparse for the test")
 	}
-	hot := ownerOf(t, net, second.Objects[len(second.Objects)-1].ID)
+	hot := second.Destinations[len(second.Destinations)-1]
 	donor := net.RandomPeer()
 	for donor == hot {
 		donor = net.RandomPeer()
@@ -322,7 +322,7 @@ func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if third.Stats.DescentsSaved != 0 {
-		t.Error("page after the migration was frontier-seeded; its frontier should have been stale")
+		t.Error("page after the migration was seeded; the hot owner's tile should have been stale")
 	}
 	rest = append(rest, third.Objects...)
 
@@ -330,7 +330,7 @@ func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 	rest = append(rest, walked...)
 	for i, p := range pages {
 		if p.Stats.DescentsSaved != 1 {
-			t.Errorf("undisturbed page %d: DescentsSaved = %d, want 1 (re-captured frontier)", i+4, p.Stats.DescentsSaved)
+			t.Errorf("undisturbed page %d: DescentsSaved = %d, want 1 (re-learned owners)", i+4, p.Stats.DescentsSaved)
 		}
 	}
 
@@ -344,23 +344,12 @@ func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 	}
 }
 
-// TestFrontierCacheInvalidatedByLoadControl: a cached frontier must not
-// survive a controller split — the next repeat of the query re-descends
-// and still returns the identical result.
+// TestFrontierCacheInvalidatedByLoadControl: a cached owner must not
+// survive a controller split of its region — the next repeat of the query
+// re-descends and still returns the identical result.
 func TestFrontierCacheInvalidatedByLoadControl(t *testing.T) {
-	net, err := NewNetwork(300, WithSeed(11), WithFrontierCache(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	pubs := make([]Publication, 1000)
-	for i := range pubs {
-		pubs[i] = Publication{Name: fmt.Sprintf("obj-%04d", i), Values: []float64{rng.Float64() * 1000}}
-	}
-	if err := net.PublishBatch(pubs); err != nil {
-		t.Fatal(err)
-	}
-	q := NewRange([]Range{{Low: 200, High: 800}})
+	net, _ := cachedNetwork(t, 300, 11, WithShortcutTable(64))
+	q := NewRange([]Range{{Low: 200, High: 320}})
 	if _, err := net.Do(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +358,7 @@ func TestFrontierCacheInvalidatedByLoadControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	if warm.Stats.FrontierHits != 1 {
-		t.Fatalf("repeat query missed the frontier cache: %+v", warm.Stats)
+		t.Fatalf("repeat query missed the route cache: %+v", warm.Stats)
 	}
 	if _, err := net.splitRegion(ownerOf(t, net, warm.Objects[0].ID)); err != nil {
 		t.Fatal(err)
@@ -379,7 +368,7 @@ func TestFrontierCacheInvalidatedByLoadControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after.Stats.FrontierHits != 0 {
-		t.Error("query after the split hit a stale cached frontier")
+		t.Error("query after the split was seeded at a stale owner")
 	}
 	if !reflect.DeepEqual(stripPeers(after.Objects), stripPeers(warm.Objects)) {
 		t.Fatal("post-split result diverged from the pre-split result")

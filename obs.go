@@ -46,11 +46,8 @@ func (n *Network) initObs(cfg config) {
 	o.reg = obs.NewRegistry()
 	n.eng.Metrics().Describe(o.reg)
 	n.net.DescribeMetrics(o.reg)
-	if n.fcache != nil {
-		n.fcache.DescribeMetrics(o.reg)
-	}
-	if n.stable != nil {
-		n.stable.DescribeMetrics(o.reg)
+	if n.routes != nil {
+		n.routes.DescribeMetrics(o.reg)
 	}
 	o.delayRatio = obs.NewHistogram(0.25, 0.5, 0.75, 0.9, 1, 1.25, 1.5, 2)
 	o.reg.MustRegister("query_delay_vs_bound", o.delayRatio)
@@ -109,8 +106,8 @@ func (n *Network) noteQuery(s Stats) float64 {
 
 // queryObs is one query's observer: whoever watches this query — the
 // caller's WithTrace sink, the flight recorder, the diagnostics collector —
-// behind one value. do builds it once per query and hands it to exec and
-// runFrontierRange; the engine feeds it every hop and completed scan
+// behind one value. do builds it once per query and hands it to exec; the
+// engine feeds it every hop and completed scan
 // through the single QueryConfig.Trace callback; finish closes it with the
 // query's Stats. When nobody watches, do leaves it nil: every method is
 // nil-safe, so the unobserved path pays nil checks and allocates nothing.
@@ -150,8 +147,7 @@ var hopEvents = [...]obs.EventKind{
 	core.HopForward:  obs.EvDescentStep,
 	core.HopDeliver:  obs.EvDeliver,
 	core.HopRedirect: obs.EvReplicaRedirect,
-	core.HopSeed:     obs.EvFrontierSeed,
-	core.HopShortcut: obs.EvShortcutSeed,
+	core.HopSeed:     obs.EvShortcutSeed,
 }
 
 // hop is the engine's trace callback. Diagnostics times every event; a
@@ -172,27 +168,11 @@ func (o *queryObs) hop(kind core.HopKind, from, to kautz.Str, depth, remaining i
 	}
 }
 
-// staleFrontier notes that a topology change invalidated the frontier the
-// query hoped to seed from, forcing a descent.
-func (o *queryObs) staleFrontier() {
+// shortcutMiss notes that the query descended although issuer-side routing
+// state — the route cache, a session's tiles — was there to consult.
+func (o *queryObs) shortcutMiss() {
 	if o != nil && o.dq != nil {
-		o.dq.MarkStaleFrontier()
-	}
-}
-
-// shortcutEligible notes that the query consulted the shortcut table, so a
-// descent it still pays is a shortcut miss.
-func (o *queryObs) shortcutEligible() {
-	if o != nil && o.dq != nil {
-		o.dq.MarkShortcutEligible()
-	}
-}
-
-// frontierCaptured logs a full descent's frontier capture of the given
-// number of entries.
-func (o *queryObs) frontierCaptured(entries int) {
-	if o != nil && o.rec != nil {
-		o.rec.Record(obs.Event{Kind: obs.EvFrontierCapture, QID: o.qid, V1: int64(entries)})
+		o.dq.MarkShortcutMiss()
 	}
 }
 

@@ -28,7 +28,7 @@ func publishSpread(t *testing.T, net *Network, n int) {
 }
 
 func TestMetricsPopulated(t *testing.T) {
-	net, err := NewNetwork(100, WithSeed(5), WithFrontierCache(16))
+	net, err := NewNetwork(100, WithSeed(5), WithShortcutTable(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +55,14 @@ func TestMetricsPopulated(t *testing.T) {
 	if _, ok := mv["peers"]; ok {
 		t.Error("CounterValues must exclude the peers gauge (interval deltas)")
 	}
-	// The same repeated query must hit the frontier cache and show there.
+	// The same repeated query must hit the route cache and show there.
 	for i := 0; i < 3; i++ {
 		if _, err := net.Do(ctx, NewRange([]Range{{Low: 100, High: 200}})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if hits := net.MetricValues()["frontier_cache_hits_total"]; hits == 0 {
-		t.Error("frontier_cache_hits_total = 0 after repeated identical ranges")
+	if hits := net.MetricValues()["shortcut_hits_total"]; hits == 0 {
+		t.Error("shortcut_hits_total = 0 after repeated identical ranges")
 	}
 
 	var sb strings.Builder

@@ -110,37 +110,18 @@ func WithReplication(k int) Option {
 	})
 }
 
-// WithFrontierCache attaches an issuer-side frontier cache of the given
-// capacity (in cached descents) to the network. Range queries then
-// capture their pruned-descent frontier — the destination peers reached
-// and the subregion delivered to each — into a bounded LRU keyed by
-// normalized query-region prefix, and a later query whose region a cached
-// frontier covers seeds directly at those peers instead of descending:
-// one message per surviving destination, Stats.FrontierHits = 1. Entries
-// are validated against the topology epoch, so churn silently invalidates
-// them and the query falls back to a full descent — a stale cache can
-// cost messages, never correctness. The default is no cache.
-func WithFrontierCache(capacity int) Option {
-	return optionFunc(func(c *config) error {
-		if capacity < 1 {
-			return fmt.Errorf("%w: frontier cache capacity %d < 1", errBadOption, capacity)
-		}
-		c.frontierCache = capacity
-		return nil
-	})
-}
-
-// WithShortcutTable attaches an issuer-side learned shortcut routing
-// table of the given capacity (in learned owner entries) to the network.
-// Every descent's delivery hops are learned passively — each region owner
-// reached and, when replicated, its group members — and a later lookup,
-// single-attribute range query or paged walk whose region the fresh
-// entries tile is routed in one direct hop per destination instead of a
-// ~log N descent (Stats.ShortcutHits = 1), with replica reads landing on
-// the issuer-chosen replica without a redirect message. Entries are
-// validated against the topology epoch and dropped on sight when stale,
-// so churn costs the saved descents, never correctness. The default is no
-// table.
+// WithShortcutTable attaches the issuer-side route cache to the network: a
+// bounded set of learned owners, capacity of them at most. Every descent
+// teaches it the owners it delivered to, and a later lookup, range query —
+// single- or multi-attribute — or session page whose destinations it all
+// knows is seeded at them directly, one message and one hop each instead of
+// a ~log N descent (Stats.DescentsSaved and ShortcutHits = 1, FrontierHits
+// too on a range), with replica reads landing on the replica the issuer
+// chose without a redirect message. An entry is the slot an owner was seen
+// in and the identifier it carried there, and counts only while the slot
+// still carries it: churn invalidates exactly the entries of the regions it
+// changed — nothing is flushed, no epoch is compared — and costs the saved
+// descents, never correctness. The default is no cache.
 func WithShortcutTable(capacity int) Option {
 	return optionFunc(func(c *config) error {
 		if capacity < 1 {
@@ -151,11 +132,25 @@ func WithShortcutTable(capacity int) Option {
 	})
 }
 
+// WithFrontierCache adds capacity owner entries to the route cache.
+//
+// Deprecated: the frontier cache is folded into the route cache; size that
+// with WithShortcutTable. The two capacities add up.
+func WithFrontierCache(capacity int) Option {
+	return optionFunc(func(c *config) error {
+		if capacity < 1 {
+			return fmt.Errorf("%w: frontier cache capacity %d < 1", errBadOption, capacity)
+		}
+		c.frontierCache = capacity
+		return nil
+	})
+}
+
 // WithFlightRecorder attaches a query-lifecycle flight recorder to the
 // network: a bounded ring buffer retaining the last capacity structured,
-// timestamped events — query start/end, every descent hop, frontier
-// seeds and captures, replica redirects, deliveries, page cuts, replica
-// repairs and load-controller actions. Dump it with WriteFlightTrace
+// timestamped events — query start/end, every descent hop, seeded sends,
+// replica redirects, deliveries, page cuts, replica repairs and
+// load-controller actions. Dump it with WriteFlightTrace
 // (Chrome trace-event JSON). The default is no recorder; without one,
 // queries skip all per-hop event construction.
 func WithFlightRecorder(capacity int) Option {

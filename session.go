@@ -1,13 +1,14 @@
 package armada
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"armada/internal/core"
 	"armada/internal/kautz"
-	"armada/internal/session"
 )
 
 // ErrSessionDone is returned by Session.Next once the walk has delivered
@@ -16,30 +17,36 @@ var ErrSessionDone = errors.New("armada: session exhausted")
 
 // Session is a query session: one paged range walk that reuses routing
 // state across its pages. The first page descends the issuer's forward
-// routing tree normally and captures the descent frontier — the
-// destination peers and the subregion delivered to each; every later page
-// is seeded directly at the frontier peers still ahead of the cursor, one
+// routing tree normally and the session keeps the owners it delivered to;
+// every later page is seeded directly at those still ahead of the cursor, one
 // message per surviving destination instead of a fresh ~log N descent
 // (Stats.DescentsSaved counts the skips). On a network built with
-// WithFrontierCache, page one may itself be seeded from a frontier a
-// previous query over a covering region captured (Stats.FrontierHits).
+// WithShortcutTable, page one may itself be seeded from what earlier queries
+// taught the route cache (Stats.FrontierHits).
 //
-// Sessions are correct under churn, not merely fast: a frontier carries
-// the topology epoch it was captured at, and any Join, Leave or Fail bumps
-// the epoch, so the next page falls back to a full descent and re-captures
-// — identical results, just without the saving. Pages are exact keyset
-// pages: the concatenated pages of a session equal a fresh unpaged walk of
-// the same query, whatever mix of seeded and fallback pages produced them.
+// Sessions are correct under churn, not merely fast: a kept owner seeds a
+// page only while its slot still carries the identifier it was learned
+// under, so a Join, Leave or Fail that touches one of the walk's remaining
+// regions sends the next page back to the cache and then to a full descent —
+// identical results, just without the saving — and churn anywhere else costs
+// nothing. Pages are exact keyset pages: the concatenated pages of a session
+// equal a fresh unpaged walk of the same query, whatever mix of seeded and
+// descended pages produced them.
 //
 // A Session is not safe for concurrent use; run concurrent walks in
 // separate sessions.
 type Session struct {
-	net      *Network
-	q        Query // base query; OffsetID is overwritten per page
-	frontier *core.Frontier
-	offset   string
-	done     bool
-	stats    SessionStats
+	net *Network
+	q   Query // base query; OffsetID is overwritten per page
+	// tiles are the owners the last located page delivered to, ascending —
+	// plus any the route cache vouched for since.
+	tiles []core.Tile
+	// shared reports that the page in flight asked the route cache about an
+	// owner the session did not hold.
+	shared bool
+	offset string
+	done   bool
+	stats  SessionStats
 }
 
 // SessionStats accumulates one session's walk costs across its pages.
@@ -49,11 +56,10 @@ type SessionStats struct {
 	Pages    int
 	Objects  int
 	Messages int
-	// DescentsSaved counts pages that skipped their descent — seeded from
-	// a frontier or routed by the shortcut table; FrontierHits is the
-	// subset whose frontier came from the network's shared cache rather
-	// than this session's own capture, ShortcutHits the subset the
-	// learned shortcut table routed (WithShortcutTable).
+	// DescentsSaved counts pages that skipped their descent; FrontierHits
+	// and ShortcutHits (equal: pages are ranges) the subset the network's
+	// route cache seeded (WithShortcutTable) rather than the owners this
+	// session kept from its own pages.
 	DescentsSaved int
 	FrontierHits  int
 	ShortcutHits  int
@@ -97,7 +103,7 @@ func (n *Network) hasPeer(id string) bool {
 func (s *Session) More() bool { return !s.done }
 
 // Next executes the walk's next page and returns it; the page's Stats
-// carry DescentsSaved/FrontierHits when it was frontier-seeded. The page
+// carry DescentsSaved/FrontierHits when it was seeded. The page
 // whose Result.NextOffsetID is empty is the last; Next afterwards returns
 // ErrSessionDone. A failed page (error) does not advance the cursor and
 // may be retried.
@@ -112,23 +118,20 @@ func (s *Session) Next(ctx context.Context) (*Result, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if _, ok := n.net.Peer(kautz.Str(s.q.Issuer)); !ok {
-		// The pinned issuer churned out of the network; re-pin. Frontier
-		// entries are absolute peer addresses, so reuse is unaffected.
+		// The pinned issuer churned out of the network; re-pin. Tiles are
+		// absolute peer addresses, so reuse is unaffected.
 		s.q.Issuer = n.randomPeerLocked()
 	}
 	q := s.q
 	q.OffsetID = s.offset
-	fr := &frontierExec{seed: s.frontier, wantCapture: true}
-	res, err := n.do(ctx, q, q.Issuer, nil, fr)
+	s.shared = false
+	res, err := n.do(ctx, q, q.Issuer, nil, s)
 	if err != nil {
 		return nil, err
 	}
 	// Only the first page paid the caller's dispatch-queue wait; later
 	// pages run back to back, so the stamp must not repeat.
 	s.q.QueueWait = 0
-	if fr.used != nil {
-		s.frontier = fr.used
-	}
 	s.stats.Pages++
 	s.stats.Objects += len(res.Objects)
 	s.stats.Messages += res.Stats.Messages
@@ -146,105 +149,42 @@ func (s *Session) Next(ctx context.Context) (*Result, error) {
 // Stats returns the session's accumulated walk costs.
 func (s *Session) Stats() SessionStats { return s.stats }
 
-// Close ends the session and releases its captured frontier; further Next
+// Close ends the session and releases the owners it kept; further Next
 // calls return ErrSessionDone. Closing is optional — a session holds
-// frontier memory, never network resources — and idempotent.
+// memory, never network resources — and idempotent.
 func (s *Session) Close() {
 	s.done = true
-	s.frontier = nil
+	s.tiles = nil
 }
 
-// frontierExec threads frontier reuse through one range execution in
-// Network.do: seed is the caller-held candidate tried first (a session's
-// own frontier), then the network's shared cache; a full descent captures
-// a replacement. used reports which frontier the walk holds afterwards.
-type frontierExec struct {
-	seed *core.Frontier // candidate frontier; may be nil or stale
-	// wantCapture requests a capture even mid-walk (cursored): sessions
-	// adopt mid-walk captures for their remaining pages, while a plain
-	// cursored Do could neither reuse nor cache one — capturing there
-	// would be pure waste.
-	wantCapture bool
-	used        *core.Frontier // the frontier that seeded, or the fresh capture
-}
+// sessionRoutes is a Session as the engine's Router: the owners its last
+// page delivered to, in front of the network's route cache.
+type sessionRoutes Session
 
-// runFrontierRange executes one range query with frontier reuse: it
-// resolves the candidate frontier (fr.seed, then the shared cache),
-// requests capture on full descents, updates the cache, and stamps
-// Stats.FrontierHits on the out result. cfg is the engine configuration
-// assembled so far and ob the query's observer (nil when unobserved); the
-// caller holds the read lock.
-func (n *Network) runFrontierRange(ctx context.Context, issuer string, lo, hi []float64, offsetID string, fr *frontierExec, cfg core.QueryConfig, ob *queryObs) (*core.RangeResult, error) {
-	prep, clipped, remains, err := n.eng.RangeRegion(lo, hi, kautz.Str(offsetID))
-	if err != nil {
-		return nil, wrapCoreErr(err)
+// Knows answers from the session's own tiles, then from the route cache —
+// whose owners it adopts, so a walk once served by the cache no longer
+// depends on what the cache evicts.
+func (r *sessionRoutes) Knows(t core.Tile) bool {
+	i, held := slices.BinarySearchFunc(r.tiles, t.ID, func(e core.Tile, id kautz.Str) int { return cmp.Compare(e.ID, id) })
+	if held && r.tiles[i].Slot == t.Slot {
+		return true
 	}
-	cfg.Prepared = prep
-	var (
-		key       string
-		cand      *core.Frontier
-		fromCache bool // cand came from the shared cache
-	)
-	if remains {
-		key = session.Key(prep.Region)
-		epoch := n.net.Epoch()
-		if cand = fr.seed; cand != nil &&
-			(cand.Epoch != epoch || !cand.Covers(clipped) || !cand.CoversBounds(lo, hi)) {
-			if cand.Epoch != epoch {
-				ob.staleFrontier()
-			}
-			cand = nil
-		}
-		if cand == nil && n.fcache != nil {
-			f, ok, stale := n.fcache.Lookup(key, clipped, lo, hi, epoch)
-			if stale {
-				ob.staleFrontier()
-			}
-			if ok {
-				cand, fromCache = f, true
-			}
-		}
-		if cand != nil {
-			cfg.Frontier = cand
-		} else {
-			// No frontier covers this query; offer the learned shortcut
-			// table before resigning to a descent. Single-attribute only:
-			// a MIRA descent prunes destinations with the box subspace
-			// predicate, which a region tiling cannot express.
-			if n.stable != nil && n.tree.Attrs() == 1 {
-				ob.shortcutEligible()
-				cfg.Shortcut = n.shortcutRoute(clipped)
-			}
-			if offsetID == "" || fr.wantCapture {
-				// A seeded query never captures; only request (and pay
-				// for) capture when a descent may run AND someone can use
-				// the result — the cache (cursor-free queries) or a
-				// session.
-				cfg.CaptureFrontier = true
-			}
-		}
+	if c := r.net.routes; c == nil || !c.Knows(t) {
+		return false
 	}
-	res, err := n.eng.RangeQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
-	if err != nil {
-		return nil, wrapCoreErr(err)
-	}
-	if res.Stats.DescentsSaved > 0 {
-		fr.used = cand
-		if fromCache {
-			res.Stats.FrontierHits = 1
-		}
+	if r.shared = true; held {
+		r.tiles[i] = t // the name moved slots
 	} else {
-		fr.used = res.Frontier
-		if res.Frontier != nil {
-			ob.frontierCaptured(len(res.Frontier.Entries))
-		}
-		// Only cursor-free captures enter the cache: they cover the whole
-		// query region, so later queries over it (or anything inside it)
-		// can seed from them. A mid-walk capture covers only the region
-		// past its cursor — valuable to its session, useless to share.
-		if n.fcache != nil && res.Frontier != nil && offsetID == "" {
-			n.fcache.Insert(key, res.Frontier)
-		}
+		r.tiles = slices.Insert(r.tiles, i, t)
 	}
-	return res, nil
+	return true
+}
+
+// Learn keeps the owners a page's descent delivered to and teaches them to
+// the route cache.
+func (r *sessionRoutes) Learn(owners []core.Tile) {
+	r.tiles = append(r.tiles[:0], owners...)
+	if c := r.net.routes; c != nil {
+		c.Learn(owners)
+	}
 }

@@ -8,12 +8,11 @@ import (
 	"armada/internal/core"
 	"armada/internal/fissione"
 	"armada/internal/naming"
-	"armada/internal/session"
 	"armada/internal/shortcut"
 )
 
 // assemble wires the armada layers — naming tree, replication, query
-// engine, caches, observability, load control — around a built fissione
+// engine, route cache, observability, load control — around a built fissione
 // overlay. NewNetwork and LoadSnapshot share it: the only difference
 // between a cold build and a warm start is where the overlay comes from.
 func assemble(net *fissione.Network, cfg config) (*Network, error) {
@@ -34,21 +33,14 @@ func assemble(net *fissione.Network, cfg config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	var fcache *session.Cache
-	if cfg.frontierCache > 0 {
-		fcache = session.NewCache(cfg.frontierCache)
-	}
-	var stable *shortcut.Table
-	if cfg.shortcutTable > 0 {
-		stable = shortcut.NewTable(cfg.shortcutTable, net.K())
-	}
 	nw := &Network{
-		net:    net,
-		tree:   tree,
-		eng:    eng,
-		fcache: fcache,
-		stable: stable,
-		rng:    rand.New(rand.NewSource(cfg.seed + 1)),
+		net:  net,
+		tree: tree,
+		eng:  eng,
+		rng:  rand.New(rand.NewSource(cfg.seed + 1)),
+	}
+	if capacity := cfg.shortcutTable + cfg.frontierCache; capacity > 0 {
+		nw.routes = shortcut.NewTable(capacity)
 	}
 	nw.initObs(cfg)
 	if cfg.loadControl != nil {

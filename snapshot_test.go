@@ -102,7 +102,7 @@ func TestLoadSnapshotAppliesOptions(t *testing.T) {
 	if err := cold.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := LoadSnapshot(&buf, WithSeed(2), WithReplication(2), WithFrontierCache(64))
+	warm, err := LoadSnapshot(&buf, WithSeed(2), WithReplication(2), WithShortcutTable(64), WithFrontierCache(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +110,8 @@ func TestLoadSnapshotAppliesOptions(t *testing.T) {
 	if got := warm.Replicas(); got != 2 {
 		t.Errorf("replicas %d != 2", got)
 	}
-	if _, ok := warm.FrontierCacheStats(); !ok {
-		t.Error("frontier cache not enabled")
+	if cs, _ := warm.ShortcutTableStats(); cs.Capacity != 96 {
+		t.Errorf("route cache capacity %d, want the two options' 64 + 32", cs.Capacity)
 	}
 	if err := warm.Audit(); err != nil {
 		t.Error(err)

@@ -119,8 +119,8 @@ func (s *sampler) ranges(all bool) []armada.Range {
 		if b := s.sc.RangeBuckets; b > 0 {
 			// Snap the bounds outward to a b-bucket grid: nearby draws
 			// collapse onto byte-identical regions, so hot scans repeat
-			// exactly (what frontier caching rewards) instead of merely
-			// overlapping.
+			// exactly (the same owners again, which is what the route
+			// cache rewards) instead of merely overlapping.
 			step := (a.High - a.Low) / float64(b)
 			lo = a.Low + math.Floor((lo-a.Low)/step)*step
 			hi = a.Low + math.Ceil((hi-a.Low)/step)*step

@@ -88,15 +88,16 @@ func TestCancelledWalkNotSampled(t *testing.T) {
 	}
 }
 
-// TestNewRejectsFrontierCacheMismatch: a scenario declaring a cache must
-// run on a network built with one of the same capacity.
+// TestNewRejectsFrontierCacheMismatch: a scenario declaring a route cache
+// must run on a network built with one of the same capacity — however that
+// was sized (the deprecated WithFrontierCache adds to the same cache).
 func TestNewRejectsFrontierCacheMismatch(t *testing.T) {
 	plain, err := armada.NewNetwork(50, armada.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := small()
-	sc.FrontierCache = 64
+	sc.ShortcutTable = 64
 	if _, err := New(plain, sc); !errors.Is(err, ErrBadScenario) {
 		t.Errorf("cache on cacheless network: err = %v, want ErrBadScenario", err)
 	}
@@ -108,7 +109,7 @@ func TestNewRejectsFrontierCacheMismatch(t *testing.T) {
 	if _, err := New(cached, small()); !errors.Is(err, ErrBadScenario) {
 		t.Errorf("cacheless scenario on cached network: err = %v, want ErrBadScenario", err)
 	}
-	sc.FrontierCache = 32
+	sc.ShortcutTable = 32
 	if _, err := New(cached, sc); err != nil {
 		t.Errorf("matching cache rejected: %v", err)
 	}
@@ -136,25 +137,25 @@ func TestScanHeavyRunSavesDescents(t *testing.T) {
 	if rp.DescentsSaved == 0 {
 		t.Error("sessions saved no descents")
 	}
-	if rep.FrontierCache == nil {
-		t.Fatal("report missing the frontier_cache block")
+	if rep.Shortcut == nil {
+		t.Fatal("report missing the shortcut block")
 	}
-	if rep.FrontierCache.Hits == 0 || rep.FrontierHits == 0 {
+	if rep.Shortcut.Hits == 0 || rep.ShortcutHits == 0 {
 		t.Errorf("no cache hits on quantized zipf scans: cache=%+v total_hits=%d",
-			rep.FrontierCache, rep.FrontierHits)
+			rep.Shortcut, rep.ShortcutHits)
 	}
-	if rep.DescentsSaved < rep.FrontierHits {
-		t.Errorf("descents_saved %d < frontier_hits %d; hits are a subset of saves",
-			rep.DescentsSaved, rep.FrontierHits)
+	if rep.DescentsSaved < rep.ShortcutHits {
+		t.Errorf("descents_saved %d < shortcut_hits %d; hits are a subset of saves",
+			rep.DescentsSaved, rep.ShortcutHits)
 	}
 	// The ablation re-pays every descent: zero saves by construction.
 	sc.PagedNoSession = true
-	sc.FrontierCache = 0
+	sc.ShortcutTable = 0
 	abl, err := Execute(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op := abl.Ops[OpRangePaged.String()]; op.DescentsSaved != 0 || op.FrontierHits != 0 {
+	if op := abl.Ops[OpRangePaged.String()]; op.DescentsSaved != 0 || op.ShortcutHits != 0 {
 		t.Errorf("ablation saved descents: %+v", op)
 	}
 }

@@ -66,12 +66,12 @@ var presets = []Scenario{
 		PageLimit: 512,
 	},
 	{
-		// Warm-key traffic the learned shortcut table exists for: heavily
+		// Warm-key traffic the route cache exists for: heavily
 		// Zipf-skewed lookups and narrow bucketed ranges revisit the same
 		// few regions over and over, so after a brief learning phase most
 		// queries route in one direct hop per destination instead of a
 		// ~log N descent (shortcut.hit_rate near 1, hops mean ≤ 2). The
-		// 512-entry table comfortably learns the whole 500-peer ownership
+		// 512-entry cache comfortably learns the whole 500-peer ownership
 		// map. Rerun with -no-shortcut for the descent baseline — results
 		// are byte-identical, only hops and messages move.
 		Name:          "warm-keys",
@@ -87,13 +87,13 @@ var presets = []Scenario{
 	},
 	{
 		// Scan-dominated traffic over repeating hot ranges — the workload
-		// query sessions and the frontier cache exist for. Range bounds
+		// query sessions and the route cache exist for. Range bounds
 		// snap to a 64-bucket grid, so the zipf-hot scans repeat
 		// byte-identical regions (dashboards, result pages); paged walks
 		// run through sessions (descents_saved ≈ pages − 1 per walk), and
-		// repeated regions seed even page 1 from the shared cache
-		// (frontier_hits, frontier_cache.hit_rate). Rerun with
-		// -paged-no-session -frontier-cache 0 for the per-page-descent
+		// regions whose owners are learned seed even page 1 from the cache
+		// (shortcut_hits, shortcut.hit_rate). Rerun with
+		// -paged-no-session -no-shortcut for the per-page-descent
 		// ablation (the cache alone would still seed per-page queries).
 		Name:          "scan-heavy",
 		Peers:         500,
@@ -104,7 +104,7 @@ var presets = []Scenario{
 		RangeSize:     SizeDist{MinFrac: 0.01, MaxFrac: 0.05},
 		PageLimit:     256,
 		RangeBuckets:  64,
-		FrontierCache: 256,
+		ShortcutTable: 512,
 	},
 	{
 		// A narrow hotspot that drifts across the key space during the run:

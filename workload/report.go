@@ -41,17 +41,13 @@ type OpReport struct {
 	// samples — a partial walk recorded normally would skew the page and
 	// match quantiles low — and are excluded from Count.
 	Cancelled int `json:"cancelled,omitempty"`
-	// DescentsSaved counts queries (pages, for range-paged) seeded from a
-	// captured descent frontier instead of descending the issuer's
-	// forward routing tree; FrontierHits is the subset seeded from the
-	// network's shared frontier cache (WithFrontierCache) rather than the
-	// walk's own session capture.
-	FrontierHits  int `json:"frontier_hits,omitempty"`
+	// DescentsSaved counts queries (pages, for range-paged) seeded at
+	// learned owners — one direct hop per destination — instead of
+	// descending the issuer's forward routing tree; ShortcutHits is the
+	// subset the network's route cache seeded (Scenario.ShortcutTable)
+	// rather than the owners a walk's own session kept.
 	DescentsSaved int `json:"descents_saved,omitempty"`
-	// ShortcutHits counts queries (pages, for range-paged) the learned
-	// shortcut table routed in one direct hop per destination instead of a
-	// descent (Scenario.ShortcutTable).
-	ShortcutHits int `json:"shortcut_hits,omitempty"`
+	ShortcutHits  int `json:"shortcut_hits,omitempty"`
 	// Throughput is Count over the run's wall-clock duration.
 	Throughput float64 `json:"throughput_per_sec"`
 	// LatencyMs is the wall-clock service latency in milliseconds.
@@ -72,7 +68,7 @@ type OpReport struct {
 	// Pages, MatchesPerPage and MessagesPerPage describe range-paged
 	// walks: how many pages one operation took, how many objects each
 	// page carried and how many overlay messages reaching it cost (the
-	// session win shows here — frontier-seeded pages beyond the first
+	// session win shows here — seeded pages beyond the first
 	// cost one message per surviving destination instead of a descent).
 	// Omitted (all zero) for every other kind.
 	Pages           Quantiles `json:"pages,omitzero"`
@@ -80,37 +76,39 @@ type OpReport struct {
 	MessagesPerPage Quantiles `json:"messages_per_page,omitzero"`
 }
 
-// FrontierCacheReport summarizes the shared frontier cache's activity
-// during one run (present only when the scenario enables the cache).
-type FrontierCacheReport struct {
-	// Capacity is the configured entry bound; Entries the count at run
-	// end.
-	Capacity int `json:"capacity"`
-	Entries  int `json:"entries"`
-	// Hits and Misses count range-query lookups during the run; Stale is
-	// the subset of misses that dropped an entry churn had invalidated.
-	// HitRate is Hits/(Hits+Misses).
-	Hits    int64   `json:"hits"`
-	Misses  int64   `json:"misses"`
-	Stale   int64   `json:"stale,omitempty"`
-	HitRate float64 `json:"hit_rate"`
-}
-
-// ShortcutReport summarizes the learned shortcut routing table's activity
-// during one run (present only when the scenario enables the table).
+// ShortcutReport summarizes the route cache's activity during one run
+// (present only when the scenario enables it).
 type ShortcutReport struct {
-	// Capacity is the configured entry bound; Entries the count at run
-	// end.
+	// Capacity is the configured bound in learned owners; Entries the
+	// count at run end.
 	Capacity int `json:"capacity"`
 	Entries  int `json:"entries"`
-	// Hits and Misses count route attempts during the run; Stale counts
-	// learned entries dropped because churn moved the topology epoch past
-	// them; Evicted counts LRU evictions. HitRate is Hits/(Hits+Misses).
+	// Hits and Misses count the lookups, range queries and session pages
+	// that consulted the cache during the run; Stale counts entries
+	// overwritten because churn had given their slot another owner;
+	// Evicted counts capacity evictions. HitRate is Hits/(Hits+Misses).
 	Hits    int64   `json:"hits"`
 	Misses  int64   `json:"misses"`
 	Stale   int64   `json:"stale,omitempty"`
 	Evicted int64   `json:"evicted,omitempty"`
 	HitRate float64 `json:"hit_rate"`
+}
+
+// ShortcutReportOf summarizes the route cache's activity between two
+// snapshots of its counters; a zero start reports the cache's lifetime.
+func ShortcutReportOf(start, end armada.ShortcutTableStats) *ShortcutReport {
+	st := &ShortcutReport{
+		Capacity: end.Capacity,
+		Entries:  end.Entries,
+		Hits:     end.Hits - start.Hits,
+		Misses:   end.Misses - start.Misses,
+		Stale:    end.Stale - start.Stale,
+		Evicted:  end.Evicted - start.Evicted,
+	}
+	if routes := st.Hits + st.Misses; routes > 0 {
+		st.HitRate = float64(st.Hits) / float64(routes)
+	}
+	return st
 }
 
 // MemoryReport records the network's steady-state memory footprint and the
@@ -246,19 +244,13 @@ type Report struct {
 	// spread). Both present only on replicated runs.
 	ReplicaReads      int64     `json:"replica_reads,omitempty"`
 	ReplicaReadSpread Quantiles `json:"replica_read_spread,omitzero"`
-	// FrontierHits and DescentsSaved total the per-op counters: queries
-	// seeded from a cached frontier (skipping even their first descent)
-	// and queries seeded from any frontier, session captures included.
-	FrontierHits  int `json:"frontier_hits,omitempty"`
+	// DescentsSaved and ShortcutHits total the per-op counters: queries
+	// seeded at learned owners, and the subset the route cache seeded
+	// (skipping even a walk's first descent).
 	DescentsSaved int `json:"descents_saved,omitempty"`
-	// ShortcutHits totals the per-op counters: queries the learned
-	// shortcut table routed directly, skipping their descent entirely.
-	ShortcutHits int `json:"shortcut_hits,omitempty"`
-	// FrontierCache summarizes the shared cache's run activity; absent
-	// when the scenario runs without one.
-	FrontierCache *FrontierCacheReport `json:"frontier_cache,omitempty"`
-	// Shortcut summarizes the learned shortcut table's run activity;
-	// absent when the scenario runs without one.
+	ShortcutHits  int `json:"shortcut_hits,omitempty"`
+	// Shortcut summarizes the route cache's run activity; absent when the
+	// scenario runs without one.
 	Shortcut *ShortcutReport `json:"shortcut,omitempty"`
 	// DeliverySkew summarizes the per-peer delivery balance of the run.
 	DeliverySkew *SkewReport `json:"delivery_skew,omitempty"`

@@ -51,11 +51,6 @@ func New(net *armada.Network, sc Scenario) (*Runner, error) {
 		return nil, fmt.Errorf("%w: scenario declares %d replicas, network has %d",
 			ErrBadScenario, sc.Replicas, net.Replicas())
 	}
-	if cs, ok := net.FrontierCacheStats(); (sc.FrontierCache > 0) != ok ||
-		(ok && cs.Capacity != sc.FrontierCache) {
-		return nil, fmt.Errorf("%w: scenario declares a frontier cache of %d, network has %d",
-			ErrBadScenario, sc.FrontierCache, cs.Capacity)
-	}
 	if ss, ok := net.ShortcutTableStats(); (sc.ShortcutTable > 0) != ok ||
 		(ok && ss.Capacity != sc.ShortcutTable) {
 		return nil, fmt.Errorf("%w: scenario declares a shortcut table of %d, network has %d",
@@ -140,7 +135,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	coll := newCollector(r.sc.Replicas > 1, startMetrics)
 	startPeers := r.net.Size()
 	startReRepl := r.net.ReReplications()
-	startCache, trackCache := r.net.FrontierCacheStats()
 	startShort, trackShort := r.net.ShortcutTableStats()
 	startLC, trackLC := r.net.LoadReport()
 	startLoads := make(map[string]int64)
@@ -195,36 +189,11 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	rep.ReReplications = r.net.ReReplications() - startReRepl
 	rep.Metrics = metricsDelta(startMetrics, r.net.MetricValues(), false)
 	rep.DelayBoundViolations = rep.Metrics["delay_bound_violations"]
-	if trackCache {
+	if trackShort {
 		// Report this run's slice of the cache counters (the network may
 		// be reused across runs).
-		end, _ := r.net.FrontierCacheStats()
-		fc := &FrontierCacheReport{
-			Capacity: end.Capacity,
-			Entries:  end.Entries,
-			Hits:     end.Hits - startCache.Hits,
-			Misses:   end.Misses - startCache.Misses,
-			Stale:    end.Stale - startCache.Stale,
-		}
-		if lookups := fc.Hits + fc.Misses; lookups > 0 {
-			fc.HitRate = float64(fc.Hits) / float64(lookups)
-		}
-		rep.FrontierCache = fc
-	}
-	if trackShort {
 		end, _ := r.net.ShortcutTableStats()
-		st := &ShortcutReport{
-			Capacity: end.Capacity,
-			Entries:  end.Entries,
-			Hits:     end.Hits - startShort.Hits,
-			Misses:   end.Misses - startShort.Misses,
-			Stale:    end.Stale - startShort.Stale,
-			Evicted:  end.Evicted - startShort.Evicted,
-		}
-		if routes := st.Hits + st.Misses; routes > 0 {
-			st.HitRate = float64(st.Hits) / float64(routes)
-		}
-		rep.Shortcut = st
+		rep.Shortcut = ShortcutReportOf(startShort, end)
 	}
 	rep.DeliverySkew = deliverySkew(startLoads, r.net.PeerLoads())
 	if trackLC {
@@ -443,8 +412,8 @@ func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *
 
 // doPagedRange walks one range query page by page until the cursor is
 // exhausted — through a query session by default (page 1 descends and
-// captures the frontier; later pages seed directly at the surviving
-// destination peers), or as independent per-page Do queries under the
+// the session keeps the owners it delivered to; later pages are seeded
+// directly at those still ahead of the cursor), or as independent per-page Do queries under the
 // Scenario.PagedNoSession ablation. The whole walk is one operation: its
 // latency spans all pages, hop metrics accumulate across them (delay
 // takes the max — pages could be issued concurrently), and per-page
@@ -487,8 +456,7 @@ func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector
 		offset                      string
 		matches, delay, msgs        int
 		deliveries, replicaServed   int
-		frontierHits, descentsSaved int
-		shortcutHits                int
+		descentsSaved, shortcutHits int
 		// flushed only when the whole walk succeeds
 		pageSizes, pageDests, pageMs, pageHops []int
 	)
@@ -511,7 +479,6 @@ func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector
 		}
 		deliveries += res.Stats.Deliveries
 		replicaServed += res.Stats.ReplicaServed
-		frontierHits += res.Stats.FrontierHits
 		descentsSaved += res.Stats.DescentsSaved
 		shortcutHits += res.Stats.ShortcutHits
 		pageSizes = append(pageSizes, len(res.Objects))
@@ -534,7 +501,6 @@ func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector
 		oc.perPageMsgs.AddInt(pageMs[i])
 		oc.hops.AddInt(pageHops[i])
 	}
-	oc.frontierHits.Add(int64(frontierHits))
 	oc.descentsSaved.Add(int64(descentsSaved))
 	oc.shortcutHits.Add(int64(shortcutHits))
 	coll.noteReadSpread(deliveries, replicaServed)
@@ -568,7 +534,6 @@ func (r *Runner) doQuery(ctx context.Context, q armada.Query, oc *opCollector, c
 	oc.msgs.AddInt(res.Stats.Messages)
 	oc.dest.AddInt(res.Stats.DestPeers)
 	oc.matches.AddInt(len(res.Objects))
-	oc.frontierHits.Add(int64(res.Stats.FrontierHits))
 	oc.descentsSaved.Add(int64(res.Stats.DescentsSaved))
 	oc.shortcutHits.Add(int64(res.Stats.ShortcutHits))
 	coll.noteReadSpread(res.Stats.Deliveries, res.Stats.ReplicaServed)
@@ -692,7 +657,6 @@ func (r *Runner) report(elapsed time.Duration, startPeers int, coll *collector) 
 			Errors:          int(oc.errs.Load()),
 			Misses:          int(oc.misses.Load()),
 			Cancelled:       cancelled,
-			FrontierHits:    int(oc.frontierHits.Load()),
 			DescentsSaved:   int(oc.descentsSaved.Load()),
 			ShortcutHits:    int(oc.shortcutHits.Load()),
 			LatencyMs:       quantilesOf(oc.lat.Snapshot()),
@@ -713,7 +677,6 @@ func (r *Runner) report(elapsed time.Duration, startPeers int, coll *collector) 
 		rep.TotalErrors += op.Errors
 		rep.TotalCancelled += cancelled
 		rep.AvailabilityMisses += op.Misses
-		rep.FrontierHits += op.FrontierHits
 		rep.DescentsSaved += op.DescentsSaved
 		rep.ShortcutHits += op.ShortcutHits
 	}
@@ -730,11 +693,9 @@ type opCollector struct {
 	misses    atomic.Int64
 	cancelled atomic.Int64 // ops cut short by run shutdown (no sample recorded)
 
-	// Frontier reuse: queries seeded from a captured descent frontier
-	// (descentsSaved) and the subset seeded from the shared cache
-	// (frontierHits); shortcutHits counts queries the learned shortcut
-	// table routed directly.
-	frontierHits  atomic.Int64
+	// Descent reuse: queries seeded at learned owners instead of descending
+	// (descentsSaved) and the subset the network's route cache seeded rather
+	// than a session's own tiles (shortcutHits).
 	descentsSaved atomic.Int64
 	shortcutHits  atomic.Int64
 

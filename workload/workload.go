@@ -220,31 +220,25 @@ type Scenario struct {
 	PageLimit int `json:"page_limit,omitempty"`
 	// PagedNoSession runs range-paged walks as independent per-page Do
 	// queries instead of a query session — the ablation that measures
-	// what session frontier reuse saves, the way flood measures what
+	// what a session's kept owners save, the way flood measures what
 	// pruning saves. Note that per-page Do queries still consult the
-	// shared frontier cache when FrontierCache is set; for a full
-	// per-page-descent baseline disable both (the CLI pairing is
-	// `-paged-no-session -frontier-cache 0`).
+	// route cache when ShortcutTable is set; for a full per-page-descent
+	// baseline disable both (the CLI pairing is
+	// `-paged-no-session -no-shortcut`).
 	PagedNoSession bool `json:"paged_no_session,omitempty"`
-	// FrontierCache, when positive, builds the network with an
-	// issuer-side frontier cache of that capacity
-	// (armada.WithFrontierCache): repeated range queries over covered hot
-	// regions skip their descent, reported as frontier_hits and the
-	// report's frontier_cache block. Default 0 — no cache.
-	FrontierCache int `json:"frontier_cache,omitempty"`
 	// RangeBuckets, when positive, snaps every range query's bounds
 	// outward to a grid of that many buckets per attribute space. Hot
 	// workloads then repeat byte-identical regions — the repeating-scan
-	// access pattern (dashboards, result pages) the frontier cache
+	// access pattern (dashboards, result pages) the route cache
 	// exists for — instead of the continuous never-repeating bounds the
 	// samplers otherwise draw. Default 0 — continuous bounds.
 	RangeBuckets int `json:"range_buckets,omitempty"`
-	// ShortcutTable, when positive, builds the network with an issuer-side
-	// learned shortcut routing table of that capacity
-	// (armada.WithShortcutTable): lookups and single-attribute range
-	// queries over regions the learned entries tile route in one direct
-	// hop per destination instead of a ~log N descent, reported as
-	// shortcut_hits and the report's shortcut block. Default 0 — no table.
+	// ShortcutTable, when positive, builds the network with the
+	// issuer-side route cache, that many learned owners at most
+	// (armada.WithShortcutTable): lookups, range queries and session pages
+	// whose destinations it knows are seeded in one direct hop per
+	// destination instead of a ~log N descent, reported as shortcut_hits
+	// and the report's shortcut block. Default 0 — no cache.
 	ShortcutTable int `json:"shortcut_table,omitempty"`
 	// LoadControl builds the network with the adaptive load controller
 	// (armada.WithLoadControl): hot regions auto-split under sustained
@@ -360,16 +354,13 @@ func (s Scenario) withDefaults() Scenario {
 
 // NetworkOptions returns the armada.NewNetwork options a defaults-filled
 // scenario requires — seed, attribute spaces, replication degree and the
-// frontier cache. Execute and the armada-load command both build their
+// route cache. Execute and the armada-load command both build their
 // network from it, so a scenario can never run against a mismatched one.
 func (s Scenario) NetworkOptions() []armada.Option {
 	opts := []armada.Option{
 		armada.WithSeed(s.Seed),
 		armada.WithAttributes(s.Attrs...),
 		armada.WithReplication(s.Replicas),
-	}
-	if s.FrontierCache > 0 {
-		opts = append(opts, armada.WithFrontierCache(s.FrontierCache))
 	}
 	if s.ShortcutTable > 0 {
 		opts = append(opts, armada.WithShortcutTable(s.ShortcutTable))
@@ -450,9 +441,6 @@ func (s Scenario) validate() error {
 	}
 	if s.PageLimit < 1 && s.Mix.RangePaged > 0 {
 		return bad("range-paged weight set but page limit = %d", s.PageLimit)
-	}
-	if s.FrontierCache < 0 {
-		return bad("negative frontier cache capacity %d", s.FrontierCache)
 	}
 	if s.RangeBuckets < 0 {
 		return bad("negative range buckets %d", s.RangeBuckets)
