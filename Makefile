@@ -18,7 +18,9 @@ race:
 	$(GO) test -race ./...
 
 # Per-layer micro-benchmarks (ns/op, B/op, allocs/op): the pruning
-# predicates, the naming hash, one store scan, the topology's owner lookup,
+# predicates, the naming hash (m = 2, and Single_hash), one store read (the
+# view every query makes, and the per-object scan the bench twin keeps), the
+# topology's owner lookup,
 # join + leave and replica-group lookup at 10k peers, one descent step and
 # whole descents at 10k peers, the route cache's hit path (one tile, twelve)
 # and what a descent pays to teach it, the facade's allocation profiles —
@@ -28,7 +30,7 @@ race:
 micro:
 	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem ./internal/kautz/
 	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem ./internal/naming/
-	$(GO) test -run '^$$' -bench 'ScanRegion|OwnerOf10k|JoinLeave10k|GroupPeers' -benchmem ./internal/fissione/
+	$(GO) test -run '^$$' -bench 'ScanRegion|View|OwnerOf10k|JoinLeave10k|GroupPeers' -benchmem ./internal/fissione/
 	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k|Route' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'Alloc|Wide' -benchmem .
 
@@ -55,8 +57,10 @@ BENCH_micro.json:
 # The CI fuzz leg: each target for 20 s on top of its committed seed corpus
 # (testdata/fuzz/) — the two differential pruning predicates, the namespace
 # arithmetic under the descent and the topology (successor, first-symbol
-# split, common prefix), naming's order preservation, then the two parsers
-# of untrusted input (snapshot bytes, pagination cursors).
+# split, common prefix), naming's order preservation and its agreement with
+# the dividing reference walk (the check for any edit to naming's
+# arithmetic), then the two parsers of untrusted input (snapshot bytes,
+# pagination cursors).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzContainsPrefix -fuzztime 20s ./internal/kautz/
 	$(GO) test -run '^$$' -fuzz FuzzSucc -fuzztime 20s ./internal/kautz/
@@ -64,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCommonPrefix -fuzztime 20s ./internal/kautz/
 	$(GO) test -run '^$$' -fuzz FuzzIntersectsPrefix -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashOrder -fuzztime 20s ./internal/naming/
+	$(GO) test -run '^$$' -fuzz FuzzHashMatchesReference -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzOffsetID -fuzztime 20s .
 

@@ -478,6 +478,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 		cfg.Limit = q.Limit
 	}
 
+	var boundsBuf [8]float64 // the engine keeps neither bounds slice: four attributes' worth stay in this frame
 	switch kind {
 	case KindLookup:
 		var oid kautz.Str
@@ -506,7 +507,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 		return out, nil
 
 	case KindRange, KindFlood:
-		lo, hi, err := n.bounds(q.Ranges)
+		lo, hi, err := n.bounds(q.Ranges, boundsBuf[:])
 		if err != nil {
 			return nil, err
 		}
@@ -515,7 +516,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 			if err != nil {
 				return nil, wrapCoreErr(err)
 			}
-			return resultOf(res), nil
+			return resultOf(&res), nil
 		}
 		var consulted bool
 		cfg.Routes, consulted = n.router(sess)
@@ -523,7 +524,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 		if err != nil {
 			return nil, wrapCoreErr(err)
 		}
-		out := resultOf(res)
+		out := resultOf(&res)
 		n.routed(&out.Stats, true, sess, consulted, ob)
 		return out, nil
 
@@ -531,7 +532,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 		if q.K < 1 {
 			return nil, fmt.Errorf("%w: top-k needs K ≥ 1, got %d", ErrBadQuery, q.K)
 		}
-		lo, hi, err := n.bounds(q.Ranges)
+		lo, hi, err := n.bounds(q.Ranges, boundsBuf[:])
 		if err != nil {
 			return nil, err
 		}
@@ -546,13 +547,17 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, onMatch func
 	}
 }
 
-// bounds converts ranges to per-attribute bound slices.
-func (n *Network) bounds(ranges []Range) (lo, hi []float64, err error) {
-	if len(ranges) != n.tree.Attrs() {
-		return nil, nil, fmt.Errorf("%w: got %d ranges, want %d", ErrBadArity, len(ranges), n.tree.Attrs())
+// bounds converts ranges to per-attribute bound slices, both carved from buf
+// when it is long enough.
+func (n *Network) bounds(ranges []Range, buf []float64) (lo, hi []float64, err error) {
+	m := len(ranges)
+	if m != n.tree.Attrs() {
+		return nil, nil, fmt.Errorf("%w: got %d ranges, want %d", ErrBadArity, m, n.tree.Attrs())
 	}
-	lo = make([]float64, len(ranges))
-	hi = make([]float64, len(ranges))
+	if len(buf) < 2*m {
+		buf = make([]float64, 2*m)
+	}
+	lo, hi = buf[:m:m], buf[m:2*m]
 	for i, r := range ranges {
 		if r.Low > r.High {
 			return nil, nil, fmt.Errorf("armada: range %d: low %v above high %v", i, r.Low, r.High)

@@ -1,12 +1,15 @@
 package armada
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"armada/internal/naming"
 )
 
 func TestNewNetworkDefaults(t *testing.T) {
@@ -37,6 +40,28 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 	if _, err := NewNetwork(10, WithAttributes(AttributeSpace{Low: 5, High: 5})); err == nil {
 		t.Error("empty attribute space accepted")
+	}
+}
+
+// A space too wide for the naming to divide is refused where the tree is
+// built, on the cold path and the warm one — not answered with a network on
+// which every value hashes to one leaf.
+func TestUnrepresentableSpaceRejected(t *testing.T) {
+	wide := WithAttributes(AttributeSpace{Low: 0, High: 1000}, AttributeSpace{Low: -1e308, High: 1e308})
+	if net, err := NewNetwork(10, wide); !errors.Is(err, naming.ErrBadSpace) {
+		t.Errorf("NewNetwork: got %v, %v; want naming.ErrBadSpace", net, err)
+	}
+	cold, err := NewNetwork(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	var buf bytes.Buffer
+	if err := cold.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if net, err := LoadSnapshot(&buf, wide); !errors.Is(err, naming.ErrBadSpace) {
+		t.Errorf("LoadSnapshot: got %v, %v; want naming.ErrBadSpace", net, err)
 	}
 }
 

@@ -181,3 +181,79 @@ func TestConcurrentPublishQueryChurn(t *testing.T) {
 		t.Fatalf("paged exactness walk found %d objects, want 80", paged)
 	}
 }
+
+// TestLookupRacesPublisherOnOnePeer pins the single-run read path: a lookup
+// sizes and fills its result under one acquisition of the owner's store lock,
+// so however a publisher on that same peer interleaves, every result is one
+// instant of the store — all the settled objects in order, nothing twice,
+// only the publisher's names besides — in a slice sized exactly to it (a
+// count taken under an earlier acquisition would be off whenever a publish
+// landed in between). Run under -race.
+func TestLookupRacesPublisherOnOnePeer(t *testing.T) {
+	net, err := NewNetwork(24, WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	const v, settled = 417.25, 40
+	for i := 0; i < settled; i++ {
+		if err := net.Publish(fmt.Sprintf("s%02d", i), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // every publish lands under the looked-up ObjectID, on its owner
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			name := fmt.Sprintf("w%d", i%7)
+			if err := net.Publish(name, v); err != nil {
+				t.Errorf("publish %s: %v", name, err)
+				return
+			}
+			if err := net.Unpublish(name, v); err != nil {
+				t.Errorf("unpublish %s: %v", name, err)
+				return
+			}
+		}
+	}()
+	check := func(res *Result, racing bool) {
+		next := 0
+		for i, o := range res.Objects {
+			if i > 0 && o.Name <= res.Objects[i-1].Name {
+				t.Fatalf("objects out of order or repeated: %q after %q", o.Name, res.Objects[i-1].Name)
+			}
+			switch {
+			case o.Name == fmt.Sprintf("s%02d", next):
+				next++
+			case !racing || o.Name[0] != 'w':
+				t.Fatalf("unexpected object %q (settled objects seen so far: %d)", o.Name, next)
+			}
+		}
+		if next != settled {
+			t.Fatalf("lookup returned %d of the %d settled objects", next, settled)
+		}
+		if cap(res.Objects) != len(res.Objects) {
+			t.Fatalf("result holds %d objects in a slice sized for %d: it was not sized under the lock it was filled under", len(res.Objects), cap(res.Objects))
+		}
+	}
+	q := NewValueLookup([]float64{v})
+	for i := 0; i < 3000; i++ {
+		res, err := net.Do(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(res, true)
+	}
+	stop.Store(true)
+	wg.Wait()
+	res, err := net.Do(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(res, false)
+	if err := net.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}

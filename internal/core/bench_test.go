@@ -22,10 +22,14 @@ func buildBench(tb testing.TB, peers, objects int) (*Engine, []kautz.Str) {
 	return eng, oids
 }
 
-// The per-hop path allocates nothing, so a whole lookup stays within a
-// fixed handful of allocations however long its descent: the subregion
-// split, the delivery's match run and the result's slices and structs.
+// The per-hop path allocates nothing and the result lives on the caller's
+// stack until it is returned, so a whole lookup stays within a fixed handful
+// of allocations however long its descent: the subregion split, the objects,
+// their values and the pointer result of the variadic entry point.
 func TestLookupAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled states under the race detector")
+	}
 	eng, oids := buildBench(t, 1000, 2000)
 	ctx := context.Background()
 	issuers := eng.Network().PeerIDs()
@@ -36,8 +40,8 @@ func TestLookupAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 12 {
-		t.Fatalf("Lookup at 1,000 peers allocates %.1f times per query, ceiling is 12", allocs)
+	if allocs > 6 {
+		t.Fatalf("Lookup at 1,000 peers allocates %.1f times per query, ceiling is 6", allocs)
 	}
 }
 

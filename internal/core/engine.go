@@ -115,7 +115,7 @@ type TraceFunc func(kind HopKind, from, to kautz.Str, depth, remaining int)
 // query — from the Stats the query computed anyway, plus one add of the
 // query's processed-message count — so the per-hop path touches no shared
 // counter and allocates nothing (BenchmarkStep: 0 allocs/op; a lookup at
-// 1,000 peers: 8 allocations in all, pinned ≤ 12 by
+// 1,000 peers: 5 allocations in all, pinned ≤ 6 by
 // TestLookupAllocCeiling).
 type Metrics struct {
 	// Descents counts full FRT descents executed; Seeded counts queries
@@ -253,6 +253,14 @@ func buildQueryConfig(opts []QueryOption) QueryConfig {
 		o(&cfg)
 	}
 	return cfg
+}
+
+// boxed puts a *With entry point's result behind its variadic twin's pointer.
+func boxed[T any](res T, err error) (*T, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
 // New creates an engine. tree may be nil for an exact-match-only engine;
@@ -415,9 +423,9 @@ type located struct {
 
 // queryState is one query's working memory: the breadth-first message
 // queue and what its deliveries located. A query runs on its caller's
-// goroutine, so the state needs no lock; it is pooled, and result copies
-// out exactly what the caller keeps, so a steady query stream reuses the
-// same queue and accumulation buffers.
+// goroutine, so the state needs no lock; it is pooled, and materialise
+// copies out exactly what the caller keeps, so a steady query stream reuses
+// the same queue and accumulation buffers.
 //
 // A query has two phases. Locate: the descent (or a seeded fan-out) runs
 // to completion and every delivery appends one located run. Materialise:
@@ -432,6 +440,7 @@ type queryState struct {
 	hasBox   bool
 	boxPrune bool // MIRA: forward only while the child's subspace meets box
 	flood    bool // ablation: forward to every out-neighbor (see FloodQuery)
+	seeded   bool // the Router knew every destination: no descent ran
 	clip     bool // replicated: scans are bounded by the owner's prefix
 
 	queue    []msg // FIFO; queue[head:] is still to process
@@ -440,7 +449,7 @@ type queryState struct {
 	messages int // messages processed at depth ≥ 1 (seeds are local computation)
 
 	runs          []located // one per delivery
-	tiles         []Tile    // owners' buffer: what a descent teaches its Router
+	tiles         []Tile    // summary: the runs' distinct owners, ascending
 	replicaServed int       // deliveries served by a non-owner replica
 	redirectMsgs  int       // replica serves that cost a redirect message (descents only)
 	redirectDepth int       // deepest redirected delivery (owner depth + 1)
@@ -490,43 +499,42 @@ func recycle[T any](s []T) []T {
 	return s[:0]
 }
 
-// cloneOrNil copies a pooled buffer's contents out for the caller; an empty
-// buffer yields nil, as the accumulating appends it replaces did.
-func cloneOrNil[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
-	}
-	return append([]T(nil), s...)
-}
-
 // RangeQuery executes a range query issued by the given peer: PIRA when the
 // engine's naming tree has one attribute, MIRA otherwise. lo and hi carry
 // one bound per attribute. Cancelling ctx aborts the descent and returns
 // ctx's error.
 func (e *Engine) RangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, opts ...QueryOption) (*RangeResult, error) {
-	return e.RangeQueryWith(ctx, issuer, lo, hi, buildQueryConfig(opts))
+	return boxed(e.RangeQueryWith(ctx, issuer, lo, hi, buildQueryConfig(opts)))
 }
 
-// RangeQueryWith is RangeQuery with the configuration given by value.
-func (e *Engine) RangeQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig) (*RangeResult, error) {
+// RangeQueryWith is RangeQuery with the configuration given, and the result
+// returned, by value.
+func (e *Engine) RangeQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig) (RangeResult, error) {
 	return e.rangeQuery(ctx, issuer, lo, hi, cfg, false)
 }
 
 // rangeQuery runs a range query as the pruned descent or, for the flood
 // ablation (FloodQuery), as the unpruned one, which consults no Router.
-func (e *Engine) rangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig, flood bool) (*RangeResult, error) {
+func (e *Engine) rangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig, flood bool) (RangeResult, error) {
 	box, region, err := e.prepare(lo, hi)
 	if err != nil {
-		return nil, err
+		return RangeResult{}, err
 	}
 	region, ok := clipRegionAfter(region, cfg.After)
 	if !ok {
-		return &RangeResult{}, nil
+		return RangeResult{}, nil
 	}
 	if flood {
 		cfg.Routes = nil
 	}
-	return e.descend(ctx, issuer, region, &box, cfg, flood)
+	st, stats, err := e.locate(ctx, issuer, region, &box, cfg, flood)
+	if err != nil {
+		return RangeResult{}, err
+	}
+	defer st.finish()
+	res := RangeResult{Stats: stats, Destinations: st.destinations()}
+	res.Matches, res.Next = st.materialise(&res.Runs)
+	return res, nil
 }
 
 // prepare maps range bounds onto their query geometry: the box and the Kautz
@@ -578,55 +586,71 @@ type LookupResult struct {
 // exact-match query, executed as the degenerate range ⟨objectID, objectID⟩
 // — and returns the objects published under it.
 func (e *Engine) Lookup(ctx context.Context, issuer kautz.Str, objectID kautz.Str, opts ...QueryOption) (*LookupResult, error) {
-	return e.LookupWith(ctx, issuer, objectID, buildQueryConfig(opts))
+	return boxed(e.LookupWith(ctx, issuer, objectID, buildQueryConfig(opts)))
 }
 
-// LookupWith is Lookup with the configuration given by value.
-func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, objectID kautz.Str, cfg QueryConfig) (*LookupResult, error) {
+// LookupWith is Lookup with the configuration given, and the result
+// returned, by value; the owner is read off the one located run.
+func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, objectID kautz.Str, cfg QueryConfig) (LookupResult, error) {
 	if len(objectID) != e.net.K() || !kautz.Valid(objectID) {
-		return nil, fmt.Errorf("%w: %q", ErrBadObjectID, objectID)
+		return LookupResult{}, fmt.Errorf("%w: %q", ErrBadObjectID, objectID)
 	}
-	res, err := e.descend(ctx, issuer, kautz.Region{Low: objectID, High: objectID}, nil, cfg, false)
+	st, stats, err := e.locate(ctx, issuer, kautz.Region{Low: objectID, High: objectID}, nil, cfg, false)
 	if err != nil {
-		return nil, err
+		return LookupResult{}, err
 	}
-	out := &LookupResult{Objects: res.Matches, Stats: res.Stats}
-	if len(res.Destinations) > 0 {
-		out.Owner = res.Destinations[0]
+	defer st.finish()
+	res := LookupResult{Stats: stats}
+	if len(st.runs) > 0 {
+		res.Owner = st.runs[0].owner.ID()
 	}
-	return out, nil
+	res.Objects, _ = st.materialise(nil)
+	return res, nil
 }
 
-// descend runs the pruned FRT search from the issuer over the query region,
+// locate runs a query's first phase from the issuer over the query region,
 // additionally filtering (and, for MIRA, pruning) with the box when box is
-// non-nil. The query's Router is asked first: if it knows every destination
-// the query is seeded at them in one hop, and if not the attempt costs
-// nothing; the descent that then runs teaches the Router the owners it
-// delivered to. flood disables the pruning (see FloodQuery).
-func (e *Engine) descend(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig, flood bool) (*RangeResult, error) {
+// non-nil, and returns the state holding the ordered located runs with the
+// query's cost metrics; the caller materialises what it returns from them,
+// then calls finish. The query's Router is asked first: if it knows every
+// destination, the issuer addresses each directly (seed queued the sends at
+// depth 1) — real overlay messages, counted and traced like any forward;
+// Delay is the single fan-out hop and Subregions 0 — and if not the attempt
+// cost nothing and the pruned FRT search runs. flood disables the pruning.
+func (e *Engine) locate(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig, flood bool) (*queryState, Stats, error) {
 	from, ok := e.net.Slot(issuer)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
+		return nil, Stats{}, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
 	st := e.newState(cfg, issuer, box)
-	defer st.release()
 	st.flood = flood
-	if cfg.Routes != nil && e.seed(st, region) {
-		return e.finishSeeded(ctx, st)
-	}
-	parts := region.SplitByFirstSymbol()
-	for _, part := range parts {
-		st.enter(from, part)
+	subregions := 0
+	if st.seeded = cfg.Routes != nil && e.seed(st, region); !st.seeded {
+		parts := region.SplitByFirstSymbol()
+		for _, part := range parts {
+			st.enter(from, part)
+		}
+		subregions = len(parts)
 	}
 	if err := e.pump(ctx, st); err != nil {
-		return nil, err
+		st.release()
+		return nil, Stats{}, err
 	}
-	res := st.result(len(parts))
-	if cfg.Routes != nil {
-		cfg.Routes.Learn(st.owners())
+	stats := st.summary(subregions)
+	if st.seeded {
+		stats.DescentsSaved = 1
 	}
-	e.metrics.note(res.Stats, false)
-	return res, nil
+	e.metrics.note(stats, st.seeded)
+	return st, stats, nil
+}
+
+// finish closes a located query once its result is built: a descent teaches
+// the Router the owners it delivered to; the state returns to the pool.
+func (st *queryState) finish() {
+	if st.cfg.Routes != nil && !st.seeded {
+		st.cfg.Routes.Learn(st.tiles)
+	}
+	st.release()
 }
 
 // enter queues the descent's entry message for one common-prefix subregion:
@@ -724,20 +748,6 @@ func (e *Engine) prefixIntersectsBox(prefix kautz.Str, box naming.Box) bool {
 	}
 	ok, err := e.tree.IntersectsPrefix(prefix, box)
 	return err == nil && ok
-}
-
-// finishSeeded runs a query whose sends the issuer addressed directly
-// (seed queued them at depth 1) and assembles its result. Every send is a
-// real overlay message, counted and traced like any descent forward; Delay
-// is the single fan-out hop and Subregions is 0 (nothing was split).
-func (e *Engine) finishSeeded(ctx context.Context, st *queryState) (*RangeResult, error) {
-	if err := e.pump(ctx, st); err != nil {
-		return nil, err
-	}
-	res := st.result(0)
-	res.Stats.DescentsSaved = 1
-	e.metrics.note(res.Stats, true)
-	return res, nil
 }
 
 // deliver is the locate phase's product: it appends the run the materialise

@@ -2,6 +2,9 @@ package core
 
 import "armada/internal/kautz"
 
+// RaceEnabled tells package core_test whether exact allocation counts hold.
+const RaceEnabled = raceEnabled
+
 // SeedOnly runs just the seeding walk of a query over region — no delivery,
 // no result — and reports whether r's learned owners tile it, at how many
 // destinations. It exists for the route-cache benchmarks in package

@@ -157,15 +157,16 @@ func (st *queryState) selectTop(runs []located, top *selection) (admitted int) {
 	for i := len(runs) - 1; i >= 0; i-- {
 		r := &runs[i]
 		c := candidate{serving: r.serving}
-		r.serving.ScanOwned(st.own(r), r.scan, st.cfg.After, func(so fissione.StoredObject) bool {
-			if st.admits(&so) {
-				admitted++
-				if !top.loses(&so) {
-					c.so = so
-					top.offer(&c)
+		r.serving.View(st.own(r), r.scan, st.cfg.After, func(run []fissione.StoredObject) {
+			for j := range run {
+				if so := &run[j]; st.admits(so) {
+					admitted++
+					if !top.loses(so) {
+						c.so = *so
+						top.offer(&c)
+					}
 				}
 			}
-			return true
 		})
 		st.scanned(r)
 	}
@@ -178,10 +179,11 @@ func (st *queryState) selectTop(runs []located, top *selection) (admitted int) {
 // set as RangeQuery at a much higher message cost; it exists to measure the
 // value of pruning and must not be used for real queries.
 func (e *Engine) FloodQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, opts ...QueryOption) (*RangeResult, error) {
-	return e.FloodQueryWith(ctx, issuer, lo, hi, buildQueryConfig(opts))
+	return boxed(e.FloodQueryWith(ctx, issuer, lo, hi, buildQueryConfig(opts)))
 }
 
-// FloodQueryWith is FloodQuery with the configuration given by value.
-func (e *Engine) FloodQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig) (*RangeResult, error) {
+// FloodQueryWith is FloodQuery with the configuration given, and the result
+// returned, by value.
+func (e *Engine) FloodQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig) (RangeResult, error) {
 	return e.rangeQuery(ctx, issuer, lo, hi, cfg, true)
 }

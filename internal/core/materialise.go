@@ -10,14 +10,15 @@ import (
 )
 
 // summary closes the locate phase: it orders the located runs by the
-// ObjectIDs they cover — their owners, in that order, are the query's distinct
-// destinations, ascending — and returns the query's cost metrics.
+// ObjectIDs they cover, lists their distinct owners in that order — the
+// query's destinations, ascending, and what a descent teaches its Router —
+// in a buffer the next query reuses, and returns the query's cost metrics.
 func (st *queryState) summary(subregions int) Stats {
 	sortRuns(st.runs)
-	dests := 0
+	st.tiles = st.tiles[:0]
 	for i := range st.runs {
-		if st.firstOf(i) {
-			dests++
+		if r := &st.runs[i]; i == 0 || r.owner != st.runs[i-1].owner {
+			st.tiles = append(st.tiles, Tile{Slot: r.slot, ID: r.owner.ID()})
 		}
 	}
 	// A delivery redirected mid-descent is one extra overlay message
@@ -27,45 +28,23 @@ func (st *queryState) summary(subregions int) Stats {
 	return Stats{
 		Delay:         max(st.delay, st.redirectDepth),
 		Messages:      st.messages + st.redirectMsgs,
-		DestPeers:     dests,
+		DestPeers:     len(st.tiles),
 		Subregions:    subregions,
 		Deliveries:    len(st.runs),
 		ReplicaServed: st.replicaServed,
 	}
 }
 
-// firstOf reports whether ordered run i is the first delivered to its owner.
-func (st *queryState) firstOf(i int) bool {
-	return i == 0 || st.runs[i].owner != st.runs[i-1].owner
-}
-
-// owners lists the distinct owners the ordered runs were delivered to,
-// ascending — what a descent teaches its Router — in a buffer the next query
-// reuses.
-func (st *queryState) owners() []Tile {
-	st.tiles = st.tiles[:0]
-	for i := range st.runs {
-		if r := &st.runs[i]; st.firstOf(i) {
-			st.tiles = append(st.tiles, Tile{Slot: r.slot, ID: r.owner.ID()})
-		}
+// destinations copies the distinct owners' identifiers out for the caller.
+func (st *queryState) destinations() []kautz.Str {
+	if len(st.tiles) == 0 {
+		return nil
 	}
-	return st.tiles
-}
-
-// result assembles the final RangeResult: the locate phase's summary, then
-// the ordered runs materialised into it.
-func (st *queryState) result(subregions int) *RangeResult {
-	res := &RangeResult{Stats: st.summary(subregions)}
-	if n := res.Stats.DestPeers; n > 0 {
-		res.Destinations = make([]kautz.Str, 0, n)
-		for i := range st.runs {
-			if st.firstOf(i) {
-				res.Destinations = append(res.Destinations, st.runs[i].owner.ID())
-			}
-		}
+	out := make([]kautz.Str, len(st.tiles))
+	for i, t := range st.tiles {
+		out[i] = t.ID
 	}
-	st.materialise(res)
-	return res
+	return out
 }
 
 // own is the prefix that bounds a run's scan: the owner's identifier on a
@@ -93,8 +72,8 @@ func sortRuns(runs []located) {
 }
 
 // admits applies the delivery filter — the query box, when there is one —
-// to an object the scan region and the cursor let through. Scan callbacks
-// start with it; they run under the serving peer's store read lock.
+// to an object the scan region and the cursor let through. It reads the
+// store in place, under the serving peer's store read lock.
 func (st *queryState) admits(so *fissione.StoredObject) bool {
 	if !st.hasBox {
 		return true
@@ -127,72 +106,91 @@ func appendMatch(out []Match, vals []float64, so *fissione.StoredObject, serving
 	return append(out, Match{Name: so.Object.Name, Values: v, ID: string(so.ObjectID), Peer: string(serving.ID())}), vals
 }
 
-// capacityHint counts what materialise is about to copy, so the result is
-// allocated once: by position in each run's sorted store where the region
-// decides admission, by a counting pass under the box where the box admits
-// only a fraction of the region (MIRA). Publishes run concurrently with
-// queries, so it sizes the slice and bounds nothing: the scan may append
-// past it.
-func (st *queryState) capacityHint() int {
-	need := math.MaxInt
-	if st.cfg.Limit > 0 {
-		need = st.cfg.Limit + 1 // one slot of tie headroom
+// count returns how many objects of one store run materialise would copy,
+// up to need: the run's length where the region decides admission, a pass
+// under the box where the box admits only a fraction of the region (MIRA).
+func (st *queryState) count(run []fissione.StoredObject, need int) int {
+	if !st.boxPrune {
+		return min(len(run), need)
 	}
 	n := 0
-	for i := range st.runs {
-		if r := &st.runs[i]; st.boxPrune {
-			r.serving.ScanOwned(st.own(r), r.scan, st.cfg.After, func(so fissione.StoredObject) bool {
-				if st.admits(&so) {
-					n++
-				}
-				return n < need
-			})
-		} else {
-			n += r.serving.CountOwned(st.own(r), r.scan, st.cfg.After)
-		}
-		if n >= need {
-			return need
+	for i := 0; i < len(run) && n < need; i++ {
+		if st.admits(&run[i]) {
+			n++
 		}
 	}
 	return n
 }
 
-// materialise is a query's second phase: it scans the located runs, which
-// summary ordered by ObjectID, straight into the slice the caller receives, values copied
-// at the same moment, so the result is built exactly once. With a Limit it
-// stops at the page cut — extended through a run of equal ObjectIDs, which
-// never crosses a run boundary (every ObjectID lives in exactly one run),
-// so the strictly-greater Next cursor neither skips nor repeats an object —
-// and reads on only until the first further match proves there is a next
-// page.
-func (st *queryState) materialise(res *RangeResult) {
-	var (
-		out     []Match
-		vals    []float64
-		serving *fissione.Peer
-		more    bool // a match exists beyond the page
-	)
-	if n := st.capacityHint(); n > 0 {
-		out = make([]Match, 0, n)
+// capacityHint counts, up to need, what materialise is about to copy from
+// several runs, so the result is allocated once. Publishes run concurrently
+// with queries and the fill takes each store's lock again, so it sizes the
+// slice and bounds nothing: the fill may append past it.
+func (st *queryState) capacityHint(need int) int {
+	n := 0
+	for i := range st.runs {
+		r := &st.runs[i]
+		r.serving.View(st.own(r), r.scan, st.cfg.After, func(run []fissione.StoredObject) { n += st.count(run, need-n) })
+		if n >= need {
+			break
+		}
 	}
+	return n
+}
+
+// fill appends the objects of one store run that the query admits to out,
+// up to the page cut; more reports that it stopped at a match beyond the
+// page.
+func (st *queryState) fill(out []Match, vals []float64, run []fissione.StoredObject, serving *fissione.Peer) (_ []Match, _ []float64, more bool) {
 	limit := st.cfg.Limit
-	add := func(so fissione.StoredObject) bool {
-		if !st.admits(&so) {
-			return true
+	for i := range run {
+		so := &run[i]
+		if !st.admits(so) {
+			continue
 		}
 		if limit > 0 && len(out) >= limit && string(so.ObjectID) != out[len(out)-1].ID {
-			more = true
-			return false
+			return out, vals, true
 		}
-		out, vals = appendMatch(out, vals, &so, serving)
-		return true
+		out, vals = appendMatch(out, vals, so, serving)
+	}
+	return out, vals, false
+}
+
+// materialise is a query's second phase: it reads the located runs, which
+// summary ordered by ObjectID, straight into the slice the caller receives —
+// a plain loop over each store run, every object written once, values copied
+// at the same moment. A query that located a single run (every lookup, every
+// one-destination range) sizes and fills its result under one acquisition of
+// that store's lock; several runs are sized by a pass of their own first
+// (capacityHint). With a Limit the fill stops at the page cut — extended
+// through a run of equal ObjectIDs, which never crosses a run boundary (every
+// ObjectID lives in exactly one run), so the strictly-greater next cursor
+// neither skips nor repeats an object — and reads on only until the first
+// further match proves there is a next page. cuts, when non-nil, receives
+// the result cut at the runs' boundaries.
+func (st *queryState) materialise(cuts *[][]Match) (out []Match, next kautz.Str) {
+	var (
+		vals []float64
+		more bool // a match exists beyond the page
+	)
+	need := math.MaxInt
+	if st.cfg.Limit > 0 {
+		need = st.cfg.Limit + 1 // one slot of tie headroom
+	}
+	single := len(st.runs) == 1
+	if !single {
+		out = make([]Match, 0, st.capacityHint(need))
 	}
 	scanned := st.runs
 	for i := range scanned {
 		r := &scanned[i]
 		start := len(out)
-		serving = r.serving
-		serving.ScanOwned(st.own(r), r.scan, st.cfg.After, add)
+		r.serving.View(st.own(r), r.scan, st.cfg.After, func(run []fissione.StoredObject) {
+			if single {
+				out = make([]Match, 0, st.count(run, need))
+			}
+			out, vals, more = st.fill(out, vals, run, r.serving)
+		})
 		r.end = int32(len(out))
 		st.scanned(r)
 		if st.cfg.OnMatch != nil {
@@ -206,18 +204,20 @@ func (st *queryState) materialise(res *RangeResult) {
 		}
 	}
 	if len(out) == 0 {
-		return
+		return nil, ""
 	}
-	res.Matches = out
-	res.Runs = make([][]Match, 0, len(scanned))
-	start := 0
-	for _, r := range scanned {
-		if end := int(r.end); end > start {
-			res.Runs = append(res.Runs, out[start:end:end])
-			start = end
+	if cuts != nil {
+		*cuts = make([][]Match, 0, len(scanned))
+		start := 0
+		for _, r := range scanned {
+			if end := int(r.end); end > start {
+				*cuts = append(*cuts, out[start:end:end])
+				start = end
+			}
 		}
 	}
 	if more {
-		res.Next = kautz.Str(out[len(out)-1].ID)
+		next = kautz.Str(out[len(out)-1].ID)
 	}
+	return out, next
 }

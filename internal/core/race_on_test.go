@@ -1,6 +1,6 @@
 //go:build race
 
-package core_test
+package core
 
 // raceEnabled: under the race detector sync.Pool drops a share of what it is
 // given, so the pooled query state is sometimes rebuilt and exact allocation

@@ -81,7 +81,7 @@ func BenchmarkRouteLearn(b *testing.B) {
 // The cache-hit path allocates nothing: no string built, no target list
 // copied, the message queue pooled.
 func TestRouteHitAllocs(t *testing.T) {
-	if raceEnabled {
+	if core.RaceEnabled {
 		t.Skip("sync.Pool drops pooled states under the race detector")
 	}
 	eng, table, tiles := routed(t)

@@ -86,11 +86,12 @@ func TestSlotsInvisibleUnderChurn(t *testing.T) {
 		for _, id := range net.PeerIDs() {
 			p, _ := net.Peer(id)
 			own := kautz.Region{Low: kautz.MinExtend(id, testK), High: kautz.MaxExtend(id, testK)}
-			for _, so := range p.ObjectsInRegion(own) {
+			p.ScanRegion(own, "", func(so fissione.StoredObject) bool {
 				if _, err := fresh.PublishAt(so.ObjectID, so.Object); err != nil {
 					t.Fatal(err)
 				}
-			}
+				return true
+			})
 		}
 		if err := fresh.Audit(); err != nil {
 			t.Fatalf("%s: reloaded copy: %v", name, err)

@@ -118,12 +118,9 @@ func TestOrderedIndexMatchesReference(t *testing.T) {
 			}
 		case op < 8: // region query
 			r := randomRegion()
-			got, want := p.ObjectsInRegion(r), ref.inRegion(r)
+			got, want := viewOf(p, "", r, ""), ref.inRegion(r)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: ObjectsInRegion(%v) diverged:\n got %v\nwant %v", step, r, got, want)
-			}
-			if n := p.CountOwned("", r, ""); n != len(want) {
-				t.Fatalf("step %d: CountOwned(%v) = %d, want %d", step, r, n, len(want))
+				t.Fatalf("step %d: View(%v) diverged:\n got %v\nwant %v", step, r, got, want)
 			}
 			// The prefix-bounded scan equals the scan of the region clipped
 			// to the prefix's own region, which it never builds.
@@ -132,13 +129,8 @@ func TestOrderedIndexMatchesReference(t *testing.T) {
 			if clip, ok := r.Intersect(kautz.Region{Low: kautz.MinExtend(own, k), High: kautz.MaxExtend(own, k)}); ok {
 				want = ref.inRegion(clip)
 			}
-			var owned []StoredObject
-			p.ScanOwned(own, r, "", func(so StoredObject) bool {
-				owned = append(owned, so)
-				return true
-			})
-			if !reflect.DeepEqual(owned, want) || p.CountOwned(own, r, "") != len(want) {
-				t.Fatalf("step %d: ScanOwned(%s, %v) diverged:\n got %v\nwant %v", step, own, r, owned, want)
+			if owned := viewOf(p, own, r, ""); !reflect.DeepEqual(owned, want) {
+				t.Fatalf("step %d: View(%s, %v) diverged:\n got %v\nwant %v", step, own, r, owned, want)
 			}
 		case op < 9: // paged scan: pages concatenate to the full region scan
 			r := randomRegion()
@@ -160,13 +152,12 @@ func TestOrderedIndexMatchesReference(t *testing.T) {
 					t.Fatalf("step %d: paged scan of %v does not terminate", step, r)
 				}
 				var page []StoredObject
-				p.ScanOwned(own, r, after, func(so StoredObject) bool {
+				for _, so := range viewOf(p, own, r, after) {
 					if len(page) >= limit && so.ObjectID != page[len(page)-1].ObjectID {
-						return false
+						break
 					}
 					page = append(page, so)
-					return true
-				})
+				}
 				if len(page) == 0 {
 					break
 				}
@@ -182,6 +173,76 @@ func TestOrderedIndexMatchesReference(t *testing.T) {
 			}
 			if got, want := p.AllObjects(), ref.all(k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: AllObjects diverged:\n got %v\nwant %v", step, got, want)
+			}
+		}
+	}
+}
+
+// viewOf copies out what one View hands its callback (nil when the run is
+// empty), failing the property tests' shared expectation — exactly one call
+// — by panicking.
+func viewOf(p *Peer, own kautz.Str, r kautz.Region, after kautz.Str) (out []StoredObject) {
+	calls := 0
+	p.View(own, r, after, func(run []StoredObject) {
+		calls++
+		out = append(out, run...)
+	})
+	if calls != 1 {
+		panic(fmt.Sprintf("View called its function %d times", calls))
+	}
+	return out
+}
+
+// TestViewMatchesScanRegion pins the one store read to the scan it replaced:
+// for random prefix bounds, regions and cursors — over an empty store, a
+// sparse one and a dense one with duplicate ObjectIDs — the view is exactly
+// the objects ScanRegion visits over the region clipped to the prefix, in
+// order, and nothing when the two do not meet.
+func TestViewMatchesScanRegion(t *testing.T) {
+	const k = 10
+	rng := rand.New(rand.NewSource(1919))
+	for _, size := range []int{0, 7, 600} {
+		p := newPeer("0")
+		ids := make([]kautz.Str, 0, size)
+		for i := 0; i < size; i++ {
+			id := kautz.Random(rng, k)
+			if i%5 == 4 {
+				id = ids[rng.Intn(len(ids))] // several objects under one ObjectID
+			}
+			ids = append(ids, id)
+			p.addObject(id, refObject(rng))
+		}
+		for trial := 0; trial < 2000; trial++ {
+			a, b := kautz.Random(rng, k), kautz.Random(rng, k)
+			if a > b {
+				a, b = b, a
+			}
+			r := kautz.Region{Low: a, High: b}
+			var own, after kautz.Str
+			if rng.Intn(2) == 0 {
+				own = kautz.Random(rng, k)[:1+rng.Intn(4)]
+			}
+			switch rng.Intn(4) {
+			case 0:
+				after = kautz.Random(rng, k)
+			case 1:
+				if size > 0 {
+					after = ids[rng.Intn(size)] // a cursor on a stored ObjectID
+				}
+			}
+			var want []StoredObject
+			clip, ok := r, true
+			if own != "" {
+				clip, ok = r.Intersect(kautz.Region{Low: kautz.MinExtend(own, k), High: kautz.MaxExtend(own, k)})
+			}
+			if ok {
+				p.ScanRegion(clip, after, func(so StoredObject) bool {
+					want = append(want, so)
+					return true
+				})
+			}
+			if got := viewOf(p, own, r, after); !reflect.DeepEqual(got, want) {
+				t.Fatalf("size %d: View(%q, %v, after %q) diverged:\n got %v\nwant %v", size, own, r, after, got, want)
 			}
 		}
 	}
@@ -227,7 +288,7 @@ func TestReplicatedStoreMatchesReference(t *testing.T) {
 						continue
 					}
 					p, _ := n.Peer(id)
-					out = append(out, p.ObjectsInRegion(clipped)...)
+					out = append(out, viewOf(p, "", clipped, "")...)
 				}
 				return out
 			}
@@ -325,11 +386,10 @@ func TestOrderedIndexMoves(t *testing.T) {
 	}
 }
 
-// BenchmarkScanRegion measures the store read every query ends in: one
-// region scan over a peer holding 200 objects (scan-wide's 100k objects on
-// 500 peers), visiting the middle half of them. ns/object is the figure to
-// read; the scan itself allocates nothing.
-func BenchmarkScanRegion(b *testing.B) {
+// benchStore is the store BenchmarkScanRegion and BenchmarkView read: a peer
+// holding 200 objects (scan-wide's 100k objects on 500 peers) and the region
+// over the middle half of them.
+func benchStore() (*Peer, kautz.Region) {
 	const k = 32
 	rng := rand.New(rand.NewSource(7))
 	p := newPeer("0")
@@ -341,7 +401,15 @@ func BenchmarkScanRegion(b *testing.B) {
 		p.addObject(ids[i], Object{Name: fmt.Sprintf("o%03d", i), Values: []float64{float64(i)}})
 	}
 	slices.Sort(ids)
-	r := kautz.Region{Low: ids[50], High: ids[149]}
+	return p, kautz.Region{Low: ids[50], High: ids[149]}
+}
+
+// BenchmarkScanRegion measures the per-object callback form of the store
+// read, which the frozen bench twin still calls: one region scan visiting
+// 100 objects. ns/object is the figure to read; the scan itself allocates
+// nothing.
+func BenchmarkScanRegion(b *testing.B) {
+	p, r := benchStore()
 	visited, sum := 0, 0.0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -354,6 +422,27 @@ func BenchmarkScanRegion(b *testing.B) {
 	}
 	if visited != 100*b.N || sum == 0 {
 		b.Fatalf("visited %d objects in %d scans, want 100 each", visited, b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visited), "ns/object")
+}
+
+// BenchmarkView is the same read the way every query now makes it: one
+// lock, one positioning, a plain loop over the run.
+func BenchmarkView(b *testing.B) {
+	p, r := benchStore()
+	visited, sum := 0, 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.View("", r, "", func(run []StoredObject) {
+			for j := range run {
+				visited++
+				sum += run[j].Object.Values[0]
+			}
+		})
+	}
+	if visited != 100*b.N || sum == 0 {
+		b.Fatalf("visited %d objects in %d views, want 100 each", visited, b.N)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visited), "ns/object")
 }

@@ -46,7 +46,7 @@
 // external exclusion: callers must not mutate the topology while any other
 // operation runs. Object storage, however, is safe for concurrent use while
 // the topology is stable: each Peer guards its store with its own lock, so
-// any number of PublishAt/UnpublishAt calls and store reads (ObjectsInRegion,
+// any number of PublishAt/UnpublishAt calls and store reads (View,
 // ScanRegion, AllObjects, ObjectCount) may run concurrently, on the same
 // peer or different ones. The armada package maps this onto a two-tier
 // scheme: a topology RWMutex held exclusively by Join/Leave/Fail and shared
@@ -133,8 +133,9 @@ func (p *Peer) NoteDelivery() { p.deliveries.Add(1) }
 
 // storedCompare is the canonical total order of the index: (ObjectID,
 // Name, Values lexicographic). Fully equal elements (duplicate
-// publications) compare equal.
-func storedCompare(a, b StoredObject) int {
+// publications) compare equal. It takes pointers — into a store, mostly —
+// so a binary search's probe copies no 56-byte element.
+func storedCompare(a, b *StoredObject) int {
 	if c := cmp.Compare(a.ObjectID, b.ObjectID); c != 0 {
 		return c
 	}
@@ -144,14 +145,11 @@ func storedCompare(a, b StoredObject) int {
 	return slices.Compare(a.Object.Values, b.Object.Values)
 }
 
-// storedLess orders the index by storedCompare.
-func storedLess(a, b StoredObject) bool { return storedCompare(a, b) < 0 }
-
 // lowerBound returns the first index i with (store[i].ObjectID,
 // store[i].Name) >= (id, name). The caller holds p.mu.
 func (p *Peer) lowerBound(id kautz.Str, name string) int {
 	return sort.Search(len(p.store), func(i int) bool {
-		so := p.store[i]
+		so := &p.store[i]
 		if so.ObjectID != id {
 			return so.ObjectID > id
 		}
@@ -165,7 +163,7 @@ func (p *Peer) addObject(objectID kautz.Str, obj Object) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	so := StoredObject{ObjectID: objectID, Object: obj}
-	i := sort.Search(len(p.store), func(i int) bool { return storedCompare(p.store[i], so) >= 0 })
+	i := sort.Search(len(p.store), func(i int) bool { return storedCompare(&p.store[i], &so) >= 0 })
 	p.store = slices.Insert(p.store, i, so)
 }
 
@@ -176,7 +174,7 @@ func (p *Peer) removeObject(objectID kautz.Str, obj Object) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := p.lowerBound(objectID, obj.Name); i < len(p.store); i++ {
-		so := p.store[i]
+		so := &p.store[i]
 		if so.ObjectID != objectID || so.Object.Name != obj.Name {
 			return false
 		}
@@ -218,50 +216,33 @@ func (p *Peer) scanBounds(own kautz.Str, r kautz.Region, after kautz.Str) (lo, h
 	return lo, lo + sort.Search(len(p.store)-lo, func(i int) bool { return p.store[lo+i].ObjectID > r.High })
 }
 
-// ScanRegion calls fn for each stored object whose ObjectID lies in the
-// Kautz region — restricted to ObjectIDs strictly greater than after when
-// after is non-empty — in ascending (ObjectID, Name) order, stopping early
-// when fn returns false. The scan costs O(log n) to position plus O(1) per
-// visited object, and holds the peer's store lock throughout: fn must not
-// call back into the peer.
+// View is the one store read: it hands fn, once and under the store's read
+// lock, the contiguous sorted run of stored objects whose ObjectIDs lie in
+// the Kautz region, have the prefix own (the read of a replica serving for
+// that identifier's owner; empty bounds nothing) and, when after is
+// non-empty, are strictly greater than it — ascending (ObjectID, Name),
+// possibly empty, positioned in O(log n). The run is the store itself: fn
+// must not keep it (or a pointer into it) past its return, write to it, or
+// call back into the peer. Stored value slices are never mutated in place,
+// so those may be kept.
+func (p *Peer) View(own kautz.Str, r kautz.Region, after kautz.Str, fn func(run []StoredObject)) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	lo, hi := p.scanBounds(own, r, after)
+	fn(p.store[lo:hi:hi])
+}
+
+// ScanRegion calls fn for each object of the region's view (see View) in
+// order, stopping early when fn returns false. It holds the peer's store
+// lock throughout: fn must not call back into the peer.
 func (p *Peer) ScanRegion(r kautz.Region, after kautz.Str, fn func(StoredObject) bool) {
-	p.ScanOwned("", r, after, fn)
-}
-
-// ScanOwned is ScanRegion further restricted to ObjectIDs with the prefix
-// own: the scan of a replica serving for the owner of that identifier.
-func (p *Peer) ScanOwned(own kautz.Str, r kautz.Region, after kautz.Str, fn func(StoredObject) bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	lo, hi := p.scanBounds(own, r, after)
-	for _, so := range p.store[lo:hi] {
-		if !fn(so) {
-			return
+	p.View("", r, after, func(run []StoredObject) {
+		for i := range run {
+			if !fn(run[i]) {
+				return
+			}
 		}
-	}
-}
-
-// CountOwned returns how many objects a ScanOwned over the same prefix,
-// region and cursor would visit right now, in O(log n). Publishes may run
-// between the count and the scan, so it is a size to allocate by, not one to
-// trust.
-func (p *Peer) CountOwned(own kautz.Str, r kautz.Region, after kautz.Str) int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	lo, hi := p.scanBounds(own, r, after)
-	return hi - lo
-}
-
-// ObjectsInRegion returns the objects whose ObjectIDs lie in the Kautz
-// region, together with their IDs, in ascending (ObjectID, Name) order.
-func (p *Peer) ObjectsInRegion(r kautz.Region) []StoredObject {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	lo, hi := p.scanBounds("", r, "")
-	if lo == hi {
-		return nil
-	}
-	return append([]StoredObject(nil), p.store[lo:hi]...)
+	})
 }
 
 // AllObjects returns every object stored on the peer in ascending
@@ -293,7 +274,7 @@ func mergeStored(a, b []StoredObject) []StoredObject {
 	}
 	out := make([]StoredObject, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
-		if storedLess(b[0], a[0]) {
+		if storedCompare(&b[0], &a[0]) < 0 {
 			out = append(out, b[0])
 			b = b[1:]
 		} else {
@@ -401,7 +382,7 @@ func diffCount(a, b []StoredObject) int {
 		if len(b) == 0 {
 			return missing + len(a)
 		}
-		switch c := storedCompare(a[0], b[0]); {
+		switch c := storedCompare(&a[0], &b[0]); {
 		case c < 0:
 			missing++
 			a = a[1:]

@@ -184,7 +184,7 @@ func unionMax(a, b []StoredObject) []StoredObject {
 	}
 	out := make([]StoredObject, 0, max(len(a), len(b)))
 	for len(a) > 0 && len(b) > 0 {
-		switch c := storedCompare(a[0], b[0]); {
+		switch c := storedCompare(&a[0], &b[0]); {
 		case c < 0:
 			out = append(out, a[0])
 			a = a[1:]
@@ -287,7 +287,7 @@ func equalStored(a, b []StoredObject) bool {
 		return false
 	}
 	for i := range a {
-		if storedCompare(a[i], b[i]) != 0 {
+		if storedCompare(&a[i], &b[i]) != 0 {
 			return false
 		}
 	}

@@ -117,7 +117,7 @@ func TestReplicationSurvivesChurn(t *testing.T) {
 				continue
 			}
 			p, _ := n.Peer(id)
-			out = append(out, p.ObjectsInRegion(clipped)...)
+			out = append(out, viewOf(p, "", clipped, "")...)
 		}
 		return out
 	}
@@ -203,7 +203,7 @@ func TestSetReplicasTransitions(t *testing.T) {
 		for _, id := range n.PeerIDs() {
 			p, _ := n.Peer(id)
 			own := kautz.Region{Low: kautz.MinExtend(id, k), High: kautz.MaxExtend(id, k)}
-			c += len(p.ObjectsInRegion(own))
+			c += len(viewOf(p, "", own, ""))
 		}
 		return c
 	}

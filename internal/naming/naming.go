@@ -53,7 +53,7 @@ func (i Interval) Overlaps(lo, hi float64) bool { return i.Low <= hi && lo <= i.
 
 // Errors returned by the naming tree.
 var (
-	ErrBadSpace  = errors.New("naming: attribute space must have Low < High")
+	ErrBadSpace  = errors.New("naming: attribute space must have Low < High and a finite width")
 	ErrBadK      = errors.New("naming: k must be in [1, 62]")
 	ErrArity     = errors.New("naming: wrong number of attribute values")
 	ErrNotFinite = errors.New("naming: attribute value must be finite")
@@ -67,7 +67,9 @@ type Tree struct {
 }
 
 // NewTree builds a partition tree of depth k over the given attribute
-// spaces (one Space per attribute, in attribute order A0, A1, ...).
+// spaces (one Space per attribute, in attribute order A0, A1, ...). A space
+// must have Low < High and a representable width: 3·(High−Low) finite, about
+// 6e307.
 func NewTree(k int, spaces ...Space) (*Tree, error) {
 	if k < 1 || k > kautz.MaxRankLen {
 		return nil, fmt.Errorf("%w: k=%d", ErrBadK, k)
@@ -76,8 +78,9 @@ func NewTree(k int, spaces ...Space) (*Tree, error) {
 		return nil, fmt.Errorf("%w: no attributes", ErrArity)
 	}
 	for i, s := range spaces {
-		if !(s.Low < s.High) || math.IsInf(s.Low, 0) || math.IsInf(s.High, 0) ||
-			math.IsNaN(s.Low) || math.IsNaN(s.High) {
+		// Low < High fails a NaN bound; past a finite 3·(High−Low) the root's
+		// 3·(v−Low)/(High−Low) is NaN and every value would hash to one leaf.
+		if !(s.Low < s.High) || math.IsInf(3*(s.High-s.Low), 0) {
 			return nil, fmt.Errorf("%w: attribute %d: [%v, %v]", ErrBadSpace, i, s.Low, s.High)
 		}
 	}
@@ -104,28 +107,10 @@ func (t *Tree) Spaces() []Space {
 	return cp
 }
 
-// fanout returns the number of children of a node at level j (edges from the
-// root are level 0).
-func fanout(j int) int {
-	if j == 0 {
-		return 3
-	}
-	return 2
-}
-
-// childSymbol returns edge label idx (ascending) under a node whose incoming
-// edge is prev (0 at the root): the labels are the symbols other than prev.
-func childSymbol(prev byte, idx int) byte {
-	c := byte('0' + idx)
-	if prev != 0 && c >= prev {
-		c++
-	}
-	return c
-}
-
-// childIndex is childSymbol's inverse: the position of edge label c under a
-// node whose incoming edge is prev, or -1 when no such edge exists (c is
-// not a symbol, or repeats prev).
+// childIndex returns the position (ascending) of edge label c under a node
+// whose incoming edge is prev (0 at the root) — the labels are the symbols
+// other than prev — or -1 when no such edge exists (c is not a symbol, or
+// repeats prev).
 func childIndex(prev, c byte) int {
 	if c < '0' || c > '2' || c == prev {
 		return -1
@@ -137,6 +122,10 @@ func childIndex(prev, c byte) int {
 	return idx
 }
 
+// edgeLabels[2·(p−'0')+i] is edge label i (ascending) under a node whose
+// incoming edge is p: the two symbols other than p.
+const edgeLabels = "120201"
+
 // stackAttrs is the arity up to which the per-call scratch of Hash and
 // IntersectsPrefix lives on the stack.
 const stackAttrs = 4
@@ -145,6 +134,14 @@ const stackAttrs = 4
 // whose subspace contains it. This is Single_hash for m = 1 and
 // Multiple_hash otherwise. Values are clamped to their attribute spaces;
 // non-finite values are rejected.
+//
+// Only the root's three-way split divides. Below it a node halves one
+// attribute's interval [lo, hi] of width d, and the upper half holds v
+// exactly when 2·(v−lo) ≥ d: doubling is exact, and the quotient 2·(v−lo)/d
+// cannot round up to 1 from below (under 1 it is at most 1 − 2⁻⁵³, which is
+// representable), so the comparison picks the piece the quotient's integer
+// part would; d·0.5 is d/2 bit for bit. Labels and intervals are those of
+// the dividing walk the tests keep as reference (FuzzHashMatchesReference).
 func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
 	m := len(t.spaces)
 	if len(values) != m {
@@ -163,44 +160,38 @@ func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
 		cells[i] = cell{lo: s.Low, hi: s.High, v: math.Min(math.Max(values[i], s.Low), s.High)}
 	}
 	var label [kautz.MaxRankLen]byte // NewTree bounds k by MaxRankLen
-	var prev byte
-	for j := 0; j < t.k; j++ {
-		c := &cells[j%m]
-		f := fanout(j)
-		idx := pieceIndex(c.v, c.lo, c.hi, f)
-		c.lo, c.hi = pieceBounds(c.lo, c.hi, f, idx)
-		prev = childSymbol(prev, idx)
+	c := &cells[0]
+	idx := min(max(int(3*(c.v-c.lo)/(c.hi-c.lo)), 0), 2) // which third holds v, the last closed at hi
+	c.lo, c.hi = rootBounds(c.lo, c.hi, idx)
+	prev := byte('0' + idx)
+	label[0] = prev
+	for j, a := 1, 0; j < t.k; j++ {
+		if a++; a == m {
+			a = 0
+		}
+		c := &cells[a]
+		d := c.hi - c.lo
+		mid := c.lo + float64(d*0.5) // the conversion keeps d·0.5 rounded where the sum could fuse
+		var upper byte
+		if d > 0 && 2*(c.v-c.lo) >= d { // a collapsed interval keeps to its lower half
+			c.lo, upper = mid, 1
+		} else {
+			c.hi = mid
+		}
+		prev = edgeLabels[2*(prev-'0')+upper]
 		label[j] = prev
 	}
 	return kautz.Str(label[:t.k]), nil
 }
 
-// pieceIndex returns which of f equal pieces of [lo,hi] contains v, with the
-// final piece closed at hi.
-func pieceIndex(v, lo, hi float64, f int) int {
-	if hi <= lo {
-		return 0
-	}
-	idx := int(float64(f) * (v - lo) / (hi - lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx > f-1 {
-		idx = f - 1
-	}
-	return idx
-}
-
-// pieceBounds returns the bounds of piece idx of [lo,hi] split into f equal
-// pieces.
-func pieceBounds(lo, hi float64, f, idx int) (float64, float64) {
-	w := (hi - lo) / float64(f)
+// rootBounds returns the bounds of third idx of [lo, hi].
+func rootBounds(lo, hi float64, idx int) (float64, float64) {
+	w := (hi - lo) / 3
 	newLo := lo + w*float64(idx)
-	newHi := newLo + w
-	if idx == f-1 {
-		newHi = hi
+	if idx == 2 {
+		return newLo, hi
 	}
-	return newLo, newHi
+	return newLo, newLo + w
 }
 
 // Subspace returns, for each attribute, the interval represented by the
@@ -227,13 +218,24 @@ func (t *Tree) narrow(prefix kautz.Str, iv []Interval) error {
 		iv[i] = Interval{Low: s.Low, High: s.High}
 	}
 	var prev byte
-	for j := 0; j < len(prefix); j++ {
+	for j, a := 0, 0; j < len(prefix); j++ {
 		idx := childIndex(prev, prefix[j])
 		if idx < 0 {
 			return fmt.Errorf("naming: %q is not a partition tree path", prefix)
 		}
-		c := &iv[j%len(iv)]
-		c.Low, c.High = pieceBounds(c.Low, c.High, fanout(j), idx)
+		if j == 0 {
+			iv[0].Low, iv[0].High = rootBounds(iv[0].Low, iv[0].High, idx)
+		} else {
+			if a++; a == len(iv) {
+				a = 0
+			}
+			c := &iv[a]
+			if mid := c.Low + float64((c.High-c.Low)*0.5); idx == 0 {
+				c.High = mid
+			} else {
+				c.Low = mid
+			}
+		}
 		prev = prefix[j]
 	}
 	return nil

@@ -1,6 +1,8 @@
 package naming
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -45,6 +47,58 @@ func TestNewTreeValidation(t *testing.T) {
 	}
 	if tree.K() != 4 || tree.Attrs() != 2 {
 		t.Errorf("K=%d Attrs=%d", tree.K(), tree.Attrs())
+	}
+}
+
+// A space is admitted exactly when the root's three-way split can represent
+// its width: past 3·(High−Low) finite, 3·(v−Low)/(High−Low) is NaN, every
+// value lands in one leaf and order preservation is gone.
+func TestNewTreeSpaceWidthLimit(t *testing.T) {
+	widest := math.MaxFloat64 / 3 // rounds up, past the limit
+	for math.IsInf(3*widest, 0) {
+		widest = math.Nextafter(widest, 0)
+	}
+	for _, tc := range []struct {
+		space Space
+		ok    bool
+	}{
+		{Space{0, widest}, true},
+		{Space{-widest / 2, widest / 2}, true},
+		{Space{-2.9e307, 2.9e307}, true},
+		{Space{0, math.Nextafter(widest, math.Inf(1))}, false},
+		{Space{-1e308, 1e308}, false}, // the width itself overflows
+		{Space{-4e307, 4e307}, false}, // the width is finite, three times it is not
+		{Space{math.Inf(-1), 0}, false},
+		{Space{0, math.Inf(1)}, false},
+		{Space{math.Inf(-1), math.Inf(1)}, false},
+		{Space{math.NaN(), 1}, false},
+		{Space{0, math.NaN()}, false},
+	} {
+		tree, err := NewTree(32, Space{0, 1}, tc.space)
+		if !tc.ok {
+			if !errors.Is(err, ErrBadSpace) {
+				t.Errorf("space %v: got %v, want ErrBadSpace", tc.space, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("space %v rejected: %v", tc.space, err)
+			continue
+		}
+		// At the limit the naming still orders values and names real intervals.
+		s := tc.space
+		var prev kautz.Str
+		for _, v := range []float64{s.Low, s.Low + s.Width()/4, s.Low + s.Width()/2, s.High - s.Width()/4, s.High} {
+			id := mustHash(t, tree, 0.5, v)
+			if id <= prev {
+				t.Errorf("space %v: Hash(%v) = %q does not follow %q", s, v, id, prev)
+			}
+			prev = id
+			iv, err := tree.Subspace(id)
+			if err != nil || !(iv[1].Low <= v && v <= iv[1].High) {
+				t.Errorf("space %v: Subspace(Hash(%v)) = %v, %v", s, v, iv, err)
+			}
+		}
 	}
 }
 

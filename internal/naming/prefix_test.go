@@ -209,6 +209,21 @@ func BenchmarkHash(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleHash is Single_hash: one attribute at the default depth, a
+// fresh random value each time.
+func BenchmarkSingleHash(b *testing.B) {
+	tree, err := NewSingleTree(32, 0, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(81))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkStr, _ = tree.Hash(rng.Float64() * 1000)
+	}
+}
+
 func BenchmarkIntersectsPrefix(b *testing.B) {
 	tree, err := NewTree(32, Space{0, 1000}, Space{0, 100})
 	if err != nil {

@@ -1,5 +1,5 @@
 //go:build !race
 
-package core
+package armada_test
 
 const raceEnabled = false
