@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race build vet micro fuzz bench-smoke BENCH_micro.json
+.PHONY: test race build vet micro fuzz bench-smoke loc BENCH_micro.json
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,15 @@ test:
 race:
 	$(GO) test -race ./...
 
+# ROADMAP item 4's gate as a command: non-test Go lines of each gated
+# directory (its own files, not its subdirectories), then their sum.
+LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
+loc:
+	@total=0; for d in $(LOC_DIRS); do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+		printf '%-16s %6d\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-16s %6d\n' total $$total
+
 # Per-layer micro-benchmarks (ns/op, B/op, allocs/op): the pruning
 # predicates, the naming hash (m = 2, and Single_hash), one store read (the
 # view every query makes, and the per-object scan the bench twin keeps), the
@@ -24,9 +33,9 @@ race:
 # join + leave and replica-group lookup at 10k peers, one descent step and
 # whole descents at 10k peers, the route cache's hit path (one tile, twelve)
 # and what a descent pays to teach it, the facade's allocation profiles —
-# a lookup descended and cache-served — and its range / paged walk / top-k
-# at the scan-wide shape. A macro regression bisects to a layer here without
-# a profiler.
+# a lookup descended and cache-served — and its range / paged walk / stream
+# (drained, and left at the first object) / top-k at the scan-wide shape. A
+# macro regression bisects to a layer here without a profiler.
 micro:
 	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem ./internal/kautz/
 	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem ./internal/naming/

@@ -579,13 +579,14 @@ func walk(b *testing.B, net *armada.Network, q armada.Query) (objects int) {
 	return objects
 }
 
-// The three benchmarks below run at the shape of the repo benchmark's
+// The benchmarks below run at the shape of the repo benchmark's
 // scan-wide workload — 500 peers, 100k single-attribute objects, a range
 // over 6% of the space (~6,000 objects on ~30 peers), pages of 256, top 10
 // — where the store scan and the result copy are the work and the descent
 // is noise. They report bytes and time per object returned by the
-// materialising range, so the three read against each other: a walk
-// returns the same objects as the range, a top-k returns ten of them.
+// materialising range, so they read against each other: a walk and a
+// drained stream return the same objects as the range, a top-k returns ten
+// of them, a broken stream one.
 func benchWide(b *testing.B, run func(net *armada.Network, ranges []armada.Range) int) {
 	net, err := armada.NewNetwork(500, armada.WithSeed(115))
 	if err != nil {
@@ -623,6 +624,37 @@ func BenchmarkRangeWide(b *testing.B) {
 func BenchmarkWalkWide(b *testing.B) {
 	benchWide(b, func(net *armada.Network, ranges []armada.Range) int {
 		return walk(b, net, armada.NewRange(ranges, armada.WithLimit(256)))
+	})
+}
+
+// BenchmarkStreamWide drains the range as a stream: the same objects as
+// BenchmarkRangeWide, walked in Stream's own pages.
+func BenchmarkStreamWide(b *testing.B) {
+	benchWide(b, func(net *armada.Network, ranges []armada.Range) (objects int) {
+		for _, err := range net.Stream(context.Background(), armada.NewRange(ranges)) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			objects++
+		}
+		return objects
+	})
+}
+
+// BenchmarkStreamBreakWide leaves the stream at its first object: what a
+// consumer that stops early pays is one page, so its bytes/op read against a
+// Do limited to that page, not against the range; ns/object is per object
+// consumed — one.
+func BenchmarkStreamBreakWide(b *testing.B) {
+	benchWide(b, func(net *armada.Network, ranges []armada.Range) (objects int) {
+		for _, err := range net.Stream(context.Background(), armada.NewRange(ranges)) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			objects++
+			break
+		}
+		return objects
 	})
 }
 

@@ -48,7 +48,7 @@ func run(ctx context.Context, args []string) error {
 		hi2     = fs.Float64("hi2", 200, "query high bound (attribute 1, with -multi)")
 		churn   = fs.Int("churn", 0, "random joins/leaves to apply before querying")
 		topk    = fs.Int("topk", 0, "also run a top-k query for the given k")
-		stream  = fs.Bool("stream", false, "print matches as the result is materialised")
+		stream  = fs.Bool("stream", false, "print matches as Stream yields them, a page of the walk at a time")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -115,7 +115,9 @@ func run(ctx context.Context, args []string) error {
 	if *stream {
 		// Stream the query once, deriving the cost metrics from its own
 		// trace: a forward at depth d is processed at d+1, so the delay is
-		// the deepest forward plus one.
+		// the deepest forward plus one. A stream past its first page runs
+		// more queries, each traced: messages and deliveries then sum over
+		// the pages and the delay is the slowest page's.
 		var forwards, deliveries, delay int
 		q := armada.NewRange(ranges, armada.WithIssuer(issuer),
 			armada.WithTrace(func(h armada.Hop) {
@@ -144,7 +146,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		fmt.Printf("  matches    = %d objects streamed\n", n)
 		fmt.Printf("  delay      = %d hops (bound 2logN = %.1f)\n", delay, 2*logN)
-		fmt.Printf("  messages   = %d to %d destination peers\n", forwards, deliveries)
+		fmt.Printf("  messages   = %d, %d deliveries over the stream's pages\n", forwards, deliveries)
 	} else {
 		res, err := net.Do(ctx, armada.NewRange(ranges, armada.WithIssuer(issuer)))
 		if err != nil {

@@ -1,9 +1,11 @@
 package armada
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"armada/internal/diag"
+	"armada/internal/fissione"
 )
 
 // The diagnostics layer's record types are defined in internal/diag and
@@ -102,32 +104,11 @@ func (n *Network) RegionHeatReport(topN int) []RegionHeat {
 			rates[r.ID] = r.Rate
 		}
 	}
-	n.mu.RLock()
-	k := n.net.K()
-	ids := n.net.PeerIDs()
-	out := make([]RegionHeat, 0, len(ids))
-	for _, id := range ids {
-		p, ok := n.net.Peer(id)
-		if !ok {
-			continue
-		}
-		out = append(out, RegionHeat{
-			Peer:       string(id),
-			Width:      k - len(id),
-			Objects:    p.ObjectCount(),
-			Deliveries: p.Deliveries(),
-			RatePerSec: rates[string(id)],
-		})
-	}
-	n.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].RatePerSec != out[j].RatePerSec {
-			return out[i].RatePerSec > out[j].RatePerSec
-		}
-		if out[i].Deliveries != out[j].Deliveries {
-			return out[i].Deliveries > out[j].Deliveries
-		}
-		return out[i].Peer < out[j].Peer
+	out := peerRows(n, func(id string, width int, p *fissione.Peer) RegionHeat {
+		return RegionHeat{Peer: id, Width: width, Objects: p.ObjectCount(), Deliveries: p.Deliveries(), RatePerSec: rates[id]}
+	})
+	slices.SortFunc(out, func(a, b RegionHeat) int {
+		return cmp.Or(cmp.Compare(b.RatePerSec, a.RatePerSec), cmp.Compare(b.Deliveries, a.Deliveries), cmp.Compare(a.Peer, b.Peer))
 	})
 	if topN > 0 && len(out) > topN {
 		out = out[:topN]

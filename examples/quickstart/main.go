@@ -59,8 +59,8 @@ func run() error {
 	fmt.Printf("\nquery cost: %d hops (guaranteed < 2*logN = %.1f), %d messages, %d destination peers\n",
 		res.Stats.Delay, 2*logN, res.Stats.Messages, res.Stats.DestPeers)
 
-	// The same query, streamed: matches arrive in the same sorted order,
-	// while the result is still being materialised.
+	// The same query, streamed: matches arrive in the same sorted order, a
+	// page of the walk at a time, and no lock is held while this loop runs.
 	fmt.Println("\nstreaming the same query:")
 	for o, err := range net.Stream(ctx, armada.NewRange([]armada.Range{{Low: 70, High: 80}})) {
 		if err != nil {

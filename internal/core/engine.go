@@ -198,11 +198,6 @@ type QueryConfig struct {
 	// Trace, when non-nil, observes every hop of the descent and every
 	// located run's completed scan.
 	Trace TraceFunc
-	// OnMatch, when non-nil, receives each matching object as the
-	// materialise phase copies it into the result — in the result's own
-	// ascending (ID, Name) order, one located run at a time, outside every
-	// store lock.
-	OnMatch func(Match)
 	// Limit, when positive, paginates the result: the materialise phase
 	// stops at Limit matches in ascending ObjectID order (extending through
 	// a run of equal ObjectIDs so cursors never split an ID) and only

@@ -184,7 +184,6 @@ func (st *queryState) materialise(cuts *[][]Match) (out []Match, next kautz.Str)
 	scanned := st.runs
 	for i := range scanned {
 		r := &scanned[i]
-		start := len(out)
 		r.serving.View(st.own(r), r.scan, st.cfg.After, func(run []fissione.StoredObject) {
 			if single {
 				out = make([]Match, 0, st.count(run, need))
@@ -193,11 +192,6 @@ func (st *queryState) materialise(cuts *[][]Match) (out []Match, next kautz.Str)
 		})
 		r.end = int32(len(out))
 		st.scanned(r)
-		if st.cfg.OnMatch != nil {
-			for _, m := range out[start:] { // outside the store lock
-				st.cfg.OnMatch(m)
-			}
-		}
 		if more {
 			scanned = scanned[:i+1]
 			break

@@ -75,15 +75,20 @@ type Config struct {
 	// than that are left alone however hot they run.
 	MinRegionWidth int
 	// MaxGrowth caps how many peers auto-splits may add in total; at the
-	// cap the controller migrates instead of growing (default 64).
+	// cap relief continues through migration when Migrate is set. Zero: the
+	// armada facade substitutes an eighth of the initial network size (at
+	// least 8) before it builds the controller; New on its own falls back
+	// to 64.
 	MaxGrowth int
-	// Migrate enables ownership migration at the growth cap.
+	// Migrate enables ownership migration at the growth cap: the coldest
+	// sufficiently idle peer leaves and the hot region splits, so ownership
+	// capacity follows the load at constant network size.
 	Migrate bool
-	// ColdFraction qualifies migration donors: a peer may be asked to
-	// leave only when its rate is at most this fraction of the mean
-	// (default 0.25).
-	ColdFraction float64
 }
+
+// coldFraction qualifies migration donors: a peer may be asked to leave only
+// when its rate is at most this fraction of the mean.
+const coldFraction = 0.25
 
 func (c Config) withDefaults() Config {
 	if c.SampleInterval <= 0 {
@@ -103,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxGrowth <= 0 {
 		c.MaxGrowth = 64
-	}
-	if c.ColdFraction <= 0 {
-		c.ColdFraction = 0.25
 	}
 	return c
 }
@@ -318,7 +320,7 @@ func (c *Controller) decide(now time.Time) (act action, hot, donor string) {
 		return actNone, "", ""
 	}
 	mean := total / float64(len(c.rates))
-	if coldID == "" || coldID == hotID || coldRate > c.cfg.ColdFraction*mean {
+	if coldID == "" || coldID == hotID || coldRate > coldFraction*mean {
 		return actNone, "", ""
 	}
 	return actMigrate, hotID, coldID

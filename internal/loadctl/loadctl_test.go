@@ -165,7 +165,7 @@ func TestMigrationAtGrowthCap(t *testing.T) {
 }
 
 func TestMigrationNeedsColdDonor(t *testing.T) {
-	// Both regions run warm: nobody qualifies as a donor (ColdFraction of
+	// Both regions run warm: nobody qualifies as a donor (coldFraction of
 	// the mean), so at the cap the controller must hold still.
 	act := &fakeActuator{samples: []Sample{{ID: "hot", Width: 10}, {ID: "warm", Width: 10}}}
 	cfg := instant(500)

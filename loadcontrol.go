@@ -2,43 +2,18 @@ package armada
 
 import (
 	"fmt"
-	"time"
 
+	"armada/internal/fissione"
 	"armada/internal/kautz"
 	"armada/internal/loadctl"
 	"armada/internal/obs"
 )
 
 // LoadControlConfig tunes the adaptive load controller enabled by
-// WithLoadControl. Zero values take the noted defaults.
-type LoadControlConfig struct {
-	// SampleInterval is how often the controller samples every peer's
-	// delivery counter (default 100ms).
-	SampleInterval time.Duration
-	// HalfLife is the EWMA half-life of the per-region delivery rate
-	// (default 500ms): how long a load change takes to show half its
-	// magnitude. Longer half-lives demand more sustained heat before any
-	// action fires.
-	HalfLife time.Duration
-	// SplitThreshold is the sustained per-region delivery rate
-	// (deliveries/second) above which the controller intervenes (default
-	// 1000).
-	SplitThreshold float64
-	// Cooldown separates consecutive control actions (default 300ms).
-	Cooldown time.Duration
-	// MinRegionWidth is the minimum number of free ObjectID symbols a
-	// region must keep after splitting (default 4); narrower regions are
-	// never split.
-	MinRegionWidth int
-	// MaxGrowth caps the number of peers auto-splits may add. Zero picks
-	// an eighth of the initial network size (at least 8). At the cap,
-	// relief continues through migration when Migrate is set.
-	MaxGrowth int
-	// Migrate enables ownership migration once MaxGrowth is exhausted: the
-	// coldest sufficiently idle peer leaves and the hot region splits, so
-	// ownership capacity follows the load at constant network size.
-	Migrate bool
-}
+// WithLoadControl — the controller's own configuration, by alias. Zero values
+// take the defaults noted on each field; a zero MaxGrowth becomes an eighth of
+// the initial network size (at least 8) here.
+type LoadControlConfig = loadctl.Config
 
 // WithLoadControl runs a background load controller on the network: it
 // samples every peer's query-delivery counter, keeps per-region EWMA
@@ -73,15 +48,7 @@ func (n *Network) startLoadControl(cfg LoadControlConfig, peers int) {
 	if cfg.MaxGrowth == 0 {
 		cfg.MaxGrowth = max(8, peers/8)
 	}
-	n.lctl = loadctl.New(loadctl.Config{
-		SampleInterval: cfg.SampleInterval,
-		HalfLife:       cfg.HalfLife,
-		SplitThreshold: cfg.SplitThreshold,
-		Cooldown:       cfg.Cooldown,
-		MinRegionWidth: cfg.MinRegionWidth,
-		MaxGrowth:      cfg.MaxGrowth,
-		Migrate:        cfg.Migrate,
-	}, loadActuator{n})
+	n.lctl = loadctl.New(cfg, loadActuator{n})
 	n.lctl.DescribeMetrics(n.obs.reg)
 	n.lctl.Start()
 }
@@ -101,21 +68,24 @@ func (n *Network) Close() error {
 type loadActuator struct{ n *Network }
 
 func (a loadActuator) Sample() []loadctl.Sample {
-	a.n.mu.RLock()
-	defer a.n.mu.RUnlock()
-	k := a.n.net.K()
-	ids := a.n.net.PeerIDs()
-	out := make([]loadctl.Sample, 0, len(ids))
+	return peerRows(a.n, func(id string, width int, p *fissione.Peer) loadctl.Sample {
+		return loadctl.Sample{ID: id, Width: width, Deliveries: p.Deliveries()}
+	})
+}
+
+// peerRows builds one row per live peer, in identifier order, under the
+// topology read lock; width is the peer's region size exponent (its free
+// ObjectID symbols).
+func peerRows[T any](n *Network, row func(id string, width int, p *fissione.Peer) T) []T {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	k := n.net.K()
+	ids := n.net.PeerIDs()
+	out := make([]T, 0, len(ids))
 	for _, id := range ids {
-		p, ok := a.n.net.Peer(id)
-		if !ok {
-			continue
+		if p, ok := n.net.Peer(id); ok {
+			out = append(out, row(string(id), k-len(id), p))
 		}
-		out = append(out, loadctl.Sample{
-			ID:         string(id),
-			Width:      k - len(id),
-			Deliveries: p.Deliveries(),
-		})
 	}
 	return out
 }
@@ -241,16 +211,7 @@ type PeerLoad struct {
 // identifier order. It is available on every network — no WithLoadControl
 // needed — and is what the workload package computes delivery skew from.
 func (n *Network) PeerLoads() []PeerLoad {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	ids := n.net.PeerIDs()
-	out := make([]PeerLoad, 0, len(ids))
-	for _, id := range ids {
-		p, ok := n.net.Peer(id)
-		if !ok {
-			continue
-		}
-		out = append(out, PeerLoad{Peer: string(id), Deliveries: p.Deliveries()})
-	}
-	return out
+	return peerRows(n, func(id string, _ int, p *fissione.Peer) PeerLoad {
+		return PeerLoad{Peer: id, Deliveries: p.Deliveries()}
+	})
 }

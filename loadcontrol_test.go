@@ -435,3 +435,35 @@ func TestPeerLoadsCountDeliveries(t *testing.T) {
 		t.Fatalf("delivery counters did not move: %d -> %d", before, after)
 	}
 }
+
+// TestStreamDeliveriesArePerPage: the delivery counters — what PeerLoads
+// reports and the load controller samples — see a stream as the pages it runs.
+// Every page addresses each owner still ahead of its cursor once, so a drained
+// stream of p pages moves an owner's counter by at most p (the owner of the
+// range's high end: exactly p) where one Do moves it by 1.
+func TestStreamDeliveriesArePerPage(t *testing.T) {
+	objects := 3*streamPage + 200
+	net := buildQueryNet(t, 100, objects)
+	pages := int64((objects + streamPage - 1) / streamPage)
+	before := net.PeerLoads()
+	seen := 0
+	for _, err := range net.Stream(context.Background(), NewRange([]Range{{Low: 0, High: 1000}})) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen++
+	}
+	if seen != objects {
+		t.Fatalf("stream yielded %d objects, want %d", seen, objects)
+	}
+	after := net.PeerLoads()
+	for i, pl := range after {
+		if d := pl.Deliveries - before[i].Deliveries; d < 1 || d > pages {
+			t.Fatalf("peer %s: %d deliveries from one %d-page stream, want 1..%d", pl.Peer, d, pages, pages)
+		}
+	}
+	last := len(after) - 1
+	if d := after[last].Deliveries - before[last].Deliveries; d != pages {
+		t.Fatalf("the high end's owner %s saw %d deliveries, want one per page (%d)", after[last].Peer, d, pages)
+	}
+}

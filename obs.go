@@ -106,10 +106,10 @@ func (n *Network) noteQuery(s Stats) float64 {
 
 // queryObs is one query's observer: whoever watches this query — the
 // caller's WithTrace sink, the flight recorder, the diagnostics collector —
-// behind one value. do builds it once per query and hands it to exec; the
+// behind one value. run builds it once per query and hands it to exec; the
 // engine feeds it every hop and completed scan
 // through the single QueryConfig.Trace callback; finish closes it with the
-// query's Stats. When nobody watches, do leaves it nil: every method is
+// query's Stats. When nobody watches, run leaves it nil: every method is
 // nil-safe, so the unobserved path pays nil checks and allocates nothing.
 type queryObs struct {
 	qid  uint64        // tags recorder events and slow-query records; 0 with only a sink

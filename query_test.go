@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -247,23 +249,97 @@ func TestConcurrentDo(t *testing.T) {
 	}
 }
 
-// Stream yields exactly Do's result, in Do's order.
+// Stream yields exactly Do's result, in Do's order: every kind that streams,
+// PIRA and MIRA, with and without replication (primary reads, so the serving
+// peers compare too), at every result size a page cut can fall around.
 func TestStreamMatchesDo(t *testing.T) {
-	net := buildQueryNet(t, 100, 300)
-	q := NewRange([]Range{{Low: 100, High: 700}}, WithIssuer(net.PeerIDs()[1]))
-	res, err := net.Do(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	sizes := []struct {
+		name           string
+		distinct, tied int
+	}{
+		{"0", 0, 0},
+		{"1", 1, 0},
+		{"page-1", streamPage - 1, 0},
+		{"page", streamPage, 0},
+		{"page+1", streamPage + 1, 0},
+		{"3 pages and a tail", 3*streamPage + 7, 0},
+		{"equal ObjectIDs across a page cut", streamPage - 5, 10},
 	}
-	var got []Object
-	for o, err := range net.Stream(context.Background(), q) {
-		if err != nil {
-			t.Fatal(err)
+	for _, attrs := range []int{1, 2} {
+		for _, k := range []int{1, 2} {
+			for _, sz := range sizes {
+				t.Run(fmt.Sprintf("attrs=%d/k=%d/%s", attrs, k, sz.name), func(t *testing.T) {
+					opts := []Option{WithSeed(61), WithReplication(k)}
+					if attrs == 2 {
+						opts = append(opts, WithAttributes(AttributeSpace{Low: 0, High: 1000}, AttributeSpace{Low: 0, High: 100}))
+					}
+					net, err := NewNetwork(100, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The box holds `distinct` objects along its diagonal and
+					// `tied` on its top corner — one ObjectID, the box's largest:
+					// naming preserves order per attribute, so a point that
+					// dominates another never sorts before it. As many objects
+					// sit on one point outside the box for the value lookup, and
+					// decoys lie around both.
+					box := []Range{{Low: 100, High: 700}, {Low: 20, High: 60}}[:attrs]
+					corner, spot := []float64{700, 60}[:attrs], []float64{900, 90}[:attrs]
+					n := sz.distinct + sz.tied
+					pubs := []Publication{
+						{Name: "below", Values: []float64{50, 10}[:attrs]},
+						{Name: "above", Values: []float64{800, 80}[:attrs]},
+						{Name: "beside", Values: []float64{400, 80}[:attrs]}, // MIRA: in range on one attribute only
+					}
+					if attrs == 1 {
+						pubs = pubs[:2]
+					}
+					for i := 0; i < n; i++ {
+						f := float64(i) / float64(n)
+						at := []float64{100 + 599*f, 20 + 39*f}[:attrs]
+						if i >= sz.distinct {
+							at = corner
+						}
+						pubs = append(pubs,
+							Publication{Name: fmt.Sprintf("o%d", i), Values: at},
+							Publication{Name: fmt.Sprintf("s%d", i), Values: spot})
+					}
+					if err := net.PublishBatch(pubs); err != nil {
+						t.Fatal(err)
+					}
+					for _, c := range []struct {
+						kind string
+						q    Query
+					}{
+						{"range", NewRange(box, WithReadPolicy(ReadPrimary), WithIssuer(net.PeerIDs()[1]))},
+						{"flood", NewRange(box, WithReadPolicy(ReadPrimary), WithFlood())},
+						{"value lookup", NewValueLookup(spot, WithReadPolicy(ReadPrimary))},
+					} {
+						res, err := net.Do(ctx, c.q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(res.Objects) != n {
+							t.Fatalf("%s: Do returned %d objects, the row wants %d", c.kind, len(res.Objects), n)
+						}
+						if sz.tied > 0 && res.Objects[streamPage-1].ID != res.Objects[streamPage].ID {
+							t.Fatalf("%s: no run of equal ObjectIDs across the first page cut", c.kind)
+						}
+						var got []Object
+						for o, err := range net.Stream(ctx, c.q) {
+							if err != nil {
+								t.Fatal(err)
+							}
+							got = append(got, o)
+						}
+						if !reflect.DeepEqual(got, res.Objects) {
+							t.Fatalf("%s: stream yielded %d objects, Do returned %d — or in another order", c.kind, len(got), len(res.Objects))
+						}
+					}
+				})
+			}
 		}
-		got = append(got, o)
-	}
-	if !reflect.DeepEqual(got, res.Objects) {
-		t.Fatalf("stream yielded %d objects, Do returned %d — or in another order", len(got), len(res.Objects))
 	}
 }
 
@@ -365,6 +441,147 @@ func TestStreamEarlyBreak(t *testing.T) {
 	// The network must remain fully usable afterwards.
 	if _, err := net.Do(context.Background(), NewRange([]Range{{Low: 0, High: 1000}})); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Breaking out of a Stream costs the page in flight, not the query: a
+// consumer that leaves a wide range at its first object allocates what one
+// page does, however much of the range lay ahead.
+func TestStreamBreakCostsOnePage(t *testing.T) {
+	net := buildQueryNet(t, 200, 40*streamPage)
+	ctx := context.Background()
+	whole := []Range{{Low: 0, High: 1000}}
+	// The least of several runs: the engine's pooled query state is rebuilt
+	// on the first, and on any run the race detector's sync.Pool dropped it for.
+	allocated := func(f func()) uint64 {
+		least := ^uint64(0)
+		for i := 0; i < 8; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	page := allocated(func() {
+		if res, err := net.Do(ctx, NewRange(whole, WithLimit(streamPage))); err != nil || res.NextOffsetID == "" {
+			t.Fatalf("one page of the range: %v, %v; want a page with more behind it", res, err)
+		}
+	})
+	broken := allocated(func() {
+		for _, err := range net.Stream(ctx, NewRange(whole)) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	})
+	if broken > 2*page {
+		t.Fatalf("a stream broken at its first object allocated %d bytes, one page of the same range %d", broken, page)
+	}
+}
+
+// A stream runs on its caller's goroutine and leaves nothing behind, however
+// it ends. (The counts are compared one way: a goroutine an earlier test left
+// exiting can lower them, a stream could only raise them.)
+func TestStreamStartsNoGoroutine(t *testing.T) {
+	net := buildQueryNet(t, 100, 3*streamPage)
+	q := NewRange([]Range{{Low: 0, High: 1000}})
+	outside := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		for _, err := range net.Stream(ctx, q) {
+			if inside := runtime.NumGoroutine(); inside > outside {
+				t.Fatalf("%d goroutines inside the loop body, %d outside it", inside, outside)
+			}
+			if seen++; err != nil && !(i%4 == 3 && errors.Is(err, context.Canceled)) {
+				t.Fatal(err)
+			}
+			if i%4 == 1 && seen == 1 || i%4 == 2 && seen == streamPage { // the first object; a page boundary
+				break
+			}
+			if i%4 == 3 && seen == 1 {
+				cancel()
+			}
+		} // i%4 == 0 drains
+		cancel()
+	}
+	if after := runtime.NumGoroutine(); after > outside {
+		t.Fatalf("%d goroutines after 200 streams, %d before", after, outside)
+	}
+}
+
+// Cancellation is seen between pages: the page already copied is yielded to
+// its end, then ctx's error as the final pair and nothing after it; a ctx
+// cancelled before the first page yields no object at all.
+func TestStreamCancellation(t *testing.T) {
+	net := buildQueryNet(t, 100, 3*streamPage)
+	q := NewRange([]Range{{Low: 0, High: 1000}})
+	first, err := net.Do(context.Background(), NewRange(q.Ranges, WithLimit(streamPage)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cancelAt := range []int{0, 1} { // before the first page; inside it
+		ctx, cancel := context.WithCancel(context.Background())
+		if cancelAt == 0 {
+			cancel()
+		}
+		objects := 0
+		var final error
+		for _, err := range net.Stream(ctx, q) {
+			if final != nil {
+				t.Fatalf("cancel at %d: a pair after the terminal error", cancelAt)
+			}
+			if err != nil {
+				final = err
+				continue
+			}
+			if objects++; objects == cancelAt {
+				cancel()
+			}
+		}
+		cancel()
+		if want := cancelAt * len(first.Objects); objects != want || !errors.Is(final, context.Canceled) {
+			t.Fatalf("cancel at %d: %d objects then %v; want %d then context.Canceled", cancelAt, objects, final, want)
+		}
+	}
+}
+
+// A Stream's Seq may be ranged again: each iteration pins its own issuer, so
+// a query that named none does not inherit one whose identifier has left the
+// network since the last run.
+func TestStreamSeqRangedAgain(t *testing.T) {
+	net := buildQueryNet(t, 100, 100)
+	var issuer string // the peer the run's first hop left from
+	seq := net.Stream(context.Background(), NewRange([]Range{{Low: 0, High: 1000}}, WithTrace(func(h Hop) {
+		if issuer == "" {
+			issuer = h.From
+		}
+	})))
+	gone := 0 // a Leave may hand the identifier to another peer; count those that retire it
+	for run := 0; run < 30; run++ {
+		issuer = ""
+		objects := 0
+		for _, err := range seq {
+			if err != nil {
+				t.Fatalf("run %d: %v", run, err)
+			}
+			objects++
+		}
+		if objects != 100 || issuer == "" {
+			t.Fatalf("run %d yielded %d objects from issuer %q, want 100", run, objects, issuer)
+		}
+		if err := net.Leave(issuer); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(net.PeerIDs(), issuer) {
+			gone++
+		}
+	}
+	if gone == 0 {
+		t.Fatal("no run's issuer identifier left the network")
 	}
 }
 

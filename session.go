@@ -37,14 +37,13 @@ var ErrSessionDone = errors.New("armada: session exhausted")
 // separate sessions.
 type Session struct {
 	net *Network
-	q   Query // base query; OffsetID is overwritten per page
+	q   Query // the next page's query: OffsetID is the walk's cursor
 	// tiles are the owners the last located page delivered to, ascending —
 	// plus any the route cache vouched for since.
 	tiles []core.Tile
 	// shared reports that the page in flight asked the route cache about an
 	// owner the session did not hold.
 	shared bool
-	offset string
 	done   bool
 	stats  SessionStats
 }
@@ -68,8 +67,8 @@ type SessionStats struct {
 // OpenSession opens a query session for a paged range walk. q must be a
 // range query (not flood or top-k) with WithLimit set — the page size; a
 // WithOffsetID cursor, when present, is the walk's starting point. An
-// empty issuer is pinned to a random peer at open so every page starts
-// from the same place. No query runs until Next.
+// empty issuer is pinned to a random peer by the first page so every page
+// starts from the same place. No query runs until Next.
 func (n *Network) OpenSession(q Query, opts ...QueryOption) (*Session, error) {
 	for _, o := range opts {
 		o(&q)
@@ -80,22 +79,22 @@ func (n *Network) OpenSession(q Query, opts ...QueryOption) (*Session, error) {
 	if q.Limit < 1 {
 		return nil, fmt.Errorf("%w: a session pages its walk and needs WithLimit ≥ 1, got %d", ErrBadQuery, q.Limit)
 	}
-	if q.Issuer == "" {
-		q.Issuer = n.RandomPeer()
-	} else if !n.hasPeer(q.Issuer) {
-		// A bad issuer fails loudly here, exactly as Do would; Next's
-		// re-pin is reserved for issuers that churn out mid-session.
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, q.Issuer)
+	if err := n.checkIssuer(q.Issuer); err != nil {
+		return nil, err
 	}
-	return &Session{net: n, q: q, offset: q.OffsetID}, nil
+	return &Session{net: n, q: q}, nil
 }
 
-// hasPeer reports whether the identified peer currently exists.
-func (n *Network) hasPeer(id string) bool {
+// checkIssuer fails a walk that names an issuer the network does not have, at
+// its start, exactly as Do would. Pinning is run's: the first page pins an
+// unnamed issuer, a later one re-pins an issuer that churned out mid-walk.
+func (n *Network) checkIssuer(id string) error {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	_, ok := n.net.Peer(kautz.Str(id))
-	return ok
+	if _, ok := n.net.Peer(kautz.Str(id)); id != "" && !ok {
+		return fmt.Errorf("%w: %q", ErrNoSuchPeer, id)
+	}
+	return nil
 }
 
 // More reports whether another page remains. It is true until a Next call
@@ -111,21 +110,8 @@ func (s *Session) Next(ctx context.Context) (*Result, error) {
 	if s.done {
 		return nil, ErrSessionDone
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := s.net
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if _, ok := n.net.Peer(kautz.Str(s.q.Issuer)); !ok {
-		// The pinned issuer churned out of the network; re-pin. Tiles are
-		// absolute peer addresses, so reuse is unaffected.
-		s.q.Issuer = n.randomPeerLocked()
-	}
-	q := s.q
-	q.OffsetID = s.offset
 	s.shared = false
-	res, err := n.do(ctx, q, q.Issuer, nil, s)
+	res, err := s.net.run(ctx, s.q, s)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +127,7 @@ func (s *Session) Next(ctx context.Context) (*Result, error) {
 	if res.NextOffsetID == "" {
 		s.done = true
 	} else {
-		s.offset = res.NextOffsetID
+		s.q.OffsetID = res.NextOffsetID
 	}
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"armada/internal/core"
@@ -15,8 +16,9 @@ import (
 // property test: two identically seeded networks — one with a cache small
 // enough to evict, one without — are driven in lockstep through 2,400 seeded
 // steps of publishes, unpublishes, lookups, ranges, paged session walks (with
-// churn between their pages), top-k queries, joins, leaves, crash-stops,
-// region splits and ownership migrations, over one and two attributes,
+// churn between their pages), streams drained and left early, top-k queries,
+// joins, leaves, crash-stops, region splits and ownership migrations, over one
+// and two attributes,
 // replication degrees 1–3 and every read policy. Every result must be
 // byte-identical between the two — objects, destinations, cursor, owner — and
 // both networks audit clean: a learned owner can go stale at any moment, and a
@@ -109,7 +111,15 @@ func byteIdentityUnderChurn(t *testing.T, attrs, k int, pol ReadPolicy, seed int
 		}
 	}
 
-	var live []Publication
+	// Enough objects, never unpublished, that a whole-space stream spans pages.
+	for i := 0; i < streamPage+200; i++ {
+		p := Publication{Name: fmt.Sprintf("pre%d", i), Values: values()}
+		mirror("preload", func(n *Network) error { return n.Publish(p.Name, p.Values...) })
+	}
+	var (
+		live        []Publication
+		pagedStream bool
+	)
 	for step := 0; step < 400; step++ {
 		what := fmt.Sprintf("step %d", step)
 		switch r := rng.Intn(100); {
@@ -135,7 +145,7 @@ func byteIdentityUnderChurn(t *testing.T, attrs, k int, pol ReadPolicy, seed int
 				t.Fatal(err)
 			}
 			for page := 0; sess.More(); page++ {
-				if !base.hasPeer(q.Issuer) { // it churned out mid-walk; the session re-pins too
+				if !slices.Contains(base.PeerIDs(), q.Issuer) { // it churned out mid-walk; the session re-pins too
 					q.Issuer = peer()
 				}
 				want, err1 := base.Do(ctx, q)
@@ -151,6 +161,35 @@ func byteIdentityUnderChurn(t *testing.T, attrs, k int, pol ReadPolicy, seed int
 			}
 		case r < 75:
 			compare(what+" top-k", NewRange(box(), WithTopK(5)))
+		case r < 80:
+			// A stream on the cached network — drained, or left early — against
+			// the other network's Do; one in three covers the whole space, whose
+			// preload takes it past its first page.
+			ranges := box()
+			if rng.Intn(3) == 0 {
+				ranges = []Range{{Low: 0, High: 1000}, {Low: 0, High: 100}}[:attrs]
+			}
+			q := NewRange(ranges, WithIssuer(peer()), WithReadPolicy(pol))
+			want, err := base.Do(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := rng.Intn(2*len(want.Objects) + 1)   // at or past the end: drained
+			got := &Result{Objects: want.Objects[:0:0]} // nil exactly when Do's are
+			for o, err := range fast.Stream(ctx, q) {
+				if err != nil {
+					t.Fatalf("%s stream: %v", what, err)
+				}
+				if len(got.Objects) == stop {
+					break
+				}
+				got.Objects = append(got.Objects, o)
+			}
+			want.Objects = want.Objects[:min(stop, len(want.Objects))]
+			if !reflect.DeepEqual(objects(got), objects(want)) {
+				t.Fatalf("%s: the cached network's stream yielded %d objects, not the first %d of the cache-less Do's", what, len(got.Objects), len(want.Objects))
+			}
+			pagedStream = pagedStream || len(got.Objects) > streamPage
 		default:
 			churn(what)
 		}
@@ -168,6 +207,9 @@ func byteIdentityUnderChurn(t *testing.T, attrs, k int, pol ReadPolicy, seed int
 	st, _ := fast.ShortcutTableStats()
 	if st.Hits == 0 || st.Misses == 0 || st.Stale == 0 || st.Evicted == 0 {
 		t.Fatalf("cache stats %+v; want hits, misses, entries staled by churn and evictions all exercised", st)
+	}
+	if !pagedStream {
+		t.Fatal("no stream ran past its first page")
 	}
 }
 
