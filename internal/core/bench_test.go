@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -62,11 +63,17 @@ func TestReplicatedDeliveryAllocs(t *testing.T) {
 		if err != nil || res.Stats.DestPeers < 30 {
 			t.Fatalf("test range reaches %d destinations (%v), want ≥ 30", res.Stats.DestPeers, err)
 		}
-		perQuery[i] = testing.AllocsPerRun(100, func() {
-			if _, err := eng.RangeQuery(ctx, issuer, lo, hi, WithReadPolicy(pol)); err != nil {
-				t.Fatal(err)
-			}
-		})
+		// The least of several single runs: a query that found the pool empty —
+		// the first, and any the race detector's sync.Pool dropped the state
+		// for — rebuilds its buffers, which is not what is compared here.
+		perQuery[i] = math.Inf(1)
+		for run := 0; run < 20; run++ {
+			perQuery[i] = min(perQuery[i], testing.AllocsPerRun(1, func() {
+				if _, err := eng.RangeQuery(ctx, issuer, lo, hi, WithReadPolicy(pol)); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
 	}
 	if perQuery[1] > perQuery[0] {
 		t.Fatalf("a range over ≥ 30 destinations allocates %.1f times at replication degree 2, %.1f at degree 1", perQuery[1], perQuery[0])

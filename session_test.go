@@ -476,25 +476,34 @@ func TestSessionPageAllocsFlat(t *testing.T) {
 	if err := net.PublishBatch(pubs); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := net.OpenSession(NewRange([]Range{{Low: 100, High: 600}}, WithLimit(64)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
 	ctx := context.Background()
+	// Per page, the least of several walks: a page that found the engine's
+	// state pool empty — under the race detector sync.Pool drops a share of
+	// what it is given — rebuilds its buffers, which is not the page's cost.
 	var perPage []uint64
-	var ms runtime.MemStats
-	for sess.More() {
-		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
-		res, err := sess.Next(ctx)
+	for walk := 0; walk < 6; walk++ {
+		sess, err := net.OpenSession(NewRange([]Range{{Low: 100, High: 600}}, WithLimit(64)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&ms)
-		if res.NextOffsetID != "" { // the short final page is not comparable
-			perPage = append(perPage, ms.Mallocs-before)
+		var ms runtime.MemStats
+		for page := 0; sess.More(); page++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			res, err := sess.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			switch n := ms.Mallocs - before; {
+			case res.NextOffsetID == "": // the short final page is not comparable
+			case walk == 0:
+				perPage = append(perPage, n)
+			default:
+				perPage[page] = min(perPage[page], n)
+			}
 		}
+		sess.Close()
 	}
 	if len(perPage) < 20 {
 		t.Fatalf("walk had only %d full pages", len(perPage))
