@@ -34,14 +34,15 @@ loc:
 # whole descents at 10k peers, the route cache's hit path (one tile, twelve)
 # and what a descent pays to teach it, the facade's allocation profiles —
 # a lookup descended and cache-served — and its range / paged walk / stream
-# (drained, and left at the first object) / top-k at the scan-wide shape. A
-# macro regression bisects to a layer here without a profiler.
+# (drained, and left at the first object) / top-k at the scan-wide shape, with
+# the range and the drained stream again over 250 owners. A macro regression
+# bisects to a layer here without a profiler.
 micro:
 	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem ./internal/kautz/
 	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem ./internal/naming/
 	$(GO) test -run '^$$' -bench 'ScanRegion|View|OwnerOf10k|JoinLeave10k|GroupPeers' -benchmem ./internal/fissione/
 	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k|Route' -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench 'Alloc|Wide' -benchmem .
+	$(GO) test -run '^$$' -bench 'Alloc|Wide|ManyOwners' -benchmem .
 
 # The committed record of `make micro`: one object per benchmark — its
 # package and every value/unit pair go test printed.

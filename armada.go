@@ -319,12 +319,10 @@ func (n *Network) Do(ctx context.Context, q Query) (*Result, error) {
 
 // streamPage is how many objects one page of a Stream asks for: what a
 // consumer that breaks or cancels pays for and never reads (~80 µs, ~95 KB),
-// set against the per-page cost of re-seeding the walk at every owner still
-// ahead of the cursor. Measured at the scan-wide shape (500 peers, 100k
-// objects): over a 6,000-object range a drained stream costs 1.13× the
-// one-shot Do in time and 1.11× in bytes; over a 50,000-object range (250
-// owners) 1.5× and 1.17×, where pages of 256 cost 3.3× and 1.26×, and pages
-// of 4,096 1.2× and 1.06× but four times as much to leave.
+// set against a page's fixed cost — the lock, one direct message to the owner
+// under the cursor, the result's own allocations. BENCH_micro.json has the
+// drained stream against the one-shot Do over 15 owners (StreamWide,
+// RangeWide) and over 250 (StreamManyOwners, RangeManyOwners).
 const streamPage = 1024
 
 // Stream executes one query and yields its objects a page at a time — the
@@ -336,8 +334,8 @@ const streamPage = 1024
 //	}
 //
 // Objects arrive in the sorted order Do returns. A range or flood query is
-// walked in keyset pages like a Session's (a range keeps the owners its
-// first page reached and seeds later pages at them; a lookup is one page),
+// walked in keyset pages (a range's are a Session's: after the first, a page
+// addresses only the owner under its cursor; a lookup is one page),
 // each an ordinary query to the trace sink, the flight recorder, diagnostics
 // and the load counters. Breaking out of the loop, or cancelling ctx, costs
 // at most the page in flight: no later page runs, and nothing runs in the
@@ -367,9 +365,9 @@ func (n *Network) Stream(ctx context.Context, q Query) iter.Seq2[Object, error] 
 			return
 		}
 		// The walk is a session without OpenSession's range-only contract: a
-		// cursor and a pinned issuer for every kind, kept owners for the one
-		// kind exec hands a session to (a flood consults no routing state). It
-		// is this iteration's own: ranging the Seq again pins a fresh issuer.
+		// cursor and a pinned issuer for every kind, a positional cursor for
+		// the one kind exec walks (a flood pages statelessly). It is this
+		// iteration's own: ranging the Seq again pins a fresh issuer.
 		walk := Session{net: n, q: q}
 		// Objects still to yield: without a limit the count starts at 0, goes
 		// down, and never returns there.
@@ -444,6 +442,9 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, sess *Sessio
 	if ob != nil {
 		cfg.Trace = ob.hop
 	}
+	if n.routes != nil { // never a nil *Table behind the interface
+		cfg.Routes = n.routes
+	}
 	if q.Limit != 0 || q.OffsetID != "" {
 		if kind != KindRange && kind != KindFlood {
 			return nil, fmt.Errorf("%w: pagination (WithLimit/WithOffsetID) applies to range and flood queries, not %v", ErrBadQuery, kind)
@@ -479,14 +480,12 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, sess *Sessio
 		default:
 			return nil, fmt.Errorf("%w: lookup needs a name or attribute values", ErrBadQuery)
 		}
-		var consulted bool
-		cfg.Routes, consulted = n.router(nil)
 		res, err := n.eng.LookupWith(ctx, kautz.Str(issuer), oid, cfg)
 		if err != nil {
 			return nil, wrapCoreErr(err)
 		}
 		out := &Result{Objects: res.Objects, Owner: string(res.Owner), Stats: res.Stats}
-		n.routed(&out.Stats, false, nil, consulted, ob)
+		n.routed(&out.Stats, false, n.routes != nil, ob)
 		return out, nil
 
 	case KindRange, KindFlood:
@@ -494,21 +493,23 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, sess *Sessio
 		if err != nil {
 			return nil, err
 		}
-		if kind == KindFlood {
-			res, err := n.eng.FloodQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
-			if err != nil {
-				return nil, wrapCoreErr(err)
-			}
-			return resultOf(&res), nil
+		var res core.RangeResult
+		located, stale := kind == KindRange, false // a flood consults no routing state
+		switch {
+		case kind == KindFlood:
+			res, err = n.eng.FloodQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
+		case sess != nil:
+			res, located, stale, err = n.eng.WalkPage(ctx, &sess.walk, kautz.Str(issuer), lo, hi, cfg)
+		default:
+			res, err = n.eng.RangeQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
 		}
-		var consulted bool
-		cfg.Routes, consulted = n.router(sess)
-		res, err := n.eng.RangeQueryWith(ctx, kautz.Str(issuer), lo, hi, cfg)
 		if err != nil {
 			return nil, wrapCoreErr(err)
 		}
 		out := resultOf(&res)
-		n.routed(&out.Stats, true, sess, consulted, ob)
+		if located { // nor does a walk's positional page
+			n.routed(&out.Stats, true, n.routes != nil || stale, ob)
+		}
 		return out, nil
 
 	case KindTopK:
@@ -602,38 +603,24 @@ func (n *Network) ShortcutTableStats() (_ ShortcutTableStats, ok bool) {
 	return ShortcutTableStats(n.routes.Stats()), true
 }
 
-// router returns the issuer-side routing state a lookup or range query
-// consults — a session's kept tiles in front of the route cache, or the cache
-// alone — and whether there is anything in it to miss.
-func (n *Network) router(sess *Session) (_ core.Router, consulted bool) {
-	switch {
-	case sess != nil:
-		return (*sessionRoutes)(sess), n.routes != nil || len(sess.tiles) > 0
-	case n.routes != nil:
-		return n.routes, true
-	}
-	return nil, false
-}
-
-// routed closes a lookup or range query that could have been seeded: it
-// stamps the Stats with who seeded it, counts the cache's hit or miss, and
-// tells the observer of a descent that routing state was consulted about
-// (consulted) and did not save.
-func (n *Network) routed(s *Stats, ranged bool, sess *Session, consulted bool, ob *queryObs) {
-	switch {
-	case s.DescentsSaved == 0:
+// routed closes a located lookup or range query: when the route cache seeded
+// it, it stamps the Stats and counts the hit; when it descended, it counts the
+// miss and tells the observer if issuer-side routing state — the cache, a
+// walk's stale owners — was there to consult (consulted) and did not save.
+func (n *Network) routed(s *Stats, ranged, consulted bool, ob *queryObs) {
+	if s.DescentsSaved == 0 {
 		if n.routes != nil {
 			n.routes.Note(false)
 		}
 		if consulted {
 			ob.shortcutMiss()
 		}
-	case sess == nil || sess.shared: // the cache knew an owner the session's own tiles did not
-		n.routes.Note(true)
-		s.ShortcutHits = 1
-		if ranged {
-			s.FrontierHits = 1
-		}
+		return
+	}
+	n.routes.Note(true)
+	s.ShortcutHits = 1
+	if ranged {
+		s.FrontierHits = 1
 	}
 }
 

@@ -1,7 +1,8 @@
 // Sessions: walk a large range result page by page through a query
-// session, which keeps the owners page 1's descent delivered to so every
-// page beyond the first skips the route-to-region descent — then repeat the
-// walk and watch the network's route cache serve even page 1.
+// session, which keeps the owners page 1's descent delivered to, in order, so
+// every page beyond the first skips the route-to-region descent and addresses
+// only the owners it scans — then repeat the walk and watch the network's
+// route cache serve even page 1.
 //
 //	go run ./examples/sessions
 package main
@@ -49,8 +50,9 @@ func run() error {
 	}
 
 	// Walk the hot range twice. The first walk descends once (page 1) and
-	// seeds every later page at the owners the session kept; the second
-	// walk finds those owners in the route cache and descends not at all.
+	// serves every later page from its positional cursor over the owners
+	// that descent reached; the second walk finds those owners in the route
+	// cache and descends not at all.
 	ranges := []armada.Range{{Low: 100, High: 400}}
 	for walk := 1; walk <= 2; walk++ {
 		sess, err := net.OpenSession(armada.NewRange(ranges), armada.WithLimit(512))
@@ -68,7 +70,7 @@ func run() error {
 			case res.Stats.FrontierHits > 0:
 				how = "seeded from the route cache"
 			case res.Stats.DescentsSaved > 0:
-				how = "seeded at the session's kept owners"
+				how = "positional: one message per owner scanned"
 			}
 			fmt.Printf("  page %d: %4d objects, %3d messages, delay %d (%s)\n",
 				page, len(res.Objects), res.Stats.Messages, res.Stats.Delay, how)

@@ -68,15 +68,14 @@ const (
 	// HopRedirect is a delivery the read policy redirected from the region
 	// owner (from) to a serving replica (to).
 	HopRedirect
-	// HopSeed is one direct issuer→serving-peer send of a seeded query: one
-	// whose destinations an offered tiling named, so it skipped the descent
-	// (see Router).
+	// HopSeed is one direct issuer→serving-peer send: of a seeded query,
+	// whose destinations a Router knew, or of a walk's positional page.
 	HopSeed
 	// HopScan is one located run's completed store scan — not an overlay
 	// message but the work its delivery hop set off, reported with that
-	// hop's from, to and depth. Scans run in the materialise phase, after
-	// every message of the query, one event per run actually scanned — so
-	// the time since the previous event is that scan's time.
+	// hop's from, to and depth. One event per run actually scanned, after
+	// every message of the query (on a positional page, after the run's own
+	// delivery) — so the time since the previous event is that scan's time.
 	HopScan
 	// NumHopKinds sizes per-kind tables.
 	NumHopKinds
@@ -115,12 +114,11 @@ type TraceFunc func(kind HopKind, from, to kautz.Str, depth, remaining int)
 // query — from the Stats the query computed anyway, plus one add of the
 // query's processed-message count — so the per-hop path touches no shared
 // counter and allocates nothing (BenchmarkStep: 0 allocs/op; a lookup at
-// 1,000 peers: 5 allocations in all, pinned ≤ 6 by
+// 1,000 peers: 4 allocations in all, pinned ≤ 5 by
 // TestLookupAllocCeiling).
 type Metrics struct {
-	// Descents counts full FRT descents executed; Seeded counts queries
-	// that skipped the descent because an offered tiling named their
-	// destinations.
+	// Descents counts queries that ran FRT descents; Seeded those that did
+	// not: a Router knew their destinations, or a walk's cursor did.
 	Descents obs.Counter
 	Seeded   obs.Counter
 	// Messages and Deliveries total the per-query Stats fields of the same
@@ -282,7 +280,8 @@ type Stats struct {
 	// Delay is the hop count until the last destination peer received the
 	// query. Armada guarantees Delay < 2·log₂N; the average is below log₂N.
 	Delay int
-	// Messages is the number of overlay messages produced by the query.
+	// Messages is the number of overlay messages produced by the query: the
+	// descent's forwards and deliveries, or one per owner addressed directly.
 	Messages int
 	// DestPeers is the number of distinct peers whose regions intersect the
 	// query ("Destpeers" in Section 4.3.3).
@@ -301,20 +300,19 @@ type Stats struct {
 	// addresses the serving replica directly, so the redirect message is
 	// retired.
 	ReplicaServed int
-	// DescentsSaved is 1 when this query was seeded: fresh learned owners —
-	// a session's own tiles or the network's route cache — tiled its region,
-	// so the issuer addressed every destination directly instead of
-	// descending its forward routing tree. Messages then counts one direct
-	// message per destination, Delay is the single fan-out hop, and
-	// Subregions is 0. The accounting stays honest: the saving shows up as
-	// cheaper Messages/Delay, never as uncounted work.
+	// DescentsSaved is 1 when the issuer addressed owners directly instead
+	// of descending its forward routing tree: every destination, because the
+	// network's route cache knew the owners that tile the region, or — a
+	// walk's positional page — only the owner under the cursor and those the
+	// page's scan ran on into. Messages then equals DestPeers, Delay is the
+	// single hop and Subregions is 0: the saving shows up as cheaper
+	// Messages/Delay, never as uncounted work.
 	DescentsSaved int
-	// FrontierHits is 1 when a range query (a session page included) was
-	// seeded by the network's route cache rather than a session's own
-	// tiles — ShortcutHits restricted to ranges. The cache lives above the
-	// engine, so the armada layer stamps both fields; the engine leaves them
-	// 0 (and JSON omits this one then, which keeps the engine's golden file
-	// independent of it).
+	// FrontierHits is 1 when the network's route cache seeded a range query
+	// (a walk's first page or re-location included) — ShortcutHits restricted
+	// to ranges. The cache lives above the engine, so the armada layer stamps
+	// both fields; the engine leaves them 0 (and JSON omits this one then,
+	// which keeps the engine's golden file independent of it).
 	FrontierHits int `json:",omitempty"`
 	// ShortcutHits is 1 when the network's route cache
 	// (armada.WithShortcutTable) seeded the query, lookup or range.
@@ -444,7 +442,7 @@ type queryState struct {
 	messages int // messages processed at depth ≥ 1 (seeds are local computation)
 
 	runs          []located // one per delivery
-	tiles         []Tile    // summary: the runs' distinct owners, ascending
+	tiles         []Tile    // close: the runs' distinct owners, ascending
 	replicaServed int       // deliveries served by a non-owner replica
 	redirectMsgs  int       // replica serves that cost a redirect message (descents only)
 	redirectDepth int       // deepest redirected delivery (owner depth + 1)
@@ -607,11 +605,7 @@ func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, objectID kaut
 // additionally filtering (and, for MIRA, pruning) with the box when box is
 // non-nil, and returns the state holding the ordered located runs with the
 // query's cost metrics; the caller materialises what it returns from them,
-// then calls finish. The query's Router is asked first: if it knows every
-// destination, the issuer addresses each directly (seed queued the sends at
-// depth 1) — real overlay messages, counted and traced like any forward;
-// Delay is the single fan-out hop and Subregions 0 — and if not the attempt
-// cost nothing and the pruned FRT search runs. flood disables the pruning.
+// then calls finish. flood disables the pruning.
 func (e *Engine) locate(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig, flood bool) (*queryState, Stats, error) {
 	from, ok := e.net.Slot(issuer)
 	if !ok {
@@ -619,24 +613,12 @@ func (e *Engine) locate(ctx context.Context, issuer kautz.Str, region kautz.Regi
 	}
 	st := e.newState(cfg, issuer, box)
 	st.flood = flood
-	subregions := 0
-	if st.seeded = cfg.Routes != nil && e.seed(st, region); !st.seeded {
-		parts := region.SplitByFirstSymbol()
-		for _, part := range parts {
-			st.enter(from, part)
-		}
-		subregions = len(parts)
-	}
-	if err := e.pump(ctx, st); err != nil {
+	subregions, err := e.route(ctx, st, from, region)
+	if err != nil {
 		st.release()
 		return nil, Stats{}, err
 	}
-	stats := st.summary(subregions)
-	if st.seeded {
-		stats.DescentsSaved = 1
-	}
-	e.metrics.note(stats, st.seeded)
-	return st, stats, nil
+	return st, e.close(st, subregions), nil
 }
 
 // finish closes a located query once its result is built: a descent teaches

@@ -60,7 +60,8 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 	// to the top k (the naming is order-preserving, so higher regions hold
 	// higher values). Delays take the maximum and message counts add, as
 	// for subqueries run in parallel.
-	parts := region.SplitByFirstSymbol()
+	var buf [3]kautz.Region
+	parts := region.AppendSplitByFirstSymbol(buf[:0])
 	top := selection{k: k}
 	ran, found, scanned := 0, 0, 0
 	for i := len(parts) - 1; i >= 0 && found < k; i-- {
@@ -72,9 +73,7 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 		found += st.selectTop(st.runs[scanned:], &top)
 		scanned = len(st.runs)
 	}
-	stats := st.summary(ran)
-	e.metrics.note(stats, false)
-	return &TopKResult{Matches: top.matches(), Stats: stats}, nil
+	return &TopKResult{Matches: top.matches(), Stats: e.close(st, ran)}, nil
 }
 
 // candidate is one object a top-k selection holds on to while the scan

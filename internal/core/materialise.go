@@ -9,11 +9,12 @@ import (
 	"armada/internal/kautz"
 )
 
-// summary closes the locate phase: it orders the located runs by the
+// close ends a query's messaging: it orders the located runs by the
 // ObjectIDs they cover, lists their distinct owners in that order — the
-// query's destinations, ascending, and what a descent teaches its Router —
-// in a buffer the next query reuses, and returns the query's cost metrics.
-func (st *queryState) summary(subregions int) Stats {
+// query's destinations, ascending, and what a descent teaches its Router — in
+// a buffer the next query reuses, and folds the query's cost metrics, which it
+// returns, into the engine's counters.
+func (e *Engine) close(st *queryState, subregions int) Stats {
 	sortRuns(st.runs)
 	st.tiles = st.tiles[:0]
 	for i := range st.runs {
@@ -23,9 +24,9 @@ func (st *queryState) summary(subregions int) Stats {
 	}
 	// A delivery redirected mid-descent is one extra overlay message
 	// (owner → serving replica), and that destination's data arrives one
-	// hop after the owner received the query. Seeded deliveries address the
-	// serving replica directly and add neither.
-	return Stats{
+	// hop after the owner received the query. Direct deliveries address the
+	// serving replica themselves and add neither.
+	stats := Stats{
 		Delay:         max(st.delay, st.redirectDepth),
 		Messages:      st.messages + st.redirectMsgs,
 		DestPeers:     len(st.tiles),
@@ -33,6 +34,11 @@ func (st *queryState) summary(subregions int) Stats {
 		Deliveries:    len(st.runs),
 		ReplicaServed: st.replicaServed,
 	}
+	if st.seeded {
+		stats.DescentsSaved = 1
+	}
+	e.metrics.note(stats, st.seeded)
+	return stats
 }
 
 // destinations copies the distinct owners' identifiers out for the caller.
@@ -122,14 +128,13 @@ func (st *queryState) count(run []fissione.StoredObject, need int) int {
 	return n
 }
 
-// capacityHint counts, up to need, what materialise is about to copy from
-// several runs, so the result is allocated once. Publishes run concurrently
-// with queries and the fill takes each store's lock again, so it sizes the
-// slice and bounds nothing: the fill may append past it.
-func (st *queryState) capacityHint(need int) int {
+// capacityHint counts, up to need, what a page is about to copy from several
+// runs, so the result is allocated once. Publishes run concurrently and the
+// fill takes each store's lock again: it sizes the slice and bounds nothing.
+func (st *queryState) capacityHint(runs []located, need int) int {
 	n := 0
-	for i := range st.runs {
-		r := &st.runs[i]
+	for i := range runs {
+		r := &runs[i]
 		r.serving.View(st.own(r), r.scan, st.cfg.After, func(run []fissione.StoredObject) { n += st.count(run, need-n) })
 		if n >= need {
 			break
@@ -156,62 +161,83 @@ func (st *queryState) fill(out []Match, vals []float64, run []fissione.StoredObj
 	return out, vals, false
 }
 
-// materialise is a query's second phase: it reads the located runs, which
-// summary ordered by ObjectID, straight into the slice the caller receives —
-// a plain loop over each store run, every object written once, values copied
-// at the same moment. A query that located a single run (every lookup, every
-// one-destination range) sizes and fills its result under one acquisition of
-// that store's lock; several runs are sized by a pass of their own first
-// (capacityHint). With a Limit the fill stops at the page cut — extended
-// through a run of equal ObjectIDs, which never crosses a run boundary (every
-// ObjectID lives in exactly one run), so the strictly-greater next cursor
-// neither skips nor repeats an object — and reads on only until the first
-// further match proves there is a next page. cuts, when non-nil, receives
-// the result cut at the runs' boundaries.
-func (st *queryState) materialise(cuts *[][]Match) (out []Match, next kautz.Str) {
-	var (
-		vals []float64
-		more bool // a match exists beyond the page
-	)
-	need := math.MaxInt
+// page is a result being built: the slice the caller receives, the backing
+// array its values share, and whether a match exists beyond the page cut.
+type page struct {
+	out  []Match
+	vals []float64
+	more bool
+}
+
+// need is the most matches a page holds: its limit and one slot of tie headroom.
+func (st *queryState) need() int {
 	if st.cfg.Limit > 0 {
-		need = st.cfg.Limit + 1 // one slot of tie headroom
+		return st.cfg.Limit + 1
 	}
-	single := len(st.runs) == 1
-	if !single {
-		out = make([]Match, 0, st.capacityHint(need))
+	return math.MaxInt
+}
+
+// scan reads one located run into the page, up to the page cut: every object
+// written once, values copied at the same moment. A page not yet allocated is
+// sized to what the run holds for it, under the same store lock acquisition.
+func (st *queryState) scan(pg *page, r *located) {
+	r.serving.View(st.own(r), r.scan, st.cfg.After, func(run []fissione.StoredObject) {
+		if pg.out == nil {
+			pg.out = make([]Match, 0, st.count(run, st.need()))
+		}
+		pg.out, pg.vals, pg.more = st.fill(pg.out, pg.vals, run, r.serving)
+	})
+	r.end = int32(len(pg.out))
+	st.scanned(r)
+}
+
+// scanRuns reads runs, ordered by ObjectID, into the page and returns how many
+// it scanned: all, or those up to the first match beyond the page cut. A
+// single run (every lookup, every one-destination range) sizes and fills the
+// page under one lock acquisition; several are sized by a pass of their own.
+func (st *queryState) scanRuns(pg *page, runs []located) int {
+	if pg.out == nil && len(runs) > 1 {
+		pg.out = make([]Match, 0, st.capacityHint(runs, st.need()))
 	}
-	scanned := st.runs
-	for i := range scanned {
-		r := &scanned[i]
-		r.serving.View(st.own(r), r.scan, st.cfg.After, func(run []fissione.StoredObject) {
-			if single {
-				out = make([]Match, 0, st.count(run, need))
-			}
-			out, vals, more = st.fill(out, vals, run, r.serving)
-		})
-		r.end = int32(len(out))
-		st.scanned(r)
-		if more {
-			scanned = scanned[:i+1]
-			break
+	for i := range runs {
+		if st.scan(pg, &runs[i]); pg.more {
+			return i + 1
 		}
 	}
-	if len(out) == 0 {
+	return len(runs)
+}
+
+// result is the page's matches (nil when none) and, when a match exists
+// beyond them, the cursor that resumes after the last.
+func (pg *page) result() (out []Match, next kautz.Str) {
+	if len(pg.out) == 0 {
 		return nil, ""
 	}
-	if cuts != nil {
+	if pg.more {
+		next = kautz.Str(pg.out[len(pg.out)-1].ID)
+	}
+	return pg.out, next
+}
+
+// materialise is a query's second phase: it reads the located runs, which
+// close ordered by ObjectID, straight into the slice the caller receives. With
+// a Limit the fill stops at the page cut — extended through a run of equal
+// ObjectIDs, which never crosses a run boundary (every ObjectID lives in one
+// run), so the strictly-greater next cursor neither skips nor repeats an
+// object — and reads on only until the first further match proves there is a
+// next page. cuts, when non-nil, receives the result cut at the runs' boundaries.
+func (st *queryState) materialise(cuts *[][]Match) (out []Match, next kautz.Str) {
+	var pg page
+	scanned := st.runs[:st.scanRuns(&pg, st.runs)]
+	if cuts != nil && len(pg.out) > 0 {
 		*cuts = make([][]Match, 0, len(scanned))
 		start := 0
 		for _, r := range scanned {
 			if end := int(r.end); end > start {
-				*cuts = append(*cuts, out[start:end:end])
+				*cuts = append(*cuts, pg.out[start:end:end])
 				start = end
 			}
 		}
 	}
-	if more {
-		next = kautz.Str(out[len(out)-1].ID)
-	}
-	return out, next
+	return pg.result()
 }

@@ -1,6 +1,9 @@
 package kautz
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // fuzzStr decodes raw fuzz inputs into a valid Kautz string of length
 // k ∈ [1, MaxRankLen].
@@ -55,6 +58,13 @@ func FuzzSplitByFirstSymbol(f *testing.F) {
 		parts := r.SplitByFirstSymbol()
 		if len(parts) < 1 || len(parts) > len(Alphabet) {
 			t.Fatalf("%v split into %d parts", r, len(parts))
+		}
+		// The appending entry point: the same parts, behind what dst held, in
+		// the caller's own array.
+		var buf [1 + len(Alphabet)]Region
+		buf[0] = Region{Low: "kept", High: "kept"}
+		if got := r.AppendSplitByFirstSymbol(buf[:1]); !slices.Equal(got[1:], parts) || got[0] != buf[0] || &got[0] != &buf[0] {
+			t.Fatalf("%v: AppendSplitByFirstSymbol = %v, SplitByFirstSymbol = %v", r, got, parts)
 		}
 		if parts[0].Low != r.Low || parts[len(parts)-1].High != r.High {
 			t.Fatalf("%v split into %v: ends moved", r, parts)

@@ -63,11 +63,17 @@ func (r Region) CommonPrefix() Str { return CommonPrefix(r.Low, r.High) }
 // destination peers sit at a single level of the forward routing tree. A
 // region whose bounds already share their first symbol is returned verbatim.
 func (r Region) SplitByFirstSymbol() []Region {
+	return r.AppendSplitByFirstSymbol(make([]Region, 0, int(r.High[0]-r.Low[0])+1))
+}
+
+// AppendSplitByFirstSymbol appends the parts of SplitByFirstSymbol to dst: a
+// caller that splits into a [3]Region of its own frame allocates nothing for
+// the slice.
+func (r Region) AppendSplitByFirstSymbol(dst []Region) []Region {
 	if r.Low[0] == r.High[0] {
-		return []Region{r}
+		return append(dst, r)
 	}
 	k := r.K()
-	parts := make([]Region, 0, len(Alphabet))
 	for c := r.Low[0]; c <= r.High[0]; c++ {
 		sub := Region{Low: MinExtend(Str(c), k), High: MaxExtend(Str(c), k)}
 		if c == r.Low[0] {
@@ -76,9 +82,9 @@ func (r Region) SplitByFirstSymbol() []Region {
 		if c == r.High[0] {
 			sub.High = r.High
 		}
-		parts = append(parts, sub)
+		dst = append(dst, sub)
 	}
-	return parts
+	return dst
 }
 
 // Intersect returns the intersection of r and o and whether it is nonempty.

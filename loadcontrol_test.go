@@ -261,10 +261,10 @@ func TestLoadControlMigration(t *testing.T) {
 
 // TestSessionFallsBackAfterLoadControlActions is the exactness property
 // under controller interference: a controller split and a migration in the
-// middle of a paged session walk, each hitting an owner still ahead of the
-// cursor, must each force the next page off its (now stale) tiles onto a
-// fresh descent, and the concatenated pages from the cursor must equal a
-// fresh unpaged walk — only Peer fields may differ.
+// middle of a paged session walk, each hitting the owner under the cursor,
+// must each force the next page off its (now stale) tile onto a fresh descent,
+// and the concatenated pages from the cursor must equal a fresh unpaged walk —
+// only Peer fields may differ.
 func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 	net := pagedNetwork(t, 2000)
 	ranges := []Range{{Low: 50, High: 950}}
@@ -284,9 +284,9 @@ func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 	cursor := first.NextOffsetID
 	var rest []Object
 
-	// Controller action 1: split an owner the walk has yet to reach — the
-	// rename must strand the tile the session kept for it.
-	if _, err := net.splitRegion(first.Destinations[len(first.Destinations)-1]); err != nil {
+	// Controller action 1: split the owner under the cursor — the rename must
+	// strand the tile the session kept for it.
+	if _, err := net.splitRegion(ownerOf(t, net, cursor)); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Audit(); err != nil {
@@ -297,16 +297,16 @@ func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if second.Stats.DescentsSaved != 0 {
-		t.Error("page after the split was seeded; the split owner's tile should have been stale")
+		t.Error("page after the split was positional; the split owner's tile should have been stale")
 	}
 	rest = append(rest, second.Objects...)
 
-	// Controller action 2: migrate ownership toward another region of the
-	// walk; same contract.
+	// Controller action 2: migrate ownership toward the region under the
+	// cursor; same contract.
 	if second.NextOffsetID == "" {
 		t.Fatal("walk ended on page 2; population too sparse for the test")
 	}
-	hot := second.Destinations[len(second.Destinations)-1]
+	hot := ownerOf(t, net, second.NextOffsetID)
 	donor := net.RandomPeer()
 	for donor == hot {
 		donor = net.RandomPeer()
@@ -322,15 +322,15 @@ func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if third.Stats.DescentsSaved != 0 {
-		t.Error("page after the migration was seeded; the hot owner's tile should have been stale")
+		t.Error("page after the migration was positional; the hot owner's tile should have been stale")
 	}
 	rest = append(rest, third.Objects...)
 
 	walked, pages := sessionWalk(t, sess)
 	rest = append(rest, walked...)
 	for i, p := range pages {
-		if p.Stats.DescentsSaved != 1 {
-			t.Errorf("undisturbed page %d: DescentsSaved = %d, want 1 (re-learned owners)", i+4, p.Stats.DescentsSaved)
+		if p.Stats.DescentsSaved != 1 || p.Stats.Messages != len(p.Destinations) {
+			t.Errorf("undisturbed page %d: %+v over %d owners, want a positional page of one message an owner", i+4, p.Stats, len(p.Destinations))
 		}
 	}
 
@@ -436,11 +436,26 @@ func TestPeerLoadsCountDeliveries(t *testing.T) {
 	}
 }
 
-// TestStreamDeliveriesArePerPage: the delivery counters — what PeerLoads
-// reports and the load controller samples — see a stream as the pages it runs.
-// Every page addresses each owner still ahead of its cursor once, so a drained
-// stream of p pages moves an owner's counter by at most p (the owner of the
-// range's high end: exactly p) where one Do moves it by 1.
+// deliveriesMoved is how far each peer's delivery counter — what PeerLoads
+// reports and the load controller samples — moved between two snapshots of
+// an unchanged topology, by peer.
+func deliveriesMoved(before, after []PeerLoad) map[string]int64 {
+	moved := make(map[string]int64)
+	for i, pl := range after {
+		if d := pl.Deliveries - before[i].Deliveries; d != 0 {
+			moved[pl.Peer] = d
+		}
+	}
+	return moved
+}
+
+// TestStreamDeliveriesArePerPage: the delivery counters see a stream as the
+// pages it runs, and a page moves only the counters of the owners it scanned.
+// The first page is a descent and reaches every owner of the range once; each
+// later page addresses the owner under its cursor and those its scan ran on
+// into. So a drained stream moves an owner's counter by at most three — the
+// fan-out, the page that scanned it, a page boundary inside it — however many
+// pages it runs, where it used to move it once per page.
 func TestStreamDeliveriesArePerPage(t *testing.T) {
 	objects := 3*streamPage + 200
 	net := buildQueryNet(t, 100, objects)
@@ -457,13 +472,57 @@ func TestStreamDeliveriesArePerPage(t *testing.T) {
 		t.Fatalf("stream yielded %d objects, want %d", seen, objects)
 	}
 	after := net.PeerLoads()
-	for i, pl := range after {
-		if d := pl.Deliveries - before[i].Deliveries; d < 1 || d > pages {
-			t.Fatalf("peer %s: %d deliveries from one %d-page stream, want 1..%d", pl.Peer, d, pages, pages)
+	moved, total := deliveriesMoved(before, after), int64(0)
+	for _, pl := range after {
+		d := moved[pl.Peer]
+		if total += d; d < 1 || d > 3 {
+			t.Fatalf("peer %s: %d deliveries from one %d-page stream, want 1..3", pl.Peer, d, pages)
 		}
 	}
-	last := len(after) - 1
-	if d := after[last].Deliveries - before[last].Deliveries; d != pages {
-		t.Fatalf("the high end's owner %s saw %d deliveries, want one per page (%d)", after[last].Peer, d, pages)
+	// Every owner once by the fan-out, those past the first page once more by
+	// the page that scanned them, and one per page boundary.
+	if most := int64(2*len(after)) + pages; total > most {
+		t.Fatalf("a %d-page stream over %d owners moved %d deliveries, want at most %d", pages, len(after), total, most)
+	}
+	if d := moved[after[len(after)-1].Peer]; d != 2 {
+		t.Fatalf("the high end's owner saw %d deliveries, want 2: the first page's fan-out and the last page's scan", d)
+	}
+}
+
+// TestSessionDeliveriesArePerOwnerScanned is the session twin, page by page at
+// scan-wide's shape (~200 objects an owner, pages of 256): a later page sends
+// at most three messages, lists exactly the owners it addressed, and moves
+// their delivery counters by one each and no other counter at all.
+func TestSessionDeliveriesArePerOwnerScanned(t *testing.T) {
+	net := buildQueryNet(t, 100, 20000)
+	sess, err := net.OpenSession(NewRange([]Range{{Low: 100, High: 600}}, WithLimit(256)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for page := 0; sess.More(); page++ {
+		before := net.PeerLoads()
+		res, err := sess.Next(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved := deliveriesMoved(before, net.PeerLoads())
+		if len(moved) != len(res.Destinations) {
+			t.Fatalf("page %d moved the delivery counters of %v, its destinations are %v", page+1, moved, res.Destinations)
+		}
+		for _, d := range res.Destinations {
+			if moved[d] != 1 {
+				t.Fatalf("page %d: owner %s saw %d deliveries, want 1 (all: %v)", page+1, d, moved[d], moved)
+			}
+		}
+		if s := res.Stats; page > 0 && (s.Messages > 3 || s.Messages != len(res.Destinations) || s.DestPeers != s.Messages || s.Delay != 1 || s.DescentsSaved != 1) {
+			t.Fatalf("page %d: %+v over %v, want a positional page of at most 3 messages", page+1, s, res.Destinations)
+		}
+		if page > 40 {
+			t.Fatal("walk does not end")
+		}
+	}
+	if st := sess.Stats(); st.Pages < 30 {
+		t.Fatalf("walk had only %d pages", st.Pages)
 	}
 }

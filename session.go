@@ -1,11 +1,9 @@
 package armada
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"armada/internal/core"
 	"armada/internal/kautz"
@@ -15,37 +13,34 @@ import (
 // its final page (or the session was closed).
 var ErrSessionDone = errors.New("armada: session exhausted")
 
-// Session is a query session: one paged range walk that reuses routing
-// state across its pages. The first page descends the issuer's forward
-// routing tree normally and the session keeps the owners it delivered to;
-// every later page is seeded directly at those still ahead of the cursor, one
-// message per surviving destination instead of a fresh ~log N descent
-// (Stats.DescentsSaved counts the skips). On a network built with
-// WithShortcutTable, page one may itself be seeded from what earlier queries
-// taught the route cache (Stats.FrontierHits).
+// Session is a query session: one paged range walk with a positional cursor
+// over the owners it located. The first page is an ordinary range query — a
+// descent of the issuer's forward routing tree, or on a network built with
+// WithShortcutTable a fan-out seeded by the route cache (Stats.FrontierHits) —
+// and the session keeps the query's geometry and, in order, the owners that
+// page delivered to. A later page addresses the owner under the cursor alone —
+// one direct message, one scan from the cursor — and the next owner only when
+// that run drained before the page was full or before a further match proved
+// there is a next page. Its Stats (see Stats.DescentsSaved), its Destinations
+// and the delivery counters it moves are those owners' alone.
 //
-// Sessions are correct under churn, not merely fast: a kept owner seeds a
-// page only while its slot still carries the identifier it was learned
-// under, so a Join, Leave or Fail that touches one of the walk's remaining
-// regions sends the next page back to the cache and then to a full descent —
-// identical results, just without the saving — and churn anywhere else costs
-// nothing. Pages are exact keyset pages: the concatenated pages of a session
-// equal a fresh unpaged walk of the same query, whatever mix of seeded and
-// descended pages produced them.
+// Sessions are correct under churn, not merely fast: a kept owner is addressed
+// only while its slot still carries the identifier it was located under —
+// exactly while it still owns that identifier's region. A Join, Leave, Fail,
+// split or migration that changes who owns the region under the cursor renames
+// or releases that slot, and the page that meets it re-locates the remainder
+// past the cursor like any Do (route cache, then a descent) and keeps the
+// owners that found; churn anywhere else costs nothing. Pages are exact keyset
+// pages: concatenated, they equal a fresh unpaged walk of the same query.
 //
 // A Session is not safe for concurrent use; run concurrent walks in
 // separate sessions.
 type Session struct {
-	net *Network
-	q   Query // the next page's query: OffsetID is the walk's cursor
-	// tiles are the owners the last located page delivered to, ascending —
-	// plus any the route cache vouched for since.
-	tiles []core.Tile
-	// shared reports that the page in flight asked the route cache about an
-	// owner the session did not hold.
-	shared bool
-	done   bool
-	stats  SessionStats
+	net   *Network
+	q     Query     // the next page's query: OffsetID is the walk's cursor
+	walk  core.Walk // geometry and the located owners not yet behind the cursor
+	done  bool
+	stats SessionStats
 }
 
 // SessionStats accumulates one session's walk costs across its pages.
@@ -57,8 +52,8 @@ type SessionStats struct {
 	Messages int
 	// DescentsSaved counts pages that skipped their descent; FrontierHits
 	// and ShortcutHits (equal: pages are ranges) the subset the network's
-	// route cache seeded (WithShortcutTable) rather than the owners this
-	// session kept from its own pages.
+	// route cache seeded (WithShortcutTable) — the first page and re-locations
+	// — rather than the session's own positional cursor.
 	DescentsSaved int
 	FrontierHits  int
 	ShortcutHits  int
@@ -101,16 +96,15 @@ func (n *Network) checkIssuer(id string) error {
 // returns the walk's final page (or Close is called).
 func (s *Session) More() bool { return !s.done }
 
-// Next executes the walk's next page and returns it; the page's Stats
-// carry DescentsSaved/FrontierHits when it was seeded. The page
-// whose Result.NextOffsetID is empty is the last; Next afterwards returns
-// ErrSessionDone. A failed page (error) does not advance the cursor and
-// may be retried.
+// Next executes the walk's next page and returns it; the page's Stats carry
+// DescentsSaved when it skipped the descent and FrontierHits when the route
+// cache is what saved it. The page whose Result.NextOffsetID is empty is the
+// last; Next afterwards returns ErrSessionDone. A failed page (error) does
+// not advance the cursor and may be retried.
 func (s *Session) Next(ctx context.Context) (*Result, error) {
 	if s.done {
 		return nil, ErrSessionDone
 	}
-	s.shared = false
 	res, err := s.net.run(ctx, s.q, s)
 	if err != nil {
 		return nil, err
@@ -124,11 +118,7 @@ func (s *Session) Next(ctx context.Context) (*Result, error) {
 	s.stats.DescentsSaved += res.Stats.DescentsSaved
 	s.stats.FrontierHits += res.Stats.FrontierHits
 	s.stats.ShortcutHits += res.Stats.ShortcutHits
-	if res.NextOffsetID == "" {
-		s.done = true
-	} else {
-		s.q.OffsetID = res.NextOffsetID
-	}
+	s.q.OffsetID, s.done = res.NextOffsetID, res.NextOffsetID == ""
 	return res, nil
 }
 
@@ -140,37 +130,5 @@ func (s *Session) Stats() SessionStats { return s.stats }
 // memory, never network resources — and idempotent.
 func (s *Session) Close() {
 	s.done = true
-	s.tiles = nil
-}
-
-// sessionRoutes is a Session as the engine's Router: the owners its last
-// page delivered to, in front of the network's route cache.
-type sessionRoutes Session
-
-// Knows answers from the session's own tiles, then from the route cache —
-// whose owners it adopts, so a walk once served by the cache no longer
-// depends on what the cache evicts.
-func (r *sessionRoutes) Knows(t core.Tile) bool {
-	i, held := slices.BinarySearchFunc(r.tiles, t.ID, func(e core.Tile, id kautz.Str) int { return cmp.Compare(e.ID, id) })
-	if held && r.tiles[i].Slot == t.Slot {
-		return true
-	}
-	if c := r.net.routes; c == nil || !c.Knows(t) {
-		return false
-	}
-	if r.shared = true; held {
-		r.tiles[i] = t // the name moved slots
-	} else {
-		r.tiles = slices.Insert(r.tiles, i, t)
-	}
-	return true
-}
-
-// Learn keeps the owners a page's descent delivered to and teaches them to
-// the route cache.
-func (r *sessionRoutes) Learn(owners []core.Tile) {
-	r.tiles = append(r.tiles[:0], owners...)
-	if c := r.net.routes; c != nil {
-		c.Learn(owners)
-	}
+	s.walk = core.Walk{}
 }
