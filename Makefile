@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race build vet micro fuzz bench-smoke loc BENCH_micro.json
+.PHONY: test race build vet micro fuzz bench-smoke loc nomap BENCH_micro.json
 
 build:
 	$(GO) build ./...
@@ -26,11 +26,17 @@ loc:
 		printf '%-16s %6d\n' $$d $$n; total=$$((total + n)); \
 	done; printf '%-16s %6d\n' total $$total
 
+# ROADMAP item 7's gate as a command: the topology is flat arrays and a trie
+# over them, and no map comes back into its non-test files.
+nomap:
+	@! grep -n 'map\[' $(filter-out %_test.go,$(wildcard internal/fissione/*.go))
+
 # Per-layer micro-benchmarks (ns/op, B/op, allocs/op): the pruning
 # predicates, the naming hash (m = 2, and Single_hash), one store read (the
 # view every query makes, and the per-object scan the bench twin keeps), the
-# topology's owner lookup,
-# join + leave and replica-group lookup at 10k peers, one descent step and
+# topology's owner lookup (on a fresh build and after 10k churn events), its
+# name → slot door, one table derivation, a whole build, join + leave and
+# replica-group lookup at 10k peers, one descent step and
 # whole descents at 10k peers, the route cache's hit path (one tile, twelve)
 # and what a descent pays to teach it, the facade's allocation profiles —
 # a lookup descended and cache-served — and its range / paged walk / stream
@@ -40,7 +46,7 @@ loc:
 micro:
 	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem ./internal/kautz/
 	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem ./internal/naming/
-	$(GO) test -run '^$$' -bench 'ScanRegion|View|OwnerOf10k|JoinLeave10k|GroupPeers' -benchmem ./internal/fissione/
+	$(GO) test -run '^$$' -bench 'ScanRegion|View|OwnerOf|SlotOf10k|RefreshTables10k|BuildRandom10k|JoinLeave10k|GroupPeers' -benchmem ./internal/fissione/
 	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k|Route' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'Alloc|Wide|ManyOwners' -benchmem .
 
@@ -69,8 +75,8 @@ BENCH_micro.json:
 # arithmetic under the descent and the topology (successor, first-symbol
 # split, common prefix), naming's order preservation and its agreement with
 # the dividing reference walk (the check for any edit to naming's
-# arithmetic), then the two parsers of untrusted input (snapshot bytes,
-# pagination cursors).
+# arithmetic), the topology's cover trie against the map it replaced, then
+# the two parsers of untrusted input (snapshot bytes, pagination cursors).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzContainsPrefix -fuzztime 20s ./internal/kautz/
 	$(GO) test -run '^$$' -fuzz FuzzSucc -fuzztime 20s ./internal/kautz/
@@ -79,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntersectsPrefix -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashOrder -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashMatchesReference -fuzztime 20s ./internal/naming/
+	$(GO) test -run '^$$' -fuzz FuzzCoverMatchesReference -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzOffsetID -fuzztime 20s .
 

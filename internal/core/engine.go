@@ -231,10 +231,9 @@ func WithLimit(n int) QueryOption { return func(c *QueryConfig) { c.Limit = n } 
 // WithAfter resumes a paginated query strictly after the given ObjectID.
 func WithAfter(id kautz.Str) QueryOption { return func(c *QueryConfig) { c.After = id } }
 
-// WithRunsOnly selects nothing: every result is materialised once, and
-// RangeResult.Runs are views of RangeResult.Matches. It remains so that
-// callers written against the engine that flattened runs into a second
-// slice (the frozen bench twin) keep compiling.
+// WithRunsOnly selects nothing: every result is materialised once. It
+// remains so that callers written against the engine that flattened runs
+// into a second slice (the frozen bench twin) keep compiling.
 func WithRunsOnly() QueryOption { return func(*QueryConfig) {} }
 
 // WithReadPolicy selects the replica-serving policy for this query.
@@ -361,8 +360,8 @@ type RangeResult struct {
 	// Matches lists the objects whose attribute values satisfy the query,
 	// in ascending (ID, Name) order.
 	Matches []Match
-	// Runs is the same result cut at the located runs' boundaries — views
-	// of Matches, one per run that contributed, in order.
+	// Runs, which only RangeQuery and FloodQuery fill, is the same result cut
+	// at the located runs' boundaries: views of Matches, one per run, in order.
 	Runs [][]Match
 	// Destinations lists the distinct destination peers, ascending.
 	Destinations []kautz.Str
@@ -497,18 +496,18 @@ func recycle[T any](s []T) []T {
 // one bound per attribute. Cancelling ctx aborts the descent and returns
 // ctx's error.
 func (e *Engine) RangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, opts ...QueryOption) (*RangeResult, error) {
-	return boxed(e.RangeQueryWith(ctx, issuer, lo, hi, buildQueryConfig(opts)))
+	return boxed(e.rangeQuery(ctx, issuer, lo, hi, buildQueryConfig(opts), false, true))
 }
 
 // RangeQueryWith is RangeQuery with the configuration given, and the result
-// returned, by value.
+// returned, by value and without Runs, which no caller of it reads.
 func (e *Engine) RangeQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig) (RangeResult, error) {
-	return e.rangeQuery(ctx, issuer, lo, hi, cfg, false)
+	return e.rangeQuery(ctx, issuer, lo, hi, cfg, false, false)
 }
 
 // rangeQuery runs a range query as the pruned descent or, for the flood
 // ablation (FloodQuery), as the unpruned one, which consults no Router.
-func (e *Engine) rangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig, flood bool) (RangeResult, error) {
+func (e *Engine) rangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig, flood, runs bool) (RangeResult, error) {
 	box, region, err := e.prepare(lo, hi)
 	if err != nil {
 		return RangeResult{}, err
@@ -526,7 +525,7 @@ func (e *Engine) rangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []floa
 	}
 	defer st.finish()
 	res := RangeResult{Stats: stats, Destinations: st.destinations()}
-	res.Matches, res.Next = st.materialise(&res.Runs)
+	res.Matches, res.Runs, res.Next = st.materialise(runs)
 	return res, nil
 }
 
@@ -597,7 +596,7 @@ func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, objectID kaut
 	if len(st.runs) > 0 {
 		res.Owner = st.runs[0].owner.ID()
 	}
-	res.Objects, _ = st.materialise(nil)
+	res.Objects, _, _ = st.materialise(false)
 	return res, nil
 }
 

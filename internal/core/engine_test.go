@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"armada/internal/fissione"
@@ -115,6 +116,47 @@ func TestPIRACompleteness(t *testing.T) {
 					t.Fatalf("N=%d: unexpected match %q (value %v)", size, m.Name, m.Values)
 				}
 			}
+		}
+	}
+}
+
+// Runs is cut only for the callers that read it: RangeQuery and FloodQuery
+// return it as consecutive non-empty views of Matches, one per destination
+// that contributed; the by-value entry points the facade uses leave it nil
+// and return the same Matches.
+func TestRunsOnlyOnVariadicPath(t *testing.T) {
+	eng, _ := buildSingle(t, 50, 300, 5)
+	ctx, issuer, lo, hi := context.Background(), eng.Network().PeerIDs()[7], []float64{200}, []float64{700}
+	for name, q := range map[string]struct {
+		variadic func() (*RangeResult, error)
+		with     func() (RangeResult, error)
+	}{
+		"range": {
+			func() (*RangeResult, error) { return eng.RangeQuery(ctx, issuer, lo, hi) },
+			func() (RangeResult, error) { return eng.RangeQueryWith(ctx, issuer, lo, hi, QueryConfig{}) },
+		},
+		"flood": {
+			func() (*RangeResult, error) { return eng.FloodQuery(ctx, issuer, lo, hi) },
+			func() (RangeResult, error) { return eng.FloodQueryWith(ctx, issuer, lo, hi, QueryConfig{}) },
+		},
+	} {
+		res, err := q.variadic()
+		if err != nil || len(res.Runs) < 2 || len(res.Runs) > len(res.Destinations) {
+			t.Fatalf("%s: %d runs over %d destinations, %v; want several", name, len(res.Runs), len(res.Destinations), err)
+		}
+		n := 0
+		for _, run := range res.Runs {
+			if len(run) == 0 || &run[0] != &res.Matches[n] {
+				t.Fatalf("%s: run at offset %d is not the next non-empty view of Matches", name, n)
+			}
+			n += len(run)
+		}
+		if n != len(res.Matches) {
+			t.Fatalf("%s: runs hold %d matches, Matches %d", name, n, len(res.Matches))
+		}
+		plain, err := q.with()
+		if err != nil || plain.Runs != nil || !reflect.DeepEqual(plain.Matches, res.Matches) {
+			t.Fatalf("%s: by-value result has %d runs and %d matches, %v; want none and the same %d", name, len(plain.Runs), len(plain.Matches), err, n)
 		}
 	}
 }

@@ -178,11 +178,11 @@ func (st *queryState) selectTop(runs []located, top *selection) (admitted int) {
 // set as RangeQuery at a much higher message cost; it exists to measure the
 // value of pruning and must not be used for real queries.
 func (e *Engine) FloodQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, opts ...QueryOption) (*RangeResult, error) {
-	return boxed(e.FloodQueryWith(ctx, issuer, lo, hi, buildQueryConfig(opts)))
+	return boxed(e.rangeQuery(ctx, issuer, lo, hi, buildQueryConfig(opts), true, true))
 }
 
 // FloodQueryWith is FloodQuery with the configuration given, and the result
-// returned, by value.
+// returned, by value and without Runs.
 func (e *Engine) FloodQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig) (RangeResult, error) {
-	return e.rangeQuery(ctx, issuer, lo, hi, cfg, true)
+	return e.rangeQuery(ctx, issuer, lo, hi, cfg, true, false)
 }

@@ -225,19 +225,20 @@ func (pg *page) result() (out []Match, next kautz.Str) {
 // ObjectIDs, which never crosses a run boundary (every ObjectID lives in one
 // run), so the strictly-greater next cursor neither skips nor repeats an
 // object — and reads on only until the first further match proves there is a
-// next page. cuts, when non-nil, receives the result cut at the runs' boundaries.
-func (st *queryState) materialise(cuts *[][]Match) (out []Match, next kautz.Str) {
+// next page. cuts, when asked for, is the result cut at the runs' boundaries.
+func (st *queryState) materialise(cut bool) (out []Match, cuts [][]Match, next kautz.Str) {
 	var pg page
 	scanned := st.runs[:st.scanRuns(&pg, st.runs)]
-	if cuts != nil && len(pg.out) > 0 {
-		*cuts = make([][]Match, 0, len(scanned))
+	if cut && len(pg.out) > 0 {
+		cuts = make([][]Match, 0, len(scanned))
 		start := 0
 		for _, r := range scanned {
 			if end := int(r.end); end > start {
-				*cuts = append(*cuts, pg.out[start:end:end])
+				cuts = append(cuts, pg.out[start:end:end])
 				start = end
 			}
 		}
 	}
-	return pg.result()
+	out, next = pg.result()
+	return out, cuts, next
 }

@@ -52,12 +52,11 @@ func (n *Network) AvgDegree() float64 {
 // CheckSlots verifies the slot bookkeeping every other structure is
 // addressed through: the live slots in order and the free list partition
 // the node array; order ascends strictly by identifier; each live node
-// holds a peer of the same name, records its position in order and is what
-// the name map resolves that name to; a free node is zero.
+// holds a peer of the same name and records its position in order; a free
+// node is zero; and the cover indexes exactly that (checkTrie).
 func (n *Network) CheckSlots() error {
-	if len(n.order)+len(n.free) != len(n.nodes) || len(n.byName) != len(n.order) {
-		return fmt.Errorf("%w: %d slots hold %d live + %d free peers under %d names",
-			ErrCorrupt, len(n.nodes), len(n.order), len(n.free), len(n.byName))
+	if len(n.order)+len(n.free) != len(n.nodes) {
+		return fmt.Errorf("%w: %d slots hold %d live + %d free peers", ErrCorrupt, len(n.nodes), len(n.order), len(n.free))
 	}
 	seen := make([]bool, len(n.nodes))
 	claim := func(s int32, live bool) error {
@@ -72,9 +71,8 @@ func (n *Network) CheckSlots() error {
 			return err
 		}
 		nd := &n.nodes[s]
-		if at, ok := n.byName[nd.id]; nd.peer.id != nd.id || nd.pos != int32(i) || !ok || at != s {
-			return fmt.Errorf("%w: slot %d (%q) at position %d: peer is %q, pos %d, name map says slot %d (%t)",
-				ErrCorrupt, s, nd.id, i, nd.peer.id, nd.pos, at, ok)
+		if nd.peer.id != nd.id || nd.pos != int32(i) {
+			return fmt.Errorf("%w: slot %d (%q) at position %d: peer is %q, pos %d", ErrCorrupt, s, nd.id, i, nd.peer.id, nd.pos)
 		}
 		if i > 0 && n.nodes[n.order[i-1]].id >= nd.id {
 			return fmt.Errorf("%w: order not ascending at position %d: %q after %q", ErrCorrupt, i, nd.id, n.nodes[n.order[i-1]].id)
@@ -86,6 +84,49 @@ func (n *Network) CheckSlots() error {
 		}
 		if n.nodes[s] != (node{}) {
 			return fmt.Errorf("%w: free slot %d still holds %+v", ErrCorrupt, s, n.nodes[s])
+		}
+	}
+	return n.checkTrie()
+}
+
+// checkTrie verifies the cover against order, which CheckSlots has vouched
+// for. Every inner node is linked from exactly one cell or released and
+// empty, so the links form a tree; its in-order walk is order, and each
+// identifier's own path ends on its slot; and the N leaves hang from N−3
+// linked nodes: none is childless or has one child, and the root has three.
+func (n *Network) checkTrie() error {
+	c := &n.cover
+	if len(c.cells) < firstNode || len(c.cells)&1 != 0 || c.cells[0] != rootBase || c.cells[noCell] != 0 {
+		return fmt.Errorf("%w: cover of %d cells has no root", ErrCorrupt, len(c.cells))
+	}
+	claimed := make([]bool, len(c.cells)/2)
+	claim := func(base int32) bool {
+		ok := base >= firstNode && base&1 == 0 && int(base) < len(c.cells) && !claimed[base/2]
+		if ok {
+			claimed[base/2] = true
+		}
+		return ok
+	}
+	for at, v := range c.cells[rootBase:] {
+		if v > 0 && !claim(v) {
+			return fmt.Errorf("%w: cover cell %d links inner node %d, which is out of range or linked twice", ErrCorrupt, rootBase+at, v)
+		}
+	}
+	linked := (len(c.cells)-firstNode)/2 - len(c.free)
+	for _, f := range c.free {
+		if !claim(f) || c.cells[f]|c.cells[f+1] != 0 {
+			return fmt.Errorf("%w: released inner node %d is out of range, still linked, listed twice or not empty", ErrCorrupt, f)
+		}
+	}
+	if slices.Contains(claimed[firstNode/2:], false) || linked != len(n.order)-3 {
+		return fmt.Errorf("%w: %d peers hang from %d linked inner nodes, want three fewer, or a node dangles: neither linked nor released", ErrCorrupt, len(n.order), linked)
+	}
+	if walk := c.appendUnder(make([]int32, 0, len(n.order)), 0, "", noSlot); !slices.Equal(walk, n.order) {
+		return fmt.Errorf("%w: the cover's in-order walk is not what order holds", ErrCorrupt)
+	}
+	for _, s := range n.order {
+		if at, ok := c.get(n.nodes[s].id); !ok || at != s {
+			return fmt.Errorf("%w: cover resolves %q to slot %d (%t), not what order holds: slot %d", ErrCorrupt, n.nodes[s].id, at, ok, s)
 		}
 	}
 	return nil

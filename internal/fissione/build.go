@@ -22,7 +22,8 @@ import (
 // refreshes serialize on one goroutine. GrowBatch runs the exact same join
 // decision sequence (one kautz.Random draw, owner lookup, walk to a local
 // length minimum, split) but defers all derived state: the trie order is
-// rebuilt with one sort at the end, and
+// read off the cover once at the end — the cover itself takes each split as
+// it happens, which is what lets every join ask who owns its target — and
 // every routing table is recomputed once, in parallel, from the final
 // cover. Because the walk consults tables derived from the live cover —
 // which equal the incrementally-maintained ones at every step — the batch
@@ -60,24 +61,23 @@ func (n *Network) GrowBatch(count int) error {
 	}
 	// Finalize even on error so the network stays audit-consistent: the
 	// cover itself is never corrupted by a failed split attempt.
-	n.rebuildIndex()
+	ierr := n.rebuildIndex()
 	rerr := n.refreshAllParallel()
 	n.epoch.Add(done)
-	return cmp.Or(err, rerr)
+	return cmp.Or(err, ierr, rerr)
 }
 
-// rebuildIndex reconstitutes the trie order from the live slots with one
-// sort, then compacts every identifier's bytes into a single blob: each
-// peer's id, its node's and its map key all alias one backing array, so the
-// per-identifier allocator rounding the incremental path pays disappears.
-func (n *Network) rebuildIndex() {
-	order, total := make([]int32, 0, len(n.byName)), 0
-	for s := range n.nodes {
-		if nd := &n.nodes[s]; nd.peer != nil {
-			order, total = append(order, int32(s)), total+len(nd.id)
-		}
+// rebuildIndex reconstitutes the trie order — the cover's in-order walk —
+// then compacts every identifier's bytes into a single blob: each peer's id
+// and its node's alias one backing array, so the per-identifier allocator
+// rounding the incremental path pays disappears. The cover is registered
+// afresh in that order, which lays its inner nodes out in preorder: the last
+// levels of a walk then share cache lines.
+func (n *Network) rebuildIndex() (err error) {
+	order, total := n.cover.appendUnder(make([]int32, 0, len(n.nodes)-len(n.free)), 0, "", noSlot), 0
+	for _, s := range order {
+		total += len(n.nodes[s].id)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(n.nodes[a].id, n.nodes[b].id) })
 
 	var blob strings.Builder
 	blob.Grow(total)
@@ -86,14 +86,16 @@ func (n *Network) rebuildIndex() {
 	}
 	packed := kautz.Str(blob.String())
 
-	n.byName = make(map[kautz.Str]int32, len(order))
+	n.cover.reset(len(order))
 	for i, s := range order {
 		nd := &n.nodes[s]
 		id := packed[:len(nd.id)]
 		packed = packed[len(id):]
-		nd.id, nd.peer.id, nd.pos, n.byName[id] = id, id, int32(i), s
+		nd.id, nd.peer.id, nd.pos = id, id, int32(i)
+		err = cmp.Or(err, n.cover.put(id, s))
 	}
 	n.order = order
+	return err
 }
 
 // refreshAllParallel recomputes every peer's routing table from the

@@ -1,6 +1,7 @@
 package fissione
 
 import (
+	"errors"
 	"slices"
 	"testing"
 	"unsafe"
@@ -184,8 +185,14 @@ func TestAuditSampled(t *testing.T) {
 	}
 	// Corrupt the cover: a peer renamed below its predecessor breaks
 	// prefix-freeness, which even the sampled audit must catch (the cover
-	// check is full).
-	n.rename(n.order[42], n.IDAt(n.order[41])+"0")
+	// check is full). rename itself refuses such a name, so the identifier
+	// is written behind the index's back.
+	nd := &n.nodes[n.order[42]]
+	if err := n.rename(n.order[42], n.IDAt(n.order[41])+"0"); !errors.Is(err, ErrCorrupt) || n.Audit() != nil {
+		t.Fatalf("rename below a live identifier: %v, audit then %v; want ErrCorrupt and nothing changed", err, n.Audit())
+	}
+	nd.id = n.IDAt(n.order[41]) + "0"
+	nd.peer.id = nd.id
 	if err := n.AuditSampled(10); err == nil {
 		t.Error("sampled audit missed a corrupted cover")
 	}

@@ -32,7 +32,7 @@ const splitCascadeBudget = 8
 // Like every topology mutation, SplitRegion requires external exclusion
 // and bumps the topology epoch (once per underlying split).
 func (n *Network) SplitRegion(id kautz.Str) (kept, created kautz.Str, extra int, err error) {
-	s, ok := n.byName[id]
+	s, ok := n.cover.get(id)
 	if !ok {
 		return "", "", 0, fmt.Errorf("%w: %q", ErrNoSuchPeer, id)
 	}

@@ -1,6 +1,7 @@
 package fissione
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -55,10 +56,10 @@ type node struct {
 type Network struct {
 	k int
 	// The topology, addressed by slot (see the package comment).
-	nodes  []node              // indexed by slot
-	free   []int32             // released slots, reused before nodes grows
-	order  []int32             // live slots ascending by identifier: trie order
-	byName map[kautz.Str]int32 // identifier → slot, for names entering the system
+	nodes []node  // indexed by slot
+	free  []int32 // released slots, reused before nodes grows
+	order []int32 // live slots ascending by identifier: trie order
+	cover cover   // identifier → slot, owner of, leaves under: the partition tree
 
 	rng      *rand.Rand
 	seed     int64       // rng seed; snapshots embed it to replay draws
@@ -92,13 +93,14 @@ func New(k int, seed int64) (*Network, error) {
 	}
 	n := &Network{
 		k:        k,
-		byName:   make(map[kautz.Str]int32, 3),
 		rng:      rand.New(rand.NewSource(seed)),
 		seed:     seed,
 		replicas: 1,
 	}
+	n.cover.reset(3)
 	for i, id := range []kautz.Str{"0", "1", "2"} {
-		n.orderInsert(i, n.alloc(id))
+		s, _ := n.alloc(id) // an empty cover refuses no seed name
+		n.orderInsert(i, s)
 	}
 	if err := n.refreshAll(slices.Clone(n.order)); err != nil {
 		return nil, err
@@ -153,14 +155,11 @@ func (n *Network) Size() int { return len(n.order) }
 // Slot returns the slot of the peer with the given identifier — the door by
 // which a name enters; everything past it addresses the peer by slot. A slot
 // is valid until the next topology mutation.
-func (n *Network) Slot(id kautz.Str) (int32, bool) {
-	s, ok := n.byName[id]
-	return s, ok
-}
+func (n *Network) Slot(id kautz.Str) (int32, bool) { return n.cover.get(id) }
 
 // Peer returns the peer with the given identifier.
 func (n *Network) Peer(id kautz.Str) (*Peer, bool) {
-	if s, ok := n.byName[id]; ok {
+	if s, ok := n.cover.get(id); ok {
 		return n.nodes[s].peer, true
 	}
 	return nil, false
@@ -233,23 +232,29 @@ func (n *Network) RandomPeer(rng *rand.Rand) kautz.Str {
 }
 
 // alloc gives a new peer named id a slot — a released one before nodes
-// grows — and registers the name. The caller places the slot in order.
-func (n *Network) alloc(id kautz.Str) int32 {
-	var s int32
-	if f := len(n.free) - 1; f >= 0 {
-		s, n.free = n.free[f], n.free[:f]
+// grows — and registers the name. The caller places the slot in order. Like
+// rename it fails, changing nothing, when the cover refuses the name.
+func (n *Network) alloc(id kautz.Str) (int32, error) {
+	s, f := int32(len(n.nodes)), len(n.free)-1
+	if f >= 0 {
+		s = n.free[f]
+	}
+	if err := n.cover.put(id, s); err != nil {
+		return noSlot, err
+	}
+	if f >= 0 {
+		n.free = n.free[:f]
 	} else {
-		s = int32(len(n.nodes))
 		n.nodes = append(n.nodes, node{})
 	}
-	n.nodes[s], n.byName[id] = node{id: id, peer: newPeer(id)}, s
-	return s
+	n.nodes[s] = node{id: id, peer: newPeer(id)}
+	return s, nil
 }
 
 // release frees slot s, which the caller has taken out of order. Tables
 // still naming it belong to its neighbors, which the caller refreshes.
 func (n *Network) release(s int32) {
-	delete(n.byName, n.nodes[s].id)
+	n.cover.del(n.nodes[s].id)
 	n.nodes[s] = node{}
 	n.free = append(n.free, s)
 }
@@ -257,10 +262,15 @@ func (n *Network) release(s int32) {
 // rename gives the peer in slot s the identifier id. Only renames to a trie
 // child, parent or vacated position happen, so the caller knows where the
 // slot now sorts without searching.
-func (n *Network) rename(s int32, id kautz.Str) {
+func (n *Network) rename(s int32, id kautz.Str) error {
 	nd := &n.nodes[s]
-	delete(n.byName, nd.id)
-	nd.id, nd.peer.id, n.byName[id] = id, id, s
+	n.cover.del(nd.id)
+	if err := n.cover.put(id, s); err != nil {
+		_ = n.cover.put(nd.id, s) // back under the name just unregistered: its cell is free
+		return err
+	}
+	nd.id, nd.peer.id = id, id
+	return nil
 }
 
 // orderInsert places slot s at position i of the trie order.
@@ -354,8 +364,12 @@ func (n *Network) divide(s int32) (created int32, err error) {
 		return 0, fmt.Errorf("fissione: cannot split %q: identifier would reach ObjectID length %d", id, n.k)
 	}
 	ext := kautz.Extensions(id)
-	n.rename(s, id+kautz.Str(ext[0]))
-	created = n.alloc(id + kautz.Str(ext[1]))
+	if err := n.rename(s, id+kautz.Str(ext[0])); err != nil {
+		return 0, err
+	}
+	if created, err = n.alloc(id + kautz.Str(ext[1])); err != nil {
+		return 0, err
+	}
 	n.nodes[s].peer.moveObjectsWithPrefix(n.nodes[created].id, n.nodes[created].peer)
 	return created, nil
 }
@@ -388,7 +402,7 @@ func (n *Network) split(s int32) (int32, error) {
 // departing peer's identifier and objects (case B). A merged pair's parent
 // sorts where its children did, so every rename keeps its place in order.
 func (n *Network) Leave(id kautz.Str) error {
-	s, ok := n.byName[id]
+	s, ok := n.cover.get(id)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchPeer, id)
 	}
@@ -398,14 +412,13 @@ func (n *Network) Leave(id kautz.Str) error {
 	p := n.nodes[s].peer
 
 	// Case A: direct sibling merge.
-	if sib, ok := n.leafSibling(id, s); ok && n.mergeSafe(s, sib) {
+	if sib, ok := n.cover.sibling(id); ok && n.mergeSafe(s, sib) {
 		sibID := n.nodes[sib].id
 		affected := slices.Concat(n.neighbors(s), n.neighbors(sib), []int32{sib})
 		n.takeover(p, n.nodes[sib].peer)
 		n.orderRemove(int(n.nodes[s].pos))
 		n.release(s)
-		n.rename(sib, id[:len(id)-1])
-		err := n.refreshAll(affected)
+		err := cmp.Or(n.rename(sib, id[:len(id)-1]), n.refreshAll(affected))
 		n.repairAround(id, sibID, n.nodes[sib].id)
 		n.epoch.Add(1)
 		return err
@@ -423,16 +436,16 @@ func (n *Network) Leave(id kautz.Str) error {
 	// Merge the pair: keep absorbs the parent region.
 	n.takeover(fp, n.nodes[keep].peer)
 	n.orderRemove(int(n.nodes[freed].pos))
-	n.rename(keep, u0[:len(u0)-1])
 
 	// Relocate the freed peer into the departing peer's identity.
 	n.takeover(p, fp)
 	n.nodes[freed].pos = n.nodes[s].pos
 	n.order[n.nodes[s].pos] = freed
-	n.release(s)
-	n.rename(freed, id)
 
-	err := n.refreshAll(affected)
+	// The cover stays prefix-free at every step: each name is unregistered
+	// before the one that replaces it, the pair's parent last.
+	n.release(s)
+	err := cmp.Or(n.rename(freed, id), n.rename(keep, u0[:len(u0)-1]), n.refreshAll(affected))
 	n.repairAround(u0, u1, n.nodes[keep].id, id)
 	n.epoch.Add(1)
 	return err
@@ -451,26 +464,6 @@ func (n *Network) takeover(src, dst *Peer) {
 	}
 }
 
-// leafSibling returns the slot of id's trie sibling, other than slot
-// exclude, if that sibling is an existing leaf peer. Peers directly under
-// the ternary root have two siblings; merging there is never possible above
-// three peers, so they report false.
-func (n *Network) leafSibling(id kautz.Str, exclude int32) (int32, bool) {
-	if len(id) < 2 {
-		return 0, false
-	}
-	parent, last := id[:len(id)-1], id[len(id)-1]
-	for _, c := range kautz.Extensions(parent) {
-		if c == last {
-			continue
-		}
-		if s, ok := n.byName[parent+kautz.Str(c)]; ok && s != exclude {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
 // mergeSafe reports whether merging the leaf peers in slots a and b into
 // their parent keeps the neighborhood invariant: no neighbor of either may
 // be longer than the pair (the merged peer is one symbol shorter).
@@ -487,8 +480,8 @@ func (n *Network) mergeSafe(a, b int32) bool {
 }
 
 // deepestSiblingPair finds two sibling leaf peers of maximal identifier
-// length, the lower first, excluding the departing slot exclude (whose own
-// sibling merge was already ruled out).
+// length — the lower first, as order meets it first — excluding the
+// departing slot exclude (whose own sibling merge was already ruled out).
 func (n *Network) deepestSiblingPair(exclude int32) (a, b int32, ok bool) {
 	depth := 0
 	for _, s := range n.order {
@@ -496,12 +489,9 @@ func (n *Network) deepestSiblingPair(exclude int32) (a, b int32, ok bool) {
 		if s == exclude || len(id) <= depth {
 			continue
 		}
-		if sib, found := n.leafSibling(id, exclude); found {
+		if sib, found := n.cover.sibling(id); found && sib != exclude {
 			a, b, depth, ok = s, sib, len(id), true
 		}
-	}
-	if ok && n.nodes[b].id < n.nodes[a].id {
-		a, b = b, a
 	}
 	return a, b, ok
 }
@@ -512,38 +502,16 @@ func (n *Network) ownerSlot(objectID kautz.Str) (int32, error) {
 	if len(objectID) != n.k || !kautz.Valid(objectID) {
 		return 0, fmt.Errorf("%w: %q", ErrBadObjectID, objectID)
 	}
-	if s, ok := n.owned(objectID, len(objectID)); ok {
+	if s, ok := n.cover.owner(objectID); ok {
 		return s, nil
 	}
 	return 0, fmt.Errorf("%w: no owner for %q", ErrCorrupt, objectID)
 }
 
-// owned returns the slot of the peer whose identifier is a prefix of s no
-// longer than upTo symbols (at most k). There is at most one, so the lengths
-// may be probed in any order: outward from the length of some peer's
-// identifier — the one in the middle of the trie order — since lengths across
-// a network differ little and the first or second probe is then the hit.
-func (n *Network) owned(s kautz.Str, upTo int) (int32, bool) {
-	mid := min(len(n.nodes[n.order[len(n.order)/2]].id), upTo)
-	for lo, hi := mid, mid+1; lo >= 1 || hi <= upTo; lo, hi = lo-1, hi+1 {
-		if lo >= 1 {
-			if slot, ok := n.byName[s[:lo]]; ok {
-				return slot, true
-			}
-		}
-		if hi <= upTo {
-			if slot, ok := n.byName[s[:hi]]; ok {
-				return slot, true
-			}
-		}
-	}
-	return 0, false
-}
-
 // OwnerSlot returns the slot of the peer owning objectID, a Kautz string of
 // the network's length k.
 func (n *Network) OwnerSlot(objectID kautz.Str) (int32, bool) {
-	return n.owned(objectID, len(objectID))
+	return n.cover.owner(objectID)
 }
 
 // OwnerOf returns the identifier of the peer owning objectID.
@@ -610,42 +578,14 @@ func (n *Network) UnpublishAt(objectID kautz.Str, obj Object) (kautz.Str, error)
 // intersects prefix·*: either the single peer whose identifier covers
 // prefix, or every peer whose identifier extends prefix. Results ascend.
 func (n *Network) OwnersIntersecting(prefix kautz.Str) []kautz.Str {
-	return n.IDs(n.appendOwners(nil, prefix, noSlot))
-}
-
-// appendOwners appends the slots of the peers OwnersIntersecting names,
-// ascending by identifier (Extensions ascend, so the trie walk does), except
-// slot skip: the peer a neighbor list is being derived for.
-func (n *Network) appendOwners(dst []int32, prefix kautz.Str, skip int32) []int32 {
-	if s, ok := n.owned(prefix, len(prefix)-1); ok {
-		if s != skip {
-			dst = append(dst, s)
-		}
-		return dst
-	}
-	return n.appendLeaves(dst, prefix, skip)
-}
-
-func (n *Network) appendLeaves(dst []int32, prefix kautz.Str, skip int32) []int32 {
-	if len(prefix) > n.k {
-		panic(fmt.Sprintf("fissione: namespace cover broken below %q", prefix))
-	}
-	if s, ok := n.byName[prefix]; ok {
-		if s != skip {
-			dst = append(dst, s)
-		}
-		return dst
-	}
-	for _, c := range kautz.Extensions(prefix) {
-		dst = n.appendLeaves(dst, prefix+kautz.Str(c), skip)
-	}
-	return dst
+	return n.IDs(n.cover.appendUnder(nil, 0, prefix, noSlot))
 }
 
 // appendOut derives slot s's out-neighbors from the current cover: the
-// owners of the shifted region id[1:]·*, excluding s itself.
+// owners of the shifted region id[1:]·*, excluding s itself, ascending by
+// identifier as the hop order requires.
 func (n *Network) appendOut(dst []int32, s int32) []int32 {
-	return n.appendOwners(dst, n.nodes[s].id.Drop(1), s)
+	return n.cover.appendUnder(dst, 0, n.nodes[s].id.Drop(1), s)
 }
 
 // appendIn derives slot s's in-neighbors: peers whose shifted region
@@ -655,7 +595,7 @@ func (n *Network) appendIn(dst []int32, s int32) []int32 {
 	id := n.nodes[s].id
 	for _, a := range []byte(kautz.Alphabet) {
 		if a != id[0] {
-			dst = n.appendOwners(dst, kautz.Str(a)+id, s)
+			dst = n.cover.appendUnder(dst, a, id, s)
 		}
 	}
 	return dst

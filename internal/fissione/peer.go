@@ -25,20 +25,26 @@
 // Every live peer holds a dense int32 slot, and the slot is the only
 // address routing uses. The node array (slot → identifier, routing table of
 // neighbor slots, trie position, *Peer) and the order array (live slots
-// ascending by identifier) are the authoritative topology; the name → slot
-// map is an index over them. A split renames the slot it divides, and a
-// departure returns its slot to a free list that joins drain before the
-// node array grows. Slot numbering is invisible: fingerprints and snapshots
-// are written in names and trie positions, so a churned network and its
-// reloaded copy (fresh dense numbering) are indistinguishable. The name map
-// is read only where a name enters — Slot, Peer, Leave, FailAbrupt,
-// SplitRegion, OwnerOf and the publishes that start with it, OwnerSlot for
-// the one owner probe a seeded query starts from — and by topology
-// maintenance deriving tables from the cover (appendOwners, the sibling
-// probes of a departure); no query hop and no replica-group member lookup
-// touches it. A slot is also how routing state learned outside the network
-// stays honest: a slot still carrying the identifier it was learned under
-// (IDAt) owns exactly that identifier's region, whatever changed elsewhere.
+// ascending by identifier) are the authoritative topology. A split renames
+// the slot it divides, and a departure returns its slot to a free list that
+// joins drain before the node array grows. Slot numbering is invisible:
+// fingerprints and snapshots are written in names and trie positions, so a
+// churned network and its reloaded copy (fresh dense numbering) are
+// indistinguishable. A slot is also how routing state learned outside the
+// network stays honest: a slot still carrying the identifier it was learned
+// under (IDAt) owns exactly that identifier's region, whatever changed
+// elsewhere.
+//
+// The index over them is the cover: the partition tree the identifiers are
+// the leaves of, in one flat array (see the cover type) — there is no name →
+// slot map. One walk down it resolves a name where one enters (Slot, Peer,
+// Leave, FailAbrupt, SplitRegion), finds an ObjectID's owner (OwnerOf, the
+// publishes, OwnerSlot, every join's target) or lists the peers under a
+// prefix in identifier order, from which topology maintenance derives tables
+// and siblings; no query hop and no replica-group lookup touches it. Its
+// names stay prefix-free at every step: a mutation unregisters a name before
+// it registers the one replacing it, and one above or below a live name is
+// refused.
 //
 // # Concurrency
 //

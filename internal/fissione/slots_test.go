@@ -26,13 +26,23 @@ func churned(t *testing.T) *Network {
 			}
 		}
 	}
-	if len(n.free) == 0 || slices.IsSorted(n.order) {
-		t.Fatalf("churn left %d free slots and order sorted by slot: nothing to corrupt", len(n.free))
+	if len(n.free) == 0 || len(n.cover.free) == 0 || slices.IsSorted(n.order) {
+		t.Fatalf("churn left %d free slots, %d free inner nodes and order sorted by slot: nothing to corrupt", len(n.free), len(n.cover.free))
 	}
 	if err := n.Audit(); err != nil {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// leafCell returns the cover cell registering the peer at position i.
+func leafCell(t *testing.T, n *Network, i int) int {
+	t.Helper()
+	at, _ := n.cover.descend(0, rootPrev, n.nodes[n.order[i]].id)
+	if n.cover.cells[at] != ^n.order[i] {
+		t.Fatalf("cover does not register position %d", i)
+	}
+	return at
 }
 
 // TestAuditCatchesSlotCorruption breaks the slot bookkeeping one way at a
@@ -96,8 +106,43 @@ func TestAuditCatchesSlotCorruption(t *testing.T) {
 		{"free slot still named", "still holds", func(n *Network) {
 			n.nodes[n.free[0]].id = "0"
 		}},
-		{"name map points at another slot", "name map", func(n *Network) {
-			n.byName[n.nodes[n.order[7]].id] = n.order[8]
+		{"cover leaf points at another slot", "in-order walk", func(n *Network) {
+			n.cover.cells[leafCell(t, n, 7)] = ^n.order[8]
+		}},
+		{"cover leaves swapped", "in-order walk", func(n *Network) {
+			a, b := leafCell(t, n, 7), leafCell(t, n, 9)
+			n.cover.cells[a], n.cover.cells[b] = n.cover.cells[b], n.cover.cells[a]
+		}},
+		{"cover leaf unlinked", "in-order walk", func(n *Network) {
+			n.cover.cells[leafCell(t, n, 7)] = 0
+		}},
+		{"cover leaves regrouped under the same walk", "cover resolves", func(n *Network) {
+			// (L, (A, B)) becomes ((L, A), B): every leaf keeps its place in
+			// the walk and two of them sit at the end of the wrong path.
+			c := n.cover.cells
+			for i := range n.order {
+				if l := leafCell(t, n, i); l&1 == 0 && c[l+1] > 0 && c[c[l+1]] < 0 && c[c[l+1]+1] < 0 {
+					q := c[l+1]
+					c[l], c[l+1], c[q], c[q+1] = q, c[q+1], c[l], c[q]
+					return
+				}
+			}
+			t.Fatal("no leaf beside a pair of leaves")
+		}},
+		{"dangling inner node", "dangles", func(n *Network) {
+			n.cover.cells = append(n.cover.cells, 0, 0)
+		}},
+		{"inner node linked twice", "linked twice", func(n *Network) {
+			n.cover.cells[leafCell(t, n, 40)] = int32(leafCell(t, n, 7) &^ 1)
+		}},
+		{"released inner node still linked", "still linked", func(n *Network) {
+			n.cover.free = append(n.cover.free, int32(leafCell(t, n, 7)&^1))
+		}},
+		{"released inner node lost", "dangles", func(n *Network) {
+			n.cover.free = n.cover.free[1:]
+		}},
+		{"inner node out of range", "out of range", func(n *Network) {
+			n.cover.cells[leafCell(t, n, 7)] = int32(len(n.cover.cells))
 		}},
 		{"peer renamed behind its node", "peer is", func(n *Network) {
 			n.nodes[n.order[7]].peer.id += "0"

@@ -175,24 +175,24 @@ func LoadSnapshot(r io.Reader) (*Network, error) {
 		k:        k,
 		nodes:    make([]node, npeers),
 		order:    make([]int32, npeers),
-		byName:   make(map[kautz.Str]int32, npeers),
 		rng:      rand.New(rand.NewSource(seed)),
 		seed:     seed,
 		joins:    joins,
 		replicas: replicas,
 	}
 	n.epoch.Store(epoch)
+	n.cover.reset(npeers)
 	for i, l := range idLens {
 		id := packed[:l]
 		packed = packed[l:]
-		if !kautz.Valid(id) {
-			return nil, bad("id %d (%q) is not a Kautz string", i, id)
-		}
 		if i > 0 && id <= n.nodes[i-1].id {
 			return nil, bad("ids out of order at %d: %q after %q", i, id, n.nodes[i-1].id)
 		}
 		slot := int32(i)
-		n.nodes[i], n.order[i], n.byName[id] = node{id: id, pos: slot, peer: newPeer(id)}, slot, slot
+		if err := n.cover.put(id, slot); err != nil {
+			return nil, bad("id %d: %w", i, err)
+		}
+		n.nodes[i], n.order[i] = node{id: id, pos: slot, peer: newPeer(id)}, slot
 	}
 
 	// Out-edges arrive as trie positions, which are the slots. In-edges are

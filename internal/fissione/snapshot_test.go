@@ -201,7 +201,7 @@ func lopsidedSnapshot(t testing.TB, gap int) []byte {
 	}
 	// Split without the walk to a local minimum that keeps a join safe.
 	for _, id := range []kautz.Str{"1", "12", "2", "21"} {
-		s := n.byName[id]
+		s, _ := n.Slot(id)
 		created, err := n.divide(s)
 		if err != nil {
 			t.Fatal(err)

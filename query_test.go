@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -77,6 +78,59 @@ func TestDoValidation(t *testing.T) {
 	}
 	if _, err := net.Do(context.Background(), NewRange([]Range{{0, 1}}, WithIssuer("nope"))); !errors.Is(err, ErrNoSuchPeer) {
 		t.Errorf("unknown issuer err = %v, want ErrNoSuchPeer", err)
+	}
+}
+
+// Peer names are untrusted input at every door that takes one: whatever the
+// string, a name that is no live peer's identifier is ErrNoSuchPeer — never a
+// panic in the walk that resolves it — and changes nothing.
+func TestUnknownPeerNamesAtEveryDoor(t *testing.T) {
+	net := buildQueryNet(t, 40, 80)
+	ctx, live := context.Background(), net.PeerIDs()[11]
+	next := byte('0')
+	if live[len(live)-1] == next {
+		next = '1'
+	}
+	for _, name := range []string{
+		"no-such-peer", "3", "0\x00", "\xff\xfe", "00", live[:1] + live, // not Kautz strings
+		strings.Repeat("01", 30), // valid, longer than any identifier
+		live + string(next),      // valid, extends a live identifier
+		live[:len(live)-1],       // valid, an inner node of the cover
+	} {
+		doors := map[string]func() error{
+			"Leave": func() error { return net.Leave(name) },
+			"Fail":  func() error { return net.Fail(name) },
+			"Do":    func() error { _, err := net.Do(ctx, NewRange([]Range{{0, 500}}, WithIssuer(name))); return err },
+			"Do lookup": func() error {
+				_, err := net.Do(ctx, NewValueLookup([]float64{37.5}, WithIssuer(name)))
+				return err
+			},
+			"Stream": func() (err error) {
+				for _, err = range net.Stream(ctx, NewRange([]Range{{0, 500}}, WithIssuer(name))) {
+					break
+				}
+				return err
+			},
+			"OpenSession": func() error {
+				_, err := net.OpenSession(NewRange([]Range{{0, 500}}, WithIssuer(name), WithLimit(10)))
+				return err
+			},
+		}
+		for door, call := range doors {
+			if err := call(); !errors.Is(err, ErrNoSuchPeer) {
+				t.Errorf("%s(%q): err = %v, want ErrNoSuchPeer", door, name, err)
+			}
+		}
+	}
+	// The empty name is no peer either; as an issuer it means "any".
+	if err := errors.Join(net.Leave(""), net.Fail("")); !errors.Is(err, ErrNoSuchPeer) {
+		t.Errorf("Leave/Fail of the empty name: %v, want ErrNoSuchPeer", err)
+	}
+	if net.Size() != 40 {
+		t.Fatalf("%d peers after refused departures, want 40", net.Size())
+	}
+	if err := net.Audit(); err != nil {
+		t.Fatal(err)
 	}
 }
 
