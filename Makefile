@@ -33,8 +33,9 @@ nomap:
 
 # Per-layer micro-benchmarks (ns/op, B/op, allocs/op): the pruning
 # predicates, the naming hash (m = 2, and Single_hash), one store read (the
-# view every query makes, and the per-object scan the bench twin keeps), the
-# topology's owner lookup (on a fresh build and after 10k churn events), its
+# view by rank every query makes, the same from strings, and the per-object
+# scan the bench twin keeps) and one store write (an insert into and a removal
+# from a 200-object store), the topology's owner lookup (on a fresh build and after 10k churn events), its
 # name → slot door, one table derivation, a whole build, join + leave and
 # replica-group lookup at 10k peers, one descent step and
 # whole descents at 10k peers, the route cache's hit path (one tile, twelve)
@@ -46,7 +47,7 @@ nomap:
 micro:
 	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem ./internal/kautz/
 	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem ./internal/naming/
-	$(GO) test -run '^$$' -bench 'ScanRegion|View|OwnerOf|SlotOf10k|RefreshTables10k|BuildRandom10k|JoinLeave10k|GroupPeers' -benchmem ./internal/fissione/
+	$(GO) test -run '^$$' -bench 'ScanRegion|View|Store|OwnerOf|SlotOf10k|RefreshTables10k|BuildRandom10k|JoinLeave10k|GroupPeers' -benchmem ./internal/fissione/
 	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k|Route' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'Alloc|Wide|ManyOwners' -benchmem .
 
@@ -75,17 +76,21 @@ BENCH_micro.json:
 # arithmetic under the descent and the topology (successor, first-symbol
 # split, common prefix), naming's order preservation and its agreement with
 # the dividing reference walk (the check for any edit to naming's
-# arithmetic), the topology's cover trie against the map it replaced, then
-# the two parsers of untrusted input (snapshot bytes, pagination cursors).
+# arithmetic), rank order against string order with the ranks under a prefix
+# (what lets a store search by integer), the topology's cover trie against the
+# map it replaced, the slot-and-column store against a sorted slice, then the
+# two parsers of untrusted input (snapshot bytes, pagination cursors).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzContainsPrefix -fuzztime 20s ./internal/kautz/
 	$(GO) test -run '^$$' -fuzz FuzzSucc -fuzztime 20s ./internal/kautz/
 	$(GO) test -run '^$$' -fuzz FuzzSplitByFirstSymbol -fuzztime 20s ./internal/kautz/
 	$(GO) test -run '^$$' -fuzz FuzzCommonPrefix -fuzztime 20s ./internal/kautz/
+	$(GO) test -run '^$$' -fuzz FuzzRankOrder -fuzztime 20s ./internal/kautz/
 	$(GO) test -run '^$$' -fuzz FuzzIntersectsPrefix -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashOrder -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashMatchesReference -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzCoverMatchesReference -fuzztime 20s ./internal/fissione/
+	$(GO) test -run '^$$' -fuzz FuzzStoreMatchesReference -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzOffsetID -fuzztime 20s .
 

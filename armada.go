@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"armada/internal/core"
@@ -244,11 +245,17 @@ func (n *Network) publishLocked(name string, values []float64) error {
 	if len(values) != n.tree.Attrs() {
 		return fmt.Errorf("%w: got %d values, want %d", ErrBadArity, len(values), n.tree.Attrs())
 	}
-	oid, err := n.tree.Hash(values...)
+	// The record — ObjectID, then name — is the publish's one allocation: the
+	// naming walk writes the ObjectID into it and returns its rank, and the
+	// store copies the values into its own column.
+	var rec strings.Builder
+	rec.Grow(n.net.K() + len(name))
+	key, err := n.tree.WriteHash(&rec, values...)
 	if err != nil {
 		return fmt.Errorf("armada: publish %q: %w", name, err)
 	}
-	_, err = n.net.PublishAt(oid, fissione.Object{Name: name, Values: append([]float64(nil), values...)})
+	rec.WriteString(name)
+	_, err = n.net.PublishRec(key, rec.String(), values)
 	return err
 }
 
@@ -262,11 +269,12 @@ func (n *Network) Unpublish(name string, values ...float64) error {
 	if len(values) != n.tree.Attrs() {
 		return fmt.Errorf("%w: got %d values, want %d", ErrBadArity, len(values), n.tree.Attrs())
 	}
-	oid, err := n.tree.Hash(values...)
+	key, err := n.tree.HashRank(values...)
 	if err != nil {
 		return fmt.Errorf("armada: unpublish %q: %w", name, err)
 	}
-	return n.wrapUnpublishErr(n.unpublishAt(oid, fissione.Object{Name: name, Values: values}), name)
+	_, err = n.net.UnpublishKey(key, name, values)
+	return n.wrapUnpublishErr(err, name)
 }
 
 // UnpublishExact removes one value-less object previously stored by
@@ -274,15 +282,8 @@ func (n *Network) Unpublish(name string, values ...float64) error {
 func (n *Network) UnpublishExact(name string) error {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	oid := kautz.Hash(name, n.net.K())
-	return n.wrapUnpublishErr(n.unpublishAt(oid, fissione.Object{Name: name}), name)
-}
-
-// unpublishAt removes one matching object; the caller holds at least the
-// topology read lock.
-func (n *Network) unpublishAt(oid kautz.Str, obj fissione.Object) error {
-	_, err := n.net.UnpublishAt(oid, obj)
-	return err
+	_, err := n.net.UnpublishAt(kautz.Hash(name, n.net.K()), fissione.Object{Name: name})
+	return n.wrapUnpublishErr(err, name)
 }
 
 // wrapUnpublishErr maps fissione removal errors onto the package's errors.

@@ -341,7 +341,9 @@ func (s Stats) IncreRatio(networkSize int) float64 {
 // Match is one object of a query result — the one result object in the
 // tree: the armada package exports it as armada.Object. Values is the
 // result's own copy (all matches of one result share one backing array,
-// each capped to its own length); nothing above fissione aliases a store.
+// each capped to its own length); ID and Name are the two halves of the
+// object's stored record, one immutable string shared with the stores.
+// Nothing above fissione aliases memory a store writes.
 type Match struct {
 	// Name is the application-level object name.
 	Name string
@@ -402,12 +404,12 @@ type msg struct {
 	direct bool // seeded deliveries: the issuer addressed the serving replica itself
 }
 
-// located is one delivery's product: which replica serves the delivered
-// region for which owner. No store is touched until materialise scans it —
-// bounded, on a replicated network, by the owner's prefix.
+// located is one delivery's product: which replica serves which ObjectID
+// ranks for which owner — the routed region's, past the cursor, within the
+// owner's prefix. No store is touched until materialise scans it.
 type located struct {
 	owner, serving *fissione.Peer
-	scan           kautz.Region
+	span           fissione.Span
 	slot           int32 // the owner's
 	depth          int32 // the delivery hop's depth, for the scan's trace event
 	end            int32 // materialise: the result's length once this run was scanned
@@ -433,7 +435,10 @@ type queryState struct {
 	boxPrune bool // MIRA: forward only while the child's subspace meets box
 	flood    bool // ablation: forward to every out-neighbor (see FloodQuery)
 	seeded   bool // the Router knew every destination: no descent ran
-	clip     bool // replicated: scans are bounded by the owner's prefix
+	replicas bool // replicated: a read policy picks each delivery's serving member
+	// span is the ranks of the region being routed, past the cursor — derived
+	// once a region; a delivery scans the part within its owner's prefix.
+	span fissione.Span
 
 	queue    []msg // FIFO; queue[head:] is still to process
 	head     int
@@ -462,7 +467,7 @@ const maxPooled = 1 << 12
 // it exhaustively), so the descent skips it.
 func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str, box *naming.Box) *queryState {
 	st := statePool.Get().(*queryState)
-	st.cfg, st.issuer, st.clip = cfg, issuer, e.net.Replicas() > 1
+	st.cfg, st.issuer, st.replicas = cfg, issuer, e.net.Replicas() > 1
 	if box != nil {
 		st.box, st.hasBox = *box, true
 		st.boxPrune = e.tree.Attrs() > 1
@@ -733,12 +738,13 @@ func (e *Engine) prefixIntersectsBox(prefix kautz.Str, box naming.Box) bool {
 // read.
 //
 // On a replicated network the scan may be served by any member of the
-// owner's replica group, chosen by the query's read policy. The scan is
-// then bounded by the owner's prefix (materialise): a replica's store also
-// carries copies of neighboring regions, and without the bound those objects
-// would be returned both here and at their own region's delivery. Bounding
-// makes every ObjectID the responsibility of exactly one delivery, which
-// keeps flood mode and paginated walks exact under replication. A redirected
+// owner's replica group, chosen by the query's read policy. Every scan is
+// bounded by the owner's prefix: a replica's store also carries copies of
+// neighboring regions, and without the bound those objects would be returned
+// both here and at their own region's delivery. Bounding makes every ObjectID
+// the responsibility of exactly one delivery — which keeps flood mode and
+// paginated walks exact under replication, and lets one ranking of the routed
+// region serve every subregion's deliveries. A redirected
 // delivery costs one extra overlay message and arrives one hop later —
 // except on a seeded query, whose issuer applied the policy itself and
 // addressed the replica directly.
@@ -749,7 +755,7 @@ func (e *Engine) deliver(st *queryState, m msg) {
 	// load controller splits and migrates.
 	owner.NoteDelivery()
 	serving := owner
-	if st.clip {
+	if st.replicas {
 		if st.cfg.Policy != ReadPrimary {
 			var buf [16]*fissione.Peer // replication degrees are small; avoids a heap group slice per delivery
 			group := e.net.AppendGroupPeers(buf[:0], m.to)
@@ -767,7 +773,8 @@ func (e *Engine) deliver(st *queryState, m msg) {
 		}
 		st.cfg.Trace(kind, owner.ID(), serving.ID(), depth, 0)
 	}
-	st.runs = append(st.runs, located{owner: owner, serving: serving, scan: m.region, slot: m.to, depth: m.depth})
+	span := st.span.Clip(kautz.PrefixRanks(owner.ID(), e.net.K()))
+	st.runs = append(st.runs, located{owner: owner, serving: serving, span: span, slot: m.to, depth: m.depth})
 	if serving != owner {
 		st.replicaServed++
 		if !m.direct {

@@ -62,7 +62,8 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 	// for subqueries run in parallel.
 	var buf [3]kautz.Region
 	parts := region.AppendSplitByFirstSymbol(buf[:0])
-	top := selection{k: k}
+	top := selection{k: k, m: len(box.Lo)}
+	st.span = fissione.SpanOf(region, "")
 	ran, found, scanned := 0, 0, 0
 	for i := len(parts) - 1; i >= 0 && found < k; i-- {
 		st.enter(from, parts[i])
@@ -76,26 +77,27 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 	return &TopKResult{Matches: top.matches(), Stats: e.close(st, ran)}, nil
 }
 
-// candidate is one object a top-k selection holds on to while the scan
-// goes on. It references the store's value slice — sound without the store
-// lock, stored values are never mutated in place — so displaced candidates
-// cost nothing; the k survivors are copied once, by matches.
+// candidate is one object a top-k selection holds on to while the scan goes
+// on: its slot by value — the record is immutable — and the index of its row
+// in the selection's own buffer, copied under the store lock: the store's
+// column shifts under the next publish and is no one's to keep.
 type candidate struct {
-	so      fissione.StoredObject
+	slot    fissione.Slot
+	v0      float64 // the row's first value, which decides nearly every comparison
+	row     int
 	serving *fissione.Peer
 }
 
 // compare is the top-k result order: first attribute descending, then Name
 // and ObjectID ascending.
 func (a *candidate) compare(b *candidate) int {
-	// Step by step: the first attribute decides nearly every comparison.
-	if c := cmp.Compare(b.so.Object.Values[0], a.so.Object.Values[0]); c != 0 {
+	if c := cmp.Compare(b.v0, a.v0); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.so.Object.Name, b.so.Object.Name); c != 0 {
+	if c := cmp.Compare(a.slot.Rec[a.slot.ILen:], b.slot.Rec[b.slot.ILen:]); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.so.ObjectID, b.so.ObjectID)
+	return cmp.Compare(a.slot.Key, b.slot.Key)
 }
 
 // selection is a k-bounded top-k: it keeps at most 2k candidates, and each
@@ -103,23 +105,32 @@ func (a *candidate) compare(b *candidate) int {
 // the k-th — so an offer costs one comparison when it loses to the bar and
 // O(log k) amortised when it is kept, however many objects are offered.
 type selection struct {
-	k    int
+	k, m int // m values a row: every candidate passed the box
 	kept []candidate
-	bar  candidate // the k-th best at the last cut; set once k were kept
-	full bool
+	// rows holds the kept candidates' values, m each; a cut compacts the
+	// survivors' into spare, best first, and the two trade places.
+	rows, spare []float64
+	bar         candidate // the k-th best at the last cut; set once k were kept
+	full        bool
 }
 
-// loses reports, from the first attribute alone, that an object is below the
-// bar — the inlined test that lets the scan pass over most of what it visits.
-func (s *selection) loses(so *fissione.StoredObject) bool {
-	return s.full && so.Object.Values[0] < s.bar.so.Object.Values[0]
-}
-
-func (s *selection) offer(c *candidate) {
+// offer considers the object of slot s and values row, keeping a copy of
+// the row if the object may still be among the best k; against the bar most
+// of what a scan visits loses on its first value.
+func (s *selection) offer(slot *fissione.Slot, row []float64, serving *fissione.Peer) {
+	if s.full && row[0] < s.bar.v0 {
+		return
+	}
+	c := candidate{slot: *slot, v0: row[0], row: len(s.kept), serving: serving}
 	if s.full && c.compare(&s.bar) >= 0 {
 		return
 	}
-	if s.kept = append(s.kept, *c); len(s.kept) >= 2*s.k {
+	if s.kept == nil { // both buffers whole, unless k is huge
+		n := min(2*s.k, 256)
+		s.kept, s.rows = make([]candidate, 0, n), make([]float64, 0, n*s.m)
+	}
+	s.rows = append(s.rows, row...)
+	if s.kept = append(s.kept, c); len(s.kept) >= 2*s.k {
 		s.cut()
 	}
 }
@@ -131,6 +142,13 @@ func (s *selection) cut() {
 		s.kept = s.kept[:s.k]
 		s.bar, s.full = s.kept[s.k-1], true
 	}
+	next := slices.Grow(s.spare[:0], cap(s.rows))
+	for i := range s.kept {
+		c := &s.kept[i]
+		next = append(next, s.rows[c.row*s.m:][:s.m]...)
+		c.row = i
+	}
+	s.rows, s.spare = next, s.rows
 }
 
 // matches materialises the selection, best first.
@@ -142,7 +160,8 @@ func (s *selection) matches() []Match {
 	out := make([]Match, 0, len(s.kept))
 	var vals []float64
 	for i := range s.kept {
-		out, vals = appendMatch(out, vals, &s.kept[i].so, s.kept[i].serving)
+		c := &s.kept[i]
+		out, vals = appendMatch(out, vals, &c.slot, s.rows[i*s.m:][:s.m], c.serving)
 	}
 	return out
 }
@@ -155,15 +174,12 @@ func (st *queryState) selectTop(runs []located, top *selection) (admitted int) {
 	sortRuns(runs)
 	for i := len(runs) - 1; i >= 0; i-- {
 		r := &runs[i]
-		c := candidate{serving: r.serving}
-		r.serving.View(st.own(r), r.scan, st.cfg.After, func(run []fissione.StoredObject) {
-			for j := range run {
-				if so := &run[j]; st.admits(so) {
+		r.serving.ViewSpan(r.span, func(run fissione.Run) {
+			for j := range run.Idx {
+				s := &run.Idx[j]
+				if row := run.Vals[j*run.Stride:][:s.N]; st.admits(row) {
 					admitted++
-					if !top.loses(so) {
-						c.so = *so
-						top.offer(&c)
-					}
+					top.offer(s, row, r.serving)
 				}
 			}
 		})

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"armada/internal/fissione"
+	"armada/internal/naming"
 )
 
 // Top-k keeps a k-bounded selection while it scans; it must equal
@@ -142,4 +143,76 @@ func TestFloodQueryMatchesRangeQuery(t *testing.T) {
 				flooded.Stats.Delay, pruned.Stats.Delay)
 		}
 	}
+}
+
+// A top-k selection outlives the store lock of every run it scanned, and a
+// store's value column shifts under each publish: the selection must hold
+// copies of its candidates' rows, not views of the column. Here a publisher
+// keeps inserting and removing objects whose ObjectIDs sort below the
+// candidates' — on the same peer, so every insert moves the candidates' rows —
+// but outside the queried range, so the answer never changes; under the race
+// detector a kept view is a reported race, and without it a wrong value.
+func TestTopKRacesPublisher(t *testing.T) {
+	net, err := fissione.BuildRandom(testK, 3, 211) // peer "2" owns the top third of the values
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := naming.NewSingleTree(testK, 0, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(net, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish := func(o fissione.Object, remove bool) {
+		oid, err := tree.Hash(o.Values...)
+		if err == nil && remove {
+			_, err = net.UnpublishAt(oid, o)
+		} else if err == nil {
+			_, err = net.PublishAt(oid, o)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(212))
+	var want []float64
+	for i := 0; i < 400; i++ {
+		v := 700 + rng.Float64()*300
+		publish(fissione.Object{Name: objName(i), Values: []float64{v}}, false)
+		want = append(want, v)
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(want)))
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			o := fissione.Object{Name: fmt.Sprintf("below-%d", i%64), Values: []float64{670 + float64(i%64%29)}}
+			publish(o, i%128 >= 64) // 64 in, the same 64 out
+		}
+	}()
+	for trial := 0; trial < 300; trial++ {
+		k := 1 + trial%40
+		res, err := eng.TopK(context.Background(), "0", []float64{700}, []float64{1000}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) != k {
+			t.Fatalf("top-%d returned %d matches", k, len(res.Matches))
+		}
+		for i, m := range res.Matches {
+			if len(m.Values) != 1 || m.Values[0] != want[i] {
+				t.Fatalf("top-%d[%d] = %v (%s), want %v", k, i, m.Values, m.Name, want[i])
+			}
+		}
+	}
+	close(stop)
+	<-done
 }

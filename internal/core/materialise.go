@@ -53,39 +53,24 @@ func (st *queryState) destinations() []kautz.Str {
 	return out
 }
 
-// own is the prefix that bounds a run's scan: the owner's identifier on a
-// replicated network, where the serving store also holds its neighbors'
-// copies, and nothing otherwise — an unreplicated owner stores no ObjectID
-// outside its own region, so the delivered region is scanned as it came.
-func (st *queryState) own(r *located) kautz.Str {
-	if st.clip {
-		return r.owner.ID()
-	}
-	return ""
-}
-
 // sortRuns orders located runs by the ObjectIDs they cover. Distinct owners
 // hold prefix-free identifiers, so comparing those orders their regions;
-// one owner's deliveries cover disjoint subregions, ordered by their low
-// ends.
+// one owner's deliveries — a walk's, before and after it re-located — cover
+// disjoint spans, ordered by their low ends.
 func sortRuns(runs []located) {
 	slices.SortFunc(runs, func(a, b located) int {
 		if a.owner != b.owner {
 			return cmp.Compare(a.owner.ID(), b.owner.ID())
 		}
-		return cmp.Compare(a.scan.Low, b.scan.Low)
+		return cmp.Compare(a.span.Lo, b.span.Lo)
 	})
 }
 
 // admits applies the delivery filter — the query box, when there is one —
-// to an object the scan region and the cursor let through. It reads the
-// store in place, under the serving peer's store read lock.
-func (st *queryState) admits(so *fissione.StoredObject) bool {
-	if !st.hasBox {
-		return true
-	}
-	v := so.Object.Values
-	return len(v) == len(st.box.Lo) && st.box.Contains(v)
+// to the values of an object the scanned span let through. It reads the store
+// in place, under the serving peer's store read lock.
+func (st *queryState) admits(row []float64) bool {
+	return !st.hasBox || len(row) == len(st.box.Lo) && st.box.Contains(row)
 }
 
 // scanned reports one run's completed scan to the query's observer.
@@ -96,32 +81,33 @@ func (st *queryState) scanned(r *located) {
 }
 
 // appendMatch copies one stored object into a result — the one place a
-// result object is built. Values go into vals, the backing array every
+// result object is built. Name and ID are the two halves of the stored
+// record, shared, not copied. Values go into vals, the backing array every
 // match of the result shares; when it is full a new chunk sized to out's
 // spare capacity replaces it, and the matches already built keep the old.
-func appendMatch(out []Match, vals []float64, so *fissione.StoredObject, serving *fissione.Peer) ([]Match, []float64) {
-	v := so.Object.Values
-	if len(v) > 0 {
-		if cap(vals)-len(vals) < len(v) {
-			vals = make([]float64, 0, len(v)*max(cap(out)-len(out), 1))
+func appendMatch(out []Match, vals []float64, s *fissione.Slot, row []float64, serving *fissione.Peer) ([]Match, []float64) {
+	var v []float64
+	if len(row) > 0 {
+		if cap(vals)-len(vals) < len(row) {
+			vals = make([]float64, 0, len(row)*max(cap(out)-len(out), 1))
 		}
 		off := len(vals)
-		vals = append(vals, v...)
+		vals = append(vals, row...)
 		v = vals[off:len(vals):len(vals)]
 	}
-	return append(out, Match{Name: so.Object.Name, Values: v, ID: string(so.ObjectID), Peer: string(serving.ID())}), vals
+	return append(out, Match{Name: s.Rec[s.ILen:], Values: v, ID: s.Rec[:s.ILen], Peer: string(serving.ID())}), vals
 }
 
 // count returns how many objects of one store run materialise would copy,
 // up to need: the run's length where the region decides admission, a pass
 // under the box where the box admits only a fraction of the region (MIRA).
-func (st *queryState) count(run []fissione.StoredObject, need int) int {
+func (st *queryState) count(run fissione.Run, need int) int {
 	if !st.boxPrune {
-		return min(len(run), need)
+		return min(len(run.Idx), need)
 	}
 	n := 0
-	for i := 0; i < len(run) && n < need; i++ {
-		if st.admits(&run[i]) {
+	for i := 0; i < len(run.Idx) && n < need; i++ {
+		if st.admits(run.Vals[i*run.Stride:][:run.Idx[i].N]) {
 			n++
 		}
 	}
@@ -134,8 +120,7 @@ func (st *queryState) count(run []fissione.StoredObject, need int) int {
 func (st *queryState) capacityHint(runs []located, need int) int {
 	n := 0
 	for i := range runs {
-		r := &runs[i]
-		r.serving.View(st.own(r), r.scan, st.cfg.After, func(run []fissione.StoredObject) { n += st.count(run, need-n) })
+		runs[i].serving.ViewSpan(runs[i].span, func(run fissione.Run) { n += st.count(run, need-n) })
 		if n >= need {
 			break
 		}
@@ -146,17 +131,18 @@ func (st *queryState) capacityHint(runs []located, need int) int {
 // fill appends the objects of one store run that the query admits to out,
 // up to the page cut; more reports that it stopped at a match beyond the
 // page.
-func (st *queryState) fill(out []Match, vals []float64, run []fissione.StoredObject, serving *fissione.Peer) (_ []Match, _ []float64, more bool) {
+func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, serving *fissione.Peer) (_ []Match, _ []float64, more bool) {
 	limit := st.cfg.Limit
-	for i := range run {
-		so := &run[i]
-		if !st.admits(so) {
+	for i := range run.Idx {
+		s := &run.Idx[i]
+		row := run.Vals[i*run.Stride:][:s.N]
+		if !st.admits(row) {
 			continue
 		}
-		if limit > 0 && len(out) >= limit && string(so.ObjectID) != out[len(out)-1].ID {
+		if limit > 0 && len(out) >= limit && s.Rec[:s.ILen] != out[len(out)-1].ID {
 			return out, vals, true
 		}
-		out, vals = appendMatch(out, vals, so, serving)
+		out, vals = appendMatch(out, vals, s, row, serving)
 	}
 	return out, vals, false
 }
@@ -181,7 +167,7 @@ func (st *queryState) need() int {
 // written once, values copied at the same moment. A page not yet allocated is
 // sized to what the run holds for it, under the same store lock acquisition.
 func (st *queryState) scan(pg *page, r *located) {
-	r.serving.View(st.own(r), r.scan, st.cfg.After, func(run []fissione.StoredObject) {
+	r.serving.ViewSpan(r.span, func(run fissione.Run) {
 		if pg.out == nil {
 			pg.out = make([]Match, 0, st.count(run, st.need()))
 		}

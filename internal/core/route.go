@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"armada/internal/fissione"
 	"armada/internal/kautz"
 )
 
@@ -56,6 +57,7 @@ func WithRouter(r Router) QueryOption { return func(c *QueryConfig) { c.Routes =
 // the attempt cost nothing — by the pruned FRT search, one descent per
 // common-prefix subregion.
 func (e *Engine) route(ctx context.Context, st *queryState, from int32, region kautz.Region) (subregions int, err error) {
+	st.span = fissione.SpanOf(region, st.cfg.After)
 	if st.seeded = st.cfg.Routes != nil && e.seed(st, region); !st.seeded {
 		var buf [3]kautz.Region
 		parts := region.AppendSplitByFirstSymbol(buf[:0])

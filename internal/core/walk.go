@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"armada/internal/fissione"
 	"armada/internal/kautz"
 	"armada/internal/naming"
 )
@@ -55,6 +56,7 @@ func (e *Engine) WalkPage(ctx context.Context, w *Walk, issuer kautz.Str, lo, hi
 	}
 	st := e.newState(cfg, issuer, &w.box)
 	st.seeded = true // until a descent runs
+	st.span = fissione.SpanOf(w.region, cfg.After)
 
 	var pg page
 	if cfg.Limit > 0 && len(tiles) > 1 {

@@ -65,6 +65,19 @@ func (c *cover) owner(name kautz.Str) (int32, bool) {
 	return ^c.cells[at], c.cells[at] < 0
 }
 
+// ownerKey is owner for the name of length k whose rank is key: the rank's
+// top digit picks the root's cell, each bit below it a child.
+func (c *cover) ownerKey(key uint64, k int) (int32, bool) {
+	if key >= kautz.SpaceSize(k) {
+		return 0, false
+	}
+	at := rootBase + int(key>>uint(k-1))
+	for bit := k - 2; c.cells[at] > 0 && bit >= 0; bit-- {
+		at = int(c.cells[at]) + int(key>>uint(bit)&1)
+	}
+	return ^c.cells[at], c.cells[at] < 0
+}
+
 // get returns the slot registered under exactly name.
 func (c *cover) get(name kautz.Str) (int32, bool) {
 	at, depth := c.descend(0, rootPrev, name)

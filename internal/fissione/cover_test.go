@@ -173,6 +173,11 @@ func FuzzCoverMatchesReference(f *testing.F) {
 				if want, wok := ref.owner(id); ok != wok || (ok && got != want) {
 					t.Fatalf("step %d: owner(%q) = %d, %t; want %d, %t", step, id, got, ok, want, wok)
 				}
+				if len(id) > 0 && kautz.Valid(id) { // the same walk by the name's rank
+					if byKey, kok := c.ownerKey(kautz.Rank(id), len(id)); kok != ok || (ok && byKey != got) {
+						t.Fatalf("step %d: ownerKey(rank of %q) = %d, %t; owner = %d, %t", step, id, byKey, kok, got, ok)
+					}
+				}
 			case 4:
 				full := id
 				if lead != 0 {

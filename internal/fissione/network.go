@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -456,13 +457,7 @@ func (n *Network) Leave(id kautz.Str) error {
 // replica copy of src's region (the trie sibling is usually the first
 // successor) — so the move takes the multiset maximum; without replication
 // the stores are disjoint and the plain merge is kept byte for byte.
-func (n *Network) takeover(src, dst *Peer) {
-	if n.replicas > 1 {
-		src.absorbAllObjects(dst)
-	} else {
-		src.moveAllObjects(dst)
-	}
-}
+func (n *Network) takeover(src, dst *Peer) { src.moveAllObjects(dst, n.replicas > 1) }
 
 // mergeSafe reports whether merging the leaf peers in slots a and b into
 // their parent keeps the neighborhood invariant: no neighbor of either may
@@ -535,41 +530,65 @@ func (n *Network) member(pos, j int) *Peer {
 }
 
 // PublishAt stores obj under objectID on every member of its region's
-// replica group directly (without routing) and returns the owner. The
-// fan-out applies member by member in placement order (owner first) under
+// replica group directly (without routing) and returns the owner: PublishRec
+// for a caller that holds the ObjectID and the name apart.
+func (n *Network) PublishAt(objectID kautz.Str, obj Object) (kautz.Str, error) {
+	if _, err := n.ownerSlot(objectID); err != nil { // the check on a name from outside
+		return "", err
+	}
+	return n.PublishRec(kautz.Rank(objectID), string(objectID)+obj.Name, obj.Values)
+}
+
+// PublishRec stores an object on every member of its region's replica group
+// directly (without routing) and returns the owner. rec is the object's
+// record — its ObjectID, whose rank is key, then its name — and is kept as
+// given, shared by every member; values are copied into each member's column.
+// The fan-out applies member by member in placement order (owner first) under
 // each member's own store lock, so it runs concurrently with queries and
 // other publishes; a reader racing the fan-out may observe the object on
 // some members before others. Routing-accounted publication is provided by
 // the query engine's Lookup.
-func (n *Network) PublishAt(objectID kautz.Str, obj Object) (kautz.Str, error) {
-	s, err := n.ownerSlot(objectID)
-	if err != nil {
-		return "", err
+func (n *Network) PublishRec(key uint64, rec string, values []float64) (kautz.Str, error) {
+	s, ok := n.cover.ownerKey(key, n.k)
+	if !ok || len(rec) < n.k || len(values) > math.MaxUint16 {
+		return "", fmt.Errorf("%w: rank %d, a %d-byte record, %d values", ErrBadObjectID, key, len(rec), len(values))
 	}
-	owner := &n.nodes[s]
+	owner, slot := &n.nodes[s], Slot{Key: key, Rec: rec, ILen: uint16(n.k), N: uint16(len(values))}
 	for j, r := 0, n.effectiveReplicas(); j < r; j++ {
-		n.member(int(owner.pos), j).addObject(objectID, obj)
+		n.member(int(owner.pos), j).addObject(slot, values)
 	}
 	return owner.id, nil
 }
 
 // UnpublishAt removes one stored occurrence of obj under objectID from
-// every member of its region's replica group and returns the owner. It
-// returns ErrNoSuchObject when no member stored a matching object. Like
-// PublishAt, the fan-out applies member by member in placement order.
+// every member of its region's replica group and returns the owner:
+// UnpublishKey for a caller that holds the ObjectID.
 func (n *Network) UnpublishAt(objectID kautz.Str, obj Object) (kautz.Str, error) {
-	s, err := n.ownerSlot(objectID)
-	if err != nil {
+	if _, err := n.ownerSlot(objectID); err != nil {
 		return "", err
+	}
+	return n.UnpublishKey(kautz.Rank(objectID), obj.Name, obj.Values)
+}
+
+// UnpublishKey removes one stored occurrence of the object with the given
+// name and values under the ObjectID of rank key from every member of its
+// region's replica group and returns the owner. It returns ErrNoSuchObject
+// when no member stored a matching object. Like PublishRec, the fan-out
+// applies member by member in placement order.
+func (n *Network) UnpublishKey(key uint64, name string, values []float64) (kautz.Str, error) {
+	s, ok := n.cover.ownerKey(key, n.k)
+	if !ok {
+		return "", fmt.Errorf("%w: rank %d", ErrBadObjectID, key)
 	}
 	owner, removed := &n.nodes[s], false
 	for j, r := 0, n.effectiveReplicas(); j < r; j++ {
-		if n.member(int(owner.pos), j).removeObject(objectID, obj) {
+		if n.member(int(owner.pos), j).removeObject(key, name, values) {
 			removed = true
 		}
 	}
 	if !removed {
-		return "", fmt.Errorf("%w: %q at %q", ErrNoSuchObject, obj.Name, objectID)
+		id, _ := kautz.FromRank(key, n.k) // in range: the cover found its owner
+		return "", fmt.Errorf("%w: %q at %q", ErrNoSuchObject, name, id)
 	}
 	return owner.id, nil
 }

@@ -1,8 +1,11 @@
 package fissione
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"armada/internal/kautz"
@@ -151,6 +154,56 @@ func TestPublishAtStoresOnOwner(t *testing.T) {
 		t.Fatalf("stored %+v", objs)
 	}
 }
+
+// PublishRec and UnpublishKey are PublishAt and UnpublishAt for a caller that
+// has the ObjectID's rank and the record in hand: the same owner, the same
+// stored object, the same errors — and a rank outside the space, a record
+// shorter than an ObjectID or a row too long for a slot's count is refused.
+func TestPublishRecMatchesPublishAt(t *testing.T) {
+	const k = 20
+	n, err := BuildRandom(k, 32, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid := kautz.Hash("my-file", k)
+	want, err := n.PublishAt(oid, Object{Name: "at", Values: []float64{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := n.PublishRec(kautz.Rank(oid), string(oid)+"rec", []float64{3})
+	if err != nil || got != want {
+		t.Fatalf("PublishRec stored at %q, %v; PublishAt at %q", got, err, want)
+	}
+	p, _ := n.Peer(want)
+	if objs := p.AllObjects(); !reflect.DeepEqual(objs, []StoredObject{
+		{ObjectID: oid, Object: Object{Name: "at", Values: []float64{1, 2}}},
+		{ObjectID: oid, Object: Object{Name: "rec", Values: []float64{3}}},
+	}) {
+		t.Fatalf("stored %+v", objs)
+	}
+	if _, err := n.UnpublishKey(kautz.Rank(oid), "at", []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.UnpublishKey(kautz.Rank(oid), "at", []float64{1, 2}); !errors.Is(err, ErrNoSuchObject) || !strings.Contains(err.Error(), string(oid)) {
+		t.Fatalf("second removal: %v, want ErrNoSuchObject naming %q", err, oid)
+	}
+	for name, err := range map[string]error{
+		"rank past the space":      second(n.PublishRec(kautz.SpaceSize(k), string(oid)+"x", nil)),
+		"record without an ID":     second(n.PublishRec(kautz.Rank(oid), "short", nil)),
+		"row longer than a uint16": second(n.PublishRec(kautz.Rank(oid), string(oid)+"x", make([]float64, 1<<16))),
+		"unpublish past the space": second(n.UnpublishKey(kautz.SpaceSize(k), "x", nil)),
+		"invalid ObjectID":         second(n.PublishAt(oid[:k-1]+oid[k-2:k-1], Object{Name: "x"})),
+	} {
+		if !errors.Is(err, ErrBadObjectID) {
+			t.Errorf("%s: %v, want ErrBadObjectID", name, err)
+		}
+	}
+	if p.ObjectCount() != 1 {
+		t.Fatalf("owner stores %d objects after the refusals, want 1", p.ObjectCount())
+	}
+}
+
+func second[T any](_ T, err error) error { return err }
 
 func TestSplitMovesObjects(t *testing.T) {
 	n, err := New(12, 23)

@@ -46,6 +46,28 @@
 // it registers the one replacing it, and one above or below a live name is
 // refused.
 //
+// # Store
+//
+// A peer's store is a slice of Slot — 32 bytes and one pointer each — sorted
+// by (Key, Name, values), beside a column of float64: row i of the column is
+// slot i's N values, at a stride of the widest row the store holds (re-laid
+// on the rare widening, so value-less objects and any arity coexist). Key is
+// the ObjectID's rank: ObjectIDs share the fixed length k, so rank order is
+// their order, every Kautz region and identifier prefix is one contiguous
+// run, and every positioning — a scan's bounds, a publish, an unpublish, a
+// split's cut — is a binary search over integers in one array. The values
+// tie-break makes the order canonical: stores holding the same multiset of
+// objects are element-for-element identical however insertions interleaved,
+// which is what lets a replica set be compared byte for byte. Rec is the
+// object's record, ObjectID‖Name: one immutable string allocated by its
+// publish and shared by every replica's slot and every result (Match.ID and
+// Match.Name are its halves), so a collector cycle follows one pointer to
+// one heap object per stored object. A reader handed a Run under the store
+// lock (ViewSpan) may keep slots and records; rows it must copy, for the
+// column shifts under the next publish. Values are not in the record because
+// a scan filters on them: from a column it reads 8 bytes an object, not a
+// cache line of identifier and name.
+//
 // # Concurrency
 //
 // Topology mutation (Join, Leave, FailAbrupt, the Build functions) requires
@@ -84,16 +106,8 @@ type Object struct {
 // (Network.Slot) — a split or merge renames it in place. Query engines must
 // route using only those tables.
 //
-// The store is an ordered index: a slice of StoredObject sorted by
-// (ObjectID, Name, Values). Ordering makes every region scan a binary
-// search plus a contiguous walk — O(log n + k) for k results — and makes
-// prefix moves (splits, merges) contiguous slice operations. ObjectIDs all
-// have the network's fixed length k, so plain lexicographic comparison
-// orders them and every Kautz region and identifier prefix denotes one
-// contiguous run. The Values tie-break makes the order canonical: two
-// stores holding the same multiset of objects are element-for-element
-// identical regardless of insertion interleaving, which is what lets a
-// replica set be compared byte for byte.
+// The store — slots ascending (Key, Name, values), their values in a column —
+// is described in the package comment's Store section.
 type Peer struct {
 	id kautz.Str
 
@@ -110,10 +124,45 @@ type Peer struct {
 	// networks.
 	deliveries atomic.Int64
 
-	// mu guards store. id is only written during topology mutation, which
-	// excludes all other operations externally.
+	// mu guards store and vals. id is only written during topology mutation,
+	// which excludes all other operations externally.
 	mu    sync.RWMutex
-	store []StoredObject // ascending (ObjectID, Name, Values)
+	store []Slot    // ascending (Key, Name, values)
+	vals  []float64 // the column: len(store) rows of one stride, in store order
+}
+
+// Slot is one stored object: what the collector walks and every search
+// compares. It holds exactly one pointer (TestSlotLayout).
+type Slot struct {
+	Key  uint64 // the ObjectID's rank (kautz.Rank): the store's sort key
+	Rec  string // the record, ObjectID‖Name: immutable, shared by every replica and every result
+	ILen uint16 // the ObjectID's length within Rec — the network's k
+	N    uint16 // how many values the object carries: the length of its row
+}
+
+// Run is a contiguous run of a store: its slots and their rows of the value
+// column. Object i's values are Vals[i*Stride : i*Stride+int(Idx[i].N)]; the
+// rest of its row is padding.
+type Run struct {
+	Idx    []Slot
+	Vals   []float64
+	Stride int
+}
+
+// Span is an inclusive interval of ObjectID ranks; Lo > Hi holds nothing.
+type Span struct{ Lo, Hi uint64 }
+
+// Clip returns the part of the span within [lo, hi].
+func (s Span) Clip(lo, hi uint64) Span { return Span{Lo: max(s.Lo, lo), Hi: min(s.Hi, hi)} }
+
+// SpanOf returns the ranks of the region's ObjectIDs strictly greater than
+// after, when after is non-empty.
+func SpanOf(r kautz.Region, after kautz.Str) Span {
+	s := Span{Lo: kautz.Rank(r.Low), Hi: kautz.Rank(r.High)}
+	if after != "" {
+		s.Lo = max(s.Lo, kautz.Rank(after)+1)
+	}
+	return s
 }
 
 func newPeer(id kautz.Str) *Peer {
@@ -137,55 +186,130 @@ func (p *Peer) Deliveries() int64 { return p.deliveries.Load() }
 // NoteDelivery records one query delivery addressed to this peer's region.
 func (p *Peer) NoteDelivery() { p.deliveries.Add(1) }
 
-// storedCompare is the canonical total order of the index: (ObjectID,
-// Name, Values lexicographic). Fully equal elements (duplicate
-// publications) compare equal. It takes pointers — into a store, mostly —
-// so a binary search's probe copies no 56-byte element.
-func storedCompare(a, b *StoredObject) int {
-	if c := cmp.Compare(a.ObjectID, b.ObjectID); c != 0 {
+// row returns object i's values.
+func (r Run) row(i int) []float64 { return r.Vals[i*r.Stride:][:r.Idx[i].N] }
+
+// compareAt is the canonical total order of the index between a's object i
+// and b's object j: (Key, Name, values lexicographic). Fully equal elements
+// (duplicate publications) compare equal.
+func compareAt(a Run, i int, b Run, j int) int {
+	x, y := &a.Idx[i], &b.Idx[j]
+	if c := cmp.Compare(x.Key, y.Key); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.Object.Name, b.Object.Name); c != 0 {
+	if c := cmp.Compare(x.Rec[x.ILen:], y.Rec[y.ILen:]); c != 0 {
 		return c
 	}
-	return slices.Compare(a.Object.Values, b.Object.Values)
+	return slices.Compare(a.row(i), b.row(j))
 }
 
-// lowerBound returns the first index i with (store[i].ObjectID,
-// store[i].Name) >= (id, name). The caller holds p.mu.
-func (p *Peer) lowerBound(id kautz.Str, name string) int {
-	return sort.Search(len(p.store), func(i int) bool {
-		so := &p.store[i]
-		if so.ObjectID != id {
-			return so.ObjectID > id
+// push appends src's object i, its row padded or cut to r's stride, which no
+// row of src outgrows.
+func (r *Run) push(src Run, i int) {
+	r.Idx = append(r.Idx, src.Idx[i])
+	n := len(r.Vals)
+	r.Vals = append(r.Vals, make([]float64, r.Stride)...)
+	copy(r.Vals[n:], src.row(i))
+}
+
+// clone returns a copy of the run that shares nothing with a store but the
+// records, which are immutable.
+func (r Run) clone() Run {
+	return Run{Idx: slices.Clone(r.Idx), Vals: slices.Clone(r.Vals), Stride: r.Stride}
+}
+
+// each calls fn for the run's objects in order until it returns false. Their
+// values are views of one copy of the run's column, so that they outlive the
+// store lock.
+func (r Run) each(fn func(StoredObject) bool) {
+	vals := slices.Clone(r.Vals)
+	for i := range r.Idx {
+		s := &r.Idx[i]
+		so := StoredObject{ObjectID: kautz.Str(s.Rec[:s.ILen]), Object: Object{Name: s.Rec[s.ILen:]}}
+		if s.N > 0 {
+			so.Object.Values = vals[i*r.Stride:][:s.N:s.N]
 		}
-		return so.Object.Name >= name
-	})
+		if !fn(so) {
+			return
+		}
+	}
 }
 
-// addObject stores obj under objectID on this peer, at its canonical
-// position.
-func (p *Peer) addObject(objectID kautz.Str, obj Object) {
+// searchKey returns the first index whose Key is at least key.
+func searchKey(s []Slot, key uint64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s[m].Key < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// stride is the width of the column's rows: the widest row the store has
+// held since it was last empty. The caller holds p.mu.
+func (p *Peer) stride() int {
+	if len(p.store) == 0 {
+		return 0
+	}
+	return len(p.vals) / len(p.store)
+}
+
+// run returns the store's objects [lo, hi) in place. The caller holds p.mu.
+func (p *Peer) run(lo, hi int) Run {
+	w := p.stride()
+	return Run{Idx: p.store[lo:hi:hi], Vals: p.vals[lo*w : hi*w : hi*w], Stride: w}
+}
+
+// set makes r, which the peer takes over, its store. The caller holds p.mu.
+func (p *Peer) set(r Run) { p.store, p.vals = r.Idx, r.Vals }
+
+// cut deletes the store's objects [lo, hi). The caller holds p.mu.
+func (p *Peer) cut(lo, hi int) {
+	w := p.stride()
+	p.store, p.vals = slices.Delete(p.store, lo, hi), slices.Delete(p.vals, lo*w, hi*w)
+}
+
+// addObject stores the object of slot s and values row on this peer, at its
+// canonical position; the row is copied into the column. A row wider than any
+// the store holds re-lays the column at its width first: rare, a network's
+// objects mostly share one arity.
+func (p *Peer) addObject(s Slot, row []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	so := StoredObject{ObjectID: objectID, Object: obj}
-	i := sort.Search(len(p.store), func(i int) bool { return storedCompare(&p.store[i], &so) >= 0 })
-	p.store = slices.Insert(p.store, i, so)
+	one, all := Run{Idx: []Slot{s}, Vals: row, Stride: len(row)}, p.run(0, len(p.store))
+	lo := searchKey(p.store, s.Key)
+	same := searchKey(p.store[lo:], s.Key+1) // objects under this ObjectID: many, where many share a value
+	i := lo + sort.Search(same, func(j int) bool { return compareAt(all, lo+j, one, 0) >= 0 })
+	w := all.Stride
+	if len(row) > w {
+		w, p.vals = len(row), make([]float64, len(p.store)*len(row), (len(p.store)+1)*len(row))
+		for j := range p.store {
+			copy(p.vals[j*w:], all.row(j))
+		}
+	}
+	p.store = slices.Insert(p.store, i, s)
+	p.vals = append(p.vals, make([]float64, w)...)
+	copy(p.vals[(i+1)*w:], p.vals[i*w:])
+	n := copy(p.vals[i*w:], row)
+	clear(p.vals[i*w+n : (i+1)*w])
 }
 
-// removeObject deletes one stored occurrence of the object under objectID
-// whose name and values match, reporting whether one was found. Values
-// match element-wise (duplicate publications remove one at a time).
-func (p *Peer) removeObject(objectID kautz.Str, obj Object) bool {
+// removeObject deletes one stored occurrence of the object named name under
+// the ObjectID of rank key whose values match, reporting whether one was
+// found. Values match element-wise (duplicate publications remove one at a
+// time).
+func (p *Peer) removeObject(key uint64, name string, values []float64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := p.lowerBound(objectID, obj.Name); i < len(p.store); i++ {
-		so := &p.store[i]
-		if so.ObjectID != objectID || so.Object.Name != obj.Name {
-			return false
-		}
-		if slices.Equal(so.Object.Values, obj.Values) {
-			p.store = slices.Delete(p.store, i, i+1)
+	all, lo := p.run(0, len(p.store)), searchKey(p.store, key)
+	same := searchKey(p.store[lo:], key+1)
+	named := func(i int) string { return p.store[i].Rec[p.store[i].ILen:] }
+	for i := lo + sort.Search(same, func(j int) bool { return named(lo+j) >= name }); i < lo+same && named(i) == name; i++ {
+		if slices.Equal(all.row(i), values) {
+			p.cut(i, i+1)
 			return true
 		}
 	}
@@ -199,96 +323,109 @@ func (p *Peer) ObjectCount() int {
 	return len(p.store)
 }
 
-// scanBounds returns the index interval [lo, hi) a scan over the region —
-// restricted to ObjectIDs with the prefix own, and to ObjectIDs strictly
-// greater than after when after is non-empty — visits, in O(log n). own is
-// how a replica's scan stays inside the region of the owner it serves for
-// (its store also carries the neighboring regions' copies): each side takes
-// the region's bound or the prefix's, whichever is tighter, decided by
-// comparing own with the bound's head, so no bound string is ever built.
-// An empty own bounds nothing. The caller holds p.mu.
-func (p *Peer) scanBounds(own kautz.Str, r kautz.Region, after kautz.Str) (lo, hi int) {
-	low, n := r.Low, len(own)
-	if n > 0 && low[:n] < own {
-		low = own // a prefix sorts directly before every ObjectID it starts
+// bounds returns the index interval [lo, hi) of the stored objects whose
+// ObjectID ranks lie in the span, in O(log n). The caller holds p.mu.
+func (p *Peer) bounds(s Span) (lo, hi int) {
+	if s.Lo > s.Hi {
+		return 0, 0
 	}
-	lo = sort.Search(len(p.store), func(i int) bool { return p.store[i].ObjectID >= low })
-	if after != "" && after >= low {
-		lo = sort.Search(len(p.store), func(i int) bool { return p.store[i].ObjectID > after })
-	}
-	if n > 0 && r.High[:n] > own {
-		return lo, lo + sort.Search(len(p.store)-lo, func(i int) bool { return !p.store[lo+i].ObjectID.HasPrefix(own) })
-	}
-	return lo, lo + sort.Search(len(p.store)-lo, func(i int) bool { return p.store[lo+i].ObjectID > r.High })
+	lo = searchKey(p.store, s.Lo)
+	return lo, lo + searchKey(p.store[lo:], s.Hi+1)
 }
 
-// View is the one store read: it hands fn, once and under the store's read
-// lock, the contiguous sorted run of stored objects whose ObjectIDs lie in
-// the Kautz region, have the prefix own (the read of a replica serving for
-// that identifier's owner; empty bounds nothing) and, when after is
-// non-empty, are strictly greater than it — ascending (ObjectID, Name),
-// possibly empty, positioned in O(log n). The run is the store itself: fn
-// must not keep it (or a pointer into it) past its return, write to it, or
-// call back into the peer. Stored value slices are never mutated in place,
-// so those may be kept.
-func (p *Peer) View(own kautz.Str, r kautz.Region, after kautz.Str, fn func(run []StoredObject)) {
+// ViewSpan is the one store read: it hands fn, once and under the store's
+// read lock, the contiguous sorted run of stored objects whose ObjectID
+// ranks lie in the span — ascending (ObjectID, Name), possibly empty,
+// positioned in O(log n) integer comparisons. The run is the store itself: fn
+// must not write to it or call back into the peer, and of what it is handed
+// it may keep past its return only slots by value and their records, which
+// are immutable — never the run's slices or a row of Vals: the column shifts
+// under the next publish.
+func (p *Peer) ViewSpan(s Span, fn func(Run)) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	lo, hi := p.scanBounds(own, r, after)
-	fn(p.store[lo:hi:hi])
+	fn(p.run(p.bounds(s)))
+}
+
+// View is ViewSpan for a caller that holds strings: the objects whose
+// ObjectIDs lie in the Kautz region, have the prefix own (a replica's store
+// also carries the neighboring regions' copies; empty bounds nothing) and,
+// when after is non-empty, are strictly greater than it. It ranks its
+// arguments on every call; a query ranks its region once and calls ViewSpan.
+func (p *Peer) View(own kautz.Str, r kautz.Region, after kautz.Str, fn func(Run)) {
+	p.ViewSpan(SpanOf(r, after).Clip(kautz.PrefixRanks(own, r.K())), fn)
 }
 
 // ScanRegion calls fn for each object of the region's view (see View) in
-// order, stopping early when fn returns false. It holds the peer's store
-// lock throughout: fn must not call back into the peer.
+// order, stopping early when fn returns false. The values of the objects one
+// call hands out share one backing array, copied from the column, so fn may
+// keep them. It holds the peer's store lock throughout: fn must not call back
+// into the peer.
 func (p *Peer) ScanRegion(r kautz.Region, after kautz.Str, fn func(StoredObject) bool) {
-	p.View("", r, after, func(run []StoredObject) {
-		for i := range run {
-			if !fn(run[i]) {
-				return
-			}
-		}
-	})
+	p.View("", r, after, func(run Run) { run.each(fn) })
 }
 
 // AllObjects returns every object stored on the peer in ascending
 // (ObjectID, Name) order.
-func (p *Peer) AllObjects() []StoredObject {
+func (p *Peer) AllObjects() (out []StoredObject) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return append([]StoredObject(nil), p.store...)
+	p.run(0, len(p.store)).each(func(so StoredObject) bool {
+		out = append(out, so)
+		return true
+	})
+	return out
 }
 
 // prefixRange returns the half-open index interval [lo, hi) of stored
-// objects whose ObjectID starts with prefix. The caller holds p.mu. In the
-// fixed-length lexicographic order every prefix owns one contiguous run.
+// objects whose ObjectID starts with prefix. The caller holds p.mu. In rank
+// order every prefix owns one contiguous run.
 func (p *Peer) prefixRange(prefix kautz.Str) (lo, hi int) {
-	lo = sort.Search(len(p.store), func(i int) bool { return p.store[i].ObjectID >= prefix })
-	hi = lo + sort.Search(len(p.store)-lo, func(i int) bool {
-		return !p.store[lo+i].ObjectID.HasPrefix(prefix)
-	})
-	return lo, hi
+	if len(p.store) == 0 {
+		return 0, 0
+	}
+	klo, khi := kautz.PrefixRanks(prefix, int(p.store[0].ILen)) // every slot's ILen is the network's k
+	return p.bounds(Span{Lo: klo, Hi: khi})
 }
 
-// mergeStored merges two (ObjectID, Name)-sorted slices into one.
-func mergeStored(a, b []StoredObject) []StoredObject {
-	if len(a) == 0 {
+// merge merges two canonically sorted runs into one: their sum or, with
+// union, their multiset maximum — the union of two snapshots of the same
+// replicated run, possibly with different suffixes of history applied. The
+// result may be one of the arguments.
+func merge(a, b Run, union bool) Run {
+	if len(a.Idx) == 0 {
 		return b
 	}
-	if len(b) == 0 {
+	if len(b.Idx) == 0 {
 		return a
 	}
-	out := make([]StoredObject, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if storedCompare(&b[0], &a[0]) < 0 {
-			out = append(out, b[0])
-			b = b[1:]
-		} else {
-			out = append(out, a[0])
-			a = a[1:]
+	n := len(a.Idx) + len(b.Idx)
+	if union {
+		n = max(len(a.Idx), len(b.Idx))
+	}
+	out := Run{Idx: make([]Slot, 0, n), Stride: max(a.Stride, b.Stride)}
+	out.Vals = make([]float64, 0, n*out.Stride)
+	i, j := 0, 0
+	for i < len(a.Idx) && j < len(b.Idx) {
+		c := compareAt(a, i, b, j)
+		if c > 0 {
+			out.push(b, j)
+			j++
+			continue
+		}
+		out.push(a, i)
+		i++
+		if c == 0 && union {
+			j++
 		}
 	}
-	return append(append(out, a...), b...)
+	for ; i < len(a.Idx); i++ {
+		out.push(a, i)
+	}
+	for ; j < len(b.Idx); j++ {
+		out.push(b, j)
+	}
+	return out
 }
 
 // lockPair acquires both peers' store locks in identifier order, so
@@ -304,66 +441,51 @@ func lockPair(a, b *Peer) (unlock func()) {
 }
 
 // moveObjectsWithPrefix moves every stored object whose ObjectID has the
-// given prefix from p to dst — one contiguous slice cut and one merge.
+// given prefix from p to dst — one contiguous cut and one merge.
 func (p *Peer) moveObjectsWithPrefix(prefix kautz.Str, dst *Peer) {
 	defer lockPair(p, dst)()
 	lo, hi := p.prefixRange(prefix)
-	if lo == hi {
-		return
-	}
-	moved := append([]StoredObject(nil), p.store[lo:hi]...)
-	p.store = slices.Delete(p.store, lo, hi)
-	dst.store = mergeStored(dst.store, moved)
+	moved := p.run(lo, hi).clone()
+	p.cut(lo, hi)
+	dst.set(merge(dst.run(0, len(dst.store)), moved, false))
 }
 
-// moveAllObjects moves the peer's whole store to dst.
-func (p *Peer) moveAllObjects(dst *Peer) {
+// moveAllObjects moves the peer's whole store to dst: the sum of the two
+// stores or, with union, their multiset maximum — a run held by both peers
+// collapses to one copy instead of doubling. That is the takeover move on
+// replicated networks, where the absorbing peer often already holds a
+// replica of the mover's region — copies within one group are identical, so
+// keeping the maximum loses nothing (and preserves genuine duplicate
+// publications, which are replicated at equal multiplicity everywhere).
+func (p *Peer) moveAllObjects(dst *Peer, union bool) {
 	defer lockPair(p, dst)()
-	dst.store = mergeStored(dst.store, p.store)
-	p.store = nil
-}
-
-// absorbAllObjects moves the peer's whole store into dst taking the
-// multiset maximum of the two stores instead of their sum: a run held by
-// both peers collapses to one copy instead of doubling. This is the
-// takeover move on replicated networks, where the absorbing peer often
-// already holds a replica of the mover's region — copies within one group
-// are identical, so keeping the maximum loses nothing (and preserves
-// genuine duplicate publications, which are replicated at equal
-// multiplicity everywhere).
-func (p *Peer) absorbAllObjects(dst *Peer) {
-	defer lockPair(p, dst)()
-	dst.store = unionMax(dst.store, p.store)
-	p.store = nil
+	dst.set(merge(dst.run(0, len(dst.store)), p.run(0, len(p.store)), union))
+	p.set(Run{})
 }
 
 // copyPrefixRun returns a copy of the peer's contiguous run of objects
-// whose ObjectID starts with prefix. Object values are aliased, not deep
-// copied — replica copies of one object share its value slice, which is
-// safe because stored values are never mutated in place.
-func (p *Peer) copyPrefixRun(prefix kautz.Str) []StoredObject {
+// whose ObjectID starts with prefix. Records are shared, not copied —
+// replica copies of one object share its record, which is immutable.
+func (p *Peer) copyPrefixRun(prefix kautz.Str) Run {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	lo, hi := p.prefixRange(prefix)
-	if lo == hi {
-		return nil
-	}
-	return append([]StoredObject(nil), p.store[lo:hi]...)
+	return p.run(p.prefixRange(prefix)).clone()
 }
 
-// setPrefixRun replaces the peer's run for prefix with the given canonical
-// run, returning how many of run's elements the peer did not already hold
-// (the objects genuinely copied onto it). run must ascend storedCompare and
-// contain only IDs with the prefix.
-func (p *Peer) setPrefixRun(prefix kautz.Str, run []StoredObject) (added int) {
+// setPrefixRun replaces the peer's run for prefix with a copy of the given
+// canonical run, returning how many of run's elements the peer did not
+// already hold (the objects genuinely copied onto it). run must ascend the
+// canonical order and contain only IDs with the prefix.
+func (p *Peer) setPrefixRun(prefix kautz.Str, run Run) (added int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	lo, hi := p.prefixRange(prefix)
-	added = diffCount(run, p.store[lo:hi])
-	if added == 0 && len(run) == hi-lo {
+	added = diffCount(run, p.run(lo, hi))
+	if added == 0 && len(run.Idx) == hi-lo {
 		return 0 // identical content — the common case after churn
 	}
-	p.store = slices.Concat(p.store[:lo:lo], run, p.store[hi:])
+	p.cut(lo, hi)
+	p.set(merge(p.run(0, len(p.store)), run.clone(), false))
 	return added
 }
 
@@ -373,32 +495,26 @@ func (p *Peer) dropPrefixRun(prefix kautz.Str) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	lo, hi := p.prefixRange(prefix)
-	if lo == hi {
-		return 0
-	}
-	p.store = slices.Delete(p.store, lo, hi)
+	p.cut(lo, hi)
 	return hi - lo
 }
 
 // diffCount returns how many elements of a (a sorted multiset) are absent
 // from b (also sorted): the multiset difference |a \ b|.
-func diffCount(a, b []StoredObject) int {
-	missing := 0
-	for len(a) > 0 {
-		if len(b) == 0 {
-			return missing + len(a)
-		}
-		switch c := storedCompare(&a[0], &b[0]); {
+func diffCount(a, b Run) int {
+	missing, i, j := 0, 0, 0
+	for i < len(a.Idx) && j < len(b.Idx) {
+		switch c := compareAt(a, i, b, j); {
 		case c < 0:
 			missing++
-			a = a[1:]
+			i++
 		case c > 0:
-			b = b[1:]
+			j++
 		default:
-			a, b = a[1:], b[1:]
+			i, j = i+1, j+1
 		}
 	}
-	return missing
+	return missing + len(a.Idx) - i
 }
 
 // clearStore discards every stored object (a crash-stop losing its data),
@@ -407,11 +523,12 @@ func (p *Peer) clearStore() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := len(p.store)
-	p.store = nil
+	p.set(Run{})
 	return n
 }
 
-// StoredObject pairs an object with the ObjectID it was published under.
+// StoredObject pairs an object with the ObjectID it was published under. No
+// store holds one: ScanRegion and AllObjects build them for their callers.
 type StoredObject struct {
 	ObjectID kautz.Str
 	Object   Object

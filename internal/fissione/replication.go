@@ -147,11 +147,9 @@ func (n *Network) repairOwner(pos int) {
 	// than the window only its first size offsets name distinct peers. An
 	// offset is taken as the distance after the owner, circularly.
 	last := min(margin, size-1-margin)
-	var auth []StoredObject
+	var auth Run
 	for d := -margin; d <= last; d++ {
-		if run := n.member(pos, (d%size+size)%size).copyPrefixRun(region); len(run) > 0 {
-			auth = unionMax(auth, run)
-		}
+		auth = merge(auth, n.member(pos, (d%size+size)%size).copyPrefixRun(region), true)
 	}
 	var copied int
 	for d := -margin; d <= last; d++ {
@@ -169,34 +167,6 @@ func (n *Network) repairOwner(pos int) {
 			n.onRepair(region, copied)
 		}
 	}
-}
-
-// unionMax merges two canonical-sorted multisets taking the maximum
-// multiplicity of each distinct element — the union of two snapshots of
-// the same replicated run, possibly with different suffixes of history
-// applied.
-func unionMax(a, b []StoredObject) []StoredObject {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]StoredObject, 0, max(len(a), len(b)))
-	for len(a) > 0 && len(b) > 0 {
-		switch c := storedCompare(&a[0], &b[0]); {
-		case c < 0:
-			out = append(out, a[0])
-			a = a[1:]
-		case c > 0:
-			out = append(out, b[0])
-			b = b[1:]
-		default:
-			out = append(out, a[0])
-			a, b = a[1:], b[1:]
-		}
-	}
-	return append(append(out, a...), b...)
 }
 
 // syncReplicas rebuilds the whole placement for the current degree: every
@@ -268,9 +238,9 @@ func (n *Network) checkReplicaRegion(pos int) error {
 	own := p.copyPrefixRun(p.id)
 	for j, r := 1, n.effectiveReplicas(); j < r; j++ {
 		m := n.member(pos, j)
-		if got := m.copyPrefixRun(p.id); !equalStored(got, own) {
+		if got := m.copyPrefixRun(p.id); len(got.Idx) != len(own.Idx) || diffCount(got, own) != 0 {
 			return fmt.Errorf("fissione: replica %q of region %q diverged: holds %d objects, owner holds %d",
-				m.id, p.id, len(got), len(own))
+				m.id, p.id, len(got.Idx), len(own.Idx))
 		}
 	}
 	for _, prefix := range n.foreignRunPrefixes(p) {
@@ -279,17 +249,4 @@ func (n *Network) checkReplicaRegion(pos int) error {
 		}
 	}
 	return nil
-}
-
-// equalStored compares two canonical runs element for element.
-func equalStored(a, b []StoredObject) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if storedCompare(&a[i], &b[i]) != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package fissione
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -66,8 +67,8 @@ func TestReplicatedFanoutAndAudit(t *testing.T) {
 	group := n.groupIDs(owner)
 	for _, id := range group {
 		p, _ := n.Peer(id)
-		if run := p.copyPrefixRun(owner); len(run) != 1 {
-			t.Fatalf("member %q holds %d objects of %q's region, want 1", id, len(run), owner)
+		if run := p.copyPrefixRun(owner); len(run.Idx) != 1 {
+			t.Fatalf("member %q holds %d objects of %q's region, want 1", id, len(run.Idx), owner)
 		}
 	}
 	if err := n.Audit(); err != nil {
@@ -163,7 +164,7 @@ func TestReplicationSurvivesChurn(t *testing.T) {
 			}
 			r := kautz.Region{Low: a, High: b}
 			got, want := collectRegion(r), ref.inRegion(r)
-			if !equalStored(got, want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: region %v diverged: got %d objects, want %d", step, r, len(got), len(want))
 			}
 		}
@@ -239,14 +240,14 @@ func TestCheckReplicasDetectsDivergence(t *testing.T) {
 	}
 	// Corrupt the replica behind the network's back.
 	replica, _ := n.Peer(n.groupIDs(owner)[1])
-	if !replica.removeObject(oid, Object{Name: "probe"}) {
+	if !take(replica, oid, Object{Name: "probe"}) {
 		t.Fatal("replica did not hold the object")
 	}
 	if err := n.CheckReplicas(); err == nil {
 		t.Fatal("CheckReplicas missed a diverged replica")
 	}
 	// And a foreign run on a non-member must be caught too.
-	replica.addObject(oid, Object{Name: "probe"}) // repair the first corruption
+	put(replica, oid, Object{Name: "probe"}) // repair the first corruption
 	if err := n.CheckReplicas(); err != nil {
 		t.Fatalf("restore failed: %v", err)
 	}
@@ -258,7 +259,7 @@ func TestCheckReplicasDetectsDivergence(t *testing.T) {
 			break
 		}
 	}
-	outsider.addObject(oid, Object{Name: "stray"})
+	put(outsider, oid, Object{Name: "stray"})
 	if err := n.CheckReplicas(); err == nil {
 		t.Fatal("CheckReplicas missed a stray copy outside the group")
 	}
@@ -271,12 +272,12 @@ func TestAbsorbAllObjectsTakesMultisetMax(t *testing.T) {
 	only := Object{Name: "o", Values: []float64{3}}
 	// shared×1 and dup×2 on both (a replicated run); only×1 on src alone.
 	for _, p := range []*Peer{src, dst} {
-		p.addObject("0101010101", shared)
-		p.addObject("0101010102", dup)
-		p.addObject("0101010102", dup)
+		put(p, "0101010101", shared)
+		put(p, "0101010102", dup)
+		put(p, "0101010102", dup)
 	}
-	src.addObject("0202020202", only)
-	src.absorbAllObjects(dst)
+	put(src, "0202020202", only)
+	src.moveAllObjects(dst, true)
 	if src.ObjectCount() != 0 {
 		t.Fatal("source not empty after absorb")
 	}

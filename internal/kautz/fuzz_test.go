@@ -110,3 +110,34 @@ func FuzzCommonPrefix(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRankOrder checks what lets a store keep ObjectIDs as integers: for
+// valid strings of one length, lexicographic order is rank order (and Rank
+// undoes FromRank, which still reads the symbol table Rank no longer does),
+// and the strings under any prefix of one are exactly the ranks PrefixRanks
+// names — those of its minimal and maximal extension — at every length up to
+// MaxRankLen, whose largest rank uses the top bit but one.
+func FuzzRankOrder(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(12345), uint64(12399), uint8(31), uint8(7), uint8(61))
+	f.Fuzz(func(t *testing.T, aRank, bRank uint64, kRaw, cutRaw, toRaw uint8) {
+		a := fuzzStr(aRank, kRaw)
+		k := len(a)
+		b := fuzzStr(bRank, uint8(k-1))
+		if Rank(a) != aRank%SpaceSize(k) || Rank(b) != bRank%SpaceSize(k) {
+			t.Fatalf("Rank(%q) = %d, Rank(%q) = %d: not the ranks they were built from", a, Rank(a), b, Rank(b))
+		}
+		if (a < b) != (Rank(a) < Rank(b)) || (a == b) != (Rank(a) == Rank(b)) {
+			t.Fatalf("%q vs %q order as strings but ranks %d vs %d do not", a, b, Rank(a), Rank(b))
+		}
+		p := a[:int(cutRaw)%(k+1)]
+		to := len(p) + int(toRaw)%(MaxRankLen-len(p)+1)
+		if to == 0 {
+			to = 1
+		}
+		lo, hi := PrefixRanks(p, to)
+		if wantLo, wantHi := Rank(MinExtend(p, to)), Rank(MaxExtend(p, to)); lo != wantLo || hi != wantHi {
+			t.Fatalf("PrefixRanks(%q, %d) = %d, %d; its extensions rank %d, %d", p, to, lo, hi, wantLo, wantHi)
+		}
+	})
+}

@@ -257,7 +257,10 @@ func SpaceSize(k int) uint64 {
 }
 
 // Rank returns the zero-based position of s in the lexicographic enumeration
-// of KautzSpace(2,len(s)).
+// of KautzSpace(2,len(s)): the first symbol, then one bit per further symbol —
+// set when it is the larger of the two that may follow its predecessor, which
+// for symbols c after p is exactly 2c+p > 3. Equal-length strings order as
+// their ranks do.
 func Rank(s Str) uint64 {
 	if len(s) == 0 || len(s) > MaxRankLen {
 		panic(fmt.Sprintf("kautz: Rank on length %d", len(s)))
@@ -265,13 +268,27 @@ func Rank(s Str) uint64 {
 	r := uint64(s[0] - '0')
 	for i := 1; i < len(s); i++ {
 		r <<= 1
-		// The two symbols allowed after s[i-1], ascending; the larger
-		// contributes a 1 bit.
-		if s[i] == nextSymbols(s[i-1])[1] {
+		if 2*(s[i]-'0')+(s[i-1]-'0') > 3 {
 			r |= 1
 		}
 	}
 	return r
+}
+
+// PrefixRanks returns the ranks of the smallest and the largest string of
+// length k with prefix p — Rank(MinExtend(p, k)) and Rank(MaxExtend(p, k)),
+// without building either: the strings under a prefix are one aligned block
+// of ranks. The empty prefix spans the whole space. It panics if p is longer
+// than k or k exceeds MaxRankLen.
+func PrefixRanks(p Str, k int) (lo, hi uint64) {
+	if len(p) == 0 {
+		return 0, SpaceSize(k) - 1
+	}
+	if len(p) > k || k > MaxRankLen {
+		panic(fmt.Sprintf("kautz: PrefixRanks prefix %q at k=%d", p, k))
+	}
+	r, free := Rank(p), uint(k-len(p))
+	return r << free, (r+1)<<free - 1
 }
 
 // FromRank is the inverse of Rank: it returns the Kautz string of length k

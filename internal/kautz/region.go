@@ -34,7 +34,9 @@ func (r Region) Contains(s Str) bool {
 
 // Size returns the number of Kautz strings in the region.
 func (r Region) Size() uint64 {
-	return Rank(r.High) - Rank(r.Low) + 1
+	lo, _ := PrefixRanks(r.Low, r.K())
+	_, hi := PrefixRanks(r.High, r.K())
+	return hi - lo + 1
 }
 
 // ContainsPrefix reports whether the region contains at least one string

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"armada/internal/kautz"
 )
@@ -143,9 +144,38 @@ const stackAttrs = 4
 // part would; d·0.5 is d/2 bit for bit. Labels and intervals are those of
 // the dividing walk the tests keep as reference (FuzzHashMatchesReference).
 func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
+	var label [kautz.MaxRankLen]byte // NewTree bounds k by MaxRankLen
+	if _, err := t.hash(&label, values); err != nil {
+		return "", err
+	}
+	return kautz.Str(label[:t.k]), nil
+}
+
+// HashRank is Hash for a caller that positions by integer: the ObjectID's
+// rank (kautz.Rank of the label Hash returns), with no string built.
+func (t *Tree) HashRank(values ...float64) (uint64, error) {
+	var label [kautz.MaxRankLen]byte
+	return t.hash(&label, values)
+}
+
+// WriteHash is Hash into a record under construction: it writes the ObjectID
+// to b and returns its rank; on an error b is untouched.
+func (t *Tree) WriteHash(b *strings.Builder, values ...float64) (uint64, error) {
+	var label [kautz.MaxRankLen]byte
+	rank, err := t.hash(&label, values)
+	if err == nil {
+		b.Write(label[:t.k])
+	}
+	return rank, err
+}
+
+// hash is the walk behind Hash: it fills label[:k] and returns the label's
+// rank, which the walk has in hand — the root's third, then one bit a level,
+// set in the upper half.
+func (t *Tree) hash(label *[kautz.MaxRankLen]byte, values []float64) (uint64, error) {
 	m := len(t.spaces)
 	if len(values) != m {
-		return "", fmt.Errorf("%w: got %d, want %d", ErrArity, len(values), m)
+		return 0, fmt.Errorf("%w: got %d, want %d", ErrArity, len(values), m)
 	}
 	type cell struct{ lo, hi, v float64 }
 	var buf [stackAttrs]cell
@@ -155,15 +185,14 @@ func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
 	}
 	for i, s := range t.spaces {
 		if math.IsNaN(values[i]) || math.IsInf(values[i], 0) {
-			return "", fmt.Errorf("%w: attribute %d: %v", ErrNotFinite, i, values[i])
+			return 0, fmt.Errorf("%w: attribute %d: %v", ErrNotFinite, i, values[i])
 		}
 		cells[i] = cell{lo: s.Low, hi: s.High, v: math.Min(math.Max(values[i], s.Low), s.High)}
 	}
-	var label [kautz.MaxRankLen]byte // NewTree bounds k by MaxRankLen
 	c := &cells[0]
 	idx := min(max(int(3*(c.v-c.lo)/(c.hi-c.lo)), 0), 2) // which third holds v, the last closed at hi
 	c.lo, c.hi = rootBounds(c.lo, c.hi, idx)
-	prev := byte('0' + idx)
+	prev, rank := byte('0'+idx), uint64(idx)
 	label[0] = prev
 	for j, a := 1, 0; j < t.k; j++ {
 		if a++; a == m {
@@ -178,10 +207,10 @@ func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
 		} else {
 			c.hi = mid
 		}
-		prev = edgeLabels[2*(prev-'0')+upper]
+		prev, rank = edgeLabels[2*(prev-'0')+upper], rank<<1|uint64(upper)
 		label[j] = prev
 	}
-	return kautz.Str(label[:t.k]), nil
+	return rank, nil
 }
 
 // rootBounds returns the bounds of third idx of [lo, hi].

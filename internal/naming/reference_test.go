@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"armada/internal/kautz"
@@ -135,6 +136,19 @@ func FuzzHashMatchesReference(f *testing.F) {
 		if got != want || (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("m=%d k=%d spaces %v: Hash(%v) = %q, %v; the dividing walk says %q, %v",
 				m, k, spaces, values, got, gotErr, want, wantErr)
+		}
+		// The two doors for a caller that positions by integer: the label's
+		// rank alone, and the label written into a record with its rank — or,
+		// refused, nothing written.
+		rank, rankErr := tree.HashRank(values...)
+		var rec strings.Builder
+		rec.WriteString("rec:")
+		wrote, writeErr := tree.WriteHash(&rec, values...)
+		if (rankErr == nil) != (gotErr == nil) || (writeErr == nil) != (gotErr == nil) || rec.String() != "rec:"+string(got) {
+			t.Fatalf("m=%d k=%d: Hash(%v) = %q, %v but HashRank: %v, WriteHash: %q, %v", m, k, values, got, gotErr, rankErr, rec.String(), writeErr)
+		}
+		if gotErr == nil && (rank != kautz.Rank(got) || wrote != rank) {
+			t.Fatalf("m=%d k=%d: Hash(%v) = %q of rank %d; HashRank says %d, WriteHash %d", m, k, values, got, kautz.Rank(got), rank, wrote)
 		}
 		lo, hi := make([]float64, m), make([]float64, m)
 		for i := range lo {

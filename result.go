@@ -10,7 +10,8 @@ type Range struct {
 
 // Object is a published object returned by a query: Name, Values (the
 // result's own copy — never a live store's memory), ID (its Kautz-string
-// ObjectID) and Peer (the peer that served it). It is the engine's own
+// ObjectID; with Name, one immutable allocation made when the object was
+// published) and Peer (the peer that served it). It is the engine's own
 // result type, so a result is built once, where the store is scanned.
 type Object = core.Match
 

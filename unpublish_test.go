@@ -3,6 +3,11 @@ package armada
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -126,5 +131,86 @@ func TestUnpublishExact(t *testing.T) {
 	}
 	if err := net.UnpublishExact("doc"); !errors.Is(err, ErrNoSuchObject) {
 		t.Fatalf("unpublish absent exact: %v, want ErrNoSuchObject", err)
+	}
+}
+
+// A Result owns what it returned: its objects' IDs and names are halves of
+// the stored records, which are immutable, and their values its own copy. So
+// every surface's result reads the same after each of its objects is
+// unpublished, every peer that served one has left, and the space is refilled
+// with other objects — which shifts, overwrites and re-lays the columns the
+// values were copied from.
+func TestResultOutlivesStore(t *testing.T) {
+	ctx := context.Background()
+	net := buildQueryNet(t, 40, 400, WithReplication(2))
+	defer net.Close()
+	if err := net.PublishExact("report.pdf"); err != nil {
+		t.Fatal(err)
+	}
+	ranges := []Range{{Low: 300, High: 600}}
+	type kept struct {
+		name string
+		objs []Object
+		want []Object // a deep copy taken when the result was fresh
+	}
+	var results []kept
+	keep := func(name string, q Query) {
+		res, err := net.Do(ctx, q)
+		if err != nil || len(res.Objects) == 0 {
+			t.Fatalf("%s: %d objects, %v", name, len(res.Objects), err)
+		}
+		want := make([]Object, len(res.Objects))
+		for i, o := range res.Objects {
+			want[i] = Object{Name: strings.Clone(o.Name), ID: strings.Clone(o.ID), Peer: strings.Clone(o.Peer), Values: slices.Clone(o.Values)}
+		}
+		results = append(results, kept{name, res.Objects, want})
+	}
+	keep("range", NewRange(ranges))
+	keep("page", NewRange(ranges, WithLimit(30)))
+	keep("top-k", NewRange(ranges, WithTopK(20)))
+	keep("lookup", NewValueLookup([]float64{500}))
+	keep("exact lookup", NewLookup("report.pdf"))
+
+	served := map[string]bool{}
+	for _, r := range results {
+		for _, o := range r.objs {
+			served[o.Peer] = true
+		}
+	}
+	all, err := net.Do(ctx, NewRange([]Range{{Low: 0, High: 1000}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range all.Objects {
+		if err := net.Unpublish(o.Name, o.Values...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := net.UnpublishExact("report.pdf"); err != nil {
+		t.Fatal(err)
+	}
+	for id := range served {
+		if err := net.Leave(id); err != nil && !errors.Is(err, ErrNoSuchPeer) { // an earlier leave may have renamed it
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 800; i++ { // other names, other values, and value-less objects among them
+		if err := net.Publish(fmt.Sprintf("refill-%03d", i), float64(i)*1.25); err != nil {
+			t.Fatal(err)
+		}
+		if i%8 == 0 {
+			if err := net.PublishExact(fmt.Sprintf("refill-exact-%03d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.GC()
+	for _, r := range results {
+		if !reflect.DeepEqual(r.objs, r.want) {
+			t.Errorf("%s: the result changed under the store:\n got %v\nwant %v", r.name, r.objs, r.want)
+		}
+	}
+	if err := net.Audit(); err != nil {
+		t.Fatal(err)
 	}
 }
