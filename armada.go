@@ -127,8 +127,8 @@ func (n *Network) Size() int {
 func (n *Network) Replicas() int { return n.net.Replicas() }
 
 // ReReplications returns the total number of objects copied between peers
-// to restore replica sets after churn (always 0 without replication). The
-// workload package reports its growth per run.
+// to restore replica sets after churn (always 0 without replication) — the
+// registry's fissione_re_replications_total, read directly.
 func (n *Network) ReReplications() int64 { return n.net.ReReplications() }
 
 // Attributes returns the number of configured attributes.
@@ -435,11 +435,10 @@ func (n *Network) run(ctx context.Context, q Query, sess *Session) (*Result, err
 // the result. ob, when non-nil, observes it.
 func (n *Network) exec(ctx context.Context, q Query, issuer string, sess *Session, ob *queryObs) (*Result, error) {
 	kind := q.kind()
-	pol, err := n.readPolicy(q.ReadPolicy)
-	if err != nil {
-		return nil, err
+	if q.ReadPolicy < ReadDefault || q.ReadPolicy > ReadLeastLoaded {
+		return nil, fmt.Errorf("%w: unknown read policy %v", ErrBadQuery, q.ReadPolicy)
 	}
-	cfg := core.QueryConfig{Policy: pol}
+	cfg := core.QueryConfig{Policy: q.ReadPolicy}
 	if ob != nil {
 		cfg.Trace = ob.hop
 	}
@@ -578,22 +577,9 @@ func (n *Network) Topology() Topology {
 }
 
 // ShortcutTableStats is a snapshot of the route cache's counters (see
-// WithShortcutTable).
-type ShortcutTableStats struct {
-	// Hits and Misses count the lookups and range queries (session pages
-	// included) that consulted the cache: seeded from it, or descended
-	// despite it. Stale is how many entries were overwritten because churn
-	// had given their slot another owner; Evicted how many the capacity
-	// bound pushed out.
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	Stale   int64 `json:"stale"`
-	Evicted int64 `json:"evicted"`
-	// Entries is the current entry count; Capacity the configured bound,
-	// both in learned owners.
-	Entries  int `json:"entries"`
-	Capacity int `json:"capacity"`
-}
+// WithShortcutTable) — the cache's own snapshot, by alias. Its counters are
+// the registry's shortcut_*_total metrics.
+type ShortcutTableStats = shortcut.Stats
 
 // ShortcutTableStats reports the route cache's counters; ok is false when
 // the network was built without WithShortcutTable.
@@ -601,7 +587,7 @@ func (n *Network) ShortcutTableStats() (_ ShortcutTableStats, ok bool) {
 	if n.routes == nil {
 		return ShortcutTableStats{}, false
 	}
-	return ShortcutTableStats(n.routes.Stats()), true
+	return n.routes.Stats(), true
 }
 
 // routed closes a located lookup or range query: when the route cache seeded
@@ -643,27 +629,6 @@ func (n *Network) AuditSampled(sample int) error {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.net.AuditSampled(sample)
-}
-
-// readPolicy resolves a query's read policy against the network's
-// replication configuration; ReadDefault becomes round-robin on a
-// replicated network and primary otherwise.
-func (n *Network) readPolicy(p ReadPolicy) (core.ReadPolicy, error) {
-	switch p {
-	case ReadDefault:
-		if n.net.Replicas() > 1 {
-			return core.ReadRoundRobin, nil
-		}
-		return core.ReadPrimary, nil
-	case ReadPrimary:
-		return core.ReadPrimary, nil
-	case ReadRoundRobin:
-		return core.ReadRoundRobin, nil
-	case ReadLeastLoaded:
-		return core.ReadLeastLoaded, nil
-	default:
-		return core.ReadPrimary, fmt.Errorf("%w: unknown read policy %v", ErrBadQuery, p)
-	}
 }
 
 // wrapCoreErr maps engine errors onto the package's exported errors.

@@ -76,7 +76,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		duration  = fs.Duration("duration", 0, "stop after this wall-clock time")
 		workers   = fs.Int("workers", 0, "concurrent workers (closed loop) / executors (open loop)")
 		rate      = fs.Float64("rate", 0, "open-loop Poisson arrival rate, ops/sec (0 = closed loop)")
-		think     = fs.Duration("think", 0, "closed-loop think time between a worker's ops")
 		seed      = fs.Int64("seed", 0, "random seed")
 		attrs     = fs.Int("attrs", 0, "number of [0,1000] attributes (overrides the preset's spaces)")
 		replicas  = fs.Int("replicas", 0, "replication degree: each object lives on this many peers (1 = unreplicated)")
@@ -155,8 +154,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			sc.Arrival.Workers = *workers
 		case "rate":
 			sc.Arrival.RatePerSec = *rate
-		case "think":
-			sc.Arrival.Think = *think
 		case "seed":
 			sc.Seed = *seed
 		case "attrs":
@@ -393,87 +390,75 @@ func startHTTP(metricsAddr, pprofAddr string, stderr io.Writer) error {
 		}()
 	}
 	if metricsAddr != "" {
-		expvarOnce.Do(func() {
-			expvar.Publish("armada", expvar.Func(func() any {
-				if n := liveNet.Load(); n != nil {
-					return n.MetricValues()
-				}
-				return nil
-			}))
-		})
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			n := liveNet.Load()
-			if n == nil {
-				http.Error(w, "no live network", http.StatusServiceUnavailable)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := n.WriteMetrics(w); err != nil {
-				fmt.Fprintf(stderr, "armada-load: metrics write: %v\n", err)
-			}
-		})
-		mux.Handle("/debug/vars", expvar.Handler())
-		writeJSON := func(w http.ResponseWriter, v any) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(v); err != nil {
-				fmt.Fprintf(stderr, "armada-load: debug endpoint write: %v\n", err)
-			}
-		}
-		// live guards a debug handler: 503 without a live network, like
-		// /metrics.
-		live := func(h func(http.ResponseWriter, *http.Request, *armada.Network)) http.HandlerFunc {
-			return func(w http.ResponseWriter, r *http.Request) {
-				n := liveNet.Load()
-				if n == nil {
-					http.Error(w, "no live network", http.StatusServiceUnavailable)
-					return
-				}
-				h(w, r, n)
-			}
-		}
-		mux.HandleFunc("/debug/armada/slow", live(func(w http.ResponseWriter, _ *http.Request, n *armada.Network) {
-			d, ok := snapSlow(n)
-			if !ok {
-				http.Error(w, "diagnostics disabled (run with -slow-log)", http.StatusNotFound)
-				return
-			}
-			writeJSON(w, d)
-		}))
-		mux.HandleFunc("/debug/armada/regions", live(func(w http.ResponseWriter, r *http.Request, n *armada.Network) {
-			topN := 0
-			if s := r.URL.Query().Get("top"); s != "" {
-				if v, err := strconv.Atoi(s); err == nil && v > 0 {
-					topN = v
-				}
-			}
-			writeJSON(w, struct {
-				Peers   int                 `json:"peers"`
-				Epoch   uint64              `json:"epoch"`
-				Regions []armada.RegionHeat `json:"regions"`
-			}{n.Size(), n.Epoch(), n.RegionHeatReport(topN)})
-		}))
-		mux.HandleFunc("/debug/armada/routing", live(func(w http.ResponseWriter, _ *http.Request, n *armada.Network) {
-			// The report's shortcut block, over the cache's lifetime.
-			var resp struct {
-				Peers    int                      `json:"peers"`
-				Epoch    uint64                   `json:"epoch"`
-				Shortcut *workload.ShortcutReport `json:"shortcut,omitempty"`
-			}
-			resp.Peers, resp.Epoch = n.Size(), n.Epoch()
-			if ss, ok := n.ShortcutTableStats(); ok {
-				resp.Shortcut = workload.ShortcutReportOf(armada.ShortcutTableStats{}, ss)
-			}
-			writeJSON(w, resp)
-		}))
-		serve(metricsAddr, mux, "metrics")
+		serve(metricsAddr, metricsMux(stderr), "metrics")
 	}
 	if pprofAddr != "" {
 		serve(pprofAddr, nil, "pprof") // net/http/pprof registered on the default mux
 	}
 	return nil
+}
+
+// metricsMux serves the live network: Prometheus text at /metrics, expvar
+// at /debug/vars and the /debug/armada introspection endpoints — every one
+// a view of the network's registry or state, none a copy of it.
+func metricsMux(stderr io.Writer) *http.ServeMux {
+	expvarOnce.Do(func() {
+		expvar.Publish("armada", expvar.Func(func() any {
+			if n := liveNet.Load(); n != nil {
+				return n.MetricValues()
+			}
+			return nil
+		}))
+	})
+	mux := http.NewServeMux()
+	mux.Handle("/debug/vars", expvar.Handler())
+	writeJSON := func(w http.ResponseWriter, v any) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			fmt.Fprintf(stderr, "armada-load: debug endpoint write: %v\n", err)
+		}
+	}
+	// live guards a handler: 503 without a live network.
+	live := func(h func(http.ResponseWriter, *http.Request, *armada.Network)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			n := liveNet.Load()
+			if n == nil {
+				http.Error(w, "no live network", http.StatusServiceUnavailable)
+				return
+			}
+			h(w, r, n)
+		}
+	}
+	mux.HandleFunc("/metrics", live(func(w http.ResponseWriter, _ *http.Request, n *armada.Network) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		if err := n.WriteMetrics(w); err != nil {
+			fmt.Fprintf(stderr, "armada-load: metrics write: %v\n", err)
+		}
+	}))
+	mux.HandleFunc("/debug/armada/slow", live(func(w http.ResponseWriter, _ *http.Request, n *armada.Network) {
+		d, ok := snapSlow(n)
+		if !ok {
+			http.Error(w, "diagnostics disabled (run with -slow-log)", http.StatusNotFound)
+			return
+		}
+		writeJSON(w, d)
+	}))
+	mux.HandleFunc("/debug/armada/regions", live(func(w http.ResponseWriter, r *http.Request, n *armada.Network) {
+		topN := 0
+		if s := r.URL.Query().Get("top"); s != "" {
+			if v, err := strconv.Atoi(s); err == nil && v > 0 {
+				topN = v
+			}
+		}
+		writeJSON(w, struct {
+			Peers   int                 `json:"peers"`
+			Epoch   uint64              `json:"epoch"`
+			Regions []armada.RegionHeat `json:"regions"`
+		}{n.Size(), n.Epoch(), n.RegionHeatReport(topN)})
+	}))
+	return mux
 }
 
 // saveSnapshotFile writes the network's topology snapshot to path.
@@ -609,9 +594,9 @@ func parseMix(s string) (workload.Mix, error) {
 }
 
 // parseChurn parses "join=40,leave=30,fail=10" into a Churn, keeping the
-// base's peer guards.
+// base's peer guard.
 func parseChurn(s string, base workload.Churn) (workload.Churn, error) {
-	c := workload.Churn{MinPeers: base.MinPeers, MaxPeers: base.MaxPeers}
+	c := workload.Churn{MinPeers: base.MinPeers}
 	fields := map[string]*float64{
 		"join": &c.JoinPerSec, "leave": &c.LeavePerSec, "fail": &c.FailPerSec,
 	}

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runJSON executes the CLI and decodes its JSON report.
@@ -57,9 +61,8 @@ func TestPresetSmall(t *testing.T) {
 }
 
 func TestChurnHeavySmall(t *testing.T) {
-	m := runJSON(t, "-scenario", "churn-heavy", "-peers", "100", "-ops", "300",
-		"-preload", "200", "-churn", "join=800,leave=600,fail=300", "-min-peers", "48",
-		"-think", "300us")
+	m := runJSON(t, "-scenario", "churn-heavy", "-peers", "100", "-ops", "0", "-duration", "150ms",
+		"-preload", "200", "-churn", "join=800,leave=600,fail=300", "-min-peers", "48")
 	if got := m["total_errors"].(float64); got != 0 {
 		t.Errorf("total_errors = %v, want 0", got)
 	}
@@ -132,11 +135,7 @@ func TestScanHeavySmall(t *testing.T) {
 	if saved, _ := rp["descents_saved"].(float64); saved == 0 {
 		t.Error("scan-heavy sessions saved no descents")
 	}
-	fc, ok := m["shortcut"].(map[string]any)
-	if !ok {
-		t.Fatalf("report missing the shortcut block: %v", m)
-	}
-	if hits, _ := fc["hits"].(float64); hits == 0 {
+	if hits, _ := m["metrics"].(map[string]any)["shortcut_hits_total"].(float64); hits == 0 {
 		t.Error("scan-heavy run produced no cache hits")
 	}
 	// The ablation flag turns the savings off without touching anything
@@ -147,8 +146,8 @@ func TestScanHeavySmall(t *testing.T) {
 	if saved, _ := rp["descents_saved"].(float64); saved != 0 {
 		t.Errorf("ablation run saved %v descents, want 0", saved)
 	}
-	if _, ok := m["shortcut"]; ok {
-		t.Error("-no-shortcut still reported a cache block")
+	if _, ok := m["metrics"].(map[string]any)["shortcut_hits_total"]; ok {
+		t.Error("-no-shortcut still ran a route cache")
 	}
 }
 
@@ -179,28 +178,14 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestHotDriftSmall: -load-control=false overrides the preset — controller
+// off, counters gone, and the preset's split threshold dropped with it. The
+// preset as shipped runs in TestReportIsARegistryView.
 func TestHotDriftSmall(t *testing.T) {
 	m := runJSON(t, "-scenario", "hot-drift", "-peers", "100", "-duration", "300ms",
-		"-preload", "200", "-hot-drift", "500ms")
-	lc, ok := m["load_control"].(map[string]any)
-	if !ok {
-		t.Fatalf("report missing load_control block: %v", m)
-	}
-	if _, ok := lc["auto_splits"]; !ok {
-		t.Errorf("load_control missing auto_splits: %v", lc)
-	}
-	if _, ok := m["delivery_skew"].(map[string]any); !ok {
-		t.Error("report missing delivery_skew block")
-	}
-	if _, ok := m["env"].(map[string]any); !ok {
-		t.Error("report missing env block")
-	}
-	// -load-control=false overrides the preset: controller off, block gone,
-	// and the preset's split threshold dropped with it.
-	m = runJSON(t, "-scenario", "hot-drift", "-peers", "100", "-duration", "300ms",
 		"-preload", "200", "-load-control=false")
-	if _, ok := m["load_control"]; ok {
-		t.Error("-load-control=false still reported a load_control block")
+	if _, ok := m["metrics"].(map[string]any)["loadctl_auto_splits_total"]; ok {
+		t.Error("-load-control=false still ran a load controller")
 	}
 }
 
@@ -235,7 +220,7 @@ func TestTraceOutAndMetrics(t *testing.T) {
 	if spans == 0 || hops == 0 {
 		t.Errorf("trace dump has %d query spans and %d hops, want both > 0", spans, hops)
 	}
-	// The report carries the metrics block and the conformance counter.
+	// The report's metrics block carries the conformance counter.
 	metrics, ok := m["metrics"].(map[string]any)
 	if !ok {
 		t.Fatalf("report missing metrics block: %v", m)
@@ -243,15 +228,60 @@ func TestTraceOutAndMetrics(t *testing.T) {
 	if v, _ := metrics["engine_messages_total"].(float64); v <= 0 {
 		t.Errorf("metrics.engine_messages_total = %v, want > 0", v)
 	}
-	if v, ok := m["delay_bound_violations"].(float64); !ok || v != 0 {
-		t.Errorf("delay_bound_violations = %v (present %v), want 0", v, ok)
+	if v, ok := metrics["delay_bound_violations"].(float64); !ok || v != 0 {
+		t.Errorf("metrics.delay_bound_violations = %v (present %v), want 0", v, ok)
 	}
 }
 
 func TestMaxGrowthFlag(t *testing.T) {
 	m := runJSON(t, "-scenario", "hot-drift-cap", "-peers", "100", "-duration", "300ms",
 		"-preload", "200", "-max-growth", "2")
-	if _, ok := m["load_control"].(map[string]any); !ok {
-		t.Fatalf("report missing load_control block: %v", m)
+	if _, ok := m["metrics"].(map[string]any)["loadctl_migrations_total"]; !ok {
+		t.Fatalf("report metrics lack loadctl_migrations_total: %v", m["metrics"])
+	}
+}
+
+// TestReportIsARegistryView: one hot-drift run with every counter-owning
+// layer on — route cache, load control, two replicas, diagnostics. Every
+// name a CI leg asserts is in the report's metrics and in what /metrics
+// serves for the same network, and no top-level block of the report copies
+// one of them.
+func TestReportIsARegistryView(t *testing.T) {
+	var text string
+	mux, stop, done := metricsMux(io.Discard), make(chan struct{}), make(chan struct{})
+	go func() { // scrape /metrics once while the run's network is live
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			rec := httptest.NewRecorder()
+			if mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil)); rec.Code == http.StatusOK {
+				text = rec.Body.String()
+				return
+			}
+		}
+	}()
+	m := runJSON(t, "-scenario", "hot-drift", "-peers", "100", "-duration", "300ms", "-preload", "200",
+		"-hot-drift", "500ms", "-shortcut-table", "64", "-slow-log", "64")
+	close(stop)
+	<-done
+	metrics := m["metrics"].(map[string]any)
+	for _, name := range []string{"delay_bound_violations", "shortcut_hits_total", "shortcut_misses_total",
+		"loadctl_auto_splits_total", "loadctl_migrations_total", "fissione_re_replications_total"} {
+		if _, ok := metrics[name]; !ok {
+			t.Errorf("report metrics lack %s", name)
+		}
+		if !strings.Contains(text, "\n"+name+" ") {
+			t.Errorf("/metrics lacks %s:\n%s", name, text)
+		}
+	}
+	for key, want := range map[string]bool{"delivery_skew": true, "env": true,
+		"shortcut": false, "load_control": false, "re_replications": false, "delay_bound_violations": false} {
+		if _, ok := m[key]; ok != want {
+			t.Errorf("report top-level %q present %v, want %v (counters live in metrics only)", key, ok, want)
+		}
 	}
 }

@@ -22,7 +22,8 @@ type (
 	// the fraction attributed to each cause.
 	TailAttribution = diag.Attribution
 	// SLOStatus is the burn-rate monitor's state over the delay bound:
-	// fast- and slow-window burn rates plus cumulative totals.
+	// fast- and slow-window burn rates (the run's totals are the registry's
+	// diag_queries_total and delay_bound_violations).
 	SLOStatus = diag.SLOReport
 )
 

@@ -99,8 +99,11 @@ func TestDiagnosticsEndToEnd(t *testing.T) {
 		}
 	}
 	slo, ok := net.SLOStatusReport()
-	if !ok || slo.Queries != queries || slo.Violations != 0 {
-		t.Errorf("slo = %+v, %v; want %d queries, 0 violations", slo, ok, queries)
+	if !ok || slo.FastBurnRate != 0 || slo.SlowBurnRate != 0 {
+		t.Errorf("slo = %+v, %v; want no budget burnt", slo, ok)
+	}
+	if m := net.MetricValues(); m["diag_queries_total"] != queries || m["delay_bound_violations"] != 0 {
+		t.Errorf("registry counted %d queries, %d violations; want %d, 0", m["diag_queries_total"], m["delay_bound_violations"], queries)
 	}
 }
 

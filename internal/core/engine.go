@@ -52,7 +52,7 @@ type Engine struct {
 	// repeated identical queries rotate through a group's replicas.
 	rr atomic.Uint64
 	// metrics accumulates engine-wide query cost counters; always non-nil.
-	metrics *Metrics
+	metrics *metrics
 }
 
 // HopKind classifies one traced hop, so observers need not re-derive the
@@ -109,14 +109,15 @@ func (k HopKind) String() string {
 // concurrently.
 type TraceFunc func(kind HopKind, from, to kautz.Str, depth, remaining int)
 
-// Metrics are the engine's cumulative query-cost counters, shared by every
-// query the engine runs. Updates are lock-free atomics folded in once per
+// metrics are the engine's cumulative query-cost counters, shared by every
+// query the engine runs and read only through the registry (see
+// DescribeMetrics). Updates are lock-free atomics folded in once per
 // query — from the Stats the query computed anyway, plus one add of the
 // query's processed-message count — so the per-hop path touches no shared
 // counter and allocates nothing (BenchmarkStep: 0 allocs/op; a lookup at
 // 1,000 peers: 4 allocations in all, pinned ≤ 5 by
 // TestLookupAllocCeiling).
-type Metrics struct {
+type metrics struct {
 	// Descents counts queries that ran FRT descents; Seeded those that did
 	// not: a Router knew their destinations, or a walk's cursor did.
 	Descents obs.Counter
@@ -132,12 +133,9 @@ type Metrics struct {
 	HopDelay *obs.Histogram
 }
 
-func newMetrics() *Metrics {
-	return &Metrics{HopDelay: obs.NewHistogram(1, 2, 4, 6, 8, 10, 12, 16, 20, 24, 32, 48)}
-}
-
-// Describe registers the engine's metrics on reg.
-func (m *Metrics) Describe(reg *obs.Registry) {
+// DescribeMetrics registers the engine's counters on reg.
+func (e *Engine) DescribeMetrics(reg *obs.Registry) {
+	m := e.metrics
 	reg.MustRegister("engine_descents_total", &m.Descents)
 	reg.MustRegister("engine_seeded_queries_total", &m.Seeded)
 	reg.MustRegister("engine_messages_total", &m.Messages)
@@ -147,7 +145,7 @@ func (m *Metrics) Describe(reg *obs.Registry) {
 }
 
 // note folds one finished query's stats into the cumulative counters.
-func (m *Metrics) note(s Stats, seeded bool) {
+func (m *metrics) note(s Stats, seeded bool) {
 	if seeded {
 		m.Seeded.Inc()
 	} else {
@@ -163,9 +161,11 @@ func (m *Metrics) note(s Stats, seeded bool) {
 type ReadPolicy int
 
 const (
-	// ReadPrimary always serves from the region's owner — the zero value,
-	// byte-identical to the unreplicated data path.
-	ReadPrimary ReadPolicy = iota
+	// ReadDefault, the zero value, is round-robin if replicated, else primary.
+	ReadDefault ReadPolicy = iota
+	// ReadPrimary always serves from the region's owner, byte-identical to
+	// the unreplicated data path.
+	ReadPrimary
 	// ReadRoundRobin rotates deliveries through the group, spreading a hot
 	// region's read load evenly.
 	ReadRoundRobin
@@ -177,6 +177,8 @@ const (
 // String names the policy for reports and errors.
 func (p ReadPolicy) String() string {
 	switch p {
+	case ReadDefault:
+		return "default"
 	case ReadPrimary:
 		return "primary"
 	case ReadRoundRobin:
@@ -208,8 +210,7 @@ type QueryConfig struct {
 	// cursor of keyset pagination, normally the previous page's Next.
 	After kautz.Str
 	// Policy selects the replica that serves each delivery on a replicated
-	// network. The zero value (ReadPrimary) preserves the unreplicated
-	// data path exactly.
+	// network (zero: ReadDefault).
 	Policy ReadPolicy
 	// Routes, when non-nil, is issuer-side routing state the query consults
 	// before descending and teaches after a descent (see Router). Lookups and
@@ -261,11 +262,9 @@ func New(net *fissione.Network, tree *naming.Tree) (*Engine, error) {
 	if tree != nil && tree.K() != net.K() {
 		return nil, fmt.Errorf("%w: tree k=%d, network k=%d", ErrKMismatch, tree.K(), net.K())
 	}
-	return &Engine{net: net, tree: tree, metrics: newMetrics()}, nil
+	hopDelay := obs.NewHistogram(1, 2, 4, 6, 8, 10, 12, 16, 20, 24, 32, 48)
+	return &Engine{net: net, tree: tree, metrics: &metrics{HopDelay: hopDelay}}, nil
 }
-
-// Metrics returns the engine's cumulative query-cost counters.
-func (e *Engine) Metrics() *Metrics { return e.metrics }
 
 // Tree returns the engine's naming tree (nil for exact-match-only engines).
 func (e *Engine) Tree() *naming.Tree { return e.tree }
@@ -788,7 +787,7 @@ func (e *Engine) deliver(st *queryState, m msg) {
 // the serving member's index.
 func (e *Engine) choose(group []*fissione.Peer, pol ReadPolicy) (serving int) {
 	switch pol {
-	case ReadRoundRobin:
+	case ReadDefault, ReadRoundRobin:
 		serving = int(e.rr.Add(1) % uint64(len(group)))
 	case ReadLeastLoaded:
 		for i, p := range group {

@@ -242,10 +242,7 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 	net, attrs := w.eng.Network(), w.tree.Attrs()
 	g := &goldenRun{t: t, eng: w.eng, name: name, recs: recs}
 	rng := rand.New(rand.NewSource(seed * 31))
-	var base []QueryOption
-	if pol != ReadPrimary {
-		base = append(base, WithReadPolicy(pol))
-	}
+	base := []QueryOption{WithReadPolicy(pol)}
 	with := func(extra ...QueryOption) []QueryOption {
 		return append(append([]QueryOption(nil), base...), extra...)
 	}

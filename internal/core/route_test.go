@@ -32,10 +32,11 @@ func learnedOf(net *fissione.Network, owners []kautz.Str) learned {
 	return l
 }
 
-// ranged runs one range query, failing the test on an error.
+// ranged runs one range query — on the primary unless opts pick another read
+// policy — failing the test on an error.
 func ranged(t *testing.T, eng *Engine, issuer kautz.Str, lo, hi []float64, opts ...QueryOption) *RangeResult {
 	t.Helper()
-	res, err := eng.RangeQuery(context.Background(), issuer, lo, hi, opts...)
+	res, err := eng.RangeQuery(context.Background(), issuer, lo, hi, append([]QueryOption{WithReadPolicy(ReadPrimary)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,6 @@ type SLOReport struct {
 	SlowWindowSec float64 `json:"slow_window_sec"`
 	FastBurnRate  float64 `json:"fast_burn_rate"`
 	SlowBurnRate  float64 `json:"slow_burn_rate"`
-	// Queries and Violations are run-cumulative (not windowed).
-	Queries    int64 `json:"queries"`
-	Violations int64 `json:"violations"`
 }
 
 // sloBucket accumulates one second's observations.
@@ -45,8 +42,6 @@ type SLO struct {
 	mu      sync.Mutex
 	secs    [int64(slowWindow / time.Second)]sloBucket
 	lastSec int64 // highest second index observed or advanced to
-	total   int64 // run-cumulative
-	bad     int64
 }
 
 func newSLO(objective float64, now func() time.Duration) *SLO {
@@ -76,10 +71,8 @@ func (s *SLO) Observe(violation bool) {
 	s.advanceLocked(sec)
 	b := &s.secs[sec%int64(len(s.secs))]
 	b.total++
-	s.total++
 	if violation {
 		b.bad++
-		s.bad++
 	}
 	s.mu.Unlock()
 }
@@ -113,8 +106,7 @@ func (s *SLO) burnLocked(window time.Duration) float64 {
 	return (float64(bad) / float64(total)) / budget
 }
 
-// Report snapshots the monitor: both window burn rates plus the
-// run-cumulative totals.
+// Report snapshots the monitor's window burn rates.
 func (s *SLO) Report() SLOReport {
 	sec := int64(s.now() / time.Second)
 	s.mu.Lock()
@@ -126,7 +118,5 @@ func (s *SLO) Report() SLOReport {
 		SlowWindowSec: slowWindow.Seconds(),
 		FastBurnRate:  s.burnLocked(fastWindow),
 		SlowBurnRate:  s.burnLocked(slowWindow),
-		Queries:       s.total,
-		Violations:    s.bad,
 	}
 }

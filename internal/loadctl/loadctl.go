@@ -112,35 +112,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Counters are the controller's lifetime action counts.
-type Counters struct {
-	// AutoSplits counts hot regions split; Migrations counts
-	// leave-then-split ownership moves. CascadeSplits totals the extra
-	// invariant-restoring splits those actions needed, and FailedActions
-	// the attempts the actuator rejected.
-	AutoSplits    int64
-	Migrations    int64
-	CascadeSplits int64
-	FailedActions int64
-}
-
-// RegionRate is one region's EWMA delivery rate in a Report.
+// RegionRate is one region's EWMA delivery rate (see Controller.Rates).
 type RegionRate struct {
 	ID   string
 	Rate float64 // deliveries/second
 }
-
-// Report is a point-in-time snapshot of the controller's state.
-type Report struct {
-	Counters Counters
-	// Hottest lists the highest-rate regions, hottest first, capped at
-	// ReportTopN; Tracked is the total number of regions accounted.
-	Hottest []RegionRate
-	Tracked int
-}
-
-// ReportTopN caps Report.Hottest.
-const ReportTopN = 16
 
 // regionRate is one region's accounting state.
 type regionRate struct {
@@ -161,8 +137,7 @@ type Controller struct {
 	lastAction time.Time
 	grown      int // net peers added by controller actions
 
-	// Action counters live as registry instruments (see DescribeMetrics);
-	// Report assembles the public Counters struct from them.
+	// Action counters live as registry instruments (see DescribeMetrics).
 	autoSplits    obs.Counter
 	migrations    obs.Counter
 	cascadeSplits obs.Counter
@@ -349,35 +324,8 @@ func (c *Controller) DescribeMetrics(reg *obs.Registry) {
 	reg.MustRegister("loadctl_failed_actions_total", &c.failedActions)
 }
 
-// Report snapshots the controller's counters and hottest regions.
-func (c *Controller) Report() Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rep := Report{Counters: Counters{
-		AutoSplits:    c.autoSplits.Value(),
-		Migrations:    c.migrations.Value(),
-		CascadeSplits: c.cascadeSplits.Value(),
-		FailedActions: c.failedActions.Value(),
-	}, Tracked: len(c.rates)}
-	rep.Hottest = make([]RegionRate, 0, len(c.rates))
-	for id, r := range c.rates {
-		rep.Hottest = append(rep.Hottest, RegionRate{ID: id, Rate: r.rate})
-	}
-	sort.Slice(rep.Hottest, func(i, j int) bool {
-		if rep.Hottest[i].Rate != rep.Hottest[j].Rate {
-			return rep.Hottest[i].Rate > rep.Hottest[j].Rate
-		}
-		return rep.Hottest[i].ID < rep.Hottest[j].ID
-	})
-	if len(rep.Hottest) > ReportTopN {
-		rep.Hottest = rep.Hottest[:ReportTopN]
-	}
-	return rep
-}
-
 // Rates returns every tracked region's EWMA delivery rate, hottest first —
-// the uncapped feed behind live region-heat introspection (Report caps its
-// Hottest list for JSON reports).
+// the feed behind live region-heat introspection.
 func (c *Controller) Rates() []RegionRate {
 	c.mu.Lock()
 	out := make([]RegionRate, 0, len(c.rates))

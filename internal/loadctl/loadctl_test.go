@@ -63,11 +63,11 @@ func TestEWMAConvergesToSustainedRate(t *testing.T) {
 		total += 100
 		at = tick(c, act, at, map[string]int64{"a": total})
 	}
-	rep := c.Report()
-	if rep.Tracked != 1 || len(rep.Hottest) != 1 {
-		t.Fatalf("report = %+v", rep)
+	rates := c.Rates()
+	if len(rates) != 1 {
+		t.Fatalf("rates = %+v", rates)
 	}
-	got := rep.Hottest[0].Rate
+	got := rates[0].Rate
 	if got < 990 || got > 1010 {
 		t.Fatalf("EWMA rate = %.1f after 12 half-lives of a sustained 1000/s, want ~1000", got)
 	}
@@ -85,12 +85,11 @@ func TestSplitFiresOnHotRegion(t *testing.T) {
 	if len(act.splits) != 1 || act.splits[0] != "hot" {
 		t.Fatalf("splits = %v, want [hot]", act.splits)
 	}
-	rep := c.Report()
-	if rep.Counters.AutoSplits != 1 || rep.Counters.Migrations != 0 {
-		t.Fatalf("counters = %+v", rep.Counters)
+	if c.autoSplits.Value() != 1 || c.migrations.Value() != 0 {
+		t.Fatalf("splits = %d, migrations = %d", c.autoSplits.Value(), c.migrations.Value())
 	}
-	if rep.Hottest[0].ID != "hot" {
-		t.Fatalf("hottest = %+v, want hot first", rep.Hottest)
+	if rates := c.Rates(); rates[0].ID != "hot" {
+		t.Fatalf("hottest = %+v, want hot first", rates)
 	}
 }
 
@@ -158,9 +157,8 @@ func TestMigrationAtGrowthCap(t *testing.T) {
 	if m := act.migrations[0]; m != [2]string{"cold", "hot"} {
 		t.Fatalf("migration = %v, want cold donor and hot target", m)
 	}
-	rep := c.Report()
-	if rep.Counters.AutoSplits != 1 || rep.Counters.Migrations != 1 {
-		t.Fatalf("counters = %+v", rep.Counters)
+	if c.autoSplits.Value() != 1 || c.migrations.Value() != 1 {
+		t.Fatalf("splits = %d, migrations = %d", c.autoSplits.Value(), c.migrations.Value())
 	}
 }
 
@@ -219,13 +217,13 @@ func TestRenameInitializesWithoutSpike(t *testing.T) {
 	if len(act.splits) != 0 {
 		t.Fatalf("rename spike triggered a split: %v", act.splits)
 	}
-	rep := c.Report()
-	if rep.Tracked != 2 {
-		t.Fatalf("tracked = %d after rename, want 2 (old identifier pruned)", rep.Tracked)
+	rates := c.Rates()
+	if len(rates) != 2 {
+		t.Fatalf("tracked = %d after rename, want 2 (old identifier pruned)", len(rates))
 	}
-	for _, r := range rep.Hottest {
+	for _, r := range rates {
 		if r.ID == "a" {
-			t.Fatalf("vanished identifier still tracked: %+v", rep.Hottest)
+			t.Fatalf("vanished identifier still tracked: %+v", rates)
 		}
 		if r.Rate != 0 {
 			t.Fatalf("fresh identifier %q starts with rate %.0f, want 0", r.ID, r.Rate)
@@ -248,9 +246,8 @@ func TestFailedActionCountsAndCoolsDown(t *testing.T) {
 	if len(act.splits) != 1 {
 		t.Fatalf("failed action retried within its cooldown: %d attempts", len(act.splits))
 	}
-	rep := c.Report()
-	if rep.Counters.FailedActions != 1 || rep.Counters.AutoSplits != 0 {
-		t.Fatalf("counters = %+v, want the failure counted and no split", rep.Counters)
+	if c.failedActions.Value() != 1 || c.autoSplits.Value() != 0 {
+		t.Fatalf("failed = %d, splits = %d, want the failure counted and no split", c.failedActions.Value(), c.autoSplits.Value())
 	}
 }
 
@@ -274,7 +271,7 @@ func TestStartStop(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	c.Stop()
 	c.Stop() // idempotent
-	if rep := c.Report(); rep.Tracked != 1 {
-		t.Fatalf("loop never sampled: %+v", rep)
+	if rates := c.Rates(); len(rates) != 1 {
+		t.Fatalf("loop never sampled: %+v", rates)
 	}
 }

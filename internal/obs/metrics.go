@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -129,7 +128,7 @@ func (h *Histogram) Buckets() (bounds []float64, cumulative []int64) {
 func (*Histogram) metricKind() string { return "histogram" }
 
 // Registry is a named directory of metrics. Registration locks; reads
-// (Values, WritePrometheus) lock only the directory, never the updates.
+// (CounterValues, WritePrometheus) lock only the directory, not updates.
 type Registry struct {
 	mu    sync.Mutex
 	named map[string]Metric
@@ -192,22 +191,6 @@ func (r *Registry) CounterValues() map[string]int64 {
 	return out
 }
 
-// Values returns every metric's instantaneous value — CounterValues plus
-// gauges. Use CounterValues when deltas must be meaningful.
-func (r *Registry) Values() map[string]int64 {
-	out := r.CounterValues()
-	names, named := r.snapshot()
-	for _, name := range names {
-		switch m := named[name].(type) {
-		case *Gauge:
-			out[name] = m.Value()
-		case GaugeFunc:
-			out[name] = m()
-		}
-	}
-	return out
-}
-
 // WritePrometheus writes the registry in the Prometheus text exposition
 // format (version 0.0.4), metrics in registration order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -245,14 +228,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// SortedNames returns the registered metric names, sorted — for tests and
-// debug dumps.
-func (r *Registry) SortedNames() []string {
-	names, _ := r.snapshot()
-	sort.Strings(names)
-	return names
 }
 
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

@@ -150,68 +150,3 @@ func (n *Network) migrateOwnership(donor, hot string) (extra int, err error) {
 	}
 	return extra, wrapFissioneErr(err, string(owner))
 }
-
-// RegionLoad is one region's EWMA delivery rate in a LoadReport.
-type RegionLoad struct {
-	// Peer identifies the region's owner.
-	Peer string
-	// Rate is the region's EWMA delivery rate in deliveries/second.
-	Rate float64
-}
-
-// LoadReport is a snapshot of the load controller's state: its action
-// counters and the hottest regions it currently tracks.
-type LoadReport struct {
-	// AutoSplits counts hot regions split; Migrations counts ownership
-	// moves (a cold donor leaving + the hot region splitting).
-	// CascadeSplits totals the extra invariant-restoring splits those
-	// actions needed, and FailedActions the attempts that errored (e.g.
-	// the network at minimum size refusing a departure).
-	AutoSplits    int64
-	Migrations    int64
-	CascadeSplits int64
-	FailedActions int64
-	// Hottest lists the highest-rate regions, hottest first (capped);
-	// TrackedRegions is how many regions the accountant follows.
-	Hottest        []RegionLoad
-	TrackedRegions int
-}
-
-// LoadReport snapshots the load controller's counters and hottest regions;
-// ok is false when the network was built without WithLoadControl.
-func (n *Network) LoadReport() (_ LoadReport, ok bool) {
-	if n.lctl == nil {
-		return LoadReport{}, false
-	}
-	r := n.lctl.Report()
-	rep := LoadReport{
-		AutoSplits:     r.Counters.AutoSplits,
-		Migrations:     r.Counters.Migrations,
-		CascadeSplits:  r.Counters.CascadeSplits,
-		FailedActions:  r.Counters.FailedActions,
-		TrackedRegions: r.Tracked,
-	}
-	rep.Hottest = make([]RegionLoad, len(r.Hottest))
-	for i, h := range r.Hottest {
-		rep.Hottest[i] = RegionLoad{Peer: h.ID, Rate: h.Rate}
-	}
-	return rep, true
-}
-
-// PeerLoad is one peer's cumulative delivery count (see PeerLoads).
-type PeerLoad struct {
-	// Peer is the peer's identifier; Deliveries how many query deliveries
-	// have addressed it as region owner since it was created (counters
-	// survive renames: a peer renamed by a split keeps its count).
-	Peer       string
-	Deliveries int64
-}
-
-// PeerLoads returns every peer's cumulative query-delivery counter in
-// identifier order. It is available on every network — no WithLoadControl
-// needed — and is what the workload package computes delivery skew from.
-func (n *Network) PeerLoads() []PeerLoad {
-	return peerRows(n, func(id string, _ int, p *fissione.Peer) PeerLoad {
-		return PeerLoad{Peer: id, Deliveries: p.Deliveries()}
-	})
-}

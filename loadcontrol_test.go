@@ -161,8 +161,9 @@ func TestMigrateOwnershipValidation(t *testing.T) {
 }
 
 // hammer issues narrow range queries over the low end of the space until
-// check says the controller acted (or the deadline passes).
-func hammer(t *testing.T, net *Network, check func(LoadReport) bool) LoadReport {
+// the named controller counter moves (or the deadline passes), and returns
+// the registry's counters then.
+func hammer(t *testing.T, net *Network, counter string) map[string]int64 {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
@@ -171,15 +172,12 @@ func hammer(t *testing.T, net *Network, check func(LoadReport) bool) LoadReport 
 				t.Fatal(err)
 			}
 		}
-		rep, ok := net.LoadReport()
-		if !ok {
-			t.Fatal("LoadReport not available on a load-controlled network")
-		}
-		if check(rep) {
-			return rep
+		m := net.MetricValues()
+		if m[counter] > 0 {
+			return m
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("controller never acted: %+v", rep)
+			t.Fatalf("controller never acted: %v", m)
 		}
 	}
 }
@@ -207,12 +205,12 @@ func TestLoadControlAutoSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := hammer(t, net, func(r LoadReport) bool { return r.AutoSplits > 0 })
+	m := hammer(t, net, "loadctl_auto_splits_total")
 	if net.Size() <= 60 {
-		t.Errorf("size = %d after %d auto-splits, never grew", net.Size(), rep.AutoSplits)
+		t.Errorf("size = %d after %d auto-splits, never grew", net.Size(), m["loadctl_auto_splits_total"])
 	}
-	if rep.TrackedRegions == 0 || len(rep.Hottest) == 0 {
-		t.Errorf("report tracks nothing: %+v", rep)
+	if len(net.lctl.Rates()) == 0 {
+		t.Error("controller tracks no region")
 	}
 	if err := net.Audit(); err != nil {
 		t.Fatalf("audit after auto-splits: %v", err)
@@ -250,9 +248,8 @@ func TestLoadControlMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := hammer(t, net, func(r LoadReport) bool { return r.Migrations > 0 })
-	if rep.AutoSplits == 0 {
-		t.Errorf("migration fired before the pre-cap split: %+v", rep)
+	if m := hammer(t, net, "loadctl_migrations_total"); m["loadctl_auto_splits_total"] == 0 {
+		t.Errorf("migration fired before the pre-cap split: %v", m)
 	}
 	if err := net.Audit(); err != nil {
 		t.Fatalf("audit after migration: %v", err)
@@ -391,59 +388,30 @@ func TestWithLoadControlValidation(t *testing.T) {
 	}
 }
 
-func TestLoadReportWithoutLoadControl(t *testing.T) {
+func TestLoadControlMetricsOnlyWithLoadControl(t *testing.T) {
 	net, err := NewNetwork(20, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := net.LoadReport(); ok {
-		t.Error("LoadReport ok on a network without load control")
+	if _, ok := net.MetricValues()["loadctl_auto_splits_total"]; ok {
+		t.Error("load-control counters registered on a network without load control")
 	}
 	if err := net.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPeerLoadsCountDeliveries: the per-peer delivery counters PeerLoads
-// exposes (on every network, load-controlled or not) move with query
-// deliveries and are monotone.
-func TestPeerLoadsCountDeliveries(t *testing.T) {
-	net, err := NewNetwork(50, WithSeed(6))
-	if err != nil {
-		t.Fatal(err)
+// deliveriesMoved is how far each peer's delivery counter — what
+// RegionHeatReport lists and the load controller samples — moved between two
+// snapshots of an unchanged topology, by peer.
+func deliveriesMoved(before, after []RegionHeat) map[string]int64 {
+	was, moved := make(map[string]int64), make(map[string]int64)
+	for _, h := range before {
+		was[h.Peer] = h.Deliveries
 	}
-	for i := 0; i < 100; i++ {
-		if err := net.Publish(fmt.Sprintf("obj-%03d", i), float64(i*10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	total := func() int64 {
-		var sum int64
-		for _, pl := range net.PeerLoads() {
-			sum += pl.Deliveries
-		}
-		return sum
-	}
-	before := total()
-	for i := 0; i < 10; i++ {
-		if _, err := net.Do(context.Background(), NewRange([]Range{{Low: 0, High: 500}})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := total()
-	if after <= before {
-		t.Fatalf("delivery counters did not move: %d -> %d", before, after)
-	}
-}
-
-// deliveriesMoved is how far each peer's delivery counter — what PeerLoads
-// reports and the load controller samples — moved between two snapshots of
-// an unchanged topology, by peer.
-func deliveriesMoved(before, after []PeerLoad) map[string]int64 {
-	moved := make(map[string]int64)
-	for i, pl := range after {
-		if d := pl.Deliveries - before[i].Deliveries; d != 0 {
-			moved[pl.Peer] = d
+	for _, h := range after {
+		if d := h.Deliveries - was[h.Peer]; d != 0 {
+			moved[h.Peer] = d
 		}
 	}
 	return moved
@@ -460,7 +428,7 @@ func TestStreamDeliveriesArePerPage(t *testing.T) {
 	objects := 3*streamPage + 200
 	net := buildQueryNet(t, 100, objects)
 	pages := int64((objects + streamPage - 1) / streamPage)
-	before := net.PeerLoads()
+	before := net.RegionHeatReport(0)
 	seen := 0
 	for _, err := range net.Stream(context.Background(), NewRange([]Range{{Low: 0, High: 1000}})) {
 		if err != nil {
@@ -471,12 +439,12 @@ func TestStreamDeliveriesArePerPage(t *testing.T) {
 	if seen != objects {
 		t.Fatalf("stream yielded %d objects, want %d", seen, objects)
 	}
-	after := net.PeerLoads()
+	after := net.RegionHeatReport(0)
 	moved, total := deliveriesMoved(before, after), int64(0)
-	for _, pl := range after {
-		d := moved[pl.Peer]
+	for _, h := range after {
+		d := moved[h.Peer]
 		if total += d; d < 1 || d > 3 {
-			t.Fatalf("peer %s: %d deliveries from one %d-page stream, want 1..3", pl.Peer, d, pages)
+			t.Fatalf("peer %s: %d deliveries from one %d-page stream, want 1..3", h.Peer, d, pages)
 		}
 	}
 	// Every owner once by the fan-out, those past the first page once more by
@@ -484,7 +452,7 @@ func TestStreamDeliveriesArePerPage(t *testing.T) {
 	if most := int64(2*len(after)) + pages; total > most {
 		t.Fatalf("a %d-page stream over %d owners moved %d deliveries, want at most %d", pages, len(after), total, most)
 	}
-	if d := moved[after[len(after)-1].Peer]; d != 2 {
+	if d := moved[net.PeerIDs()[len(after)-1]]; d != 2 {
 		t.Fatalf("the high end's owner saw %d deliveries, want 2: the first page's fan-out and the last page's scan", d)
 	}
 }
@@ -501,12 +469,12 @@ func TestSessionDeliveriesArePerOwnerScanned(t *testing.T) {
 	}
 	defer sess.Close()
 	for page := 0; sess.More(); page++ {
-		before := net.PeerLoads()
+		before := net.RegionHeatReport(0)
 		res, err := sess.Next(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		moved := deliveriesMoved(before, net.PeerLoads())
+		moved := deliveriesMoved(before, net.RegionHeatReport(0))
 		if len(moved) != len(res.Destinations) {
 			t.Fatalf("page %d moved the delivery counters of %v, its destinations are %v", page+1, moved, res.Destinations)
 		}

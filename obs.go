@@ -44,7 +44,7 @@ type netObs struct {
 func (n *Network) initObs(cfg config) {
 	o := &n.obs
 	o.reg = obs.NewRegistry()
-	n.eng.Metrics().Describe(o.reg)
+	n.eng.DescribeMetrics(o.reg)
 	n.net.DescribeMetrics(o.reg)
 	if n.routes != nil {
 		n.routes.DescribeMetrics(o.reg)

@@ -3,6 +3,8 @@ package armada
 import (
 	"fmt"
 	"time"
+
+	"armada/internal/core"
 )
 
 // QueryKind identifies the query algorithm a Query requests.
@@ -42,40 +44,25 @@ func (k QueryKind) String() string {
 }
 
 // ReadPolicy selects which member of a replica group serves each delivery
-// of a query on a replicated network (see WithReplication). On an
-// unreplicated network every policy behaves like ReadPrimary.
-type ReadPolicy int
+// of a query on a replicated network (see WithReplication) — the engine's
+// own policy, by alias. On an unreplicated network every policy behaves
+// like ReadPrimary.
+type ReadPolicy = core.ReadPolicy
 
 const (
 	// ReadDefault uses the network's default: round-robin when the network
 	// replicates, primary-only otherwise.
-	ReadDefault ReadPolicy = iota
+	ReadDefault = core.ReadDefault
 	// ReadPrimary always serves from the region's owner, exactly like an
 	// unreplicated network.
-	ReadPrimary
+	ReadPrimary = core.ReadPrimary
 	// ReadRoundRobin rotates deliveries through each region's replica
 	// group, spreading hot-region read load.
-	ReadRoundRobin
+	ReadRoundRobin = core.ReadRoundRobin
 	// ReadLeastLoaded serves each delivery from the group member that has
 	// served the fewest scans so far.
-	ReadLeastLoaded
+	ReadLeastLoaded = core.ReadLeastLoaded
 )
-
-// String names the policy.
-func (p ReadPolicy) String() string {
-	switch p {
-	case ReadDefault:
-		return "default"
-	case ReadPrimary:
-		return "primary"
-	case ReadRoundRobin:
-		return "round-robin"
-	case ReadLeastLoaded:
-		return "least-loaded"
-	default:
-		return fmt.Sprintf("ReadPolicy(%d)", int(p))
-	}
-}
 
 // Hop is one observed overlay message of a traced query.
 type Hop struct {

@@ -81,9 +81,9 @@ func TestNewRejectsLoadControlMismatch(t *testing.T) {
 	}
 }
 
-// TestRunReportsLoadControl: a load-controlled run carries the skew, env
-// and load-control blocks with the documented JSON keys; a plain run omits
-// the load-control block but keeps skew and env.
+// TestRunReportsLoadControl: a load-controlled run carries the skew and env
+// blocks with the documented JSON keys and the controller's counters in its
+// metrics; a plain run has no controller counters but keeps skew and env.
 func TestRunReportsLoadControl(t *testing.T) {
 	sc := small()
 	sc.LoadControl = true
@@ -91,8 +91,8 @@ func TestRunReportsLoadControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.LoadControl == nil {
-		t.Fatal("load-controlled run reported no load_control block")
+	if _, ok := rep.Metrics["loadctl_auto_splits_total"]; !ok {
+		t.Fatal("load-controlled run reported no loadctl_auto_splits_total")
 	}
 	if rep.DeliverySkew == nil || rep.DeliverySkew.MeanDeliveries <= 0 {
 		t.Fatalf("delivery skew missing or empty: %+v", rep.DeliverySkew)
@@ -111,7 +111,7 @@ func TestRunReportsLoadControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{`"delivery_skew"`, `"max_over_mean"`, `"p99_over_mean"`, `"hot_peers"`,
-		`"load_control"`, `"auto_splits"`, `"env"`, `"gomaxprocs"`, `"go_version"`} {
+		`"loadctl_auto_splits_total"`, `"env"`, `"gomaxprocs"`, `"go_version"`} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("report JSON lacks %s", key)
 		}
@@ -121,8 +121,8 @@ func TestRunReportsLoadControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.LoadControl != nil {
-		t.Error("plain run reported a load_control block")
+	if _, ok := plain.Metrics["loadctl_auto_splits_total"]; ok {
+		t.Error("plain run reported load-control counters")
 	}
 	if plain.DeliverySkew == nil || plain.Env == nil {
 		t.Error("plain run lost the skew or env block")
@@ -131,7 +131,7 @@ func TestRunReportsLoadControl(t *testing.T) {
 
 func TestDeliverySkewComputation(t *testing.T) {
 	start := map[string]int64{"a": 10, "gone": 5}
-	end := []armada.PeerLoad{
+	end := []armada.RegionHeat{
 		{Peer: "a", Deliveries: 110}, // delta 100
 		{Peer: "b", Deliveries: 0},
 		{Peer: "c", Deliveries: 0},
@@ -157,7 +157,7 @@ func TestDeliverySkewComputation(t *testing.T) {
 	if got := deliverySkew(nil, nil); got != nil {
 		t.Errorf("skew over no peers = %+v, want nil", got)
 	}
-	idle := deliverySkew(nil, []armada.PeerLoad{{Peer: "a"}, {Peer: "b"}})
+	idle := deliverySkew(nil, []armada.RegionHeat{{Peer: "a"}, {Peer: "b"}})
 	if idle == nil || idle.MaxOverMean != 0 || idle.HotPeers != nil {
 		t.Errorf("idle skew = %+v, want mean-only report", idle)
 	}

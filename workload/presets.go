@@ -156,7 +156,7 @@ var presets = []Scenario{
 		// Sustained mixed traffic while the overlay churns hard, including
 		// crash-stops — the regime the paper's stable-network delay bounds
 		// say nothing about. Runs with 2-way replication so crashes lose
-		// nothing (availability_misses ~0, re_replications > 0); rerun with
+		// nothing (availability_misses ~0, repair copies > 0); rerun with
 		// -replicas 1 for the unreplicated baseline, where crash losses
 		// surface as lookup/unpublish misses.
 		Name:     "churn-heavy",

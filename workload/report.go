@@ -76,41 +76,6 @@ type OpReport struct {
 	MessagesPerPage Quantiles `json:"messages_per_page,omitzero"`
 }
 
-// ShortcutReport summarizes the route cache's activity during one run
-// (present only when the scenario enables it).
-type ShortcutReport struct {
-	// Capacity is the configured bound in learned owners; Entries the
-	// count at run end.
-	Capacity int `json:"capacity"`
-	Entries  int `json:"entries"`
-	// Hits and Misses count the lookups, range queries and session pages
-	// that consulted the cache during the run; Stale counts entries
-	// overwritten because churn had given their slot another owner;
-	// Evicted counts capacity evictions. HitRate is Hits/(Hits+Misses).
-	Hits    int64   `json:"hits"`
-	Misses  int64   `json:"misses"`
-	Stale   int64   `json:"stale,omitempty"`
-	Evicted int64   `json:"evicted,omitempty"`
-	HitRate float64 `json:"hit_rate"`
-}
-
-// ShortcutReportOf summarizes the route cache's activity between two
-// snapshots of its counters; a zero start reports the cache's lifetime.
-func ShortcutReportOf(start, end armada.ShortcutTableStats) *ShortcutReport {
-	st := &ShortcutReport{
-		Capacity: end.Capacity,
-		Entries:  end.Entries,
-		Hits:     end.Hits - start.Hits,
-		Misses:   end.Misses - start.Misses,
-		Stale:    end.Stale - start.Stale,
-		Evicted:  end.Evicted - start.Evicted,
-	}
-	if routes := st.Hits + st.Misses; routes > 0 {
-		st.HitRate = float64(st.Hits) / float64(routes)
-	}
-	return st
-}
-
 // MemoryReport records the network's steady-state memory footprint and the
 // cost of bringing it up — the scale metrics the 100k-peer runs are judged
 // by. Heap numbers are taken after a forced GC, before preload traffic, so
@@ -157,25 +122,12 @@ type SkewReport struct {
 	HotPeers []HotPeer `json:"hot_peers,omitempty"`
 }
 
-// LoadControlReport counts the adaptive load controller's actions during
-// one run (present only when the scenario enables load control).
-type LoadControlReport struct {
-	// AutoSplits counts hot regions split; Migrations ownership moves
-	// (cold donor leaves + hot region splits); CascadeSplits the extra
-	// invariant-restoring splits those actions needed; FailedActions the
-	// attempts the network rejected.
-	AutoSplits    int64 `json:"auto_splits"`
-	Migrations    int64 `json:"migrations"`
-	CascadeSplits int64 `json:"cascade_splits,omitempty"`
-	FailedActions int64 `json:"failed_actions,omitempty"`
-}
-
 // ChurnReport counts the churn events of one run.
 type ChurnReport struct {
 	Joins  int `json:"joins"`
 	Leaves int `json:"leaves"`
 	Fails  int `json:"fails"`
-	// Skipped counts events suppressed by the MinPeers/MaxPeers guards.
+	// Skipped counts events suppressed by the MinPeers guard.
 	Skipped int `json:"skipped,omitempty"`
 	Errors  int `json:"errors,omitempty"`
 }
@@ -235,9 +187,6 @@ type Report struct {
 	// AvailabilityMisses totals the per-op Misses: operations whose target
 	// object crash churn had destroyed. Nonzero only without replication.
 	AvailabilityMisses int `json:"availability_misses"`
-	// ReReplications is how many objects churn repair copied between peers
-	// to restore full replica groups during the run (replicated runs only).
-	ReReplications int64 `json:"re_replications,omitempty"`
 	// ReplicaReads counts query deliveries served by a non-primary
 	// replica, and ReplicaReadSpread is the per-query distribution of the
 	// fraction of deliveries a replica served (0 = all primary, 1 = all
@@ -249,23 +198,15 @@ type Report struct {
 	// (skipping even a walk's first descent).
 	DescentsSaved int `json:"descents_saved,omitempty"`
 	ShortcutHits  int `json:"shortcut_hits,omitempty"`
-	// Shortcut summarizes the route cache's run activity; absent when the
-	// scenario runs without one.
-	Shortcut *ShortcutReport `json:"shortcut,omitempty"`
 	// DeliverySkew summarizes the per-peer delivery balance of the run.
 	DeliverySkew *SkewReport `json:"delivery_skew,omitempty"`
-	// LoadControl counts the load controller's actions during the run;
-	// absent when the scenario runs without load control.
-	LoadControl *LoadControlReport `json:"load_control,omitempty"`
 	// Metrics is the full-run growth of every network counter
-	// (armada.MetricValues at run end minus run start, all keys), the
-	// machine-readable face of the run: engine message and delivery
-	// totals, cache hits, controller actions, conformance histograms.
+	// (armada.MetricValues at run end minus run start, all keys), the one
+	// place the report carries a registry counter: engine message and
+	// delivery totals, route-cache hits, controller actions, churn repair
+	// copies, delay_bound_violations (the paper's theorem says zero),
+	// conformance histograms.
 	Metrics map[string]int64 `json:"metrics,omitempty"`
-	// DelayBoundViolations counts queries whose realized hop delay reached
-	// the paper's 2·log₂N bound during the run. The theorem says zero;
-	// always present so CI can assert exactly that.
-	DelayBoundViolations int64 `json:"delay_bound_violations"`
 	// TailAttribution breaks the run's >p99 queries down by classified
 	// cause (fractions sum to 1); SLO is the delay-bound burn-rate
 	// monitor's closing state. Both are absent when the scenario runs

@@ -56,7 +56,7 @@ func New(net *armada.Network, sc Scenario) (*Runner, error) {
 		return nil, fmt.Errorf("%w: scenario declares a shortcut table of %d, network has %d",
 			ErrBadScenario, sc.ShortcutTable, ss.Capacity)
 	}
-	if _, ok := net.LoadReport(); ok != sc.LoadControl {
+	if _, ok := net.MetricValues()["loadctl_auto_splits_total"]; ok != sc.LoadControl {
 		return nil, fmt.Errorf("%w: scenario load control %v, network load control %v",
 			ErrBadScenario, sc.LoadControl, ok)
 	}
@@ -134,12 +134,9 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	startMetrics := r.net.MetricValues()
 	coll := newCollector(r.sc.Replicas > 1, startMetrics)
 	startPeers := r.net.Size()
-	startReRepl := r.net.ReReplications()
-	startShort, trackShort := r.net.ShortcutTableStats()
-	startLC, trackLC := r.net.LoadReport()
 	startLoads := make(map[string]int64)
-	for _, pl := range r.net.PeerLoads() {
-		startLoads[pl.Peer] = pl.Deliveries
+	for _, h := range r.net.RegionHeatReport(0) {
+		startLoads[h.Peer] = h.Deliveries
 	}
 	start := time.Now()
 
@@ -170,9 +167,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 					return
 				}
 				r.execOp(runCtx, smp, pool, coll, wait)
-				if sc.Arrival.Think > 0 {
-					sleepCtx(runCtx, sc.Arrival.Think)
-				}
 			}
 		}(w)
 	}
@@ -186,25 +180,8 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	}
 	coll.takeSnapshot(elapsed, r.net.Size(), r.net.MetricValues()) // final snapshot, always present
 	rep := r.report(elapsed, startPeers, coll)
-	rep.ReReplications = r.net.ReReplications() - startReRepl
 	rep.Metrics = metricsDelta(startMetrics, r.net.MetricValues(), false)
-	rep.DelayBoundViolations = rep.Metrics["delay_bound_violations"]
-	if trackShort {
-		// Report this run's slice of the cache counters (the network may
-		// be reused across runs).
-		end, _ := r.net.ShortcutTableStats()
-		rep.Shortcut = ShortcutReportOf(startShort, end)
-	}
-	rep.DeliverySkew = deliverySkew(startLoads, r.net.PeerLoads())
-	if trackLC {
-		end, _ := r.net.LoadReport()
-		rep.LoadControl = &LoadControlReport{
-			AutoSplits:    end.AutoSplits - startLC.AutoSplits,
-			Migrations:    end.Migrations - startLC.Migrations,
-			CascadeSplits: end.CascadeSplits - startLC.CascadeSplits,
-			FailedActions: end.FailedActions - startLC.FailedActions,
-		}
-	}
+	rep.DeliverySkew = deliverySkew(startLoads, r.net.RegionHeatReport(0))
 	if ta, ok := r.net.TailAttributionReport(); ok {
 		rep.TailAttribution = &ta
 	}
@@ -228,20 +205,20 @@ const skewTopN = 5
 // (peers created mid-run contribute their whole count — their counters
 // started at zero, or rode along a rename, either way their load belongs
 // to the run's hot regions).
-func deliverySkew(start map[string]int64, end []armada.PeerLoad) *SkewReport {
+func deliverySkew(start map[string]int64, end []armada.RegionHeat) *SkewReport {
 	if len(end) == 0 {
 		return nil
 	}
 	deltas := make([]int64, 0, len(end))
 	hot := make([]HotPeer, 0, len(end))
 	var total int64
-	for _, pl := range end {
-		d := pl.Deliveries - start[pl.Peer]
+	for _, h := range end {
+		d := h.Deliveries - start[h.Peer]
 		if d < 0 {
 			d = 0
 		}
 		deltas = append(deltas, d)
-		hot = append(hot, HotPeer{Peer: pl.Peer, Deliveries: d})
+		hot = append(hot, HotPeer{Peer: h.Peer, Deliveries: d})
 		total += d
 	}
 	rep := &SkewReport{MeanDeliveries: float64(total) / float64(len(deltas))}
@@ -293,7 +270,7 @@ func (r *Runner) arrivals(ctx context.Context, coll *collector) func() (time.Dur
 			return 0, sc.Ops <= 0 || issued.Add(1) <= int64(sc.Ops)
 		}
 	}
-	ch := make(chan time.Time, sc.Arrival.QueueCap)
+	ch := make(chan time.Time, 4*sc.Arrival.Workers) // four a worker absorb a burst; past that, arrivals are shed
 	go func() {
 		defer close(ch)
 		rng := rand.New(rand.NewSource(sc.Seed ^ 0x9e3779b9))
@@ -569,10 +546,6 @@ func (r *Runner) churn(ctx context.Context, coll *collector) {
 		var err error
 		switch x := rng.Float64() * total; {
 		case x < sc.Churn.JoinPerSec:
-			if sc.Churn.MaxPeers > 0 && r.net.Size() >= sc.Churn.MaxPeers {
-				coll.churnSkips.Add(1)
-				continue
-			}
 			if _, err = r.net.Join(); err == nil {
 				coll.churnJoins.Add(1)
 			}
@@ -913,14 +886,4 @@ func containsObject(objs []armada.Object, name string) bool {
 		}
 	}
 	return false
-}
-
-// sleepCtx sleeps for d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
 }

@@ -159,32 +159,28 @@ type SizeDist struct {
 // Arrival selects the arrival model.
 //
 // With RatePerSec zero the load is closed-loop: Workers workers each issue
-// operations back to back (optionally separated by Think). With RatePerSec
-// positive the load is open-loop: operations arrive on an absolute Poisson
-// schedule at that rate and queue (up to QueueCap) for up to Workers
-// concurrent executors. An arrival finding the queue full is dropped and
-// counted in the report — overload surfaces as queue wait and drops, never
-// as a silent sag of the arrival rate. Under sustained overload a run
-// stopped by Ops may therefore complete fewer than Ops operations.
+// operations back to back. With RatePerSec positive the load is open-loop:
+// operations arrive on an absolute Poisson schedule at that rate and queue
+// (up to 4×Workers) for up to Workers concurrent executors. An arrival
+// finding the queue full is dropped and counted in the report — overload
+// surfaces as queue wait and drops, never as a silent sag of the arrival
+// rate. Under sustained overload a run stopped by Ops may therefore
+// complete fewer than Ops operations.
 type Arrival struct {
-	Workers    int           `json:"workers"`
-	RatePerSec float64       `json:"rate_per_sec,omitempty"`
-	Think      time.Duration `json:"think,omitempty"`
-	// QueueCap bounds the open-loop dispatch queue (default 4×Workers).
-	QueueCap int `json:"queue_cap,omitempty"`
+	Workers    int     `json:"workers"`
+	RatePerSec float64 `json:"rate_per_sec,omitempty"`
 }
 
 // Churn is a peer-dynamics process running concurrently with the traffic:
 // joins, graceful leaves and crash-stops arrive as a merged Poisson
 // process with the given per-second rates. Leaves and crashes are skipped
-// while the network is at or below MinPeers, joins while at or above
-// MaxPeers (0 = unbounded); skips are counted in the report.
+// while the network is at or below MinPeers; skips are counted in the
+// report.
 type Churn struct {
 	JoinPerSec  float64 `json:"join_per_sec,omitempty"`
 	LeavePerSec float64 `json:"leave_per_sec,omitempty"`
 	FailPerSec  float64 `json:"fail_per_sec,omitempty"`
 	MinPeers    int     `json:"min_peers,omitempty"`
-	MaxPeers    int     `json:"max_peers,omitempty"`
 }
 
 func (c Churn) totalRate() float64 { return c.JoinPerSec + c.LeavePerSec + c.FailPerSec }
@@ -238,13 +234,13 @@ type Scenario struct {
 	// (armada.WithShortcutTable): lookups, range queries and session pages
 	// whose destinations it knows are seeded in one direct hop per
 	// destination instead of a ~log N descent, reported as shortcut_hits
-	// and the report's shortcut block. Default 0 — no cache.
+	// and the shortcut_*_total metrics. Default 0 — no cache.
 	ShortcutTable int `json:"shortcut_table,omitempty"`
 	// LoadControl builds the network with the adaptive load controller
 	// (armada.WithLoadControl): hot regions auto-split under sustained
 	// delivery load and, at the growth cap, ownership migrates from cold
-	// peers toward hot regions. The run's actions land in the report's
-	// load_control block. Default false.
+	// peers toward hot regions. The run's actions land in the
+	// loadctl_*_total metrics. Default false.
 	LoadControl bool `json:"load_control,omitempty"`
 	// SplitThreshold overrides the controller's split threshold (sustained
 	// deliveries/second on one region; 0 = the armada default). Requires
@@ -340,9 +336,6 @@ func (s Scenario) withDefaults() Scenario {
 	if s.Arrival.Workers == 0 {
 		s.Arrival.Workers = 8
 	}
-	if s.Arrival.RatePerSec > 0 && s.Arrival.QueueCap == 0 {
-		s.Arrival.QueueCap = 4 * s.Arrival.Workers
-	}
 	if s.Churn.Enabled() && s.Churn.MinPeers == 0 {
 		s.Churn.MinPeers = 16
 	}
@@ -433,11 +426,8 @@ func (s Scenario) validate() error {
 	if s.Arrival.Workers < 1 {
 		return bad("workers %d < 1", s.Arrival.Workers)
 	}
-	if s.Arrival.RatePerSec < 0 || s.Arrival.Think < 0 {
-		return bad("negative arrival rate or think time")
-	}
-	if s.Arrival.QueueCap < 0 {
-		return bad("negative arrival queue cap")
+	if s.Arrival.RatePerSec < 0 {
+		return bad("negative arrival rate")
 	}
 	if s.PageLimit < 1 && s.Mix.RangePaged > 0 {
 		return bad("range-paged weight set but page limit = %d", s.PageLimit)

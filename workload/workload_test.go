@@ -160,11 +160,11 @@ func TestExecuteOpenLoop(t *testing.T) {
 
 func TestExecuteOpenLoopUnderCapacity(t *testing.T) {
 	// At a rate the workers can easily absorb nothing may be dropped. The
-	// queue cap is raised well past the op budget so a scheduler stall on
-	// a loaded CI box cannot overflow the queue and flake the assertion.
+	// queue (4 × Workers) holds more than the op budget, so a scheduler
+	// stall on a loaded CI box cannot overflow it and flake the assertion.
 	sc := small()
 	sc.Ops = 50
-	sc.Arrival = Arrival{Workers: 4, RatePerSec: 200, QueueCap: 64}
+	sc.Arrival = Arrival{Workers: 16, RatePerSec: 200}
 	rep, err := Execute(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -212,10 +212,9 @@ func TestChurnRunKeepsInvariants(t *testing.T) {
 	sc := small()
 	sc.Name = "churn-test"
 	sc.Peers = 120
-	sc.Ops = 400
-	// In-process ops finish in microseconds, so slow the workers a touch
-	// and churn fast to guarantee events land inside the run window.
-	sc.Arrival.Think = 500 * time.Microsecond
+	// In-process ops finish in microseconds, so run for a fixed window and
+	// churn fast to guarantee events land inside it.
+	sc.Ops, sc.Duration = 0, 150*time.Millisecond
 	sc.Churn = Churn{JoinPerSec: 1500, LeavePerSec: 1000, FailPerSec: 500, MinPeers: 48}
 	net, err := armada.NewNetwork(sc.Peers, armada.WithSeed(sc.Seed))
 	if err != nil {
