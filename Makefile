@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race build vet micro fuzz bench-smoke loc nomap BENCH_micro.json
+.PHONY: test race build vet micro fuzz bench-smoke loc nomap noregion BENCH_micro.json
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,11 @@ loc:
 # over them, and no map comes back into its non-test files.
 nomap:
 	@! grep -n 'map\[' $(filter-out %_test.go,$(wildcard internal/fissione/*.go))
+
+# ROADMAP item 13's gate as a command: the descent carries rank spans, and no
+# string region comes back into the engine's non-test files.
+noregion:
+	@! grep -n 'kautz\.Region' $(filter-out %_test.go,$(wildcard internal/core/*.go))
 
 # Per-layer micro-benchmarks (ns/op, B/op, allocs/op): the pruning
 # predicates, the naming hash (m = 2, and Single_hash), one store read (the
@@ -74,7 +79,8 @@ BENCH_micro.json:
 # The CI fuzz leg: each target for 20 s on top of its committed seed corpus
 # (testdata/fuzz/) — the two differential pruning predicates, the namespace
 # arithmetic under the descent and the topology (successor, first-symbol
-# split, common prefix), naming's order preservation and its agreement with
+# split, common prefix), the rank geometry the descent runs against the string
+# code it replaced, naming's order preservation and its agreement with
 # the dividing reference walk (the check for any edit to naming's
 # arithmetic), rank order against string order with the ranks under a prefix
 # (what lets a store search by integer), the topology's cover trie against the
@@ -86,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSplitByFirstSymbol -fuzztime 20s ./internal/kautz/
 	$(GO) test -run '^$$' -fuzz FuzzCommonPrefix -fuzztime 20s ./internal/kautz/
 	$(GO) test -run '^$$' -fuzz FuzzRankOrder -fuzztime 20s ./internal/kautz/
+	$(GO) test -run '^$$' -fuzz FuzzRankGeometry -fuzztime 20s ./internal/kautz/
 	$(GO) test -run '^$$' -fuzz FuzzIntersectsPrefix -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashOrder -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashMatchesReference -fuzztime 20s ./internal/naming/

@@ -465,22 +465,22 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, sess *Sessio
 	var boundsBuf [8]float64 // the engine keeps neither bounds slice: four attributes' worth stay in this frame
 	switch kind {
 	case KindLookup:
-		var oid kautz.Str
+		var key uint64 // the ObjectID's rank: a value lookup builds no ObjectID string
 		switch {
 		case q.Name != "":
-			oid = kautz.Hash(q.Name, n.net.K())
+			key = kautz.Rank(kautz.Hash(q.Name, n.net.K()))
 		case len(q.Values) > 0:
 			if len(q.Values) != n.tree.Attrs() {
 				return nil, fmt.Errorf("%w: got %d lookup values, want %d", ErrBadArity, len(q.Values), n.tree.Attrs())
 			}
 			var err error
-			if oid, err = n.tree.Hash(q.Values...); err != nil {
+			if key, err = n.tree.HashRank(q.Values...); err != nil {
 				return nil, fmt.Errorf("armada: value lookup: %w", err)
 			}
 		default:
 			return nil, fmt.Errorf("%w: lookup needs a name or attribute values", ErrBadQuery)
 		}
-		res, err := n.eng.LookupWith(ctx, kautz.Str(issuer), oid, cfg)
+		res, err := n.eng.LookupWith(ctx, kautz.Str(issuer), key, cfg)
 		if err != nil {
 			return nil, wrapCoreErr(err)
 		}

@@ -93,12 +93,13 @@ func BenchmarkStep(b *testing.B) {
 	st := eng.newState(QueryConfig{}, issuer, nil)
 	defer st.release()
 	from, _ := eng.net.Slot(issuer)
-	st.enter(from, kautz.Region{Low: oids[0], High: oids[0]})
+	key := kautz.Rank(oids[0])
+	eng.enter(st, from, kautz.Span{Lo: key, Hi: key})
 	var steps []msg
 	for st.head < len(st.queue) {
 		m := st.queue[st.head]
 		st.head++
-		if m.kind == msgForward {
+		if m.h > 0 {
 			steps = append(steps, m)
 			eng.forward(st, m)
 		}

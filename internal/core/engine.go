@@ -17,6 +17,13 @@
 // query's delay is bounded by the issuer's identifier length: less than
 // 2·log₂N hops always and less than log₂N on average — the delay-bounded
 // property the paper is named for.
+//
+// Strings stay at the API edge. A query's region enters as the ranks of its
+// corners' ObjectIDs (naming.Tree.HashRank; a lookup's one ObjectID, ranked
+// once) and travels as a kautz.Span: a message is an address pair and a rank
+// interval. The first-symbol split, the entry height, the cursor clip, the
+// forwarding test against a child's identifier and rank, the seeding walk and
+// the delivery's clip to its owner's ranks are shifts and integer compares.
 package core
 
 import (
@@ -207,7 +214,8 @@ type QueryConfig struct {
 	// Range and flood queries only.
 	Limit int
 	// After restricts matches to ObjectIDs strictly greater than it — the
-	// cursor of keyset pagination, normally the previous page's Next.
+	// cursor of keyset pagination, normally the previous page's Next. Range
+	// and flood queries only.
 	After kautz.Str
 	// Policy selects the replica that serves each delivery on a replicated
 	// network (zero: ReadDefault).
@@ -334,7 +342,7 @@ func (s Stats) IncreRatio(networkSize int) float64 {
 	if s.DestPeers <= 1 {
 		return 0
 	}
-	return (float64(s.Messages) - log2(float64(networkSize))) / float64(s.DestPeers-1)
+	return (float64(s.Messages) - math.Log2(float64(networkSize))) / float64(s.DestPeers-1)
 }
 
 // Match is one object of a query result — the one result object in the
@@ -375,40 +383,31 @@ type RangeResult struct {
 	Stats Stats
 }
 
-// msgKind tags what a queued overlay message asks of its receiving peer.
-type msgKind uint8
-
-const (
-	// msgForward is a descent message with levels still to go: the receiver
-	// forwards it to the out-neighbors whose eventual prefixes the region
-	// can still reach.
-	msgForward msgKind = iota
-	// msgDeliver is an arrival at the destination level — a descent's last
-	// hop, or the direct send of a seeded query: the receiver owns part of
-	// the region and serves it.
-	msgDeliver
-)
-
-// msg is one overlay message in flight: an address pair and a region. Peers
-// are named by slot (fissione.Network.Slot), the address routing tables
-// hold, so a forward reads integers and the identifiers it compares from
-// one dense array; only a delivery turns a slot into a *Peer. Slots are
-// valid for the topology the query runs in.
+// msg is one overlay message in flight: an address pair and a rank interval,
+// with no pointer (TestMsgLayout), so the collector never scans the pooled
+// queue. With levels still to go (h > 0) the receiver forwards it to the
+// out-neighbors whose eventual prefixes the span still reaches; at the
+// destination level — a descent's last hop, or the direct send of a seeded
+// query — the receiver owns part of the span and serves it. Peers are named
+// by slot (fissione.Network.Slot), the address routing tables hold, so a
+// forward reads integers, and one symbol of each child's identifier, from one
+// dense array; only a delivery turns a slot into a *Peer. Slots are valid for
+// the topology the query runs in.
 type msg struct {
-	to     int32 // receiver's slot; the region's owner on deliveries
-	region kautz.Region
-	h      int32 // msgForward only: hops left to the destination level
-	depth  int32 // hops from the issuer; the issuer's own seeds are at 0
-	kind   msgKind
-	direct bool // seeded deliveries: the issuer addressed the serving replica itself
+	span   kautz.Span // the ObjectID ranks routed: one subregion of a descent
+	to     int32      // receiver's slot; the region's owner on deliveries
+	h      int32      // hops left to the destination level: 0 delivers
+	depth  int32      // hops from the issuer; the issuer's own seeds are at 0
+	direct bool       // seeded deliveries: the issuer addressed the serving replica itself
 }
 
 // located is one delivery's product: which replica serves which ObjectID
-// ranks for which owner — the routed region's, past the cursor, within the
-// owner's prefix. No store is touched until materialise scans it.
+// ranks for which owner — the routed span, past the cursor, clipped to the
+// ranks under the owner's identifier. No store is touched until materialise
+// scans it.
 type located struct {
 	owner, serving *fissione.Peer
-	span           fissione.Span
+	span           kautz.Span
 	slot           int32 // the owner's
 	depth          int32 // the delivery hop's depth, for the scan's trace event
 	end            int32 // materialise: the result's length once this run was scanned
@@ -429,15 +428,15 @@ type located struct {
 type queryState struct {
 	cfg      QueryConfig
 	issuer   kautz.Str
-	box      naming.Box // delivery filter; valid when hasBox
+	shape    // delivery filter; valid when hasBox
 	hasBox   bool
 	boxPrune bool // MIRA: forward only while the child's subspace meets box
 	flood    bool // ablation: forward to every out-neighbor (see FloodQuery)
 	seeded   bool // the Router knew every destination: no descent ran
 	replicas bool // replicated: a read policy picks each delivery's serving member
-	// span is the ranks of the region being routed, past the cursor — derived
-	// once a region; a delivery scans the part within its owner's prefix.
-	span fissione.Span
+	// span is the ranks being routed, past the cursor; a delivery scans the
+	// part within its owner's ranks.
+	span kautz.Span
 
 	queue    []msg // FIFO; queue[head:] is still to process
 	head     int
@@ -459,16 +458,16 @@ var statePool = sync.Pool{New: func() any { return new(queryState) }}
 // 11-message lookup would be waste.
 const maxPooled = 1 << 12
 
-// newState takes a state from the pool for one query. box, when non-nil,
+// newState takes a state from the pool for one query. q, when non-nil,
 // filters deliveries and — on a multi-attribute tree — prunes the descent.
 // For a single attribute the region predicate already implies the box
 // predicate (naming's TestContainsPrefixImpliesIntersectsSingleAttr checks
 // it exhaustively), so the descent skips it.
-func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str, box *naming.Box) *queryState {
+func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str, q *shape) *queryState {
 	st := statePool.Get().(*queryState)
 	st.cfg, st.issuer, st.replicas = cfg, issuer, e.net.Replicas() > 1
-	if box != nil {
-		st.box, st.hasBox = *box, true
+	if q != nil {
+		st.shape, st.hasBox = *q, true
 		st.boxPrune = e.tree.Attrs() > 1
 	}
 	return st
@@ -512,18 +511,18 @@ func (e *Engine) RangeQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []
 // rangeQuery runs a range query as the pruned descent or, for the flood
 // ablation (FloodQuery), as the unpruned one, which consults no Router.
 func (e *Engine) rangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig, flood, runs bool) (RangeResult, error) {
-	box, region, err := e.prepare(lo, hi)
+	q, err := e.prepare(lo, hi)
 	if err != nil {
 		return RangeResult{}, err
 	}
-	region, ok := clipRegionAfter(region, cfg.After)
+	span, ok := q.corners.Past(cfg.After)
 	if !ok {
 		return RangeResult{}, nil
 	}
 	if flood {
 		cfg.Routes = nil
 	}
-	st, stats, err := e.locate(ctx, issuer, region, &box, cfg, flood)
+	st, stats, err := e.locate(ctx, issuer, span, &q, cfg, flood)
 	if err != nil {
 		return RangeResult{}, err
 	}
@@ -533,39 +532,30 @@ func (e *Engine) rangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []floa
 	return res, nil
 }
 
-// prepare maps range bounds onto their query geometry: the box and the Kautz
-// region its corners span.
-func (e *Engine) prepare(lo, hi []float64) (box naming.Box, region kautz.Region, err error) {
-	if e.tree == nil {
-		return box, region, ErrNoTree
-	}
-	if box, err = e.tree.NewBox(lo, hi); err != nil {
-		return box, region, fmt.Errorf("core: range bounds: %w", err)
-	}
-	if region, err = e.tree.QueryRegion(box); err != nil {
-		return box, region, fmt.Errorf("core: range region: %w", err)
-	}
-	return box, region, nil
+// shape is a range query's geometry, mapped from its bounds once: the box and
+// the ranks of its corners' ObjectIDs, ⟨LowT, HighT⟩ before any cursor, which
+// PIRA's admission also reads (see admits).
+type shape struct {
+	box     naming.Box
+	corners kautz.Span
 }
 
-// clipRegionAfter shrinks a paginated query's region to ⟨succ(after),
-// High⟩, reporting false when nothing remains. This is what makes keyset
-// pagination cheap end to end: a later page's descent prunes every FRT
-// branch at or below the cursor, so it only visits the destination peers
-// that still hold unread matches instead of re-walking the whole region.
-func clipRegionAfter(r kautz.Region, after kautz.Str) (kautz.Region, bool) {
-	if after == "" || after < r.Low {
-		return r, true
+// prepare maps range bounds onto their query geometry. Naming preserves the
+// (partial) order, so the corners of a valid box never invert.
+func (e *Engine) prepare(lo, hi []float64) (q shape, err error) {
+	if e.tree == nil {
+		return q, ErrNoTree
 	}
-	if after >= r.High {
-		return kautz.Region{}, false
+	if q.box, err = e.tree.NewBox(lo, hi); err != nil {
+		return q, fmt.Errorf("core: range bounds: %w", err)
 	}
-	next, ok := kautz.Succ(after)
-	if !ok {
-		return kautz.Region{}, false
+	if q.corners.Lo, err = e.tree.HashRank(q.box.Lo...); err == nil {
+		q.corners.Hi, err = e.tree.HashRank(q.box.Hi...)
 	}
-	r.Low = next
-	return r, true
+	if err != nil {
+		return q, fmt.Errorf("core: range region: %w", err)
+	}
+	return q, nil
 }
 
 // LookupResult is the outcome of an exact-match lookup.
@@ -582,16 +572,20 @@ type LookupResult struct {
 // exact-match query, executed as the degenerate range ⟨objectID, objectID⟩
 // — and returns the objects published under it.
 func (e *Engine) Lookup(ctx context.Context, issuer kautz.Str, objectID kautz.Str, opts ...QueryOption) (*LookupResult, error) {
-	return boxed(e.LookupWith(ctx, issuer, objectID, buildQueryConfig(opts)))
+	if len(objectID) != e.net.K() || !kautz.Valid(objectID) {
+		return nil, fmt.Errorf("%w: %q", ErrBadObjectID, objectID)
+	}
+	return boxed(e.LookupWith(ctx, issuer, kautz.Rank(objectID), buildQueryConfig(opts)))
 }
 
-// LookupWith is Lookup with the configuration given, and the result
-// returned, by value; the owner is read off the one located run.
-func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, objectID kautz.Str, cfg QueryConfig) (LookupResult, error) {
-	if len(objectID) != e.net.K() || !kautz.Valid(objectID) {
-		return LookupResult{}, fmt.Errorf("%w: %q", ErrBadObjectID, objectID)
+// LookupWith is Lookup for the ObjectID of rank key, with the configuration
+// given, and the result returned, by value; the owner is read off the one
+// located run.
+func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, key uint64, cfg QueryConfig) (LookupResult, error) {
+	if key >= kautz.SpaceSize(e.net.K()) {
+		return LookupResult{}, fmt.Errorf("%w: rank %d", ErrBadObjectID, key)
 	}
-	st, stats, err := e.locate(ctx, issuer, kautz.Region{Low: objectID, High: objectID}, nil, cfg, false)
+	st, stats, err := e.locate(ctx, issuer, kautz.Span{Lo: key, Hi: key}, nil, cfg, false)
 	if err != nil {
 		return LookupResult{}, err
 	}
@@ -604,19 +598,19 @@ func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, objectID kaut
 	return res, nil
 }
 
-// locate runs a query's first phase from the issuer over the query region,
-// additionally filtering (and, for MIRA, pruning) with the box when box is
-// non-nil, and returns the state holding the ordered located runs with the
-// query's cost metrics; the caller materialises what it returns from them,
-// then calls finish. flood disables the pruning.
-func (e *Engine) locate(ctx context.Context, issuer kautz.Str, region kautz.Region, box *naming.Box, cfg QueryConfig, flood bool) (*queryState, Stats, error) {
+// locate runs a query's first phase from the issuer over the ranks of span,
+// additionally filtering (and, for MIRA, pruning) with the query's shape when
+// q is non-nil, and returns the state holding the ordered located runs with
+// the query's cost metrics; the caller materialises what it returns from
+// them, then calls finish. flood disables the pruning.
+func (e *Engine) locate(ctx context.Context, issuer kautz.Str, span kautz.Span, q *shape, cfg QueryConfig, flood bool) (*queryState, Stats, error) {
 	from, ok := e.net.Slot(issuer)
 	if !ok {
 		return nil, Stats{}, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
-	st := e.newState(cfg, issuer, box)
+	st := e.newState(cfg, issuer, q)
 	st.flood = flood
-	subregions, err := e.route(ctx, st, from, region)
+	subregions, err := e.route(ctx, st, from, span)
 	if err != nil {
 		st.release()
 		return nil, Stats{}, err
@@ -637,19 +631,9 @@ func (st *queryState) finish() {
 // local computation at the issuer (depth 0), as many levels above the
 // subregion's destination level as the issuer's identifier does not
 // already overlap the subregion's common prefix.
-func (st *queryState) enter(issuer int32, part kautz.Region) {
-	h := len(st.issuer) - kautz.OverlapSuffixPrefix(st.issuer, part.CommonPrefix())
-	st.queue = append(st.queue, descentMsg(issuer, part, h, 0))
-}
-
-// descentMsg is the descent message that reaches slot to with h levels
-// still to go: a forward above the destination level, a delivery at it.
-func descentMsg(to int32, region kautz.Region, h int, depth int32) msg {
-	kind := msgForward
-	if h == 0 {
-		kind = msgDeliver
-	}
-	return msg{kind: kind, to: to, region: region, h: int32(h), depth: depth}
+func (e *Engine) enter(st *queryState, issuer int32, part kautz.Span) {
+	h := part.EntryHeight(e.net.K(), e.net.IDAt(issuer), e.net.RankAt(issuer))
+	st.queue = append(st.queue, msg{span: part, to: issuer, h: int32(h)})
 }
 
 // pump drains the state's queue breadth-first: messages at equal depth are
@@ -678,16 +662,13 @@ func (e *Engine) pump(ctx context.Context, st *queryState) error {
 		if m.depth >= 1 {
 			st.messages++
 		}
-		switch m.kind {
-		case msgForward:
+		// A flood reaches every peer of the level; deliver only where the
+		// region predicate holds, so results and destination counts stay
+		// comparable with the pruned descent.
+		if m.h > 0 {
 			e.forward(st, m)
-		case msgDeliver:
-			// A flood reaches every peer of the level; deliver only where
-			// the region predicate holds, so results and destination
-			// counts stay comparable with the pruned descent.
-			if !st.flood || m.region.ContainsPrefix(e.net.IDAt(m.to)) {
-				e.deliver(st, m)
-			}
+		} else if !st.flood || m.span.ContainsPrefix(e.net.K(), e.net.IDAt(m.to), e.net.RankAt(m.to), 0) {
+			e.deliver(st, m)
 		}
 	}
 	e.metrics.Scheduled.Add(int64(st.head - start))
@@ -701,31 +682,28 @@ func (e *Engine) pump(ctx context.Context, st *queryState) error {
 // entry is a live slot (fissione's Audit checks it where tables are
 // written), so a surviving child is queued as read.
 func (e *Engine) forward(st *queryState, m msg) {
-	h := int(m.h) - 1 // levels left once a child holds the message
+	h, k := int(m.h)-1, e.net.K() // levels left once a child holds the message
 	for _, c := range e.net.Out(m.to) {
 		id := e.net.IDAt(c)
 		if !st.flood {
-			ep := id.Drop(h) // the child's eventual prefix at the destination level
-			if !m.region.ContainsPrefix(ep) {
+			// The child's eventual prefix at the destination level is id[h:].
+			if !m.span.ContainsPrefix(k, id, e.net.RankAt(c), h) {
 				continue
 			}
-			if st.boxPrune && !e.prefixIntersectsBox(ep, st.box) {
+			if st.boxPrune && !e.prefixIntersectsBox(id.Drop(h), st.box) {
 				continue
 			}
 		}
 		if st.cfg.Trace != nil {
 			st.cfg.Trace(HopForward, e.net.IDAt(m.to), id, int(m.depth), h)
 		}
-		st.queue = append(st.queue, descentMsg(c, m.region, h, m.depth+1))
+		st.queue = append(st.queue, msg{span: m.span, to: c, h: int32(h), depth: m.depth + 1})
 	}
 }
 
-// prefixIntersectsBox applies MIRA's subspace predicate, truncating
-// prefixes that exceed the tree depth.
+// prefixIntersectsBox applies MIRA's subspace predicate to a peer's
+// identifier or a suffix of one, which the tree's depth k always exceeds.
 func (e *Engine) prefixIntersectsBox(prefix kautz.Str, box naming.Box) bool {
-	if len(prefix) > e.tree.K() {
-		prefix = prefix[:e.tree.K()]
-	}
 	ok, err := e.tree.IntersectsPrefix(prefix, box)
 	return err == nil && ok
 }
@@ -772,7 +750,7 @@ func (e *Engine) deliver(st *queryState, m msg) {
 		}
 		st.cfg.Trace(kind, owner.ID(), serving.ID(), depth, 0)
 	}
-	span := st.span.Clip(kautz.PrefixRanks(owner.ID(), e.net.K()))
+	span := st.span.Clip(e.net.RanksAt(m.to))
 	st.runs = append(st.runs, located{owner: owner, serving: serving, span: span, slot: m.to, depth: m.depth})
 	if serving != owner {
 		st.replicaServed++
@@ -798,5 +776,3 @@ func (e *Engine) choose(group []*fissione.Peer, pol ReadPolicy) (serving int) {
 	}
 	return serving
 }
-
-func log2(x float64) float64 { return math.Log2(x) }

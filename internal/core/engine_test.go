@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"armada/internal/fissione"
 	"armada/internal/kautz"
@@ -486,5 +487,31 @@ func TestStatsRatios(t *testing.T) {
 	}
 	if got := (Stats{DestPeers: 1}).IncreRatio(1024); got != 0 {
 		t.Errorf("single-dest IncreRatio = %v", got)
+	}
+}
+
+// TestMsgLayout pins what the collector sees of the message queue: a msg is
+// an address pair and a rank interval — no string, slice or pointer at any
+// depth — and at most 40 bytes, so a pooled queue of them is never scanned.
+// A region carried as strings would bring back two pointers a message.
+func TestMsgLayout(t *testing.T) {
+	if size := unsafe.Sizeof(msg{}); size > 40 {
+		t.Errorf("msg is %d bytes, want at most 40", size)
+	}
+	var pointers func(prefix string, typ reflect.Type) []string
+	pointers = func(prefix string, typ reflect.Type) (out []string) {
+		for i := 0; i < typ.NumField(); i++ {
+			switch f := typ.Field(i); f.Type.Kind() {
+			case reflect.Bool, reflect.Int32, reflect.Uint8, reflect.Uint64:
+			case reflect.Struct:
+				out = append(out, pointers(prefix+f.Name+".", f.Type)...)
+			default:
+				out = append(out, prefix+f.Name)
+			}
+		}
+		return out
+	}
+	if p := pointers("", reflect.TypeOf(msg{})); len(p) > 0 {
+		t.Errorf("msg holds %v, which may point into the heap", p)
 	}
 }

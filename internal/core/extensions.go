@@ -44,7 +44,7 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 	if cfg.Limit > 0 || cfg.After != "" {
 		return nil, fmt.Errorf("core: top-k does not paginate; its result cap is k")
 	}
-	box, region, err := e.prepare(lo, hi)
+	q, err := e.prepare(lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -53,20 +53,20 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
 
-	st := e.newState(cfg, issuer, &box)
+	st := e.newState(cfg, issuer, &q)
 	defer st.release()
 	// Process subregions from the high end, one drained queue at a time:
 	// once a subregion yields k matches, lower subregions cannot contribute
 	// to the top k (the naming is order-preserving, so higher regions hold
 	// higher values). Delays take the maximum and message counts add, as
 	// for subqueries run in parallel.
-	var buf [3]kautz.Region
-	parts := region.AppendSplitByFirstSymbol(buf[:0])
-	top := selection{k: k, m: len(box.Lo)}
-	st.span = fissione.SpanOf(region, "")
+	var buf [3]kautz.Span
+	parts := q.corners.AppendSplitByFirstSymbol(e.net.K(), buf[:0])
+	top := selection{k: k, m: len(q.box.Lo)}
+	st.span = q.corners
 	ran, found, scanned := 0, 0, 0
 	for i := len(parts) - 1; i >= 0 && found < k; i-- {
-		st.enter(from, parts[i])
+		e.enter(st, from, parts[i])
 		if err := e.pump(ctx, st); err != nil {
 			return nil, err
 		}
@@ -177,7 +177,7 @@ func (st *queryState) selectTop(runs []located, top *selection) (admitted int) {
 		r.serving.ViewSpan(r.span, func(run fissione.Run) {
 			for j := range run.Idx {
 				s := &run.Idx[j]
-				if row := run.Vals[j*run.Stride:][:s.N]; st.admits(row) {
+				if row := run.Vals[j*run.Stride:][:s.N]; st.admits(s.Key, row) {
 					admitted++
 					top.offer(s, row, r.serving)
 				}

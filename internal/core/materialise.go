@@ -67,10 +67,15 @@ func sortRuns(runs []located) {
 }
 
 // admits applies the delivery filter — the query box, when there is one —
-// to the values of an object the scanned span let through. It reads the store
-// in place, under the serving peer's store read lock.
-func (st *queryState) admits(row []float64) bool {
-	return !st.hasBox || len(row) == len(st.box.Lo) && st.box.Contains(row)
+// to an object the scanned span let through: its ObjectID's rank key and its
+// values, read in place under the serving peer's store read lock. A row of
+// another arity (a value-less exact-match object) is refused first. Under
+// PIRA an object whose key lies strictly between the corners is inside the
+// box by order preservation, so only the two corner leaves pay the float
+// test; every MIRA object pays it, for the region over-covers the box.
+func (st *queryState) admits(key uint64, row []float64) bool {
+	return !st.hasBox || len(row) == len(st.box.Lo) &&
+		(!st.boxPrune && st.corners.Lo < key && key < st.corners.Hi || st.box.Contains(row))
 }
 
 // scanned reports one run's completed scan to the query's observer.
@@ -107,7 +112,7 @@ func (st *queryState) count(run fissione.Run, need int) int {
 	}
 	n := 0
 	for i := 0; i < len(run.Idx) && n < need; i++ {
-		if st.admits(run.Vals[i*run.Stride:][:run.Idx[i].N]) {
+		if st.admits(run.Idx[i].Key, run.Vals[i*run.Stride:][:run.Idx[i].N]) {
 			n++
 		}
 	}
@@ -136,7 +141,7 @@ func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, servin
 	for i := range run.Idx {
 		s := &run.Idx[i]
 		row := run.Vals[i*run.Stride:][:s.N]
-		if !st.admits(row) {
+		if !st.admits(s.Key, row) {
 			continue
 		}
 		if limit > 0 && len(out) >= limit && s.Rec[:s.ILen] != out[len(out)-1].ID {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"armada/internal/fissione"
 	"armada/internal/kautz"
 )
 
@@ -53,16 +52,16 @@ type Router interface {
 func WithRouter(r Router) QueryOption { return func(c *QueryConfig) { c.Routes = r } }
 
 // route sends the query from the issuer to every owner it delivers to over
-// region: directly when the query's Router knows them all (see seed), else —
-// the attempt cost nothing — by the pruned FRT search, one descent per
-// common-prefix subregion.
-func (e *Engine) route(ctx context.Context, st *queryState, from int32, region kautz.Region) (subregions int, err error) {
-	st.span = fissione.SpanOf(region, st.cfg.After)
-	if st.seeded = st.cfg.Routes != nil && e.seed(st, region); !st.seeded {
-		var buf [3]kautz.Region
-		parts := region.AppendSplitByFirstSymbol(buf[:0])
+// the ranks of span, which lie past any cursor: directly when the query's
+// Router knows them all (see seed), else — the attempt cost nothing — by the
+// pruned FRT search, one descent per common-prefix subregion.
+func (e *Engine) route(ctx context.Context, st *queryState, from int32, span kautz.Span) (subregions int, err error) {
+	st.span = span
+	if st.seeded = st.cfg.Routes != nil && e.seed(st, span); !st.seeded {
+		var buf [3]kautz.Span
+		parts := span.AppendSplitByFirstSymbol(e.net.K(), buf[:0])
 		for _, part := range parts {
-			st.enter(from, part)
+			e.enter(st, from, part)
 		}
 		subregions = len(parts)
 	}
@@ -76,10 +75,10 @@ func (e *Engine) route(ctx context.Context, st *queryState, from int32, region k
 const maxSeedSkip = 64
 
 // seed serves the query from what its Router has learned: it walks the live
-// owners that tile region, from the owner of Low to the owner of High in trie
-// order, and queues one direct message to each the query would deliver to —
-// all of them or, under a box, those the descent's own last-hop predicate
-// admits — provided the Router knows every one. Judging each tile against the
+// owners that tile span, from the owner of its low rank to the owner of its
+// high one in trie order, and queues one direct message to each the query
+// would deliver to — all of them or, under a box, those the descent's own
+// last-hop predicate admits — provided the Router knows every one. Judging each tile against the
 // live topology is what makes a learned owner fresh by construction, and is
 // outcome-identical to longest-prefix matching the region's positions over
 // the learned names. It reports false — what it queued withdrawn, no message
@@ -89,9 +88,9 @@ const maxSeedSkip = 64
 // and Stats differ only in cost: Messages is one per destination (the read
 // policy is applied issuer-side: redirects cost nothing), Delay the single
 // fan-out hop, Subregions 0 and DescentsSaved 1.
-func (e *Engine) seed(st *queryState, region kautz.Region) bool {
+func (e *Engine) seed(st *queryState, span kautz.Span) bool {
 	queued := len(st.queue)
-	slot, ok := e.net.OwnerSlot(region.Low)
+	slot, ok := e.net.OwnerSlot(span.Lo)
 	for skipped := 0; ok; slot, ok = e.net.Next(slot) {
 		id := e.net.IDAt(slot)
 		if st.boxPrune && !e.prefixIntersectsBox(id, st.box) {
@@ -99,11 +98,11 @@ func (e *Engine) seed(st *queryState, region kautz.Region) bool {
 				break
 			}
 		} else if st.cfg.Routes.Knows(Tile{Slot: slot, ID: id}) {
-			st.queue = append(st.queue, msg{kind: msgDeliver, to: slot, region: region, depth: 1, direct: true})
+			st.queue = append(st.queue, msg{to: slot, span: span, depth: 1, direct: true})
 		} else {
 			break
 		}
-		if region.High.HasPrefix(id) {
+		if _, top := e.net.RanksAt(slot); span.Hi <= top { // this owner holds the high end
 			return true
 		}
 	}

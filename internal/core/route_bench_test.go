@@ -38,17 +38,19 @@ func routed(tb testing.TB) (*core.Engine, *shortcut.Table, []core.Tile) {
 	return eng, table, tiles
 }
 
-// span is the region from the first ObjectID of tiles[i] to the last of
-// tiles[i+n-1]: n owners tile it.
-func span(tiles []core.Tile, i, n int) kautz.Region {
-	return kautz.Region{Low: kautz.MinExtend(tiles[i].ID, 24), High: kautz.MaxExtend(tiles[i+n-1].ID, 24)}
+// span is the ranks from the first ObjectID of tiles[i] to the last of
+// tiles[i+n-1]: n owners tile them.
+func span(tiles []core.Tile, i, n int) kautz.Span {
+	lo, _ := kautz.PrefixRanks(tiles[i].ID, 24)
+	_, hi := kautz.PrefixRanks(tiles[i+n-1].ID, 24)
+	return kautz.Span{Lo: lo, Hi: hi}
 }
 
 // benchSeed measures the cache-hit path alone — the owner probe, the walk
 // along the trie order and one cache read per tile — over regions of n tiles.
 func benchSeed(b *testing.B, n int) {
 	eng, table, tiles := routed(b)
-	regions := make([]kautz.Region, 256)
+	regions := make([]kautz.Span, 256)
 	for i := range regions {
 		regions[i] = span(tiles, (i*7919)%(len(tiles)-n), n)
 	}

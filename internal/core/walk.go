@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"armada/internal/fissione"
 	"armada/internal/kautz"
-	"armada/internal/naming"
 )
 
 // Walk is what one paged range walk keeps between its pages: the query's
@@ -26,9 +24,8 @@ import (
 // correct against concurrent writes. Only a failed validation re-locates the
 // remainder past the cursor, which refills the tiles.
 type Walk struct {
-	box    naming.Box
-	region kautz.Region
-	tiles  []Tile // ascending, the first may hold the cursor; nil until a page has located
+	q     shape
+	tiles []Tile // ascending, the first may hold the cursor; nil until a page has located
 }
 
 // WalkPage runs the walk's next page — the range [lo, hi] (read until a page
@@ -46,7 +43,7 @@ func (e *Engine) WalkPage(ctx context.Context, w *Walk, issuer kautz.Str, lo, hi
 	}
 	first := w.tiles == nil
 	if first {
-		if w.box, w.region, err = e.prepare(lo, hi); err != nil {
+		if w.q, err = e.prepare(lo, hi); err != nil {
 			return res, false, false, err
 		}
 	}
@@ -54,9 +51,9 @@ func (e *Engine) WalkPage(ctx context.Context, w *Walk, issuer kautz.Str, lo, hi
 	for len(tiles) > 0 && tiles[0].ID < cfg.After && !cfg.After.HasPrefix(tiles[0].ID) {
 		tiles = tiles[1:] // wholly behind the cursor
 	}
-	st := e.newState(cfg, issuer, &w.box)
+	st := e.newState(cfg, issuer, &w.q)
 	st.seeded = true // until a descent runs
-	st.span = fissione.SpanOf(w.region, cfg.After)
+	st.span, _ = w.q.corners.Past(cfg.After)
 
 	var pg page
 	if cfg.Limit > 0 && len(tiles) > 1 {
@@ -69,7 +66,7 @@ func (e *Engine) WalkPage(ctx context.Context, w *Walk, issuer kautz.Str, lo, hi
 		if stale = e.net.IDAt(t.Slot) != t.ID; stale {
 			break
 		}
-		st.queue = append(st.queue, msg{kind: msgDeliver, to: t.Slot, region: w.region, depth: 1, direct: true})
+		st.queue = append(st.queue, msg{to: t.Slot, span: st.span, depth: 1, direct: true})
 		if err = e.pump(ctx, st); err != nil {
 			break
 		}
@@ -82,10 +79,10 @@ func (e *Engine) WalkPage(ctx context.Context, w *Walk, issuer kautz.Str, lo, hi
 		if n := len(pg.out); n > 0 {
 			after = kautz.Str(pg.out[n-1].ID)
 		}
-		if region, ok := clipRegionAfter(w.region, after); ok {
+		if span, ok := w.q.corners.Past(after); ok {
 			located = true
 			ahead := len(st.runs)
-			if subregions, err = e.route(ctx, st, from, region); err == nil {
+			if subregions, err = e.route(ctx, st, from, span); err == nil {
 				sortRuns(st.runs[ahead:])
 				st.scanRuns(&pg, st.runs[ahead:])
 			}

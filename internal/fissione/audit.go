@@ -71,8 +71,8 @@ func (n *Network) CheckSlots() error {
 			return err
 		}
 		nd := &n.nodes[s]
-		if nd.peer.id != nd.id || nd.pos != int32(i) {
-			return fmt.Errorf("%w: slot %d (%q) at position %d: peer is %q, pos %d", ErrCorrupt, s, nd.id, i, nd.peer.id, nd.pos)
+		if nd.peer.id != nd.id || nd.pos != int32(i) || nd.rank != kautz.Rank(nd.id) {
+			return fmt.Errorf("%w: slot %d (%q) at position %d: peer is %q, pos %d, rank %d", ErrCorrupt, s, nd.id, i, nd.peer.id, nd.pos, nd.rank)
 		}
 		if i > 0 && n.nodes[n.order[i-1]].id >= nd.id {
 			return fmt.Errorf("%w: order not ascending at position %d: %q after %q", ErrCorrupt, i, nd.id, n.nodes[n.order[i-1]].id)

@@ -632,7 +632,7 @@ func FuzzStoreMatchesReference(f *testing.F) {
 					t.Fatalf("step %d: dropPrefixRun(%q) = %d, want %d", step, prefix, got, want)
 				}
 			case 7:
-				span := Span{Lo: uint64(data[1]) % space, Hi: uint64(data[2]) % space}
+				span := kautz.Span{Lo: uint64(data[1]) % space, Hi: uint64(data[2]) % space}
 				want := ref.where(func(id kautz.Str) bool { return span.Lo <= kautz.Rank(id) && kautz.Rank(id) <= span.Hi })
 				var got []StoredObject
 				p.ViewSpan(span, func(run Run) {

@@ -35,7 +35,8 @@ const maxDegree = 6
 // testing a neighbor's identifier also brings in the table the next hop
 // follows. A free slot holds the zero node.
 type node struct {
-	id kautz.Str
+	id   kautz.Str
+	rank uint64 // kautz.Rank(id): what a query's forwarding test and owner clip read
 	// nbr lists neighbor slots, out-neighbors then in-neighbors, each list
 	// ascending by identifier (hop order is behaviour), not by slot.
 	nbr            [maxDegree]int32
@@ -175,6 +176,17 @@ func (n *Network) PeerAt(slot int32) *Peer { return n.nodes[slot].peer }
 // may be asked about: the slot space never shrinks.
 func (n *Network) IDAt(slot int32) kautz.Str { return n.nodes[slot].id }
 
+// RankAt returns the rank of the identifier IDAt returns (kautz.Rank at its
+// own length), 0 for a released slot.
+func (n *Network) RankAt(slot int32) uint64 { return n.nodes[slot].rank }
+
+// RanksAt returns the ObjectID ranks the peer holding a live slot owns —
+// kautz.PrefixRanks of its identifier, from the rank its node keeps.
+func (n *Network) RanksAt(slot int32) (lo, hi uint64) {
+	nd := &n.nodes[slot]
+	return kautz.BlockRanks(nd.rank, len(nd.id), n.k)
+}
+
 // Next returns the slot that follows a live slot in trie order — the owner of
 // the region directly above its own — and false at the namespace's high end.
 func (n *Network) Next(slot int32) (int32, bool) {
@@ -248,7 +260,7 @@ func (n *Network) alloc(id kautz.Str) (int32, error) {
 	} else {
 		n.nodes = append(n.nodes, node{})
 	}
-	n.nodes[s] = node{id: id, peer: newPeer(id)}
+	n.nodes[s] = node{id: id, rank: kautz.Rank(id), peer: newPeer(id)}
 	return s, nil
 }
 
@@ -270,7 +282,7 @@ func (n *Network) rename(s int32, id kautz.Str) error {
 		_ = n.cover.put(nd.id, s) // back under the name just unregistered: its cell is free
 		return err
 	}
-	nd.id, nd.peer.id = id, id
+	nd.id, nd.rank, nd.peer.id = id, kautz.Rank(id), id
 	return nil
 }
 
@@ -503,10 +515,9 @@ func (n *Network) ownerSlot(objectID kautz.Str) (int32, error) {
 	return 0, fmt.Errorf("%w: no owner for %q", ErrCorrupt, objectID)
 }
 
-// OwnerSlot returns the slot of the peer owning objectID, a Kautz string of
-// the network's length k.
-func (n *Network) OwnerSlot(objectID kautz.Str) (int32, bool) {
-	return n.cover.owner(objectID)
+// OwnerSlot returns the slot of the peer owning the ObjectID of rank key.
+func (n *Network) OwnerSlot(key uint64) (int32, bool) {
+	return n.cover.ownerKey(key, n.k)
 }
 
 // OwnerOf returns the identifier of the peer owning objectID.

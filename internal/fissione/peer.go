@@ -149,19 +149,10 @@ type Run struct {
 	Stride int
 }
 
-// Span is an inclusive interval of ObjectID ranks; Lo > Hi holds nothing.
-type Span struct{ Lo, Hi uint64 }
-
-// Clip returns the part of the span within [lo, hi].
-func (s Span) Clip(lo, hi uint64) Span { return Span{Lo: max(s.Lo, lo), Hi: min(s.Hi, hi)} }
-
 // SpanOf returns the ranks of the region's ObjectIDs strictly greater than
 // after, when after is non-empty.
-func SpanOf(r kautz.Region, after kautz.Str) Span {
-	s := Span{Lo: kautz.Rank(r.Low), Hi: kautz.Rank(r.High)}
-	if after != "" {
-		s.Lo = max(s.Lo, kautz.Rank(after)+1)
-	}
+func SpanOf(r kautz.Region, after kautz.Str) kautz.Span {
+	s, _ := kautz.Span{Lo: kautz.Rank(r.Low), Hi: kautz.Rank(r.High)}.Past(after)
 	return s
 }
 
@@ -325,7 +316,7 @@ func (p *Peer) ObjectCount() int {
 
 // bounds returns the index interval [lo, hi) of the stored objects whose
 // ObjectID ranks lie in the span, in O(log n). The caller holds p.mu.
-func (p *Peer) bounds(s Span) (lo, hi int) {
+func (p *Peer) bounds(s kautz.Span) (lo, hi int) {
 	if s.Lo > s.Hi {
 		return 0, 0
 	}
@@ -341,7 +332,7 @@ func (p *Peer) bounds(s Span) (lo, hi int) {
 // it may keep past its return only slots by value and their records, which
 // are immutable — never the run's slices or a row of Vals: the column shifts
 // under the next publish.
-func (p *Peer) ViewSpan(s Span, fn func(Run)) {
+func (p *Peer) ViewSpan(s kautz.Span, fn func(Run)) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	fn(p.run(p.bounds(s)))
@@ -385,7 +376,7 @@ func (p *Peer) prefixRange(prefix kautz.Str) (lo, hi int) {
 		return 0, 0
 	}
 	klo, khi := kautz.PrefixRanks(prefix, int(p.store[0].ILen)) // every slot's ILen is the network's k
-	return p.bounds(Span{Lo: klo, Hi: khi})
+	return p.bounds(kautz.Span{Lo: klo, Hi: khi})
 }
 
 // merge merges two canonically sorted runs into one: their sum or, with

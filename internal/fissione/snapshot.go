@@ -192,7 +192,7 @@ func LoadSnapshot(r io.Reader) (*Network, error) {
 		if err := n.cover.put(id, slot); err != nil {
 			return nil, bad("id %d: %w", i, err)
 		}
-		n.nodes[i], n.order[i] = node{id: id, pos: slot, peer: newPeer(id)}, slot
+		n.nodes[i], n.order[i] = node{id: id, rank: kautz.Rank(id), pos: slot, peer: newPeer(id)}, slot
 	}
 
 	// Out-edges arrive as trie positions, which are the slots. In-edges are

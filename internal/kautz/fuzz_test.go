@@ -1,9 +1,52 @@
 package kautz
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
+
+// CommonPrefix returns the longest common prefix of a and b — ComT, for a
+// region's bounds. The descent computes it in ranks (Span.EntryHeight); this
+// is the string definition FuzzRankGeometry holds that to.
+func CommonPrefix(a, b Str) Str {
+	n := min(len(a), len(b))
+	i := 0
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return a[:i]
+}
+
+// OverlapSuffixPrefix returns the length of the longest suffix of a that is
+// a prefix of b. This is the f = |ComS| quantity of the paper: the number of
+// routing hops PIRA may skip because the issuer's identifier already ends
+// with the targets' common prefix.
+func OverlapSuffixPrefix(a, b Str) int {
+	maxL := min(len(a), len(b))
+	for l := maxL; l > 0; l-- {
+		if a[len(a)-l:] == Str(b[:l]) {
+			return l
+		}
+	}
+	return 0
+}
+
+// clipRegionAfter is the string form of a keyset cursor's clip: the region
+// shrunk to ⟨Succ(after), High⟩, and false when nothing remains.
+func clipRegionAfter(r Region, after Str) (Region, bool) {
+	if after < r.Low {
+		return r, true
+	}
+	if after >= r.High {
+		return Region{}, false
+	}
+	next, ok := Succ(after)
+	if !ok {
+		return Region{}, false
+	}
+	r.Low = next
+	return r, true
+}
+
+// spanOf is a region's rank span.
+func spanOf(r Region) Span { return Span{Lo: Rank(r.Low), Hi: Rank(r.High)} }
 
 // fuzzStr decodes raw fuzz inputs into a valid Kautz string of length
 // k ∈ [1, MaxRankLen].
@@ -59,13 +102,6 @@ func FuzzSplitByFirstSymbol(f *testing.F) {
 		if len(parts) < 1 || len(parts) > len(Alphabet) {
 			t.Fatalf("%v split into %d parts", r, len(parts))
 		}
-		// The appending entry point: the same parts, behind what dst held, in
-		// the caller's own array.
-		var buf [1 + len(Alphabet)]Region
-		buf[0] = Region{Low: "kept", High: "kept"}
-		if got := r.AppendSplitByFirstSymbol(buf[:1]); !slices.Equal(got[1:], parts) || got[0] != buf[0] || &got[0] != &buf[0] {
-			t.Fatalf("%v: AppendSplitByFirstSymbol = %v, SplitByFirstSymbol = %v", r, got, parts)
-		}
 		if parts[0].Low != r.Low || parts[len(parts)-1].High != r.High {
 			t.Fatalf("%v split into %v: ends moved", r, parts)
 		}
@@ -104,7 +140,7 @@ func FuzzCommonPrefix(f *testing.F) {
 		// As a region's ComT (bounds of one length, ascending).
 		k := min(len(a), len(b))
 		r := Region{Low: min(a[:k], b[:k]), High: max(a[:k], b[:k])}
-		com := r.CommonPrefix()
+		com := CommonPrefix(r.Low, r.High)
 		if MinExtend(com, k) > r.Low || MaxExtend(com, k) < r.High || !r.ContainsPrefix(com) {
 			t.Fatalf("%v: ComT %q does not cover the region", r, com)
 		}
@@ -138,6 +174,59 @@ func FuzzRankOrder(f *testing.F) {
 		lo, hi := PrefixRanks(p, to)
 		if wantLo, wantHi := Rank(MinExtend(p, to)), Rank(MaxExtend(p, to)); lo != wantLo || hi != wantHi {
 			t.Fatalf("PrefixRanks(%q, %d) = %d, %d; its extensions rank %d, %d", p, to, lo, hi, wantLo, wantHi)
+		}
+	})
+}
+
+// FuzzRankGeometry holds each rank helper the descent runs to the string code
+// it replaced, at every k in [2, MaxRankLen], for identifiers of any length up
+// to k and any height, the empty eventual prefix included:
+//   - the forwarding test, Span.ContainsPrefix, is Region.ContainsPrefix of
+//     the child's eventual prefix id.Drop(h);
+//   - the split, Span.AppendSplitByFirstSymbol, is SplitByFirstSymbol;
+//   - the entry height, Span.EntryHeight, is len(issuer) less the issuer's
+//     overlap with each part's ComT;
+//   - the cursor clip, Span.Past, is the Succ-based clipRegionAfter.
+func FuzzRankGeometry(f *testing.F) {
+	f.Add(uint8(0), uint64(0), uint64(0), uint64(0), uint8(0), uint64(0), uint8(0), uint8(0), uint64(0))
+	f.Add(uint8(30), uint64(12345), uint64(99999), uint64(77), uint8(12), uint64(5), uint8(9), uint8(3), uint64(50000))
+	f.Fuzz(func(t *testing.T, kRaw uint8, lowRank, highRank, idRank uint64, idLenRaw uint8, issuerRank uint64, issuerLenRaw, hRaw uint8, cursorRank uint64) {
+		k := 2 + int(kRaw)%(MaxRankLen-1)
+		low, high := fuzzStr(lowRank, uint8(k-1)), fuzzStr(highRank, uint8(k-1))
+		r := Region{Low: min(low, high), High: max(low, high)}
+		s := spanOf(r)
+		id, issuer := fuzzStr(idRank, idLenRaw%uint8(k)), fuzzStr(issuerRank, issuerLenRaw)
+		h := int(hRaw) % (len(id) + 3)
+
+		if got, want := s.ContainsPrefix(k, id, Rank(id), h), r.ContainsPrefix(id.Drop(h)); got != want {
+			t.Fatalf("%v at k=%d: ContainsPrefix of %q from height %d = %v; the string test says %v", r, k, id, h, got, want)
+		}
+
+		parts := r.SplitByFirstSymbol()
+		spans := s.AppendSplitByFirstSymbol(k, nil)
+		if len(spans) != len(parts) {
+			t.Fatalf("%v: %d rank parts, %d string parts", r, len(spans), len(parts))
+		}
+		for i, p := range parts {
+			if spans[i] != spanOf(p) {
+				t.Fatalf("%v: rank part %d = %v; string part %v ranks %v", r, i, spans[i], p, spanOf(p))
+			}
+		}
+		for _, p := range append(parts, r) {
+			want := len(issuer) - OverlapSuffixPrefix(issuer, CommonPrefix(p.Low, p.High))
+			if got := spanOf(p).EntryHeight(k, issuer, Rank(issuer)); got != want {
+				t.Fatalf("%v: EntryHeight from %q = %d, the string overlap says %d", p, issuer, got, want)
+			}
+		}
+
+		cursor := fuzzStr(cursorRank, uint8(k-1))
+		got, ok := s.Past(cursor)
+		clipped, wantOK := clipRegionAfter(r, cursor)
+		if ok != wantOK || ok && got != spanOf(clipped) {
+			t.Fatalf("%v after %q: rank clip %v, %v; the Succ clip %v, %v", r, cursor, got, ok, clipped, wantOK)
+		}
+		if got, ok := s.Past(""); !ok || got != s {
+			t.Fatalf("%v: the empty cursor clips it to %v, %v", r, got, ok)
 		}
 	})
 }

@@ -8,10 +8,10 @@
 // totally ordered by the usual lexicographic order, written ≼ in the paper.
 //
 // The package provides validation, ordering, prefix algebra (minimal and
-// maximal completions), ranking (string ↔ dense index), lexicographic
-// regions ⟨Low, High⟩ with prefix-intersection predicates, the static Kautz
-// graph adjacency, and Kautz_hash, the uniform naming function used for
-// exact-match publishing.
+// maximal completions), ranking (string ↔ dense index), lexicographic regions
+// ⟨Low, High⟩ and their rank spans with prefix-intersection predicates, the
+// static Kautz graph adjacency, and Kautz_hash, the uniform naming function
+// used for exact-match publishing.
 package kautz
 
 import (
@@ -77,17 +77,8 @@ func Valid(s Str) bool {
 	return true
 }
 
-// Len returns the number of symbols in s.
-func (s Str) Len() int { return len(s) }
-
-// At returns the symbol at position i as a byte in {'0','1','2'}.
-func (s Str) At(i int) byte { return s[i] }
-
 // HasPrefix reports whether p is a prefix of s.
 func (s Str) HasPrefix(p Str) bool { return strings.HasPrefix(string(s), string(p)) }
-
-// HasSuffix reports whether p is a suffix of s.
-func (s Str) HasSuffix(p Str) bool { return strings.HasSuffix(string(s), string(p)) }
 
 // PrefixComparable reports whether s is a prefix of t or t is a prefix of s.
 // Two peers' identifiers are never prefix-comparable (the PeerID set is a
@@ -287,7 +278,13 @@ func PrefixRanks(p Str, k int) (lo, hi uint64) {
 	if len(p) > k || k > MaxRankLen {
 		panic(fmt.Sprintf("kautz: PrefixRanks prefix %q at k=%d", p, k))
 	}
-	r, free := Rank(p), uint(k-len(p))
+	return BlockRanks(Rank(p), len(p), k)
+}
+
+// BlockRanks is PrefixRanks for the prefix of rank r and length l, with no
+// check: the ranks at length k whose top l digits are r.
+func BlockRanks(r uint64, l, k int) (lo, hi uint64) {
+	free := uint(k - l)
 	return r << free, (r+1)<<free - 1
 }
 
@@ -364,28 +361,4 @@ func InNeighbors(s Str) []Str {
 		in = append(in, Str(c)+head)
 	}
 	return in
-}
-
-// CommonPrefix returns the longest common prefix of a and b.
-func CommonPrefix(a, b Str) Str {
-	n := min(len(a), len(b))
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return a[:i]
-}
-
-// OverlapSuffixPrefix returns the length of the longest suffix of a that is
-// a prefix of b. This is the f = |ComS| quantity of the paper: the number of
-// routing hops PIRA may skip because the issuer's identifier already ends
-// with the targets' common prefix.
-func OverlapSuffixPrefix(a, b Str) int {
-	maxL := min(len(a), len(b))
-	for l := maxL; l > 0; l-- {
-		if a[len(a)-l:] == Str(b[:l]) {
-			return l
-		}
-	}
-	return 0
 }

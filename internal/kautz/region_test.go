@@ -185,7 +185,7 @@ func TestCommonPrefixCoversQuick(t *testing.T) {
 			return false
 		}
 		r := Region{Low: low, High: high}
-		com := r.CommonPrefix()
+		com := CommonPrefix(r.Low, r.High)
 		// Sample a few members via rank interpolation.
 		for i := 0; i < 5; i++ {
 			mid, err := FromRank(ra+uint64(rng.Int63n(int64(rb-ra+1))), k)
@@ -308,6 +308,30 @@ func BenchmarkContainsPrefix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pr := &probes[i%len(probes)]
 		sinkBool = pr.r.ContainsPrefix(pr.p)
+	}
+}
+
+// BenchmarkSpanContainsPrefix is BenchmarkContainsPrefix's probes in ranks:
+// the forwarding test the descent runs, against a prefix's rank and one of
+// its symbols.
+func BenchmarkSpanContainsPrefix(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const k = 32
+	type probe struct {
+		s  Span
+		id Str
+		r  uint64
+	}
+	probes := make([]probe, 1024)
+	for i := range probes {
+		r, p := fuzzRegionAndPrefix(rng.Uint64(), rng.Uint64(), rng.Uint64(), k-1, uint8(1+rng.Intn(k)))
+		probes[i] = probe{Span{Rank(r.Low), Rank(r.High)}, p, Rank(p)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := &probes[i%len(probes)]
+		sinkBool = pr.s.ContainsPrefix(k, pr.id, pr.r, 0)
 	}
 }
 
