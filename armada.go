@@ -54,6 +54,10 @@ var (
 	ErrNoSuchPeer   = errors.New("armada: no such peer")
 	ErrNoSuchObject = errors.New("armada: no such object")
 	ErrTooSmall     = errors.New("armada: network cannot shrink below 3 peers")
+	// ErrDelayBound is returned by Audit and AuditSampled once any query
+	// has taken 2·log₂N overlay hops or more — the bound the paper proves
+	// every PIRA/MIRA descent stays under.
+	ErrDelayBound = errors.New("armada: delay bound violated")
 )
 
 // Network is a simulated FISSIONE overlay with Armada query processing.
@@ -611,24 +615,28 @@ func (n *Network) routed(s *Stats, ranged, consulted bool, ob *queryObs) {
 	}
 }
 
-// Audit verifies every structural invariant of the overlay: the prefix-free
-// namespace cover, the neighborhood invariant and routing-table
-// consistency.
-func (n *Network) Audit() error {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.net.Audit()
-}
+// Audit verifies every structural invariant of the overlay — the
+// prefix-free namespace cover, the neighborhood invariant and routing-table
+// consistency — and the paper's delay bound: it fails with ErrDelayBound if
+// any query so far took 2·log₂N hops or more.
+func (n *Network) Audit() error { return n.AuditSampled(0) }
 
 // AuditSampled verifies the overlay's structural invariants on a
 // deterministic evenly-spaced sample of roughly the given number of peers
 // — the namespace cover is still checked in full — so post-run
 // verification stays feasible at 100k peers. A sample of zero or at least
-// the network size runs the full Audit.
+// the network size runs the full Audit. The delay bound is checked either
+// way.
 func (n *Network) AuditSampled(sample int) error {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.net.AuditSampled(sample)
+	if err := n.net.AuditSampled(sample); err != nil {
+		return err
+	}
+	if v := n.obs.delayViol.Value(); v > 0 {
+		return fmt.Errorf("%w: %d queries took 2·log₂N hops or more", ErrDelayBound, v)
+	}
+	return nil
 }
 
 // wrapCoreErr maps engine errors onto the package's exported errors.

@@ -82,26 +82,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		preload   = fs.Int("preload", -1, "objects published before the measured run")
 		mix       = fs.String("mix", "", `op mix weights, e.g. "range=70,publish=10,lookup=10,unpublish=5,multi-range=0,top-k=5,flood=0,range-paged=0"`)
 		keys      = fs.String("keys", "", "key distribution: uniform|zipf|hotspot")
-		hotFrac   = fs.Float64("hot-frac", 0, "hotspot: hot interval width as a fraction of the space")
-		hotWt     = fs.Float64("hot-weight", 0, "hotspot: probability of drawing from the hot interval")
 		rangeFr   = fs.String("range-frac", "", `range width as fraction of the space, "min:max" (e.g. "0.01:0.1")`)
 		churn     = fs.String("churn", "", `churn rates/sec, e.g. "join=40,leave=30,fail=10"`)
-		minPeers  = fs.Int("min-peers", 0, "churn floor: skip leaves/fails at or below this size")
-		interval  = fs.Duration("interval", 0, "snapshot period")
-		noSess    = fs.Bool("paged-no-session", false, "run range-paged walks as independent per-page queries instead of a session (the descent-reuse ablation)")
 		shortTab  = fs.Int("shortcut-table", 0, "issuer-side route cache capacity in learned owners; lookups, ranges and session pages whose destinations it knows route in one direct hop per destination (0 = no cache)")
 		noShort   = fs.Bool("no-shortcut", false, "drop the scenario's route cache — the descent-baseline ablation (results are byte-identical, only hops and messages move)")
-		loadCtl   = fs.Bool("load-control", false, "run the adaptive load controller: auto-split regions under sustained delivery load and migrate ownership toward hot regions")
-		maxGrow   = fs.Int("max-growth", 0, "load control: cap on peers auto-splits may add (0 = armada default); at the cap relief continues through migration")
-		hotDrift  = fs.Duration("hot-drift", 0, "hotspot keys: sweep the hot interval across the key space once per this period (0 = pinned hotspot)")
 		gogc      = fs.Int("gogc", 600, "GOGC percent for the run (load generators allocate fast against a small live heap); 0 leaves the runtime default, and an explicit GOGC env var always wins")
 		out       = fs.String("out", "", "write the JSON report to this file (default stdout)")
 		verbose   = fs.Bool("v", false, "print interval snapshots to stderr while running")
-		flightRec = fs.Int("flight-recorder", 0, "attach a query-lifecycle flight recorder retaining this many events (0 = none; implied by -trace-out)")
-		traceOut  = fs.String("trace-out", "", "write the flight recorder's events as Chrome trace-event JSON to this file after the run (implies -flight-recorder 65536 when unset)")
-		slowLog   = fs.Int("slow-log", 0, "attach the query-diagnostics layer retaining this many slow-query records (0 = none; implied by -slow-out); enables tail_attribution and slo report blocks and the /debug/armada endpoints")
-		slowThr   = fs.Duration("slow-threshold", 0, "fixed slow-query threshold; 0 adapts to an EWMA of the observed p99 latency")
-		slowOut   = fs.String("slow-out", "", "write the slow-query log, tail attribution and SLO state as JSON to this file after the run (implies -slow-log 256 when unset)")
+		traceOut  = fs.String("trace-out", "", "attach a query-lifecycle flight recorder retaining 65536 events and write it as Chrome trace-event JSON to this file after the run")
+		slowLog   = fs.Int("slow-log", 0, "attach the query-diagnostics layer retaining this many slow-query records (0 = none; implied by -slow-out); enables the tail_attribution report block and the /debug/armada endpoints")
+		slowOut   = fs.String("slow-out", "", "write the slow-query log and tail attribution as JSON to this file after the run (implies -slow-log 256 when unset)")
 		metricsAd = fs.String("metrics-addr", "", "serve live metrics over HTTP on this address: Prometheus text at /metrics, expvar at /debug/vars")
 		pprofAd   = fs.String("pprof-addr", "", "serve net/http/pprof on this address (/debug/pprof/)")
 		snapOut   = fs.String("snapshot-out", "", "after building the network, save its topology snapshot to this file (see -snapshot-in)")
@@ -186,10 +176,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			default:
 				keep(fmt.Errorf("unknown key distribution %q", *keys))
 			}
-		case "hot-frac":
-			sc.Keys.HotFraction = *hotFrac
-		case "hot-weight":
-			sc.Keys.HotWeight = *hotWt
 		case "range-frac":
 			rs, err := parseRangeFrac(*rangeFr)
 			keep(err)
@@ -198,43 +184,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			c, err := parseChurn(*churn, sc.Churn)
 			keep(err)
 			sc.Churn = c
-		case "min-peers":
-			sc.Churn.MinPeers = *minPeers
-		case "interval":
-			sc.Interval = *interval
-		case "paged-no-session":
-			sc.PagedNoSession = *noSess
 		case "shortcut-table":
 			if *shortTab < 0 {
 				keep(fmt.Errorf("-shortcut-table %d: must be at least 0", *shortTab))
 			}
 			sc.ShortcutTable = *shortTab
-		case "load-control":
-			sc.LoadControl = *loadCtl
-			if !*loadCtl {
-				// Turning the controller off also drops a preset's
-				// threshold override, which is meaningless without it.
-				sc.SplitThreshold = 0
-			}
-		case "max-growth":
-			sc.MaxGrowth = *maxGrow
-		case "hot-drift":
-			sc.HotDrift = *hotDrift
-		case "flight-recorder":
-			if *flightRec < 0 {
-				keep(fmt.Errorf("-flight-recorder %d: must be at least 0", *flightRec))
-			}
-			sc.FlightRecorder = *flightRec
 		case "slow-log":
 			if *slowLog < 0 {
 				keep(fmt.Errorf("-slow-log %d: must be at least 0", *slowLog))
 			}
 			sc.SlowQueryLog = *slowLog
-		case "slow-threshold":
-			if *slowThr < 0 {
-				keep(fmt.Errorf("-slow-threshold %v: must be at least 0", *slowThr))
-			}
-			sc.SlowThreshold = *slowThr
 		}
 	})
 	if parseErr != nil {
@@ -244,9 +203,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// Applied after the flag sweep so the ablation always wins, whatever
 		// the flag order.
 		sc.ShortcutTable = 0
-	}
-	if *traceOut != "" && sc.FlightRecorder == 0 {
-		sc.FlightRecorder = 1 << 16
 	}
 	if *slowOut != "" && sc.SlowQueryLog == 0 {
 		sc.SlowQueryLog = 256
@@ -265,6 +221,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *snapVer && *snapIn == "" {
 		return fmt.Errorf("-snapshot-verify requires -snapshot-in")
 	}
+	opts := sc.NetworkOptions()
+	if *traceOut != "" {
+		opts = append(opts, armada.WithFlightRecorder(1<<16))
+	}
 
 	runOnce := func() (*workload.Report, error) {
 		var (
@@ -276,13 +236,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "armada-load: scenario %q — warm-starting from snapshot %s (replicas %d, shortcut table %d), preloading %d objects\n",
 				sc.Name, *snapIn, sc.Replicas, sc.ShortcutTable, sc.Preload)
 			start := time.Now()
-			net, err = loadSnapshotFile(*snapIn, sc.NetworkOptions()...)
+			net, err = loadSnapshotFile(*snapIn, opts...)
 			loadMs = float64(time.Since(start)) / float64(time.Millisecond)
 		} else {
 			fmt.Fprintf(stderr, "armada-load: scenario %q — building %d peers (replicas %d, shortcut table %d), preloading %d objects\n",
 				sc.Name, sc.Peers, sc.Replicas, sc.ShortcutTable, sc.Preload)
 			start := time.Now()
-			net, err = armada.NewNetwork(sc.Peers, sc.NetworkOptions()...)
+			net, err = armada.NewNetwork(sc.Peers, opts...)
 			buildMs = float64(time.Since(start)) / float64(time.Millisecond)
 		}
 		if err != nil {
@@ -533,14 +493,12 @@ func writeTrace(net *armada.Network, path string) error {
 // /debug/armada/slow serves live.
 type slowDump struct {
 	// ThresholdMs is the slow-query threshold in force when the dump was
-	// taken (the adaptive EWMA of the p99, or the fixed -slow-threshold).
+	// taken (the adaptive EWMA of the p99).
 	ThresholdMs float64 `json:"threshold_ms"`
 	// SlowQueries holds the log's retained records, oldest first.
 	SlowQueries []armada.SlowQuery `json:"slow_queries"`
-	// TailAttribution breaks the run's >p99 queries down by cause; SLO is
-	// the delay-bound burn-rate monitor's state.
+	// TailAttribution breaks the run's >p99 queries down by cause.
 	TailAttribution armada.TailAttribution `json:"tail_attribution"`
-	SLO             armada.SLOStatus       `json:"slo"`
 }
 
 // snapSlow gathers the diagnostics layer's state; ok is false when the
@@ -555,12 +513,11 @@ func snapSlow(net *armada.Network) (slowDump, bool) {
 	}
 	d.ThresholdMs, _ = net.SlowThresholdMs()
 	d.TailAttribution, _ = net.TailAttributionReport()
-	d.SLO, _ = net.SLOStatusReport()
 	return d, true
 }
 
-// writeSlowLog dumps the diagnostics layer's slow-query log, tail
-// attribution and SLO state as JSON.
+// writeSlowLog dumps the diagnostics layer's slow-query log and tail
+// attribution as JSON.
 func writeSlowLog(net *armada.Network, path string) error {
 	d, ok := snapSlow(net)
 	if !ok {

@@ -21,10 +21,6 @@ type (
 	// TailAttribution reports, for the queries slower than the run's p99,
 	// the fraction attributed to each cause.
 	TailAttribution = diag.Attribution
-	// SLOStatus is the burn-rate monitor's state over the delay bound:
-	// fast- and slow-window burn rates (the run's totals are the registry's
-	// diag_queries_total and delay_bound_violations).
-	SLOStatus = diag.SLOReport
 )
 
 // DiagnosticsEnabled reports whether the network was built
@@ -47,15 +43,6 @@ func (n *Network) TailAttributionReport() (TailAttribution, bool) {
 		return TailAttribution{}, false
 	}
 	return n.obs.diag.TailAttribution(), true
-}
-
-// SLOStatusReport returns the delay-bound SLO burn-rate monitor's state;
-// ok is false on a network built without WithDiagnostics.
-func (n *Network) SLOStatusReport() (SLOStatus, bool) {
-	if n.obs.diag == nil {
-		return SLOStatus{}, false
-	}
-	return n.obs.diag.SLOReport(), true
 }
 
 // SlowThresholdMs returns the slow-query threshold currently in force in

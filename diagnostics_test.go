@@ -2,6 +2,8 @@ package armada
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -23,9 +25,6 @@ func TestDiagnosticsDisabledByDefault(t *testing.T) {
 	if _, ok := net.TailAttributionReport(); ok {
 		t.Error("TailAttributionReport ok on a plain network")
 	}
-	if _, ok := net.SLOStatusReport(); ok {
-		t.Error("SLOStatusReport ok on a plain network")
-	}
 	if _, ok := net.SlowThresholdMs(); ok {
 		t.Error("SlowThresholdMs ok on a plain network")
 	}
@@ -37,7 +36,8 @@ func TestDiagnosticsDisabledByDefault(t *testing.T) {
 // TestDiagnosticsEndToEnd drives a diagnosed network with a threshold low
 // enough that every query is slow: the log must fill with classified
 // records, the attribution must cover the tail with non-unknown causes,
-// and the SLO monitor must have counted every query with zero violations.
+// the registry must have counted every query with zero violations, and no
+// burn-rate gauge is left beside the violation counter.
 func TestDiagnosticsEndToEnd(t *testing.T) {
 	net, err := NewNetwork(80, WithSeed(7),
 		WithDiagnostics(DiagnosticsConfig{SlowLogCapacity: 32, SlowThreshold: time.Nanosecond}))
@@ -98,12 +98,14 @@ func TestDiagnosticsEndToEnd(t *testing.T) {
 			t.Errorf("cause fractions sum to %v, want 1", sum)
 		}
 	}
-	slo, ok := net.SLOStatusReport()
-	if !ok || slo.FastBurnRate != 0 || slo.SlowBurnRate != 0 {
-		t.Errorf("slo = %+v, %v; want no budget burnt", slo, ok)
-	}
-	if m := net.MetricValues(); m["diag_queries_total"] != queries || m["delay_bound_violations"] != 0 {
+	m := net.MetricValues()
+	if m["diag_queries_total"] != queries || m["delay_bound_violations"] != 0 {
 		t.Errorf("registry counted %d queries, %d violations; want %d, 0", m["diag_queries_total"], m["delay_bound_violations"], queries)
+	}
+	for name := range m {
+		if strings.HasPrefix(name, "slo_") {
+			t.Errorf("registry still carries %s", name)
+		}
 	}
 }
 
@@ -212,5 +214,34 @@ func TestRegionHeatReport(t *testing.T) {
 	}
 	if net.Epoch() == 0 {
 		t.Error("epoch is 0 on a built network")
+	}
+}
+
+// TestAuditFailsOnDelayBoundViolation: the delay bound is an invariant the
+// audit checks, not a rate to watch. A clean network passes both audits; one
+// counted violation fails both with ErrDelayBound, whatever the sample.
+func TestAuditFailsOnDelayBoundViolation(t *testing.T) {
+	net, err := NewNetwork(60, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishSpread(t, net, 100)
+	if _, err := net.Do(context.Background(), NewRange([]Range{{Low: 100, High: 300}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Audit(); err != nil {
+		t.Fatalf("Audit on a clean network: %v", err)
+	}
+	if err := net.AuditSampled(8); err != nil {
+		t.Fatalf("AuditSampled on a clean network: %v", err)
+	}
+	net.obs.delayViol.Inc()
+	if err := net.Audit(); !errors.Is(err, ErrDelayBound) {
+		t.Errorf("Audit after a violation = %v, want ErrDelayBound", err)
+	}
+	for _, sample := range []int{0, 8} {
+		if err := net.AuditSampled(sample); !errors.Is(err, ErrDelayBound) {
+			t.Errorf("AuditSampled(%d) after a violation = %v, want ErrDelayBound", sample, err)
+		}
 	}
 }

@@ -1,11 +1,11 @@
 // Package diag is Armada's query-diagnostics layer: per-query
 // critical-path breakdowns assembled from the engine's trace stream, a
-// cause classifier for slow queries, a bounded slow-query log with an
-// adaptive threshold, and a multi-window SLO burn-rate monitor over the
-// paper's 2·log₂N delay bound.
+// cause classifier for slow queries, and a bounded slow-query log with an
+// adaptive threshold.
 //
-// The paper's delay-bound conformance counter says *that* the tail moved;
-// this package says *why*. Every finished query is timed stage by stage
+// The paper's 2·log₂N delay bound is not watched here: it is a theorem,
+// so the facade counts violations and Audit fails on any. This package
+// says why a query was slow. Every finished query is timed stage by stage
 // (descent forwards, seeded sends, deliveries, replica
 // redirects, store scans — plus the dispatcher queue wait the workload
 // layer threads in), classified into a cause, and sampled into the tail
@@ -136,14 +136,10 @@ type Config struct {
 	// EWMA of the p99 service duration, folded in per 128-query batch —
 	// nothing is considered slow until the first batch completes.
 	Threshold time.Duration
-	// Objective is the SLO's good fraction over the delay bound (default
-	// 0.999: at most one query in a thousand may reach 2·log₂N hops).
-	Objective float64
 }
 
 const (
 	defaultLogCapacity = 256
-	defaultObjective   = 0.999
 	// batchSize queries are pooled before each adaptive-threshold p99 is
 	// computed and folded into the EWMA.
 	batchSize = 128
@@ -170,7 +166,6 @@ type Monitor struct {
 	// now returns the time since monitor start; tests substitute a
 	// synthetic clock.
 	now  func() time.Duration
-	slo  *SLO
 	pool sync.Pool
 
 	// queries counts finished queries observed; slow the subset past the
@@ -197,19 +192,15 @@ func NewMonitor(cfg Config) *Monitor {
 	if cfg.LogCapacity <= 0 {
 		cfg.LogCapacity = defaultLogCapacity
 	}
-	if cfg.Objective == 0 {
-		cfg.Objective = defaultObjective
-	}
 	m := &Monitor{cfg: cfg, start: time.Now(), stride: 1}
 	m.now = func() time.Duration { return time.Since(m.start) }
-	m.slo = newSLO(cfg.Objective, func() time.Duration { return m.now() })
 	m.ring = make([]Record, 0, cfg.LogCapacity)
 	m.batch = make([]float64, 0, batchSize)
 	return m
 }
 
 // DescribeMetrics registers the monitor's instruments on reg: query and
-// slow-query counters, the live threshold, and the SLO burn-rate gauges.
+// slow-query counters and the live threshold.
 func (m *Monitor) DescribeMetrics(reg *obs.Registry) {
 	reg.MustRegister("diag_queries_total", &m.queries)
 	reg.MustRegister("diag_slow_queries_total", &m.slow)
@@ -218,12 +209,6 @@ func (m *Monitor) DescribeMetrics(reg *obs.Registry) {
 		thr := m.thresholdMsLocked()
 		m.mu.Unlock()
 		return int64(thr * 1000)
-	}))
-	reg.MustRegister("slo_fast_burn_rate_milli", obs.GaugeFunc(func() int64 {
-		return int64(m.slo.Report().FastBurnRate * 1000)
-	}))
-	reg.MustRegister("slo_slow_burn_rate_milli", obs.GaugeFunc(func() int64 {
-		return int64(m.slo.Report().SlowBurnRate * 1000)
 	}))
 }
 
@@ -284,17 +269,13 @@ func (q *Query) MarkShortcutMiss() { q.routeMiss = true }
 // Finish completes the query with its cost stats and the instantaneous
 // 2·log₂N bound they are judged against (0 when unknown): classify, sample,
 // log when slow, recycle. A failed query (zero stats) is logged when slow
-// but excluded from tail attribution and the SLO — its stats are not
-// comparable.
+// but excluded from tail attribution — its stats are not comparable.
 func (q *Query) Finish(s core.Stats, bound float64, failed bool) {
 	m := q.m
 	endNs := m.sinceNs()
 	durNs := max(endNs-q.startNs, 0)
 	m.queries.Inc()
 	cause := m.classify(q, s, bound, durNs)
-	if !failed {
-		m.slo.Observe(bound > 0 && float64(s.Delay) >= bound)
-	}
 	durMs := float64(durNs) / 1e6
 
 	m.mu.Lock()
@@ -511,6 +492,3 @@ func (m *Monitor) TailAttribution() Attribution {
 	}
 	return att
 }
-
-// SLOReport returns the burn-rate monitor's current state.
-func (m *Monitor) SLOReport() SLOReport { return m.slo.Report() }

@@ -204,42 +204,6 @@ func TestFailedQueriesExcludedFromAttribution(t *testing.T) {
 	if len(recs) != 1 || !recs[0].Failed {
 		t.Fatalf("failed slow query not logged: %+v", recs)
 	}
-	if b := m.slo.secs[0]; b.total != 0 {
-		t.Fatalf("failed query counted against the SLO: %+v", b)
-	}
-}
-
-func TestSLOBurnRateWindows(t *testing.T) {
-	m, cur := clockMonitor(Config{Objective: 0.9})
-	slo := m.slo
-	// Second 0: 9 good + 1 bad = exactly the budget → burn rate 1.
-	for i := 0; i < 9; i++ {
-		slo.Observe(false)
-	}
-	slo.Observe(true)
-	rep := slo.Report()
-	if math.Abs(rep.FastBurnRate-1) > 1e-9 || math.Abs(rep.SlowBurnRate-1) > 1e-9 {
-		t.Fatalf("burn at budget: fast=%v slow=%v", rep.FastBurnRate, rep.SlowBurnRate)
-	}
-	// 10 seconds later the fast window has rolled past the violation but
-	// the slow window still remembers it.
-	*cur += 10 * time.Second
-	for i := 0; i < 10; i++ {
-		slo.Observe(false)
-	}
-	rep = slo.Report()
-	if rep.FastBurnRate != 0 {
-		t.Fatalf("fast window kept the old violation: %v", rep.FastBurnRate)
-	}
-	if rep.SlowBurnRate <= 0 {
-		t.Fatalf("slow window forgot the violation: %v", rep.SlowBurnRate)
-	}
-	// Past the slow window everything is forgotten.
-	*cur += 2 * slowWindow
-	rep = slo.Report()
-	if rep.FastBurnRate != 0 || rep.SlowBurnRate != 0 {
-		t.Fatalf("windows not cleared: %+v", rep)
-	}
 }
 
 func TestConcurrentNotes(t *testing.T) {
@@ -265,5 +229,4 @@ func TestConcurrentNotes(t *testing.T) {
 	}
 	m.SlowQueries()
 	m.TailAttribution()
-	m.SLOReport()
 }

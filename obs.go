@@ -71,7 +71,6 @@ func (n *Network) initObs(cfg config) {
 		o.diag = diag.NewMonitor(diag.Config{
 			LogCapacity: cfg.diagnostics.SlowLogCapacity,
 			Threshold:   cfg.diagnostics.SlowThreshold,
-			Objective:   cfg.diagnostics.Objective,
 		})
 		o.diag.DescribeMetrics(o.reg)
 	}

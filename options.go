@@ -174,19 +174,13 @@ type DiagnosticsConfig struct {
 	// captures the current tail without hand-tuning — nothing is logged
 	// until the first 128 queries establish it.
 	SlowThreshold time.Duration
-	// Objective is the SLO over the paper's delay bound: the fraction of
-	// queries that must finish strictly below 2·log₂N hops. 0 means the
-	// default of 0.999. The burn-rate monitor divides each window's
-	// violation fraction by the remaining error budget (1 − Objective).
-	Objective float64
 }
 
 // WithDiagnostics attaches the query-diagnostics layer: per-query
 // critical-path breakdowns from the trace stream, a cause classifier, a
-// bounded slow-query log (SlowQueries), tail-latency attribution
-// (TailAttribution) and a multi-window SLO burn-rate monitor over the
-// delay bound (SLOStatus). The default is no diagnostics; queries then
-// skip all per-query collection.
+// bounded slow-query log (SlowQueries) and tail-latency attribution
+// (TailAttribution). The default is no diagnostics; queries then skip all
+// per-query collection.
 func WithDiagnostics(dc DiagnosticsConfig) Option {
 	return optionFunc(func(c *config) error {
 		if dc.SlowLogCapacity < 0 {
@@ -194,9 +188,6 @@ func WithDiagnostics(dc DiagnosticsConfig) Option {
 		}
 		if dc.SlowThreshold < 0 {
 			return fmt.Errorf("%w: slow threshold %v < 0", errBadOption, dc.SlowThreshold)
-		}
-		if dc.Objective < 0 || dc.Objective >= 1 {
-			return fmt.Errorf("%w: SLO objective %v outside [0, 1)", errBadOption, dc.Objective)
 		}
 		c.diagnostics = &dc
 		return nil

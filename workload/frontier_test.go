@@ -79,13 +79,6 @@ func TestCancelledWalkNotSampled(t *testing.T) {
 	if n := oc.pages.Snapshot().N(); n != 0 {
 		t.Errorf("pages sample has %d entries from a cancelled walk", n)
 	}
-
-	// Same for the no-session ablation path.
-	r.sc.PagedNoSession = true
-	r.doPagedRange(ctx, smp, oc, coll, 0)
-	if got := oc.cancelled.Load(); got != 2 {
-		t.Errorf("ablation cancelled = %d, want 2", got)
-	}
 }
 
 // TestNewRejectsFrontierCacheMismatch: a scenario declaring a route cache
@@ -144,15 +137,5 @@ func TestScanHeavyRunSavesDescents(t *testing.T) {
 	if rep.DescentsSaved < rep.ShortcutHits {
 		t.Errorf("descents_saved %d < shortcut_hits %d; hits are a subset of saves",
 			rep.DescentsSaved, rep.ShortcutHits)
-	}
-	// The ablation re-pays every descent: zero saves by construction.
-	sc.PagedNoSession = true
-	sc.ShortcutTable = 0
-	abl, err := Execute(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op := abl.Ops[OpRangePaged.String()]; op.DescentsSaved != 0 || op.ShortcutHits != 0 {
-		t.Errorf("ablation saved descents: %+v", op)
 	}
 }

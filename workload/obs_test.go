@@ -113,15 +113,15 @@ func TestObsScenarioValidation(t *testing.T) {
 	bad := []Scenario{
 		{Ops: 10, LoadControl: true, MaxGrowth: -1},
 		{Ops: 10, MaxGrowth: 4}, // growth cap without load control
-		{Ops: 10, FlightRecorder: -1},
+		{Ops: 10, SlowQueryLog: -1},
 	}
 	for i, sc := range bad {
 		if err := sc.withDefaults().validate(); !errors.Is(err, ErrBadScenario) {
 			t.Errorf("bad scenario %d: err = %v, want ErrBadScenario", i, err)
 		}
 	}
-	good := Scenario{Ops: 10, FlightRecorder: 1024}
+	good := Scenario{Ops: 10, SlowQueryLog: 64}
 	if err := good.withDefaults().validate(); err != nil {
-		t.Errorf("flight-recorder scenario rejected: %v", err)
+		t.Errorf("slow-query-log scenario rejected: %v", err)
 	}
 }

@@ -92,9 +92,8 @@ var presets = []Scenario{
 		// byte-identical regions (dashboards, result pages); paged walks
 		// run through sessions (descents_saved ≈ pages − 1 per walk), and
 		// regions whose owners are learned seed even page 1 from the cache
-		// (shortcut_hits, shortcut.hit_rate). Rerun with
-		// -paged-no-session -no-shortcut for the per-page-descent
-		// ablation (the cache alone would still seed per-page queries).
+		// (shortcut_hits, shortcut.hit_rate). Rerun with -no-shortcut to
+		// drop the cache and leave the sessions' own savings.
 		Name:          "scan-heavy",
 		Peers:         500,
 		Preload:       4000,
@@ -112,9 +111,7 @@ var presets = []Scenario{
 		// objects and deliveries onto whichever few peers own it at each
 		// moment — the regime occupancy-based splitting cannot fix, and the
 		// adaptive load controller exists for. Runs with load control on
-		// (auto-split + migration); rerun with -load-control=false for the
-		// uncontrolled baseline, where the hot owners' stores and scan
-		// convoys grow unchecked. Duration-bounded because the drift is
+		// (auto-split + migration). Duration-bounded because the drift is
 		// wall-clock. 2-way replicated so controller-driven departures and
 		// splits are also exercised against replica repair.
 		Name:     "hot-drift",

@@ -155,7 +155,8 @@ type Snapshot struct {
 }
 
 // Report is the outcome of one workload run. It marshals to the JSON
-// schema BENCH_*.json entries use.
+// armada-load writes; the repeated benchmark behind the BENCH_*.json files
+// is bench/, not this report.
 type Report struct {
 	Scenario   string `json:"scenario"`
 	Seed       int64  `json:"seed"`
@@ -208,11 +209,9 @@ type Report struct {
 	// conformance histograms.
 	Metrics map[string]int64 `json:"metrics,omitempty"`
 	// TailAttribution breaks the run's >p99 queries down by classified
-	// cause (fractions sum to 1); SLO is the delay-bound burn-rate
-	// monitor's closing state. Both are absent when the scenario runs
+	// cause (fractions sum to 1). It is absent when the scenario runs
 	// without a slow-query log (Scenario.SlowQueryLog).
 	TailAttribution *armada.TailAttribution `json:"tail_attribution,omitempty"`
-	SLO             *armada.SLOStatus       `json:"slo,omitempty"`
 	// Memory records the built network's heap footprint and build (or
 	// snapshot-load) wall-clock cost.
 	Memory *MemoryReport `json:"memory,omitempty"`

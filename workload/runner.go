@@ -185,9 +185,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	if ta, ok := r.net.TailAttributionReport(); ok {
 		rep.TailAttribution = &ta
 	}
-	if slo, ok := r.net.SLOStatusReport(); ok {
-		rep.SLO = &slo
-	}
 	rep.Memory = mem
 	rep.Env = &EnvReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -387,11 +384,10 @@ func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *
 	}
 }
 
-// doPagedRange walks one range query page by page until the cursor is
-// exhausted — through a query session by default (page 1 descends and
-// the session keeps the owners it delivered to; later pages are seeded
-// directly at those still ahead of the cursor), or as independent per-page Do queries under the
-// Scenario.PagedNoSession ablation. The whole walk is one operation: its
+// doPagedRange walks one range query page by page through a query session
+// until the cursor is exhausted (page 1 descends and the session keeps the
+// owners it delivered to; later pages are seeded directly at those still
+// ahead of the cursor). The whole walk is one operation: its
 // latency spans all pages, hop metrics accumulate across them (delay
 // takes the max — pages could be issued concurrently), and per-page
 // result sizes, destinations and message costs land in the per-page
@@ -404,33 +400,15 @@ func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector
 
 	// Only the walk's first page actually paid the dispatch-queue wait;
 	// later pages run back to back, so the stamp stays on page one.
-	var fetch func(offset string) (*armada.Result, error)
-	if r.sc.PagedNoSession {
-		first := true
-		fetch = func(offset string) (*armada.Result, error) {
-			opts := []armada.QueryOption{armada.WithLimit(r.sc.PageLimit)}
-			if offset != "" {
-				opts = append(opts, armada.WithOffsetID(offset))
-			}
-			if first {
-				first = false
-				opts = append(opts, armada.WithQueueWait(wait))
-			}
-			return r.net.Do(ctx, armada.NewRange(ranges, opts...))
-		}
-	} else {
-		sess, err := r.net.OpenSession(armada.NewRange(ranges,
-			armada.WithLimit(r.sc.PageLimit), armada.WithQueueWait(wait)))
-		if err != nil {
-			oc.record(start, err)
-			return
-		}
-		defer sess.Close()
-		fetch = func(string) (*armada.Result, error) { return sess.Next(ctx) }
+	sess, err := r.net.OpenSession(armada.NewRange(ranges,
+		armada.WithLimit(r.sc.PageLimit), armada.WithQueueWait(wait)))
+	if err != nil {
+		oc.record(start, err)
+		return
 	}
+	defer sess.Close()
 
 	var (
-		offset                      string
 		matches, delay, msgs        int
 		deliveries, replicaServed   int
 		descentsSaved, shortcutHits int
@@ -438,7 +416,7 @@ func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector
 		pageSizes, pageDests, pageMs, pageHops []int
 	)
 	for {
-		res, err := fetch(offset)
+		res, err := sess.Next(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Run shutdown cut the walk short: a cancelled op, not an
@@ -465,7 +443,6 @@ func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector
 		if res.NextOffsetID == "" {
 			break
 		}
-		offset = res.NextOffsetID
 	}
 	oc.record(start, nil)
 	oc.delay.AddInt(delay)

@@ -9,17 +9,19 @@
 // an operation count under a context.Context and produces a Report with
 // per-op-kind throughput, error counts, wall-clock latency percentiles and
 // the paper's hop-delay/message metrics, plus periodic interval snapshots.
-// Reports marshal to JSON — the format the repo's BENCH_*.json entries
-// use.
+// Reports marshal to JSON. A report describes one run; the repeated,
+// duration-based benchmark behind the BENCH_*.json files is bench/.
 //
 //	sc, _ := workload.Preset("churn-heavy")
 //	rep, err := workload.Execute(ctx, sc)
 //	json.NewEncoder(os.Stdout).Encode(rep)
 //
-// Named presets (steady, zipf-hot, churn-heavy, flood-storm, mixed) cover
-// the scenario space the paper does not: skewed access, heavy churn and
-// the unpruned-flood ablation under load. The armada-load command is the
-// CLI front end.
+// Eleven named presets (Presets lists them: steady at 500, 10k and 100k
+// peers, zipf-hot, warm-keys, scan-heavy, hot-drift, hot-drift-cap,
+// churn-heavy, flood-storm, mixed) cover the scenario space the paper does
+// not: skewed access, route-cache reuse, paged scans, load control, heavy
+// churn and the unpruned-flood ablation under load. The armada-load command
+// is the CLI front end.
 package workload
 
 import (
@@ -214,14 +216,6 @@ type Scenario struct {
 	TopK int `json:"top_k,omitempty"`
 	// PageLimit is the page size of range-paged operations (default 256).
 	PageLimit int `json:"page_limit,omitempty"`
-	// PagedNoSession runs range-paged walks as independent per-page Do
-	// queries instead of a query session — the ablation that measures
-	// what a session's kept owners save, the way flood measures what
-	// pruning saves. Note that per-page Do queries still consult the
-	// route cache when ShortcutTable is set; for a full per-page-descent
-	// baseline disable both (the CLI pairing is
-	// `-paged-no-session -no-shortcut`).
-	PagedNoSession bool `json:"paged_no_session,omitempty"`
 	// RangeBuckets, when positive, snaps every range query's bounds
 	// outward to a grid of that many buckets per attribute space. Hot
 	// workloads then repeat byte-identical regions — the repeating-scan
@@ -252,21 +246,13 @@ type Scenario struct {
 	// it to exercise ownership migration inside a short run. Requires
 	// LoadControl.
 	MaxGrowth int `json:"max_growth,omitempty"`
-	// FlightRecorder, when positive, builds the network with a
-	// query-lifecycle flight recorder of that event capacity
-	// (armada.WithFlightRecorder); armada-load dumps it as Chrome
-	// trace-event JSON via -trace-out. Default 0 — no recorder.
-	FlightRecorder int `json:"flight_recorder,omitempty"`
 	// SlowQueryLog, when positive, builds the network with the
 	// query-diagnostics layer (armada.WithDiagnostics): a slow-query log
-	// of that record capacity, per-query cause classification, the
-	// report's tail_attribution and slo blocks, and armada-load's
-	// /debug/armada introspection endpoints and -slow-out dump. Default
-	// 0 — no diagnostics.
+	// of that record capacity with an adaptive threshold, per-query cause
+	// classification, the report's tail_attribution block, and
+	// armada-load's /debug/armada introspection endpoints and -slow-out
+	// dump. Default 0 — no diagnostics.
 	SlowQueryLog int `json:"slow_query_log,omitempty"`
-	// SlowThreshold fixes the slow-query threshold (0 = adaptive: an EWMA
-	// of the observed p99 query duration). Requires SlowQueryLog.
-	SlowThreshold time.Duration `json:"slow_threshold,omitempty"`
 	// HotDrift, when positive, makes the KeyHotspot hot interval drift:
 	// its low edge sweeps the whole key space once per HotDrift period
 	// (wrapping), so publishes and queries chase a moving hotspot instead
@@ -365,14 +351,8 @@ func (s Scenario) NetworkOptions() []armada.Option {
 			Migrate:        true,
 		}))
 	}
-	if s.FlightRecorder > 0 {
-		opts = append(opts, armada.WithFlightRecorder(s.FlightRecorder))
-	}
 	if s.SlowQueryLog > 0 {
-		opts = append(opts, armada.WithDiagnostics(armada.DiagnosticsConfig{
-			SlowLogCapacity: s.SlowQueryLog,
-			SlowThreshold:   s.SlowThreshold,
-		}))
+		opts = append(opts, armada.WithDiagnostics(armada.DiagnosticsConfig{SlowLogCapacity: s.SlowQueryLog}))
 	}
 	return opts
 }
@@ -450,17 +430,8 @@ func (s Scenario) validate() error {
 	if s.MaxGrowth > 0 && !s.LoadControl {
 		return bad("growth cap %d set without load control", s.MaxGrowth)
 	}
-	if s.FlightRecorder < 0 {
-		return bad("negative flight recorder capacity %d", s.FlightRecorder)
-	}
 	if s.SlowQueryLog < 0 {
 		return bad("negative slow-query log capacity %d", s.SlowQueryLog)
-	}
-	if s.SlowThreshold < 0 {
-		return bad("negative slow-query threshold %v", s.SlowThreshold)
-	}
-	if s.SlowThreshold > 0 && s.SlowQueryLog == 0 {
-		return bad("slow threshold %v set without a slow-query log", s.SlowThreshold)
 	}
 	if s.HotDrift < 0 {
 		return bad("negative hot drift %v", s.HotDrift)
