@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race build vet micro fuzz bench-smoke loc nomap noregion BENCH_micro.json
+.PHONY: test race build vet micro fuzz bench-smoke loc nomap noregion nobarrier BENCH_micro.json
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,25 @@ nomap:
 noregion:
 	@! grep -n 'kautz\.Region' $(filter-out %_test.go,$(wildcard internal/core/*.go))
 
+# The engine's per-object and per-delivery functions make no bulk write
+# barrier: none calls runtime.wbMove, typedmemmove or typedslicecopy, which a
+# block copy of a pointer-holding value (a Match literal, a run holding
+# *Peer) compiles to. Read off the disassembly of a built test binary — a
+# compiler listing prints nothing for a cached build — and a function not
+# found there fails the check instead of passing it.
+NOBARRIER_FUNCS = queryState.fill Engine.deliver Engine.forward Engine.pump selection.matches
+nobarrier:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; bad=0; \
+	$(GO) test -c -o "$$dir/core.test" ./internal/core/ || exit 1; \
+	for f in $(NOBARRIER_FUNCS); do \
+		fn="(*$${f%.*}).$${f#*.}"; \
+		asm=$$($(GO) tool objdump -s "^armada/internal/core\.\(\*$${f%.*}\)\.$${f#*.}\$$" "$$dir/core.test"); \
+		if [ -z "$$asm" ]; then echo "nobarrier: $$fn not found in the core test binary" >&2; bad=1; \
+		elif echo "$$asm" | grep -E 'CALL runtime\.(wbMove|typedmemmove|typedslicecopy)\('; then \
+			echo "nobarrier: $$fn makes a bulk write barrier" >&2; bad=1; \
+		fi; \
+	done; exit $$bad
+
 # Per-layer micro-benchmarks (ns/op, B/op, allocs/op): the pruning
 # predicates, the naming hash (m = 2, and Single_hash), one store read (the
 # view by rank every query makes, the same from strings, and the per-object
@@ -57,7 +76,7 @@ noregion:
 micro:
 	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem ./internal/kautz/
 	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem ./internal/naming/
-	$(GO) test -run '^$$' -bench 'ScanRegion|View|Store|OwnerOf|SlotOf10k|RefreshTables10k|BuildRandom10k|JoinLeave10k|GroupPeers' -benchmem ./internal/fissione/
+	$(GO) test -run '^$$' -bench 'ScanRegion|View|Store|OwnerOf|SlotOf10k|RefreshTables10k|BuildRandom10k|JoinLeave10k|GroupSlots' -benchmem ./internal/fissione/
 	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k|Route' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'Alloc|Wide|ManyOwners' -benchmem .
 

@@ -323,11 +323,11 @@ func (n *Network) Do(ctx context.Context, q Query) (*Result, error) {
 }
 
 // streamPage is how many objects one page of a Stream asks for: what a
-// consumer that breaks or cancels pays for and never reads (~80 µs, ~95 KB),
-// set against a page's fixed cost — the lock, one direct message to the owner
-// under the cursor, the result's own allocations. BENCH_micro.json has the
-// drained stream against the one-shot Do over 15 owners (StreamWide,
-// RangeWide) and over 250 (StreamManyOwners, RangeManyOwners).
+// consumer that breaks or cancels pays for and never reads (StreamBreakWide:
+// ~47 µs, ~94 KB), set against a page's fixed cost — the lock, one direct
+// message to the owner under the cursor, the result's own allocations.
+// BENCH_micro.json has the drained stream against the one-shot Do over 15
+// owners (StreamWide, RangeWide) and over 250 (StreamManyOwners, RangeManyOwners).
 const streamPage = 1024
 
 // Stream executes one query and yields its objects a page at a time — the

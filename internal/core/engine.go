@@ -403,14 +403,13 @@ type msg struct {
 
 // located is one delivery's product: which replica serves which ObjectID
 // ranks for which owner — the routed span, past the cursor, clipped to the
-// ranks under the owner's identifier. No store is touched until materialise
-// scans it.
+// ranks under the owner's identifier. Like msg it holds no pointer
+// (TestMsgLayout): peers are slots until materialise takes a store's lock.
 type located struct {
-	owner, serving *fissione.Peer
 	span           kautz.Span
-	slot           int32 // the owner's
+	owner, serving int32 // slots
+	pos            int32 // the owner's trie position: runs sort by it as by its identifier
 	depth          int32 // the delivery hop's depth, for the scan's trace event
-	end            int32 // materialise: the result's length once this run was scanned
 }
 
 // queryState is one query's working memory: the breadth-first message
@@ -426,6 +425,7 @@ type located struct {
 // cover disjoint subregions, so runs never interleave: ordering them is
 // the whole merge, and a page or a top-k stops at what it returns.
 type queryState struct {
+	net      *fissione.Network // turns a run's slots into peers and identifiers
 	cfg      QueryConfig
 	issuer   kautz.Str
 	shape    // delivery filter; valid when hasBox
@@ -444,6 +444,7 @@ type queryState struct {
 	messages int // messages processed at depth ≥ 1 (seeds are local computation)
 
 	runs          []located // one per delivery
+	ends          []int32   // scan: the page's length after each run, in scan order
 	tiles         []Tile    // close: the runs' distinct owners, ascending
 	replicaServed int       // deliveries served by a non-owner replica
 	redirectMsgs  int       // replica serves that cost a redirect message (descents only)
@@ -465,7 +466,7 @@ const maxPooled = 1 << 12
 // it exhaustively), so the descent skips it.
 func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str, q *shape) *queryState {
 	st := statePool.Get().(*queryState)
-	st.cfg, st.issuer, st.replicas = cfg, issuer, e.net.Replicas() > 1
+	st.net, st.cfg, st.issuer, st.replicas = e.net, cfg, issuer, e.net.Replicas() > 1
 	if q != nil {
 		st.shape, st.hasBox = *q, true
 		st.boxPrune = e.tree.Attrs() > 1
@@ -474,11 +475,13 @@ func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str, q *shape) *querySta
 }
 
 // release returns the state to the pool, dropping every reference it holds
-// so a pooled state pins neither results nor departed peers.
+// so a pooled state pins neither results nor departed peers (the queue, runs
+// and ends hold none: slots, spans and counts).
 func (st *queryState) release() {
 	*st = queryState{
 		queue: recycle(st.queue),
 		runs:  recycle(st.runs),
+		ends:  recycle(st.ends),
 		tiles: recycle(st.tiles),
 	}
 	statePool.Put(st)
@@ -592,7 +595,7 @@ func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, key uint64, c
 	defer st.finish()
 	res := LookupResult{Stats: stats}
 	if len(st.runs) > 0 {
-		res.Owner = st.runs[0].owner.ID()
+		res.Owner = e.net.IDAt(st.runs[0].owner)
 	}
 	res.Objects, _, _ = st.materialise(false)
 	return res, nil
@@ -726,32 +729,32 @@ func (e *Engine) prefixIntersectsBox(prefix kautz.Str, box naming.Box) bool {
 // except on a seeded query, whose issuer applied the policy itself and
 // addressed the replica directly.
 func (e *Engine) deliver(st *queryState, m msg) {
-	owner, depth := e.net.PeerAt(m.to), int(m.depth)
+	owner, depth := m.to, int(m.depth)
 	// Load accounting: one delivery addressed to this owner's region,
 	// whichever replica ends up serving the scan — ownership is what the
 	// load controller splits and migrates.
-	owner.NoteDelivery()
+	e.net.PeerAt(owner).NoteDelivery()
 	serving := owner
 	if st.replicas {
 		if st.cfg.Policy != ReadPrimary {
-			var buf [16]*fissione.Peer // replication degrees are small; avoids a heap group slice per delivery
-			group := e.net.AppendGroupPeers(buf[:0], m.to)
+			var buf [16]int32 // replication degrees are small; avoids a heap group slice per delivery
+			group := e.net.AppendGroupSlots(buf[:0], owner)
 			serving = group[e.choose(group, st.cfg.Policy)]
 		}
-		serving.NoteServed()
+		e.net.PeerAt(serving).NoteServed()
 	}
 	if st.cfg.Trace != nil {
 		if m.direct {
-			st.cfg.Trace(HopSeed, st.issuer, serving.ID(), 0, 0)
+			st.cfg.Trace(HopSeed, st.issuer, e.net.IDAt(serving), 0, 0)
 		}
 		kind := HopDeliver
 		if serving != owner {
 			kind = HopRedirect
 		}
-		st.cfg.Trace(kind, owner.ID(), serving.ID(), depth, 0)
+		st.cfg.Trace(kind, e.net.IDAt(owner), e.net.IDAt(serving), depth, 0)
 	}
-	span := st.span.Clip(e.net.RanksAt(m.to))
-	st.runs = append(st.runs, located{owner: owner, serving: serving, span: span, slot: m.to, depth: m.depth})
+	span := st.span.Clip(e.net.RanksAt(owner))
+	st.runs = append(st.runs, located{span: span, owner: owner, serving: serving, pos: e.net.PosAt(owner), depth: m.depth})
 	if serving != owner {
 		st.replicaServed++
 		if !m.direct {
@@ -761,15 +764,15 @@ func (e *Engine) deliver(st *queryState, m msg) {
 	}
 }
 
-// choose applies a read policy to a replica group (owner first), returning
-// the serving member's index.
-func (e *Engine) choose(group []*fissione.Peer, pol ReadPolicy) (serving int) {
+// choose applies a read policy to a replica group of slots (owner first),
+// returning the serving member's index.
+func (e *Engine) choose(group []int32, pol ReadPolicy) (serving int) {
 	switch pol {
 	case ReadDefault, ReadRoundRobin:
 		serving = int(e.rr.Add(1) % uint64(len(group)))
 	case ReadLeastLoaded:
-		for i, p := range group {
-			if p.ServedReads() < group[serving].ServedReads() {
+		for i, s := range group {
+			if e.net.PeerAt(s).ServedReads() < e.net.PeerAt(group[serving]).ServedReads() {
 				serving = i
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"armada/internal/fissione"
 	"armada/internal/kautz"
@@ -490,14 +489,14 @@ func TestStatsRatios(t *testing.T) {
 	}
 }
 
-// TestMsgLayout pins what the collector sees of the message queue: a msg is
-// an address pair and a rank interval — no string, slice or pointer at any
-// depth — and at most 40 bytes, so a pooled queue of them is never scanned.
-// A region carried as strings would bring back two pointers a message.
+// TestMsgLayout pins what the collector sees of a query's two per-step
+// records: a msg is an address pair and a rank interval, a located run the
+// owner's and the serving replica's slots and a rank interval — no string,
+// slice, pointer or interface at any depth, and small — so a pooled queue of
+// them is never scanned, and a delivery or a sort moves a run without a bulk
+// write barrier. Peers carried as *Peer would bring back two pointers a run;
+// a region carried as strings, two a message.
 func TestMsgLayout(t *testing.T) {
-	if size := unsafe.Sizeof(msg{}); size > 40 {
-		t.Errorf("msg is %d bytes, want at most 40", size)
-	}
 	var pointers func(prefix string, typ reflect.Type) []string
 	pointers = func(prefix string, typ reflect.Type) (out []string) {
 		for i := 0; i < typ.NumField(); i++ {
@@ -511,7 +510,19 @@ func TestMsgLayout(t *testing.T) {
 		}
 		return out
 	}
-	if p := pointers("", reflect.TypeOf(msg{})); len(p) > 0 {
-		t.Errorf("msg holds %v, which may point into the heap", p)
+	for _, tc := range []struct {
+		v   any
+		max uintptr
+	}{
+		{msg{}, 40},
+		{located{}, 32},
+	} {
+		typ := reflect.TypeOf(tc.v)
+		if size := typ.Size(); size > tc.max {
+			t.Errorf("%s is %d bytes, want at most %d", typ.Name(), size, tc.max)
+		}
+		if p := pointers("", typ); len(p) > 0 {
+			t.Errorf("%s holds %v, which may point into the heap", typ.Name(), p)
+		}
 	}
 }

@@ -74,7 +74,7 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 		found += st.selectTop(st.runs[scanned:], &top)
 		scanned = len(st.runs)
 	}
-	return &TopKResult{Matches: top.matches(), Stats: e.close(st, ran)}, nil
+	return &TopKResult{Matches: top.matches(e.net), Stats: e.close(st, ran)}, nil
 }
 
 // candidate is one object a top-k selection holds on to while the scan goes
@@ -85,7 +85,7 @@ type candidate struct {
 	slot    fissione.Slot
 	v0      float64 // the row's first value, which decides nearly every comparison
 	row     int
-	serving *fissione.Peer
+	serving int32 // the slot of the replica that served it
 }
 
 // compare is the top-k result order: first attribute descending, then Name
@@ -117,7 +117,7 @@ type selection struct {
 // offer considers the object of slot s and values row, keeping a copy of
 // the row if the object may still be among the best k; against the bar most
 // of what a scan visits loses on its first value.
-func (s *selection) offer(slot *fissione.Slot, row []float64, serving *fissione.Peer) {
+func (s *selection) offer(slot *fissione.Slot, row []float64, serving int32) {
 	if s.full && row[0] < s.bar.v0 {
 		return
 	}
@@ -151,17 +151,17 @@ func (s *selection) cut() {
 	s.rows, s.spare = next, s.rows
 }
 
-// matches materialises the selection, best first.
-func (s *selection) matches() []Match {
+// matches materialises the selection, best first; net names serving replicas.
+func (s *selection) matches(net *fissione.Network) []Match {
 	s.cut()
 	if len(s.kept) == 0 {
 		return nil
 	}
-	out := make([]Match, 0, len(s.kept))
+	out := make([]Match, len(s.kept))
 	var vals []float64
 	for i := range s.kept {
 		c := &s.kept[i]
-		out, vals = appendMatch(out, vals, &c.slot, s.rows[i*s.m:][:s.m], c.serving)
+		vals = writeMatch(&out[i], vals, len(out)-i, &c.slot, s.rows[i*s.m:][:s.m], string(net.IDAt(c.serving)))
 	}
 	return out
 }
@@ -174,7 +174,7 @@ func (st *queryState) selectTop(runs []located, top *selection) (admitted int) {
 	sortRuns(runs)
 	for i := len(runs) - 1; i >= 0; i-- {
 		r := &runs[i]
-		r.serving.ViewSpan(r.span, func(run fissione.Run) {
+		st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) {
 			for j := range run.Idx {
 				s := &run.Idx[j]
 				if row := run.Vals[j*run.Stride:][:s.N]; st.admits(s.Key, row) {

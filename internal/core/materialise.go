@@ -19,7 +19,7 @@ func (e *Engine) close(st *queryState, subregions int) Stats {
 	st.tiles = st.tiles[:0]
 	for i := range st.runs {
 		if r := &st.runs[i]; i == 0 || r.owner != st.runs[i-1].owner {
-			st.tiles = append(st.tiles, Tile{Slot: r.slot, ID: r.owner.ID()})
+			st.tiles = append(st.tiles, Tile{Slot: r.owner, ID: e.net.IDAt(r.owner)})
 		}
 	}
 	// A delivery redirected mid-descent is one extra overlay message
@@ -54,13 +54,13 @@ func (st *queryState) destinations() []kautz.Str {
 }
 
 // sortRuns orders located runs by the ObjectIDs they cover. Distinct owners
-// hold prefix-free identifiers, so comparing those orders their regions;
+// hold prefix-free identifiers, so their trie positions order their regions;
 // one owner's deliveries — a walk's, before and after it re-located — cover
 // disjoint spans, ordered by their low ends.
 func sortRuns(runs []located) {
 	slices.SortFunc(runs, func(a, b located) int {
-		if a.owner != b.owner {
-			return cmp.Compare(a.owner.ID(), b.owner.ID())
+		if a.pos != b.pos {
+			return cmp.Compare(a.pos, b.pos)
 		}
 		return cmp.Compare(a.span.Lo, b.span.Lo)
 	})
@@ -81,26 +81,28 @@ func (st *queryState) admits(key uint64, row []float64) bool {
 // scanned reports one run's completed scan to the query's observer.
 func (st *queryState) scanned(r *located) {
 	if st.cfg.Trace != nil {
-		st.cfg.Trace(HopScan, r.owner.ID(), r.serving.ID(), int(r.depth), 0)
+		st.cfg.Trace(HopScan, st.net.IDAt(r.owner), st.net.IDAt(r.serving), int(r.depth), 0)
 	}
 }
 
-// appendMatch copies one stored object into a result — the one place a
-// result object is built. Name and ID are the two halves of the stored
-// record, shared, not copied. Values go into vals, the backing array every
-// match of the result shares; when it is full a new chunk sized to out's
-// spare capacity replaces it, and the matches already built keep the old.
-func appendMatch(out []Match, vals []float64, s *fissione.Slot, row []float64, serving *fissione.Peer) ([]Match, []float64) {
+// writeMatch copies one stored object into m, a result's next element — the
+// one place a result object is built. Name and ID are the two halves of the
+// stored record, shared, not copied. Values go into vals, the array every
+// match of the result shares; when it is full a new chunk for the spare
+// elements, m's included, replaces it, and matches built keep the old.
+func writeMatch(m *Match, vals []float64, spare int, s *fissione.Slot, row []float64, peer string) []float64 {
 	var v []float64
 	if len(row) > 0 {
 		if cap(vals)-len(vals) < len(row) {
-			vals = make([]float64, 0, len(row)*max(cap(out)-len(out), 1))
+			vals = make([]float64, 0, len(row)*spare)
 		}
 		off := len(vals)
 		vals = append(vals, row...)
 		v = vals[off:len(vals):len(vals)]
 	}
-	return append(out, Match{Name: s.Rec[s.ILen:], Values: v, ID: s.Rec[:s.ILen], Peer: string(serving.ID())}), vals
+	// Every field, one by one: a literal is block-copied, a bulk write barrier (wbMove) per object.
+	m.Name, m.Values, m.ID, m.Peer = s.Rec[s.ILen:], v, s.Rec[:s.ILen], peer
+	return vals
 }
 
 // count returns how many objects of one store run materialise would copy,
@@ -125,7 +127,7 @@ func (st *queryState) count(run fissione.Run, need int) int {
 func (st *queryState) capacityHint(runs []located, need int) int {
 	n := 0
 	for i := range runs {
-		runs[i].serving.ViewSpan(runs[i].span, func(run fissione.Run) { n += st.count(run, need-n) })
+		st.net.PeerAt(runs[i].serving).ViewSpan(runs[i].span, func(run fissione.Run) { n += st.count(run, need-n) })
 		if n >= need {
 			break
 		}
@@ -135,8 +137,8 @@ func (st *queryState) capacityHint(runs []located, need int) int {
 
 // fill appends the objects of one store run that the query admits to out,
 // up to the page cut; more reports that it stopped at a match beyond the
-// page.
-func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, serving *fissione.Peer) (_ []Match, _ []float64, more bool) {
+// page. peer names the replica serving the run.
+func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, peer string) (_ []Match, _ []float64, more bool) {
 	limit := st.cfg.Limit
 	for i := range run.Idx {
 		s := &run.Idx[i]
@@ -147,7 +149,8 @@ func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, servin
 		if limit > 0 && len(out) >= limit && s.Rec[:s.ILen] != out[len(out)-1].ID {
 			return out, vals, true
 		}
-		out, vals = appendMatch(out, vals, s, row, serving)
+		out = slices.Grow(out, 1)[:len(out)+1] // grows past the hint on racing publishes, ties at the cut
+		vals = writeMatch(&out[len(out)-1], vals, cap(out)-len(out)+1, s, row, peer)
 	}
 	return out, vals, false
 }
@@ -172,30 +175,27 @@ func (st *queryState) need() int {
 // written once, values copied at the same moment. A page not yet allocated is
 // sized to what the run holds for it, under the same store lock acquisition.
 func (st *queryState) scan(pg *page, r *located) {
-	r.serving.ViewSpan(r.span, func(run fissione.Run) {
+	st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) {
 		if pg.out == nil {
 			pg.out = make([]Match, 0, st.count(run, st.need()))
 		}
-		pg.out, pg.vals, pg.more = st.fill(pg.out, pg.vals, run, r.serving)
+		pg.out, pg.vals, pg.more = st.fill(pg.out, pg.vals, run, string(st.net.IDAt(r.serving)))
 	})
-	r.end = int32(len(pg.out))
+	st.ends = append(st.ends, int32(len(pg.out)))
 	st.scanned(r)
 }
 
-// scanRuns reads runs, ordered by ObjectID, into the page and returns how many
-// it scanned: all, or those up to the first match beyond the page cut. A
-// single run (every lookup, every one-destination range) sizes and fills the
-// page under one lock acquisition; several are sized by a pass of their own.
-func (st *queryState) scanRuns(pg *page, runs []located) int {
+// scanRuns reads runs, ordered by ObjectID, into the page: all, or those up to
+// the first match beyond the page cut. A single run (every lookup, every
+// one-destination range) sizes and fills the page under one lock acquisition;
+// several are sized by a pass of their own.
+func (st *queryState) scanRuns(pg *page, runs []located) {
 	if pg.out == nil && len(runs) > 1 {
 		pg.out = make([]Match, 0, st.capacityHint(runs, st.need()))
 	}
-	for i := range runs {
-		if st.scan(pg, &runs[i]); pg.more {
-			return i + 1
-		}
+	for i := 0; i < len(runs) && !pg.more; i++ {
+		st.scan(pg, &runs[i])
 	}
-	return len(runs)
 }
 
 // result is the page's matches (nil when none) and, when a match exists
@@ -219,12 +219,12 @@ func (pg *page) result() (out []Match, next kautz.Str) {
 // next page. cuts, when asked for, is the result cut at the runs' boundaries.
 func (st *queryState) materialise(cut bool) (out []Match, cuts [][]Match, next kautz.Str) {
 	var pg page
-	scanned := st.runs[:st.scanRuns(&pg, st.runs)]
+	st.scanRuns(&pg, st.runs)
 	if cut && len(pg.out) > 0 {
-		cuts = make([][]Match, 0, len(scanned))
+		cuts = make([][]Match, 0, len(st.ends))
 		start := 0
-		for _, r := range scanned {
-			if end := int(r.end); end > start {
+		for _, end := range st.ends {
+			if end := int(end); end > start {
 				cuts = append(cuts, pg.out[start:end:end])
 				start = end
 			}

@@ -187,6 +187,10 @@ func (n *Network) RanksAt(slot int32) (lo, hi uint64) {
 	return kautz.BlockRanks(nd.rank, len(nd.id), n.k)
 }
 
+// PosAt returns the trie position of the peer holding a live slot: its index
+// in ascending identifier order, which orders owners as their identifiers do.
+func (n *Network) PosAt(slot int32) int32 { return n.nodes[slot].pos }
+
 // Next returns the slot that follows a live slot in trie order — the owner of
 // the region directly above its own — and false at the namespace's high end.
 func (n *Network) Next(slot int32) (int32, bool) {
@@ -529,16 +533,20 @@ func (n *Network) OwnerOf(objectID kautz.Str) (kautz.Str, error) {
 	return n.nodes[s].id, nil
 }
 
-// member returns the j-th member (0 = the owner) of the replica group of
-// the owner at trie position pos: its j-th successor in circular trie
-// order. j is below the effective replication degree, so one wrap suffices.
-func (n *Network) member(pos, j int) *Peer {
+// memberSlot returns the slot of the j-th member (0 = the owner) of the
+// replica group of the owner at trie position pos: its j-th successor in
+// circular trie order. j is below the effective replication degree, so one
+// wrap suffices.
+func (n *Network) memberSlot(pos, j int) int32 {
 	i := pos + j
 	if i >= len(n.order) {
 		i -= len(n.order)
 	}
-	return n.nodes[n.order[i]].peer
+	return n.order[i]
 }
+
+// member returns the peer memberSlot names.
+func (n *Network) member(pos, j int) *Peer { return n.nodes[n.memberSlot(pos, j)].peer }
 
 // PublishAt stores obj under objectID on every member of its region's
 // replica group directly (without routing) and returns the owner: PublishRec

@@ -82,7 +82,7 @@ func (n *Network) idPos(id kautz.Str) int {
 // groupIDs returns the identifiers of the peers owning a copy of owner's
 // region: owner itself followed by its effectiveReplicas−1 successors in
 // circular trie order. Audit, repair and provisioning only: the data path
-// takes members by position (member, AppendGroupPeers).
+// takes members by position (member, AppendGroupSlots).
 func (n *Network) groupIDs(owner kautz.Str) []kautz.Str {
 	out := make([]kautz.Str, n.effectiveReplicas())
 	for j, pos := 0, n.idPos(owner); j < len(out); j++ {
@@ -91,15 +91,15 @@ func (n *Network) groupIDs(owner kautz.Str) []kautz.Str {
 	return out
 }
 
-// AppendGroupPeers appends the replica group of the owner in the given
-// slot (owner first, replicas in placement order) to dst and returns the
-// extended slice; hot paths bring their own buffer and stay allocation-free.
-// Members are the owner's successors by trie position — no name is looked
-// up. Safe for concurrent use while the topology is stable.
-func (n *Network) AppendGroupPeers(dst []*Peer, owner int32) []*Peer {
+// AppendGroupSlots appends the slots of the replica group of the owner in the
+// given slot (owner first, replicas in placement order) to dst and returns
+// the extended slice; hot paths bring their own buffer and stay
+// allocation-free. Members are the owner's successors by trie position — no
+// name is looked up. Safe for concurrent use while the topology is stable.
+func (n *Network) AppendGroupSlots(dst []int32, owner int32) []int32 {
 	pos := int(n.nodes[owner].pos)
 	for j, r := 0, n.effectiveReplicas(); j < r; j++ {
-		dst = append(dst, n.member(pos, j))
+		dst = append(dst, n.memberSlot(pos, j))
 	}
 	return dst
 }

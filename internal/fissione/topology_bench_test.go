@@ -117,7 +117,7 @@ func BenchmarkJoinLeave10k(b *testing.B) {
 
 var sinkGroup int
 
-func BenchmarkGroupPeers(b *testing.B) {
+func BenchmarkGroupSlots(b *testing.B) {
 	for _, r := range []int{2, 3} {
 		b.Run(fmt.Sprintf("replicas=%d", r), func(b *testing.B) {
 			n, rng := buildBench10k(b)
@@ -131,8 +131,8 @@ func BenchmarkGroupPeers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var buf [16]*Peer
-				sinkGroup += len(n.AppendGroupPeers(buf[:0], owners[i%len(owners)]))
+				var buf [16]int32
+				sinkGroup += len(n.AppendGroupSlots(buf[:0], owners[i%len(owners)]))
 			}
 		})
 	}

@@ -376,7 +376,7 @@ func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *
 	case OpMultiRange:
 		r.doQuery(ctx, armada.NewRange(smp.ranges(true), armada.WithQueueWait(wait)), &coll.ops[OpMultiRange], coll)
 	case OpTopK:
-		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithTopK(r.sc.TopK), armada.WithQueueWait(wait)), &coll.ops[OpTopK], coll)
+		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithTopK(topK), armada.WithQueueWait(wait)), &coll.ops[OpTopK], coll)
 	case OpFlood:
 		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithFlood(), armada.WithQueueWait(wait)), &coll.ops[OpFlood], coll)
 	case OpRangePaged:

@@ -81,8 +81,9 @@ func (k OpKind) String() string {
 // two coincide). RangePaged runs the same range shape as Range but walks
 // the result in pages of Scenario.PageLimit objects via WithLimit and
 // WithOffsetID, recording per-page metrics — one operation is the whole
-// walk. Unpublish targets a previously published object; when none
-// remains, the operation falls back to a publish so the mix stays
+// walk. TopK asks the same range shape for the topK objects of highest
+// first attribute. Unpublish targets a previously published object; when
+// none remains, the operation falls back to a publish so the mix stays
 // sustainable.
 type Mix struct {
 	Publish    float64 `json:"publish,omitempty"`
@@ -94,6 +95,9 @@ type Mix struct {
 	Flood      float64 `json:"flood,omitempty"`
 	RangePaged float64 `json:"range_paged,omitempty"`
 }
+
+// topK is the K of every top-k operation.
+const topK = 10
 
 // weights returns the mix in OpKind order.
 func (m Mix) weights() [numOps]float64 {
@@ -212,8 +216,6 @@ type Scenario struct {
 	// paper's unreplicated single-owner model). With 2 or more, objects
 	// survive crash-stop churn and reads spread across replica groups.
 	Replicas int `json:"replicas,omitempty"`
-	// TopK is the K of top-k operations (default 10).
-	TopK int `json:"top_k,omitempty"`
 	// PageLimit is the page size of range-paged operations (default 256).
 	PageLimit int `json:"page_limit,omitempty"`
 	// RangeBuckets, when positive, snaps every range query's bounds
@@ -292,9 +294,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if len(s.Attrs) == 0 {
 		s.Attrs = []armada.AttributeSpace{{Low: 0, High: 1000}}
-	}
-	if s.TopK == 0 {
-		s.TopK = 10
 	}
 	if s.Replicas == 0 {
 		s.Replicas = 1
@@ -441,9 +440,6 @@ func (s Scenario) validate() error {
 	}
 	if s.Churn.JoinPerSec < 0 || s.Churn.LeavePerSec < 0 || s.Churn.FailPerSec < 0 {
 		return bad("negative churn rate")
-	}
-	if s.TopK < 1 && s.Mix.TopK > 0 {
-		return bad("top-k weight set but K = %d", s.TopK)
 	}
 	for i, a := range s.Attrs {
 		if !(a.Low < a.High) {
