@@ -71,14 +71,16 @@ nobarrier:
 # and what a descent pays to teach it, the facade's allocation profiles —
 # a lookup descended and cache-served — and its range / paged walk / stream
 # (drained, and left at the first object) / top-k at the scan-wide shape, with
-# the range and the drained stream again over 250 owners. A macro regression
+# the range and the drained stream again over 250 owners, one forced collection
+# with the scan-wide network live, and the live heap a churn-write-shaped
+# network keeps after 2M publishes and unpublishes. A macro regression
 # bisects to a layer here without a profiler.
 micro:
 	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem ./internal/kautz/
 	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem ./internal/naming/
 	$(GO) test -run '^$$' -bench 'ScanRegion|View|Store|OwnerOf|SlotOf10k|RefreshTables10k|BuildRandom10k|JoinLeave10k|GroupSlots' -benchmem ./internal/fissione/
 	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k|Route' -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench 'Alloc|Wide|ManyOwners' -benchmem .
+	$(GO) test -run '^$$' -bench 'Alloc|Wide|ManyOwners|ChurnRetention' -benchmem .
 
 # The committed record of `make micro`: one object per benchmark — its
 # package and every value/unit pair go test printed.

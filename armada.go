@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
-	"strings"
 	"sync"
 
 	"armada/internal/core"
@@ -249,17 +248,15 @@ func (n *Network) publishLocked(name string, values []float64) error {
 	if len(values) != n.tree.Attrs() {
 		return fmt.Errorf("%w: got %d values, want %d", ErrBadArity, len(values), n.tree.Attrs())
 	}
-	// The record — ObjectID, then name — is the publish's one allocation: the
-	// naming walk writes the ObjectID into it and returns its rank, and the
-	// store copies the values into its own column.
-	var rec strings.Builder
-	rec.Grow(n.net.K() + len(name))
-	key, err := n.tree.WriteHash(&rec, values...)
+	// A publish allocates nothing of its own: the naming walk writes the
+	// ObjectID into this array and returns its rank, and the store copies the
+	// ObjectID and name into its record chunk and the values into its column.
+	var id [kautz.MaxRankLen]byte
+	key, err := n.tree.HashInto(&id, values...)
 	if err != nil {
 		return fmt.Errorf("armada: publish %q: %w", name, err)
 	}
-	rec.WriteString(name)
-	_, err = n.net.PublishRec(key, rec.String(), values)
+	_, err = n.net.PublishRec(key, id[:n.net.K()], name, values)
 	return err
 }
 

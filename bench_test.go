@@ -445,6 +445,28 @@ func BenchmarkAllocPublish(b *testing.B) {
 	}
 }
 
+// A publish copies its record into a shared chunk and its values into the
+// store's column, and an unpublish only cuts: on a warm store the pair
+// allocates one chunk per ~100 publishes and nothing else.
+func TestPublishUnpublishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the code's own under the race detector")
+	}
+	net := buildAllocNet(t, 1000, 2000)
+	defer net.Close()
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := net.Publish("churned", 417); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Unpublish("churned", 417); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0.05 {
+		t.Fatalf("a publish and an unpublish allocate %.3f times, ceiling is 0.05", allocs)
+	}
+}
+
 // BenchmarkAllocLookup measures one exact-match query end to end.
 func BenchmarkAllocLookup(b *testing.B) {
 	net := buildAllocNet(b, 1000, 2000)
@@ -514,8 +536,9 @@ func TestCachedLookupAllocCeiling(t *testing.T) {
 }
 
 // A range allocates its result — objects, values, destinations (the
-// engine's and the facade's) and the Result — plus its box. Its corners are
-// ranks, not ObjectIDs, and nothing scales with hops or objects.
+// engine's, which the facade hands out as they are) and the Result — plus its
+// box. Its corners are ranks, not ObjectIDs, and nothing scales with hops or
+// objects.
 func TestRangeAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled states under the race detector")
@@ -529,8 +552,8 @@ func TestRangeAllocCeiling(t *testing.T) {
 			t.Fatalf("range: %+v, %v; want ≥ 20 objects from ≥ 2 destinations", res, err)
 		}
 	})
-	if allocs > 6 {
-		t.Fatalf("a range query allocates %.1f times, ceiling is 6", allocs)
+	if allocs > 5 {
+		t.Fatalf("a range query allocates %.1f times, ceiling is 5", allocs)
 	}
 }
 
@@ -586,11 +609,10 @@ func walk(b *testing.B, net *armada.Network, q armada.Query) (objects int) {
 }
 
 // A positional page allocates what its caller keeps and nothing else — the
-// Result, its objects, their values, and the destination list twice (the
-// engine's and the facade's): the geometry is the walk's, the message goes
-// through the pooled queue, and no owner ahead of the cursor is listed. So
-// every page after the first costs the same handful of allocations, wherever
-// in the walk it is.
+// Result, its objects, their values, and the destination list: the geometry
+// is the walk's, the message goes through the pooled queue, and no owner ahead
+// of the cursor is listed. So every page after the first costs the same
+// handful of allocations, wherever in the walk it is.
 func TestSessionPageAllocsFlat(t *testing.T) {
 	net, err := armada.NewNetwork(1000, armada.WithSeed(111))
 	if err != nil {
@@ -636,12 +658,12 @@ func TestSessionPageAllocsFlat(t *testing.T) {
 	if len(perPage) < 20 {
 		t.Fatalf("walk had only %d full pages", len(perPage))
 	}
-	// Page 1 descends; the positional pages are flat: 5 each, with one of
+	// Page 1 descends; the positional pages are flat: 4 each, with one of
 	// slack for an allocation of the runtime's own landing in the window. Under
 	// the race detector a page finds the state pool empty too often for the
 	// least of any few walks to be the page's own count.
-	if most := slices.Max(perPage[1:]); most > 6 && !raceEnabled {
-		t.Fatalf("allocations per page: %v, want at most 6 on every page after the first", perPage)
+	if most := slices.Max(perPage[1:]); most > 5 && !raceEnabled {
+		t.Fatalf("allocations per page: %v, want at most 5 on every page after the first", perPage)
 	}
 	t.Logf("allocations per page: %v", perPage)
 }
@@ -656,19 +678,8 @@ func TestSessionPageAllocsFlat(t *testing.T) {
 // of them, a broken stream one. width is the range's, in the attribute's
 // units of 0..1000.
 func benchWide(b *testing.B, width float64, run func(net *armada.Network, ranges []armada.Range) int) {
-	net, err := armada.NewNetwork(500, armada.WithSeed(115))
-	if err != nil {
-		b.Fatal(err)
-	}
+	net, rng := wideNet(b)
 	defer net.Close()
-	pubs := make([]armada.Publication, 100000)
-	rng := rand.New(rand.NewSource(116))
-	for i := range pubs {
-		pubs[i] = armada.Publication{Name: fmt.Sprintf("o%d", i), Values: []float64{rng.Float64() * 1000}}
-	}
-	if err := net.PublishBatch(pubs); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	objects := 0
@@ -677,6 +688,85 @@ func benchWide(b *testing.B, width float64, run func(net *armada.Network, ranges
 		objects += run(net, []armada.Range{{Low: lo, High: lo + width}})
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(objects, 1)), "ns/object")
+}
+
+// wideNet builds the scan-wide network and returns it with the source that
+// drew its values, for the queries to continue.
+func wideNet(b *testing.B) (*armada.Network, *rand.Rand) {
+	net, err := armada.NewNetwork(500, armada.WithSeed(115))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pubs := make([]armada.Publication, 100000)
+	rng := rand.New(rand.NewSource(116))
+	for i := range pubs {
+		pubs[i] = armada.Publication{Name: fmt.Sprintf("o%d", i), Values: []float64{rng.Float64() * 1000}}
+	}
+	if err := net.PublishBatch(pubs); err != nil {
+		b.Fatal(err)
+	}
+	return net, rng
+}
+
+// BenchmarkGCMarkWide is one forced collection with the scan-wide network
+// live: ns/op is what the collector pays to mark its topology and its 100k
+// stored objects.
+func BenchmarkGCMarkWide(b *testing.B) {
+	net, _ := wideNet(b)
+	defer net.Close()
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+	}
+}
+
+// BenchmarkChurnRetention reports the live heap (MB, after a forced
+// collection) a churned network keeps: at the churn-write shape — 1k peers,
+// 2 replicas, 2 attributes, 20k preloaded objects — 2M publishes and
+// unpublishes keep 2,000 objects of their own live, each publish evicting
+// one of them at random. Records share chunks, and a chunk stays whole while
+// any of its records is stored, so this is what the chunk size costs.
+func BenchmarkChurnRetention(b *testing.B) {
+	const live, ops = 2000, 2_000_000
+	for i := 0; i < b.N; i++ {
+		net, err := armada.NewNetwork(1000, armada.WithSeed(117), armada.WithReplication(2),
+			armada.WithAttributes(armada.AttributeSpace{Low: 0, High: 1000}, armada.AttributeSpace{Low: 0, High: 100}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(118))
+		point := func() []float64 { return []float64{rng.Float64() * 1000, rng.Float64() * 100} }
+		pubs := make([]armada.Publication, 20000)
+		for j := range pubs {
+			pubs[j] = armada.Publication{Name: fmt.Sprintf("o%d", j), Values: point()}
+		}
+		if err := net.PublishBatch(pubs); err != nil {
+			b.Fatal(err)
+		}
+		pubs = pubs[:0]
+		for j := 0; j < ops/2; j++ {
+			p := armada.Publication{Name: fmt.Sprintf("c%d", j), Values: point()}
+			if err := net.Publish(p.Name, p.Values...); err != nil {
+				b.Fatal(err)
+			}
+			if len(pubs) < live {
+				pubs = append(pubs, p)
+				continue
+			}
+			at := rng.Intn(live)
+			if err := net.Unpublish(pubs[at].Name, pubs[at].Values...); err != nil {
+				b.Fatal(err)
+			}
+			pubs[at] = p
+		}
+		pubs = nil
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(ms.HeapAlloc)/1e6, "heap-MB")
+		net.Close()
+	}
 }
 
 func benchRange(b *testing.B, width float64) {

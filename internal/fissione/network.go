@@ -70,6 +70,7 @@ type Network struct {
 	reRepl   obs.Counter // objects copied by churn repair
 	repairs  obs.Counter // regions whose replica set repair actually rebuilt
 	epoch    atomic.Uint64
+	recs     records // where PublishRec copies records
 	// onRepair, when set (SetRepairHook), observes each region repair that
 	// copied objects. It runs under the same external exclusion topology
 	// mutation requires.
@@ -550,29 +551,31 @@ func (n *Network) member(pos, j int) *Peer { return n.nodes[n.memberSlot(pos, j)
 
 // PublishAt stores obj under objectID on every member of its region's
 // replica group directly (without routing) and returns the owner: PublishRec
-// for a caller that holds the ObjectID and the name apart.
+// for a caller that holds the ObjectID as a string.
 func (n *Network) PublishAt(objectID kautz.Str, obj Object) (kautz.Str, error) {
 	if _, err := n.ownerSlot(objectID); err != nil { // the check on a name from outside
 		return "", err
 	}
-	return n.PublishRec(kautz.Rank(objectID), string(objectID)+obj.Name, obj.Values)
+	var id [kautz.MaxRankLen]byte
+	return n.PublishRec(kautz.Rank(objectID), id[:copy(id[:], objectID)], obj.Name, obj.Values)
 }
 
 // PublishRec stores an object on every member of its region's replica group
-// directly (without routing) and returns the owner. rec is the object's
-// record — its ObjectID, whose rank is key, then its name — and is kept as
-// given, shared by every member; values are copied into each member's column.
-// The fan-out applies member by member in placement order (owner first) under
-// each member's own store lock, so it runs concurrently with queries and
-// other publishes; a reader racing the fan-out may observe the object on
-// some members before others. Routing-accounted publication is provided by
-// the query engine's Lookup.
-func (n *Network) PublishRec(key uint64, rec string, values []float64) (kautz.Str, error) {
+// directly (without routing) and returns the owner. id is the object's
+// ObjectID, whose rank is key; it and name are copied into the network's
+// record chunk as the object's record, shared by every member (see the
+// package comment's Store section), and values into each member's column, so
+// the caller keeps all three. The fan-out applies member by member in
+// placement order (owner first) under each member's own store lock, so it
+// runs concurrently with queries and other publishes; a reader racing the
+// fan-out may observe the object on some members before others.
+// Routing-accounted publication is provided by the query engine's Lookup.
+func (n *Network) PublishRec(key uint64, id []byte, name string, values []float64) (kautz.Str, error) {
 	s, ok := n.cover.ownerKey(key, n.k)
-	if !ok || len(rec) < n.k || len(values) > math.MaxUint16 {
-		return "", fmt.Errorf("%w: rank %d, a %d-byte record, %d values", ErrBadObjectID, key, len(rec), len(values))
+	if !ok || len(id) != n.k || len(values) > math.MaxUint16 {
+		return "", fmt.Errorf("%w: rank %d, a %d-symbol ObjectID, %d values", ErrBadObjectID, key, len(id), len(values))
 	}
-	owner, slot := &n.nodes[s], Slot{Key: key, Rec: rec, ILen: uint16(n.k), N: uint16(len(values))}
+	owner, slot := &n.nodes[s], Slot{Key: key, Rec: n.recs.add(id, name), ILen: uint16(n.k), N: uint16(len(values))}
 	for j, r := 0, n.effectiveReplicas(); j < r; j++ {
 		n.member(int(owner.pos), j).addObject(slot, values)
 	}

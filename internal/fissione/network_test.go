@@ -156,9 +156,9 @@ func TestPublishAtStoresOnOwner(t *testing.T) {
 }
 
 // PublishRec and UnpublishKey are PublishAt and UnpublishAt for a caller that
-// has the ObjectID's rank and the record in hand: the same owner, the same
-// stored object, the same errors — and a rank outside the space, a record
-// shorter than an ObjectID or a row too long for a slot's count is refused.
+// has the ObjectID's rank and its label in hand: the same owner, the same
+// stored object, the same errors — and a rank outside the space, a label
+// that is not k symbols long or a row too long for a slot's count is refused.
 func TestPublishRecMatchesPublishAt(t *testing.T) {
 	const k = 20
 	n, err := BuildRandom(k, 32, 19)
@@ -170,7 +170,7 @@ func TestPublishRecMatchesPublishAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := n.PublishRec(kautz.Rank(oid), string(oid)+"rec", []float64{3})
+	got, err := n.PublishRec(kautz.Rank(oid), []byte(oid), "rec", []float64{3})
 	if err != nil || got != want {
 		t.Fatalf("PublishRec stored at %q, %v; PublishAt at %q", got, err, want)
 	}
@@ -188,9 +188,9 @@ func TestPublishRecMatchesPublishAt(t *testing.T) {
 		t.Fatalf("second removal: %v, want ErrNoSuchObject naming %q", err, oid)
 	}
 	for name, err := range map[string]error{
-		"rank past the space":      second(n.PublishRec(kautz.SpaceSize(k), string(oid)+"x", nil)),
-		"record without an ID":     second(n.PublishRec(kautz.Rank(oid), "short", nil)),
-		"row longer than a uint16": second(n.PublishRec(kautz.Rank(oid), string(oid)+"x", make([]float64, 1<<16))),
+		"rank past the space":      second(n.PublishRec(kautz.SpaceSize(k), []byte(oid), "x", nil)),
+		"short ObjectID":           second(n.PublishRec(kautz.Rank(oid), []byte(oid[:k-1]), "x", nil)),
+		"row longer than a uint16": second(n.PublishRec(kautz.Rank(oid), []byte(oid), "x", make([]float64, 1<<16))),
 		"unpublish past the space": second(n.UnpublishKey(kautz.SpaceSize(k), "x", nil)),
 		"invalid ObjectID":         second(n.PublishAt(oid[:k-1]+oid[k-2:k-1], Object{Name: "x"})),
 	} {

@@ -59,14 +59,22 @@
 // tie-break makes the order canonical: stores holding the same multiset of
 // objects are element-for-element identical however insertions interleaved,
 // which is what lets a replica set be compared byte for byte. Rec is the
-// object's record, ObjectID‖Name: one immutable string allocated by its
-// publish and shared by every replica's slot and every result (Match.ID and
-// Match.Name are its halves), so a collector cycle follows one pointer to
-// one heap object per stored object. A reader handed a Run under the store
-// lock (ViewSpan) may keep slots and records; rows it must copy, for the
-// column shifts under the next publish. Values are not in the record because
-// a scan filters on them: from a column it reads 8 bytes an object, not a
-// cache line of identifier and name.
+// object's record, ObjectID‖Name: an immutable substring of a 4 KiB record
+// chunk, shared by every replica's slot and every result (Match.ID and
+// Match.Name are its halves). A publish copies the record into the network's
+// current chunk, and a full chunk is dropped for a fresh one, so about a
+// hundred records share one heap object and the collector marks one chunk
+// where it marked one string per object. There is no reference count and no
+// compaction: a chunk lives exactly as long as some slot or result points
+// into it, and the collector reclaims it after. So a held result pins the
+// chunks its objects' records sit in, and a chunk stays whole while any one
+// of its records is stored — at worst 4 KiB per live record, and under
+// random eviction within a few percent of a string per record
+// (BenchmarkChurnRetention). A reader handed a Run under the store lock
+// (ViewSpan) may keep slots and records; rows it must copy, for the column
+// shifts under the next publish. Values are not in the record because a scan
+// filters on them: from a column it reads 8 bytes an object, not a cache line
+// of identifier and name.
 //
 // # Concurrency
 //
@@ -86,6 +94,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -135,9 +144,41 @@ type Peer struct {
 // compares. It holds exactly one pointer (TestSlotLayout).
 type Slot struct {
 	Key  uint64 // the ObjectID's rank (kautz.Rank): the store's sort key
-	Rec  string // the record, ObjectID‖Name: immutable, shared by every replica and every result
+	Rec  string // the record, ObjectID‖Name, in a shared chunk: immutable, shared by every replica and every result
 	ILen uint16 // the ObjectID's length within Rec — the network's k
 	N    uint16 // how many values the object carries: the length of its row
+}
+
+// recChunk is the size of a record chunk. Smaller chunks give the collector
+// more objects to mark; larger ones are kept whole by fewer live records
+// under churn (BenchmarkChurnRetention).
+const recChunk = 4 << 10
+
+// records is a network's record arena: the chunk publishes copy records into.
+type records struct {
+	mu    sync.Mutex
+	chunk strings.Builder // never grown past recChunk, so a string it returned stays valid
+}
+
+// add returns the record id‖name as a substring of the current chunk,
+// starting a new chunk when it does not fit. A record longer than an eighth
+// of a chunk is allocated on its own, so no chunk ends more than that short
+// of full.
+func (r *records) add(id []byte, name string) string {
+	n := len(id) + len(name)
+	if n > recChunk/8 {
+		return string(id) + name
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.chunk.Cap()-r.chunk.Len() < n {
+		r.chunk.Reset()
+		r.chunk.Grow(recChunk)
+	}
+	at := r.chunk.Len()
+	r.chunk.Write(id)
+	r.chunk.WriteString(name)
+	return r.chunk.String()[at:]
 }
 
 // Run is a contiguous run of a store: its slots and their rows of the value

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"armada/internal/kautz"
 )
@@ -145,7 +144,7 @@ const stackAttrs = 4
 // the dividing walk the tests keep as reference (FuzzHashMatchesReference).
 func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
 	var label [kautz.MaxRankLen]byte // NewTree bounds k by MaxRankLen
-	if _, err := t.hash(&label, values); err != nil {
+	if _, err := t.HashInto(&label, values...); err != nil {
 		return "", err
 	}
 	return kautz.Str(label[:t.k]), nil
@@ -155,24 +154,14 @@ func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
 // rank (kautz.Rank of the label Hash returns), with no string built.
 func (t *Tree) HashRank(values ...float64) (uint64, error) {
 	var label [kautz.MaxRankLen]byte
-	return t.hash(&label, values)
+	return t.HashInto(&label, values...)
 }
 
-// WriteHash is Hash into a record under construction: it writes the ObjectID
-// to b and returns its rank; on an error b is untouched.
-func (t *Tree) WriteHash(b *strings.Builder, values ...float64) (uint64, error) {
-	var label [kautz.MaxRankLen]byte
-	rank, err := t.hash(&label, values)
-	if err == nil {
-		b.Write(label[:t.k])
-	}
-	return rank, err
-}
-
-// hash is the walk behind Hash: it fills label[:k] and returns the label's
-// rank, which the walk has in hand — the root's third, then one bit a level,
-// set in the upper half.
-func (t *Tree) hash(label *[kautz.MaxRankLen]byte, values []float64) (uint64, error) {
+// HashInto is Hash into the caller's array: it writes the ObjectID to
+// label[:k] and returns its rank, which the walk has in hand — the root's
+// third, then one bit a level, set in the upper half. On an error label is
+// untouched.
+func (t *Tree) HashInto(label *[kautz.MaxRankLen]byte, values ...float64) (uint64, error) {
 	m := len(t.spaces)
 	if len(values) != m {
 		return 0, fmt.Errorf("%w: got %d, want %d", ErrArity, len(values), m)

@@ -165,8 +165,8 @@ func checkImplication(t *testing.T, tree *Tree, region kautz.Region, box Box, p 
 	}
 }
 
-// The MIRA predicate runs per candidate child per hop, and Hash once per
-// publish and twice per query region; pin what they may allocate.
+// The MIRA predicate runs per candidate child per hop, HashInto once per
+// publish and Hash twice per query region; pin what they may allocate.
 func TestPredicateAllocs(t *testing.T) {
 	tree, err := NewTree(32, Space{0, 1000}, Space{0, 100})
 	if err != nil {
@@ -183,6 +183,10 @@ func TestPredicateAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { sinkStr, _ = tree.Hash(250, 25) }); n > 1 {
 		t.Errorf("Hash allocates %v times, want only the returned string", n)
+	}
+	var label [kautz.MaxRankLen]byte
+	if n := testing.AllocsPerRun(100, func() { _, _ = tree.HashInto(&label, 250, 25) }); n != 0 {
+		t.Errorf("HashInto allocates %v times", n)
 	}
 }
 

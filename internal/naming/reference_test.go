@@ -138,17 +138,21 @@ func FuzzHashMatchesReference(f *testing.F) {
 				m, k, spaces, values, got, gotErr, want, wantErr)
 		}
 		// The two doors for a caller that positions by integer: the label's
-		// rank alone, and the label written into a record with its rank — or,
-		// refused, nothing written.
+		// rank alone, and the label written into the caller's array with its
+		// rank — or, refused, nothing written.
 		rank, rankErr := tree.HashRank(values...)
-		var rec strings.Builder
-		rec.WriteString("rec:")
-		wrote, writeErr := tree.WriteHash(&rec, values...)
-		if (rankErr == nil) != (gotErr == nil) || (writeErr == nil) != (gotErr == nil) || rec.String() != "rec:"+string(got) {
-			t.Fatalf("m=%d k=%d: Hash(%v) = %q, %v but HashRank: %v, WriteHash: %q, %v", m, k, values, got, gotErr, rankErr, rec.String(), writeErr)
+		var label [kautz.MaxRankLen]byte
+		copy(label[:], strings.Repeat("x", len(label)))
+		wrote, writeErr := tree.HashInto(&label, values...)
+		written, wantWritten := string(label[:k]), string(got)
+		if gotErr != nil {
+			wantWritten = strings.Repeat("x", k)
+		}
+		if (rankErr == nil) != (gotErr == nil) || (writeErr == nil) != (gotErr == nil) || written != wantWritten {
+			t.Fatalf("m=%d k=%d: Hash(%v) = %q, %v but HashRank: %v, HashInto: %q, %v", m, k, values, got, gotErr, rankErr, written, writeErr)
 		}
 		if gotErr == nil && (rank != kautz.Rank(got) || wrote != rank) {
-			t.Fatalf("m=%d k=%d: Hash(%v) = %q of rank %d; HashRank says %d, WriteHash %d", m, k, values, got, kautz.Rank(got), rank, wrote)
+			t.Fatalf("m=%d k=%d: Hash(%v) = %q of rank %d; HashRank says %d, HashInto %d", m, k, values, got, kautz.Rank(got), rank, wrote)
 		}
 		lo, hi := make([]float64, m), make([]float64, m)
 		for i := range lo {

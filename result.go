@@ -1,6 +1,10 @@
 package armada
 
-import "armada/internal/core"
+import (
+	"unsafe"
+
+	"armada/internal/core"
+)
 
 // Range is one attribute's queried interval [Low, High] (inclusive).
 type Range struct {
@@ -10,8 +14,8 @@ type Range struct {
 
 // Object is a published object returned by a query: Name, Values (the
 // result's own copy — never a live store's memory), ID (its Kautz-string
-// ObjectID; with Name, one immutable allocation made when the object was
-// published) and Peer (the peer that served it). It is the engine's own
+// ObjectID; with Name, its immutable record, whose 4 KiB chunk a held result
+// keeps alive) and Peer (the peer that served it). It is the engine's own
 // result type, so a result is built once, where the store is scanned.
 type Object = core.Match
 
@@ -41,15 +45,14 @@ type Result struct {
 	Stats Stats
 }
 
-// resultOf wraps an engine range result: the objects are the engine's,
-// as it materialised them; only the destination identifiers change type.
+// resultOf wraps an engine range result: the objects and the destinations
+// are the engine's, as it built them for this result alone.
 func resultOf(r *core.RangeResult) *Result {
-	out := &Result{Objects: r.Matches, NextOffsetID: string(r.Next), Stats: r.Stats}
-	if len(r.Destinations) > 0 {
-		out.Destinations = make([]string, len(r.Destinations))
-		for i, d := range r.Destinations {
-			out.Destinations[i] = string(d)
-		}
+	return &Result{
+		Objects: r.Matches,
+		// kautz.Str's underlying type is string: the same slice, typed for the API.
+		Destinations: unsafe.Slice((*string)(unsafe.SliceData(r.Destinations)), len(r.Destinations)),
+		NextOffsetID: string(r.Next),
+		Stats:        r.Stats,
 	}
-	return out
 }
