@@ -20,8 +20,12 @@ race:
 # ROADMAP item 4's gate as a command: non-test Go lines of each gated
 # directory (its own files, not its subdirectories), then their sum, which
 # must not exceed LOC_MAX. Raise LOC_MAX only in a change that says why.
+# 6814 → 6837: MIRA's carried subspaces (the column, enter's one walk from the
+# root, forward's resumed narrowing, the test hook that checks them after each
+# pump) grew internal/core by 23 lines, net of the box wrapper seed inlined;
+# the narrowing itself lives in internal/naming, which is not gated.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
-LOC_MAX = 6814
+LOC_MAX = 6837
 loc:
 	@total=0; for d in $(LOC_DIRS); do \
 		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
@@ -71,7 +75,8 @@ nobarrier:
 # and what a descent pays to teach it, the facade's allocation profiles —
 # a lookup descended and cache-served — and its range / paged walk / stream
 # (drained, and left at the first object) / top-k at the scan-wide shape, with
-# the range and the drained stream again over 250 owners, one forced collection
+# the range and the drained stream again over 250 owners, one MIRA range at the
+# churn-write shape (two attributes, two replicas), one forced collection
 # with the scan-wide network live, and the live heap a churn-write-shaped
 # network keeps after 2M publishes and unpublishes. A macro regression
 # bisects to a layer here without a profiler.
@@ -80,7 +85,7 @@ micro:
 	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem ./internal/naming/
 	$(GO) test -run '^$$' -bench 'ScanRegion|View|Store|OwnerOf|SlotOf10k|RefreshTables10k|BuildRandom10k|JoinLeave10k|GroupSlots' -benchmem ./internal/fissione/
 	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k|Route' -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench 'Alloc|Wide|ManyOwners|ChurnRetention' -benchmem .
+	$(GO) test -run '^$$' -bench 'Alloc|Wide|ManyOwners|ChurnRetention|RangeMIRA' -benchmem .
 
 # The committed record of `make micro`: one object per benchmark — its
 # package and every value/unit pair go test printed.
@@ -108,7 +113,8 @@ BENCH_micro.json:
 # split, common prefix), the rank geometry the descent runs against the string
 # code it replaced, naming's order preservation and its agreement with
 # the dividing reference walk (the check for any edit to naming's
-# arithmetic), rank order against string order with the ranks under a prefix
+# arithmetic) and its resumed walk against the whole one (what a MIRA descent
+# carries from hop to hop), rank order against string order with the ranks under a prefix
 # (what lets a store search by integer), the topology's cover trie against the
 # map it replaced, the slot-and-column store against a sorted slice, then the
 # two parsers of untrusted input (snapshot bytes, pagination cursors).
@@ -122,6 +128,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntersectsPrefix -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashOrder -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashMatchesReference -fuzztime 20s ./internal/naming/
+	$(GO) test -run '^$$' -fuzz FuzzNarrowFrom -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzCoverMatchesReference -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzStoreMatchesReference -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 20s ./internal/fissione/
@@ -130,11 +137,12 @@ fuzz:
 # The CI bench-smoke job: the benchmark module's own checks (it is not part
 # of the root ./...), then one short traced run each of descent-cold (plain
 # descents), warm-route (the only workload whose queries go through the
-# route cache) and scan-wide (the only one with paged walks, top-k and large
-# results); each must verify against the oracle with no failed operation.
+# route cache), scan-wide (the only one with paged walks, top-k and large
+# results) and churn-write (the only one with MIRA, replication and crash
+# churn); each must verify against the oracle with no failed operation.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -race ./...
-	for w in descent-cold warm-route scan-wide; do \
+	for w in descent-cold warm-route scan-wide churn-write; do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 | tail -n 1 | \
 			python3 -c "import json,sys; r=json.load(sys.stdin); assert r['correct'] is True, 'verification failed'; assert r['failed']==0, f'{r[\"failed\"]} operations failed'" \
 			|| exit 1; \

@@ -769,6 +769,47 @@ func BenchmarkChurnRetention(b *testing.B) {
 	}
 }
 
+// BenchmarkRangeMIRA is one range query at the shape of the repo benchmark's
+// churn-write workload — 1k peers, 2 replicas, 2 attributes, 20k objects —
+// without its churn or writes: MIRA's descent, box pruning included, and the
+// materialised result. It cycles through 512 fixed boxes, each spanning
+// 0.5–5% of each attribute, issued from peers spread over the network.
+func BenchmarkRangeMIRA(b *testing.B) {
+	spaces := []armada.AttributeSpace{{Low: 0, High: 1000}, {Low: 0, High: 100}}
+	net, err := armada.NewNetwork(1000, armada.WithSeed(119), armada.WithReplication(2), armada.WithAttributes(spaces...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer net.Close()
+	rng := rand.New(rand.NewSource(120))
+	pubs := make([]armada.Publication, 20000)
+	for i := range pubs {
+		pubs[i] = armada.Publication{Name: fmt.Sprintf("o%d", i), Values: []float64{rng.Float64() * 1000, rng.Float64() * 100}}
+	}
+	if err := net.PublishBatch(pubs); err != nil {
+		b.Fatal(err)
+	}
+	peers := net.PeerIDs()
+	queries := make([]armada.Query, 512)
+	for i := range queries {
+		box := make([]armada.Range, len(spaces))
+		for a, s := range spaces {
+			w := (s.High - s.Low) * (0.005 + 0.045*rng.Float64())
+			lo := s.Low + rng.Float64()*(s.High-s.Low-w)
+			box[a] = armada.Range{Low: lo, High: lo + w}
+		}
+		queries[i] = armada.NewRange(box, armada.WithIssuer(peers[i*7919%len(peers)]))
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.Do(ctx, queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchRange(b *testing.B, width float64) {
 	benchWide(b, width, func(net *armada.Network, ranges []armada.Range) int {
 		res, err := net.Do(context.Background(), armada.NewRange(ranges))

@@ -93,7 +93,11 @@ func (e *Engine) seed(st *queryState, span kautz.Span) bool {
 	slot, ok := e.net.OwnerSlot(span.Lo)
 	for skipped := 0; ok; slot, ok = e.net.Next(slot) {
 		id := e.net.IDAt(slot)
-		if st.boxPrune && !e.prefixIntersectsBox(id, st.box) {
+		in := !st.boxPrune // only MIRA's box skips an owner, by its whole identifier
+		if !in {
+			in, _ = e.tree.IntersectsPrefix(id, st.box) // false on an error, which no identifier makes
+		}
+		if !in {
 			if skipped++; skipped > maxSeedSkip {
 				break
 			}

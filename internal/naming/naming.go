@@ -190,16 +190,27 @@ func (t *Tree) HashInto(label *[kautz.MaxRankLen]byte, values ...float64) (uint6
 		c := &cells[a]
 		d := c.hi - c.lo
 		mid := c.lo + float64(d*0.5) // the conversion keeps d·0.5 rounded where the sum could fuse
-		var upper byte
-		if d > 0 && 2*(c.v-c.lo) >= d { // a collapsed interval keeps to its lower half
-			c.lo, upper = mid, 1
-		} else {
-			c.hi = mid
-		}
-		prev, rank = edgeLabels[2*(prev-'0')+upper], rank<<1|uint64(upper)
+		// The level's bit with no jump, since a branch on it would mispredict
+		// about half the levels, and the new bounds selected by mask: the
+		// upper half takes mid as lo, the lower as hi. A collapsed interval
+		// (d = 0) keeps to its lower half.
+		upper := bit(d > 0) & bit(2*(c.v-c.lo) >= d)
+		keep, lo, hi := upper-1, math.Float64bits(c.lo), math.Float64bits(c.hi)
+		c.lo = math.Float64frombits(lo&keep | math.Float64bits(mid)&^keep)
+		c.hi = math.Float64frombits(hi&^keep | math.Float64bits(mid)&keep)
+		prev, rank = edgeLabels[2*uint64(prev-'0')+upper], rank<<1|upper
 		label[j] = prev
 	}
 	return rank, nil
+}
+
+// bit is b as 0 or 1; the compiler turns it into a flag read, not a jump.
+func bit(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // rootBounds returns the bounds of third idx of [lo, hi].
@@ -218,25 +229,37 @@ func rootBounds(lo, hi float64, idx int) (float64, float64) {
 // label.
 func (t *Tree) Subspace(prefix kautz.Str) ([]Interval, error) {
 	iv := make([]Interval, len(t.spaces))
-	if err := t.narrow(prefix, iv); err != nil {
+	if err := t.NarrowFrom(prefix, 0, iv); err != nil {
 		return nil, err
 	}
 	return iv, nil
 }
 
-// narrow fills iv (one interval per attribute) with the subspace of the
-// node labelled prefix, narrowing one attribute's interval per symbol. The
-// walk itself rejects anything that is not a node label: a symbol outside
-// the alphabet or repeating its predecessor has no edge to follow.
-func (t *Tree) narrow(prefix kautz.Str, iv []Interval) error {
-	if len(prefix) > t.k {
-		return fmt.Errorf("%w: prefix %q longer than k=%d", ErrBadK, prefix, t.k)
-	}
-	for i, s := range t.spaces {
-		iv[i] = Interval{Low: s.Low, High: s.High}
+// NarrowFrom fills iv (one interval per attribute) with the subspace of the
+// node labelled prefix, narrowing one attribute's interval per symbol — level
+// j splits attribute j mod m — and resuming part-way down the tree when from
+// is positive: iv then holds the subspace of the node labelled prefix[:from],
+// and only prefix[from:] is walked. A resumed walk takes the whole walk's
+// float steps in the same order, so its result is bit-identical to
+// Subspace(prefix) (FuzzNarrowFrom): a descent that carries each message's
+// subspace pays per hop only for the symbols the hop adds. prefix[:from] is
+// the caller's to vouch for; the walk itself rejects anything after it that
+// is not a node label, a symbol outside the alphabet or repeating its
+// predecessor having no edge to follow.
+func (t *Tree) NarrowFrom(prefix kautz.Str, from int, iv []Interval) error {
+	if len(prefix) > t.k || from < 0 || from > len(prefix) {
+		return fmt.Errorf("%w: prefix %q longer than k=%d, or resumed outside it at %d", ErrBadK, prefix, t.k, from)
 	}
 	var prev byte
-	for j, a := 0, 0; j < len(prefix); j++ {
+	a := 0 // the attribute the last level walked split: the root's is 0
+	if from > 0 {
+		prev, a = prefix[from-1], int(uint32(from-1)%uint32(len(iv))) // a 32-bit divide is the cheaper
+	} else {
+		for i, s := range t.spaces {
+			iv[i] = Interval{Low: s.Low, High: s.High}
+		}
+	}
+	for j := from; j < len(prefix); j++ {
 		idx := childIndex(prev, prefix[j])
 		if idx < 0 {
 			return fmt.Errorf("naming: %q is not a partition tree path", prefix)
@@ -313,15 +336,21 @@ func (t *Tree) IntersectsPrefix(prefix kautz.Str, b Box) (bool, error) {
 	} else {
 		iv = make([]Interval, m)
 	}
-	if err := t.narrow(prefix, iv); err != nil {
+	if err := t.NarrowFrom(prefix, 0, iv); err != nil {
 		return false, err
 	}
+	return b.Meets(iv), nil
+}
+
+// Meets reports whether a subspace — one interval per attribute, as Subspace
+// and NarrowFrom fill it — intersects the box.
+func (b Box) Meets(iv []Interval) bool {
 	for i := range iv {
 		if !iv[i].Overlaps(b.Lo[i], b.Hi[i]) {
-			return false, nil
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // QueryRegion maps a range query to the Kautz region ⟨LowT, HighT⟩ where

@@ -86,6 +86,56 @@ func FuzzIntersectsPrefix(f *testing.F) {
 	})
 }
 
+// FuzzNarrowFrom holds the continuation a descent carries between hops to
+// the whole walk: resuming from Subspace(p[:i]) over p[i:] gives Subspace(p)
+// bit for bit, for every split i ≤ len(p), and refuses exactly the labels the
+// whole walk refuses. Each input is tried twice: as the string given, and as
+// the valid label its bytes spell (each byte picks one of the symbols that may
+// follow the last), so most runs reach a full-depth prefix.
+func FuzzNarrowFrom(f *testing.F) {
+	f.Add(uint8(1), uint8(31), "0121020120", uint8(4))
+	f.Add(uint8(2), uint8(61), "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789", uint8(60))
+	f.Add(uint8(0), uint8(7), "2", uint8(0))
+	f.Add(uint8(1), uint8(9), "01", uint8(2))
+	f.Add(uint8(2), uint8(5), "0110", uint8(2)) // repeats a symbol after the split
+	f.Fuzz(func(t *testing.T, mRaw, kRaw uint8, raw string, split uint8) {
+		m := 1 + int(mRaw)%3
+		k := 1 + int(kRaw)%kautz.MaxRankLen
+		tree, err := NewTree(k, []Space{{0, 1000}, {-50, 100}, {0, 10}}[:m]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spelled := make([]byte, 0, min(len(raw), k))
+		for j := 0; j < cap(spelled); j++ {
+			if j == 0 {
+				spelled = append(spelled, '0'+raw[j]%3)
+			} else {
+				spelled = append(spelled, edgeLabels[2*(spelled[j-1]-'0')+raw[j]%2])
+			}
+		}
+		for _, p := range []kautz.Str{kautz.Str(raw), kautz.Str(spelled)} {
+			i := int(split) % (len(p) + 1)
+			iv, err := tree.Subspace(p[:i])
+			if err != nil {
+				continue // the walk up to the split is the caller's to vouch for
+			}
+			want, wantErr := tree.Subspace(p)
+			gotErr := tree.NarrowFrom(p, i, iv)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("m=%d k=%d %q from %d: NarrowFrom error %v, Subspace error %v", m, k, p, i, gotErr, wantErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			for a := range iv {
+				if math.Float64bits(iv[a].Low) != math.Float64bits(want[a].Low) || math.Float64bits(iv[a].High) != math.Float64bits(want[a].High) {
+					t.Fatalf("m=%d k=%d %q from %d: attribute %d is %v, Subspace says %v", m, k, p, i, a, iv[a], want[a])
+				}
+			}
+		}
+	})
+}
+
 // For a single attribute the region predicate implies the box predicate:
 // whenever ⟨Hash(lo), Hash(hi)⟩ contains a string with prefix p, node p's
 // interval overlaps [lo, hi]. The engine relies on this to skip the box
