@@ -24,16 +24,26 @@ race:
 # root, forward's resumed narrowing, the test hook that checks them after each
 # pump) grew internal/core by 23 lines, net of the box wrapper seed inlined;
 # the narrowing itself lives in internal/naming, which is not gated.
+# 6837 → 6877: fill's whole-run path (admitsAll and one block copy per run the
+# filter admits whole, ~20% off a wide range) grew internal/core by 40 lines.
+# Item 4(g): the serving path — overlay, naming, Kautz arithmetic, route cache
+# and load controller — has its own ceiling, LOC_SERVING_MAX, set at its size
+# when the gate came in; the same rule raises it.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
-LOC_MAX = 6837
+LOC_MAX = 6877
+LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
+LOC_SERVING_MAX = 4023
 loc:
-	@total=0; for d in $(LOC_DIRS); do \
-		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
-		printf '%-16s %6d\n' $$d $$n; total=$$((total + n)); \
-	done; printf '%-16s %6d\n' total $$total; \
-	if [ $$total -gt $(LOC_MAX) ]; then \
-		echo "loc: $$total lines over the ceiling LOC_MAX = $(LOC_MAX)" >&2; exit 1; \
-	fi
+	@bad=0; for gate in "LOC_MAX $(LOC_MAX) $(LOC_DIRS)" "LOC_SERVING_MAX $(LOC_SERVING_MAX) $(LOC_SERVING_DIRS)"; do \
+		set -- $$gate; name=$$1; max=$$2; shift 2; total=0; \
+		for d in "$$@"; do \
+			n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+			printf '%-18s %6d\n' $$d $$n; total=$$((total + n)); \
+		done; printf '%-18s %6d of %d\n' total $$total $$max; \
+		if [ $$total -gt $$max ]; then \
+			echo "loc: $$total lines over the ceiling $$name = $$max" >&2; bad=1; \
+		fi; \
+	done; exit $$bad
 
 # ROADMAP item 7's gate as a command: the topology is flat arrays and a trie
 # over them, and no map comes back into its non-test files.
@@ -73,7 +83,8 @@ nobarrier:
 # replica-group lookup at 10k peers, one descent step and
 # whole descents at 10k peers, the route cache's hit path (one tile, twelve)
 # and what a descent pays to teach it, the facade's allocation profiles —
-# a lookup descended and cache-served — and its range / paged walk / stream
+# a lookup descended and cache-served, and descended again with the flight
+# recorder, the query diagnostics and both on — and its range / paged walk / stream
 # (drained, and left at the first object) / top-k at the scan-wide shape, with
 # the range and the drained stream again over 250 owners, one MIRA range at the
 # churn-write shape (two attributes, two replicas), one forced collection
@@ -117,7 +128,8 @@ BENCH_micro.json:
 # carries from hop to hop), rank order against string order with the ranks under a prefix
 # (what lets a store search by integer), the topology's cover trie against the
 # map it replaced, the slot-and-column store against a sorted slice, then the
-# two parsers of untrusted input (snapshot bytes, pagination cursors).
+# three parsers of untrusted input (snapshot bytes, pagination cursors, the
+# load tool's scenario flags through Scenario.Normalize).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzContainsPrefix -fuzztime 20s ./internal/kautz/
 	$(GO) test -run '^$$' -fuzz FuzzSucc -fuzztime 20s ./internal/kautz/
@@ -133,6 +145,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStoreMatchesReference -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzOffsetID -fuzztime 20s .
+	$(GO) test -run '^$$' -fuzz FuzzScenarioFlags -fuzztime 20s ./cmd/armada-load/
 
 # The CI bench-smoke job: the benchmark module's own checks (it is not part
 # of the root ./...), then one short traced run each of descent-cold (plain

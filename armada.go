@@ -66,11 +66,11 @@ var (
 // changes — Join, Leave and Fail — and shared by everything else: queries,
 // publishes and unpublishes all run under the read lock and therefore
 // concurrently with one another. Store mutations serialize per peer on the
-// owning peer's own lock inside the fissione layer, so publishes to
-// different peers never contend and a publish never blocks a query except
-// on the one peer it writes. The query engine itself is stateless — every
-// query carries its own configuration — so any number of queries, traced
-// or not, may run concurrently.
+// owning peer's own lock, so a publish blocks a query only on the one peer
+// it writes; publishes contend in one short, network-wide critical section,
+// the copy of each record into the shared record chunk, which queries never
+// take. The query engine is stateless — every query carries its own
+// configuration — so any number of queries, traced or not, run concurrently.
 type Network struct {
 	// mu is the topology lock: writers are Join/Leave/Fail only; queries,
 	// publishes and unpublishes are readers (per-peer store locks order

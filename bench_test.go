@@ -468,8 +468,27 @@ func TestPublishUnpublishAllocs(t *testing.T) {
 }
 
 // BenchmarkAllocLookup measures one exact-match query end to end.
-func BenchmarkAllocLookup(b *testing.B) {
-	net := buildAllocNet(b, 1000, 2000)
+func BenchmarkAllocLookup(b *testing.B) { benchLookup(b, false, false) }
+
+// The observability cost: the same lookups on the same network with the
+// flight recorder on (armada-load -trace-out's size), the query diagnostics
+// on (armada-load -slow-out's log), and both. Each ratio to AllocLookup is
+// what leaving that layer on costs a query.
+func BenchmarkAllocLookupRecorded(b *testing.B)  { benchLookup(b, true, false) }
+func BenchmarkAllocLookupDiagnosed(b *testing.B) { benchLookup(b, false, true) }
+func BenchmarkAllocLookupObserved(b *testing.B)  { benchLookup(b, true, true) }
+
+// benchLookup is BenchmarkAllocLookup's loop, on a network built with the
+// flight recorder and the query diagnostics as asked.
+func benchLookup(b *testing.B, recorded, diagnosed bool) {
+	var opts []armada.Option
+	if recorded {
+		opts = append(opts, armada.WithFlightRecorder(1<<16))
+	}
+	if diagnosed {
+		opts = append(opts, armada.WithDiagnostics(armada.DiagnosticsConfig{SlowLogCapacity: 256}))
+	}
+	net := buildAllocNet(b, 1000, 2000, opts...)
 	defer net.Close()
 	rng := rand.New(rand.NewSource(112))
 	ctx := context.Background()

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"armada/workload"
 )
 
 // runJSON executes the CLI and decodes its JSON report.
@@ -171,6 +175,79 @@ func TestBadFlags(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+}
+
+// TestNonFiniteFlagsRefused: ParseFloat accepts "NaN" and "Inf", so these
+// command lines parse; each must then be refused as a scenario instead of
+// running some other workload (a NaN weight ran the whole mix as range-paged,
+// a NaN churn rate silently disabled churn).
+func TestNonFiniteFlagsRefused(t *testing.T) {
+	for _, flag := range [][]string{
+		{"-mix", "range=NaN"},
+		{"-mix", "range=Inf"},
+		{"-range-frac", "NaN:0.5"},
+		{"-rate", "NaN"},
+		{"-churn", "join=NaN"},
+	} {
+		args := append([]string{"-peers", "50", "-ops", "200"}, flag...)
+		var stdout, stderr bytes.Buffer
+		if err := run(context.Background(), args, &stdout, &stderr); !errors.Is(err, workload.ErrBadScenario) {
+			t.Errorf("run(%v): err = %v, want ErrBadScenario", args, err)
+		}
+	}
+}
+
+// FuzzScenarioFlags feeds arbitrary -mix, -churn and -range-frac strings and
+// a -rate value through the parsers run uses, then Normalize: the flags are
+// untrusted input. Nothing may panic, and a scenario Normalize accepts holds
+// only finite numbers inside the ranges validate states. The committed corpus
+// (testdata/fuzz) holds the non-finite command lines that used to run.
+func FuzzScenarioFlags(f *testing.F) {
+	f.Add("range=70,publish=10,lookup=10,unpublish=5,top-k=5", "join=40,leave=30,fail=10", "0.01:0.1", 0.0)
+	f.Fuzz(func(t *testing.T, mix, churn, frac string, rate float64) {
+		sc := workload.Scenario{Name: "custom", Ops: 3000}
+		var err error
+		if sc.Mix, err = parseMix(mix); err != nil {
+			return
+		}
+		if sc.Churn, err = parseChurn(churn, sc.Churn); err != nil {
+			return
+		}
+		if sc.RangeSize, err = parseRangeFrac(frac); err != nil {
+			return
+		}
+		sc.Arrival.RatePerSec = rate
+		n, err := sc.Normalize()
+		if err != nil {
+			if !errors.Is(err, workload.ErrBadScenario) {
+				t.Fatalf("Normalize: %v, want ErrBadScenario", err)
+			}
+			return
+		}
+		finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+		m, total := n.Mix, 0.0
+		for _, w := range []float64{m.Publish, m.Unpublish, m.Lookup, m.Range, m.MultiRange, m.TopK, m.Flood, m.RangePaged} {
+			if !finite(w) || w < 0 {
+				t.Fatalf("accepted mix %+v has weight %v", m, w)
+			}
+			total += w
+		}
+		if !finite(total) || total <= 0 {
+			t.Fatalf("accepted mix %+v totals %v", m, total)
+		}
+		c := n.Churn
+		for _, r := range []float64{c.JoinPerSec, c.LeavePerSec, c.FailPerSec, c.JoinPerSec + c.LeavePerSec + c.FailPerSec} {
+			if !finite(r) || r < 0 {
+				t.Fatalf("accepted churn %+v has rate %v", c, r)
+			}
+		}
+		if r := n.RangeSize; !finite(r.MinFrac) || !finite(r.MaxFrac) || r.MinFrac < 0 || r.MinFrac > r.MaxFrac || r.MaxFrac > 1 {
+			t.Fatalf("accepted range size %+v", r)
+		}
+		if r := n.Arrival.RatePerSec; !finite(r) || r < 0 {
+			t.Fatalf("accepted arrival rate %v", r)
+		}
+	})
 }
 
 func TestTraceOutAndMetrics(t *testing.T) {

@@ -78,6 +78,16 @@ func (st *queryState) admits(key uint64, row []float64) bool {
 		(!st.boxPrune && st.corners.Lo < key && key < st.corners.Hi || st.box.Contains(row))
 }
 
+// admitsAll reports whether the delivery filter admits a run whole but for
+// its value-less objects, which a box refuses by arity: there is no box
+// (every lookup), or the box is PIRA's, as wide as the run's rows, and its
+// corners lie strictly outside the run's keys.
+func (st *queryState) admitsAll(run fissione.Run) bool {
+	n := len(run.Idx)
+	return !st.hasBox || !st.boxPrune && n > 0 && run.Stride == len(st.box.Lo) &&
+		st.corners.Lo < run.Idx[0].Key && run.Idx[n-1].Key < st.corners.Hi
+}
+
 // scanned reports one run's completed scan to the query's observer.
 func (st *queryState) scanned(r *located) {
 	if st.cfg.Trace != nil {
@@ -137,9 +147,38 @@ func (st *queryState) capacityHint(runs []located, need int) int {
 
 // fill appends the objects of one store run that the query admits to out,
 // up to the page cut; more reports that it stopped at a match beyond the
-// page. peer names the replica serving the run.
+// page. peer names the replica serving the run. A run admitsAll passes and
+// the cut does not fall inside is one block: its value column copied once —
+// into a new chunk sized as writeMatch sizes one when the current has no
+// room — then each object's header, field by field as writeMatch writes it.
+// Any other run (a corner leaf's, MIRA's, one the cut splits) is filled
+// object by object.
 func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, peer string) (_ []Match, _ []float64, more bool) {
 	limit := st.cfg.Limit
+	if (limit == 0 || len(out)+len(run.Idx) <= limit) && st.admitsAll(run) {
+		out = slices.Grow(out, len(run.Idx)) // grows past the hint on racing publishes
+		w := run.Stride
+		if cap(vals)-len(vals) < len(run.Vals) {
+			vals = make([]float64, 0, w*(cap(out)-len(out)))
+		}
+		col := vals[len(vals):][:len(run.Vals)]
+		vals = append(vals, run.Vals...)
+		dst, j := out[len(out):][:len(run.Idx)], 0
+		for i := range run.Idx {
+			s := &run.Idx[i]
+			if int(s.N) != w && st.hasBox {
+				continue
+			}
+			var v []float64
+			if s.N > 0 {
+				v = col[i*w:][:s.N:s.N]
+			}
+			m := &dst[j]
+			m.Name, m.Values, m.ID, m.Peer = s.Rec[s.ILen:], v, s.Rec[:s.ILen], peer
+			j++
+		}
+		return out[:len(out)+j], vals, false
+	}
 	for i := range run.Idx {
 		s := &run.Idx[i]
 		row := run.Vals[i*run.Stride:][:s.N]
@@ -172,8 +211,9 @@ func (st *queryState) need() int {
 }
 
 // scan reads one located run into the page, up to the page cut: every object
-// written once, values copied at the same moment. A page not yet allocated is
-// sized to what the run holds for it, under the same store lock acquisition.
+// written once, values copied at the same moment, a block run's whole column
+// in one copy (fill). A page not yet allocated is sized to what the run holds
+// for it, under the same store lock acquisition.
 func (st *queryState) scan(pg *page, r *located) {
 	st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) {
 		if pg.out == nil {

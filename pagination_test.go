@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -315,6 +316,43 @@ func TestPageCutOnRunBoundary(t *testing.T) {
 					}
 					if res.NextOffsetID != want {
 						t.Fatalf("%s: page ending on the run boundary at %d has cursor %q, want %q", name, cut, res.NextOffsetID, want)
+					}
+				}
+				// Every limit from one object to the whole result, through
+				// sessions: the cut lands before, on and after each run boundary,
+				// so a page takes some runs as one block and fills the run the
+				// cut splits object by object. The pages must concatenate to the
+				// unpaged result, each cursor strictly past the page before, and
+				// hold limit objects each but the last (no two share an ObjectID).
+				noPeer := func(objs []Object) []Object {
+					objs = slices.Clone(objs)
+					for i := range objs {
+						objs[i].Peer = "" // the serving replica varies with the read policy
+					}
+					return objs
+				}
+				for limit := 1; limit <= len(all.Objects)+1; limit++ {
+					sess, err := net.OpenSession(NewRange(ranges, WithReadPolicy(pol), WithLimit(limit)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					walked, pages := sessionWalk(t, sess)
+					sess.Close()
+					if !reflect.DeepEqual(noPeer(walked), noPeer(all.Objects)) {
+						t.Fatalf("%s: limit %d: session pages %v differ from the unpaged result %v", name, limit, ids(walked), ids(all.Objects))
+					}
+					prev := ""
+					for i, p := range pages {
+						if n := len(p.Objects); n > limit || n < limit && i < len(pages)-1 {
+							t.Fatalf("%s: limit %d: page %d holds %d objects", name, limit, i, n)
+						}
+						if len(p.Objects) == 0 || p.Objects[0].ID <= prev && prev != "" {
+							t.Fatalf("%s: limit %d: page %d starts at %v, not past the cursor %q", name, limit, i, ids(p.Objects), prev)
+						}
+						if next := p.NextOffsetID; next != "" && next <= prev || next == "" && i < len(pages)-1 {
+							t.Fatalf("%s: limit %d: page %d cursor %q after %q", name, limit, i, next, prev)
+						}
+						prev = p.NextOffsetID
 					}
 				}
 				// One admitted object far beyond the last run: the same page now

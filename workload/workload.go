@@ -27,6 +27,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"armada"
@@ -366,7 +367,7 @@ func (s Scenario) Normalize() (Scenario, error) {
 	return s, s.validate()
 }
 
-// validate checks a defaults-filled scenario.
+// validate checks a defaults-filled scenario. NaN fails every float check.
 func (s Scenario) validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrBadScenario, fmt.Sprintf(format, args...))
@@ -375,12 +376,12 @@ func (s Scenario) validate() error {
 		return bad("peers %d < 3", s.Peers)
 	}
 	for i, w := range s.Mix.weights() {
-		if w < 0 {
-			return bad("negative weight for %v", OpKind(i))
+		if !(w >= 0) {
+			return bad("weight %v for %v is not a non-negative number", w, OpKind(i))
 		}
 	}
-	if s.Mix.total() <= 0 {
-		return bad("operation mix is empty")
+	if t := s.Mix.total(); !(t > 0 && t <= math.MaxFloat64) {
+		return bad("operation mix total %v is not finite and positive", t)
 	}
 	if s.Ops <= 0 && s.Duration <= 0 {
 		return bad("need a stop condition: Ops or Duration")
@@ -391,22 +392,21 @@ func (s Scenario) validate() error {
 	if s.Ops < 0 || s.Duration < 0 || s.Preload < 0 {
 		return bad("negative Ops, Duration or Preload")
 	}
-	if s.Keys.Kind == KeyZipf && s.Keys.ZipfS <= 1 {
-		return bad("Zipf exponent %v must exceed 1", s.Keys.ZipfS)
+	if s.Keys.Kind == KeyZipf && !(s.Keys.ZipfS > 1 && s.Keys.ZipfS <= math.MaxFloat64) {
+		return bad("Zipf exponent %v must be finite and exceed 1", s.Keys.ZipfS)
 	}
 	if s.Keys.Kind == KeyHotspot &&
-		(s.Keys.HotFraction <= 0 || s.Keys.HotFraction > 1 ||
-			s.Keys.HotWeight < 0 || s.Keys.HotWeight > 1) {
+		!(s.Keys.HotFraction > 0 && s.Keys.HotFraction <= 1 && s.Keys.HotWeight >= 0 && s.Keys.HotWeight <= 1) {
 		return bad("hotspot fraction %v / weight %v out of range", s.Keys.HotFraction, s.Keys.HotWeight)
 	}
-	if s.RangeSize.MinFrac < 0 || s.RangeSize.MaxFrac > 1 || s.RangeSize.MinFrac > s.RangeSize.MaxFrac {
+	if !(s.RangeSize.MinFrac >= 0 && s.RangeSize.MinFrac <= s.RangeSize.MaxFrac && s.RangeSize.MaxFrac <= 1) {
 		return bad("range-size fractions [%v, %v] out of order", s.RangeSize.MinFrac, s.RangeSize.MaxFrac)
 	}
 	if s.Arrival.Workers < 1 {
 		return bad("workers %d < 1", s.Arrival.Workers)
 	}
-	if s.Arrival.RatePerSec < 0 {
-		return bad("negative arrival rate")
+	if !(s.Arrival.RatePerSec >= 0 && s.Arrival.RatePerSec <= math.MaxFloat64) {
+		return bad("arrival rate %v is not finite and non-negative", s.Arrival.RatePerSec)
 	}
 	if s.PageLimit < 1 && s.Mix.RangePaged > 0 {
 		return bad("range-paged weight set but page limit = %d", s.PageLimit)
@@ -417,8 +417,8 @@ func (s Scenario) validate() error {
 	if s.ShortcutTable < 0 {
 		return bad("negative shortcut table capacity %d", s.ShortcutTable)
 	}
-	if s.SplitThreshold < 0 {
-		return bad("negative split threshold %v", s.SplitThreshold)
+	if !(s.SplitThreshold >= 0 && s.SplitThreshold <= math.MaxFloat64) {
+		return bad("split threshold %v is not finite and non-negative", s.SplitThreshold)
 	}
 	if s.SplitThreshold > 0 && !s.LoadControl {
 		return bad("split threshold %v set without load control", s.SplitThreshold)
@@ -438,11 +438,11 @@ func (s Scenario) validate() error {
 	if s.HotDrift > 0 && s.Keys.Kind != KeyHotspot {
 		return bad("hot drift requires the hotspot key distribution, got %v", s.Keys.Kind)
 	}
-	if s.Churn.JoinPerSec < 0 || s.Churn.LeavePerSec < 0 || s.Churn.FailPerSec < 0 {
-		return bad("negative churn rate")
+	if c := s.Churn; !(c.JoinPerSec >= 0 && c.LeavePerSec >= 0 && c.FailPerSec >= 0 && c.totalRate() <= math.MaxFloat64) {
+		return bad("churn rates %v/%v/%v are not finite and non-negative", c.JoinPerSec, c.LeavePerSec, c.FailPerSec)
 	}
 	for i, a := range s.Attrs {
-		if !(a.Low < a.High) {
+		if !(a.Low < a.High) || math.IsInf(a.High-a.Low, 0) {
 			return bad("attribute %d space [%v, %v]", i, a.Low, a.High)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -69,6 +70,67 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if err := small().withDefaults().validate(); err != nil {
 		t.Errorf("small scenario invalid: %v", err)
+	}
+}
+
+// TestScenarioRejectsNonFinite gives every float field of a valid scenario
+// NaN, +Inf and -Inf in turn: none of them means anything as a weight, rate,
+// fraction, exponent, threshold or bound, so each must be refused rather than
+// run as some other workload.
+func TestScenarioRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		keys KeyDistKind // the distribution under which the field is read
+		at   func(*Scenario) *float64
+	}{
+		{"mix.publish", KeyUniform, func(s *Scenario) *float64 { return &s.Mix.Publish }},
+		{"mix.unpublish", KeyUniform, func(s *Scenario) *float64 { return &s.Mix.Unpublish }},
+		{"mix.lookup", KeyUniform, func(s *Scenario) *float64 { return &s.Mix.Lookup }},
+		{"mix.range", KeyUniform, func(s *Scenario) *float64 { return &s.Mix.Range }},
+		{"mix.multi-range", KeyUniform, func(s *Scenario) *float64 { return &s.Mix.MultiRange }},
+		{"mix.top-k", KeyUniform, func(s *Scenario) *float64 { return &s.Mix.TopK }},
+		{"mix.flood", KeyUniform, func(s *Scenario) *float64 { return &s.Mix.Flood }},
+		{"mix.range-paged", KeyUniform, func(s *Scenario) *float64 { return &s.Mix.RangePaged }},
+		{"keys.zipf_s", KeyZipf, func(s *Scenario) *float64 { return &s.Keys.ZipfS }},
+		{"keys.hot_fraction", KeyHotspot, func(s *Scenario) *float64 { return &s.Keys.HotFraction }},
+		{"keys.hot_weight", KeyHotspot, func(s *Scenario) *float64 { return &s.Keys.HotWeight }},
+		{"range_size.min_frac", KeyUniform, func(s *Scenario) *float64 { return &s.RangeSize.MinFrac }},
+		{"range_size.max_frac", KeyUniform, func(s *Scenario) *float64 { return &s.RangeSize.MaxFrac }},
+		{"arrival.rate_per_sec", KeyUniform, func(s *Scenario) *float64 { return &s.Arrival.RatePerSec }},
+		{"churn.join_per_sec", KeyUniform, func(s *Scenario) *float64 { return &s.Churn.JoinPerSec }},
+		{"churn.leave_per_sec", KeyUniform, func(s *Scenario) *float64 { return &s.Churn.LeavePerSec }},
+		{"churn.fail_per_sec", KeyUniform, func(s *Scenario) *float64 { return &s.Churn.FailPerSec }},
+		{"split_threshold", KeyUniform, func(s *Scenario) *float64 { return &s.SplitThreshold }},
+		{"attrs.low", KeyUniform, func(s *Scenario) *float64 { return &s.Attrs[0].Low }},
+		{"attrs.high", KeyUniform, func(s *Scenario) *float64 { return &s.Attrs[0].High }},
+	}
+	for _, f := range fields {
+		base := func() Scenario {
+			sc := small()
+			sc.Keys = KeyDist{Kind: f.keys, ZipfS: 1.2, HotFraction: 0.1, HotWeight: 0.9}
+			sc.RangeSize = SizeDist{MinFrac: 0.01, MaxFrac: 0.1}
+			sc.Arrival.RatePerSec = 100
+			sc.Churn = Churn{JoinPerSec: 1, LeavePerSec: 1, FailPerSec: 1}
+			sc.LoadControl, sc.SplitThreshold = true, 50
+			sc.Attrs = []armada.AttributeSpace{{Low: 0, High: 1000}}
+			return sc
+		}
+		if err := base().withDefaults().validate(); err != nil {
+			t.Fatalf("%s: the base scenario is invalid: %v", f.name, err)
+		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			sc := base()
+			*f.at(&sc) = v
+			if err := sc.withDefaults().validate(); !errors.Is(err, ErrBadScenario) {
+				t.Errorf("%s = %v: err = %v, want ErrBadScenario", f.name, v, err)
+			}
+		}
+	}
+	// A sum of finite weights can overflow: the total must be finite too.
+	sc := small()
+	sc.Mix.Range, sc.Mix.Lookup = math.MaxFloat64, math.MaxFloat64
+	if err := sc.withDefaults().validate(); !errors.Is(err, ErrBadScenario) {
+		t.Errorf("mix totalling +Inf: err = %v, want ErrBadScenario", err)
 	}
 }
 
