@@ -29,10 +29,14 @@ race:
 # Item 4(g): the serving path — overlay, naming, Kautz arithmetic, route cache
 # and load controller — has its own ceiling, LOC_SERVING_MAX, set at its size
 # when the gate came in; the same rule raises it.
+# 4023 → 3976: the 24-byte slot and the store's one growth rule grew
+# internal/fissione by 25 lines; the Kautz helpers only kautz's tests called
+# (Pred, OutNeighbors, InNeighbors, MustParse, Str.Append) moved into its
+# test files, 72 lines, and the ceiling follows the total down.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
 LOC_MAX = 6877
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
-LOC_SERVING_MAX = 4023
+LOC_SERVING_MAX = 3976
 loc:
 	@bad=0; for gate in "LOC_MAX $(LOC_MAX) $(LOC_DIRS)" "LOC_SERVING_MAX $(LOC_SERVING_MAX) $(LOC_SERVING_DIRS)"; do \
 		set -- $$gate; name=$$1; max=$$2; shift 2; total=0; \
@@ -88,8 +92,9 @@ nobarrier:
 # (drained, and left at the first object) / top-k at the scan-wide shape, with
 # the range and the drained stream again over 250 owners, one MIRA range at the
 # churn-write shape (two attributes, two replicas), one forced collection
-# with the scan-wide network live, and the live heap a churn-write-shaped
-# network keeps after 2M publishes and unpublishes. A macro regression
+# with the scan-wide network live, the live heap that network adds (MB and
+# bytes a stored object), and the live heap a churn-write-shaped network
+# keeps after 2M publishes and unpublishes. A macro regression
 # bisects to a layer here without a profiler.
 micro:
 	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem ./internal/kautz/

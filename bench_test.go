@@ -740,6 +740,27 @@ func BenchmarkGCMarkWide(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreHeapWide reports the live heap (after a forced collection)
+// that building the scan-wide network adds: its topology and, nearly all of
+// it, the stores of its 100k objects — slots, record chunks, value columns
+// and their spare room — in MB and in bytes a stored object.
+func BenchmarkStoreHeapWide(b *testing.B) {
+	const objects = 100000 // wideNet's
+	var ms runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := int64(ms.HeapAlloc)
+		net, _ := wideNet(b)
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		added := float64(int64(ms.HeapAlloc) - before)
+		b.ReportMetric(added/1e6, "heap-MB")
+		b.ReportMetric(added/objects, "B/object")
+		net.Close()
+	}
+}
+
 // BenchmarkChurnRetention reports the live heap (MB, after a forced
 // collection) a churned network keeps: at the churn-write shape — 1k peers,
 // 2 replicas, 2 attributes, 20k preloaded objects — 2M publishes and

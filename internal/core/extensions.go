@@ -94,7 +94,7 @@ func (a *candidate) compare(b *candidate) int {
 	if c := cmp.Compare(b.v0, a.v0); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.slot.Rec[a.slot.ILen:], b.slot.Rec[b.slot.ILen:]); c != 0 {
+	if c := cmp.Compare(a.slot.Rec()[a.slot.ILen:], b.slot.Rec()[b.slot.ILen:]); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.slot.Key, b.slot.Key)

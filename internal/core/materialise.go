@@ -110,8 +110,9 @@ func writeMatch(m *Match, vals []float64, spare int, s *fissione.Slot, row []flo
 		vals = append(vals, row...)
 		v = vals[off:len(vals):len(vals)]
 	}
+	rec := s.Rec()
 	// Every field, one by one: a literal is block-copied, a bulk write barrier (wbMove) per object.
-	m.Name, m.Values, m.ID, m.Peer = s.Rec[s.ILen:], v, s.Rec[:s.ILen], peer
+	m.Name, m.Values, m.ID, m.Peer = rec[s.ILen:], v, rec[:s.ILen], peer
 	return vals
 }
 
@@ -173,8 +174,8 @@ func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, peer s
 			if s.N > 0 {
 				v = col[i*w:][:s.N:s.N]
 			}
-			m := &dst[j]
-			m.Name, m.Values, m.ID, m.Peer = s.Rec[s.ILen:], v, s.Rec[:s.ILen], peer
+			m, rec := &dst[j], s.Rec()
+			m.Name, m.Values, m.ID, m.Peer = rec[s.ILen:], v, rec[:s.ILen], peer
 			j++
 		}
 		return out[:len(out)+j], vals, false
@@ -185,7 +186,7 @@ func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, peer s
 		if !st.admits(s.Key, row) {
 			continue
 		}
-		if limit > 0 && len(out) >= limit && s.Rec[:s.ILen] != out[len(out)-1].ID {
+		if limit > 0 && len(out) >= limit && s.Rec()[:s.ILen] != out[len(out)-1].ID {
 			return out, vals, true
 		}
 		out = slices.Grow(out, 1)[:len(out)+1] // grows past the hint on racing publishes, ties at the cut

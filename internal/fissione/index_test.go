@@ -102,8 +102,10 @@ func refObject(rng *rand.Rand) Object {
 }
 
 // checkStore verifies what every store operation must leave behind: slots in
-// the canonical order, each keyed by its ObjectID's rank, and a column of
-// exactly one stride-wide row a slot whose padding is zero.
+// the canonical order, each keyed by its ObjectID's rank, a column of exactly
+// one stride-wide row a slot whose padding is zero, and a column with room
+// for a row for every slot the store has room for, so that the column never
+// grows on its own.
 func checkStore(t testing.TB, p *Peer) {
 	t.Helper()
 	p.mu.RLock()
@@ -112,10 +114,13 @@ func checkStore(t testing.TB, p *Peer) {
 	if len(p.vals) != len(p.store)*w {
 		t.Fatalf("column holds %d values for %d slots", len(p.vals), len(p.store))
 	}
+	if cap(p.vals) < cap(p.store)*w {
+		t.Fatalf("column has room for %d values, the store for %d slots at stride %d", cap(p.vals), cap(p.store), w)
+	}
 	for i := range p.store {
 		s := &p.store[i]
-		if id := kautz.Str(s.Rec[:s.ILen]); !kautz.Valid(id) || kautz.Rank(id) != s.Key || int(s.N) > w {
-			t.Fatalf("slot %d: key %d, %d values at stride %d for record %q", i, s.Key, s.N, w, s.Rec)
+		if id := kautz.Str(s.Rec()[:s.ILen]); !kautz.Valid(id) || kautz.Rank(id) != s.Key || int(s.N) > w {
+			t.Fatalf("slot %d: key %d, %d values at stride %d for record %q", i, s.Key, s.N, w, s.Rec())
 		}
 		if i > 0 && compareAt(all, i-1, all, i) > 0 {
 			t.Fatalf("slots %d and %d are out of canonical order", i-1, i)
@@ -235,7 +240,7 @@ func TestOrderedIndexMatchesReference(t *testing.T) {
 // put and take are addObject and removeObject for a test that holds an
 // ObjectID and an Object apart, as PublishAt and UnpublishAt do.
 func put(p *Peer, id kautz.Str, obj Object) {
-	p.addObject(Slot{Key: kautz.Rank(id), Rec: string(id) + obj.Name, ILen: uint16(len(id)), N: uint16(len(obj.Values))}, obj.Values)
+	p.addObject(newSlot(kautz.Rank(id), string(id)+obj.Name, len(id), len(obj.Values)), obj.Values)
 }
 
 func take(p *Peer, id kautz.Str, obj Object) bool {
@@ -447,13 +452,13 @@ func TestOrderedIndexMoves(t *testing.T) {
 	}
 }
 
-// TestSlotLayout pins what the collector walks: a slot is 32 bytes and holds
+// TestSlotLayout pins what the collector walks: a slot is 24 bytes and holds
 // exactly one pointer-bearing field, its record. A second pointer — a values
 // slice, a name apart from the ObjectID — would bring back one more heap
 // object to mark for every stored object.
 func TestSlotLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Slot{}); size != 32 {
-		t.Errorf("Slot is %d bytes, want 32", size)
+	if size := unsafe.Sizeof(Slot{}); size != 24 {
+		t.Errorf("Slot is %d bytes, want 24", size)
 	}
 	var pointers []string
 	for i, typ := 0, reflect.TypeOf(Slot{}); i < typ.NumField(); i++ {
@@ -463,8 +468,43 @@ func TestSlotLayout(t *testing.T) {
 			pointers = append(pointers, f.Name)
 		}
 	}
-	if !slices.Equal(pointers, []string{"Rec"}) {
-		t.Errorf("Slot's pointer-bearing fields are %v, want only Rec", pointers)
+	if !slices.Equal(pointers, []string{"rec"}) {
+		t.Errorf("Slot's pointer-bearing fields are %v, want only rec", pointers)
+	}
+}
+
+// TestStoreGrowsByHalf fills one empty peer with 1,000 objects and requires
+// every reallocation of its store to land both arrays at exactly n + n/2 + 1
+// rows, n the rows it had: the slots at that capacity, the column at that
+// many rows of its stride. Midway a wider row re-lays the column at the
+// store's rows, and the growth goes on at the new stride.
+func TestStoreGrowsByHalf(t *testing.T) {
+	const k, n, widen = 12, 1000, 400
+	rng := rand.New(rand.NewSource(33))
+	p := newPeer("0")
+	rows, grown := 0, 0
+	for i := range n {
+		obj := Object{Name: fmt.Sprintf("g%04d", i), Values: []float64{float64(i)}}
+		if i >= widen {
+			obj.Values = append(obj.Values, 1)
+		}
+		put(p, kautz.Random(rng, k), obj)
+		checkStore(t, p)
+		p.mu.RLock()
+		got, w, vals := cap(p.store), p.stride(), cap(p.vals)
+		p.mu.RUnlock()
+		if got != rows {
+			if want := i + i/2 + 1; i != rows || got != want {
+				t.Fatalf("object %d: the store went from %d to %d rows, want %d → %d", i, rows, got, i, want)
+			}
+			rows, grown = got, grown+1
+		}
+		if vals != rows*w {
+			t.Fatalf("object %d: the column has room for %d values, want %d rows of %d", i, vals, rows, w)
+		}
+	}
+	if grown < 10 {
+		t.Fatalf("the store grew %d times over %d objects", grown, n)
 	}
 }
 
@@ -753,7 +793,7 @@ func benchWrites(b *testing.B, timeInserts bool) {
 		for id[0] != '0' {
 			id = kautz.Random(rng, k)
 		}
-		slots[i] = Slot{Key: kautz.Rank(id), Rec: string(id) + fmt.Sprintf("w%02d", i), ILen: k, N: 1}
+		slots[i] = newSlot(kautz.Rank(id), string(id)+fmt.Sprintf("w%02d", i), k, 1)
 	}
 	row := []float64{1}
 	var inserts, removals time.Duration
@@ -766,8 +806,8 @@ func benchWrites(b *testing.B, timeInserts bool) {
 		}
 		mid := time.Now()
 		for i := range slots {
-			if !p.removeObject(slots[i].Key, slots[i].Rec[k:], row) {
-				b.Fatalf("object %q not found", slots[i].Rec)
+			if !p.removeObject(slots[i].Key, slots[i].Rec()[k:], row) {
+				b.Fatalf("object %q not found", slots[i].Rec())
 			}
 		}
 		inserts, removals = inserts+mid.Sub(start), removals+time.Since(mid)

@@ -568,14 +568,16 @@ func (n *Network) PublishAt(objectID kautz.Str, obj Object) (kautz.Str, error) {
 // the caller keeps all three. The fan-out applies member by member in
 // placement order (owner first) under each member's own store lock, so it
 // runs concurrently with queries and other publishes; a reader racing the
-// fan-out may observe the object on some members before others.
+// fan-out may observe the object on some members before others. A rank
+// outside the space, an ObjectID not k symbols long, more than 65,535 values
+// or a record (ObjectID‖Name) over 4 GiB is refused with ErrBadObjectID.
 // Routing-accounted publication is provided by the query engine's Lookup.
 func (n *Network) PublishRec(key uint64, id []byte, name string, values []float64) (kautz.Str, error) {
 	s, ok := n.cover.ownerKey(key, n.k)
-	if !ok || len(id) != n.k || len(values) > math.MaxUint16 {
-		return "", fmt.Errorf("%w: rank %d, a %d-symbol ObjectID, %d values", ErrBadObjectID, key, len(id), len(values))
+	if !ok || len(id) != n.k || len(values) > math.MaxUint16 || uint64(len(id))+uint64(len(name)) > math.MaxUint32 {
+		return "", fmt.Errorf("%w: rank %d, a %d-symbol ObjectID, a %d-byte name, %d values", ErrBadObjectID, key, len(id), len(name), len(values))
 	}
-	owner, slot := &n.nodes[s], Slot{Key: key, Rec: n.recs.add(id, name), ILen: uint16(n.k), N: uint16(len(values))}
+	owner, slot := &n.nodes[s], newSlot(key, n.recs.add(id, name), n.k, len(values))
 	for j, r := 0, n.effectiveReplicas(); j < r; j++ {
 		n.member(int(owner.pos), j).addObject(slot, values)
 	}

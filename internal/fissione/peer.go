@@ -48,18 +48,22 @@
 //
 // # Store
 //
-// A peer's store is a slice of Slot — 32 bytes and one pointer each — sorted
+// A peer's store is a slice of Slot — 24 bytes and one pointer each — sorted
 // by (Key, Name, values), beside a column of float64: row i of the column is
 // slot i's N values, at a stride of the widest row the store holds (re-laid
-// on the rare widening, so value-less objects and any arity coexist). Key is
+// on the rare widening, so value-less objects and any arity coexist). The
+// two grow together by one rule: a full store of n objects reallocates both
+// at n + n/2 + 1 rows, so the column has a row for every slot of room and a
+// region holding just past a power of two is not left half empty. Key is
 // the ObjectID's rank: ObjectIDs share the fixed length k, so rank order is
 // their order, every Kautz region and identifier prefix is one contiguous
 // run, and every positioning — a scan's bounds, a publish, an unpublish, a
 // split's cut — is a binary search over integers in one array. The values
 // tie-break makes the order canonical: stores holding the same multiset of
 // objects are element-for-element identical however insertions interleaved,
-// which is what lets a replica set be compared byte for byte. Rec is the
-// object's record, ObjectID‖Name: an immutable substring of a 4 KiB record
+// which is what lets a replica set be compared byte for byte. Rec returns the
+// object's record, ObjectID‖Name — a pointer and a 4-byte length in the
+// slot, not a 16-byte string header: an immutable substring of a 4 KiB record
 // chunk, shared by every replica's slot and every result (Match.ID and
 // Match.Name are its halves). A publish copies the record into the network's
 // current chunk, and a full chunk is dropped for a fresh one, so about a
@@ -97,6 +101,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"armada/internal/kautz"
 )
@@ -141,13 +146,23 @@ type Peer struct {
 }
 
 // Slot is one stored object: what the collector walks and every search
-// compares. It holds exactly one pointer (TestSlotLayout).
+// compares. It is 24 bytes and holds exactly one pointer (TestSlotLayout).
 type Slot struct {
 	Key  uint64 // the ObjectID's rank (kautz.Rank): the store's sort key
-	Rec  string // the record, ObjectID‖Name, in a shared chunk: immutable, shared by every replica and every result
-	ILen uint16 // the ObjectID's length within Rec — the network's k
+	rec  *byte  // the record, ObjectID‖Name, in a shared chunk: immutable, shared by every replica and every result
+	RLen uint32 // the record's length
+	ILen uint16 // the ObjectID's length within the record — the network's k
 	N    uint16 // how many values the object carries: the length of its row
 }
+
+// newSlot is the one way a slot is built: rec is its record, the first ilen
+// bytes of which are the ObjectID, and n how many values the object carries.
+func newSlot(key uint64, rec string, ilen, n int) Slot {
+	return Slot{Key: key, rec: unsafe.StringData(rec), RLen: uint32(len(rec)), ILen: uint16(ilen), N: uint16(n)}
+}
+
+// Rec returns the slot's record, ObjectID‖Name.
+func (s *Slot) Rec() string { return unsafe.String(s.rec, s.RLen) }
 
 // recChunk is the size of a record chunk. Smaller chunks give the collector
 // more objects to mark; larger ones are kept whole by fewer live records
@@ -229,7 +244,7 @@ func compareAt(a Run, i int, b Run, j int) int {
 	if c := cmp.Compare(x.Key, y.Key); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(x.Rec[x.ILen:], y.Rec[y.ILen:]); c != 0 {
+	if c := cmp.Compare(x.Rec()[x.ILen:], y.Rec()[y.ILen:]); c != 0 {
 		return c
 	}
 	return slices.Compare(a.row(i), b.row(j))
@@ -245,9 +260,10 @@ func (r *Run) push(src Run, i int) {
 }
 
 // clone returns a copy of the run that shares nothing with a store but the
-// records, which are immutable.
+// records, which are immutable. Both arrays are exactly as long as the run,
+// so a store made of the copy has a column row for every slot of room.
 func (r Run) clone() Run {
-	return Run{Idx: slices.Clone(r.Idx), Vals: slices.Clone(r.Vals), Stride: r.Stride}
+	return Run{Idx: slices.Clip(slices.Clone(r.Idx)), Vals: slices.Clip(slices.Clone(r.Vals)), Stride: r.Stride}
 }
 
 // each calls fn for the run's objects in order until it returns false. Their
@@ -257,7 +273,8 @@ func (r Run) each(fn func(StoredObject) bool) {
 	vals := slices.Clone(r.Vals)
 	for i := range r.Idx {
 		s := &r.Idx[i]
-		so := StoredObject{ObjectID: kautz.Str(s.Rec[:s.ILen]), Object: Object{Name: s.Rec[s.ILen:]}}
+		rec := s.Rec()
+		so := StoredObject{ObjectID: kautz.Str(rec[:s.ILen]), Object: Object{Name: rec[s.ILen:]}}
 		if s.N > 0 {
 			so.Object.Values = vals[i*r.Stride:][:s.N:s.N]
 		}
@@ -305,9 +322,10 @@ func (p *Peer) cut(lo, hi int) {
 }
 
 // addObject stores the object of slot s and values row on this peer, at its
-// canonical position; the row is copied into the column. A row wider than any
-// the store holds re-lays the column at its width first: rare, a network's
-// objects mostly share one arity.
+// canonical position; the row is copied into the column. A full store grows
+// both arrays by half (the package comment's Store section); a row wider than
+// any the store holds re-lays the column at its width and the same rows:
+// rare, a network's objects mostly share one arity.
 func (p *Peer) addObject(s Slot, row []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -315,18 +333,22 @@ func (p *Peer) addObject(s Slot, row []float64) {
 	lo := searchKey(p.store, s.Key)
 	same := searchKey(p.store[lo:], s.Key+1) // objects under this ObjectID: many, where many share a value
 	i := lo + sort.Search(same, func(j int) bool { return compareAt(all, lo+j, one, 0) >= 0 })
-	w := all.Stride
-	if len(row) > w {
-		w, p.vals = len(row), make([]float64, len(p.store)*len(row), (len(p.store)+1)*len(row))
-		for j := range p.store {
+	n, w := len(p.store), max(all.Stride, len(row))
+	if rows := cap(p.store); n == rows || w > all.Stride {
+		if n == rows {
+			rows = n + n/2 + 1
+			p.store = append(make([]Slot, 0, rows), p.store...)
+		}
+		p.vals = make([]float64, n*w, rows*w)
+		for j := range n {
 			copy(p.vals[j*w:], all.row(j))
 		}
 	}
 	p.store = slices.Insert(p.store, i, s)
 	p.vals = append(p.vals, make([]float64, w)...)
 	copy(p.vals[(i+1)*w:], p.vals[i*w:])
-	n := copy(p.vals[i*w:], row)
-	clear(p.vals[i*w+n : (i+1)*w])
+	m := copy(p.vals[i*w:], row)
+	clear(p.vals[i*w+m : (i+1)*w])
 }
 
 // removeObject deletes one stored occurrence of the object named name under
@@ -338,7 +360,7 @@ func (p *Peer) removeObject(key uint64, name string, values []float64) bool {
 	defer p.mu.Unlock()
 	all, lo := p.run(0, len(p.store)), searchKey(p.store, key)
 	same := searchKey(p.store[lo:], key+1)
-	named := func(i int) string { return p.store[i].Rec[p.store[i].ILen:] }
+	named := func(i int) string { return p.store[i].Rec()[p.store[i].ILen:] }
 	for i := lo + sort.Search(same, func(j int) bool { return named(lo+j) >= name }); i < lo+same && named(i) == name; i++ {
 		if slices.Equal(all.row(i), values) {
 			p.cut(i, i+1)
@@ -423,7 +445,8 @@ func (p *Peer) prefixRange(prefix kautz.Str) (lo, hi int) {
 // merge merges two canonically sorted runs into one: their sum or, with
 // union, their multiset maximum — the union of two snapshots of the same
 // replicated run, possibly with different suffixes of history applied. The
-// result may be one of the arguments.
+// result may be one of the arguments; a new one is allocated at exactly its
+// length.
 func merge(a, b Run, union bool) Run {
 	if len(a.Idx) == 0 {
 		return b
@@ -433,7 +456,7 @@ func merge(a, b Run, union bool) Run {
 	}
 	n := len(a.Idx) + len(b.Idx)
 	if union {
-		n = max(len(a.Idx), len(b.Idx))
+		n = len(a.Idx) + diffCount(b, a)
 	}
 	out := Run{Idx: make([]Slot, 0, n), Stride: max(a.Stride, b.Stride)}
 	out.Vals = make([]float64, 0, n*out.Stride)

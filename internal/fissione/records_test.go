@@ -59,7 +59,7 @@ func TestRecordChunksReclaimed(t *testing.T) {
 	if reclaimed() {
 		t.Fatal("the chunk was reclaimed while a reader holds a slot into it")
 	}
-	if got := held.Rec[held.ILen:]; got != victims[0].Object.Name {
+	if got := held.Rec()[held.ILen:]; got != victims[0].Object.Name {
 		t.Fatalf("held record reads %q, want %q", got, victims[0].Object.Name)
 	}
 	held = Slot{}
@@ -102,7 +102,7 @@ func heldSlot(n *Network, so StoredObject) (held Slot) {
 	p, _ := n.Peer(owner)
 	p.ViewSpan(kautz.Span{Lo: kautz.Rank(so.ObjectID), Hi: kautz.Rank(so.ObjectID)}, func(r Run) {
 		for _, s := range r.Idx {
-			if s.Rec[s.ILen:] == so.Object.Name {
+			if s.Rec()[s.ILen:] == so.Object.Name {
 				held = s
 			}
 		}
