@@ -33,10 +33,15 @@ race:
 # internal/fissione by 25 lines; the Kautz helpers only kautz's tests called
 # (Pred, OutNeighbors, InNeighbors, MustParse, Str.Append) moved into its
 # test files, 72 lines, and the ceiling follows the total down.
+# 3976 → 4103: the counted record arena behind the 16-byte pointer-free slot
+# (the two-level chunk table, the counts and free list, recount at every
+# store path that copies or drops slots, the audit's count check) grew
+# internal/fissione by 127 lines, net of the strings.Builder chunk, ILen and
+# newSlot it replaced; no other serving-path code became unnecessary.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
 LOC_MAX = 6877
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
-LOC_SERVING_MAX = 3976
+LOC_SERVING_MAX = 4103
 loc:
 	@bad=0; for gate in "LOC_MAX $(LOC_MAX) $(LOC_DIRS)" "LOC_SERVING_MAX $(LOC_SERVING_MAX) $(LOC_SERVING_DIRS)"; do \
 		set -- $$gate; name=$$1; max=$$2; shift 2; total=0; \

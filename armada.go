@@ -63,13 +63,13 @@ var (
 //
 // All operations are safe for concurrent use under a two-tier locking
 // scheme. The topology lock (mu) is held exclusively only by topology
-// changes — Join, Leave and Fail — and shared by everything else: queries,
-// publishes and unpublishes all run under the read lock and therefore
+// changes — Join, Leave and Fail — and Audit, and shared by everything else:
+// queries, publishes and unpublishes run under the read lock and therefore
 // concurrently with one another. Store mutations serialize per peer on the
 // owning peer's own lock, so a publish blocks a query only on the one peer
-// it writes; publishes contend in one short, network-wide critical section,
-// the copy of each record into the shared record chunk, which queries never
-// take. The query engine is stateless — every query carries its own
+// it writes; publishes and unpublishes contend in one short, network-wide
+// critical section, the record arena's — a record copied in and counted, or
+// uncounted — which queries never take. The query engine is stateless — every query carries its own
 // configuration — so any number of queries, traced or not, run concurrently.
 type Network struct {
 	// mu is the topology lock: writers are Join/Leave/Fail only; queries,
@@ -205,10 +205,11 @@ func wrapFissioneErr(err error, peerID string) error {
 }
 
 // Publish stores an object named name with the given attribute values (one
-// per configured attribute). The object is placed on the peer owning its
-// order-preserving ObjectID and becomes discoverable by range queries.
-// Publishes hold only the topology read lock plus the owning peer's store
-// lock, so they run concurrently with queries and with each other.
+// per configured attribute) on the peer owning its order-preserving
+// ObjectID, where range queries find it. A name that makes the record
+// (ObjectID‖name) longer than 65,535 bytes is refused. Publishes hold only
+// the topology read lock plus the owning peer's store lock, so they run
+// concurrently with queries and with each other.
 func (n *Network) Publish(name string, values ...float64) error {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -248,9 +249,8 @@ func (n *Network) publishLocked(name string, values []float64) error {
 	if len(values) != n.tree.Attrs() {
 		return fmt.Errorf("%w: got %d values, want %d", ErrBadArity, len(values), n.tree.Attrs())
 	}
-	// A publish allocates nothing of its own: the naming walk writes the
-	// ObjectID into this array and returns its rank, and the store copies the
-	// ObjectID and name into its record chunk and the values into its column.
+	// A publish allocates nothing: the naming walk writes the ObjectID here, the
+	// store copies it and the name into its record chunk, the values into its column.
 	var id [kautz.MaxRankLen]byte
 	key, err := n.tree.HashInto(&id, values...)
 	if err != nil {
@@ -623,10 +623,10 @@ func (n *Network) Audit() error { return n.AuditSampled(0) }
 // — the namespace cover is still checked in full — so post-run
 // verification stays feasible at 100k peers. A sample of zero or at least
 // the network size runs the full Audit. The delay bound is checked either
-// way.
+// way. It waits out every publish in flight, as a topology change does.
 func (n *Network) AuditSampled(sample int) error {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if err := n.net.AuditSampled(sample); err != nil {
 		return err
 	}

@@ -62,7 +62,7 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 	// for subqueries run in parallel.
 	var buf [3]kautz.Span
 	parts := q.corners.AppendSplitByFirstSymbol(e.net.K(), buf[:0])
-	top := selection{k: k, m: len(q.box.Lo)}
+	top := selection{k: k, m: len(q.box.Lo), idLen: e.net.K()}
 	st.span = q.corners
 	ran, found, scanned := 0, 0, 0
 	for i := len(parts) - 1; i >= 0 && found < k; i-- {
@@ -78,26 +78,26 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 }
 
 // candidate is one object a top-k selection holds on to while the scan goes
-// on: its slot by value — the record is immutable — and the index of its row
-// in the selection's own buffer, copied under the store lock: the store's
-// column shifts under the next publish and is no one's to keep.
+// on: its record, ObjectID‖Name — no slot outlives the store lock — and the
+// index of its row in the selection's own buffer, copied under the store
+// lock: the store's column shifts under the next publish.
 type candidate struct {
-	slot    fissione.Slot
+	rec     string
 	v0      float64 // the row's first value, which decides nearly every comparison
 	row     int
 	serving int32 // the slot of the replica that served it
 }
 
 // compare is the top-k result order: first attribute descending, then Name
-// and ObjectID ascending.
-func (a *candidate) compare(b *candidate) int {
+// and ObjectID ascending; a record's first idLen bytes are its ObjectID.
+func (a *candidate) compare(b *candidate, idLen int) int {
 	if c := cmp.Compare(b.v0, a.v0); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.slot.Rec()[a.slot.ILen:], b.slot.Rec()[b.slot.ILen:]); c != 0 {
+	if c := cmp.Compare(a.rec[idLen:], b.rec[idLen:]); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.slot.Key, b.slot.Key)
+	return cmp.Compare(a.rec[:idLen], b.rec[:idLen])
 }
 
 // selection is a k-bounded top-k: it keeps at most 2k candidates, and each
@@ -105,8 +105,8 @@ func (a *candidate) compare(b *candidate) int {
 // the k-th — so an offer costs one comparison when it loses to the bar and
 // O(log k) amortised when it is kept, however many objects are offered.
 type selection struct {
-	k, m int // m values a row: every candidate passed the box
-	kept []candidate
+	k, m, idLen int // m values a row: every candidate passed the box; idLen the ObjectID length
+	kept        []candidate
 	// rows holds the kept candidates' values, m each; a cut compacts the
 	// survivors' into spare, best first, and the two trade places.
 	rows, spare []float64
@@ -114,15 +114,15 @@ type selection struct {
 	full        bool
 }
 
-// offer considers the object of slot s and values row, keeping a copy of
-// the row if the object may still be among the best k; against the bar most
-// of what a scan visits loses on its first value.
-func (s *selection) offer(slot *fissione.Slot, row []float64, serving int32) {
+// offer considers run's object i, of values row, keeping a copy of the row
+// if the object may still be among the best k; against the bar most of what
+// a scan visits loses on its first value.
+func (s *selection) offer(run *fissione.Run, i int, row []float64, serving int32) {
 	if s.full && row[0] < s.bar.v0 {
 		return
 	}
-	c := candidate{slot: *slot, v0: row[0], row: len(s.kept), serving: serving}
-	if s.full && c.compare(&s.bar) >= 0 {
+	c := candidate{rec: run.Rec(i), v0: row[0], row: len(s.kept), serving: serving}
+	if s.full && c.compare(&s.bar, s.idLen) >= 0 {
 		return
 	}
 	if s.kept == nil { // both buffers whole, unless k is huge
@@ -137,7 +137,7 @@ func (s *selection) offer(slot *fissione.Slot, row []float64, serving int32) {
 
 // cut orders the kept candidates, best first, and drops all but k.
 func (s *selection) cut() {
-	slices.SortFunc(s.kept, func(a, b candidate) int { return a.compare(&b) })
+	slices.SortFunc(s.kept, func(a, b candidate) int { return a.compare(&b, s.idLen) })
 	if len(s.kept) >= s.k {
 		s.kept = s.kept[:s.k]
 		s.bar, s.full = s.kept[s.k-1], true
@@ -161,7 +161,7 @@ func (s *selection) matches(net *fissione.Network) []Match {
 	var vals []float64
 	for i := range s.kept {
 		c := &s.kept[i]
-		vals = writeMatch(&out[i], vals, len(out)-i, &c.slot, s.rows[i*s.m:][:s.m], string(net.IDAt(c.serving)))
+		vals = writeMatch(&out[i], vals, len(out)-i, c.rec, s.idLen, s.rows[i*s.m:][:s.m], string(net.IDAt(c.serving)))
 	}
 	return out
 }
@@ -179,7 +179,7 @@ func (st *queryState) selectTop(runs []located, top *selection) (admitted int) {
 				s := &run.Idx[j]
 				if row := run.Vals[j*run.Stride:][:s.N]; st.admits(s.Key, row) {
 					admitted++
-					top.offer(s, row, r.serving)
+					top.offer(&run, j, row, r.serving)
 				}
 			}
 		})

@@ -96,11 +96,11 @@ func (st *queryState) scanned(r *located) {
 }
 
 // writeMatch copies one stored object into m, a result's next element — the
-// one place a result object is built. Name and ID are the two halves of the
-// stored record, shared, not copied. Values go into vals, the array every
-// match of the result shares; when it is full a new chunk for the spare
-// elements, m's included, replaces it, and matches built keep the old.
-func writeMatch(m *Match, vals []float64, spare int, s *fissione.Slot, row []float64, peer string) []float64 {
+// one place a result object is built. ID and Name are its record cut at k,
+// shared, not copied. Values go into vals, the array every match of the
+// result shares; when it is full a new chunk for the spare elements, m's
+// included, replaces it, and matches built keep the old.
+func writeMatch(m *Match, vals []float64, spare int, rec string, k int, row []float64, peer string) []float64 {
 	var v []float64
 	if len(row) > 0 {
 		if cap(vals)-len(vals) < len(row) {
@@ -110,9 +110,8 @@ func writeMatch(m *Match, vals []float64, spare int, s *fissione.Slot, row []flo
 		vals = append(vals, row...)
 		v = vals[off:len(vals):len(vals)]
 	}
-	rec := s.Rec()
 	// Every field, one by one: a literal is block-copied, a bulk write barrier (wbMove) per object.
-	m.Name, m.Values, m.ID, m.Peer = rec[s.ILen:], v, rec[:s.ILen], peer
+	m.Name, m.Values, m.ID, m.Peer = rec[k:], v, rec[:k], peer
 	return vals
 }
 
@@ -155,7 +154,7 @@ func (st *queryState) capacityHint(runs []located, need int) int {
 // Any other run (a corner leaf's, MIRA's, one the cut splits) is filled
 // object by object.
 func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, peer string) (_ []Match, _ []float64, more bool) {
-	limit := st.cfg.Limit
+	limit, k := st.cfg.Limit, st.net.K()
 	if (limit == 0 || len(out)+len(run.Idx) <= limit) && st.admitsAll(run) {
 		out = slices.Grow(out, len(run.Idx)) // grows past the hint on racing publishes
 		w := run.Stride
@@ -174,8 +173,8 @@ func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, peer s
 			if s.N > 0 {
 				v = col[i*w:][:s.N:s.N]
 			}
-			m, rec := &dst[j], s.Rec()
-			m.Name, m.Values, m.ID, m.Peer = rec[s.ILen:], v, rec[:s.ILen], peer
+			m, rec := &dst[j], run.Rec(i)
+			m.Name, m.Values, m.ID, m.Peer = rec[k:], v, rec[:k], peer
 			j++
 		}
 		return out[:len(out)+j], vals, false
@@ -186,11 +185,12 @@ func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, peer s
 		if !st.admits(s.Key, row) {
 			continue
 		}
-		if limit > 0 && len(out) >= limit && s.Rec()[:s.ILen] != out[len(out)-1].ID {
+		rec := run.Rec(i)
+		if limit > 0 && len(out) >= limit && rec[:k] != out[len(out)-1].ID {
 			return out, vals, true
 		}
 		out = slices.Grow(out, 1)[:len(out)+1] // grows past the hint on racing publishes, ties at the cut
-		vals = writeMatch(&out[len(out)-1], vals, cap(out)-len(out)+1, s, row, peer)
+		vals = writeMatch(&out[len(out)-1], vals, cap(out)-len(out)+1, rec, k, row, peer)
 	}
 	return out, vals, false
 }

@@ -226,7 +226,9 @@ func (n *Network) checkPeerTables(s int32) error {
 }
 
 // Audit runs every structural check; with a replication degree above 1 it
-// also verifies byte-for-byte replica-set consistency (CheckReplicas).
+// also verifies byte-for-byte replica-set consistency (CheckReplicas). Like
+// topology mutation it requires external exclusion: no store write may be in
+// flight, for the record arena's counts are checked against every store.
 func (n *Network) Audit() error {
 	return n.AuditSampled(0)
 }
@@ -246,6 +248,13 @@ func (n *Network) AuditSampled(sample int) error {
 	if err := n.CheckCover(); err != nil {
 		return err
 	}
+	peers := make([]*Peer, len(n.order))
+	for i, s := range n.order {
+		peers[i] = n.nodes[s].peer
+	}
+	if err := n.recs.check(peers); err != nil {
+		return err
+	}
 	stride := 1
 	if sample > 0 && sample < len(n.order) {
 		stride = (len(n.order) + sample - 1) / sample
@@ -262,6 +271,35 @@ func (n *Network) AuditSampled(sample int) error {
 		if err := n.checkReplicaRegion(i); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// check verifies the record arena against peers, every store whose slots
+// refer to it: each chunk's count is the number of their slots that refer to
+// it, a chunk is in the table exactly while counted or filling, and every
+// number out of it is free.
+func (r *records) check(peers []*Peer) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	refs, live := make([]int32, len(r.counts)+1), 0 // the last counts refs past every number
+	for _, p := range peers {
+		p.mu.RLock()
+		for _, s := range p.store {
+			refs[min(int(s.Ref>>refBits), len(r.counts))]++
+		}
+		p.mu.RUnlock()
+	}
+	for c, count := range r.counts {
+		page, fill := r.table[c>>pageBits], r.fill != nil && c == int(r.at)
+		if in := page != nil && page[c&pageMask] != nil; count != refs[c] || in != (count > 0 || fill) {
+			return fmt.Errorf("fissione: record chunk %d counts %d slots, %d refer to it; in the table %t, filling %t", c, count, refs[c], in, fill)
+		} else if in {
+			live++
+		}
+	}
+	if past := refs[len(r.counts)]; past > 0 || live+len(r.free) != len(r.counts) {
+		return fmt.Errorf("fissione: of %d record chunks %d are in the table and %d free; %d slots refer past them", len(r.counts), live, len(r.free), past)
 	}
 	return nil
 }

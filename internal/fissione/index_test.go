@@ -101,12 +101,24 @@ func refObject(rng *rand.Rand) Object {
 	return obj
 }
 
-// checkStore verifies what every store operation must leave behind: slots in
-// the canonical order, each keyed by its ObjectID's rank, a column of exactly
-// one stride-wide row a slot whose padding is zero, and a column with room
-// for a row for every slot the store has room for, so that the column never
-// grows on its own.
-func checkStore(t testing.TB, p *Peer) {
+// checkStore verifies what every store operation must leave behind on each
+// of peers, which share one record arena: slots in the canonical order, each
+// keyed by its ObjectID's rank, a column of exactly one stride-wide row a
+// slot whose padding is zero, and a column with room for a row for every slot
+// the store has room for, so that the column never grows on its own. Then
+// the arena's counts must be what the peers' slots, all that refer to it,
+// make them (records.check).
+func checkStore(t testing.TB, peers ...*Peer) {
+	t.Helper()
+	for _, p := range peers {
+		checkOneStore(t, p)
+	}
+	if err := peers[0].recs.check(peers); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func checkOneStore(t testing.TB, p *Peer) {
 	t.Helper()
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -118,9 +130,9 @@ func checkStore(t testing.TB, p *Peer) {
 		t.Fatalf("column has room for %d values, the store for %d slots at stride %d", cap(p.vals), cap(p.store), w)
 	}
 	for i := range p.store {
-		s := &p.store[i]
-		if id := kautz.Str(s.Rec()[:s.ILen]); !kautz.Valid(id) || kautz.Rank(id) != s.Key || int(s.N) > w {
-			t.Fatalf("slot %d: key %d, %d values at stride %d for record %q", i, s.Key, s.N, w, s.Rec())
+		s, rec := &p.store[i], all.Rec(i)
+		if id := kautz.Str(rec[:p.recs.k]); !kautz.Valid(id) || kautz.Rank(id) != s.Key || int(s.N) > w {
+			t.Fatalf("slot %d: key %d, %d values at stride %d for record %q", i, s.Key, s.N, w, rec)
 		}
 		if i > 0 && compareAt(all, i-1, all, i) > 0 {
 			t.Fatalf("slots %d and %d are out of canonical order", i-1, i)
@@ -239,12 +251,35 @@ func TestOrderedIndexMatchesReference(t *testing.T) {
 
 // put and take are addObject and removeObject for a test that holds an
 // ObjectID and an Object apart, as PublishAt and UnpublishAt do.
+// Each keeps the arena's counts as a publish and an unpublish do.
 func put(p *Peer, id kautz.Str, obj Object) {
-	p.addObject(newSlot(kautz.Rank(id), string(id)+obj.Name, len(id), len(obj.Values)), obj.Values)
+	if p.recs.k == 0 {
+		p.recs.k = len(id)
+	}
+	s, _ := p.recs.newSlot(kautz.Rank(id), []byte(id), obj.Name, len(obj.Values), 1)
+	p.addObject(s, obj.Values)
 }
 
 func take(p *Peer, id kautz.Str, obj Object) bool {
-	return p.removeObject(kautz.Rank(id), obj.Name, obj.Values)
+	s, ok := p.removeObject(kautz.Rank(id), obj.Name, obj.Values)
+	if ok {
+		p.recs.recount(nil, []Slot{s})
+	}
+	return ok
+}
+
+// newPeer returns a peer outside any network, with a record arena of its own
+// for ObjectIDs of the length the first put gives it.
+func newPeer(id kautz.Str) *Peer { return &Peer{id: id, recs: &records{}} }
+
+// testPeers returns peers named "0", "1", … whose records share one arena,
+// for ObjectIDs of length k.
+func testPeers(k, n int) []*Peer {
+	recs, out := &records{k: k}, make([]*Peer, n)
+	for i := range out {
+		out[i] = &Peer{id: kautz.Str(rune('0' + i)), recs: recs}
+	}
+	return out
 }
 
 // viewOf copies out what one View hands its callback (nil when the run is
@@ -410,7 +445,8 @@ func TestOrderedIndexMoves(t *testing.T) {
 	const k = 10
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 60; trial++ {
-		src, dst := newPeer("0"), newPeer("1")
+		peers := testPeers(k, 2)
+		src, dst := peers[0], peers[1]
 		var refSrc, refDst refStore
 		for i := 0; i < 120; i++ {
 			id, obj := kautz.Random(rng, k), refObject(rng)
@@ -440,8 +476,7 @@ func TestOrderedIndexMoves(t *testing.T) {
 		if got, want := dst.AllObjects(), refDst.all(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: destination after moveAllObjects diverged", trial)
 		}
-		checkStore(t, src)
-		checkStore(t, dst)
+		checkStore(t, src, dst)
 
 		if lost := dst.clearStore(); lost != refDst.count() {
 			t.Fatalf("trial %d: clearStore dropped %d, want %d", trial, lost, refDst.count())
@@ -452,13 +487,13 @@ func TestOrderedIndexMoves(t *testing.T) {
 	}
 }
 
-// TestSlotLayout pins what the collector walks: a slot is 24 bytes and holds
-// exactly one pointer-bearing field, its record. A second pointer — a values
-// slice, a name apart from the ObjectID — would bring back one more heap
-// object to mark for every stored object.
+// TestSlotLayout pins what a store costs the collector: a slot is 16 bytes
+// and holds no pointer-bearing field, so a slot array is memory it does not
+// scan. A pointer — to the record, a values slice, a name apart from the
+// ObjectID — would bring back a heap object to mark for every stored object.
 func TestSlotLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Slot{}); size != 24 {
-		t.Errorf("Slot is %d bytes, want 24", size)
+	if size := unsafe.Sizeof(Slot{}); size != 16 {
+		t.Errorf("Slot is %d bytes, want 16", size)
 	}
 	var pointers []string
 	for i, typ := 0, reflect.TypeOf(Slot{}); i < typ.NumField(); i++ {
@@ -468,8 +503,8 @@ func TestSlotLayout(t *testing.T) {
 			pointers = append(pointers, f.Name)
 		}
 	}
-	if !slices.Equal(pointers, []string{"rec"}) {
-		t.Errorf("Slot's pointer-bearing fields are %v, want only rec", pointers)
+	if len(pointers) > 0 {
+		t.Errorf("Slot's pointer-bearing fields are %v, want none", pointers)
 	}
 }
 
@@ -627,7 +662,7 @@ const storeFuzzK = 5
 func FuzzStoreMatchesReference(f *testing.F) {
 	f.Add([]byte("\x00\x05\x01\x00\x05\x01\x00\x06\x03\x10\x05\x02\x02\x01\x00\x03\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		peers := [2]*Peer{newPeer("0"), newPeer("1")}
+		peers := [2]*Peer(testPeers(storeFuzzK, 2))
 		var refs [2]refStore
 		space := kautz.SpaceSize(storeFuzzK)
 		for step := 0; len(data) >= 3; step, data = step+1, data[3:] {
@@ -685,8 +720,8 @@ func FuzzStoreMatchesReference(f *testing.F) {
 					t.Fatalf("step %d: ViewSpan(%v):\n got %v\nwant %v", step, span, got, want)
 				}
 			}
+			checkStore(t, peers[:]...)
 			for i, p := range peers {
-				checkStore(t, p)
 				if got, want := p.AllObjects(), refs[i].all(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d (op %d): peer %d diverged:\n got %v\nwant %v", step, op, i, got, want)
 				}
@@ -787,13 +822,17 @@ func benchWrites(b *testing.B, timeInserts bool) {
 	const k, round = 32, 64
 	p, _ := benchStore()
 	rng := rand.New(rand.NewSource(8))
-	var slots [round]Slot
+	var (
+		slots [round]Slot
+		names [round]string
+	)
 	for i := range slots {
 		id := kautz.Random(rng, k)
 		for id[0] != '0' {
 			id = kautz.Random(rng, k)
 		}
-		slots[i] = newSlot(kautz.Rank(id), string(id)+fmt.Sprintf("w%02d", i), k, 1)
+		names[i] = fmt.Sprintf("w%02d", i)
+		slots[i], _ = p.recs.newSlot(kautz.Rank(id), []byte(id), names[i], 1, 1)
 	}
 	row := []float64{1}
 	var inserts, removals time.Duration
@@ -806,8 +845,8 @@ func benchWrites(b *testing.B, timeInserts bool) {
 		}
 		mid := time.Now()
 		for i := range slots {
-			if !p.removeObject(slots[i].Key, slots[i].Rec()[k:], row) {
-				b.Fatalf("object %q not found", slots[i].Rec())
+			if _, ok := p.removeObject(slots[i].Key, names[i], row); !ok {
+				b.Fatalf("object %q not found", names[i])
 			}
 		}
 		inserts, removals = inserts+mid.Sub(start), removals+time.Since(mid)

@@ -70,7 +70,7 @@ type Network struct {
 	reRepl   obs.Counter // objects copied by churn repair
 	repairs  obs.Counter // regions whose replica set repair actually rebuilt
 	epoch    atomic.Uint64
-	recs     records // where PublishRec copies records
+	recs     *records // the record arena every peer's slots refer to
 	// onRepair, when set (SetRepairHook), observes each region repair that
 	// copied objects. It runs under the same external exclusion topology
 	// mutation requires.
@@ -99,6 +99,7 @@ func New(k int, seed int64) (*Network, error) {
 		rng:      rand.New(rand.NewSource(seed)),
 		seed:     seed,
 		replicas: 1,
+		recs:     &records{k: k},
 	}
 	n.cover.reset(3)
 	for i, id := range []kautz.Str{"0", "1", "2"} {
@@ -265,7 +266,7 @@ func (n *Network) alloc(id kautz.Str) (int32, error) {
 	} else {
 		n.nodes = append(n.nodes, node{})
 	}
-	n.nodes[s] = node{id: id, rank: kautz.Rank(id), peer: newPeer(id)}
+	n.nodes[s] = node{id: id, rank: kautz.Rank(id), peer: &Peer{id: id, recs: n.recs}}
 	return s, nil
 }
 
@@ -563,22 +564,27 @@ func (n *Network) PublishAt(objectID kautz.Str, obj Object) (kautz.Str, error) {
 // PublishRec stores an object on every member of its region's replica group
 // directly (without routing) and returns the owner. id is the object's
 // ObjectID, whose rank is key; it and name are copied into the network's
-// record chunk as the object's record, shared by every member (see the
-// package comment's Store section), and values into each member's column, so
-// the caller keeps all three. The fan-out applies member by member in
-// placement order (owner first) under each member's own store lock, so it
-// runs concurrently with queries and other publishes; a reader racing the
-// fan-out may observe the object on some members before others. A rank
-// outside the space, an ObjectID not k symbols long, more than 65,535 values
-// or a record (ObjectID‖Name) over 4 GiB is refused with ErrBadObjectID.
-// Routing-accounted publication is provided by the query engine's Lookup.
+// record arena as the object's record, shared by every member and counted
+// for each (see the package comment's Store section), and values into each
+// member's column, so the caller keeps all three. The fan-out applies member
+// by member in placement order (owner first) under each member's own store
+// lock, so it runs concurrently with queries and other publishes; a reader
+// racing the fan-out may observe the object on some members before others.
+// A rank outside the space, an ObjectID not k symbols long, more than 65,535
+// values or a record (ObjectID‖Name) longer than 65,535 bytes is refused with
+// ErrBadObjectID. Routing-accounted publication is provided by the query
+// engine's Lookup.
 func (n *Network) PublishRec(key uint64, id []byte, name string, values []float64) (kautz.Str, error) {
 	s, ok := n.cover.ownerKey(key, n.k)
-	if !ok || len(id) != n.k || len(values) > math.MaxUint16 || uint64(len(id))+uint64(len(name)) > math.MaxUint32 {
+	if !ok || len(id) != n.k || len(values) > math.MaxUint16 || len(id)+len(name) > math.MaxUint16 {
 		return "", fmt.Errorf("%w: rank %d, a %d-symbol ObjectID, a %d-byte name, %d values", ErrBadObjectID, key, len(id), len(name), len(values))
 	}
-	owner, slot := &n.nodes[s], newSlot(key, n.recs.add(id, name), n.k, len(values))
-	for j, r := 0, n.effectiveReplicas(); j < r; j++ {
+	owner, r := &n.nodes[s], n.effectiveReplicas()
+	slot, ok := n.recs.newSlot(key, id, name, len(values), r)
+	if !ok {
+		return "", errors.New("fissione: the record arena has used every chunk number")
+	}
+	for j := 0; j < r; j++ {
 		n.member(int(owner.pos), j).addObject(slot, values)
 	}
 	return owner.id, nil
@@ -604,16 +610,18 @@ func (n *Network) UnpublishKey(key uint64, name string, values []float64) (kautz
 	if !ok {
 		return "", fmt.Errorf("%w: rank %d", ErrBadObjectID, key)
 	}
-	owner, removed := &n.nodes[s], false
+	var buf [4]Slot
+	owner, gone := &n.nodes[s], buf[:0]
 	for j, r := 0, n.effectiveReplicas(); j < r; j++ {
-		if n.member(int(owner.pos), j).removeObject(key, name, values) {
-			removed = true
+		if slot, ok := n.member(int(owner.pos), j).removeObject(key, name, values); ok {
+			gone = append(gone, slot)
 		}
 	}
-	if !removed {
+	if len(gone) == 0 {
 		id, _ := kautz.FromRank(key, n.k) // in range: the cover found its owner
 		return "", fmt.Errorf("%w: %q at %q", ErrNoSuchObject, name, id)
 	}
+	n.recs.recount(nil, gone)
 	return owner.id, nil
 }
 

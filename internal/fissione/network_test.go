@@ -2,6 +2,7 @@ package fissione
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -188,11 +189,12 @@ func TestPublishRecMatchesPublishAt(t *testing.T) {
 		t.Fatalf("second removal: %v, want ErrNoSuchObject naming %q", err, oid)
 	}
 	for name, err := range map[string]error{
-		"rank past the space":      second(n.PublishRec(kautz.SpaceSize(k), []byte(oid), "x", nil)),
-		"short ObjectID":           second(n.PublishRec(kautz.Rank(oid), []byte(oid[:k-1]), "x", nil)),
-		"row longer than a uint16": second(n.PublishRec(kautz.Rank(oid), []byte(oid), "x", make([]float64, 1<<16))),
-		"unpublish past the space": second(n.UnpublishKey(kautz.SpaceSize(k), "x", nil)),
-		"invalid ObjectID":         second(n.PublishAt(oid[:k-1]+oid[k-2:k-1], Object{Name: "x"})),
+		"rank past the space":         second(n.PublishRec(kautz.SpaceSize(k), []byte(oid), "x", nil)),
+		"short ObjectID":              second(n.PublishRec(kautz.Rank(oid), []byte(oid[:k-1]), "x", nil)),
+		"row longer than a uint16":    second(n.PublishRec(kautz.Rank(oid), []byte(oid), "x", make([]float64, 1<<16))),
+		"record longer than a uint16": second(n.PublishRec(kautz.Rank(oid), []byte(oid), strings.Repeat("x", 1<<16-k), nil)),
+		"unpublish past the space":    second(n.UnpublishKey(kautz.SpaceSize(k), "x", nil)),
+		"invalid ObjectID":            second(n.PublishAt(oid[:k-1]+oid[k-2:k-1], Object{Name: "x"})),
 	} {
 		if !errors.Is(err, ErrBadObjectID) {
 			t.Errorf("%s: %v, want ErrBadObjectID", name, err)
@@ -339,6 +341,7 @@ func TestChurnSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	publishRandom(t, n, 2000, 40) // what the record arena's counts are checked on
 	rng := rand.New(rand.NewSource(42))
 	for step := 0; step < 400; step++ {
 		if rng.Intn(2) == 0 && n.Size() > 10 {
@@ -350,14 +353,21 @@ func TestChurnSoak(t *testing.T) {
 				t.Fatalf("step %d join: %v", step, err)
 			}
 		}
-		if step%50 == 0 {
-			if err := n.Audit(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
+		if err := n.Audit(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
-	if err := n.Audit(); err != nil {
-		t.Fatal(err)
+}
+
+// publishRandom publishes count objects under ObjectIDs drawn from a source
+// of their own, so that the network's own draws are left as they were.
+func publishRandom(t *testing.T, n *Network, count int, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for i := range count {
+		if _, err := n.PublishAt(kautz.Random(rng, n.K()), Object{Name: fmt.Sprintf("r%d", i), Values: []float64{float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -48,37 +48,36 @@
 //
 // # Store
 //
-// A peer's store is a slice of Slot — 24 bytes and one pointer each — sorted
-// by (Key, Name, values), beside a column of float64: row i of the column is
-// slot i's N values, at a stride of the widest row the store holds (re-laid
-// on the rare widening, so value-less objects and any arity coexist). The
-// two grow together by one rule: a full store of n objects reallocates both
-// at n + n/2 + 1 rows, so the column has a row for every slot of room and a
-// region holding just past a power of two is not left half empty. Key is
-// the ObjectID's rank: ObjectIDs share the fixed length k, so rank order is
-// their order, every Kautz region and identifier prefix is one contiguous
-// run, and every positioning — a scan's bounds, a publish, an unpublish, a
-// split's cut — is a binary search over integers in one array. The values
-// tie-break makes the order canonical: stores holding the same multiset of
-// objects are element-for-element identical however insertions interleaved,
-// which is what lets a replica set be compared byte for byte. Rec returns the
-// object's record, ObjectID‖Name — a pointer and a 4-byte length in the
-// slot, not a 16-byte string header: an immutable substring of a 4 KiB record
-// chunk, shared by every replica's slot and every result (Match.ID and
-// Match.Name are its halves). A publish copies the record into the network's
-// current chunk, and a full chunk is dropped for a fresh one, so about a
-// hundred records share one heap object and the collector marks one chunk
-// where it marked one string per object. There is no reference count and no
-// compaction: a chunk lives exactly as long as some slot or result points
-// into it, and the collector reclaims it after. So a held result pins the
-// chunks its objects' records sit in, and a chunk stays whole while any one
-// of its records is stored — at worst 4 KiB per live record, and under
+// A peer's store is a slice of Slot — 16 bytes and no pointer each, memory
+// the collector does not scan — sorted by (Key, Name, values), beside a
+// column of float64: row i is slot i's N values, at the stride of the widest
+// row the store holds (re-laid on the rare widening). Both grow by one rule:
+// a full store of n objects reallocates both at n + n/2 + 1 rows. Key is the
+// ObjectID's rank: ObjectIDs share the length k, so rank order is their
+// order, every Kautz region and identifier prefix is one contiguous run, and
+// every positioning — a scan's bounds, a publish, an unpublish, a split's
+// cut — is a binary search over integers. The values tie-break makes the
+// order canonical, so stores holding one multiset are identical element for
+// element and a replica set compares byte for byte. Values are not in the
+// record because a scan filters on them: 8 bytes an object from a column.
+//
+// A record, ObjectID‖Name, lives in the network's arena (records): a slot's
+// Ref is its 4 KiB chunk's number and its offset there. A publish copies it
+// once into the fill chunk, shared by every replica, so about a hundred
+// records share one heap object. The arena counts each chunk's slots over
+// every store: a publish raises the count by the replica count before any
+// member stores the slot, a copy (repair, re-replication, a degree raised)
+// raises it, a removal (unpublish, a crash, a takeover's duplicate, a replica
+// run dropped) lowers it, and a move (split, merge, relocation) leaves it. At
+// zero a chunk other than the fill chunk leaves the table and its number is
+// reused. Chunk memory is never rewritten: a result holding a record
+// (Match.ID and Match.Name are its halves) keeps its chunk alive through the
+// collector. A chunk stays whole while any of its records is stored — under
 // random eviction within a few percent of a string per record
-// (BenchmarkChurnRetention). A reader handed a Run under the store lock
-// (ViewSpan) may keep slots and records; rows it must copy, for the column
-// shifts under the next publish. Values are not in the record because a scan
-// filters on them: from a column it reads 8 bytes an object, not a cache line
-// of identifier and name.
+// (BenchmarkChurnRetention). Run.Rec is the one reader of a record: a reader
+// handed a Run under the store lock (ViewSpan) may keep records, never a
+// slot — a number the arena reuses — nor a row of Vals, which shifts under
+// the next publish.
 //
 // # Concurrency
 //
@@ -98,7 +97,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -143,66 +141,144 @@ type Peer struct {
 	mu    sync.RWMutex
 	store []Slot    // ascending (Key, Name, values)
 	vals  []float64 // the column: len(store) rows of one stride, in store order
+	recs  *records  // the network's record arena, where the slots' records are
 }
 
-// Slot is one stored object: what the collector walks and every search
-// compares. It is 24 bytes and holds exactly one pointer (TestSlotLayout).
+// Slot is one stored object: what every search compares. It is 16 bytes and
+// holds no pointer (TestSlotLayout), so a slot array is memory the collector
+// does not scan.
 type Slot struct {
 	Key  uint64 // the ObjectID's rank (kautz.Rank): the store's sort key
-	rec  *byte  // the record, ObjectID‖Name, in a shared chunk: immutable, shared by every replica and every result
-	RLen uint32 // the record's length
-	ILen uint16 // the ObjectID's length within the record — the network's k
+	Ref  uint32 // the record, ObjectID‖Name, in the arena: chunk<<refBits | offset
+	RLen uint16 // the record's length
 	N    uint16 // how many values the object carries: the length of its row
 }
 
-// newSlot is the one way a slot is built: rec is its record, the first ilen
-// bytes of which are the ObjectID, and n how many values the object carries.
-func newSlot(key uint64, rec string, ilen, n int) Slot {
-	return Slot{Key: key, rec: unsafe.StringData(rec), RLen: uint32(len(rec)), ILen: uint16(ilen), N: uint16(n)}
-}
-
-// Rec returns the slot's record, ObjectID‖Name.
-func (s *Slot) Rec() string { return unsafe.String(s.rec, s.RLen) }
-
 // recChunk is the size of a record chunk. Smaller chunks give the collector
 // more objects to mark; larger ones are kept whole by fewer live records
-// under churn (BenchmarkChurnRetention).
-const recChunk = 4 << 10
+// under churn (BenchmarkChurnRetention). A Ref's low refBits bits are an
+// offset in a chunk, its high 20 the chunk's number, of which the arena's
+// table takes the low pageBits for its second level.
+const (
+	recChunk          = 1 << refBits
+	refBits, pageBits = 12, 10
+	pageMask          = 1<<pageBits - 1
+)
 
-// records is a network's record arena: the chunk publishes copy records into.
+// records is a network's record arena (the package comment's Store section):
+// its chunks by number, the count of the slots in every store that refer to
+// each, and the fill chunk publishes copy records into. The table has two
+// levels so that no entry moves: a reader resolves a Ref without the arena's
+// lock, through a slot it read under its store's lock, which orders the read
+// after the entry was written.
 type records struct {
-	mu    sync.Mutex
-	chunk strings.Builder // never grown past recChunk, so a string it returned stays valid
+	k      int // the ObjectID length: a record's first k bytes
+	mu     sync.Mutex
+	table  [1 << (32 - refBits - pageBits)]*[1 << pageBits]*byte // number → the chunk's first byte; nil once released
+	counts []int32                                               // number → the slots referring to the chunk
+	free   []uint32                                              // released numbers, reused first
+	fill   []byte                                                // the fill chunk, as long as its records
+	at     uint32                                                // the fill chunk's number
 }
 
-// add returns the record id‖name as a substring of the current chunk,
-// starting a new chunk when it does not fit. A record longer than an eighth
-// of a chunk is allocated on its own, so no chunk ends more than that short
-// of full.
-func (r *records) add(id []byte, name string) string {
-	n := len(id) + len(name)
-	if n > recChunk/8 {
-		return string(id) + name
-	}
+// newSlot copies the record id‖name into the fill chunk and returns the slot
+// of an object with n values under the ObjectID of rank key, counted as held
+// by the given number of stores, which must then store it. A full fill chunk
+// is replaced by a fresh one; a record longer than an eighth of a chunk gets
+// a chunk of its own, so no fill chunk ends more than that short of full. It
+// reports false, changing nothing, when every chunk number is in use.
+func (r *records) newSlot(key uint64, id []byte, name string, n, stores int) (Slot, bool) {
+	size, grow := len(id)+len(name), recChunk
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.chunk.Cap()-r.chunk.Len() < n {
-		r.chunk.Reset()
-		r.chunk.Grow(recChunk)
+	var own []byte
+	dst, c := &r.fill, r.at
+	if size > recChunk/8 {
+		dst, grow = &own, size
 	}
-	at := r.chunk.Len()
-	r.chunk.Write(id)
-	r.chunk.WriteString(name)
-	return r.chunk.String()[at:]
+	if cap(*dst)-len(*dst) < size {
+		mem, ok := make([]byte, 0, grow), false
+		if c, ok = r.number(mem); !ok {
+			return Slot{}, false
+		}
+		if dst == &r.fill {
+			if r.fill != nil && r.counts[r.at] == 0 {
+				r.release(r.at)
+			}
+			r.at = c
+		}
+		*dst = mem
+	}
+	off := len(*dst)
+	*dst = append(append(*dst, id...), name...)
+	r.counts[c] += int32(stores)
+	return Slot{Key: key, Ref: c<<refBits | uint32(off), RLen: uint16(size), N: uint16(n)}, true
 }
 
-// Run is a contiguous run of a store: its slots and their rows of the value
-// column. Object i's values are Vals[i*Stride : i*Stride+int(Idx[i].N)]; the
-// rest of its row is padding.
+// number enters the chunk mem in the table under a number — a released one
+// first — whose count is zero, reporting false when all 1<<20 are in use.
+func (r *records) number(mem []byte) (uint32, bool) {
+	c := uint32(len(r.counts))
+	if f := len(r.free) - 1; f >= 0 {
+		c, r.free = r.free[f], r.free[:f]
+	} else if c == 1<<(32-refBits) {
+		return 0, false
+	} else {
+		r.counts = append(r.counts, 0)
+	}
+	page := &r.table[c>>pageBits]
+	if *page == nil {
+		*page = new([1 << pageBits]*byte)
+	}
+	(*page)[c&pageMask] = unsafe.SliceData(mem)
+	return c, true
+}
+
+// release takes chunk c, which no slot refers to, out of the table and its
+// number into the free list. The chunk's memory is the collector's to reclaim
+// once no record a reader kept points into it.
+func (r *records) release(c uint32) {
+	r.table[c>>pageBits][c&pageMask] = nil
+	r.free = append(r.free, c)
+}
+
+// recount counts the slots of in, which a store gains, and uncounts those of
+// out, which stores lose, releasing each chunk left with no slot but the
+// fill chunk. in is counted first, so a slot kept through a swap of runs
+// never leaves its chunk at zero.
+func (r *records) recount(in []Slot, out ...[]Slot) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range in {
+		r.counts[s.Ref>>refBits]++
+	}
+	for _, run := range out {
+		for _, s := range run {
+			c := s.Ref >> refBits
+			if r.counts[c]--; r.counts[c] == 0 && (c != r.at || r.fill == nil) {
+				r.release(c)
+			}
+		}
+	}
+}
+
+// Run is a contiguous run of a store: its slots, their rows of the value
+// column and the arena their records are in. Object i's values are
+// Vals[i*Stride : i*Stride+int(Idx[i].N)]; the rest of its row is padding.
 type Run struct {
 	Idx    []Slot
 	Vals   []float64
 	Stride int
+	recs   *records
+}
+
+// Rec returns object i's record, ObjectID‖Name: its first K bytes are the
+// ObjectID, K the network's, and the rest the name. The record is immutable
+// and may be kept, as its slot may not.
+func (r Run) Rec(i int) string {
+	ref := r.Idx[i].Ref
+	chunk := r.recs.table[ref>>(refBits+pageBits)][ref>>refBits&pageMask]
+	return unsafe.String((*byte)(unsafe.Add(unsafe.Pointer(chunk), ref&(recChunk-1))), r.Idx[i].RLen)
 }
 
 // SpanOf returns the ranks of the region's ObjectIDs strictly greater than
@@ -210,10 +286,6 @@ type Run struct {
 func SpanOf(r kautz.Region, after kautz.Str) kautz.Span {
 	s, _ := kautz.Span{Lo: kautz.Rank(r.Low), Hi: kautz.Rank(r.High)}.Past(after)
 	return s
-}
-
-func newPeer(id kautz.Str) *Peer {
-	return &Peer{id: id}
 }
 
 // ID returns the peer's identifier.
@@ -238,13 +310,13 @@ func (r Run) row(i int) []float64 { return r.Vals[i*r.Stride:][:r.Idx[i].N] }
 
 // compareAt is the canonical total order of the index between a's object i
 // and b's object j: (Key, Name, values lexicographic). Fully equal elements
-// (duplicate publications) compare equal.
+// (duplicate publications) compare equal. Under one key the ObjectIDs are
+// equal, so the records compare as the names do.
 func compareAt(a Run, i int, b Run, j int) int {
-	x, y := &a.Idx[i], &b.Idx[j]
-	if c := cmp.Compare(x.Key, y.Key); c != 0 {
+	if c := cmp.Compare(a.Idx[i].Key, b.Idx[j].Key); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(x.Rec()[x.ILen:], y.Rec()[y.ILen:]); c != 0 {
+	if c := cmp.Compare(a.Rec(i), b.Rec(j)); c != 0 {
 		return c
 	}
 	return slices.Compare(a.row(i), b.row(j))
@@ -260,21 +332,20 @@ func (r *Run) push(src Run, i int) {
 }
 
 // clone returns a copy of the run that shares nothing with a store but the
-// records, which are immutable. Both arrays are exactly as long as the run,
-// so a store made of the copy has a column row for every slot of room.
+// arena. Both arrays are exactly as long as the run, so a store made of the
+// copy has a column row for every slot of room.
 func (r Run) clone() Run {
-	return Run{Idx: slices.Clip(slices.Clone(r.Idx)), Vals: slices.Clip(slices.Clone(r.Vals)), Stride: r.Stride}
+	return Run{Idx: slices.Clip(slices.Clone(r.Idx)), Vals: slices.Clip(slices.Clone(r.Vals)), Stride: r.Stride, recs: r.recs}
 }
 
 // each calls fn for the run's objects in order until it returns false. Their
 // values are views of one copy of the run's column, so that they outlive the
 // store lock.
 func (r Run) each(fn func(StoredObject) bool) {
-	vals := slices.Clone(r.Vals)
+	vals, k := slices.Clone(r.Vals), r.recs.k
 	for i := range r.Idx {
-		s := &r.Idx[i]
-		rec := s.Rec()
-		so := StoredObject{ObjectID: kautz.Str(rec[:s.ILen]), Object: Object{Name: rec[s.ILen:]}}
+		s, rec := &r.Idx[i], r.Rec(i)
+		so := StoredObject{ObjectID: kautz.Str(rec[:k]), Object: Object{Name: rec[k:]}}
 		if s.N > 0 {
 			so.Object.Values = vals[i*r.Stride:][:s.N:s.N]
 		}
@@ -309,7 +380,7 @@ func (p *Peer) stride() int {
 // run returns the store's objects [lo, hi) in place. The caller holds p.mu.
 func (p *Peer) run(lo, hi int) Run {
 	w := p.stride()
-	return Run{Idx: p.store[lo:hi:hi], Vals: p.vals[lo*w : hi*w : hi*w], Stride: w}
+	return Run{Idx: p.store[lo:hi:hi], Vals: p.vals[lo*w : hi*w : hi*w], Stride: w, recs: p.recs}
 }
 
 // set makes r, which the peer takes over, its store. The caller holds p.mu.
@@ -329,7 +400,7 @@ func (p *Peer) cut(lo, hi int) {
 func (p *Peer) addObject(s Slot, row []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	one, all := Run{Idx: []Slot{s}, Vals: row, Stride: len(row)}, p.run(0, len(p.store))
+	one, all := Run{Idx: []Slot{s}, Vals: row, Stride: len(row), recs: p.recs}, p.run(0, len(p.store))
 	lo := searchKey(p.store, s.Key)
 	same := searchKey(p.store[lo:], s.Key+1) // objects under this ObjectID: many, where many share a value
 	i := lo + sort.Search(same, func(j int) bool { return compareAt(all, lo+j, one, 0) >= 0 })
@@ -352,22 +423,23 @@ func (p *Peer) addObject(s Slot, row []float64) {
 }
 
 // removeObject deletes one stored occurrence of the object named name under
-// the ObjectID of rank key whose values match, reporting whether one was
-// found. Values match element-wise (duplicate publications remove one at a
-// time).
-func (p *Peer) removeObject(key uint64, name string, values []float64) bool {
+// the ObjectID of rank key whose values match, returning its slot, for the
+// caller to uncount, and whether one was found. Values match element-wise
+// (duplicate publications remove one at a time).
+func (p *Peer) removeObject(key uint64, name string, values []float64) (Slot, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	all, lo := p.run(0, len(p.store)), searchKey(p.store, key)
 	same := searchKey(p.store[lo:], key+1)
-	named := func(i int) string { return p.store[i].Rec()[p.store[i].ILen:] }
+	named := func(i int) string { return all.Rec(i)[p.recs.k:] }
 	for i := lo + sort.Search(same, func(j int) bool { return named(lo+j) >= name }); i < lo+same && named(i) == name; i++ {
 		if slices.Equal(all.row(i), values) {
+			s := p.store[i]
 			p.cut(i, i+1)
-			return true
+			return s, true
 		}
 	}
-	return false
+	return Slot{}, false
 }
 
 // ObjectCount returns the number of objects stored on the peer in O(1).
@@ -392,9 +464,10 @@ func (p *Peer) bounds(s kautz.Span) (lo, hi int) {
 // ranks lie in the span — ascending (ObjectID, Name), possibly empty,
 // positioned in O(log n) integer comparisons. The run is the store itself: fn
 // must not write to it or call back into the peer, and of what it is handed
-// it may keep past its return only slots by value and their records, which
-// are immutable — never the run's slices or a row of Vals: the column shifts
-// under the next publish.
+// it may keep past its return only records (Run.Rec), which are immutable —
+// never a slot, the run's slices or a row of Vals: the arena reuses a chunk's
+// number once no store counts it, and the column shifts under the next
+// publish.
 func (p *Peer) ViewSpan(s kautz.Span, fn func(Run)) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -435,10 +508,7 @@ func (p *Peer) AllObjects() (out []StoredObject) {
 // objects whose ObjectID starts with prefix. The caller holds p.mu. In rank
 // order every prefix owns one contiguous run.
 func (p *Peer) prefixRange(prefix kautz.Str) (lo, hi int) {
-	if len(p.store) == 0 {
-		return 0, 0
-	}
-	klo, khi := kautz.PrefixRanks(prefix, int(p.store[0].ILen)) // every slot's ILen is the network's k
+	klo, khi := kautz.PrefixRanks(prefix, p.recs.k)
 	return p.bounds(kautz.Span{Lo: klo, Hi: khi})
 }
 
@@ -458,7 +528,7 @@ func merge(a, b Run, union bool) Run {
 	if union {
 		n = len(a.Idx) + diffCount(b, a)
 	}
-	out := Run{Idx: make([]Slot, 0, n), Stride: max(a.Stride, b.Stride)}
+	out := Run{Idx: make([]Slot, 0, n), Stride: max(a.Stride, b.Stride), recs: a.recs}
 	out.Vals = make([]float64, 0, n*out.Stride)
 	i, j := 0, 0
 	for i < len(a.Idx) && j < len(b.Idx) {
@@ -507,20 +577,27 @@ func (p *Peer) moveObjectsWithPrefix(prefix kautz.Str, dst *Peer) {
 
 // moveAllObjects moves the peer's whole store to dst: the sum of the two
 // stores or, with union, their multiset maximum — a run held by both peers
-// collapses to one copy instead of doubling. That is the takeover move on
-// replicated networks, where the absorbing peer often already holds a
-// replica of the mover's region — copies within one group are identical, so
-// keeping the maximum loses nothing (and preserves genuine duplicate
-// publications, which are replicated at equal multiplicity everywhere).
+// collapses to one copy instead of doubling, and the copies dropped are
+// uncounted. That is the takeover move on replicated networks, where the
+// absorbing peer often already holds a replica of the mover's region —
+// copies within one group are identical, so keeping the maximum loses
+// nothing (and preserves genuine duplicate publications, which are
+// replicated at equal multiplicity everywhere).
 func (p *Peer) moveAllObjects(dst *Peer, union bool) {
 	defer lockPair(p, dst)()
-	dst.set(merge(dst.run(0, len(dst.store)), p.run(0, len(p.store)), union))
+	into, from := dst.run(0, len(dst.store)), p.run(0, len(p.store))
+	all := merge(into, from, union)
+	if len(all.Idx) < len(into.Idx)+len(from.Idx) {
+		p.recs.recount(all.Idx, into.Idx, from.Idx)
+	}
+	dst.set(all)
 	p.set(Run{})
 }
 
 // copyPrefixRun returns a copy of the peer's contiguous run of objects
-// whose ObjectID starts with prefix. Records are shared, not copied —
-// replica copies of one object share its record, which is immutable.
+// whose ObjectID starts with prefix, uncounted: its slots are valid only
+// while the topology's external exclusion lasts. Records are shared, not
+// copied — replica copies of one object share its record.
 func (p *Peer) copyPrefixRun(prefix kautz.Str) Run {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -539,6 +616,7 @@ func (p *Peer) setPrefixRun(prefix kautz.Str, run Run) (added int) {
 	if added == 0 && len(run.Idx) == hi-lo {
 		return 0 // identical content — the common case after churn
 	}
+	p.recs.recount(run.Idx, p.store[lo:hi])
 	p.cut(lo, hi)
 	p.set(merge(p.run(0, len(p.store)), run.clone(), false))
 	return added
@@ -550,6 +628,7 @@ func (p *Peer) dropPrefixRun(prefix kautz.Str) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	lo, hi := p.prefixRange(prefix)
+	p.recs.recount(nil, p.store[lo:hi])
 	p.cut(lo, hi)
 	return hi - lo
 }
@@ -578,6 +657,7 @@ func (p *Peer) clearStore() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := len(p.store)
+	p.recs.recount(nil, p.store)
 	p.set(Run{})
 	return n
 }

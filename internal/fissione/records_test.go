@@ -5,15 +5,15 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"unsafe"
 	"weak"
 
 	"armada/internal/kautz"
 )
 
-// A record chunk is the collector's to reclaim: it lives exactly as long as
-// some stored slot or some held copy of one points into it — on any replica —
-// and no longer.
+// A record chunk leaves the arena when no stored slot refers to it — on any
+// replica — and its memory is then the collector's: a record a reader kept
+// pins it, through the chunk's number being reused for a fresh chunk, and a
+// slot a reader kept does not.
 func TestRecordChunksReclaimed(t *testing.T) {
 	const k = 20
 	n, err := BuildRandom(k, 64, 41)
@@ -23,18 +23,21 @@ func TestRecordChunksReclaimed(t *testing.T) {
 	if err := n.SetReplicas(2); err != nil {
 		t.Fatal(err)
 	}
-	publish := func(i int) {
-		name := fmt.Sprintf("o%04d", i)
-		if _, err := n.PublishAt(kautz.Hash(name, k), Object{Name: name, Values: []float64{float64(i)}}); err != nil {
+	next := 0
+	publish := func() {
+		name := fmt.Sprintf("o%04d", next)
+		if _, err := n.PublishAt(kautz.Hash(name, k), Object{Name: name, Values: []float64{float64(next)}}); err != nil {
 			t.Fatal(err)
 		}
+		next++
 	}
-	publish(0)
-	chunk, base := weak.Make(unsafe.StringData(n.recs.chunk.String())), chunkBase(n)
-	for i := 1; chunkBase(n) == base; i++ { // past the first chunk
-		publish(i)
+	publish()
+	first := n.recs.at
+	chunk := weak.Make(n.recs.table[0][first])
+	for n.recs.at == first { // past the first chunk
+		publish()
 	}
-	victims := storedIn(n, base)
+	victims := storedIn(n, first)
 	if len(victims) < 100 {
 		t.Fatalf("%d objects in the first chunk, want a chunk's worth", len(victims))
 	}
@@ -49,63 +52,65 @@ func TestRecordChunksReclaimed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if reclaimed() {
-		t.Fatal("the chunk was reclaimed while one of its objects is still stored")
+	if reclaimed() || n.recs.table[0][first] == nil {
+		t.Fatal("the chunk left the arena while one of its objects is still stored")
 	}
-	held := heldSlot(n, victims[0])
+	rec, slot := held(n, victims[0])
 	if _, err := n.UnpublishAt(victims[0].ObjectID, victims[0].Object); err != nil {
 		t.Fatal(err)
 	}
-	if reclaimed() {
-		t.Fatal("the chunk was reclaimed while a reader holds a slot into it")
+	if n.recs.table[0][first] != nil {
+		t.Fatal("the arena kept a chunk no slot refers to")
 	}
-	if got := held.Rec()[held.ILen:]; got != victims[0].Object.Name {
-		t.Fatalf("held record reads %q, want %q", got, victims[0].Object.Name)
-	}
-	held = Slot{}
-	if !reclaimed() {
-		t.Fatal("the chunk outlived every slot pointing into it")
+	for n.recs.at != first { // a fresh chunk under the released number
+		publish()
 	}
 	if err := n.Audit(); err != nil {
 		t.Fatal(err)
 	}
+	if reclaimed() {
+		t.Fatal("the chunk was reclaimed while a reader holds a record in it")
+	}
+	if want := string(victims[0].ObjectID) + victims[0].Object.Name; rec != want {
+		t.Fatalf("held record reads %q, want %q", rec, want)
+	}
+	rec = ""
+	if !reclaimed() {
+		t.Fatal("the chunk outlived every record pointing into it: a held slot pins it")
+	}
+	runtime.KeepAlive(slot)
 }
 
-// chunkBase returns the address of the network's current record chunk.
-func chunkBase(n *Network) uintptr {
-	return uintptr(unsafe.Pointer(unsafe.StringData(n.recs.chunk.String())))
-}
-
-// storedIn returns, once each, the objects whose records sit in the chunk at
-// base — copied, so that none points into it.
-func storedIn(n *Network, base uintptr) (out []StoredObject) {
+// storedIn returns, once each, the objects whose records sit in chunk c —
+// copied, so that none points into it.
+func storedIn(n *Network, c uint32) (out []StoredObject) {
 	seen := map[string]bool{}
 	for _, id := range n.PeerIDs() {
 		p, _ := n.Peer(id)
-		for _, so := range p.AllObjects() {
-			at := uintptr(unsafe.Pointer(unsafe.StringData(string(so.ObjectID))))
-			if at < base || at >= base+recChunk || seen[so.Object.Name] {
-				continue
+		p.ViewSpan(kautz.Span{Lo: 0, Hi: kautz.SpaceSize(n.K()) - 1}, func(r Run) {
+			for i, s := range r.Idx {
+				if rec := r.Rec(i); s.Ref>>refBits == c && !seen[rec] {
+					seen[rec] = true
+					rec = strings.Clone(rec)
+					out = append(out, StoredObject{ObjectID: kautz.Str(rec[:n.K()]), Object: Object{Name: rec[n.K():], Values: []float64{r.Vals[i*r.Stride]}}})
+				}
 			}
-			seen[so.Object.Name] = true
-			so.ObjectID, so.Object.Name = kautz.Str(strings.Clone(string(so.ObjectID))), strings.Clone(so.Object.Name)
-			out = append(out, so)
-		}
+		})
 	}
 	return out
 }
 
-// heldSlot copies out of the owner's store the slot of so, as a query keeps
-// one past the store lock.
-func heldSlot(n *Network, so StoredObject) (held Slot) {
+// held returns the record and the slot of so from its owner's store, as a
+// query's reader would keep them past the store lock.
+func held(n *Network, so StoredObject) (rec string, slot Slot) {
 	owner, _ := n.OwnerOf(so.ObjectID)
 	p, _ := n.Peer(owner)
 	p.ViewSpan(kautz.Span{Lo: kautz.Rank(so.ObjectID), Hi: kautz.Rank(so.ObjectID)}, func(r Run) {
-		for _, s := range r.Idx {
-			if s.Rec()[s.ILen:] == so.Object.Name {
-				held = s
+		for i := range r.Idx {
+			if r.Rec(i)[n.K():] == so.Object.Name {
+				rec, slot = r.Rec(i), r.Idx[i]
 			}
 		}
 	})
-	return held
+	return rec, slot
 }

@@ -183,6 +183,9 @@ func TestReplicationSurvivesChurn(t *testing.T) {
 			t.Fatalf("object %v lost during churn: %v", so, err)
 		}
 	}
+	if err := n.Audit(); err != nil { // every chunk but the fill chunk released
+		t.Fatal(err)
+	}
 }
 
 // TestSetReplicasTransitions grows and shrinks the degree on a loaded
@@ -266,7 +269,8 @@ func TestCheckReplicasDetectsDivergence(t *testing.T) {
 }
 
 func TestAbsorbAllObjectsTakesMultisetMax(t *testing.T) {
-	src, dst := newPeer("0"), newPeer("1")
+	peers := testPeers(10, 2)
+	src, dst := peers[0], peers[1]
 	shared := Object{Name: "s", Values: []float64{1}}
 	dup := Object{Name: "d", Values: []float64{2}}
 	only := Object{Name: "o", Values: []float64{3}}

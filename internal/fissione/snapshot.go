@@ -179,6 +179,7 @@ func LoadSnapshot(r io.Reader) (*Network, error) {
 		seed:     seed,
 		joins:    joins,
 		replicas: replicas,
+		recs:     &records{k: k},
 	}
 	n.epoch.Store(epoch)
 	n.cover.reset(npeers)
@@ -192,7 +193,7 @@ func LoadSnapshot(r io.Reader) (*Network, error) {
 		if err := n.cover.put(id, slot); err != nil {
 			return nil, bad("id %d: %w", i, err)
 		}
-		n.nodes[i], n.order[i] = node{id: id, rank: kautz.Rank(id), pos: slot, peer: newPeer(id)}, slot
+		n.nodes[i], n.order[i] = node{id: id, rank: kautz.Rank(id), pos: slot, peer: &Peer{id: id, recs: n.recs}}, slot
 	}
 
 	// Out-edges arrive as trie positions, which are the slots. In-edges are
