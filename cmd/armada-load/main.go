@@ -72,10 +72,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		scenario  = fs.String("scenario", "", "preset scenario name (see -list); empty builds a custom scenario from the flags")
 		list      = fs.Bool("list", false, "list preset scenarios and exit")
 		peers     = fs.Int("peers", 0, "initial network size")
-		ops       = fs.Int("ops", 0, "stop after this many operations")
+		ops       = fs.Int("ops", 0, "stop after this many scheduled arrivals")
 		duration  = fs.Duration("duration", 0, "stop after this wall-clock time")
-		workers   = fs.Int("workers", 0, "concurrent workers (closed loop) / executors (open loop)")
-		rate      = fs.Float64("rate", 0, "open-loop Poisson arrival rate, ops/sec (0 = closed loop)")
+		workers   = fs.Int("workers", 0, "executors serving the arrival queue, which holds 4 arrivals per executor (default 8)")
+		rate      = fs.Float64("rate", 0, "Poisson arrival rate, ops/sec; latency runs from each operation's scheduled arrival (default: the preset's, else 3000)")
 		seed      = fs.Int64("seed", 0, "random seed")
 		attrs     = fs.Int("attrs", 0, "number of [0,1000] attributes (overrides the preset's spaces)")
 		replicas  = fs.Int("replicas", 0, "replication degree: each object lives on this many peers (1 = unreplicated)")
@@ -143,6 +143,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		case "workers":
 			sc.Arrival.Workers = *workers
 		case "rate":
+			if *rate <= 0 { // refused here, or 0 would fall back to the default
+				keep(fmt.Errorf("-rate %v: must be positive", *rate))
+			}
 			sc.Arrival.RatePerSec = *rate
 		case "seed":
 			sc.Seed = *seed

@@ -45,8 +45,8 @@ func TestList(t *testing.T) {
 
 func TestPresetSmall(t *testing.T) {
 	m := runJSON(t, "-scenario", "steady", "-peers", "60", "-ops", "200", "-preload", "150", "-seed", "3")
-	if got := m["total_ops"].(float64); got != 200 {
-		t.Errorf("total_ops = %v, want 200", got)
+	if got := m["total_ops"].(float64) + m["dropped"].(float64); got != 200 {
+		t.Errorf("total_ops + dropped = %v, want 200", got)
 	}
 	ops := m["ops"].(map[string]any)
 	rng, ok := ops["range"].(map[string]any)
@@ -99,11 +99,7 @@ func TestOpenLoopFlag(t *testing.T) {
 		"-rate", "20000")
 	// At 20000/s the dispatcher overloads the workers; completed plus
 	// dropped arrivals must account for every one of the 100 generated.
-	total := m["total_ops"].(float64)
-	dropped := 0.0
-	if d, ok := m["dropped"]; ok {
-		dropped = d.(float64)
-	}
+	total, dropped := m["total_ops"].(float64), m["dropped"].(float64)
 	if total+dropped != 100 {
 		t.Errorf("total_ops %v + dropped %v = %v arrivals, want 100", total, dropped, total+dropped)
 	}
@@ -111,7 +107,7 @@ func TestOpenLoopFlag(t *testing.T) {
 		t.Error("open-loop run completed no ops")
 	}
 	if _, ok := m["queue_wait_ms"]; !ok {
-		t.Error("open-loop report missing queue_wait_ms")
+		t.Error("report missing queue_wait_ms")
 	}
 }
 
@@ -124,8 +120,8 @@ func TestFlagBuiltCustomScenario(t *testing.T) {
 	if got := m["attributes"].(float64); got != 1 {
 		t.Errorf("attributes = %v, want the workload default 1", got)
 	}
-	if got := m["total_ops"].(float64); got != 120 {
-		t.Errorf("total_ops = %v, want 120", got)
+	if got := m["total_ops"].(float64) + m["dropped"].(float64); got != 120 {
+		t.Errorf("total_ops + dropped = %v, want 120", got)
 	}
 }
 
@@ -168,6 +164,9 @@ func TestBadFlags(t *testing.T) {
 		{"-keys", "gaussian"},
 		{"-range-frac", "0.5"},
 		{"-churn", "melt=1"},
+		{"-rate", "0"}, // must not fall back to the default rate
+		{"-rate", "-1"},
+		{"-scenario", "steady", "-peers", "60", "-preload", "50", "-ops", "200", "-rate", "1e-300"},
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
@@ -200,8 +199,9 @@ func TestNonFiniteFlagsRefused(t *testing.T) {
 // FuzzScenarioFlags feeds arbitrary -mix, -churn and -range-frac strings and
 // a -rate value through the parsers run uses, then Normalize: the flags are
 // untrusted input. Nothing may panic, and a scenario Normalize accepts holds
-// only finite numbers inside the ranges validate states. The committed corpus
-// (testdata/fuzz) holds the non-finite command lines that used to run.
+// only finite numbers inside the ranges validate states, and an arrival rate
+// of at least one an hour. The committed corpus (testdata/fuzz) holds the
+// command lines that used to run: non-finite numbers, and a rate of 1e-300/s.
 func FuzzScenarioFlags(f *testing.F) {
 	f.Add("range=70,publish=10,lookup=10,unpublish=5,top-k=5", "join=40,leave=30,fail=10", "0.01:0.1", 0.0)
 	f.Fuzz(func(t *testing.T, mix, churn, frac string, rate float64) {
@@ -244,7 +244,7 @@ func FuzzScenarioFlags(f *testing.F) {
 		if r := n.RangeSize; !finite(r.MinFrac) || !finite(r.MaxFrac) || r.MinFrac < 0 || r.MinFrac > r.MaxFrac || r.MaxFrac > 1 {
 			t.Fatalf("accepted range size %+v", r)
 		}
-		if r := n.Arrival.RatePerSec; !finite(r) || r < 0 {
+		if r := n.Arrival.RatePerSec; !finite(r) || r < 1.0/3600 {
 			t.Fatalf("accepted arrival rate %v", r)
 		}
 	})

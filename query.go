@@ -122,8 +122,8 @@ type Query struct {
 	// queue before executing it. It never changes execution; on a network
 	// built WithDiagnostics the classifier uses it to separate queued-up
 	// operations (queue-wait) from genuinely slow ones, and slow-query
-	// records carry it. The workload runner's open-loop dispatcher stamps
-	// it automatically.
+	// records carry it. The workload runner stamps it on every operation
+	// it dispatches.
 	QueueWait time.Duration
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"armada"
 )
@@ -69,7 +70,7 @@ func TestCancelledWalkNotSampled(t *testing.T) {
 	coll := &collector{}
 	smp := newSampler(&sc, 3)
 	oc := &coll.ops[OpRangePaged]
-	r.doPagedRange(ctx, smp, oc, coll, 0)
+	r.doPagedRange(ctx, smp, oc, coll, time.Now(), 0)
 	if got := oc.cancelled.Load(); got != 1 {
 		t.Errorf("cancelled = %d, want 1", got)
 	}

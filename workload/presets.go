@@ -163,22 +163,21 @@ var presets = []Scenario{
 		Replicas: 2,
 		Mix:      Mix{Publish: 15, Unpublish: 10, Lookup: 15, Range: 55, TopK: 5},
 		Keys:     KeyDist{Kind: KeyUniform},
-		// Rates are high because an in-process run of this op budget lasts
-		// well under a second; they work out to roughly one churn event
-		// per ~7 completed operations.
+		// At the default 3,000 arrivals/s the 4,000 operations take ~1.3 s,
+		// so these rates fire ~800 churn events: one per ~5 operations.
 		Churn: Churn{JoinPerSec: 300, LeavePerSec: 220, FailPerSec: 80, MinPeers: 64},
 	},
 	{
 		// Half the queries run the unpruned FRT flood ablation, measuring
-		// what Armada's pruning buys under concurrent load. Open-loop
-		// Poisson arrivals so the storm keeps its nominal rate.
+		// what Armada's pruning buys under concurrent load, at half the
+		// default arrival rate.
 		Name:    "flood-storm",
 		Peers:   200,
 		Preload: 1000,
 		Ops:     1500,
 		Mix:     Mix{Publish: 10, Lookup: 10, Range: 40, Flood: 40},
 		Keys:    KeyDist{Kind: KeyHotspot, HotFraction: 0.2, HotWeight: 0.8},
-		Arrival: Arrival{Workers: 8, RatePerSec: 1500},
+		Arrival: Arrival{RatePerSec: 1500},
 	},
 	{
 		// Everything at once: two attributes, every op kind, skewed keys

@@ -50,7 +50,8 @@ type OpReport struct {
 	ShortcutHits  int `json:"shortcut_hits,omitempty"`
 	// Throughput is Count over the run's wall-clock duration.
 	Throughput float64 `json:"throughput_per_sec"`
-	// LatencyMs is the wall-clock service latency in milliseconds.
+	// LatencyMs is the wall-clock latency in milliseconds from the
+	// operation's scheduled arrival to its completion, queue wait included.
 	LatencyMs Quantiles `json:"latency_ms"`
 	// HopDelay, Messages and DestPeers are the paper's per-query cost
 	// metrics (query kinds only; zero for publish/unpublish).
@@ -179,12 +180,12 @@ type Report struct {
 	// absent.
 	Ops   map[string]OpReport `json:"ops"`
 	Churn ChurnReport         `json:"churn"`
-	// QueueWaitMs is the open-loop dispatch queue wait — the time between
-	// an operation's Poisson arrival and a worker starting it — and
-	// Dropped the number of arrivals shed because the bounded queue was
-	// full. Both zero (and the former omitted) for closed-loop runs.
-	QueueWaitMs Quantiles `json:"queue_wait_ms,omitzero"`
-	Dropped     int       `json:"dropped,omitempty"`
+	// QueueWaitMs is the dispatch queue wait — the time between an
+	// operation's scheduled arrival and an executor starting it, a part of
+	// its latency — and Dropped the number of arrivals shed because the
+	// bounded queue was full.
+	QueueWaitMs Quantiles `json:"queue_wait_ms"`
+	Dropped     int       `json:"dropped"`
 	// AvailabilityMisses totals the per-op Misses: operations whose target
 	// object crash churn had destroyed. Nonzero only without replication.
 	AvailabilityMisses int `json:"availability_misses"`

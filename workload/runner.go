@@ -121,7 +121,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	}
 
 	// runCtx stops the traffic; bgCtx keeps churn and snapshots running
-	// until the workers have drained.
+	// until the executors have drained.
 	runCtx := ctx
 	if sc.Duration > 0 {
 		var cancel context.CancelFunc
@@ -154,23 +154,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		r.snapshots(bgCtx, start, coll)
 	}()
 
-	acquire := r.arrivals(runCtx, coll)
-	var workers sync.WaitGroup
-	for w := 0; w < sc.Arrival.Workers; w++ {
-		workers.Add(1)
-		go func(id int) {
-			defer workers.Done()
-			smp := newSampler(sc, sc.Seed+int64(id)*7919+1)
-			for {
-				wait, ok := acquire()
-				if !ok {
-					return
-				}
-				r.execOp(runCtx, smp, pool, coll, wait)
-			}
-		}(w)
-	}
-	workers.Wait()
+	r.serve(runCtx, pool, coll)
 	elapsed := time.Since(start)
 	stopBG()
 	bg.Wait()
@@ -242,32 +226,45 @@ func deliverySkew(start map[string]int64, end []armada.RegionHeat) *SkewReport {
 	return rep
 }
 
-// arrivals returns the acquire function workers call before each op; it
-// reports the admitted arrival's dispatch-queue wait (0 in closed loop)
-// alongside whether to continue. Closed loop: succeed until the op budget
-// or context runs out. Open loop: block until the Poisson dispatcher
-// admits an arrival.
-//
-// The open-loop dispatcher keeps an absolute schedule: each arrival time is
-// the previous one plus an exponential gap, independent of how long
-// dispatch or service took, so the offered rate never sags under load.
-// Arrivals queue in a bounded channel; one finding the queue full is shed
-// and counted (collector.dropped), and every admitted arrival's queue wait
-// is sampled (collector.queueWait) and handed to the op it admits, so the
-// diagnostics layer can tell queued-up operations from slow ones —
-// saturation is visible in the report instead of silently backlogging.
-func (r *Runner) arrivals(ctx context.Context, coll *collector) func() (time.Duration, bool) {
+// serve runs the arrival dispatcher and Workers executors until the
+// dispatcher's queue closes — after Ops arrivals or when ctx ends — and
+// every arrival in it is served. Queries served after ctx ends are counted
+// as cancelled.
+func (r *Runner) serve(ctx context.Context, pool *keyPool, coll *collector) {
 	sc := &r.sc
-	if sc.Arrival.RatePerSec <= 0 {
-		var issued atomic.Int64
-		return func() (time.Duration, bool) {
-			if ctx.Err() != nil {
-				return 0, false
+	arrived := r.arrivals(ctx, coll)
+	var executors sync.WaitGroup
+	for w := 0; w < sc.Arrival.Workers; w++ {
+		executors.Add(1)
+		go func(id int) {
+			defer executors.Done()
+			smp := newSampler(sc, sc.Seed+int64(id)*7919+1)
+			for at := range arrived {
+				r.execOp(ctx, smp, pool, coll, at)
 			}
-			return 0, sc.Ops <= 0 || issued.Add(1) <= int64(sc.Ops)
-		}
+		}(w)
 	}
-	ch := make(chan time.Time, 4*sc.Arrival.Workers) // four a worker absorb a burst; past that, arrivals are shed
+	executors.Wait()
+}
+
+// arrivals starts the Poisson dispatcher and returns its queue: each value
+// is one operation's scheduled arrival time, where its latency starts. The
+// schedule is absolute — each arrival is the previous one plus an
+// exponential gap, however long dispatch or service took — so the offered
+// rate never sags under load. An arrival finding the queue full is shed and
+// counted (collector.dropped). The queue closes after Ops arrivals or when
+// ctx ends.
+//
+// The dispatcher sleeps on its timer only until a millisecond before an
+// arrival is due, then yields (runtime.Gosched) until it is due. With no
+// goroutine runnable, Go's netpoller sleeps in whole milliseconds: a timer
+// alone fires ~0.5 ms late at the median and up to ~10 ms late at
+// GOMAXPROCS 1, and every operation's latency would carry that lateness.
+// The cost is one P kept busy for the last millisecond before each arrival
+// — at the default 3,000/s, nearly all the time.
+func (r *Runner) arrivals(ctx context.Context, coll *collector) <-chan time.Time {
+	sc := &r.sc
+	ch := make(chan time.Time, 4*sc.Arrival.Workers) // four an executor absorb a burst; past that, arrivals are shed
 	go func() {
 		defer close(ch)
 		rng := rand.New(rand.NewSource(sc.Seed ^ 0x9e3779b9))
@@ -277,37 +274,28 @@ func (r *Runner) arrivals(ctx context.Context, coll *collector) func() (time.Dur
 		next := time.Now()
 		for n := 0; sc.Ops <= 0 || n < sc.Ops; n++ {
 			next = next.Add(time.Duration(rng.ExpFloat64() * mean))
-			if wait := time.Until(next); wait > 0 {
-				timer.Reset(wait)
+			if sleep := time.Until(next) - time.Millisecond; sleep > 0 {
+				timer.Reset(sleep)
 				select {
 				case <-ctx.Done():
 					return
 				case <-timer.C:
 				}
-			} else if ctx.Err() != nil {
+			}
+			for time.Now().Before(next) {
+				runtime.Gosched()
+			}
+			if ctx.Err() != nil {
 				return
 			}
 			select {
-			case ch <- time.Now():
+			case ch <- next:
 			default:
 				coll.dropped.Add(1)
 			}
 		}
 	}()
-	return func() (time.Duration, bool) {
-		select {
-		case at, ok := <-ch:
-			if !ok {
-				return 0, false
-			}
-			wait := time.Since(at)
-			coll.queueWait.Add(float64(wait) / float64(time.Millisecond))
-			return wait, true
-		case <-ctx.Done():
-			// Drain nothing further; pending arrivals are dropped.
-			return 0, false
-		}
-	}
+	return ch
 }
 
 // preload publishes the scenario's initial objects in one batch and seeds
@@ -326,30 +314,32 @@ func (r *Runner) preload(pool *keyPool) error {
 	return r.net.PublishBatch(pubs)
 }
 
-// execOp draws and executes one operation, recording its metrics. wait is
-// the dispatch-queue wait the arrival paid before this op ran (0 in closed
-// loop); queries carry it to the diagnostics layer.
-func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *collector, wait time.Duration) {
+// execOp draws and executes the operation that arrived at at, recording
+// its metrics. Its latency runs from at, so the time it queued for an
+// executor counts in it; that queue wait (dequeue time minus at) is also
+// sampled on its own, and queries carry it to the diagnostics layer.
+func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *collector, at time.Time) {
+	wait := time.Since(at)
+	coll.queueWait.Add(float64(wait) / float64(time.Millisecond))
 	switch kind := smp.nextOp(); kind {
 	case OpPublish:
-		r.doPublish(smp, pool, &coll.ops[OpPublish])
+		r.doPublish(smp, pool, &coll.ops[OpPublish], at)
 	case OpUnpublish:
 		rec, ok := pool.take(smp.rng)
 		if !ok {
 			// Nothing left to delete: publish instead so the mix stays
 			// sustainable (recorded as a publish).
-			r.doPublish(smp, pool, &coll.ops[OpPublish])
+			r.doPublish(smp, pool, &coll.ops[OpPublish], at)
 			return
 		}
 		oc := &coll.ops[OpUnpublish]
-		start := time.Now()
 		err := r.net.Unpublish(rec.name, rec.values...)
 		if errors.Is(err, armada.ErrNoSuchObject) {
 			// The object died with a crashed peer — a miss, not a fault.
 			oc.misses.Add(1)
 			err = nil
 		}
-		oc.record(start, err)
+		oc.record(at, err)
 	case OpLookup:
 		// Look up a live object by its attribute values — the exact-match
 		// query for something Publish actually stored. With an empty pool,
@@ -362,7 +352,7 @@ func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *
 			q = armada.NewLookup(fmt.Sprintf("probe-%d", smp.rng.Int63()))
 		}
 		q.QueueWait = wait
-		res := r.doQuery(ctx, q, &coll.ops[OpLookup], coll)
+		res := r.doQuery(ctx, q, &coll.ops[OpLookup], coll, at)
 		// The looked-up object missing from its ObjectID's result while the
 		// pool still considers it live means crash churn destroyed it — an
 		// availability miss, kept apart from errors. (Re-checking the pool
@@ -372,15 +362,15 @@ func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *
 			coll.ops[OpLookup].misses.Add(1)
 		}
 	case OpRange:
-		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithQueueWait(wait)), &coll.ops[OpRange], coll)
+		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithQueueWait(wait)), &coll.ops[OpRange], coll, at)
 	case OpMultiRange:
-		r.doQuery(ctx, armada.NewRange(smp.ranges(true), armada.WithQueueWait(wait)), &coll.ops[OpMultiRange], coll)
+		r.doQuery(ctx, armada.NewRange(smp.ranges(true), armada.WithQueueWait(wait)), &coll.ops[OpMultiRange], coll, at)
 	case OpTopK:
-		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithTopK(topK), armada.WithQueueWait(wait)), &coll.ops[OpTopK], coll)
+		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithTopK(topK), armada.WithQueueWait(wait)), &coll.ops[OpTopK], coll, at)
 	case OpFlood:
-		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithFlood(), armada.WithQueueWait(wait)), &coll.ops[OpFlood], coll)
+		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithFlood(), armada.WithQueueWait(wait)), &coll.ops[OpFlood], coll, at)
 	case OpRangePaged:
-		r.doPagedRange(ctx, smp, &coll.ops[OpRangePaged], coll, wait)
+		r.doPagedRange(ctx, smp, &coll.ops[OpRangePaged], coll, at, wait)
 	}
 }
 
@@ -388,22 +378,21 @@ func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *
 // until the cursor is exhausted (page 1 descends and the session keeps the
 // owners it delivered to; later pages are seeded directly at those still
 // ahead of the cursor). The whole walk is one operation: its
-// latency spans all pages, hop metrics accumulate across them (delay
+// latency runs from its arrival at through the last page, hop metrics accumulate across them (delay
 // takes the max — pages could be issued concurrently), and per-page
 // result sizes, destinations and message costs land in the per-page
 // samples. A walk cut short by run shutdown is counted as a cancelled
 // operation, not a sample — partial walks would skew the page and match
 // quantiles low.
-func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector, coll *collector, wait time.Duration) {
+func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector, coll *collector, at time.Time, wait time.Duration) {
 	ranges := smp.ranges(false)
-	start := time.Now()
 
 	// Only the walk's first page actually paid the dispatch-queue wait;
 	// later pages run back to back, so the stamp stays on page one.
 	sess, err := r.net.OpenSession(armada.NewRange(ranges,
 		armada.WithLimit(r.sc.PageLimit), armada.WithQueueWait(wait)))
 	if err != nil {
-		oc.record(start, err)
+		oc.record(at, err)
 		return
 	}
 	defer sess.Close()
@@ -424,7 +413,7 @@ func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector
 				oc.cancelled.Add(1)
 				return
 			}
-			oc.record(start, err)
+			oc.record(at, err)
 			return
 		}
 		matches += len(res.Objects)
@@ -444,7 +433,7 @@ func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector
 			break
 		}
 	}
-	oc.record(start, nil)
+	oc.record(at, nil)
 	oc.delay.AddInt(delay)
 	oc.msgs.AddInt(msgs)
 	oc.matches.AddInt(matches)
@@ -460,26 +449,25 @@ func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector
 	coll.noteReadSpread(deliveries, replicaServed)
 }
 
-func (r *Runner) doPublish(smp *sampler, pool *keyPool, oc *opCollector) {
+func (r *Runner) doPublish(smp *sampler, pool *keyPool, oc *opCollector, at time.Time) {
 	rec := pubRec{name: pool.nextName(), values: smp.values()}
-	start := time.Now()
 	err := r.net.Publish(rec.name, rec.values...)
-	oc.record(start, err)
+	oc.record(at, err)
 	if err == nil {
 		pool.add(rec)
 	}
 }
 
-// doQuery runs one query, records its metrics and returns the result (nil
-// when the query failed or the run is shutting down).
-func (r *Runner) doQuery(ctx context.Context, q armada.Query, oc *opCollector, coll *collector) *armada.Result {
-	start := time.Now()
+// doQuery runs the query that arrived at at, records its metrics and
+// returns the result (nil when the query failed or the run is shutting
+// down).
+func (r *Runner) doQuery(ctx context.Context, q armada.Query, oc *opCollector, coll *collector, at time.Time) *armada.Result {
 	res, err := r.net.Do(ctx, q)
 	if err != nil && ctx.Err() != nil {
 		oc.cancelled.Add(1) // shutdown races are not workload errors
 		return nil
 	}
-	oc.record(start, err)
+	oc.record(at, err)
 	if err != nil {
 		return nil
 	}
@@ -495,7 +483,7 @@ func (r *Runner) doQuery(ctx context.Context, q armada.Query, oc *opCollector, c
 }
 
 // churn runs the merged Poisson join/leave/fail process until ctx ends.
-// Like the open-loop dispatcher, it keeps an absolute schedule: event times
+// Like the arrival dispatcher, it keeps an absolute schedule: event times
 // are drawn independently of how long each event takes to execute, so when
 // an event overruns its gap the following ones fire back to back instead
 // of silently stretching the process — the realized rate tracks the
@@ -585,11 +573,9 @@ func (r *Runner) report(elapsed time.Duration, startPeers int, coll *collector) 
 			Skipped: int(coll.churnSkips.Load()),
 			Errors:  int(coll.churnErrs.Load()),
 		},
-		Intervals: coll.snapshots(),
-	}
-	if r.sc.Arrival.RatePerSec > 0 {
-		rep.QueueWaitMs = quantilesOf(coll.queueWait.Snapshot())
-		rep.Dropped = int(coll.dropped.Load())
+		Intervals:   coll.snapshots(),
+		QueueWaitMs: quantilesOf(coll.queueWait.Snapshot()),
+		Dropped:     int(coll.dropped.Load()),
 	}
 	if r.sc.Replicas > 1 {
 		rep.ReplicaReads = coll.replicaReads.Load()
@@ -636,7 +622,7 @@ func (r *Runner) report(elapsed time.Duration, startPeers int, coll *collector) 
 	return rep
 }
 
-// opCollector gathers one operation kind's metrics from many workers.
+// opCollector gathers one operation kind's metrics from many executors.
 type opCollector struct {
 	count     atomic.Int64
 	errs      atomic.Int64
@@ -654,7 +640,7 @@ type opCollector struct {
 	// interval-local quantiles.
 	interval *stats.SafeSample
 
-	lat         stats.SafeSample // wall-clock service time, ms
+	lat         stats.SafeSample // scheduled arrival to completion, ms
 	delay       stats.SafeSample // hop delay (query kinds; walk max for range-paged)
 	hops        stats.SafeSample // per-descent hop count (query kinds; per page for range-paged)
 	msgs        stats.SafeSample // overlay messages (query kinds)
@@ -666,14 +652,14 @@ type opCollector struct {
 }
 
 // record counts one completed operation; successful ones contribute their
-// wall-clock latency.
-func (oc *opCollector) record(start time.Time, err error) {
+// latency, from the scheduled arrival at to now.
+func (oc *opCollector) record(at time.Time, err error) {
 	oc.count.Add(1)
 	if err != nil {
 		oc.errs.Add(1)
 		return
 	}
-	ms := float64(time.Since(start)) / float64(time.Millisecond)
+	ms := float64(time.Since(at)) / float64(time.Millisecond)
 	oc.lat.Add(ms)
 	oc.interval.Add(ms)
 }
@@ -682,8 +668,8 @@ func (oc *opCollector) record(start time.Time, err error) {
 type collector struct {
 	ops [numOps]opCollector
 
-	// Open-loop saturation metrics: queue wait of admitted arrivals and
-	// the number shed on a full queue.
+	// Saturation metrics: queue wait of admitted arrivals and the number
+	// shed on a full queue.
 	queueWait stats.SafeSample
 	dropped   atomic.Int64
 
@@ -797,7 +783,7 @@ type pubRec struct {
 }
 
 // keyPool tracks the set of currently published objects across all
-// workers. names indexes the live records so availability checks
+// executors. names indexes the live records so availability checks
 // (hasName) need no scan.
 type keyPool struct {
 	seq   atomic.Int64

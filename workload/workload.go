@@ -1,16 +1,20 @@
 // Package workload is a scenario-driven load generator for a live
-// armada.Network: many concurrent workers issue a weighted mix of
-// operations (publish, unpublish, lookup, range, multi-range, top-k,
-// flood) with configurable key and range-size distributions, under an
-// optional churn process that joins, gracefully removes and crashes peers
-// while the traffic runs.
+// armada.Network: operations of a weighted mix (publish, unpublish, lookup,
+// range, multi-range, top-k, flood, range-paged) with configurable key and
+// range-size distributions arrive on a Poisson schedule and are served by
+// concurrent executors, under an optional churn process that joins,
+// gracefully removes and crashes peers while the traffic runs.
 //
 // A Scenario declares the workload; a Runner executes it for a duration or
-// an operation count under a context.Context and produces a Report with
-// per-op-kind throughput, error counts, wall-clock latency percentiles and
-// the paper's hop-delay/message metrics, plus periodic interval snapshots.
-// Reports marshal to JSON. A report describes one run; the repeated,
-// duration-based benchmark behind the BENCH_*.json files is bench/.
+// a number of arrivals under a context.Context and produces a Report with
+// per-op-kind throughput, error counts, latency percentiles and the paper's
+// hop-delay/message metrics, plus periodic interval snapshots. There is one
+// arrival model, open-loop: an operation's latency runs from its scheduled
+// arrival, so time it spent queued counts, and a generator that falls
+// behind shows as latency and drops, never as a slower arrival rate. A
+// report describes one run at one offered rate; throughput at saturation,
+// and the repeated, duration-based numbers behind the BENCH_*.json files,
+// are bench/'s to measure.
 //
 //	sc, _ := workload.Preset("churn-heavy")
 //	rep, err := workload.Execute(ctx, sc)
@@ -163,16 +167,13 @@ type SizeDist struct {
 	MaxFrac float64 `json:"max_frac"`
 }
 
-// Arrival selects the arrival model.
-//
-// With RatePerSec zero the load is closed-loop: Workers workers each issue
-// operations back to back. With RatePerSec positive the load is open-loop:
-// operations arrive on an absolute Poisson schedule at that rate and queue
-// (up to 4×Workers) for up to Workers concurrent executors. An arrival
-// finding the queue full is dropped and counted in the report — overload
-// surfaces as queue wait and drops, never as a silent sag of the arrival
-// rate. Under sustained overload a run stopped by Ops may therefore
-// complete fewer than Ops operations.
+// Arrival sets the arrival process, which is always open-loop: operations
+// arrive on an absolute Poisson schedule at RatePerSec (default 3,000/s)
+// and queue, up to 4×Workers deep, for Workers concurrent executors
+// (default 8). An arrival finding the queue full is dropped and counted in
+// the report. Each operation's latency runs from its scheduled arrival, so
+// queue wait is part of it: overload surfaces as latency and drops, never
+// as a silent sag of the arrival rate.
 type Arrival struct {
 	Workers    int     `json:"workers"`
 	RatePerSec float64 `json:"rate_per_sec,omitempty"`
@@ -205,8 +206,10 @@ type Scenario struct {
 	// Peers is the initial network size Execute builds (ignored by Run,
 	// which receives a live network).
 	Peers int `json:"peers"`
-	// Seed makes runs reproducible op-for-op under closed-loop arrivals
-	// (wall-clock metrics still vary).
+	// Seed seeds the arrival times, the churn process and each executor's
+	// operation draws. Which executor takes an arrival is up to the Go
+	// scheduler, so two runs of one seed need not issue the same
+	// operations (wall-clock metrics vary too).
 	Seed int64 `json:"seed"`
 	// Attrs are the attribute spaces; default one [0, 1000] space.
 	Attrs []armada.AttributeSpace `json:"attrs,omitempty"`
@@ -269,8 +272,9 @@ type Scenario struct {
 	Arrival   Arrival  `json:"arrival"`
 	Churn     Churn    `json:"churn"`
 
-	// Ops stops the run after that many completed operations (0 = no op
-	// limit).
+	// Ops stops the run after that many scheduled arrivals (0 = no limit).
+	// Each is completed, dropped or cancelled: a run Ops stops reports
+	// total_ops + dropped + total_cancelled == Ops.
 	Ops int `json:"ops,omitempty"`
 	// Duration stops the run after that much wall-clock time (0 = no time
 	// limit).
@@ -321,6 +325,9 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.Arrival.Workers == 0 {
 		s.Arrival.Workers = 8
+	}
+	if s.Arrival.RatePerSec == 0 {
+		s.Arrival.RatePerSec = 3000
 	}
 	if s.Churn.Enabled() && s.Churn.MinPeers == 0 {
 		s.Churn.MinPeers = 16
@@ -405,8 +412,9 @@ func (s Scenario) validate() error {
 	if s.Arrival.Workers < 1 {
 		return bad("workers %d < 1", s.Arrival.Workers)
 	}
-	if !(s.Arrival.RatePerSec >= 0 && s.Arrival.RatePerSec <= math.MaxFloat64) {
-		return bad("arrival rate %v is not finite and non-negative", s.Arrival.RatePerSec)
+	// Near zero the mean gap overflows a time.Duration; one an hour is the floor.
+	if !(s.Arrival.RatePerSec >= 1.0/3600 && s.Arrival.RatePerSec <= math.MaxFloat64) {
+		return bad("arrival rate %v/s is not finite and at least one an hour", s.Arrival.RatePerSec)
 	}
 	if s.PageLimit < 1 && s.Mix.RangePaged > 0 {
 		return bad("range-paged weight set but page limit = %d", s.PageLimit)

@@ -9,9 +9,10 @@ import (
 	"time"
 
 	"armada"
+	"armada/internal/stats"
 )
 
-// small returns a quick closed-loop scenario for tests.
+// small returns a quick scenario for tests, at the default arrival rate.
 func small() Scenario {
 	return Scenario{
 		Name:    "test",
@@ -62,6 +63,9 @@ func TestScenarioValidation(t *testing.T) {
 		{Keys: KeyDist{Kind: KeyZipf, ZipfS: 0.5}, Ops: 10},
 		{RangeSize: SizeDist{MinFrac: 0.5, MaxFrac: 0.1}, Ops: 10},
 		{Churn: Churn{JoinPerSec: -1}, Ops: 10},
+		{Arrival: Arrival{RatePerSec: -1}, Ops: 10},
+		{Arrival: Arrival{RatePerSec: 1e-300}, Ops: 10}, // its mean gap overflowed to a negative Duration
+		{Arrival: Arrival{RatePerSec: 1.0 / 7200}, Ops: 10},
 	}
 	for i, sc := range bad {
 		if err := sc.withDefaults().validate(); !errors.Is(err, ErrBadScenario) {
@@ -146,13 +150,13 @@ func TestNewRejectsAttributeMismatch(t *testing.T) {
 	}
 }
 
-func TestExecuteClosedLoop(t *testing.T) {
+func TestExecute(t *testing.T) {
 	rep, err := Execute(context.Background(), small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TotalOps != 300 {
-		t.Errorf("total ops = %d, want 300", rep.TotalOps)
+	if got := rep.TotalOps + rep.Dropped; got != 300 {
+		t.Errorf("completed %d + dropped %d = %d arrivals, want 300", rep.TotalOps, rep.Dropped, got)
 	}
 	if rep.TotalErrors != 0 {
 		t.Errorf("total errors = %d, want 0", rep.TotalErrors)
@@ -233,6 +237,58 @@ func TestExecuteOpenLoopUnderCapacity(t *testing.T) {
 	}
 	if rep.TotalOps != 50 || rep.Dropped != 0 {
 		t.Errorf("under-capacity run: completed %d (want 50), dropped %d (want 0)", rep.TotalOps, rep.Dropped)
+	}
+}
+
+// TestLatencyIncludesQueueWait overloads one executor (200k arrivals/s)
+// so arrivals queue, then holds every operation's latency to at least its
+// own queue wait. The collector keeps no per-operation pairs, so it checks
+// what the per-operation fact implies: with one latency and one wait per
+// operation, the i-th smallest latency is at least the i-th smallest wait.
+func TestLatencyIncludesQueueWait(t *testing.T) {
+	sc := small()
+	sc.Ops = 2000
+	sc.Arrival = Arrival{Workers: 1, RatePerSec: 200_000}
+	sc = sc.withDefaults()
+	net, err := armada.NewNetwork(sc.Peers, sc.NetworkOptions()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	r, err := New(net, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := &keyPool{}
+	if err := r.preload(pool); err != nil {
+		t.Fatal(err)
+	}
+	coll := newCollector(false, nil)
+	r.serve(context.Background(), pool, coll)
+
+	var lat stats.Sample
+	for k := range coll.ops {
+		oc := &coll.ops[k]
+		if oc.errs.Load() != 0 || oc.cancelled.Load() != 0 {
+			t.Fatalf("%v: %d errors, %d cancelled; want every operation sampled", OpKind(k), oc.errs.Load(), oc.cancelled.Load())
+		}
+		lat.Merge(oc.lat.Snapshot())
+	}
+	wait := coll.queueWait.Snapshot()
+	n := lat.N()
+	if n != wait.N() || n+int(coll.dropped.Load()) != sc.Ops {
+		t.Fatalf("%d latencies, %d queue waits, %d dropped; want one latency and one wait per admitted arrival of %d",
+			n, wait.N(), coll.dropped.Load(), sc.Ops)
+	}
+	if wait.Percentile(50) <= 0 {
+		t.Fatalf("median queue wait %v ms: the run was not overloaded", wait.Percentile(50))
+	}
+	// Over samples of one size, a percentile names the same rank in both.
+	for i := 0; i < n; i++ {
+		p := 100 * float64(i) / float64(n)
+		if l, w := lat.Percentile(p), wait.Percentile(p); l < w {
+			t.Fatalf("latency %.4f ms < queue wait %.4f ms at rank %d of %d: latency leaves out queue wait", l, w, i, n)
+		}
 	}
 }
 
@@ -325,8 +381,8 @@ func TestUnpublishFallbackSustainsMix(t *testing.T) {
 	if un.Count == 0 || pub.Count == 0 {
 		t.Fatalf("counts unpublish=%d publish=%d; fallback should record publishes", un.Count, pub.Count)
 	}
-	if un.Count+pub.Count != 100 {
-		t.Errorf("counts sum to %d, want 100", un.Count+pub.Count)
+	if got := un.Count + pub.Count + rep.Dropped; got != 100 {
+		t.Errorf("counts sum to %d with %d dropped, want 100", got, rep.Dropped)
 	}
 	if rep.TotalErrors != 0 {
 		t.Errorf("errors = %d, want 0", rep.TotalErrors)
