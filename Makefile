@@ -29,6 +29,10 @@ race:
 # 6877 → 6874: workload lost its closed loop (ROADMAP item 15): one arrival
 # model, latency from the scheduled arrival, net of the dispatcher's yield
 # before each arrival and armada-load's refusal of -rate 0.
+# 6874 → 6872: workload lost its dispatcher goroutine, arrival queue and
+# shed path (ROADMAP item 17): executors take turns waiting for their own
+# arrivals, net of the dispatch_late_ms report field and the churn-rate
+# floor in validate.
 # Item 4(g): the serving path — overlay, naming, Kautz arithmetic, route cache
 # and load controller — has its own ceiling, LOC_SERVING_MAX, set at its size
 # when the gate came in; the same rule raises it.
@@ -42,7 +46,7 @@ race:
 # internal/fissione by 127 lines, net of the strings.Builder chunk, ILen and
 # newSlot it replaced; no other serving-path code became unnecessary.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
-LOC_MAX = 6874
+LOC_MAX = 6872
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
 LOC_SERVING_MAX = 4103
 loc:

@@ -7,8 +7,8 @@
 // so the facade counts violations and Audit fails on any. This package
 // says why a query was slow. Every finished query is timed stage by stage
 // (descent forwards, seeded sends, deliveries, replica
-// redirects, store scans — plus the dispatcher queue wait the workload
-// layer threads in), classified into a cause, and sampled into the tail
+// redirects, store scans — plus the queue wait the workload layer threads
+// in), classified into a cause, and sampled into the tail
 // attribution the workload report exposes. Queries slower than the
 // threshold — fixed, or an EWMA of the observed p99 — additionally land in
 // a bounded ring of structured, exportable Records.
@@ -37,8 +37,8 @@ const (
 	// CauseUnknown means the classifier had nothing to go on (a query that
 	// produced no trace events at all).
 	CauseUnknown Cause = iota
-	// CauseQueueWait: the operation spent longer in the dispatcher queue
-	// than in service — the network was fine, the load was not.
+	// CauseQueueWait: the operation waited longer for an executor than it
+	// spent in service — the network was fine, the load was not.
 	CauseQueueWait
 	// CauseSplitInFlight: a load-control split or migration overlapped the
 	// query, so it raced a topology mutation for the write lock.
@@ -98,8 +98,8 @@ type Record struct {
 	// AtMs is the query's completion time relative to monitor start.
 	AtMs       float64 `json:"at_ms"`
 	DurationMs float64 `json:"duration_ms"`
-	// QueueWaitMs is the dispatcher queue wait the workload layer measured
-	// before the query began (not part of DurationMs).
+	// QueueWaitMs is the queue wait the workload layer measured — from
+	// the query's scheduled arrival to its start (not part of DurationMs).
 	QueueWaitMs float64 `json:"queue_wait_ms,omitempty"`
 	// ThresholdMs is the slow threshold in force when the query was logged.
 	ThresholdMs float64 `json:"threshold_ms"`
@@ -238,8 +238,8 @@ type Query struct {
 	routeMiss bool
 }
 
-// Begin starts collecting one query. queueWait is the dispatcher queue
-// wait the caller measured before starting the query (zero when unknown).
+// Begin starts collecting one query. queueWait is the queue wait the
+// caller measured before starting the query (zero when unknown).
 func (m *Monitor) Begin(qid uint64, kind, issuer string, queueWait time.Duration) *Query {
 	q, _ := m.pool.Get().(*Query)
 	if q == nil {

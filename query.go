@@ -118,12 +118,12 @@ type Query struct {
 	// Trace, when non-nil, observes every overlay message of the query, in
 	// processing order, on the goroutine executing the query.
 	Trace func(Hop)
-	// QueueWait reports how long the caller held this query in a dispatch
-	// queue before executing it. It never changes execution; on a network
-	// built WithDiagnostics the classifier uses it to separate queued-up
-	// operations (queue-wait) from genuinely slow ones, and slow-query
-	// records carry it. The workload runner stamps it on every operation
-	// it dispatches.
+	// QueueWait reports how long this query waited, between its arrival
+	// and its start, for the caller to execute it. It never changes
+	// execution; on a network built WithDiagnostics the classifier uses it
+	// to separate queued-up operations (queue-wait) from genuinely slow
+	// ones, and slow-query records carry it. The workload runner stamps it
+	// on every operation: start minus scheduled arrival.
 	QueueWait time.Duration
 }
 
@@ -163,7 +163,7 @@ func WithOffsetID(id string) QueryOption { return func(q *Query) { q.OffsetID = 
 // replicated network (no effect without WithReplication).
 func WithReadPolicy(p ReadPolicy) QueryOption { return func(q *Query) { q.ReadPolicy = p } }
 
-// WithQueueWait reports the caller-measured dispatch-queue wait to the
+// WithQueueWait reports the caller-measured queue wait to the
 // diagnostics layer (see Query.QueueWait). It never changes execution.
 func WithQueueWait(d time.Duration) QueryOption { return func(q *Query) { q.QueueWait = d } }
 

@@ -180,12 +180,13 @@ type Report struct {
 	// absent.
 	Ops   map[string]OpReport `json:"ops"`
 	Churn ChurnReport         `json:"churn"`
-	// QueueWaitMs is the dispatch queue wait — the time between an
-	// operation's scheduled arrival and an executor starting it, a part of
-	// its latency — and Dropped the number of arrivals shed because the
-	// bounded queue was full.
-	QueueWaitMs Quantiles `json:"queue_wait_ms"`
-	Dropped     int       `json:"dropped"`
+	// QueueWaitMs is the time from scheduled arrival to an executor starting
+	// the operation, a part of its latency; DispatchLateMs the generator's
+	// lateness (release minus scheduled time) over arrivals an idle executor
+	// waited for; Dropped the arrivals due at a stop that none started.
+	QueueWaitMs    Quantiles `json:"queue_wait_ms"`
+	DispatchLateMs Quantiles `json:"dispatch_late_ms"`
+	Dropped        int       `json:"dropped"`
 	// AvailabilityMisses totals the per-op Misses: operations whose target
 	// object crash churn had destroyed. Nonzero only without replication.
 	AvailabilityMisses int `json:"availability_misses"`

@@ -226,76 +226,69 @@ func deliverySkew(start map[string]int64, end []armada.RegionHeat) *SkewReport {
 	return rep
 }
 
-// serve runs the arrival dispatcher and Workers executors until the
-// dispatcher's queue closes — after Ops arrivals or when ctx ends — and
-// every arrival in it is served. Queries served after ctx ends are counted
-// as cancelled.
+// serve runs Workers executors until Ops arrivals are served or ctx ends.
+// They take turns as the arrival clock through a one-slot channel (a mutex
+// starves: each Unlock yields the P to a waiter before the releaser serves
+// its arrival). An idle executor takes the turn, awaits the next arrival of
+// the absolute Poisson schedule, passes the turn on and serves the arrival;
+// while all are busy, arrivals fall due and wait. At a stop, the holder
+// counts the due arrivals no executor started as dropped and closes turn.
 func (r *Runner) serve(ctx context.Context, pool *keyPool, coll *collector) {
 	sc := &r.sc
-	arrived := r.arrivals(ctx, coll)
+	rng := rand.New(rand.NewSource(sc.Seed ^ 0x9e3779b9))
+	mean := float64(time.Second) / sc.Arrival.RatePerSec
+	gap := func() time.Duration { return time.Duration(rng.ExpFloat64() * mean) }
+	n, next := 0, time.Now().Add(gap()) // arrivals taken, and the next one: the holder's alone
+	turn := make(chan struct{}, 1)
+	turn <- struct{}{}
 	var executors sync.WaitGroup
 	for w := 0; w < sc.Arrival.Workers; w++ {
 		executors.Add(1)
 		go func(id int) {
 			defer executors.Done()
 			smp := newSampler(sc, sc.Seed+int64(id)*7919+1)
-			for at := range arrived {
-				r.execOp(ctx, smp, pool, coll, at)
+			for range turn {
+				if at := next; (sc.Ops <= 0 || n < sc.Ops) && await(ctx, &coll.dispatchLate, at) {
+					n, next = n+1, at.Add(gap())
+					turn <- struct{}{}
+					r.execOp(ctx, smp, pool, coll, at)
+					continue
+				}
+				end := time.Now()
+				if d, ok := ctx.Deadline(); ok && d.Before(end) {
+					end = d
+				}
+				for ; (sc.Ops <= 0 || n < sc.Ops) && !next.After(end); n, next = n+1, next.Add(gap()) {
+					coll.dropped.Add(1)
+				}
+				close(turn)
 			}
 		}(w)
 	}
 	executors.Wait()
 }
 
-// arrivals starts the Poisson dispatcher and returns its queue: each value
-// is one operation's scheduled arrival time, where its latency starts. The
-// schedule is absolute — each arrival is the previous one plus an
-// exponential gap, however long dispatch or service took — so the offered
-// rate never sags under load. An arrival finding the queue full is shed and
-// counted (collector.dropped). The queue closes after Ops arrivals or when
-// ctx ends.
-//
-// The dispatcher sleeps on its timer only until a millisecond before an
-// arrival is due, then yields (runtime.Gosched) until it is due. With no
-// goroutine runnable, Go's netpoller sleeps in whole milliseconds: a timer
-// alone fires ~0.5 ms late at the median and up to ~10 ms late at
-// GOMAXPROCS 1, and every operation's latency would carry that lateness.
-// The cost is one P kept busy for the last millisecond before each arrival
-// — at the default 3,000/s, nearly all the time.
-func (r *Runner) arrivals(ctx context.Context, coll *collector) <-chan time.Time {
-	sc := &r.sc
-	ch := make(chan time.Time, 4*sc.Arrival.Workers) // four an executor absorb a burst; past that, arrivals are shed
-	go func() {
-		defer close(ch)
-		rng := rand.New(rand.NewSource(sc.Seed ^ 0x9e3779b9))
-		mean := float64(time.Second) / sc.Arrival.RatePerSec
-		timer := time.NewTimer(time.Hour)
-		defer timer.Stop()
-		next := time.Now()
-		for n := 0; sc.Ops <= 0 || n < sc.Ops; n++ {
-			next = next.Add(time.Duration(rng.ExpFloat64() * mean))
-			if sleep := time.Until(next) - time.Millisecond; sleep > 0 {
-				timer.Reset(sleep)
-				select {
-				case <-ctx.Done():
-					return
-				case <-timer.C:
-				}
-			}
-			for time.Now().Before(next) {
-				runtime.Gosched()
-			}
-			if ctx.Err() != nil {
-				return
-			}
+// await waits for the arrival at at, false once ctx has ended. An arrival
+// already due is backlog and goes at once. Otherwise await sleeps until a
+// millisecond before at — the netpoller sleeps in whole milliseconds, so a
+// timer alone fires up to ~10 ms late — then yields until at, and samples
+// the lateness (release minus at) into late.
+func await(ctx context.Context, late *stats.SafeSample, at time.Time) bool {
+	if wait := time.Until(at); wait > 0 {
+		if wait > time.Millisecond {
 			select {
-			case ch <- next:
-			default:
-				coll.dropped.Add(1)
+			case <-ctx.Done():
+				return false
+			case <-time.After(wait - time.Millisecond):
 			}
 		}
-	}()
-	return ch
+		now := time.Now()
+		for ; now.Before(at); now = time.Now() {
+			runtime.Gosched()
+		}
+		late.Add(float64(now.Sub(at)) / float64(time.Millisecond))
+	}
+	return ctx.Err() == nil
 }
 
 // preload publishes the scenario's initial objects in one batch and seeds
@@ -315,9 +308,9 @@ func (r *Runner) preload(pool *keyPool) error {
 }
 
 // execOp draws and executes the operation that arrived at at, recording
-// its metrics. Its latency runs from at, so the time it queued for an
-// executor counts in it; that queue wait (dequeue time minus at) is also
-// sampled on its own, and queries carry it to the diagnostics layer.
+// its metrics. Its latency runs from at, so the time it waited for an
+// executor counts in it; that queue wait (start minus at) is also sampled
+// on its own, and queries carry it to the diagnostics layer.
 func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *collector, at time.Time) {
 	wait := time.Since(at)
 	coll.queueWait.Add(float64(wait) / float64(time.Millisecond))
@@ -387,8 +380,8 @@ func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *
 func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector, coll *collector, at time.Time, wait time.Duration) {
 	ranges := smp.ranges(false)
 
-	// Only the walk's first page actually paid the dispatch-queue wait;
-	// later pages run back to back, so the stamp stays on page one.
+	// Only the walk's first page actually paid the queue wait; later
+	// pages run back to back, so the stamp stays on page one.
 	sess, err := r.net.OpenSession(armada.NewRange(ranges,
 		armada.WithLimit(r.sc.PageLimit), armada.WithQueueWait(wait)))
 	if err != nil {
@@ -483,7 +476,7 @@ func (r *Runner) doQuery(ctx context.Context, q armada.Query, oc *opCollector, c
 }
 
 // churn runs the merged Poisson join/leave/fail process until ctx ends.
-// Like the arrival dispatcher, it keeps an absolute schedule: event times
+// Like the arrival clock, it keeps an absolute schedule: event times
 // are drawn independently of how long each event takes to execute, so when
 // an event overruns its gap the following ones fire back to back instead
 // of silently stretching the process — the realized rate tracks the
@@ -573,9 +566,10 @@ func (r *Runner) report(elapsed time.Duration, startPeers int, coll *collector) 
 			Skipped: int(coll.churnSkips.Load()),
 			Errors:  int(coll.churnErrs.Load()),
 		},
-		Intervals:   coll.snapshots(),
-		QueueWaitMs: quantilesOf(coll.queueWait.Snapshot()),
-		Dropped:     int(coll.dropped.Load()),
+		Intervals:      coll.snapshots(),
+		QueueWaitMs:    quantilesOf(coll.queueWait.Snapshot()),
+		DispatchLateMs: quantilesOf(coll.dispatchLate.Snapshot()),
+		Dropped:        int(coll.dropped.Load()),
 	}
 	if r.sc.Replicas > 1 {
 		rep.ReplicaReads = coll.replicaReads.Load()
@@ -668,10 +662,11 @@ func (oc *opCollector) record(at time.Time, err error) {
 type collector struct {
 	ops [numOps]opCollector
 
-	// Saturation metrics: queue wait of admitted arrivals and the number
-	// shed on a full queue.
-	queueWait stats.SafeSample
-	dropped   atomic.Int64
+	// Saturation metrics: queue wait and lateness of served arrivals, and
+	// the arrivals due at a stop that no executor started.
+	queueWait    stats.SafeSample
+	dispatchLate stats.SafeSample
+	dropped      atomic.Int64
 
 	// Replica read spreading: per query, the fraction of deliveries served
 	// by a non-primary replica, plus the absolute count. Sampled only when

@@ -10,8 +10,8 @@
 // per-op-kind throughput, error counts, latency percentiles and the paper's
 // hop-delay/message metrics, plus periodic interval snapshots. There is one
 // arrival model, open-loop: an operation's latency runs from its scheduled
-// arrival, so time it spent queued counts, and a generator that falls
-// behind shows as latency and drops, never as a slower arrival rate. A
+// arrival, so time it waited for an executor counts, and a system that
+// falls behind shows as latency, never as a slower arrival rate. A
 // report describes one run at one offered rate; throughput at saturation,
 // and the repeated, duration-based numbers behind the BENCH_*.json files,
 // are bench/'s to measure.
@@ -169,11 +169,10 @@ type SizeDist struct {
 
 // Arrival sets the arrival process, which is always open-loop: operations
 // arrive on an absolute Poisson schedule at RatePerSec (default 3,000/s)
-// and queue, up to 4×Workers deep, for Workers concurrent executors
-// (default 8). An arrival finding the queue full is dropped and counted in
-// the report. Each operation's latency runs from its scheduled arrival, so
-// queue wait is part of it: overload surfaces as latency and drops, never
-// as a silent sag of the arrival rate.
+// for Workers concurrent executors (default 8): an idle one waits for the
+// next arrival and serves it, and while all are busy arrivals wait. Each
+// operation's latency runs from its scheduled arrival, so that wait is part
+// of it: overload surfaces as latency, never as a sag of the arrival rate.
 type Arrival struct {
 	Workers    int     `json:"workers"`
 	RatePerSec float64 `json:"rate_per_sec,omitempty"`
@@ -272,9 +271,9 @@ type Scenario struct {
 	Arrival   Arrival  `json:"arrival"`
 	Churn     Churn    `json:"churn"`
 
-	// Ops stops the run after that many scheduled arrivals (0 = no limit).
-	// Each is completed, dropped or cancelled: a run Ops stops reports
-	// total_ops + dropped + total_cancelled == Ops.
+	// Ops stops the run after that many scheduled arrivals (0 = no limit),
+	// every one of them served: a run Ops stops reports dropped == 0 and
+	// total_ops + total_cancelled == Ops.
 	Ops int `json:"ops,omitempty"`
 	// Duration stops the run after that much wall-clock time (0 = no time
 	// limit).
@@ -448,6 +447,9 @@ func (s Scenario) validate() error {
 	}
 	if c := s.Churn; !(c.JoinPerSec >= 0 && c.LeavePerSec >= 0 && c.FailPerSec >= 0 && c.totalRate() <= math.MaxFloat64) {
 		return bad("churn rates %v/%v/%v are not finite and non-negative", c.JoinPerSec, c.LeavePerSec, c.FailPerSec)
+	}
+	if t := s.Churn.totalRate(); t > 0 && t < 1.0/3600 {
+		return bad("churn rate %v/s is neither zero nor at least one an hour", t)
 	}
 	for i, a := range s.Attrs {
 		if !(a.Low < a.High) || math.IsInf(a.High-a.Low, 0) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -66,6 +67,8 @@ func TestScenarioValidation(t *testing.T) {
 		{Arrival: Arrival{RatePerSec: -1}, Ops: 10},
 		{Arrival: Arrival{RatePerSec: 1e-300}, Ops: 10}, // its mean gap overflowed to a negative Duration
 		{Arrival: Arrival{RatePerSec: 1.0 / 7200}, Ops: 10},
+		{Churn: Churn{JoinPerSec: 1e-300}, Ops: 10}, // fired thousands of joins back to back
+		{Churn: Churn{LeavePerSec: 1.0 / 7200}, Ops: 10},
 	}
 	for i, sc := range bad {
 		if err := sc.withDefaults().validate(); !errors.Is(err, ErrBadScenario) {
@@ -155,8 +158,8 @@ func TestExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.TotalOps + rep.Dropped; got != 300 {
-		t.Errorf("completed %d + dropped %d = %d arrivals, want 300", rep.TotalOps, rep.Dropped, got)
+	if rep.TotalOps != 300 || rep.Dropped != 0 {
+		t.Errorf("completed %d, dropped %d; want all 300 arrivals served", rep.TotalOps, rep.Dropped)
 	}
 	if rep.TotalErrors != 0 {
 		t.Errorf("total errors = %d, want 0", rep.TotalErrors)
@@ -210,51 +213,42 @@ func TestExecuteOpenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The dispatcher generates exactly Ops arrivals; under overload some
-	// are shed on the bounded queue and counted, never silently lost.
-	if got := rep.TotalOps + rep.Dropped; got != 150 {
-		t.Errorf("completed %d + dropped %d = %d arrivals, want 150", rep.TotalOps, rep.Dropped, got)
+	// Overload has no queue to overflow: a run Ops stops serves every
+	// arrival, late.
+	if rep.TotalOps != 150 || rep.Dropped != 0 {
+		t.Errorf("completed %d, dropped %d; want all 150 arrivals served", rep.TotalOps, rep.Dropped)
 	}
-	if rep.TotalOps == 0 {
-		t.Error("open-loop run completed no ops")
-	}
-	// Every admitted arrival contributes a queue-wait sample.
 	if rep.QueueWaitMs.Max < 0 {
 		t.Errorf("negative queue wait: %+v", rep.QueueWaitMs)
 	}
 }
 
 func TestExecuteOpenLoopUnderCapacity(t *testing.T) {
-	// At a rate the workers can easily absorb nothing may be dropped. The
-	// queue (4 × Workers) holds more than the op budget, so a scheduler
-	// stall on a loaded CI box cannot overflow it and flake the assertion.
+	// At a rate the executors easily absorb, an idle executor waits for
+	// most arrivals and samples its lateness. Not all: an exponential gap
+	// can be shorter than the hand-off, and such an arrival is backlog.
 	sc := small()
 	sc.Ops = 50
 	sc.Arrival = Arrival{Workers: 16, RatePerSec: 200}
-	rep, err := Execute(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
+	coll := served(t, sc)
+	if ops, _ := coll.totals(); ops != 50 || coll.dropped.Load() != 0 {
+		t.Errorf("under-capacity run: completed %d (want 50), dropped %d (want 0)", ops, coll.dropped.Load())
 	}
-	if rep.TotalOps != 50 || rep.Dropped != 0 {
-		t.Errorf("under-capacity run: completed %d (want 50), dropped %d (want 0)", rep.TotalOps, rep.Dropped)
+	if n := coll.dispatchLate.Snapshot().N(); n < sc.Ops/2 {
+		t.Errorf("%d lateness samples of %d arrivals, want at least half", n, sc.Ops)
 	}
 }
 
-// TestLatencyIncludesQueueWait overloads one executor (200k arrivals/s)
-// so arrivals queue, then holds every operation's latency to at least its
-// own queue wait. The collector keeps no per-operation pairs, so it checks
-// what the per-operation fact implies: with one latency and one wait per
-// operation, the i-th smallest latency is at least the i-th smallest wait.
-func TestLatencyIncludesQueueWait(t *testing.T) {
-	sc := small()
-	sc.Ops = 2000
-	sc.Arrival = Arrival{Workers: 1, RatePerSec: 200_000}
+// served preloads sc's network and runs serve on it until its Ops
+// arrivals are served, returning the collector.
+func served(t *testing.T, sc Scenario) *collector {
+	t.Helper()
 	sc = sc.withDefaults()
 	net, err := armada.NewNetwork(sc.Peers, sc.NetworkOptions()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
+	t.Cleanup(func() { net.Close() })
 	r, err := New(net, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -265,6 +259,21 @@ func TestLatencyIncludesQueueWait(t *testing.T) {
 	}
 	coll := newCollector(false, nil)
 	r.serve(context.Background(), pool, coll)
+	return coll
+}
+
+// TestLatencyIncludesQueueWait overloads one executor (2M arrivals/s, a
+// gap shorter than any operation; at 200k/s one executor can keep up) so
+// arrivals fall due while it is busy, then holds every operation's
+// latency to at least its own queue wait. The collector keeps no
+// per-operation pairs, so it checks what the per-operation fact implies:
+// with one latency and one wait per operation, the i-th smallest latency
+// is at least the i-th smallest wait.
+func TestLatencyIncludesQueueWait(t *testing.T) {
+	sc := small()
+	sc.Ops = 2000
+	sc.Arrival = Arrival{Workers: 1, RatePerSec: 2_000_000}
+	coll := served(t, sc)
 
 	var lat stats.Sample
 	for k := range coll.ops {
@@ -276,12 +285,16 @@ func TestLatencyIncludesQueueWait(t *testing.T) {
 	}
 	wait := coll.queueWait.Snapshot()
 	n := lat.N()
-	if n != wait.N() || n+int(coll.dropped.Load()) != sc.Ops {
-		t.Fatalf("%d latencies, %d queue waits, %d dropped; want one latency and one wait per admitted arrival of %d",
+	if n != wait.N() || n != sc.Ops || coll.dropped.Load() != 0 {
+		t.Fatalf("%d latencies, %d queue waits, %d dropped; want one latency and one wait for each of %d arrivals, none dropped",
 			n, wait.N(), coll.dropped.Load(), sc.Ops)
 	}
 	if wait.Percentile(50) <= 0 {
 		t.Fatalf("median queue wait %v ms: the run was not overloaded", wait.Percentile(50))
+	}
+	// Overdue arrivals are backlog, not the generator's lateness.
+	if late := coll.dispatchLate.Snapshot().N(); late >= sc.Ops/10 {
+		t.Errorf("%d lateness samples of %d overloaded arrivals, want under a tenth", late, sc.Ops)
 	}
 	// Over samples of one size, a percentile names the same rank in both.
 	for i := 0; i < n; i++ {
@@ -289,6 +302,45 @@ func TestLatencyIncludesQueueWait(t *testing.T) {
 		if l, w := lat.Percentile(p), wait.Percentile(p); l < w {
 			t.Fatalf("latency %.4f ms < queue wait %.4f ms at rank %d of %d: latency leaves out queue wait", l, w, i, n)
 		}
+	}
+}
+
+// TestDurationStopReleasesExecutors stops runs by Duration with an
+// executor holding the turn: one overloaded, whose holder finds arrivals
+// due that no executor started and counts them as dropped, and one at one
+// arrival an hour, whose holder is parked on its timer when the run ends.
+// Both must return on time with every executor gone.
+func TestDurationStopReleasesExecutors(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		arrival Arrival
+		dropped bool
+	}{
+		{"overloaded", Arrival{Workers: 1, RatePerSec: 2_000_000}, true},
+		{"parked", Arrival{Workers: 4, RatePerSec: 1.0 / 3600}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			sc := small()
+			sc.Ops, sc.Duration = 0, 100*time.Millisecond
+			sc.Arrival = tc.arrival
+			start := time.Now()
+			rep, err := Execute(context.Background(), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if took := time.Since(start); took > 10*time.Second {
+				t.Errorf("a 100 ms run took %v", took)
+			}
+			if (rep.Dropped > 0) != tc.dropped {
+				t.Errorf("dropped %d, want dropped > 0 to be %v", rep.Dropped, tc.dropped)
+			}
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), before)
+				}
+			}
+		})
 	}
 }
 
@@ -381,8 +433,8 @@ func TestUnpublishFallbackSustainsMix(t *testing.T) {
 	if un.Count == 0 || pub.Count == 0 {
 		t.Fatalf("counts unpublish=%d publish=%d; fallback should record publishes", un.Count, pub.Count)
 	}
-	if got := un.Count + pub.Count + rep.Dropped; got != 100 {
-		t.Errorf("counts sum to %d with %d dropped, want 100", got, rep.Dropped)
+	if got := un.Count + pub.Count; got != 100 || rep.Dropped != 0 {
+		t.Errorf("counts sum to %d with %d dropped, want 100 and none dropped", got, rep.Dropped)
 	}
 	if rep.TotalErrors != 0 {
 		t.Errorf("errors = %d, want 0", rep.TotalErrors)
