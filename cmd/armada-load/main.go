@@ -75,7 +75,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		ops       = fs.Int("ops", 0, "stop after this many scheduled arrivals")
 		duration  = fs.Duration("duration", 0, "stop after this wall-clock time")
 		workers   = fs.Int("workers", 0, "executors; an idle one takes the turn to wait for the next arrival, then serves it (default 8)")
-		rate      = fs.Float64("rate", 0, "Poisson arrival rate, ops/sec; latency runs from each operation's scheduled arrival (default: the preset's, else 3000)")
+		rate      = fs.Float64("rate", 0, "Poisson arrival rate, ops/sec; latency runs from each operation's scheduled arrival (default: the preset's, else 3000; at most 1e9)")
 		seed      = fs.Int64("seed", 0, "random seed")
 		attrs     = fs.Int("attrs", 0, "number of [0,1000] attributes (overrides the preset's spaces)")
 		replicas  = fs.Int("replicas", 0, "replication degree: each object lives on this many peers (1 = unreplicated)")

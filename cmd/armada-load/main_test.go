@@ -166,6 +166,7 @@ func TestBadFlags(t *testing.T) {
 		{"-rate", "-1"},
 		{"-scenario", "steady", "-peers", "60", "-preload", "50", "-ops", "200", "-rate", "1e-300"},
 		{"-scenario", "steady", "-peers", "60", "-preload", "50", "-ops", "300", "-churn", "join=1e-300"},
+		{"-scenario", "steady", "-duration", "1s", "-rate", "1e12"}, // hung at its stop
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
@@ -198,10 +199,11 @@ func TestNonFiniteFlagsRefused(t *testing.T) {
 // FuzzScenarioFlags feeds arbitrary -mix, -churn and -range-frac strings and
 // a -rate value through the parsers run uses, then Normalize: the flags are
 // untrusted input. Nothing may panic, and a scenario Normalize accepts holds
-// only finite numbers inside the ranges validate states, an arrival rate of
-// at least one an hour, and a churn total of zero or at least one an hour.
-// The committed corpus (testdata/fuzz) holds the command lines that used to
-// run: non-finite numbers, and an arrival or churn rate of 1e-300/s.
+// only finite numbers inside the ranges validate states, an arrival rate
+// between one an hour and one a nanosecond, and a churn total of zero or at
+// least one an hour. The committed corpus (testdata/fuzz) holds the command
+// lines that used to run: non-finite numbers, an arrival or churn rate of
+// 1e-300/s, and an arrival rate of 1e12/s.
 func FuzzScenarioFlags(f *testing.F) {
 	f.Add("range=70,publish=10,lookup=10,unpublish=5,top-k=5", "join=40,leave=30,fail=10", "0.01:0.1", 0.0)
 	f.Fuzz(func(t *testing.T, mix, churn, frac string, rate float64) {
@@ -247,7 +249,7 @@ func FuzzScenarioFlags(f *testing.F) {
 		if r := n.RangeSize; !finite(r.MinFrac) || !finite(r.MaxFrac) || r.MinFrac < 0 || r.MinFrac > r.MaxFrac || r.MaxFrac > 1 {
 			t.Fatalf("accepted range size %+v", r)
 		}
-		if r := n.Arrival.RatePerSec; !finite(r) || r < 1.0/3600 {
+		if r := n.Arrival.RatePerSec; !finite(r) || r < 1.0/3600 || r > 1e9 {
 			t.Fatalf("accepted arrival rate %v", r)
 		}
 	})

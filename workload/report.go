@@ -183,7 +183,7 @@ type Report struct {
 	// QueueWaitMs is the time from scheduled arrival to an executor starting
 	// the operation, a part of its latency; DispatchLateMs the generator's
 	// lateness (release minus scheduled time) over arrivals an idle executor
-	// waited for; Dropped the arrivals due at a stop that none started.
+	// waited for; Dropped the arrivals due by a stop that no executor took.
 	QueueWaitMs    Quantiles `json:"queue_wait_ms"`
 	DispatchLateMs Quantiles `json:"dispatch_late_ms"`
 	Dropped        int       `json:"dropped"`

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -194,10 +196,7 @@ func deliverySkew(start map[string]int64, end []armada.RegionHeat) *SkewReport {
 	hot := make([]HotPeer, 0, len(end))
 	var total int64
 	for _, h := range end {
-		d := h.Deliveries - start[h.Peer]
-		if d < 0 {
-			d = 0
-		}
+		d := max(0, h.Deliveries-start[h.Peer])
 		deltas = append(deltas, d)
 		hot = append(hot, HotPeer{Peer: h.Peer, Deliveries: d})
 		total += d
@@ -216,9 +215,7 @@ func deliverySkew(start map[string]int64, end []armada.RegionHeat) *SkewReport {
 		}
 		return hot[i].Peer < hot[j].Peer
 	})
-	if len(hot) > skewTopN {
-		hot = hot[:skewTopN]
-	}
+	hot = hot[:min(len(hot), skewTopN)]
 	for i := range hot {
 		hot[i].Share = float64(hot[i].Deliveries) / float64(total)
 	}
@@ -231,8 +228,11 @@ func deliverySkew(start map[string]int64, end []armada.RegionHeat) *SkewReport {
 // starves: each Unlock yields the P to a waiter before the releaser serves
 // its arrival). An idle executor takes the turn, awaits the next arrival of
 // the absolute Poisson schedule, passes the turn on and serves the arrival;
-// while all are busy, arrivals fall due and wait. At a stop, the holder
-// counts the due arrivals no executor started as dropped and closes turn.
+// while all are busy, arrivals fall due and wait. An arrival taken that
+// fell due by the stop is served: the first holder to find the run stopped
+// serves the one it took, counts those due behind it as dropped — at the
+// schedule's rate, not drawn one by one, so the stop costs the same at any
+// backlog — and closes turn.
 func (r *Runner) serve(ctx context.Context, pool *keyPool, coll *collector) {
 	sc := &r.sc
 	rng := rand.New(rand.NewSource(sc.Seed ^ 0x9e3779b9))
@@ -248,47 +248,58 @@ func (r *Runner) serve(ctx context.Context, pool *keyPool, coll *collector) {
 			defer executors.Done()
 			smp := newSampler(sc, sc.Seed+int64(id)*7919+1)
 			for range turn {
-				if at := next; (sc.Ops <= 0 || n < sc.Ops) && await(ctx, &coll.dispatchLate, at) {
-					n, next = n+1, at.Add(gap())
-					turn <- struct{}{}
-					r.execOp(ctx, smp, pool, coll, at)
+				at := next
+				if sc.Ops > 0 && n >= sc.Ops || !await(ctx, &coll.dispatchLate, at) {
+					close(turn)
 					continue
 				}
-				end := time.Now()
-				if d, ok := ctx.Deadline(); ok && d.Before(end) {
-					end = d
+				n, next = n+1, at.Add(gap())
+				if ctx.Err() == nil {
+					turn <- struct{}{}
+				} else {
+					d := max(0, 1+int(math.Floor(float64(stopAt(ctx).Sub(next))/mean)))
+					if sc.Ops > 0 {
+						d = min(d, sc.Ops-n)
+					}
+					coll.dropped.Add(int64(d))
+					close(turn)
 				}
-				for ; (sc.Ops <= 0 || n < sc.Ops) && !next.After(end); n, next = n+1, next.Add(gap()) {
-					coll.dropped.Add(1)
-				}
-				close(turn)
+				r.execOp(ctx, smp, pool, coll, at)
 			}
 		}(w)
 	}
 	executors.Wait()
 }
 
-// await waits for the arrival at at, false once ctx has ended. An arrival
-// already due is backlog and goes at once. Otherwise await sleeps until a
-// millisecond before at — the netpoller sleeps in whole milliseconds, so a
-// timer alone fires up to ~10 ms late — then yields until at, and samples
-// the lateness (release minus at) into late.
+// await waits for the arrival at at and reports whether it fell due by the
+// stop: false if ctx ended before at. An arrival already due is backlog
+// and goes at once. Otherwise await sleeps until a millisecond before at —
+// the netpoller sleeps in whole milliseconds, so a timer alone fires up to
+// ~10 ms late — then yields until at, and samples the lateness (release
+// minus at) into late.
 func await(ctx context.Context, late *stats.SafeSample, at time.Time) bool {
-	if wait := time.Until(at); wait > 0 {
-		if wait > time.Millisecond {
-			select {
-			case <-ctx.Done():
-				return false
-			case <-time.After(wait - time.Millisecond):
-			}
+	inRun := func() bool { return ctx.Err() == nil || !at.After(stopAt(ctx)) }
+	if wait := time.Until(at); wait > time.Millisecond {
+		select {
+		case <-ctx.Done():
+		case <-time.After(wait - time.Millisecond):
 		}
-		now := time.Now()
+	}
+	if now := time.Now(); now.Before(at) && inRun() {
 		for ; now.Before(at); now = time.Now() {
 			runtime.Gosched()
 		}
 		late.Add(float64(now.Sub(at)) / float64(time.Millisecond))
 	}
-	return ctx.Err() == nil
+	return inRun()
+}
+
+// stopAt is when ctx ended: its deadline if that has passed, else now.
+func stopAt(ctx context.Context) time.Time {
+	if d, ok := ctx.Deadline(); ok && time.Now().After(d) {
+		return d
+	}
+	return time.Now()
 }
 
 // preload publishes the scenario's initial objects in one batch and seeds
@@ -351,7 +362,8 @@ func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *
 		// availability miss, kept apart from errors. (Re-checking the pool
 		// filters the benign race of sampling a record that a concurrent
 		// unpublish then removed.)
-		if res != nil && fromPool && !containsObject(res.Objects, rec.name) && pool.hasName(rec.name) {
+		if res != nil && fromPool && !slices.ContainsFunc(res.Objects,
+			func(o armada.Object) bool { return o.Name == rec.name }) && pool.hasName(rec.name) {
 			coll.ops[OpLookup].misses.Add(1)
 		}
 	case OpRange:
@@ -486,19 +498,13 @@ func (r *Runner) churn(ctx context.Context, coll *collector) {
 	rng := rand.New(rand.NewSource(sc.Seed ^ 0x51f15eed))
 	total := sc.Churn.totalRate()
 	mean := float64(time.Second) / total
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	next := time.Now()
-	for {
+	for next := time.Now(); ; {
 		next = next.Add(time.Duration(rng.ExpFloat64() * mean))
-		if wait := time.Until(next); wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-ctx.Done():
-				return
-			case <-timer.C:
-			}
-		} else if ctx.Err() != nil {
+		select {
+		case <-ctx.Done():
+		case <-time.After(time.Until(next)):
+		}
+		if ctx.Err() != nil {
 			return
 		}
 		var err error
@@ -834,14 +840,4 @@ func (p *keyPool) hasName(name string) bool {
 	defer p.mu.Unlock()
 	_, ok := p.names[name]
 	return ok
-}
-
-// containsObject reports whether any of the objects carries the name.
-func containsObject(objs []armada.Object, name string) bool {
-	for _, o := range objs {
-		if o.Name == name {
-			return true
-		}
-	}
-	return false
 }

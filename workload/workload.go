@@ -411,9 +411,11 @@ func (s Scenario) validate() error {
 	if s.Arrival.Workers < 1 {
 		return bad("workers %d < 1", s.Arrival.Workers)
 	}
-	// Near zero the mean gap overflows a time.Duration; one an hour is the floor.
-	if !(s.Arrival.RatePerSec >= 1.0/3600 && s.Arrival.RatePerSec <= math.MaxFloat64) {
-		return bad("arrival rate %v/s is not finite and at least one an hour", s.Arrival.RatePerSec)
+	// Near zero the mean gap overflows a time.Duration, and above 1e9/s it
+	// truncates to 0 ns and the schedule stands still: one an hour is the
+	// floor and one a nanosecond the ceiling.
+	if !(s.Arrival.RatePerSec >= 1.0/3600 && s.Arrival.RatePerSec <= 1e9) {
+		return bad("arrival rate %v/s is not between one an hour and one a nanosecond", s.Arrival.RatePerSec)
 	}
 	if s.PageLimit < 1 && s.Mix.RangePaged > 0 {
 		return bad("range-paged weight set but page limit = %d", s.PageLimit)

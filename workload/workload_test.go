@@ -67,7 +67,8 @@ func TestScenarioValidation(t *testing.T) {
 		{Arrival: Arrival{RatePerSec: -1}, Ops: 10},
 		{Arrival: Arrival{RatePerSec: 1e-300}, Ops: 10}, // its mean gap overflowed to a negative Duration
 		{Arrival: Arrival{RatePerSec: 1.0 / 7200}, Ops: 10},
-		{Churn: Churn{JoinPerSec: 1e-300}, Ops: 10}, // fired thousands of joins back to back
+		{Arrival: Arrival{RatePerSec: 1e12}, Ops: 10}, // its mean gap truncated to 0 ns: the schedule stood still
+		{Churn: Churn{JoinPerSec: 1e-300}, Ops: 10},   // fired thousands of joins back to back
 		{Churn: Churn{LeavePerSec: 1.0 / 7200}, Ops: 10},
 	}
 	for i, sc := range bad {
@@ -306,10 +307,12 @@ func TestLatencyIncludesQueueWait(t *testing.T) {
 }
 
 // TestDurationStopReleasesExecutors stops runs by Duration with an
-// executor holding the turn: one overloaded, whose holder finds arrivals
-// due that no executor started and counts them as dropped, and one at one
-// arrival an hour, whose holder is parked on its timer when the run ends.
-// Both must return on time with every executor gone.
+// executor holding the turn: two overloaded, whose holder finds arrivals
+// due that no executor started and counts them as dropped — one at the
+// ceiling rate, where drawing the ~10⁸ due arrivals one by one took seconds
+// inside the run's duration — and one at one arrival an hour, whose holder
+// is parked on its timer when the run ends. Each must return on time with
+// every executor gone.
 func TestDurationStopReleasesExecutors(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -317,6 +320,7 @@ func TestDurationStopReleasesExecutors(t *testing.T) {
 		dropped bool
 	}{
 		{"overloaded", Arrival{Workers: 1, RatePerSec: 2_000_000}, true},
+		{"ceiling", Arrival{Workers: 1, RatePerSec: 1e9}, true},
 		{"parked", Arrival{Workers: 4, RatePerSec: 1.0 / 3600}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -329,8 +333,8 @@ func TestDurationStopReleasesExecutors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if took := time.Since(start); took > 10*time.Second {
-				t.Errorf("a 100 ms run took %v", took)
+			if took := time.Since(start); took > 10*time.Second || rep.DurationSec > 1 {
+				t.Errorf("a 100 ms run took %v, and reports %v s", took, rep.DurationSec)
 			}
 			if (rep.Dropped > 0) != tc.dropped {
 				t.Errorf("dropped %d, want dropped > 0 to be %v", rep.Dropped, tc.dropped)
@@ -341,6 +345,34 @@ func TestDurationStopReleasesExecutors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAwaitServesWhatFellDueByTheStop: an arrival due by the stop belongs
+// to the run however late its holder gets to it (that lateness dropped
+// arrivals a run had released), one due after it does not, and a holder
+// parked on its timer returns when the run ends.
+func TestAwaitServesWhatFellDueByTheStop(t *testing.T) {
+	var late stats.SafeSample
+	live := context.Background()
+	if at := time.Now().Add(2 * time.Millisecond); !await(live, &late, at) || time.Now().Before(at) {
+		t.Error("live run: arrival not awaited")
+	}
+	if late.Snapshot().N() != 1 {
+		t.Errorf("%d lateness samples for one awaited arrival", late.Snapshot().N())
+	}
+	stop := time.Now().Add(-time.Millisecond)
+	ended, cancel := context.WithDeadline(live, stop)
+	defer cancel()
+	if !await(ended, &late, stop.Add(-time.Microsecond)) || !await(ended, &late, stop) {
+		t.Error("arrival due by the stop refused")
+	}
+	if await(ended, &late, stop.Add(time.Microsecond)) {
+		t.Error("arrival due after the stop served")
+	}
+	start := time.Now()
+	if await(ended, &late, start.Add(time.Hour)) || time.Since(start) > time.Second {
+		t.Errorf("parked holder served an arrival an hour out, or returned after %v", time.Since(start))
 	}
 }
 
