@@ -36,6 +36,12 @@ race:
 # 6872 → 6870: the arrival-rate ceiling in validate and the O(1) count of
 # the arrivals due at a stop, net of a churn wait on time.After instead of
 # a reset timer and two loops that min/max and slices.ContainsFunc now do.
+# 6870 → 6749: diag ranks queries on the client clock and keeps the N
+# slowest; the adaptive and fixed slow thresholds, split-in-flight and its
+# control-action plumbing, and the two causes that failed their planted
+# test (deep-descent, replica-redirect) are gone — internal/diag 494 → 389,
+# the root 1837 → 1823 — net of the slow-log capacity cap and the
+# negative-queue-wait check.
 # Item 4(g): the serving path — overlay, naming, Kautz arithmetic, route cache
 # and load controller — has its own ceiling, LOC_SERVING_MAX, set at its size
 # when the gate came in; the same rule raises it.
@@ -49,7 +55,7 @@ race:
 # internal/fissione by 127 lines, net of the strings.Builder chunk, ILen and
 # newSlot it replaced; no other serving-path code became unnecessary.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
-LOC_MAX = 6870
+LOC_MAX = 6749
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
 LOC_SERVING_MAX = 4103
 loc:

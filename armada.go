@@ -407,6 +407,9 @@ func (n *Network) run(ctx context.Context, q Query, sess *Session) (*Result, err
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if q.QueueWait < 0 {
+		return nil, fmt.Errorf("%w: queue wait %v is negative", ErrBadQuery, q.QueueWait)
+	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	issuer := q.Issuer

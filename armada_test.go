@@ -41,6 +41,11 @@ func TestNewNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(10, WithAttributes(AttributeSpace{Low: 5, High: 5})); err == nil {
 		t.Error("empty attribute space accepted")
 	}
+	for _, c := range []int{-1, MaxSlowLogCapacity + 1, 2000000000} {
+		if _, err := NewNetwork(10, WithDiagnostics(DiagnosticsConfig{SlowLogCapacity: c})); !errors.Is(err, errBadOption) {
+			t.Errorf("slow-log capacity %d: err = %v, want errBadOption", c, err)
+		}
+	}
 }
 
 // A space too wide for the naming to divide is refused where the tree is

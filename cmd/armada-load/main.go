@@ -90,8 +90,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		out       = fs.String("out", "", "write the JSON report to this file (default stdout)")
 		verbose   = fs.Bool("v", false, "print interval snapshots to stderr while running")
 		traceOut  = fs.String("trace-out", "", "attach a query-lifecycle flight recorder retaining 65536 events and write it as Chrome trace-event JSON to this file after the run")
-		slowLog   = fs.Int("slow-log", 0, "attach the query-diagnostics layer retaining this many slow-query records (0 = none; implied by -slow-out); enables the tail_attribution report block and the /debug/armada endpoints")
-		slowOut   = fs.String("slow-out", "", "write the slow-query log and tail attribution as JSON to this file after the run (implies -slow-log 256 when unset)")
+		slowLog   = fs.Int("slow-log", 0, fmt.Sprintf("attach the query-diagnostics layer, its log keeping the N slowest queries by queue wait plus service time (0 = none; implied by -slow-out; at most %d); enables the tail_attribution report block and the /debug/armada endpoints", armada.MaxSlowLogCapacity))
+		slowOut   = fs.String("slow-out", "", "write the log of the slowest queries and the tail attribution as JSON to this file after the run (implies -slow-log 256 when unset)")
 		metricsAd = fs.String("metrics-addr", "", "serve live metrics over HTTP on this address: Prometheus text at /metrics, expvar at /debug/vars")
 		pprofAd   = fs.String("pprof-addr", "", "serve net/http/pprof on this address (/debug/pprof/)")
 		snapOut   = fs.String("snapshot-out", "", "after building the network, save its topology snapshot to this file (see -snapshot-in)")
@@ -495,10 +495,8 @@ func writeTrace(net *armada.Network, path string) error {
 // slowDump is the -slow-out file shape — the same payload
 // /debug/armada/slow serves live.
 type slowDump struct {
-	// ThresholdMs is the slow-query threshold in force when the dump was
-	// taken (the adaptive EWMA of the p99).
-	ThresholdMs float64 `json:"threshold_ms"`
-	// SlowQueries holds the log's retained records, oldest first.
+	// SlowQueries holds the log's records — the run's slowest queries on
+	// the client clock — oldest first.
 	SlowQueries []armada.SlowQuery `json:"slow_queries"`
 	// TailAttribution breaks the run's >p99 queries down by cause.
 	TailAttribution armada.TailAttribution `json:"tail_attribution"`
@@ -514,7 +512,6 @@ func snapSlow(net *armada.Network) (slowDump, bool) {
 	if d.SlowQueries == nil {
 		d.SlowQueries = []armada.SlowQuery{} // JSON [] over null
 	}
-	d.ThresholdMs, _ = net.SlowThresholdMs()
 	d.TailAttribution, _ = net.TailAttributionReport()
 	return d, true
 }

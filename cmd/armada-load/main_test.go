@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"armada"
 	"armada/workload"
 )
 
@@ -167,6 +168,8 @@ func TestBadFlags(t *testing.T) {
 		{"-scenario", "steady", "-peers", "60", "-preload", "50", "-ops", "200", "-rate", "1e-300"},
 		{"-scenario", "steady", "-peers", "60", "-preload", "50", "-ops", "300", "-churn", "join=1e-300"},
 		{"-scenario", "steady", "-duration", "1s", "-rate", "1e12"}, // hung at its stop
+		// ran out of memory
+		{"-scenario", "steady", "-peers", "60", "-preload", "50", "-ops", "10", "-slow-log", "2000000000"},
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
@@ -197,16 +200,17 @@ func TestNonFiniteFlagsRefused(t *testing.T) {
 }
 
 // FuzzScenarioFlags feeds arbitrary -mix, -churn and -range-frac strings and
-// a -rate value through the parsers run uses, then Normalize: the flags are
-// untrusted input. Nothing may panic, and a scenario Normalize accepts holds
-// only finite numbers inside the ranges validate states, an arrival rate
-// between one an hour and one a nanosecond, and a churn total of zero or at
-// least one an hour. The committed corpus (testdata/fuzz) holds the command
-// lines that used to run: non-finite numbers, an arrival or churn rate of
-// 1e-300/s, and an arrival rate of 1e12/s.
+// -rate and -slow-log values through the parsers run uses, then Normalize:
+// the flags are untrusted input. Nothing may panic, and a scenario Normalize
+// accepts holds only finite numbers inside the ranges validate states, an
+// arrival rate between one an hour and one a nanosecond, a churn total of
+// zero or at least one an hour, and a slow-query log no larger than
+// armada.MaxSlowLogCapacity. The committed corpus (testdata/fuzz) holds the
+// command lines that used to run: non-finite numbers, an arrival or churn
+// rate of 1e-300/s, an arrival rate of 1e12/s, and a slow-query log of 2e9.
 func FuzzScenarioFlags(f *testing.F) {
-	f.Add("range=70,publish=10,lookup=10,unpublish=5,top-k=5", "join=40,leave=30,fail=10", "0.01:0.1", 0.0)
-	f.Fuzz(func(t *testing.T, mix, churn, frac string, rate float64) {
+	f.Add("range=70,publish=10,lookup=10,unpublish=5,top-k=5", "join=40,leave=30,fail=10", "0.01:0.1", 0.0, 0)
+	f.Fuzz(func(t *testing.T, mix, churn, frac string, rate float64, slowLog int) {
 		sc := workload.Scenario{Name: "custom", Ops: 3000}
 		var err error
 		if sc.Mix, err = parseMix(mix); err != nil {
@@ -219,6 +223,7 @@ func FuzzScenarioFlags(f *testing.F) {
 			return
 		}
 		sc.Arrival.RatePerSec = rate
+		sc.SlowQueryLog = slowLog
 		n, err := sc.Normalize()
 		if err != nil {
 			if !errors.Is(err, workload.ErrBadScenario) {
@@ -251,6 +256,9 @@ func FuzzScenarioFlags(f *testing.F) {
 		}
 		if r := n.Arrival.RatePerSec; !finite(r) || r < 1.0/3600 || r > 1e9 {
 			t.Fatalf("accepted arrival rate %v", r)
+		}
+		if c := n.SlowQueryLog; c < 0 || c > armada.MaxSlowLogCapacity {
+			t.Fatalf("accepted slow-query log capacity %d", c)
 		}
 	})
 }

@@ -13,8 +13,9 @@ import (
 // /debug/armada endpoints, dumped by -slow-out, and embedded in the
 // workload report are one and the same.
 type (
-	// SlowQuery is one slow-query log record: identity, timing, the
-	// classified cause and the per-stage critical-path breakdown.
+	// SlowQuery is one record of the log of the slowest queries: identity,
+	// timing, the classified cause and the per-stage critical-path
+	// breakdown.
 	SlowQuery = diag.Record
 	// StageTiming is one stage's share of a SlowQuery's breakdown.
 	StageTiming = diag.StageMs
@@ -27,8 +28,9 @@ type (
 // WithDiagnostics.
 func (n *Network) DiagnosticsEnabled() bool { return n.obs.diag != nil }
 
-// SlowQueries returns the slow-query log's retained records, oldest first.
-// It returns nil on a network built without WithDiagnostics.
+// SlowQueries returns the log of the run's slowest queries — ranked by
+// Query.QueueWait plus service time — oldest first. It returns nil on a
+// network built without WithDiagnostics.
 func (n *Network) SlowQueries() []SlowQuery {
 	if n.obs.diag == nil {
 		return nil
@@ -43,17 +45,6 @@ func (n *Network) TailAttributionReport() (TailAttribution, bool) {
 		return TailAttribution{}, false
 	}
 	return n.obs.diag.TailAttribution(), true
-}
-
-// SlowThresholdMs returns the slow-query threshold currently in force in
-// milliseconds — the fixed configured value, or the adaptive EWMA of the
-// observed p99 (0 until its first batch). ok is false without
-// WithDiagnostics.
-func (n *Network) SlowThresholdMs() (float64, bool) {
-	if n.obs.diag == nil {
-		return 0, false
-	}
-	return n.obs.diag.ThresholdMs(), true
 }
 
 // Epoch returns the live topology epoch — bumped by every join, leave,

@@ -107,9 +107,6 @@ func (n *Network) splitRegion(id string) (extra int, err error) {
 		if n.obs.flight != nil {
 			n.obs.flight.Record(obs.Event{Kind: obs.EvSplit, From: id, V1: int64(extra)})
 		}
-		if n.obs.diag != nil {
-			n.obs.diag.NoteControlAction()
-		}
 	}
 	return extra, wrapFissioneErr(err, id)
 }
@@ -143,9 +140,6 @@ func (n *Network) migrateOwnership(donor, hot string) (extra int, err error) {
 	if err == nil {
 		if n.obs.flight != nil {
 			n.obs.flight.Record(obs.Event{Kind: obs.EvMigrate, From: donor, To: hot, V1: int64(extra)})
-		}
-		if n.obs.diag != nil {
-			n.obs.diag.NoteControlAction()
 		}
 	}
 	return extra, wrapFissioneErr(err, string(owner))

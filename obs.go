@@ -68,10 +68,7 @@ func (n *Network) initObs(cfg config) {
 		return int64(ms.HeapAlloc) / int64(size)
 	}))
 	if cfg.diagnostics != nil {
-		o.diag = diag.NewMonitor(diag.Config{
-			LogCapacity: cfg.diagnostics.SlowLogCapacity,
-			Threshold:   cfg.diagnostics.SlowThreshold,
-		})
+		o.diag = diag.NewMonitor(cfg.diagnostics.SlowLogCapacity)
 		o.diag.DescribeMetrics(o.reg)
 	}
 	if cfg.flightRecorder > 0 {

@@ -3,7 +3,6 @@ package armada
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // AttributeSpace is the value interval of one object attribute.
@@ -163,31 +162,31 @@ func WithFlightRecorder(capacity int) Option {
 	})
 }
 
+// MaxSlowLogCapacity bounds DiagnosticsConfig.SlowLogCapacity: the log
+// grows to its capacity, so an unbounded one lets a caller ask for any
+// amount of memory.
+const MaxSlowLogCapacity = 1 << 16
+
 // DiagnosticsConfig tunes the query-diagnostics layer WithDiagnostics
 // attaches.
 type DiagnosticsConfig struct {
-	// SlowLogCapacity bounds the slow-query ring (records retained);
-	// 0 means the default of 256.
+	// SlowLogCapacity is how many of the run's slowest queries the log
+	// keeps, ranked by the time their callers waited (Query.QueueWait plus
+	// service time); 0 means the default of 256, and at most
+	// MaxSlowLogCapacity.
 	SlowLogCapacity int
-	// SlowThreshold fixes the slow-query threshold. The default, 0, is
-	// adaptive: an EWMA of the observed p99 query duration, so the log
-	// captures the current tail without hand-tuning — nothing is logged
-	// until the first 128 queries establish it.
-	SlowThreshold time.Duration
 }
 
 // WithDiagnostics attaches the query-diagnostics layer: per-query
 // critical-path breakdowns from the trace stream, a cause classifier, a
-// bounded slow-query log (SlowQueries) and tail-latency attribution
-// (TailAttribution). The default is no diagnostics; queries then skip all
-// per-query collection.
+// bounded log of the slowest queries (SlowQueries) and tail-latency
+// attribution (TailAttributionReport), both on the caller's clock:
+// Query.QueueWait plus service time. The default is no diagnostics;
+// queries then skip all per-query collection.
 func WithDiagnostics(dc DiagnosticsConfig) Option {
 	return optionFunc(func(c *config) error {
-		if dc.SlowLogCapacity < 0 {
-			return fmt.Errorf("%w: slow-log capacity %d < 0", errBadOption, dc.SlowLogCapacity)
-		}
-		if dc.SlowThreshold < 0 {
-			return fmt.Errorf("%w: slow threshold %v < 0", errBadOption, dc.SlowThreshold)
+		if dc.SlowLogCapacity < 0 || dc.SlowLogCapacity > MaxSlowLogCapacity {
+			return fmt.Errorf("%w: slow-log capacity %d outside [0, %d]", errBadOption, dc.SlowLogCapacity, MaxSlowLogCapacity)
 		}
 		c.diagnostics = &dc
 		return nil

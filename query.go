@@ -119,11 +119,13 @@ type Query struct {
 	// processing order, on the goroutine executing the query.
 	Trace func(Hop)
 	// QueueWait reports how long this query waited, between its arrival
-	// and its start, for the caller to execute it. It never changes
-	// execution; on a network built WithDiagnostics the classifier uses it
-	// to separate queued-up operations (queue-wait) from genuinely slow
-	// ones, and slow-query records carry it. The workload runner stamps it
-	// on every operation: start minus scheduled arrival.
+	// and its start, for the caller to execute it; a negative wait is
+	// ErrBadQuery. It never changes execution. On a network built
+	// WithDiagnostics it is part of the time the caller waited: the slowest
+	// queries and the tail are ranked by QueueWait plus service time, the
+	// classifier names a query that waited longer than it ran queue-wait,
+	// and the log's records carry it. The workload runner stamps it on
+	// every operation: start minus scheduled arrival.
 	QueueWait time.Duration
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // buildQueryNet returns a populated single-attribute network for query
@@ -67,11 +68,25 @@ func TestDoValidation(t *testing.T) {
 		{Kind: KindLookup}, // lookup without a name
 		{Kind: KindTopK, Ranges: []Range{{Low: 0, High: 10}}},     // top-k without K
 		{Kind: QueryKind(99), Ranges: []Range{{Low: 0, High: 1}}}, // unknown kind
+		// a negative queue wait lowered the caller's time
+		NewRange([]Range{{Low: 0, High: 10}}, WithQueueWait(-time.Millisecond)),
 	}
 	for _, q := range cases {
 		if _, err := net.Do(context.Background(), q); !errors.Is(err, ErrBadQuery) {
 			t.Errorf("kind %v: err = %v, want ErrBadQuery", q.Kind, err)
 		}
+	}
+	// A stream and a session page refuse the negative queue wait too.
+	waited := NewRange([]Range{{Low: 0, High: 10}}, WithQueueWait(-time.Millisecond), WithLimit(5))
+	for _, err := range net.Stream(context.Background(), waited) {
+		if !errors.Is(err, ErrBadQuery) {
+			t.Errorf("stream with a negative queue wait: err = %v, want ErrBadQuery", err)
+		}
+	}
+	if sess, err := net.OpenSession(waited); err != nil {
+		t.Fatal(err)
+	} else if _, err := sess.Next(context.Background()); !errors.Is(err, ErrBadQuery) {
+		t.Errorf("session page with a negative queue wait: err = %v, want ErrBadQuery", err)
 	}
 	if _, err := net.Do(context.Background(), NewRange([]Range{{0, 1}, {0, 1}})); !errors.Is(err, ErrBadArity) {
 		t.Errorf("extra range err = %v, want ErrBadArity", err)

@@ -210,9 +210,10 @@ type Report struct {
 	// copies, delay_bound_violations (the paper's theorem says zero),
 	// conformance histograms.
 	Metrics map[string]int64 `json:"metrics,omitempty"`
-	// TailAttribution breaks the run's >p99 queries down by classified
-	// cause (fractions sum to 1). It is absent when the scenario runs
-	// without a slow-query log (Scenario.SlowQueryLog).
+	// TailAttribution breaks the queries above the run's p99 of client
+	// time (queue wait plus service) down by classified cause (fractions
+	// sum to 1). It is absent when the scenario runs without a slow-query
+	// log (Scenario.SlowQueryLog).
 	TailAttribution *armada.TailAttribution `json:"tail_attribution,omitempty"`
 	// Memory records the built network's heap footprint and build (or
 	// snapshot-load) wall-clock cost.

@@ -252,11 +252,11 @@ type Scenario struct {
 	// LoadControl.
 	MaxGrowth int `json:"max_growth,omitempty"`
 	// SlowQueryLog, when positive, builds the network with the
-	// query-diagnostics layer (armada.WithDiagnostics): a slow-query log
-	// of that record capacity with an adaptive threshold, per-query cause
-	// classification, the report's tail_attribution block, and
+	// query-diagnostics layer (armada.WithDiagnostics): a log of the N
+	// slowest queries, ranked by queue wait plus service time, per-query
+	// cause classification, the report's tail_attribution block, and
 	// armada-load's /debug/armada introspection endpoints and -slow-out
-	// dump. Default 0 — no diagnostics.
+	// dump. At most armada.MaxSlowLogCapacity. Default 0 — no diagnostics.
 	SlowQueryLog int `json:"slow_query_log,omitempty"`
 	// HotDrift, when positive, makes the KeyHotspot hot interval drift:
 	// its low edge sweeps the whole key space once per HotDrift period
@@ -438,8 +438,8 @@ func (s Scenario) validate() error {
 	if s.MaxGrowth > 0 && !s.LoadControl {
 		return bad("growth cap %d set without load control", s.MaxGrowth)
 	}
-	if s.SlowQueryLog < 0 {
-		return bad("negative slow-query log capacity %d", s.SlowQueryLog)
+	if s.SlowQueryLog < 0 || s.SlowQueryLog > armada.MaxSlowLogCapacity {
+		return bad("slow-query log capacity %d outside [0, %d]", s.SlowQueryLog, armada.MaxSlowLogCapacity)
 	}
 	if s.HotDrift < 0 {
 		return bad("negative hot drift %v", s.HotDrift)

@@ -70,6 +70,7 @@ func TestScenarioValidation(t *testing.T) {
 		{Arrival: Arrival{RatePerSec: 1e12}, Ops: 10}, // its mean gap truncated to 0 ns: the schedule stood still
 		{Churn: Churn{JoinPerSec: 1e-300}, Ops: 10},   // fired thousands of joins back to back
 		{Churn: Churn{LeavePerSec: 1.0 / 7200}, Ops: 10},
+		{SlowQueryLog: armada.MaxSlowLogCapacity + 1, Ops: 10}, // 2e9 ran the process out of memory
 	}
 	for i, sc := range bad {
 		if err := sc.withDefaults().validate(); !errors.Is(err, ErrBadScenario) {
