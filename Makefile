@@ -54,17 +54,26 @@ race:
 # store path that copies or drops slots, the audit's count check) grew
 # internal/fissione by 127 lines, net of the strings.Builder chunk, ILen and
 # newSlot it replaced; no other serving-path code became unnecessary.
+# The rest — every other directory with non-test Go files outside bench/:
+# today the comparison baselines, the evaluation and armada-bench — has a
+# third ceiling, LOC_REST_MAX, so no code grows where neither gate above
+# sees it; the list is computed, so a new directory counts from its first
+# line. Set at 2325 when the worked-example programs became checked Examples
+# in the root's example_test.go and the baseline's message pump folded into
+# dcfcan; the same rule raises it.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
 LOC_MAX = 6749
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
 LOC_SERVING_MAX = 4103
+LOC_REST_DIRS = $(filter-out $(LOC_DIRS) $(LOC_SERVING_DIRS) bench%,$(patsubst %/,%,$(sort $(dir $(filter-out %_test.go,$(wildcard *.go */*.go */*/*.go))))))
+LOC_REST_MAX = 2325
 loc:
-	@bad=0; for gate in "LOC_MAX $(LOC_MAX) $(LOC_DIRS)" "LOC_SERVING_MAX $(LOC_SERVING_MAX) $(LOC_SERVING_DIRS)"; do \
+	@bad=0; for gate in "LOC_MAX $(LOC_MAX) $(LOC_DIRS)" "LOC_SERVING_MAX $(LOC_SERVING_MAX) $(LOC_SERVING_DIRS)" "LOC_REST_MAX $(LOC_REST_MAX) $(LOC_REST_DIRS)"; do \
 		set -- $$gate; name=$$1; max=$$2; shift 2; total=0; \
 		for d in "$$@"; do \
 			n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
-			printf '%-18s %6d\n' $$d $$n; total=$$((total + n)); \
-		done; printf '%-18s %6d of %d\n' total $$total $$max; \
+			printf '%-20s %6d\n' $$d $$n; total=$$((total + n)); \
+		done; printf '%-20s %6d of %d\n' total $$total $$max; \
 		if [ $$total -gt $$max ]; then \
 			echo "loc: $$total lines over the ceiling $$name = $$max" >&2; bad=1; \
 		fi; \

@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // -pprof-addr serves the default mux
 	"os"
@@ -215,14 +216,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := startHTTP(*metricsAd, *pprofAd, stderr); err != nil {
-		return err
-	}
 	if *auditSmp < 0 {
 		return fmt.Errorf("-audit-sample %d: must be at least 0", *auditSmp)
 	}
 	if *snapVer && *snapIn == "" {
 		return fmt.Errorf("-snapshot-verify requires -snapshot-in")
+	}
+	if err := startHTTP(*metricsAd, *pprofAd, stderr); err != nil {
+		return err
 	}
 	opts := sc.NetworkOptions()
 	if *traceOut != "" {
@@ -253,7 +254,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		defer net.Close()
 		if *snapOut != "" {
-			if err := saveSnapshotFile(net, *snapOut); err != nil {
+			if err := writeFile(*snapOut, net.SaveSnapshot); err != nil {
 				return nil, fmt.Errorf("snapshot save: %w", err)
 			}
 			fmt.Fprintf(stderr, "armada-load: wrote topology snapshot to %s\n", *snapOut)
@@ -272,7 +273,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			// Deferred so the dump survives run errors and audit failures —
 			// the flight recorder is most valuable exactly then.
 			defer func() {
-				if err := writeTrace(net, *traceOut); err != nil {
+				if err := writeFile(*traceOut, net.WriteFlightTrace); err != nil {
 					fmt.Fprintln(stderr, "armada-load: trace dump:", err)
 				} else {
 					fmt.Fprintf(stderr, "armada-load: wrote flight trace to %s\n", *traceOut)
@@ -340,23 +341,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// startHTTP starts the optional observability endpoints: metricsAddr
-// serves the live network's Prometheus text at /metrics and expvar at
-// /debug/vars; pprofAddr serves the default mux's /debug/pprof/ handlers.
-// Both start before the network exists — scrapes without one get 503.
+// startHTTP binds the optional observability endpoints before anything
+// runs, so a bad or taken address fails the command: metricsAddr serves the
+// live network's Prometheus text at /metrics and expvar at /debug/vars;
+// pprofAddr serves the default mux's /debug/pprof/ handlers. Scrapes before
+// the network exists get 503.
 func startHTTP(metricsAddr, pprofAddr string, stderr io.Writer) error {
-	serve := func(addr string, h http.Handler, what string) {
-		go func() {
-			if err := http.ListenAndServe(addr, h); err != nil {
-				fmt.Fprintf(stderr, "armada-load: %s server: %v\n", what, err)
-			}
-		}()
+	serve := func(name, addr string, h http.Handler) error {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		go func() { fmt.Fprintf(stderr, "armada-load: %s server: %v\n", name, http.Serve(ln, h)) }()
+		return nil
 	}
 	if metricsAddr != "" {
-		serve(metricsAddr, metricsMux(stderr), "metrics")
+		if err := serve("-metrics-addr", metricsAddr, metricsMux(stderr)); err != nil {
+			return err
+		}
 	}
 	if pprofAddr != "" {
-		serve(pprofAddr, nil, "pprof") // net/http/pprof registered on the default mux
+		return serve("-pprof-addr", pprofAddr, nil) // net/http/pprof registered on the default mux
 	}
 	return nil
 }
@@ -424,19 +429,6 @@ func metricsMux(stderr io.Writer) *http.ServeMux {
 	return mux
 }
 
-// saveSnapshotFile writes the network's topology snapshot to path.
-func saveSnapshotFile(net *armada.Network, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := net.SaveSnapshot(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // loadSnapshotFile restores a network from the snapshot at path, applying
 // the scenario's network options on top.
 func loadSnapshotFile(path string, opts ...armada.Option) (*armada.Network, error) {
@@ -478,20 +470,6 @@ func verifyWarmStart(ctx context.Context, warm *armada.Network, sc workload.Scen
 	return nil
 }
 
-// writeTrace dumps the network's flight recorder as Chrome trace-event
-// JSON.
-func writeTrace(net *armada.Network, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := net.WriteFlightTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // slowDump is the -slow-out file shape — the same payload
 // /debug/armada/slow serves live.
 type slowDump struct {
@@ -523,13 +501,20 @@ func writeSlowLog(net *armada.Network, path string) error {
 	if !ok {
 		return fmt.Errorf("network runs without diagnostics")
 	}
+	return writeFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(d)
+	})
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(d); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

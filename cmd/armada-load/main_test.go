@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -156,6 +157,11 @@ func TestParseErrorNotMasked(t *testing.T) {
 }
 
 func TestBadFlags(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
 	cases := [][]string{
 		{"-scenario", "no-such"},
 		{"-mix", "bogus=1"},
@@ -170,6 +176,13 @@ func TestBadFlags(t *testing.T) {
 		{"-scenario", "steady", "-duration", "1s", "-rate", "1e12"}, // hung at its stop
 		// ran out of memory
 		{"-scenario", "steady", "-peers", "60", "-preload", "50", "-ops", "10", "-slow-log", "2000000000"},
+		// ran the whole scenario and exited 0, the listener's error only on stderr
+		{"-metrics-addr", "256.1.1.1:99999"},
+		{"-metrics-addr", taken.Addr().String()},
+		{"-pprof-addr", "256.1.1.1:99999"},
+		{"-pprof-addr", taken.Addr().String()},
+		{"-audit-sample", "-1"},
+		{"-snapshot-verify"},
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer

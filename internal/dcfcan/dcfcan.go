@@ -30,7 +30,6 @@ import (
 
 	"armada/internal/can"
 	"armada/internal/hilbert"
-	"armada/internal/simnet"
 )
 
 // Errors returned by the scheme.
@@ -116,10 +115,11 @@ type Result struct {
 	Stats        Stats
 }
 
-// floodMsg is the payload of one flood message.
+// floodMsg is one flood message: its target zone, the zone that sent it
+// ("" for the seed) and its hop depth from the median zone (0 for the seed).
 type floodMsg struct {
-	lo, hi uint64 // curve-index segment
-	from   string // sending zone ("" for the flood seed)
+	to, from string
+	depth    int
 }
 
 // RangeQuery executes [lo, hi] from the given issuing zone.
@@ -141,44 +141,42 @@ func (s *Scheme) RangeQuery(issuer string, lo, hi float64) (*Result, error) {
 		return nil, fmt.Errorf("dcfcan: median routing: %w", err)
 	}
 
-	// Phase 2: directed controlled flooding across the segment's zones.
+	// Phase 2: directed controlled flooding across the segment's zones,
+	// breadth first. The seed is local computation at the median zone; every
+	// forward is one overlay message, one hop deeper than its sender's, and
+	// the flood's delay is the deepest message's depth.
 	res := &Result{}
 	seen := make(map[string]bool)
-	handle := func(m simnet.Message) []simnet.Message {
-		fm, ok := m.Payload.(floodMsg)
+	var floodDelay, floodMsgs int
+	for queue := []floodMsg{{to: medianZone}}; len(queue) > 0; queue = queue[1:] {
+		m := queue[0]
+		floodDelay = max(floodDelay, m.depth)
+		if m.depth >= 1 {
+			floodMsgs++
+		}
+		if seen[m.to] {
+			continue // duplicate: suppressed, but its delivery was counted
+		}
+		seen[m.to] = true
+		zone, ok := s.net.Zone(m.to)
 		if !ok {
-			return nil
+			continue
 		}
-		if seen[m.To] {
-			return nil // duplicate: suppressed, but its delivery was counted
-		}
-		seen[m.To] = true
-		zone, ok := s.net.Zone(m.To)
-		if !ok {
-			return nil
-		}
-		res.Destinations = append(res.Destinations, m.To)
+		res.Destinations = append(res.Destinations, m.to)
 		for _, it := range zone.Items() {
 			if it.Value >= lo && it.Value <= hi {
-				res.Matches = append(res.Matches, Match{Name: it.Name, Value: it.Value, Zone: m.To})
+				res.Matches = append(res.Matches, Match{Name: it.Name, Value: it.Value, Zone: m.to})
 			}
 		}
-		var fwd []simnet.Message
 		for _, nbID := range zone.Neighbors() {
-			if nbID == fm.from {
+			if nbID == m.from {
 				continue
 			}
-			nb, _ := s.net.Zone(nbID)
-			if !s.curve.IntersectsSegment(fm.lo, fm.hi, nb.Rect()) {
-				continue
+			if nb, _ := s.net.Zone(nbID); s.curve.IntersectsSegment(iLo, iHi, nb.Rect()) {
+				queue = append(queue, floodMsg{to: nbID, from: m.to, depth: m.depth + 1})
 			}
-			fwd = append(fwd, simnet.Message{To: nbID, Payload: floodMsg{lo: fm.lo, hi: fm.hi, from: m.To}})
 		}
-		return fwd
 	}
-	floodMetrics, _ := simnet.RunSync(nil, []simnet.Message{
-		{To: medianZone, Payload: floodMsg{lo: iLo, hi: iHi}},
-	}, handle) // nil ctx: the baseline never cancels
 
 	sort.Strings(res.Destinations)
 	sort.Slice(res.Matches, func(i, j int) bool {
@@ -188,9 +186,9 @@ func (s *Scheme) RangeQuery(issuer string, lo, hi float64) (*Result, error) {
 		return res.Matches[i].Name < res.Matches[j].Name
 	})
 	res.Stats = Stats{
-		Delay:     routeHops + floodMetrics.Delay,
+		Delay:     routeHops + floodDelay,
 		RouteHops: routeHops,
-		Messages:  routeHops + floodMetrics.Messages,
+		Messages:  routeHops + floodMsgs,
 		DestZones: len(res.Destinations),
 	}
 	return res, nil

@@ -181,8 +181,9 @@ func TestDelayGrowsWithNetworkSize(t *testing.T) {
 	}
 }
 
-// A point query floods only the median zone's segment: its cost is
-// essentially the routing phase.
+// A point query's segment is one curve cell, owned by the median zone alone:
+// the flood is its seed, local at that zone, so the query costs exactly the
+// routing phase — no flood hop, no flood message.
 func TestPointQueryCost(t *testing.T) {
 	s := buildScheme(t, 200, 11)
 	rng := rand.New(rand.NewSource(12))
@@ -192,11 +193,12 @@ func TestPointQueryCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.DestZones < 1 {
-			t.Fatal("point query reached no zone")
+		if res.Stats.DestZones != 1 {
+			t.Fatalf("point query reached %d zones, want 1", res.Stats.DestZones)
 		}
-		if res.Stats.Delay < res.Stats.RouteHops {
-			t.Fatalf("delay %d below route hops %d", res.Stats.Delay, res.Stats.RouteHops)
+		if res.Stats.Delay != res.Stats.RouteHops || res.Stats.Messages != res.Stats.RouteHops {
+			t.Fatalf("delay %d, messages %d, want both the route hops %d",
+				res.Stats.Delay, res.Stats.Messages, res.Stats.RouteHops)
 		}
 	}
 }

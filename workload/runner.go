@@ -71,7 +71,8 @@ func New(net *armada.Network, sc Scenario) (*Runner, error) {
 
 // Execute builds the scenario's network (sc.Peers peers, sc.Attrs spaces,
 // sc.Seed, sc.Replicas), then runs the scenario on it — the one-call entry
-// point the armada-load command uses.
+// point for callers with no network of their own (armada-load builds or
+// loads its own, then calls New and Run).
 func Execute(ctx context.Context, sc Scenario) (*Report, error) {
 	sc = sc.withDefaults()
 	if err := sc.validate(); err != nil {
