@@ -8,7 +8,7 @@
 //	armada-load -scenario mixed                       # a named preset
 //	armada-load -scenario mixed -ops 2000 -peers 500  # preset, resized
 //	armada-load -list                                 # show the presets
-//	armada-load -scenario steady -duration 5s -v -out report.json
+//	armada-load -scenario steady -duration 5s -out report.json
 //
 // Without -scenario the run is a custom scenario built entirely from the
 // flags (workload defaults otherwise):
@@ -89,7 +89,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		noShort   = fs.Bool("no-shortcut", false, "drop the scenario's route cache — the descent-baseline ablation (results are byte-identical, only hops and messages move)")
 		gogc      = fs.Int("gogc", 600, "GOGC percent for the run (load generators allocate fast against a small live heap); 0 leaves the runtime default, and an explicit GOGC env var always wins")
 		out       = fs.String("out", "", "write the JSON report to this file (default stdout)")
-		verbose   = fs.Bool("v", false, "print interval snapshots to stderr while running")
 		traceOut  = fs.String("trace-out", "", "attach a query-lifecycle flight recorder retaining 65536 events and write it as Chrome trace-event JSON to this file after the run")
 		slowLog   = fs.Int("slow-log", 0, fmt.Sprintf("attach the query-diagnostics layer, its log keeping the N slowest queries by queue wait plus service time (0 = none; implied by -slow-out; at most %d); enables the tail_attribution report block and the /debug/armada endpoints", armada.MaxSlowLogCapacity))
 		slowOut   = fs.String("slow-out", "", "write the log of the slowest queries and the tail attribution as JSON to this file after the run (implies -slow-log 256 when unset)")
@@ -151,6 +150,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		case "seed":
 			sc.Seed = *seed
 		case "attrs":
+			// Refused here: 0 would fall back to the default single space,
+			// and a negative count cannot size the spaces.
+			if *attrs < 1 {
+				keep(fmt.Errorf("-attrs %d: must be at least 1", *attrs))
+				break
+			}
 			sc.Attrs = make([]armada.AttributeSpace, *attrs)
 			for i := range sc.Attrs {
 				sc.Attrs[i] = armada.AttributeSpace{Low: 0, High: 1000}
@@ -297,12 +302,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		runner.BuildMs = buildMs
 		runner.SnapshotLoadMs = loadMs
-		if *verbose {
-			runner.OnSnapshot = func(s workload.Snapshot) {
-				fmt.Fprintf(stderr, "  t=%6.2fs  ops=%-6d errs=%-3d peers=%-5d %8.0f op/s\n",
-					s.AtSec, s.Ops, s.Errors, s.Peers, s.Throughput)
-			}
-		}
 		rep, err := runner.Run(ctx)
 		if err != nil {
 			return nil, err

@@ -139,8 +139,8 @@ type metrics struct {
 	// Scheduled counts messages the engine's pump processed — the raw
 	// message volume, issuer-local seeds and direct fan-outs included.
 	Scheduled obs.Counter
-	// HopDelay is the distribution of realized per-query hop delay.
-	HopDelay *obs.Histogram
+	// Delay is the distribution of realized per-query hop delay.
+	Delay *obs.Histogram
 }
 
 // DescribeMetrics registers the engine's counters on reg.
@@ -151,7 +151,7 @@ func (e *Engine) DescribeMetrics(reg *obs.Registry) {
 	reg.MustRegister("engine_messages_total", &m.Messages)
 	reg.MustRegister("engine_deliveries_total", &m.Deliveries)
 	reg.MustRegister("engine_scheduled_ops_total", &m.Scheduled)
-	reg.MustRegister("engine_hop_delay", m.HopDelay)
+	reg.MustRegister("engine_hop_delay", m.Delay)
 }
 
 // note folds one finished query's stats into the cumulative counters.
@@ -163,7 +163,7 @@ func (m *metrics) note(s Stats, seeded bool) {
 	}
 	m.Messages.Add(int64(s.Messages))
 	m.Deliveries.Add(int64(s.Deliveries))
-	m.HopDelay.Observe(float64(s.Delay))
+	m.Delay.Observe(float64(s.Delay))
 }
 
 // ReadPolicy selects which member of a region's replica group serves a
@@ -274,7 +274,7 @@ func New(net *fissione.Network, tree *naming.Tree) (*Engine, error) {
 		return nil, fmt.Errorf("%w: tree k=%d, network k=%d", ErrKMismatch, tree.K(), net.K())
 	}
 	hopDelay := obs.NewHistogram(1, 2, 4, 6, 8, 10, 12, 16, 20, 24, 32, 48)
-	return &Engine{net: net, tree: tree, metrics: &metrics{HopDelay: hopDelay}}, nil
+	return &Engine{net: net, tree: tree, metrics: &metrics{Delay: hopDelay}}, nil
 }
 
 // Tree returns the engine's naming tree (nil for exact-match-only engines).

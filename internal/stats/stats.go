@@ -5,11 +5,10 @@ package stats
 import (
 	"math"
 	"sort"
-	"sync"
 )
 
 // Sample accumulates observations of one metric. It is not safe for
-// concurrent use; wrap it in SafeSample when several goroutines record.
+// concurrent use: concurrent recorders keep one each and Merge them.
 type Sample struct {
 	values []float64
 	// sorted caches the ascending order of values for Percentile; Add
@@ -65,20 +64,6 @@ func (s *Sample) Max() float64 {
 	return max
 }
 
-// Min returns the smallest observation (0 for an empty sample).
-func (s *Sample) Min() float64 {
-	min := math.Inf(1)
-	for _, v := range s.values {
-		if v < min {
-			min = v
-		}
-	}
-	if math.IsInf(min, 1) {
-		return 0
-	}
-	return min
-}
-
 // ensureSorted (re)builds the sorted cache when stale.
 func (s *Sample) ensureSorted() []float64 {
 	if s.sorted == nil && len(s.values) > 0 {
@@ -105,62 +90,4 @@ func (s *Sample) Percentile(p float64) float64 {
 		rank = 0
 	}
 	return sorted[rank]
-}
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	total := 0.0
-	for _, v := range s.values {
-		d := v - mean
-		total += d * d
-	}
-	return math.Sqrt(total / float64(len(s.values)))
-}
-
-// SafeSample is a Sample safe for concurrent recording — the collection
-// type behind workload metric gathering, where many workers observe one
-// metric at once.
-type SafeSample struct {
-	mu sync.Mutex
-	s  Sample
-}
-
-// Add records one observation.
-func (c *SafeSample) Add(v float64) {
-	c.mu.Lock()
-	c.s.Add(v)
-	c.mu.Unlock()
-}
-
-// AddInt records one integer observation.
-func (c *SafeSample) AddInt(v int) { c.Add(float64(v)) }
-
-// N returns the number of observations recorded so far.
-func (c *SafeSample) N() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.s.N()
-}
-
-// Snapshot returns an independent copy of the accumulated sample for
-// lock-free summarizing.
-func (c *SafeSample) Snapshot() *Sample {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return &Sample{values: append([]float64(nil), c.s.values...)}
-}
-
-// Drain returns the accumulated sample and resets the accumulator, so a
-// periodic reader (the workload runner's interval snapshots) gets
-// interval-local observations instead of run-cumulative ones.
-func (c *SafeSample) Drain() *Sample {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := &Sample{values: c.s.values}
-	c.s = Sample{}
-	return out
 }

@@ -67,17 +67,15 @@ func TestCancelledWalkNotSampled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // shutdown before the walk starts
-	coll := &collector{}
-	smp := newSampler(&sc, 3)
-	oc := &coll.ops[OpRangePaged]
-	r.doPagedRange(ctx, smp, oc, coll, time.Now(), 0)
-	if got := oc.cancelled.Load(); got != 1 {
-		t.Errorf("cancelled = %d, want 1", got)
+	var op opSamples
+	r.doPagedRange(ctx, newSampler(&sc, 3), &op, time.Now(), 0)
+	if op.cancelled != 1 {
+		t.Errorf("cancelled = %d, want 1", op.cancelled)
 	}
-	if got := oc.count.Load(); got != 0 {
-		t.Errorf("count = %d; a cancelled walk must not be recorded", got)
+	if op.count != 0 {
+		t.Errorf("count = %d; a cancelled walk must not be recorded", op.count)
 	}
-	if n := oc.pages.Snapshot().N(); n != 0 {
+	if n := op.pages.N(); n != 0 {
 		t.Errorf("pages sample has %d entries from a cancelled walk", n)
 	}
 }

@@ -81,9 +81,9 @@ func TestNewRejectsLoadControlMismatch(t *testing.T) {
 	}
 }
 
-// TestRunReportsLoadControl: a load-controlled run carries the skew and env
-// blocks with the documented JSON keys and the controller's counters in its
-// metrics; a plain run has no controller counters but keeps skew and env.
+// TestRunReportsLoadControl: a load-controlled run carries the env block
+// with the documented JSON keys and the controller's counters in its
+// metrics; a plain run has no controller counters but keeps env.
 func TestRunReportsLoadControl(t *testing.T) {
 	sc := small()
 	sc.LoadControl = true
@@ -94,15 +94,6 @@ func TestRunReportsLoadControl(t *testing.T) {
 	if _, ok := rep.Metrics["loadctl_auto_splits_total"]; !ok {
 		t.Fatal("load-controlled run reported no loadctl_auto_splits_total")
 	}
-	if rep.DeliverySkew == nil || rep.DeliverySkew.MeanDeliveries <= 0 {
-		t.Fatalf("delivery skew missing or empty: %+v", rep.DeliverySkew)
-	}
-	if rep.DeliverySkew.MaxOverMean < rep.DeliverySkew.P99OverMean || rep.DeliverySkew.P99OverMean < 0 {
-		t.Fatalf("skew quantiles inconsistent: %+v", rep.DeliverySkew)
-	}
-	if len(rep.DeliverySkew.HotPeers) == 0 || rep.DeliverySkew.HotPeers[0].Share <= 0 {
-		t.Fatalf("hot peers missing: %+v", rep.DeliverySkew.HotPeers)
-	}
 	if rep.Env == nil || rep.Env.GoMaxProcs <= 0 || rep.Env.NumCPU <= 0 || rep.Env.GoVersion == "" {
 		t.Fatalf("env metadata missing: %+v", rep.Env)
 	}
@@ -110,8 +101,7 @@ func TestRunReportsLoadControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"delivery_skew"`, `"max_over_mean"`, `"p99_over_mean"`, `"hot_peers"`,
-		`"loadctl_auto_splits_total"`, `"env"`, `"gomaxprocs"`, `"go_version"`} {
+	for _, key := range []string{`"loadctl_auto_splits_total"`, `"env"`, `"gomaxprocs"`, `"go_version"`} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("report JSON lacks %s", key)
 		}
@@ -124,41 +114,7 @@ func TestRunReportsLoadControl(t *testing.T) {
 	if _, ok := plain.Metrics["loadctl_auto_splits_total"]; ok {
 		t.Error("plain run reported load-control counters")
 	}
-	if plain.DeliverySkew == nil || plain.Env == nil {
-		t.Error("plain run lost the skew or env block")
-	}
-}
-
-func TestDeliverySkewComputation(t *testing.T) {
-	start := map[string]int64{"a": 10, "gone": 5}
-	end := []armada.RegionHeat{
-		{Peer: "a", Deliveries: 110}, // delta 100
-		{Peer: "b", Deliveries: 0},
-		{Peer: "c", Deliveries: 0},
-	}
-	rep := deliverySkew(start, end)
-	if rep == nil {
-		t.Fatal("nil skew report")
-	}
-	wantMean := 100.0 / 3
-	if rep.MeanDeliveries != wantMean {
-		t.Errorf("mean = %.4f, want %.4f", rep.MeanDeliveries, wantMean)
-	}
-	if rep.MaxOverMean != 3 {
-		t.Errorf("max/mean = %.4f, want 3", rep.MaxOverMean)
-	}
-	if rep.P99OverMean != 3 { // 3 peers: p99 is the max
-		t.Errorf("p99/mean = %.4f, want 3", rep.P99OverMean)
-	}
-	if len(rep.HotPeers) != 3 || rep.HotPeers[0].Peer != "a" || rep.HotPeers[0].Share != 1 {
-		t.Errorf("hot peers = %+v", rep.HotPeers)
-	}
-
-	if got := deliverySkew(nil, nil); got != nil {
-		t.Errorf("skew over no peers = %+v, want nil", got)
-	}
-	idle := deliverySkew(nil, []armada.RegionHeat{{Peer: "a"}, {Peer: "b"}})
-	if idle == nil || idle.MaxOverMean != 0 || idle.HotPeers != nil {
-		t.Errorf("idle skew = %+v, want mean-only report", idle)
+	if plain.Env == nil {
+		t.Error("plain run lost the env block")
 	}
 }

@@ -37,12 +37,10 @@ func TestDelayBoundViolationsZero(t *testing.T) {
 	}
 }
 
-// TestReportCarriesMetrics: the report's full-run metrics block and the
-// interval snapshots' deltas are populated and delta-consistent.
+// TestReportCarriesMetrics: the report's full-run metrics block is
+// populated and carries the conformance counter.
 func TestReportCarriesMetrics(t *testing.T) {
-	sc := small()
-	sc.Interval = 20 * time.Millisecond
-	rep, err := Execute(context.Background(), sc)
+	rep, err := Execute(context.Background(), small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,25 +51,6 @@ func TestReportCarriesMetrics(t *testing.T) {
 	}
 	if _, ok := rep.Metrics["delay_bound_violations"]; !ok {
 		t.Error("report metrics lack delay_bound_violations")
-	}
-	// Interval deltas must sum to the full-run delta per counter.
-	sums := map[string]int64{}
-	var sampled int
-	for _, snap := range rep.Intervals {
-		for k, v := range snap.Metrics {
-			sums[k] += v
-		}
-		if snap.LatencyMs.P99 > 0 {
-			sampled++
-		}
-	}
-	if sampled == 0 {
-		t.Error("no interval carried latency quantiles")
-	}
-	for _, name := range []string{"engine_messages_total", "engine_descents_total"} {
-		if sums[name] != rep.Metrics[name] {
-			t.Errorf("interval deltas of %s sum to %d, full run says %d", name, sums[name], rep.Metrics[name])
-		}
 	}
 	data, err := json.Marshal(rep)
 	if err != nil {

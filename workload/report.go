@@ -53,16 +53,15 @@ type OpReport struct {
 	// LatencyMs is the wall-clock latency in milliseconds from the
 	// operation's scheduled arrival to its completion, queue wait included.
 	LatencyMs Quantiles `json:"latency_ms"`
-	// HopDelay, Messages and DestPeers are the paper's per-query cost
-	// metrics (query kinds only; zero for publish/unpublish).
-	HopDelay  Quantiles `json:"hop_delay"`
+	// Hops, Messages and DestPeers are the paper's per-query cost metrics
+	// (query kinds only; zero for publish/unpublish): the realized hop
+	// delay, overlay messages and distinct destination peers. Hops and
+	// DestPeers take one sample per page of a range-paged walk, Messages
+	// one per walk. Hops is also the metric the route cache moves: warm
+	// keys drop from ~log N toward 1.
+	Hops      Quantiles `json:"hops"`
 	Messages  Quantiles `json:"messages"`
 	DestPeers Quantiles `json:"dest_peers"`
-	// Hops is the realized per-descent hop count — one sample per query,
-	// and one per page for range-paged walks (where HopDelay records the
-	// walk max instead). This is the metric the shortcut table moves: warm
-	// keys drop from ~log N toward 1.
-	Hops Quantiles `json:"hops"`
 	// Matches is the result-set size distribution (query kinds only; for
 	// range-paged operations, the total across the whole walk).
 	Matches Quantiles `json:"matches"`
@@ -102,27 +101,6 @@ type EnvReport struct {
 	GoVersion  string `json:"go_version"`
 }
 
-// HotPeer is one entry of the delivery-skew hottest-peers list.
-type HotPeer struct {
-	Peer string `json:"peer"`
-	// Deliveries is the peer's delivery count during the run; Share its
-	// fraction of all deliveries.
-	Deliveries int64   `json:"deliveries"`
-	Share      float64 `json:"share"`
-}
-
-// SkewReport summarizes how evenly query deliveries spread across peers
-// during one run — the balance metric load control is judged by. Max and
-// p99 are per-peer delivery counts divided by the mean over all peers
-// present at run end (1.0 = perfectly even).
-type SkewReport struct {
-	MeanDeliveries float64 `json:"mean_deliveries"`
-	MaxOverMean    float64 `json:"max_over_mean"`
-	P99OverMean    float64 `json:"p99_over_mean"`
-	// HotPeers lists the highest-delivery peers, hottest first.
-	HotPeers []HotPeer `json:"hot_peers,omitempty"`
-}
-
 // ChurnReport counts the churn events of one run.
 type ChurnReport struct {
 	Joins  int `json:"joins"`
@@ -133,31 +111,14 @@ type ChurnReport struct {
 	Errors  int `json:"errors,omitempty"`
 }
 
-// Snapshot is one periodic observation of the running workload. The final
-// snapshot (at the run's end) is always present.
-type Snapshot struct {
-	// AtSec is the snapshot time relative to the run start.
-	AtSec float64 `json:"at_sec"`
-	// Ops and Errors are the completions in this interval; Throughput is
-	// their rate over the interval.
-	Ops        int     `json:"ops"`
-	Errors     int     `json:"errors"`
-	Throughput float64 `json:"throughput_per_sec"`
-	// Peers is the network size at snapshot time.
-	Peers int `json:"peers"`
-	// LatencyMs summarizes the wall-clock latencies of the operations that
-	// completed in this interval (all kinds pooled) — interval-local, not
-	// run-cumulative, so a latency regression shows in the interval it
-	// happens.
-	LatencyMs Quantiles `json:"latency_ms,omitzero"`
-	// Metrics holds this interval's growth of every network counter that
-	// moved (armada.MetricValues deltas; unchanged counters are omitted).
-	Metrics map[string]int64 `json:"metrics,omitempty"`
-}
-
-// Report is the outcome of one workload run. It marshals to the JSON
-// armada-load writes; the repeated benchmark behind the BENCH_*.json files
-// is bench/, not this report.
+// Report is the outcome of one workload run, summarized once the run has
+// ended: per operation kind, latency and the paper's cost metrics (hops,
+// messages, destination peers); the arrival process's saturation; churn;
+// and the full-run growth of the network's counters. Nothing in it is
+// observable mid-run — live progress is the network's registry itself,
+// which armada-load serves at -metrics-addr's /metrics. It marshals to the
+// JSON armada-load writes; the repeated benchmark behind the BENCH_*.json
+// files is bench/, not this report.
 type Report struct {
 	Scenario   string `json:"scenario"`
 	Seed       int64  `json:"seed"`
@@ -190,19 +151,11 @@ type Report struct {
 	// AvailabilityMisses totals the per-op Misses: operations whose target
 	// object crash churn had destroyed. Nonzero only without replication.
 	AvailabilityMisses int `json:"availability_misses"`
-	// ReplicaReads counts query deliveries served by a non-primary
-	// replica, and ReplicaReadSpread is the per-query distribution of the
-	// fraction of deliveries a replica served (0 = all primary, 1 = all
-	// spread). Both present only on replicated runs.
-	ReplicaReads      int64     `json:"replica_reads,omitempty"`
-	ReplicaReadSpread Quantiles `json:"replica_read_spread,omitzero"`
 	// DescentsSaved and ShortcutHits total the per-op counters: queries
 	// seeded at learned owners, and the subset the route cache seeded
 	// (skipping even a walk's first descent).
 	DescentsSaved int `json:"descents_saved,omitempty"`
 	ShortcutHits  int `json:"shortcut_hits,omitempty"`
-	// DeliverySkew summarizes the per-peer delivery balance of the run.
-	DeliverySkew *SkewReport `json:"delivery_skew,omitempty"`
 	// Metrics is the full-run growth of every network counter
 	// (armada.MetricValues at run end minus run start, all keys), the one
 	// place the report carries a registry counter: engine message and
@@ -219,6 +172,5 @@ type Report struct {
 	// snapshot-load) wall-clock cost.
 	Memory *MemoryReport `json:"memory,omitempty"`
 	// Env records the environment the report was produced in.
-	Env       *EnvReport `json:"env,omitempty"`
-	Intervals []Snapshot `json:"intervals"`
+	Env *EnvReport `json:"env,omitempty"`
 }

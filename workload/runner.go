@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,11 +20,6 @@ import (
 type Runner struct {
 	net *armada.Network
 	sc  Scenario
-
-	// OnSnapshot, when non-nil, observes every interval snapshot as it is
-	// taken (progress reporting). It is called from the snapshot
-	// goroutine.
-	OnSnapshot func(Snapshot)
 
 	// BuildMs and SnapshotLoadMs, when set by the caller before Run, are
 	// copied into the report's memory block: the wall-clock cost of
@@ -123,8 +117,8 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		return nil, fmt.Errorf("workload: preload: %w", err)
 	}
 
-	// runCtx stops the traffic; bgCtx keeps churn and snapshots running
-	// until the executors have drained.
+	// runCtx stops the traffic; bgCtx keeps churn running until the
+	// executors have drained.
 	runCtx := ctx
 	if sc.Duration > 0 {
 		var cancel context.CancelFunc
@@ -135,40 +129,28 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	defer stopBG()
 
 	startMetrics := r.net.MetricValues()
-	coll := newCollector(r.sc.Replicas > 1, startMetrics)
 	startPeers := r.net.Size()
-	startLoads := make(map[string]int64)
-	for _, h := range r.net.RegionHeatReport(0) {
-		startLoads[h.Peer] = h.Deliveries
-	}
 	start := time.Now()
-
-	var bg sync.WaitGroup
+	churned := make(chan ChurnReport, 1)
 	if sc.Churn.Enabled() {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			r.churn(bgCtx, coll)
-		}()
+		go func() { churned <- r.churn(bgCtx) }()
+	} else {
+		churned <- ChurnReport{}
 	}
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		r.snapshots(bgCtx, start, coll)
-	}()
-
-	r.serve(runCtx, pool, coll)
+	recorded := r.serve(runCtx, pool)
 	elapsed := time.Since(start)
 	stopBG()
-	bg.Wait()
+	churn := <-churned
 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("workload: run aborted: %w", err)
 	}
-	coll.takeSnapshot(elapsed, r.net.Size(), r.net.MetricValues()) // final snapshot, always present
-	rep := r.report(elapsed, startPeers, coll)
-	rep.Metrics = metricsDelta(startMetrics, r.net.MetricValues(), false)
-	rep.DeliverySkew = deliverySkew(startLoads, r.net.RegionHeatReport(0))
+	rep := r.report(elapsed, startPeers, recorded)
+	rep.Churn = churn
+	rep.Metrics = r.net.MetricValues()
+	for k := range rep.Metrics {
+		rep.Metrics[k] -= startMetrics[k]
+	}
 	if ta, ok := r.net.TailAttributionReport(); ok {
 		rep.TailAttribution = &ta
 	}
@@ -181,49 +163,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// skewTopN caps the delivery-skew hottest-peers list.
-const skewTopN = 5
-
-// deliverySkew computes the run's per-peer delivery balance: each peer
-// present at run end contributes its delivery-count growth since run start
-// (peers created mid-run contribute their whole count — their counters
-// started at zero, or rode along a rename, either way their load belongs
-// to the run's hot regions).
-func deliverySkew(start map[string]int64, end []armada.RegionHeat) *SkewReport {
-	if len(end) == 0 {
-		return nil
-	}
-	deltas := make([]int64, 0, len(end))
-	hot := make([]HotPeer, 0, len(end))
-	var total int64
-	for _, h := range end {
-		d := max(0, h.Deliveries-start[h.Peer])
-		deltas = append(deltas, d)
-		hot = append(hot, HotPeer{Peer: h.Peer, Deliveries: d})
-		total += d
-	}
-	rep := &SkewReport{MeanDeliveries: float64(total) / float64(len(deltas))}
-	if total == 0 {
-		return rep
-	}
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i] < deltas[j] })
-	p99 := deltas[(99*(len(deltas)-1)+50)/100]
-	rep.MaxOverMean = float64(deltas[len(deltas)-1]) / rep.MeanDeliveries
-	rep.P99OverMean = float64(p99) / rep.MeanDeliveries
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].Deliveries != hot[j].Deliveries {
-			return hot[i].Deliveries > hot[j].Deliveries
-		}
-		return hot[i].Peer < hot[j].Peer
-	})
-	hot = hot[:min(len(hot), skewTopN)]
-	for i := range hot {
-		hot[i].Share = float64(hot[i].Deliveries) / float64(total)
-	}
-	rep.HotPeers = hot
-	return rep
-}
-
 // serve runs Workers executors until Ops arrivals are served or ctx ends.
 // They take turns as the arrival clock through a one-slot channel (a mutex
 // starves: each Unlock yields the P to a waiter before the releaser serves
@@ -233,8 +172,9 @@ func deliverySkew(start map[string]int64, end []armada.RegionHeat) *SkewReport {
 // fell due by the stop is served: the first holder to find the run stopped
 // serves the one it took, counts those due behind it as dropped — at the
 // schedule's rate, not drawn one by one, so the stop costs the same at any
-// backlog — and closes turn.
-func (r *Runner) serve(ctx context.Context, pool *keyPool, coll *collector) {
+// backlog — and closes turn. Each executor records into its own samples,
+// which serve merges once every executor is done.
+func (r *Runner) serve(ctx context.Context, pool *keyPool) *samples {
 	sc := &r.sc
 	rng := rand.New(rand.NewSource(sc.Seed ^ 0x9e3779b9))
 	mean := float64(time.Second) / sc.Arrival.RatePerSec
@@ -243,14 +183,15 @@ func (r *Runner) serve(ctx context.Context, pool *keyPool, coll *collector) {
 	turn := make(chan struct{}, 1)
 	turn <- struct{}{}
 	var executors sync.WaitGroup
-	for w := 0; w < sc.Arrival.Workers; w++ {
+	all := make([]samples, sc.Arrival.Workers)
+	for w := range all {
 		executors.Add(1)
-		go func(id int) {
+		go func(id int, s *samples) {
 			defer executors.Done()
 			smp := newSampler(sc, sc.Seed+int64(id)*7919+1)
 			for range turn {
 				at := next
-				if sc.Ops > 0 && n >= sc.Ops || !await(ctx, &coll.dispatchLate, at) {
+				if sc.Ops > 0 && n >= sc.Ops || !await(ctx, &s.dispatchLate, at) {
 					close(turn)
 					continue
 				}
@@ -262,14 +203,18 @@ func (r *Runner) serve(ctx context.Context, pool *keyPool, coll *collector) {
 					if sc.Ops > 0 {
 						d = min(d, sc.Ops-n)
 					}
-					coll.dropped.Add(int64(d))
+					s.dropped += d
 					close(turn)
 				}
-				r.execOp(ctx, smp, pool, coll, at)
+				r.execOp(ctx, smp, pool, s, at)
 			}
-		}(w)
+		}(w, &all[w])
 	}
 	executors.Wait()
+	for i := 1; i < len(all); i++ {
+		all[0].merge(&all[i])
+	}
+	return &all[0]
 }
 
 // await waits for the arrival at at and reports whether it fell due by the
@@ -278,7 +223,7 @@ func (r *Runner) serve(ctx context.Context, pool *keyPool, coll *collector) {
 // the netpoller sleeps in whole milliseconds, so a timer alone fires up to
 // ~10 ms late — then yields until at, and samples the lateness (release
 // minus at) into late.
-func await(ctx context.Context, late *stats.SafeSample, at time.Time) bool {
+func await(ctx context.Context, late *stats.Sample, at time.Time) bool {
 	inRun := func() bool { return ctx.Err() == nil || !at.After(stopAt(ctx)) }
 	if wait := time.Until(at); wait > time.Millisecond {
 		select {
@@ -323,28 +268,29 @@ func (r *Runner) preload(pool *keyPool) error {
 // its metrics. Its latency runs from at, so the time it waited for an
 // executor counts in it; that queue wait (start minus at) is also sampled
 // on its own, and queries carry it to the diagnostics layer.
-func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *collector, at time.Time) {
+func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, s *samples, at time.Time) {
 	wait := time.Since(at)
-	coll.queueWait.Add(float64(wait) / float64(time.Millisecond))
-	switch kind := smp.nextOp(); kind {
+	s.queueWait.Add(float64(wait) / float64(time.Millisecond))
+	kind := smp.nextOp()
+	op := &s.ops[kind]
+	switch kind {
 	case OpPublish:
-		r.doPublish(smp, pool, &coll.ops[OpPublish], at)
+		r.doPublish(smp, pool, op, at)
 	case OpUnpublish:
 		rec, ok := pool.take(smp.rng)
 		if !ok {
 			// Nothing left to delete: publish instead so the mix stays
 			// sustainable (recorded as a publish).
-			r.doPublish(smp, pool, &coll.ops[OpPublish], at)
+			r.doPublish(smp, pool, &s.ops[OpPublish], at)
 			return
 		}
-		oc := &coll.ops[OpUnpublish]
 		err := r.net.Unpublish(rec.name, rec.values...)
 		if errors.Is(err, armada.ErrNoSuchObject) {
 			// The object died with a crashed peer — a miss, not a fault.
-			oc.misses.Add(1)
+			op.misses++
 			err = nil
 		}
-		oc.record(at, err)
+		op.record(at, err)
 	case OpLookup:
 		// Look up a live object by its attribute values — the exact-match
 		// query for something Publish actually stored. With an empty pool,
@@ -357,7 +303,7 @@ func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *
 			q = armada.NewLookup(fmt.Sprintf("probe-%d", smp.rng.Int63()))
 		}
 		q.QueueWait = wait
-		res := r.doQuery(ctx, q, &coll.ops[OpLookup], coll, at)
+		res := r.doQuery(ctx, q, op, at)
 		// The looked-up object missing from its ObjectID's result while the
 		// pool still considers it live means crash churn destroyed it — an
 		// availability miss, kept apart from errors. (Re-checking the pool
@@ -365,50 +311,45 @@ func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, coll *
 		// unpublish then removed.)
 		if res != nil && fromPool && !slices.ContainsFunc(res.Objects,
 			func(o armada.Object) bool { return o.Name == rec.name }) && pool.hasName(rec.name) {
-			coll.ops[OpLookup].misses.Add(1)
+			op.misses++
 		}
 	case OpRange:
-		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithQueueWait(wait)), &coll.ops[OpRange], coll, at)
+		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithQueueWait(wait)), op, at)
 	case OpMultiRange:
-		r.doQuery(ctx, armada.NewRange(smp.ranges(true), armada.WithQueueWait(wait)), &coll.ops[OpMultiRange], coll, at)
+		r.doQuery(ctx, armada.NewRange(smp.ranges(true), armada.WithQueueWait(wait)), op, at)
 	case OpTopK:
-		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithTopK(topK), armada.WithQueueWait(wait)), &coll.ops[OpTopK], coll, at)
+		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithTopK(topK), armada.WithQueueWait(wait)), op, at)
 	case OpFlood:
-		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithFlood(), armada.WithQueueWait(wait)), &coll.ops[OpFlood], coll, at)
+		r.doQuery(ctx, armada.NewRange(smp.ranges(false), armada.WithFlood(), armada.WithQueueWait(wait)), op, at)
 	case OpRangePaged:
-		r.doPagedRange(ctx, smp, &coll.ops[OpRangePaged], coll, at, wait)
+		r.doPagedRange(ctx, smp, op, at, wait)
 	}
 }
 
 // doPagedRange walks one range query page by page through a query session
 // until the cursor is exhausted (page 1 descends and the session keeps the
 // owners it delivered to; later pages are seeded directly at those still
-// ahead of the cursor). The whole walk is one operation: its
-// latency runs from its arrival at through the last page, hop metrics accumulate across them (delay
-// takes the max — pages could be issued concurrently), and per-page
-// result sizes, destinations and message costs land in the per-page
-// samples. A walk cut short by run shutdown is counted as a cancelled
-// operation, not a sample — partial walks would skew the page and match
-// quantiles low.
-func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector, coll *collector, at time.Time, wait time.Duration) {
-	ranges := smp.ranges(false)
-
+// ahead of the cursor). The whole walk is one operation: its latency runs
+// from its arrival at through the last page, its messages and matches are
+// the walk's totals, and each page's hops, destinations, result size and
+// messages land in the per-page samples. A walk cut short by run shutdown
+// is counted as a cancelled operation, not a sample — partial walks would
+// skew the page and match quantiles low.
+func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, op *opSamples, at time.Time, wait time.Duration) {
 	// Only the walk's first page actually paid the queue wait; later
 	// pages run back to back, so the stamp stays on page one.
-	sess, err := r.net.OpenSession(armada.NewRange(ranges,
+	sess, err := r.net.OpenSession(armada.NewRange(smp.ranges(false),
 		armada.WithLimit(r.sc.PageLimit), armada.WithQueueWait(wait)))
 	if err != nil {
-		oc.record(at, err)
+		op.record(at, err)
 		return
 	}
 	defer sess.Close()
 
+	// Flushed only when the whole walk succeeds.
 	var (
-		matches, delay, msgs        int
-		deliveries, replicaServed   int
-		descentsSaved, shortcutHits int
-		// flushed only when the whole walk succeeds
-		pageSizes, pageDests, pageMs, pageHops []int
+		pages []armada.Stats
+		sizes []int
 	)
 	for {
 		res, err := sess.Next(ctx)
@@ -416,49 +357,39 @@ func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, oc *opCollector
 			if ctx.Err() != nil {
 				// Run shutdown cut the walk short: a cancelled op, not an
 				// error and not a (partial) sample.
-				oc.cancelled.Add(1)
+				op.cancelled++
 				return
 			}
-			oc.record(at, err)
+			op.record(at, err)
 			return
 		}
-		matches += len(res.Objects)
-		msgs += res.Stats.Messages
-		if res.Stats.Delay > delay {
-			delay = res.Stats.Delay
-		}
-		deliveries += res.Stats.Deliveries
-		replicaServed += res.Stats.ReplicaServed
-		descentsSaved += res.Stats.DescentsSaved
-		shortcutHits += res.Stats.ShortcutHits
-		pageSizes = append(pageSizes, len(res.Objects))
-		pageDests = append(pageDests, res.Stats.DestPeers) // per page: the fan-out each page pays
-		pageMs = append(pageMs, res.Stats.Messages)        // per page: what reaching it cost
-		pageHops = append(pageHops, res.Stats.Delay)       // per page: its realized descent depth
+		pages = append(pages, res.Stats)
+		sizes = append(sizes, len(res.Objects))
 		if res.NextOffsetID == "" {
 			break
 		}
 	}
-	oc.record(at, nil)
-	oc.delay.AddInt(delay)
-	oc.msgs.AddInt(msgs)
-	oc.matches.AddInt(matches)
-	oc.pages.AddInt(len(pageSizes))
-	for i := range pageSizes {
-		oc.perPage.AddInt(pageSizes[i])
-		oc.dest.AddInt(pageDests[i])
-		oc.perPageMsgs.AddInt(pageMs[i])
-		oc.hops.AddInt(pageHops[i])
+	op.record(at, nil)
+	matches, msgs := 0, 0
+	for i, st := range pages {
+		matches += sizes[i]
+		msgs += st.Messages
+		op.hops.AddInt(st.Delay)
+		op.dest.AddInt(st.DestPeers)
+		op.perPage.AddInt(sizes[i])
+		op.perPageMsgs.AddInt(st.Messages)
+		op.descentsSaved += st.DescentsSaved
+		op.shortcutHits += st.ShortcutHits
 	}
-	oc.descentsSaved.Add(int64(descentsSaved))
-	oc.shortcutHits.Add(int64(shortcutHits))
-	coll.noteReadSpread(deliveries, replicaServed)
+	op.matches.AddInt(matches)
+	op.msgs.AddInt(msgs)
+	op.pages.AddInt(len(pages))
 }
 
-func (r *Runner) doPublish(smp *sampler, pool *keyPool, oc *opCollector, at time.Time) {
+func (r *Runner) doPublish(smp *sampler, pool *keyPool, op *opSamples, at time.Time) {
 	rec := pubRec{name: pool.nextName(), values: smp.values()}
 	err := r.net.Publish(rec.name, rec.values...)
-	oc.record(at, err)
+	op.record(at, err)
 	if err == nil {
 		pool.add(rec)
 	}
@@ -467,24 +398,22 @@ func (r *Runner) doPublish(smp *sampler, pool *keyPool, oc *opCollector, at time
 // doQuery runs the query that arrived at at, records its metrics and
 // returns the result (nil when the query failed or the run is shutting
 // down).
-func (r *Runner) doQuery(ctx context.Context, q armada.Query, oc *opCollector, coll *collector, at time.Time) *armada.Result {
+func (r *Runner) doQuery(ctx context.Context, q armada.Query, op *opSamples, at time.Time) *armada.Result {
 	res, err := r.net.Do(ctx, q)
 	if err != nil && ctx.Err() != nil {
-		oc.cancelled.Add(1) // shutdown races are not workload errors
+		op.cancelled++ // shutdown races are not workload errors
 		return nil
 	}
-	oc.record(at, err)
+	op.record(at, err)
 	if err != nil {
 		return nil
 	}
-	oc.delay.AddInt(res.Stats.Delay)
-	oc.hops.AddInt(res.Stats.Delay)
-	oc.msgs.AddInt(res.Stats.Messages)
-	oc.dest.AddInt(res.Stats.DestPeers)
-	oc.matches.AddInt(len(res.Objects))
-	oc.descentsSaved.Add(int64(res.Stats.DescentsSaved))
-	oc.shortcutHits.Add(int64(res.Stats.ShortcutHits))
-	coll.noteReadSpread(res.Stats.Deliveries, res.Stats.ReplicaServed)
+	op.hops.AddInt(res.Stats.Delay)
+	op.msgs.AddInt(res.Stats.Messages)
+	op.dest.AddInt(res.Stats.DestPeers)
+	op.matches.AddInt(len(res.Objects))
+	op.descentsSaved += res.Stats.DescentsSaved
+	op.shortcutHits += res.Stats.ShortcutHits
 	return res
 }
 
@@ -493,12 +422,14 @@ func (r *Runner) doQuery(ctx context.Context, q armada.Query, oc *opCollector, c
 // are drawn independently of how long each event takes to execute, so when
 // an event overruns its gap the following ones fire back to back instead
 // of silently stretching the process — the realized rate tracks the
-// nominal one up to what the network can absorb.
-func (r *Runner) churn(ctx context.Context, coll *collector) {
+// nominal one up to what the network can absorb. It returns the events it
+// ran when ctx ends.
+func (r *Runner) churn(ctx context.Context) ChurnReport {
 	sc := &r.sc
 	rng := rand.New(rand.NewSource(sc.Seed ^ 0x51f15eed))
 	total := sc.Churn.totalRate()
 	mean := float64(time.Second) / total
+	var rep ChurnReport
 	for next := time.Now(); ; {
 		next = next.Add(time.Duration(rng.ExpFloat64() * mean))
 		select {
@@ -506,116 +437,84 @@ func (r *Runner) churn(ctx context.Context, coll *collector) {
 		case <-time.After(time.Until(next)):
 		}
 		if ctx.Err() != nil {
-			return
+			return rep
 		}
 		var err error
 		switch x := rng.Float64() * total; {
 		case x < sc.Churn.JoinPerSec:
 			if _, err = r.net.Join(); err == nil {
-				coll.churnJoins.Add(1)
+				rep.Joins++
 			}
 		case x < sc.Churn.JoinPerSec+sc.Churn.LeavePerSec:
 			if r.net.Size() <= sc.Churn.MinPeers {
-				coll.churnSkips.Add(1)
+				rep.Skipped++
 				continue
 			}
 			if err = r.net.Leave(r.net.RandomPeer()); err == nil {
-				coll.churnLeaves.Add(1)
+				rep.Leaves++
 			}
 		default:
 			if r.net.Size() <= sc.Churn.MinPeers {
-				coll.churnSkips.Add(1)
+				rep.Skipped++
 				continue
 			}
 			if err = r.net.Fail(r.net.RandomPeer()); err == nil {
-				coll.churnFails.Add(1)
+				rep.Fails++
 			}
 		}
 		if err != nil {
-			coll.churnErrs.Add(1)
+			rep.Errors++
 		}
 	}
 }
 
-// snapshots takes one Snapshot per scenario interval until ctx ends.
-func (r *Runner) snapshots(ctx context.Context, start time.Time, coll *collector) {
-	tick := time.NewTicker(r.sc.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		snap := coll.takeSnapshot(time.Since(start), r.net.Size(), r.net.MetricValues())
-		if r.OnSnapshot != nil {
-			r.OnSnapshot(snap)
-		}
-	}
-}
-
-// report assembles the final Report.
-func (r *Runner) report(elapsed time.Duration, startPeers int, coll *collector) *Report {
+// report assembles the final Report from the run's merged samples.
+func (r *Runner) report(elapsed time.Duration, startPeers int, s *samples) *Report {
 	secs := elapsed.Seconds()
 	rep := &Report{
-		Scenario:    r.sc.Name,
-		Seed:        r.sc.Seed,
-		Attributes:  len(r.sc.Attrs),
-		Replicas:    r.sc.Replicas,
-		StartPeers:  startPeers,
-		EndPeers:    r.net.Size(),
-		DurationSec: secs,
-		Ops:         make(map[string]OpReport, int(numOps)),
-		Churn: ChurnReport{
-			Joins:   int(coll.churnJoins.Load()),
-			Leaves:  int(coll.churnLeaves.Load()),
-			Fails:   int(coll.churnFails.Load()),
-			Skipped: int(coll.churnSkips.Load()),
-			Errors:  int(coll.churnErrs.Load()),
-		},
-		Intervals:      coll.snapshots(),
-		QueueWaitMs:    quantilesOf(coll.queueWait.Snapshot()),
-		DispatchLateMs: quantilesOf(coll.dispatchLate.Snapshot()),
-		Dropped:        int(coll.dropped.Load()),
-	}
-	if r.sc.Replicas > 1 {
-		rep.ReplicaReads = coll.replicaReads.Load()
-		rep.ReplicaReadSpread = quantilesOf(coll.replicaSpread.Snapshot())
+		Scenario:       r.sc.Name,
+		Seed:           r.sc.Seed,
+		Attributes:     len(r.sc.Attrs),
+		Replicas:       r.sc.Replicas,
+		StartPeers:     startPeers,
+		EndPeers:       r.net.Size(),
+		DurationSec:    secs,
+		Ops:            make(map[string]OpReport, int(numOps)),
+		QueueWaitMs:    quantilesOf(&s.queueWait),
+		DispatchLateMs: quantilesOf(&s.dispatchLate),
+		Dropped:        s.dropped,
 	}
 	for k := OpKind(0); k < numOps; k++ {
-		oc := &coll.ops[k]
-		count := int(oc.count.Load())
-		cancelled := int(oc.cancelled.Load())
-		if count == 0 && cancelled == 0 {
+		op := &s.ops[k]
+		if op.count == 0 && op.cancelled == 0 {
 			continue
 		}
-		op := OpReport{
-			Count:           count,
-			Errors:          int(oc.errs.Load()),
-			Misses:          int(oc.misses.Load()),
-			Cancelled:       cancelled,
-			DescentsSaved:   int(oc.descentsSaved.Load()),
-			ShortcutHits:    int(oc.shortcutHits.Load()),
-			LatencyMs:       quantilesOf(oc.lat.Snapshot()),
-			HopDelay:        quantilesOf(oc.delay.Snapshot()),
-			Hops:            quantilesOf(oc.hops.Snapshot()),
-			Messages:        quantilesOf(oc.msgs.Snapshot()),
-			DestPeers:       quantilesOf(oc.dest.Snapshot()),
-			Matches:         quantilesOf(oc.matches.Snapshot()),
-			Pages:           quantilesOf(oc.pages.Snapshot()),
-			MatchesPerPage:  quantilesOf(oc.perPage.Snapshot()),
-			MessagesPerPage: quantilesOf(oc.perPageMsgs.Snapshot()),
+		o := OpReport{
+			Count:           op.count,
+			Errors:          op.errs,
+			Misses:          op.misses,
+			Cancelled:       op.cancelled,
+			DescentsSaved:   op.descentsSaved,
+			ShortcutHits:    op.shortcutHits,
+			LatencyMs:       quantilesOf(&op.lat),
+			Hops:            quantilesOf(&op.hops),
+			Messages:        quantilesOf(&op.msgs),
+			DestPeers:       quantilesOf(&op.dest),
+			Matches:         quantilesOf(&op.matches),
+			Pages:           quantilesOf(&op.pages),
+			MatchesPerPage:  quantilesOf(&op.perPage),
+			MessagesPerPage: quantilesOf(&op.perPageMsgs),
 		}
 		if secs > 0 {
-			op.Throughput = float64(count) / secs
+			o.Throughput = float64(op.count) / secs
 		}
-		rep.Ops[k.String()] = op
-		rep.TotalOps += count
-		rep.TotalErrors += op.Errors
-		rep.TotalCancelled += cancelled
-		rep.AvailabilityMisses += op.Misses
-		rep.DescentsSaved += op.DescentsSaved
-		rep.ShortcutHits += op.ShortcutHits
+		rep.Ops[k.String()] = o
+		rep.TotalOps += op.count
+		rep.TotalErrors += op.errs
+		rep.TotalCancelled += op.cancelled
+		rep.AvailabilityMisses += op.misses
+		rep.DescentsSaved += op.descentsSaved
+		rep.ShortcutHits += op.shortcutHits
 	}
 	if secs > 0 {
 		rep.Throughput = float64(rep.TotalOps) / secs
@@ -623,158 +522,76 @@ func (r *Runner) report(elapsed time.Duration, startPeers int, coll *collector) 
 	return rep
 }
 
-// opCollector gathers one operation kind's metrics from many executors.
-type opCollector struct {
-	count     atomic.Int64
-	errs      atomic.Int64
-	misses    atomic.Int64
-	cancelled atomic.Int64 // ops cut short by run shutdown (no sample recorded)
+// samples is what one executor records over a run. No other goroutine
+// touches it until serve merges every executor's into one after they are
+// done, so recording an operation takes no lock.
+type samples struct {
+	ops [numOps]opSamples
+
+	// Saturation metrics: queue wait and lateness of served arrivals, and
+	// the arrivals due at a stop that no executor started.
+	queueWait    stats.Sample
+	dispatchLate stats.Sample
+	dropped      int
+}
+
+// merge adds everything o recorded to s.
+func (s *samples) merge(o *samples) {
+	for k := range s.ops {
+		s.ops[k].merge(&o.ops[k])
+	}
+	s.queueWait.Merge(&o.queueWait)
+	s.dispatchLate.Merge(&o.dispatchLate)
+	s.dropped += o.dropped
+}
+
+// opSamples is what one executor records of one operation kind.
+type opSamples struct {
+	count, errs, misses int
+	cancelled           int // ops cut short by run shutdown (no sample recorded)
 
 	// Descent reuse: queries seeded at learned owners instead of descending
 	// (descentsSaved) and the subset the network's route cache seeded rather
 	// than a session's own tiles (shortcutHits).
-	descentsSaved atomic.Int64
-	shortcutHits  atomic.Int64
+	descentsSaved, shortcutHits int
 
-	// interval points at the run collector's shared interval-latency
-	// sample; record feeds it alongside lat so snapshots can report
-	// interval-local quantiles.
-	interval *stats.SafeSample
-
-	lat         stats.SafeSample // scheduled arrival to completion, ms
-	delay       stats.SafeSample // hop delay (query kinds; walk max for range-paged)
-	hops        stats.SafeSample // per-descent hop count (query kinds; per page for range-paged)
-	msgs        stats.SafeSample // overlay messages (query kinds)
-	dest        stats.SafeSample // destination peers (query kinds; per page for range-paged)
-	matches     stats.SafeSample // result-set size (query kinds; whole walk for range-paged)
-	pages       stats.SafeSample // pages per walk (range-paged only)
-	perPage     stats.SafeSample // matches per page (range-paged only)
-	perPageMsgs stats.SafeSample // messages per page (range-paged only)
+	lat         stats.Sample // scheduled arrival to completion, ms
+	hops        stats.Sample // hop delay (query kinds; per page for range-paged)
+	msgs        stats.Sample // overlay messages (query kinds; whole walk for range-paged)
+	dest        stats.Sample // destination peers (query kinds; per page for range-paged)
+	matches     stats.Sample // result-set size (query kinds; whole walk for range-paged)
+	pages       stats.Sample // pages per walk (range-paged only)
+	perPage     stats.Sample // matches per page (range-paged only)
+	perPageMsgs stats.Sample // messages per page (range-paged only)
 }
 
 // record counts one completed operation; successful ones contribute their
 // latency, from the scheduled arrival at to now.
-func (oc *opCollector) record(at time.Time, err error) {
-	oc.count.Add(1)
+func (o *opSamples) record(at time.Time, err error) {
+	o.count++
 	if err != nil {
-		oc.errs.Add(1)
+		o.errs++
 		return
 	}
-	ms := float64(time.Since(at)) / float64(time.Millisecond)
-	oc.lat.Add(ms)
-	oc.interval.Add(ms)
+	o.lat.Add(float64(time.Since(at)) / float64(time.Millisecond))
 }
 
-// collector aggregates a whole run.
-type collector struct {
-	ops [numOps]opCollector
-
-	// Saturation metrics: queue wait and lateness of served arrivals, and
-	// the arrivals due at a stop that no executor started.
-	queueWait    stats.SafeSample
-	dispatchLate stats.SafeSample
-	dropped      atomic.Int64
-
-	// Replica read spreading: per query, the fraction of deliveries served
-	// by a non-primary replica, plus the absolute count. Sampled only when
-	// trackSpread is set (replicated runs) — unreplicated runs would pay a
-	// lock and an O(ops) sample for all-zero data.
-	trackSpread   bool
-	replicaSpread stats.SafeSample
-	replicaReads  atomic.Int64
-
-	churnJoins  atomic.Int64
-	churnLeaves atomic.Int64
-	churnFails  atomic.Int64
-	churnSkips  atomic.Int64
-	churnErrs   atomic.Int64
-
-	// intervalLat pools the wall-clock latencies of the current interval
-	// across all op kinds; takeSnapshot drains it.
-	intervalLat stats.SafeSample
-
-	snapMu      sync.Mutex
-	snaps       []Snapshot
-	lastOps     int64
-	lastErrs    int64
-	lastAt      time.Duration
-	lastMetrics map[string]int64
-}
-
-// newCollector builds a run collector; startMetrics is the network's
-// counter snapshot at run start, the baseline of the first interval's
-// metric deltas.
-func newCollector(trackSpread bool, startMetrics map[string]int64) *collector {
-	c := &collector{trackSpread: trackSpread, lastMetrics: startMetrics}
-	for i := range c.ops {
-		c.ops[i].interval = &c.intervalLat
-	}
-	return c
-}
-
-// metricsDelta returns end minus start per counter. With onlyChanged set,
-// unmoved counters are dropped (interval snapshots stay compact); without
-// it every end key is present (the report's full-run block).
-func metricsDelta(start, end map[string]int64, onlyChanged bool) map[string]int64 {
-	out := make(map[string]int64, len(end))
-	for k, v := range end {
-		d := v - start[k]
-		if onlyChanged && d == 0 {
-			continue
-		}
-		out[k] = d
-	}
-	return out
-}
-
-// noteReadSpread records one query's replica read spread: the fraction of
-// its deliveries a non-primary replica served.
-func (c *collector) noteReadSpread(deliveries, replicaServed int) {
-	if !c.trackSpread || deliveries <= 0 {
-		return
-	}
-	c.replicaReads.Add(int64(replicaServed))
-	c.replicaSpread.Add(float64(replicaServed) / float64(deliveries))
-}
-
-func (c *collector) totals() (ops, errs int64) {
-	for i := range c.ops {
-		ops += c.ops[i].count.Load()
-		errs += c.ops[i].errs.Load()
-	}
-	return ops, errs
-}
-
-// takeSnapshot records the interval since the previous snapshot. at is
-// clamped to the previous snapshot's time so a final snapshot racing a
-// periodic tick can never make the interval list go backwards.
-func (c *collector) takeSnapshot(at time.Duration, peers int, metrics map[string]int64) Snapshot {
-	ops, errs := c.totals()
-	c.snapMu.Lock()
-	defer c.snapMu.Unlock()
-	if at < c.lastAt {
-		at = c.lastAt
-	}
-	snap := Snapshot{
-		AtSec:     at.Seconds(),
-		Ops:       int(ops - c.lastOps),
-		Errors:    int(errs - c.lastErrs),
-		Peers:     peers,
-		LatencyMs: quantilesOf(c.intervalLat.Drain()),
-		Metrics:   metricsDelta(c.lastMetrics, metrics, true),
-	}
-	if dt := (at - c.lastAt).Seconds(); dt > 0 {
-		snap.Throughput = float64(snap.Ops) / dt
-	}
-	c.lastOps, c.lastErrs, c.lastAt, c.lastMetrics = ops, errs, at, metrics
-	c.snaps = append(c.snaps, snap)
-	return snap
-}
-
-func (c *collector) snapshots() []Snapshot {
-	c.snapMu.Lock()
-	defer c.snapMu.Unlock()
-	return append([]Snapshot(nil), c.snaps...)
+// merge adds everything p recorded to o.
+func (o *opSamples) merge(p *opSamples) {
+	o.count += p.count
+	o.errs += p.errs
+	o.misses += p.misses
+	o.cancelled += p.cancelled
+	o.descentsSaved += p.descentsSaved
+	o.shortcutHits += p.shortcutHits
+	o.lat.Merge(&p.lat)
+	o.hops.Merge(&p.hops)
+	o.msgs.Merge(&p.msgs)
+	o.dest.Merge(&p.dest)
+	o.matches.Merge(&p.matches)
+	o.pages.Merge(&p.pages)
+	o.perPage.Merge(&p.perPage)
+	o.perPageMsgs.Merge(&p.perPageMsgs)
 }
 
 // pubRec is one live published object the pool can hand to unpublish and

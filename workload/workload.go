@@ -8,13 +8,15 @@
 // A Scenario declares the workload; a Runner executes it for a duration or
 // a number of arrivals under a context.Context and produces a Report with
 // per-op-kind throughput, error counts, latency percentiles and the paper's
-// hop-delay/message metrics, plus periodic interval snapshots. There is one
-// arrival model, open-loop: an operation's latency runs from its scheduled
-// arrival, so time it waited for an executor counts, and a system that
-// falls behind shows as latency, never as a slower arrival rate. A
-// report describes one run at one offered rate; throughput at saturation,
-// and the repeated, duration-based numbers behind the BENCH_*.json files,
-// are bench/'s to measure.
+// hop-delay/message/destination metrics. Each executor records its own
+// samples, merged once the run ends, so recording takes no lock and the
+// report is a run-end summary; the network's registry is the live view.
+// There is one arrival model, open-loop: an operation's latency runs from
+// its scheduled arrival, so time it waited for an executor counts, and a
+// system that falls behind shows as latency, never as a slower arrival
+// rate. A report describes one run at one offered rate; throughput at
+// saturation, and the repeated, duration-based numbers behind the
+// BENCH_*.json files, are bench/'s to measure.
 //
 //	sc, _ := workload.Preset("churn-heavy")
 //	rep, err := workload.Execute(ctx, sc)
@@ -278,9 +280,13 @@ type Scenario struct {
 	// Duration stops the run after that much wall-clock time (0 = no time
 	// limit).
 	Duration time.Duration `json:"duration,omitempty"`
-	// Interval is the snapshot period (default 1s).
-	Interval time.Duration `json:"interval,omitempty"`
 }
+
+// MaxWorkers caps Arrival.Workers. Each executor is a goroutine with its
+// own samples (~3.6 KB before it records anything) that takes its turn on
+// the arrival clock: 10⁸ of them ran for minutes to serve one arrival.
+// 4,096 is 512× the default of 8.
+const MaxWorkers = 4096
 
 // ErrBadScenario tags scenario validation failures.
 var ErrBadScenario = errors.New("workload: invalid scenario")
@@ -330,9 +336,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.Churn.Enabled() && s.Churn.MinPeers == 0 {
 		s.Churn.MinPeers = 16
-	}
-	if s.Interval == 0 {
-		s.Interval = time.Second
 	}
 	return s
 }
@@ -408,8 +411,8 @@ func (s Scenario) validate() error {
 	if !(s.RangeSize.MinFrac >= 0 && s.RangeSize.MinFrac <= s.RangeSize.MaxFrac && s.RangeSize.MaxFrac <= 1) {
 		return bad("range-size fractions [%v, %v] out of order", s.RangeSize.MinFrac, s.RangeSize.MaxFrac)
 	}
-	if s.Arrival.Workers < 1 {
-		return bad("workers %d < 1", s.Arrival.Workers)
+	if s.Arrival.Workers < 1 || s.Arrival.Workers > MaxWorkers {
+		return bad("workers %d outside [1, %d]", s.Arrival.Workers, MaxWorkers)
 	}
 	// Near zero the mean gap overflows a time.Duration, and above 1e9/s it
 	// truncates to 0 ns and the schedule stands still: one an hour is the

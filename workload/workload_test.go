@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -71,6 +72,7 @@ func TestScenarioValidation(t *testing.T) {
 		{Churn: Churn{JoinPerSec: 1e-300}, Ops: 10},   // fired thousands of joins back to back
 		{Churn: Churn{LeavePerSec: 1.0 / 7200}, Ops: 10},
 		{SlowQueryLog: armada.MaxSlowLogCapacity + 1, Ops: 10}, // 2e9 ran the process out of memory
+		{Arrival: Arrival{Workers: MaxWorkers + 1}, Ops: 10},   // 1e8 ran for minutes to serve one arrival
 	}
 	for i, sc := range bad {
 		if err := sc.withDefaults().validate(); !errors.Is(err, ErrBadScenario) {
@@ -186,15 +188,8 @@ func TestExecute(t *testing.T) {
 	if rng.LatencyMs.P50 <= 0 || rng.LatencyMs.P99 < rng.LatencyMs.P50 {
 		t.Errorf("range latency quantiles inconsistent: %+v", rng.LatencyMs)
 	}
-	if rng.HopDelay.Max <= 0 || rng.Messages.Mean <= 0 || rng.DestPeers.Mean <= 0 {
-		t.Errorf("range hop metrics missing: %+v %+v %+v", rng.HopDelay, rng.Messages, rng.DestPeers)
-	}
-	if len(rep.Intervals) == 0 {
-		t.Error("no interval snapshots")
-	}
-	last := rep.Intervals[len(rep.Intervals)-1]
-	if last.Peers != 80 {
-		t.Errorf("final snapshot peers = %d", last.Peers)
+	if rng.Hops.Max <= 0 || rng.Messages.Mean <= 0 || rng.DestPeers.Mean <= 0 {
+		t.Errorf("range hop metrics missing: %+v %+v %+v", rng.Hops, rng.Messages, rng.DestPeers)
 	}
 	if rep.Memory == nil {
 		t.Fatal("no memory block")
@@ -232,18 +227,22 @@ func TestExecuteOpenLoopUnderCapacity(t *testing.T) {
 	sc := small()
 	sc.Ops = 50
 	sc.Arrival = Arrival{Workers: 16, RatePerSec: 200}
-	coll := served(t, sc)
-	if ops, _ := coll.totals(); ops != 50 || coll.dropped.Load() != 0 {
-		t.Errorf("under-capacity run: completed %d (want 50), dropped %d (want 0)", ops, coll.dropped.Load())
+	s := served(t, sc)
+	ops := 0
+	for k := range s.ops {
+		ops += s.ops[k].count
 	}
-	if n := coll.dispatchLate.Snapshot().N(); n < sc.Ops/2 {
+	if ops != 50 || s.dropped != 0 {
+		t.Errorf("under-capacity run: completed %d (want 50), dropped %d (want 0)", ops, s.dropped)
+	}
+	if n := s.dispatchLate.N(); n < sc.Ops/2 {
 		t.Errorf("%d lateness samples of %d arrivals, want at least half", n, sc.Ops)
 	}
 }
 
 // served preloads sc's network and runs serve on it until its Ops
-// arrivals are served, returning the collector.
-func served(t *testing.T, sc Scenario) *collector {
+// arrivals are served, returning the merged samples.
+func served(t *testing.T, sc Scenario) *samples {
 	t.Helper()
 	sc = sc.withDefaults()
 	net, err := armada.NewNetwork(sc.Peers, sc.NetworkOptions()...)
@@ -259,15 +258,90 @@ func served(t *testing.T, sc Scenario) *collector {
 	if err := r.preload(pool); err != nil {
 		t.Fatal(err)
 	}
-	coll := newCollector(false, nil)
-	r.serve(context.Background(), pool, coll)
-	return coll
+	return r.serve(context.Background(), pool)
+}
+
+// TestServeMergesEveryExecutor runs every operation kind on four executors
+// and holds the merged samples to one entry per operation (per page, for a
+// paged walk's page samples): each executor records alone, so a field the
+// merge skips keeps only the first executor's share. Counts a clean run
+// leaves at zero are held by merging one of everything into nothing.
+func TestServeMergesEveryExecutor(t *testing.T) {
+	sc := small()
+	sc.Ops = 600
+	sc.Attrs = []armada.AttributeSpace{{Low: 0, High: 1000}, {Low: 0, High: 1000}}
+	sc.Mix = Mix{Publish: 1, Unpublish: 1, Lookup: 1, Range: 1, MultiRange: 1, TopK: 1, Flood: 1, RangePaged: 1}
+	sc.PageLimit = 4
+	sc.ShortcutTable = 64
+	s := served(t, sc)
+
+	total, saved, hits := 0, 0, 0
+	for k := range s.ops {
+		op, kind := &s.ops[k], OpKind(k)
+		total += op.count + op.cancelled
+		saved += op.descentsSaved
+		hits += op.shortcutHits
+		ok := op.count - op.errs
+		holds := func(name string, smp *stats.Sample, n int) {
+			if smp.N() != n {
+				t.Errorf("%v: %s holds %d entries, want %d", kind, name, smp.N(), n)
+			}
+		}
+		if op.count == 0 {
+			t.Errorf("%v: no operation recorded", kind)
+		}
+		holds("lat", &op.lat, ok)
+		switch kind {
+		case OpPublish, OpUnpublish:
+		case OpRangePaged:
+			pages := int(math.Round(op.pages.Mean() * float64(op.pages.N())))
+			if pages <= op.count {
+				t.Errorf("%v: %d pages over %d walks, want walks of several pages", kind, pages, op.count)
+			}
+			holds("pages", &op.pages, ok)
+			holds("msgs", &op.msgs, ok)
+			holds("matches", &op.matches, ok)
+			holds("hops", &op.hops, pages)
+			holds("dest", &op.dest, pages)
+			holds("perPage", &op.perPage, pages)
+			holds("perPageMsgs", &op.perPageMsgs, pages)
+		default:
+			holds("hops", &op.hops, ok)
+			holds("msgs", &op.msgs, ok)
+			holds("dest", &op.dest, ok)
+			holds("matches", &op.matches, ok)
+		}
+	}
+	if total != sc.Ops || s.dropped != 0 || s.queueWait.N() != sc.Ops || s.dispatchLate.N() == 0 {
+		t.Errorf("%d operations, %d dropped, %d queue waits, %d lateness samples; want %d, 0, %d, > 0",
+			total, s.dropped, s.queueWait.N(), s.dispatchLate.N(), sc.Ops, sc.Ops)
+	}
+	if saved == 0 || hits == 0 {
+		t.Errorf("descents saved %d, shortcut hits %d; want both > 0", saved, hits)
+	}
+
+	var one samples
+	one.dropped = 1
+	one.queueWait.Add(1)
+	one.dispatchLate.Add(1)
+	for k := range one.ops {
+		o := &one.ops[k]
+		*o = opSamples{count: 1, errs: 1, misses: 1, cancelled: 1, descentsSaved: 1, shortcutHits: 1}
+		for _, smp := range []*stats.Sample{&o.lat, &o.hops, &o.msgs, &o.dest, &o.matches, &o.pages, &o.perPage, &o.perPageMsgs} {
+			smp.Add(1)
+		}
+	}
+	var got samples
+	got.merge(&one)
+	if !reflect.DeepEqual(got, one) {
+		t.Errorf("merging one of everything into nothing lost a field:\ngot  %+v\nwant %+v", got, one)
+	}
 }
 
 // TestLatencyIncludesQueueWait overloads one executor (2M arrivals/s, a
 // gap shorter than any operation; at 200k/s one executor can keep up) so
 // arrivals fall due while it is busy, then holds every operation's
-// latency to at least its own queue wait. The collector keeps no
+// latency to at least its own queue wait. The samples keep no
 // per-operation pairs, so it checks what the per-operation fact implies:
 // with one latency and one wait per operation, the i-th smallest latency
 // is at least the i-th smallest wait.
@@ -275,27 +349,27 @@ func TestLatencyIncludesQueueWait(t *testing.T) {
 	sc := small()
 	sc.Ops = 2000
 	sc.Arrival = Arrival{Workers: 1, RatePerSec: 2_000_000}
-	coll := served(t, sc)
+	s := served(t, sc)
 
 	var lat stats.Sample
-	for k := range coll.ops {
-		oc := &coll.ops[k]
-		if oc.errs.Load() != 0 || oc.cancelled.Load() != 0 {
-			t.Fatalf("%v: %d errors, %d cancelled; want every operation sampled", OpKind(k), oc.errs.Load(), oc.cancelled.Load())
+	for k := range s.ops {
+		op := &s.ops[k]
+		if op.errs != 0 || op.cancelled != 0 {
+			t.Fatalf("%v: %d errors, %d cancelled; want every operation sampled", OpKind(k), op.errs, op.cancelled)
 		}
-		lat.Merge(oc.lat.Snapshot())
+		lat.Merge(&op.lat)
 	}
-	wait := coll.queueWait.Snapshot()
+	wait := &s.queueWait
 	n := lat.N()
-	if n != wait.N() || n != sc.Ops || coll.dropped.Load() != 0 {
+	if n != wait.N() || n != sc.Ops || s.dropped != 0 {
 		t.Fatalf("%d latencies, %d queue waits, %d dropped; want one latency and one wait for each of %d arrivals, none dropped",
-			n, wait.N(), coll.dropped.Load(), sc.Ops)
+			n, wait.N(), s.dropped, sc.Ops)
 	}
 	if wait.Percentile(50) <= 0 {
 		t.Fatalf("median queue wait %v ms: the run was not overloaded", wait.Percentile(50))
 	}
 	// Overdue arrivals are backlog, not the generator's lateness.
-	if late := coll.dispatchLate.Snapshot().N(); late >= sc.Ops/10 {
+	if late := s.dispatchLate.N(); late >= sc.Ops/10 {
 		t.Errorf("%d lateness samples of %d overloaded arrivals, want under a tenth", late, sc.Ops)
 	}
 	// Over samples of one size, a percentile names the same rank in both.
@@ -354,13 +428,13 @@ func TestDurationStopReleasesExecutors(t *testing.T) {
 // arrivals a run had released), one due after it does not, and a holder
 // parked on its timer returns when the run ends.
 func TestAwaitServesWhatFellDueByTheStop(t *testing.T) {
-	var late stats.SafeSample
+	var late stats.Sample
 	live := context.Background()
 	if at := time.Now().Add(2 * time.Millisecond); !await(live, &late, at) || time.Now().Before(at) {
 		t.Error("live run: arrival not awaited")
 	}
-	if late.Snapshot().N() != 1 {
-		t.Errorf("%d lateness samples for one awaited arrival", late.Snapshot().N())
+	if late.N() != 1 {
+		t.Errorf("%d lateness samples for one awaited arrival", late.N())
 	}
 	stop := time.Now().Add(-time.Millisecond)
 	ended, cancel := context.WithDeadline(live, stop)
@@ -381,7 +455,6 @@ func TestExecuteDurationStop(t *testing.T) {
 	sc := small()
 	sc.Ops = 0
 	sc.Duration = 250 * time.Millisecond
-	sc.Interval = 50 * time.Millisecond
 	rep, err := Execute(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -391,9 +464,6 @@ func TestExecuteDurationStop(t *testing.T) {
 	}
 	if rep.DurationSec < 0.2 {
 		t.Errorf("run lasted %vs, want ≈0.25s", rep.DurationSec)
-	}
-	if len(rep.Intervals) < 2 {
-		t.Errorf("intervals = %d, want periodic snapshots plus final", len(rep.Intervals))
 	}
 }
 
@@ -490,7 +560,7 @@ func TestReportJSONSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"scenario", "start_peers", "end_peers", "duration_sec",
-		"total_ops", "throughput_per_sec", "ops", "churn", "intervals"} {
+		"total_ops", "throughput_per_sec", "ops", "churn"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("report JSON missing %q", key)
 		}
@@ -503,7 +573,7 @@ func TestReportJSONSchema(t *testing.T) {
 	if !ok {
 		t.Fatal("ops.range missing")
 	}
-	for _, key := range []string{"count", "throughput_per_sec", "latency_ms", "hop_delay", "messages", "dest_peers"} {
+	for _, key := range []string{"count", "throughput_per_sec", "latency_ms", "hops", "messages", "dest_peers"} {
 		if _, ok := rngOp[key]; !ok {
 			t.Errorf("ops.range missing %q", key)
 		}
