@@ -48,6 +48,12 @@ race:
 # walk-max hop delay are gone — workload 1891 → 1663, armada-load 630 → 629
 # — net of the executor ceiling and the -attrs refusal. This meets item 4's
 # goal of 6650.
+# 6506 → 6460: the load controller keeps one setting, its growth cap; the
+# tick, half-life, split threshold, cooldown, region-width floor and
+# migration switch are constants, and WithK, WithBalancedBuild and
+# Scenario.SplitThreshold are gone — the root 1823 → 1793, workload
+# 1663 → 1647 — net of the actuators reporting the size change of failed
+# actions.
 # Item 4(g): the serving path — overlay, naming, Kautz arithmetic, route cache
 # and load controller — has its own ceiling, LOC_SERVING_MAX, set at its size
 # when the gate came in; the same rule raises it.
@@ -60,6 +66,10 @@ race:
 # store path that copies or drops slots, the audit's count check) grew
 # internal/fissione by 127 lines, net of the strings.Builder chunk, ILen and
 # newSlot it replaced; no other serving-path code became unnecessary.
+# 4103 → 4062: internal/loadctl 343 → 302 — the controller's timing,
+# threshold, width and migration settings became constants (their defaults
+# and the fallback growth cap went with them), and Rates returns a map
+# instead of a sorted slice of RegionRate.
 # The rest — every other directory with non-test Go files outside bench/:
 # today the comparison baselines, the evaluation and armada-bench — has a
 # third ceiling, LOC_REST_MAX, so no code grows where neither gate above
@@ -70,9 +80,9 @@ race:
 # 2325 → 2252: internal/stats lost SafeSample (with Drain), Min and StdDev
 # once no workload goroutine shared a sample — 166 → 93.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
-LOC_MAX = 6506
+LOC_MAX = 6460
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
-LOC_SERVING_MAX = 4103
+LOC_SERVING_MAX = 4062
 LOC_REST_DIRS = $(filter-out $(LOC_DIRS) $(LOC_SERVING_DIRS) bench%,$(patsubst %/,%,$(sort $(dir $(filter-out %_test.go,$(wildcard *.go */*.go */*/*.go))))))
 LOC_REST_MAX = 2252
 loc:

@@ -61,11 +61,7 @@ func sameObjects(t *testing.T, what string, got []Object, want []admissionCase) 
 // the wrong arity, without the float test fails here.
 func TestRankAdmissionEdges(t *testing.T) {
 	ctx := context.Background()
-	net, err := NewNetwork(150, WithSeed(26), WithK(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
+	net := newNetworkK(t, 150, 12, WithSeed(26))
 	tree, k := net.tree, net.net.K()
 	var all []admissionCase
 	publish := func(v float64) {
@@ -175,11 +171,7 @@ func TestRankAdmissionEdges(t *testing.T) {
 // outside the box; MIRA must float-test every object.
 func TestRankAdmissionMIRA(t *testing.T) {
 	ctx := context.Background()
-	net, err := NewNetwork(150, WithSeed(27), WithK(16), WithAttributes(AttributeSpace{0, 1000}, AttributeSpace{0, 100}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
+	net := newNetworkK(t, 150, 16, WithSeed(27), WithAttributes(AttributeSpace{0, 1000}, AttributeSpace{0, 100}))
 	lo, hi := []float64{200, 20}, []float64{600, 60}
 	box, _ := net.tree.NewBox(lo, hi)
 	cLo, _ := net.tree.HashRank(lo...)

@@ -106,12 +106,7 @@ func NewNetwork(peers int, opts ...Option) (*Network, error) {
 	if peers < 3 {
 		return nil, fmt.Errorf("%w: requested %d", ErrTooSmall, peers)
 	}
-	var net *fissione.Network
-	if cfg.balanced {
-		net, err = fissione.BuildBalanced(cfg.k, peers, cfg.seed)
-	} else {
-		net, err = fissione.BuildRandom(cfg.k, peers, cfg.seed)
-	}
+	net, err := fissione.BuildRandom(objectIDLength, peers, cfg.seed)
 	if err != nil {
 		return nil, fmt.Errorf("armada: build network: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"armada/internal/fissione"
 	"armada/internal/naming"
 )
 
@@ -28,12 +29,29 @@ func TestNewNetworkDefaults(t *testing.T) {
 	}
 }
 
+// newNetworkK builds a network as NewNetwork does, but with ObjectIDs k
+// symbols long instead of 32: short cursors, and a naming tree shallow
+// enough that leaves hold objects on both sides of a bound.
+func newNetworkK(tb testing.TB, peers, k int, opts ...Option) *Network {
+	tb.Helper()
+	cfg, err := buildConfig(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	overlay, err := fissione.BuildRandom(k, peers, cfg.seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net, err := assemble(overlay, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return net
+}
+
 func TestNewNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(2); err == nil {
 		t.Error("2-peer network accepted")
-	}
-	if _, err := NewNetwork(10, WithK(1)); err == nil {
-		t.Error("k=1 accepted")
 	}
 	if _, err := NewNetwork(10, WithAttributes()); err == nil {
 		t.Error("empty attributes accepted")
@@ -303,23 +321,6 @@ func TestQueriesSurviveChurn(t *testing.T) {
 	}
 	if err := net.Audit(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBalancedBuildTopology(t *testing.T) {
-	net, err := NewNetwork(128, WithSeed(21), WithBalancedBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := net.Topology()
-	if topo.MaxIDLength-topo.MinIDLength > 1 {
-		t.Fatalf("balanced build spread %d..%d", topo.MinIDLength, topo.MaxIDLength)
-	}
-	if topo.Peers != 128 {
-		t.Fatalf("topology peers = %d", topo.Peers)
-	}
-	if topo.AvgDegree < 3 || topo.AvgDegree > 5 {
-		t.Errorf("avg degree = %.2f, want ≈ 4", topo.AvgDegree)
 	}
 }
 

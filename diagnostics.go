@@ -77,11 +77,9 @@ type RegionHeat struct {
 // controller EWMA rate when load control runs, by cumulative deliveries
 // otherwise. topN > 0 caps the listing.
 func (n *Network) RegionHeatReport(topN int) []RegionHeat {
-	rates := map[string]float64{}
+	var rates map[string]float64
 	if n.lctl != nil {
-		for _, r := range n.lctl.Rates() {
-			rates[r.ID] = r.Rate
-		}
+		rates = n.lctl.Rates()
 	}
 	out := peerRows(n, func(id string, width int, p *fissione.Peer) RegionHeat {
 		return RegionHeat{Peer: id, Width: width, Objects: p.ObjectCount(), Deliveries: p.Deliveries(), RatePerSec: rates[id]}

@@ -287,7 +287,7 @@ func TestDiagnosticsAttributesRouteCaches(t *testing.T) {
 			t.Errorf("%s range classified %q; shortcut-miss wanted: %v", step.what, got, step.miss)
 		}
 		if step.what == "warm" {
-			if _, err := net.splitRegion(res.Destinations[1]); err != nil {
+			if _, _, err := net.splitRegion(res.Destinations[1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -311,7 +311,7 @@ func TestDiagnosticsAttributesRouteCaches(t *testing.T) {
 			t.Errorf("session page %d classified %q; only the page after the split is a shortcut-miss", page, got)
 		}
 		if page == 2 {
-			if _, err := plain.splitRegion(res.Destinations[len(res.Destinations)-1]); err != nil {
+			if _, _, err := plain.splitRegion(res.Destinations[len(res.Destinations)-1]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -7,28 +7,31 @@
 // cumulative delivery counters. The controller then applies a simple,
 // deterministic policy per tick:
 //
-//   - A region whose sustained rate crosses SplitThreshold is split in two
-//     (adding one peer at the hotspot), as long as the network has not yet
-//     grown by MaxGrowth peers and the region is wide enough to split.
-//   - At the growth cap, relief comes from migration instead (when
-//     enabled): the coldest sufficiently idle peer leaves, and the hot
-//     region is split — ownership capacity moves from the cold spot to the
-//     hot one at constant network size.
-//   - Actions are separated by at least Cooldown, so one hot window never
+//   - A region whose sustained rate crosses 150 deliveries/s is split in
+//     two (adding one peer at the hotspot), as long as the network has not
+//     yet grown by MaxGrowth peers and the region keeps at least 4 free
+//     ObjectID symbols after the split.
+//   - At the growth cap, relief comes from migration instead: the coldest
+//     sufficiently idle peer leaves, and the hot region is split —
+//     ownership capacity moves from the cold spot to the hot one at
+//     constant network size.
+//   - Actions are separated by at least 300 ms, so one hot window never
 //     triggers a burst of topology churn.
+//
+// Rates are EWMAs with a 500 ms half-life, sampled every 100 ms by the
+// Start loop.
 //
 // The package is policy only: it knows nothing about Kautz strings or
 // topology locks. The embedding layer supplies an Actuator that samples
 // the peers and performs splits and migrations under its own exclusion
-// scheme, and decides the controller's sampling cadence (Start/Stop run
-// the built-in ticker loop; tests drive Tick directly with synthetic
-// clocks). This is the D3-Tree idea — deterministic load balancing over a
-// decentralized tree — transplanted onto FISSIONE's region trie.
+// scheme; Start/Stop run the built-in ticker loop, and tests drive Tick
+// directly with synthetic clocks. This is the D3-Tree idea — a fixed,
+// deterministic load-balancing rule over a decentralized tree —
+// transplanted onto FISSIONE's region trie.
 package loadctl
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -46,77 +49,46 @@ type Sample struct {
 
 // Actuator is the embedding layer's handle the controller acts through.
 // Sample must be consistent (taken under a read lock); Split and Migrate
-// perform the topology change under write exclusion and report how many
-// peers beyond the nominal one the action created (invariant-restoring
-// cascade splits).
+// perform the topology change under write exclusion and report, failed or
+// not, how far the attempt changed the network's size (grown) and how many
+// of its splits were invariant-restoring cascades beyond the nominal one. A
+// failed attempt may still have changed the size: a split cascade keeps the
+// preparatory splits it made, and a migration whose split fails keeps the
+// donor's departure.
 type Actuator interface {
 	Sample() []Sample
-	Split(id string) (extra int, err error)
-	Migrate(donor, hot string) (extra int, err error)
+	Split(id string) (grown, cascades int, err error)
+	Migrate(donor, hot string) (grown, cascades int, err error)
 }
 
-// Config tunes the controller. Zero values take the defaults noted on each
-// field.
+// Config tunes the controller.
 type Config struct {
-	// SampleInterval is the tick period of the Start loop (default 100ms).
-	SampleInterval time.Duration
-	// HalfLife is the EWMA half-life: how long a rate change takes to show
-	// half its magnitude (default 500ms). Longer half-lives demand more
-	// sustained heat before any action.
-	HalfLife time.Duration
-	// SplitThreshold is the sustained per-region delivery rate
-	// (deliveries/second, EWMA) that triggers relief (default 1000).
-	SplitThreshold float64
-	// Cooldown is the minimum time between two control actions (default
-	// 300ms).
-	Cooldown time.Duration
-	// MinRegionWidth is the minimum number of free ObjectID symbols a
-	// region must retain after splitting (default 4): regions narrower
-	// than that are left alone however hot they run.
-	MinRegionWidth int
-	// MaxGrowth caps how many peers auto-splits may add in total; at the
-	// cap relief continues through migration when Migrate is set. Zero: the
-	// armada facade substitutes an eighth of the initial network size (at
-	// least 8) before it builds the controller; New on its own falls back
-	// to 64.
+	// MaxGrowth caps how many peers the controller's actions may add in
+	// total; at the cap relief continues through migration. The armada
+	// facade defaults it to an eighth of the initial network size (at least
+	// 8).
 	MaxGrowth int
-	// Migrate enables ownership migration at the growth cap: the coldest
-	// sufficiently idle peer leaves and the hot region splits, so ownership
-	// capacity follows the load at constant network size.
-	Migrate bool
 }
 
-// coldFraction qualifies migration donors: a peer may be asked to leave only
-// when its rate is at most this fraction of the mean.
-const coldFraction = 0.25
-
-func (c Config) withDefaults() Config {
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = 100 * time.Millisecond
-	}
-	if c.HalfLife <= 0 {
-		c.HalfLife = 500 * time.Millisecond
-	}
-	if c.SplitThreshold <= 0 {
-		c.SplitThreshold = 1000
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 300 * time.Millisecond
-	}
-	if c.MinRegionWidth <= 0 {
-		c.MinRegionWidth = 4
-	}
-	if c.MaxGrowth <= 0 {
-		c.MaxGrowth = 64
-	}
-	return c
-}
-
-// RegionRate is one region's EWMA delivery rate (see Controller.Rates).
-type RegionRate struct {
-	ID   string
-	Rate float64 // deliveries/second
-}
+// The controller's fixed rule.
+const (
+	// tickInterval is the Start loop's sampling period.
+	tickInterval = 100 * time.Millisecond
+	// halfLife is the EWMA half-life: how long a rate change takes to show
+	// half its magnitude.
+	halfLife = 500 * time.Millisecond
+	// splitThreshold is the sustained per-region delivery rate
+	// (deliveries/second, EWMA) that triggers relief.
+	splitThreshold = 150
+	// cooldown is the minimum time between two control actions.
+	cooldown = 300 * time.Millisecond
+	// minRegionWidth is the fewest free ObjectID symbols a region keeps
+	// after splitting: narrower regions are left alone however hot they run.
+	minRegionWidth = 4
+	// coldFraction qualifies migration donors: a peer may be asked to leave
+	// only when its rate is at most this fraction of the mean.
+	coldFraction = 0.25
+)
 
 // regionRate is one region's accounting state.
 type regionRate struct {
@@ -149,11 +121,11 @@ type Controller struct {
 	done      chan struct{}
 }
 
-// New builds a controller over the actuator; cfg zero values take their
-// documented defaults. The controller is idle until Start (or Tick).
+// New builds a controller over the actuator. The controller is idle until
+// Start (or Tick).
 func New(cfg Config, act Actuator) *Controller {
 	return &Controller{
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		act:   act,
 		rates: make(map[string]*regionRate),
 		stop:  make(chan struct{}),
@@ -176,7 +148,7 @@ func (c *Controller) Stop() {
 
 func (c *Controller) run() {
 	defer close(c.done)
-	t := time.NewTicker(c.cfg.SampleInterval)
+	t := time.NewTicker(tickInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -203,7 +175,7 @@ func (c *Controller) Tick(now time.Time) {
 	c.lastTick = now
 	alpha := 1.0
 	if dt > 0 {
-		alpha = 1 - math.Exp(-dt*math.Ln2/c.cfg.HalfLife.Seconds())
+		alpha = 1 - math.Exp(-dt*math.Ln2/halfLife.Seconds())
 	}
 	seen := make(map[string]struct{}, len(samples))
 	for _, s := range samples {
@@ -238,19 +210,11 @@ func (c *Controller) Tick(now time.Time) {
 	case actNone:
 		return
 	case actSplit:
-		extra, err := c.act.Split(hot)
-		c.noteAction(now, err, func() {
-			c.autoSplits.Inc()
-			c.cascadeSplits.Add(int64(extra))
-			c.grown += 1 + extra
-		})
+		grown, cascades, err := c.act.Split(hot)
+		c.noteAction(now, grown, cascades, err, &c.autoSplits)
 	case actMigrate:
-		extra, err := c.act.Migrate(donor, hot)
-		c.noteAction(now, err, func() {
-			c.migrations.Inc()
-			c.cascadeSplits.Add(int64(extra))
-			c.grown += extra // one peer left, one was created
-		})
+		grown, cascades, err := c.act.Migrate(donor, hot)
+		c.noteAction(now, grown, cascades, err, &c.migrations)
 	}
 }
 
@@ -265,7 +229,7 @@ const (
 // decide picks at most one action from the current rates. The caller holds
 // c.mu.
 func (c *Controller) decide(now time.Time) (act action, hot, donor string) {
-	if !c.lastAction.IsZero() && now.Sub(c.lastAction) < c.cfg.Cooldown {
+	if !c.lastAction.IsZero() && now.Sub(c.lastAction) < cooldown {
 		return actNone, "", ""
 	}
 	var (
@@ -277,7 +241,7 @@ func (c *Controller) decide(now time.Time) (act action, hot, donor string) {
 		total += r.rate
 		// Splitting shaves one symbol off the region's width; leave it
 		// alone when that would cut below the floor.
-		splittable := r.width-1 >= c.cfg.MinRegionWidth
+		splittable := r.width-1 >= minRegionWidth
 		if splittable && (hotID == "" || r.rate > hotRate || (r.rate == hotRate && id < hotID)) {
 			hotID, hotRate = id, r.rate
 		}
@@ -285,14 +249,11 @@ func (c *Controller) decide(now time.Time) (act action, hot, donor string) {
 			coldID, coldRate = id, r.rate
 		}
 	}
-	if hotID == "" || hotRate < c.cfg.SplitThreshold {
+	if hotID == "" || hotRate < splitThreshold {
 		return actNone, "", ""
 	}
 	if c.grown < c.cfg.MaxGrowth {
 		return actSplit, hotID, ""
-	}
-	if !c.cfg.Migrate {
-		return actNone, "", ""
 	}
 	mean := total / float64(len(c.rates))
 	if coldID == "" || coldID == hotID || coldRate > coldFraction*mean {
@@ -301,19 +262,22 @@ func (c *Controller) decide(now time.Time) (act action, hot, donor string) {
 	return actMigrate, hotID, coldID
 }
 
-// noteAction records one attempted action's outcome.
-func (c *Controller) noteAction(now time.Time, err error, onSuccess func()) {
+// noteAction records one attempted action's outcome: the size change and
+// cascades count whether or not it failed, and done counts it on success.
+func (c *Controller) noteAction(now time.Time, grown, cascades int, err error, done *obs.Counter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Failed attempts advance the cooldown too: a persistently impossible
 	// action (identifier-length ceiling, network at minimum size) must not
 	// be retried every tick.
 	c.lastAction = now
+	c.grown += grown
+	c.cascadeSplits.Add(int64(cascades))
 	if err != nil {
 		c.failedActions.Inc()
 		return
 	}
-	onSuccess()
+	done.Inc()
 }
 
 // DescribeMetrics registers the controller's action counters on reg.
@@ -324,20 +288,15 @@ func (c *Controller) DescribeMetrics(reg *obs.Registry) {
 	reg.MustRegister("loadctl_failed_actions_total", &c.failedActions)
 }
 
-// Rates returns every tracked region's EWMA delivery rate, hottest first —
-// the feed behind live region-heat introspection.
-func (c *Controller) Rates() []RegionRate {
+// Rates returns every tracked region's EWMA delivery rate
+// (deliveries/second) by identifier — the feed behind live region-heat
+// introspection.
+func (c *Controller) Rates() map[string]float64 {
 	c.mu.Lock()
-	out := make([]RegionRate, 0, len(c.rates))
+	defer c.mu.Unlock()
+	out := make(map[string]float64, len(c.rates))
 	for id, r := range c.rates {
-		out = append(out, RegionRate{ID: id, Rate: r.rate})
+		out[id] = r.rate
 	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rate != out[j].Rate {
-			return out[i].Rate > out[j].Rate
-		}
-		return out[i].ID < out[j].ID
-	})
 	return out
 }

@@ -10,47 +10,44 @@ import (
 )
 
 // LoadControlConfig tunes the adaptive load controller enabled by
-// WithLoadControl — the controller's own configuration, by alias. Zero values
-// take the defaults noted on each field; a zero MaxGrowth becomes an eighth of
-// the initial network size (at least 8) here.
+// WithLoadControl — the controller's own configuration, by alias. Its one
+// setting, MaxGrowth, caps how many peers the controller may add; zero
+// becomes an eighth of the initial network size (at least 8).
 type LoadControlConfig = loadctl.Config
 
-// WithLoadControl runs a background load controller on the network: it
-// samples every peer's query-delivery counter, keeps per-region EWMA
-// rates, auto-splits regions whose sustained rate crosses the threshold
-// and — at the growth cap, when enabled — migrates ownership from the
-// coldest peer toward the hot region. Every action is a regular topology
-// mutation: it runs under the topology write lock, repairs replica groups
-// and renames the slots it touches, so the route cache and open sessions
-// lose exactly the owners it changed, as they do under churn.
+// WithLoadControl runs a background load controller on the network: every
+// 100 ms it samples every peer's query-delivery counter and keeps
+// per-region EWMA rates (500 ms half-life). A region whose sustained rate
+// crosses 150 deliveries/s is split in two while the network has grown by
+// fewer than MaxGrowth peers; at the cap the coldest peer's ownership
+// migrates toward the hot region instead. Actions are at least 300 ms
+// apart, and no split leaves a region fewer than 4 free ObjectID symbols.
+// Every action is a regular topology mutation: it runs under the topology
+// write lock, repairs replica groups and renames the slots it touches, so
+// the route cache and open sessions lose exactly the owners it changed, as
+// they do under churn.
 //
 // A network built with load control owns a background goroutine; call
 // Close when done with the network to stop it.
 func WithLoadControl(cfg LoadControlConfig) Option {
 	return optionFunc(func(c *config) error {
-		if cfg.SampleInterval < 0 || cfg.HalfLife < 0 || cfg.Cooldown < 0 {
-			return fmt.Errorf("%w: negative load-control duration", errBadOption)
-		}
-		if cfg.SplitThreshold < 0 {
-			return fmt.Errorf("%w: negative load-control split threshold %v", errBadOption, cfg.SplitThreshold)
-		}
-		if cfg.MinRegionWidth < 0 || cfg.MaxGrowth < 0 {
-			return fmt.Errorf("%w: negative load-control width or growth bound", errBadOption)
+		if cfg.MaxGrowth < 0 {
+			return fmt.Errorf("%w: negative load-control growth cap %d", errBadOption, cfg.MaxGrowth)
 		}
 		c.loadControl = &cfg
 		return nil
 	})
 }
 
-// startLoadControl builds and starts the network's controller; called once
-// from NewNetwork after the overlay is up.
-func (n *Network) startLoadControl(cfg LoadControlConfig, peers int) {
+// newLoadController builds the network's controller over its actuator and
+// registers the controller's counters; assemble starts it.
+func (n *Network) newLoadController(cfg LoadControlConfig, peers int) *loadctl.Controller {
 	if cfg.MaxGrowth == 0 {
 		cfg.MaxGrowth = max(8, peers/8)
 	}
-	n.lctl = loadctl.New(cfg, loadActuator{n})
-	n.lctl.DescribeMetrics(n.obs.reg)
-	n.lctl.Start()
+	c := loadctl.New(cfg, loadActuator{n})
+	c.DescribeMetrics(n.obs.reg)
+	return c
 }
 
 // Close releases the network's background resources — today, the load
@@ -90,25 +87,25 @@ func peerRows[T any](n *Network, row func(id string, width int, p *fissione.Peer
 	return out
 }
 
-func (a loadActuator) Split(id string) (int, error) { return a.n.splitRegion(id) }
-func (a loadActuator) Migrate(donor, hot string) (int, error) {
+func (a loadActuator) Split(id string) (int, int, error) { return a.n.splitRegion(id) }
+func (a loadActuator) Migrate(donor, hot string) (int, int, error) {
 	return a.n.migrateOwnership(donor, hot)
 }
 
 // splitRegion splits the identified peer's region under the topology write
-// lock, returning how many extra peers invariant-restoring cascade splits
-// created. The fissione split renames the slot it divides, so learned
-// owners go stale like they do for joins.
-func (n *Network) splitRegion(id string) (extra int, err error) {
+// lock. It returns, failed or not, how far the network's size changed and
+// how many extra peers invariant-restoring cascade splits created. The
+// fissione split renames the slot it divides, so learned owners go stale
+// like they do for joins.
+func (n *Network) splitRegion(id string) (grown, extra int, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	size := n.net.Size()
 	_, _, extra, err = n.net.SplitRegion(kautz.Str(id))
-	if err == nil {
-		if n.obs.flight != nil {
-			n.obs.flight.Record(obs.Event{Kind: obs.EvSplit, From: id, V1: int64(extra)})
-		}
+	if err == nil && n.obs.flight != nil {
+		n.obs.flight.Record(obs.Event{Kind: obs.EvSplit, From: id, V1: int64(extra)})
 	}
-	return extra, wrapFissioneErr(err, id)
+	return n.net.Size() - size, extra, wrapFissioneErr(err, id)
 }
 
 // migrateOwnership moves ownership capacity from the donor peer to the hot
@@ -117,30 +114,32 @@ func (n *Network) splitRegion(id string) (extra int, err error) {
 // representative ObjectID, since the departure may have renamed or widened
 // the hot peer — is split. Both steps are ordinary topology mutations;
 // each leaves the network fully consistent, so a split failing after a
-// successful departure aborts the migration without corrupting anything.
-func (n *Network) migrateOwnership(donor, hot string) (extra int, err error) {
+// successful departure aborts the migration without corrupting anything —
+// and leaves the network a peer smaller: grown reports the size change,
+// failed or not, and extra the cascade splits.
+func (n *Network) migrateOwnership(donor, hot string) (grown, extra int, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	size := n.net.Size()
+	defer func() { grown = n.net.Size() - size }()
 	if donor == hot {
-		return 0, fmt.Errorf("armada: migration donor and hot region are both %q", donor)
+		return 0, 0, fmt.Errorf("armada: migration donor and hot region are both %q", donor)
 	}
 	hotID := kautz.Str(hot)
 	if _, ok := n.net.Peer(hotID); !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoSuchPeer, hot)
+		return 0, 0, fmt.Errorf("%w: %q", ErrNoSuchPeer, hot)
 	}
 	rep := kautz.MinExtend(hotID, n.net.K())
 	if err := n.net.Leave(kautz.Str(donor)); err != nil {
-		return 0, wrapFissioneErr(err, donor)
+		return 0, 0, wrapFissioneErr(err, donor)
 	}
 	owner, err := n.net.OwnerOf(rep)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	_, _, extra, err = n.net.SplitRegion(owner)
-	if err == nil {
-		if n.obs.flight != nil {
-			n.obs.flight.Record(obs.Event{Kind: obs.EvMigrate, From: donor, To: hot, V1: int64(extra)})
-		}
+	if err == nil && n.obs.flight != nil {
+		n.obs.flight.Record(obs.Event{Kind: obs.EvMigrate, From: donor, To: hot, V1: int64(extra)})
 	}
-	return extra, wrapFissioneErr(err, string(owner))
+	return 0, extra, wrapFissioneErr(err, string(owner))
 }

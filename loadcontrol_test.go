@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -61,8 +62,15 @@ func TestSplitRegionCascadeKeepsInvariant(t *testing.T) {
 				t.Fatalf("deepening %d never completed within the retry budget", i+1)
 			}
 			owner := ownerOf(t, net, target)
-			extra, err := net.splitRegion(owner)
+			grown, extra, err := net.splitRegion(owner)
 			totalExtra += extra
+			want := extra // the preparatory splits, and the nominal one unless it failed
+			if err == nil {
+				want++
+			}
+			if grown != want {
+				t.Fatalf("split grew the network by %d with %d cascades (err %v)", grown, extra, err)
+			}
 			if err != nil {
 				budgetStops++
 				if err := net.Audit(); err != nil {
@@ -124,13 +132,13 @@ func TestMigrateOwnershipConstantSize(t *testing.T) {
 			donor = net.RandomPeer()
 		}
 		size := net.Size()
-		extra, err := net.migrateOwnership(donor, hot)
+		grown, extra, err := net.migrateOwnership(donor, hot)
 		if err != nil {
 			t.Fatalf("migration %d (%q -> %q): %v", i+1, donor, hot, err)
 		}
-		if got, want := net.Size(), size+extra; got != want {
-			t.Errorf("migration %d: size %d -> %d with %d cascades, want %d (constant modulo cascades)",
-				i+1, size, got, extra, want)
+		if got, want := net.Size(), size+extra; got != want || grown != extra {
+			t.Errorf("migration %d: size %d -> %d, reported grown %d with %d cascades, want %d (constant modulo cascades)",
+				i+1, size, got, grown, extra, want)
 		}
 		if err := net.Audit(); err != nil {
 			t.Fatalf("audit after migration %d: %v", i+1, err)
@@ -152,51 +160,25 @@ func TestMigrateOwnershipValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := net.RandomPeer()
-	if _, err := net.migrateOwnership(p, p); err == nil {
+	if _, _, err := net.migrateOwnership(p, p); err == nil {
 		t.Error("donor == hot accepted")
 	}
-	if _, err := net.migrateOwnership(p, "no-such-peer"); !errors.Is(err, ErrNoSuchPeer) {
+	if _, _, err := net.migrateOwnership(p, "no-such-peer"); !errors.Is(err, ErrNoSuchPeer) {
 		t.Errorf("unknown hot peer: err = %v, want ErrNoSuchPeer", err)
 	}
 }
 
-// hammer issues narrow range queries over the low end of the space until
-// the named controller counter moves (or the deadline passes), and returns
-// the registry's counters then.
-func hammer(t *testing.T, net *Network, counter string) map[string]int64 {
+// controlled builds a 60-peer network holding 400 objects, with the load
+// controller NewNetwork builds for WithLoadControl(cfg) but never started:
+// the test ticks it.
+func controlled(t *testing.T, seed int64, cfg LoadControlConfig) *Network {
 	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		for i := 0; i < 50; i++ {
-			if _, err := net.Do(context.Background(), NewRange([]Range{{Low: 0, High: 40}})); err != nil {
-				t.Fatal(err)
-			}
-		}
-		m := net.MetricValues()
-		if m[counter] > 0 {
-			return m
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("controller never acted: %v", m)
-		}
-	}
-}
-
-// TestLoadControlAutoSplit is the end-to-end path: a network built with
-// WithLoadControl under a hammered hot range must auto-split it, grow the
-// network, and keep the audit clean throughout.
-func TestLoadControlAutoSplit(t *testing.T) {
-	net, err := NewNetwork(60, WithSeed(3), WithLoadControl(LoadControlConfig{
-		SampleInterval: 2 * time.Millisecond,
-		HalfLife:       10 * time.Millisecond,
-		SplitThreshold: 50,
-		Cooldown:       5 * time.Millisecond,
-	}))
+	net, err := NewNetwork(60, WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
-	rng := rand.New(rand.NewSource(9))
+	net.lctl = net.newLoadController(cfg, net.Size())
+	rng := rand.New(rand.NewSource(seed + 6))
 	pubs := make([]Publication, 400)
 	for i := range pubs {
 		pubs[i] = Publication{Name: fmt.Sprintf("obj-%04d", i), Values: []float64{rng.Float64() * 1000}}
@@ -204,7 +186,38 @@ func TestLoadControlAutoSplit(t *testing.T) {
 	if err := net.PublishBatch(pubs); err != nil {
 		t.Fatal(err)
 	}
+	return net
+}
 
+// hammer issues bursts of 50 narrow range queries over the low end of the
+// space — 500/s on the owners there at the controller's 100 ms sampling
+// period, which a synthetic clock advances by once after each burst —
+// until the named controller counter moves, and returns the registry's
+// counters then.
+func hammer(t *testing.T, net *Network, counter string) map[string]int64 {
+	t.Helper()
+	at := time.Unix(0, 0)
+	for tick := 0; tick < 300; tick++ {
+		for i := 0; i < 50; i++ {
+			if _, err := net.Do(context.Background(), NewRange([]Range{{Low: 0, High: 40}})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.lctl.Tick(at)
+		at = at.Add(100 * time.Millisecond)
+		if m := net.MetricValues(); m[counter] > 0 {
+			return m
+		}
+	}
+	t.Fatalf("controller never acted in 300 ticks: %v", net.MetricValues())
+	return nil
+}
+
+// TestLoadControlAutoSplit is the end-to-end path: a load-controlled network
+// under a hammered hot range must auto-split it, grow the network, and keep
+// the audit clean throughout.
+func TestLoadControlAutoSplit(t *testing.T) {
+	net := controlled(t, 3, LoadControlConfig{})
 	m := hammer(t, net, "loadctl_auto_splits_total")
 	if net.Size() <= 60 {
 		t.Errorf("size = %d after %d auto-splits, never grew", net.Size(), m["loadctl_auto_splits_total"])
@@ -215,44 +228,45 @@ func TestLoadControlAutoSplit(t *testing.T) {
 	if err := net.Audit(); err != nil {
 		t.Fatalf("audit after auto-splits: %v", err)
 	}
-	if err := net.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
 }
 
 // TestLoadControlMigration caps growth at one split, so continued heat
 // must flow through the migration path: a cold donor leaves and the hot
 // region splits, at constant network size.
 func TestLoadControlMigration(t *testing.T) {
-	net, err := NewNetwork(60, WithSeed(4), WithLoadControl(LoadControlConfig{
-		SampleInterval: 2 * time.Millisecond,
-		HalfLife:       10 * time.Millisecond,
-		SplitThreshold: 50,
-		Cooldown:       5 * time.Millisecond,
-		MaxGrowth:      1,
-		Migrate:        true,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	rng := rand.New(rand.NewSource(2))
-	pubs := make([]Publication, 400)
-	for i := range pubs {
-		pubs[i] = Publication{Name: fmt.Sprintf("obj-%04d", i), Values: []float64{rng.Float64() * 1000}}
-	}
-	if err := net.PublishBatch(pubs); err != nil {
-		t.Fatal(err)
-	}
-
-	if m := hammer(t, net, "loadctl_migrations_total"); m["loadctl_auto_splits_total"] == 0 {
+	net := controlled(t, 4, LoadControlConfig{MaxGrowth: 1})
+	m := hammer(t, net, "loadctl_migrations_total")
+	if m["loadctl_auto_splits_total"] == 0 {
 		t.Errorf("migration fired before the pre-cap split: %v", m)
+	}
+	if got, want := net.Size(), 61+int(m["loadctl_cascade_splits_total"]); got != want {
+		t.Errorf("size = %d after one split and a migration, want %d", got, want)
 	}
 	if err := net.Audit(); err != nil {
 		t.Fatalf("audit after migration: %v", err)
+	}
+}
+
+// TestCloseLeavesNoGoroutine: Close stops the goroutine WithLoadControl
+// started, and a second Close is a no-op.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	net, err := NewNetwork(60, WithSeed(3), WithLoadControl(LoadControlConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, which := range []string{"first", "second"} {
+		if err := net.Close(); err != nil {
+			t.Fatalf("%s Close: %v", which, err)
+		}
+	}
+	// Stop has seen the loop return; the goroutine may take a moment more
+	// to exit.
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 100000 {
+			t.Fatalf("%d goroutines after Close, %d before the network", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -283,7 +297,7 @@ func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 
 	// Controller action 1: split the owner under the cursor — the rename must
 	// strand the tile the session kept for it.
-	if _, err := net.splitRegion(ownerOf(t, net, cursor)); err != nil {
+	if _, _, err := net.splitRegion(ownerOf(t, net, cursor)); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Audit(); err != nil {
@@ -308,7 +322,7 @@ func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 	for donor == hot {
 		donor = net.RandomPeer()
 	}
-	if _, err := net.migrateOwnership(donor, hot); err != nil {
+	if _, _, err := net.migrateOwnership(donor, hot); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Audit(); err != nil {
@@ -357,7 +371,7 @@ func TestFrontierCacheInvalidatedByLoadControl(t *testing.T) {
 	if warm.Stats.FrontierHits != 1 {
 		t.Fatalf("repeat query missed the route cache: %+v", warm.Stats)
 	}
-	if _, err := net.splitRegion(ownerOf(t, net, warm.Objects[0].ID)); err != nil {
+	if _, _, err := net.splitRegion(ownerOf(t, net, warm.Objects[0].ID)); err != nil {
 		t.Fatal(err)
 	}
 	after, err := net.Do(context.Background(), q)
@@ -373,18 +387,8 @@ func TestFrontierCacheInvalidatedByLoadControl(t *testing.T) {
 }
 
 func TestWithLoadControlValidation(t *testing.T) {
-	bad := []LoadControlConfig{
-		{SampleInterval: -time.Second},
-		{HalfLife: -time.Second},
-		{Cooldown: -time.Second},
-		{SplitThreshold: -1},
-		{MinRegionWidth: -1},
-		{MaxGrowth: -1},
-	}
-	for i, cfg := range bad {
-		if _, err := NewNetwork(10, WithLoadControl(cfg)); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
-		}
+	if _, err := NewNetwork(10, WithLoadControl(LoadControlConfig{MaxGrowth: -1})); !errors.Is(err, errBadOption) {
+		t.Errorf("negative growth cap: err = %v, want errBadOption", err)
 	}
 }
 

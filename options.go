@@ -13,10 +13,8 @@ type AttributeSpace struct {
 
 // config collects construction options for a Network.
 type config struct {
-	k              int
 	seed           int64
 	attrs          []AttributeSpace
-	balanced       bool
 	replicas       int
 	frontierCache  int
 	shortcutTable  int
@@ -37,19 +35,11 @@ func (f optionFunc) apply(c *config) error { return f(c) }
 // errBadOption tags option validation failures.
 var errBadOption = errors.New("armada: invalid option")
 
-// WithK sets the ObjectID length (the depth of the naming partition tree).
-// It must exceed the longest peer identifier the network can grow (above
-// 2·log₂N) and defaults to 32, which supports networks beyond a million
-// peers.
-func WithK(k int) Option {
-	return optionFunc(func(c *config) error {
-		if k < 2 || k > 62 {
-			return fmt.Errorf("%w: k=%d outside [2, 62]", errBadOption, k)
-		}
-		c.k = k
-		return nil
-	})
-}
+// objectIDLength is the ObjectID length NewNetwork builds with (the depth
+// of the naming partition tree). It must exceed the longest peer identifier
+// the network can grow (above 2·log₂N); 32 supports networks beyond a
+// million peers.
+const objectIDLength = 32
 
 // WithSeed fixes the pseudo-random seed used for network construction and
 // default issuer selection, making runs reproducible. The default is 1.
@@ -76,17 +66,6 @@ func WithAttributes(spaces ...AttributeSpace) Option {
 			}
 		}
 		c.attrs = append([]AttributeSpace(nil), spaces...)
-		return nil
-	})
-}
-
-// WithBalancedBuild grows the initial network by always splitting a
-// shortest-identifier peer, yielding identifier lengths within one of each
-// other. The default emulates FISSIONE's random joins (hash to a position,
-// split the local length minimum there).
-func WithBalancedBuild() Option {
-	return optionFunc(func(c *config) error {
-		c.balanced = true
 		return nil
 	})
 }
@@ -195,7 +174,6 @@ func WithDiagnostics(dc DiagnosticsConfig) Option {
 
 func buildConfig(opts []Option) (config, error) {
 	c := config{
-		k:        32,
 		seed:     1,
 		attrs:    []AttributeSpace{{Low: 0, High: 1000}},
 		replicas: 1,

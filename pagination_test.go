@@ -382,10 +382,7 @@ func TestPageCutOnRunBoundary(t *testing.T) {
 // ErrBadQuery or return a valid page strictly past the cursor; it must
 // never panic.
 func FuzzOffsetID(f *testing.F) {
-	net, err := NewNetwork(40, WithSeed(5), WithK(12))
-	if err != nil {
-		f.Fatal(err)
-	}
+	net := newNetworkK(f, 40, 12, WithSeed(5))
 	for i := 0; i < 120; i++ {
 		if err := net.Publish(fmt.Sprintf("obj-%03d", i), float64(i*8)); err != nil {
 			f.Fatal(err)

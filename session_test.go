@@ -148,7 +148,7 @@ func TestSessionFallbackAfterChurn(t *testing.T) {
 	first := next()
 	// Churn behind the cursor: the owner of page 1's first objects is
 	// retired.
-	if _, err := net.splitRegion(ownerOf(t, net, first.Objects[0].ID)); err != nil {
+	if _, _, err := net.splitRegion(ownerOf(t, net, first.Objects[0].ID)); err != nil {
 		t.Fatal(err)
 	}
 	second := next()
@@ -263,8 +263,8 @@ func testPositionalWalkUnderChurn(t *testing.T, attrs, k int, pol ReadPolicy, ca
 		name   string
 		strike func(all []Object, cursor string)
 	}{
-		{"split under the cursor", func(_ []Object, c string) { _, err := net.splitRegion(ownerOf(t, net, c)); must(err) }},
-		{"split ahead", func(_ []Object, c string) { _, err := net.splitRegion(ahead(c)); must(err) }},
+		{"split under the cursor", func(_ []Object, c string) { _, _, err := net.splitRegion(ownerOf(t, net, c)); must(err) }},
+		{"split ahead", func(_ []Object, c string) { _, _, err := net.splitRegion(ahead(c)); must(err) }},
 		{"leave under the cursor", func(_ []Object, c string) { must(net.Leave(ownerOf(t, net, c))) }},
 		{"leave ahead", func(_ []Object, c string) { must(net.Leave(ahead(c))) }},
 		{"crash under the cursor", func(_ []Object, c string) { must(net.Fail(ownerOf(t, net, c))) }},

@@ -105,9 +105,9 @@ func byteIdentityUnderChurn(t *testing.T, attrs, k int, pol ReadPolicy, seed int
 		case 2:
 			mirror(what+" fail", func(n *Network) error { return n.Fail(victim) })
 		case 3:
-			mirror(what+" split", func(n *Network) error { _, err := n.splitRegion(victim); return err })
+			mirror(what+" split", func(n *Network) error { _, _, err := n.splitRegion(victim); return err })
 		case 4:
-			mirror(what+" migrate", func(n *Network) error { _, err := n.migrateOwnership(victim, other); return err })
+			mirror(what+" migrate", func(n *Network) error { _, _, err := n.migrateOwnership(victim, other); return err })
 		}
 	}
 
@@ -306,14 +306,14 @@ func TestRouteCacheInvalidationIsRegionScoped(t *testing.T) {
 	must(net.Leave(outside()))
 	destsA, destsB = expect("churn elsewhere", true, true)
 
-	_, err := net.splitRegion(destsA[1])
+	_, _, err := net.splitRegion(destsA[1])
 	must(err)
 	destsA, destsB = expect("split of an owner in a", false, true)
 	must(net.Leave(destsB[1])) // its sibling, or a relocated peer, takes over
 	destsA, destsB = expect("merge of an owner in b", true, false)
 	must(net.Fail(destsA[0]))
 	destsA, destsB = expect("crash of an owner in a", false, true)
-	_, err = net.migrateOwnership(destsB[0], destsA[1])
+	_, _, err = net.migrateOwnership(destsB[0], destsA[1])
 	must(err)
 	destsA, _ = expect("migration from b to a", false, false)
 

@@ -44,7 +44,8 @@ func assemble(net *fissione.Network, cfg config) (*Network, error) {
 	}
 	nw.initObs(cfg)
 	if cfg.loadControl != nil {
-		nw.startLoadControl(*cfg.loadControl, net.Size())
+		nw.lctl = nw.newLoadController(*cfg.loadControl, net.Size())
+		nw.lctl.Start()
 	}
 	return nw, nil
 }
@@ -62,10 +63,9 @@ func (n *Network) SaveSnapshot(w io.Writer) error {
 
 // LoadSnapshot builds a network from a topology snapshot written by
 // SaveSnapshot instead of growing one join by join. The snapshot defines
-// the topology, so WithK and WithBalancedBuild are superseded by it; every
-// other option (attributes, replication, caches, load control, seed for
-// issuer selection) applies exactly as in NewNetwork. Stores come back
-// empty — objects are not snapshotted.
+// the topology; every option (attributes, replication, caches, load
+// control, seed for issuer selection) applies exactly as in NewNetwork.
+// Stores come back empty — objects are not snapshotted.
 //
 // A network loaded with the same options and seed the snapshotted one was
 // built with is byte-identical to it: same cover and routing tables, same

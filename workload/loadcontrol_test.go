@@ -47,8 +47,6 @@ func TestHotDriftZeroPinsTheHotspot(t *testing.T) {
 
 func TestLoadControlScenarioValidation(t *testing.T) {
 	bad := []Scenario{
-		{Ops: 10, LoadControl: true, SplitThreshold: -1},
-		{Ops: 10, SplitThreshold: 100}, // threshold without load control
 		{Ops: 10, HotDrift: -time.Second, Keys: KeyDist{Kind: KeyHotspot, HotFraction: 0.1, HotWeight: 0.9}},
 		{Ops: 10, HotDrift: time.Second}, // drift without hotspot keys
 	}

@@ -125,10 +125,9 @@ var presets = []Scenario{
 		// current hot owners (the uncontrolled failure mode), fast enough
 		// that the controller has to chase the hotspot, not just fix a
 		// static one.
-		HotDrift:       12 * time.Second,
-		RangeSize:      SizeDist{MinFrac: 0.002, MaxFrac: 0.01},
-		LoadControl:    true,
-		SplitThreshold: 150,
+		HotDrift:    12 * time.Second,
+		RangeSize:   SizeDist{MinFrac: 0.002, MaxFrac: 0.01},
+		LoadControl: true,
 	},
 	{
 		// hot-drift with the controller's growth cap clamped low: auto-split
@@ -136,18 +135,17 @@ var presets = []Scenario{
 		// run must chase the hotspot through ownership migration — the
 		// preset that makes `migrations > 0` a hard assertion rather than a
 		// lucky outcome. Identical traffic to hot-drift otherwise.
-		Name:           "hot-drift-cap",
-		Peers:          400,
-		Preload:        4000,
-		Duration:       6 * time.Second,
-		Replicas:       2,
-		Mix:            Mix{Publish: 50, Unpublish: 5, Lookup: 5, Range: 40},
-		Keys:           KeyDist{Kind: KeyHotspot, HotFraction: 0.02, HotWeight: 0.95},
-		HotDrift:       12 * time.Second,
-		RangeSize:      SizeDist{MinFrac: 0.002, MaxFrac: 0.01},
-		LoadControl:    true,
-		SplitThreshold: 150,
-		MaxGrowth:      4,
+		Name:        "hot-drift-cap",
+		Peers:       400,
+		Preload:     4000,
+		Duration:    6 * time.Second,
+		Replicas:    2,
+		Mix:         Mix{Publish: 50, Unpublish: 5, Lookup: 5, Range: 40},
+		Keys:        KeyDist{Kind: KeyHotspot, HotFraction: 0.02, HotWeight: 0.95},
+		HotDrift:    12 * time.Second,
+		RangeSize:   SizeDist{MinFrac: 0.002, MaxFrac: 0.01},
+		LoadControl: true,
+		MaxGrowth:   4,
 	},
 	{
 		// Sustained mixed traffic while the overlay churns hard, including

@@ -239,15 +239,11 @@ type Scenario struct {
 	ShortcutTable int `json:"shortcut_table,omitempty"`
 	// LoadControl builds the network with the adaptive load controller
 	// (armada.WithLoadControl): hot regions auto-split under sustained
-	// delivery load and, at the growth cap, ownership migrates from cold
-	// peers toward hot regions. The run's actions land in the
-	// loadctl_*_total metrics. Default false.
+	// delivery load (150 deliveries/s on one region) and, at the growth
+	// cap, ownership migrates from cold peers toward hot regions. The run's
+	// actions land in the loadctl_*_total metrics. Default false.
 	LoadControl bool `json:"load_control,omitempty"`
-	// SplitThreshold overrides the controller's split threshold (sustained
-	// deliveries/second on one region; 0 = the armada default). Requires
-	// LoadControl.
-	SplitThreshold float64 `json:"split_threshold,omitempty"`
-	// MaxGrowth caps the peers the controller's auto-splits may add (0 =
+	// MaxGrowth caps the peers the controller's actions may add (0 =
 	// the armada default, an eighth of the initial size). A low cap pushes
 	// the controller into migration early — the hot-drift-cap preset uses
 	// it to exercise ownership migration inside a short run. Requires
@@ -354,11 +350,7 @@ func (s Scenario) NetworkOptions() []armada.Option {
 		opts = append(opts, armada.WithShortcutTable(s.ShortcutTable))
 	}
 	if s.LoadControl {
-		opts = append(opts, armada.WithLoadControl(armada.LoadControlConfig{
-			SplitThreshold: s.SplitThreshold,
-			MaxGrowth:      s.MaxGrowth,
-			Migrate:        true,
-		}))
+		opts = append(opts, armada.WithLoadControl(armada.LoadControlConfig{MaxGrowth: s.MaxGrowth}))
 	}
 	if s.SlowQueryLog > 0 {
 		opts = append(opts, armada.WithDiagnostics(armada.DiagnosticsConfig{SlowLogCapacity: s.SlowQueryLog}))
@@ -428,12 +420,6 @@ func (s Scenario) validate() error {
 	}
 	if s.ShortcutTable < 0 {
 		return bad("negative shortcut table capacity %d", s.ShortcutTable)
-	}
-	if !(s.SplitThreshold >= 0 && s.SplitThreshold <= math.MaxFloat64) {
-		return bad("split threshold %v is not finite and non-negative", s.SplitThreshold)
-	}
-	if s.SplitThreshold > 0 && !s.LoadControl {
-		return bad("split threshold %v set without load control", s.SplitThreshold)
 	}
 	if s.MaxGrowth < 0 {
 		return bad("negative load-control growth cap %d", s.MaxGrowth)

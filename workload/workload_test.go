@@ -111,7 +111,6 @@ func TestScenarioRejectsNonFinite(t *testing.T) {
 		{"churn.join_per_sec", KeyUniform, func(s *Scenario) *float64 { return &s.Churn.JoinPerSec }},
 		{"churn.leave_per_sec", KeyUniform, func(s *Scenario) *float64 { return &s.Churn.LeavePerSec }},
 		{"churn.fail_per_sec", KeyUniform, func(s *Scenario) *float64 { return &s.Churn.FailPerSec }},
-		{"split_threshold", KeyUniform, func(s *Scenario) *float64 { return &s.SplitThreshold }},
 		{"attrs.low", KeyUniform, func(s *Scenario) *float64 { return &s.Attrs[0].Low }},
 		{"attrs.high", KeyUniform, func(s *Scenario) *float64 { return &s.Attrs[0].High }},
 	}
@@ -122,7 +121,7 @@ func TestScenarioRejectsNonFinite(t *testing.T) {
 			sc.RangeSize = SizeDist{MinFrac: 0.01, MaxFrac: 0.1}
 			sc.Arrival.RatePerSec = 100
 			sc.Churn = Churn{JoinPerSec: 1, LeavePerSec: 1, FailPerSec: 1}
-			sc.LoadControl, sc.SplitThreshold = true, 50
+			sc.LoadControl = true
 			sc.Attrs = []armada.AttributeSpace{{Low: 0, High: 1000}}
 			return sc
 		}
