@@ -54,6 +54,11 @@ race:
 # Scenario.SplitThreshold are gone — the root 1823 → 1793, workload
 # 1663 → 1647 — net of the actuators reporting the size change of failed
 # actions.
+# 6460 → 6449: a result object no longer names its serving peer (Match.Peer,
+# and the peer threaded through writeMatch, fill, scan and the top-k
+# candidate, are gone), net of single-attribute top-k's stop at its bar —
+# internal/core 1498 → 1496 — and armada-load's -gogc flag and its GOGC 600
+# default are gone, 629 → 620.
 # Item 4(g): the serving path — overlay, naming, Kautz arithmetic, route cache
 # and load controller — has its own ceiling, LOC_SERVING_MAX, set at its size
 # when the gate came in; the same rule raises it.
@@ -80,7 +85,7 @@ race:
 # 2325 → 2252: internal/stats lost SafeSample (with Drain), Min and StdDev
 # once no workload goroutine shared a sample — 166 → 93.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
-LOC_MAX = 6460
+LOC_MAX = 6449
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
 LOC_SERVING_MAX = 4062
 LOC_REST_DIRS = $(filter-out $(LOC_DIRS) $(LOC_SERVING_DIRS) bench%,$(patsubst %/,%,$(sort $(dir $(filter-out %_test.go,$(wildcard *.go */*.go */*/*.go))))))

@@ -206,3 +206,69 @@ func TestRankAdmissionMIRA(t *testing.T) {
 		sameObjects(t, "MIRA range", res.Objects, want)
 	}
 }
+
+// TestTopKStopsAtTheBar pins single-attribute top-k's early stop: each run is
+// read from its high end, and the scan stops at the first slot below a full
+// selection's bar once it has finished that slot's ObjectID. At ObjectID
+// length 12 a leaf spans ~0.16 of the space; values published in clusters of
+// that width put several distinct values under one ObjectID, whose slots,
+// ordered by name, hold them in no order. Exact ties put objects that beat
+// the bar on name alone in the bar's own leaf, and value-less objects hash
+// among them. Under every read policy, with one and three replicas, at k from
+// 1 to 50, WithTopK must equal the sorted full-range oracle over boxes of
+// every width — so stopping inside a leaf, or at a slot that ties the bar,
+// fails here.
+func TestTopKStopsAtTheBar(t *testing.T) {
+	ctx := context.Background()
+	for _, replicas := range []int{1, 3} {
+		net := newNetworkK(t, 120, 12, WithSeed(27), WithReplication(replicas))
+		tree, k := net.tree, net.net.K()
+		rng := rand.New(rand.NewSource(28))
+		var all []admissionCase
+		publish := func(v float64) {
+			name := fmt.Sprintf("%c%05d", 'a'+rng.Intn(26), len(all)) // name order apart from value order
+			if err := net.Publish(name, v); err != nil {
+				t.Fatal(err)
+			}
+			id, _ := tree.Hash(v)
+			all = append(all, admissionCase{name: name, vals: []float64{v}, id: string(id)})
+		}
+		for i := 0; i < 400; i++ {
+			c := math.Round(rng.Float64()*64000) / 64
+			for j := 0; j < 6; j++ {
+				v := min(c+float64(rng.Intn(12))/64, 1000)
+				for ties := rng.Intn(3); ties >= 0; ties-- {
+					publish(v)
+				}
+			}
+			if i%4 == 0 {
+				name := fmt.Sprintf("exact-%04d", i)
+				if err := net.PublishExact(name); err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, admissionCase{name: name, id: string(kautz.Hash(name, k))})
+			}
+		}
+		boxes := [][2]float64{{0, 1000}}
+		for len(boxes) < 32 {
+			lo := rng.Float64() * 1000
+			boxes = append(boxes, [2]float64{lo, min(lo+math.Pow(10, rng.Float64()*3-1), 1000)}) // 0.1 to 100 wide
+		}
+		for _, box := range boxes {
+			want := bruteRange(all, []float64{box[0]}, []float64{box[1]})
+			slices.SortFunc(want, func(a, b admissionCase) int {
+				return cmp.Or(cmp.Compare(b.vals[0], a.vals[0]), cmp.Compare(a.name, b.name), cmp.Compare(a.id, b.id))
+			})
+			for _, pol := range []ReadPolicy{ReadDefault, ReadPrimary, ReadRoundRobin, ReadLeastLoaded} {
+				for _, n := range []int{1, 3, 10, 50} {
+					res, err := net.Do(ctx, NewRange([]Range{{Low: box[0], High: box[1]}}, WithTopK(n), WithReadPolicy(pol)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameObjects(t, fmt.Sprintf("replicas %d, box %v, policy %d, top-%d", replicas, box, pol, n), res.Objects, want[:min(n, len(want))])
+				}
+			}
+		}
+		net.Close()
+	}
+}

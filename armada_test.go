@@ -113,8 +113,8 @@ func TestPublishAndRangeQuery(t *testing.T) {
 		if !want[o.Name] {
 			t.Fatalf("unexpected match %q", o.Name)
 		}
-		if o.Peer == "" || o.ID == "" {
-			t.Fatalf("match missing provenance: %+v", o)
+		if o.ID == "" {
+			t.Fatalf("match missing its ObjectID: %+v", o)
 		}
 	}
 	logN := math.Log2(float64(net.Size()))

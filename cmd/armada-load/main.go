@@ -36,7 +36,6 @@ import (
 	_ "net/http/pprof" // -pprof-addr serves the default mux
 	"os"
 	"os/signal"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -87,7 +86,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		churn     = fs.String("churn", "", `churn rates/sec, e.g. "join=40,leave=30,fail=10"`)
 		shortTab  = fs.Int("shortcut-table", 0, "issuer-side route cache capacity in learned owners; lookups, ranges and session pages whose destinations it knows route in one direct hop per destination (0 = no cache)")
 		noShort   = fs.Bool("no-shortcut", false, "drop the scenario's route cache — the descent-baseline ablation (results are byte-identical, only hops and messages move)")
-		gogc      = fs.Int("gogc", 600, "GOGC percent for the run (load generators allocate fast against a small live heap); 0 leaves the runtime default, and an explicit GOGC env var always wins")
 		out       = fs.String("out", "", "write the JSON report to this file (default stdout)")
 		traceOut  = fs.String("trace-out", "", "attach a query-lifecycle flight recorder retaining 65536 events and write it as Chrome trace-event JSON to this file after the run")
 		slowLog   = fs.Int("slow-log", 0, fmt.Sprintf("attach the query-diagnostics layer, its log keeping the N slowest queries by queue wait plus service time (0 = none; implied by -slow-out; at most %d); enables the tail_attribution report block and the /debug/armada endpoints", armada.MaxSlowLogCapacity))
@@ -106,13 +104,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *list {
 		printPresets(stdout)
 		return nil
-	}
-
-	// An allocation-heavy benchmark over a small live heap spends a third
-	// of its CPU in GC at the default GOGC; run with a larger target unless
-	// the operator chose one (env beats flag, -gogc 0 opts out entirely).
-	if *gogc > 0 && os.Getenv("GOGC") == "" {
-		debug.SetGCPercent(*gogc)
 	}
 
 	// With no -scenario the base is a neutral custom scenario (workload

@@ -22,6 +22,10 @@ func TestFailLosesOnlyCrashedData(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := net.RandomPeer()
+	owners := make([]string, len(before.Objects)) // read before the crash hands the victim's region on
+	for i, o := range before.Objects {
+		owners[i] = ownerOf(t, net, o.ID)
+	}
 	if err := net.Fail(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +46,9 @@ func TestFailLosesOnlyCrashedData(t *testing.T) {
 	for _, o := range after.Objects {
 		surviving[o.Name] = true
 	}
-	for _, o := range before.Objects {
-		if o.Peer != victim && !surviving[o.Name] {
-			t.Fatalf("object %q (on %q, not the victim %q) vanished", o.Name, o.Peer, victim)
+	for i, o := range before.Objects {
+		if owners[i] != victim && !surviving[o.Name] {
+			t.Fatalf("object %q (on %q, not the victim %q) vanished", o.Name, owners[i], victim)
 		}
 	}
 }

@@ -353,7 +353,8 @@ func (s Stats) IncreRatio(networkSize int) float64 {
 // result's own copy (all matches of one result share one backing array,
 // each capped to its own length); ID and Name are the two halves of the
 // object's stored record, one immutable string shared with the stores.
-// Nothing above fissione aliases memory a store writes.
+// Nothing above fissione aliases memory a store writes. The serving replica
+// is not result content: Stats.ReplicaServed and HopScan events report it.
 type Match struct {
 	// Name is the application-level object name.
 	Name string
@@ -362,9 +363,6 @@ type Match struct {
 	Values []float64
 	// ID is the object's Kautz-string ObjectID.
 	ID string
-	// Peer is the identifier of the peer that served the object — the
-	// region's owner unless a read policy redirected the scan to a replica.
-	Peer string
 }
 
 // RangeResult is the outcome of a range query.
@@ -571,9 +569,7 @@ func (e *Engine) prepare(lo, hi []float64) (q shape, err error) {
 
 // LookupResult is the outcome of an exact-match lookup.
 type LookupResult struct {
-	// Owner is the peer owning the looked-up ObjectID; each object's Peer
-	// names the replica that answered the delivery — Owner unless a read
-	// policy redirected it.
+	// Owner is the peer owning the looked-up ObjectID.
 	Owner   kautz.Str
 	Objects []Match
 	Stats   Stats

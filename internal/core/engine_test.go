@@ -495,7 +495,10 @@ func TestStatsRatios(t *testing.T) {
 // slice, pointer or interface at any depth, and small — so a pooled queue of
 // them is never scanned, and a delivery or a sort moves a run without a bulk
 // write barrier. Peers carried as *Peer would bring back two pointers a run;
-// a region carried as strings, two a message.
+// a region carried as strings, two a message. It also pins the result object:
+// a Match is its record's two halves and its values, three pointer words in
+// 56 bytes, for every fresh result page is zeroed and every object's pointers
+// are stored one by one.
 func TestMsgLayout(t *testing.T) {
 	var pointers func(prefix string, typ reflect.Type) []string
 	pointers = func(prefix string, typ reflect.Type) (out []string) {
@@ -511,18 +514,20 @@ func TestMsgLayout(t *testing.T) {
 		return out
 	}
 	for _, tc := range []struct {
-		v   any
-		max uintptr
+		v    any
+		max  uintptr
+		ptrs int // string and slice fields, one pointer word each
 	}{
-		{msg{}, 40},
-		{located{}, 32},
+		{msg{}, 40, 0},
+		{located{}, 32, 0},
+		{Match{}, 56, 3},
 	} {
 		typ := reflect.TypeOf(tc.v)
 		if size := typ.Size(); size > tc.max {
 			t.Errorf("%s is %d bytes, want at most %d", typ.Name(), size, tc.max)
 		}
-		if p := pointers("", typ); len(p) > 0 {
-			t.Errorf("%s holds %v, which may point into the heap", typ.Name(), p)
+		if p := pointers("", typ); len(p) != tc.ptrs {
+			t.Errorf("%s holds %v, which may point into the heap; want %d such fields", typ.Name(), p, tc.ptrs)
 		}
 	}
 }

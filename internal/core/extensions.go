@@ -74,7 +74,7 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 		found += st.selectTop(st.runs[scanned:], &top)
 		scanned = len(st.runs)
 	}
-	return &TopKResult{Matches: top.matches(e.net), Stats: e.close(st, ran)}, nil
+	return &TopKResult{Matches: top.matches(), Stats: e.close(st, ran)}, nil
 }
 
 // candidate is one object a top-k selection holds on to while the scan goes
@@ -82,10 +82,9 @@ func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float6
 // index of its row in the selection's own buffer, copied under the store
 // lock: the store's column shifts under the next publish.
 type candidate struct {
-	rec     string
-	v0      float64 // the row's first value, which decides nearly every comparison
-	row     int
-	serving int32 // the slot of the replica that served it
+	rec string
+	v0  float64 // the row's first value, which decides nearly every comparison
+	row int
 }
 
 // compare is the top-k result order: first attribute descending, then Name
@@ -117,11 +116,11 @@ type selection struct {
 // offer considers run's object i, of values row, keeping a copy of the row
 // if the object may still be among the best k; against the bar most of what
 // a scan visits loses on its first value.
-func (s *selection) offer(run *fissione.Run, i int, row []float64, serving int32) {
+func (s *selection) offer(run *fissione.Run, i int, row []float64) {
 	if s.full && row[0] < s.bar.v0 {
 		return
 	}
-	c := candidate{rec: run.Rec(i), v0: row[0], row: len(s.kept), serving: serving}
+	c := candidate{rec: run.Rec(i), v0: row[0], row: len(s.kept)}
 	if s.full && c.compare(&s.bar, s.idLen) >= 0 {
 		return
 	}
@@ -151,8 +150,8 @@ func (s *selection) cut() {
 	s.rows, s.spare = next, s.rows
 }
 
-// matches materialises the selection, best first; net names serving replicas.
-func (s *selection) matches(net *fissione.Network) []Match {
+// matches materialises the selection, best first.
+func (s *selection) matches() []Match {
 	s.cut()
 	if len(s.kept) == 0 {
 		return nil
@@ -161,25 +160,29 @@ func (s *selection) matches(net *fissione.Network) []Match {
 	var vals []float64
 	for i := range s.kept {
 		c := &s.kept[i]
-		vals = writeMatch(&out[i], vals, len(out)-i, c.rec, s.idLen, s.rows[i*s.m:][:s.m], string(net.IDAt(c.serving)))
+		vals = writeMatch(&out[i], vals, len(out)-i, c.rec, s.idLen, s.rows[i*s.m:][:s.m])
 	}
 	return out
 }
 
-// selectTop scans located runs into a top-k selection and returns how many
-// objects they admitted. Runs are visited from the high end: where the
-// naming orders the first attribute, the first run scanned fills the
-// selection with near-final candidates and the rest lose to the bar.
+// selectTop scans located runs into a top-k selection, the runs and each
+// run's slots from the high end, and returns how many objects they admitted.
+// With one attribute a lower ObjectID holds a strictly lower value, so it
+// stops at a slot below a full selection's bar once no slot before it shares
+// its ObjectID: every slot left is lower still. MIRA reads every run whole.
 func (st *queryState) selectTop(runs []located, top *selection) (admitted int) {
 	sortRuns(runs)
-	for i := len(runs) - 1; i >= 0; i-- {
+	stopped := false
+	for i := len(runs) - 1; i >= 0 && !stopped; i-- {
 		r := &runs[i]
 		st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) {
-			for j := range run.Idx {
+			for j := len(run.Idx) - 1; j >= 0 && !stopped; j-- {
 				s := &run.Idx[j]
-				if row := run.Vals[j*run.Stride:][:s.N]; st.admits(s.Key, row) {
+				row := run.Vals[j*run.Stride:][:s.N]
+				stopped = !st.boxPrune && top.full && s.N > 0 && row[0] < top.bar.v0 && (j == 0 || run.Idx[j-1].Key != s.Key)
+				if !stopped && st.admits(s.Key, row) {
 					admitted++
-					top.offer(&run, j, row, r.serving)
+					top.offer(&run, j, row)
 				}
 			}
 		})

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"armada/internal/fissione"
@@ -41,7 +42,7 @@ type goldenRecord struct {
 	Owner  string   `json:"owner,omitempty"`
 	Served string   `json:"served,omitempty"`
 	N      int      `json:"n"`
-	FNV    string   `json:"fnv"`   // ordered (ObjectID, Name, Peer) result
+	FNV    string   `json:"fnv"`   // ordered (ObjectID, Name, serving peer) result
 	Trace  string   `json:"trace"` // ordered (kind, from, to, depth, remaining) hops
 }
 
@@ -66,19 +67,36 @@ func (g *goldenRun) caseName(kind string) string {
 	return fmt.Sprintf("%s/%s/%03d", g.name, kind, g.seq)
 }
 
-// traced returns opts plus a trace observer feeding the returned digest.
-func traced(opts []QueryOption) ([]QueryOption, func() string) {
-	h := fnv.New64a()
+// traced returns opts plus a trace observer feeding the returned digest
+// and the list of scanned runs.
+func traced(opts []QueryOption) ([]QueryOption, func() string, *scans) {
+	h, sc := fnv.New64a(), new(scans)
 	tr := WithTrace(func(kind HopKind, from, to kautz.Str, depth, remaining int) {
 		if kind == HopScan {
+			*sc = append(*sc, [2]kautz.Str{from, to})
 			return // the digest pins the overlay messages; a scan completion is not one
 		}
 		hashStr(h, fmt.Sprint(int(kind)), string(from), string(to), fmt.Sprint(depth), fmt.Sprint(remaining))
 	})
-	return append(append([]QueryOption(nil), opts...), tr), func() string { return fmt.Sprintf("%016x", h.Sum64()) }
+	return append(append([]QueryOption(nil), opts...), tr), func() string { return fmt.Sprintf("%016x", h.Sum64()) }, sc
 }
 
-func (g *goldenRun) recordRange(kind string, res *RangeResult, trace string) {
+// scans lists a query's scanned runs as HopScan reported them: (owner,
+// serving peer) pairs.
+type scans [][2]kautz.Str
+
+// servedBy names the peer that served the object of ObjectID id: the serving
+// peer of the scanned run whose owner's prefix holds id.
+func (sc scans) servedBy(id string) string {
+	for _, s := range sc {
+		if strings.HasPrefix(id, string(s[0])) {
+			return string(s[1])
+		}
+	}
+	return ""
+}
+
+func (g *goldenRun) recordRange(kind string, res *RangeResult, trace string, sc scans) {
 	g.t.Helper()
 	h := fnv.New64a()
 	n := 0
@@ -87,7 +105,7 @@ func (g *goldenRun) recordRange(kind string, res *RangeResult, trace string) {
 			g.t.Fatalf("%s: run at offset %d is not the next non-empty view of Matches", kind, n)
 		}
 		for _, m := range run {
-			hashStr(h, m.ID, m.Name, m.Peer)
+			hashStr(h, m.ID, m.Name, sc.servedBy(m.ID))
 			n++
 		}
 	}
@@ -106,29 +124,29 @@ func (g *goldenRun) recordRange(kind string, res *RangeResult, trace string) {
 
 func (g *goldenRun) rangeQ(kind string, issuer kautz.Str, lo, hi []float64, opts ...QueryOption) *RangeResult {
 	g.t.Helper()
-	topts, digest := traced(opts)
+	topts, digest, sc := traced(opts)
 	res, err := g.eng.RangeQuery(context.Background(), issuer, lo, hi, topts...)
 	if err != nil {
 		g.t.Fatalf("%s %s: %v", g.name, kind, err)
 	}
-	g.recordRange(kind, res, digest())
+	g.recordRange(kind, res, digest(), *sc)
 	return res
 }
 
 func (g *goldenRun) flood(kind string, issuer kautz.Str, lo, hi []float64, opts ...QueryOption) *RangeResult {
 	g.t.Helper()
-	topts, digest := traced(opts)
+	topts, digest, sc := traced(opts)
 	res, err := g.eng.FloodQuery(context.Background(), issuer, lo, hi, topts...)
 	if err != nil {
 		g.t.Fatalf("%s %s: %v", g.name, kind, err)
 	}
-	g.recordRange(kind, res, digest())
+	g.recordRange(kind, res, digest(), *sc)
 	return res
 }
 
 func (g *goldenRun) lookup(kind string, issuer, oid kautz.Str, opts ...QueryOption) *LookupResult {
 	g.t.Helper()
-	topts, digest := traced(opts)
+	topts, digest, sc := traced(opts)
 	res, err := g.eng.Lookup(context.Background(), issuer, oid, topts...)
 	if err != nil {
 		g.t.Fatalf("%s %s: %v", g.name, kind, err)
@@ -139,7 +157,7 @@ func (g *goldenRun) lookup(kind string, issuer, oid kautz.Str, opts ...QueryOpti
 	}
 	served := string(res.Owner)
 	if len(res.Objects) > 0 {
-		served = res.Objects[0].Peer // one delivery serves a lookup; all its objects agree
+		served = sc.servedBy(res.Objects[0].ID) // one delivery serves a lookup; all its objects agree
 	}
 	*g.recs = append(*g.recs, goldenRecord{
 		Case: g.caseName(kind), Stats: res.Stats, Owner: string(res.Owner), Served: served,
@@ -150,14 +168,14 @@ func (g *goldenRun) lookup(kind string, issuer, oid kautz.Str, opts ...QueryOpti
 
 func (g *goldenRun) topK(kind string, issuer kautz.Str, lo, hi []float64, k int, opts ...QueryOption) {
 	g.t.Helper()
-	topts, digest := traced(opts)
+	topts, digest, sc := traced(opts)
 	res, err := g.eng.TopK(context.Background(), issuer, lo, hi, k, topts...)
 	if err != nil {
 		g.t.Fatalf("%s %s: %v", g.name, kind, err)
 	}
 	h := fnv.New64a()
 	for _, m := range res.Matches {
-		hashStr(h, m.ID, m.Name, m.Peer)
+		hashStr(h, m.ID, m.Name, sc.servedBy(m.ID))
 	}
 	*g.recs = append(*g.recs, goldenRecord{
 		Case: g.caseName(kind), Stats: res.Stats,

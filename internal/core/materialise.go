@@ -100,7 +100,7 @@ func (st *queryState) scanned(r *located) {
 // shared, not copied. Values go into vals, the array every match of the
 // result shares; when it is full a new chunk for the spare elements, m's
 // included, replaces it, and matches built keep the old.
-func writeMatch(m *Match, vals []float64, spare int, rec string, k int, row []float64, peer string) []float64 {
+func writeMatch(m *Match, vals []float64, spare int, rec string, k int, row []float64) []float64 {
 	var v []float64
 	if len(row) > 0 {
 		if cap(vals)-len(vals) < len(row) {
@@ -111,7 +111,7 @@ func writeMatch(m *Match, vals []float64, spare int, rec string, k int, row []fl
 		v = vals[off:len(vals):len(vals)]
 	}
 	// Every field, one by one: a literal is block-copied, a bulk write barrier (wbMove) per object.
-	m.Name, m.Values, m.ID, m.Peer = rec[k:], v, rec[:k], peer
+	m.Name, m.Values, m.ID = rec[k:], v, rec[:k]
 	return vals
 }
 
@@ -147,13 +147,12 @@ func (st *queryState) capacityHint(runs []located, need int) int {
 
 // fill appends the objects of one store run that the query admits to out,
 // up to the page cut; more reports that it stopped at a match beyond the
-// page. peer names the replica serving the run. A run admitsAll passes and
-// the cut does not fall inside is one block: its value column copied once —
-// into a new chunk sized as writeMatch sizes one when the current has no
-// room — then each object's header, field by field as writeMatch writes it.
-// Any other run (a corner leaf's, MIRA's, one the cut splits) is filled
-// object by object.
-func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, peer string) (_ []Match, _ []float64, more bool) {
+// page. A run admitsAll passes and the cut does not fall inside is one
+// block: its value column copied once — into a new chunk sized as writeMatch
+// sizes one when the current has no room — then each object's header, field
+// by field as writeMatch writes it. Any other run (a corner leaf's, MIRA's,
+// one the cut splits) is filled object by object.
+func (st *queryState) fill(out []Match, vals []float64, run fissione.Run) (_ []Match, _ []float64, more bool) {
 	limit, k := st.cfg.Limit, st.net.K()
 	if (limit == 0 || len(out)+len(run.Idx) <= limit) && st.admitsAll(run) {
 		out = slices.Grow(out, len(run.Idx)) // grows past the hint on racing publishes
@@ -174,7 +173,7 @@ func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, peer s
 				v = col[i*w:][:s.N:s.N]
 			}
 			m, rec := &dst[j], run.Rec(i)
-			m.Name, m.Values, m.ID, m.Peer = rec[k:], v, rec[:k], peer
+			m.Name, m.Values, m.ID = rec[k:], v, rec[:k]
 			j++
 		}
 		return out[:len(out)+j], vals, false
@@ -190,7 +189,7 @@ func (st *queryState) fill(out []Match, vals []float64, run fissione.Run, peer s
 			return out, vals, true
 		}
 		out = slices.Grow(out, 1)[:len(out)+1] // grows past the hint on racing publishes, ties at the cut
-		vals = writeMatch(&out[len(out)-1], vals, cap(out)-len(out)+1, rec, k, row, peer)
+		vals = writeMatch(&out[len(out)-1], vals, cap(out)-len(out)+1, rec, k, row)
 	}
 	return out, vals, false
 }
@@ -220,7 +219,7 @@ func (st *queryState) scan(pg *page, r *located) {
 		if pg.out == nil {
 			pg.out = make([]Match, 0, st.count(run, st.need()))
 		}
-		pg.out, pg.vals, pg.more = st.fill(pg.out, pg.vals, run, string(st.net.IDAt(r.serving)))
+		pg.out, pg.vals, pg.more = st.fill(pg.out, pg.vals, run)
 	})
 	st.ends = append(st.ends, int32(len(pg.out)))
 	st.scanned(r)

@@ -290,17 +290,7 @@ func TestShortcutReplicaServedWithoutRedirect(t *testing.T) {
 	lo, hi := []float64{200}, []float64{800}
 	fresh := ranged(t, w.eng, issuer, lo, hi)
 	seeded := ranged(t, w.eng, issuer, lo, hi, WithRouter(learnedOf(net, fresh.Destinations)), WithReadPolicy(ReadRoundRobin))
-	// Match.Peer names the serving replica — a policy choice, not result
-	// content; the objects themselves must be identical.
-	strip := func(ms []Match) []Match {
-		out := make([]Match, len(ms))
-		for i, m := range ms {
-			m.Peer = ""
-			out[i] = m
-		}
-		return out
-	}
-	if seeded.Stats.DescentsSaved != 1 || !reflect.DeepEqual(strip(seeded.Matches), strip(fresh.Matches)) {
+	if seeded.Stats.DescentsSaved != 1 || !reflect.DeepEqual(seeded.Matches, fresh.Matches) {
 		t.Fatalf("replica-served seeded query diverged from the primary descent: %+v", seeded.Stats)
 	}
 	if seeded.Stats.DestPeers >= 2 && seeded.Stats.ReplicaServed == 0 {

@@ -13,18 +13,6 @@ import (
 	"armada/internal/kautz"
 )
 
-// stripPeers projects objects onto their ownership-independent fields:
-// splits and migrations move objects between peers but must never change
-// what a query returns or in what order.
-func stripPeers(objs []Object) []Object {
-	out := make([]Object, len(objs))
-	for i, o := range objs {
-		o.Peer = ""
-		out[i] = o
-	}
-	return out
-}
-
 // ownerOf resolves the current owner of an ObjectID string.
 func ownerOf(t *testing.T, net *Network, id string) string {
 	t.Helper()
@@ -96,7 +84,7 @@ func TestSplitRegionCascadeKeepsInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripPeers(after.Objects), stripPeers(before.Objects)) {
+	if !reflect.DeepEqual(after.Objects, before.Objects) {
 		t.Fatalf("query results changed across splits: %d objects before, %d after",
 			len(before.Objects), len(after.Objects))
 	}
@@ -148,7 +136,7 @@ func TestMigrateOwnershipConstantSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripPeers(after.Objects), stripPeers(before.Objects)) {
+	if !reflect.DeepEqual(after.Objects, before.Objects) {
 		t.Fatalf("query results changed across migrations: %d objects before, %d after",
 			len(before.Objects), len(after.Objects))
 	}
@@ -349,7 +337,7 @@ func TestSessionFallsBackAfterLoadControlActions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripPeers(rest), stripPeers(fresh.Objects)) {
+	if !reflect.DeepEqual(rest, fresh.Objects) {
 		t.Fatalf("session pages across controller actions (%d objects) diverged from a fresh walk from the same cursor (%d objects)",
 			len(rest), len(fresh.Objects))
 	}
@@ -381,7 +369,7 @@ func TestFrontierCacheInvalidatedByLoadControl(t *testing.T) {
 	if after.Stats.FrontierHits != 0 {
 		t.Error("query after the split was seeded at a stale owner")
 	}
-	if !reflect.DeepEqual(stripPeers(after.Objects), stripPeers(warm.Objects)) {
+	if !reflect.DeepEqual(after.Objects, warm.Objects) {
 		t.Fatal("post-split result diverged from the pre-split result")
 	}
 }

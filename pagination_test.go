@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -272,7 +271,7 @@ func TestPageCutOnRunBoundary(t *testing.T) {
 						}
 					}
 				}
-				// Owners under ReadPrimary mark the run boundaries.
+				// Owners mark the run boundaries.
 				all, err := net.Do(ctx, NewRange(ranges, WithReadPolicy(ReadPrimary)))
 				if err != nil {
 					t.Fatal(err)
@@ -283,8 +282,9 @@ func TestPageCutOnRunBoundary(t *testing.T) {
 				var cuts []int // lengths of the result's prefixes that end with a run
 				owners := map[string]bool{}
 				for i, o := range all.Objects {
-					owners[o.Peer] = true
-					if i+1 == len(all.Objects) || all.Objects[i+1].Peer != o.Peer {
+					owner := ownerOf(t, net, o.ID)
+					owners[owner] = true
+					if i+1 == len(all.Objects) || ownerOf(t, net, all.Objects[i+1].ID) != owner {
 						cuts = append(cuts, i+1)
 					}
 				}
@@ -324,13 +324,6 @@ func TestPageCutOnRunBoundary(t *testing.T) {
 				// cut splits object by object. The pages must concatenate to the
 				// unpaged result, each cursor strictly past the page before, and
 				// hold limit objects each but the last (no two share an ObjectID).
-				noPeer := func(objs []Object) []Object {
-					objs = slices.Clone(objs)
-					for i := range objs {
-						objs[i].Peer = "" // the serving replica varies with the read policy
-					}
-					return objs
-				}
 				for limit := 1; limit <= len(all.Objects)+1; limit++ {
 					sess, err := net.OpenSession(NewRange(ranges, WithReadPolicy(pol), WithLimit(limit)))
 					if err != nil {
@@ -338,7 +331,7 @@ func TestPageCutOnRunBoundary(t *testing.T) {
 					}
 					walked, pages := sessionWalk(t, sess)
 					sess.Close()
-					if !reflect.DeepEqual(noPeer(walked), noPeer(all.Objects)) {
+					if !reflect.DeepEqual(walked, all.Objects) {
 						t.Fatalf("%s: limit %d: session pages %v differ from the unpaged result %v", name, limit, ids(walked), ids(all.Objects))
 					}
 					prev := ""

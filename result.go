@@ -13,10 +13,10 @@ type Range struct {
 }
 
 // Object is a published object returned by a query: Name, Values (the
-// result's own copy — never a live store's memory), ID (its Kautz-string
+// result's own copy — never a live store's memory) and ID (its Kautz-string
 // ObjectID; with Name, its immutable record, whose 4 KiB chunk a held result
-// keeps alive) and Peer (the peer that served it). It is the engine's own
-// result type, so a result is built once, where the store is scanned.
+// keeps alive). It is the engine's own result type, built where the store is
+// scanned; the serving replica is in Stats.ReplicaServed and WithTrace's hops.
 type Object = core.Match
 
 // Stats are the cost metrics of one query, in the paper's units: the

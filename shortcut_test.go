@@ -54,16 +54,9 @@ func byteIdentityUnderChurn(t *testing.T, attrs, k int, pol ReadPolicy, seed int
 		t.Fatal(err)
 	}
 	ctx, rng := context.Background(), rand.New(rand.NewSource(seed))
-	// A replica's name in Object.Peer is a policy choice, not result content.
-	objects := func(r *Result) []Object {
-		if k > 1 && pol != ReadPrimary {
-			return stripPeers(r.Objects)
-		}
-		return r.Objects
-	}
 	same := func(what string, got, want *Result) {
 		t.Helper()
-		if !reflect.DeepEqual(objects(got), objects(want)) || got.NextOffsetID != want.NextOffsetID ||
+		if !reflect.DeepEqual(got.Objects, want.Objects) || got.NextOffsetID != want.NextOffsetID ||
 			got.Owner != want.Owner || !reflect.DeepEqual(got.Destinations, want.Destinations) {
 			t.Fatalf("%s: cached network diverged from the cache-less one\nbase: %d objects at %v, next %q\nfast: %d objects at %v, next %q",
 				what, len(want.Objects), want.Destinations, want.NextOffsetID, len(got.Objects), got.Destinations, got.NextOffsetID)
@@ -200,7 +193,7 @@ func byteIdentityUnderChurn(t *testing.T, attrs, k int, pol ReadPolicy, seed int
 				got.Objects = append(got.Objects, o)
 			}
 			want.Objects = want.Objects[:min(stop, len(want.Objects))]
-			if !reflect.DeepEqual(objects(got), objects(want)) {
+			if !reflect.DeepEqual(got.Objects, want.Objects) {
 				t.Fatalf("%s: the cached network's stream yielded %d objects, not the first %d of the cache-less Do's", what, len(got.Objects), len(want.Objects))
 			}
 			pagedStream = pagedStream || len(got.Objects) > streamPage
@@ -259,7 +252,7 @@ func TestRouteCacheInvalidationIsRegionScoped(t *testing.T) {
 		if (res.Stats.ShortcutHits == 1) != hit || res.Stats.FrontierHits != res.Stats.ShortcutHits {
 			t.Fatalf("%s [%v, %v]: %+v; want seeded = %v", what, r.Low, r.High, res.Stats, hit)
 		}
-		if !reflect.DeepEqual(res.Destinations, fresh.Destinations) || !reflect.DeepEqual(stripPeers(res.Objects), stripPeers(fresh.Objects)) {
+		if !reflect.DeepEqual(res.Destinations, fresh.Destinations) || !reflect.DeepEqual(res.Objects, fresh.Objects) {
 			t.Fatalf("%s [%v, %v]: result diverged from the flood's", what, r.Low, r.High)
 		}
 		for _, d := range res.Destinations {

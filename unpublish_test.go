@@ -154,14 +154,20 @@ func TestResultOutlivesStore(t *testing.T) {
 		want []Object // a deep copy taken when the result was fresh
 	}
 	var results []kept
+	served := map[string]bool{} // every delivery's serving peer, read off the hops
 	keep := func(name string, q Query) {
+		q.Trace = func(h Hop) {
+			if h.Remaining == 0 {
+				served[h.To] = true
+			}
+		}
 		res, err := net.Do(ctx, q)
 		if err != nil || len(res.Objects) == 0 {
 			t.Fatalf("%s: %d objects, %v", name, len(res.Objects), err)
 		}
 		want := make([]Object, len(res.Objects))
 		for i, o := range res.Objects {
-			want[i] = Object{Name: strings.Clone(o.Name), ID: strings.Clone(o.ID), Peer: strings.Clone(o.Peer), Values: slices.Clone(o.Values)}
+			want[i] = Object{Name: strings.Clone(o.Name), ID: strings.Clone(o.ID), Values: slices.Clone(o.Values)}
 		}
 		results = append(results, kept{name, res.Objects, want})
 	}
@@ -171,12 +177,6 @@ func TestResultOutlivesStore(t *testing.T) {
 	keep("lookup", NewValueLookup([]float64{500}))
 	keep("exact lookup", NewLookup("report.pdf"))
 
-	served := map[string]bool{}
-	for _, r := range results {
-		for _, o := range r.objs {
-			served[o.Peer] = true
-		}
-	}
 	all, err := net.Do(ctx, NewRange([]Range{{Low: 0, High: 1000}}))
 	if err != nil {
 		t.Fatal(err)
