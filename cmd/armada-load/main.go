@@ -72,10 +72,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		scenario  = fs.String("scenario", "", "preset scenario name (see -list); empty builds a custom scenario from the flags")
 		list      = fs.Bool("list", false, "list preset scenarios and exit")
 		peers     = fs.Int("peers", 0, "initial network size")
-		ops       = fs.Int("ops", 0, "stop after this many scheduled arrivals")
+		ops       = fs.Int("ops", 0, "stop after this many scheduled operations (churn events not counted)")
 		duration  = fs.Duration("duration", 0, "stop after this wall-clock time")
 		workers   = fs.Int("workers", 0, "executors; an idle one takes the turn to wait for the next arrival, then serves it (default 8)")
-		rate      = fs.Float64("rate", 0, "Poisson arrival rate, ops/sec; latency runs from each operation's scheduled arrival (default: the preset's, else 3000; at most 1e9)")
+		rate      = fs.Float64("rate", 0, "Poisson arrival rate, ops/sec; latency runs from each operation's scheduled arrival (default: the preset's, else 3000; at most 1e9 with churn)")
 		seed      = fs.Int64("seed", 0, "random seed")
 		attrs     = fs.Int("attrs", 0, "number of [0,1000] attributes (overrides the preset's spaces)")
 		replicas  = fs.Int("replicas", 0, "replication degree: each object lives on this many peers (1 = unreplicated)")
@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		mix       = fs.String("mix", "", `op mix weights, e.g. "range=70,publish=10,lookup=10,unpublish=5,multi-range=0,top-k=5,flood=0,range-paged=0"`)
 		keys      = fs.String("keys", "", "key distribution: uniform|zipf|hotspot")
 		rangeFr   = fs.String("range-frac", "", `range width as fraction of the space, "min:max" (e.g. "0.01:0.1")`)
-		churn     = fs.String("churn", "", `churn rates/sec, e.g. "join=40,leave=30,fail=10"`)
+		churn     = fs.String("churn", "", `churn rates/sec, arriving on the operations' schedule, e.g. "join=40,leave=30,fail=10"`)
 		shortTab  = fs.Int("shortcut-table", 0, "issuer-side route cache capacity in learned owners; lookups, ranges and session pages whose destinations it knows route in one direct hop per destination (0 = no cache)")
 		noShort   = fs.Bool("no-shortcut", false, "drop the scenario's route cache — the descent-baseline ablation (results are byte-identical, only hops and messages move)")
 		out       = fs.String("out", "", "write the JSON report to this file (default stdout)")

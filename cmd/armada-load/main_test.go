@@ -170,7 +170,8 @@ func TestBadFlags(t *testing.T) {
 		{"-rate", "-1"},
 		{"-scenario", "steady", "-peers", "60", "-preload", "50", "-ops", "200", "-rate", "1e-300"},
 		{"-scenario", "steady", "-peers", "60", "-preload", "50", "-ops", "300", "-churn", "join=1e-300"},
-		{"-scenario", "steady", "-duration", "1s", "-rate", "1e12"}, // hung at its stop
+		{"-scenario", "steady", "-duration", "1s", "-rate", "1e12"},       // hung at its stop
+		{"-scenario", "steady", "-duration", "1s", "-churn", "join=1e12"}, // joined back to back under the write lock
 		// ran out of memory
 		{"-scenario", "steady", "-peers", "60", "-preload", "50", "-ops", "10", "-slow-log", "2000000000"},
 		// ran the whole scenario and exited 0, the listener's error only on stderr
@@ -217,13 +218,13 @@ func TestNonFiniteFlagsRefused(t *testing.T) {
 // -rate, -slow-log and -workers values through the parsers run uses, then
 // Normalize: the flags are untrusted input. Nothing may panic, and a
 // scenario Normalize accepts holds only finite numbers inside the ranges
-// validate states, an arrival rate between one an hour and one a
-// nanosecond, a churn total of zero or at least one an hour, a slow-query
-// log no larger than armada.MaxSlowLogCapacity and between 1 and
-// workload.MaxWorkers executors. The committed corpus (testdata/fuzz) holds
-// the command lines that used to run: non-finite numbers, an arrival or
-// churn rate of 1e-300/s, an arrival rate of 1e12/s, a slow-query log of
-// 2e9 and 1e8 executors.
+// validate states, an arrival rate of at least one an hour, a churn total
+// of zero or at least one an hour, arrivals and churn together at most one
+// a nanosecond, a slow-query log no larger than armada.MaxSlowLogCapacity
+// and between 1 and workload.MaxWorkers executors. The committed corpus
+// (testdata/fuzz) holds the command lines that used to run: non-finite
+// numbers, an arrival or churn rate of 1e-300/s, an arrival or churn rate
+// of 1e12/s, a slow-query log of 2e9 and 1e8 executors.
 func FuzzScenarioFlags(f *testing.F) {
 	f.Add("range=70,publish=10,lookup=10,unpublish=5,top-k=5", "join=40,leave=30,fail=10", "0.01:0.1", 0.0, 0, 0)
 	f.Fuzz(func(t *testing.T, mix, churn, frac string, rate float64, slowLog, workers int) {
@@ -273,6 +274,9 @@ func FuzzScenarioFlags(f *testing.F) {
 		}
 		if r := n.Arrival.RatePerSec; !finite(r) || r < 1.0/3600 || r > 1e9 {
 			t.Fatalf("accepted arrival rate %v", r)
+		}
+		if r := n.Arrival.RatePerSec + c.JoinPerSec + c.LeavePerSec + c.FailPerSec; r > 1e9 {
+			t.Fatalf("accepted arrivals and churn totalling %v/s", r)
 		}
 		if c := n.SlowQueryLog; c < 0 || c > armada.MaxSlowLogCapacity {
 			t.Fatalf("accepted slow-query log capacity %d", c)

@@ -12,43 +12,64 @@ import (
 // r maps to the r-th bucket from the low end of the space.
 const zipfBuckets = 1 << 14
 
-// sampler holds one worker's private randomness and the scenario's
-// distributions, so drawing never contends across workers.
-type sampler struct {
-	rng  *rand.Rand
-	sc   *Scenario
-	zipf *rand.Zipf
-	cum  [numOps]float64 // cumulative mix weights
-	// start anchors the drifting hotspot (Scenario.HotDrift): all workers'
-	// samplers are created together at run start, so they agree on the hot
-	// interval's current position to within sampler-construction time.
+// schedule is a run's one arrival process: operations at
+// Arrival.RatePerSec merged with churn events at Churn's rates into one
+// Poisson process. Each arrival's gap and kind come from one rng; thinning
+// by kind gives back independent Poisson processes at the configured
+// rates. Times are absolute from start, so serving one never moves the next.
+type schedule struct {
+	rng   *rand.Rand
 	start time.Time
+	at    time.Time         // the last arrival drawn
+	mean  float64           // mean gap, ns
+	cum   [numKinds]float64 // cumulative rates: the mix scaled to the operation rate, then join, leave, fail
 }
 
-func newSampler(sc *Scenario, seed int64) *sampler {
-	rng := rand.New(rand.NewSource(seed))
-	s := &sampler{rng: rng, sc: sc, start: time.Now()}
-	if sc.Keys.Kind == KeyZipf {
-		s.zipf = rand.NewZipf(rng, sc.Keys.ZipfS, 1, zipfBuckets-1)
+func newSchedule(sc *Scenario, start time.Time) *schedule {
+	s := &schedule{rng: rand.New(rand.NewSource(sc.Seed ^ 0x9e3779b9)), start: start, at: start}
+	s.mean = float64(time.Second) / (sc.Arrival.RatePerSec + sc.Churn.totalRate())
+	c := sc.Churn
+	rates := [numKinds]float64{churnJoin: c.JoinPerSec, churnLeave: c.LeavePerSec, churnFail: c.FailPerSec}
+	scale := sc.Arrival.RatePerSec / sc.Mix.total()
+	for i, w := range sc.Mix.weights() {
+		rates[i] = w * scale
 	}
 	total := 0.0
-	for i, w := range sc.Mix.weights() {
-		total += w
+	for i, r := range rates {
+		total += r
 		s.cum[i] = total
 	}
 	return s
 }
 
-// nextOp draws one operation kind with probability proportional to its
-// mix weight.
-func (s *sampler) nextOp() OpKind {
-	x := s.rng.Float64() * s.cum[numOps-1]
+// next draws the next arrival: its time and its kind.
+func (s *schedule) next() (time.Time, OpKind) {
+	s.at = s.at.Add(time.Duration(s.rng.ExpFloat64() * s.mean))
+	x := s.rng.Float64() * s.cum[numKinds-1]
 	for i, c := range s.cum {
 		if x < c {
-			return OpKind(i)
+			return s.at, OpKind(i)
 		}
 	}
-	return OpKind(numOps - 1)
+	return s.at, numKinds - 1
+}
+
+// sampler holds one executor's private randomness and the scenario's
+// distributions, so drawing never contends across executors.
+type sampler struct {
+	rng  *rand.Rand
+	sc   *Scenario
+	zipf *rand.Zipf
+	off  time.Duration // the served arrival's offset from the schedule's origin; places the drifting hotspot
+}
+
+func newSampler(sc *Scenario, seed int64) *sampler {
+	rng := rand.New(rand.NewSource(seed))
+	s := &sampler{rng: rng, sc: sc}
+	if sc.Keys.Kind == KeyZipf {
+		s.zipf = rand.NewZipf(rng, sc.Keys.ZipfS, 1, zipfBuckets-1)
+	}
+	return s
 }
 
 // frac draws a position in [0, 1) according to the key distribution.
@@ -67,16 +88,17 @@ func (s *sampler) frac() float64 {
 	}
 }
 
-// hotLow returns the hot interval's current low edge in [0, 1): pinned at
-// 0 without drift, sweeping the whole space once per HotDrift period
-// (wrapping) otherwise. The sweep spans 1 − HotFraction so the interval
-// never clips at the high end — its width is constant throughout.
+// hotLow returns the hot interval's low edge in [0, 1) at the served
+// arrival's offset: pinned at 0 without drift, sweeping the whole space
+// once per HotDrift period (wrapping) otherwise. The sweep spans
+// 1 − HotFraction so the interval never clips at the high end — its width
+// is constant throughout.
 func (s *sampler) hotLow() float64 {
 	d := s.sc.HotDrift
 	if d <= 0 {
 		return 0
 	}
-	turns := time.Since(s.start).Seconds() / d.Seconds()
+	turns := float64(s.off) / float64(d)
 	return (turns - math.Floor(turns)) * (1 - s.sc.Keys.HotFraction)
 }
 

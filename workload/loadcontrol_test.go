@@ -11,28 +11,35 @@ import (
 	"armada"
 )
 
+// TestHotDriftMovesTheHotspot places the hot interval at set offsets from
+// the schedule's origin: its low edge sweeps 1 − HotFraction once per
+// HotDrift period and wraps.
 func TestHotDriftMovesTheHotspot(t *testing.T) {
 	sc := Scenario{
 		Keys:     KeyDist{Kind: KeyHotspot, HotFraction: 0.1, HotWeight: 1},
 		HotDrift: 200 * time.Millisecond,
 	}
 	s := newSampler(&sc, 1)
-	h1 := s.hotLow()
-	time.Sleep(40 * time.Millisecond)
-	h2 := s.hotLow()
-	if h2 <= h1 {
-		t.Fatalf("hot interval did not advance: %.4f -> %.4f", h1, h2)
+	span := 1 - sc.Keys.HotFraction
+	for _, c := range []struct {
+		off  time.Duration
+		want float64
+	}{
+		{0, 0},
+		{sc.HotDrift / 4, span / 4},
+		{sc.HotDrift * 5 / 4, span / 4}, // wrapped
+	} {
+		s.off = c.off
+		if got := s.hotLow(); got != c.want {
+			t.Errorf("hot low at offset %v = %v, want %v", c.off, got, c.want)
+		}
 	}
-	if h2 >= 1-sc.Keys.HotFraction {
-		t.Fatalf("hot low %.4f past the sweep span %.4f", h2, 1-sc.Keys.HotFraction)
-	}
-	// All hot draws stay inside the current interval (sampled right after
-	// hotLow, so the drift between the two calls is negligible).
+	// All hot draws stay inside the interval at their offset.
 	for i := 0; i < 200; i++ {
+		s.off = time.Duration(i) * sc.HotDrift / 37
 		lo := s.hotLow()
-		f := s.frac()
-		if f < lo-0.01 || f > lo+sc.Keys.HotFraction+0.01 {
-			t.Fatalf("draw %.4f outside hot interval [%.4f, %.4f]", f, lo, lo+sc.Keys.HotFraction)
+		if f := s.frac(); f < lo || f > lo+sc.Keys.HotFraction {
+			t.Fatalf("draw %.4f at offset %v outside hot interval [%.4f, %.4f]", f, s.off, lo, lo+sc.Keys.HotFraction)
 		}
 	}
 }

@@ -143,8 +143,9 @@ type Report struct {
 	Churn ChurnReport         `json:"churn"`
 	// QueueWaitMs is the time from scheduled arrival to an executor starting
 	// the operation, a part of its latency; DispatchLateMs the generator's
-	// lateness (release minus scheduled time) over arrivals an idle executor
-	// waited for; Dropped the arrivals due by a stop that no executor took.
+	// lateness (release minus scheduled time) over arrivals, churn events
+	// included, an idle executor waited for; Dropped the operations due by
+	// a stop that no executor took, estimated at the operation rate.
 	QueueWaitMs    Quantiles `json:"queue_wait_ms"`
 	DispatchLateMs Quantiles `json:"dispatch_late_ms"`
 	Dropped        int       `json:"dropped"`

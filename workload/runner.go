@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -28,6 +27,8 @@ type Runner struct {
 	// path it took.
 	BuildMs        float64
 	SnapshotLoadMs float64
+
+	churnMu sync.Mutex // held while an executor serves a churn event
 }
 
 // New builds a Runner for the scenario (defaults filled, then validated)
@@ -95,7 +96,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sc := &r.sc
 
 	// Measure the data plane's settled footprint before preload pumps
 	// workload objects into it: live heap after a forced collection, per
@@ -117,36 +117,23 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		return nil, fmt.Errorf("workload: preload: %w", err)
 	}
 
-	// runCtx stops the traffic; bgCtx keeps churn running until the
-	// executors have drained.
 	runCtx := ctx
-	if sc.Duration > 0 {
+	if r.sc.Duration > 0 {
 		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, sc.Duration)
+		runCtx, cancel = context.WithTimeout(ctx, r.sc.Duration)
 		defer cancel()
 	}
-	bgCtx, stopBG := context.WithCancel(ctx)
-	defer stopBG()
 
 	startMetrics := r.net.MetricValues()
 	startPeers := r.net.Size()
 	start := time.Now()
-	churned := make(chan ChurnReport, 1)
-	if sc.Churn.Enabled() {
-		go func() { churned <- r.churn(bgCtx) }()
-	} else {
-		churned <- ChurnReport{}
-	}
 	recorded := r.serve(runCtx, pool)
 	elapsed := time.Since(start)
-	stopBG()
-	churn := <-churned
 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("workload: run aborted: %w", err)
 	}
 	rep := r.report(elapsed, startPeers, recorded)
-	rep.Churn = churn
 	rep.Metrics = r.net.MetricValues()
 	for k := range rep.Metrics {
 		rep.Metrics[k] -= startMetrics[k]
@@ -163,23 +150,22 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// serve runs Workers executors until Ops arrivals are served or ctx ends.
-// They take turns as the arrival clock through a one-slot channel (a mutex
-// starves: each Unlock yields the P to a waiter before the releaser serves
-// its arrival). An idle executor takes the turn, awaits the next arrival of
-// the absolute Poisson schedule, passes the turn on and serves the arrival;
-// while all are busy, arrivals fall due and wait. An arrival taken that
-// fell due by the stop is served: the first holder to find the run stopped
-// serves the one it took, counts those due behind it as dropped — at the
-// schedule's rate, not drawn one by one, so the stop costs the same at any
-// backlog — and closes turn. Each executor records into its own samples,
-// which serve merges once every executor is done.
+// serve runs Workers executors, the only goroutines of a run, until Ops
+// operations are served or ctx ends. They take turns as the arrival clock
+// through a one-slot channel (a mutex starves: each Unlock yields the P to
+// a waiter before the releaser serves its arrival). An idle executor takes
+// the turn, draws and awaits the schedule's next arrival, passes the turn
+// on and serves the arrival, an operation or a churn event; while all are
+// busy, arrivals fall due and wait. The first holder to find the run
+// stopped serves the arrival it took if that fell due by the stop, counts
+// the operations due behind it as dropped — at the operation rate, not
+// drawn one by one, so the stop costs the same at any backlog — and closes
+// turn. Each executor records into its own samples, merged at the end.
 func (r *Runner) serve(ctx context.Context, pool *keyPool) *samples {
 	sc := &r.sc
-	rng := rand.New(rand.NewSource(sc.Seed ^ 0x9e3779b9))
-	mean := float64(time.Second) / sc.Arrival.RatePerSec
-	gap := func() time.Duration { return time.Duration(rng.ExpFloat64() * mean) }
-	n, next := 0, time.Now().Add(gap()) // arrivals taken, and the next one: the holder's alone
+	sch := newSchedule(sc, time.Now()) // the holder's alone
+	opMean := float64(time.Second) / sc.Arrival.RatePerSec
+	n := 0 // operations taken: the holder's alone
 	turn := make(chan struct{}, 1)
 	turn <- struct{}{}
 	var executors sync.WaitGroup
@@ -190,23 +176,30 @@ func (r *Runner) serve(ctx context.Context, pool *keyPool) *samples {
 			defer executors.Done()
 			smp := newSampler(sc, sc.Seed+int64(id)*7919+1)
 			for range turn {
-				at := next
+				at, kind := sch.next()
 				if sc.Ops > 0 && n >= sc.Ops || !await(ctx, &s.dispatchLate, at) {
 					close(turn)
 					continue
 				}
-				n, next = n+1, at.Add(gap())
+				if kind < numOps {
+					n++
+				}
 				if ctx.Err() == nil {
 					turn <- struct{}{}
 				} else {
-					d := max(0, 1+int(math.Floor(float64(stopAt(ctx).Sub(next))/mean)))
+					d := int(float64(stopAt(ctx).Sub(at)) / opMean)
 					if sc.Ops > 0 {
 						d = min(d, sc.Ops-n)
 					}
 					s.dropped += d
 					close(turn)
 				}
-				r.execOp(ctx, smp, pool, s, at)
+				if kind >= numOps {
+					r.execChurn(kind, &s.churn)
+					continue
+				}
+				smp.off = at.Sub(sch.start)
+				r.execOp(ctx, smp, pool, s, at, kind)
 			}
 		}(w, &all[w])
 	}
@@ -251,9 +244,6 @@ func stopAt(ctx context.Context) time.Time {
 // preload publishes the scenario's initial objects in one batch and seeds
 // the unpublish pool with them.
 func (r *Runner) preload(pool *keyPool) error {
-	if r.sc.Preload == 0 {
-		return nil
-	}
 	smp := newSampler(&r.sc, r.sc.Seed*31+7)
 	pubs := make([]armada.Publication, r.sc.Preload)
 	for i := range pubs {
@@ -264,14 +254,13 @@ func (r *Runner) preload(pool *keyPool) error {
 	return r.net.PublishBatch(pubs)
 }
 
-// execOp draws and executes the operation that arrived at at, recording
-// its metrics. Its latency runs from at, so the time it waited for an
-// executor counts in it; that queue wait (start minus at) is also sampled
-// on its own, and queries carry it to the diagnostics layer.
-func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, s *samples, at time.Time) {
+// execOp executes the operation of the given kind that arrived at at,
+// recording its metrics. Its latency runs from at, so the time it waited
+// for an executor counts in it; that queue wait (start minus at) is also
+// sampled on its own, and queries carry it to the diagnostics layer.
+func (r *Runner) execOp(ctx context.Context, smp *sampler, pool *keyPool, s *samples, at time.Time, kind OpKind) {
 	wait := time.Since(at)
 	s.queueWait.Add(float64(wait) / float64(time.Millisecond))
-	kind := smp.nextOp()
 	op := &s.ops[kind]
 	switch kind {
 	case OpPublish:
@@ -346,11 +335,9 @@ func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, op *opSamples, 
 	}
 	defer sess.Close()
 
-	// Flushed only when the whole walk succeeds.
-	var (
-		pages []armada.Stats
-		sizes []int
-	)
+	// The walk's samples, merged into op only when the whole walk succeeds.
+	var walk opSamples
+	pages, matches, msgs := 0, 0, 0
 	for {
 		res, err := sess.Next(ctx)
 		if err != nil {
@@ -363,27 +350,23 @@ func (r *Runner) doPagedRange(ctx context.Context, smp *sampler, op *opSamples, 
 			op.record(at, err)
 			return
 		}
-		pages = append(pages, res.Stats)
-		sizes = append(sizes, len(res.Objects))
+		st := res.Stats
+		pages, matches, msgs = pages+1, matches+len(res.Objects), msgs+st.Messages
+		walk.hops.AddInt(st.Delay)
+		walk.dest.AddInt(st.DestPeers)
+		walk.perPage.AddInt(len(res.Objects))
+		walk.perPageMsgs.AddInt(st.Messages)
+		walk.descentsSaved += st.DescentsSaved
+		walk.shortcutHits += st.ShortcutHits
 		if res.NextOffsetID == "" {
 			break
 		}
 	}
+	walk.pages.AddInt(pages)
+	walk.matches.AddInt(matches)
+	walk.msgs.AddInt(msgs)
 	op.record(at, nil)
-	matches, msgs := 0, 0
-	for i, st := range pages {
-		matches += sizes[i]
-		msgs += st.Messages
-		op.hops.AddInt(st.Delay)
-		op.dest.AddInt(st.DestPeers)
-		op.perPage.AddInt(sizes[i])
-		op.perPageMsgs.AddInt(st.Messages)
-		op.descentsSaved += st.DescentsSaved
-		op.shortcutHits += st.ShortcutHits
-	}
-	op.matches.AddInt(matches)
-	op.msgs.AddInt(msgs)
-	op.pages.AddInt(len(pages))
+	op.merge(&walk)
 }
 
 func (r *Runner) doPublish(smp *sampler, pool *keyPool, op *opSamples, at time.Time) {
@@ -417,54 +400,32 @@ func (r *Runner) doQuery(ctx context.Context, q armada.Query, op *opSamples, at 
 	return res
 }
 
-// churn runs the merged Poisson join/leave/fail process until ctx ends.
-// Like the arrival clock, it keeps an absolute schedule: event times
-// are drawn independently of how long each event takes to execute, so when
-// an event overruns its gap the following ones fire back to back instead
-// of silently stretching the process — the realized rate tracks the
-// nominal one up to what the network can absorb. It returns the events it
-// ran when ctx ends.
-func (r *Runner) churn(ctx context.Context) ChurnReport {
-	sc := &r.sc
-	rng := rand.New(rand.NewSource(sc.Seed ^ 0x51f15eed))
-	total := sc.Churn.totalRate()
-	mean := float64(time.Second) / total
-	var rep ChurnReport
-	for next := time.Now(); ; {
-		next = next.Add(time.Duration(rng.ExpFloat64() * mean))
-		select {
-		case <-ctx.Done():
-		case <-time.After(time.Until(next)):
+// execChurn serves one churn arrival of the given kind, counting it into c.
+// Executors serve churn one event at a time under churnMu, so the MinPeers
+// guard is exact and no two leave the same peer; Join, Leave and Fail take
+// the topology write lock anyway.
+func (r *Runner) execChurn(kind OpKind, c *ChurnReport) {
+	r.churnMu.Lock()
+	defer r.churnMu.Unlock()
+	var err error
+	switch {
+	case kind == churnJoin:
+		if _, err = r.net.Join(); err == nil {
+			c.Joins++
 		}
-		if ctx.Err() != nil {
-			return rep
+	case r.net.Size() <= r.sc.Churn.MinPeers:
+		c.Skipped++
+	case kind == churnLeave:
+		if err = r.net.Leave(r.net.RandomPeer()); err == nil {
+			c.Leaves++
 		}
-		var err error
-		switch x := rng.Float64() * total; {
-		case x < sc.Churn.JoinPerSec:
-			if _, err = r.net.Join(); err == nil {
-				rep.Joins++
-			}
-		case x < sc.Churn.JoinPerSec+sc.Churn.LeavePerSec:
-			if r.net.Size() <= sc.Churn.MinPeers {
-				rep.Skipped++
-				continue
-			}
-			if err = r.net.Leave(r.net.RandomPeer()); err == nil {
-				rep.Leaves++
-			}
-		default:
-			if r.net.Size() <= sc.Churn.MinPeers {
-				rep.Skipped++
-				continue
-			}
-			if err = r.net.Fail(r.net.RandomPeer()); err == nil {
-				rep.Fails++
-			}
+	default:
+		if err = r.net.Fail(r.net.RandomPeer()); err == nil {
+			c.Fails++
 		}
-		if err != nil {
-			rep.Errors++
-		}
+	}
+	if err != nil {
+		c.Errors++
 	}
 }
 
@@ -480,6 +441,7 @@ func (r *Runner) report(elapsed time.Duration, startPeers int, s *samples) *Repo
 		EndPeers:       r.net.Size(),
 		DurationSec:    secs,
 		Ops:            make(map[string]OpReport, int(numOps)),
+		Churn:          s.churn,
 		QueueWaitMs:    quantilesOf(&s.queueWait),
 		DispatchLateMs: quantilesOf(&s.dispatchLate),
 		Dropped:        s.dropped,
@@ -528,8 +490,10 @@ func (r *Runner) report(elapsed time.Duration, startPeers int, s *samples) *Repo
 type samples struct {
 	ops [numOps]opSamples
 
-	// Saturation metrics: queue wait and lateness of served arrivals, and
-	// the arrivals due at a stop that no executor started.
+	churn ChurnReport
+
+	// Saturation metrics: queue wait of served operations, lateness of
+	// arrivals, and the operations due at a stop that no executor started.
 	queueWait    stats.Sample
 	dispatchLate stats.Sample
 	dropped      int
@@ -540,6 +504,9 @@ func (s *samples) merge(o *samples) {
 	for k := range s.ops {
 		s.ops[k].merge(&o.ops[k])
 	}
+	c, oc := &s.churn, &o.churn
+	c.Joins, c.Leaves, c.Fails = c.Joins+oc.Joins, c.Leaves+oc.Leaves, c.Fails+oc.Fails
+	c.Skipped, c.Errors = c.Skipped+oc.Skipped, c.Errors+oc.Errors
 	s.queueWait.Merge(&o.queueWait)
 	s.dispatchLate.Merge(&o.dispatchLate)
 	s.dropped += o.dropped

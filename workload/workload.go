@@ -2,11 +2,12 @@
 // armada.Network: operations of a weighted mix (publish, unpublish, lookup,
 // range, multi-range, top-k, flood, range-paged) with configurable key and
 // range-size distributions arrive on a Poisson schedule and are served by
-// concurrent executors, under an optional churn process that joins,
-// gracefully removes and crashes peers while the traffic runs.
+// concurrent executors. Optional churn — peers joining, leaving gracefully
+// and crashing — arrives on the same schedule and is served by the same
+// executors.
 //
 // A Scenario declares the workload; a Runner executes it for a duration or
-// a number of arrivals under a context.Context and produces a Report with
+// a number of operations under a context.Context and produces a Report with
 // per-op-kind throughput, error counts, latency percentiles and the paper's
 // hop-delay/message/destination metrics. Each executor records its own
 // samples, merged once the run ends, so recording takes no lock and the
@@ -53,6 +54,11 @@ const (
 	OpFlood
 	OpRangePaged
 	numOps
+	// The churn events follow the operations among the schedule's kinds.
+	churnJoin = iota - 1
+	churnLeave
+	churnFail
+	numKinds
 )
 
 // String names the kind; the names key the Report's per-op map.
@@ -180,11 +186,11 @@ type Arrival struct {
 	RatePerSec float64 `json:"rate_per_sec,omitempty"`
 }
 
-// Churn is a peer-dynamics process running concurrently with the traffic:
-// joins, graceful leaves and crash-stops arrive as a merged Poisson
-// process with the given per-second rates. Leaves and crashes are skipped
-// while the network is at or below MinPeers; skips are counted in the
-// report.
+// Churn sets the peer dynamics: joins, graceful leaves and crash-stops at
+// the given per-second rates, arriving on the one Poisson schedule the
+// operations follow and served by the same executors, one event at a
+// time. Leaves and crashes are skipped while the network is at or below
+// MinPeers; skips are counted in the report.
 type Churn struct {
 	JoinPerSec  float64 `json:"join_per_sec,omitempty"`
 	LeavePerSec float64 `json:"leave_per_sec,omitempty"`
@@ -198,7 +204,7 @@ func (c Churn) totalRate() float64 { return c.JoinPerSec + c.LeavePerSec + c.Fai
 func (c Churn) Enabled() bool { return c.totalRate() > 0 }
 
 // Scenario declares one workload: the network shape, the operation mix and
-// its distributions, the arrival model, the churn process, and the stop
+// its distributions, the arrival model, the churn rates, and the stop
 // condition (Ops and/or Duration — whichever is reached first ends the
 // run; at least one must be set).
 type Scenario struct {
@@ -207,10 +213,10 @@ type Scenario struct {
 	// Peers is the initial network size Execute builds (ignored by Run,
 	// which receives a live network).
 	Peers int `json:"peers"`
-	// Seed seeds the arrival times, the churn process and each executor's
-	// operation draws. Which executor takes an arrival is up to the Go
-	// scheduler, so two runs of one seed need not issue the same
-	// operations (wall-clock metrics vary too).
+	// Seed seeds the schedule (each arrival's time and kind, operation or
+	// churn event) and each executor's key and range draws. Which executor
+	// takes an arrival is up to the Go scheduler, so two runs of one seed
+	// need not issue the same keys (wall-clock metrics vary too).
 	Seed int64 `json:"seed"`
 	// Attrs are the attribute spaces; default one [0, 1000] space.
 	Attrs []armada.AttributeSpace `json:"attrs,omitempty"`
@@ -259,8 +265,9 @@ type Scenario struct {
 	// HotDrift, when positive, makes the KeyHotspot hot interval drift:
 	// its low edge sweeps the whole key space once per HotDrift period
 	// (wrapping), so publishes and queries chase a moving hotspot instead
-	// of a pinned one. Requires Keys.Kind == KeyHotspot. Default 0 — the
-	// hot interval stays at the low end of the space.
+	// of a pinned one, placed at each operation's scheduled arrival.
+	// Requires Keys.Kind == KeyHotspot. Default 0 — the hot interval stays
+	// at the low end of the space.
 	HotDrift time.Duration `json:"hot_drift,omitempty"`
 
 	Mix       Mix      `json:"mix"`
@@ -269,9 +276,9 @@ type Scenario struct {
 	Arrival   Arrival  `json:"arrival"`
 	Churn     Churn    `json:"churn"`
 
-	// Ops stops the run after that many scheduled arrivals (0 = no limit),
-	// every one of them served: a run Ops stops reports dropped == 0 and
-	// total_ops + total_cancelled == Ops.
+	// Ops stops the run after that many scheduled operations (0 = no
+	// limit; churn events do not count), every one of them served: a run
+	// Ops stops reports dropped == 0 and total_ops + total_cancelled == Ops.
 	Ops int `json:"ops,omitempty"`
 	// Duration stops the run after that much wall-clock time (0 = no time
 	// limit).
@@ -406,12 +413,6 @@ func (s Scenario) validate() error {
 	if s.Arrival.Workers < 1 || s.Arrival.Workers > MaxWorkers {
 		return bad("workers %d outside [1, %d]", s.Arrival.Workers, MaxWorkers)
 	}
-	// Near zero the mean gap overflows a time.Duration, and above 1e9/s it
-	// truncates to 0 ns and the schedule stands still: one an hour is the
-	// floor and one a nanosecond the ceiling.
-	if !(s.Arrival.RatePerSec >= 1.0/3600 && s.Arrival.RatePerSec <= 1e9) {
-		return bad("arrival rate %v/s is not between one an hour and one a nanosecond", s.Arrival.RatePerSec)
-	}
 	if s.PageLimit < 1 && s.Mix.RangePaged > 0 {
 		return bad("range-paged weight set but page limit = %d", s.PageLimit)
 	}
@@ -441,6 +442,13 @@ func (s Scenario) validate() error {
 	}
 	if t := s.Churn.totalRate(); t > 0 && t < 1.0/3600 {
 		return bad("churn rate %v/s is neither zero nor at least one an hour", t)
+	}
+	// Near zero the mean gap overflows a time.Duration, and above 1e9/s it
+	// truncates to 0 ns and the schedule stands still: one operation an hour
+	// is the floor, and one arrival a nanosecond, operations and churn
+	// together, the ceiling.
+	if t := s.Arrival.RatePerSec + s.Churn.totalRate(); !(s.Arrival.RatePerSec >= 1.0/3600 && t <= 1e9) {
+		return bad("arrival rate %v/s (%v/s with churn) is not between one an hour and one a nanosecond", s.Arrival.RatePerSec, t)
 	}
 	for i, a := range s.Attrs {
 		if !(a.Low < a.High) || math.IsInf(a.High-a.Low, 0) {

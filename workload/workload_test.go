@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -71,6 +73,9 @@ func TestScenarioValidation(t *testing.T) {
 		{Arrival: Arrival{RatePerSec: 1e12}, Ops: 10}, // its mean gap truncated to 0 ns: the schedule stood still
 		{Churn: Churn{JoinPerSec: 1e-300}, Ops: 10},   // fired thousands of joins back to back
 		{Churn: Churn{LeavePerSec: 1.0 / 7200}, Ops: 10},
+		{Churn: Churn{JoinPerSec: 1e12}, Ops: 10}, // its mean gap truncated to 0 ns: joins back to back under the write lock
+		// Each rate under the ceiling, their sum over it: churn shares the schedule.
+		{Arrival: Arrival{RatePerSec: 6e8}, Churn: Churn{JoinPerSec: 6e8}, Ops: 10},
 		{SlowQueryLog: armada.MaxSlowLogCapacity + 1, Ops: 10}, // 2e9 ran the process out of memory
 		{Arrival: Arrival{Workers: MaxWorkers + 1}, Ops: 10},   // 1e8 ran for minutes to serve one arrival
 	}
@@ -320,6 +325,7 @@ func TestServeMergesEveryExecutor(t *testing.T) {
 	}
 
 	var one samples
+	one.churn = ChurnReport{Joins: 1, Leaves: 1, Fails: 1, Skipped: 1, Errors: 1}
 	one.dropped = 1
 	one.queueWait.Add(1)
 	one.dispatchLate.Add(1)
@@ -514,6 +520,85 @@ func TestChurnRunKeepsInvariants(t *testing.T) {
 	}
 	if rep.EndPeers != net.Size() {
 		t.Errorf("report end peers %d != network size %d", rep.EndPeers, net.Size())
+	}
+}
+
+// TestOpsStopUnderChurn: churn arrivals ride the operations' schedule but
+// do not count toward Ops, so a run Ops stops under churn serves exactly
+// Ops operations, drops none, and fires churn events that leave the
+// network consistent.
+func TestOpsStopUnderChurn(t *testing.T) {
+	sc := small()
+	sc.Ops = 2000
+	sc.Churn = Churn{JoinPerSec: 750, LeavePerSec: 500, FailPerSec: 250}
+	net, err := armada.NewNetwork(sc.Peers, armada.WithSeed(sc.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(net, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.TotalOps + rep.TotalCancelled; got != sc.Ops || rep.Dropped != 0 {
+		t.Errorf("%d operations served, %d dropped; want %d and 0", got, rep.Dropped, sc.Ops)
+	}
+	c := rep.Churn
+	if c.Joins+c.Leaves+c.Fails == 0 || c.Errors != 0 {
+		t.Errorf("churn %+v: want events fired and no errors", c)
+	}
+	if err := net.Audit(); err != nil {
+		t.Errorf("audit after churn run: %v", err)
+	}
+}
+
+// TestScheduleIsSeeded draws 10k arrivals from two schedules of one seed
+// and origin: their (offset, kind) sequences are byte-identical, the churn
+// share is within 4σ of μ/(λ+μ) and the last offset within 4σ of n/(λ+μ).
+// A churn-free and an all-churn schedule draw only their own kinds.
+func TestScheduleIsSeeded(t *testing.T) {
+	const n = 10_000
+	origin := time.Unix(1_700_000_000, 0)
+	draw := func(sc Scenario) (seq []byte, churn int, last time.Duration) {
+		s := newSchedule(&sc, origin)
+		for i := 0; i < n; i++ {
+			at, kind := s.next()
+			last = at.Sub(origin)
+			seq = binary.BigEndian.AppendUint64(seq, uint64(last))
+			seq = append(seq, byte(kind))
+			if kind >= numOps {
+				churn++
+			}
+		}
+		return seq, churn, last
+	}
+	sc := small()
+	sc.Churn = Churn{JoinPerSec: 300, LeavePerSec: 220, FailPerSec: 80}
+	sc = sc.withDefaults()
+	a, churn, last := draw(sc)
+	if b, _, _ := draw(sc); !bytes.Equal(a, b) {
+		t.Error("two schedules of one seed and origin drew different arrivals")
+	}
+	lambda, mu := sc.Arrival.RatePerSec, sc.Churn.totalRate()
+	p := mu / (lambda + mu)
+	if sd := math.Sqrt(n * p * (1 - p)); math.Abs(float64(churn)-n*p) > 4*sd {
+		t.Errorf("%d churn arrivals of %d, want %.0f ± %.0f", churn, n, n*p, 4*sd)
+	}
+	mean := float64(time.Second) / (lambda + mu)
+	if sd := math.Sqrt(n) * mean; math.Abs(float64(last)-n*mean) > 4*sd {
+		t.Errorf("%d arrivals span %v, want %v ± %v", n, last, time.Duration(n*mean), time.Duration(4*sd))
+	}
+
+	sc.Churn = Churn{}
+	if _, churn, _ := draw(sc); churn != 0 {
+		t.Errorf("churn-free schedule drew %d churn arrivals", churn)
+	}
+	sc.Churn, sc.Arrival.RatePerSec = Churn{JoinPerSec: 10, FailPerSec: 5}, 0
+	if _, churn, _ := draw(sc); churn != n {
+		t.Errorf("all-churn schedule drew %d operations", n-churn)
 	}
 }
 
