@@ -35,8 +35,9 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"math/rand"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"armada/internal/core"
 	"armada/internal/fissione"
@@ -91,10 +92,9 @@ type Network struct {
 	// delay-bound conformance instruments; initObs wires it in NewNetwork.
 	obs netObs
 
-	// rng drives default issuer selection; it has its own mutex so peer
-	// sampling never serializes behind mutations or other samplers.
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	// seed and draws drive default issuer selection (randomPeerLocked).
+	seed  uint64
+	draws atomic.Uint64
 }
 
 // NewNetwork builds a network of the given number of peers (at least 3).
@@ -145,20 +145,24 @@ func (n *Network) PeerIDs() []string {
 	return out
 }
 
-// RandomPeer returns a uniformly random peer identifier. Sampling is a
-// read-only operation: it shares the read lock with queries and serializes
-// only on the sampler's own source.
+// RandomPeer returns a uniformly random peer identifier: the next draw of the
+// seeded sequence every query without an issuer draws from too (WithSeed).
+// It shares the read lock with queries and takes no other lock.
 func (n *Network) RandomPeer() string {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.randomPeerLocked()
 }
 
-// randomPeerLocked samples a peer; the caller holds at least the read lock.
+// randomPeerLocked draws a peer; the caller holds at least the read lock.
+// Draw i (one atomic add) is splitmix64(seed + i·γ), SplitMix64's i-th
+// output, mapped by multiply-high onto the peers in ascending ID order.
 func (n *Network) randomPeerLocked() string {
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return string(n.net.RandomPeer(n.rng))
+	z := n.seed + n.draws.Add(1)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	pos, _ := bits.Mul64(z^z>>31, uint64(n.net.Size()))
+	return string(n.net.PeerIDAt(int(pos)))
 }
 
 // Join adds one peer via FISSIONE's join protocol and returns its

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"armada"
@@ -76,7 +77,7 @@ func reportPIRA(b *testing.B, eng *core.Engine, width float64, seed int64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := rng.Float64() * (benchSpace - width)
-		res, err := eng.RangeQuery(context.Background(), net.RandomPeer(rng), []float64{lo}, []float64{lo + width})
+		res, err := eng.RangeQuery(context.Background(), net.PeerIDAt(rng.Intn(net.Size())), []float64{lo}, []float64{lo + width})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +256,7 @@ func BenchmarkDelayBound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		width := []float64{2, 20, 200, 900}[i%4]
 		lo := rng.Float64() * (benchSpace - width)
-		res, err := eng.RangeQuery(context.Background(), net.RandomPeer(rng), []float64{lo}, []float64{lo + width})
+		res, err := eng.RangeQuery(context.Background(), net.PeerIDAt(rng.Intn(net.Size())), []float64{lo}, []float64{lo + width})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func BenchmarkMIRA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := []float64{rng.Float64() * 800, rng.Float64() * 800}
 		hi := []float64{lo[0] + 140, lo[1] + 140}
-		res, err := eng.RangeQuery(context.Background(), net.RandomPeer(rng), lo, hi)
+		res, err := eng.RangeQuery(context.Background(), net.PeerIDAt(rng.Intn(net.Size())), lo, hi)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -310,7 +311,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			lo := rng.Float64() * (benchSpace - 20)
-			issuer := net.RandomPeer(rng)
+			issuer := net.PeerIDAt(rng.Intn(net.Size()))
 			var m int
 			if flood {
 				res, err := eng.FloodQuery(context.Background(), issuer, []float64{lo}, []float64{lo + 20})
@@ -348,7 +349,7 @@ func BenchmarkLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		oid := kautz.Random(rng, benchK)
-		res, err := eng.Lookup(context.Background(), net.RandomPeer(rng), oid)
+		res, err := eng.Lookup(context.Background(), net.PeerIDAt(rng.Intn(net.Size())), oid)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -528,6 +529,56 @@ func BenchmarkAllocLookupCached(b *testing.B) {
 			b.Fatalf("lookup not served by the cache: %+v, %v", res, err)
 		}
 	}
+}
+
+// The parallel lookups: value lookups at 10k peers from GOMAXPROCS
+// goroutines at once (run at -cpu 1,2), the shape of a warm-route query — on
+// a network all of them share, what each query writes that the others read
+// decides how far a second core goes. ParallelLookup names its issuer;
+// NoIssuer draws one from the network's seeded sequence; Cached is served by
+// the route cache in one hop; SharedCtx passes every goroutine one
+// cancellable context, as armada-load's executors share one run context.
+func BenchmarkParallelLookup(b *testing.B) {
+	benchParallel(b, buildAllocNet(b, 10000, 10000), context.Background(), true)
+}
+
+func BenchmarkParallelLookupNoIssuer(b *testing.B) {
+	benchParallel(b, buildAllocNet(b, 10000, 10000), context.Background(), false)
+}
+
+func BenchmarkParallelLookupCached(b *testing.B) {
+	benchParallel(b, buildCachedNet(b, 10000, 10000), context.Background(), false)
+}
+
+func BenchmarkParallelLookupSharedCtx(b *testing.B) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	benchParallel(b, buildAllocNet(b, 10000, 10000), ctx, false)
+}
+
+// benchParallel runs value lookups of the values buildAllocNet published from
+// b.RunParallel's goroutines, each with its own key sequence and, when
+// issuer is set, its own fixed issuer.
+func benchParallel(b *testing.B, net *armada.Network, ctx context.Context, issuer bool) {
+	defer net.Close()
+	var seeds atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(seeds.Add(1)))
+		var opts []armada.QueryOption
+		if issuer {
+			opts = append(opts, armada.WithIssuer(net.RandomPeer()))
+		}
+		v := []float64{0}
+		for pb.Next() {
+			v[0] = float64(rng.Intn(1000))
+			if res, err := net.Do(ctx, armada.NewValueLookup(v, opts...)); err != nil || len(res.Objects) == 0 {
+				b.Errorf("lookup of %v: %v objects, %v", v, res, err)
+				return
+			}
+		}
+	})
 }
 
 // A value lookup allocates what its caller receives — the objects, their

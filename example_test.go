@@ -56,7 +56,7 @@ func ExampleNetwork_Do() {
 	// bob 72
 	// eve 78.3
 	// grace 80
-	// delay 8 hops (bound 16.0), 53 messages, 26 destination peers
+	// delay 8 hops (bound 16.0), 51 messages, 26 destination peers
 }
 
 // The same query streamed: objects arrive in Do's order, a page of the walk
@@ -152,7 +152,7 @@ func ExampleNetwork_Do_multiAttribute() {
 	}
 	// Output:
 	// found 79 of 3000 hosts (expected 79)
-	// delay 10 hops (bound 21.9), 38 messages, 17 destination peers
+	// delay 11 hops (bound 21.9), 39 messages, 17 destination peers
 	// host-0136 [4 133]
 	// host-0201 [4 89]
 	// host-0497 [4 69]
@@ -229,11 +229,11 @@ func ExampleNetwork_OpenSession() {
 	fmt.Printf("route cache: %d of %d owners, %d hits, %d misses, %d stale\n",
 		cs.Entries, cs.Capacity, cs.Hits, cs.Misses, cs.Stale)
 	// Output:
-	// page: 512 objects, 239 messages, delay 8, descended
+	// page: 512 objects, 247 messages, delay 8, descended
 	// page: 512 objects, 34 messages, delay 1, positional
 	// page: 512 objects, 38 messages, delay 1, positional
 	// page: 293 objects, 21 messages, delay 1, positional
-	// walk 1: 1829 objects (expected 1829) over 4 pages, 332 messages, 3 descents saved, 0 cache hits
+	// walk 1: 1829 objects (expected 1829) over 4 pages, 340 messages, 3 descents saved, 0 cache hits
 	// page: 512 objects, 123 messages, delay 1, cache-seeded
 	// page: 512 objects, 34 messages, delay 1, positional
 	// page: 512 objects, 38 messages, delay 1, positional
@@ -296,13 +296,13 @@ func Example_churn() {
 	}
 	// Output:
 	// 300 peers, average degree 4.00, id length 7/7.7/9
-	// round  1: 288 peers, id length 6/7.7/8, audit ok, delay 8 < 16.3, found 50 (expected 50)
+	// round  1: 288 peers, id length 6/7.7/8, audit ok, delay 7 < 16.3, found 50 (expected 50)
 	// round  2: 286 peers, id length 6/7.7/8, audit ok, delay 8 < 16.3, found 50 (expected 50)
 	// round  3: 280 peers, id length 7/7.6/8, audit ok, delay 7 < 16.3, found 50 (expected 50)
-	// round  4: 278 peers, id length 7/7.6/8, audit ok, delay 6 < 16.2, found 50 (expected 50)
-	// round  5: 274 peers, id length 7/7.6/8, audit ok, delay 8 < 16.2, found 50 (expected 50)
+	// round  4: 278 peers, id length 7/7.6/8, audit ok, delay 5 < 16.2, found 50 (expected 50)
+	// round  5: 274 peers, id length 7/7.6/8, audit ok, delay 6 < 16.2, found 50 (expected 50)
 	// round  6: 274 peers, id length 7/7.6/9, audit ok, delay 8 < 16.2, found 50 (expected 50)
-	// round  7: 274 peers, id length 6/7.6/9, audit ok, delay 7 < 16.2, found 50 (expected 50)
+	// round  7: 274 peers, id length 6/7.6/9, audit ok, delay 8 < 16.2, found 50 (expected 50)
 	// round  8: 280 peers, id length 7/7.6/8, audit ok, delay 8 < 16.3, found 50 (expected 50)
 	// round  9: 278 peers, id length 6/7.6/9, audit ok, delay 7 < 16.2, found 50 (expected 50)
 	// round 10: 270 peers, id length 6/7.6/8, audit ok, delay 8 < 16.2, found 50 (expected 50)
@@ -382,6 +382,6 @@ func Example_baseline() {
 	// Output:
 	// 1000 peers, 2000 records: equal result sets on 100 of 100 queries
 	// bound 2·log₂N = 19.9
-	// PIRA    avg delay  9.00, max delay 11, avg messages 230.6
+	// PIRA    avg delay  9.15, max delay 10, avg messages 231.4
 	// DCF-CAN avg delay 24.63, max delay 38, avg messages 346.8
 }

@@ -655,18 +655,18 @@ func (e *Engine) enter(st *queryState, issuer int32, part kautz.Span) {
 // deterministic. It tracks the paper's two cost metrics — delay, the
 // deepest message, and messages, those sent over the overlay (depth ≥ 1) —
 // and bumps the engine's scheduled-message counter once, by the number
-// processed. Cancelling ctx stops the run between messages. A nil ctx
-// never cancels.
+// processed. Cancelling ctx stops the run between messages: each polls its
+// Done channel, which takes no lock, and only a closed one reads Err, which
+// does.
 func (e *Engine) pump(ctx context.Context, st *queryState) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := st.head
+	done, start := ctx.Done(), st.head
 	var err error
-	for st.head < len(st.queue) {
-		if err = ctx.Err(); err != nil {
-			err = fmt.Errorf("core: query aborted: %w", err)
-			break
+	for st.head < len(st.queue) && err == nil {
+		select {
+		case <-done:
+			err = fmt.Errorf("core: query aborted: %w", ctx.Err())
+			continue
+		default:
 		}
 		m := st.queue[st.head] // by value: forwards append to the queue
 		st.head++

@@ -97,7 +97,7 @@ func TestPIRACompleteness(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			lo := rng.Float64() * 1000
 			hi := lo + rng.Float64()*(1000-lo)
-			issuer := eng.Network().RandomPeer(rng)
+			issuer := eng.Network().PeerIDAt(rng.Intn(eng.Network().Size()))
 			res, err := eng.RangeQuery(context.Background(), issuer, []float64{lo}, []float64{hi})
 			if err != nil {
 				t.Fatal(err)
@@ -178,7 +178,7 @@ func TestPIRADestinationsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		issuer := eng.Network().RandomPeer(rng)
+		issuer := eng.Network().PeerIDAt(rng.Intn(eng.Network().Size()))
 		res, err := eng.RangeQuery(context.Background(), issuer, []float64{lo}, []float64{hi})
 		if err != nil {
 			t.Fatal(err)
@@ -211,7 +211,7 @@ func TestPIRADelayBound(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			width := []float64{2, 20, 200, 900}[trial%4]
 			lo := rng.Float64() * (1000 - width)
-			issuer := eng.Network().RandomPeer(rng)
+			issuer := eng.Network().PeerIDAt(rng.Intn(eng.Network().Size()))
 			res, err := eng.RangeQuery(context.Background(), issuer, []float64{lo}, []float64{lo + width})
 			if err != nil {
 				t.Fatal(err)
@@ -238,7 +238,7 @@ func TestPIRAMessageCost(t *testing.T) {
 	var sumIncre, samples float64
 	for trial := 0; trial < 150; trial++ {
 		lo := rng.Float64() * 900
-		issuer := eng.Network().RandomPeer(rng)
+		issuer := eng.Network().PeerIDAt(rng.Intn(eng.Network().Size()))
 		res, err := eng.RangeQuery(context.Background(), issuer, []float64{lo}, []float64{lo + 100})
 		if err != nil {
 			t.Fatal(err)
@@ -256,7 +256,7 @@ func TestPIRAMessageCost(t *testing.T) {
 // A full-space query must reach every peer.
 func TestPIRAFullSpaceQuery(t *testing.T) {
 	eng, objs := buildSingle(t, 60, 100, 101)
-	issuer := eng.Network().RandomPeer(nil)
+	issuer := eng.Network().PeerIDAt(0)
 	res, err := eng.RangeQuery(context.Background(), issuer, []float64{0}, []float64{1000})
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestPIRAPointQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	for trial := 0; trial < 30; trial++ {
 		v := rng.Float64() * 1000
-		issuer := eng.Network().RandomPeer(rng)
+		issuer := eng.Network().PeerIDAt(rng.Intn(eng.Network().Size()))
 		res, err := eng.RangeQuery(context.Background(), issuer, []float64{v}, []float64{v})
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +308,7 @@ func TestLookup(t *testing.T) {
 		if _, err := net.PublishAt(oid, fissione.Object{Name: objName(trial)}); err != nil {
 			t.Fatal(err)
 		}
-		issuer := net.RandomPeer(rng)
+		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		res, err := eng.Lookup(context.Background(), issuer, oid)
 		if err != nil {
 			t.Fatal(err)
@@ -405,7 +405,7 @@ func TestMIRACompleteness(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		lo := []float64{rng.Float64() * 100, rng.Float64() * 10}
 		hi := []float64{lo[0] + rng.Float64()*(100-lo[0]), lo[1] + rng.Float64()*(10-lo[1])}
-		issuer := net.RandomPeer(rng)
+		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		res, err := eng.RangeQuery(context.Background(), issuer, lo, hi)
 		if err != nil {
 			t.Fatal(err)
@@ -457,7 +457,7 @@ func TestMIRADelayBound(t *testing.T) {
 			lo[1] + rng.Float64()*(1-lo[1]),
 			lo[2] + rng.Float64()*(1-lo[2]),
 		}
-		issuer := net.RandomPeer(rng)
+		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		res, err := eng.RangeQuery(context.Background(), issuer, lo, hi)
 		if err != nil {
 			t.Fatal(err)

@@ -38,7 +38,7 @@ func TestTopKReturnsHighestValues(t *testing.T) {
 			lo = max(0, hi-150)
 		}
 		k := 1 + rng.Intn(10)
-		issuer := eng.Network().RandomPeer(rng)
+		issuer := eng.Network().PeerIDAt(rng.Intn(eng.Network().Size()))
 		res, err := eng.TopK(context.Background(), issuer, []float64{lo}, []float64{hi}, k)
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +94,7 @@ func TestTopKDelayBounded(t *testing.T) {
 	eng, _ := buildSingle(t, 300, 600, 205)
 	rng := rand.New(rand.NewSource(206))
 	for trial := 0; trial < 20; trial++ {
-		issuer := eng.Network().RandomPeer(rng)
+		issuer := eng.Network().PeerIDAt(rng.Intn(eng.Network().Size()))
 		res, err := eng.TopK(context.Background(), issuer, []float64{0}, []float64{1000}, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -113,7 +113,7 @@ func TestFloodQueryMatchesRangeQuery(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		lo := rng.Float64() * 900
 		hi := lo + rng.Float64()*(1000-lo)
-		issuer := eng.Network().RandomPeer(rng)
+		issuer := eng.Network().PeerIDAt(rng.Intn(eng.Network().Size()))
 		pruned, err := eng.RangeQuery(context.Background(), issuer, []float64{lo}, []float64{hi})
 		if err != nil {
 			t.Fatal(err)

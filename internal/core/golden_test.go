@@ -278,7 +278,7 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 		if i%3 == 2 {
 			oid = kautz.Random(rng, testK)
 		}
-		issuer := net.RandomPeer(rng)
+		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		fresh := g.lookup("lookup", issuer, oid, base...)
 		if i%2 == 0 {
 			g.lookup("lookup-shortcut", issuer, oid, with(WithRouter(learnedOf(net, []kautz.Str{fresh.Owner})))...)
@@ -288,7 +288,7 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 	// Range queries (PIRA / MIRA box), flattened and runs-only.
 	for i := 0; i < 8; i++ {
 		lo, hi := goldenBox(rng, w.tree, frac)
-		issuer := net.RandomPeer(rng)
+		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		if i%4 == 3 {
 			g.rangeQ("range-runs", issuer, lo, hi, with(WithRunsOnly())...)
 		} else {
@@ -301,12 +301,12 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 	for a, s := range full {
 		flo[a], fhi[a] = s.Low, s.High
 	}
-	g.rangeQ("range-full", net.RandomPeer(rng), flo, fhi, base...)
+	g.rangeQ("range-full", net.PeerIDAt(rng.Intn(net.Size())), flo, fhi, base...)
 
 	// Paged walks with Limit and After, descending on every page.
 	for i := 0; i < 2; i++ {
 		lo, hi := goldenBox(rng, w.tree, frac*3)
-		issuer := net.RandomPeer(rng)
+		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		limit := 3 + rng.Intn(12)
 		var after kautz.Str
 		for page := 0; page < 6; page++ {
@@ -325,7 +325,7 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 	// Flood ablation, unpaged and paged.
 	for i := 0; i < 2; i++ {
 		lo, hi := goldenBox(rng, w.tree, frac)
-		issuer := net.RandomPeer(rng)
+		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		g.flood("flood", issuer, lo, hi, base...)
 		if i == 1 {
 			res := g.flood("flood-page", issuer, lo, hi, with(WithLimit(5))...)
@@ -338,20 +338,20 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 	// Top-k over wide and narrow ranges.
 	for i := 0; i < 4; i++ {
 		lo, hi := goldenBox(rng, w.tree, frac*float64(1+i))
-		g.topK("topk", net.RandomPeer(rng), lo, hi, 1+rng.Intn(8), base...)
+		g.topK("topk", net.PeerIDAt(rng.Intn(net.Size())), lo, hi, 1+rng.Intn(8), base...)
 	}
 
 	// A descent that teaches, then queries seeded from what it taught: the
 	// same region, paged walks over it, and narrower queries it covers.
 	for i := 0; i < 2; i++ {
 		lo, hi := goldenBox(rng, w.tree, frac*2)
-		issuer := net.RandomPeer(rng)
+		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		capt := learned{}
 		g.rangeQ("capture", issuer, lo, hi, with(WithRouter(capt))...)
 		if len(capt) == 0 {
 			t.Fatalf("%s: the descent taught nothing", name)
 		}
-		g.rangeQ("seeded", net.RandomPeer(rng), lo, hi, with(WithRouter(capt))...)
+		g.rangeQ("seeded", net.PeerIDAt(rng.Intn(net.Size())), lo, hi, with(WithRouter(capt))...)
 		var after kautz.Str
 		for page := 0; page < 3; page++ {
 			opts := with(WithRouter(capt), WithLimit(7))
@@ -376,7 +376,7 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 	// destinations by name (as a warmed table holds them), also paged.
 	for i := 0; i < 4; i++ {
 		lo, hi := goldenBox(rng, w.tree, frac)
-		issuer := net.RandomPeer(rng)
+		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		fresh := g.rangeQ("range", issuer, lo, hi, base...)
 		route := learnedOf(net, fresh.Destinations)
 		g.rangeQ("shortcut", issuer, lo, hi, with(WithRouter(route))...)

@@ -202,10 +202,11 @@ type page struct {
 	more bool
 }
 
-// need is the most matches a page holds: its limit and one slot of tie headroom.
+// need is the most matches a page holds: its limit. A tie at the cut grows
+// the page past it (fill).
 func (st *queryState) need() int {
 	if st.cfg.Limit > 0 {
-		return st.cfg.Limit + 1
+		return st.cfg.Limit
 	}
 	return math.MaxInt
 }

@@ -80,7 +80,7 @@ func TestFrontierSeededEquivalence(t *testing.T) {
 		net := w.eng.Network()
 		for trial := 0; trial < 12; trial++ {
 			lo, hi := goldenBox(rng, w.tree, 0.12)
-			issuer, l := net.RandomPeer(rng), learned{}
+			issuer, l := net.PeerIDAt(rng.Intn(net.Size())), learned{}
 			first := ranged(t, w.eng, issuer, lo, hi, WithLimit(25), WithRouter(l))
 			if first.Stats.DescentsSaved != 0 || len(l) != first.Stats.DestPeers {
 				t.Fatalf("first page: stats %+v, %d owners learned; want a descent that teaches every destination", first.Stats, len(l))
@@ -88,7 +88,7 @@ func TestFrontierSeededEquivalence(t *testing.T) {
 			after, dests := first.Next, first.Stats.DestPeers
 			for page := 2; after != ""; page++ {
 				fresh := ranged(t, w.eng, issuer, lo, hi, WithLimit(25), WithAfter(after))
-				seeded := ranged(t, w.eng, net.RandomPeer(rng), lo, hi, WithLimit(25), WithAfter(after), WithRouter(l))
+				seeded := ranged(t, w.eng, net.PeerIDAt(rng.Intn(net.Size())), lo, hi, WithLimit(25), WithAfter(after), WithRouter(l))
 				requireSeededEqual(t, fmt.Sprintf("trial %d page %d", trial, page), seeded, fresh)
 				if seeded.Stats.DestPeers > dests {
 					t.Fatalf("trial %d page %d: %d destinations after %d; a cursor only retires owners", trial, page, seeded.Stats.DestPeers, dests)
@@ -106,7 +106,7 @@ func TestShortcutSeededEquivalence(t *testing.T) {
 	seededWorlds(t, func(t *testing.T, w goldenWorld, rng *rand.Rand) {
 		for trial := 0; trial < 12; trial++ {
 			lo, hi := goldenBox(rng, w.tree, 0.1)
-			issuer, l := w.eng.Network().RandomPeer(rng), learned{}
+			issuer, l := w.eng.Network().PeerIDAt(rng.Intn(w.eng.Network().Size())), learned{}
 			ranged(t, w.eng, issuer, lo, hi, WithRouter(l))
 			nlo, nhi := make([]float64, len(lo)), make([]float64, len(lo))
 			for shrink := 0.0; shrink < 0.5; shrink += 0.15 {
@@ -125,7 +125,7 @@ func TestShortcutSeededEquivalence(t *testing.T) {
 // with identical results.
 func TestFrontierCoversRejectsWiderQuery(t *testing.T) {
 	eng, _ := buildSingle(t, 60, 400, 11)
-	issuer, l := eng.Network().RandomPeer(nil), learned{}
+	issuer, l := eng.Network().PeerIDAt(0), learned{}
 	narrowLo, narrowHi := []float64{300}, []float64{400}
 	ranged(t, eng, issuer, narrowLo, narrowHi, WithRouter(l))
 	if wide := ranged(t, eng, issuer, []float64{200}, []float64{600}, WithRouter(l)); wide.Stats.DescentsSaved != 0 {
@@ -144,7 +144,7 @@ func TestFrontierCoversRejectsWiderQuery(t *testing.T) {
 func TestFrontierEntriesClippedToOwners(t *testing.T) {
 	for replicas := 1; replicas <= 3; replicas++ {
 		w := buildGoldenWorld(t, 1, replicas, 100, 500, int64(17+replicas))
-		issuer, l := w.eng.Network().RandomPeer(nil), learned{}
+		issuer, l := w.eng.Network().PeerIDAt(0), learned{}
 		lo, hi := []float64{0}, []float64{1000}
 		full := ranged(t, w.eng, issuer, lo, hi, WithRouter(l))
 		mid := kautz.Str(full.Matches[len(full.Matches)/2].ID)
@@ -175,7 +175,7 @@ func TestShortcutMIRAGuard(t *testing.T) {
 	shed := 0
 	for trial := 0; trial < 20; trial++ {
 		lo, hi := goldenBox(rng, w.tree, 0.3)
-		issuer, l := w.eng.Network().RandomPeer(rng), learned{}
+		issuer, l := w.eng.Network().PeerIDAt(rng.Intn(w.eng.Network().Size())), learned{}
 		wide := ranged(t, w.eng, issuer, lo, hi, WithRouter(l))
 		a := trial % 2 // the attribute narrowed to the middle tenth of its span
 		c, d := (lo[a]+hi[a])/2, (hi[a]-lo[a])/20
@@ -199,7 +199,7 @@ func TestShortcutMIRAGuard(t *testing.T) {
 func TestShortcutLookup(t *testing.T) {
 	eng, objs := buildSingle(t, 80, 300, 23)
 	ctx := context.Background()
-	issuer := eng.Network().RandomPeer(nil)
+	issuer := eng.Network().PeerIDAt(0)
 	oid, err := eng.Tree().Hash(objs[0].Values[0])
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestShortcutLookup(t *testing.T) {
 func TestShortcutMissCostsNothing(t *testing.T) {
 	eng, _ := buildSingle(t, 100, 500, 29)
 	net := eng.Network()
-	issuer := net.RandomPeer(nil)
+	issuer := net.PeerIDAt(0)
 	lo, hi := []float64{100}, []float64{700}
 	fresh := ranged(t, eng, issuer, lo, hi)
 	if len(fresh.Destinations) < 3 {
@@ -286,7 +286,7 @@ func TestFrontierStaleEpochFallsBack(t *testing.T) {
 func TestShortcutReplicaServedWithoutRedirect(t *testing.T) {
 	w := buildGoldenWorld(t, 1, 2, 80, 400, 43)
 	net := w.eng.Network()
-	issuer := net.RandomPeer(nil)
+	issuer := net.PeerIDAt(0)
 	lo, hi := []float64{200}, []float64{800}
 	fresh := ranged(t, w.eng, issuer, lo, hi)
 	seeded := ranged(t, w.eng, issuer, lo, hi, WithRouter(learnedOf(net, fresh.Destinations)), WithReadPolicy(ReadRoundRobin))

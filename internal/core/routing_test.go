@@ -29,7 +29,7 @@ func TestRoutingDelay(t *testing.T) {
 		const trials = 300
 		for i := 0; i < trials; i++ {
 			oid := kautz.Random(rng, testK)
-			res, err := eng.Lookup(context.Background(), net.RandomPeer(rng), oid)
+			res, err := eng.Lookup(context.Background(), net.PeerIDAt(rng.Intn(net.Size())), oid)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestOverlapShortensRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(232))
 	better, worse := 0, 0
 	for i := 0; i < 200; i++ {
-		issuer := net.RandomPeer(rng)
+		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		// Object whose ID extends the issuer's own identifier: f is maximal,
 		// so the route length is at most |issuer| − f = 0 extra shifts plus
 		// the appended part.

@@ -50,12 +50,12 @@ func TestSlotsInvisibleUnderChurn(t *testing.T) {
 			case 0:
 				_, err = net.Join()
 			case 1:
-				err = net.Leave(net.RandomPeer(rng))
+				err = net.Leave(net.PeerIDAt(rng.Intn(net.Size())))
 			case 2:
-				err = net.FailAbrupt(net.RandomPeer(rng))
+				err = net.FailAbrupt(net.PeerIDAt(rng.Intn(net.Size())))
 			case 3:
 				// A cascade past its budget is refused, not an error here.
-				net.SplitRegion(net.RandomPeer(rng))
+				net.SplitRegion(net.PeerIDAt(rng.Intn(net.Size())))
 			}
 			if err != nil {
 				t.Fatalf("%s: step %d (op %d): %v", name, step, op, err)

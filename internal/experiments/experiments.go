@@ -135,7 +135,7 @@ func runPoint(cfg Config, netSize, rangeSize int, seed int64) (*pointMetrics, er
 	width := float64(rangeSize)
 	for q := 0; q < cfg.Queries; q++ {
 		lo := cfg.SpaceLow + rng.Float64()*(cfg.SpaceHigh-cfg.SpaceLow-width)
-		issuer := net.RandomPeer(rng)
+		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		res, err := eng.RangeQuery(context.Background(), issuer, []float64{lo}, []float64{lo + width})
 		if err != nil {
 			return nil, err

@@ -46,7 +46,7 @@ func DelayBounds(cfg Config) (*Figure, error) {
 			// Mix widths so the bound is exercised across query shapes.
 			width := []float64{2, 20, 200, 800}[q%4]
 			lo := cfg.SpaceLow + rng.Float64()*(cfg.SpaceHigh-cfg.SpaceLow-width)
-			res, err := eng.RangeQuery(context.Background(), net.RandomPeer(rng), []float64{lo}, []float64{lo + width})
+			res, err := eng.RangeQuery(context.Background(), net.PeerIDAt(rng.Intn(net.Size())), []float64{lo}, []float64{lo + width})
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +111,7 @@ func MIRAFigure(cfg Config) (*Figure, error) {
 				lo[j] = cfg.SpaceLow + rng.Float64()*(cfg.SpaceHigh-cfg.SpaceLow-width)
 				hi[j] = lo[j] + width
 			}
-			res, err := eng.RangeQuery(context.Background(), net.RandomPeer(rng), lo, hi)
+			res, err := eng.RangeQuery(context.Background(), net.PeerIDAt(rng.Intn(net.Size())), lo, hi)
 			if err != nil {
 				return nil, err
 			}
@@ -182,7 +182,7 @@ func AblationFigure(cfg Config) (*Figure, error) {
 			width := float64(cfg.FixedRange)
 			for q := 0; q < queries; q++ {
 				lo := cfg.SpaceLow + rng.Float64()*(cfg.SpaceHigh-cfg.SpaceLow-width)
-				issuer := net.RandomPeer(rng)
+				issuer := net.PeerIDAt(rng.Intn(net.Size()))
 				res, err := eng.RangeQuery(context.Background(), issuer, []float64{lo}, []float64{lo + width})
 				if err != nil {
 					return nil, err

@@ -233,15 +233,15 @@ func TestCoverTracksTopology(t *testing.T) {
 					_, err = n.Join()
 				case r < 70 && n.Size() > 40:
 					what = "leave"
-					err = n.Leave(n.RandomPeer(rng))
+					err = n.Leave(n.PeerIDAt(rng.Intn(n.Size())))
 				case r < 85 && n.Size() > 40:
 					what = "fail"
-					err = n.FailAbrupt(n.RandomPeer(rng))
+					err = n.FailAbrupt(n.PeerIDAt(rng.Intn(n.Size())))
 				case r < 99:
 					// A split may run into its cascade budget or the
 					// identifier-length ceiling: refused, nothing corrupted.
 					what = "split"
-					if _, _, _, err = n.SplitRegion(n.RandomPeer(rng)); err != nil && !errors.Is(err, ErrCorrupt) {
+					if _, _, _, err = n.SplitRegion(n.PeerIDAt(rng.Intn(n.Size()))); err != nil && !errors.Is(err, ErrCorrupt) {
 						err = nil
 					}
 				default:

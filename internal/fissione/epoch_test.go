@@ -27,7 +27,7 @@ func TestEpochBumpsOnTopologyChange(t *testing.T) {
 	}
 	e = n.Epoch()
 
-	if err := n.Leave(n.RandomPeer(nil)); err != nil {
+	if err := n.Leave(n.PeerIDAt(n.rng.Intn(n.Size()))); err != nil {
 		t.Fatal(err)
 	}
 	if n.Epoch() == e {
@@ -35,7 +35,7 @@ func TestEpochBumpsOnTopologyChange(t *testing.T) {
 	}
 	e = n.Epoch()
 
-	if err := n.FailAbrupt(n.RandomPeer(nil)); err != nil {
+	if err := n.FailAbrupt(n.PeerIDAt(n.rng.Intn(n.Size()))); err != nil {
 		t.Fatal(err)
 	}
 	if n.Epoch() == e {

@@ -23,7 +23,7 @@ func TestFailAbruptLosesOnlyCrashedPeersObjects(t *testing.T) {
 		}
 		owners[oid] = owner
 	}
-	victim := n.RandomPeer(rng)
+	victim := n.PeerIDAt(rng.Intn(n.Size()))
 	victimObjects := 0
 	for _, owner := range owners {
 		if owner == victim {
@@ -69,7 +69,7 @@ func TestRepeatedCrashesStayConsistent(t *testing.T) {
 	publishRandom(t, n, 2000, 307) // lost crash by crash: the record arena uncounts them
 	rng := rand.New(rand.NewSource(306))
 	for i := 0; i < 40; i++ {
-		if err := n.FailAbrupt(n.RandomPeer(rng)); err != nil {
+		if err := n.FailAbrupt(n.PeerIDAt(rng.Intn(n.Size()))); err != nil {
 			t.Fatalf("crash %d: %v", i, err)
 		}
 		if err := n.Audit(); err != nil {

@@ -240,15 +240,10 @@ func (n *Network) IDs(slots []int32) []kautz.Str {
 // slice is a copy.
 func (n *Network) PeerIDs() []kautz.Str { return n.IDs(n.order) }
 
-// RandomPeer returns a peer identifier drawn uniformly — by position in
-// ascending identifier order, so seeded draws do not depend on slot
-// numbering — from rng (or the network's own source when rng is nil).
-func (n *Network) RandomPeer(rng *rand.Rand) kautz.Str {
-	if rng == nil {
-		rng = n.rng
-	}
-	return n.nodes[n.order[rng.Intn(len(n.order))]].id
-}
+// PeerIDAt returns the identifier at position pos, in [0, Size()), of
+// ascending identifier order — PeerIDs()[pos] without the copy. A draw by
+// position does not depend on slot numbering.
+func (n *Network) PeerIDAt(pos int) kautz.Str { return n.nodes[n.order[pos]].id }
 
 // alloc gives a new peer named id a slot — a released one before nodes
 // grows — and registers the name. The caller places the slot in order. Like

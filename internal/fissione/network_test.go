@@ -295,7 +295,7 @@ func TestLeavePreservesObjects(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		id := n.RandomPeer(rng)
+		id := n.PeerIDAt(rng.Intn(n.Size()))
 		if err := n.Leave(id); err != nil {
 			t.Fatalf("leave %d (%q): %v", i, id, err)
 		}
@@ -345,7 +345,7 @@ func TestChurnSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for step := 0; step < 400; step++ {
 		if rng.Intn(2) == 0 && n.Size() > 10 {
-			if err := n.Leave(n.RandomPeer(rng)); err != nil {
+			if err := n.Leave(n.PeerIDAt(rng.Intn(n.Size()))); err != nil {
 				t.Fatalf("step %d leave: %v", step, err)
 			}
 		} else {
@@ -388,15 +388,29 @@ func TestOwnersIntersecting(t *testing.T) {
 	}
 }
 
-func TestRandomPeerUsesProvidedSource(t *testing.T) {
+// TestPeerIDAtFollowsPeerIDs: the positional accessor reads ascending
+// identifier order, through churn that reorders slots.
+func TestPeerIDAtFollowsPeerIDs(t *testing.T) {
 	n, err := BuildBalanced(16, 20, 47)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := n.RandomPeer(rand.New(rand.NewSource(1)))
-	b := n.RandomPeer(rand.New(rand.NewSource(1)))
-	if a != b {
-		t.Error("same seed should pick the same peer")
+	rng := rand.New(rand.NewSource(1))
+	for step := range 30 {
+		ids := n.PeerIDs()
+		for i, id := range ids {
+			if got := n.PeerIDAt(i); got != id {
+				t.Fatalf("step %d: PeerIDAt(%d) = %q, PeerIDs()[%d] = %q", step, i, got, i, id)
+			}
+		}
+		if step%3 == 0 {
+			err = n.Leave(ids[rng.Intn(len(ids))])
+		} else {
+			_, err = n.Join()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -147,13 +147,13 @@ func TestReplicationSurvivesChurn(t *testing.T) {
 			}
 		case op < 8: // graceful leave
 			if n.Size() > 10 {
-				if err := n.Leave(n.RandomPeer(rng)); err != nil {
+				if err := n.Leave(n.PeerIDAt(rng.Intn(n.Size()))); err != nil {
 					t.Fatalf("step %d: leave: %v", step, err)
 				}
 			}
 		case op < 9: // crash-stop — replication must absorb it
 			if n.Size() > 10 {
-				if err := n.FailAbrupt(n.RandomPeer(rng)); err != nil {
+				if err := n.FailAbrupt(n.PeerIDAt(rng.Intn(n.Size()))); err != nil {
 					t.Fatalf("step %d: fail: %v", step, err)
 				}
 			}

@@ -17,7 +17,7 @@ func churned(t *testing.T) *Network {
 	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 60; i++ {
-		if err := n.Leave(n.RandomPeer(rng)); err != nil {
+		if err := n.Leave(n.PeerIDAt(rng.Intn(n.Size()))); err != nil {
 			t.Fatal(err)
 		}
 		if i%3 != 0 {

@@ -32,11 +32,6 @@ import (
 // re-deriving them is the work a snapshot skips, and Audit's job. A forged
 // file can therefore load with tables its cover does not imply; mutating such
 // a network returns ErrCorrupt (refreshTables), it does not crash.
-//
-// The rng replay covers join draws only; a network that consumed its own
-// rng through RandomPeer(nil) will not replay those draws. Armada always
-// passes an explicit rng there, so snapshots taken through the armada
-// layer replay exactly.
 
 // snapshotMagic identifies and versions the snapshot format.
 const snapshotMagic = "ARMDSNP1"

@@ -127,7 +127,7 @@ func TestSnapshotBytesStable(t *testing.T) {
 	// which numbers its slots afresh.
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 30; i++ {
-		if err := n.Leave(n.RandomPeer(rng)); err != nil {
+		if err := n.Leave(n.PeerIDAt(rng.Intn(n.Size()))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := n.Join(); err != nil {
@@ -260,7 +260,7 @@ func TestSnapshotForgedCoverNeverPanics(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		n.Join()
 		if i%2 == 0 {
-			n.Leave(n.RandomPeer(rng))
+			n.Leave(n.PeerIDAt(rng.Intn(n.Size())))
 		}
 		for _, s := range n.order {
 			for _, nb := range n.neighbors(s) {
@@ -333,7 +333,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 6; i++ {
 			got.Join()
-			got.Leave(got.RandomPeer(rng))
+			got.Leave(got.PeerIDAt(rng.Intn(got.Size())))
 		}
 	})
 }

@@ -54,7 +54,7 @@ func BenchmarkOwnerOfChurned10k(b *testing.B) {
 		if _, err := n.Join(); err != nil {
 			b.Fatal(err)
 		}
-		if err := n.Leave(n.RandomPeer(rng)); err != nil {
+		if err := n.Leave(n.PeerIDAt(rng.Intn(n.Size()))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func BenchmarkJoinLeave10k(b *testing.B) {
 		if _, err := n.Join(); err != nil {
 			b.Fatal(err)
 		}
-		if err := n.Leave(n.RandomPeer(rng)); err != nil {
+		if err := n.Leave(n.PeerIDAt(rng.Intn(n.Size()))); err != nil {
 			b.Fatal(err)
 		}
 	}

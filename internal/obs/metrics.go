@@ -1,21 +1,53 @@
 // Package obs is Armada's observability substrate: a process-local metrics
-// registry (counters, gauges, bounded-bucket histograms — all lock-free
-// atomic updates, allocation-free on the hot path) and a query-lifecycle
+// registry (counters, gauges computed at read time, bounded-bucket
+// histograms — all lock-free, allocation-free updates) and a query-lifecycle
 // flight recorder (recorder.go). Components own their instruments and
 // register them by name; the registry is only the directory read by
 // exporters (the Prometheus text endpoint, expvar, the workload report's
 // metric deltas), so registration cost is paid once at construction and
 // never on an update.
+//
+// Every instrument is striped per P: it keeps cells whose words are a cache
+// line apart, and an update writes the cell of the P its goroutine runs on,
+// so concurrent queries on different Ps share no written line. Reads sum the
+// cells; they are exact once the writers are done, and monotonic between
+// two reads of one goroutine while they run.
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	_ "unsafe" // for go:linkname
 )
+
+// cells is the number of stripes of every instrument, a power of two: P p
+// updates cell p mod cells, so no two Ps share a cell while GOMAXPROCS ≤
+// cells (beyond, shared cells stay exact: updates are atomic).
+const cells = 8
+
+// cell is one stripe: a word at the end of a 64-byte cache line's worth of
+// padding, so the words of an array of cells are a line apart.
+type cell struct {
+	_ [7]uint64
+	v atomic.Uint64
+}
+
+// procPin pins the goroutine to its P, which it then cannot leave, and
+// returns the P's id; procUnpin releases it. sync.Pool stripes by P the same
+// way; the runtime keeps both names for linkname on purpose (golang/go#67401).
+//
+//go:linkname procPin runtime.procPin
+func procPin() int
+
+//go:linkname procUnpin runtime.procUnpin
+func procUnpin()
 
 // Metric is anything the registry can hold. The interface is closed: the
 // implementations in this package are the full set.
@@ -23,34 +55,29 @@ type Metric interface {
 	metricKind() string
 }
 
-// Counter is a monotonically increasing atomic counter. The zero value is
-// ready to use; updates are a single atomic add.
-type Counter struct{ v atomic.Int64 }
+// Counter is a monotonically increasing counter, striped per P. The zero
+// value is ready to use; an update is one atomic add to its P's cell.
+type Counter struct{ cells [cells]cell }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds d (d must be non-negative to keep the counter monotonic).
-func (c *Counter) Add(d int64) { c.v.Add(d) }
+func (c *Counter) Add(d int64) {
+	c.cells[procPin()&(cells-1)].v.Add(uint64(d))
+	procUnpin()
+}
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Value returns the current count: the sum of the cells.
+func (c *Counter) Value() int64 {
+	var n uint64
+	for i := range c.cells {
+		n += c.cells[i].v.Load()
+	}
+	return int64(n)
+}
 
 func (*Counter) metricKind() string { return "counter" }
-
-// Gauge is an atomic instantaneous value. The zero value is ready to use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by d (may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (*Gauge) metricKind() string { return "gauge" }
 
 // GaugeFunc is a gauge computed at read time — for values already
 // maintained elsewhere (e.g. the live peer count). The function must be
@@ -59,15 +86,14 @@ type GaugeFunc func() int64
 
 func (GaugeFunc) metricKind() string { return "gauge" }
 
-// Histogram is a fixed-bucket histogram with atomic, allocation-free
-// observation: one linear scan of the (small, immutable) bound slice, one
-// atomic bucket increment, one atomic count increment and a CAS loop for
-// the float sum. Create with NewHistogram.
+// Histogram is a fixed-bucket histogram with lock-free, allocation-free
+// observation, striped per P: one linear scan of the (small, immutable)
+// bound slice, then, in the P's cells, one atomic bucket increment and a CAS
+// for the float sum that no other P contends. Create with NewHistogram.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds; bucket i counts v <= bounds[i]
-	buckets []atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Uint64 // float64 bits
+	buckets []Counter // one per bound, then the implicit +Inf bucket; Count is their total
+	sum     [cells]cell
 }
 
 // NewHistogram builds a histogram with the given ascending bucket upper
@@ -84,7 +110,7 @@ func NewHistogram(bounds ...float64) *Histogram {
 	}
 	return &Histogram{
 		bounds:  append([]float64(nil), bounds...),
-		buckets: make([]atomic.Int64, len(bounds)+1),
+		buckets: make([]Counter, len(bounds)+1),
 	}
 }
 
@@ -94,35 +120,44 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
+	p := procPin() & (cells - 1)
+	h.buckets[i].cells[p].v.Add(1)
+	sum := &h.sum[p].v
+	for old := sum.Load(); !sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)); {
+		old = sum.Load()
 	}
+	procUnpin()
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Value()
+	}
+	return n
+}
 
 // Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+func (h *Histogram) Sum() float64 {
+	var s float64
+	for i := range h.sum {
+		s += math.Float64frombits(h.sum[i].v.Load())
+	}
+	return s
+}
 
 // Buckets returns the bucket upper bounds and the cumulative count at or
 // below each (Prometheus le semantics), excluding the implicit +Inf bucket
 // whose cumulative count is Count.
 func (h *Histogram) Buckets() (bounds []float64, cumulative []int64) {
-	bounds = h.bounds
 	cumulative = make([]int64, len(h.bounds))
 	var c int64
 	for i := range h.bounds {
-		c += h.buckets[i].Load()
+		c += h.buckets[i].Value()
 		cumulative[i] = c
 	}
-	return bounds, cumulative
+	return h.bounds, cumulative
 }
 
 func (*Histogram) metricKind() string { return "histogram" }
@@ -130,15 +165,17 @@ func (*Histogram) metricKind() string { return "histogram" }
 // Registry is a named directory of metrics. Registration locks; reads
 // (CounterValues, WritePrometheus) lock only the directory, not updates.
 type Registry struct {
-	mu    sync.Mutex
-	named map[string]Metric
-	order []string // registration order, for stable export
+	mu      sync.Mutex
+	entries []entry // registration order, for stable export; append-only
+}
+
+type entry struct {
+	name string
+	m    Metric
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{named: make(map[string]Metric)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // MustRegister adds a metric under name, panicking on a duplicate name or
 // nil metric — both construction-time bugs.
@@ -148,24 +185,18 @@ func (r *Registry) MustRegister(name string, m Metric) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.named[name]; dup {
+	if slices.ContainsFunc(r.entries, func(e entry) bool { return e.name == name }) {
 		panic("obs: duplicate metric " + name)
 	}
-	r.named[name] = m
-	r.order = append(r.order, name)
+	r.entries = append(r.entries, entry{name, m})
 }
 
-// snapshot copies the directory under the lock so exporters read metric
-// values without holding it.
-func (r *Registry) snapshot() (names []string, named map[string]Metric) {
+// snapshot returns the directory as registered so far. An entry never
+// changes once appended, so exporters read it without the lock.
+func (r *Registry) snapshot() []entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names = append([]string(nil), r.order...)
-	named = make(map[string]Metric, len(r.named))
-	for k, v := range r.named {
-		named[k] = v
-	}
-	return names, named
+	return r.entries[:len(r.entries):len(r.entries)]
 }
 
 // CounterValues returns every monotonic value in the registry: counters,
@@ -173,19 +204,19 @@ func (r *Registry) snapshot() (names []string, named map[string]Metric) {
 // (<name>_le_<bound>, plus <name>_le_inf). Gauges are excluded, so any two
 // snapshots may be subtracted to get an interval delta.
 func (r *Registry) CounterValues() map[string]int64 {
-	names, named := r.snapshot()
-	out := make(map[string]int64, len(names))
-	for _, name := range names {
-		switch m := named[name].(type) {
+	entries := r.snapshot()
+	out := make(map[string]int64, len(entries))
+	for _, e := range entries {
+		switch m := e.m.(type) {
 		case *Counter:
-			out[name] = m.Value()
+			out[e.name] = m.Value()
 		case *Histogram:
-			out[name+"_count"] = m.Count()
-			bounds, cum := m.Buckets()
+			bounds, cum := m.Buckets() // before the count, so no bucket reads above it
 			for i, b := range bounds {
-				out[name+"_le_"+formatBound(b)] = cum[i]
+				out[e.name+"_le_"+boundName.Replace(formatFloat(b))] = cum[i]
 			}
-			out[name+"_le_inf"] = m.Count()
+			n := m.Count()
+			out[e.name+"_count"], out[e.name+"_le_inf"] = n, n
 		}
 	}
 	return out
@@ -194,60 +225,28 @@ func (r *Registry) CounterValues() map[string]int64 {
 // WritePrometheus writes the registry in the Prometheus text exposition
 // format (version 0.0.4), metrics in registration order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	names, named := r.snapshot()
-	for _, name := range names {
-		m := named[name]
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, m.metricKind()); err != nil {
-			return err
-		}
-		var err error
-		switch m := m.(type) {
+	var b bytes.Buffer
+	for _, e := range r.snapshot() {
+		fmt.Fprintf(&b, "# TYPE %s %s\n", e.name, e.m.metricKind())
+		switch m := e.m.(type) {
 		case *Counter:
-			_, err = fmt.Fprintf(w, "%s %d\n", name, m.Value())
-		case *Gauge:
-			_, err = fmt.Fprintf(w, "%s %d\n", name, m.Value())
+			fmt.Fprintf(&b, "%s %d\n", e.name, m.Value())
 		case GaugeFunc:
-			_, err = fmt.Fprintf(w, "%s %d\n", name, m())
+			fmt.Fprintf(&b, "%s %d\n", e.name, m())
 		case *Histogram:
 			bounds, cum := m.Buckets()
-			for i, b := range bounds {
-				if _, err = fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(b), cum[i]); err != nil {
-					return err
-				}
+			for i, bound := range bounds {
+				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", e.name, formatFloat(bound), cum[i])
 			}
-			if _, err = fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, m.Count()); err != nil {
-				return err
-			}
-			if _, err = fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(m.Sum())); err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "%s_count %d\n", name, m.Count())
-		}
-		if err != nil {
-			return err
+			fmt.Fprintf(&b, "%[1]s_bucket{le=\"+Inf\"} %[2]d\n%[1]s_sum %[3]s\n%[1]s_count %[2]d\n", e.name, m.Count(), formatFloat(m.Sum()))
 		}
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// formatBound renders a bucket bound as a metric-name suffix: "0.5" → "0_5"
+// boundName renders a bucket bound as a metric-name suffix: "0.5" → "0_5"
 // so the flattened CounterValues keys stay identifier-shaped.
-func formatBound(f float64) string {
-	s := formatFloat(f)
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '.':
-			out = append(out, '_')
-		case '+':
-			// skip
-		case '-':
-			out = append(out, 'm')
-		default:
-			out = append(out, s[i])
-		}
-	}
-	return string(out)
-}
+var boundName = strings.NewReplacer(".", "_", "+", "", "-", "m")

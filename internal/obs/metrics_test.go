@@ -2,23 +2,21 @@ package obs
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterGauge(t *testing.T) {
 	reg := NewRegistry()
 	var c Counter
-	var g Gauge
 	reg.MustRegister("ops_total", &c)
-	reg.MustRegister("inflight", &g)
 	reg.MustRegister("peers", GaugeFunc(func() int64 { return 42 }))
 
 	c.Inc()
 	c.Add(4)
-	g.Set(7)
-	g.Add(-2)
 
 	// The text exposition carries every kind; CounterValues must exclude
 	// gauges, so deltas of its snapshots stay meaningful.
@@ -26,15 +24,12 @@ func TestCounterGauge(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"ops_total 5\n", "inflight 5\n", "peers 42\n"} {
+	for _, want := range []string{"ops_total 5\n", "peers 42\n"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("exposition lacks %q:\n%s", want, buf.String())
 		}
 	}
 	cv := reg.CounterValues()
-	if _, ok := cv["inflight"]; ok {
-		t.Errorf("CounterValues includes gauge: %v", cv)
-	}
 	if _, ok := cv["peers"]; ok {
 		t.Errorf("CounterValues includes gauge func: %v", cv)
 	}
@@ -96,10 +91,9 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 func TestRegistryConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	var c Counter
-	var g Gauge
 	h := NewHistogram(1, 10, 100)
 	reg.MustRegister("c_total", &c)
-	reg.MustRegister("g", &g)
+	reg.MustRegister("g", GaugeFunc(c.Value))
 	reg.MustRegister("h", h)
 
 	const (
@@ -113,7 +107,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i % 128))
 			}
 		}(w)
@@ -148,9 +141,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	total := int64(writers * perW)
 	if got := c.Value(); got != total {
 		t.Errorf("counter = %d, want %d", got, total)
-	}
-	if got := g.Value(); got != total {
-		t.Errorf("gauge = %d, want %d", got, total)
 	}
 	if got := h.Count(); got != total {
 		t.Errorf("histogram count = %d, want %d", got, total)
@@ -201,7 +191,7 @@ func TestFormatBound(t *testing.T) {
 	for in, want := range map[float64]string{
 		0.5: "0_5", 1: "1", 2.25: "2_25", 1e21: "1e21",
 	} {
-		if got := formatBound(in); got != want {
+		if got := boundName.Replace(formatFloat(in)); got != want {
 			t.Errorf("formatBound(%v) = %q, want %q", in, got, want)
 		}
 	}
@@ -219,7 +209,7 @@ func TestCounterValuesMonotonicDeltas(t *testing.T) {
 	h := NewHistogram(1, 10, 100)
 	reg.MustRegister("deltas_total", &c)
 	reg.MustRegister("deltas_hist", h)
-	reg.MustRegister("deltas_gauge", &Gauge{}) // must never appear in CounterValues
+	reg.MustRegister("deltas_gauge", GaugeFunc(c.Value)) // must never appear in CounterValues
 
 	const (
 		writers = 6
@@ -287,5 +277,70 @@ func TestCounterValuesMonotonicDeltas(t *testing.T) {
 	}
 	if got, want := last["deltas_hist_le_inf"], last["deltas_hist_count"]; got != want {
 		t.Errorf("le_inf bucket %d != observation count %d", got, want)
+	}
+}
+
+// TestStripedExact: GOMAXPROCS goroutines update one counter and one
+// histogram at once; the reads sum the cells and must be
+// exact — every bucket, the count, and the sum of integer observations.
+func TestStripedExact(t *testing.T) {
+	const perG = 20000
+	var c Counter
+	h := NewHistogram(1, 10, 100)
+	g := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for w := range g {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perG {
+				c.Inc()
+				h.Observe(float64((w + i) % 128))
+			}
+		}()
+	}
+	wg.Wait()
+	var want [4]int64 // ≤1, ≤10, ≤100, +Inf
+	var sum float64
+	for w := range g {
+		for i := range perG {
+			v := (w + i) % 128
+			sum += float64(v)
+			switch {
+			case v <= 1:
+				want[0]++
+			case v <= 10:
+				want[1]++
+			case v <= 100:
+				want[2]++
+			default:
+				want[3]++
+			}
+		}
+	}
+	total := int64(g * perG)
+	if c.Value() != total || h.Count() != total {
+		t.Fatalf("counter %d, histogram count %d, want %d", c.Value(), h.Count(), total)
+	}
+	if h.Sum() != sum {
+		t.Errorf("sum = %v, want %v", h.Sum(), sum)
+	}
+	_, cum := h.Buckets()
+	for i, n := range cum {
+		if i > 0 {
+			want[i] += want[i-1]
+		}
+		if n != want[i] {
+			t.Errorf("cumulative bucket %d = %d, want %d", i, n, want[i])
+		}
+	}
+}
+
+// TestCellsOwnTheirLines: the words of an instrument's cells are a cache
+// line apart, so no two cells share a line.
+func TestCellsOwnTheirLines(t *testing.T) {
+	var c cell
+	if size, off := unsafe.Sizeof(c), unsafe.Offsetof(c.v); size != 64 || off != 56 {
+		t.Fatalf("cell is %d bytes with its word at %d, want 64 and 56", size, off)
 	}
 }

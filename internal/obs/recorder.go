@@ -100,11 +100,10 @@ type Event struct {
 type Recorder struct {
 	start time.Time
 
-	mu      sync.Mutex
-	buf     []Event
-	next    int // index the next event lands at
-	wrapped bool
-	total   Counter
+	mu    sync.Mutex
+	buf   []Event
+	next  int // once the ring is full, the index the next event lands at: its oldest
+	total Counter
 }
 
 // NewRecorder builds a recorder holding the last capacity events
@@ -126,11 +125,7 @@ func (r *Recorder) Record(ev Event) {
 		r.buf = append(r.buf, ev)
 	} else {
 		r.buf[r.next] = ev
-		r.next++
-		r.wrapped = true
-		if r.next == len(r.buf) {
-			r.next = 0
-		}
+		r.next = (r.next + 1) % len(r.buf)
 	}
 	r.mu.Unlock()
 }
@@ -147,13 +142,7 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Event, 0, len(r.buf))
-	if r.wrapped {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
-	}
-	return out
+	return append(append(out, r.buf[r.next:]...), r.buf[:r.next]...)
 }
 
 // chromeEvent is one entry of the Chrome trace-event JSON format

@@ -127,7 +127,7 @@ func (t *Tree) prefixOf(key uint32, l int) string {
 // (the querying client's resolver) and returns the node, creating it if
 // requested.
 func (t *Tree) access(label string, create bool, stats *Stats) (*node, int) {
-	issuer := t.eng.Network().RandomPeer(t.rng)
+	issuer := t.eng.Network().PeerIDAt(t.rng.Intn(t.eng.Network().Size()))
 	oid := kautz.Hash("pht:"+label, t.eng.Network().K())
 	res, err := t.eng.Lookup(context.Background(), issuer, oid)
 	hops := 0

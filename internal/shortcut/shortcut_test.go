@@ -343,11 +343,11 @@ func TestSeedingMatchesLongestPrefixReference(t *testing.T) {
 				case 0:
 					w.net.Join()
 				case 1:
-					w.net.Leave(w.net.RandomPeer(rng))
+					w.net.Leave(w.net.PeerIDAt(rng.Intn(w.net.Size())))
 				case 2:
-					w.net.FailAbrupt(w.net.RandomPeer(rng))
+					w.net.FailAbrupt(w.net.PeerIDAt(rng.Intn(w.net.Size())))
 				case 3:
-					w.net.SplitRegion(w.net.RandomPeer(rng))
+					w.net.SplitRegion(w.net.PeerIDAt(rng.Intn(w.net.Size())))
 				}
 				continue
 			}
@@ -401,7 +401,7 @@ func TestConcurrentHitsAndLearns(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 400; i++ {
 				lo := float64(rng.Intn(12)) * 80
-				issuer := w.net.RandomPeer(rng)
+				issuer := w.net.PeerIDAt(rng.Intn(w.net.Size()))
 				warm, err := w.eng.RangeQuery(context.Background(), issuer, []float64{lo}, []float64{lo + 25}, core.WithRouter(tb))
 				if err != nil {
 					t.Error(err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"armada/internal/obs"
@@ -241,5 +242,54 @@ func TestDelayBoundConformance(t *testing.T) {
 		if v := mv["delay_bound_violations"]; v != 0 {
 			t.Errorf("peers=%d: delay_bound_violations = %d, want 0", peers, v)
 		}
+	}
+}
+
+// TestParallelQueriesCountExactly: G goroutines run Q lookups each on a
+// cached network, and every per-query instrument — striped per P — counts
+// each query exactly once: the engine's descended plus seeded queries, its
+// hop-delay histogram, the delay-bound histogram, and the route cache's hits
+// plus misses.
+func TestParallelQueriesCountExactly(t *testing.T) {
+	const g, q = 8, 300
+	net := buildQueryNet(t, 400, 800, WithShortcutTable(400))
+	ctx := context.Background()
+	if _, err := net.Do(ctx, NewRange([]Range{{Low: 0, High: 1000}})); err != nil {
+		t.Fatal(err)
+	}
+	before := net.MetricValues()
+	var wg sync.WaitGroup
+	for w := range g {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range q {
+				if _, err := net.Do(ctx, NewValueLookup([]float64{float64((w*q + i) % 1000)})); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	after := net.MetricValues()
+	delta := func(names ...string) (n int64) {
+		for _, name := range names {
+			n += after[name] - before[name]
+		}
+		return n
+	}
+	for _, names := range [][]string{
+		{"engine_descents_total", "engine_seeded_queries_total"},
+		{"engine_hop_delay_count"},
+		{"query_delay_vs_bound_count"},
+		{"shortcut_hits_total", "shortcut_misses_total"},
+	} {
+		if got := delta(names...); got != g*q {
+			t.Errorf("%v: %d, want %d", names, got, g*q)
+		}
+	}
+	if delta("shortcut_hits_total") == 0 {
+		t.Error("no lookup was served by the cache")
 	}
 }

@@ -43,6 +43,10 @@ const objectIDLength = 32
 
 // WithSeed fixes the pseudo-random seed used for network construction and
 // default issuer selection, making runs reproducible. The default is 1.
+// Issuers are draws of one sequence (RandomPeer, and every query without an
+// issuer): draw i is splitmix64(seed + i·0x9e3779b97f4a7c15) scaled onto the
+// peers in identifier order, so from a single goroutine the issuers drawn
+// depend only on the seed; concurrent queries share out the draws.
 func WithSeed(seed int64) Option {
 	return optionFunc(func(c *config) error {
 		c.seed = seed

@@ -417,3 +417,48 @@ func FuzzOffsetID(f *testing.F) {
 		}
 	})
 }
+
+// TestFullPageSizedAtLimit: a page cut with no tie is allocated at exactly
+// its limit — one descended page over one run or many, and every positional
+// page of a session walk. A tie at the cut is the only thing that grows a
+// page past it (TestPaginationTies).
+func TestFullPageSizedAtLimit(t *testing.T) {
+	net := pagedNetwork(t, 2500)
+	ctx := context.Background()
+	for _, r := range []Range{{Low: 500, High: 505}, {Low: 100, High: 900}} {
+		for _, limit := range []int{1, 7, 256} {
+			page, err := net.Do(ctx, NewRange([]Range{r}, WithLimit(limit)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(page.Objects); n == limit && cap(page.Objects) != limit {
+				t.Errorf("range %v limit %d: full page has cap %d", r, limit, cap(page.Objects))
+			} else if n < limit && page.NextOffsetID != "" {
+				t.Errorf("range %v limit %d: short page of %d with a cursor", r, limit, n)
+			}
+		}
+	}
+	sess, err := net.OpenSession(NewRange([]Range{{Low: 100, High: 900}}), WithLimit(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := 0
+	for {
+		page, err := sess.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(page.Objects) == 256 {
+			full++
+			if cap(page.Objects) != 256 {
+				t.Errorf("session page %d: full page has cap %d", full, cap(page.Objects))
+			}
+		}
+		if page.NextOffsetID == "" {
+			break
+		}
+	}
+	if full < 4 {
+		t.Fatalf("only %d full pages; the walk is too short to test", full)
+	}
+}

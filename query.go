@@ -98,7 +98,8 @@ type Query struct {
 	// (all kinds except KindLookup).
 	Ranges []Range
 	// Issuer is the peer the query starts from; empty means a uniformly
-	// random peer.
+	// random peer, the next draw of the network's seeded sequence (WithSeed,
+	// RandomPeer), taken without a lock.
 	Issuer string
 	// K is the result limit for KindTopK.
 	K int

@@ -781,6 +781,44 @@ func TestRandomPeerConcurrentWithQueries(t *testing.T) {
 	wg.Wait()
 }
 
+// TestIssuerDrawIsSeeded: the default-issuer draw is a function of the seed —
+// one seed gives the same 10k draws on two networks, spread evenly over the
+// peers (a chi-square test), and another seed gives another sequence.
+func TestIssuerDrawIsSeeded(t *testing.T) {
+	const peers, draws = 200, 10000
+	seq := func(seed int64) (ids, out []string) {
+		net, err := NewNetwork(peers, WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = make([]string, draws)
+		for i := range out {
+			out[i] = net.RandomPeer()
+		}
+		return net.PeerIDs(), out
+	}
+	ids, a := seq(7)
+	if _, again := seq(7); !reflect.DeepEqual(a, again) {
+		t.Fatal("one seed drew two sequences")
+	}
+	if _, b := seq(8); reflect.DeepEqual(a[:100], b[:100]) {
+		t.Fatal("two seeds drew one sequence")
+	}
+	counts := make(map[string]int)
+	for _, id := range a {
+		counts[id]++
+	}
+	// 199 degrees of freedom: mean 199, sd √398 ≈ 20; refuse beyond 5 sd.
+	want, chi2 := float64(draws)/peers, 0.0
+	for _, id := range ids {
+		d := float64(counts[id]) - want
+		chi2 += d * d / want
+	}
+	if len(counts) != peers || chi2 > 199+5*20 {
+		t.Errorf("%d of %d peers drawn, chi-square %.1f: the draw is not uniform", len(counts), peers, chi2)
+	}
+}
+
 func TestQueryKindString(t *testing.T) {
 	for k, want := range map[QueryKind]string{
 		KindLookup: "lookup", KindRange: "range", KindTopK: "top-k",

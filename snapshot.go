@@ -3,7 +3,6 @@ package armada
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"armada/internal/core"
 	"armada/internal/fissione"
@@ -37,7 +36,7 @@ func assemble(net *fissione.Network, cfg config) (*Network, error) {
 		net:  net,
 		tree: tree,
 		eng:  eng,
-		rng:  rand.New(rand.NewSource(cfg.seed + 1)),
+		seed: uint64(cfg.seed),
 	}
 	if capacity := cfg.shortcutTable + cfg.frontierCache; capacity > 0 {
 		nw.routes = shortcut.NewTable(capacity)
