@@ -248,7 +248,7 @@ func (n *Network) publishLocked(name string, values []float64) error {
 	if len(values) != n.tree.Attrs() {
 		return fmt.Errorf("%w: got %d values, want %d", ErrBadArity, len(values), n.tree.Attrs())
 	}
-	// A publish allocates nothing: the naming walk writes the ObjectID here, the
+	// A publish allocates nothing: naming writes the ObjectID here, the
 	// store copies it and the name into its record chunk, the values into its column.
 	var id [kautz.MaxRankLen]byte
 	key, err := n.tree.HashInto(&id, values...)

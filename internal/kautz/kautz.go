@@ -15,8 +15,10 @@
 package kautz
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 )
@@ -258,13 +260,48 @@ func FromRank(r uint64, k int) (Str, error) {
 	if r >= SpaceSize(k) {
 		return "", fmt.Errorf("%w: rank %d out of range for k=%d", ErrBadLen, r, k)
 	}
-	b := make([]byte, k)
-	b[0] = byte('0' + r>>uint(k-1))
-	for i := 1; i < k; i++ {
-		bit := (r >> uint(k-1-i)) & 1
-		b[i] = nextSymbols(b[i-1])[bit]
+	var b [MaxRankLen]byte
+	PutRank(&b, r, k)
+	return Str(b[:k]), nil
+}
+
+// PutRank is FromRank into the caller's array, with no check of r and k: it
+// writes the string to dst[:k], every symbol at once. Bit j of r's lower
+// k−1 picks symbol j among the two that may follow symbol j−1: a 0 the
+// smaller (1 after 0, else 0), a 1 the larger (1 after 2, else 2). So a run
+// of equal bits spells 0 1 0 … (0s) or 2 1 2 … (1s) from its start: symbol
+// j is f or 2−f, f the parity of j's offset in its run. The first symbol is
+// a run's start for its bit s₀>>1 when 0 or 2, and 1 is the end of one.
+func PutRank(dst *[MaxRankLen]byte, r uint64, k int) {
+	const odd = 0xaaaaaaaaaaaaaaaa
+	all := uint64(1)<<k - 1
+	s0 := r >> (k - 1)
+	b := bits.Reverse64(r&(all>>1))>>(64-k) | s0>>1  // bit j is symbol j's, in string order
+	cont := ^(b ^ b<<1) & (all - 1) &^ (s0 & 1 << 1) // j continues j−1's run
+	// A 1 added at the second position of each run that starts at an odd
+	// position carries through the run, so cont &^ the sum is the rest of
+	// those runs; with their starts, 1 across every odd-started run, which
+	// XOR odd turns into each offset's parity (0 at s₀, whose own low bit
+	// comes in below).
+	oddStarts := ^cont & all & odd
+	f := (cont&^(cont+oddStarts<<1&cont) | oddStarts) ^ odd&all
+	low, high := f|s0&1, b&^f
+	for i := 0; i < k; i += 8 {
+		w := 0x3030303030303030 + bytesOf(low>>i&0xff) + 2*bytesOf(high>>i&0xff)
+		if k-i >= 8 {
+			binary.LittleEndian.PutUint64(dst[i:], w)
+			continue
+		}
+		for j := i; j < k; j++ {
+			dst[j] = byte(w)
+			w >>= 8
+		}
 	}
-	return Str(b), nil
+}
+
+// bytesOf puts bit i of x (< 256) in byte i, as 0 or 1.
+func bytesOf(x uint64) uint64 {
+	return (x*0x0101010101010101&0x8040201008040201 + 0x7f7f7f7f7f7f7f7f) >> 7 & 0x0101010101010101
 }
 
 // Enumerate returns all Kautz strings of length k in ascending order. It is

@@ -3,6 +3,7 @@ package kautz
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -88,15 +89,34 @@ func TestEnumerateSortedValidComplete(t *testing.T) {
 	}
 }
 
+// TestRankFromRankRoundTrip holds FromRank to Rank, which reads a string
+// symbol by symbol: every rank up to length 7, then the ends and random
+// ranks at every length to MaxRankLen, each a valid string that ranks back
+// to r — and PutRank writes nothing past dst[:k].
 func TestRankFromRankRoundTrip(t *testing.T) {
-	for k := 1; k <= 7; k++ {
-		for r := uint64(0); r < SpaceSize(k); r++ {
+	rng := rand.New(rand.NewSource(3))
+	for k := 1; k <= MaxRankLen; k++ {
+		ranks := []uint64{0, SpaceSize(k) - 1, SpaceSize(k) / 3, 2 * SpaceSize(k) / 3}
+		for r := uint64(0); r < 300; r++ {
+			if k <= 7 {
+				ranks = append(ranks, r%SpaceSize(k))
+			} else {
+				ranks = append(ranks, rng.Uint64()%SpaceSize(k))
+			}
+		}
+		for _, r := range ranks {
 			s, err := FromRank(r, k)
 			if err != nil {
 				t.Fatalf("FromRank(%d,%d): %v", r, k, err)
 			}
-			if got := Rank(s); got != r {
-				t.Fatalf("Rank(FromRank(%d,%d)) = %d", r, k, got)
+			if got := Rank(s); got != r || !Valid(s) || len(s) != k {
+				t.Fatalf("FromRank(%d,%d) = %q, of rank %d", r, k, s, got)
+			}
+			var dst [MaxRankLen]byte
+			copy(dst[:], strings.Repeat("x", MaxRankLen))
+			PutRank(&dst, r, k)
+			if string(dst[:]) != string(s)+strings.Repeat("x", MaxRankLen-k) {
+				t.Fatalf("PutRank(%d,%d) wrote %q", r, k, dst)
 			}
 		}
 	}

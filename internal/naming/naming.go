@@ -20,6 +20,7 @@
 package naming
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -64,6 +65,18 @@ var (
 type Tree struct {
 	k      int
 	spaces []Space
+	// starts holds each attribute's halvings in closed form: attribute 0's
+	// under each of the root's thirds, then attribute a's at starts[a+2].
+	starts []bisection
+}
+
+// bisection is the n levels that halve one attribute's start interval
+// [lo, hi] in closed form: they put v in leaf ⌊r⌋ of 2ⁿ, r = (v−lo)·scale
+// with scale = 2ⁿ/(hi−lo) and top = 2ⁿ, wherever r's fraction lies in
+// [margin, 1−margin] (HashInto); shift places the leaf's last bit in the rank.
+type bisection struct {
+	lo, scale, top, margin float64
+	shift                  uint
 }
 
 // NewTree builds a partition tree of depth k over the given attribute
@@ -84,9 +97,39 @@ func NewTree(k int, spaces ...Space) (*Tree, error) {
 			return nil, fmt.Errorf("%w: attribute %d: [%v, %v]", ErrBadSpace, i, s.Low, s.High)
 		}
 	}
-	cp := make([]Space, len(spaces))
-	copy(cp, spaces)
-	return &Tree{k: k, spaces: cp}, nil
+	m := len(spaces)
+	t := &Tree{k: k, spaces: append([]Space(nil), spaces...), starts: make([]bisection, m+2)}
+	for a, s := range spaces {
+		// Level j ≥ 1 splits attribute j mod m: attribute a's n levels run by
+		// m from its first (m for attribute 0) to its last, shift above k−1.
+		first := cmp.Or(a, m)
+		n := (k - 1 - first + m) / m
+		shift := uint(k - 1 - first - m*(n-1))
+		mag := math.Max(math.Abs(s.Low), math.Abs(s.High))
+		if a > 0 {
+			t.starts[a+2] = newBisection(s.Low, s.High, mag, uint(n), shift)
+			continue
+		}
+		for idx := range 3 {
+			lo, hi := rootBounds(s.Low, s.High, idx)
+			t.starts[idx] = newBisection(lo, hi, mag, uint(n), shift)
+		}
+	}
+	return t, nil
+}
+
+// newBisection returns the closed form of n halvings of [lo, hi] in a space
+// whose bounds are at most mag in magnitude, with the margin HashInto
+// derives, or off (1) past 52 levels or at a margin of 1/64 or more.
+func newBisection(lo, hi, mag float64, n, shift uint) bisection {
+	const u, tiny = 0x1p-53, 0x1p-1074 // the unit roundoff; a subnormal halving's rounding
+	top, w := math.Ldexp(1, int(n)), hi-lo
+	b := bisection{lo: lo, scale: top / w, top: top, margin: 1, shift: shift}
+	drift := float64(n)*(u*(w/2+mag)+tiny) + 2*u*(w+mag)
+	if margin := 2 * (drift*b.scale + 5*u*top); n <= 52 && margin < 1.0/64 {
+		b.margin = margin
+	}
+	return b
 }
 
 // NewSingleTree builds the single-attribute tree used by Single_hash.
@@ -122,26 +165,15 @@ func childIndex(prev, c byte) int {
 	return idx
 }
 
-// edgeLabels[2·(p−'0')+i] is edge label i (ascending) under a node whose
-// incoming edge is p: the two symbols other than p.
-const edgeLabels = "120201"
-
-// stackAttrs is the arity up to which the per-call scratch of Hash and
+// stackAttrs is the arity up to which the per-call scratch of HashRank and
 // IntersectsPrefix lives on the stack.
 const stackAttrs = 4
 
 // Hash maps an m-attribute value to its ObjectID: the label of the leaf
 // whose subspace contains it. This is Single_hash for m = 1 and
 // Multiple_hash otherwise. Values are clamped to their attribute spaces;
-// non-finite values are rejected.
-//
-// Only the root's three-way split divides. Below it a node halves one
-// attribute's interval [lo, hi] of width d, and the upper half holds v
-// exactly when 2·(v−lo) ≥ d: doubling is exact, and the quotient 2·(v−lo)/d
-// cannot round up to 1 from below (under 1 it is at most 1 − 2⁻⁵³, which is
-// representable), so the comparison picks the piece the quotient's integer
-// part would; d·0.5 is d/2 bit for bit. Labels and intervals are those of
-// the dividing walk the tests keep as reference (FuzzHashMatchesReference).
+// non-finite values are rejected. The label is derived from the rank
+// HashRank computes (HashInto says how).
 func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
 	var label [kautz.MaxRankLen]byte // NewTree bounds k by MaxRankLen
 	if _, err := t.HashInto(&label, values...); err != nil {
@@ -151,22 +183,12 @@ func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
 }
 
 // HashRank is Hash for a caller that positions by integer: the ObjectID's
-// rank (kautz.Rank of the label Hash returns), with no string built.
+// rank (kautz.Rank of the label Hash returns), with no label built.
 func (t *Tree) HashRank(values ...float64) (uint64, error) {
-	var label [kautz.MaxRankLen]byte
-	return t.HashInto(&label, values...)
-}
-
-// HashInto is Hash into the caller's array: it writes the ObjectID to
-// label[:k] and returns its rank, which the walk has in hand — the root's
-// third, then one bit a level, set in the upper half. On an error label is
-// untouched.
-func (t *Tree) HashInto(label *[kautz.MaxRankLen]byte, values ...float64) (uint64, error) {
 	m := len(t.spaces)
 	if len(values) != m {
 		return 0, fmt.Errorf("%w: got %d, want %d", ErrArity, len(values), m)
 	}
-	type cell struct{ lo, hi, v float64 }
 	var buf [stackAttrs]cell
 	cells := buf[:]
 	if m > stackAttrs {
@@ -178,11 +200,127 @@ func (t *Tree) HashInto(label *[kautz.MaxRankLen]byte, values ...float64) (uint6
 		}
 		cells[i] = cell{lo: s.Low, hi: s.High, v: math.Min(math.Max(values[i], s.Low), s.High)}
 	}
+	idx := third(cells[0])
+	if r, ok := t.closedForm(cells[:m], idx); ok {
+		return r, nil
+	}
+	return t.walk(cells[:m], idx), nil
+}
+
+// HashInto is Hash into the caller's array: it writes the ObjectID to
+// label[:k] and returns its rank. On an error label is untouched.
+//
+// The rank is the root's third, then one bit a level, set where the level
+// puts v in the upper half. The walk (walk) is its definition: below the
+// root each level halves the interval of the attribute it splits, and the
+// upper half holds v when 2·(v−lo) ≥ hi−lo. An attribute's halvings do not
+// depend on the others', so n levels over its start interval [lo, hi]
+// (attribute 0's third, the others' space) put v in leaf ⌊r⌋ of 2ⁿ,
+// r = (v−lo)·2ⁿ/(hi−lo), in exact arithmetic — one subtraction and one
+// multiplication by a scale NewTree keeps — and the leaf's bits, spread
+// into the attribute's levels, are its share of the rank. The walk rounds,
+// so its leaf can differ from ⌊r⌋ only for v near a leaf boundary, and
+// NewTree bounds how near per attribute (u = 2⁻⁵³, W = hi − lo,
+// M = max(|Low|, |High|)):
+//
+//   - a level's midpoint lo + (hi−lo)·0.5 rounds the width, the halving (on
+//     a subnormal width only, by at most 2⁻¹⁰⁷⁴) and the sum, so it drifts
+//     from the exact dyadic point by at most u·(W/2 + M) + 2⁻¹⁰⁷⁴ more than
+//     the level above did: n times that after n levels;
+//   - the compare rounds v−lo and hi−lo: at most 2u·(W+M) more;
+//   - r as computed rounds v−lo, hi−lo, the scale and the product: at most
+//     5u·2ⁿ in leaf units.
+//
+// The margin δ is the sum in leaf units (the first two times 2ⁿ/W),
+// doubled for the bound's own rounding. Where r's fraction lies in
+// [δ, 1−δ], v is farther than the drift from every midpoint the walk
+// compares it with, so the walk decides each level as exact arithmetic does
+// and ⌊r⌋ is its leaf. Anywhere else the walk runs: v outside its start
+// interval (rootBounds can round a third so that v sits just past it), and
+// every value of an attribute with more than 52 levels (a float64 does not
+// hold the fraction) or δ ≥ 1/64 (a space a few ulps wide per leaf). At
+// k = 32 that is about one uniform value in 10⁴ on [0, 1000] and none in 10⁶
+// on [0, 1000]×[0, 100] (TestClosedFormCoverage); TestClosedFormAtMidpoints
+// and FuzzHashMatchesReference hold the result to the walk's.
+//
+// The label follows from the rank in one pass (kautz.PutRank).
+func (t *Tree) HashInto(label *[kautz.MaxRankLen]byte, values ...float64) (uint64, error) {
+	r, err := t.HashRank(values...)
+	if err != nil {
+		return 0, err
+	}
+	kautz.PutRank(label, r, t.k)
+	return r, nil
+}
+
+// cell is one attribute's value and the interval the walk narrows around it.
+type cell struct{ lo, hi, v float64 }
+
+// third is which of the root's thirds holds attribute 0's value, the last
+// closed at hi.
+func third(c cell) int { return min(max(int(3*(c.v-c.lo)/(c.hi-c.lo)), 0), 2) }
+
+// closedForm is the rank of the clamped values in cells under the root's
+// third idx, from each attribute's bisection, or false where some
+// attribute's r lies outside its start interval or within its margin of a
+// leaf boundary, and only the walk decides.
+func (t *Tree) closedForm(cells []cell, idx int) (uint64, bool) {
+	m := uint(len(cells))
+	rank := uint64(idx) << (t.k - 1)
+	for a := range cells {
+		b := &t.starts[idx]
+		if a > 0 {
+			b = &t.starts[a+2]
+		}
+		r := (cells[a].v - b.lo) * b.scale
+		if !(r >= 0 && r < b.top) { // before the conversion: v may sit outside [lo, hi]
+			return 0, false
+		}
+		leaf := uint64(r)
+		if f := r - float64(leaf); f < b.margin || f > 1-b.margin {
+			return 0, false
+		}
+		rank |= spread(leaf, m) << b.shift
+	}
+	return rank, true
+}
+
+// spread places the bits of leaf m apart, the lowest where it was: an
+// attribute's levels are every m-th of the rank's bits.
+func spread(leaf uint64, m uint) uint64 {
+	switch m {
+	case 1:
+		return leaf
+	case 2: // n ≤ 31: a Morton spread
+		leaf = (leaf | leaf<<16) & 0x0000ffff0000ffff
+		leaf = (leaf | leaf<<8) & 0x00ff00ff00ff00ff
+		leaf = (leaf | leaf<<4) & 0x0f0f0f0f0f0f0f0f
+		leaf = (leaf | leaf<<2) & 0x3333333333333333
+		return (leaf | leaf<<1) & 0x5555555555555555
+	}
+	var out uint64
+	for p := uint(0); leaf != 0; p, leaf = p+m, leaf>>1 {
+		out |= (leaf & 1) << p
+	}
+	return out
+}
+
+// walk is the rank of the clamped values in cells under the root's third
+// idx, one level at a time: the definition closedForm agrees with, and what
+// runs where it cannot say.
+//
+// Only the root's three-way split divides. Below it a node halves one
+// attribute's interval [lo, hi] of width d, and the upper half holds v
+// exactly when 2·(v−lo) ≥ d: doubling is exact, and the quotient 2·(v−lo)/d
+// cannot round up to 1 from below (under 1 it is at most 1 − 2⁻⁵³, which is
+// representable), so the comparison picks the piece the quotient's integer
+// part would; d·0.5 is d/2 bit for bit. Labels and intervals are those of
+// the dividing walk the tests keep as reference (FuzzHashMatchesReference).
+func (t *Tree) walk(cells []cell, idx int) uint64 {
+	m := len(cells)
 	c := &cells[0]
-	idx := min(max(int(3*(c.v-c.lo)/(c.hi-c.lo)), 0), 2) // which third holds v, the last closed at hi
 	c.lo, c.hi = rootBounds(c.lo, c.hi, idx)
-	prev, rank := byte('0'+idx), uint64(idx)
-	label[0] = prev
+	rank := uint64(idx)
 	for j, a := 1, 0; j < t.k; j++ {
 		if a++; a == m {
 			a = 0
@@ -198,10 +336,9 @@ func (t *Tree) HashInto(label *[kautz.MaxRankLen]byte, values ...float64) (uint6
 		keep, lo, hi := upper-1, math.Float64bits(c.lo), math.Float64bits(c.hi)
 		c.lo = math.Float64frombits(lo&keep | math.Float64bits(mid)&^keep)
 		c.hi = math.Float64frombits(hi&^keep | math.Float64bits(mid)&keep)
-		prev, rank = edgeLabels[2*uint64(prev-'0')+upper], rank<<1|upper
-		label[j] = prev
+		rank = rank<<1 | upper
 	}
-	return rank, nil
+	return rank
 }
 
 // bit is b as 0 or 1; the compiler turns it into a flag read, not a jump.
@@ -368,21 +505,4 @@ func (t *Tree) QueryRegion(b Box) (kautz.Region, error) {
 		return kautz.Region{}, err
 	}
 	return kautz.NewRegion(lowT, highT)
-}
-
-// LeafCenter returns the center point of the leaf labelled by the full
-// length-k Kautz string s: a representative value that hashes back to s.
-func (t *Tree) LeafCenter(s kautz.Str) ([]float64, error) {
-	if len(s) != t.k {
-		return nil, fmt.Errorf("naming: leaf label %q has length %d, want %d", s, len(s), t.k)
-	}
-	iv, err := t.Subspace(s)
-	if err != nil {
-		return nil, err
-	}
-	center := make([]float64, len(iv))
-	for i := range iv {
-		center[i] = iv[i].Low + (iv[i].High-iv[i].Low)/2
-	}
-	return center, nil
 }

@@ -110,7 +110,7 @@ func FuzzNarrowFrom(f *testing.F) {
 			if j == 0 {
 				spelled = append(spelled, '0'+raw[j]%3)
 			} else {
-				spelled = append(spelled, edgeLabels[2*(spelled[j-1]-'0')+raw[j]%2])
+				spelled = append(spelled, childSymbol(spelled[j-1], int(raw[j]%2)))
 			}
 		}
 		for _, p := range []kautz.Str{kautz.Str(raw), kautz.Str(spelled)} {
