@@ -71,6 +71,13 @@ race:
 # wrapped flag, and the facade's rng and its mutex — internal/obs 504 → 492,
 # the root 1793 → 1801 (the draw contract in WithSeed and Query.Issuer),
 # internal/core 1496 → 1497.
+# 6444 → 6498: MIRA admits each object once — admit buffers a run's admitted
+# records and rows under the store's one lock, settle copies them into a
+# page of exactly the admitted size, last reads the cursor off the buffer,
+# and release bounds the row column per object — net of count and MIRA's
+# counting pass in capacityHint: internal/core 1497 → 1550. await samples
+# every arrival not yet due when it began, however it woke: workload
+# 1645 → 1646.
 # Item 4(g): the serving path — overlay, naming, Kautz arithmetic, route cache
 # and load controller — has its own ceiling, LOC_SERVING_MAX, set at its size
 # when the gate came in; the same rule raises it.
@@ -97,6 +104,9 @@ race:
 # the label from a rank in one bit-parallel pass, which FromRank now shares,
 # grew internal/kautz 539 → 576. No other serving-path code became
 # unnecessary.
+# 4209 → 4165: kautz.CanAppend, kautz.Enumerate and kautz.PrefixComparable,
+# naming.Space.Width and naming.Tree.Spaces, which only tests called, moved
+# into test files — internal/kautz 576 → 542, internal/naming 508 → 498.
 # The rest — every other directory with non-test Go files outside bench/:
 # today the comparison baselines, the evaluation and armada-bench — has a
 # third ceiling, LOC_REST_MAX, so no code grows where neither gate above
@@ -107,9 +117,9 @@ race:
 # 2325 → 2252: internal/stats lost SafeSample (with Drain), Min and StdDev
 # once no workload goroutine shared a sample — 166 → 93.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
-LOC_MAX = 6444
+LOC_MAX = 6498
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
-LOC_SERVING_MAX = 4209
+LOC_SERVING_MAX = 4165
 LOC_REST_DIRS = $(filter-out $(LOC_DIRS) $(LOC_SERVING_DIRS) bench%,$(patsubst %/,%,$(sort $(dir $(filter-out %_test.go,$(wildcard *.go */*.go */*/*.go))))))
 LOC_REST_MAX = 2252
 loc:
@@ -140,7 +150,7 @@ noregion:
 # *Peer) compiles to. Read off the disassembly of a built test binary — a
 # compiler listing prints nothing for a cached build — and a function not
 # found there fails the check instead of passing it.
-NOBARRIER_FUNCS = queryState.fill Engine.deliver Engine.forward Engine.pump selection.matches
+NOBARRIER_FUNCS = queryState.fill queryState.admit queryState.settle Engine.deliver Engine.forward Engine.pump selection.matches
 nobarrier:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; bad=0; \
 	$(GO) test -c -o "$$dir/core.test" ./internal/core/ || exit 1; \
@@ -211,7 +221,9 @@ BENCH_micro.json:
 # code it replaced, naming's order preservation and its agreement with
 # the dividing reference walk (the check for any edit to naming's
 # arithmetic) and its resumed walk against the whole one (what a MIRA descent
-# carries from hop to hop), rank order against string order with the ranks under a prefix
+# carries from hop to hop), every hashed value inside its leaf's subspace but
+# for a few ulps at rounded boundaries (what an inside-the-box admission of a
+# whole run would rest on), rank order against string order with the ranks under a prefix
 # (what lets a store search by integer), the topology's cover trie against the
 # map it replaced, the slot-and-column store against a sorted slice, then the
 # three parsers of untrusted input (snapshot bytes, pagination cursors, the
@@ -227,6 +239,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHashOrder -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashMatchesReference -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzNarrowFrom -fuzztime 20s ./internal/naming/
+	$(GO) test -run '^$$' -fuzz FuzzHashInsideLeaf -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzCoverMatchesReference -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzStoreMatchesReference -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 20s ./internal/fissione/

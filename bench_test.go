@@ -866,6 +866,21 @@ func BenchmarkChurnRetention(b *testing.B) {
 // materialised result. It cycles through 512 fixed boxes, each spanning
 // 0.5–5% of each attribute, issued from peers spread over the network.
 func BenchmarkRangeMIRA(b *testing.B) {
+	benchMIRA(b, 20000, func(rng *rand.Rand) float64 { return 0.005 + 0.045*rng.Float64() })
+}
+
+// BenchmarkRangeMIRAWide is MIRA at the width where admission is the work:
+// the same network holding 50k objects, boxes spanning 20% of each
+// attribute — ~2,000 objects from ~100 owners a query, each object tested
+// against the box once; ns/object is per object returned.
+func BenchmarkRangeMIRAWide(b *testing.B) {
+	benchMIRA(b, 50000, func(*rand.Rand) float64 { return 0.2 })
+}
+
+// benchMIRA builds the churn-write-shaped network with the given number of
+// objects and cycles through 512 fixed boxes, each side the fraction of its
+// attribute that width draws, issued from peers spread over the network.
+func benchMIRA(b *testing.B, objects int, width func(*rand.Rand) float64) {
 	spaces := []armada.AttributeSpace{{Low: 0, High: 1000}, {Low: 0, High: 100}}
 	net, err := armada.NewNetwork(1000, armada.WithSeed(119), armada.WithReplication(2), armada.WithAttributes(spaces...))
 	if err != nil {
@@ -873,7 +888,7 @@ func BenchmarkRangeMIRA(b *testing.B) {
 	}
 	defer net.Close()
 	rng := rand.New(rand.NewSource(120))
-	pubs := make([]armada.Publication, 20000)
+	pubs := make([]armada.Publication, objects)
 	for i := range pubs {
 		pubs[i] = armada.Publication{Name: fmt.Sprintf("o%d", i), Values: []float64{rng.Float64() * 1000, rng.Float64() * 100}}
 	}
@@ -885,7 +900,7 @@ func BenchmarkRangeMIRA(b *testing.B) {
 	for i := range queries {
 		box := make([]armada.Range, len(spaces))
 		for a, s := range spaces {
-			w := (s.High - s.Low) * (0.005 + 0.045*rng.Float64())
+			w := (s.High - s.Low) * width(rng)
 			lo := s.Low + rng.Float64()*(s.High-s.Low-w)
 			box[a] = armada.Range{Low: lo, High: lo + w}
 		}
@@ -894,11 +909,15 @@ func BenchmarkRangeMIRA(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
+	found := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := net.Do(ctx, queries[i%len(queries)]); err != nil {
+		res, err := net.Do(ctx, queries[i%len(queries)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		found += len(res.Objects)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(found, 1)), "ns/object")
 }
 
 func benchRange(b *testing.B, width float64) {

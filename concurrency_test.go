@@ -257,3 +257,96 @@ func TestLookupRacesPublisherOnOnePeer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMIRARacesPublishers: a MIRA range admits each object once, under the
+// one lock acquisition of each serving store it reads, so however two
+// publishers interleave with it every result is well formed — in (ObjectID,
+// Name) order with nothing twice, every object inside the box and every
+// settled one present, in a slice sized exactly to it — and once they stop,
+// every box's result is exactly what the oracle holds and the network audits
+// clean. Run under -race.
+func TestMIRARacesPublishers(t *testing.T) {
+	net, err := NewNetwork(200, WithSeed(17), WithReplication(2),
+		WithAttributes(AttributeSpace{Low: 0, High: 1000}, AttributeSpace{Low: 0, High: 100}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	rng := rand.New(rand.NewSource(18))
+	settled := make([]Publication, 1500)
+	for i := range settled {
+		settled[i] = Publication{Name: fmt.Sprintf("s%04d", i), Values: []float64{rng.Float64() * 1000, rng.Float64() * 100}}
+	}
+	if err := net.PublishBatch(settled); err != nil {
+		t.Fatal(err)
+	}
+	boxes := make([][]Range, 16)
+	for i := range boxes {
+		lo0, lo1 := rng.Float64()*700, rng.Float64()*70
+		boxes[i] = []Range{{Low: lo0, High: lo0 + 300}, {Low: lo1, High: lo1 + 30}}
+	}
+	inBox := func(box []Range, v []float64) bool {
+		return len(v) == 2 && v[0] >= box[0].Low && v[0] <= box[0].High && v[1] >= box[1].Low && v[1] <= box[1].High
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := range 2 {
+		wg.Add(1)
+		go func() { // transient objects, each unpublished again, so none survives
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			for i := 0; !stop.Load(); i++ {
+				name, v := fmt.Sprintf("w%d-%d", w, i), []float64{rng.Float64() * 1000, rng.Float64() * 100}
+				if err := net.Publish(name, v...); err != nil {
+					t.Errorf("publish %s: %v", name, err)
+					return
+				}
+				if err := net.Unpublish(name, v...); err != nil {
+					t.Errorf("unpublish %s: %v", name, err)
+					return
+				}
+			}
+		}()
+	}
+	check := func(box []Range, racing bool) {
+		res, err := net.Do(context.Background(), NewRange(box))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, p := range settled {
+			if inBox(box, p.Values) {
+				want++
+			}
+		}
+		got := 0
+		for i, o := range res.Objects {
+			if i > 0 && (o.ID < res.Objects[i-1].ID || o.ID == res.Objects[i-1].ID && o.Name <= res.Objects[i-1].Name) {
+				t.Fatalf("objects out of order or repeated: %s/%q after %s/%q", o.ID, o.Name, res.Objects[i-1].ID, res.Objects[i-1].Name)
+			}
+			if !inBox(box, o.Values) {
+				t.Fatalf("object %q at %v outside the box %v", o.Name, o.Values, box)
+			}
+			switch {
+			case o.Name[0] == 's':
+				got++
+			case !racing:
+				t.Fatalf("transient object %q survived its unpublish", o.Name)
+			}
+		}
+		if got != want || cap(res.Objects) != len(res.Objects) {
+			t.Fatalf("box %v: %d of the %d settled objects, in a slice of %d with cap %d", box, got, want, len(res.Objects), cap(res.Objects))
+		}
+	}
+	for i := range 600 {
+		check(boxes[i%len(boxes)], true)
+	}
+	stop.Store(true)
+	wg.Wait()
+	for _, box := range boxes {
+		check(box, false)
+	}
+	if err := net.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -424,10 +424,12 @@ type located struct {
 //
 // A query has two phases. Locate: the descent (or a seeded fan-out) runs
 // to completion and every delivery appends one located run. Materialise:
-// the runs are ordered and scanned straight into the slice the caller
-// receives. Peers own disjoint prefix regions and one peer's deliveries
-// cover disjoint subregions, so runs never interleave: ordering them is
-// the whole merge, and a page or a top-k stops at what it returns.
+// the runs are ordered and each is scanned once, straight into the slice
+// the caller receives or, under MIRA, into recs and col, copied out into a
+// slice of exactly the admitted size. Peers own disjoint prefix regions and
+// one peer's deliveries cover disjoint subregions, so runs never interleave:
+// ordering them is the whole merge, and a page or a top-k stops at what it
+// returns.
 type queryState struct {
 	net      *fissione.Network // turns a run's slots into peers and identifiers
 	cfg      QueryConfig
@@ -450,6 +452,8 @@ type queryState struct {
 
 	runs          []located // one per delivery
 	ends          []int32   // scan: the page's length after each run, in scan order
+	recs          []string  // admit: MIRA's admitted records, in run order, until settle
+	col           []float64 // admit: their rows, as wide as the box, one after another
 	tiles         []Tile    // close: the runs' distinct owners, ascending
 	replicaServed int       // deliveries served by a non-owner replica
 	redirectMsgs  int       // replica serves that cost a redirect message (descents only)
@@ -481,13 +485,21 @@ func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str, q *shape) *querySta
 
 // release returns the state to the pool, dropping every reference it holds
 // so a pooled state pins neither results nor departed peers (the queue, subs,
-// runs and ends hold none: slots, spans, intervals and counts).
+// runs, ends and col hold none; recycle clears recs). col's bound counts
+// rows, as wide as a MIRA box, the only query that grows it: as many objects
+// as recs keeps.
 func (st *queryState) release() {
+	col := st.col[:0]
+	if st.boxPrune && cap(col) > maxPooled*len(st.box.Lo) {
+		col = nil
+	}
 	*st = queryState{
 		queue: recycle(st.queue),
 		subs:  recycle(st.subs),
 		runs:  recycle(st.runs),
 		ends:  recycle(st.ends),
+		recs:  recycle(st.recs),
+		col:   col,
 		tiles: recycle(st.tiles),
 	}
 	statePool.Put(st)

@@ -205,8 +205,7 @@ func buildGoldenWorld(t *testing.T, attrs, replicas, size, count int, seed int64
 			t.Fatal(err)
 		}
 	}
-	spaces := []naming.Space{{Low: 0, High: 1000}, {Low: 0, High: 100}, {Low: 0, High: 10}}[:attrs]
-	tree, err := naming.NewTree(testK, spaces...)
+	tree, err := naming.NewTree(testK, goldenSpaces[:attrs]...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +218,7 @@ func buildGoldenWorld(t *testing.T, attrs, replicas, size, count int, seed int64
 	for i := 0; i < count; i++ {
 		v := make([]float64, attrs)
 		for a := range v {
-			v[a] = rng.Float64() * spaces[a].High
+			v[a] = rng.Float64() * goldenSpaces[a].High
 		}
 		if i%10 == 9 {
 			copy(v, w.vals[i-1])
@@ -236,12 +235,15 @@ func buildGoldenWorld(t *testing.T, attrs, replicas, size, count int, seed int64
 	return w
 }
 
+// goldenSpaces are a golden world's attribute spaces, the first attrs of them.
+var goldenSpaces = []naming.Space{{Low: 0, High: 1000}, {Low: 0, High: 100}, {Low: 0, High: 10}}
+
 // goldenBox draws a query box: attribute a spans width[a]·[0.5,1.5) of its
 // space starting at a uniform point.
 func goldenBox(rng *rand.Rand, tree *naming.Tree, frac float64) (lo, hi []float64) {
-	for _, s := range tree.Spaces() {
-		w := s.Width() * frac * (0.5 + rng.Float64())
-		l := s.Low + rng.Float64()*(s.Width()-w)
+	for _, s := range goldenSpaces[:tree.Attrs()] {
+		w := (s.High - s.Low) * frac * (0.5 + rng.Float64())
+		l := s.Low + rng.Float64()*(s.High-s.Low-w)
 		lo, hi = append(lo, l), append(hi, l+w)
 	}
 	return lo, hi
@@ -296,7 +298,7 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 		}
 	}
 	// The whole space: all three first-symbol subregions.
-	full := w.tree.Spaces()
+	full := goldenSpaces[:attrs]
 	flo, fhi := make([]float64, attrs), make([]float64, attrs)
 	for a, s := range full {
 		flo[a], fhi[a] = s.Low, s.High

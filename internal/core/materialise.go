@@ -115,32 +115,14 @@ func writeMatch(m *Match, vals []float64, spare int, rec string, k int, row []fl
 	return vals
 }
 
-// count returns how many objects of one store run materialise would copy,
-// up to need: the run's length where the region decides admission, a pass
-// under the box where the box admits only a fraction of the region (MIRA).
-func (st *queryState) count(run fissione.Run, need int) int {
-	if !st.boxPrune {
-		return min(len(run.Idx), need)
-	}
-	n := 0
-	for i := 0; i < len(run.Idx) && n < need; i++ {
-		if st.admits(run.Idx[i].Key, run.Vals[i*run.Stride:][:run.Idx[i].N]) {
-			n++
-		}
-	}
-	return n
-}
-
-// capacityHint counts, up to need, what a page is about to copy from several
-// runs, so the result is allocated once. Publishes run concurrently and the
-// fill takes each store's lock again: it sizes the slice and bounds nothing.
+// capacityHint counts, up to need, what a PIRA page is about to copy from
+// several runs — their lengths — so the result is allocated once. Publishes
+// run concurrently and the fill takes each store's lock again: it sizes the
+// slice and bounds nothing.
 func (st *queryState) capacityHint(runs []located, need int) int {
 	n := 0
-	for i := range runs {
-		st.net.PeerAt(runs[i].serving).ViewSpan(runs[i].span, func(run fissione.Run) { n += st.count(run, need-n) })
-		if n >= need {
-			break
-		}
+	for i := 0; i < len(runs) && n < need; i++ {
+		st.net.PeerAt(runs[i].serving).ViewSpan(runs[i].span, func(run fissione.Run) { n += min(len(run.Idx), need-n) })
 	}
 	return n
 }
@@ -150,8 +132,8 @@ func (st *queryState) capacityHint(runs []located, need int) int {
 // page. A run admitsAll passes and the cut does not fall inside is one
 // block: its value column copied once — into a new chunk sized as writeMatch
 // sizes one when the current has no room — then each object's header, field
-// by field as writeMatch writes it. Any other run (a corner leaf's, MIRA's,
-// one the cut splits) is filled object by object.
+// by field as writeMatch writes it. Any other run (a corner leaf's, one the
+// cut splits) is filled object by object. MIRA admits instead (admit).
 func (st *queryState) fill(out []Match, vals []float64, run fissione.Run) (_ []Match, _ []float64, more bool) {
 	limit, k := st.cfg.Limit, st.net.K()
 	if (limit == 0 || len(out)+len(run.Idx) <= limit) && st.admitsAll(run) {
@@ -203,7 +185,7 @@ type page struct {
 }
 
 // need is the most matches a page holds: its limit. A tie at the cut grows
-// the page past it (fill).
+// the page past it (fill, admit).
 func (st *queryState) need() int {
 	if st.cfg.Limit > 0 {
 		return st.cfg.Limit
@@ -211,27 +193,84 @@ func (st *queryState) need() int {
 	return math.MaxInt
 }
 
-// scan reads one located run into the page, up to the page cut: every object
-// written once, values copied at the same moment, a block run's whole column
-// in one copy (fill). A page not yet allocated is sized to what the run holds
-// for it, under the same store lock acquisition.
+// scan reads one located run into the page, up to the page cut, under one
+// acquisition of the serving store's lock: MIRA into the state's buffer
+// (admit), which result copies out; PIRA and lookups straight into the page,
+// every object written once, a block run's column in one copy (fill), a page
+// not yet allocated sized to what the run holds for it.
 func (st *queryState) scan(pg *page, r *located) {
 	st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) {
-		if pg.out == nil {
-			pg.out = make([]Match, 0, st.count(run, st.need()))
+		switch {
+		case st.boxPrune:
+			pg.more = st.admit(run)
+			return
+		case pg.out == nil:
+			pg.out = make([]Match, 0, min(len(run.Idx), st.need()))
 		}
 		pg.out, pg.vals, pg.more = st.fill(pg.out, pg.vals, run)
 	})
-	st.ends = append(st.ends, int32(len(pg.out)))
+	st.ends = append(st.ends, int32(len(pg.out)+len(st.recs)))
 	st.scanned(r)
+}
+
+// admit is MIRA's one pass over a store run: each object the box admits, up
+// to the page cut by fill's rule, is buffered as its record (records outlive
+// the store lock) and its row copied into the pooled value column; more
+// reports a match beyond the page. A tie group never crosses a run boundary,
+// so buffering whole runs up to the cut keeps the cursor exact.
+func (st *queryState) admit(run fissione.Run) (more bool) {
+	limit, k := st.cfg.Limit, st.net.K()
+	for i := range run.Idx {
+		s := &run.Idx[i]
+		row := run.Vals[i*run.Stride:][:s.N]
+		if !st.admits(s.Key, row) {
+			continue
+		}
+		rec := run.Rec(i)
+		if limit > 0 && len(st.recs) >= limit && rec[:k] != st.recs[len(st.recs)-1][:k] {
+			return true
+		}
+		st.recs = append(st.recs, rec)
+		st.col = append(st.col, row...)
+	}
+	return false
+}
+
+// settle copies what MIRA admitted into the page, allocated at exactly its
+// size — one slice of matches, one value array — in run order. Every
+// admitted row is as wide as the box.
+func (st *queryState) settle(pg *page) {
+	if len(st.recs) == 0 {
+		return
+	}
+	k, w := st.net.K(), len(st.box.Lo)
+	pg.out, pg.vals = make([]Match, len(st.recs)), make([]float64, len(st.col))
+	copy(pg.vals, st.col)
+	for i, rec := range st.recs {
+		m := &pg.out[i]
+		m.Name, m.Values, m.ID = rec[k:], pg.vals[i*w:][:w:w], rec[:k]
+	}
+}
+
+// last is the ObjectID of the page's last match so far, admitted or
+// written; "" while it holds none.
+func (st *queryState) last(pg *page) string {
+	if n := len(st.recs); n > 0 {
+		return st.recs[n-1][:st.net.K()]
+	}
+	if n := len(pg.out); n > 0 {
+		return pg.out[n-1].ID
+	}
+	return ""
 }
 
 // scanRuns reads runs, ordered by ObjectID, into the page: all, or those up to
 // the first match beyond the page cut. A single run (every lookup, every
 // one-destination range) sizes and fills the page under one lock acquisition;
-// several are sized by a pass of their own.
+// several are sized by a pass of their own (PIRA) or by what admit buffered
+// (MIRA).
 func (st *queryState) scanRuns(pg *page, runs []located) {
-	if pg.out == nil && len(runs) > 1 {
+	if pg.out == nil && len(runs) > 1 && !st.boxPrune {
 		pg.out = make([]Match, 0, st.capacityHint(runs, st.need()))
 	}
 	for i := 0; i < len(runs) && !pg.more; i++ {
@@ -239,9 +278,10 @@ func (st *queryState) scanRuns(pg *page, runs []located) {
 	}
 }
 
-// result is the page's matches (nil when none) and, when a match exists
-// beyond them, the cursor that resumes after the last.
-func (pg *page) result() (out []Match, next kautz.Str) {
+// result settles the page and returns its matches (nil when none) and, when
+// a match exists beyond them, the cursor that resumes after the last.
+func (st *queryState) result(pg *page) (out []Match, next kautz.Str) {
+	st.settle(pg)
 	if len(pg.out) == 0 {
 		return nil, ""
 	}
@@ -252,25 +292,26 @@ func (pg *page) result() (out []Match, next kautz.Str) {
 }
 
 // materialise is a query's second phase: it reads the located runs, which
-// close ordered by ObjectID, straight into the slice the caller receives. With
-// a Limit the fill stops at the page cut — extended through a run of equal
-// ObjectIDs, which never crosses a run boundary (every ObjectID lives in one
-// run), so the strictly-greater next cursor neither skips nor repeats an
-// object — and reads on only until the first further match proves there is a
-// next page. cuts, when asked for, is the result cut at the runs' boundaries.
+// close ordered by ObjectID, each once, into the slice the caller receives
+// (under MIRA through its buffer, see scan). With a Limit the scan stops at
+// the page cut — extended through a run of equal ObjectIDs, which never
+// crosses a run boundary (every ObjectID lives in one run), so the
+// strictly-greater next cursor neither skips nor repeats an object — and
+// reads on only until the first further match proves there is a next page.
+// cuts, when asked for, is the result cut at the runs' boundaries.
 func (st *queryState) materialise(cut bool) (out []Match, cuts [][]Match, next kautz.Str) {
 	var pg page
 	st.scanRuns(&pg, st.runs)
-	if cut && len(pg.out) > 0 {
+	out, next = st.result(&pg)
+	if cut && len(out) > 0 {
 		cuts = make([][]Match, 0, len(st.ends))
 		start := 0
 		for _, end := range st.ends {
 			if end := int(end); end > start {
-				cuts = append(cuts, pg.out[start:end:end])
+				cuts = append(cuts, out[start:end:end])
 				start = end
 			}
 		}
 	}
-	out, next = pg.result()
 	return out, cuts, next
 }

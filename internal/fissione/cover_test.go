@@ -33,7 +33,7 @@ func (r refCover) put(name kautz.Str, slot int32) bool {
 		return false
 	}
 	for have := range r {
-		if kautz.PrefixComparable(have, name) {
+		if prefixComparable(have, name) {
 			return false
 		}
 	}
@@ -46,7 +46,7 @@ func (r refCover) put(name kautz.Str, slot int32) bool {
 func (r refCover) under(name kautz.Str, skip int32) []int32 {
 	var out []int32
 	for _, have := range r.sorted() {
-		if s := r[have]; s != skip && kautz.PrefixComparable(have, name) {
+		if s := r[have]; s != skip && prefixComparable(have, name) {
 			out = append(out, s)
 		}
 	}
@@ -264,7 +264,7 @@ func TestCoverTracksTopology(t *testing.T) {
 					prefix := kautz.Random(rng, n.K())[:rng.Intn(12)]
 					var want []kautz.Str
 					for _, id := range ids {
-						if kautz.PrefixComparable(id, prefix) {
+						if prefixComparable(id, prefix) {
 							want = append(want, id)
 						}
 					}
@@ -284,3 +284,8 @@ func TestCoverTracksTopology(t *testing.T) {
 		})
 	}
 }
+
+// prefixComparable reports whether s is a prefix of t or t is a prefix of s:
+// two peers' identifiers never are, a peer's and an ObjectID are exactly when
+// the peer owns the object.
+func prefixComparable(s, t kautz.Str) bool { return s.HasPrefix(t) || t.HasPrefix(s) }

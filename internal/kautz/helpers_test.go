@@ -2,9 +2,10 @@ package kautz
 
 import "fmt"
 
-// Helpers only this package's tests call: the static Kautz graph's
-// neighbors, the predecessor beside Succ, and the panicking and the checked
-// string builders.
+// Helpers only tests call: the static Kautz graph's neighbors, the
+// predecessor beside Succ, the panicking and the checked string builders,
+// the symbol test they share, the prefix relation between two strings and the
+// whole space in order.
 
 // MustParse is Parse for tests; it panics on invalid input.
 func MustParse(s string) Str {
@@ -75,4 +76,38 @@ func InNeighbors(s Str) []Str {
 		in = append(in, Str(c)+head)
 	}
 	return in
+}
+
+// PrefixComparable reports whether s is a prefix of t or t is a prefix of s.
+// Two peers' identifiers are never prefix-comparable (the PeerID set is a
+// prefix-free cover of the namespace), but a PeerID and an ObjectID are
+// exactly when the peer owns the object.
+func PrefixComparable(s, t Str) bool {
+	if len(s) <= len(t) {
+		return t.HasPrefix(s)
+	}
+	return s.HasPrefix(t)
+}
+
+// CanAppend reports whether symbol c may legally follow s.
+func (s Str) CanAppend(c byte) bool {
+	if c < '0' || c > '2' {
+		return false
+	}
+	return len(s) == 0 || s[len(s)-1] != c
+}
+
+// Enumerate returns all Kautz strings of length k in ascending order, for
+// small k.
+func Enumerate(k int) []Str {
+	n := SpaceSize(k)
+	out := make([]Str, 0, n)
+	for r := uint64(0); r < n; r++ {
+		s, err := FromRank(r, k)
+		if err != nil {
+			panic(err) // unreachable: r < SpaceSize(k)
+		}
+		out = append(out, s)
+	}
+	return out
 }

@@ -72,17 +72,6 @@ func Valid(s Str) bool {
 // HasPrefix reports whether p is a prefix of s.
 func (s Str) HasPrefix(p Str) bool { return strings.HasPrefix(string(s), string(p)) }
 
-// PrefixComparable reports whether s is a prefix of t or t is a prefix of s.
-// Two peers' identifiers are never prefix-comparable (the PeerID set is a
-// prefix-free cover of the namespace), but a PeerID and an ObjectID are
-// exactly when the peer owns the object.
-func PrefixComparable(s, t Str) bool {
-	if len(s) <= len(t) {
-		return t.HasPrefix(s)
-	}
-	return s.HasPrefix(t)
-}
-
 // Drop returns s with its first n symbols removed. Dropping more symbols
 // than s holds yields the empty string.
 func (s Str) Drop(n int) Str {
@@ -93,14 +82,6 @@ func (s Str) Drop(n int) Str {
 		return s
 	}
 	return s[n:]
-}
-
-// CanAppend reports whether symbol c may legally follow s.
-func (s Str) CanAppend(c byte) bool {
-	if c < '0' || c > '2' {
-		return false
-	}
-	return len(s) == 0 || s[len(s)-1] != c
 }
 
 // Concat joins s and t, returning an error when the junction would place two
@@ -302,21 +283,6 @@ func PutRank(dst *[MaxRankLen]byte, r uint64, k int) {
 // bytesOf puts bit i of x (< 256) in byte i, as 0 or 1.
 func bytesOf(x uint64) uint64 {
 	return (x*0x0101010101010101&0x8040201008040201 + 0x7f7f7f7f7f7f7f7f) >> 7 & 0x0101010101010101
-}
-
-// Enumerate returns all Kautz strings of length k in ascending order. It is
-// intended for tests and small k.
-func Enumerate(k int) []Str {
-	n := SpaceSize(k)
-	out := make([]Str, 0, n)
-	for r := uint64(0); r < n; r++ {
-		s, err := FromRank(r, k)
-		if err != nil {
-			panic(err) // unreachable: r < SpaceSize(k)
-		}
-		out = append(out, s)
-	}
-	return out
 }
 
 // Random returns a uniformly random Kautz string of length k drawn from rng.

@@ -34,9 +34,6 @@ type Space struct {
 	High float64
 }
 
-// Width returns the length of the interval.
-func (s Space) Width() float64 { return s.High - s.Low }
-
 // Contains reports whether v lies in [Low, High].
 func (s Space) Contains(v float64) bool { return v >= s.Low && v <= s.High }
 
@@ -142,13 +139,6 @@ func (t *Tree) K() int { return t.k }
 
 // Attrs returns the number of attributes m.
 func (t *Tree) Attrs() int { return len(t.spaces) }
-
-// Spaces returns a copy of the attribute spaces.
-func (t *Tree) Spaces() []Space {
-	cp := make([]Space, len(t.spaces))
-	copy(cp, t.spaces)
-	return cp
-}
 
 // childIndex returns the position (ascending) of edge label c under a node
 // whose incoming edge is prev (0 at the root) — the labels are the symbols

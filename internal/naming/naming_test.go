@@ -265,7 +265,7 @@ func TestSingleHashIntervalPreservingExhaustive(t *testing.T) {
 		ha, _ := tree.Hash(a)
 		hb, _ := tree.Hash(b)
 		region := kautz.Region{Low: ha, High: hb}
-		for _, leaf := range kautz.Enumerate(k) {
+		for _, leaf := range enumerate(k) {
 			iv, err := tree.Subspace(leaf)
 			if err != nil {
 				t.Fatal(err)
@@ -290,7 +290,7 @@ func TestSingleHashIntervalPreservingExhaustive(t *testing.T) {
 func TestLeafIntervalsTile(t *testing.T) {
 	const k = 5
 	tree := mustSingle(t, k, -10, 10)
-	leaves := kautz.Enumerate(k)
+	leaves := enumerate(k)
 	prevHigh := -10.0
 	for _, leaf := range leaves {
 		iv, err := tree.Subspace(leaf)
@@ -379,7 +379,7 @@ func TestBoxRegionContainsIntersectingLeaves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, leaf := range kautz.Enumerate(k) {
+		for _, leaf := range enumerate(k) {
 			iv, err := tree.Subspace(leaf)
 			if err != nil {
 				t.Fatal(err)
@@ -434,7 +434,7 @@ func TestIntersectsPrefixMatchesSubspace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, leaf := range kautz.Enumerate(k) {
+	for _, leaf := range enumerate(k) {
 		iv, err := tree.Subspace(leaf)
 		if err != nil {
 			t.Fatal(err)

@@ -154,7 +154,7 @@ func TestContainsPrefixImpliesIntersectsSingleAttr(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			leaves := kautz.Enumerate(k)
+			leaves := enumerate(k)
 			ivs := make([]Interval, len(leaves))
 			for i, leaf := range leaves {
 				iv, err := tree.Subspace(leaf)

@@ -212,19 +212,20 @@ func (r *Runner) serve(ctx context.Context, pool *keyPool) *samples {
 
 // await waits for the arrival at at and reports whether it fell due by the
 // stop: false if ctx ended before at. An arrival already due is backlog
-// and goes at once. Otherwise await sleeps until a millisecond before at —
-// the netpoller sleeps in whole milliseconds, so a timer alone fires up to
-// ~10 ms late — then yields until at, and samples the lateness (release
-// minus at) into late.
+// and goes at once, unsampled. Otherwise await sleeps until a millisecond
+// before at — the netpoller sleeps in whole milliseconds, so a timer alone
+// fires up to ~10 ms late — then yields until at, and samples the lateness
+// (release minus at, however it woke: an overslept timer's too) into late.
 func await(ctx context.Context, late *stats.Sample, at time.Time) bool {
 	inRun := func() bool { return ctx.Err() == nil || !at.After(stopAt(ctx)) }
-	if wait := time.Until(at); wait > time.Millisecond {
+	wait := time.Until(at)
+	if wait > time.Millisecond {
 		select {
 		case <-ctx.Done():
 		case <-time.After(wait - time.Millisecond):
 		}
 	}
-	if now := time.Now(); now.Before(at) && inRun() {
+	if now := time.Now(); wait > 0 && inRun() {
 		for ; now.Before(at); now = time.Now() {
 			runtime.Gosched()
 		}

@@ -431,15 +431,27 @@ func TestDurationStopReleasesExecutors(t *testing.T) {
 // TestAwaitServesWhatFellDueByTheStop: an arrival due by the stop belongs
 // to the run however late its holder gets to it (that lateness dropped
 // arrivals a run had released), one due after it does not, and a holder
-// parked on its timer returns when the run ends.
+// parked on its timer returns when the run ends. Every arrival not yet due
+// when its wait began is sampled, however the wait woke — early, or after
+// the arrival (lateWake makes that happen whatever the timer's accuracy) —
+// and backlog is not.
 func TestAwaitServesWhatFellDueByTheStop(t *testing.T) {
 	var late stats.Sample
 	live := context.Background()
-	if at := time.Now().Add(2 * time.Millisecond); !await(live, &late, at) || time.Now().Before(at) {
+	if at := time.Now().Add(10 * time.Millisecond); !await(live, &late, at) || time.Now().Before(at) {
 		t.Error("live run: arrival not awaited")
 	}
 	if late.N() != 1 {
 		t.Errorf("%d lateness samples for one awaited arrival", late.N())
+	}
+	if at := time.Now().Add(10 * time.Millisecond); !await(lateWake{live, at}, &late, at) {
+		t.Error("live run: arrival woken late not served")
+	}
+	if late.N() != 2 || late.Max() < 1 {
+		t.Errorf("%d lateness samples, max %.3f ms, after an arrival woken over 1 ms late", late.N(), late.Max())
+	}
+	if !await(live, &late, time.Now().Add(-time.Millisecond)) || late.N() != 2 {
+		t.Errorf("backlog not served at once, or sampled (%d samples)", late.N())
 	}
 	stop := time.Now().Add(-time.Millisecond)
 	ended, cancel := context.WithDeadline(live, stop)
@@ -454,6 +466,22 @@ func TestAwaitServesWhatFellDueByTheStop(t *testing.T) {
 	if await(ended, &late, start.Add(time.Hour)) || time.Since(start) > time.Second {
 		t.Errorf("parked holder served an arrival an hour out, or returned after %v", time.Since(start))
 	}
+}
+
+// lateWake is a live context whose Done returns only once a millisecond past
+// at has gone by, so an await for at started before it wakes after at however
+// accurate the timer is: the select evaluates Done first, and the nil channel
+// it returns never fires.
+type lateWake struct {
+	context.Context
+	at time.Time
+}
+
+func (c lateWake) Done() <-chan struct{} {
+	for time.Now().Before(c.at.Add(time.Millisecond)) {
+		time.Sleep(time.Millisecond)
+	}
+	return nil
 }
 
 func TestExecuteDurationStop(t *testing.T) {
