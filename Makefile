@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race build vet micro fuzz bench-smoke loc nomap noregion nobarrier BENCH_micro.json
+.PHONY: test race build vet micro fuzz bench-smoke loc nomap noregion nobarrier mutants BENCH_micro.json
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,13 @@ race:
 # counting pass in capacityHint: internal/core 1497 → 1550. await samples
 # every arrival not yet due when it began, however it woke: workload
 # 1645 → 1646.
+# 6498 → 6311: the flight recorder folds into the diagnostics — its ring,
+# event kinds and Chrome exporter (internal/obs 492 → 252) and the root's
+# recorder branches, hop-event table, repair hook and split/migrate events
+# (1801 → 1746) are gone; each diagnosed query keeps its first 64 hops in
+# its pooled collector, copied into its record when it enters the slow log,
+# and the log renders as the Chrome trace (internal/diag 389 → 500);
+# armada-load's -trace-out implies -slow-log (620 → 617).
 # Item 4(g): the serving path — overlay, naming, Kautz arithmetic, route cache
 # and load controller — has its own ceiling, LOC_SERVING_MAX, set at its size
 # when the gate came in; the same rule raises it.
@@ -107,6 +114,9 @@ race:
 # 4209 → 4165: kautz.CanAppend, kautz.Enumerate and kautz.PrefixComparable,
 # naming.Space.Width and naming.Tree.Spaces, which only tests called, moved
 # into test files — internal/kautz 576 → 542, internal/naming 508 → 498.
+# 4165 → 4132: fissione's repair hook is gone with the flight recorder, and
+# OwnersIntersecting and PeersIntersectingRegion, which only tests called,
+# moved into test files — internal/fissione 2612 → 2579.
 # The rest — every other directory with non-test Go files outside bench/:
 # today the comparison baselines, the evaluation and armada-bench — has a
 # third ceiling, LOC_REST_MAX, so no code grows where neither gate above
@@ -117,9 +127,9 @@ race:
 # 2325 → 2252: internal/stats lost SafeSample (with Drain), Min and StdDev
 # once no workload goroutine shared a sample — 166 → 93.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
-LOC_MAX = 6498
+LOC_MAX = 6311
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
-LOC_SERVING_MAX = 4165
+LOC_SERVING_MAX = 4132
 LOC_REST_DIRS = $(filter-out $(LOC_DIRS) $(LOC_SERVING_DIRS) bench%,$(patsubst %/,%,$(sort $(dir $(filter-out %_test.go,$(wildcard *.go */*.go */*/*.go))))))
 LOC_REST_MAX = 2252
 loc:
@@ -163,6 +173,37 @@ nobarrier:
 		fi; \
 	done; exit $$bad
 
+# ROADMAP item 22's kill list as a command: each row of testdata/mutants.tsv
+# names a file, a snippet in it, the snippet's replacement and the packages
+# whose tests must catch it. For each row the mutated file goes to a temp
+# dir, `go test -short -overlay` runs the packages on it without touching
+# the tree, and the target fails if a mutant passes, does not build, or if
+# its snippet is missing or occurs more than once — so the list cannot go
+# stale silently.
+define MUTATE
+import sys
+path, old, new, out = sys.argv[1:]
+old, new = (s.replace("\\t", "\t").replace("\\n", "\n") for s in (old, new))
+src = open(path).read()
+if src.count(old) != 1:
+    sys.exit(f"{path}: snippet occurs {src.count(old)} times, want once: {old!r}")
+open(out, "w").write(src.replace(old, new))
+endef
+export MUTATE
+
+mutants:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; tab=$$(printf '\t'); bad=0; n=0; killed=0; \
+	while IFS=$$tab read -r file old new pkgs why; do \
+		case "$$file" in ''|'#'*) continue;; esac; n=$$((n + 1)); \
+		if ! python3 -c "$$MUTATE" "$$file" "$$old" "$$new" "$$dir/mutant.go"; then bad=1; continue; fi; \
+		printf '{"Replace": {"%s": "%s"}}\n' "$(CURDIR)/$$file" "$$dir/mutant.go" > "$$dir/overlay.json"; \
+		if $(GO) test -short -count=1 -overlay "$$dir/overlay.json" $$pkgs > "$$dir/log" 2>&1; then \
+			echo "mutants: row $$n survived ($$file): $$why" >&2; bad=1; \
+		elif grep -q '\[\(build\|setup\) failed\]' "$$dir/log"; then \
+			cat "$$dir/log" >&2; echo "mutants: row $$n does not build ($$file): $$why" >&2; bad=1; \
+		else killed=$$((killed + 1)); echo "killed $$n: $$why"; fi; \
+	done < testdata/mutants.tsv; echo "mutants: $$killed of $$n killed"; exit $$bad
+
 # Per-layer micro-benchmarks (ns/op, B/op, allocs/op): the pruning
 # predicates, the naming hash (m = 2, and Single_hash) and its rank alone (m =
 # 1 and 2), one store read (the
@@ -173,8 +214,8 @@ nobarrier:
 # replica-group lookup at 10k peers, one descent step and
 # whole descents at 10k peers, the route cache's hit path (one tile, twelve)
 # and what a descent pays to teach it, the facade's allocation profiles —
-# a lookup descended and cache-served, and descended again with the flight
-# recorder, the query diagnostics and both on — and its range / paged walk / stream
+# a lookup descended and cache-served, and descended again with the query
+# diagnostics on — and its range / paged walk / stream
 # (drained, and left at the first object) / top-k at the scan-wide shape, with
 # the range and the drained stream again over 250 owners, one MIRA range at the
 # churn-write shape (two attributes, two replicas), one forced collection

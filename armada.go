@@ -88,8 +88,8 @@ type Network struct {
 	// lctl is the background load controller (nil without
 	// WithLoadControl); Close stops it.
 	lctl *loadctl.Controller
-	// obs holds the metrics registry, the optional flight recorder and the
-	// delay-bound conformance instruments; initObs wires it in NewNetwork.
+	// obs holds the metrics registry, the optional diagnostics monitor and
+	// the delay-bound conformance instruments; initObs wires it in NewNetwork.
 	obs netObs
 
 	// seed and draws drive default issuer selection (randomPeerLocked).
@@ -337,8 +337,8 @@ const streamPage = 1024
 // Objects arrive in the sorted order Do returns. A range or flood query is
 // walked in keyset pages (a range's are a Session's: after the first, a page
 // addresses only the owner under its cursor; a lookup is one page),
-// each an ordinary query to the trace sink, the flight recorder, diagnostics
-// and the load counters. Breaking out of the loop, or cancelling ctx, costs
+// each an ordinary query to the trace sink, the diagnostics and the load
+// counters. Breaking out of the loop, or cancelling ctx, costs
 // at most the page in flight: no later page runs, and nothing runs in the
 // background. A terminal error — ctx's, once it is cancelled between pages —
 // is yielded as the final pair. Top-k queries cannot stream (their result

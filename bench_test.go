@@ -469,26 +469,17 @@ func TestPublishUnpublishAllocs(t *testing.T) {
 }
 
 // BenchmarkAllocLookup measures one exact-match query end to end.
-func BenchmarkAllocLookup(b *testing.B) { benchLookup(b, false, false) }
+func BenchmarkAllocLookup(b *testing.B) { benchLookup(b) }
 
-// The observability cost: the same lookups on the same network with the
-// flight recorder on (armada-load -trace-out's size), the query diagnostics
-// on (armada-load -slow-out's log), and both. Each ratio to AllocLookup is
-// what leaving that layer on costs a query.
-func BenchmarkAllocLookupRecorded(b *testing.B)  { benchLookup(b, true, false) }
-func BenchmarkAllocLookupDiagnosed(b *testing.B) { benchLookup(b, false, true) }
-func BenchmarkAllocLookupObserved(b *testing.B)  { benchLookup(b, true, true) }
+// BenchmarkAllocLookupDiagnosed is the same lookups on the same network with
+// the query diagnostics on (armada-load -slow-out's and -trace-out's log):
+// its ratio to AllocLookup is what leaving them on costs a query.
+func BenchmarkAllocLookupDiagnosed(b *testing.B) {
+	benchLookup(b, armada.WithDiagnostics(armada.DiagnosticsConfig{SlowLogCapacity: 256}))
+}
 
-// benchLookup is BenchmarkAllocLookup's loop, on a network built with the
-// flight recorder and the query diagnostics as asked.
-func benchLookup(b *testing.B, recorded, diagnosed bool) {
-	var opts []armada.Option
-	if recorded {
-		opts = append(opts, armada.WithFlightRecorder(1<<16))
-	}
-	if diagnosed {
-		opts = append(opts, armada.WithDiagnostics(armada.DiagnosticsConfig{SlowLogCapacity: 256}))
-	}
+// benchLookup is BenchmarkAllocLookup's loop, on a network built with opts.
+func benchLookup(b *testing.B, opts ...armada.Option) {
 	net := buildAllocNet(b, 1000, 2000, opts...)
 	defer net.Close()
 	rng := rand.New(rand.NewSource(112))

@@ -87,7 +87,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		shortTab  = fs.Int("shortcut-table", 0, "issuer-side route cache capacity in learned owners; lookups, ranges and session pages whose destinations it knows route in one direct hop per destination (0 = no cache)")
 		noShort   = fs.Bool("no-shortcut", false, "drop the scenario's route cache — the descent-baseline ablation (results are byte-identical, only hops and messages move)")
 		out       = fs.String("out", "", "write the JSON report to this file (default stdout)")
-		traceOut  = fs.String("trace-out", "", "attach a query-lifecycle flight recorder retaining 65536 events and write it as Chrome trace-event JSON to this file after the run")
+		traceOut  = fs.String("trace-out", "", "write the log of the slowest queries, each with its hops and page cut, as Chrome trace-event JSON to this file after the run (implies -slow-log 256 when unset)")
 		slowLog   = fs.Int("slow-log", 0, fmt.Sprintf("attach the query-diagnostics layer, its log keeping the N slowest queries by queue wait plus service time (0 = none; implied by -slow-out; at most %d); enables the tail_attribution report block and the /debug/armada endpoints", armada.MaxSlowLogCapacity))
 		slowOut   = fs.String("slow-out", "", "write the log of the slowest queries and the tail attribution as JSON to this file after the run (implies -slow-log 256 when unset)")
 		metricsAd = fs.String("metrics-addr", "", "serve live metrics over HTTP on this address: Prometheus text at /metrics, expvar at /debug/vars")
@@ -204,7 +204,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// the flag order.
 		sc.ShortcutTable = 0
 	}
-	if *slowOut != "" && sc.SlowQueryLog == 0 {
+	if (*slowOut != "" || *traceOut != "") && sc.SlowQueryLog == 0 {
 		sc.SlowQueryLog = 256
 	}
 
@@ -222,9 +222,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	opts := sc.NetworkOptions()
-	if *traceOut != "" {
-		opts = append(opts, armada.WithFlightRecorder(1<<16))
-	}
 
 	runOnce := func() (*workload.Report, error) {
 		var (
@@ -267,7 +264,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		defer liveNet.Store(nil)
 		if *traceOut != "" {
 			// Deferred so the dump survives run errors and audit failures —
-			// the flight recorder is most valuable exactly then.
+			// the slowest queries' hops are most valuable exactly then.
 			defer func() {
 				if err := writeFile(*traceOut, net.WriteFlightTrace); err != nil {
 					fmt.Fprintln(stderr, "armada-load: trace dump:", err)

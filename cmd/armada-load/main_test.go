@@ -291,7 +291,7 @@ func TestTraceOutAndMetrics(t *testing.T) {
 	path := t.TempDir() + "/trace.json"
 	m := runJSON(t, "-scenario", "steady", "-peers", "60", "-ops", "200", "-preload", "150",
 		"-seed", "3", "-trace-out", path)
-	// -trace-out implies a flight recorder; the dump must be valid Chrome
+	// -trace-out implies the diagnostics; the dump must be valid Chrome
 	// trace-event JSON with at least one query span.
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -2,6 +2,8 @@ package armada
 
 import (
 	"cmp"
+	"errors"
+	"io"
 	"slices"
 
 	"armada/internal/diag"
@@ -36,6 +38,21 @@ func (n *Network) SlowQueries() []SlowQuery {
 		return nil
 	}
 	return n.obs.diag.SlowQueries()
+}
+
+// ErrNoRecorder is returned by WriteFlightTrace on a network built without
+// WithDiagnostics.
+var ErrNoRecorder = errors.New("armada: network built without WithDiagnostics")
+
+// WriteFlightTrace writes the slow-query log (SlowQueries) as Chrome
+// trace-event JSON, loadable in chrome://tracing or Perfetto: one span per
+// logged query, its hops as instants inside it, and its page cut. It
+// returns ErrNoRecorder on a network built without WithDiagnostics.
+func (n *Network) WriteFlightTrace(w io.Writer) error {
+	if n.obs.diag == nil {
+		return ErrNoRecorder
+	}
+	return n.obs.diag.WriteChromeTrace(w)
 }
 
 // TailAttributionReport returns the run's tail-latency attribution; ok is

@@ -161,6 +161,19 @@ func TestRunsOnlyOnVariadicPath(t *testing.T) {
 	}
 }
 
+// peersIntersectingRegion returns, from the global view, the identifiers of
+// all peers owning at least one ObjectID in the region, ascending — the
+// ground-truth destination set ("Destpeers").
+func peersIntersectingRegion(net *fissione.Network, r kautz.Region) []kautz.Str {
+	var out []kautz.Str
+	for _, id := range net.PeerIDs() {
+		if r.ContainsPrefix(id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // Destinations must be exactly the peers whose regions intersect the query
 // region, each reached exactly once.
 func TestPIRADestinationsExact(t *testing.T) {
@@ -183,7 +196,7 @@ func TestPIRADestinationsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := eng.Network().PeersIntersectingRegion(region)
+		want := peersIntersectingRegion(eng.Network(), region)
 		if len(res.Destinations) != len(want) {
 			t.Fatalf("destinations %v, want %v", res.Destinations, want)
 		}

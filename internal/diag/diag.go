@@ -1,6 +1,7 @@
 // Package diag is Armada's query-diagnostics layer: per-query
 // critical-path breakdowns assembled from the engine's trace stream, a
-// cause classifier, and a bounded log of the run's slowest queries.
+// cause classifier, and a bounded log of the run's slowest queries, each
+// with its hops, which WriteChromeTrace renders as a Chrome trace.
 //
 // The paper's 2·log₂N delay bound is not watched here: it is a theorem,
 // so the facade counts violations and Audit fails on any. This package
@@ -13,20 +14,26 @@
 // that clock as structured, exportable Records.
 //
 // A Monitor is attached per network and must be cheap: the per-event cost
-// is one clock read and two adds on the query's own collector, and a
-// network built without diagnostics never constructs a Query at all, so
-// the disabled fast path is allocation-free.
+// is one clock read, two adds and one write into a fixed hop buffer on the
+// query's own (pooled) collector; the buffer is copied out only for a query
+// that enters the log. A network built without diagnostics never
+// constructs a Query at all, so the disabled fast path is allocation-free.
 package diag
 
 import (
 	"cmp"
 	"container/heap"
+	"encoding/json"
+	"io"
+	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"armada/internal/core"
+	"armada/internal/kautz"
 	"armada/internal/obs"
 )
 
@@ -76,9 +83,21 @@ type StageMs struct {
 	Count int     `json:"count"`
 }
 
+// Hop is one trace event of a logged query: an overlay message or a
+// completed scan, with the engine's fields (core.TraceFunc) and its time.
+type Hop struct {
+	Kind      string `json:"kind"`
+	From      string `json:"from"`
+	To        string `json:"to"`
+	Depth     int    `json:"depth"`
+	Remaining int    `json:"remaining"`
+	// AtMs is the event's time relative to monitor start.
+	AtMs float64 `json:"at_ms"`
+}
+
 // Record is one logged query's structured entry — everything needed to
-// diagnose it offline: identity, timing, the classified cause and the
-// per-stage breakdown.
+// diagnose it offline: identity, timing, the classified cause, the
+// per-stage breakdown and the hops.
 type Record struct {
 	QID    uint64 `json:"qid"`
 	Kind   string `json:"kind"`
@@ -93,12 +112,20 @@ type Record struct {
 	Cause       string  `json:"cause"`
 	// Delay and Bound are the realized hop delay and the instantaneous
 	// 2·log₂N bound it is judged against.
-	Delay     int       `json:"delay"`
-	Bound     float64   `json:"bound,omitempty"`
-	Messages  int       `json:"messages"`
-	DestPeers int       `json:"dest_peers"`
-	Failed    bool      `json:"failed,omitempty"`
-	Stages    []StageMs `json:"stages,omitempty"`
+	Delay     int     `json:"delay"`
+	Bound     float64 `json:"bound,omitempty"`
+	Messages  int     `json:"messages"`
+	DestPeers int     `json:"dest_peers"`
+	Failed    bool    `json:"failed,omitempty"`
+	Error     string  `json:"error,omitempty"`
+	// Cursor is the page's continuation (the result's NextOffsetID); empty
+	// when the query returned its last page or failed.
+	Cursor string    `json:"cursor,omitempty"`
+	Stages []StageMs `json:"stages,omitempty"`
+	// Hops are the query's first HopCapacity trace events in order;
+	// HopsDropped counts those past them.
+	Hops        []Hop `json:"hops,omitempty"`
+	HopsDropped int   `json:"hops_dropped,omitempty"`
 }
 
 // Attribution is the run's tail-latency attribution: of the queries slower
@@ -115,6 +142,12 @@ type Attribution struct {
 	// Causes maps cause name → fraction of tail queries attributed to it.
 	Causes map[string]float64 `json:"causes"`
 }
+
+// HopCapacity is how many trace events a query keeps for its record: a
+// lookup's descent at ten thousand peers (about 11 forwards, a delivery and
+// a scan) several times over, or a narrow range's. A wider query's later
+// events are counted, not kept.
+const HopCapacity = 64
 
 const (
 	defaultLogCapacity = 256
@@ -188,11 +221,19 @@ func (m *Monitor) DescribeMetrics(reg *obs.Registry) {
 // sinceNs is the monitor clock in nanoseconds.
 func (m *Monitor) sinceNs() int64 { return int64(m.now()) }
 
-// Query collects one query's breakdown: the engine's trace stream feeds
-// Note, the armada layer sets the classifier flags, and Finish folds
+// Query collects one query's breakdown and hops: the engine's trace stream
+// feeds Note, the armada layer sets the classifier flags, and Finish folds
 // everything into the monitor and recycles the collector. A query runs on
 // one goroutine, so a Query needs no synchronization.
 type Query struct {
+	queryHead
+	// hops holds the query's first events, nhops of them; Begin resets only
+	// the head, so a recycled buffer is not cleared.
+	hops [HopCapacity]Hop
+}
+
+// queryHead is everything of a Query but its hop buffer.
+type queryHead struct {
 	m       *Monitor
 	qid     uint64
 	kind    string
@@ -205,6 +246,8 @@ type Query struct {
 	stageNs   [core.NumHopKinds]int64
 	stageN    [core.NumHopKinds]int32
 	routeMiss bool
+	nhops     int
+	dropped   int // events past the buffer
 }
 
 // Begin starts collecting one query. queueWait is the queue wait the
@@ -215,32 +258,41 @@ func (m *Monitor) Begin(qid uint64, kind, issuer string, queueWait time.Duration
 		q = new(Query)
 	}
 	now := m.sinceNs()
-	*q = Query{m: m, qid: qid, kind: kind, issuer: issuer, queueWait: queueWait, startNs: now, lastNs: now}
+	q.queryHead = queryHead{m: m, qid: qid, kind: kind, issuer: issuer, queueWait: queueWait, startNs: now, lastNs: now}
 	return q
 }
 
-// Note attributes the time since the previous event to the event's stage —
-// the engine's hop kind. The breakdown is an attribution of wall time to
-// the event stream, not an exact per-message service time.
-func (q *Query) Note(stage core.HopKind) {
+// Note is the query's core.TraceFunc: it attributes the time since the
+// previous event to the event's stage — the engine's hop kind — and buffers
+// the event, or counts it when the buffer is full. The breakdown is an
+// attribution of wall time to the event stream, not an exact per-message
+// service time.
+func (q *Query) Note(kind core.HopKind, from, to kautz.Str, depth, remaining int) {
 	now := q.m.sinceNs()
 	if dt := now - q.lastNs; dt > 0 {
-		q.stageNs[stage] += dt
+		q.stageNs[kind] += dt
 	}
 	q.lastNs = now
-	q.stageN[stage]++
+	q.stageN[kind]++
+	if q.nhops == len(q.hops) {
+		q.dropped++
+		return
+	}
+	q.hops[q.nhops] = Hop{Kind: kind.String(), From: string(from), To: string(to), Depth: depth, Remaining: remaining, AtMs: float64(now) / 1e6}
+	q.nhops++
 }
 
 // MarkShortcutMiss records that the query descended although it consulted
 // issuer-side routing state.
 func (q *Query) MarkShortcutMiss() { q.routeMiss = true }
 
-// Finish completes the query with its cost stats and the instantaneous
-// 2·log₂N bound they are judged against (0 when unknown): classify, sample,
-// log when among the slowest, recycle. A failed query (zero stats) is
-// logged like any other but excluded from tail attribution — its stats are
-// not comparable.
-func (q *Query) Finish(s core.Stats, bound float64, failed bool) {
+// Finish completes the query with its cost stats, the instantaneous
+// 2·log₂N bound they are judged against (0 when unknown), its page cursor
+// and its error: classify, sample, log when among the slowest — the hops
+// are copied out then, and only then — recycle. A failed query (zero
+// stats) is logged like any other but excluded from tail attribution — its
+// stats are not comparable.
+func (q *Query) Finish(s core.Stats, bound float64, cursor string, err error) {
 	m := q.m
 	endNs := m.sinceNs()
 	durNs := max(endNs-q.startNs, 0)
@@ -250,13 +302,13 @@ func (q *Query) Finish(s core.Stats, bound float64, failed bool) {
 	clientMs := durMs + float64(q.queueWait)/1e6
 
 	m.mu.Lock()
-	if !failed {
+	if err == nil {
 		m.noteSampleLocked(clientMs, cause)
 	}
 	if len(m.slowest) < m.logCap {
-		heap.Push(&m.slowest, q.record(s, bound, failed, durMs, cause, endNs))
+		heap.Push(&m.slowest, q.record(s, bound, cursor, err, durMs, cause, endNs))
 	} else if clientMs > m.slowest[0].clientMs() {
-		m.slowest[0] = q.record(s, bound, failed, durMs, cause, endNs)
+		m.slowest[0] = q.record(s, bound, cursor, err, durMs, cause, endNs)
 		heap.Fix(&m.slowest, 0)
 	}
 	m.mu.Unlock()
@@ -304,7 +356,7 @@ func (m *Monitor) noteSampleLocked(clientMs float64, cause Cause) {
 }
 
 // record builds the query's log entry.
-func (q *Query) record(s core.Stats, bound float64, failed bool, durMs float64, cause Cause, endNs int64) Record {
+func (q *Query) record(s core.Stats, bound float64, cursor string, err error, durMs float64, cause Cause, endNs int64) Record {
 	rec := Record{
 		QID:         q.qid,
 		Kind:        q.kind,
@@ -317,7 +369,12 @@ func (q *Query) record(s core.Stats, bound float64, failed bool, durMs float64, 
 		Bound:       bound,
 		Messages:    s.Messages,
 		DestPeers:   s.DestPeers,
-		Failed:      failed,
+		Failed:      err != nil,
+		Cursor:      cursor,
+		HopsDropped: q.dropped,
+	}
+	if err != nil {
+		rec.Error = err.Error()
 	}
 	for k, n := range q.stageN {
 		if n == 0 {
@@ -329,6 +386,7 @@ func (q *Query) record(s core.Stats, bound float64, failed bool, durMs float64, 
 			Count: int(n),
 		})
 	}
+	rec.Hops = slices.Clone(q.hops[:q.nhops])
 	return rec
 }
 
@@ -386,4 +444,57 @@ func (m *Monitor) TailAttribution() Attribution {
 		}
 	}
 	return att
+}
+
+// chromeEvent is one entry of the Chrome trace-event JSON format
+// (chrome://tracing, Perfetto).
+type chromeEvent struct {
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat"`
+	Phase string         `json:"ph"`
+	TS    int64          `json:"ts"` // microseconds since monitor start
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	ID    string         `json:"id,omitempty"`
+	Scope string         `json:"s,omitempty"`
+	Args  map[string]any `json:"args"`
+}
+
+// WriteChromeTrace writes the log as Chrome trace-event JSON
+// ({"traceEvents": [...]}), loadable in chrome://tracing or Perfetto: each
+// record an async "b"/"e" span keyed by its query ID (the end carries
+// delay, messages and any error), its hops "hop" instants, and a page cut
+// a "page-cut" instant carrying the cursor.
+func (m *Monitor) WriteChromeTrace(w io.Writer) error {
+	out := []chromeEvent{}
+	for _, r := range m.SlowQueries() {
+		event := func(name, cat, ph string, ms float64, args map[string]any) chromeEvent {
+			args["qid"] = r.QID
+			ev := chromeEvent{Name: name, Cat: cat, Phase: ph, TS: int64(math.Round(ms * 1e3)), PID: 1, TID: 1, Args: args}
+			if ph == "i" {
+				ev.Scope = "t"
+			} else {
+				ev.ID = strconv.FormatUint(r.QID, 10)
+			}
+			return ev
+		}
+		out = append(out, event("query", "query", "b", r.AtMs-r.DurationMs, map[string]any{"from": r.Issuer, "query_kind": r.Kind}))
+		for _, h := range r.Hops {
+			out = append(out, event(h.Kind, "hop", "i", h.AtMs, map[string]any{"from": h.From, "to": h.To, "depth": h.Depth, "remaining": h.Remaining}))
+		}
+		if r.Cursor != "" {
+			out = append(out, event("page-cut", "query", "i", r.AtMs, map[string]any{"cursor": r.Cursor}))
+		}
+		end := map[string]any{"delay": r.Delay, "messages": r.Messages}
+		if r.Error != "" {
+			end["error"] = r.Error
+		}
+		if r.HopsDropped > 0 {
+			end["hops_dropped"] = r.HopsDropped
+		}
+		out = append(out, event("query", "query", "e", r.AtMs, end))
+	}
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}{out})
 }

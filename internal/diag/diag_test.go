@@ -1,11 +1,16 @@
 package diag
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"armada/internal/core"
+	"armada/internal/kautz"
 )
 
 // clockMonitor builds a monitor on a synthetic clock the test advances.
@@ -16,10 +21,13 @@ func clockMonitor(logCapacity int) (*Monitor, *time.Duration) {
 	return m, cur
 }
 
+// note feeds q one event of kind between two fixed peers.
+func note(q *Query, kind core.HopKind) { q.Note(kind, "a", "b", 1, 0) }
+
 func finishAfter(m *Monitor, cur *time.Duration, qid uint64, wait, d time.Duration, s core.Stats, bound float64) {
 	q := m.Begin(qid, "range", "p", wait)
 	*cur += d
-	q.Finish(s, bound, false)
+	q.Finish(s, bound, "", nil)
 }
 
 func TestClassifierPriorities(t *testing.T) {
@@ -28,13 +36,13 @@ func TestClassifierPriorities(t *testing.T) {
 	// Queue wait longer than service time wins over everything.
 	q := m.Begin(1, "range", "p", 50*time.Millisecond)
 	q.MarkShortcutMiss()
-	q.Note(core.HopForward)
+	note(q, core.HopForward)
 	if c := q.classify(int64(10 * time.Millisecond)); c != CauseQueueWait {
 		t.Fatalf("queue-wait case classified %v", c)
 	}
 	// ...a shorter one does not.
 	q = m.Begin(2, "range", "p", time.Millisecond)
-	q.Note(core.HopForward)
+	note(q, core.HopForward)
 	if c := q.classify(int64(10 * time.Millisecond)); c == CauseQueueWait {
 		t.Fatalf("short wait classified queue-wait")
 	}
@@ -43,16 +51,16 @@ func TestClassifierPriorities(t *testing.T) {
 	// miss, whatever stage dominated.
 	q = m.Begin(4, "lookup", "p", 0)
 	q.MarkShortcutMiss()
-	q.Note(core.HopForward)
+	note(q, core.HopForward)
 	*cur += 10 * time.Millisecond
-	q.Note(core.HopScan)
+	note(q, core.HopScan)
 	if c := q.classify(0); c != CauseShortcutMiss {
 		t.Fatalf("shortcut miss classified %v", c)
 	}
 	// ...but a seeded query is not one.
 	q = m.Begin(5, "lookup", "p", 0)
 	*cur += time.Millisecond
-	q.Note(core.HopSeed)
+	note(q, core.HopSeed)
 	if c := q.classify(0); c != CauseHotRegion {
 		t.Fatalf("seeded query classified %v", c)
 	}
@@ -61,24 +69,24 @@ func TestClassifierPriorities(t *testing.T) {
 	// redirects included...
 	q = m.Begin(8, "range", "p", 0)
 	*cur += time.Millisecond
-	q.Note(core.HopForward)
+	note(q, core.HopForward)
 	*cur += 10 * time.Millisecond
-	q.Note(core.HopScan)
+	note(q, core.HopScan)
 	if c := q.classify(int64(11 * time.Millisecond)); c != CauseHotRegion {
 		t.Fatalf("scan-dominated query classified %v", c)
 	}
 	q = m.Begin(10, "lookup", "p", 0)
 	*cur += 10 * time.Millisecond
-	q.Note(core.HopRedirect)
+	note(q, core.HopRedirect)
 	if c := q.classify(int64(10 * time.Millisecond)); c != CauseHotRegion {
 		t.Fatalf("redirect-dominated query classified %v", c)
 	}
 	// ...while forward-dominated time names no cause.
 	q = m.Begin(9, "range", "p", 0)
 	*cur += 10 * time.Millisecond
-	q.Note(core.HopForward)
+	note(q, core.HopForward)
 	*cur += time.Millisecond
-	q.Note(core.HopDeliver)
+	note(q, core.HopDeliver)
 	if c := q.classify(int64(11 * time.Millisecond)); c != CauseUnknown {
 		t.Fatalf("forward-dominated query classified %v", c)
 	}
@@ -89,7 +97,7 @@ func TestClassifierPriorities(t *testing.T) {
 		t.Fatalf("event-free query classified %v", c)
 	}
 	q = m.Begin(12, "lookup", "p", 0)
-	q.Note(core.HopDeliver)
+	note(q, core.HopDeliver)
 	if c := q.classify(0); c != CauseUnknown {
 		t.Fatalf("timeless query classified %v", c)
 	}
@@ -174,15 +182,15 @@ func TestFailedQueriesExcludedFromAttribution(t *testing.T) {
 	m, cur := clockMonitor(0)
 	q := m.Begin(1, "range", "p", 0)
 	*cur += 10 * time.Millisecond
-	q.Finish(core.Stats{}, 0, true)
+	q.Finish(core.Stats{}, 0, "", errors.New("unreachable"))
 	att := m.TailAttribution()
 	if att.Queries != 0 || len(att.Causes) != 0 {
 		t.Fatalf("failed query leaked into attribution: %+v", att)
 	}
 	// ...but it still lands in the log, flagged.
 	recs := m.SlowQueries()
-	if len(recs) != 1 || !recs[0].Failed {
-		t.Fatalf("failed slow query not logged: %+v", recs)
+	if len(recs) != 1 || !recs[0].Failed || recs[0].Error != "unreachable" {
+		t.Fatalf("failed slow query not logged with its error: %+v", recs)
 	}
 }
 
@@ -194,10 +202,10 @@ func TestConcurrentNotes(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
 				q := m.Begin(uint64(i), "range", "p", 0)
-				q.Note(core.HopForward)
-				q.Note(core.HopDeliver)
-				q.Note(core.HopScan)
-				q.Finish(core.Stats{Delay: 2, Deliveries: 1}, 10, false)
+				note(q, core.HopForward)
+				note(q, core.HopDeliver)
+				note(q, core.HopScan)
+				q.Finish(core.Stats{Delay: 2, Deliveries: 1}, 10, "", nil)
 			}
 		}()
 	}
@@ -209,4 +217,101 @@ func TestConcurrentNotes(t *testing.T) {
 	}
 	m.SlowQueries()
 	m.TailAttribution()
+}
+
+// TestHopBufferKeepsFirstEvents: a logged query's record holds its first
+// HopCapacity events in order, each with its fields and time, and counts the
+// rest; its page cursor rides along.
+func TestHopBufferKeepsFirstEvents(t *testing.T) {
+	m, cur := clockMonitor(4)
+	q := m.Begin(1, "range", "p", 0)
+	kinds := []core.HopKind{core.HopForward, core.HopDeliver, core.HopRedirect, core.HopSeed, core.HopScan}
+	for i := range HopCapacity + 3 {
+		*cur += time.Microsecond
+		q.Note(kinds[i%len(kinds)], kautz.Str(fmt.Sprint("f", i)), kautz.Str(fmt.Sprint("t", i)), i%20, i%7)
+	}
+	q.Finish(core.Stats{}, 0, "cursor", nil)
+	recs := m.SlowQueries()
+	if len(recs) != 1 {
+		t.Fatalf("want 1 record, got %d", len(recs))
+	}
+	r := recs[0]
+	if len(r.Hops) != HopCapacity || r.HopsDropped != 3 || r.Cursor != "cursor" {
+		t.Fatalf("record keeps %d hops, drops %d, cursor %q; want %d, 3, %q", len(r.Hops), r.HopsDropped, r.Cursor, HopCapacity, "cursor")
+	}
+	for i, h := range r.Hops {
+		want := Hop{Kind: kinds[i%len(kinds)].String(), From: fmt.Sprint("f", i), To: fmt.Sprint("t", i),
+			Depth: i % 20, Remaining: i % 7, AtMs: float64(i+1) / 1e3}
+		if math.Abs(h.AtMs-want.AtMs) > 1e-9 {
+			t.Fatalf("hop %d at %v ms, want %v", i, h.AtMs, want.AtMs)
+		}
+		h.AtMs = want.AtMs
+		if h != want {
+			t.Fatalf("hop %d = %+v, want %+v", i, h, want)
+		}
+	}
+	// A recycled collector starts empty.
+	q = m.Begin(2, "lookup", "p", 0)
+	note(q, core.HopDeliver)
+	q.Finish(core.Stats{}, 0, "", nil)
+	if r := m.SlowQueries()[1]; len(r.Hops) != 1 || r.HopsDropped != 0 || r.Cursor != "" {
+		t.Fatalf("second record: %d hops, %d dropped, cursor %q", len(r.Hops), r.HopsDropped, r.Cursor)
+	}
+}
+
+// TestChromeTraceFromLog: the log renders as one span per record — its
+// begin and end under the record's ID, the end carrying delay, messages and
+// any error — with the record's hops as instants between them and its page
+// cut as one more.
+func TestChromeTraceFromLog(t *testing.T) {
+	m, cur := clockMonitor(4)
+	q := m.Begin(1, "range", "p0", 0)
+	*cur += time.Millisecond
+	q.Note(core.HopForward, "p0", "p1", 1, 2)
+	*cur += time.Millisecond
+	q.Note(core.HopDeliver, "p1", "p1", 2, 0)
+	q.Finish(core.Stats{Delay: 1, Messages: 2}, 10, "next", nil)
+	q = m.Begin(2, "lookup", "p0", 0)
+	*cur += time.Millisecond
+	q.Finish(core.Stats{}, 0, "", errors.New("boom"))
+
+	var sb strings.Builder
+	if err := m.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Cat  string         `json:"cat"`
+			Ph   string         `json:"ph"`
+			TS   int64          `json:"ts"`
+			ID   string         `json:"id"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &dump); err != nil {
+		t.Fatalf("Chrome trace does not parse: %v", err)
+	}
+	var got []string
+	for _, e := range dump.TraceEvents {
+		line := fmt.Sprintf("%s %s %s %d %s", e.Ph, e.Cat, e.Name, e.TS, e.ID)
+		for _, k := range []string{"from", "to", "delay", "messages", "error", "cursor"} {
+			if v, ok := e.Args[k]; ok {
+				line += fmt.Sprintf(" %s=%v", k, v)
+			}
+		}
+		got = append(got, line)
+	}
+	want := []string{
+		"b query query 0 1 from=p0",
+		"i hop forward 1000  from=p0 to=p1",
+		"i hop deliver 2000  from=p1 to=p1",
+		"i query page-cut 2000  cursor=next",
+		"e query query 2000 1 delay=1 messages=2",
+		"b query query 2000 2 from=p0",
+		"e query query 3000 2 delay=0 messages=0 error=boom",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("trace events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }

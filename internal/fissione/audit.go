@@ -303,16 +303,3 @@ func (r *records) check(peers []*Peer) error {
 	}
 	return nil
 }
-
-// PeersIntersectingRegion returns, from the global view, the identifiers of
-// all peers owning at least one ObjectID in the region — the ground-truth
-// destination set ("Destpeers") used to validate query engines.
-func (n *Network) PeersIntersectingRegion(r kautz.Region) []kautz.Str {
-	var out []kautz.Str
-	for _, s := range n.order {
-		if id := n.nodes[s].id; r.ContainsPrefix(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}

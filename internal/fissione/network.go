@@ -71,10 +71,6 @@ type Network struct {
 	repairs  obs.Counter // regions whose replica set repair actually rebuilt
 	epoch    atomic.Uint64
 	recs     *records // the record arena every peer's slots refer to
-	// onRepair, when set (SetRepairHook), observes each region repair that
-	// copied objects. It runs under the same external exclusion topology
-	// mutation requires.
-	onRepair func(owner kautz.Str, copied int)
 }
 
 // Epoch returns the topology epoch: a counter bumped by every mutation that
@@ -618,13 +614,6 @@ func (n *Network) UnpublishKey(key uint64, name string, values []float64) (kautz
 	}
 	n.recs.recount(nil, gone)
 	return owner.id, nil
-}
-
-// OwnersIntersecting returns the identifiers of all peers whose region
-// intersects prefix·*: either the single peer whose identifier covers
-// prefix, or every peer whose identifier extends prefix. Results ascend.
-func (n *Network) OwnersIntersecting(prefix kautz.Str) []kautz.Str {
-	return n.IDs(n.cover.appendUnder(nil, 0, prefix, noSlot))
 }
 
 // appendOut derives slot s's out-neighbors from the current cover: the

@@ -125,7 +125,7 @@ type Peer struct {
 
 	// served counts region scans this peer has answered as the serving
 	// member of a replica group — the load signal of the least-loaded read
-	// policy and the read-spread metric.
+	// policy (ReadLeastLoaded in core.choose), its one reader.
 	served atomic.Int64
 
 	// deliveries counts query deliveries addressed to this peer as region

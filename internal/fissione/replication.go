@@ -54,12 +54,6 @@ func (n *Network) Replicas() int { return n.replicas }
 // is not counted).
 func (n *Network) ReReplications() int64 { return n.reRepl.Value() }
 
-// SetRepairHook installs an observer called after each region repair that
-// copied objects, with the repaired region's owner and the copy count. It
-// must be set before any topology mutation and runs under the same
-// external exclusion those mutations require.
-func (n *Network) SetRepairHook(f func(owner kautz.Str, copied int)) { n.onRepair = f }
-
 // DescribeMetrics registers the network's repair counters on reg.
 func (n *Network) DescribeMetrics(reg *obs.Registry) {
 	reg.MustRegister("fissione_re_replications_total", &n.reRepl)
@@ -163,9 +157,6 @@ func (n *Network) repairOwner(pos int) {
 	if copied > 0 {
 		n.reRepl.Add(int64(copied))
 		n.repairs.Inc()
-		if n.onRepair != nil {
-			n.onRepair(region, copied)
-		}
 	}
 }
 

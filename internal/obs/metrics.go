@@ -1,7 +1,7 @@
-// Package obs is Armada's observability substrate: a process-local metrics
-// registry (counters, gauges computed at read time, bounded-bucket
-// histograms — all lock-free, allocation-free updates) and a query-lifecycle
-// flight recorder (recorder.go). Components own their instruments and
+// Package obs is Armada's metrics substrate: a process-local registry of
+// counters, gauges computed at read time and bounded-bucket histograms — all
+// lock-free, allocation-free updates. Per-query records (hops, stages,
+// causes) are internal/diag's. Components own their instruments and
 // register them by name; the registry is only the directory read by
 // exporters (the Prometheus text endpoint, expvar, the workload report's
 // metric deltas), so registration cost is paid once at construction and

@@ -6,7 +6,6 @@ import (
 	"armada/internal/fissione"
 	"armada/internal/kautz"
 	"armada/internal/loadctl"
-	"armada/internal/obs"
 )
 
 // LoadControlConfig tunes the adaptive load controller enabled by
@@ -102,9 +101,6 @@ func (n *Network) splitRegion(id string) (grown, extra int, err error) {
 	defer n.mu.Unlock()
 	size := n.net.Size()
 	_, _, extra, err = n.net.SplitRegion(kautz.Str(id))
-	if err == nil && n.obs.flight != nil {
-		n.obs.flight.Record(obs.Event{Kind: obs.EvSplit, From: id, V1: int64(extra)})
-	}
 	return n.net.Size() - size, extra, wrapFissioneErr(err, id)
 }
 
@@ -138,8 +134,5 @@ func (n *Network) migrateOwnership(donor, hot string) (grown, extra int, err err
 		return 0, 0, err
 	}
 	_, _, extra, err = n.net.SplitRegion(owner)
-	if err == nil && n.obs.flight != nil {
-		n.obs.flight.Record(obs.Event{Kind: obs.EvMigrate, From: donor, To: hot, V1: int64(extra)})
-	}
 	return 0, extra, wrapFissioneErr(err, string(owner))
 }

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"armada/internal/obs"
 )
 
 // publishSpread stores n objects evenly across the attribute space so
@@ -89,80 +87,98 @@ func TestNoRecorderByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.FlightRecorderEnabled() {
-		t.Error("FlightRecorderEnabled on a default network")
-	}
 	if err := net.WriteFlightTrace(&strings.Builder{}); !errors.Is(err, ErrNoRecorder) {
 		t.Errorf("WriteFlightTrace error = %v, want ErrNoRecorder", err)
 	}
 }
 
+// TestFlightRecorderShim: WithFlightRecorder attaches the diagnostics at the
+// default log capacity, and a WithDiagnostics config wins in either order.
+func TestFlightRecorderShim(t *testing.T) {
+	for _, c := range []struct {
+		opts []Option
+		want int
+	}{
+		{[]Option{WithFlightRecorder(4096)}, 256},
+		{[]Option{WithFlightRecorder(4096), WithDiagnostics(DiagnosticsConfig{SlowLogCapacity: 3})}, 3},
+		{[]Option{WithDiagnostics(DiagnosticsConfig{SlowLogCapacity: 3}), WithFlightRecorder(4096)}, 3},
+	} {
+		net, err := NewNetwork(30, append(c.opts, WithSeed(4))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 300 {
+			if _, err := net.Do(context.Background(), NewValueLookup([]float64{float64(i)})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := len(net.SlowQueries()); got != c.want {
+			t.Errorf("log holds %d records, want %d", got, c.want)
+		}
+	}
+	if _, err := NewNetwork(30, WithFlightRecorder(0)); err == nil {
+		t.Error("WithFlightRecorder(0) accepted")
+	}
+}
+
+// chromeTrace is the part of a Chrome trace-event dump the tests read.
+type chromeTrace struct {
+	TraceEvents []struct {
+		Name string         `json:"name"`
+		Ph   string         `json:"ph"`
+		Cat  string         `json:"cat"`
+		ID   string         `json:"id"`
+		Args map[string]any `json:"args"`
+	} `json:"traceEvents"`
+}
+
 // TestFlightRecorderLifecycle drives one full query lifecycle — descent,
-// delivery, page cut — through the recorder and round-trips the dump
+// delivery, page cut — through the diagnostics and round-trips its record
 // through the Chrome trace-event exporter.
 func TestFlightRecorderLifecycle(t *testing.T) {
-	net, err := NewNetwork(100, WithSeed(7), WithFlightRecorder(4096))
+	net, err := NewNetwork(100, WithSeed(7), WithDiagnostics(DiagnosticsConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !net.FlightRecorderEnabled() {
-		t.Fatal("FlightRecorderEnabled = false")
-	}
 	publishSpread(t, net, 400)
 	ctx := context.Background()
-	res, err := net.Do(ctx, NewRange([]Range{{Low: 0, High: 900}}, WithLimit(50)))
+	// A range narrow enough for every hop to fit the record, wide enough
+	// for a page cut.
+	res, err := net.Do(ctx, NewRange([]Range{{Low: 0, High: 150}}, WithLimit(50)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NextOffsetID == "" {
 		t.Fatal("want a paged result (non-empty NextOffsetID) to exercise the page cut")
 	}
-
-	events := net.obs.flight.Events()
-	byKind := map[obs.EventKind]int{}
-	var qid uint64
-	for _, ev := range events {
-		byKind[ev.Kind]++
-		if ev.Kind == obs.EvQueryStart {
-			qid = ev.QID
-		}
+	recs := net.SlowQueries()
+	if len(recs) != 1 {
+		t.Fatalf("log holds %d records, want the one query", len(recs))
 	}
-	for _, kind := range []obs.EventKind{
-		obs.EvQueryStart, obs.EvDescentStep, obs.EvDeliver, obs.EvPageCut, obs.EvQueryEnd,
-	} {
-		if byKind[kind] == 0 {
-			t.Errorf("no %v event recorded", kind)
-		}
+	rec := recs[0]
+	if rec.Cursor != res.NextOffsetID {
+		t.Errorf("record cursor %q, result cursor %q", rec.Cursor, res.NextOffsetID)
 	}
-	for _, ev := range events {
-		if ev.QID != qid {
-			t.Errorf("event %v carries QID %d, want %d (one query ran)", ev.Kind, ev.QID, qid)
-		}
+	byKind := map[string]int{}
+	for _, h := range rec.Hops {
+		byKind[h.Kind]++
 	}
-	if got := net.MetricValues()["flight_recorder_events_total"]; got != int64(len(events)) {
-		t.Errorf("flight_recorder_events_total = %d, want %d", got, len(events))
+	if byKind["forward"] == 0 || byKind["deliver"] == 0 || rec.HopsDropped != 0 {
+		t.Errorf("record hops by kind %v, %d dropped; want forwards and deliveries, none dropped", byKind, rec.HopsDropped)
 	}
 
 	var sb strings.Builder
 	if err := net.WriteFlightTrace(&sb); err != nil {
 		t.Fatal(err)
 	}
-	var dump struct {
-		TraceEvents []struct {
-			Name string          `json:"name"`
-			Ph   string          `json:"ph"`
-			Cat  string          `json:"cat"`
-			ID   string          `json:"id"`
-			Args json.RawMessage `json:"args"`
-		} `json:"traceEvents"`
-	}
+	var dump chromeTrace
 	if err := json.Unmarshal([]byte(sb.String()), &dump); err != nil {
 		t.Fatalf("Chrome trace does not parse: %v", err)
 	}
-	if len(dump.TraceEvents) != len(events) {
-		t.Fatalf("trace exports %d events, recorder holds %d", len(dump.TraceEvents), len(events))
+	if want := len(rec.Hops) + 3; len(dump.TraceEvents) != want {
+		t.Fatalf("trace exports %d events, want %d (span, %d hops, page cut)", len(dump.TraceEvents), want, len(rec.Hops))
 	}
-	wantID := strconv.FormatUint(qid, 10)
+	wantID := strconv.FormatUint(rec.QID, 10)
 	var begins, ends, hops, cuts int
 	for _, te := range dump.TraceEvents {
 		switch {
@@ -173,10 +189,19 @@ func TestFlightRecorderLifecycle(t *testing.T) {
 			}
 		case te.Ph == "e" && te.Name == "query":
 			ends++
+			if te.ID != wantID || te.Args["messages"] != float64(res.Stats.Messages) || te.Args["delay"] != float64(res.Stats.Delay) {
+				t.Errorf("span end id %q args %v, want id %q, %d messages, delay %d", te.ID, te.Args, wantID, res.Stats.Messages, res.Stats.Delay)
+			}
 		case te.Cat == "hop":
 			hops++
+			if te.Args["from"] == nil || te.Args["to"] == nil {
+				t.Errorf("hop %q lacks from or to: %v", te.Name, te.Args)
+			}
 		case te.Name == "page-cut":
 			cuts++
+			if te.Args["cursor"] != res.NextOffsetID {
+				t.Errorf("page cut at %v, want %q", te.Args["cursor"], res.NextOffsetID)
+			}
 		}
 	}
 	if begins != 1 || ends != 1 {
@@ -187,10 +212,55 @@ func TestFlightRecorderLifecycle(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderControlEvents checks that topology-side activity —
-// replica repair after a crash — lands in the recorder.
-func TestFlightRecorderControlEvents(t *testing.T) {
-	net, err := NewNetwork(60, WithSeed(9), WithReplication(2), WithFlightRecorder(4096))
+// TestRecordCountsTheQueryCost: on an unreplicated network a logged query's
+// hops are its cost — forwards plus seeded sends are Stats.Messages,
+// deliveries plus redirects are Stats.Deliveries, each scan one run — for a
+// descended lookup, a descended range and a range the route cache seeded.
+func TestRecordCountsTheQueryCost(t *testing.T) {
+	net := buildQueryNet(t, 300, 900, WithShortcutTable(300), WithDiagnostics(DiagnosticsConfig{}))
+	ctx := context.Background()
+	narrow := NewRange([]Range{{Low: 400, High: 430}})
+	for _, c := range []struct {
+		name   string
+		q      Query
+		seeded bool
+	}{
+		{"lookup", NewLookup(objName(17)), false},
+		{"range", narrow, false},
+		{"seeded range", narrow, true},
+	} {
+		res, err := net.Do(ctx, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Stats.DescentsSaved == 1; got != c.seeded {
+			t.Fatalf("%s: seeded %t, want %t", c.name, got, c.seeded)
+		}
+		recs := net.SlowQueries()
+		rec := recs[len(recs)-1]
+		byKind := map[string]int{}
+		for _, h := range rec.Hops {
+			byKind[h.Kind]++
+		}
+		if rec.HopsDropped != 0 {
+			t.Errorf("%s: %d hops dropped", c.name, rec.HopsDropped)
+		}
+		if got := byKind["forward"] + byKind["seed"]; got != res.Stats.Messages {
+			t.Errorf("%s: %d forward + seed hops, Stats.Messages %d", c.name, got, res.Stats.Messages)
+		}
+		if got := byKind["deliver"] + byKind["redirect"]; got != res.Stats.Deliveries {
+			t.Errorf("%s: %d deliver + redirect hops, Stats.Deliveries %d", c.name, got, res.Stats.Deliveries)
+		}
+		if byKind["scan"] == 0 || byKind["scan"] > res.Stats.Deliveries {
+			t.Errorf("%s: %d scans for %d deliveries", c.name, byKind["scan"], res.Stats.Deliveries)
+		}
+	}
+}
+
+// TestRepairsCounted: replica repair after crashes shows in its counters —
+// regions repaired, and at least one object copied for each.
+func TestRepairsCounted(t *testing.T) {
+	net, err := NewNetwork(60, WithSeed(9), WithReplication(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,20 +272,13 @@ func TestFlightRecorderControlEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var repairs int
-	for _, ev := range net.obs.flight.Events() {
-		if ev.Kind == obs.EvRepair {
-			repairs++
-			if ev.V1 <= 0 {
-				t.Errorf("repair event with %d copied objects", ev.V1)
-			}
-		}
-	}
+	mv := net.MetricValues()
+	repairs, copied := mv["fissione_repairs_total"], mv["fissione_re_replications_total"]
 	if repairs == 0 {
-		t.Error("no repair events after crashes on a replicated network")
+		t.Error("fissione_repairs_total = 0 after crashes on a replicated network")
 	}
-	if got, want := net.MetricValues()["fissione_repairs_total"], int64(repairs); got != want {
-		t.Errorf("fissione_repairs_total = %d, recorder saw %d", got, want)
+	if copied < repairs {
+		t.Errorf("fissione_re_replications_total = %d below %d repairs: a repair copied nothing", copied, repairs)
 	}
 }
 

@@ -13,14 +13,13 @@ type AttributeSpace struct {
 
 // config collects construction options for a Network.
 type config struct {
-	seed           int64
-	attrs          []AttributeSpace
-	replicas       int
-	frontierCache  int
-	shortcutTable  int
-	flightRecorder int
-	loadControl    *LoadControlConfig
-	diagnostics    *DiagnosticsConfig
+	seed          int64
+	attrs         []AttributeSpace
+	replicas      int
+	frontierCache int
+	shortcutTable int
+	loadControl   *LoadControlConfig
+	diagnostics   *DiagnosticsConfig
 }
 
 // Option configures NewNetwork.
@@ -128,19 +127,20 @@ func WithFrontierCache(capacity int) Option {
 	})
 }
 
-// WithFlightRecorder attaches a query-lifecycle flight recorder to the
-// network: a bounded ring buffer retaining the last capacity structured,
-// timestamped events — query start/end, every descent hop, seeded sends,
-// replica redirects, deliveries, page cuts, replica repairs and
-// load-controller actions. Dump it with WriteFlightTrace
-// (Chrome trace-event JSON). The default is no recorder; without one,
-// queries skip all per-hop event construction.
+// WithFlightRecorder attaches the query diagnostics at their default log
+// capacity unless WithDiagnostics configures them; WriteFlightTrace renders
+// their log of the slowest queries, hops included.
+//
+// Deprecated: the flight recorder is folded into the diagnostics; use
+// WithDiagnostics. capacity is checked and otherwise unused.
 func WithFlightRecorder(capacity int) Option {
 	return optionFunc(func(c *config) error {
 		if capacity < 1 {
 			return fmt.Errorf("%w: flight recorder capacity %d < 1", errBadOption, capacity)
 		}
-		c.flightRecorder = capacity
+		if c.diagnostics == nil {
+			c.diagnostics = &DiagnosticsConfig{}
+		}
 		return nil
 	})
 }
