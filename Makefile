@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race build vet micro fuzz bench-smoke loc nomap noregion nobarrier mutants BENCH_micro.json
+.PHONY: test race build vet micro fuzz bench-smoke loc nomap noregion nobarrier mutants allocs BENCH_micro.json
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,13 @@ race:
 # its pooled collector, copied into its record when it enters the slow log,
 # and the log renders as the Chrome trace (internal/diag 389 → 500);
 # armada-load's -trace-out implies -slow-log (620 → 617).
+# 6311 → 6240: replicated reads follow one rule, round-robin through the
+# owner's group on the engine's cursor; the read-policy knob is gone — the
+# root's ReadPolicy alias with its four values, Query.ReadPolicy,
+# WithReadPolicy and exec's policy check (1746 → 1714), and the engine's
+# policy values with their String, QueryConfig.Policy and choose
+# (internal/core 1550 → 1511, net of the deprecated ReadPolicy,
+# ReadRoundRobin and WithReadPolicy the bench twin still calls).
 # Item 4(g): the serving path — overlay, naming, Kautz arithmetic, route cache
 # and load controller — has its own ceiling, LOC_SERVING_MAX, set at its size
 # when the gate came in; the same rule raises it.
@@ -117,6 +124,9 @@ race:
 # 4165 → 4132: fissione's repair hook is gone with the flight recorder, and
 # OwnersIntersecting and PeersIntersectingRegion, which only tests called,
 # moved into test files — internal/fissione 2612 → 2579.
+# 4132 → 4119: the per-peer served counter (served, ServedReads,
+# NoteServed), which only the least-loaded read policy read, is gone with
+# it — internal/fissione 2579 → 2566.
 # The rest — every other directory with non-test Go files outside bench/:
 # today the comparison baselines, the evaluation and armada-bench — has a
 # third ceiling, LOC_REST_MAX, so no code grows where neither gate above
@@ -127,9 +137,9 @@ race:
 # 2325 → 2252: internal/stats lost SafeSample (with Drain), Min and StdDev
 # once no workload goroutine shared a sample — 166 → 93.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
-LOC_MAX = 6311
+LOC_MAX = 6240
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
-LOC_SERVING_MAX = 4132
+LOC_SERVING_MAX = 4119
 LOC_REST_DIRS = $(filter-out $(LOC_DIRS) $(LOC_SERVING_DIRS) bench%,$(patsubst %/,%,$(sort $(dir $(filter-out %_test.go,$(wildcard *.go */*.go */*/*.go))))))
 LOC_REST_MAX = 2252
 loc:
@@ -254,6 +264,47 @@ export MICRO_JSON
 
 BENCH_micro.json:
 	$(MAKE) -s micro | python3 -c "$$MICRO_JSON" > $@
+
+# ROADMAP item 25(b)'s gate as a command: the root package's query-path rows
+# of `make micro` (Alloc*, Range*, Stream*, WalkWide, TopKWide at GOMAXPROCS
+# 2, ParallelLookup* at 1 and 2), each run three times for a fixed 1 s,
+# against their record in BENCH_micro.json. A row fails if the least of its
+# three allocs/op rises over the record or the least of its B/op rises more
+# than 2% over it, and the gate fails if a recorded row was not measured;
+# ns/op is not compared. Collector timing only ever adds: GOGC=400 has it
+# empty the query-state pools less often, so their refills do not tip a
+# row's mean across a whole allocation (WalkWide read 102 or 103 and
+# StreamManyOwners 208 or 209 at the default GOGC), and the least of three
+# runs drops what the diagnostics' slow log keeps in a run whose timing
+# ranked more queries into it (AllocLookupDiagnosed read 493-503 B/op). A
+# change that raises a row refreshes the record (make BENCH_micro.json) and
+# says why.
+ALLOCS_ROWS = ^Benchmark(Alloc|Range|Stream|WalkWide$$|TopKWide$$|ParallelLookup)
+define ALLOCS_CHECK
+import json, re, sys
+rows = re.compile(sys.argv[1])
+record = {(r["name"], r["procs"]): r for r in json.load(open("BENCH_micro.json")) if r["pkg"] == "armada" and rows.search(r["name"])}
+least = {}
+for r in json.load(sys.stdin):
+    key = (r["name"], r["procs"])
+    if key in record:
+        was = least.setdefault(key, r)
+        least[key] = {u: min(r[u], was[u]) for u in ("allocs/op", "B/op")}
+bad = 0
+for (name, procs), rec in record.items():
+    r = least.get((name, procs))
+    ok = r is not None and r["allocs/op"] <= rec["allocs/op"] and r["B/op"] <= rec["B/op"] * 1.02
+    bad |= not ok
+    got = "not measured" if r is None else f"{r['allocs/op']:g} allocs/op, {r['B/op']:g} B/op"
+    print(f"{'ok  ' if ok else 'FAIL'} {name}-{procs}: {got} (record {rec['allocs/op']:g}, {rec['B/op']:g})")
+sys.exit(bad)
+endef
+export ALLOCS_CHECK
+
+allocs:
+	@{ GOGC=400 $(GO) test -run '^$$' -bench '$(ALLOCS_ROWS)' -benchtime 1s -count 3 -cpu 2 -benchmem . ; \
+	  GOGC=400 $(GO) test -run '^$$' -bench '^BenchmarkParallelLookup' -benchtime 1s -count 3 -cpu 1 -benchmem . ; } | \
+		python3 -c "$$MICRO_JSON" | python3 -c "$$ALLOCS_CHECK" '$(ALLOCS_ROWS)'
 
 # The CI fuzz leg: each target for 20 s on top of its committed seed corpus
 # (testdata/fuzz/) — the two differential pruning predicates, the namespace

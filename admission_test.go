@@ -214,7 +214,7 @@ func TestRankAdmissionMIRA(t *testing.T) {
 // that width put several distinct values under one ObjectID, whose slots,
 // ordered by name, hold them in no order. Exact ties put objects that beat
 // the bar on name alone in the bar's own leaf, and value-less objects hash
-// among them. Under every read policy, with one and three replicas, at k from
+// among them. With one and three replicas, at k from
 // 1 to 50, WithTopK must equal the sorted full-range oracle over boxes of
 // every width — so stopping inside a leaf, or at a slot that ties the bar,
 // fails here.
@@ -259,14 +259,12 @@ func TestTopKStopsAtTheBar(t *testing.T) {
 			slices.SortFunc(want, func(a, b admissionCase) int {
 				return cmp.Or(cmp.Compare(b.vals[0], a.vals[0]), cmp.Compare(a.name, b.name), cmp.Compare(a.id, b.id))
 			})
-			for _, pol := range []ReadPolicy{ReadDefault, ReadPrimary, ReadRoundRobin, ReadLeastLoaded} {
-				for _, n := range []int{1, 3, 10, 50} {
-					res, err := net.Do(ctx, NewRange([]Range{{Low: box[0], High: box[1]}}, WithTopK(n), WithReadPolicy(pol)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameObjects(t, fmt.Sprintf("replicas %d, box %v, policy %d, top-%d", replicas, box, pol, n), res.Objects, want[:min(n, len(want))])
+			for _, n := range []int{1, 3, 10, 50} {
+				res, err := net.Do(ctx, NewRange([]Range{{Low: box[0], High: box[1]}}, WithTopK(n)))
+				if err != nil {
+					t.Fatal(err)
 				}
+				sameObjects(t, fmt.Sprintf("replicas %d, box %v, top-%d", replicas, box, n), res.Objects, want[:min(n, len(want))])
 			}
 		}
 		net.Close()

@@ -438,10 +438,7 @@ func (n *Network) run(ctx context.Context, q Query, sess *Session) (*Result, err
 // the result. ob, when non-nil, observes it.
 func (n *Network) exec(ctx context.Context, q Query, issuer string, sess *Session, ob *queryObs) (*Result, error) {
 	kind := q.kind()
-	if q.ReadPolicy < ReadDefault || q.ReadPolicy > ReadLeastLoaded {
-		return nil, fmt.Errorf("%w: unknown read policy %v", ErrBadQuery, q.ReadPolicy)
-	}
-	cfg := core.QueryConfig{Policy: q.ReadPolicy}
+	var cfg core.QueryConfig
 	if ob != nil {
 		cfg.Trace = ob.hop
 	}

@@ -361,6 +361,28 @@ func TestRegionHeatReport(t *testing.T) {
 	}
 }
 
+// TestDelayBoundCountsTheBound: the paper's bound is strict, Delay < 2·log₂N,
+// so a query whose delay reaches it exactly counts as a violation. At 16
+// peers the bound is 8 hops.
+func TestDelayBoundCountsTheBound(t *testing.T) {
+	net, err := NewNetwork(16, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	for _, c := range []struct {
+		delay int
+		want  int64
+	}{{7, 0}, {8, 1}, {9, 2}} {
+		if bound := net.noteQuery(Stats{Delay: c.delay}); bound != 8 {
+			t.Fatalf("bound %v at 16 peers, want 8", bound)
+		}
+		if got := net.MetricValues()["delay_bound_violations"]; got != c.want {
+			t.Fatalf("after a query of delay %d: %d violations, want %d", c.delay, got, c.want)
+		}
+	}
+}
+
 // TestAuditFailsOnDelayBoundViolation: the delay bound is an invariant the
 // audit checks, not a rate to watch. A clean network passes both audits; one
 // counted violation fails both with ErrDelayBound, whatever the sample.

@@ -54,13 +54,13 @@ func TestLookupAllocCeiling(t *testing.T) {
 func TestReplicatedDeliveryAllocs(t *testing.T) {
 	ctx, lo, hi := context.Background(), []float64{200}, []float64{500}
 	var perQuery [2]float64
-	for i, pol := range []ReadPolicy{ReadPrimary, ReadRoundRobin} {
+	for i := range perQuery {
 		eng, _ := buildBench(t, 300, 600)
 		if err := eng.Network().SetReplicas(i + 1); err != nil {
 			t.Fatal(err)
 		}
 		issuer := eng.Network().PeerIDs()[0]
-		res, err := eng.RangeQuery(ctx, issuer, lo, hi, WithReadPolicy(pol))
+		res, err := eng.RangeQuery(ctx, issuer, lo, hi)
 		if err != nil || res.Stats.DestPeers < 30 {
 			t.Fatalf("test range reaches %d destinations (%v), want ≥ 30", res.Stats.DestPeers, err)
 		}
@@ -70,7 +70,7 @@ func TestReplicatedDeliveryAllocs(t *testing.T) {
 		perQuery[i] = math.Inf(1)
 		for run := 0; run < 20; run++ {
 			perQuery[i] = min(perQuery[i], testing.AllocsPerRun(1, func() {
-				if _, err := eng.RangeQuery(ctx, issuer, lo, hi, WithReadPolicy(pol)); err != nil {
+				if _, err := eng.RangeQuery(ctx, issuer, lo, hi); err != nil {
 					t.Fatal(err)
 				}
 			}))

@@ -57,8 +57,9 @@ var (
 type Engine struct {
 	net  *fissione.Network
 	tree *naming.Tree
-	// rr is the round-robin read policy's cursor; shared by all queries so
-	// repeated identical queries rotate through a group's replicas.
+	// rr is the read rule's cursor: a replicated delivery is served by the
+	// owner's group member it names. Shared by all queries so repeated
+	// identical queries rotate through a group's replicas.
 	rr atomic.Uint64
 	// metrics accumulates engine-wide query cost counters; always non-nil.
 	metrics *metrics
@@ -75,7 +76,7 @@ const (
 	// HopDeliver is a delivery served by the region owner itself
 	// (from == to).
 	HopDeliver
-	// HopRedirect is a delivery the read policy redirected from the region
+	// HopRedirect is a delivery the read rule redirected from the region
 	// owner (from) to a serving replica (to).
 	HopRedirect
 	// HopSeed is one direct issuer→serving-peer send: of a seeded query,
@@ -114,7 +115,7 @@ func (k HopKind) String() string {
 // message, then each located run's completed scan (HopScan). from is the
 // processing peer, to the forward's target; deliveries have remaining == 0
 // and report the peer that served the delivery as to — equal to from unless
-// a read policy redirected the scan to a replica (kind HopRedirect). A
+// the read rule redirected the scan to a replica (kind HopRedirect). A
 // query runs on its caller's goroutine, so its observers are never called
 // concurrently.
 type TraceFunc func(kind HopKind, from, to kautz.Str, depth, remaining int)
@@ -166,40 +167,6 @@ func (m *metrics) note(s Stats, seeded bool) {
 	m.Delay.Observe(float64(s.Delay))
 }
 
-// ReadPolicy selects which member of a region's replica group serves a
-// delivery. On an unreplicated network every policy is ReadPrimary.
-type ReadPolicy int
-
-const (
-	// ReadDefault, the zero value, is round-robin if replicated, else primary.
-	ReadDefault ReadPolicy = iota
-	// ReadPrimary always serves from the region's owner, byte-identical to
-	// the unreplicated data path.
-	ReadPrimary
-	// ReadRoundRobin rotates deliveries through the group, spreading a hot
-	// region's read load evenly.
-	ReadRoundRobin
-	// ReadLeastLoaded serves from the group member that has served the
-	// fewest region scans so far.
-	ReadLeastLoaded
-)
-
-// String names the policy for reports and errors.
-func (p ReadPolicy) String() string {
-	switch p {
-	case ReadDefault:
-		return "default"
-	case ReadPrimary:
-		return "primary"
-	case ReadRoundRobin:
-		return "round-robin"
-	case ReadLeastLoaded:
-		return "least-loaded"
-	default:
-		return fmt.Sprintf("ReadPolicy(%d)", int(p))
-	}
-}
-
 // QueryConfig is the per-query execution configuration. The zero value runs
 // a plain query. The *With entry points (LookupWith, RangeQueryWith, ...)
 // take one by value; the variadic entry points fold their QueryOptions into
@@ -220,9 +187,6 @@ type QueryConfig struct {
 	// cursor of keyset pagination, normally the previous page's Next. Range
 	// and flood queries only.
 	After kautz.Str
-	// Policy selects the replica that serves each delivery on a replicated
-	// network (zero: ReadDefault).
-	Policy ReadPolicy
 	// Routes, when non-nil, is issuer-side routing state the query consults
 	// before descending and teaches after a descent (see Router). Lookups and
 	// range queries only — the flood ablation and top-k keep their own walks.
@@ -248,8 +212,23 @@ func WithAfter(id kautz.Str) QueryOption { return func(c *QueryConfig) { c.After
 // into a second slice (the frozen bench twin) keep compiling.
 func WithRunsOnly() QueryOption { return func(*QueryConfig) {} }
 
-// WithReadPolicy selects the replica-serving policy for this query.
-func WithReadPolicy(p ReadPolicy) QueryOption { return func(c *QueryConfig) { c.Policy = p } }
+// ReadPolicy, ReadRoundRobin and WithReadPolicy select nothing: a replicated
+// delivery is always served round-robin through the owner's group (see
+// deliver). They remain so that callers written against the engine that
+// offered a per-query read policy (the frozen bench twin) keep compiling.
+//
+// Deprecated: there is one read rule; drop the option.
+type ReadPolicy int
+
+// ReadRoundRobin names the one read rule.
+//
+// Deprecated: see ReadPolicy.
+const ReadRoundRobin ReadPolicy = 0
+
+// WithReadPolicy selects nothing.
+//
+// Deprecated: see ReadPolicy.
+func WithReadPolicy(ReadPolicy) QueryOption { return func(*QueryConfig) {} }
 
 func buildQueryConfig(opts []QueryOption) QueryConfig {
 	var cfg QueryConfig
@@ -302,7 +281,7 @@ type Stats struct {
 	// equals DestPeers when each destination is reached exactly once.
 	Deliveries int
 	// ReplicaServed counts deliveries served by a replica other than the
-	// region's owner — always 0 without replication or under ReadPrimary.
+	// region's owner — always 0 without replication.
 	// On a descent each redirect is included in Messages (and can extend
 	// Delay by one hop), so the paper's cost metrics stay honest under
 	// read spreading; on a seeded query (DescentsSaved = 1) the issuer
@@ -439,7 +418,7 @@ type queryState struct {
 	boxPrune bool // MIRA: forward only while the child's subspace meets box
 	flood    bool // ablation: forward to every out-neighbor (see FloodQuery)
 	seeded   bool // the Router knew every destination: no descent ran
-	replicas bool // replicated: a read policy picks each delivery's serving member
+	replicas bool // replicated: the rr cursor picks each delivery's serving member
 	// span is the ranks being routed, past the cursor; a delivery scans the
 	// part within its owner's ranks.
 	span kautz.Span
@@ -741,11 +720,12 @@ func (e *Engine) forward(st *queryState, m msg) {
 // deliver is the locate phase's product: it appends the run the materialise
 // phase will scan — the message's receiver, a destination, the replica that
 // serves it and the region it scans. Destination, load
-// counters, read policy and redirect cost are all settled here; no store is
-// read.
+// counter, serving replica and redirect cost are all settled here; no store
+// is read.
 //
-// On a replicated network the scan may be served by any member of the
-// owner's replica group, chosen by the query's read policy. Every scan is
+// On a replicated network the scan is served by the member of the owner's
+// replica group that the engine's rr cursor names next, so deliveries rotate
+// through the group (the owner is member 0). Every scan is
 // bounded by the owner's prefix: a replica's store also carries copies of
 // neighboring regions, and without the bound those objects would be returned
 // both here and at their own region's delivery. Bounding makes every ObjectID
@@ -753,8 +733,8 @@ func (e *Engine) forward(st *queryState, m msg) {
 // paginated walks exact under replication, and lets one ranking of the routed
 // region serve every subregion's deliveries. A redirected
 // delivery costs one extra overlay message and arrives one hop later —
-// except on a seeded query, whose issuer applied the policy itself and
-// addressed the replica directly.
+// except on a seeded query, whose issuer chose the replica itself and
+// addressed it directly.
 func (e *Engine) deliver(st *queryState, m msg) {
 	owner, depth := m.to, int(m.depth)
 	// Load accounting: one delivery addressed to this owner's region,
@@ -763,12 +743,9 @@ func (e *Engine) deliver(st *queryState, m msg) {
 	e.net.PeerAt(owner).NoteDelivery()
 	serving := owner
 	if st.replicas {
-		if st.cfg.Policy != ReadPrimary {
-			var buf [16]int32 // replication degrees are small; avoids a heap group slice per delivery
-			group := e.net.AppendGroupSlots(buf[:0], owner)
-			serving = group[e.choose(group, st.cfg.Policy)]
-		}
-		e.net.PeerAt(serving).NoteServed()
+		var buf [16]int32 // replication degrees are small; avoids a heap group slice per delivery
+		group := e.net.AppendGroupSlots(buf[:0], owner)
+		serving = group[e.rr.Add(1)%uint64(len(group))]
 	}
 	if st.cfg.Trace != nil {
 		if m.direct {
@@ -789,20 +766,4 @@ func (e *Engine) deliver(st *queryState, m msg) {
 			st.redirectDepth = max(st.redirectDepth, depth+1)
 		}
 	}
-}
-
-// choose applies a read policy to a replica group of slots (owner first),
-// returning the serving member's index.
-func (e *Engine) choose(group []int32, pol ReadPolicy) (serving int) {
-	switch pol {
-	case ReadDefault, ReadRoundRobin:
-		serving = int(e.rr.Add(1) % uint64(len(group)))
-	case ReadLeastLoaded:
-		for i, s := range group {
-			if e.net.PeerAt(s).ServedReads() < e.net.PeerAt(group[serving]).ServedReads() {
-				serving = i
-			}
-		}
-	}
-	return serving
 }

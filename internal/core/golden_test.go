@@ -249,23 +249,18 @@ func goldenBox(rng *rand.Rand, tree *naming.Tree, frac float64) (lo, hi []float6
 	return lo, hi
 }
 
-// goldenSuite runs the full query mix against one fresh world under one
-// read policy.
-func goldenSuite(t *testing.T, recs *[]goldenRecord, name string, attrs, replicas int, pol ReadPolicy, seed int64) {
+// goldenSuite runs the full query mix against one fresh world.
+func goldenSuite(t *testing.T, recs *[]goldenRecord, name string, attrs, replicas int, seed int64) {
 	t.Helper()
-	goldenMix(t, recs, name, buildGoldenWorld(t, attrs, replicas, 220, 1400, seed), pol, seed)
+	goldenMix(t, recs, name, buildGoldenWorld(t, attrs, replicas, 220, 1400, seed), seed)
 }
 
-// goldenMix runs the full query mix against a world under one read policy.
-func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, pol ReadPolicy, seed int64) {
+// goldenMix runs the full query mix against a world.
+func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, seed int64) {
 	t.Helper()
 	net, attrs := w.eng.Network(), w.tree.Attrs()
 	g := &goldenRun{t: t, eng: w.eng, name: name, recs: recs}
 	rng := rand.New(rand.NewSource(seed * 31))
-	base := []QueryOption{WithReadPolicy(pol)}
-	with := func(extra ...QueryOption) []QueryOption {
-		return append(append([]QueryOption(nil), base...), extra...)
-	}
 	frac := 0.04
 	if attrs > 1 {
 		frac = 0.3
@@ -281,9 +276,9 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 			oid = kautz.Random(rng, testK)
 		}
 		issuer := net.PeerIDAt(rng.Intn(net.Size()))
-		fresh := g.lookup("lookup", issuer, oid, base...)
+		fresh := g.lookup("lookup", issuer, oid)
 		if i%2 == 0 {
-			g.lookup("lookup-shortcut", issuer, oid, with(WithRouter(learnedOf(net, []kautz.Str{fresh.Owner})))...)
+			g.lookup("lookup-shortcut", issuer, oid, WithRouter(learnedOf(net, []kautz.Str{fresh.Owner})))
 		}
 	}
 
@@ -292,9 +287,9 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 		lo, hi := goldenBox(rng, w.tree, frac)
 		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		if i%4 == 3 {
-			g.rangeQ("range-runs", issuer, lo, hi, with(WithRunsOnly())...)
+			g.rangeQ("range-runs", issuer, lo, hi, WithRunsOnly())
 		} else {
-			g.rangeQ("range", issuer, lo, hi, base...)
+			g.rangeQ("range", issuer, lo, hi)
 		}
 	}
 	// The whole space: all three first-symbol subregions.
@@ -303,7 +298,7 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 	for a, s := range full {
 		flo[a], fhi[a] = s.Low, s.High
 	}
-	g.rangeQ("range-full", net.PeerIDAt(rng.Intn(net.Size())), flo, fhi, base...)
+	g.rangeQ("range-full", net.PeerIDAt(rng.Intn(net.Size())), flo, fhi)
 
 	// Paged walks with Limit and After, descending on every page.
 	for i := 0; i < 2; i++ {
@@ -312,7 +307,7 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 		limit := 3 + rng.Intn(12)
 		var after kautz.Str
 		for page := 0; page < 6; page++ {
-			opts := with(WithLimit(limit))
+			opts := []QueryOption{WithLimit(limit)}
 			if after != "" {
 				opts = append(opts, WithAfter(after))
 			}
@@ -328,11 +323,11 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 	for i := 0; i < 2; i++ {
 		lo, hi := goldenBox(rng, w.tree, frac)
 		issuer := net.PeerIDAt(rng.Intn(net.Size()))
-		g.flood("flood", issuer, lo, hi, base...)
+		g.flood("flood", issuer, lo, hi)
 		if i == 1 {
-			res := g.flood("flood-page", issuer, lo, hi, with(WithLimit(5))...)
+			res := g.flood("flood-page", issuer, lo, hi, WithLimit(5))
 			if res.Next != "" {
-				g.flood("flood-page", issuer, lo, hi, with(WithLimit(5), WithAfter(res.Next))...)
+				g.flood("flood-page", issuer, lo, hi, WithLimit(5), WithAfter(res.Next))
 			}
 		}
 	}
@@ -340,7 +335,7 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 	// Top-k over wide and narrow ranges.
 	for i := 0; i < 4; i++ {
 		lo, hi := goldenBox(rng, w.tree, frac*float64(1+i))
-		g.topK("topk", net.PeerIDAt(rng.Intn(net.Size())), lo, hi, 1+rng.Intn(8), base...)
+		g.topK("topk", net.PeerIDAt(rng.Intn(net.Size())), lo, hi, 1+rng.Intn(8))
 	}
 
 	// A descent that teaches, then queries seeded from what it taught: the
@@ -349,14 +344,14 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 		lo, hi := goldenBox(rng, w.tree, frac*2)
 		issuer := net.PeerIDAt(rng.Intn(net.Size()))
 		capt := learned{}
-		g.rangeQ("capture", issuer, lo, hi, with(WithRouter(capt))...)
+		g.rangeQ("capture", issuer, lo, hi, WithRouter(capt))
 		if len(capt) == 0 {
 			t.Fatalf("%s: the descent taught nothing", name)
 		}
-		g.rangeQ("seeded", net.PeerIDAt(rng.Intn(net.Size())), lo, hi, with(WithRouter(capt))...)
+		g.rangeQ("seeded", net.PeerIDAt(rng.Intn(net.Size())), lo, hi, WithRouter(capt))
 		var after kautz.Str
 		for page := 0; page < 3; page++ {
-			opts := with(WithRouter(capt), WithLimit(7))
+			opts := []QueryOption{WithRouter(capt), WithLimit(7)}
 			if after != "" {
 				opts = append(opts, WithAfter(after))
 			}
@@ -371,7 +366,7 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 			q := (hi[a] - lo[a]) / 4
 			nlo[a], nhi[a] = lo[a]+q, hi[a]-q
 		}
-		g.rangeQ("seeded-narrow", issuer, nlo, nhi, with(WithRouter(capt))...)
+		g.rangeQ("seeded-narrow", issuer, nlo, nhi, WithRouter(capt))
 	}
 
 	// Ranges seeded by an issuer that learned the fresh descent's
@@ -379,18 +374,18 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 	for i := 0; i < 4; i++ {
 		lo, hi := goldenBox(rng, w.tree, frac)
 		issuer := net.PeerIDAt(rng.Intn(net.Size()))
-		fresh := g.rangeQ("range", issuer, lo, hi, base...)
+		fresh := g.rangeQ("range", issuer, lo, hi)
 		route := learnedOf(net, fresh.Destinations)
-		g.rangeQ("shortcut", issuer, lo, hi, with(WithRouter(route))...)
+		g.rangeQ("shortcut", issuer, lo, hi, WithRouter(route))
 		if i%2 == 0 {
-			res := g.rangeQ("shortcut-page", issuer, lo, hi, with(WithRouter(route), WithLimit(4))...)
+			res := g.rangeQ("shortcut-page", issuer, lo, hi, WithRouter(route), WithLimit(4))
 			if res.Next != "" {
-				g.rangeQ("shortcut-page", issuer, lo, hi, with(WithRouter(route), WithLimit(4), WithAfter(res.Next))...)
+				g.rangeQ("shortcut-page", issuer, lo, hi, WithRouter(route), WithLimit(4), WithAfter(res.Next))
 			}
 		}
 		if i == 3 && len(route) > 1 {
 			// A cover with a hole falls back to the descent at no cost.
-			g.rangeQ("shortcut-hole", issuer, lo, hi, with(WithRouter(learnedOf(net, fresh.Destinations[1:])))...)
+			g.rangeQ("shortcut-hole", issuer, lo, hi, WithRouter(learnedOf(net, fresh.Destinations[1:])))
 		}
 	}
 }
@@ -398,12 +393,12 @@ func goldenMix(t *testing.T, recs *[]goldenRecord, name string, w goldenWorld, p
 func goldenRecords(t *testing.T) []goldenRecord {
 	t.Helper()
 	var recs []goldenRecord
-	goldenSuite(t, &recs, "pira-k1", 1, 1, ReadPrimary, 101)
-	goldenSuite(t, &recs, "mira-k1", 2, 1, ReadPrimary, 103)
-	for _, pol := range []ReadPolicy{ReadPrimary, ReadRoundRobin, ReadLeastLoaded} {
-		goldenSuite(t, &recs, "pira-k2-"+pol.String(), 1, 2, pol, 107)
-		goldenSuite(t, &recs, "mira-k2-"+pol.String(), 2, 2, pol, 109)
-	}
+	goldenSuite(t, &recs, "pira-k1", 1, 1, 101)
+	goldenSuite(t, &recs, "mira-k1", 2, 1, 103)
+	// The replicated suites keep the names they were recorded under when a
+	// read policy was chosen per query: round-robin is the one read rule.
+	goldenSuite(t, &recs, "pira-k2-round-robin", 1, 2, 107)
+	goldenSuite(t, &recs, "mira-k2-round-robin", 2, 2, 109)
 	return recs
 }
 

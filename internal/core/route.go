@@ -85,8 +85,8 @@ const maxSeedSkip = 64
 // spent — at the first destination the Router does not know; the caller then
 // descends. On success the result is byte-identical to a full descent's
 // (deliveries scan the same region under the same box and cursor predicates)
-// and Stats differ only in cost: Messages is one per destination (the read
-// policy is applied issuer-side: redirects cost nothing), Delay the single
+// and Stats differ only in cost: Messages is one per destination (the
+// serving replica is chosen issuer-side: redirects cost nothing), Delay the single
 // fan-out hop, Subregions 0 and DescentsSaved 1.
 func (e *Engine) seed(st *queryState, span kautz.Span) bool {
 	queued := len(st.queue)

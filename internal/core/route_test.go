@@ -32,11 +32,10 @@ func learnedOf(net *fissione.Network, owners []kautz.Str) learned {
 	return l
 }
 
-// ranged runs one range query — on the primary unless opts pick another read
-// policy — failing the test on an error.
+// ranged runs one range query, failing the test on an error.
 func ranged(t *testing.T, eng *Engine, issuer kautz.Str, lo, hi []float64, opts ...QueryOption) *RangeResult {
 	t.Helper()
-	res, err := eng.RangeQuery(context.Background(), issuer, lo, hi, append([]QueryOption{WithReadPolicy(ReadPrimary)}, opts...)...)
+	res, err := eng.RangeQuery(context.Background(), issuer, lo, hi, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func TestFrontierEntriesClippedToOwners(t *testing.T) {
 		full := ranged(t, w.eng, issuer, lo, hi, WithRouter(l))
 		mid := kautz.Str(full.Matches[len(full.Matches)/2].ID)
 		fresh := ranged(t, w.eng, issuer, lo, hi, WithAfter(mid))
-		seeded := ranged(t, w.eng, issuer, lo, hi, WithAfter(mid), WithRouter(l), WithReadPolicy(ReadRoundRobin))
+		seeded := ranged(t, w.eng, issuer, lo, hi, WithAfter(mid), WithRouter(l))
 		if s := seeded.Stats; s.DescentsSaved != 1 || s.Messages != fresh.Stats.DestPeers || s.Messages >= full.Stats.DestPeers {
 			t.Fatalf("k=%d: cursor-clipped seeding cost %+v over %d learned owners, %d of them ahead of the cursor", replicas, s, full.Stats.DestPeers, fresh.Stats.DestPeers)
 		}
@@ -289,9 +288,9 @@ func TestShortcutReplicaServedWithoutRedirect(t *testing.T) {
 	issuer := net.PeerIDAt(0)
 	lo, hi := []float64{200}, []float64{800}
 	fresh := ranged(t, w.eng, issuer, lo, hi)
-	seeded := ranged(t, w.eng, issuer, lo, hi, WithRouter(learnedOf(net, fresh.Destinations)), WithReadPolicy(ReadRoundRobin))
+	seeded := ranged(t, w.eng, issuer, lo, hi, WithRouter(learnedOf(net, fresh.Destinations)))
 	if seeded.Stats.DescentsSaved != 1 || !reflect.DeepEqual(seeded.Matches, fresh.Matches) {
-		t.Fatalf("replica-served seeded query diverged from the primary descent: %+v", seeded.Stats)
+		t.Fatalf("replica-served seeded query diverged from the descent: %+v", seeded.Stats)
 	}
 	if seeded.Stats.DestPeers >= 2 && seeded.Stats.ReplicaServed == 0 {
 		t.Fatal("round-robin over the owners' groups never served from a replica")

@@ -22,15 +22,7 @@ import (
 // network audits clean and never holds more slots than its peak size:
 // released slots are reused before the slot space grows.
 func TestSlotsInvisibleUnderChurn(t *testing.T) {
-	for _, tc := range []struct {
-		attrs, replicas int
-		policies        []ReadPolicy
-	}{
-		{1, 1, []ReadPolicy{ReadPrimary}},
-		{2, 1, []ReadPolicy{ReadPrimary}},
-		{1, 2, []ReadPolicy{ReadRoundRobin, ReadLeastLoaded}},
-		{2, 2, []ReadPolicy{ReadRoundRobin, ReadLeastLoaded}},
-	} {
+	for _, tc := range []struct{ attrs, replicas int }{{1, 1}, {2, 1}, {1, 2}, {2, 2}} {
 		name := fmt.Sprintf("attrs=%d/replicas=%d", tc.attrs, tc.replicas)
 		seed := int64(1700 + 10*tc.attrs + tc.replicas)
 		w := buildGoldenWorld(t, tc.attrs, tc.replicas, 300, 1500, seed)
@@ -101,17 +93,15 @@ func TestSlotsInvisibleUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for _, pol := range tc.policies {
-			var churned, reloaded []goldenRecord
-			goldenMix(t, &churned, name, w, pol, seed)
-			goldenMix(t, &reloaded, name, goldenWorld{eng: eng, tree: w.tree, vals: w.vals}, pol, seed)
-			if len(churned) != len(reloaded) {
-				t.Fatalf("%s/%s: %d queries on the churned network, %d on its reload", name, pol, len(churned), len(reloaded))
-			}
-			for i := range churned {
-				if !reflect.DeepEqual(churned[i], reloaded[i]) {
-					t.Fatalf("%s/%s: query %d diverges:\n churned  %+v\n reloaded %+v", name, pol, i, churned[i], reloaded[i])
-				}
+		var churned, reloaded []goldenRecord
+		goldenMix(t, &churned, name, w, seed)
+		goldenMix(t, &reloaded, name, goldenWorld{eng: eng, tree: w.tree, vals: w.vals}, seed)
+		if len(churned) != len(reloaded) {
+			t.Fatalf("%s: %d queries on the churned network, %d on its reload", name, len(churned), len(reloaded))
+		}
+		for i := range churned {
+			if !reflect.DeepEqual(churned[i], reloaded[i]) {
+				t.Fatalf("%s: query %d diverges:\n churned  %+v\n reloaded %+v", name, i, churned[i], reloaded[i])
 			}
 		}
 	}

@@ -123,17 +123,11 @@ type Object struct {
 type Peer struct {
 	id kautz.Str
 
-	// served counts region scans this peer has answered as the serving
-	// member of a replica group — the load signal of the least-loaded read
-	// policy (ReadLeastLoaded in core.choose), its one reader.
-	served atomic.Int64
-
 	// deliveries counts query deliveries addressed to this peer as region
 	// owner — the per-region load signal the load controller samples. It
 	// advances regardless of which replica serves the scan (ownership, not
 	// serving, is the unit splits and migrations act on) and regardless of
-	// replication degree, unlike served, which only moves on replicated
-	// networks.
+	// replication degree.
 	deliveries atomic.Int64
 
 	// mu guards store and vals. id is only written during topology mutation,
@@ -290,13 +284,6 @@ func SpanOf(r kautz.Region, after kautz.Str) kautz.Span {
 
 // ID returns the peer's identifier.
 func (p *Peer) ID() kautz.Str { return p.id }
-
-// ServedReads returns how many region scans this peer has answered as a
-// replica group's serving member.
-func (p *Peer) ServedReads() int64 { return p.served.Load() }
-
-// NoteServed records one served region scan.
-func (p *Peer) NoteServed() { p.served.Add(1) }
 
 // Deliveries returns how many query deliveries have addressed this peer as
 // its region's owner.

@@ -18,9 +18,9 @@ import (
 // so the successors are the owner's trie siblings and their descendants —
 // the deterministic, locality-preserving placement D3-Tree-style overlays
 // use. Publishes and unpublishes fan out to every group member, owner
-// first; reads may be served by any member (the query engine's read
-// policies), because every member holds a byte-identical copy of the
-// region's objects.
+// first; reads may be served by any member (the query engine rotates them
+// through the group), because every member holds a byte-identical copy of
+// the region's objects.
 //
 // Group membership is a pure function of the current identifier set, so a
 // topology change (split, merge, relocation, crash) shifts membership for

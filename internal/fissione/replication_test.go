@@ -254,6 +254,14 @@ func TestCheckReplicasDetectsDivergence(t *testing.T) {
 	if err := n.CheckReplicas(); err != nil {
 		t.Fatalf("restore failed: %v", err)
 	}
+	// A copy of the owner's size holding another object is diverged too.
+	take(replica, oid, Object{Name: "probe"})
+	put(replica, oid, Object{Name: "changeling"})
+	if err := n.CheckReplicas(); err == nil {
+		t.Fatal("CheckReplicas missed a replica holding another object in the owner's count")
+	}
+	take(replica, oid, Object{Name: "changeling"})
+	put(replica, oid, Object{Name: "probe"})
 	ids := n.PeerIDs()
 	var outsider *Peer
 	for _, id := range ids {

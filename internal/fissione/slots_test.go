@@ -45,6 +45,19 @@ func leafCell(t *testing.T, n *Network, i int) int {
 	return at
 }
 
+// TestCheckCoverCatchesHole: the identifiers must tile the namespace. A peer
+// dropped from the topology without a neighbor taking its region over leaves
+// a hole, which CheckCover reports.
+func TestCheckCoverCatchesHole(t *testing.T) {
+	n := churned(t)
+	s := n.order[7]
+	n.orderRemove(7)
+	n.release(s)
+	if err := n.CheckCover(); err == nil || !strings.Contains(err.Error(), "of the namespace") {
+		t.Fatalf("CheckCover with one region uncovered: %v", err)
+	}
+}
+
 // TestAuditCatchesSlotCorruption breaks the slot bookkeeping one way at a
 // time and requires the audit to notice each: the invariants hops rely on
 // without testing them — every table entry a live slot, lists ascending by

@@ -76,11 +76,11 @@ func WithAttributes(spaces ...AttributeSpace) Option {
 // WithReplication stores every object on k peers — the region's owner
 // plus its k−1 trie-order successors — instead of one. Publishes and
 // unpublishes fan out to the whole group, crashed peers' objects are
-// restored from surviving replicas during self-stabilization, and range
-// deliveries can be served by any group member (see WithReadPolicy). The
-// default, k = 1, is the paper's single-owner model and preserves the
-// unreplicated data path exactly. Degrees are capped at 16; the effective
-// degree never exceeds the network size.
+// restored from surviving replicas during self-stabilization, and
+// deliveries rotate round-robin through the owner's group. The default,
+// k = 1, is the paper's single-owner model and preserves the unreplicated
+// data path exactly. Degrees are capped at 16; the effective degree never
+// exceeds the network size.
 func WithReplication(k int) Option {
 	return optionFunc(func(c *config) error {
 		if k < 1 || k > 16 {

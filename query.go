@@ -3,8 +3,6 @@ package armada
 import (
 	"fmt"
 	"time"
-
-	"armada/internal/core"
 )
 
 // QueryKind identifies the query algorithm a Query requests.
@@ -43,33 +41,13 @@ func (k QueryKind) String() string {
 	}
 }
 
-// ReadPolicy selects which member of a replica group serves each delivery
-// of a query on a replicated network (see WithReplication) — the engine's
-// own policy, by alias. On an unreplicated network every policy behaves
-// like ReadPrimary.
-type ReadPolicy = core.ReadPolicy
-
-const (
-	// ReadDefault uses the network's default: round-robin when the network
-	// replicates, primary-only otherwise.
-	ReadDefault = core.ReadDefault
-	// ReadPrimary always serves from the region's owner, exactly like an
-	// unreplicated network.
-	ReadPrimary = core.ReadPrimary
-	// ReadRoundRobin rotates deliveries through each region's replica
-	// group, spreading hot-region read load.
-	ReadRoundRobin = core.ReadRoundRobin
-	// ReadLeastLoaded serves each delivery from the group member that has
-	// served the fewest scans so far.
-	ReadLeastLoaded = core.ReadLeastLoaded
-)
-
 // Hop is one observed overlay message of a traced query.
 type Hop struct {
 	// From is the peer that processed the message; To is the forward's
 	// target. A delivery (the query reaching a destination peer) has
 	// Remaining == 0; its To names the replica that served it — equal to
-	// From unless a read policy redirected the scan.
+	// From unless the network replicates and the scan went to another
+	// member of the owner's group (deliveries rotate through it).
 	From, To string
 	// Depth is the hop count from the issuer; Remaining is the number of
 	// hops left to the destination level of the forward routing tree.
@@ -113,9 +91,6 @@ type Query struct {
 	// strictly greater than it match. Pass a previous Result's
 	// NextOffsetID.
 	OffsetID string
-	// ReadPolicy selects the replica serving each delivery on a replicated
-	// network. Zero (ReadDefault) means the network's default.
-	ReadPolicy ReadPolicy
 	// Trace, when non-nil, observes every overlay message of the query, in
 	// processing order, on the goroutine executing the query.
 	Trace func(Hop)
@@ -161,10 +136,6 @@ func WithLimit(n int) QueryOption { return func(q *Query) { q.Limit = n } }
 // WithOffsetID resumes a paginated query strictly after the given
 // ObjectID — normally the previous page's Result.NextOffsetID.
 func WithOffsetID(id string) QueryOption { return func(q *Query) { q.OffsetID = id } }
-
-// WithReadPolicy selects the replica-serving policy for this query on a
-// replicated network (no effect without WithReplication).
-func WithReadPolicy(p ReadPolicy) QueryOption { return func(q *Query) { q.ReadPolicy = p } }
 
 // WithQueueWait reports the caller-measured queue wait to the
 // diagnostics layer (see Query.QueueWait). It never changes execution.

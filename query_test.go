@@ -381,9 +381,9 @@ func TestStreamMatchesDo(t *testing.T) {
 						kind string
 						q    Query
 					}{
-						{"range", NewRange(box, WithReadPolicy(ReadPrimary), WithIssuer(net.PeerIDs()[1]))},
-						{"flood", NewRange(box, WithReadPolicy(ReadPrimary), WithFlood())},
-						{"value lookup", NewValueLookup(spot, WithReadPolicy(ReadPrimary))},
+						{"range", NewRange(box, WithIssuer(net.PeerIDs()[1]))},
+						{"flood", NewRange(box, WithFlood())},
+						{"value lookup", NewValueLookup(spot)},
 					} {
 						res, err := net.Do(ctx, c.q)
 						if err != nil {

@@ -48,83 +48,96 @@ func TestReplicatedK1Identical(t *testing.T) {
 	}
 }
 
-// TestReadPoliciesExactAndSpread verifies that every read policy returns
-// the same objects (pagination included) and that round-robin genuinely
-// spreads deliveries onto replicas.
-func TestReadPoliciesExactAndSpread(t *testing.T) {
-	net, err := NewNetwork(150, WithSeed(11), WithReplication(3))
+// TestReplicaReadsExactAndSpread holds the one replica-read rule at k = 3:
+// deliveries rotate through each owner's group, so replicas serve some of
+// them, and every read still returns exactly what a brute-force filter over
+// the published objects does — plain, flood and paged. The trace shows the
+// cost: a descent's Messages are its forward hops plus one redirect hop per
+// replica-served delivery, and a query seeded by the route cache addresses
+// the serving replica directly, so it sends no redirect message.
+func TestReplicaReadsExactAndSpread(t *testing.T) {
+	net, err := NewNetwork(150, WithSeed(11), WithReplication(3), WithShortcutTable(256))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(12))
+	var all []admissionCase
 	for i := 0; i < 600; i++ {
-		if err := net.Publish(fmt.Sprintf("obj-%04d", i), rng.Float64()*1000); err != nil {
+		name, v := fmt.Sprintf("obj-%04d", i), rng.Float64()*1000
+		if err := net.Publish(name, v); err != nil {
 			t.Fatal(err)
 		}
+		id, _ := net.tree.Hash(v)
+		all = append(all, admissionCase{name: name, vals: []float64{v}, id: string(id)})
 	}
 	issuer := net.PeerIDs()[3]
 	ranges := []Range{{Low: 50, High: 700}}
+	want := bruteRange(all, []float64{50}, []float64{700})
+	ctx := context.Background()
 
-	names := func(res *Result) []string {
-		out := make([]string, len(res.Objects))
-		for i, o := range res.Objects {
-			out[i] = o.ID + "/" + o.Name
+	// traced runs q with a trace and splits its hops: deliveries served by
+	// their owner (From == To), and the rest.
+	traced := func(q Query) (res *Result, owned, others int) {
+		t.Helper()
+		q.Trace = func(h Hop) {
+			if h.Remaining == 0 && h.From == h.To {
+				owned++
+			} else {
+				others++
+			}
 		}
-		return out
+		res, err := net.Do(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, owned, others
 	}
-	primary, err := net.Do(context.Background(), NewRange(ranges, WithIssuer(issuer), WithReadPolicy(ReadPrimary)))
+
+	// A descent: each delivery is one hop, owner-served or redirected; every
+	// other hop is a forward. Messages count the forwards and the redirects.
+	res, owned, others := traced(NewRange(ranges, WithIssuer(issuer)))
+	sameObjects(t, "range", res.Objects, want)
+	s := res.Stats
+	redirects := s.Deliveries - owned
+	if s.DescentsSaved != 0 || redirects == 0 || s.ReplicaServed != redirects {
+		t.Fatalf("descent: %+v, %d redirect hops; want a descent with replica-served deliveries, one redirect each", s, redirects)
+	}
+	if forwards := others - redirects; s.Messages != forwards+redirects {
+		t.Fatalf("descent: Messages %d, %d forward hops + %d redirect hops — redirect accounting broken", s.Messages, forwards, redirects)
+	}
+
+	// The same range again is seeded by the route cache: one message to each
+	// destination's serving member, replicas included, and no redirect.
+	res, owned, others = traced(NewRange(ranges, WithIssuer(issuer)))
+	sameObjects(t, "seeded range", res.Objects, want)
+	if s := res.Stats; s.DescentsSaved != 1 || s.ReplicaServed == 0 || s.Messages != s.DestPeers || owned+others != 2*s.Deliveries {
+		t.Fatalf("seeded: %+v over %d hops; want replica serves at one message and one delivery hop per destination", s, owned+others)
+	}
+
+	fl, err := net.Do(ctx, NewRange(ranges, WithIssuer(issuer), WithFlood()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if primary.Stats.ReplicaServed != 0 {
-		t.Fatalf("primary policy served %d deliveries from replicas", primary.Stats.ReplicaServed)
-	}
-	spread := 0
-	for _, pol := range []ReadPolicy{ReadDefault, ReadRoundRobin, ReadLeastLoaded} {
-		res, err := net.Do(context.Background(), NewRange(ranges, WithIssuer(issuer), WithReadPolicy(pol)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(names(res), names(primary)) {
-			t.Fatalf("policy %v returned a different object set than primary", pol)
-		}
-		spread += res.Stats.ReplicaServed
-		// Redirects are accounted as extra messages, never hidden.
-		if res.Stats.Messages < primary.Stats.Messages ||
-			res.Stats.Messages != primary.Stats.Messages+res.Stats.ReplicaServed {
-			t.Fatalf("policy %v: messages %d, primary %d, replica-served %d — redirect accounting broken",
-				pol, res.Stats.Messages, primary.Stats.Messages, res.Stats.ReplicaServed)
-		}
-		// Flood must agree with the pruned descent under every policy.
-		fl, err := net.Do(context.Background(), NewRange(ranges, WithIssuer(issuer), WithReadPolicy(pol), WithFlood()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(names(fl), names(primary)) {
-			t.Fatalf("policy %v: flood result diverged from pruned range", pol)
-		}
-	}
-	if spread == 0 {
-		t.Fatal("no delivery was ever served by a replica across round-robin and least-loaded queries")
+	sameObjects(t, "flood", fl.Objects, want)
+	if fl.Stats.ReplicaServed == 0 {
+		t.Fatal("flood: no delivery served by a replica")
 	}
 
-	// Paginated walks must concatenate to the full result under spreading.
-	var walked []string
-	q := NewRange(ranges, WithIssuer(issuer), WithLimit(37), WithReadPolicy(ReadRoundRobin))
+	// Paged walks must concatenate to the oracle under spreading.
+	var walked []Object
+	q := NewRange(ranges, WithIssuer(issuer), WithLimit(37))
 	for {
-		res, err := net.Do(context.Background(), q)
+		res, err := net.Do(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		walked = append(walked, names(res)...)
+		walked = append(walked, res.Objects...)
 		if res.NextOffsetID == "" {
 			break
 		}
 		q.OffsetID = res.NextOffsetID
 	}
-	if !reflect.DeepEqual(walked, names(primary)) {
-		t.Fatalf("paged walk under round-robin diverged: %d objects, want %d", len(walked), len(primary.Objects))
-	}
+	sameObjects(t, "paged walk", walked, want)
 }
 
 // TestValueLookup covers the value-keyed exact-match query: it finds
@@ -277,8 +290,8 @@ func TestReplicatedChurnStormNoMisses(t *testing.T) {
 		}(int64(40 + w))
 	}
 
-	// Readers: value-lookups of live objects under the default (round-robin)
-	// policy; the object must be found whichever replica serves.
+	// Readers: value-lookups of live objects, rotating through the replicas;
+	// the object must be found whichever replica serves.
 	for q := 0; q < 2; q++ {
 		workers.Add(1)
 		go func(seed int64) {

@@ -18,29 +18,32 @@ import (
 // steps of publishes, unpublishes, lookups, ranges, paged session walks (with
 // churn between their pages), streams drained and left early, top-k queries,
 // joins, leaves, crash-stops, region splits and ownership migrations, over one
-// and two attributes,
-// replication degrees 1–3 and every read policy. Every result must be
+// and two attributes and
+// replication degrees 1–3. Every result must be
 // byte-identical between the two — objects, destinations, cursor, owner — and
 // both networks audit clean: a learned owner can go stale at any moment, and a
 // stale one may cost the descent it would have saved, never results.
 // (TestConcurrentPublishQueryChurn races seeded queries, learning descents and
 // evictions under -race.)
 func TestShortcutByteIdentityUnderChurn(t *testing.T) {
+	// Each case's label is the read policy it ran when one was chosen per
+	// query; it is kept so the subtests keep their names. Every case now
+	// reads by the one replica rule.
 	cases := []struct {
 		attrs, k int
-		pol      ReadPolicy
+		label    string
 	}{
-		{1, 1, ReadDefault}, {2, 1, ReadDefault}, {1, 2, ReadRoundRobin},
-		{2, 2, ReadPrimary}, {1, 3, ReadLeastLoaded}, {2, 3, ReadRoundRobin},
+		{1, 1, "default"}, {2, 1, "default"}, {1, 2, "round-robin"},
+		{2, 2, "primary"}, {1, 3, "least-loaded"}, {2, 3, "round-robin"},
 	}
 	for i, c := range cases {
-		t.Run(fmt.Sprintf("attrs=%d/k=%d/%v", c.attrs, c.k, c.pol), func(t *testing.T) {
-			byteIdentityUnderChurn(t, c.attrs, c.k, c.pol, int64(61+i))
+		t.Run(fmt.Sprintf("attrs=%d/k=%d/%s", c.attrs, c.k, c.label), func(t *testing.T) {
+			byteIdentityUnderChurn(t, c.attrs, c.k, int64(61+i))
 		})
 	}
 }
 
-func byteIdentityUnderChurn(t *testing.T, attrs, k int, pol ReadPolicy, seed int64) {
+func byteIdentityUnderChurn(t *testing.T, attrs, k int, seed int64) {
 	opts := []Option{WithSeed(seed), WithReplication(k)}
 	if attrs == 2 {
 		opts = append(opts, WithAttributes(AttributeSpace{Low: 0, High: 1000}, AttributeSpace{Low: 0, High: 100}))
@@ -71,7 +74,7 @@ func byteIdentityUnderChurn(t *testing.T, attrs, k int, pol ReadPolicy, seed int
 	peer := func() string { ids := base.PeerIDs(); return ids[rng.Intn(len(ids))] }
 	compare := func(what string, q Query) *Result {
 		t.Helper()
-		q.Issuer, q.ReadPolicy = peer(), pol
+		q.Issuer = peer()
 		want, err1 := base.Do(ctx, q)
 		got, err2 := fast.Do(ctx, q)
 		if err1 != nil || err2 != nil {
@@ -132,7 +135,7 @@ func byteIdentityUnderChurn(t *testing.T, attrs, k int, pol ReadPolicy, seed int
 		case r < 70:
 			// A session on the cached network against fresh per-page descents
 			// on the other, sometimes with churn between two pages.
-			q := NewRange(box(), WithLimit(4), WithIssuer(peer()), WithReadPolicy(pol))
+			q := NewRange(box(), WithLimit(4), WithIssuer(peer()))
 			sess, err := fast.OpenSession(q)
 			if err != nil {
 				t.Fatal(err)
@@ -176,7 +179,7 @@ func byteIdentityUnderChurn(t *testing.T, attrs, k int, pol ReadPolicy, seed int
 			if rng.Intn(3) == 0 {
 				ranges = []Range{{Low: 0, High: 1000}, {Low: 0, High: 100}}[:attrs]
 			}
-			q := NewRange(ranges, WithIssuer(peer()), WithReadPolicy(pol))
+			q := NewRange(ranges, WithIssuer(peer()))
 			want, err := base.Do(ctx, q)
 			if err != nil {
 				t.Fatal(err)
