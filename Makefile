@@ -127,6 +127,11 @@ race:
 # 4132 → 4119: the per-peer served counter (served, ServedReads,
 # NoteServed), which only the least-loaded read policy read, is gone with
 # it — internal/fissione 2579 → 2566.
+# 4119 → 4051: a snapshot carries the cover alone and the loader derives
+# every table in the batch build's pass; the out-edge encoder, the decoder
+# with its add helper and in-edge inversion, and GrowBatch's sequential
+# fallback for replicated networks (folded into BuildRandom, which never
+# took it) are gone — internal/fissione 2566 → 2498.
 # The rest — every other directory with non-test Go files outside bench/:
 # today the comparison baselines, the evaluation and armada-bench — has a
 # third ceiling, LOC_REST_MAX, so no code grows where neither gate above
@@ -139,7 +144,7 @@ race:
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
 LOC_MAX = 6240
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
-LOC_SERVING_MAX = 4119
+LOC_SERVING_MAX = 4051
 LOC_REST_DIRS = $(filter-out $(LOC_DIRS) $(LOC_SERVING_DIRS) bench%,$(patsubst %/,%,$(sort $(dir $(filter-out %_test.go,$(wildcard *.go */*.go */*/*.go))))))
 LOC_REST_MAX = 2252
 loc:
@@ -233,22 +238,25 @@ mutants:
 # bytes a stored object), and the live heap a churn-write-shaped network
 # keeps after 2M publishes and unpublishes; then value lookups at 10k peers
 # from one and from two goroutines at once — named issuer, drawn issuer,
-# cache-served, one shared cancellable context. A macro regression
-# bisects to a layer here without a profiler.
+# cache-served, one shared cancellable context; and a 10k-peer snapshot
+# load. A macro regression bisects to a layer here without a profiler.
 micro:
-	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem ./internal/kautz/
-	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem ./internal/naming/
-	$(GO) test -run '^$$' -bench 'ScanRegion|View|Store|OwnerOf|SlotOf10k|RefreshTables10k|BuildRandom10k|JoinLeave10k|GroupSlots' -benchmem ./internal/fissione/
-	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k|Route' -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench 'Alloc|Wide|ManyOwners|ChurnRetention|RangeMIRA' -benchmem .
-	$(GO) test -run '^$$' -bench 'ParallelLookup' -cpu 1,2 -benchmem .
+	$(GO) test -run '^$$' -bench 'ContainsPrefix|SplitByFirstSymbol' -benchmem $(MICRO_FLAGS) ./internal/kautz/
+	$(GO) test -run '^$$' -bench 'Hash|IntersectsPrefix' -benchmem $(MICRO_FLAGS) ./internal/naming/
+	$(GO) test -run '^$$' -bench 'ScanRegion|View|Store|OwnerOf|SlotOf10k|RefreshTables10k|BuildRandom10k|JoinLeave10k|GroupSlots' -benchmem $(MICRO_FLAGS) ./internal/fissione/
+	$(GO) test -run '^$$' -bench 'Step|Lookup10k|Range10k|Route' -benchmem $(MICRO_FLAGS) ./internal/core/
+	$(GO) test -run '^$$' -bench 'Alloc|Wide|ManyOwners|ChurnRetention|RangeMIRA|SnapshotLoad10k' -benchmem $(MICRO_FLAGS) .
+	$(GO) test -run '^$$' -bench 'ParallelLookup' -cpu 1,2 -benchmem $(MICRO_FLAGS) .
 
-# The committed record of `make micro`: one object per benchmark run — its
+# The committed record of `make micro`: one object per benchmark — its
 # package, its GOMAXPROCS (procs: go test's -N name suffix, absent at 1) and
-# every value/unit pair go test printed.
+# every value/unit pair go test printed. Repeated runs of one benchmark fold
+# into its object by make allocs' rule: the least allocs/op and B/op
+# (collector timing only ever adds to them), the median of every other value.
+# The record runs each benchmark three times.
 define MICRO_JSON
-import json, re, sys
-pkg, out = "", []
+import json, re, statistics, sys
+pkg, runs = "", {}
 for f in (line.split() for line in sys.stdin):
     if len(f) > 1 and f[0] == "pkg:":
         pkg = f[1]
@@ -256,14 +264,21 @@ for f in (line.split() for line in sys.stdin):
         name, procs = re.fullmatch(r"(.*?)(?:-(\d+))?", f[0]).groups()
         row = {"pkg": pkg, "name": name, "procs": int(procs or 1), "n": int(f[1])}
         row.update({f[i + 1]: float(f[i]) for i in range(2, len(f) - 1, 2)})
-        out.append(row)
+        runs.setdefault((pkg, name, row["procs"]), []).append(row)
+out = []
+for rows in runs.values():
+    row = dict(rows[0])
+    for u in row.keys() - {"pkg", "name", "procs"}:
+        vals = [r[u] for r in rows]
+        row[u] = min(vals) if u in ("allocs/op", "B/op") else statistics.median_low(vals)
+    out.append(row)
 json.dump(out, sys.stdout, indent=1)
 print()
 endef
 export MICRO_JSON
 
 BENCH_micro.json:
-	$(MAKE) -s micro | python3 -c "$$MICRO_JSON" > $@
+	$(MAKE) -s micro MICRO_FLAGS='-count 3' | python3 -c "$$MICRO_JSON" > $@
 
 # ROADMAP item 25(b)'s gate as a command: the root package's query-path rows
 # of `make micro` (Alloc*, Range*, Stream*, WalkWide, TopKWide at GOMAXPROCS
@@ -284,12 +299,7 @@ define ALLOCS_CHECK
 import json, re, sys
 rows = re.compile(sys.argv[1])
 record = {(r["name"], r["procs"]): r for r in json.load(open("BENCH_micro.json")) if r["pkg"] == "armada" and rows.search(r["name"])}
-least = {}
-for r in json.load(sys.stdin):
-    key = (r["name"], r["procs"])
-    if key in record:
-        was = least.setdefault(key, r)
-        least[key] = {u: min(r[u], was[u]) for u in ("allocs/op", "B/op")}
+least = {(r["name"], r["procs"]): r for r in json.load(sys.stdin)}
 bad = 0
 for (name, procs), rec in record.items():
     r = least.get((name, procs))

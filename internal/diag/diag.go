@@ -122,8 +122,8 @@ type Record struct {
 	// when the query returned its last page or failed.
 	Cursor string    `json:"cursor,omitempty"`
 	Stages []StageMs `json:"stages,omitempty"`
-	// Hops are the query's first HopCapacity trace events in order;
-	// HopsDropped counts those past them.
+	// Hops are the query's last HopCapacity trace events, oldest first;
+	// HopsDropped counts the earlier ones.
 	Hops        []Hop `json:"hops,omitempty"`
 	HopsDropped int   `json:"hops_dropped,omitempty"`
 }
@@ -145,8 +145,9 @@ type Attribution struct {
 
 // HopCapacity is how many trace events a query keeps for its record: a
 // lookup's descent at ten thousand peers (about 11 forwards, a delivery and
-// a scan) several times over, or a narrow range's. A wider query's later
-// events are counted, not kept.
+// a scan) several times over, or a narrow range's. A wider query's earlier
+// events are counted, not kept, so its record shows where it ended: the
+// engine pumps breadth-first and delivers and scans last.
 const HopCapacity = 64
 
 const (
@@ -227,8 +228,9 @@ func (m *Monitor) sinceNs() int64 { return int64(m.now()) }
 // one goroutine, so a Query needs no synchronization.
 type Query struct {
 	queryHead
-	// hops holds the query's first events, nhops of them; Begin resets only
-	// the head, so a recycled buffer is not cleared.
+	// hops is a ring of the query's last events: event i sits at
+	// i % HopCapacity. Begin resets only the head, so a recycled buffer is
+	// not cleared.
 	hops [HopCapacity]Hop
 }
 
@@ -246,8 +248,7 @@ type queryHead struct {
 	stageNs   [core.NumHopKinds]int64
 	stageN    [core.NumHopKinds]int32
 	routeMiss bool
-	nhops     int
-	dropped   int // events past the buffer
+	nhops     int // events noted
 }
 
 // Begin starts collecting one query. queueWait is the queue wait the
@@ -264,7 +265,7 @@ func (m *Monitor) Begin(qid uint64, kind, issuer string, queueWait time.Duration
 
 // Note is the query's core.TraceFunc: it attributes the time since the
 // previous event to the event's stage — the engine's hop kind — and buffers
-// the event, or counts it when the buffer is full. The breakdown is an
+// the event, over the oldest one once the buffer is full. The breakdown is an
 // attribution of wall time to the event stream, not an exact per-message
 // service time.
 func (q *Query) Note(kind core.HopKind, from, to kautz.Str, depth, remaining int) {
@@ -274,11 +275,7 @@ func (q *Query) Note(kind core.HopKind, from, to kautz.Str, depth, remaining int
 	}
 	q.lastNs = now
 	q.stageN[kind]++
-	if q.nhops == len(q.hops) {
-		q.dropped++
-		return
-	}
-	q.hops[q.nhops] = Hop{Kind: kind.String(), From: string(from), To: string(to), Depth: depth, Remaining: remaining, AtMs: float64(now) / 1e6}
+	q.hops[q.nhops%len(q.hops)] = Hop{Kind: kind.String(), From: string(from), To: string(to), Depth: depth, Remaining: remaining, AtMs: float64(now) / 1e6}
 	q.nhops++
 }
 
@@ -371,7 +368,7 @@ func (q *Query) record(s core.Stats, bound float64, cursor string, err error, du
 		DestPeers:   s.DestPeers,
 		Failed:      err != nil,
 		Cursor:      cursor,
-		HopsDropped: q.dropped,
+		HopsDropped: max(q.nhops-len(q.hops), 0),
 	}
 	if err != nil {
 		rec.Error = err.Error()
@@ -386,7 +383,9 @@ func (q *Query) record(s core.Stats, bound float64, cursor string, err error, du
 			Count: int(n),
 		})
 	}
-	rec.Hops = slices.Clone(q.hops[:q.nhops])
+	kept := min(q.nhops, len(q.hops))
+	oldest := (q.nhops - kept) % len(q.hops)
+	rec.Hops = append(append(make([]Hop, 0, kept), q.hops[oldest:kept]...), q.hops[:oldest]...)
 	return rec
 }
 

@@ -219,14 +219,16 @@ func TestConcurrentNotes(t *testing.T) {
 	m.TailAttribution()
 }
 
-// TestHopBufferKeepsFirstEvents: a logged query's record holds its first
-// HopCapacity events in order, each with its fields and time, and counts the
-// rest; its page cursor rides along.
-func TestHopBufferKeepsFirstEvents(t *testing.T) {
+// TestHopBufferKeepsLastEvents: a logged query's record holds its last
+// HopCapacity events, oldest first, each with its fields and time, and counts
+// the earlier ones — the buffer wraps more than once; its page cursor rides
+// along.
+func TestHopBufferKeepsLastEvents(t *testing.T) {
 	m, cur := clockMonitor(4)
 	q := m.Begin(1, "range", "p", 0)
 	kinds := []core.HopKind{core.HopForward, core.HopDeliver, core.HopRedirect, core.HopSeed, core.HopScan}
-	for i := range HopCapacity + 3 {
+	const events = 2*HopCapacity + 3
+	for i := range events {
 		*cur += time.Microsecond
 		q.Note(kinds[i%len(kinds)], kautz.Str(fmt.Sprint("f", i)), kautz.Str(fmt.Sprint("t", i)), i%20, i%7)
 	}
@@ -236,10 +238,11 @@ func TestHopBufferKeepsFirstEvents(t *testing.T) {
 		t.Fatalf("want 1 record, got %d", len(recs))
 	}
 	r := recs[0]
-	if len(r.Hops) != HopCapacity || r.HopsDropped != 3 || r.Cursor != "cursor" {
-		t.Fatalf("record keeps %d hops, drops %d, cursor %q; want %d, 3, %q", len(r.Hops), r.HopsDropped, r.Cursor, HopCapacity, "cursor")
+	if len(r.Hops) != HopCapacity || r.HopsDropped != events-HopCapacity || r.Cursor != "cursor" {
+		t.Fatalf("record keeps %d hops, drops %d, cursor %q; want %d, %d, %q", len(r.Hops), r.HopsDropped, r.Cursor, HopCapacity, events-HopCapacity, "cursor")
 	}
-	for i, h := range r.Hops {
+	for j, h := range r.Hops {
+		i := r.HopsDropped + j
 		want := Hop{Kind: kinds[i%len(kinds)].String(), From: fmt.Sprint("f", i), To: fmt.Sprint("t", i),
 			Depth: i % 20, Remaining: i % 7, AtMs: float64(i+1) / 1e3}
 		if math.Abs(h.AtMs-want.AtMs) > 1e-9 {

@@ -19,7 +19,7 @@ import (
 // Growing a network by sequential Join calls maintains the trie order and
 // repairs routing tables after every single split. The order maintenance
 // is an O(N) memmove per join — O(N²) for a build — and the per-split table
-// refreshes serialize on one goroutine. GrowBatch runs the exact same join
+// refreshes serialize on one goroutine. BuildRandom runs the exact same join
 // decision sequence (one kautz.Random draw, owner lookup, walk to a local
 // length minimum, split) but defers all derived state: the trie order is
 // read off the cover once at the end — the cover itself takes each split as
@@ -30,41 +30,35 @@ import (
 // build is byte-identical to the sequential one, slot numbering included
 // (pinned by TestBatchBuildMatchesSequential).
 
-// GrowBatch performs count random joins through the batch-construction
-// path. It requires a replication degree of 1 (builds run before
-// SetReplicas); on a replicated network it falls back to sequential Grow,
-// whose per-split repair bookkeeping needs the live trie order.
-func (n *Network) GrowBatch(count int) error {
-	if count <= 0 {
-		return nil
+// BuildRandom creates a network of size peers grown by random joins: each
+// join hashes to a random namespace position and splits the local
+// length-minimum peer there, as FISSIONE joins do. It grows through the
+// batch-construction path above, byte-identical to sequential joins with the
+// same seed.
+func BuildRandom(k, size int, seed int64) (*Network, error) {
+	n, err := New(k, seed)
+	if err != nil {
+		return nil, err
 	}
-	if n.replicas != 1 {
-		return n.Grow(count)
-	}
-	n.nodes = slices.Grow(n.nodes, max(0, count-len(n.free)))
-	var done uint64
-	var err error
-	for i := 0; i < count; i++ {
+	count := max(0, size-n.Size())
+	n.nodes = slices.Grow(n.nodes, count)
+	for i := range count {
 		target := kautz.Random(n.rng, n.k)
 		n.joins++
-		owner, oerr := n.ownerSlot(target)
-		if oerr != nil {
-			err = fmt.Errorf("batch join %d: %w", i, oerr)
-			break
+		owner, err := n.ownerSlot(target)
+		if err == nil {
+			// divide is split without the derived state this path defers.
+			_, err = n.divide(n.walkToLocalMin(owner, true))
 		}
-		// divide is split without the derived state this path defers.
-		if _, serr := n.divide(n.walkToLocalMin(owner, true)); serr != nil {
-			err = fmt.Errorf("batch join %d: %w", i, serr)
-			break
+		if err != nil {
+			return nil, fmt.Errorf("batch join %d: %w", i, err)
 		}
-		done++
 	}
-	// Finalize even on error so the network stays audit-consistent: the
-	// cover itself is never corrupted by a failed split attempt.
-	ierr := n.rebuildIndex()
-	rerr := n.refreshAllParallel()
-	n.epoch.Add(done)
-	return cmp.Or(err, ierr, rerr)
+	if err := cmp.Or(n.rebuildIndex(), n.refreshAllParallel()); err != nil {
+		return nil, err
+	}
+	n.epoch.Add(uint64(count))
+	return n, nil
 }
 
 // rebuildIndex reconstitutes the trie order — the cover's in-order walk —

@@ -15,7 +15,7 @@ func sameBacking(a, b kautz.Str) bool {
 }
 
 // buildSequential grows a network by plain sequential joins — the
-// reference path GrowBatch must match byte for byte.
+// reference path BuildRandom must match byte for byte.
 func buildSequential(t *testing.T, k, size int, seed int64) *Network {
 	t.Helper()
 	n, err := New(k, seed)
@@ -91,30 +91,6 @@ func TestBatchBuildMatchesSequential(t *testing.T) {
 			t.Errorf("k=%d size=%d seed=%d: post-build joins diverge: %q != %q",
 				tc.k, tc.size, tc.seed, sNext, bNext)
 		}
-	}
-}
-
-// TestGrowBatchReplicatedFallsBack checks the batch path defers to
-// sequential Grow on a replicated network and stays audit-clean.
-func TestGrowBatchReplicatedFallsBack(t *testing.T) {
-	n, err := New(16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.GrowBatch(20); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SetReplicas(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.GrowBatch(20); err != nil {
-		t.Fatal(err)
-	}
-	if n.Size() != 43 {
-		t.Fatalf("size %d != 43", n.Size())
-	}
-	if err := n.Audit(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -108,22 +108,6 @@ func New(k int, seed int64) (*Network, error) {
 	return n, nil
 }
 
-// BuildRandom creates a network of size peers grown by random joins (each
-// join hashes to a random namespace position and splits the local
-// length-minimum peer there, as FISSIONE joins do). It grows through the
-// batch-construction path (see GrowBatch), which is byte-identical to
-// sequential joins with the same seed.
-func BuildRandom(k, size int, seed int64) (*Network, error) {
-	n, err := New(k, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.GrowBatch(size - n.Size()); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
 // BuildBalanced creates a network of size peers by always splitting a peer
 // of globally minimal identifier length, yielding identifier lengths that
 // differ by at most one across the whole network.

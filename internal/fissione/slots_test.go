@@ -58,6 +58,25 @@ func TestCheckCoverCatchesHole(t *testing.T) {
 	}
 }
 
+// TestCheckTablesCatchesStaleEntry: a table must be the one its identifier
+// derives, not merely a sorted list of live, mirrored slots. An out-entry
+// replaced by the one before it keeps all three — equal entries sort, and the
+// duplicate's in-list names the peer — so only the comparison with the
+// derived table catches it.
+func TestCheckTablesCatchesStaleEntry(t *testing.T) {
+	n := churned(t)
+	for _, s := range n.order {
+		if nd := &n.nodes[s]; nd.outLen >= 2 {
+			nd.nbr[1] = nd.nbr[0]
+			if err := n.CheckTables(); err == nil || !strings.Contains(err.Error(), "stale out-table") {
+				t.Fatalf("CheckTables with %q's out-list %v: %v", nd.id, n.IDs(n.Out(s)), err)
+			}
+			return
+		}
+	}
+	t.Fatal("no peer with two out-neighbors")
+}
+
 // TestAuditCatchesSlotCorruption breaks the slot bookkeeping one way at a
 // time and requires the audit to notice each: the invariants hops rely on
 // without testing them — every table entry a live slot, lists ascending by

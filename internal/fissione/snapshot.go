@@ -13,37 +13,35 @@ import (
 
 // Warm-start snapshots.
 //
-// A snapshot serializes the routing-relevant topology — the identifier
-// cover in trie order, every peer's out-edges as trie positions, the
-// replication degree, the epoch and the rng replay state — but no stored
-// objects and no slot numbers. Loading reconstructs the network in O(file):
-// identifiers are unpacked into one shared blob, each peer takes its trie
-// position as its slot (a fresh dense numbering), and in-edges are
-// recovered by inverting the out-edges (the lists are exact duals on a
-// Kautz cover). The loaded network is byte-identical to the one the
-// snapshot was taken from: same cover, same tables, same epoch, and —
+// A snapshot serializes what the topology is made of — the identifier cover
+// in trie order, the replication degree, the epoch and the rng replay state —
+// but no stored objects, no slot numbers and no routing tables: a peer's
+// table is a function of the cover (appendOut, appendIn). Loading unpacks
+// the identifiers into one shared blob, gives each peer its trie position as
+// its slot (a fresh dense numbering) and derives every table in the batch
+// build's own parallel pass. The loaded network is byte-identical to the one
+// the snapshot was taken from: same cover, same tables, same epoch, and —
 // because the builder's rng is re-seeded and its join draws replayed — the
-// same future join sequence. A fingerprint trailer makes any decode or
-// inversion mismatch a load error rather than silent corruption.
+// same future join sequence.
 //
-// The trailer is a checksum, not a signature. The loader itself checks what
-// is cheap — the cover is exact, no table outgrows a node, stored neighbors
-// keep the neighborhood invariant — and takes the tables as written:
-// re-deriving them is the work a snapshot skips, and Audit's job. A forged
-// file can therefore load with tables its cover does not imply; mutating such
-// a network returns ErrCorrupt (refreshTables), it does not crash.
+// The fingerprint trailer is a checksum, not a signature: it makes a decode
+// mismatch a load error rather than silent corruption, and a forged file can
+// carry a matching one. The checks that keep a loaded network consistent do
+// not rely on it: the cover is exact, and no derived table outgrows a node
+// or breaks the neighborhood invariant. A file cannot carry tables its cover
+// does not imply.
 
 // snapshotMagic identifies and versions the snapshot format.
-const snapshotMagic = "ARMDSNP1"
+const snapshotMagic = "ARMDSNP2"
 
 // snapshotMaxPeers bounds the peer count a loader will accept, so a
 // corrupt or hostile header cannot trigger an absurd allocation.
 const snapshotMaxPeers = 1 << 28
 
 // WriteSnapshot serializes the network's topology to w in the versioned
-// binary snapshot format. Stored objects are not serialized. Safe to call
-// while the topology is externally quiesced (the same exclusion every
-// audit requires).
+// binary snapshot format. Stored objects and routing tables are not
+// serialized. Safe to call while the topology is externally quiesced (the
+// same exclusion every audit requires).
 func (n *Network) WriteSnapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
@@ -63,15 +61,6 @@ func (n *Network) WriteSnapshot(w io.Writer) error {
 		writeUvarint(uint64(len(n.nodes[s].id)))
 		bw.WriteString(string(n.nodes[s].id))
 	}
-	// Out-edges go out as trie positions, never as slots: the bytes do not
-	// depend on the numbering churn left behind.
-	for _, s := range n.order {
-		out := n.Out(s)
-		writeUvarint(uint64(len(out)))
-		for _, nb := range out {
-			writeUvarint(uint64(n.nodes[nb].pos))
-		}
-	}
 	var fp [8]byte
 	binary.LittleEndian.PutUint64(fp[:], snapshotCheck(n.Fingerprint(), n.seed, n.joins))
 	bw.Write(fp[:])
@@ -88,7 +77,8 @@ func snapshotCheck(fp uint64, seed int64, joins uint64) uint64 {
 }
 
 // LoadSnapshot reconstructs a network from a snapshot written by
-// WriteSnapshot. The result carries empty stores; replication degree,
+// WriteSnapshot, deriving every routing table from the cover. The result
+// carries empty stores; replication degree,
 // epoch and the builder rng state are restored, so subsequent joins,
 // publishes and queries behave exactly as on the network the snapshot was
 // taken from.
@@ -191,46 +181,6 @@ func LoadSnapshot(r io.Reader) (*Network, error) {
 		n.nodes[i], n.order[i] = node{id: id, rank: kautz.Rank(id), pos: slot, peer: &Peer{id: id, recs: n.recs}}, slot
 	}
 
-	// Out-edges arrive as trie positions, which are the slots. In-edges are
-	// recovered by inversion once every out-list is in: iterating sources in
-	// ascending order keeps every in-list sorted.
-	add := func(s, nb int32) error {
-		nd := &n.nodes[s]
-		if nd.nbrLen == maxDegree {
-			return bad("%q has more than %d neighbors", nd.id, maxDegree)
-		}
-		nd.nbr[nd.nbrLen] = nb
-		nd.nbrLen++
-		return nil
-	}
-	for i := range n.nodes {
-		nd := &n.nodes[i]
-		du, err := readUvarint()
-		if err != nil {
-			return nil, bad("reading out-degree of %q: %w", nd.id, err)
-		}
-		for j := uint64(0); j < du; j++ {
-			xu, err := readUvarint()
-			if err != nil {
-				return nil, bad("reading out-edge %d of %q: %w", j, nd.id, err)
-			}
-			if xu >= np {
-				return nil, bad("out-edge index %d of %q out of range", xu, nd.id)
-			}
-			if err := add(int32(i), int32(xu)); err != nil {
-				return nil, err
-			}
-		}
-		nd.outLen = nd.nbrLen
-	}
-	for u := range n.nodes {
-		for _, v := range n.Out(int32(u)) {
-			if err := add(v, int32(u)); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	var fp [8]byte
 	if _, err := io.ReadFull(br, fp[:]); err != nil {
 		return nil, bad("reading fingerprint: %w", err)
@@ -238,6 +188,10 @@ func LoadSnapshot(r io.Reader) (*Network, error) {
 	want := binary.LittleEndian.Uint64(fp[:])
 	if err := n.CheckCover(); err != nil {
 		return nil, bad("cover check failed: %w", err)
+	}
+	// The tables come from the cover, in the batch build's own pass.
+	if err := n.refreshAllParallel(); err != nil {
+		return nil, bad("%w", err)
 	}
 	if got := snapshotCheck(n.Fingerprint(), seed, joins); got != want {
 		return nil, bad("fingerprint mismatch: %x != %x", got, want)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -88,11 +89,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotBytesStable pins the snapshot format across the move to
-// slot-addressed tables. The fixture was written by the commit before it
-// (string-keyed tables; 200 peers, replication degree 2, after 12 joins and
-// 12 leaves, so a network that lived through the same history has slots out
-// of trie order): it must load, carry the fingerprint recorded then, and
-// re-save to the same bytes — slot numbering leaks into neither.
+// slot-addressed tables and the move to derived ones. The fixture was
+// written before the first (string-keyed tables; 200 peers, replication
+// degree 2, after 12 joins and 12 leaves, so a network that lived through the
+// same history has slots out of trie order), then had its stored out-edges cut
+// and its magic set to the table-free format: it must load, carry the
+// fingerprint recorded then — the trailer still verifies, for the derived
+// tables are the stored ones — and re-save to the same bytes; slot numbering
+// leaks into neither.
 func TestSnapshotBytesStable(t *testing.T) {
 	const fingerprint = 0x853c5d5f6799454a
 	raw, err := os.ReadFile("testdata/snapshot_parent_200.bin")
@@ -188,19 +192,26 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
-// lopsidedSnapshot forges what a hostile writer can: an exact cover that
-// breaks the neighborhood invariant — "0" stays one symbol long beside
-// three-symbol peers, so its honest table has eight entries — under tables
-// cut down to out-neighbors within gap symbols of their peer's length, and
-// the trailer that vouches for them.
-func lopsidedSnapshot(t testing.TB, gap int) []byte {
+// Two exact covers that break the neighborhood invariant, as the seed peers
+// of New(8, 1) divided in these orders. Every table of the gap-two cover fits
+// a node, but "0120" neighbors "12"; the lopsided cover keeps "0" one symbol
+// long beside three-symbol peers, so its table needs eight entries.
+var (
+	gapTwoCover   = []kautz.Str{"0", "01", "012", "1", "2"}
+	lopsidedCover = []kautz.Str{"1", "12", "2", "21"}
+)
+
+// forgedCover divides the seed peers of New(8, 1) in the given order without
+// the walk to a local length minimum that keeps a join safe — what only a
+// hostile writer produces — and derives every table, returning the network
+// and the error of that derivation.
+func forgedCover(t testing.TB, divide ...kautz.Str) (*Network, error) {
 	t.Helper()
 	n, err := New(8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Split without the walk to a local minimum that keeps a join safe.
-	for _, id := range []kautz.Str{"1", "12", "2", "21"} {
+	for _, id := range divide {
 		s, _ := n.Slot(id)
 		created, err := n.divide(s)
 		if err != nil {
@@ -208,25 +219,13 @@ func lopsidedSnapshot(t testing.TB, gap int) []byte {
 		}
 		n.orderInsert(int(n.nodes[s].pos)+1, created)
 	}
-	for _, s := range n.order {
-		nd := &n.nodes[s]
-		nd.outLen = 0
-		for _, nb := range n.appendOut(nil, s) {
-			if len(n.nodes[nb].id)-len(nd.id) <= gap && nd.outLen < 4 {
-				nd.nbr[nd.outLen] = nb
-				nd.outLen++
-			}
-		}
-		nd.nbrLen = nd.outLen
-	}
-	// In-lists as the loader recovers them: the out-lists, inverted.
-	for _, u := range n.order {
-		for _, v := range n.Out(u) {
-			nd := &n.nodes[v]
-			nd.nbr[nd.nbrLen] = u
-			nd.nbrLen++
-		}
-	}
+	return n, n.refreshAll(slices.Clone(n.order))
+}
+
+// forgedSnapshot saves a forged cover with the trailer that vouches for it.
+func forgedSnapshot(t testing.TB, divide ...kautz.Str) []byte {
+	t.Helper()
+	n, _ := forgedCover(t, divide...)
 	var buf bytes.Buffer
 	if err := n.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -234,47 +233,38 @@ func lopsidedSnapshot(t testing.TB, gap int) []byte {
 	return buf.Bytes()
 }
 
-// TestSnapshotForgedCoverNeverPanics loads a forged file the trailer cannot
-// stop (it is a checksum, not a signature). Tables that themselves show the
-// broken invariant are refused at the door; tables that hide it load — the
-// loader does not re-derive them, that is the work a snapshot skips — and
-// then the first mutation beside the bad spot derives a table no node can
-// hold. That must come back as ErrCorrupt with every table still naming live
-// slots only, not crash the process.
-func TestSnapshotForgedCoverNeverPanics(t *testing.T) {
-	if _, err := LoadSnapshot(bytes.NewReader(lopsidedSnapshot(t, 2))); err == nil || !strings.Contains(err.Error(), "invariant") {
-		t.Fatalf("tables showing a two-symbol length gap loaded: %v", err)
+// TestSnapshotForgedCoverRefused loads forged files the trailer cannot stop
+// (it is a checksum, not a signature). The loader derives every table from
+// the cover, so a cover that breaks the neighborhood invariant never loads:
+// the gap-two one fails the invariant check, the lopsided one the derivation.
+func TestSnapshotForgedCoverRefused(t *testing.T) {
+	_, err := LoadSnapshot(bytes.NewReader(forgedSnapshot(t, gapTwoCover...)))
+	if err == nil || !strings.Contains(err.Error(), `invariant violated: |"0120"|-|"12"| = 2`) {
+		t.Errorf("gap-two cover: %v, want the invariant error", err)
 	}
-	n, err := LoadSnapshot(bytes.NewReader(lopsidedSnapshot(t, 1)))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := LoadSnapshot(bytes.NewReader(forgedSnapshot(t, lopsidedCover...))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("lopsided cover: %v, want ErrCorrupt", err)
 	}
-	if err := n.Audit(); err == nil {
-		t.Fatal("audit passed on forged tables")
+}
+
+// TestRefreshAllOverflowKeepsLiveSlots holds refreshTables' overflow
+// contract, which no snapshot reaches any more: deriving a table past a node
+// returns ErrCorrupt, keeps live slots only in every table, and leaves the
+// cut table for Audit to report stale.
+func TestRefreshAllOverflowKeepsLiveSlots(t *testing.T) {
+	n, err := forgedCover(t, lopsidedCover...)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("deriving the lopsided cover's tables: %v, want ErrCorrupt", err)
 	}
-	// Leaving "10" merges "120"+"121" and re-derives "0": 5 out + 2 in.
-	if err := n.Leave("10"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Leave beside the broken spot: %v, want ErrCorrupt", err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 40; i++ {
-		n.Join()
-		if i%2 == 0 {
-			n.Leave(n.PeerIDAt(rng.Intn(n.Size())))
-		}
-		for _, s := range n.order {
-			for _, nb := range n.neighbors(s) {
-				if n.nodes[nb].peer == nil {
-					t.Fatalf("step %d: table of %q names slot %d, which holds no peer", i, n.nodes[s].id, nb)
-				}
+	for _, s := range n.order {
+		for _, nb := range n.neighbors(s) {
+			if n.nodes[nb].peer == nil {
+				t.Fatalf("table of %q names slot %d, which holds no peer", n.nodes[s].id, nb)
 			}
 		}
 	}
-	if err := n.CheckSlots(); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.CheckCover(); err != nil {
-		t.Fatal(err)
+	if err := n.CheckTables(); err == nil {
+		t.Error("CheckTables passed a table cut to fit its node")
 	}
 }
 
@@ -293,8 +283,8 @@ func forgeJoins(raw []byte, joins uint64) []byte {
 
 // FuzzLoadSnapshot feeds the loader arbitrary bytes. It must reject them or
 // return a network that survives a save/load round trip with the same
-// fingerprint and then a little churn — never panic, whatever cover and
-// tables the input forged (churn may fail; errors are the point), and never
+// fingerprint and then a little churn — never panic, whatever cover the
+// input forged (churn may fail; errors are the point), and never
 // work (allocate, replay) in proportion to a count the input merely claims.
 func FuzzLoadSnapshot(f *testing.F) {
 	n, err := BuildRandom(12, 24, 5)
@@ -313,7 +303,8 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(forgeJoins(raw, 1<<40))
 	// A header claiming 2²⁸ peers (the loader's cap) and carrying none.
 	f.Add(append([]byte(snapshotMagic), 12, 0, 0, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x01))
-	f.Add(lopsidedSnapshot(f, 1))
+	f.Add(forgedSnapshot(f, lopsidedCover...))
+	f.Add(forgedSnapshot(f, gapTwoCover...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := LoadSnapshot(bytes.NewReader(data))
 		if err != nil {

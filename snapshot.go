@@ -50,10 +50,10 @@ func assemble(net *fissione.Network, cfg config) (*Network, error) {
 }
 
 // SaveSnapshot serializes the network's topology — identifier cover,
-// routing tables, replication degree, epoch and builder rng state, but no
-// stored objects — to w in a versioned binary format. LoadSnapshot
-// reconstructs a byte-identical network from it in O(file) time, skipping
-// the join-by-join build entirely.
+// replication degree, epoch and builder rng state, but no stored objects
+// and no routing tables — to w in a versioned binary format. LoadSnapshot
+// reconstructs a byte-identical network from it, deriving the tables from
+// the cover and skipping the join-by-join build entirely.
 func (n *Network) SaveSnapshot(w io.Writer) error {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -68,7 +68,8 @@ func (n *Network) SaveSnapshot(w io.Writer) error {
 //
 // A network loaded with the same options and seed the snapshotted one was
 // built with is byte-identical to it: same cover and routing tables, same
-// epoch, and the same future join, publish and query behavior.
+// epoch, and the same future join, publish and query behavior. A cover that
+// breaks the neighborhood invariant is refused.
 func LoadSnapshot(r io.Reader, opts ...Option) (*Network, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
