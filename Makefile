@@ -92,6 +92,10 @@ race:
 # policy values with their String, QueryConfig.Policy and choose
 # (internal/core 1550 → 1511, net of the deprecated ReadPolicy,
 # ReadRoundRobin and WithReadPolicy the bench twin still calls).
+# 6240 → 6215: MIRA prunes by masked corner ranks (naming.Tree.MayHold), so
+# messages carry no subspace: queryState.subs, msg.sub, enter's walk from
+# the root, forward's resumed narrowing and the test hook that checked them
+# are gone (internal/core 1511 → 1486).
 # Item 4(g): the serving path — overlay, naming, Kautz arithmetic, route cache
 # and load controller — has its own ceiling, LOC_SERVING_MAX, set at its size
 # when the gate came in; the same rule raises it.
@@ -132,6 +136,13 @@ race:
 # with its add helper and in-edge inversion, and GrowBatch's sequential
 # fallback for replicated networks (folded into BuildRandom, which never
 # took it) are gone — internal/fissione 2566 → 2498.
+# 4051 → 3865: the partition is one integer floor per attribute, and MIRA
+# prunes by its ranks masked per attribute: the dividing walk with its bit
+# helper, the rounding margin and the closed form's fallback, the float
+# subspaces (Interval, Subspace, NarrowFrom, Box.Meets, the root's third
+# bounds) are gone — internal/naming 498 → 301, net of the masks and
+# MayHold; kautz.PrefixBlock, the rank block a forward masks, grew
+# internal/kautz 542 → 553.
 # The rest — every other directory with non-test Go files outside bench/:
 # today the comparison baselines, the evaluation and armada-bench — has a
 # third ceiling, LOC_REST_MAX, so no code grows where neither gate above
@@ -142,9 +153,9 @@ race:
 # 2325 → 2252: internal/stats lost SafeSample (with Drain), Min and StdDev
 # once no workload goroutine shared a sample — 166 → 93.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
-LOC_MAX = 6240
+LOC_MAX = 6215
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
-LOC_SERVING_MAX = 4051
+LOC_SERVING_MAX = 3865
 LOC_REST_DIRS = $(filter-out $(LOC_DIRS) $(LOC_SERVING_DIRS) bench%,$(patsubst %/,%,$(sort $(dir $(filter-out %_test.go,$(wildcard *.go */*.go */*/*.go))))))
 LOC_REST_MAX = 2252
 loc:
@@ -340,12 +351,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntersectsPrefix -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashOrder -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashMatchesReference -fuzztime 20s ./internal/naming/
-	$(GO) test -run '^$$' -fuzz FuzzNarrowFrom -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzHashInsideLeaf -fuzztime 20s ./internal/naming/
 	$(GO) test -run '^$$' -fuzz FuzzCoverMatchesReference -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzStoreMatchesReference -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 20s ./internal/fissione/
 	$(GO) test -run '^$$' -fuzz FuzzOffsetID -fuzztime 20s .
+	$(GO) test -run '^$$' -fuzz FuzzRangeExact -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzScenarioFlags -fuzztime 20s ./cmd/armada-load/
 
 # The CI bench-smoke job: the benchmark module's own checks (it is not part

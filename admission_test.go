@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"armada/internal/kautz"
+	"armada/internal/naming"
 )
 
 // admissionCase is one published object the admission tests filter by hand.
@@ -50,6 +51,34 @@ func sameObjects(t *testing.T, what string, got []Object, want []admissionCase) 
 	}
 }
 
+// valuesHashedInto returns the least and the greatest value of the space
+// [low, high], low ≥ 0, whose single-attribute hash ranks within [lo, hi]:
+// a bisection of HashRank, which is monotone, over the bits of the floats,
+// which order non-negative floats as their values do.
+func valuesHashedInto(t testing.TB, tree *naming.Tree, low, high float64, lo, hi uint64) (float64, float64) {
+	t.Helper()
+	// least is the least bits in [a, b) at which past holds, else b.
+	least := func(a, b uint64, past func(uint64) bool) uint64 {
+		for a < b {
+			mid := a + (b-a)/2
+			r, err := tree.HashRank(math.Float64frombits(mid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if past(r) {
+				b = mid
+			} else {
+				a = mid + 1
+			}
+		}
+		return a
+	}
+	from, to := math.Float64bits(low), math.Float64bits(high)+1
+	first := least(from, to, func(r uint64) bool { return r >= lo })
+	last := least(from, to, func(r uint64) bool { return r > hi }) - 1
+	return math.Float64frombits(first), math.Float64frombits(last)
+}
+
 // TestRankAdmissionEdges pins PIRA's rank admission — an object whose ObjectID
 // lies strictly between the query's corner ObjectIDs is admitted without the
 // float test — where it can go wrong. Each corner leaf holds objects on both
@@ -86,8 +115,8 @@ func TestRankAdmissionEdges(t *testing.T) {
 		// of the bound, and on it.
 		for _, c := range box {
 			leaf, _ := tree.Hash(c)
-			iv, _ := tree.Subspace(leaf)
-			for _, v := range []float64{(iv[0].Low + c) / 2, math.Nextafter(c, math.Inf(-1)), c, math.Nextafter(c, math.Inf(1)), (c + iv[0].High) / 2} {
+			low, high := valuesHashedInto(t, tree, 0, 1000, kautz.Rank(leaf), kautz.Rank(leaf))
+			for _, v := range []float64{(low + c) / 2, math.Nextafter(c, math.Inf(-1)), c, math.Nextafter(c, math.Inf(1)), (c + high) / 2} {
 				if id, _ := tree.Hash(v); id == leaf && v >= 0 && v <= 1000 {
 					publish(v)
 				}

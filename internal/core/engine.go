@@ -9,10 +9,10 @@
 //     subregion still contains a string with the child's eventual prefix.
 //   - MIRA (multi-attribute range queries, Section 5): the same descent over
 //     ⟨Multiple_hash(ω1), Multiple_hash(ω2)⟩ with one extra pruning
-//     predicate — a child is forwarded only while the partition-tree
-//     subspace of its eventual prefix intersects the real query box Ω. Each
-//     message carries its receiver's subspace, which a forward narrows over
-//     only the one or two symbols the Kautz shift adds to a child's prefix.
+//     predicate — a child is forwarded only while the ranks under its
+//     eventual prefix, masked by each attribute's rank bits, meet the box's
+//     corners masked alike (naming.Tree.MayHold): integer compares, exact
+//     because the hash is monotone on every attribute.
 //   - Exact-match lookup (FISSIONE routing): the degenerate region ⟨T, T⟩.
 //
 // The descent starts at the query issuer (no preliminary DHT routing), so a
@@ -63,7 +63,6 @@ type Engine struct {
 	rr atomic.Uint64
 	// metrics accumulates engine-wide query cost counters; always non-nil.
 	metrics *metrics
-	drained func(*queryState) // set by tests: sees each query state a pump drained
 }
 
 // HopKind classifies one traced hop, so observers need not re-derive the
@@ -372,13 +371,10 @@ type RangeResult struct {
 // by slot (fissione.Network.Slot), the address routing tables hold, so a
 // forward reads integers, and one symbol of each child's identifier, from one
 // dense array; only a delivery turns a slot into a *Peer. Slots are valid for
-// the topology the query runs in. A MIRA descent message also carries the
-// subspace of its receiver's eventual prefix, as its offset in the state's
-// pointer-free column: forward extends it, nothing else reads it.
+// the topology the query runs in.
 type msg struct {
 	span   kautz.Span // the ObjectID ranks routed: one subregion of a descent
 	to     int32      // receiver's slot; the region's owner on deliveries
-	sub    int32      // MIRA descents: the receiver's subspace, at subs[sub:][:m]
 	h      uint8      // hops left to the destination level: 0 delivers; at most k ≤ 62
 	depth  uint8      // hops from the issuer; the issuer's own seeds are at 0
 	direct bool       // seeded deliveries: the issuer addressed the serving replica itself
@@ -415,7 +411,7 @@ type queryState struct {
 	issuer   kautz.Str
 	shape    // delivery filter; valid when hasBox
 	hasBox   bool
-	boxPrune bool // MIRA: forward only while the child's subspace meets box
+	boxPrune bool // MIRA: forward only while the child's ranks may hold a point of box
 	flood    bool // ablation: forward to every out-neighbor (see FloodQuery)
 	seeded   bool // the Router knew every destination: no descent ran
 	replicas bool // replicated: the rr cursor picks each delivery's serving member
@@ -423,8 +419,7 @@ type queryState struct {
 	// part within its owner's ranks.
 	span kautz.Span
 
-	queue    []msg             // FIFO; queue[head:] is still to process
-	subs     []naming.Interval // MIRA descents' subspaces, m intervals a message (msg.sub)
+	queue    []msg // FIFO; queue[head:] is still to process
 	head     int
 	delay    int // deepest message processed
 	messages int // messages processed at depth ≥ 1 (seeds are local computation)
@@ -463,7 +458,7 @@ func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str, q *shape) *querySta
 }
 
 // release returns the state to the pool, dropping every reference it holds
-// so a pooled state pins neither results nor departed peers (the queue, subs,
+// so a pooled state pins neither results nor departed peers (the queue,
 // runs, ends and col hold none; recycle clears recs). col's bound counts
 // rows, as wide as a MIRA box, the only query that grows it: as many objects
 // as recs keeps.
@@ -474,7 +469,6 @@ func (st *queryState) release() {
 	}
 	*st = queryState{
 		queue: recycle(st.queue),
-		subs:  recycle(st.subs),
 		runs:  recycle(st.runs),
 		ends:  recycle(st.ends),
 		recs:  recycle(st.recs),
@@ -628,17 +622,10 @@ func (st *queryState) finish() {
 // enter queues the descent's entry message for one common-prefix subregion:
 // local computation at the issuer (depth 0), as many levels above the
 // subregion's destination level as the issuer's identifier does not
-// already overlap the subregion's common prefix. A MIRA entry carries the
-// subspace of the issuer's eventual prefix: a descent's one walk from the root.
+// already overlap the subregion's common prefix.
 func (e *Engine) enter(st *queryState, issuer int32, part kautz.Span) {
-	id := e.net.IDAt(issuer)
-	h := part.EntryHeight(e.net.K(), id, e.net.RankAt(issuer))
-	m := msg{span: part, to: issuer, h: uint8(h), sub: int32(len(st.subs))}
-	if st.boxPrune && !st.flood {
-		st.subs = append(st.subs, make([]naming.Interval, len(st.box.Lo))...)
-		_ = e.tree.NarrowFrom(id.Drop(h), 0, st.subs[m.sub:]) // a peer's identifier is a node label
-	}
-	st.queue = append(st.queue, m)
+	h := part.EntryHeight(e.net.K(), e.net.IDAt(issuer), e.net.RankAt(issuer))
+	st.queue = append(st.queue, msg{span: part, to: issuer, h: uint8(h)})
 }
 
 // pump drains the state's queue breadth-first: messages at equal depth are
@@ -677,43 +664,33 @@ func (e *Engine) pump(ctx context.Context, st *queryState) error {
 		}
 	}
 	e.metrics.Scheduled.Add(int64(st.head - start))
-	if e.drained != nil {
-		e.drained(st)
-	}
 	return err
 }
 
 // forward processes one descent message at a peer above the destination
 // level, queueing a copy for every out-neighbor that can still reach a
-// target: the child's eventual prefix at the destination level must lie in
-// the region and, for MIRA, its subspace must meet the box. The Kautz shift
-// makes a child's eventual prefix the receiver's plus at most two symbols, so
-// MIRA narrows the receiver's carried subspace over those alone. Every table
-// entry is a live slot (fissione's Audit checks it where tables are written),
-// so a surviving child is queued as read.
+// target: the ranks under the child's eventual prefix at the destination
+// level must meet the region's and, for MIRA, may hold a point of the box.
+// Every table entry is a live slot (fissione's Audit checks it where tables
+// are written), so a surviving child is queued as read.
 func (e *Engine) forward(st *queryState, m msg) {
 	h, k := int(m.h)-1, e.net.K() // levels left once a child holds the message
 	for _, c := range e.net.Out(m.to) {
-		id, sub := e.net.IDAt(c), int32(0)
+		id := e.net.IDAt(c)
 		if !st.flood {
 			// The child's eventual prefix at the destination level is id[h:].
-			if !m.span.ContainsPrefix(k, id, e.net.RankAt(c), h) {
+			r := e.net.RankAt(c)
+			if !m.span.ContainsPrefix(k, id, r, h) {
 				continue
 			}
-			if st.boxPrune { // resume past the receiver's eventual prefix, the first lp symbols of the child's
-				lp := max(len(e.net.IDAt(m.to))-int(m.h), 0)
-				sub = int32(len(st.subs))
-				st.subs = append(st.subs, st.subs[m.sub:][:len(st.box.Lo)]...)
-				if iv := st.subs[sub:]; e.tree.NarrowFrom(id.Drop(h), lp, iv) != nil || !st.box.Meets(iv) {
-					st.subs = st.subs[:sub]
-					continue
-				}
+			if st.boxPrune && !e.tree.MayHold(kautz.PrefixBlock(k, id, r, h), st.corners) {
+				continue
 			}
 		}
 		if st.cfg.Trace != nil {
 			st.cfg.Trace(HopForward, e.net.IDAt(m.to), id, int(m.depth), h)
 		}
-		st.queue = append(st.queue, msg{span: m.span, to: c, sub: sub, h: uint8(h), depth: m.depth + 1})
+		st.queue = append(st.queue, msg{span: m.span, to: c, h: uint8(h), depth: m.depth + 1})
 	}
 }
 

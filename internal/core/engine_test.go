@@ -367,11 +367,9 @@ func TestQueryFromOwningPeer(t *testing.T) {
 	eng, _ := buildSingle(t, 100, 0, 121)
 	// Find a peer and query a tiny range strictly inside its own region.
 	id := eng.Network().PeerIDs()[10]
-	iv, err := eng.Tree().Subspace(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := (iv[0].Low + iv[0].High) / 2
+	lo, hi := kautz.PrefixRanks(id, testK)
+	vlo, vhi := valuesHashedInto(t, eng.Tree(), 0, 1000, lo, hi)
+	mid := vlo + (vhi-vlo)/2
 	res, err := eng.RangeQuery(context.Background(), id, []float64{mid}, []float64{mid})
 	if err != nil {
 		t.Fatal(err)
@@ -382,6 +380,34 @@ func TestQueryFromOwningPeer(t *testing.T) {
 	if res.Stats.DestPeers != 1 || res.Destinations[0] != id {
 		t.Fatalf("self-owned query destinations = %v", res.Destinations)
 	}
+}
+
+// valuesHashedInto returns the least and the greatest value of the space
+// [low, high], low ≥ 0, whose single-attribute hash ranks within [lo, hi]:
+// a bisection of HashRank, which is monotone, over the bits of the floats,
+// which order non-negative floats as their values do.
+func valuesHashedInto(t testing.TB, tree *naming.Tree, low, high float64, lo, hi uint64) (float64, float64) {
+	t.Helper()
+	// least is the least bits in [a, b) at which past holds, else b.
+	least := func(a, b uint64, past func(uint64) bool) uint64 {
+		for a < b {
+			mid := a + (b-a)/2
+			r, err := tree.HashRank(math.Float64frombits(mid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if past(r) {
+				b = mid
+			} else {
+				a = mid + 1
+			}
+		}
+		return a
+	}
+	from, to := math.Float64bits(low), math.Float64bits(high)+1
+	first := least(from, to, func(r uint64) bool { return r >= lo })
+	last := least(from, to, func(r uint64) bool { return r > hi }) - 1
+	return math.Float64frombits(first), math.Float64frombits(last)
 }
 
 // MIRA completeness on multi-attribute data against a brute-force oracle.
@@ -531,7 +557,7 @@ func TestMsgLayout(t *testing.T) {
 		max  uintptr
 		ptrs int // string and slice fields, one pointer word each
 	}{
-		{msg{}, 40, 0},
+		{msg{}, 24, 0},
 		{located{}, 32, 0},
 		{Match{}, 56, 3},
 	} {

@@ -13,11 +13,11 @@ import (
 // destination is reached, re-paid by every repeat of a hot query although the
 // destinations are the same each time. Peers own prefix regions, so the
 // destinations of a query are the owners that tile its region — for MIRA,
-// those of them whose subspace meets the box — and an issuer that has learned
-// them all can address each directly: one message and one hop per
-// destination, no descent. A paged walk (see Walk) keeps the owners its first
-// page located, in order, and a later page addresses only the one under its
-// cursor.
+// those of them whose ranks may hold a point of the box — and an issuer that
+// has learned them all can address each directly: one message and one hop
+// per destination, no descent. A paged walk (see Walk) keeps the owners its
+// first page located, in order, and a later page addresses only the one
+// under its cursor.
 //
 // What an issuer has learned is a set of tiles, each the slot an owner was
 // seen in and the identifier it carried there. A tile is fresh while the slot
@@ -93,11 +93,9 @@ func (e *Engine) seed(st *queryState, span kautz.Span) bool {
 	slot, ok := e.net.OwnerSlot(span.Lo)
 	for skipped := 0; ok; slot, ok = e.net.Next(slot) {
 		id := e.net.IDAt(slot)
-		in := !st.boxPrune // only MIRA's box skips an owner, by its whole identifier
-		if !in {
-			in, _ = e.tree.IntersectsPrefix(id, st.box) // false on an error, which no identifier makes
-		}
-		if !in {
+		lo, top := e.net.RanksAt(slot)
+		// Only MIRA's box skips an owner, by the ranks under its whole identifier.
+		if st.boxPrune && !e.tree.MayHold(kautz.Span{Lo: lo, Hi: top}, st.corners) {
 			if skipped++; skipped > maxSeedSkip {
 				break
 			}
@@ -106,7 +104,7 @@ func (e *Engine) seed(st *queryState, span kautz.Span) bool {
 		} else {
 			break
 		}
-		if _, top := e.net.RanksAt(slot); span.Hi <= top { // this owner holds the high end
+		if span.Hi <= top { // this owner holds the high end
 			return true
 		}
 	}

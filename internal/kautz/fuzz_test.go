@@ -182,7 +182,8 @@ func FuzzRankOrder(f *testing.F) {
 // it replaced, at every k in [2, MaxRankLen], for identifiers of any length up
 // to k and any height, the empty eventual prefix included:
 //   - the forwarding test, Span.ContainsPrefix, is Region.ContainsPrefix of
-//     the child's eventual prefix id.Drop(h);
+//     the child's eventual prefix id.Drop(h), and the ranks MIRA's pruning
+//     masks, PrefixBlock, are PrefixRanks of it;
 //   - the split, Span.AppendSplitByFirstSymbol, is SplitByFirstSymbol;
 //   - the entry height, Span.EntryHeight, is len(issuer) less the issuer's
 //     overlap with each part's ComT;
@@ -200,6 +201,9 @@ func FuzzRankGeometry(f *testing.F) {
 
 		if got, want := s.ContainsPrefix(k, id, Rank(id), h), r.ContainsPrefix(id.Drop(h)); got != want {
 			t.Fatalf("%v at k=%d: ContainsPrefix of %q from height %d = %v; the string test says %v", r, k, id, h, got, want)
+		}
+		if lo, hi := PrefixRanks(id.Drop(h), k); PrefixBlock(k, id, Rank(id), h) != (Span{Lo: lo, Hi: hi}) {
+			t.Fatalf("k=%d: PrefixBlock of %q from height %d = %v; PrefixRanks says [%d, %d]", k, id, h, PrefixBlock(k, id, Rank(id), h), lo, hi)
 		}
 
 		parts := r.SplitByFirstSymbol()

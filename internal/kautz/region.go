@@ -142,6 +142,17 @@ func suffixRank(id Str, r uint64, h int) uint64 {
 	return uint64(id[h]-'0')<<m | r&(1<<m-1)
 }
 
+// PrefixBlock returns the ranks at length k under id[h:], for id of rank r
+// no longer than k: the aligned block whose top digits are the suffix's rank,
+// or every rank when h is at or past len(id) and the suffix is empty.
+func PrefixBlock(k int, id Str, r uint64, h int) Span {
+	if h >= len(id) {
+		return Span{Lo: 0, Hi: 3<<uint(k-1) - 1}
+	}
+	lo, hi := BlockRanks(suffixRank(id, r, h), len(id)-h, k)
+	return Span{Lo: lo, Hi: hi}
+}
+
 // ContainsPrefix is Region.ContainsPrefix(id.Drop(h)) for id of rank r, no
 // longer than k: the rank of id[h:] between the ends shifted down to its
 // length. An h at or past len(id) leaves the empty prefix, which it contains.

@@ -9,16 +9,6 @@ import (
 	"armada/internal/kautz"
 )
 
-// cellsOf is what HashRank hands the closed form and the walk: the values
-// clamped to their spaces, each with its space as the interval.
-func cellsOf(tree *Tree, values []float64) []cell {
-	cells := make([]cell, len(values))
-	for i, s := range tree.spaces {
-		cells[i] = cell{lo: s.Low, hi: s.High, v: math.Min(math.Max(values[i], s.Low), s.High)}
-	}
-	return cells
-}
-
 // widestSpace is the widest space NewTree accepts, centred on zero: its
 // width w is the largest float64 whose 3·w is finite.
 func widestSpace() Space {
@@ -32,38 +22,39 @@ func widestSpace() Space {
 	return Space{Low: -w / 2, High: w / 2}
 }
 
-// midpoints lists, for the leaf that holds values, every point the walk
-// compared a value with on its way down: the root's two third boundaries
-// (attribute 0), then each level's midpoint of the attribute it split.
+// midpoints lists, for the leaf of the dividing walk that holds values,
+// every point the walk compared a value with on its way down: the root's two
+// third boundaries (attribute 0), then each level's midpoint of the attribute
+// it split.
 func midpoints(t *testing.T, tree *Tree, values []float64) (attr []int, mid []float64) {
-	label, err := tree.Hash(values...)
+	label, err := hashRef(tree, values...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := tree.spaces[0]
 	for idx := 1; idx < 3; idx++ {
-		lo, _ := rootBounds(s.Low, s.High, idx)
+		lo, _ := pieceBounds(s.Low, s.High, 3, idx)
 		attr, mid = append(attr, 0), append(mid, lo)
 	}
 	m := len(tree.spaces)
 	for j := 1; j < tree.k; j++ {
-		iv, err := tree.Subspace(label[:j])
-		if err != nil {
-			t.Fatal(err)
+		iv, ok := subspaceRef(tree, label[:j])
+		if !ok {
+			t.Fatalf("%q is no node of the dividing walk", label[:j])
 		}
 		a := j % m
-		attr, mid = append(attr, a), append(mid, iv[a].Low+float64((iv[a].High-iv[a].Low)*0.5))
+		attr, mid = append(attr, a), append(mid, iv[a].Low+(iv[a].High-iv[a].Low)/2)
 	}
 	return attr, mid
 }
 
-// TestClosedFormAtMidpoints checks the closed form where its margin matters:
-// at every point the walk compared a random value with, and 1 to 4 ulps
-// either side of it, HashRank must give the walk's rank and Hash the
-// dividing walk's label — on the bench's spaces, one that straddles zero, one
-// 8 ulps wide at 10¹⁵, the widest NewTree accepts and a subnormal one, from
-// depth 1 to MaxRankLen. A margin too thin for the walk's rounding (0, say)
-// fails here.
+// TestClosedFormAtMidpoints checks the floor where rounding decides: at every
+// point the dividing walk compared a random value with, and 1 to 4 ulps
+// either side of it, HashRank must name the walk's leaf wherever δ says
+// neither rounds across a boundary, and a neighbouring one elsewhere
+// (checkAgainstReference) — on the bench's spaces, one that straddles zero,
+// one 8 ulps wide at 10¹⁵, the widest NewTree accepts and a subnormal one,
+// from depth 1 to MaxRankLen.
 func TestClosedFormAtMidpoints(t *testing.T) {
 	spaceSets := [][]Space{
 		{{0, 1000}}, {{0, 1000}, {0, 100}}, {{-50, 100}}, {{1e15, 1e15 + 1}},
@@ -87,7 +78,7 @@ func TestClosedFormAtMidpoints(t *testing.T) {
 					for _, dir := range []float64{math.Inf(-1), math.Inf(1)} {
 						probe[attrs[i]] = mid
 						for ulps := 0; ulps <= 4; ulps++ {
-							checkAgainstWalks(t, tree, probe)
+							checkAgainstReference(t, tree, probe)
 							probe[attrs[i]] = math.Nextafter(probe[attrs[i]], dir)
 						}
 					}
@@ -97,28 +88,11 @@ func TestClosedFormAtMidpoints(t *testing.T) {
 	}
 }
 
-// checkAgainstWalks holds HashRank to the walk and Hash to the dividing
-// walk at one value.
-func checkAgainstWalks(t *testing.T, tree *Tree, values []float64) {
-	t.Helper()
-	cells := cellsOf(tree, values)
-	want := tree.walk(cells, third(cells[0]))
-	got, err := tree.HashRank(values...)
-	if err != nil || got != want {
-		t.Fatalf("k=%d spaces %v: HashRank(%v) = %d, %v; the walk says %d", tree.k, tree.spaces, values, got, err, want)
-	}
-	label, err := tree.Hash(values...)
-	ref, refErr := hashRef(tree, values...)
-	if err != nil || refErr != nil || label != ref {
-		t.Fatalf("k=%d spaces %v: Hash(%v) = %q, %v; the dividing walk says %q, %v", tree.k, tree.spaces, values, label, err, ref, refErr)
-	}
-}
-
-// TestClosedFormCoverage checks that the closed form, not the walk, names
-// nearly every value: under 0.1% of 10⁵ uniform values on each of the
-// bench's spaces at the default depth may fall back. A margin grown too
-// wide, or a closed form switched off, fails here while every result stays
-// right.
+// TestClosedFormCoverage checks that the agreement above is not vacuous:
+// on each of the bench's spaces at the default depth, δ decides every
+// attribute of at least 99.9% of 10⁵ uniform values, so the floor is held to
+// the dividing walk's very leaf there. A δ grown too wide fails here while
+// every check stays green.
 func TestClosedFormCoverage(t *testing.T) {
 	const n = 100000
 	for _, spaces := range [][]Space{{{0, 1000}}, {{0, 1000}, {0, 100}}} {
@@ -128,18 +102,17 @@ func TestClosedFormCoverage(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(10))
 		values := make([]float64, len(spaces))
-		walked := 0
+		undecided := 0
 		for range n {
 			for a, s := range spaces {
 				values[a] = s.Low + rng.Float64()*s.Width()
 			}
-			cells := cellsOf(tree, values)
-			if _, ok := tree.closedForm(cells, third(cells[0])); !ok {
-				walked++
+			if checkAgainstReference(t, tree, values) < len(spaces) {
+				undecided++
 			}
 		}
-		if walked*1000 >= n {
-			t.Errorf("spaces %v: the walk named %d of %d values, want under 0.1%%", spaces, walked, n)
+		if undecided*1000 >= n {
+			t.Errorf("spaces %v: δ left %d of %d values undecided, want under 0.1%%", spaces, undecided, n)
 		}
 	}
 }

@@ -7,17 +7,18 @@ import (
 	"armada/internal/kautz"
 )
 
-// FuzzHashInsideLeaf checks the proof obligation a whole-run admission
-// under a multi-attribute box rests on: every value the hash maps into a leaf
-// lies inside that leaf's Subspace, on every attribute — values clamped into
-// their spaces first, as the hash clamps them. A run whose owner's subspace
-// lies inside the box could then skip the per-object box test. It does not
-// hold exactly: a value can fall outside by a few ulps of its space (skipped
-// below, with the committed outside-* entries); past that margin it fails.
-// The seeds are
-// the rounded root thirds of each reference space, one and two ulps either
-// side, and (committed corpus, testdata/fuzz/FuzzHashInsideLeaf) the rounding
-// margin's boundary points FuzzHashMatchesReference keeps.
+// FuzzHashInsideLeaf checks the obligation MIRA's pruning rests on: a value
+// inside a box hashes under no node the box's pruning predicate refuses.
+// Every prefix of Hash(v) — the root, every node on the way down and the leaf
+// itself — must pass IntersectsPrefix for the boxes [v, v], [Low, v] and
+// [v, High] on every attribute, and for a box that takes each of the three by
+// turns across the attributes, values clamped into their spaces first, as
+// the hash clamps them. The seeds are the rounded root thirds of each
+// reference space, one and two ulps either side, over the subnormal space too
+// (where L/W overflows and the floor scales first), and the committed corpus
+// (testdata/fuzz/FuzzHashInsideLeaf) keeps the points where float subspaces
+// once put a value outside its leaf (outside-*) and the old rounding
+// margin's boundary points.
 func FuzzHashInsideLeaf(f *testing.F) {
 	for first, s := range refSpaces {
 		w := (s.High - s.Low) / 3
@@ -45,29 +46,32 @@ func FuzzHashInsideLeaf(f *testing.F) {
 		if err != nil {
 			return // a non-finite value: refused, in no leaf
 		}
-		iv, err := tree.Subspace(leaf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rounding := false
-		for i, s := range spaces {
-			v := math.Min(math.Max(values[i], s.Low), s.High)
-			out := max(iv[i].Low-v, v-iv[i].High) // > 0: outside, by that much
-			if out > 4*0x1p-53*(math.Abs(s.Low)+math.Abs(s.High)) {
-				t.Fatalf("m=%d k=%d spaces %v: attribute %d's value %v (of %v) hashes to leaf %q, whose subspace holds [%v, %v]",
-					m, k, spaces, i, v, values[i], leaf, iv[i].Low, iv[i].High)
+		for turn := range 4 {
+			lo, hi := make([]float64, m), make([]float64, m)
+			for i, s := range spaces {
+				v := math.Min(math.Max(values[i], s.Low), s.High)
+				lo[i], hi[i] = v, v
+				mode := turn // [v, v], [Low, v] and [v, High] throughout, then by turns
+				if turn == 3 {
+					mode = i % 3
+				}
+				switch mode {
+				case 1:
+					lo[i] = s.Low
+				case 2:
+					hi[i] = s.High
+				}
 			}
-			rounding = rounding || out > 0
-		}
-		if rounding {
-			// Known counterexamples (corpus outside-*): a value within rounding
-			// of a leaf boundary — a rounded root third, or a bisection's
-			// midpoint — can hash to the leaf beside the one whose Subspace
-			// holds it. The hash picks the piece from the quotient of v − lo,
-			// Subspace bounds it by lo + w; the two round apart by a few ulps
-			// of the space. An inside-the-box test on a leaf's Subspace must
-			// widen it by this margin before it can stand in for Box.Contains.
-			t.Skip("value outside its leaf's Subspace by rounding only")
+			box, err := tree.NewBox(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range prefixes(leaf) {
+				if ok, err := tree.IntersectsPrefix(p, box); err != nil || !ok {
+					t.Fatalf("m=%d k=%d spaces %v: %v hashes to %q, in box %v, but IntersectsPrefix(%q) = %v, %v",
+						m, k, spaces, values, leaf, box, p, ok, err)
+				}
+			}
 		}
 	})
 }

@@ -14,9 +14,32 @@
 // The partition tree has k+1 levels. Its root has three children; every
 // other internal node has two. Edge labels ascend left to right and differ
 // from the parent's incoming edge label, so leaf labels enumerate
-// KautzSpace(2,k) in ascending lexicographic order. Each node evenly splits
-// the subspace of its parent along one attribute: level j splits attribute
-// j mod m.
+// KautzSpace(2,k) in ascending lexicographic order, and a leaf's rank
+// (kautz.Rank) is the root's third, then one bit a level. Each node evenly
+// splits the subspace of its parent along one attribute: level j ≥ 1 splits
+// attribute j mod m, and the root splits attribute 0 in three.
+//
+// The partition has one definition, in integers. An attribute's splits do
+// not depend on the others', so its levels cut its space [lo, lo+W] into L
+// equal leaves — L = 3·2ⁿ for attribute 0, whose top digit is the root's
+// third, and 2ⁿ for the others, n the levels below the root that split it —
+// and a value v lies in leaf
+//
+//	leaf(v) = ⌊(v−lo)·L/W⌋, clamped to [0, L−1].
+//
+// The leaf's bits, spread into the attribute's levels, are its share of the
+// rank (HashRank). Those rank bits are the attribute's mask M_a: for
+// attribute 0 the root's third (bits k−1..k) and every level j ≡ 0 (mod m),
+// for attribute a every level j ≡ a (mod m). Spreading keeps bit order, so a
+// rank masked by M_a orders values exactly as attribute a's leaf does.
+//
+// The floor is monotone in v, as every rounded step of it is, so a value in
+// [a, b] has its leaf between leaf(a) and leaf(b) on every attribute. A node
+// is a block of ranks; masked by M_a, the block's two ends bound the leaves
+// of attribute a under it. The node can hold a value of a box only if, for
+// every a, that range meets the box's, whose ends are its corners' ranks
+// masked alike (MayHold). No node that holds a value of the box fails the
+// test, with no margin: the hash and the pruning read the same integers.
 package naming
 
 import (
@@ -37,18 +60,6 @@ type Space struct {
 // Contains reports whether v lies in [Low, High].
 func (s Space) Contains(v float64) bool { return v >= s.Low && v <= s.High }
 
-// Interval is a subinterval of an attribute's space produced by the
-// partition tree. Intervals at the same tree level tile their space;
-// adjacent intervals share an endpoint.
-type Interval struct {
-	Low  float64
-	High float64
-}
-
-// Overlaps reports whether the closed intervals [i.Low,i.High] and [lo,hi]
-// intersect.
-func (i Interval) Overlaps(lo, hi float64) bool { return i.Low <= hi && lo <= i.High }
-
 // Errors returned by the naming tree.
 var (
 	ErrBadSpace  = errors.New("naming: attribute space must have Low < High and a finite width")
@@ -62,18 +73,18 @@ var (
 type Tree struct {
 	k      int
 	spaces []Space
-	// starts holds each attribute's halvings in closed form: attribute 0's
-	// under each of the root's thirds, then attribute a's at starts[a+2].
-	starts []bisection
+	attrs  []attr // one per attribute, in attribute order
 }
 
-// bisection is the n levels that halve one attribute's start interval
-// [lo, hi] in closed form: they put v in leaf ⌊r⌋ of 2ⁿ, r = (v−lo)·scale
-// with scale = 2ⁿ/(hi−lo) and top = 2ⁿ, wherever r's fraction lies in
-// [margin, 1−margin] (HashInto); shift places the leaf's last bit in the rank.
-type bisection struct {
-	lo, scale, top, margin float64
-	shift                  uint
+// attr is one attribute's share of the partition: leaf(v) is
+// ⌊(v−Low)·pre·scale⌋ below top (L); the leaf's low n bits are spread to
+// every m-th rank bit from shift, and its higher bits (attribute 0's third)
+// are the rank's top digit. mask is the rank bits the attribute owns, M_a.
+type attr struct {
+	pre, scale float64 // pre·scale = L/W; pre, a power of two, is 1 unless L/W overflows
+	top        uint64
+	n, shift   uint
+	mask       uint64
 }
 
 // NewTree builds a partition tree of depth k over the given attribute
@@ -88,45 +99,31 @@ func NewTree(k int, spaces ...Space) (*Tree, error) {
 		return nil, fmt.Errorf("%w: no attributes", ErrArity)
 	}
 	for i, s := range spaces {
-		// Low < High fails a NaN bound; past a finite 3·(High−Low) the root's
-		// 3·(v−Low)/(High−Low) is NaN and every value would hash to one leaf.
-		if !(s.Low < s.High) || math.IsInf(3*(s.High-s.Low), 0) {
+		if !(s.Low < s.High) || math.IsInf(3*(s.High-s.Low), 0) { // Low < High fails a NaN bound
 			return nil, fmt.Errorf("%w: attribute %d: [%v, %v]", ErrBadSpace, i, s.Low, s.High)
 		}
 	}
 	m := len(spaces)
-	t := &Tree{k: k, spaces: append([]Space(nil), spaces...), starts: make([]bisection, m+2)}
-	for a, s := range spaces {
-		// Level j ≥ 1 splits attribute j mod m: attribute a's n levels run by
+	t := &Tree{k: k, spaces: append([]Space(nil), spaces...), attrs: make([]attr, m)}
+	for i, s := range spaces {
+		// Level j ≥ 1 splits attribute j mod m: attribute i's n levels run by
 		// m from its first (m for attribute 0) to its last, shift above k−1.
-		first := cmp.Or(a, m)
+		first := cmp.Or(i, m)
 		n := (k - 1 - first + m) / m
-		shift := uint(k - 1 - first - m*(n-1))
-		mag := math.Max(math.Abs(s.Low), math.Abs(s.High))
-		if a > 0 {
-			t.starts[a+2] = newBisection(s.Low, s.High, mag, uint(n), shift)
-			continue
+		a := attr{n: uint(n), shift: uint(k - 1 - first - m*(n-1)), top: 1 << n, pre: 1}
+		a.mask = spread(a.top-1, uint(m)) << a.shift
+		if i == 0 {
+			a.top *= 3
+			a.mask |= 3 << (k - 1)
 		}
-		for idx := range 3 {
-			lo, hi := rootBounds(s.Low, s.High, idx)
-			t.starts[idx] = newBisection(lo, hi, mag, uint(n), shift)
+		// A width so small that L/W overflows (a subnormal one) is scaled
+		// up first: 2¹⁰⁰⁰ times a width under 2⁻⁹⁶⁰ is exact and finite.
+		if a.scale = float64(a.top) / (s.High - s.Low); math.IsInf(a.scale, 0) {
+			a.pre, a.scale = 0x1p1000, float64(a.top)/((s.High-s.Low)*0x1p1000)
 		}
+		t.attrs[i] = a
 	}
 	return t, nil
-}
-
-// newBisection returns the closed form of n halvings of [lo, hi] in a space
-// whose bounds are at most mag in magnitude, with the margin HashInto
-// derives, or off (1) past 52 levels or at a margin of 1/64 or more.
-func newBisection(lo, hi, mag float64, n, shift uint) bisection {
-	const u, tiny = 0x1p-53, 0x1p-1074 // the unit roundoff; a subnormal halving's rounding
-	top, w := math.Ldexp(1, int(n)), hi-lo
-	b := bisection{lo: lo, scale: top / w, top: top, margin: 1, shift: shift}
-	drift := float64(n)*(u*(w/2+mag)+tiny) + 2*u*(w+mag)
-	if margin := 2 * (drift*b.scale + 5*u*top); n <= 52 && margin < 1.0/64 {
-		b.margin = margin
-	}
-	return b
 }
 
 // NewSingleTree builds the single-attribute tree used by Single_hash.
@@ -140,30 +137,11 @@ func (t *Tree) K() int { return t.k }
 // Attrs returns the number of attributes m.
 func (t *Tree) Attrs() int { return len(t.spaces) }
 
-// childIndex returns the position (ascending) of edge label c under a node
-// whose incoming edge is prev (0 at the root) — the labels are the symbols
-// other than prev — or -1 when no such edge exists (c is not a symbol, or
-// repeats prev).
-func childIndex(prev, c byte) int {
-	if c < '0' || c > '2' || c == prev {
-		return -1
-	}
-	idx := int(c - '0')
-	if prev != 0 && c > prev {
-		idx--
-	}
-	return idx
-}
-
-// stackAttrs is the arity up to which the per-call scratch of HashRank and
-// IntersectsPrefix lives on the stack.
-const stackAttrs = 4
-
 // Hash maps an m-attribute value to its ObjectID: the label of the leaf
 // whose subspace contains it. This is Single_hash for m = 1 and
 // Multiple_hash otherwise. Values are clamped to their attribute spaces;
 // non-finite values are rejected. The label is derived from the rank
-// HashRank computes (HashInto says how).
+// HashRank computes.
 func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
 	var label [kautz.MaxRankLen]byte // NewTree bounds k by MaxRankLen
 	if _, err := t.HashInto(&label, values...); err != nil {
@@ -173,67 +151,34 @@ func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
 }
 
 // HashRank is Hash for a caller that positions by integer: the ObjectID's
-// rank (kautz.Rank of the label Hash returns), with no label built.
+// rank (kautz.Rank of the label Hash returns), with no label built. Each
+// attribute's value, clamped to its space [lo, lo+W], lies in leaf
+// ⌊(v−lo)·L/W⌋ (at most L−1) of its L; the leaf's bits spread into the
+// attribute's levels, and attribute 0's third above them, make the rank.
+// Every step rounds monotonically, so the rank masked by any attribute's bits
+// never decreases as that attribute's value grows: this is what MayHold's
+// pruning rests on.
 func (t *Tree) HashRank(values ...float64) (uint64, error) {
-	m := len(t.spaces)
-	if len(values) != m {
-		return 0, fmt.Errorf("%w: got %d, want %d", ErrArity, len(values), m)
+	if len(values) != len(t.attrs) {
+		return 0, fmt.Errorf("%w: got %d, want %d", ErrArity, len(values), len(t.attrs))
 	}
-	var buf [stackAttrs]cell
-	cells := buf[:]
-	if m > stackAttrs {
-		cells = make([]cell, m)
-	}
-	for i, s := range t.spaces {
-		if math.IsNaN(values[i]) || math.IsInf(values[i], 0) {
-			return 0, fmt.Errorf("%w: attribute %d: %v", ErrNotFinite, i, values[i])
+	m := uint(len(t.attrs))
+	var rank uint64
+	for i := range t.attrs {
+		a, s, v := &t.attrs[i], t.spaces[i], values[i]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("%w: attribute %d: %v", ErrNotFinite, i, v)
 		}
-		cells[i] = cell{lo: s.Low, hi: s.High, v: math.Min(math.Max(values[i], s.Low), s.High)}
+		v = math.Min(math.Max(v, s.Low), s.High)
+		leaf := min(uint64((v-s.Low)*a.pre*a.scale), a.top-1)
+		rank |= spread(leaf&(1<<a.n-1), m)<<a.shift | leaf>>a.n<<(t.k-1)
 	}
-	idx := third(cells[0])
-	if r, ok := t.closedForm(cells[:m], idx); ok {
-		return r, nil
-	}
-	return t.walk(cells[:m], idx), nil
+	return rank, nil
 }
 
 // HashInto is Hash into the caller's array: it writes the ObjectID to
-// label[:k] and returns its rank. On an error label is untouched.
-//
-// The rank is the root's third, then one bit a level, set where the level
-// puts v in the upper half. The walk (walk) is its definition: below the
-// root each level halves the interval of the attribute it splits, and the
-// upper half holds v when 2·(v−lo) ≥ hi−lo. An attribute's halvings do not
-// depend on the others', so n levels over its start interval [lo, hi]
-// (attribute 0's third, the others' space) put v in leaf ⌊r⌋ of 2ⁿ,
-// r = (v−lo)·2ⁿ/(hi−lo), in exact arithmetic — one subtraction and one
-// multiplication by a scale NewTree keeps — and the leaf's bits, spread
-// into the attribute's levels, are its share of the rank. The walk rounds,
-// so its leaf can differ from ⌊r⌋ only for v near a leaf boundary, and
-// NewTree bounds how near per attribute (u = 2⁻⁵³, W = hi − lo,
-// M = max(|Low|, |High|)):
-//
-//   - a level's midpoint lo + (hi−lo)·0.5 rounds the width, the halving (on
-//     a subnormal width only, by at most 2⁻¹⁰⁷⁴) and the sum, so it drifts
-//     from the exact dyadic point by at most u·(W/2 + M) + 2⁻¹⁰⁷⁴ more than
-//     the level above did: n times that after n levels;
-//   - the compare rounds v−lo and hi−lo: at most 2u·(W+M) more;
-//   - r as computed rounds v−lo, hi−lo, the scale and the product: at most
-//     5u·2ⁿ in leaf units.
-//
-// The margin δ is the sum in leaf units (the first two times 2ⁿ/W),
-// doubled for the bound's own rounding. Where r's fraction lies in
-// [δ, 1−δ], v is farther than the drift from every midpoint the walk
-// compares it with, so the walk decides each level as exact arithmetic does
-// and ⌊r⌋ is its leaf. Anywhere else the walk runs: v outside its start
-// interval (rootBounds can round a third so that v sits just past it), and
-// every value of an attribute with more than 52 levels (a float64 does not
-// hold the fraction) or δ ≥ 1/64 (a space a few ulps wide per leaf). At
-// k = 32 that is about one uniform value in 10⁴ on [0, 1000] and none in 10⁶
-// on [0, 1000]×[0, 100] (TestClosedFormCoverage); TestClosedFormAtMidpoints
-// and FuzzHashMatchesReference hold the result to the walk's.
-//
-// The label follows from the rank in one pass (kautz.PutRank).
+// label[:k] and returns its rank (HashRank), from which the label follows in
+// one pass (kautz.PutRank). On an error label is untouched.
 func (t *Tree) HashInto(label *[kautz.MaxRankLen]byte, values ...float64) (uint64, error) {
 	r, err := t.HashRank(values...)
 	if err != nil {
@@ -241,38 +186,6 @@ func (t *Tree) HashInto(label *[kautz.MaxRankLen]byte, values ...float64) (uint6
 	}
 	kautz.PutRank(label, r, t.k)
 	return r, nil
-}
-
-// cell is one attribute's value and the interval the walk narrows around it.
-type cell struct{ lo, hi, v float64 }
-
-// third is which of the root's thirds holds attribute 0's value, the last
-// closed at hi.
-func third(c cell) int { return min(max(int(3*(c.v-c.lo)/(c.hi-c.lo)), 0), 2) }
-
-// closedForm is the rank of the clamped values in cells under the root's
-// third idx, from each attribute's bisection, or false where some
-// attribute's r lies outside its start interval or within its margin of a
-// leaf boundary, and only the walk decides.
-func (t *Tree) closedForm(cells []cell, idx int) (uint64, bool) {
-	m := uint(len(cells))
-	rank := uint64(idx) << (t.k - 1)
-	for a := range cells {
-		b := &t.starts[idx]
-		if a > 0 {
-			b = &t.starts[a+2]
-		}
-		r := (cells[a].v - b.lo) * b.scale
-		if !(r >= 0 && r < b.top) { // before the conversion: v may sit outside [lo, hi]
-			return 0, false
-		}
-		leaf := uint64(r)
-		if f := r - float64(leaf); f < b.margin || f > 1-b.margin {
-			return 0, false
-		}
-		rank |= spread(leaf, m) << b.shift
-	}
-	return rank, true
 }
 
 // spread places the bits of leaf m apart, the lowest where it was: an
@@ -295,118 +208,21 @@ func spread(leaf uint64, m uint) uint64 {
 	return out
 }
 
-// walk is the rank of the clamped values in cells under the root's third
-// idx, one level at a time: the definition closedForm agrees with, and what
-// runs where it cannot say.
-//
-// Only the root's three-way split divides. Below it a node halves one
-// attribute's interval [lo, hi] of width d, and the upper half holds v
-// exactly when 2·(v−lo) ≥ d: doubling is exact, and the quotient 2·(v−lo)/d
-// cannot round up to 1 from below (under 1 it is at most 1 − 2⁻⁵³, which is
-// representable), so the comparison picks the piece the quotient's integer
-// part would; d·0.5 is d/2 bit for bit. Labels and intervals are those of
-// the dividing walk the tests keep as reference (FuzzHashMatchesReference).
-func (t *Tree) walk(cells []cell, idx int) uint64 {
-	m := len(cells)
-	c := &cells[0]
-	c.lo, c.hi = rootBounds(c.lo, c.hi, idx)
-	rank := uint64(idx)
-	for j, a := 1, 0; j < t.k; j++ {
-		if a++; a == m {
-			a = 0
-		}
-		c := &cells[a]
-		d := c.hi - c.lo
-		mid := c.lo + float64(d*0.5) // the conversion keeps d·0.5 rounded where the sum could fuse
-		// The level's bit with no jump, since a branch on it would mispredict
-		// about half the levels, and the new bounds selected by mask: the
-		// upper half takes mid as lo, the lower as hi. A collapsed interval
-		// (d = 0) keeps to its lower half.
-		upper := bit(d > 0) & bit(2*(c.v-c.lo) >= d)
-		keep, lo, hi := upper-1, math.Float64bits(c.lo), math.Float64bits(c.hi)
-		c.lo = math.Float64frombits(lo&keep | math.Float64bits(mid)&^keep)
-		c.hi = math.Float64frombits(hi&^keep | math.Float64bits(mid)&keep)
-		rank = rank<<1 | upper
-	}
-	return rank
-}
-
-// bit is b as 0 or 1; the compiler turns it into a flag read, not a jump.
-func bit(b bool) uint64 {
-	var u uint64
-	if b {
-		u = 1
-	}
-	return u
-}
-
-// rootBounds returns the bounds of third idx of [lo, hi].
-func rootBounds(lo, hi float64, idx int) (float64, float64) {
-	w := (hi - lo) / 3
-	newLo := lo + w*float64(idx)
-	if idx == 2 {
-		return newLo, hi
-	}
-	return newLo, newLo + w
-}
-
-// Subspace returns, for each attribute, the interval represented by the
-// partition tree node labelled prefix. The empty prefix denotes the root
-// (the full space). Any valid Kautz string of length ≤ k is a valid node
-// label.
-func (t *Tree) Subspace(prefix kautz.Str) ([]Interval, error) {
-	iv := make([]Interval, len(t.spaces))
-	if err := t.NarrowFrom(prefix, 0, iv); err != nil {
-		return nil, err
-	}
-	return iv, nil
-}
-
-// NarrowFrom fills iv (one interval per attribute) with the subspace of the
-// node labelled prefix, narrowing one attribute's interval per symbol — level
-// j splits attribute j mod m — and resuming part-way down the tree when from
-// is positive: iv then holds the subspace of the node labelled prefix[:from],
-// and only prefix[from:] is walked. A resumed walk takes the whole walk's
-// float steps in the same order, so its result is bit-identical to
-// Subspace(prefix) (FuzzNarrowFrom): a descent that carries each message's
-// subspace pays per hop only for the symbols the hop adds. prefix[:from] is
-// the caller's to vouch for; the walk itself rejects anything after it that
-// is not a node label, a symbol outside the alphabet or repeating its
-// predecessor having no edge to follow.
-func (t *Tree) NarrowFrom(prefix kautz.Str, from int, iv []Interval) error {
-	if len(prefix) > t.k || from < 0 || from > len(prefix) {
-		return fmt.Errorf("%w: prefix %q longer than k=%d, or resumed outside it at %d", ErrBadK, prefix, t.k, from)
-	}
-	var prev byte
-	a := 0 // the attribute the last level walked split: the root's is 0
-	if from > 0 {
-		prev, a = prefix[from-1], int(uint32(from-1)%uint32(len(iv))) // a 32-bit divide is the cheaper
-	} else {
-		for i, s := range t.spaces {
-			iv[i] = Interval{Low: s.Low, High: s.High}
+// MayHold reports whether the node whose ObjectID ranks are block can hold a
+// value of the box whose corners' ranks (HashRank of its Lo and Hi) are
+// corners: whether, on every attribute, the leaves under the node meet the
+// box's, each side masked by the attribute's rank bits. It is MIRA's pruning
+// predicate, and exact in the one direction a pruning must be: every value
+// in the box hashes, on every attribute, between its corners (see the
+// package doc), so a node that holds one passes.
+func (t *Tree) MayHold(block, corners kautz.Span) bool {
+	for i := range t.attrs {
+		mk := t.attrs[i].mask
+		if block.Lo&mk > corners.Hi&mk || corners.Lo&mk > block.Hi&mk {
+			return false
 		}
 	}
-	for j := from; j < len(prefix); j++ {
-		idx := childIndex(prev, prefix[j])
-		if idx < 0 {
-			return fmt.Errorf("naming: %q is not a partition tree path", prefix)
-		}
-		if j == 0 {
-			iv[0].Low, iv[0].High = rootBounds(iv[0].Low, iv[0].High, idx)
-		} else {
-			if a++; a == len(iv) {
-				a = 0
-			}
-			c := &iv[a]
-			if mid := c.Low + float64((c.High-c.Low)*0.5); idx == 0 {
-				c.High = mid
-			} else {
-				c.Low = mid
-			}
-		}
-		prev = prefix[j]
-	}
-	return nil
+	return true
 }
 
 // Box is an axis-aligned multi-attribute range query
@@ -448,43 +264,30 @@ func (b Box) Contains(v []float64) bool {
 	return true
 }
 
-// IntersectsPrefix reports whether the subspace of the partition tree node
-// labelled prefix intersects the box. This is MIRA's pruning predicate: a
-// branch of the forward routing tree is descended only while some leaf under
-// it can hold matching objects.
-//
-// The node's subspace is narrowed in a stack-resident array (for up to
-// stackAttrs attributes), so the predicate allocates nothing.
+// IntersectsPrefix is MayHold for the partition tree node labelled prefix
+// (any Kautz string of length ≤ k; the empty one is the root) and a box: the
+// string-keyed entrance to the pruning predicate, which allocates nothing.
 func (t *Tree) IntersectsPrefix(prefix kautz.Str, b Box) (bool, error) {
-	var buf [stackAttrs]Interval
-	iv := buf[:]
-	if m := len(t.spaces); m <= stackAttrs {
-		iv = iv[:m]
-	} else {
-		iv = make([]Interval, m)
+	if len(prefix) > t.k || !kautz.Valid(prefix) {
+		return false, fmt.Errorf("naming: %q is not a partition tree node at k=%d", prefix, t.k)
 	}
-	if err := t.NarrowFrom(prefix, 0, iv); err != nil {
+	var c kautz.Span
+	var err error
+	if c.Lo, err = t.HashRank(b.Lo...); err == nil {
+		c.Hi, err = t.HashRank(b.Hi...)
+	}
+	if err != nil {
 		return false, err
 	}
-	return b.Meets(iv), nil
-}
-
-// Meets reports whether a subspace — one interval per attribute, as Subspace
-// and NarrowFrom fill it — intersects the box.
-func (b Box) Meets(iv []Interval) bool {
-	for i := range iv {
-		if !iv[i].Overlaps(b.Lo[i], b.Hi[i]) {
-			return false
-		}
-	}
-	return true
+	lo, hi := kautz.PrefixRanks(prefix, t.k)
+	return t.MayHold(kautz.Span{Lo: lo, Hi: hi}, c), nil
 }
 
 // QueryRegion maps a range query to the Kautz region ⟨LowT, HighT⟩ where
 // LowT = Hash(box.Lo) and HighT = Hash(box.Hi). For a single attribute the
 // region is exactly the query's image (interval preservation); for multiple
 // attributes it is a superset of the matching leaves, which MIRA narrows
-// with IntersectsPrefix.
+// with MayHold.
 func (t *Tree) QueryRegion(b Box) (kautz.Region, error) {
 	lowT, err := t.Hash(b.Lo...)
 	if err != nil {

@@ -8,10 +8,10 @@ import (
 	"armada/internal/kautz"
 )
 
-// subspaceRef is Subspace as first written — validate the label, then look
-// each symbol up in the explicit child-label list — kept as the reference
-// the allocation-free walk behind Subspace and IntersectsPrefix is checked
-// against.
+// subspaceRef is the node's subspace under the dividing walk: validate the
+// label, then look each symbol up in the explicit child-label list and divide
+// that piece's attribute. TestClosedFormAtMidpoints probes the points it
+// bounds nodes by.
 func subspaceRef(t *Tree, prefix kautz.Str) ([]Interval, bool) {
 	if len(prefix) > t.k || !kautz.Valid(prefix) {
 		return nil, false
@@ -50,6 +50,12 @@ func subspaceRef(t *Tree, prefix kautz.Str) ([]Interval, bool) {
 	return iv, true
 }
 
+// FuzzIntersectsPrefix holds the pruning predicate to an enumerated
+// reference at small k: node p can hold a value of the box exactly when some
+// leaf under it has, on every attribute, its leaf index (leafIndex, read off
+// the label level by level) between those of the box's corners. It refuses
+// exactly the prefixes that are no node: longer than k, a symbol outside the
+// alphabet, or one repeating its predecessor.
 func FuzzIntersectsPrefix(f *testing.F) {
 	f.Add(uint8(0), uint8(7), "0121", 10.0, 20.0, 0.0, 0.0, 0.0, 0.0)
 	f.Add(uint8(1), uint8(11), "2010", 0.0, 900.0, 40.0, 60.0, 0.0, 0.0)
@@ -59,7 +65,7 @@ func FuzzIntersectsPrefix(f *testing.F) {
 	f.Add(uint8(2), uint8(4), "01210", 1.0, 2.0, 0.0, 1.0, 0.0, 1.0) // longer than k
 	f.Fuzz(func(t *testing.T, mRaw, kRaw uint8, prefix string, lo0, hi0, lo1, hi1, lo2, hi2 float64) {
 		m := 1 + int(mRaw)%3
-		k := 1 + int(kRaw)%kautz.MaxRankLen
+		k := 1 + int(kRaw)%12
 		tree, err := NewTree(k, []Space{{0, 1000}, {-50, 100}, {0, 10}}[:m]...)
 		if err != nil {
 			t.Fatal(err)
@@ -68,70 +74,26 @@ func FuzzIntersectsPrefix(f *testing.F) {
 		if err != nil {
 			t.Skip() // NaN or inverted bounds: not a query
 		}
-		got, gotErr := tree.IntersectsPrefix(kautz.Str(prefix), box)
-		iv, ok := subspaceRef(tree, kautz.Str(prefix))
-		if ok != (gotErr == nil) {
-			t.Fatalf("m=%d k=%d prefix %q: walk error %v, reference accepts=%v", m, k, prefix, gotErr, ok)
+		p := kautz.Str(prefix)
+		got, gotErr := tree.IntersectsPrefix(p, box)
+		if node := len(p) <= k && kautz.Valid(p); node != (gotErr == nil) {
+			t.Fatalf("m=%d k=%d prefix %q: error %v, a node = %v", m, k, p, gotErr, node)
 		}
-		if !ok {
+		if gotErr != nil {
 			return
 		}
-		want := true
-		for i := range iv {
-			want = want && iv[i].Overlaps(box.Lo[i], box.Hi[i])
+		cLo, _ := tree.HashRank(box.Lo...)
+		cHi, _ := tree.HashRank(box.Hi...)
+		want := false
+		for r, last := kautz.PrefixRanks(p, k); r <= last && !want; r++ {
+			want = true
+			for a := range m {
+				idx := leafIndex(k, m, r, a)
+				want = want && leafIndex(k, m, cLo, a) <= idx && idx <= leafIndex(k, m, cHi, a)
+			}
 		}
 		if got != want {
-			t.Fatalf("m=%d k=%d IntersectsPrefix(%q, %v) = %v, Subspace+Overlaps says %v", m, k, prefix, box, got, want)
-		}
-	})
-}
-
-// FuzzNarrowFrom holds the continuation a descent carries between hops to
-// the whole walk: resuming from Subspace(p[:i]) over p[i:] gives Subspace(p)
-// bit for bit, for every split i ≤ len(p), and refuses exactly the labels the
-// whole walk refuses. Each input is tried twice: as the string given, and as
-// the valid label its bytes spell (each byte picks one of the symbols that may
-// follow the last), so most runs reach a full-depth prefix.
-func FuzzNarrowFrom(f *testing.F) {
-	f.Add(uint8(1), uint8(31), "0121020120", uint8(4))
-	f.Add(uint8(2), uint8(61), "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789", uint8(60))
-	f.Add(uint8(0), uint8(7), "2", uint8(0))
-	f.Add(uint8(1), uint8(9), "01", uint8(2))
-	f.Add(uint8(2), uint8(5), "0110", uint8(2)) // repeats a symbol after the split
-	f.Fuzz(func(t *testing.T, mRaw, kRaw uint8, raw string, split uint8) {
-		m := 1 + int(mRaw)%3
-		k := 1 + int(kRaw)%kautz.MaxRankLen
-		tree, err := NewTree(k, []Space{{0, 1000}, {-50, 100}, {0, 10}}[:m]...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spelled := make([]byte, 0, min(len(raw), k))
-		for j := 0; j < cap(spelled); j++ {
-			if j == 0 {
-				spelled = append(spelled, '0'+raw[j]%3)
-			} else {
-				spelled = append(spelled, childSymbol(spelled[j-1], int(raw[j]%2)))
-			}
-		}
-		for _, p := range []kautz.Str{kautz.Str(raw), kautz.Str(spelled)} {
-			i := int(split) % (len(p) + 1)
-			iv, err := tree.Subspace(p[:i])
-			if err != nil {
-				continue // the walk up to the split is the caller's to vouch for
-			}
-			want, wantErr := tree.Subspace(p)
-			gotErr := tree.NarrowFrom(p, i, iv)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("m=%d k=%d %q from %d: NarrowFrom error %v, Subspace error %v", m, k, p, i, gotErr, wantErr)
-			}
-			if wantErr != nil {
-				continue
-			}
-			for a := range iv {
-				if math.Float64bits(iv[a].Low) != math.Float64bits(want[a].Low) || math.Float64bits(iv[a].High) != math.Float64bits(want[a].High) {
-					t.Fatalf("m=%d k=%d %q from %d: attribute %d is %v, Subspace says %v", m, k, p, i, a, iv[a], want[a])
-				}
-			}
+			t.Fatalf("m=%d k=%d IntersectsPrefix(%q, %v) = %v, the leaves under it say %v", m, k, p, box, got, want)
 		}
 	})
 }
