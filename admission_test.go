@@ -197,7 +197,9 @@ func TestRankAdmissionEdges(t *testing.T) {
 
 // TestRankAdmissionMIRA: a multi-attribute region over-covers its box, so an
 // object whose ObjectID lies strictly between the corners may still lie
-// outside the box; MIRA must float-test every object.
+// outside the box; MIRA must judge every object on every attribute — by its
+// rank masked per attribute, and by its values where that reaches a corner's
+// leaf.
 func TestRankAdmissionMIRA(t *testing.T) {
 	ctx := context.Background()
 	net := newNetworkK(t, 150, 16, WithSeed(27), WithAttributes(AttributeSpace{0, 1000}, AttributeSpace{0, 100}))

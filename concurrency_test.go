@@ -258,9 +258,10 @@ func TestLookupRacesPublisherOnOnePeer(t *testing.T) {
 	}
 }
 
-// TestMIRARacesPublishers: a MIRA range admits each object once, under the
-// one lock acquisition of each serving store it reads, so however two
-// publishers interleave with it every result is well formed — in (ObjectID,
+// TestMIRARacesPublishers: a MIRA range admits a boundary run's objects once,
+// under one lock acquisition of its store, and counts an inside run before
+// re-reading it whole, so however two publishers interleave with it every
+// result is well formed — in (ObjectID,
 // Name) order with nothing twice, every object inside the box and every
 // settled one present, in a slice sized exactly to it — and once they stop,
 // every box's result is exactly what the oracle holds and the network audits

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"armada/internal/fissione"
 )
@@ -191,4 +192,72 @@ func TestMIRAPageAllocs(t *testing.T) {
 	if least > 4 {
 		t.Fatalf("a MIRA range over %d runs allocates %.0f times, want 4: box, matches, values, destinations", res.Stats.Deliveries, least)
 	}
+}
+
+// TestWideMIRAPageKeepsItsBuffer: a MIRA page that buffers more than 4,096
+// objects — a slab thinner than any owner's share of attribute 1, so no
+// owner lies inside the box and every match is admitted into the buffer —
+// leaves that buffer pooled for the next such page, which then allocates no
+// more than TestMIRAPageAllocs allows.
+func TestWideMIRAPageKeepsItsBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled states under the race detector")
+	}
+	w := buildGoldenWorld(t, 2, 1, 20, 30000, 41)
+	ctx, eng, lo, hi := context.Background(), w.eng, []float64{0, 30}, []float64{1000, 50}
+	issuer := eng.Network().PeerIDAt(3)
+	q, err := eng.prepare(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := eng.locate(ctx, issuer, q.corners, &q, QueryConfig{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, _ := st.materialise(false)
+	buffered := len(st.recs)
+	st.finish()
+	if buffered <= 4096 || buffered != len(out) {
+		t.Fatalf("the page buffered %d of its %d objects; the test needs every one, over 4,096", buffered, len(out))
+	}
+	least := math.Inf(1)
+	for range 20 {
+		least = min(least, testing.AllocsPerRun(1, func() {
+			if _, err := eng.RangeQueryWith(ctx, issuer, lo, hi, QueryConfig{}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if least > 4 {
+		t.Fatalf("a second MIRA page of %d objects allocates %.0f times, want 4: box, matches, values, destinations", buffered, least)
+	}
+}
+
+// TestPooledBufferBound: a pooled state keeps a buffer while it pins at most
+// maxPooled bytes, whatever its element size — a wide page's 16,384 records
+// stay — and lets go of a larger one: the queue of a flood over 8,000 peers
+// is not pinned for the next lookup.
+func TestPooledBufferBound(t *testing.T) {
+	if got := recycle(make([]string, 3, 16384)); got == nil || len(got) != 0 {
+		t.Fatalf("a buffer of 16,384 records is let go (%d, cap %d)", len(got), cap(got))
+	}
+	if got := recycle(make([]string, 0, 16385)); got != nil {
+		t.Fatal("a buffer of 16,385 records is kept")
+	}
+	eng, _ := buildSingle(t, 8000, 0, 5)
+	q, err := eng.prepare([]float64{0}, []float64{1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := eng.locate(context.Background(), eng.Network().PeerIDAt(0), q.corners, &q, QueryConfig{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size := uintptr(cap(st.queue)) * unsafe.Sizeof(msg{}); size <= maxPooled {
+		t.Fatalf("the flood queued %d messages (%d B), within the bound; the test needs more", len(st.queue), size)
+	}
+	if recycle(st.queue) != nil {
+		t.Fatalf("the flood's queue of %d messages is kept", len(st.queue))
+	}
+	st.finish()
 }

@@ -26,6 +26,12 @@
 // interval. The first-symbol split, the entry height, the cursor clip, the
 // forwarding test against a child's identifier and rank, the seeding walk and
 // the delivery's clip to its owner's ranks are shifts and integer compares.
+//
+// A result is materialised by one rule at any attribute count: a located
+// run whose owner's ranks lie inside the box (naming.Tree.Classify) is
+// counted, then copied as one block; a boundary run's objects are admitted
+// once into a pooled buffer, only those on a corner's leaf paying the float
+// test, then copied out — into a result allocated once at its exact size.
 package core
 
 import (
@@ -35,6 +41,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"armada/internal/fissione"
 	"armada/internal/kautz"
@@ -83,9 +90,10 @@ const (
 	HopSeed
 	// HopScan is one located run's completed store scan — not an overlay
 	// message but the work its delivery hop set off, reported with that
-	// hop's from, to and depth. One event per run actually scanned, after
-	// every message of the query (on a positional page, after the run's own
-	// delivery) — so the time since the previous event is that scan's time.
+	// hop's from, to and depth. One event per run actually scanned, once its
+	// objects are in the result, after every message of the query or page —
+	// so the time since the previous event is that scan's time (the first
+	// scan's also holds the walk that sized the result).
 	HopScan
 	// NumHopKinds sizes per-kind tables.
 	NumHopKinds
@@ -388,7 +396,8 @@ type located struct {
 	span           kautz.Span
 	owner, serving int32 // slots
 	pos            int32 // the owner's trie position: runs sort by it as by its identifier
-	depth          int32 // the delivery hop's depth, for the scan's trace event
+	depth          uint8 // the delivery hop's depth, for the scan's trace event
+	whole          bool  // materialise counted the run inside the box and re-reads it (see plan)
 }
 
 // queryState is one query's working memory: the breadth-first message
@@ -399,14 +408,15 @@ type located struct {
 //
 // A query has two phases. Locate: the descent (or a seeded fan-out) runs
 // to completion and every delivery appends one located run. Materialise:
-// the runs are ordered and each is scanned once, straight into the slice
-// the caller receives or, under MIRA, into recs and col, copied out into a
-// slice of exactly the admitted size. Peers own disjoint prefix regions and
-// one peer's deliveries cover disjoint subregions, so runs never interleave:
-// ordering them is the whole merge, and a page or a top-k stops at what it
-// returns.
+// the runs are ordered and walked once up to the page cut — a run inside the
+// box counted, a boundary run admitted into recs and col — then written into
+// a slice of exactly the admitted size, in run order. Peers own disjoint
+// prefix regions and one peer's deliveries cover disjoint subregions, so runs
+// never interleave: ordering them is the whole merge, and a page or a top-k
+// stops at what it returns.
 type queryState struct {
 	net      *fissione.Network // turns a run's slots into peers and identifiers
+	tree     *naming.Tree      // classifies objects and owners against the box
 	cfg      QueryConfig
 	issuer   kautz.Str
 	shape    // delivery filter; valid when hasBox
@@ -425,8 +435,8 @@ type queryState struct {
 	messages int // messages processed at depth ≥ 1 (seeds are local computation)
 
 	runs          []located // one per delivery
-	ends          []int32   // scan: the page's length after each run, in scan order
-	recs          []string  // admit: MIRA's admitted records, in run order, until settle
+	ends          []int32   // plan: the buffer's length after each walked run; build: the page's
+	recs          []string  // admit: the boundary runs' admitted records, in run order, until build
 	col           []float64 // admit: their rows, as wide as the box, one after another
 	tiles         []Tile    // close: the runs' distinct owners, ascending
 	replicaServed int       // deliveries served by a non-owner replica
@@ -436,11 +446,11 @@ type queryState struct {
 
 var statePool = sync.Pool{New: func() any { return new(queryState) }}
 
-// maxPooled bounds (in elements) each buffer a pooled state keeps: a flood
-// over a large network queues hundreds of thousands of messages and a
-// whole-space query names every peer, and pinning that for the next
-// 11-message lookup would be waste.
-const maxPooled = 1 << 12
+// maxPooled bounds the bytes each buffer a pooled state keeps: a flood over a
+// large network queues hundreds of thousands of messages, and pinning that
+// for the next 11-message lookup would be waste; a wide page's 16,384
+// records stay for the next wide page.
+const maxPooled = 256 << 10
 
 // newState takes a state from the pool for one query. q, when non-nil,
 // filters deliveries and — on a multi-attribute tree — prunes the descent.
@@ -449,7 +459,7 @@ const maxPooled = 1 << 12
 // it exhaustively), so the descent skips it.
 func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str, q *shape) *queryState {
 	st := statePool.Get().(*queryState)
-	st.net, st.cfg, st.issuer, st.replicas = e.net, cfg, issuer, e.net.Replicas() > 1
+	st.net, st.tree, st.cfg, st.issuer, st.replicas = e.net, e.tree, cfg, issuer, e.net.Replicas() > 1
 	if q != nil {
 		st.shape, st.hasBox = *q, true
 		st.boxPrune = e.tree.Attrs() > 1
@@ -459,29 +469,23 @@ func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str, q *shape) *querySta
 
 // release returns the state to the pool, dropping every reference it holds
 // so a pooled state pins neither results nor departed peers (the queue,
-// runs, ends and col hold none; recycle clears recs). col's bound counts
-// rows, as wide as a MIRA box, the only query that grows it: as many objects
-// as recs keeps.
+// runs, ends and col hold none; recycle clears recs and tiles).
 func (st *queryState) release() {
-	col := st.col[:0]
-	if st.boxPrune && cap(col) > maxPooled*len(st.box.Lo) {
-		col = nil
-	}
 	*st = queryState{
 		queue: recycle(st.queue),
 		runs:  recycle(st.runs),
 		ends:  recycle(st.ends),
 		recs:  recycle(st.recs),
-		col:   col,
+		col:   recycle(st.col),
 		tiles: recycle(st.tiles),
 	}
 	statePool.Put(st)
 }
 
-// recycle empties a pooled buffer for reuse, zeroing what it referenced; an
-// oversized one is let go.
+// recycle empties a pooled buffer for reuse, zeroing what it referenced; one
+// that pins more than maxPooled bytes is let go.
 func recycle[T any](s []T) []T {
-	if cap(s) > maxPooled {
+	if uintptr(cap(s))*unsafe.Sizeof(*new(T)) > maxPooled {
 		return nil
 	}
 	clear(s)
@@ -572,9 +576,9 @@ func (e *Engine) Lookup(ctx context.Context, issuer kautz.Str, objectID kautz.St
 
 // LookupWith is Lookup for the ObjectID of rank key, with the configuration
 // given, and the result returned, by value; the owner is read off the one
-// located run.
+// located run. A lookup is never paged: Limit and After are ignored.
 func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, key uint64, cfg QueryConfig) (LookupResult, error) {
-	if key >= kautz.SpaceSize(e.net.K()) {
+	if cfg.Limit = 0; key >= kautz.SpaceSize(e.net.K()) {
 		return LookupResult{}, fmt.Errorf("%w: rank %d", ErrBadObjectID, key)
 	}
 	st, stats, err := e.locate(ctx, issuer, kautz.Span{Lo: key, Hi: key}, nil, cfg, false)
@@ -735,7 +739,7 @@ func (e *Engine) deliver(st *queryState, m msg) {
 		st.cfg.Trace(kind, e.net.IDAt(owner), e.net.IDAt(serving), depth, 0)
 	}
 	span := st.span.Clip(e.net.RanksAt(owner))
-	st.runs = append(st.runs, located{span: span, owner: owner, serving: serving, pos: e.net.PosAt(owner), depth: int32(m.depth)})
+	st.runs = append(st.runs, located{span: span, owner: owner, serving: serving, pos: e.net.PosAt(owner), depth: m.depth})
 	if serving != owner {
 		st.replicaServed++
 		if !m.direct {

@@ -156,11 +156,11 @@ func (s *selection) matches() []Match {
 	if len(s.kept) == 0 {
 		return nil
 	}
-	out := make([]Match, len(s.kept))
-	var vals []float64
+	out, vals := make([]Match, len(s.kept)), slices.Clone(s.rows[:len(s.kept)*s.m])
 	for i := range s.kept {
-		c := &s.kept[i]
-		vals = writeMatch(&out[i], vals, len(out)-i, c.rec, s.idLen, s.rows[i*s.m:][:s.m])
+		m, rec := &out[i], s.kept[i].rec
+		// Every field, one by one: a literal is block-copied, a bulk write barrier (wbMove) per object.
+		m.Name, m.Values, m.ID = rec[s.idLen:], vals[i*s.m:][:s.m:s.m], rec[:s.idLen]
 	}
 	return out
 }

@@ -2,11 +2,11 @@ package core
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"armada/internal/fissione"
 	"armada/internal/kautz"
+	"armada/internal/naming"
 )
 
 // close ends a query's messaging: it orders the located runs by the
@@ -66,28 +66,6 @@ func sortRuns(runs []located) {
 	})
 }
 
-// admits applies the delivery filter — the query box, when there is one —
-// to an object the scanned span let through: its ObjectID's rank key and its
-// values, read in place under the serving peer's store read lock. A row of
-// another arity (a value-less exact-match object) is refused first. Under
-// PIRA an object whose key lies strictly between the corners is inside the
-// box by order preservation, so only the two corner leaves pay the float
-// test; every MIRA object pays it, for the region over-covers the box.
-func (st *queryState) admits(key uint64, row []float64) bool {
-	return !st.hasBox || len(row) == len(st.box.Lo) &&
-		(!st.boxPrune && st.corners.Lo < key && key < st.corners.Hi || st.box.Contains(row))
-}
-
-// admitsAll reports whether the delivery filter admits a run whole but for
-// its value-less objects, which a box refuses by arity: there is no box
-// (every lookup), or the box is PIRA's, as wide as the run's rows, and its
-// corners lie strictly outside the run's keys.
-func (st *queryState) admitsAll(run fissione.Run) bool {
-	n := len(run.Idx)
-	return !st.hasBox || !st.boxPrune && n > 0 && run.Stride == len(st.box.Lo) &&
-		st.corners.Lo < run.Idx[0].Key && run.Idx[n-1].Key < st.corners.Hi
-}
-
 // scanned reports one run's completed scan to the query's observer.
 func (st *queryState) scanned(r *located) {
 	if st.cfg.Trace != nil {
@@ -95,131 +73,78 @@ func (st *queryState) scanned(r *located) {
 	}
 }
 
-// writeMatch copies one stored object into m, a result's next element — the
-// one place a result object is built. ID and Name are its record cut at k,
-// shared, not copied. Values go into vals, the array every match of the
-// result shares; when it is full a new chunk for the spare elements, m's
-// included, replaces it, and matches built keep the old.
-func writeMatch(m *Match, vals []float64, spare int, rec string, k int, row []float64) []float64 {
-	var v []float64
-	if len(row) > 0 {
-		if cap(vals)-len(vals) < len(row) {
-			vals = make([]float64, 0, len(row)*spare)
-		}
-		off := len(vals)
-		vals = append(vals, row...)
-		v = vals[off:len(vals):len(vals)]
-	}
-	// Every field, one by one: a literal is block-copied, a bulk write barrier (wbMove) per object.
-	m.Name, m.Values, m.ID = rec[k:], v, rec[:k]
-	return vals
-}
-
-// capacityHint counts, up to need, what a PIRA page is about to copy from
-// several runs — their lengths — so the result is allocated once. Publishes
-// run concurrently and the fill takes each store's lock again: it sizes the
-// slice and bounds nothing.
-func (st *queryState) capacityHint(runs []located, need int) int {
-	n := 0
-	for i := 0; i < len(runs) && n < need; i++ {
-		st.net.PeerAt(runs[i].serving).ViewSpan(runs[i].span, func(run fissione.Run) { n += min(len(run.Idx), need-n) })
-	}
-	return n
-}
-
-// fill appends the objects of one store run that the query admits to out,
-// up to the page cut; more reports that it stopped at a match beyond the
-// page. A run admitsAll passes and the cut does not fall inside is one
-// block: its value column copied once — into a new chunk sized as writeMatch
-// sizes one when the current has no room — then each object's header, field
-// by field as writeMatch writes it. Any other run (a corner leaf's, one the
-// cut splits) is filled object by object. MIRA admits instead (admit).
-func (st *queryState) fill(out []Match, vals []float64, run fissione.Run) (_ []Match, _ []float64, more bool) {
-	limit, k := st.cfg.Limit, st.net.K()
-	if (limit == 0 || len(out)+len(run.Idx) <= limit) && st.admitsAll(run) {
-		out = slices.Grow(out, len(run.Idx)) // grows past the hint on racing publishes
-		w := run.Stride
-		if cap(vals)-len(vals) < len(run.Vals) {
-			vals = make([]float64, 0, w*(cap(out)-len(out)))
-		}
-		col := vals[len(vals):][:len(run.Vals)]
-		vals = append(vals, run.Vals...)
-		dst, j := out[len(out):][:len(run.Idx)], 0
-		for i := range run.Idx {
-			s := &run.Idx[i]
-			if int(s.N) != w && st.hasBox {
-				continue
-			}
-			var v []float64
-			if s.N > 0 {
-				v = col[i*w:][:s.N:s.N]
-			}
-			m, rec := &dst[j], run.Rec(i)
-			m.Name, m.Values, m.ID = rec[k:], v, rec[:k]
-			j++
-		}
-		return out[:len(out)+j], vals, false
-	}
-	for i := range run.Idx {
-		s := &run.Idx[i]
-		row := run.Vals[i*run.Stride:][:s.N]
-		if !st.admits(s.Key, row) {
-			continue
-		}
-		rec := run.Rec(i)
-		if limit > 0 && len(out) >= limit && rec[:k] != out[len(out)-1].ID {
-			return out, vals, true
-		}
-		out = slices.Grow(out, 1)[:len(out)+1] // grows past the hint on racing publishes, ties at the cut
-		vals = writeMatch(&out[len(out)-1], vals, cap(out)-len(out)+1, rec, k, row)
-	}
-	return out, vals, false
-}
-
-// page is a result being built: the slice the caller receives, the backing
-// array its values share, and whether a match exists beyond the page cut.
+// page is a result being built, in two steps. The walk over the located runs
+// (scanRuns) counts what it will hold, n objects and cells values, up to its
+// cut, and whether a match lies beyond (more). build then writes out.
 type page struct {
-	out  []Match
-	vals []float64
-	more bool
+	n, cells int
+	more     bool
+	out      []Match
 }
 
-// need is the most matches a page holds: its limit. A tie at the cut grows
-// the page past it (fill, admit).
-func (st *queryState) need() int {
-	if st.cfg.Limit > 0 {
-		return st.cfg.Limit
+// plan is the walk's step over one store run, under its store's lock: a run
+// inside the box — there is none (every lookup), or its owner's ranks lie
+// inside it on every attribute (naming.Tree.Classify) — is taken whole
+// (take), any other admitted into the buffer; ends records the buffer's
+// length after it.
+func (st *queryState) plan(pg *page, r *located, run fissione.Run) {
+	lo, hi := st.net.RanksAt(r.owner)
+	if !st.hasBox || st.tree.Classify(kautz.Span{Lo: lo, Hi: hi}, st.corners) == naming.Inside {
+		st.take(pg, r, run)
+	} else {
+		st.admit(pg, run)
 	}
-	return math.MaxInt
+	st.ends = append(st.ends, int32(len(st.recs)))
 }
 
-// scan reads one located run into the page, up to the page cut, under one
-// acquisition of the serving store's lock: MIRA into the state's buffer
-// (admit), which result copies out; PIRA and lookups straight into the page,
-// every object written once, a block run's column in one copy (fill), a page
-// not yet allocated sized to what the run holds for it.
-func (st *queryState) scan(pg *page, r *located) {
-	st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) {
-		switch {
-		case st.boxPrune:
-			pg.more = st.admit(run)
-			return
-		case pg.out == nil:
-			pg.out = make([]Match, 0, min(len(run.Idx), st.need()))
+// take counts an inside run into the page and marks it to be re-read
+// (whole): unpaged, by its length, which only sizes the page; paged, its
+// objects of the box's arity up to the cut — at the limit, extended through
+// the ObjectID it falls in — with the run's span ended there and the first
+// further one setting more.
+func (st *queryState) take(pg *page, r *located, run fissione.Run) {
+	limit, w, end := st.cfg.Limit, len(st.box.Lo), -1
+	if limit == 0 {
+		r.whole, pg.n, pg.cells = true, pg.n+len(run.Idx), pg.cells+len(run.Vals)
+		return
+	}
+	for i := range run.Idx {
+		if s := &run.Idx[i]; int(s.N) == w {
+			if pg.n >= limit && (end < 0 || s.Key != run.Idx[end].Key) {
+				pg.more = true
+				break
+			}
+			pg.n, end = pg.n+1, i
 		}
-		pg.out, pg.vals, pg.more = st.fill(pg.out, pg.vals, run)
-	})
-	st.ends = append(st.ends, int32(len(pg.out)+len(st.recs)))
-	st.scanned(r)
+	}
+	if end >= 0 {
+		r.whole, r.span.Hi, pg.cells = true, run.Idx[end].Key, pg.cells+(end+1)*run.Stride
+	}
 }
 
-// admit is MIRA's one pass over a store run: each object the box admits, up
-// to the page cut by fill's rule, is buffered as its record (records outlive
-// the store lock) and its row copied into the pooled value column; more
-// reports a match beyond the page. A tie group never crosses a run boundary,
-// so buffering whole runs up to the cut keeps the cursor exact.
-func (st *queryState) admit(run fissione.Run) (more bool) {
-	limit, k := st.cfg.Limit, st.net.K()
+// admits applies the delivery filter — the query box, when there is one —
+// to one object of a boundary run, read in place under the serving peer's
+// store lock: a row of another arity (a value-less exact-match object) is
+// refused first, then the object's rank decides (naming.Tree.Classify), and
+// only an object on a corner's leaf on some attribute pays the float test.
+func (st *queryState) admits(key uint64, row []float64) bool {
+	if !st.hasBox {
+		return true
+	}
+	c := st.tree.Classify(kautz.Span{Lo: key, Hi: key}, st.corners)
+	return len(row) == len(st.box.Lo) && (c == naming.Inside || c == naming.Edge && st.box.Contains(row))
+}
+
+// admit is a boundary run's one pass: each object the filter admits, up to
+// the page cut, is buffered as its record (records outlive the store lock)
+// and its row, as wide as the box. The cut falls at the limit, extended
+// through the ObjectID it falls in — a tie group never crosses a run
+// boundary — and the first further match sets more. The buffer grows once a
+// run, by as much as the run holds.
+func (st *queryState) admit(pg *page, run fissione.Run) {
+	limit, k, n, last := st.cfg.Limit, st.net.K(), pg.n, ""
+	st.recs, st.col = slices.Grow(st.recs, len(run.Idx)), slices.Grow(st.col, len(run.Idx)*len(st.box.Lo))
+	cols := len(st.col)
 	for i := range run.Idx {
 		s := &run.Idx[i]
 		row := run.Vals[i*run.Stride:][:s.N]
@@ -227,61 +152,103 @@ func (st *queryState) admit(run fissione.Run) (more bool) {
 			continue
 		}
 		rec := run.Rec(i)
-		if limit > 0 && len(st.recs) >= limit && rec[:k] != st.recs[len(st.recs)-1][:k] {
-			return true
+		if limit > 0 && n >= limit && rec[:k] != last {
+			pg.more = true
+			break
 		}
 		st.recs = append(st.recs, rec)
 		st.col = append(st.col, row...)
+		n, last = n+1, rec[:k]
 	}
-	return false
+	pg.n, pg.cells = n, pg.cells+len(st.col)-cols
 }
 
-// settle copies what MIRA admitted into the page, allocated at exactly its
-// size — one slice of matches, one value array — in run order. Every
-// admitted row is as wide as the box.
-func (st *queryState) settle(pg *page) {
-	if len(st.recs) == 0 {
-		return
+// build writes the page the walk planned, allocated once at its size, from
+// the walked runs st.runs[:len(st.ends)] in order: a whole run re-read under
+// its store's lock (or held, the one run whose lock the caller holds) and
+// copied as one block, a boundary run copied from the buffer. A run's scan
+// is complete once it is written (HopScan); ends becomes the page's length
+// after each run. A publish racing a re-read can only change the page's
+// length — the value array, outgrown, is reallocated by append, the matches
+// written keeping the old one — and the page is then clipped, never showing
+// spare capacity.
+func (st *queryState) build(pg *page, held *fissione.Run) {
+	out, vals := make([]Match, 0, pg.n), make([]float64, 0, pg.cells)
+	from, w := 0, len(st.box.Lo)
+	for i, end := range st.ends {
+		r := &st.runs[i]
+		switch {
+		case !r.whole:
+			out, vals = st.copyOut(out, vals, st.recs[from:end], st.col[from*w:int(end)*w])
+			from = int(end)
+		case held != nil: // a lookup's one run, never paged nor cut
+			out, vals = st.block(out, vals, *held)
+		default:
+			st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) { out, vals = st.block(out, vals, run) })
+		}
+		st.ends[i] = int32(len(out))
+		if held == nil {
+			st.scanned(r)
+		}
 	}
+	if len(out) != pg.n {
+		out = slices.Clip(out)
+	}
+	pg.out = out
+}
+
+// block appends a whole run to the page out and its values to vals: the
+// run's value column copied once, then each object of the box's arity (any,
+// without a box) field by field.
+func (st *queryState) block(out []Match, vals []float64, run fissione.Run) ([]Match, []float64) {
+	k, w, stride, box := st.net.K(), len(st.box.Lo), run.Stride, st.hasBox
+	out, vals = slices.Grow(out, len(run.Idx)), append(vals, run.Vals...) // grow only on racing publishes
+	col := vals[len(vals)-len(run.Vals):]
+	dst, j := out[len(out):][:len(run.Idx)], 0
+	for i := range run.Idx {
+		s := &run.Idx[i]
+		if int(s.N) != w && box {
+			continue
+		}
+		var v []float64
+		if s.N > 0 {
+			v = col[i*stride:][:s.N:s.N]
+		}
+		m, rec := &dst[j], run.Rec(i)
+		// Every field, one by one: a literal is block-copied, a bulk write barrier (wbMove) per object.
+		m.Name, m.Values, m.ID = rec[k:], v, rec[:k]
+		j++
+	}
+	return out[:len(out)+j], vals
+}
+
+// copyOut appends buffered objects to the page out, their box-wide rows to
+// vals.
+func (st *queryState) copyOut(out []Match, vals []float64, recs []string, rows []float64) ([]Match, []float64) {
 	k, w := st.net.K(), len(st.box.Lo)
-	pg.out, pg.vals = make([]Match, len(st.recs)), make([]float64, len(st.col))
-	copy(pg.vals, st.col)
-	for i, rec := range st.recs {
-		m := &pg.out[i]
-		m.Name, m.Values, m.ID = rec[k:], pg.vals[i*w:][:w:w], rec[:k]
+	out, vals = slices.Grow(out, len(recs)), append(vals, rows...)
+	col := vals[len(vals)-len(rows):]
+	dst := out[len(out):][:len(recs)]
+	for i, rec := range recs {
+		m := &dst[i]
+		m.Name, m.Values, m.ID = rec[k:], col[i*w:][:w:w], rec[:k]
 	}
+	return out[:len(out)+len(recs)], vals
 }
 
-// last is the ObjectID of the page's last match so far, admitted or
-// written; "" while it holds none.
-func (st *queryState) last(pg *page) string {
-	if n := len(st.recs); n > 0 {
-		return st.recs[n-1][:st.net.K()]
-	}
-	if n := len(pg.out); n > 0 {
-		return pg.out[n-1].ID
-	}
-	return ""
-}
-
-// scanRuns reads runs, ordered by ObjectID, into the page: all, or those up to
-// the first match beyond the page cut. A single run (every lookup, every
-// one-destination range) sizes and fills the page under one lock acquisition;
-// several are sized by a pass of their own (PIRA) or by what admit buffered
-// (MIRA).
+// scanRuns walks runs, ordered by ObjectID, for the page (plan), each under
+// one acquisition of its store's lock: all, or those up to the first match
+// beyond the page cut.
 func (st *queryState) scanRuns(pg *page, runs []located) {
-	if pg.out == nil && len(runs) > 1 && !st.boxPrune {
-		pg.out = make([]Match, 0, st.capacityHint(runs, st.need()))
-	}
 	for i := 0; i < len(runs) && !pg.more; i++ {
-		st.scan(pg, &runs[i])
+		r := &runs[i]
+		st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) { st.plan(pg, r, run) })
 	}
 }
 
-// result settles the page and returns its matches (nil when none) and, when
-// a match exists beyond them, the cursor that resumes after the last.
+// result returns the built page's matches (nil when none) and, when a match
+// exists beyond them, the cursor that resumes after the last.
 func (st *queryState) result(pg *page) (out []Match, next kautz.Str) {
-	st.settle(pg)
 	if len(pg.out) == 0 {
 		return nil, ""
 	}
@@ -291,17 +258,24 @@ func (st *queryState) result(pg *page) (out []Match, next kautz.Str) {
 	return pg.out, next
 }
 
-// materialise is a query's second phase: it reads the located runs, which
-// close ordered by ObjectID, each once, into the slice the caller receives
-// (under MIRA through its buffer, see scan). With a Limit the scan stops at
-// the page cut — extended through a run of equal ObjectIDs, which never
-// crosses a run boundary (every ObjectID lives in one run), so the
+// materialise is a query's second phase: it walks the located runs, which
+// close ordered by ObjectID, then writes the slice the caller receives (plan,
+// build); a lookup's one run under one acquisition of its store's lock. With a
+// Limit the walk stops at the page cut — extended through a run
+// of equal ObjectIDs, which never crosses a run boundary, so the
 // strictly-greater next cursor neither skips nor repeats an object — and
 // reads on only until the first further match proves there is a next page.
 // cuts, when asked for, is the result cut at the runs' boundaries.
 func (st *queryState) materialise(cut bool) (out []Match, cuts [][]Match, next kautz.Str) {
 	var pg page
-	st.scanRuns(&pg, st.runs)
+	if !st.hasBox && len(st.runs) == 1 {
+		r := &st.runs[0]
+		st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) { st.plan(&pg, r, run); st.build(&pg, &run) })
+		st.scanned(r)
+	} else {
+		st.scanRuns(&pg, st.runs)
+		st.build(&pg, nil)
+	}
 	out, next = st.result(&pg)
 	if cut && len(out) > 0 {
 		cuts = make([][]Match, 0, len(st.ends))

@@ -56,11 +56,6 @@ func (e *Engine) WalkPage(ctx context.Context, w *Walk, issuer kautz.Str, lo, hi
 	st.span, _ = w.q.corners.Past(cfg.After)
 
 	var pg page
-	if cfg.Limit > 0 && len(tiles) > 1 && !st.boxPrune {
-		// Whole: a dense page crosses tiles, and growing at each crossing doubles
-		// a walk's bytes and allocations (StreamWide 553 → 1,128 KB/op, 43 → 108).
-		pg.out = make([]Match, 0, st.need())
-	}
 	for i := 0; !pg.more && i < len(tiles); i++ {
 		t := tiles[i]
 		if stale = e.net.IDAt(t.Slot) != t.ID; stale {
@@ -70,16 +65,17 @@ func (e *Engine) WalkPage(ctx context.Context, w *Walk, issuer kautz.Str, lo, hi
 		if err = e.pump(ctx, st); err != nil {
 			break
 		}
-		st.scan(&pg, &st.runs[len(st.runs)-1])
+		st.scanRuns(&pg, st.runs[len(st.runs)-1:])
 	}
 
 	subregions := 0
 	if (first || stale) && err == nil {
-		after := cfg.After // the remainder lies past the cursor, or what the page already holds
-		if id := st.last(&pg); id != "" {
-			after = kautz.Str(id)
+		span, ok := w.q.corners.Past(cfg.After) // the remainder lies past the cursor and the owners the page walked
+		if n := len(st.runs); n > 0 {
+			_, top := e.net.RanksAt(st.runs[n-1].owner)
+			span.Lo, ok = max(span.Lo, top+1), ok && top < span.Hi
 		}
-		if span, ok := w.q.corners.Past(after); ok {
+		if ok {
 			located = true
 			ahead := len(st.runs)
 			if subregions, err = e.route(ctx, st, from, span); err == nil {
@@ -92,6 +88,7 @@ func (e *Engine) WalkPage(ctx context.Context, w *Walk, issuer kautz.Str, lo, hi
 		st.release() // failed, or nothing lies past the cursor
 		return RangeResult{}, false, false, err
 	}
+	st.build(&pg, nil) // before close orders the runs: build reads them in walk order
 	res = RangeResult{Stats: e.close(st, subregions), Destinations: st.destinations()}
 	res.Matches, res.Next = st.result(&pg)
 	if w.tiles = tiles; located {

@@ -42,9 +42,8 @@ import (
 type Cause uint8
 
 const (
-	// CauseUnknown means no cause's signal fired: no trace event, no
-	// measurable time, or a breakdown the descent's forwards dominated
-	// (no cause names a descent's depth: none passed its planted test).
+	// CauseUnknown means no cause's signal fired (no cause names a
+	// descent's depth: none passed its planted test).
 	CauseUnknown Cause = iota
 	// CauseQueueWait: the operation waited longer for an executor than it
 	// spent in service — the network was fine, the load was not.
@@ -55,8 +54,8 @@ const (
 	// it expected to skip.
 	CauseShortcutMiss
 	// CauseHotRegion: delivery-side work (scans, seeds, deliveries,
-	// redirects) dominated — the query's time went to busy destination
-	// peers.
+	// redirects) took nine tenths of the query's service time — its time
+	// went to busy destination peers.
 	CauseHotRegion
 	numCauses
 )
@@ -314,8 +313,10 @@ func (q *Query) Finish(s core.Stats, bound float64, cursor string, err error) {
 }
 
 // classify attributes the query's latency to a cause, most specific signal
-// first, falling back to the stage that dominated the breakdown: a
-// forward-dominated query, or one with no measurable time, is unknown.
+// first, then hot-region when the delivery-side stages hold nine tenths of
+// the service time durNs — not merely the most: one scan costs a few
+// forwards, so a plain query issued a few hops from its owner, or by it,
+// spends most of its time there.
 func (q *Query) classify(durNs int64) Cause {
 	if q.queueWait > 0 && int64(q.queueWait) > durNs {
 		return CauseQueueWait
@@ -323,13 +324,11 @@ func (q *Query) classify(durNs int64) Cause {
 	if q.routeMiss && q.stageN[core.HopForward] > 0 {
 		return CauseShortcutMiss
 	}
-	best, bestNs := core.HopForward, int64(0)
-	for k, ns := range q.stageNs {
-		if ns > bestNs {
-			best, bestNs = core.HopKind(k), ns
-		}
+	var delivery int64
+	for _, ns := range q.stageNs[core.HopForward+1:] {
+		delivery += ns
 	}
-	if bestNs > 0 && best != core.HopForward {
+	if delivery > 0 && 10*delivery >= 9*durNs {
 		return CauseHotRegion
 	}
 	return CauseUnknown

@@ -65,8 +65,8 @@ func TestClassifierPriorities(t *testing.T) {
 		t.Fatalf("seeded query classified %v", c)
 	}
 
-	// Dominant stage fallback: delivery-side time means a hot region,
-	// redirects included...
+	// Delivery-side time holding nine tenths of the service time means a
+	// hot region, redirects included...
 	q = m.Begin(8, "range", "p", 0)
 	*cur += time.Millisecond
 	note(q, core.HopForward)
@@ -89,6 +89,17 @@ func TestClassifierPriorities(t *testing.T) {
 	note(q, core.HopDeliver)
 	if c := q.classify(int64(11 * time.Millisecond)); c != CauseUnknown {
 		t.Fatalf("forward-dominated query classified %v", c)
+	}
+	// ...and so does delivery-side time that is merely the largest stage: a
+	// query issued by its destination's owner, which forwards nothing, spent
+	// half its time elsewhere.
+	q = m.Begin(13, "range", "p", 0)
+	*cur += time.Millisecond
+	note(q, core.HopDeliver)
+	*cur += time.Millisecond
+	note(q, core.HopScan)
+	if c := q.classify(int64(4 * time.Millisecond)); c != CauseUnknown {
+		t.Fatalf("forward-free query at half delivery-side time classified %v", c)
 	}
 
 	// No events, or events with no measurable time: unknown.

@@ -89,8 +89,8 @@ type attr struct {
 
 // NewTree builds a partition tree of depth k over the given attribute
 // spaces (one Space per attribute, in attribute order A0, A1, ...). A space
-// must have Low < High and a representable width: 3·(High−Low) finite, about
-// 6e307.
+// must have Low < High and a finite width High−Low: the floor ⌊(v−lo)·L/W⌋
+// needs nothing more.
 func NewTree(k int, spaces ...Space) (*Tree, error) {
 	if k < 1 || k > kautz.MaxRankLen {
 		return nil, fmt.Errorf("%w: k=%d", ErrBadK, k)
@@ -99,7 +99,7 @@ func NewTree(k int, spaces ...Space) (*Tree, error) {
 		return nil, fmt.Errorf("%w: no attributes", ErrArity)
 	}
 	for i, s := range spaces {
-		if !(s.Low < s.High) || math.IsInf(3*(s.High-s.Low), 0) { // Low < High fails a NaN bound
+		if !(s.Low < s.High) || math.IsInf(s.High-s.Low, 0) { // Low < High fails a NaN bound
 			return nil, fmt.Errorf("%w: attribute %d: [%v, %v]", ErrBadSpace, i, s.Low, s.High)
 		}
 	}
@@ -223,6 +223,39 @@ func (t *Tree) MayHold(block, corners kautz.Span) bool {
 		}
 	}
 	return true
+}
+
+// Class is where a node — one ObjectID, or a peer's block of ranks — lies
+// against a box: Outside, when on some attribute none of its leaves is the
+// box's; Inside, when on every attribute all of them lie strictly between the
+// corners' leaves; else Edge, reaching a corner's leaf, which holds values on
+// both sides of the box's bound.
+type Class uint8
+
+const (
+	Outside Class = iota
+	Edge
+	Inside
+)
+
+// Classify places the node whose ObjectID ranks are block against the box
+// whose corners' ranks are corners, on every attribute comparing the ends of
+// both, masked by the attribute's rank bits. Outside and Inside are exact,
+// because the hash is monotone on every attribute (see the package doc), so
+// only an Edge object needs its values tested. At m = 1 the masked ranks are
+// the ranks: an ObjectID strictly between the corners is inside.
+func (t *Tree) Classify(block, corners kautz.Span) Class {
+	c := Inside
+	for i := range t.attrs {
+		mk := t.attrs[i].mask
+		if block.Lo&mk > corners.Hi&mk || corners.Lo&mk > block.Hi&mk {
+			return Outside
+		}
+		if block.Lo&mk <= corners.Lo&mk || corners.Hi&mk <= block.Hi&mk {
+			c = Edge
+		}
+	}
+	return c
 }
 
 // Box is an axis-aligned multi-attribute range query

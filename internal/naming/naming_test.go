@@ -50,24 +50,21 @@ func TestNewTreeValidation(t *testing.T) {
 	}
 }
 
-// A space is admitted exactly when the root's three-way split can represent
-// its width: past 3·(High−Low) finite, 3·(v−Low)/(High−Low) is NaN, every
-// value lands in one leaf and order preservation is gone.
+// A space is admitted exactly when its width High−Low is finite, all the
+// floor ⌊(v−Low)·L/W⌋ needs — three times the width may overflow, as the
+// root's three-way split never computes it. Past a finite width (v−Low)/W is
+// NaN, every value lands in one leaf and order preservation is gone.
 func TestNewTreeSpaceWidthLimit(t *testing.T) {
-	widest := math.MaxFloat64 / 3 // rounds up, past the limit
-	for math.IsInf(3*widest, 0) {
-		widest = math.Nextafter(widest, 0)
-	}
 	for _, tc := range []struct {
 		space Space
 		ok    bool
 	}{
-		{Space{0, widest}, true},
-		{Space{-widest / 2, widest / 2}, true},
+		{Space{0, math.MaxFloat64}, true},
+		{Space{-math.MaxFloat64 / 2, math.MaxFloat64 / 2}, true},
 		{Space{-2.9e307, 2.9e307}, true},
-		{Space{0, math.Nextafter(widest, math.Inf(1))}, false},
+		{Space{-4e307, 4e307}, true},  // the width is finite, three times it is not
 		{Space{-1e308, 1e308}, false}, // the width itself overflows
-		{Space{-4e307, 4e307}, false}, // the width is finite, three times it is not
+		{Space{-math.MaxFloat64, math.MaxFloat64}, false},
 		{Space{math.Inf(-1), 0}, false},
 		{Space{0, math.Inf(1)}, false},
 		{Space{math.Inf(-1), math.Inf(1)}, false},

@@ -432,6 +432,8 @@ func TestFullPageSizedAtLimit(t *testing.T) {
 				t.Errorf("range %v limit %d: full page has cap %d", r, limit, cap(page.Objects))
 			} else if n < limit && page.NextOffsetID != "" {
 				t.Errorf("range %v limit %d: short page of %d with a cursor", r, limit, n)
+			} else if n > limit && page.Objects[n-1].ID != page.Objects[limit-1].ID {
+				t.Errorf("range %v limit %d: page of %d runs past the ObjectID at its cut", r, limit, n)
 			}
 		}
 	}
