@@ -87,12 +87,12 @@ type page struct {
 // inside it on every attribute (naming.Tree.Classify) — is taken whole
 // (take), any other admitted into the buffer; ends records the buffer's
 // length after it.
-func (st *queryState) plan(pg *page, r *located, run fissione.Run) {
+func (st *queryState) plan(pg *page, r *located, run *fissione.Run) {
 	lo, hi := st.net.RanksAt(r.owner)
 	if !st.hasBox || st.tree.Classify(kautz.Span{Lo: lo, Hi: hi}, st.corners) == naming.Inside {
 		st.take(pg, r, run)
 	} else {
-		st.admit(pg, run)
+		st.admit(pg, *run)
 	}
 	st.ends = append(st.ends, int32(len(st.recs)))
 }
@@ -102,7 +102,7 @@ func (st *queryState) plan(pg *page, r *located, run fissione.Run) {
 // objects of the box's arity up to the cut — at the limit, extended through
 // the ObjectID it falls in — with the run's span ended there and the first
 // further one setting more.
-func (st *queryState) take(pg *page, r *located, run fissione.Run) {
+func (st *queryState) take(pg *page, r *located, run *fissione.Run) {
 	limit, w, end := st.cfg.Limit, len(st.box.Lo), -1
 	if limit == 0 {
 		r.whole, pg.n, pg.cells = true, pg.n+len(run.Idx), pg.cells+len(run.Vals)
@@ -242,7 +242,7 @@ func (st *queryState) copyOut(out []Match, vals []float64, recs []string, rows [
 func (st *queryState) scanRuns(pg *page, runs []located) {
 	for i := 0; i < len(runs) && !pg.more; i++ {
 		r := &runs[i]
-		st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) { st.plan(pg, r, run) })
+		st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) { st.plan(pg, r, &run) })
 	}
 }
 
@@ -270,7 +270,7 @@ func (st *queryState) materialise(cut bool) (out []Match, cuts [][]Match, next k
 	var pg page
 	if !st.hasBox && len(st.runs) == 1 {
 		r := &st.runs[0]
-		st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) { st.plan(&pg, r, run); st.build(&pg, &run) })
+		st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) { st.plan(&pg, r, &run); st.build(&pg, &run) })
 		st.scanned(r)
 	} else {
 		st.scanRuns(&pg, st.runs)
