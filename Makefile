@@ -96,13 +96,14 @@ race:
 # messages carry no subspace: queryState.subs, msg.sub, enter's walk from
 # the root, forward's resumed narrowing and the test hook that checked them
 # are gone (internal/core 1511 → 1486).
-# 6215 → 6189: one materialise path at any attribute count — a run inside the
+# 6215 → 6208: one materialise path at any attribute count — a run inside the
 # box counted then copied as one block, a boundary run admitted once into the
 # buffer — replaces PIRA's count-and-fill and MIRA's admit-and-settle:
 # capacityHint, admitsAll, fill's object-by-object path, settle, need, the
-# walk's whole-page allocation and writeMatch are gone (internal/core 1486 →
-# 1461; materialise.go + engine.go + walk.go 1165 → 1140); diag's hot-region
-# rule is a share of the service time (internal/diag 499 → 498).
+# walk's whole-page allocation and writeMatch are gone, net of the page cut
+# enforced again where a re-read writes it (internal/core 1486 → 1478;
+# materialise.go + engine.go + walk.go 1165 → 1157); diag's hot-region rule
+# is a share of the service time (internal/diag 499 → 500).
 # Item 4(g): the serving path — overlay, naming, Kautz arithmetic, route cache
 # and load controller — has its own ceiling, LOC_SERVING_MAX, set at its size
 # when the gate came in; the same rule raises it.
@@ -165,7 +166,7 @@ race:
 # 2325 → 2252: internal/stats lost SafeSample (with Drain), Min and StdDev
 # once no workload goroutine shared a sample — 166 → 93.
 LOC_DIRS = . internal/core internal/obs internal/diag workload cmd/armada-load
-LOC_MAX = 6189
+LOC_MAX = 6208
 LOC_SERVING_DIRS = internal/fissione internal/naming internal/kautz internal/shortcut internal/loadctl
 LOC_SERVING_MAX = 3898
 LOC_REST_DIRS = $(filter-out $(LOC_DIRS) $(LOC_SERVING_DIRS) bench%,$(patsubst %/,%,$(sort $(dir $(filter-out %_test.go,$(wildcard *.go */*.go */*/*.go))))))

@@ -1,11 +1,13 @@
 package armada
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,12 +185,12 @@ func TestConcurrentPublishQueryChurn(t *testing.T) {
 }
 
 // TestLookupRacesPublisherOnOnePeer pins the single-run read path: a lookup
-// sizes and fills its result under one acquisition of the owner's store lock,
-// so however a publisher on that same peer interleaves, every result is one
-// instant of the store — all the settled objects in order, nothing twice,
-// only the publisher's names besides — in a slice sized exactly to it (a
-// count taken under an earlier acquisition would be off whenever a publish
-// landed in between). Run under -race.
+// counts its run under one acquisition of the owner's store lock and copies
+// it under another, so however a publisher on that same peer interleaves,
+// every result is one instant of the store — all the settled objects in
+// order, nothing twice, only the publisher's names besides — in a slice
+// showing no spare capacity (the count is off whenever a publish landed in
+// between, and the copy is clipped to what it holds). Run under -race.
 func TestLookupRacesPublisherOnOnePeer(t *testing.T) {
 	net, err := NewNetwork(24, WithSeed(7))
 	if err != nil {
@@ -235,7 +237,7 @@ func TestLookupRacesPublisherOnOnePeer(t *testing.T) {
 			t.Fatalf("lookup returned %d of the %d settled objects", next, settled)
 		}
 		if cap(res.Objects) != len(res.Objects) {
-			t.Fatalf("result holds %d objects in a slice sized for %d: it was not sized under the lock it was filled under", len(res.Objects), cap(res.Objects))
+			t.Fatalf("result holds %d objects in a slice sized for %d", len(res.Objects), cap(res.Objects))
 		}
 	}
 	q := NewValueLookup([]float64{v})
@@ -349,5 +351,124 @@ func TestMIRARacesPublishers(t *testing.T) {
 	}
 	if err := net.Audit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPagedWalkRacesUnpublish: walks paged one object at a time — Do pages
+// resumed at their cursor, and a Session's positional pages — race a churner
+// that unpublishes and republishes objects interleaved with the settled ones,
+// under PIRA and MIRA, over the whole space (every run inside the box) and a
+// part of it (boundary runs too). A page is counted under one acquisition of
+// a store's lock and written under another, so the churner lands between
+// them; still every page holds at most its limit bar a tie, its cursor is its
+// last ObjectID, objects arrive in (ObjectID, Name) order with nothing twice,
+// every one inside the range, and every settled object is walked. Run under
+// -race.
+func TestPagedWalkRacesUnpublish(t *testing.T) {
+	for _, attrs := range [][]AttributeSpace{{{Low: 0, High: 1000}}, {{Low: 0, High: 1000}, {Low: 0, High: 100}}} {
+		t.Run(fmt.Sprintf("m=%d", len(attrs)), func(t *testing.T) {
+			net, err := NewNetwork(40, WithSeed(23), WithAttributes(attrs...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer net.Close()
+			rng := rand.New(rand.NewSource(24))
+			pubs := func(prefix string) []Publication {
+				out := make([]Publication, 150)
+				for i := range out {
+					v := make([]float64, len(attrs))
+					for j, a := range attrs {
+						v[j] = a.Low + rng.Float64()*(a.High-a.Low)
+					}
+					out[i] = Publication{Name: fmt.Sprintf("%s%03d", prefix, i), Values: v}
+				}
+				return out
+			}
+			settled, churned := pubs("s"), pubs("c")
+			if err := net.PublishBatch(append(slices.Clone(settled), churned...)); err != nil {
+				t.Fatal(err)
+			}
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; !stop.Load(); i++ {
+					p := churned[i%len(churned)]
+					if err := net.Unpublish(p.Name, p.Values...); err != nil {
+						t.Errorf("unpublish %s: %v", p.Name, err)
+						return
+					}
+					if err := net.Publish(p.Name, p.Values...); err != nil {
+						t.Errorf("publish %s: %v", p.Name, err)
+						return
+					}
+				}
+			}()
+			defer func() { stop.Store(true); wg.Wait() }()
+
+			whole, part := make([]Range, len(attrs)), make([]Range, len(attrs))
+			for j, a := range attrs {
+				w := a.High - a.Low
+				whole[j], part[j] = Range{Low: a.Low, High: a.High}, Range{Low: a.Low + w/10, High: a.High - w/10}
+			}
+			ctx := context.Background()
+			for round := range 6 {
+				box := [][]Range{whole, part}[round%2]
+				in := func(v []float64) bool {
+					for j, r := range box {
+						if v[j] < r.Low || v[j] > r.High {
+							return false
+						}
+					}
+					return true
+				}
+				var sess *Session
+				if round%4 >= 2 {
+					if sess, err = net.OpenSession(NewRange(box), WithLimit(1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var walked []Object
+				for cursor, pages := "", 0; ; pages++ {
+					var page *Result
+					if sess != nil {
+						page, err = sess.Next(ctx)
+					} else {
+						page, err = net.Do(ctx, NewRange(box, WithLimit(1), WithOffsetID(cursor)))
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					objs := page.Objects
+					if n := len(objs); n > 1 && objs[0].ID != objs[n-1].ID {
+						t.Fatalf("round %d page %d: %d objects over several ObjectIDs at limit 1", round, pages, n)
+					} else if n > 0 && page.NextOffsetID != "" && page.NextOffsetID != objs[n-1].ID {
+						t.Fatalf("round %d page %d: cursor %q is not the page's last ObjectID %q", round, pages, page.NextOffsetID, objs[n-1].ID)
+					}
+					for _, o := range objs {
+						if !in(o.Values) {
+							t.Fatalf("round %d: object %q at %v outside %v", round, o.Name, o.Values, box)
+						}
+						if k := len(walked); k > 0 && cmp.Or(cmp.Compare(o.ID, walked[k-1].ID), cmp.Compare(o.Name, walked[k-1].Name)) <= 0 {
+							t.Fatalf("round %d: %s/%q after %s/%q", round, o.ID, o.Name, walked[k-1].ID, walked[k-1].Name)
+						}
+						walked = append(walked, o)
+					}
+					if cursor = page.NextOffsetID; cursor == "" {
+						break
+					}
+				}
+				seen := make(map[string]bool, len(walked))
+				for _, o := range walked {
+					seen[o.Name] = true
+				}
+				for _, p := range settled {
+					if in(p.Values) && !seen[p.Name] {
+						t.Fatalf("round %d: the walk ended after %d objects without settled %q at %v", round, len(walked), p.Name, p.Values)
+					}
+				}
+			}
+		})
 	}
 }

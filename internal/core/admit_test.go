@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"armada/internal/fissione"
+	"armada/internal/kautz"
 )
 
 // tiedWorld is a two-attribute golden world plus a 40-way tie — forty
@@ -238,10 +239,10 @@ func TestWideMIRAPageKeepsItsBuffer(t *testing.T) {
 // stay — and lets go of a larger one: the queue of a flood over 8,000 peers
 // is not pinned for the next lookup.
 func TestPooledBufferBound(t *testing.T) {
-	if got := recycle(make([]string, 3, 16384)); got == nil || len(got) != 0 {
+	if got := recycle(make([]string, 3, 16384), true); got == nil || len(got) != 0 {
 		t.Fatalf("a buffer of 16,384 records is let go (%d, cap %d)", len(got), cap(got))
 	}
-	if got := recycle(make([]string, 0, 16385)); got != nil {
+	if got := recycle(make([]string, 0, 16385), true); got != nil {
 		t.Fatal("a buffer of 16,385 records is kept")
 	}
 	eng, _ := buildSingle(t, 8000, 0, 5)
@@ -256,8 +257,182 @@ func TestPooledBufferBound(t *testing.T) {
 	if size := uintptr(cap(st.queue)) * unsafe.Sizeof(msg{}); size <= maxPooled {
 		t.Fatalf("the flood queued %d messages (%d B), within the bound; the test needs more", len(st.queue), size)
 	}
-	if recycle(st.queue) != nil {
+	if recycle(st.queue, false) != nil {
 		t.Fatalf("the flood's queue of %d messages is kept", len(st.queue))
 	}
 	st.finish()
+}
+
+// TestReleaseDropsReferences: a released state keeps no record and no tile
+// in its pooled buffers, so the pool pins neither results nor departed peers.
+func TestReleaseDropsReferences(t *testing.T) {
+	st := &queryState{recs: []string{"rec"}, tiles: []Tile{{Slot: 1, ID: "01"}}}
+	recs, tiles := st.recs, st.tiles
+	st.release()
+	if recs[0] != "" || tiles[0] != (Tile{}) {
+		t.Fatalf("released state still references %q and %v", recs[0], tiles[0])
+	}
+}
+
+// TestPageCutHoldsAgainstWrites: a paged query counts an inside run under one
+// acquisition of its store's lock and re-reads it under another, so a write
+// can land in between; the page written keeps the cut's rules all the same.
+// Publishes ahead of the cut — in the re-read run, or in one ahead of a
+// buffered boundary run — leave the page at its limit bar a tie, its cursor
+// at its last ObjectID: the page a query run after the write returns. With
+// every counted object unpublished the page is empty, and its cursor resumes
+// after them rather than ending the walk.
+func TestPageCutHoldsAgainstWrites(t *testing.T) {
+	ctx := context.Background()
+	for _, attrs := range []int{1, 2} {
+		w := buildGoldenWorld(t, attrs, 1, 60, 3000, 53)
+		eng, net := w.eng, w.eng.Network()
+		issuer := net.PeerIDAt(5)
+		lo, hi := make([]float64, attrs), make([]float64, attrs)
+		for a := range hi {
+			hi[a] = goldenSpaces[a].High
+		}
+		query := func(after kautz.Str, limit int) RangeResult {
+			res, err := eng.RangeQueryWith(ctx, issuer, lo, hi, QueryConfig{Limit: limit, After: after})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		all := query("", 0).Matches
+		// find plans the page of limit after each cursor in turn, from the
+		// first third of the objects on, until one plans as ok asks.
+		find := func(limit int, ok func(st *queryState, pg *page) bool) (kautz.Str, *queryState, *page) {
+			q, err := eng.prepare(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range all[len(all)/3:] {
+				after := kautz.Str(m.ID)
+				span, _ := q.corners.Past(after)
+				st, _, err := eng.locate(ctx, issuer, span, &q, QueryConfig{Limit: limit, After: after}, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pg := new(page)
+				st.scanRuns(pg, st.runs)
+				if ok(st, pg) {
+					return after, st, pg
+				}
+				st.finish()
+			}
+			t.Fatalf("m=%d limit %d: no page plans as the test needs", attrs, limit)
+			return "", nil, nil
+		}
+		write := func(st *queryState, pg *page) ([]Match, kautz.Str) {
+			st.build(pg)
+			out, next := st.result(pg)
+			st.finish()
+			return out, next
+		}
+		same := func(name string, got []Match, next kautz.Str, want RangeResult) {
+			t.Helper()
+			if next != want.Next || len(got) != len(want.Matches) || !slices.EqualFunc(got, want.Matches, func(a, b Match) bool { return a.ID == b.ID && a.Name == b.Name }) {
+				t.Fatalf("m=%d %s: page of %d (next %q), a query after the write %d (next %q)", attrs, name, len(got), next, len(want.Matches), want.Next)
+			}
+		}
+		publish := func(m Match, name string) {
+			if _, err := net.PublishAt(kautz.Str(m.ID), fissione.Object{Name: name, Values: m.Values}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		unpublish := func(m Match, name string) {
+			if _, err := net.UnpublishAt(kautz.Str(m.ID), fissione.Object{Name: name, Values: m.Values}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := func(id kautz.Str) Match {
+			return all[slices.IndexFunc(all, func(m Match) bool { return kautz.Str(m.ID) > id })]
+		}
+
+		// Every counted object of an inside run unpublished.
+		cursor, st, pg := find(1, func(st *queryState, pg *page) bool { return len(st.recs) == 0 && pg.more })
+		counted := slices.DeleteFunc(slices.Clone(all), func(m Match) bool { return m.ID != pg.last })
+		for _, m := range counted {
+			unpublish(m, m.Name)
+		}
+		out, next := write(st, pg)
+		if len(out) != 0 || next != kautz.Str(counted[0].ID) {
+			t.Fatalf("m=%d: with its %d counted objects gone the page holds %d, next %q; want none, next %q", attrs, len(counted), len(out), next, counted[0].ID)
+		}
+		same("resumed after the unpublished", query(next, 1).Matches, query(next, 1).Next, query(cursor, 1))
+		for _, m := range counted {
+			publish(m, m.Name)
+		}
+
+		// A tie published ahead of the cut in the re-read run.
+		cursor, st, pg = find(2, func(st *queryState, pg *page) bool { return len(st.recs) == 0 && pg.more && pg.n == 2 })
+		first := after(cursor)
+		publish(first, "zz-tie")
+		out, next = write(st, pg)
+		same("a tie ahead of the cut", out, next, query(cursor, 2))
+		unpublish(first, "zz-tie")
+
+		// A tie published in an inside run ahead of a buffered boundary run.
+		cursor, st, pg = find(60, func(st *queryState, pg *page) bool { return st.runs[0].whole && len(st.recs) > 0 && pg.more })
+		first = after(cursor)
+		publish(first, "zz-tie")
+		out, next = write(st, pg)
+		same("a tie ahead of a boundary run", out, next, query(cursor, 60))
+		unpublish(first, "zz-tie")
+	}
+}
+
+// TestPagePlanCountsWhatItWrites: with no write racing it, a paged query's
+// walk counts exactly what build then writes — its cut, in a boundary run or
+// an inside one, is where the page ends, not an ObjectID past it — so a page
+// buffers and re-reads O(limit) objects, not one more.
+func TestPagePlanCountsWhatItWrites(t *testing.T) {
+	ctx := context.Background()
+	for _, attrs := range []int{1, 2} {
+		w := buildGoldenWorld(t, attrs, 1, 60, 3000, 53)
+		eng := w.eng
+		issuer := eng.Network().PeerIDAt(5)
+		lo, hi := make([]float64, attrs), make([]float64, attrs)
+		for a := range hi {
+			hi[a] = goldenSpaces[a].High
+		}
+		q, err := eng.prepare(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := eng.RangeQueryWith(ctx, issuer, lo, hi, QueryConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts := [2]int{} // pages cut in an inside run, in a boundary run
+		for i := 0; i < len(all.Matches); i += 37 {
+			for _, limit := range []int{1, 2, 7, 60} {
+				after := kautz.Str(all.Matches[i].ID)
+				span, _ := q.corners.Past(after)
+				st, _, err := eng.locate(ctx, issuer, span, &q, QueryConfig{Limit: limit, After: after}, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var pg page
+				st.scanRuns(&pg, st.runs)
+				planned, cutRun := pg.n, st.runs[len(st.ends)-1]
+				st.build(&pg)
+				if planned != len(pg.out) {
+					t.Fatalf("m=%d limit %d after %s: the walk counted %d objects, the page holds %d", attrs, limit, after, planned, len(pg.out))
+				}
+				if pg.more {
+					if cutRun.whole {
+						cuts[0]++
+					} else {
+						cuts[1]++
+					}
+				}
+				st.finish()
+			}
+		}
+		if cuts[0] == 0 || cuts[1] == 0 {
+			t.Fatalf("m=%d: %d pages cut in an inside run, %d in a boundary run; the test needs both", attrs, cuts[0], cuts[1])
+		}
+	}
 }

@@ -468,27 +468,30 @@ func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str, q *shape) *querySta
 }
 
 // release returns the state to the pool, dropping every reference it holds
-// so a pooled state pins neither results nor departed peers (the queue,
-// runs, ends and col hold none; recycle clears recs and tiles).
+// so a pooled state pins neither results nor departed peers: recs and tiles
+// are cleared; the queue, runs, ends and col hold none.
 func (st *queryState) release() {
 	*st = queryState{
-		queue: recycle(st.queue),
-		runs:  recycle(st.runs),
-		ends:  recycle(st.ends),
-		recs:  recycle(st.recs),
-		col:   recycle(st.col),
-		tiles: recycle(st.tiles),
+		queue: recycle(st.queue, false),
+		runs:  recycle(st.runs, false),
+		ends:  recycle(st.ends, false),
+		recs:  recycle(st.recs, true),
+		col:   recycle(st.col, false),
+		tiles: recycle(st.tiles, true),
 	}
 	statePool.Put(st)
 }
 
-// recycle empties a pooled buffer for reuse, zeroing what it referenced; one
-// that pins more than maxPooled bytes is let go.
-func recycle[T any](s []T) []T {
+// recycle empties a pooled buffer for reuse, zeroing what it referenced when
+// its elements hold pointers; one that pins more than maxPooled bytes is let
+// go.
+func recycle[T any](s []T, pointers bool) []T {
 	if uintptr(cap(s))*unsafe.Sizeof(*new(T)) > maxPooled {
 		return nil
 	}
-	clear(s)
+	if pointers {
+		clear(s)
+	}
 	return s[:0]
 }
 

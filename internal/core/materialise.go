@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"armada/internal/fissione"
@@ -75,10 +76,12 @@ func (st *queryState) scanned(r *located) {
 
 // page is a result being built, in two steps. The walk over the located runs
 // (scanRuns) counts what it will hold, n objects and cells values, up to its
-// cut, and whether a match lies beyond (more). build then writes out.
+// cut, the ObjectID counted last (last) and whether a match lies beyond
+// (more). build then writes out.
 type page struct {
 	n, cells int
 	more     bool
+	last     string
 	out      []Match
 }
 
@@ -119,6 +122,7 @@ func (st *queryState) take(pg *page, r *located, run *fissione.Run) {
 	}
 	if end >= 0 {
 		r.whole, r.span.Hi, pg.cells = true, run.Idx[end].Key, pg.cells+(end+1)*run.Stride
+		pg.last = run.Rec(end)[:st.net.K()]
 	}
 }
 
@@ -160,35 +164,40 @@ func (st *queryState) admit(pg *page, run fissione.Run) {
 		st.col = append(st.col, row...)
 		n, last = n+1, rec[:k]
 	}
+	if n > pg.n {
+		pg.last = last
+	}
 	pg.n, pg.cells = n, pg.cells+len(st.col)-cols
 }
 
 // build writes the page the walk planned, allocated once at its size, from
 // the walked runs st.runs[:len(st.ends)] in order: a whole run re-read under
-// its store's lock (or held, the one run whose lock the caller holds) and
-// copied as one block, a boundary run copied from the buffer. A run's scan
-// is complete once it is written (HopScan); ends becomes the page's length
-// after each run. A publish racing a re-read can only change the page's
-// length — the value array, outgrown, is reallocated by append, the matches
-// written keeping the old one — and the page is then clipped, never showing
-// spare capacity.
-func (st *queryState) build(pg *page, held *fissione.Run) {
+// its store's lock and copied as one block, a boundary run copied from the
+// buffer; ends becomes the page's length after each run, whose scan is then
+// complete (HopScan). Writes landing between the walk and a re-read change
+// only what is written: a paged run holds at most the room the page has left,
+// extended through the ObjectID it ends on, and a further object ends the
+// page there with more set. A page whose length then differs from the plan
+// is clipped, an outgrown value array reallocated by append.
+func (st *queryState) build(pg *page) {
 	out, vals := make([]Match, 0, pg.n), make([]float64, 0, pg.cells)
-	from, w := 0, len(st.box.Lo)
+	from, w, limit := 0, len(st.box.Lo), st.cfg.Limit
 	for i, end := range st.ends {
-		r := &st.runs[i]
-		switch {
-		case !r.whole:
-			out, vals = st.copyOut(out, vals, st.recs[from:end], st.col[from*w:int(end)*w])
+		r, room, cut := &st.runs[i], math.MaxInt, false
+		if limit > 0 {
+			room = max(limit-len(out), 0)
+		}
+		if r.whole {
+			st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) { out, vals, cut = st.block(out, vals, run, room) })
+		} else {
+			out, vals, cut = st.copyOut(out, vals, st.recs[from:end], st.col[from*w:int(end)*w], room)
 			from = int(end)
-		case held != nil: // a lookup's one run, never paged nor cut
-			out, vals = st.block(out, vals, *held)
-		default:
-			st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) { out, vals = st.block(out, vals, run) })
 		}
 		st.ends[i] = int32(len(out))
-		if held == nil {
-			st.scanned(r)
+		st.scanned(r)
+		if cut {
+			pg.more, st.ends = true, st.ends[:i+1]
+			break
 		}
 	}
 	if len(out) != pg.n {
@@ -199,8 +208,9 @@ func (st *queryState) build(pg *page, held *fissione.Run) {
 
 // block appends a whole run to the page out and its values to vals: the
 // run's value column copied once, then each object of the box's arity (any,
-// without a box) field by field.
-func (st *queryState) block(out []Match, vals []float64, run fissione.Run) ([]Match, []float64) {
+// without a box) field by field, room of them and any sharing the last one's
+// ObjectID; cut reports a further object.
+func (st *queryState) block(out []Match, vals []float64, run fissione.Run, room int) (_ []Match, _ []float64, cut bool) {
 	k, w, stride, box := st.net.K(), len(st.box.Lo), run.Stride, st.hasBox
 	out, vals = slices.Grow(out, len(run.Idx)), append(vals, run.Vals...) // grow only on racing publishes
 	col := vals[len(vals)-len(run.Vals):]
@@ -214,18 +224,28 @@ func (st *queryState) block(out []Match, vals []float64, run fissione.Run) ([]Ma
 		if s.N > 0 {
 			v = col[i*stride:][:s.N:s.N]
 		}
-		m, rec := &dst[j], run.Rec(i)
+		rec := run.Rec(i)
+		if j >= room && (j == 0 || rec[:k] != dst[j-1].ID) {
+			return out[:len(out)+j], vals, true
+		}
+		m := &dst[j]
 		// Every field, one by one: a literal is block-copied, a bulk write barrier (wbMove) per object.
 		m.Name, m.Values, m.ID = rec[k:], v, rec[:k]
 		j++
 	}
-	return out[:len(out)+j], vals
+	return out[:len(out)+j], vals, false
 }
 
 // copyOut appends buffered objects to the page out, their box-wide rows to
-// vals.
-func (st *queryState) copyOut(out []Match, vals []float64, recs []string, rows []float64) ([]Match, []float64) {
+// vals: room of them and any sharing the last one's ObjectID; cut reports a
+// further object.
+func (st *queryState) copyOut(out []Match, vals []float64, recs []string, rows []float64, room int) (_ []Match, _ []float64, cut bool) {
 	k, w := st.net.K(), len(st.box.Lo)
+	if n := len(recs); n > room {
+		for n = room; n > 0 && n < len(recs) && recs[n][:k] == recs[n-1][:k]; n++ {
+		}
+		recs, rows, cut = recs[:n], rows[:n*w], n < len(recs)
+	}
 	out, vals = slices.Grow(out, len(recs)), append(vals, rows...)
 	col := vals[len(vals)-len(rows):]
 	dst := out[len(out):][:len(recs)]
@@ -233,7 +253,7 @@ func (st *queryState) copyOut(out []Match, vals []float64, recs []string, rows [
 		m := &dst[i]
 		m.Name, m.Values, m.ID = rec[k:], col[i*w:][:w:w], rec[:k]
 	}
-	return out[:len(out)+len(recs)], vals
+	return out[:len(out)+len(recs)], vals, cut
 }
 
 // scanRuns walks runs, ordered by ObjectID, for the page (plan), each under
@@ -247,35 +267,29 @@ func (st *queryState) scanRuns(pg *page, runs []located) {
 }
 
 // result returns the built page's matches (nil when none) and, when a match
-// exists beyond them, the cursor that resumes after the last.
+// exists beyond them, the cursor that resumes after the last — after the
+// last counted, when racing unpublishes left the page empty.
 func (st *queryState) result(pg *page) (out []Match, next kautz.Str) {
-	if len(pg.out) == 0 {
-		return nil, ""
+	if n := len(pg.out); n > 0 {
+		out, pg.last = pg.out, pg.out[n-1].ID
 	}
 	if pg.more {
-		next = kautz.Str(pg.out[len(pg.out)-1].ID)
+		next = kautz.Str(pg.last)
 	}
-	return pg.out, next
+	return out, next
 }
 
 // materialise is a query's second phase: it walks the located runs, which
 // close ordered by ObjectID, then writes the slice the caller receives (plan,
-// build); a lookup's one run under one acquisition of its store's lock. With a
-// Limit the walk stops at the page cut — extended through a run
-// of equal ObjectIDs, which never crosses a run boundary, so the
+// build). With a Limit the walk stops at the page cut — extended through a
+// run of equal ObjectIDs, which never crosses a run boundary, so the
 // strictly-greater next cursor neither skips nor repeats an object — and
 // reads on only until the first further match proves there is a next page.
 // cuts, when asked for, is the result cut at the runs' boundaries.
 func (st *queryState) materialise(cut bool) (out []Match, cuts [][]Match, next kautz.Str) {
 	var pg page
-	if !st.hasBox && len(st.runs) == 1 {
-		r := &st.runs[0]
-		st.net.PeerAt(r.serving).ViewSpan(r.span, func(run fissione.Run) { st.plan(&pg, r, &run); st.build(&pg, &run) })
-		st.scanned(r)
-	} else {
-		st.scanRuns(&pg, st.runs)
-		st.build(&pg, nil)
-	}
+	st.scanRuns(&pg, st.runs)
+	st.build(&pg)
 	out, next = st.result(&pg)
 	if cut && len(out) > 0 {
 		cuts = make([][]Match, 0, len(st.ends))

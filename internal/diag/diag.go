@@ -54,7 +54,7 @@ const (
 	// it expected to skip.
 	CauseShortcutMiss
 	// CauseHotRegion: delivery-side work (scans, seeds, deliveries,
-	// redirects) took nine tenths of the query's service time — its time
+	// redirects) took three quarters of the query's service time — its time
 	// went to busy destination peers.
 	CauseHotRegion
 	numCauses
@@ -313,10 +313,12 @@ func (q *Query) Finish(s core.Stats, bound float64, cursor string, err error) {
 }
 
 // classify attributes the query's latency to a cause, most specific signal
-// first, then hot-region when the delivery-side stages hold nine tenths of
-// the service time durNs — not merely the most: one scan costs a few
+// first, then hot-region when the delivery-side stages hold three quarters
+// of the service time durNs — not merely the most: one scan costs a few
 // forwards, so a plain query issued a few hops from its owner, or by it,
-// spends most of its time there.
+// spends most of its time there. On TestPlantedCauses' hot-region row, under
+// -race and on a loaded host too, the controls' share stays ≤ 0.54 at the
+// 95th percentile and the planted queries' ≥ 0.98 at the 5th.
 func (q *Query) classify(durNs int64) Cause {
 	if q.queueWait > 0 && int64(q.queueWait) > durNs {
 		return CauseQueueWait
@@ -328,7 +330,7 @@ func (q *Query) classify(durNs int64) Cause {
 	for _, ns := range q.stageNs[core.HopForward+1:] {
 		delivery += ns
 	}
-	if delivery > 0 && 10*delivery >= 9*durNs {
+	if delivery > 0 && 4*delivery >= 3*durNs {
 		return CauseHotRegion
 	}
 	return CauseUnknown

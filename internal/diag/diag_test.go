@@ -65,8 +65,8 @@ func TestClassifierPriorities(t *testing.T) {
 		t.Fatalf("seeded query classified %v", c)
 	}
 
-	// Delivery-side time holding nine tenths of the service time means a
-	// hot region, redirects included...
+	// Delivery-side time holding three quarters of the service time means
+	// a hot region, redirects included...
 	q = m.Begin(8, "range", "p", 0)
 	*cur += time.Millisecond
 	note(q, core.HopForward)
@@ -80,6 +80,14 @@ func TestClassifierPriorities(t *testing.T) {
 	note(q, core.HopRedirect)
 	if c := q.classify(int64(10 * time.Millisecond)); c != CauseHotRegion {
 		t.Fatalf("redirect-dominated query classified %v", c)
+	}
+	q = m.Begin(14, "range", "p", 0)
+	*cur += time.Millisecond
+	note(q, core.HopForward)
+	*cur += 3 * time.Millisecond
+	note(q, core.HopScan)
+	if c := q.classify(int64(4 * time.Millisecond)); c != CauseHotRegion {
+		t.Fatalf("query at three quarters delivery-side time classified %v", c)
 	}
 	// ...while forward-dominated time names no cause.
 	q = m.Begin(9, "range", "p", 0)

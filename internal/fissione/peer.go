@@ -269,7 +269,7 @@ type Run struct {
 // Rec returns object i's record, ObjectID‖Name: its first K bytes are the
 // ObjectID, K the network's, and the rest the name. The record is immutable
 // and may be kept, as its slot may not.
-func (r Run) Rec(i int) string {
+func (r *Run) Rec(i int) string {
 	ref := r.Idx[i].Ref
 	chunk := r.recs.table[ref>>(refBits+pageBits)][ref>>refBits&pageMask]
 	return unsafe.String((*byte)(unsafe.Add(unsafe.Pointer(chunk), ref&(recChunk-1))), r.Idx[i].RLen)
