@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 
 	"armada/internal/core"
+	"armada/internal/diag"
 	"armada/internal/fissione"
 	"armada/internal/kautz"
 	"armada/internal/loadctl"
@@ -399,9 +400,11 @@ func (n *Network) Stream(ctx context.Context, q Query) iter.Seq2[Object, error] 
 
 // run is the one place a query takes the topology read lock: Do, every page
 // of a Session and every page of a Stream come through it, so the lock is
-// never held across a caller's code. It pins the issuer, then brackets exec
-// with the query's observer (see queryObs) and the delay-bound sample every
-// finished query contributes. sess, when non-nil, is the walk whose page q is.
+// never held across a caller's code. It pins the issuer, builds the query's
+// one tracer — the caller's WithTrace sink (hopSink), behind the diagnostics
+// collector when the network diagnoses — and brackets exec with it and the
+// delay-bound sample every finished query contributes. sess, when non-nil,
+// is the walk whose page q is.
 func (n *Network) run(ctx context.Context, q Query, sess *Session) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -423,25 +426,37 @@ func (n *Network) run(ctx context.Context, q Query, sess *Session) (*Result, err
 	} else if issuer == "" {
 		issuer = n.randomPeerLocked()
 	}
-	ob := n.observe(q, issuer)
-	res, err := n.exec(ctx, q, issuer, sess, ob)
-	var bound float64
-	if err == nil {
-		bound = n.noteQuery(res.Stats)
+	var tr core.Tracer
+	if q.Trace != nil {
+		tr = hopSink(q.Trace)
 	}
-	ob.finish(res, bound, err)
+	var dq *diag.Query
+	if dm := n.obs.diag; dm != nil {
+		dq = dm.Begin(n.obs.qseq.Add(1), q.kind().String(), issuer, q.QueueWait, tr)
+		tr = dq
+	}
+	res, err := n.exec(ctx, q, issuer, sess, tr)
+	var (
+		stats  Stats
+		bound  float64
+		cursor string
+	)
+	if err == nil {
+		stats, cursor = res.Stats, res.NextOffsetID
+		bound = n.noteQuery(stats)
+	}
+	if dq != nil {
+		dq.Finish(stats, bound, cursor, err)
+	}
 	return res, err
 }
 
 // exec runs one query on the engine: validate the request into an engine
 // configuration, connect it to the issuer-side routing state, run it, convert
-// the result. ob, when non-nil, observes it.
-func (n *Network) exec(ctx context.Context, q Query, issuer string, sess *Session, ob *queryObs) (*Result, error) {
+// the result. tr, when non-nil, observes it.
+func (n *Network) exec(ctx context.Context, q Query, issuer string, sess *Session, tr core.Tracer) (*Result, error) {
 	kind := q.kind()
-	var cfg core.QueryConfig
-	if ob != nil {
-		cfg.Trace = ob.hop
-	}
+	cfg := core.QueryConfig{Trace: tr}
 	if n.routes != nil { // never a nil *Table behind the interface
 		cfg.Routes = n.routes
 	}
@@ -485,7 +500,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, sess *Sessio
 			return nil, wrapCoreErr(err)
 		}
 		out := &Result{Objects: res.Objects, Owner: string(res.Owner), Stats: res.Stats}
-		n.routed(&out.Stats, false, n.routes != nil, ob)
+		n.routed(&out.Stats, false, n.routes != nil, tr)
 		return out, nil
 
 	case KindRange, KindFlood:
@@ -508,7 +523,7 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, sess *Sessio
 		}
 		out := resultOf(&res)
 		if located { // nor does a walk's positional page
-			n.routed(&out.Stats, true, n.routes != nil || stale, ob)
+			n.routed(&out.Stats, true, n.routes != nil || stale, tr)
 		}
 		return out, nil
 
@@ -592,15 +607,17 @@ func (n *Network) ShortcutTableStats() (_ ShortcutTableStats, ok bool) {
 
 // routed closes a located lookup or range query: when the route cache seeded
 // it, it stamps the Stats and counts the hit; when it descended, it counts the
-// miss and tells the observer if issuer-side routing state — the cache, a
-// walk's stale owners — was there to consult (consulted) and did not save.
-func (n *Network) routed(s *Stats, ranged, consulted bool, ob *queryObs) {
+// miss and marks it on the diagnostics collector, when tr is one, if
+// issuer-side routing state — the cache, a walk's stale owners — was there to
+// consult (consulted) and did not save.
+func (n *Network) routed(s *Stats, ranged, consulted bool, tr core.Tracer) {
 	if s.DescentsSaved == 0 {
 		if n.routes != nil {
 			n.routes.Note(false)
 		}
 		if consulted {
-			ob.shortcutMiss()
+			dq, _ := tr.(*diag.Query)
+			dq.MarkShortcutMiss()
 		}
 		return
 	}

@@ -596,6 +596,62 @@ func TestCachedLookupAllocCeiling(t *testing.T) {
 	}
 }
 
+// Watching a query allocates nothing: the caller's trace sink and the
+// diagnostics collector are one tracer chain built in run's frame, each link
+// one interface word, so once the slow log holds its slowest queries a
+// traced, a diagnosed and a traced-and-diagnosed lookup or range allocate
+// exactly as often as the unobserved one.
+func TestObservedQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled states under the race detector")
+	}
+	ctx := context.Background()
+	plain := buildAllocNet(t, 1000, 2000)
+	defer plain.Close()
+	diagnosed := buildAllocNet(t, 1000, 2000, armada.WithDiagnostics(armada.DiagnosticsConfig{SlowLogCapacity: 16}))
+	defer diagnosed.Close()
+	hops := 0
+	trace := armada.WithTrace(func(armada.Hop) { hops++ })
+	perQuery := func(net *armada.Network, q armada.Query) float64 {
+		for range 1000 { // fills the slow log with the slowest of many
+			if _, err := net.Do(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(200, func() {
+			if _, err := net.Do(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, kind := range []string{"lookup", "range"} {
+		query := func(net *armada.Network, opts ...armada.QueryOption) armada.Query {
+			opts = append(opts, armada.WithIssuer(net.PeerIDs()[3]))
+			if kind == "lookup" {
+				return armada.NewValueLookup([]float64{417}, opts...)
+			}
+			return armada.NewRange([]armada.Range{{Low: 400, High: 420}}, opts...)
+		}
+		want := perQuery(plain, query(plain))
+		for _, c := range []struct {
+			name string
+			net  *armada.Network
+			opts []armada.QueryOption
+		}{
+			{"traced", plain, []armada.QueryOption{trace}},
+			{"diagnosed", diagnosed, nil},
+			{"traced and diagnosed", diagnosed, []armada.QueryOption{trace}},
+		} {
+			if got := perQuery(c.net, query(c.net, c.opts...)); got != want {
+				t.Errorf("a %s %s allocates %.0f times, an unobserved one %.0f", c.name, kind, got, want)
+			}
+		}
+	}
+	if hops == 0 {
+		t.Fatal("the trace sink saw no hop")
+	}
+}
+
 // A range allocates its result — objects, values, destinations (the
 // engine's, which the facade hands out as they are) and the Result — plus its
 // box. Its corners are ranks, not ObjectIDs, and nothing scales with hops or
@@ -619,8 +675,11 @@ func TestRangeAllocCeiling(t *testing.T) {
 }
 
 // BenchmarkAllocRange measures one materializing range query end to end.
-func BenchmarkAllocRange(b *testing.B) {
-	net := buildAllocNet(b, 1000, 2000)
+func BenchmarkAllocRange(b *testing.B) { benchRangeAlloc(b) }
+
+// benchRangeAlloc is BenchmarkAllocRange's loop, on a network built with opts.
+func benchRangeAlloc(b *testing.B, opts ...armada.Option) {
+	net := buildAllocNet(b, 1000, 2000, opts...)
 	defer net.Close()
 	rng := rand.New(rand.NewSource(113))
 	ctx := context.Background()
@@ -633,6 +692,13 @@ func BenchmarkAllocRange(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAllocRangeDiagnosed is the same ranges on the same network with
+// the query diagnostics on: its ratio to AllocRange is what leaving them on
+// costs a range.
+func BenchmarkAllocRangeDiagnosed(b *testing.B) {
+	benchRangeAlloc(b, armada.WithDiagnostics(armada.DiagnosticsConfig{SlowLogCapacity: 256}))
 }
 
 // BenchmarkAllocRangePaged measures one whole paginated walk through a

@@ -85,7 +85,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		rangeFr   = fs.String("range-frac", "", `range width as fraction of the space, "min:max" (e.g. "0.01:0.1")`)
 		churn     = fs.String("churn", "", `churn rates/sec, arriving on the operations' schedule, e.g. "join=40,leave=30,fail=10"`)
 		shortTab  = fs.Int("shortcut-table", 0, "issuer-side route cache capacity in learned owners; lookups, ranges and session pages whose destinations it knows route in one direct hop per destination (0 = no cache)")
-		noShort   = fs.Bool("no-shortcut", false, "drop the scenario's route cache — the descent-baseline ablation (results are byte-identical, only hops and messages move)")
 		out       = fs.String("out", "", "write the JSON report to this file (default stdout)")
 		traceOut  = fs.String("trace-out", "", "write the log of the slowest queries, each with its hops and page cut, as Chrome trace-event JSON to this file after the run (implies -slow-log 256 when unset)")
 		slowLog   = fs.Int("slow-log", 0, fmt.Sprintf("attach the query-diagnostics layer, its log keeping the N slowest queries by queue wait plus service time (0 = none; implied by -slow-out; at most %d); enables the tail_attribution report block and the /debug/armada endpoints", armada.MaxSlowLogCapacity))
@@ -198,11 +197,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	})
 	if parseErr != nil {
 		return parseErr
-	}
-	if *noShort {
-		// Applied after the flag sweep so the ablation always wins, whatever
-		// the flag order.
-		sc.ShortcutTable = 0
 	}
 	if (*slowOut != "" || *traceOut != "") && sc.SlowQueryLog == 0 {
 		sc.SlowQueryLog = 256

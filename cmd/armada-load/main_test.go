@@ -135,11 +135,11 @@ func TestScanHeavySmall(t *testing.T) {
 	if hits, _ := m["metrics"].(map[string]any)["shortcut_hits_total"].(float64); hits == 0 {
 		t.Error("scan-heavy run produced no cache hits")
 	}
-	// The ablation flag drops the route cache without touching anything
+	// -shortcut-table 0 drops the route cache without touching anything
 	// else of the scenario.
-	m = runJSON(t, "-scenario", "scan-heavy", "-peers", "100", "-ops", "250", "-preload", "500", "-no-shortcut")
+	m = runJSON(t, "-scenario", "scan-heavy", "-peers", "100", "-ops", "250", "-preload", "500", "-shortcut-table", "0")
 	if _, ok := m["metrics"].(map[string]any)["shortcut_hits_total"]; ok {
-		t.Error("-no-shortcut still ran a route cache")
+		t.Error("-shortcut-table 0 still ran a route cache")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -408,6 +409,87 @@ func TestAuditFailsOnDelayBoundViolation(t *testing.T) {
 	for _, sample := range []int{0, 8} {
 		if err := net.AuditSampled(sample); !errors.Is(err, ErrDelayBound) {
 			t.Errorf("AuditSampled(%d) after a violation = %v, want ErrDelayBound", sample, err)
+		}
+	}
+}
+
+// TestTraceUnderDiagnostics: the collector hands every event on to the
+// caller's trace sink, so a seeded lookup, range and session walk show the
+// sink the same hops on a diagnosed network as on its undiagnosed twin, and
+// never a completed scan — the query's logged record holds the sink's hops
+// plus at least one scan, so a sink handed scans would hold more. A nil
+// trace observes nothing and runs, diagnosed or not.
+func TestTraceUnderDiagnostics(t *testing.T) {
+	build := func(opts ...Option) *Network {
+		net, err := NewNetwork(150, append(opts, WithSeed(53))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		publishSpread(t, net, 300)
+		return net
+	}
+	plain, diagnosed := build(), build(WithDiagnostics(DiagnosticsConfig{SlowLogCapacity: 64}))
+	ctx := context.Background()
+	issuer := plain.PeerIDs()[7]
+	box := []Range{{Low: 200, High: 260}}
+	queries := []struct {
+		name string
+		run  func(net *Network, trace QueryOption) error
+	}{
+		{"lookup", func(net *Network, trace QueryOption) error {
+			_, err := net.Do(ctx, NewLookup("obs-c-02", WithIssuer(issuer), trace))
+			return err
+		}},
+		{"range", func(net *Network, trace QueryOption) error {
+			_, err := net.Do(ctx, NewRange(box, WithIssuer(issuer), trace))
+			return err
+		}},
+		{"session", func(net *Network, trace QueryOption) error {
+			sess, err := net.OpenSession(NewRange(box, WithIssuer(issuer), WithLimit(10), trace))
+			if err != nil {
+				return err
+			}
+			defer sess.Close()
+			for range 2 { // the descended first page, then a positional one
+				if _, err := sess.Next(ctx); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
+	for _, q := range queries {
+		logged := len(diagnosed.SlowQueries())
+		var sink [2][]Hop
+		for i, net := range []*Network{plain, diagnosed} {
+			if err := q.run(net, WithTrace(func(h Hop) { sink[i] = append(sink[i], h) })); err != nil {
+				t.Fatalf("%s: %v", q.name, err)
+			}
+		}
+		if len(sink[0]) == 0 || !slices.Equal(sink[0], sink[1]) {
+			t.Fatalf("%s: the sink saw\n%v\nundiagnosed, and\n%v\ndiagnosed", q.name, sink[0], sink[1])
+		}
+		var noted []Hop
+		scans := 0
+		for _, r := range diagnosed.SlowQueries()[logged:] {
+			if r.HopsDropped != 0 {
+				t.Fatalf("%s: record %d dropped %d hops", q.name, r.QID, r.HopsDropped)
+			}
+			for _, h := range r.Hops {
+				if h.Kind == "scan" {
+					scans++
+					continue
+				}
+				noted = append(noted, Hop{From: h.From, To: h.To, Depth: h.Depth, Remaining: h.Remaining})
+			}
+		}
+		if scans == 0 || !slices.Equal(noted, sink[1]) {
+			t.Fatalf("%s: the records hold %d scans and the other hops\n%v\nthe sink saw\n%v", q.name, scans, noted, sink[1])
+		}
+	}
+	for _, net := range []*Network{plain, diagnosed} {
+		if _, err := net.Do(ctx, NewRange(box, WithIssuer(issuer), WithTrace(nil))); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

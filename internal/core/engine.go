@@ -32,6 +32,10 @@
 // counted, then copied as one block; a boundary run's objects are admitted
 // once into a pooled buffer, only those on a corner's leaf paying the float
 // test, then copied out — into a result allocated once at its exact size.
+//
+// A query has one observer, QueryConfig.Trace: a Tracer the engine calls on
+// the query's goroutine for each overlay message and each completed scan. A
+// nil tracer costs one check per event.
 package core
 
 import (
@@ -118,14 +122,27 @@ func (k HopKind) String() string {
 	}
 }
 
-// TraceFunc observes one event of a query's execution — every overlay
-// message, then each located run's completed scan (HopScan). from is the
+// Tracer observes a query's execution: Hop is called for every overlay
+// message, then for each located run's completed scan (HopScan). from is the
 // processing peer, to the forward's target; deliveries have remaining == 0
 // and report the peer that served the delivery as to — equal to from unless
 // the read rule redirected the scan to a replica (kind HopRedirect). A
-// query runs on its caller's goroutine, so its observers are never called
-// concurrently.
+// query runs on its caller's goroutine, so its tracer is never called
+// concurrently. A tracer that hands events on to another (the diagnostics
+// collector does) makes a chain: the query still holds one observer.
+type Tracer interface {
+	Hop(kind HopKind, from, to kautz.Str, depth, remaining int)
+}
+
+// TraceFunc is a function as a Tracer; a nil TraceFunc observes nothing.
 type TraceFunc func(kind HopKind, from, to kautz.Str, depth, remaining int)
+
+// Hop calls f, if it is not nil.
+func (f TraceFunc) Hop(kind HopKind, from, to kautz.Str, depth, remaining int) {
+	if f != nil {
+		f(kind, from, to, depth, remaining)
+	}
+}
 
 // metrics are the engine's cumulative query-cost counters, shared by every
 // query the engine runs and read only through the registry (see
@@ -180,8 +197,8 @@ func (m *metrics) note(s Stats, seeded bool) {
 // one.
 type QueryConfig struct {
 	// Trace, when non-nil, observes every hop of the descent and every
-	// located run's completed scan.
-	Trace TraceFunc
+	// located run's completed scan: the query's one observer.
+	Trace Tracer
 	// Limit, when positive, paginates the result: the materialise phase
 	// stops at Limit matches in ascending ObjectID order (extending through
 	// a run of equal ObjectIDs so cursors never split an ID) and only
@@ -203,7 +220,7 @@ type QueryConfig struct {
 // QueryOption adjusts one query's configuration.
 type QueryOption func(*QueryConfig)
 
-// WithTrace installs a hop observer for this query.
+// WithTrace installs f as this query's tracer.
 func WithTrace(f TraceFunc) QueryOption { return func(c *QueryConfig) { c.Trace = f } }
 
 // WithLimit paginates the query's result set at n matches per page (at
@@ -695,7 +712,7 @@ func (e *Engine) forward(st *queryState, m msg) {
 			}
 		}
 		if st.cfg.Trace != nil {
-			st.cfg.Trace(HopForward, e.net.IDAt(m.to), id, int(m.depth), h)
+			st.cfg.Trace.Hop(HopForward, e.net.IDAt(m.to), id, int(m.depth), h)
 		}
 		st.queue = append(st.queue, msg{span: m.span, to: c, h: uint8(h), depth: m.depth + 1})
 	}
@@ -733,13 +750,13 @@ func (e *Engine) deliver(st *queryState, m msg) {
 	}
 	if st.cfg.Trace != nil {
 		if m.direct {
-			st.cfg.Trace(HopSeed, st.issuer, e.net.IDAt(serving), 0, 0)
+			st.cfg.Trace.Hop(HopSeed, st.issuer, e.net.IDAt(serving), 0, 0)
 		}
 		kind := HopDeliver
 		if serving != owner {
 			kind = HopRedirect
 		}
-		st.cfg.Trace(kind, e.net.IDAt(owner), e.net.IDAt(serving), depth, 0)
+		st.cfg.Trace.Hop(kind, e.net.IDAt(owner), e.net.IDAt(serving), depth, 0)
 	}
 	span := st.span.Clip(e.net.RanksAt(owner))
 	st.runs = append(st.runs, located{span: span, owner: owner, serving: serving, pos: e.net.PosAt(owner), depth: m.depth})

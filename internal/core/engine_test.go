@@ -570,3 +570,22 @@ func TestMsgLayout(t *testing.T) {
 		}
 	}
 }
+
+// A nil TraceFunc is a tracer that observes nothing: a query installed with
+// WithTrace(nil) runs, and costs, exactly what an untraced one does.
+func TestNilTraceObservesNothing(t *testing.T) {
+	eng, _ := buildSingle(t, 100, 300, 31)
+	issuer := eng.Network().PeerIDAt(3)
+	ctx := context.Background()
+	plain, err := eng.RangeQuery(ctx, issuer, []float64{100}, []float64{300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := eng.RangeQuery(ctx, issuer, []float64{100}, []float64{300}, WithTrace(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traced.Matches) != len(plain.Matches) || traced.Stats != plain.Stats {
+		t.Fatalf("WithTrace(nil): %d matches, %+v; untraced: %d, %+v", len(traced.Matches), traced.Stats, len(plain.Matches), plain.Stats)
+	}
+}

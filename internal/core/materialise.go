@@ -70,7 +70,7 @@ func sortRuns(runs []located) {
 // scanned reports one run's completed scan to the query's observer.
 func (st *queryState) scanned(r *located) {
 	if st.cfg.Trace != nil {
-		st.cfg.Trace(HopScan, st.net.IDAt(r.owner), st.net.IDAt(r.serving), int(r.depth), 0)
+		st.cfg.Trace.Hop(HopScan, st.net.IDAt(r.owner), st.net.IDAt(r.serving), int(r.depth), 0)
 	}
 }
 

@@ -83,7 +83,7 @@ type StageMs struct {
 }
 
 // Hop is one trace event of a logged query: an overlay message or a
-// completed scan, with the engine's fields (core.TraceFunc) and its time.
+// completed scan, with the engine's fields (core.Tracer) and its time.
 type Hop struct {
 	Kind      string `json:"kind"`
 	From      string `json:"from"`
@@ -221,10 +221,11 @@ func (m *Monitor) DescribeMetrics(reg *obs.Registry) {
 // sinceNs is the monitor clock in nanoseconds.
 func (m *Monitor) sinceNs() int64 { return int64(m.now()) }
 
-// Query collects one query's breakdown and hops: the engine's trace stream
-// feeds Note, the armada layer sets the classifier flags, and Finish folds
-// everything into the monitor and recycles the collector. A query runs on
-// one goroutine, so a Query needs no synchronization.
+// Query collects one query's breakdown and hops. It is the query's
+// core.Tracer: the engine's trace stream feeds Hop, which hands each event on
+// to the caller's tracer; the armada layer sets the classifier flags, and
+// Finish folds everything into the monitor and recycles the collector. A
+// query runs on one goroutine, so a Query needs no synchronization.
 type Query struct {
 	queryHead
 	// hops is a ring of the query's last events: event i sits at
@@ -235,7 +236,9 @@ type Query struct {
 
 // queryHead is everything of a Query but its hop buffer.
 type queryHead struct {
-	m       *Monitor
+	m *Monitor
+	// next is the tracer every event is handed on to; nil for none.
+	next    core.Tracer
 	qid     uint64
 	kind    string
 	issuer  string
@@ -251,23 +254,24 @@ type queryHead struct {
 }
 
 // Begin starts collecting one query. queueWait is the queue wait the
-// caller measured before starting the query (zero when unknown).
-func (m *Monitor) Begin(qid uint64, kind, issuer string, queueWait time.Duration) *Query {
+// caller measured before starting the query (zero when unknown); next, when
+// not nil, is the tracer the collector hands each event on to.
+func (m *Monitor) Begin(qid uint64, kind, issuer string, queueWait time.Duration, next core.Tracer) *Query {
 	q, _ := m.pool.Get().(*Query)
 	if q == nil {
 		q = new(Query)
 	}
 	now := m.sinceNs()
-	q.queryHead = queryHead{m: m, qid: qid, kind: kind, issuer: issuer, queueWait: queueWait, startNs: now, lastNs: now}
+	q.queryHead = queryHead{m: m, next: next, qid: qid, kind: kind, issuer: issuer, queueWait: queueWait, startNs: now, lastNs: now}
 	return q
 }
 
-// Note is the query's core.TraceFunc: it attributes the time since the
-// previous event to the event's stage — the engine's hop kind — and buffers
-// the event, over the oldest one once the buffer is full. The breakdown is an
-// attribution of wall time to the event stream, not an exact per-message
-// service time.
-func (q *Query) Note(kind core.HopKind, from, to kautz.Str, depth, remaining int) {
+// Hop is the query's core.Tracer: it attributes the time since the previous
+// event to the event's stage — the engine's hop kind — buffers the event,
+// over the oldest one once the buffer is full, then hands it on to the next
+// tracer. The breakdown is an attribution of wall time to the event stream,
+// not an exact per-message service time.
+func (q *Query) Hop(kind core.HopKind, from, to kautz.Str, depth, remaining int) {
 	now := q.m.sinceNs()
 	if dt := now - q.lastNs; dt > 0 {
 		q.stageNs[kind] += dt
@@ -276,11 +280,18 @@ func (q *Query) Note(kind core.HopKind, from, to kautz.Str, depth, remaining int
 	q.stageN[kind]++
 	q.hops[q.nhops%len(q.hops)] = Hop{Kind: kind.String(), From: string(from), To: string(to), Depth: depth, Remaining: remaining, AtMs: float64(now) / 1e6}
 	q.nhops++
+	if q.next != nil {
+		q.next.Hop(kind, from, to, depth, remaining)
+	}
 }
 
 // MarkShortcutMiss records that the query descended although it consulted
-// issuer-side routing state.
-func (q *Query) MarkShortcutMiss() { q.routeMiss = true }
+// issuer-side routing state. It does nothing on a nil Query.
+func (q *Query) MarkShortcutMiss() {
+	if q != nil {
+		q.routeMiss = true
+	}
+}
 
 // Finish completes the query with its cost stats, the instantaneous
 // 2·log₂N bound they are judged against (0 when unknown), its page cursor
@@ -308,7 +319,7 @@ func (q *Query) Finish(s core.Stats, bound float64, cursor string, err error) {
 		heap.Fix(&m.slowest, 0)
 	}
 	m.mu.Unlock()
-	q.m = nil
+	q.m, q.next = nil, nil
 	m.pool.Put(q)
 }
 

@@ -22,10 +22,10 @@ func clockMonitor(logCapacity int) (*Monitor, *time.Duration) {
 }
 
 // note feeds q one event of kind between two fixed peers.
-func note(q *Query, kind core.HopKind) { q.Note(kind, "a", "b", 1, 0) }
+func note(q *Query, kind core.HopKind) { q.Hop(kind, "a", "b", 1, 0) }
 
 func finishAfter(m *Monitor, cur *time.Duration, qid uint64, wait, d time.Duration, s core.Stats, bound float64) {
-	q := m.Begin(qid, "range", "p", wait)
+	q := m.Begin(qid, "range", "p", wait, nil)
 	*cur += d
 	q.Finish(s, bound, "", nil)
 }
@@ -34,14 +34,14 @@ func TestClassifierPriorities(t *testing.T) {
 	m, cur := clockMonitor(0)
 
 	// Queue wait longer than service time wins over everything.
-	q := m.Begin(1, "range", "p", 50*time.Millisecond)
+	q := m.Begin(1, "range", "p", 50*time.Millisecond, nil)
 	q.MarkShortcutMiss()
 	note(q, core.HopForward)
 	if c := q.classify(int64(10 * time.Millisecond)); c != CauseQueueWait {
 		t.Fatalf("queue-wait case classified %v", c)
 	}
 	// ...a shorter one does not.
-	q = m.Begin(2, "range", "p", time.Millisecond)
+	q = m.Begin(2, "range", "p", time.Millisecond, nil)
 	note(q, core.HopForward)
 	if c := q.classify(int64(10 * time.Millisecond)); c == CauseQueueWait {
 		t.Fatalf("short wait classified queue-wait")
@@ -49,7 +49,7 @@ func TestClassifierPriorities(t *testing.T) {
 
 	// Routing state consulted, and a descent all the same, is a shortcut
 	// miss, whatever stage dominated.
-	q = m.Begin(4, "lookup", "p", 0)
+	q = m.Begin(4, "lookup", "p", 0, nil)
 	q.MarkShortcutMiss()
 	note(q, core.HopForward)
 	*cur += 10 * time.Millisecond
@@ -58,7 +58,7 @@ func TestClassifierPriorities(t *testing.T) {
 		t.Fatalf("shortcut miss classified %v", c)
 	}
 	// ...but a seeded query is not one.
-	q = m.Begin(5, "lookup", "p", 0)
+	q = m.Begin(5, "lookup", "p", 0, nil)
 	*cur += time.Millisecond
 	note(q, core.HopSeed)
 	if c := q.classify(0); c != CauseHotRegion {
@@ -67,7 +67,7 @@ func TestClassifierPriorities(t *testing.T) {
 
 	// Delivery-side time holding three quarters of the service time means
 	// a hot region, redirects included...
-	q = m.Begin(8, "range", "p", 0)
+	q = m.Begin(8, "range", "p", 0, nil)
 	*cur += time.Millisecond
 	note(q, core.HopForward)
 	*cur += 10 * time.Millisecond
@@ -75,13 +75,13 @@ func TestClassifierPriorities(t *testing.T) {
 	if c := q.classify(int64(11 * time.Millisecond)); c != CauseHotRegion {
 		t.Fatalf("scan-dominated query classified %v", c)
 	}
-	q = m.Begin(10, "lookup", "p", 0)
+	q = m.Begin(10, "lookup", "p", 0, nil)
 	*cur += 10 * time.Millisecond
 	note(q, core.HopRedirect)
 	if c := q.classify(int64(10 * time.Millisecond)); c != CauseHotRegion {
 		t.Fatalf("redirect-dominated query classified %v", c)
 	}
-	q = m.Begin(14, "range", "p", 0)
+	q = m.Begin(14, "range", "p", 0, nil)
 	*cur += time.Millisecond
 	note(q, core.HopForward)
 	*cur += 3 * time.Millisecond
@@ -90,7 +90,7 @@ func TestClassifierPriorities(t *testing.T) {
 		t.Fatalf("query at three quarters delivery-side time classified %v", c)
 	}
 	// ...while forward-dominated time names no cause.
-	q = m.Begin(9, "range", "p", 0)
+	q = m.Begin(9, "range", "p", 0, nil)
 	*cur += 10 * time.Millisecond
 	note(q, core.HopForward)
 	*cur += time.Millisecond
@@ -101,7 +101,7 @@ func TestClassifierPriorities(t *testing.T) {
 	// ...and so does delivery-side time that is merely the largest stage: a
 	// query issued by its destination's owner, which forwards nothing, spent
 	// half its time elsewhere.
-	q = m.Begin(13, "range", "p", 0)
+	q = m.Begin(13, "range", "p", 0, nil)
 	*cur += time.Millisecond
 	note(q, core.HopDeliver)
 	*cur += time.Millisecond
@@ -111,11 +111,11 @@ func TestClassifierPriorities(t *testing.T) {
 	}
 
 	// No events, or events with no measurable time: unknown.
-	q = m.Begin(11, "lookup", "p", 0)
+	q = m.Begin(11, "lookup", "p", 0, nil)
 	if c := q.classify(0); c != CauseUnknown {
 		t.Fatalf("event-free query classified %v", c)
 	}
-	q = m.Begin(12, "lookup", "p", 0)
+	q = m.Begin(12, "lookup", "p", 0, nil)
 	note(q, core.HopDeliver)
 	if c := q.classify(0); c != CauseUnknown {
 		t.Fatalf("timeless query classified %v", c)
@@ -199,7 +199,7 @@ func TestTailAttributionFractionsCoverTail(t *testing.T) {
 
 func TestFailedQueriesExcludedFromAttribution(t *testing.T) {
 	m, cur := clockMonitor(0)
-	q := m.Begin(1, "range", "p", 0)
+	q := m.Begin(1, "range", "p", 0, nil)
 	*cur += 10 * time.Millisecond
 	q.Finish(core.Stats{}, 0, "", errors.New("unreachable"))
 	att := m.TailAttribution()
@@ -220,7 +220,7 @@ func TestConcurrentNotes(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
-				q := m.Begin(uint64(i), "range", "p", 0)
+				q := m.Begin(uint64(i), "range", "p", 0, nil)
 				note(q, core.HopForward)
 				note(q, core.HopDeliver)
 				note(q, core.HopScan)
@@ -244,12 +244,12 @@ func TestConcurrentNotes(t *testing.T) {
 // along.
 func TestHopBufferKeepsLastEvents(t *testing.T) {
 	m, cur := clockMonitor(4)
-	q := m.Begin(1, "range", "p", 0)
+	q := m.Begin(1, "range", "p", 0, nil)
 	kinds := []core.HopKind{core.HopForward, core.HopDeliver, core.HopRedirect, core.HopSeed, core.HopScan}
 	const events = 2*HopCapacity + 3
 	for i := range events {
 		*cur += time.Microsecond
-		q.Note(kinds[i%len(kinds)], kautz.Str(fmt.Sprint("f", i)), kautz.Str(fmt.Sprint("t", i)), i%20, i%7)
+		q.Hop(kinds[i%len(kinds)], kautz.Str(fmt.Sprint("f", i)), kautz.Str(fmt.Sprint("t", i)), i%20, i%7)
 	}
 	q.Finish(core.Stats{}, 0, "cursor", nil)
 	recs := m.SlowQueries()
@@ -273,7 +273,7 @@ func TestHopBufferKeepsLastEvents(t *testing.T) {
 		}
 	}
 	// A recycled collector starts empty.
-	q = m.Begin(2, "lookup", "p", 0)
+	q = m.Begin(2, "lookup", "p", 0, nil)
 	note(q, core.HopDeliver)
 	q.Finish(core.Stats{}, 0, "", nil)
 	if r := m.SlowQueries()[1]; len(r.Hops) != 1 || r.HopsDropped != 0 || r.Cursor != "" {
@@ -287,13 +287,13 @@ func TestHopBufferKeepsLastEvents(t *testing.T) {
 // cut as one more.
 func TestChromeTraceFromLog(t *testing.T) {
 	m, cur := clockMonitor(4)
-	q := m.Begin(1, "range", "p0", 0)
+	q := m.Begin(1, "range", "p0", 0, nil)
 	*cur += time.Millisecond
-	q.Note(core.HopForward, "p0", "p1", 1, 2)
+	q.Hop(core.HopForward, "p0", "p1", 1, 2)
 	*cur += time.Millisecond
-	q.Note(core.HopDeliver, "p1", "p1", 2, 0)
+	q.Hop(core.HopDeliver, "p1", "p1", 2, 0)
 	q.Finish(core.Stats{Delay: 1, Messages: 2}, 10, "next", nil)
-	q = m.Begin(2, "lookup", "p0", 0)
+	q = m.Begin(2, "lookup", "p0", 0, nil)
 	*cur += time.Millisecond
 	q.Finish(core.Stats{}, 0, "", errors.New("boom"))
 

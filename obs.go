@@ -83,66 +83,17 @@ func (n *Network) noteQuery(s Stats) float64 {
 	return bound
 }
 
-// queryObs is one query's observer: whoever watches this query — the
-// caller's WithTrace sink, the diagnostics collector — behind one value.
-// run builds it once per query and hands it to exec; the engine feeds it
-// every hop and completed scan through the single QueryConfig.Trace
-// callback; finish closes it with the query's outcome. When nobody watches,
-// run leaves it nil: every method is nil-safe, so the unobserved path pays
-// nil checks and allocates nothing.
-type queryObs struct {
-	sink func(Hop)   // Query.Trace
-	dq   *diag.Query // diagnostics collector
-}
+// hopSink is the caller's WithTrace function as the engine's tracer. It
+// hands on every overlay message; a completed scan (HopScan) is a stage of
+// the diagnostics' breakdown but not an overlay message, so it never sees
+// one.
+type hopSink func(Hop)
 
-// observe opens the query's observer and reports the query's start to it;
-// nil when the query has no trace sink and the network does not diagnose.
-func (n *Network) observe(q Query, issuer string) *queryObs {
-	dm := n.obs.diag
-	if q.Trace == nil && dm == nil {
-		return nil
+// Hop is hopSink's core.Tracer method.
+func (f hopSink) Hop(kind core.HopKind, from, to kautz.Str, depth, remaining int) {
+	if kind != core.HopScan {
+		f(Hop{From: string(from), To: string(to), Depth: depth, Remaining: remaining})
 	}
-	o := &queryObs{sink: q.Trace}
-	if dm != nil {
-		o.dq = dm.Begin(n.obs.qseq.Add(1), q.kind().String(), issuer, q.QueueWait)
-	}
-	return o
-}
-
-// hop is the engine's trace callback. Diagnostics times and keeps every
-// event; a completed scan is a stage of the breakdown but not an overlay
-// message, so the caller's sink never sees it.
-func (o *queryObs) hop(kind core.HopKind, from, to kautz.Str, depth, remaining int) {
-	if o.dq != nil {
-		o.dq.Note(kind, from, to, depth, remaining)
-	}
-	if o.sink != nil && kind != core.HopScan {
-		o.sink(Hop{From: string(from), To: string(to), Depth: depth, Remaining: remaining})
-	}
-}
-
-// shortcutMiss notes that the query descended although issuer-side routing
-// state — the route cache, a session's tiles — was there to consult.
-func (o *queryObs) shortcutMiss() {
-	if o != nil && o.dq != nil {
-		o.dq.MarkShortcutMiss()
-	}
-}
-
-// finish closes the observer with the query's outcome: res and the delay
-// bound noteQuery judged it against, or err.
-func (o *queryObs) finish(res *Result, bound float64, err error) {
-	if o == nil || o.dq == nil {
-		return
-	}
-	var (
-		stats  Stats
-		cursor string
-	)
-	if err == nil {
-		stats, cursor = res.Stats, res.NextOffsetID
-	}
-	o.dq.Finish(stats, bound, cursor, err)
 }
 
 // MetricValues returns a snapshot of every monotonic metric the network

@@ -72,8 +72,8 @@ var presets = []Scenario{
 		// queries route in one direct hop per destination instead of a
 		// ~log N descent (shortcut.hit_rate near 1, hops mean ≤ 2). The
 		// 512-entry cache comfortably learns the whole 500-peer ownership
-		// map. Rerun with -no-shortcut for the descent baseline — results
-		// are byte-identical, only hops and messages move.
+		// map. Rerun with -shortcut-table 0 for the descent baseline —
+		// results are byte-identical, only hops and messages move.
 		Name:          "warm-keys",
 		Peers:         500,
 		Preload:       3000,
@@ -92,8 +92,8 @@ var presets = []Scenario{
 		// byte-identical regions (dashboards, result pages); paged walks
 		// run through sessions (descents_saved ≈ pages − 1 per walk), and
 		// regions whose owners are learned seed even page 1 from the cache
-		// (shortcut_hits, shortcut.hit_rate). Rerun with -no-shortcut to
-		// drop the cache and leave the sessions' own savings.
+		// (shortcut_hits, shortcut.hit_rate). Rerun with -shortcut-table 0
+		// to drop the cache and leave the sessions' own savings.
 		Name:          "scan-heavy",
 		Peers:         500,
 		Preload:       4000,
