@@ -1,10 +1,12 @@
 package armada
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -72,6 +74,68 @@ func TestRangeExactAtRoundedBoundaries(t *testing.T) {
 	}
 }
 
+// TestRangeBeyondTheSpace holds every read of a range — Do, top-k, the
+// flood, Stream and a Session's pages — to the objects whose own values lie
+// in the box, where values and bounds lie beyond the attribute space, at one
+// attribute and at two. The hash clamps a value for its rank alone, so an
+// object published at 5000 in [0, 1000] shares its leaf with one at 1000, and
+// only the caller's bounds tell them apart: a box clamped to the space
+// returned the object at 1000 for [2000, 3000] and [4000, 6000] and lost the
+// one at 5000 from both [4000, 6000] and [900, 6000].
+func TestRangeBeyondTheSpace(t *testing.T) {
+	ctx := context.Background()
+	for _, m := range []int{1, 2} {
+		net, err := NewNetwork(64, WithSeed(54), WithAttributes([]AttributeSpace{{Low: 0, High: 1000}, {Low: 0, High: 100}}[:m]...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs := []admissionCase{{name: "edge", vals: []float64{1000, 50}[:m]}, {name: "x", vals: []float64{5000, 50}[:m]}}
+		for i, o := range objs {
+			if err := net.Publish(o.name, o.vals...); err != nil {
+				t.Fatal(err)
+			}
+			id, _ := net.tree.Hash(o.vals...)
+			objs[i].id = string(id)
+		}
+		for _, box := range [][2]float64{{2000, 3000}, {4000, 6000}, {900, 6000}} {
+			lo, hi := []float64{box[0], 0}[:m], []float64{box[1], 100}[:m]
+			ranges := make([]Range, m)
+			for a := range ranges {
+				ranges[a] = Range{Low: lo[a], High: hi[a]}
+			}
+			want := bruteRange(objs, lo, hi)
+			what := fmt.Sprintf("m=%d box %v", m, ranges)
+			do := func(q Query) []Object {
+				res, err := net.Do(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Objects
+			}
+			sameObjects(t, what+": Do", do(NewRange(ranges)), want)
+			sameObjects(t, what+": flood", do(NewRange(ranges, WithFlood())), want)
+			var streamed []Object
+			for o, err := range net.Stream(ctx, NewRange(ranges)) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamed = append(streamed, o)
+			}
+			sameObjects(t, what+": Stream", streamed, want)
+			sess, err := net.OpenSession(NewRange(ranges), WithLimit(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			paged, _ := sessionWalk(t, sess)
+			sameObjects(t, what+": Session", paged, want)
+			top := slices.Clone(want) // first attribute descending
+			slices.SortStableFunc(top, func(a, b admissionCase) int { return cmp.Compare(b.vals[0], a.vals[0]) })
+			sameObjects(t, what+": top-k", do(NewRange(ranges, WithTopK(10))), top)
+		}
+		net.Close()
+	}
+}
+
 // exactSpaces are the attribute spaces FuzzRangeExact draws from: the
 // rounded-third repros, the bench's, one straddling zero, a subnormal one, one
 // a few ulps wide and the widest a tree accepts.
@@ -84,7 +148,8 @@ var exactSpaces = []AttributeSpace{
 // its ends, ±0 and the smallest subnormals where they lie inside, the rounded
 // thirds, random leaf boundaries at random depths (as a fraction of the width
 // and as repeated midpoints), and extra — each of those with the values up to
-// four ulps either side.
+// four ulps either side, inside the space but for extra's, which may lie
+// beyond it (the hash clamps them) if they are finite.
 func edgeValues(s AttributeSpace, rng *rand.Rand, extra []float64) []float64 {
 	w := s.High - s.Low
 	base := []float64{s.Low, s.High, 0, math.Copysign(0, -1), 5e-324, -5e-324, s.Low + w/3, s.Low + 2*(w/3), s.High - w/3}
@@ -102,11 +167,11 @@ func edgeValues(s AttributeSpace, rng *rand.Rand, extra []float64) []float64 {
 		base = append(base, lo)
 	}
 	var out []float64
-	for _, b := range append(base, extra...) {
+	for i, b := range append(base, extra...) {
 		for _, dir := range []float64{math.Inf(-1), math.Inf(1)} {
 			v := b
 			for range 5 {
-				if v >= s.Low && v <= s.High {
+				if v >= s.Low && v <= s.High || i >= len(base) && !math.IsNaN(v) && !math.IsInf(v, 0) {
 					out = append(out, v)
 				}
 				v = math.Nextafter(v, dir)
@@ -118,9 +183,10 @@ func edgeValues(s AttributeSpace, rng *rand.Rand, extra []float64) []float64 {
 
 // FuzzRangeExact holds every way a range result is read — Do, Stream and a
 // Session's pages — to a flat oracle, the box tested against every published
-// object (bruteRange), object for object in order, at the float edges of the partition: objects and box corners at
-// rounded thirds, leaf boundaries ± 4 ulps, subnormals, ±0 and the space
-// ends, with corners equal to object values. It covers one to three
+// object (bruteRange), object for object in order, at the float edges of the
+// partition: objects and box corners at rounded thirds, leaf boundaries ± 4
+// ulps, subnormals, ±0 and the space ends, objects and corners beyond the
+// space, with corners equal to object values. It covers one to three
 // attributes over the spaces above, on 3, 16 and 64 peers, with no route
 // cache and with a warmed one, which seeds every query it can.
 func FuzzRangeExact(f *testing.F) {
@@ -131,6 +197,8 @@ func FuzzRangeExact(f *testing.F) {
 	f.Add(uint8(2), uint8(4), uint8(1), uint64(5), 0.0, -1e-310, 1.0)
 	f.Add(uint8(2), uint8(5), uint8(0), uint64(6), 1e-310, 1+0x1p-52, 0.0)
 	f.Add(uint8(1), uint8(6), uint8(2), uint64(7), 1+0x1p-51, 1e307, 0.0)
+	f.Add(uint8(0), uint8(2), uint8(2), uint64(8), 5000.0, -1.0, 1000.0)
+	f.Add(uint8(1), uint8(2), uint8(1), uint64(9), 5000.0, 150.0, -20.0)
 	f.Fuzz(func(t *testing.T, mRaw, first, peersRaw uint8, pick uint64, x0, x1, x2 float64) {
 		m := 1 + int(mRaw)%3
 		peers := []int{3, 16, 64}[peersRaw%3]
@@ -154,7 +222,7 @@ func FuzzRangeExact(f *testing.F) {
 			lo, hi := make([]float64, m), make([]float64, m)
 			for a, s := range spaces {
 				u := vals[rng.Intn(len(vals))][a]
-				r := [][2]float64{{s.Low, v[a]}, {v[a], s.High}, {v[a], v[a]}, {min(v[a], u), max(v[a], u)}, {s.Low, s.High}}[rng.Intn(5)]
+				r := [][2]float64{{min(s.Low, v[a]), max(s.Low, v[a])}, {min(v[a], s.High), max(v[a], s.High)}, {v[a], v[a]}, {min(v[a], u), max(v[a], u)}, {s.Low, s.High}}[rng.Intn(5)]
 				lo[a], hi[a] = r[0], r[1]
 			}
 			boxes = append(boxes, [2][]float64{lo, hi})

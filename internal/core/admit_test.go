@@ -169,8 +169,8 @@ func TestMIRASingleRunPage(t *testing.T) {
 
 // TestMIRAPageAllocs: a MIRA page visits each serving store once and
 // allocates its result once — the matches and their values, each at exactly
-// the admitted size — besides the query's box and its destinations; a pass
-// that sizes the page before the admission costs a page more.
+// the admitted size — besides its destinations (its box lives in the pooled
+// state); a pass that sizes the page before the admission costs a page more.
 func TestMIRAPageAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled states under the race detector")
@@ -190,8 +190,8 @@ func TestMIRAPageAllocs(t *testing.T) {
 			}
 		}))
 	}
-	if least > 4 {
-		t.Fatalf("a MIRA range over %d runs allocates %.0f times, want 4: box, matches, values, destinations", res.Stats.Deliveries, least)
+	if least > 3 {
+		t.Fatalf("a MIRA range over %d runs allocates %.0f times, want 3: matches, values, destinations", res.Stats.Deliveries, least)
 	}
 }
 
@@ -207,14 +207,7 @@ func TestWideMIRAPageKeepsItsBuffer(t *testing.T) {
 	w := buildGoldenWorld(t, 2, 1, 20, 30000, 41)
 	ctx, eng, lo, hi := context.Background(), w.eng, []float64{0, 30}, []float64{1000, 50}
 	issuer := eng.Network().PeerIDAt(3)
-	q, err := eng.prepare(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _, err := eng.locate(ctx, issuer, q.corners, &q, QueryConfig{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := locateRange(t, eng, issuer, lo, hi, QueryConfig{}, false)
 	out, _, _ := st.materialise(false)
 	buffered := len(st.recs)
 	st.finish()
@@ -229,8 +222,8 @@ func TestWideMIRAPageKeepsItsBuffer(t *testing.T) {
 			}
 		}))
 	}
-	if least > 4 {
-		t.Fatalf("a second MIRA page of %d objects allocates %.0f times, want 4: box, matches, values, destinations", buffered, least)
+	if least > 3 {
+		t.Fatalf("a second MIRA page of %d objects allocates %.0f times, want 3: matches, values, destinations", buffered, least)
 	}
 }
 
@@ -246,14 +239,7 @@ func TestPooledBufferBound(t *testing.T) {
 		t.Fatal("a buffer of 16,385 records is kept")
 	}
 	eng, _ := buildSingle(t, 8000, 0, 5)
-	q, err := eng.prepare([]float64{0}, []float64{1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _, err := eng.locate(context.Background(), eng.Network().PeerIDAt(0), q.corners, &q, QueryConfig{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := locateRange(t, eng, eng.Network().PeerIDAt(0), []float64{0}, []float64{1000}, QueryConfig{}, true)
 	if size := uintptr(cap(st.queue)) * unsafe.Sizeof(msg{}); size <= maxPooled {
 		t.Fatalf("the flood queued %d messages (%d B), within the bound; the test needs more", len(st.queue), size)
 	}
@@ -263,14 +249,15 @@ func TestPooledBufferBound(t *testing.T) {
 	st.finish()
 }
 
-// TestReleaseDropsReferences: a released state keeps no record and no tile
-// in its pooled buffers, so the pool pins neither results nor departed peers.
+// TestReleaseDropsReferences: a released state keeps no record, no tile and
+// no top-k candidate in its pooled buffers, so the pool pins neither results
+// nor departed peers.
 func TestReleaseDropsReferences(t *testing.T) {
-	st := &queryState{recs: []string{"rec"}, tiles: []Tile{{Slot: 1, ID: "01"}}}
-	recs, tiles := st.recs, st.tiles
+	st := &queryState{recs: []string{"rec"}, tiles: []Tile{{Slot: 1, ID: "01"}}, top: selection{kept: []candidate{{rec: "rec"}}}}
+	recs, tiles, kept := st.recs, st.tiles, st.top.kept
 	st.release()
-	if recs[0] != "" || tiles[0] != (Tile{}) {
-		t.Fatalf("released state still references %q and %v", recs[0], tiles[0])
+	if recs[0] != "" || tiles[0] != (Tile{}) || kept[0] != (candidate{}) {
+		t.Fatalf("released state still references %q, %v and %v", recs[0], tiles[0], kept[0])
 	}
 }
 
@@ -303,17 +290,9 @@ func TestPageCutHoldsAgainstWrites(t *testing.T) {
 		// find plans the page of limit after each cursor in turn, from the
 		// first third of the objects on, until one plans as ok asks.
 		find := func(limit int, ok func(st *queryState, pg *page) bool) (kautz.Str, *queryState, *page) {
-			q, err := eng.prepare(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, m := range all[len(all)/3:] {
 				after := kautz.Str(m.ID)
-				span, _ := q.corners.Past(after)
-				st, _, err := eng.locate(ctx, issuer, span, &q, QueryConfig{Limit: limit, After: after}, false)
-				if err != nil {
-					t.Fatal(err)
-				}
+				st := locateRange(t, eng, issuer, lo, hi, QueryConfig{Limit: limit, After: after}, false)
 				pg := new(page)
 				st.scanRuns(pg, st.runs)
 				if ok(st, pg) {
@@ -397,10 +376,6 @@ func TestPagePlanCountsWhatItWrites(t *testing.T) {
 		for a := range hi {
 			hi[a] = goldenSpaces[a].High
 		}
-		q, err := eng.prepare(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
 		all, err := eng.RangeQueryWith(ctx, issuer, lo, hi, QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -409,11 +384,7 @@ func TestPagePlanCountsWhatItWrites(t *testing.T) {
 		for i := 0; i < len(all.Matches); i += 37 {
 			for _, limit := range []int{1, 2, 7, 60} {
 				after := kautz.Str(all.Matches[i].ID)
-				span, _ := q.corners.Past(after)
-				st, _, err := eng.locate(ctx, issuer, span, &q, QueryConfig{Limit: limit, After: after}, false)
-				if err != nil {
-					t.Fatal(err)
-				}
+				st := locateRange(t, eng, issuer, lo, hi, QueryConfig{Limit: limit, After: after}, false)
 				var pg page
 				st.scanRuns(&pg, st.runs)
 				planned, cutRun := pg.n, st.runs[len(st.ends)-1]
@@ -435,4 +406,25 @@ func TestPagePlanCountsWhatItWrites(t *testing.T) {
 			t.Fatalf("m=%d: %d pages cut in an inside run, %d in a boundary run; the test needs both", attrs, cuts[0], cuts[1])
 		}
 	}
+}
+
+// locateRange runs a range query's first phase — the flood's, when flood is
+// set — and returns the state holding its located runs, which the caller
+// materialises and finishes.
+func locateRange(t testing.TB, eng *Engine, issuer kautz.Str, lo, hi []float64, cfg QueryConfig, flood bool) *queryState {
+	t.Helper()
+	st := eng.newState(cfg, issuer)
+	st.flood = flood
+	if err := st.prepare(lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	span, ok := st.corners.Past(cfg.After)
+	if !ok {
+		t.Fatalf("nothing of [%v, %v] lies past %q", lo, hi, cfg.After)
+	}
+	if _, err := eng.locate(context.Background(), st, span); err != nil {
+		st.finish()
+		t.Fatal(err)
+	}
+	return st
 }

@@ -149,8 +149,8 @@ func (f TraceFunc) Hop(kind HopKind, from, to kautz.Str, depth, remaining int) {
 // DescribeMetrics). Updates are lock-free atomics folded in once per
 // query — from the Stats the query computed anyway, plus one add of the
 // query's processed-message count — so the per-hop path touches no shared
-// counter and allocates nothing (BenchmarkStep: 0 allocs/op; a lookup at
-// 1,000 peers: 4 allocations in all, pinned ≤ 5 by
+// counter and allocates nothing (BenchmarkStep: 0 allocs/op; a lookup of one
+// object at 1,000 peers: 2 allocations in all, pinned by
 // TestLookupAllocCeiling).
 type metrics struct {
 	// Descents counts queries that ran FRT descents; Seeded those that did
@@ -436,7 +436,8 @@ type queryState struct {
 	tree     *naming.Tree      // classifies objects and owners against the box
 	cfg      QueryConfig
 	issuer   kautz.Str
-	shape    // delivery filter; valid when hasBox
+	box      naming.Box // delivery filter, valid when hasBox: views bounds (see prepare)
+	corners  kautz.Span // the box's corners' ranks, ⟨LowT, HighT⟩ before any cursor
 	hasBox   bool
 	boxPrune bool // MIRA: forward only while the child's ranks may hold a point of box
 	flood    bool // ablation: forward to every out-neighbor (see FloodQuery)
@@ -456,6 +457,9 @@ type queryState struct {
 	recs          []string  // admit: the boundary runs' admitted records, in run order, until build
 	col           []float64 // admit: their rows, as wide as the box, one after another
 	tiles         []Tile    // close: the runs' distinct owners, ascending
+	bounds        []float64 // prepare: the box's bounds, lo then hi
+	room          *Room     // a lookup's: where build writes a page of one object
+	top           selection // top-k: the candidates kept, with their rows
 	replicaServed int       // deliveries served by a non-owner replica
 	redirectMsgs  int       // replica serves that cost a redirect message (descents only)
 	redirectDepth int       // deepest redirected delivery (owner depth + 1)
@@ -469,32 +473,27 @@ var statePool = sync.Pool{New: func() any { return new(queryState) }}
 // records stay for the next wide page.
 const maxPooled = 256 << 10
 
-// newState takes a state from the pool for one query. q, when non-nil,
-// filters deliveries and — on a multi-attribute tree — prunes the descent.
-// For a single attribute the region predicate already implies the box
-// predicate (naming's TestContainsPrefixImpliesIntersectsSingleAttr checks
-// it exhaustively), so the descent skips it.
-func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str, q *shape) *queryState {
+// newState takes a state from the pool for one query; a range query then
+// prepares its box in it.
+func (e *Engine) newState(cfg QueryConfig, issuer kautz.Str) *queryState {
 	st := statePool.Get().(*queryState)
 	st.net, st.tree, st.cfg, st.issuer, st.replicas = e.net, e.tree, cfg, issuer, e.net.Replicas() > 1
-	if q != nil {
-		st.shape, st.hasBox = *q, true
-		st.boxPrune = e.tree.Attrs() > 1
-	}
 	return st
 }
 
 // release returns the state to the pool, dropping every reference it holds
-// so a pooled state pins neither results nor departed peers: recs and tiles
-// are cleared; the queue, runs, ends and col hold none.
+// so a pooled state pins neither results nor departed peers: recs, tiles and
+// the top-k candidates are cleared; the other buffers hold none.
 func (st *queryState) release() {
 	*st = queryState{
-		queue: recycle(st.queue, false),
-		runs:  recycle(st.runs, false),
-		ends:  recycle(st.ends, false),
-		recs:  recycle(st.recs, true),
-		col:   recycle(st.col, false),
-		tiles: recycle(st.tiles, true),
+		queue:  recycle(st.queue, false),
+		runs:   recycle(st.runs, false),
+		ends:   recycle(st.ends, false),
+		recs:   recycle(st.recs, true),
+		col:    recycle(st.col, false),
+		tiles:  recycle(st.tiles, true),
+		bounds: recycle(st.bounds, false),
+		top:    selection{kept: recycle(st.top.kept, true), rows: recycle(st.top.rows, false), spare: recycle(st.top.spare, false)},
 	}
 	statePool.Put(st)
 }
@@ -529,51 +528,42 @@ func (e *Engine) RangeQueryWith(ctx context.Context, issuer kautz.Str, lo, hi []
 // rangeQuery runs a range query as the pruned descent or, for the flood
 // ablation (FloodQuery), as the unpruned one, which consults no Router.
 func (e *Engine) rangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []float64, cfg QueryConfig, flood, runs bool) (RangeResult, error) {
-	q, err := e.prepare(lo, hi)
-	if err != nil {
-		return RangeResult{}, err
-	}
-	span, ok := q.corners.Past(cfg.After)
-	if !ok {
-		return RangeResult{}, nil
-	}
 	if flood {
 		cfg.Routes = nil
 	}
-	st, stats, err := e.locate(ctx, issuer, span, &q, cfg, flood)
+	st := e.newState(cfg, issuer)
+	defer st.finish()
+	st.flood = flood
+	if err := st.prepare(lo, hi); err != nil {
+		return RangeResult{}, err
+	}
+	span, ok := st.corners.Past(cfg.After)
+	if !ok {
+		return RangeResult{}, nil
+	}
+	stats, err := e.locate(ctx, st, span)
 	if err != nil {
 		return RangeResult{}, err
 	}
-	defer st.finish()
 	res := RangeResult{Stats: stats, Destinations: st.destinations()}
 	res.Matches, res.Runs, res.Next = st.materialise(runs)
 	return res, nil
 }
 
-// shape is a range query's geometry, mapped from its bounds once: the box and
-// the ranks of its corners' ObjectIDs, ⟨LowT, HighT⟩ before any cursor, which
-// PIRA's admission also reads (see admits).
-type shape struct {
-	box     naming.Box
-	corners kautz.Span
-}
-
-// prepare maps range bounds onto their query geometry. Naming preserves the
-// (partial) order, so the corners of a valid box never invert.
-func (e *Engine) prepare(lo, hi []float64) (q shape, err error) {
-	if e.tree == nil {
-		return q, ErrNoTree
+// prepare maps a range query's bounds into the state's pooled storage: the
+// box, the bounds as the caller gave them (naming.Tree.AppendBox), and its
+// corners' ranks, which clamp (Corners) and never invert. The box filters
+// deliveries and, for MIRA, prunes the descent; for PIRA the region predicate
+// implies it (naming's TestContainsPrefixImpliesIntersectsSingleAttr).
+func (st *queryState) prepare(lo, hi []float64) (err error) {
+	if st.tree == nil {
+		return ErrNoTree
 	}
-	if q.box, err = e.tree.NewBox(lo, hi); err != nil {
-		return q, fmt.Errorf("core: range bounds: %w", err)
+	if st.box, st.bounds, err = st.tree.AppendBox(st.bounds[:0], lo, hi); err != nil {
+		return fmt.Errorf("core: range bounds: %w", err)
 	}
-	if q.corners.Lo, err = e.tree.HashRank(q.box.Lo...); err == nil {
-		q.corners.Hi, err = e.tree.HashRank(q.box.Hi...)
-	}
-	if err != nil {
-		return q, fmt.Errorf("core: range region: %w", err)
-	}
-	return q, nil
+	st.corners, st.hasBox, st.boxPrune = st.tree.Corners(st.box), true, st.tree.Attrs() > 1
+	return nil
 }
 
 // LookupResult is the outcome of an exact-match lookup.
@@ -591,21 +581,41 @@ func (e *Engine) Lookup(ctx context.Context, issuer kautz.Str, objectID kautz.St
 	if len(objectID) != e.net.K() || !kautz.Valid(objectID) {
 		return nil, fmt.Errorf("%w: %q", ErrBadObjectID, objectID)
 	}
-	return boxed(e.LookupWith(ctx, issuer, kautz.Rank(objectID), buildQueryConfig(opts)))
+	r := new(struct {
+		LookupResult
+		room Room
+	})
+	var err error
+	if r.LookupResult, err = e.LookupWith(ctx, issuer, kautz.Rank(objectID), buildQueryConfig(opts), &r.room); err != nil {
+		return nil, err
+	}
+	return &r.LookupResult, nil
+}
+
+// Room is where a lookup writes a result of one object with at most two
+// values, the common lookup's: a caller that allocates its result together
+// with a Room pays one allocation for it, not three. Any other result is
+// allocated as a range's.
+type Room struct {
+	page [1]Match
+	row  [2]float64
 }
 
 // LookupWith is Lookup for the ObjectID of rank key, with the configuration
 // given, and the result returned, by value; the owner is read off the one
-// located run. A lookup is never paged: Limit and After are ignored.
-func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, key uint64, cfg QueryConfig) (LookupResult, error) {
+// located run. A result of one object is written into room when it fits and
+// room is not nil. A lookup is never paged: Limit and After are ignored.
+func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, key uint64, cfg QueryConfig, room *Room) (LookupResult, error) {
 	if cfg.Limit = 0; key >= kautz.SpaceSize(e.net.K()) {
 		return LookupResult{}, fmt.Errorf("%w: rank %d", ErrBadObjectID, key)
 	}
-	st, stats, err := e.locate(ctx, issuer, kautz.Span{Lo: key, Hi: key}, nil, cfg, false)
+	st := e.newState(cfg, issuer)
+	defer st.finish()
+	st.room = room
+	stats, err := e.locate(ctx, st, kautz.Span{Lo: key, Hi: key})
 	if err != nil {
 		return LookupResult{}, err
 	}
-	defer st.finish()
 	res := LookupResult{Stats: stats}
 	if len(st.runs) > 0 {
 		res.Owner = e.net.IDAt(st.runs[0].owner)
@@ -614,28 +624,26 @@ func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, key uint64, c
 	return res, nil
 }
 
-// locate runs a query's first phase from the issuer over the ranks of span,
-// additionally filtering (and, for MIRA, pruning) with the query's shape when
-// q is non-nil, and returns the state holding the ordered located runs with
-// the query's cost metrics; the caller materialises what it returns from
-// them, then calls finish. flood disables the pruning.
-func (e *Engine) locate(ctx context.Context, issuer kautz.Str, span kautz.Span, q *shape, cfg QueryConfig, flood bool) (*queryState, Stats, error) {
-	from, ok := e.net.Slot(issuer)
+// locate runs a query's first phase from its issuer over the ranks of span,
+// additionally filtering (and, for MIRA, pruning) with the box the state
+// prepared, if any, and returns the query's cost metrics, the state then
+// holding the ordered located runs; the caller materialises what it returns
+// from them. Either way the caller then calls finish.
+func (e *Engine) locate(ctx context.Context, st *queryState, span kautz.Span) (Stats, error) {
+	from, ok := e.net.Slot(st.issuer)
 	if !ok {
-		return nil, Stats{}, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
+		return Stats{}, fmt.Errorf("%w: %q", ErrNoSuchPeer, st.issuer)
 	}
-	st := e.newState(cfg, issuer, q)
-	st.flood = flood
 	subregions, err := e.route(ctx, st, from, span)
 	if err != nil {
-		st.release()
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
-	return st, e.close(st, subregions), nil
+	return e.close(st, subregions), nil
 }
 
-// finish closes a located query once its result is built: a descent teaches
-// the Router the owners it delivered to; the state returns to the pool.
+// finish closes a query once its result is built: a descent teaches the
+// Router the owners it delivered to (none, unless it located); the state
+// returns to the pool.
 func (st *queryState) finish() {
 	if st.cfg.Routes != nil && !st.seeded {
 		st.cfg.Routes.Learn(st.tiles)

@@ -11,7 +11,7 @@ const RaceEnabled = raceEnabled
 // package core_test, which may import the cache; this package's own tests
 // cannot.
 func (e *Engine) SeedOnly(r Router, span kautz.Span) (dests int, ok bool) {
-	st := e.newState(QueryConfig{Routes: r}, "", nil)
+	st := e.newState(QueryConfig{Routes: r}, "")
 	defer st.release()
 	ok = e.seed(st, span)
 	return len(st.queue), ok

@@ -33,48 +33,49 @@ type TopKResult struct {
 // collected from regions that can only hold larger values than those
 // remaining; the delay bound is PIRA's. Cancelling ctx aborts the descent.
 func (e *Engine) TopK(ctx context.Context, issuer kautz.Str, lo, hi []float64, k int, opts ...QueryOption) (*TopKResult, error) {
-	return e.TopKWith(ctx, issuer, lo, hi, k, buildQueryConfig(opts))
+	return boxed(e.TopKWith(ctx, issuer, lo, hi, k, buildQueryConfig(opts)))
 }
 
-// TopKWith is TopK with the configuration given by value.
-func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, k int, cfg QueryConfig) (*TopKResult, error) {
+// TopKWith is TopK with the configuration given, and the result returned, by
+// value. The selection works in the pooled state's buffers, so a top-k
+// allocates only the objects and the values it returns.
+func (e *Engine) TopKWith(ctx context.Context, issuer kautz.Str, lo, hi []float64, k int, cfg QueryConfig) (TopKResult, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("core: top-k needs k ≥ 1, got %d", k)
+		return TopKResult{}, fmt.Errorf("core: top-k needs k ≥ 1, got %d", k)
 	}
 	if cfg.Limit > 0 || cfg.After != "" {
-		return nil, fmt.Errorf("core: top-k does not paginate; its result cap is k")
+		return TopKResult{}, fmt.Errorf("core: top-k does not paginate; its result cap is k")
 	}
-	q, err := e.prepare(lo, hi)
-	if err != nil {
-		return nil, err
+	st := e.newState(cfg, issuer)
+	defer st.release()
+	if err := st.prepare(lo, hi); err != nil {
+		return TopKResult{}, err
 	}
 	from, ok := e.net.Slot(issuer)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
+		return TopKResult{}, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
-
-	st := e.newState(cfg, issuer, &q)
-	defer st.release()
 	// Process subregions from the high end, one drained queue at a time:
 	// once a subregion yields k matches, lower subregions cannot contribute
 	// to the top k (the naming is order-preserving, so higher regions hold
 	// higher values). Delays take the maximum and message counts add, as
 	// for subqueries run in parallel.
 	var buf [3]kautz.Span
-	parts := q.corners.AppendSplitByFirstSymbol(e.net.K(), buf[:0])
-	top := selection{k: k, m: len(q.box.Lo), idLen: e.net.K()}
-	st.span = q.corners
+	parts := st.corners.AppendSplitByFirstSymbol(e.net.K(), buf[:0])
+	n, m := min(2*k, 256), len(st.box.Lo) // the selection's buffers whole, unless k is huge
+	st.top = selection{k: k, m: m, idLen: e.net.K(), kept: slices.Grow(st.top.kept, n), rows: slices.Grow(st.top.rows, n*m), spare: st.top.spare}
+	st.span = st.corners
 	ran, found, scanned := 0, 0, 0
 	for i := len(parts) - 1; i >= 0 && found < k; i-- {
 		e.enter(st, from, parts[i])
 		if err := e.pump(ctx, st); err != nil {
-			return nil, err
+			return TopKResult{}, err
 		}
 		ran++
-		found += st.selectTop(st.runs[scanned:], &top)
+		found += st.selectTop(st.runs[scanned:], &st.top)
 		scanned = len(st.runs)
 	}
-	return &TopKResult{Matches: top.matches(), Stats: e.close(st, ran)}, nil
+	return TopKResult{Matches: st.top.matches(), Stats: e.close(st, ran)}, nil
 }
 
 // candidate is one object a top-k selection holds on to while the scan goes
@@ -102,7 +103,8 @@ func (a *candidate) compare(b *candidate, idLen int) int {
 // selection is a k-bounded top-k: it keeps at most 2k candidates, and each
 // time it fills up it sorts them, keeps the best k and raises the bar to
 // the k-th — so an offer costs one comparison when it loses to the bar and
-// O(log k) amortised when it is kept, however many objects are offered.
+// O(log k) amortised when it is kept, however many objects are offered. Its
+// buffers are the pooled query state's.
 type selection struct {
 	k, m, idLen int // m values a row: every candidate passed the box; idLen the ObjectID length
 	kept        []candidate
@@ -123,10 +125,6 @@ func (s *selection) offer(run *fissione.Run, i int, row []float64) {
 	c := candidate{rec: run.Rec(i), v0: row[0], row: len(s.kept)}
 	if s.full && c.compare(&s.bar, s.idLen) >= 0 {
 		return
-	}
-	if s.kept == nil { // both buffers whole, unless k is huge
-		n := min(2*s.k, 256)
-		s.kept, s.rows = make([]candidate, 0, n), make([]float64, 0, n*s.m)
 	}
 	s.rows = append(s.rows, row...)
 	if s.kept = append(s.kept, c); len(s.kept) >= 2*s.k {

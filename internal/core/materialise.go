@@ -170,17 +170,23 @@ func (st *queryState) admit(pg *page, run fissione.Run) {
 	pg.n, pg.cells = n, pg.cells+len(st.col)-cols
 }
 
-// build writes the page the walk planned, allocated once at its size, from
-// the walked runs st.runs[:len(st.ends)] in order: a whole run re-read under
-// its store's lock and copied as one block, a boundary run copied from the
-// buffer; ends becomes the page's length after each run, whose scan is then
-// complete (HopScan). Writes landing between the walk and a re-read change
-// only what is written: a paged run holds at most the room the page has left,
-// extended through the ObjectID it ends on, and a further object ends the
-// page there with more set. A page whose length then differs from the plan
-// is clipped, an outgrown value array reallocated by append.
+// build writes the page the walk planned, allocated once at its size — or,
+// one object whose row fits, into a lookup's room — from the walked runs
+// st.runs[:len(st.ends)] in order: a whole run re-read under its store's lock
+// and copied as one block, a boundary run copied from the buffer; ends
+// becomes the page's length after each run, whose scan is then complete
+// (HopScan). Writes landing between the walk and a re-read change only what
+// is written: a paged run holds at most the room the page has left, extended
+// through the ObjectID it ends on, and a further object ends the page there
+// with more set. A page whose length then differs from the plan is clipped,
+// an outgrown page or value array reallocated by append.
 func (st *queryState) build(pg *page) {
-	out, vals := make([]Match, 0, pg.n), make([]float64, 0, pg.cells)
+	out, vals := []Match(nil), []float64(nil)
+	if r := st.room; r != nil && pg.n == 1 && pg.cells <= len(r.row) {
+		out, vals = r.page[:0], r.row[:0]
+	} else {
+		out, vals = make([]Match, 0, pg.n), make([]float64, 0, pg.cells)
+	}
 	from, w, limit := 0, len(st.box.Lo), st.cfg.Limit
 	for i, end := range st.ends {
 		r, room, cut := &st.runs[i], math.MaxInt, false

@@ -7,11 +7,11 @@ import (
 	"armada/internal/kautz"
 )
 
-// Walk is what one paged range walk keeps between its pages: the query's
-// geometry, mapped from its bounds once, and the owners its last locate
-// delivered to that are not yet wholly behind the cursor. The zero value is a
-// walk about to run its first page; a Walk belongs to one engine and one
-// caller at a time.
+// Walk is what one paged range walk keeps between its pages: the owners its
+// last locate delivered to that are not yet wholly behind the cursor. Each
+// page maps the walk's bounds into its own pooled state, as any range query
+// does, so a walk holds no box of its own. The zero value is a walk about to
+// run its first page; a Walk belongs to one engine and one caller at a time.
 //
 // A page is positional. It validates the tile under the cursor by identity
 // (see Tile), sends that owner alone one direct message, scans it from the
@@ -24,12 +24,11 @@ import (
 // correct against concurrent writes. Only a failed validation re-locates the
 // remainder past the cursor, which refills the tiles.
 type Walk struct {
-	q     shape
 	tiles []Tile // ascending, the first may hold the cursor; nil until a page has located
 }
 
-// WalkPage runs the walk's next page — the range [lo, hi] (read until a page
-// has located) after cfg.After, at most cfg.Limit matches — and reports
+// WalkPage runs the walk's next page — the range [lo, hi], the same on every
+// page, after cfg.After, at most cfg.Limit matches — and reports
 // whether it located: the walk's first page, and one that met a stale tile
 // (stale), are ordinary range queries over the remainder, Router and all. A
 // positional page consults no routing state, and its Stats and Destinations
@@ -41,19 +40,17 @@ func (e *Engine) WalkPage(ctx context.Context, w *Walk, issuer kautz.Str, lo, hi
 	if !ok {
 		return res, false, false, fmt.Errorf("%w: %q", ErrNoSuchPeer, issuer)
 	}
-	first := w.tiles == nil
-	if first {
-		if w.q, err = e.prepare(lo, hi); err != nil {
-			return res, false, false, err
-		}
+	st := e.newState(cfg, issuer)
+	if err = st.prepare(lo, hi); err != nil {
+		st.release()
+		return res, false, false, err
 	}
-	tiles := w.tiles
+	first, tiles := w.tiles == nil, w.tiles
 	for len(tiles) > 0 && tiles[0].ID < cfg.After && !cfg.After.HasPrefix(tiles[0].ID) {
 		tiles = tiles[1:] // wholly behind the cursor
 	}
-	st := e.newState(cfg, issuer, &w.q)
 	st.seeded = true // until a descent runs
-	st.span, _ = w.q.corners.Past(cfg.After)
+	st.span, _ = st.corners.Past(cfg.After)
 
 	var pg page
 	for i := 0; !pg.more && i < len(tiles); i++ {
@@ -70,7 +67,7 @@ func (e *Engine) WalkPage(ctx context.Context, w *Walk, issuer kautz.Str, lo, hi
 
 	subregions := 0
 	if (first || stale) && err == nil {
-		span, ok := w.q.corners.Past(cfg.After) // the remainder lies past the cursor and the owners the page walked
+		span, ok := st.corners.Past(cfg.After) // the remainder lies past the cursor and the owners the page walked
 		if n := len(st.runs); n > 0 {
 			_, top := e.net.RanksAt(st.runs[n-1].owner)
 			span.Lo, ok = max(span.Lo, top+1), ok && top < span.Hi

@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"armada/internal/kautz"
 )
@@ -162,18 +163,25 @@ func (t *Tree) HashRank(values ...float64) (uint64, error) {
 	if len(values) != len(t.attrs) {
 		return 0, fmt.Errorf("%w: got %d, want %d", ErrArity, len(values), len(t.attrs))
 	}
-	m := uint(len(t.attrs))
-	var rank uint64
-	for i := range t.attrs {
-		a, s, v := &t.attrs[i], t.spaces[i], values[i]
+	for i, v := range values {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return 0, fmt.Errorf("%w: attribute %d: %v", ErrNotFinite, i, v)
 		}
-		v = math.Min(math.Max(v, s.Low), s.High)
+	}
+	return t.rank(values), nil
+}
+
+// rank is HashRank for values of the tree's arity, none NaN; it clamps ±Inf.
+func (t *Tree) rank(values []float64) uint64 {
+	m := uint(len(t.attrs))
+	var rank uint64
+	for i := range t.attrs {
+		a, s := &t.attrs[i], t.spaces[i]
+		v := math.Min(math.Max(values[i], s.Low), s.High)
 		leaf := min(uint64((v-s.Low)*a.pre*a.scale), a.top-1)
 		rank |= spread(leaf&(1<<a.n-1), m)<<a.shift | leaf>>a.n<<(t.k-1)
 	}
-	return rank, nil
+	return rank
 }
 
 // HashInto is Hash into the caller's array: it writes the ObjectID to
@@ -259,32 +267,45 @@ func (t *Tree) Classify(block, corners kautz.Span) Class {
 }
 
 // Box is an axis-aligned multi-attribute range query
-// ⟨[Lo[0],Hi[0]], ..., [Lo[m-1],Hi[m-1]]⟩.
+// ⟨[Lo[0],Hi[0]], ..., [Lo[m-1],Hi[m-1]]⟩. Its bounds are the caller's, never
+// clamped: the hash clamps a value published outside its space for its rank
+// alone, so an object lies in a box by its own values. Corners clamp.
 type Box struct {
 	Lo []float64
 	Hi []float64
 }
 
-// NewBox validates the query bounds against the tree's arity and spaces
-// (bounds are clamped to each attribute space).
+// NewBox validates the query bounds against the tree's arity and copies them
+// into a box of their own (AppendBox onto nothing).
 func (t *Tree) NewBox(lo, hi []float64) (Box, error) {
+	b, _, err := t.AppendBox(nil, lo, hi)
+	return b, err
+}
+
+// AppendBox validates the query bounds — one a side per attribute, none NaN,
+// no low above its high — and appends them, lo then hi, to buf, returning the
+// box over them and the grown buffer (on an error, buf as it was).
+func (t *Tree) AppendBox(buf, lo, hi []float64) (Box, []float64, error) {
 	if len(lo) != len(t.spaces) || len(hi) != len(t.spaces) {
-		return Box{}, fmt.Errorf("%w: got %d/%d bounds, want %d", ErrArity, len(lo), len(hi), len(t.spaces))
+		return Box{}, buf, fmt.Errorf("%w: got %d/%d bounds, want %d", ErrArity, len(lo), len(hi), len(t.spaces))
 	}
-	m := len(lo)
-	buf := make([]float64, 2*m) // one backing array for both bounds
-	b := Box{Lo: buf[:m:m], Hi: buf[m:]}
 	for i := range lo {
 		if math.IsNaN(lo[i]) || math.IsNaN(hi[i]) {
-			return Box{}, fmt.Errorf("%w: attribute %d", ErrNotFinite, i)
+			return Box{}, buf, fmt.Errorf("%w: attribute %d", ErrNotFinite, i)
 		}
 		if lo[i] > hi[i] {
-			return Box{}, fmt.Errorf("naming: attribute %d: query low %v above high %v", i, lo[i], hi[i])
+			return Box{}, buf, fmt.Errorf("naming: attribute %d: query low %v above high %v", i, lo[i], hi[i])
 		}
-		b.Lo[i] = math.Min(math.Max(lo[i], t.spaces[i].Low), t.spaces[i].High)
-		b.Hi[i] = math.Min(math.Max(hi[i], t.spaces[i].Low), t.spaces[i].High)
 	}
-	return b, nil
+	n, m := len(buf), len(lo)
+	buf = append(append(slices.Grow(buf, 2*m), lo...), hi...)
+	return Box{Lo: buf[n : n+m : n+m], Hi: buf[n+m:]}, buf, nil
+}
+
+// Corners returns the ranks of a valid box's corners, HashRank of Lo and of
+// Hi, each bound — an infinite one too — clamped to its space for the rank.
+func (t *Tree) Corners(b Box) kautz.Span {
+	return kautz.Span{Lo: t.rank(b.Lo), Hi: t.rank(b.Hi)}
 }
 
 // Contains reports whether the m-attribute point v lies in the box.
@@ -298,22 +319,15 @@ func (b Box) Contains(v []float64) bool {
 }
 
 // IntersectsPrefix is MayHold for the partition tree node labelled prefix
-// (any Kautz string of length ≤ k; the empty one is the root) and a box: the
-// string-keyed entrance to the pruning predicate, which allocates nothing.
+// (any Kautz string of length ≤ k; the empty one is the root) and a valid box
+// (NewBox): the string-keyed entrance to the pruning predicate, which
+// allocates nothing.
 func (t *Tree) IntersectsPrefix(prefix kautz.Str, b Box) (bool, error) {
 	if len(prefix) > t.k || !kautz.Valid(prefix) {
 		return false, fmt.Errorf("naming: %q is not a partition tree node at k=%d", prefix, t.k)
 	}
-	var c kautz.Span
-	var err error
-	if c.Lo, err = t.HashRank(b.Lo...); err == nil {
-		c.Hi, err = t.HashRank(b.Hi...)
-	}
-	if err != nil {
-		return false, err
-	}
 	lo, hi := kautz.PrefixRanks(prefix, t.k)
-	return t.MayHold(kautz.Span{Lo: lo, Hi: hi}, c), nil
+	return t.MayHold(kautz.Span{Lo: lo, Hi: hi}, t.Corners(b)), nil
 }
 
 // QueryRegion maps a range query to the Kautz region ⟨LowT, HighT⟩ where

@@ -455,13 +455,16 @@ func TestNewBoxValidation(t *testing.T) {
 	if _, err := tree.NewBox([]float64{0.1, 0.2}, []float64{0.3, 0.4}); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	// Clamping out-of-space bounds.
+	// Out-of-space bounds are kept as given; only the corners' ranks clamp.
 	b, err := tree.NewBox([]float64{-5}, []float64{7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Lo[0] != 0 || b.Hi[0] != 1 {
-		t.Errorf("clamped box = %+v", b)
+	if b.Lo[0] != -5 || b.Hi[0] != 7 {
+		t.Errorf("box = %+v, want the bounds as given", b)
+	}
+	if c, lo, hi := tree.Corners(b), kautz.Rank("0101"), kautz.Rank("2121"); c.Lo != lo || c.Hi != hi {
+		t.Errorf("corners = %v, want the space's ends' ranks [%d, %d]", c, lo, hi)
 	}
 }
 

@@ -82,8 +82,8 @@ func FuzzIntersectsPrefix(f *testing.F) {
 		if gotErr != nil {
 			return
 		}
-		cLo, _ := tree.HashRank(box.Lo...)
-		cHi, _ := tree.HashRank(box.Hi...)
+		c := tree.Corners(box)
+		cLo, cHi := c.Lo, c.Hi
 		want := false
 		for r, last := kautz.PrefixRanks(p, k); r <= last && !want; r++ {
 			want = true

@@ -5,7 +5,10 @@ import (
 	"fmt"
 )
 
-// AttributeSpace is the value interval of one object attribute.
+// AttributeSpace is the value interval of one object attribute, which the
+// naming partitions. A value or a range bound beyond it is accepted: the hash
+// clamps a value into it for the ObjectID alone, and a range returns an
+// object by its own values.
 type AttributeSpace struct {
 	Low  float64
 	High float64
