@@ -495,17 +495,15 @@ func (n *Network) exec(ctx context.Context, q Query, issuer string, sess *Sessio
 		default:
 			return nil, fmt.Errorf("%w: lookup needs a name or attribute values", ErrBadQuery)
 		}
-		out := new(struct { // a one-object result is written into room: one allocation
-			Result
-			room core.Room
-		})
-		res, err := n.eng.LookupWith(ctx, kautz.Str(issuer), key, cfg, &out.room)
+		var r core.Roomed[Result] // a result of one object: one allocation
+		res, err := n.eng.LookupWith(ctx, kautz.Str(issuer), key, cfg, r.Room)
 		if err != nil {
 			return nil, wrapCoreErr(err)
 		}
-		out.Result = Result{Objects: res.Objects, Owner: string(res.Owner), Stats: res.Stats}
+		out := r.Result()
+		*out = Result{Objects: res.Objects, Owner: string(res.Owner), Stats: res.Stats}
 		n.routed(&out.Stats, false, n.routes != nil, tr)
-		return &out.Result, nil
+		return out, nil
 
 	case KindRange, KindFlood:
 		lo, hi, err := n.bounds(q.Ranges, boundsBuf[:])

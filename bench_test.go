@@ -572,29 +572,33 @@ func benchParallel(b *testing.B, net *armada.Network, ctx context.Context, issue
 	})
 }
 
-// A value lookup of one object allocates what its caller receives and
-// nothing else: its Result, allocated with room for the object and its row,
-// which the engine writes the object into — nothing for its ObjectID, which
-// it routes by rank, or for the cache. A cache-served lookup allocates no
-// more than the descent it replaces, and both once. (The networks hold each
-// value once: a lookup of two objects allocates their page and rows too.)
+// A value lookup allocates what its caller receives and nothing else —
+// nothing for its ObjectID, which it routes by rank, or for the cache. A
+// lookup of one object is one allocation: its Result, allocated with room for
+// the object and its row, which the engine writes the object into. A lookup
+// of two objects (a network holding each value twice) allocates its Result,
+// their page and their values. Either way a cache-served lookup allocates no
+// more than the descent it replaces.
 func TestCachedLookupAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled states under the race detector")
 	}
 	ctx := context.Background()
-	perLookup := func(net *armada.Network, hits int) float64 {
+	perLookup := func(net *armada.Network, hits, objects int) float64 {
 		defer net.Close()
 		q := armada.NewValueLookup([]float64{417}, armada.WithIssuer(net.PeerIDs()[3]))
 		return testing.AllocsPerRun(200, func() {
-			if res, err := net.Do(ctx, q); err != nil || res.Stats.ShortcutHits != hits || len(res.Objects) != 1 {
-				t.Fatalf("lookup: %+v, %v; want one object, ShortcutHits = %d", res, err, hits)
+			if res, err := net.Do(ctx, q); err != nil || res.Stats.ShortcutHits != hits || len(res.Objects) != objects {
+				t.Fatalf("lookup: %+v, %v; want %d objects, ShortcutHits = %d", res, err, objects, hits)
 			}
 		})
 	}
-	descent, cached := perLookup(buildAllocNet(t, 1000, 1000), 0), perLookup(buildCachedNet(t, 1000, 1000), 1)
-	if cached > descent || descent > 1 {
-		t.Fatalf("a cache-served lookup allocates %.1f times, a descent %.1f; ceiling is 1", cached, descent)
+	for _, c := range []struct{ objects, perValue, ceiling int }{{1000, 1, 1}, {2000, 2, 3}} {
+		descent := perLookup(buildAllocNet(t, 1000, c.objects), 0, c.perValue)
+		cached := perLookup(buildCachedNet(t, 1000, c.objects), 1, c.perValue)
+		if cached > descent || descent > float64(c.ceiling) {
+			t.Fatalf("a lookup of %d objects: cache-served allocates %.1f times, a descent %.1f; ceiling is %d", c.perValue, cached, descent, c.ceiling)
+		}
 	}
 }
 

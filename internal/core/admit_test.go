@@ -208,7 +208,7 @@ func TestWideMIRAPageKeepsItsBuffer(t *testing.T) {
 	ctx, eng, lo, hi := context.Background(), w.eng, []float64{0, 30}, []float64{1000, 50}
 	issuer := eng.Network().PeerIDAt(3)
 	st := locateRange(t, eng, issuer, lo, hi, QueryConfig{}, false)
-	out, _, _ := st.materialise(false)
+	out, _, _ := st.materialise(false, nil)
 	buffered := len(st.recs)
 	st.finish()
 	if buffered <= 4096 || buffered != len(out) {
@@ -304,7 +304,7 @@ func TestPageCutHoldsAgainstWrites(t *testing.T) {
 			return "", nil, nil
 		}
 		write := func(st *queryState, pg *page) ([]Match, kautz.Str) {
-			st.build(pg)
+			st.build(pg, nil)
 			out, next := st.result(pg)
 			st.finish()
 			return out, next
@@ -388,7 +388,7 @@ func TestPagePlanCountsWhatItWrites(t *testing.T) {
 				var pg page
 				st.scanRuns(&pg, st.runs)
 				planned, cutRun := pg.n, st.runs[len(st.ends)-1]
-				st.build(&pg)
+				st.build(&pg, nil)
 				if planned != len(pg.out) {
 					t.Fatalf("m=%d limit %d after %s: the walk counted %d objects, the page holds %d", attrs, limit, after, planned, len(pg.out))
 				}

@@ -150,7 +150,7 @@ func (f TraceFunc) Hop(kind HopKind, from, to kautz.Str, depth, remaining int) {
 // query — from the Stats the query computed anyway, plus one add of the
 // query's processed-message count — so the per-hop path touches no shared
 // counter and allocates nothing (BenchmarkStep: 0 allocs/op; a lookup of one
-// object at 1,000 peers: 2 allocations in all, pinned by
+// object at 1,000 peers: 1 allocation in all, pinned by
 // TestLookupAllocCeiling).
 type metrics struct {
 	// Descents counts queries that ran FRT descents; Seeded those that did
@@ -255,6 +255,9 @@ const ReadRoundRobin ReadPolicy = 0
 func WithReadPolicy(ReadPolicy) QueryOption { return func(*QueryConfig) {} }
 
 func buildQueryConfig(opts []QueryOption) QueryConfig {
+	if len(opts) == 0 { // the options see cfg's address: it escapes
+		return QueryConfig{}
+	}
 	var cfg QueryConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -458,7 +461,6 @@ type queryState struct {
 	col           []float64 // admit: their rows, as wide as the box, one after another
 	tiles         []Tile    // close: the runs' distinct owners, ascending
 	bounds        []float64 // prepare: the box's bounds, lo then hi
-	room          *Room     // a lookup's: where build writes a page of one object
 	top           selection // top-k: the candidates kept, with their rows
 	replicaServed int       // deliveries served by a non-owner replica
 	redirectMsgs  int       // replica serves that cost a redirect message (descents only)
@@ -546,20 +548,23 @@ func (e *Engine) rangeQuery(ctx context.Context, issuer kautz.Str, lo, hi []floa
 		return RangeResult{}, err
 	}
 	res := RangeResult{Stats: stats, Destinations: st.destinations()}
-	res.Matches, res.Runs, res.Next = st.materialise(runs)
+	res.Matches, res.Runs, res.Next = st.materialise(runs, nil)
 	return res, nil
 }
 
-// prepare maps a range query's bounds into the state's pooled storage: the
-// box, the bounds as the caller gave them (naming.Tree.AppendBox), and its
-// corners' ranks, which clamp (Corners) and never invert. The box filters
-// deliveries and, for MIRA, prunes the descent; for PIRA the region predicate
-// implies it (naming's TestContainsPrefixImpliesIntersectsSingleAttr).
+// prepare maps a range query's bounds into the state: the box over its own
+// copy of them, as given (naming.Tree.BoxOf) — over the caller's slices, the
+// pooled state would move them to the heap — and its corners' ranks, which
+// clamp (Corners) and never invert. The box filters deliveries and, for MIRA,
+// prunes the descent; for PIRA the region predicate implies it (naming's
+// TestContainsPrefixImpliesIntersectsSingleAttr).
 func (st *queryState) prepare(lo, hi []float64) (err error) {
 	if st.tree == nil {
 		return ErrNoTree
 	}
-	if st.box, st.bounds, err = st.tree.AppendBox(st.bounds[:0], lo, hi); err != nil {
+	m := len(lo)
+	st.bounds = append(append(st.bounds[:0], lo...), hi...)
+	if st.box, err = st.tree.BoxOf(st.bounds[:m:m], st.bounds[m:]); err != nil {
 		return fmt.Errorf("core: range bounds: %w", err)
 	}
 	st.corners, st.hasBox, st.boxPrune = st.tree.Corners(st.box), true, st.tree.Attrs() > 1
@@ -581,15 +586,14 @@ func (e *Engine) Lookup(ctx context.Context, issuer kautz.Str, objectID kautz.St
 	if len(objectID) != e.net.K() || !kautz.Valid(objectID) {
 		return nil, fmt.Errorf("%w: %q", ErrBadObjectID, objectID)
 	}
-	r := new(struct {
-		LookupResult
-		room Room
-	})
-	var err error
-	if r.LookupResult, err = e.LookupWith(ctx, issuer, kautz.Rank(objectID), buildQueryConfig(opts), &r.room); err != nil {
+	var r Roomed[LookupResult]
+	res, err := e.LookupWith(ctx, issuer, kautz.Rank(objectID), buildQueryConfig(opts), r.Room)
+	if err != nil {
 		return nil, err
 	}
-	return &r.LookupResult, nil
+	out := r.Result()
+	*out = res
+	return out, nil
 }
 
 // Room is where a lookup writes a result of one object with at most two
@@ -601,17 +605,37 @@ type Room struct {
 	row  [2]float64
 }
 
+// Roomed is where a lookup's caller allocates its result, a T: together with
+// a Room once LookupWith asks for one (Room), alone otherwise (Result).
+type Roomed[T any] struct{ one *withRoom[T] }
+
+type withRoom[T any] struct {
+	res  T
+	room Room
+}
+
+// Room allocates the result together with its room, and returns the room.
+func (r *Roomed[T]) Room() *Room { r.one = new(withRoom[T]); return &r.one.room }
+
+// Result returns the result allocated with the room, or a new one.
+func (r *Roomed[T]) Result() *T {
+	if r.one == nil {
+		return new(T)
+	}
+	return &r.one.res
+}
+
 // LookupWith is Lookup for the ObjectID of rank key, with the configuration
 // given, and the result returned, by value; the owner is read off the one
-// located run. A result of one object is written into room when it fits and
-// room is not nil. A lookup is never paged: Limit and After are ignored.
-func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, key uint64, cfg QueryConfig, room *Room) (LookupResult, error) {
+// located run. A result of one object whose row fits a Room is written into
+// the one room returns, which is called for it alone (room may be nil). A
+// lookup is never paged: Limit and After are ignored.
+func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, key uint64, cfg QueryConfig, room func() *Room) (LookupResult, error) {
 	if cfg.Limit = 0; key >= kautz.SpaceSize(e.net.K()) {
 		return LookupResult{}, fmt.Errorf("%w: rank %d", ErrBadObjectID, key)
 	}
 	st := e.newState(cfg, issuer)
 	defer st.finish()
-	st.room = room
 	stats, err := e.locate(ctx, st, kautz.Span{Lo: key, Hi: key})
 	if err != nil {
 		return LookupResult{}, err
@@ -620,7 +644,7 @@ func (e *Engine) LookupWith(ctx context.Context, issuer kautz.Str, key uint64, c
 	if len(st.runs) > 0 {
 		res.Owner = e.net.IDAt(st.runs[0].owner)
 	}
-	res.Objects, _, _ = st.materialise(false)
+	res.Objects, _, _ = st.materialise(false, room)
 	return res, nil
 }
 

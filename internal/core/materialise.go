@@ -171,7 +171,7 @@ func (st *queryState) admit(pg *page, run fissione.Run) {
 }
 
 // build writes the page the walk planned, allocated once at its size — or,
-// one object whose row fits, into a lookup's room — from the walked runs
+// one object whose row fits, into the lookup's room r — from the walked runs
 // st.runs[:len(st.ends)] in order: a whole run re-read under its store's lock
 // and copied as one block, a boundary run copied from the buffer; ends
 // becomes the page's length after each run, whose scan is then complete
@@ -180,9 +180,9 @@ func (st *queryState) admit(pg *page, run fissione.Run) {
 // through the ObjectID it ends on, and a further object ends the page there
 // with more set. A page whose length then differs from the plan is clipped,
 // an outgrown page or value array reallocated by append.
-func (st *queryState) build(pg *page) {
+func (st *queryState) build(pg *page, r *Room) {
 	out, vals := []Match(nil), []float64(nil)
-	if r := st.room; r != nil && pg.n == 1 && pg.cells <= len(r.row) {
+	if r != nil {
 		out, vals = r.page[:0], r.row[:0]
 	} else {
 		out, vals = make([]Match, 0, pg.n), make([]float64, 0, pg.cells)
@@ -291,11 +291,16 @@ func (st *queryState) result(pg *page) (out []Match, next kautz.Str) {
 // run of equal ObjectIDs, which never crosses a run boundary, so the
 // strictly-greater next cursor neither skips nor repeats an object — and
 // reads on only until the first further match proves there is a next page.
-// cuts, when asked for, is the result cut at the runs' boundaries.
-func (st *queryState) materialise(cut bool) (out []Match, cuts [][]Match, next kautz.Str) {
+// cuts, when asked for, is the result cut at the runs' boundaries. A lookup
+// of one object whose row fits a Room is written into the one room returns.
+func (st *queryState) materialise(cut bool, room func() *Room) (out []Match, cuts [][]Match, next kautz.Str) {
 	var pg page
 	st.scanRuns(&pg, st.runs)
-	st.build(&pg)
+	var r *Room
+	if room != nil && pg.n == 1 && pg.cells <= len(Room{}.row) {
+		r = room()
+	}
+	st.build(&pg, r)
 	out, next = st.result(&pg)
 	if cut && len(out) > 0 {
 		cuts = make([][]Match, 0, len(st.ends))

@@ -85,7 +85,7 @@ func (e *Engine) WalkPage(ctx context.Context, w *Walk, issuer kautz.Str, lo, hi
 		st.release() // failed, or nothing lies past the cursor
 		return RangeResult{}, false, false, err
 	}
-	st.build(&pg) // before close orders the runs: build reads them in walk order
+	st.build(&pg, nil) // before close orders the runs: build reads them in walk order
 	res = RangeResult{Stats: e.close(st, subregions), Destinations: st.destinations()}
 	res.Matches, res.Next = st.result(&pg)
 	if w.tiles = tiles; located {

@@ -47,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"armada/internal/kautz"
 )
@@ -160,28 +159,27 @@ func (t *Tree) Hash(values ...float64) (kautz.Str, error) {
 // never decreases as that attribute's value grows: this is what MayHold's
 // pruning rests on.
 func (t *Tree) HashRank(values ...float64) (uint64, error) {
+	return t.hashRank(values, true)
+}
+
+// hashRank is HashRank; a value that need not be finite may be infinite, and
+// clamps to its space's end like any other (Corners).
+func (t *Tree) hashRank(values []float64, finite bool) (uint64, error) {
 	if len(values) != len(t.attrs) {
 		return 0, fmt.Errorf("%w: got %d, want %d", ErrArity, len(values), len(t.attrs))
 	}
-	for i, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("%w: attribute %d: %v", ErrNotFinite, i, v)
-		}
-	}
-	return t.rank(values), nil
-}
-
-// rank is HashRank for values of the tree's arity, none NaN; it clamps ±Inf.
-func (t *Tree) rank(values []float64) uint64 {
 	m := uint(len(t.attrs))
 	var rank uint64
 	for i := range t.attrs {
-		a, s := &t.attrs[i], t.spaces[i]
-		v := math.Min(math.Max(values[i], s.Low), s.High)
+		a, s, v := &t.attrs[i], t.spaces[i], values[i]
+		if math.IsNaN(v) || finite && math.IsInf(v, 0) {
+			return 0, fmt.Errorf("%w: attribute %d: %v", ErrNotFinite, i, v)
+		}
+		v = math.Min(math.Max(v, s.Low), s.High)
 		leaf := min(uint64((v-s.Low)*a.pre*a.scale), a.top-1)
 		rank |= spread(leaf&(1<<a.n-1), m)<<a.shift | leaf>>a.n<<(t.k-1)
 	}
-	return rank
+	return rank, nil
 }
 
 // HashInto is Hash into the caller's array: it writes the ObjectID to
@@ -275,37 +273,36 @@ type Box struct {
 	Hi []float64
 }
 
-// NewBox validates the query bounds against the tree's arity and copies them
-// into a box of their own (AppendBox onto nothing).
+// NewBox validates the query bounds (BoxOf) and copies them into a box of
+// their own.
 func (t *Tree) NewBox(lo, hi []float64) (Box, error) {
-	b, _, err := t.AppendBox(nil, lo, hi)
-	return b, err
+	buf := append(append(make([]float64, 0, len(lo)+len(hi)), lo...), hi...)
+	return t.BoxOf(buf[:len(lo):len(lo)], buf[len(lo):])
 }
 
-// AppendBox validates the query bounds — one a side per attribute, none NaN,
-// no low above its high — and appends them, lo then hi, to buf, returning the
-// box over them and the grown buffer (on an error, buf as it was).
-func (t *Tree) AppendBox(buf, lo, hi []float64) (Box, []float64, error) {
+// BoxOf validates the query bounds — one a side per attribute, none NaN, no
+// low above its high — and returns the box over the slices given.
+func (t *Tree) BoxOf(lo, hi []float64) (Box, error) {
 	if len(lo) != len(t.spaces) || len(hi) != len(t.spaces) {
-		return Box{}, buf, fmt.Errorf("%w: got %d/%d bounds, want %d", ErrArity, len(lo), len(hi), len(t.spaces))
+		return Box{}, fmt.Errorf("%w: got %d/%d bounds, want %d", ErrArity, len(lo), len(hi), len(t.spaces))
 	}
 	for i := range lo {
 		if math.IsNaN(lo[i]) || math.IsNaN(hi[i]) {
-			return Box{}, buf, fmt.Errorf("%w: attribute %d", ErrNotFinite, i)
+			return Box{}, fmt.Errorf("%w: attribute %d", ErrNotFinite, i)
 		}
 		if lo[i] > hi[i] {
-			return Box{}, buf, fmt.Errorf("naming: attribute %d: query low %v above high %v", i, lo[i], hi[i])
+			return Box{}, fmt.Errorf("naming: attribute %d: query low %v above high %v", i, lo[i], hi[i])
 		}
 	}
-	n, m := len(buf), len(lo)
-	buf = append(append(slices.Grow(buf, 2*m), lo...), hi...)
-	return Box{Lo: buf[n : n+m : n+m], Hi: buf[n+m:]}, buf, nil
+	return Box{Lo: lo, Hi: hi}, nil
 }
 
 // Corners returns the ranks of a valid box's corners, HashRank of Lo and of
 // Hi, each bound — an infinite one too — clamped to its space for the rank.
 func (t *Tree) Corners(b Box) kautz.Span {
-	return kautz.Span{Lo: t.rank(b.Lo), Hi: t.rank(b.Hi)}
+	lo, _ := t.hashRank(b.Lo, false)
+	hi, _ := t.hashRank(b.Hi, false)
+	return kautz.Span{Lo: lo, Hi: hi}
 }
 
 // Contains reports whether the m-attribute point v lies in the box.
